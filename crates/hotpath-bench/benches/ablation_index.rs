@@ -1,10 +1,11 @@
 //! Index-structure ablation: the paper's grid (Section 5.1) vs a
-//! hand-rolled Guttman R-tree for the endpoint workloads the SinglePath
-//! strategy generates (inserts, FSA-sized range queries, deletions).
+//! hand-rolled Guttman R-tree for the end-vertex workloads the
+//! SinglePath strategy generates (inserts, FSA-sized range queries,
+//! deletions).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hotpath_core::geometry::{Point, Rect};
-use hotpath_core::index::{EndKind, EndpointGrid, Entry, RTree};
+use hotpath_core::index::{EndpointGrid, Entry, RTree};
 use hotpath_core::motion_path::PathId;
 
 fn endpoints(n: usize) -> Vec<Point> {
@@ -12,9 +13,10 @@ fn endpoints(n: usize) -> Vec<Point> {
 }
 
 fn filled_grid(pts: &[Point]) -> EndpointGrid {
-    let mut g = EndpointGrid::new(250.0);
+    // The coordinator's cell: one FSA side (2 eps = 20 m).
+    let mut g = EndpointGrid::new(20.0);
     for (i, p) in pts.iter().enumerate() {
-        g.insert(Entry { endpoint: *p, path: PathId(i as u64), other: *p, kind: EndKind::End });
+        g.insert(Entry { endpoint: *p, path: PathId(i as u64) });
     }
     g
 }
@@ -47,14 +49,9 @@ fn bench_backends(c: &mut Criterion) {
             b.iter_batched(
                 || filled_grid(pts),
                 |mut grid| {
-                    let e = Entry {
-                        endpoint: Point::new(1.0, 1.0),
-                        path: PathId(u64::MAX),
-                        other: Point::new(1.0, 1.0),
-                        kind: EndKind::End,
-                    };
-                    grid.insert(e);
-                    grid.remove(&Point::new(1.0, 1.0), PathId(u64::MAX), EndKind::End);
+                    let at = Point::new(1.0, 1.0);
+                    let pos = grid.insert(Entry { endpoint: at, path: PathId(u64::MAX) });
+                    grid.remove(&at, pos);
                     grid
                 },
                 BatchSize::LargeInput,

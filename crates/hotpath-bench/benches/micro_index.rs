@@ -6,7 +6,8 @@ use hotpath_core::geometry::{Point, Rect};
 use hotpath_core::index::MotionPathIndex;
 
 fn filled(n: usize) -> MotionPathIndex {
-    let mut idx = MotionPathIndex::new(250.0, 1e-3);
+    // The coordinator's cell: one FSA side (2 eps = 20 m).
+    let mut idx = MotionPathIndex::new(20.0, 1e-3);
     for i in 0..n {
         let x = (i % 100) as f64 * 100.0;
         let y = (i / 100) as f64 * 100.0;
@@ -30,7 +31,8 @@ fn bench_index(c: &mut Criterion) {
             );
         });
         let idx = filled(n);
-        let fsa = Rect::new(Point::new(480.0, 80.0), Point::new(620.0, 220.0));
+        // An FSA-sized box around the end of the path leaving (500, 100).
+        let fsa = Rect::new(Point::new(570.0, 100.0), Point::new(590.0, 120.0));
         g.bench_with_input(BenchmarkId::new("case1_query", n), &idx, |b, idx| {
             b.iter(|| idx.paths_from_into(&Point::new(500.0, 100.0), &fsa));
         });

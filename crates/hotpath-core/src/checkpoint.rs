@@ -399,7 +399,7 @@ pub struct ConfigRecord {
     pub lambda: u64,
     /// Top-`k` size.
     pub k: u64,
-    /// Grid cell side.
+    /// Shard-routing cell side.
     pub grid_cell: f64,
     /// Vertex quantization grain.
     pub vertex_grain: f64,

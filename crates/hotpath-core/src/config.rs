@@ -208,7 +208,11 @@ pub struct Config {
     pub epochs: EpochClock,
     /// Number of hottest paths to report.
     pub k: usize,
-    /// Grid-index cell side in meters.
+    /// Shard-routing cell side in meters: start vertices in one cell
+    /// route to one coordinator shard. Unused at `shards = 1`, and never
+    /// the index's own grid — that cell is derived from the tolerance
+    /// (about one FSA side), so range queries stay FSA-sized whatever
+    /// this is set to.
     pub grid_cell: f64,
     /// Quantization grain for exact vertex identity (meters). Vertices
     /// within the same grain cell are treated as the same vertex.
@@ -284,7 +288,7 @@ impl Config {
         Config::rebuilt(self.to_builder().k(k))
     }
 
-    /// Builder-style grid-cell override.
+    /// Builder-style shard-routing-cell override.
     pub fn with_grid_cell(self, cell: f64) -> Self {
         Config::rebuilt(self.to_builder().grid_cell(cell))
     }
@@ -462,7 +466,7 @@ impl ConfigBuilder {
         self
     }
 
-    /// Grid-index cell side in meters.
+    /// Shard-routing cell side in meters (see [`Config::grid_cell`]).
     pub fn grid_cell(mut self, cell: f64) -> Self {
         self.grid_cell = cell;
         self

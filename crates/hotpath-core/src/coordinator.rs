@@ -295,9 +295,11 @@ impl PathReader for ShardedReader<'_> {
     }
 }
 
-/// Grid cell edge for the epoch FSA-overlap structure: about one FSA
-/// diameter (`2 eps`), floored away from zero for degenerate
-/// tolerances. Affects performance only, never results.
+/// Grid cell edge shared by the epoch FSA-overlap structure and every
+/// shard's end-vertex grid: about one FSA diameter (`2 eps`), floored
+/// away from zero for degenerate tolerances, so an FSA-sized range
+/// query probes at most four cells. Affects performance only, never
+/// results.
 fn overlap_cell_of(config: &Config) -> f64 {
     (2.0 * config.tolerance.eps()).max(1e-6)
 }
@@ -357,7 +359,7 @@ impl Coordinator {
         let fsa_cache = FsaCache::new(overlap_cell_of(&config));
         let shards: Vec<Shard> = (0..config.shards)
             .map(|_| Shard {
-                index: MotionPathIndex::new(config.grid_cell, config.vertex_grain),
+                index: MotionPathIndex::new(overlap_cell_of(&config), config.vertex_grain),
                 hotness: Hotness::new(config.window),
                 scratch: ScratchArena::new(),
             })
@@ -1224,7 +1226,7 @@ impl Coordinator {
             let meta: Vec<ShardMetaRecord> = ck.section(SectionKind::ShardMeta, i)?;
             one("shard-meta", meta.len())?;
             let index = MotionPathIndex::from_checkpoint_parts(
-                config.grid_cell,
+                overlap_cell_of(&config),
                 config.vertex_grain,
                 paths,
                 meta[0].index_next_id,

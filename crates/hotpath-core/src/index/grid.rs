@@ -1,49 +1,42 @@
 //! The lightweight uniform grid underlying the MotionPath index
 //! (Section 5.1).
 //!
-//! Space is partitioned into square cells; each cell holds a small hash
-//! table of endpoint entries keyed by `(path id, endpoint kind)`, giving
-//! expected-constant insertion and deletion exactly as the paper
-//! prescribes ("the list is sorted by motion path id and organized in a
-//! hash table").
+//! Space is partitioned into square cells; each cell is a flat vector
+//! of *end-vertex* entries. Only end vertices are indexed because only
+//! they are ever range-queried (the Case-2 "available vertices" query);
+//! "paths leaving a vertex" (Case 1) is an exact-match lookup the
+//! [`MotionPathIndex`](super::MotionPathIndex) answers from its
+//! adjacency lists. The cell side is on the order of an FSA's side, so
+//! a range query probes at most a handful of cells and scans only
+//! entries near the FSA.
+//!
+//! Insertion appends and removal `swap_remove`s by position — both
+//! constant time however crowded a cell is. The caller keeps each
+//! entry's position (returned by [`EndpointGrid::insert`], updated from
+//! [`EndpointGrid::remove`]'s return value), which is what lets the grid
+//! skip any per-cell id lookup structure.
 
 use crate::fxhash::FxHashMap;
 use crate::geometry::{Point, Rect};
 use crate::motion_path::PathId;
 
-/// Which endpoint of the path an entry describes.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum EndKind {
-    /// The start vertex of the directed path.
-    Start,
-    /// The end vertex of the directed path.
-    End,
-}
-
-/// One grid entry: an endpoint, its path, and the opposite endpoint
-/// (stored inline so range queries need no second lookup — mirroring the
-/// paper's "each index entry also stores the respective motion path id
-/// and the coordinates of the other endpoint").
-#[derive(Clone, Copy, Debug)]
+/// One grid entry: a path's end vertex and the path's id.
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Entry {
-    /// The indexed endpoint.
+    /// The indexed end vertex.
     pub endpoint: Point,
-    /// The path this endpoint belongs to.
+    /// The path ending there.
     pub path: PathId,
-    /// The path's other endpoint.
-    pub other: Point,
-    /// Whether `endpoint` is the path's start or end.
-    pub kind: EndKind,
 }
 
 /// Integer cell coordinates.
 pub type CellKey = (i64, i64);
 
-/// A uniform grid of endpoint entries.
+/// A uniform grid of end-vertex entries.
 #[derive(Clone, Debug)]
 pub struct EndpointGrid {
     cell: f64,
-    cells: FxHashMap<CellKey, FxHashMap<(PathId, EndKind), Entry>>,
+    cells: FxHashMap<CellKey, Vec<Entry>>,
     len: usize,
 }
 
@@ -59,7 +52,7 @@ impl EndpointGrid {
         self.cell
     }
 
-    /// Number of stored entries (two per indexed path).
+    /// Number of stored entries (one per indexed path).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -75,41 +68,51 @@ impl EndpointGrid {
         ((p.x / self.cell).floor() as i64, (p.y / self.cell).floor() as i64)
     }
 
-    /// Inserts an entry; replaces any previous entry for the same
-    /// `(path, kind)` pair in that cell.
-    pub fn insert(&mut self, entry: Entry) {
-        let key = self.key_of(&entry.endpoint);
-        let slot = self.cells.entry(key).or_default();
-        if slot.insert((entry.path, entry.kind), entry).is_none() {
-            self.len += 1;
-        }
+    /// Appends `entry` to its cell and returns its position there, which
+    /// the caller must remember to [`remove`](Self::remove) it. No
+    /// duplicate check: each path is inserted once by construction.
+    pub fn insert(&mut self, entry: Entry) -> u32 {
+        let slot = self.cells.entry(self.key_of(&entry.endpoint)).or_default();
+        slot.push(entry);
+        self.len += 1;
+        (slot.len() - 1) as u32
     }
 
-    /// Removes the entry for `(path, kind)` whose endpoint is `endpoint`;
-    /// returns whether it existed.
-    pub fn remove(&mut self, endpoint: &Point, path: PathId, kind: EndKind) -> bool {
+    /// Removes the entry at position `pos` of the cell containing
+    /// `endpoint`. The cell's last entry takes the vacated position;
+    /// returns that entry's path (whose recorded position the caller
+    /// must update to `pos`), or `None` when the removed entry was last.
+    ///
+    /// # Panics
+    /// When `(endpoint, pos)` does not address a stored entry — the
+    /// caller's position bookkeeping is broken.
+    pub fn remove(&mut self, endpoint: &Point, pos: u32) -> Option<PathId> {
         let key = self.key_of(endpoint);
-        let Some(slot) = self.cells.get_mut(&key) else { return false };
-        let removed = slot.remove(&(path, kind)).is_some();
-        if removed {
-            self.len -= 1;
-            if slot.is_empty() {
-                self.cells.remove(&key);
-            }
+        let slot = self.cells.get_mut(&key).expect("no grid cell at a stored entry's endpoint");
+        slot.swap_remove(pos as usize);
+        self.len -= 1;
+        let moved = slot.get(pos as usize).map(|e| e.path);
+        if slot.is_empty() {
+            self.cells.remove(&key);
         }
-        removed
+        moved
+    }
+
+    /// The entry at position `pos` of the cell containing `endpoint`.
+    pub fn get(&self, endpoint: &Point, pos: u32) -> Option<&Entry> {
+        self.cells.get(&self.key_of(endpoint))?.get(pos as usize)
     }
 
     /// Visits every entry whose endpoint lies inside `range` (closed
     /// set). This is the range query the SinglePath strategy issues
-    /// against the index (Alg. 2 lines 42 and 51).
+    /// against the index (Alg. 2 line 51).
     pub fn for_each_in(&self, range: &Rect, mut f: impl FnMut(&Entry)) {
         let lo = self.key_of(&range.lo());
         let hi = self.key_of(&range.hi());
         for cx in lo.0..=hi.0 {
             for cy in lo.1..=hi.1 {
                 let Some(slot) = self.cells.get(&(cx, cy)) else { continue };
-                for entry in slot.values() {
+                for entry in slot {
                     if range.contains(&entry.endpoint) {
                         f(entry);
                     }
@@ -135,29 +138,26 @@ impl EndpointGrid {
 mod tests {
     use super::*;
 
-    fn entry(id: u64, x: f64, y: f64, kind: EndKind) -> Entry {
-        Entry {
-            endpoint: Point::new(x, y),
-            path: PathId(id),
-            other: Point::new(x + 100.0, y),
-            kind,
-        }
+    fn entry(id: u64, x: f64, y: f64) -> Entry {
+        Entry { endpoint: Point::new(x, y), path: PathId(id) }
     }
 
     #[test]
     fn insert_query_remove_roundtrip() {
         let mut g = EndpointGrid::new(10.0);
-        g.insert(entry(1, 5.0, 5.0, EndKind::End));
-        g.insert(entry(2, 15.0, 5.0, EndKind::End));
-        g.insert(entry(1, 5.0, 5.0, EndKind::Start)); // same cell, other kind
+        assert_eq!(g.insert(entry(1, 5.0, 5.0)), 0);
+        assert_eq!(g.insert(entry(2, 15.0, 5.0)), 0);
+        assert_eq!(g.insert(entry(3, 6.0, 6.0)), 1); // same cell as path 1
         assert_eq!(g.len(), 3);
 
         let hits = g.query(&Rect::new(Point::new(0.0, 0.0), Point::new(9.0, 9.0)));
-        assert_eq!(hits.len(), 2); // both kinds of path 1
+        assert_eq!(hits.len(), 2);
 
-        assert!(g.remove(&Point::new(5.0, 5.0), PathId(1), EndKind::End));
-        assert!(!g.remove(&Point::new(5.0, 5.0), PathId(1), EndKind::End));
-        assert_eq!(g.len(), 2);
+        // Removing position 0 moves the cell's last entry (path 3) there.
+        assert_eq!(g.remove(&Point::new(5.0, 5.0), 0), Some(PathId(3)));
+        assert_eq!(g.get(&Point::new(6.0, 6.0), 0), Some(&entry(3, 6.0, 6.0)));
+        assert_eq!(g.remove(&Point::new(6.0, 6.0), 0), None);
+        assert_eq!(g.len(), 1);
     }
 
     #[test]
@@ -168,7 +168,7 @@ mod tests {
         for i in 0..200u64 {
             let x = ((i * 37) % 100) as f64 - 50.0;
             let y = ((i * 53) % 90) as f64 - 45.0;
-            let e = entry(i, x, y, EndKind::End);
+            let e = entry(i, x, y);
             g.insert(e);
             all.push(e);
         }
@@ -201,7 +201,7 @@ mod tests {
     fn boundary_points_are_found() {
         let mut g = EndpointGrid::new(10.0);
         // Exactly on a cell boundary.
-        g.insert(entry(9, 10.0, 10.0, EndKind::End));
+        g.insert(entry(9, 10.0, 10.0));
         let r = Rect::new(Point::new(9.5, 9.5), Point::new(10.0, 10.0));
         assert_eq!(g.query(&r).len(), 1);
         let r2 = Rect::new(Point::new(10.0, 10.0), Point::new(11.0, 11.0));
@@ -209,19 +209,11 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_same_key_replaces() {
-        let mut g = EndpointGrid::new(10.0);
-        g.insert(entry(1, 5.0, 5.0, EndKind::End));
-        g.insert(entry(1, 5.0, 5.0, EndKind::End));
-        assert_eq!(g.len(), 1);
-    }
-
-    #[test]
     fn empty_cells_are_pruned() {
         let mut g = EndpointGrid::new(10.0);
-        g.insert(entry(1, 5.0, 5.0, EndKind::End));
+        let pos = g.insert(entry(1, 5.0, 5.0));
         assert_eq!(g.occupied_cells(), 1);
-        g.remove(&Point::new(5.0, 5.0), PathId(1), EndKind::End);
+        g.remove(&Point::new(5.0, 5.0), pos);
         assert_eq!(g.occupied_cells(), 0);
         assert!(g.is_empty());
     }

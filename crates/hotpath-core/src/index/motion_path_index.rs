@@ -1,10 +1,13 @@
 //! The MotionPath index (Section 5.1): path storage plus the queries the
 //! SinglePath strategy needs.
 //!
-//! * range query for *available motion paths*: paths starting at a given
-//!   vertex whose end falls inside an FSA (Case 1);
-//! * range query for *available vertices*: end vertices of stored paths
-//!   inside an FSA, each with its converging paths (Case 2);
+//! * *available motion paths*: paths starting at a given vertex whose
+//!   end falls inside an FSA (Case 1) — answered from the start
+//!   vertex's exact out-adjacency list, so it costs the vertex's
+//!   out-degree, not the population of the cells around the FSA;
+//! * *available vertices*: end vertices of stored paths inside an FSA,
+//!   each with its converging paths (Case 2) — the one true range
+//!   query, answered from the end-vertex grid;
 //! * exact-match adjacency (paths leaving a vertex) for the hinted
 //!   feedback extension.
 //!
@@ -12,7 +15,7 @@
 //! only ever minted by the coordinator, so equality is exact in practice
 //! and the grain merely guards against float noise.
 
-use super::grid::{EndKind, EndpointGrid, Entry};
+use super::grid::{EndpointGrid, Entry};
 use super::vertex_groups::VertexGroups;
 use crate::fxhash::FxHashMap;
 use crate::geometry::{Point, Rect};
@@ -27,6 +30,15 @@ pub fn point_lt(a: &Point, b: &Point) -> bool {
     a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)).is_lt()
 }
 
+/// Where one path's records live in the derived structures.
+#[derive(Clone, Copy, Debug)]
+struct Loc {
+    /// Slot in the `paths` slab.
+    slot: u32,
+    /// Position of the path's end-vertex entry within its grid cell.
+    cell_pos: u32,
+}
+
 /// The coordinator's path store.
 ///
 /// Paths live in a contiguous slab (`repr(C)` [`MotionPath`] records)
@@ -39,27 +51,26 @@ pub struct MotionPathIndex {
     /// Contiguous path records; order is maintenance order (inserts
     /// append, removals `swap_remove`) and is checkpointed verbatim.
     paths: Vec<MotionPath>,
-    /// Path id -> slot in `paths`.
-    slot_of: FxHashMap<PathId, u32>,
+    /// Path id -> where its derived records live.
+    loc_of: FxHashMap<PathId, Loc>,
     /// Outgoing adjacency: start vertex -> paths leaving it.
     out_adj: FxHashMap<VertexKey, Vec<PathId>>,
-    /// Incoming adjacency: end vertex -> paths converging to it.
-    in_adj: FxHashMap<VertexKey, Vec<PathId>>,
     vertex_grain: f64,
     next_id: u64,
 }
 
 impl MotionPathIndex {
-    /// Creates an empty index with the given grid cell side and vertex
-    /// quantization grain (meters).
+    /// Creates an empty index with the given end-vertex grid cell side
+    /// and vertex quantization grain (meters). The cell side affects
+    /// performance only; about one FSA side keeps a Case-2 query to at
+    /// most four cells.
     pub fn new(grid_cell: f64, vertex_grain: f64) -> Self {
         assert!(vertex_grain > 0.0, "vertex grain must be positive");
         MotionPathIndex {
             grid: EndpointGrid::new(grid_cell),
             paths: Vec::new(),
-            slot_of: FxHashMap::default(),
+            loc_of: FxHashMap::default(),
             out_adj: FxHashMap::default(),
-            in_adj: FxHashMap::default(),
             vertex_grain,
             next_id: 0,
         }
@@ -83,7 +94,7 @@ impl MotionPathIndex {
 
     /// Looks up a path by id.
     pub fn get(&self, id: PathId) -> Option<&MotionPath> {
-        self.slot_of.get(&id).map(|&s| &self.paths[s as usize])
+        self.loc_of.get(&id).map(|loc| &self.paths[loc.slot as usize])
     }
 
     /// Iterates over all stored paths (slab order).
@@ -117,47 +128,46 @@ impl MotionPathIndex {
         }
         let id = PathId(*next);
         *next += 1;
-        let path = MotionPath::new(id, start, end);
-        self.grid.insert(Entry { endpoint: start, path: id, other: end, kind: EndKind::Start });
-        self.grid.insert(Entry { endpoint: end, path: id, other: start, kind: EndKind::End });
-        self.out_adj.entry(skey).or_default().push(id);
-        self.in_adj.entry(ekey).or_default().push(id);
-        self.slot_of.insert(id, self.paths.len() as u32);
-        self.paths.push(path);
+        self.link(MotionPath::new(id, start, end));
         (id, true)
+    }
+
+    /// Appends `path` to the slab and enters it into every derived
+    /// structure.
+    fn link(&mut self, path: MotionPath) {
+        let cell_pos = self.grid.insert(Entry { endpoint: path.end(), path: path.id });
+        self.out_adj.entry(self.vertex_key(&path.start())).or_default().push(path.id);
+        self.loc_of.insert(path.id, Loc { slot: self.paths.len() as u32, cell_pos });
+        self.paths.push(path);
     }
 
     /// Finds a stored path with the given quantized endpoints.
     fn find_exact(&self, skey: VertexKey, ekey: VertexKey) -> Option<PathId> {
         let outs = self.out_adj.get(&skey)?;
-        outs.iter()
-            .copied()
-            .find(|&id| self.vertex_key(&self.paths[self.slot_of[&id] as usize].end()) == ekey)
+        outs.iter().copied().find(|&id| self.vertex_key(&self.stored(id).end()) == ekey)
+    }
+
+    /// The record of a path known to be stored (adjacency-list member).
+    #[inline]
+    fn stored(&self, id: PathId) -> &MotionPath {
+        &self.paths[self.loc_of[&id].slot as usize]
     }
 
     /// Removes a path (when its hotness expires to zero, Section 5.2).
     pub fn remove(&mut self, id: PathId) -> bool {
-        let Some(slot) = self.slot_of.remove(&id) else { return false };
+        let Some(Loc { slot, cell_pos }) = self.loc_of.remove(&id) else { return false };
         let path = self.paths.swap_remove(slot as usize);
         if let Some(moved) = self.paths.get(slot as usize) {
-            self.slot_of.insert(moved.id, slot);
+            self.loc_of.get_mut(&moved.id).expect("slab record without a location").slot = slot;
         }
-        let start = path.start();
-        let end = path.end();
-        self.grid.remove(&start, id, EndKind::Start);
-        self.grid.remove(&end, id, EndKind::End);
-        let skey = self.vertex_key(&start);
-        let ekey = self.vertex_key(&end);
+        if let Some(moved) = self.grid.remove(&path.end(), cell_pos) {
+            self.loc_of.get_mut(&moved).expect("grid entry without a location").cell_pos = cell_pos;
+        }
+        let skey = self.vertex_key(&path.start());
         if let Some(v) = self.out_adj.get_mut(&skey) {
             v.retain(|&x| x != id);
             if v.is_empty() {
                 self.out_adj.remove(&skey);
-            }
-        }
-        if let Some(v) = self.in_adj.get_mut(&ekey) {
-            v.retain(|&x| x != id);
-            if v.is_empty() {
-                self.in_adj.remove(&ekey);
             }
         }
         true
@@ -174,26 +184,20 @@ impl MotionPathIndex {
     /// [`MotionPathIndex::paths_from_into`] appending into a caller
     /// buffer — the allocation-free form the epoch hot loop uses (the
     /// buffer lives in the shard's scratch arena and is reused across
-    /// states and epochs).
+    /// states and epochs). Ids are appended in adjacency-list order; the
+    /// strategy's selection is a strict total order over candidates, so
+    /// candidate order is unobservable.
     pub fn paths_from_into_buf(&self, start: &Point, fsa: &Rect, out: &mut Vec<PathId>) {
-        let skey = self.vertex_key(start);
-        self.grid.for_each_in(fsa, |entry| {
-            if entry.kind == EndKind::End && self.vertex_key(&entry.other) == skey {
-                out.push(entry.path);
-            }
-        });
+        let Some(outs) = self.out_adj.get(&self.vertex_key(start)) else { return };
+        out.extend(outs.iter().copied().filter(|&id| fsa.contains(&self.stored(id).end())));
     }
 
-    /// Visits every *end*-vertex grid entry inside `fsa` (the raw form
-    /// of the Case-2 query; [`MotionPathIndex::end_vertices_into`] and
-    /// the sharded coordinator's merged store group these into vertex
+    /// Visits every end-vertex grid entry inside `fsa` (the raw form of
+    /// the Case-2 query; [`MotionPathIndex::end_vertices_into`] and the
+    /// sharded coordinator's merged store group these into vertex
     /// groups without intermediate allocation).
-    pub fn for_each_end_in(&self, fsa: &Rect, mut f: impl FnMut(&Entry)) {
-        self.grid.for_each_in(fsa, |entry| {
-            if entry.kind == EndKind::End {
-                f(entry);
-            }
-        });
+    pub fn for_each_end_in(&self, fsa: &Rect, f: impl FnMut(&Entry)) {
+        self.grid.for_each_in(fsa, f);
     }
 
     /// Case-2 query (Alg. 2 GetCandidateVertices): distinct end vertices
@@ -226,40 +230,32 @@ impl MotionPathIndex {
         self.out_adj.get(&self.vertex_key(p)).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// Paths converging to the vertex of `p`.
-    pub fn paths_ending_at(&self, p: &Point) -> &[PathId] {
-        self.in_adj.get(&self.vertex_key(p)).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
     /// Internal-consistency audit used by tests and debug assertions:
     /// grid entries, adjacency lists, and the path table must agree.
     pub fn check_consistency(&self) -> Result<(), String> {
-        if self.grid.len() != 2 * self.paths.len() {
+        if self.loc_of.len() != self.paths.len() || self.grid.len() != self.paths.len() {
             return Err(format!(
-                "grid has {} entries for {} paths",
+                "{} locations and {} grid entries for {} slab records",
+                self.loc_of.len(),
                 self.grid.len(),
                 self.paths.len()
             ));
         }
-        if self.slot_of.len() != self.paths.len() {
-            return Err(format!(
-                "slot map has {} entries for {} slab records",
-                self.slot_of.len(),
-                self.paths.len()
-            ));
-        }
         for (slot, p) in self.paths.iter().enumerate() {
-            if self.slot_of.get(&p.id) != Some(&(slot as u32)) {
-                return Err(format!("slot map lost {} (slab slot {slot})", p.id));
+            let Some(loc) = self.loc_of.get(&p.id) else {
+                return Err(format!("location map lost {} (slab slot {slot})", p.id));
+            };
+            if loc.slot as usize != slot {
+                return Err(format!("{} located at slot {} not {slot}", p.id, loc.slot));
+            }
+            let entry = Entry { endpoint: p.end(), path: p.id };
+            if self.grid.get(&p.end(), loc.cell_pos) != Some(&entry) {
+                return Err(format!("grid position {} does not hold {}", loc.cell_pos, p.id));
             }
         }
         let out_total: usize = self.out_adj.values().map(Vec::len).sum();
-        let in_total: usize = self.in_adj.values().map(Vec::len).sum();
-        if out_total != self.paths.len() || in_total != self.paths.len() {
-            return Err(format!(
-                "adjacency sizes out={out_total} in={in_total} vs {} paths",
-                self.paths.len()
-            ));
+        if out_total != self.paths.len() {
+            return Err(format!("adjacency size {out_total} vs {} paths", self.paths.len()));
         }
         for (key, ids) in &self.out_adj {
             for id in ids {
@@ -287,8 +283,8 @@ impl MotionPathIndex {
     }
 
     /// Rebuilds an index from a checkpointed path slab: the slab is
-    /// adopted verbatim; the grid, adjacency lists, and slot map are
-    /// derived from it.
+    /// adopted verbatim; the grid, adjacency lists, and location map
+    /// are derived from it.
     ///
     /// # Errors
     /// Returns a description when the slab is structurally invalid
@@ -303,21 +299,15 @@ impl MotionPathIndex {
     ) -> Result<Self, String> {
         let mut idx = MotionPathIndex::new(grid_cell, vertex_grain);
         idx.paths.reserve(paths.len());
-        for (slot, path) in paths.iter().enumerate() {
+        for path in paths {
             if !path.start().is_finite() || !path.end().is_finite() {
                 return Err(format!("path {} has non-finite endpoints", path.id));
             }
-            if idx.slot_of.insert(path.id, slot as u32).is_some() {
+            if idx.loc_of.contains_key(&path.id) {
                 return Err(format!("duplicate path slab entry for {}", path.id));
             }
-            let (start, end) = (path.start(), path.end());
-            let id = path.id;
-            idx.grid.insert(Entry { endpoint: start, path: id, other: end, kind: EndKind::Start });
-            idx.grid.insert(Entry { endpoint: end, path: id, other: start, kind: EndKind::End });
-            idx.out_adj.entry(idx.vertex_key(&start)).or_default().push(id);
-            idx.in_adj.entry(idx.vertex_key(&end)).or_default().push(id);
+            idx.link(path);
         }
-        idx.paths = paths;
         idx.next_id = next_id;
         Ok(idx)
     }
@@ -404,10 +394,26 @@ mod tests {
         assert!(!i.remove(id));
         assert_eq!(i.len(), 0);
         assert!(i.paths_starting_at(&s).is_empty());
-        assert!(i.paths_ending_at(&e).is_empty());
+        assert!(i.paths_from_into(&s, &Rect::point(e)).is_empty());
         let everywhere = Rect::new(Point::new(-1e6, -1e6), Point::new(1e6, 1e6));
         assert!(i.end_vertices_in(&everywhere).is_empty());
         i.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn removal_from_a_crowded_cell_keeps_positions_straight() {
+        // Twelve paths end in one grid cell; removing them in a
+        // scrambled order exercises the swap-remove position fix-up.
+        let mut i = idx();
+        let ids: Vec<PathId> = (0..12)
+            .map(|k| i.insert(Point::new(k as f64 * 100.0, 500.0), Point::new(k as f64, 1.0)).0)
+            .collect();
+        let cell = Rect::new(Point::new(0.0, 0.0), Point::new(49.0, 49.0));
+        for (n, k) in [5, 0, 11, 3, 7, 1, 10, 2, 9, 4, 8, 6].into_iter().enumerate() {
+            assert!(i.remove(ids[k]));
+            i.check_consistency().unwrap();
+            assert_eq!(i.end_vertices_in(&cell).len(), 11 - n);
+        }
     }
 
     #[test]
@@ -416,11 +422,10 @@ mod tests {
         let v = Point::new(10.0, 10.0);
         let (a, _) = i.insert(v, Point::new(50.0, 10.0));
         let (b, _) = i.insert(v, Point::new(10.0, 60.0));
-        let (c, _) = i.insert(Point::new(-40.0, 10.0), v);
+        i.insert(Point::new(-40.0, 10.0), v);
         let mut outs = i.paths_starting_at(&v).to_vec();
         outs.sort_unstable();
         assert_eq!(outs, vec![a, b]);
-        assert_eq!(i.paths_ending_at(&v), &[c]);
         // Quantized identity: a float-noisy copy of v matches.
         let noisy = Point::new(10.0 + 1e-5, 10.0 - 1e-5);
         assert_eq!(i.paths_starting_at(&noisy).len(), 2);

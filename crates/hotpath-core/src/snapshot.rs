@@ -365,7 +365,9 @@ mod tests {
                 joins.push(scope.spawn(move || {
                     let mut last = 0u64;
                     let mut reads = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    // Read before testing `stop`: on a loaded host the
+                    // writer can finish before a reader is scheduled.
+                    loop {
                         let snap = handle.read();
                         let e = snap.epoch;
                         assert_eq!(snap.timestamp, Timestamp(e * 10), "torn read at epoch {e}");
@@ -374,8 +376,10 @@ mod tests {
                         assert!(e >= last, "epoch went backwards: {last} -> {e}");
                         last = e;
                         reads += 1;
+                        if stop.load(Ordering::Relaxed) {
+                            break reads;
+                        }
                     }
-                    reads
                 }));
             }
             for e in 1..=publishes {

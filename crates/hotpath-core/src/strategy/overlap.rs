@@ -18,7 +18,7 @@ use crate::geometry::{Point, Rect};
 
 /// Reusable query scratch: the stamped `seen` bitmap behind the
 /// allocation- and sort-free intersection query, plus the buffers of
-/// the [`FsaSet::max_depth_region_in`] slab sweep. The scratch is
+/// the [`FsaSet::max_depth_region_in`] sweep. The scratch is
 /// *owned by the caller*, not by the set: the set itself is immutable
 /// (`Sync`) during queries, so parallel Phase B hands each worker
 /// thread its own `QueryScratch` and they all query one shared
@@ -39,8 +39,11 @@ pub struct QueryScratch {
     local: Vec<Rect>,
     /// `max_depth_region`: candidate slab boundaries.
     xs: Vec<f64>,
-    /// `max_depth_region`: the y-sweep event buffer, reused across every
-    /// slab of every call instead of reallocated per slab.
+    /// `max_depth_region`: rect indices by left edge / by right edge.
+    starts: Vec<u32>,
+    ends: Vec<u32>,
+    /// `max_depth_region`: the y-sorted interval events of the rects
+    /// covering the sweep's current slab.
     events: Vec<(f64, i32)>,
 }
 
@@ -311,89 +314,167 @@ impl FsaSet {
     ///
     /// Closed-set semantics throughout: rectangles touching only at an
     /// edge still overlap there, matching [`Rect::intersects`].
+    ///
+    /// The answer is the leftmost deepest *full-width* x-slab (between
+    /// two consecutive distinct x-boundaries of the clipped rects),
+    /// replaced by the leftmost deepest boundary *line* only when that
+    /// line is strictly deeper — depth achieved only where rectangles
+    /// touch edge-to-edge; at equal depth a proper slab beats a
+    /// degenerate line (larger region, better centroid). Within the
+    /// winning slab or line, the region spans the first maximal
+    /// y-stretch.
+    ///
+    /// One left-to-right sweep: the rects covering the current slab are
+    /// kept as a y-sorted event list edited in place as rects start and
+    /// end, and a slab or line is y-swept only when an upper bound on
+    /// its depth beats the best already found. The cost is
+    /// `O(m log m)` plus `O(covering rects)` per y-sweep for `m` rects
+    /// intersecting `clip` — in particular constant when the clip meets
+    /// only one rect, the common case away from hubs.
     pub fn max_depth_region_in(
         &self,
         clip: &Rect,
         scratch: &mut QueryScratch,
     ) -> Option<(Rect, usize)> {
         self.collect_intersecting(clip, scratch);
-        let QueryScratch { hits, local, xs, events, .. } = scratch;
+        let QueryScratch { hits, local, xs, starts, ends, events, .. } = scratch;
         local.clear();
         local.extend(hits.iter().map(|&i| {
             self.rects[i as usize]
                 .intersection(clip)
                 .expect("collect_intersecting guarantees overlap")
         }));
-        if local.is_empty() {
-            return None;
-        }
         let local: &[Rect] = local;
-        // Candidate x-slabs: between (and at) every pair of consecutive
-        // distinct x-boundaries.
+        match local {
+            [] => return None,
+            // A lone rect (in the hot loop, the querying object's own
+            // FSA) is its own deepest region: one slab, or one line when
+            // it has no width, spanning its whole height.
+            [only] => return Some((*only, 1)),
+            _ => {}
+        }
         xs.clear();
         xs.extend(local.iter().flat_map(|r| [r.lo().x, r.hi().x]));
         xs.sort_by(f64::total_cmp);
         xs.dedup();
-
-        let mut best: Option<(Rect, usize)> = None;
-        let mut consider = |slab_lo: f64, slab_hi: f64, events: &mut Vec<(f64, i32)>| {
-            // Rects whose x-range covers the whole slab (closed).
-            events.clear();
-            for r in local {
-                if r.lo().x <= slab_lo && slab_hi <= r.hi().x {
-                    events.push((r.lo().y, 1));
-                    events.push((r.hi().y, -1));
-                }
-            }
-            if events.is_empty() {
-                return;
-            }
-            // Closed sets: starts before ends at equal y so touching
-            // intervals count as overlapping at the shared line.
-            events.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
-            // Pass 1: the maximum depth in this slab.
-            let mut depth = 0i32;
-            let mut d_max = 0i32;
-            for &(_, delta) in events.iter() {
-                depth += delta;
-                d_max = d_max.max(depth);
-            }
-            if d_max <= 0 || best.as_ref().is_some_and(|&(_, bd)| d_max as usize <= bd) {
-                return;
-            }
-            // Pass 2: the y-extent of the first maximal stretch.
-            let mut depth = 0i32;
-            let mut y_lo = f64::NAN;
-            let mut y_hi = f64::NAN;
-            for &(y, delta) in events.iter() {
-                depth += delta;
-                if y_lo.is_nan() && depth == d_max {
-                    y_lo = y;
-                } else if !y_lo.is_nan() && depth < d_max {
-                    y_hi = y;
-                    break;
-                }
-            }
-            if y_hi.is_nan() {
-                y_hi = y_lo;
-            }
-            let region = Rect::new(Point::new(slab_lo, y_lo), Point::new(slab_hi, y_hi.max(y_lo)));
-            best = Some((region, d_max as usize));
+        // Sweep orders: rects by left edge (activation) and by right
+        // edge (retirement).
+        let by = |edge: fn(&Rect) -> f64, order: &mut Vec<u32>| {
+            order.clear();
+            order.extend(0..local.len() as u32);
+            order.sort_unstable_by(|&a, &b| {
+                edge(&local[a as usize]).total_cmp(&edge(&local[b as usize]))
+            });
         };
+        by(|r| r.lo().x, starts);
+        by(|r| r.hi().x, ends);
 
-        // Full-width slabs first: at equal depth a proper slab beats a
-        // degenerate boundary line (larger region, better centroid).
-        for i in 0..xs.len().saturating_sub(1) {
-            consider(xs[i], xs[i + 1], events);
+        events.clear();
+        let mut starts = starts.iter().map(|&k| &local[k as usize]).peekable();
+        let mut ends = ends.iter().map(|&k| &local[k as usize]).peekable();
+        let mut best_slab: Option<(Rect, usize)> = None;
+        let mut best_line: Option<(Rect, usize)> = None;
+        let depth_of = |best: &Option<(Rect, usize)>| best.map_or(0, |(_, d)| d);
+        // Upper bound on the depth of the rects currently in `events`:
+        // exact after a y-sweep, +1 per rect added since, never more
+        // than the rect count.
+        let mut bound = 0usize;
+        for (i, &x) in xs.iter().enumerate() {
+            // The line at `x` is covered by every rect with
+            // `lo.x <= x <= hi.x`: the previous slab's rects plus those
+            // starting here.
+            while let Some(r) = starts.next_if(|r| r.lo().x <= x) {
+                insert_event(events, (r.lo().y, 1));
+                insert_event(events, (r.hi().y, -1));
+                bound += 1;
+            }
+            let floor = depth_of(&best_slab).max(depth_of(&best_line));
+            if let Some(deeper) = deeper_region(events, &mut bound, floor, x, x) {
+                best_line = Some(deeper);
+            }
+            // The slab from `x` to the next boundary is covered by the
+            // line's rects minus those ending here.
+            while let Some(r) = ends.next_if(|r| r.hi().x <= x) {
+                remove_event(events, (r.lo().y, 1));
+                remove_event(events, (r.hi().y, -1));
+            }
+            bound = bound.min(events.len() / 2);
+            let Some(&next) = xs.get(i + 1) else { break };
+            let floor = depth_of(&best_slab);
+            if let Some(deeper) = deeper_region(events, &mut bound, floor, x, next) {
+                best_slab = Some(deeper);
+            }
         }
-        // Boundary lines catch depth achieved only where rectangles
-        // touch edge-to-edge; they replace the best only when strictly
-        // deeper.
-        for &x in xs.iter() {
-            consider(x, x, events);
+        if depth_of(&best_line) > depth_of(&best_slab) {
+            best_line
+        } else {
+            best_slab
         }
-        best
     }
+}
+
+/// Order of the y-sweep events: by `y`, starts before ends at equal `y`
+/// so closed intervals touching at a line count as overlapping there.
+fn event_order(a: &(f64, i32), b: &(f64, i32)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(b.1.cmp(&a.1))
+}
+
+/// Inserts `event` into the [`event_order`]-sorted list.
+fn insert_event(events: &mut Vec<(f64, i32)>, event: (f64, i32)) {
+    let at = events.partition_point(|e| event_order(e, &event).is_lt());
+    events.insert(at, event);
+}
+
+/// Removes one occurrence of `event` from the [`event_order`]-sorted
+/// list, where it must be present.
+fn remove_event(events: &mut Vec<(f64, i32)>, event: (f64, i32)) {
+    let at = events.partition_point(|e| event_order(e, &event).is_lt());
+    debug_assert!(event_order(&events[at], &event).is_eq(), "retiring an absent interval");
+    events.remove(at);
+}
+
+/// y-sweeps the sorted `events` of the rects covering `[x_lo, x_hi]`,
+/// unless `bound` (an upper bound on their depth, tightened here to the
+/// exact depth) already rules out beating `floor`. Returns the region of
+/// the first y-stretch attaining the maximum depth, with that depth,
+/// when it exceeds `floor`.
+fn deeper_region(
+    events: &[(f64, i32)],
+    bound: &mut usize,
+    floor: usize,
+    x_lo: f64,
+    x_hi: f64,
+) -> Option<(Rect, usize)> {
+    if *bound <= floor {
+        return None;
+    }
+    let mut depth = 0i32;
+    let mut d_max = 0i32;
+    for &(_, delta) in events {
+        depth += delta;
+        d_max = d_max.max(depth);
+    }
+    *bound = d_max as usize;
+    if *bound <= floor {
+        return None;
+    }
+    let mut depth = 0i32;
+    let mut y_lo = f64::NAN;
+    let mut y_hi = f64::NAN;
+    for &(y, delta) in events {
+        depth += delta;
+        if y_lo.is_nan() && depth == d_max {
+            y_lo = y;
+        } else if !y_lo.is_nan() && depth < d_max {
+            y_hi = y;
+            break;
+        }
+    }
+    if y_hi.is_nan() {
+        y_hi = y_lo;
+    }
+    let region = Rect::new(Point::new(x_lo, y_lo), Point::new(x_hi, y_hi.max(y_lo)));
+    Some((region, *bound))
 }
 
 /// Epoch-to-epoch incremental maintenance of an [`FsaSet`].

@@ -637,7 +637,7 @@ pub fn phase_b_eval<R: PathReader>(
 /// * base groups are static during Phase B (Phase A never inserts paths;
 ///   dedup never changes a stored endpoint; expiry is a separate stage),
 /// * overlay entries reproduce precisely the grid entries new paths
-///   added (one `End` entry per *created* path, filtered per raw
+///   added (one end-vertex entry per *created* path, filtered per raw
 ///   endpoint just like `for_each_end_in`),
 /// * group representatives stay the lexicographic minimum over base and
 ///   overlay observations, with the stabbing boost recomputed when an

@@ -711,3 +711,210 @@ proptest! {
         }
     }
 }
+
+// ---------------- index access paths vs brute force ----------------
+
+/// Lattice vertex `v` (6 x 6, 10 m pitch — every other one sits exactly
+/// on a border of the 20 m grid cells used below), optionally nudged by
+/// sub-grain float noise that keeps its quantized key but can push it
+/// into the neighbouring grid cell.
+fn lattice_vertex(v: usize, noise: u8) -> Point {
+    let nudge = [0.0, 2e-4, -2e-4][noise as usize % 3];
+    Point::new((v % 6) as f64 * 10.0 + nudge, (v / 6 % 6) as f64 * 10.0 - nudge)
+}
+
+/// The Case-2 answer computed the slow way: scan the whole slab, group
+/// by quantized key, lexicographic-min representative, ids ascending,
+/// groups by representative `(x, y)`.
+fn brute_end_vertices(index: &MotionPathIndex, fsa: &Rect) -> Vec<(Point, Vec<PathId>)> {
+    let mut groups: BTreeMap<(i64, i64), (Point, Vec<PathId>)> = BTreeMap::new();
+    for p in index.paths_slice().iter().filter(|p| fsa.contains(&p.end())) {
+        let g = groups.entry(index.vertex_key(&p.end())).or_insert((p.end(), Vec::new()));
+        if hotpath_core::index::point_lt(&p.end(), &g.0) {
+            g.0 = p.end();
+        }
+        g.1.push(p.id);
+    }
+    let mut out: Vec<(Point, Vec<PathId>)> = groups.into_values().collect();
+    for (_, ids) in &mut out {
+        ids.sort_unstable();
+    }
+    out.sort_by(|a, b| a.0.x.total_cmp(&b.0.x).then(a.0.y.total_cmp(&b.0.y)));
+    out
+}
+
+/// The pre-sweep `max_depth_region` algorithm, kept verbatim as the
+/// oracle: for every x-slab between consecutive distinct boundaries
+/// (then every boundary line), rescan all rects for the ones covering
+/// it, sort their y-events, and keep the first strictly deeper result.
+fn reference_max_depth_region(rects: &[Rect], clip: &Rect) -> Option<(Rect, usize)> {
+    let local: Vec<Rect> = rects.iter().filter_map(|r| r.intersection(clip)).collect();
+    if local.is_empty() {
+        return None;
+    }
+    let mut xs: Vec<f64> = local.iter().flat_map(|r| [r.lo().x, r.hi().x]).collect();
+    xs.sort_by(f64::total_cmp);
+    xs.dedup();
+
+    let mut best: Option<(Rect, usize)> = None;
+    let mut consider = |slab_lo: f64, slab_hi: f64| {
+        let mut events: Vec<(f64, i32)> = Vec::new();
+        for r in &local {
+            if r.lo().x <= slab_lo && slab_hi <= r.hi().x {
+                events.push((r.lo().y, 1));
+                events.push((r.hi().y, -1));
+            }
+        }
+        if events.is_empty() {
+            return;
+        }
+        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
+        let mut depth = 0i32;
+        let mut d_max = 0i32;
+        for &(_, delta) in events.iter() {
+            depth += delta;
+            d_max = d_max.max(depth);
+        }
+        if d_max <= 0 || best.as_ref().is_some_and(|&(_, bd)| d_max as usize <= bd) {
+            return;
+        }
+        let mut depth = 0i32;
+        let mut y_lo = f64::NAN;
+        let mut y_hi = f64::NAN;
+        for &(y, delta) in events.iter() {
+            depth += delta;
+            if y_lo.is_nan() && depth == d_max {
+                y_lo = y;
+            } else if !y_lo.is_nan() && depth < d_max {
+                y_hi = y;
+                break;
+            }
+        }
+        if y_hi.is_nan() {
+            y_hi = y_lo;
+        }
+        let region = Rect::new(Point::new(slab_lo, y_lo), Point::new(slab_hi, y_hi.max(y_lo)));
+        best = Some((region, d_max as usize));
+    };
+    for i in 0..xs.len().saturating_sub(1) {
+        consider(xs[i], xs[i + 1]);
+    }
+    for &x in xs.iter() {
+        consider(x, x);
+    }
+    best
+}
+
+fn rect_bits(r: &Rect) -> [u64; 4] {
+    [r.lo().x.to_bits(), r.lo().y.to_bits(), r.hi().x.to_bits(), r.hi().y.to_bits()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// Case 1 (out-adjacency filtered by the FSA) and Case 2 (end-vertex
+    /// grid range query) must answer exactly what a scan of the whole
+    /// path slab answers, after every step of a random insert/remove
+    /// schedule — including float-noisy copies of one vertex that
+    /// straddle a grid-cell border and FSAs whose edges lie exactly on
+    /// cell borders.
+    #[test]
+    fn index_access_paths_match_brute_force_under_churn(
+        ops in prop::collection::vec((0u8..4, 0usize..36, 0usize..36, 0u8..3, 0usize..64), 1..120),
+        probes in prop::collection::vec(
+            (0u32..7, 0u32..7, 0u32..5, 0u32..5, 0usize..36, 0u8..3),
+            1..6,
+        ),
+    ) {
+        let grain = 1e-3;
+        let mut index = MotionPathIndex::new(20.0, grain);
+        let mut live: Vec<PathId> = Vec::new();
+        for (kind, s, e, noise, pick) in ops {
+            if kind == 0 && !live.is_empty() {
+                let id = live.swap_remove(pick % live.len());
+                prop_assert!(index.remove(id));
+            } else {
+                let (id, created) =
+                    index.insert(lattice_vertex(s, noise), lattice_vertex(e, noise + kind));
+                if created {
+                    live.push(id);
+                }
+            }
+            prop_assert!(index.check_consistency().is_ok());
+            prop_assert_eq!(index.len(), live.len());
+
+            for &(x, y, w, h, start, noise) in &probes {
+                // Edges on multiples of 10 m: on cell borders and on
+                // lattice vertices (closed containment at the edge).
+                let lo = Point::new(x as f64 * 10.0, y as f64 * 10.0);
+                let fsa = Rect::new(lo, lo + Point::new(w as f64 * 10.0, h as f64 * 10.0));
+
+                prop_assert_eq!(index.end_vertices_in(&fsa), brute_end_vertices(&index, &fsa));
+
+                let from = lattice_vertex(start, noise);
+                let mut got = index.paths_from_into(&from, &fsa);
+                got.sort_unstable();
+                let mut want: Vec<PathId> = index
+                    .paths_slice()
+                    .iter()
+                    .filter(|p| {
+                        index.vertex_key(&p.start()) == index.vertex_key(&from)
+                            && fsa.contains(&p.end())
+                    })
+                    .map(|p| p.id)
+                    .collect();
+                want.sort_unstable();
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// The one-pass sweep behind `max_depth_region_in` must return the
+    /// very `(Rect, depth)` the old per-slab rescan returned — bit for
+    /// bit — over rect sets from one rect to a few hundred, drawn from a
+    /// coarse lattice so duplicates, edge-touching neighbours, and
+    /// zero-width/zero-height rects are common.
+    #[test]
+    fn max_depth_sweep_matches_per_slab_reference(
+        rects in prop::collection::vec((0u32..40, 0u32..40, 0u32..9, 0u32..9, 0.0..1.0f64), 1..300),
+        clips in prop::collection::vec((0u32..40, 0u32..40, 0u32..30, 0u32..30), 1..8),
+        lattice in 0u8..3,
+        hub in 0u8..3,
+        cell in 1.0..40.0f64,
+    ) {
+        use hotpath_core::strategy::{FsaSet, QueryScratch};
+        // `lattice` picks the coordinate pitch (the last one adds
+        // off-lattice jitter so most boundaries are distinct); `hub`
+        // picks how hard the rects pile up — at the tightest setting
+        // every rect of the set overlaps every clip.
+        let pitch = [1.0, 2.5, 0.37][lattice as usize];
+        let span = [40, 8, 3][hub as usize];
+        let rects: Vec<Rect> = rects
+            .into_iter()
+            .map(|(x, y, w, h, jitter)| {
+                let j = if lattice == 2 { jitter } else { 0.0 };
+                let (x, y) = (x % span, y % span);
+                let lo = Point::new(x as f64 * pitch + j, y as f64 * pitch - j);
+                Rect::new(lo, lo + Point::new(w as f64 * pitch, h as f64 * pitch))
+            })
+            .collect();
+        let set = FsaSet::build(rects.clone(), cell);
+        let mut scratch = QueryScratch::default();
+        // Every rect as its own clip (the hot loop's shape) plus free
+        // clips, some far larger than any rect.
+        let clips = rects.iter().copied().take(40).chain(clips.into_iter().map(|(x, y, w, h)| {
+            let lo = Point::new(x as f64 * pitch, y as f64 * pitch);
+            Rect::new(lo, lo + Point::new(w as f64 * pitch, h as f64 * pitch))
+        }));
+        for clip in clips {
+            let got = set.max_depth_region_in(&clip, &mut scratch);
+            let want = reference_max_depth_region(&rects, &clip);
+            prop_assert_eq!(
+                got.map(|(r, d)| (rect_bits(&r), d)),
+                want.map(|(r, d)| (rect_bits(&r), d)),
+                "clip {:?}",
+                clip
+            );
+        }
+    }
+}

@@ -46,6 +46,13 @@ pub enum ServerMsg {
 
 /// Open-loop serving counters, updated by the writer thread and read
 /// by anyone holding the handle.
+///
+/// `epochs` never trails the published snapshot: the writer counts an
+/// epoch (`Release`) *before* the engine publishes it into the
+/// [`SnapshotCell`], so the count is ordered before the cell's own
+/// publish/read synchronization, and a reader that has seen epoch *e*
+/// in the cell then reads (`Acquire`, in [`ServerStats::view`])
+/// `epochs >= e`.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     submitted: AtomicU64,
@@ -69,7 +76,7 @@ impl ServerStats {
     pub fn view(&self) -> ServerStatsView {
         ServerStatsView {
             submitted: self.submitted.load(Ordering::Relaxed),
-            epochs: self.epochs.load(Ordering::Relaxed),
+            epochs: self.epochs.load(Ordering::Acquire),
             responses: self.responses.load(Ordering::Relaxed),
         }
     }
@@ -122,8 +129,10 @@ fn writer_loop(
                     let now = Timestamp(g);
                     engine.advance_time(now);
                     if epochs.is_epoch(now) {
+                        // Counted before the engine publishes the
+                        // epoch, so the counter never trails the cell.
+                        stats.epochs.fetch_add(1, Ordering::Release);
                         let responses = engine.process_epoch(now);
-                        stats.epochs.fetch_add(1, Ordering::Relaxed);
                         stats.responses.fetch_add(responses.len() as u64, Ordering::Relaxed);
                     }
                 }
@@ -279,9 +288,10 @@ mod tests {
             assert_eq!(snap.epoch, 1, "{kind}");
             assert_eq!(snap.top_k.len(), 1, "{kind}");
 
+            // Counters never trail the snapshot they describe.
             let stats = handle.stats();
             assert_eq!(stats.submitted, 1, "{kind}");
-            assert_eq!(stats.epochs, 1, "{kind}");
+            assert!(stats.epochs >= snap.epoch, "{kind}: {} epochs counted", stats.epochs);
             drop(handle);
         }
     }
@@ -317,7 +327,9 @@ mod tests {
                     thread::spawn(move || {
                         let mut last = 0u64;
                         let mut reads = 0u64;
-                        while stop.load(Ordering::Relaxed) == 0 {
+                        // Read before testing `stop`: on a loaded host
+                        // the run can end before a reader is scheduled.
+                        loop {
                             let snap = reader.read();
                             let e = snap.epoch;
                             // One traversal per epoch: a torn image would
@@ -330,8 +342,10 @@ mod tests {
                             assert!(e >= last, "epochs went backwards: {last} -> {e}");
                             last = e;
                             reads += 1;
+                            if stop.load(Ordering::Relaxed) != 0 {
+                                break reads;
+                            }
                         }
-                        reads
                     })
                 })
                 .collect();

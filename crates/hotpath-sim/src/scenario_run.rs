@@ -88,7 +88,6 @@ impl ScenarioRunParams {
             .with_window(self.window.unwrap_or_else(|| scenario.window_hint()))
             .with_epoch(self.epoch)
             .with_k(self.k)
-            .with_grid_cell((8.0 * self.eps).max(50.0))
             .with_shards(self.run.shards)
             .with_phase_b_workers(self.run.phase_b_workers);
         if let Some(hint) = scenario.robustness_hint() {

@@ -107,7 +107,6 @@ impl SimulationParams {
             .with_window(self.window)
             .with_epoch(self.epoch)
             .with_k(self.k)
-            .with_grid_cell((8.0 * self.eps).max(50.0))
             // Panics on 0, matching Config::with_shards — a zero here is
             // a caller bug (e.g. a miscomputed core count), not a
             // request for sequential mode.
