@@ -1,11 +1,10 @@
-//! Index-structure ablation: the paper's grid (Section 5.1) vs a
-//! hand-rolled Guttman R-tree for the end-vertex workloads the
-//! SinglePath strategy generates (inserts, FSA-sized range queries,
-//! deletions).
+//! Index-structure ablation: the paper's grid (Section 5.1) under the
+//! end-vertex workloads the SinglePath strategy generates (inserts,
+//! FSA-sized range queries, deletions) as the index grows.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hotpath_core::geometry::{Point, Rect};
-use hotpath_core::index::{EndpointGrid, Entry, RTree};
+use hotpath_core::index::{EndpointGrid, Entry};
 use hotpath_core::motion_path::PathId;
 
 fn endpoints(n: usize) -> Vec<Point> {
@@ -21,14 +20,6 @@ fn filled_grid(pts: &[Point]) -> EndpointGrid {
     g
 }
 
-fn filled_rtree(pts: &[Point]) -> RTree<u64> {
-    let mut t = RTree::new();
-    for (i, p) in pts.iter().enumerate() {
-        t.insert(*p, i as u64);
-    }
-    t
-}
-
 fn bench_backends(c: &mut Criterion) {
     let mut g = c.benchmark_group("index_backend");
     for n in [1_000usize, 10_000, 100_000] {
@@ -40,10 +31,6 @@ fn bench_backends(c: &mut Criterion) {
             let grid = filled_grid(pts);
             b.iter(|| grid.query(&fsa).len());
         });
-        g.bench_with_input(BenchmarkId::new("rtree_query", n), &pts, |b, pts| {
-            let tree = filled_rtree(pts);
-            b.iter(|| tree.query(&fsa).len());
-        });
 
         g.bench_with_input(BenchmarkId::new("grid_insert_remove", n), &pts, |b, pts| {
             b.iter_batched(
@@ -53,17 +40,6 @@ fn bench_backends(c: &mut Criterion) {
                     let pos = grid.insert(Entry { endpoint: at, path: PathId(u64::MAX) });
                     grid.remove(&at, pos);
                     grid
-                },
-                BatchSize::LargeInput,
-            );
-        });
-        g.bench_with_input(BenchmarkId::new("rtree_insert_remove", n), &pts, |b, pts| {
-            b.iter_batched(
-                || filled_rtree(pts),
-                |mut tree| {
-                    tree.insert(Point::new(1.0, 1.0), u64::MAX);
-                    tree.remove(Point::new(1.0, 1.0), &u64::MAX);
-                    tree
                 },
                 BatchSize::LargeInput,
             );

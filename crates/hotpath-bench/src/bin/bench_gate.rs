@@ -40,7 +40,6 @@ const GATED_BENCHES: &[&str] = &[
     "micro_overlap",
     "micro_fsa_delta",
     "micro_scenario",
-    "micro_pipeline",
     "micro_serving",
     "micro_phase_b",
 ];

@@ -3,22 +3,17 @@
 //! ```text
 //! experiments [fig7|fig8|fig9|fig10|claims|hinted|all]
 //!             [--scale paper|mid|quick] [--shards N] [--phase-b-workers N]
-//!             [--engine sync|pipelined] [--csv <dir>]
+//!             [--csv <dir>]
 //! experiments scenario <name|all> [--scale ...] [--shards N]
-//!             [--phase-b-workers N] [--engine sync|pipelined] [--csv <dir>]
+//!             [--phase-b-workers N] [--csv <dir>]
 //!             [--sigma s1,s2,...] [--fallback reject|minimal[:w]|all]
 //!             [--restore-check] [--fault-seed N]
 //! experiments swarm [--scale ...] [--shards N] [--phase-b-workers N]
-//!             [--engine sync|pipelined]
-//!             [--seed N] [--churn F] [--fault-seed N] [--verify]
-//! experiments serve [--socket PATH] [--shards N]
-//!             [--engine sync|pipelined] [--ticks N]
+//!             [--seed N] [--churn F] [--fault-seed N]
+//! experiments serve [--socket PATH] [--shards N] [--ticks N]
 //! ```
 //!
-//! Defaults: `all --scale mid --shards 1 --engine sync`. `--engine
-//! pipelined` runs every epoch through the double-buffered engine
-//! backend (ingest overlaps the publish stage and expiry on a worker
-//! thread); results are bit-for-bit identical to `sync`. `--scale paper` runs the
+//! Defaults: `all --scale mid --shards 1`. `--scale paper` runs the
 //! exact Section 6.1 parameters (N up to 100 000 — allow several
 //! minutes). `--shards N` partitions the coordinator into `N` shards
 //! (Phase A runs on one thread per shard); results are identical at
@@ -29,24 +24,20 @@
 //!
 //! `scenario` drives the netsim scenario registry: each named workload
 //! runs crisp with its invariants verified (exit 1 on violation), with
-//! parity against a fresh sequential `sync` reference asserted whenever
-//! `--shards > 1` or `--engine pipelined`, then sweeps the `(sigma,
-//! fallback)` uncertainty grid. `--csv <dir>` additionally writes each
+//! parity against a fresh sequential reference asserted whenever
+//! `--shards > 1`, then sweeps the `(sigma, fallback)` uncertainty grid. `--csv <dir>` additionally writes each
 //! scenario's per-epoch metric series to `<dir>/scenario_<name>.csv`.
 //!
 //! `swarm` runs the deterministic `client_swarm` load generator against
 //! a `hotpathd` front door (lock-free snapshot readers hammering while
-//! the swarm writes); `--verify` runs the identical schedule on both
-//! engine backends and exits 1 unless the final snapshots are
-//! fingerprint-identical. `serve` binds a `hotpathd` to a unix socket
+//! the swarm writes). `serve` binds a `hotpathd` to a unix socket
 //! and drives a scripted wire client through submit/advance/query — an
 //! offline smoke of the full out-of-process stack.
 
 use hotpath_bench::Scale;
-use hotpath_core::engine::EngineKind;
 use hotpath_core::uncertainty::FallbackPolicy;
 use hotpath_netsim::scenario::{spec, REGISTRY};
-use hotpath_serve::swarm::{run_swarm, verify_swarm, SwarmParams, SwarmReport};
+use hotpath_serve::swarm::{run_swarm, SwarmParams};
 use hotpath_sim::engine_loop::CheckpointPolicy;
 use hotpath_sim::experiment::{figure10, figure7, figure8, figure9, format_fig7, format_fig8};
 use hotpath_sim::options::RunOptions;
@@ -64,7 +55,6 @@ fn main() {
     let mut scale = Scale::Mid;
     let mut shards = 1usize;
     let mut phase_b_workers = 1usize;
-    let mut engine = EngineKind::Sync;
     let mut sigmas: Option<Vec<f64>> = None;
     let mut fallbacks: Option<Vec<FallbackPolicy>> = None;
     let mut csv_dir: Option<std::path::PathBuf> = None;
@@ -73,7 +63,6 @@ fn main() {
     let mut fault_seed: Option<u64> = None;
     let mut swarm_seed: Option<u64> = None;
     let mut churn: Option<f64> = None;
-    let mut verify = false;
     let mut socket: Option<std::path::PathBuf> = None;
     let mut ticks: Option<u64> = None;
     let mut i = 0;
@@ -102,14 +91,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage("--phase-b-workers needs a positive integer"));
-            }
-            "--engine" => {
-                i += 1;
-                engine = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--engine needs a value"))
-                    .parse()
-                    .unwrap_or_else(|e| usage(&format!("{e}")));
             }
             "--sigma" => {
                 i += 1;
@@ -149,7 +130,6 @@ fn main() {
                         .unwrap_or_else(|| usage("--churn needs a fraction in [0, 1]")),
                 );
             }
-            "--verify" => verify = true,
             "--socket" => {
                 i += 1;
                 let path = args.get(i).unwrap_or_else(|| usage("--socket needs a path"));
@@ -224,7 +204,7 @@ fn main() {
 
     println!(
         "# Hot Motion Paths — experiment reproduction (scale: {scale:?}, shards: {shards}, \
-         phase-b workers: {phase_b_workers}, engine: {engine})"
+         phase-b workers: {phase_b_workers})"
     );
     println!();
     if let Some(dir) = &csv_dir {
@@ -237,7 +217,6 @@ fn main() {
             scale,
             shards,
             phase_b_workers,
-            engine,
             sigmas.as_deref(),
             fallbacks.as_deref(),
             csv_dir.as_deref(),
@@ -245,30 +224,28 @@ fn main() {
             restore_check,
             fault_seed,
         ),
-        "fig7" => fig7(scale, shards, phase_b_workers, engine, csv_dir.as_deref()),
-        "fig8" => fig8(scale, shards, phase_b_workers, engine, csv_dir.as_deref()),
-        "fig9" => fig9(scale, shards, phase_b_workers, engine),
-        "fig10" => fig10_(scale, shards, phase_b_workers, engine),
-        "claims" => claims(scale, shards, phase_b_workers, engine),
-        "hinted" => hinted(scale, shards, phase_b_workers, engine),
-        "ablate" => ablate(scale, shards, phase_b_workers, engine),
-        "filters" => filters(scale, shards, phase_b_workers, engine),
+        "fig7" => fig7(scale, shards, phase_b_workers, csv_dir.as_deref()),
+        "fig8" => fig8(scale, shards, phase_b_workers, csv_dir.as_deref()),
+        "fig9" => fig9(scale, shards, phase_b_workers),
+        "fig10" => fig10_(scale, shards, phase_b_workers),
+        "claims" => claims(scale, shards, phase_b_workers),
+        "hinted" => hinted(scale, shards, phase_b_workers),
+        "ablate" => ablate(scale, shards, phase_b_workers),
+        "filters" => filters(scale, shards, phase_b_workers),
         "compress" => compress(),
         "uncertain" => uncertain(),
         "checkpoint-bench" => checkpoint_bench(shards),
-        "swarm" => {
-            swarm_cmd(scale, shards, phase_b_workers, engine, swarm_seed, churn, fault_seed, verify)
-        }
-        "serve" => serve_cmd(shards, engine, socket, ticks.unwrap_or(50)),
+        "swarm" => swarm_cmd(scale, shards, phase_b_workers, swarm_seed, churn, fault_seed),
+        "serve" => serve_cmd(shards, socket, ticks.unwrap_or(50)),
         "all" => {
-            fig7(scale, shards, phase_b_workers, engine, csv_dir.as_deref());
-            fig8(scale, shards, phase_b_workers, engine, csv_dir.as_deref());
-            fig9(scale, shards, phase_b_workers, engine);
-            fig10_(scale, shards, phase_b_workers, engine);
-            claims(scale, shards, phase_b_workers, engine);
-            hinted(scale, shards, phase_b_workers, engine);
-            ablate(scale, shards, phase_b_workers, engine);
-            filters(scale, shards, phase_b_workers, engine);
+            fig7(scale, shards, phase_b_workers, csv_dir.as_deref());
+            fig8(scale, shards, phase_b_workers, csv_dir.as_deref());
+            fig9(scale, shards, phase_b_workers);
+            fig10_(scale, shards, phase_b_workers);
+            claims(scale, shards, phase_b_workers);
+            hinted(scale, shards, phase_b_workers);
+            ablate(scale, shards, phase_b_workers);
+            filters(scale, shards, phase_b_workers);
             compress();
             uncertain();
         }
@@ -281,15 +258,15 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: experiments [fig7|fig8|fig9|fig10|claims|hinted|ablate|filters|compress|uncertain|checkpoint-bench|all] \
-         [--scale paper|mid|quick] [--shards N] [--phase-b-workers N] [--engine sync|pipelined] [--csv <dir>]\n       \
+         [--scale paper|mid|quick] [--shards N] [--phase-b-workers N] [--csv <dir>]\n       \
          experiments scenario <name|all> [--scale paper|mid|quick] [--shards N] \
-         [--phase-b-workers N] [--engine sync|pipelined] [--csv <dir>] \
+         [--phase-b-workers N] [--csv <dir>] \
          [--sigma s1,s2,...] [--fallback reject|minimal[:<w>]|all] \
          [--checkpoint-every N] [--checkpoint-dir <dir>] [--restore-from <file>] [--restore-check] \
          [--fault-seed N]\n       \
-         experiments swarm [--scale paper|mid|quick] [--shards N] [--phase-b-workers N] [--engine sync|pipelined] \
-         [--seed N] [--churn F] [--fault-seed N] [--verify]\n       \
-         experiments serve [--socket PATH] [--shards N] [--engine sync|pipelined] [--ticks N]"
+         experiments swarm [--scale paper|mid|quick] [--shards N] [--phase-b-workers N] \
+         [--seed N] [--churn F] [--fault-seed N]\n       \
+         experiments serve [--socket PATH] [--shards N] [--ticks N]"
     );
     std::process::exit(2);
 }
@@ -319,7 +296,7 @@ fn edit_distance(a: &str, b: &str) -> usize {
 }
 
 /// The scenario subsystem: crisp run + invariants (+ parity against the
-/// sequential sync reference when sharded or pipelined), then the
+/// sequential reference when sharded), then the
 /// `(sigma, fallback)` uncertainty sweep; `--csv` writes each
 /// scenario's per-epoch series. `--checkpoint-every`/`--checkpoint-dir`
 /// write periodic images per scenario, `--restore-from` warm-starts
@@ -332,7 +309,6 @@ fn scenario(
     scale: Scale,
     shards: usize,
     phase_b_workers: usize,
-    engine: EngineKind,
     sigmas: Option<&[f64]>,
     fallbacks: Option<&[FallbackPolicy]>,
     csv_dir: Option<&std::path::Path>,
@@ -341,10 +317,8 @@ fn scenario(
     fault_seed: Option<u64>,
 ) {
     let scenario_scale = scale.scenario_params(2015);
-    let mut base = ScenarioRunParams::default()
-        .with_shards(shards)
-        .with_phase_b_workers(phase_b_workers)
-        .with_engine(engine);
+    let mut base =
+        ScenarioRunParams::default().with_shards(shards).with_phase_b_workers(phase_b_workers);
     if let Some(seed) = fault_seed {
         base = base.with_fault_seed(seed);
     }
@@ -404,13 +378,11 @@ fn scenario(
                 println!("   invariants: FAILED — {e}");
             }
         }
-        if shards > 1 || engine != EngineKind::Sync {
-            // The crisp run above already ran sharded/pipelined; only
-            // the fresh sequential sync reference costs an extra run.
+        if shards > 1 {
+            // The crisp run above already ran sharded; only the fresh
+            // sequential reference costs an extra run.
             match check_parity_against(&res, spec.name, &scenario_scale, &base) {
-                Ok(()) => {
-                    println!("   parity: sequential sync == {shards}-shard {engine}, bit for bit")
-                }
+                Ok(()) => println!("   parity: sequential == {shards}-shard, bit for bit"),
                 Err(e) => {
                     failures += 1;
                     println!("   parity: FAILED — {e}");
@@ -471,27 +443,15 @@ fn scenario(
 }
 
 /// Base simulation params at `scale` with the CLI's execution knobs.
-fn sim(
-    scale: Scale,
-    seed: u64,
-    shards: usize,
-    workers: usize,
-    engine: EngineKind,
-) -> SimulationParams {
-    scale.base(seed).with_shards(shards).with_phase_b_workers(workers).with_engine(engine)
+fn sim(scale: Scale, seed: u64, shards: usize, workers: usize) -> SimulationParams {
+    scale.base(seed).with_shards(shards).with_phase_b_workers(workers)
 }
 
 /// Figure 7 (a-c): vary N at eps = 10.
-fn fig7(
-    scale: Scale,
-    shards: usize,
-    workers: usize,
-    engine: EngineKind,
-    csv_dir: Option<&std::path::Path>,
-) {
+fn fig7(scale: Scale, shards: usize, workers: usize, csv_dir: Option<&std::path::Path>) {
     println!("## Figure 7 — varying the number of objects (eps = 10 m)");
     println!("   panels: (a) index size, (b) top-10 score, (c) SinglePath ms/epoch");
-    let rows = figure7(&scale.fig7_ns(), sim(scale, 2008, shards, workers, engine));
+    let rows = figure7(&scale.fig7_ns(), sim(scale, 2008, shards, workers));
     println!("{}", format_fig7(&rows));
     if let Some(dir) = csv_dir {
         let data: Vec<Vec<String>> = rows
@@ -527,17 +487,11 @@ fn fig7(
 }
 
 /// Figure 8 (a-c): vary eps at the scale's fixed N.
-fn fig8(
-    scale: Scale,
-    shards: usize,
-    workers: usize,
-    engine: EngineKind,
-    csv_dir: Option<&std::path::Path>,
-) {
+fn fig8(scale: Scale, shards: usize, workers: usize, csv_dir: Option<&std::path::Path>) {
     let n = scale.fig8_n();
     println!("## Figure 8 — varying the tolerance (N = {n})");
     println!("   panels: (a) index size, (b) top-10 score, (c) SinglePath ms/epoch");
-    let base = SimulationParams { n, ..sim(scale, 2009, shards, workers, engine) };
+    let base = SimulationParams { n, ..sim(scale, 2009, shards, workers) };
     let rows = figure8(&scale.fig8_eps(), base);
     println!("{}", format_fig8(&rows));
     if let Some(dir) = csv_dir {
@@ -574,9 +528,9 @@ fn fig8(
 }
 
 /// Figure 9: the discovered network map.
-fn fig9(scale: Scale, shards: usize, workers: usize, engine: EngineKind) {
+fn fig9(scale: Scale, shards: usize, workers: usize) {
     println!("## Figure 9 — all motion paths with hotness > 0 (vs the hidden network)");
-    let params = SimulationParams { n: scale.map_n(), ..sim(scale, 2010, shards, workers, engine) };
+    let params = SimulationParams { n: scale.map_n(), ..sim(scale, 2010, shards, workers) };
     let (paths, res) = figure9(params);
     let (cols, rows_) = (96, 30);
     let net = network_map(&res.network, cols, rows_);
@@ -594,9 +548,9 @@ fn fig9(scale: Scale, shards: usize, workers: usize, engine: EngineKind) {
 }
 
 /// Figure 10: top-20 hottest paths in the center.
-fn fig10_(scale: Scale, shards: usize, workers: usize, engine: EngineKind) {
+fn fig10_(scale: Scale, shards: usize, workers: usize) {
     println!("## Figure 10 — top 20 hottest motion paths, city center");
-    let params = SimulationParams { n: scale.map_n(), ..sim(scale, 2010, shards, workers, engine) };
+    let params = SimulationParams { n: scale.map_n(), ..sim(scale, 2010, shards, workers) };
     let (paths, center, _res) = figure10(params, 20);
     let map = paths_map(center, &paths, 72, 24);
     print!("{}", indent(&map.render()));
@@ -609,12 +563,12 @@ fn fig10_(scale: Scale, shards: usize, workers: usize, engine: EngineKind) {
 }
 
 /// The in-text claims of Section 6.2.
-fn claims(scale: Scale, shards: usize, workers: usize, engine: EngineKind) {
+fn claims(scale: Scale, shards: usize, workers: usize) {
     println!("## Section 6.2 in-text claims");
     // Claim i: at the largest N, SinglePath stores ~16% more segments
     // than DP (10,896 vs 9,416 in the paper).
     let n = *scale.fig7_ns().last().expect("non-empty sweep");
-    let res = run(SimulationParams { n, ..sim(scale, 2008, shards, workers, engine) });
+    let res = run(SimulationParams { n, ..sim(scale, 2008, shards, workers) });
     let sp = res.summary.mean_index_size;
     let dp = res.summary.mean_dp_index_size;
     println!(
@@ -622,7 +576,7 @@ fn claims(scale: Scale, shards: usize, workers: usize, engine: EngineKind) {
         100.0 * (sp - dp) / dp.max(1.0)
     );
     // Claim ii: SinglePath can beat DP on score (paper: at N=20000).
-    let rows = figure7(&scale.fig7_ns(), sim(scale, 2008, shards, workers, engine));
+    let rows = figure7(&scale.fig7_ns(), sim(scale, 2008, shards, workers));
     let wins: Vec<usize> = rows.iter().filter(|r| r.sp_score > r.dp_score).map(|r| r.n).collect();
     println!("   (ii) SinglePath score beats DP at N in {wins:?} (paper: at N=20,000)");
     // Claim iii is printed by fig8's shape line.
@@ -638,10 +592,10 @@ fn claims(scale: Scale, shards: usize, workers: usize, engine: EngineKind) {
 }
 
 /// The Section 7 feedback extension ablation.
-fn hinted(scale: Scale, shards: usize, workers: usize, engine: EngineKind) {
+fn hinted(scale: Scale, shards: usize, workers: usize) {
     println!("## Section 7 extension — hinted RayTrace ablation");
     let n = scale.fig8_n();
-    let base = SimulationParams { n, run_dp: false, ..sim(scale, 2011, shards, workers, engine) };
+    let base = SimulationParams { n, run_dp: false, ..sim(scale, 2011, shards, workers) };
     let plain = run(base.clone());
     let hinted = run(SimulationParams { hints: true, ..base });
     println!(
@@ -660,11 +614,11 @@ fn hinted(scale: Scale, shards: usize, workers: usize, engine: EngineKind) {
 }
 
 /// Ablation of the Cases-2/3 FSA-overlap machinery (Example 2).
-fn ablate(scale: Scale, shards: usize, workers: usize, engine: EngineKind) {
+fn ablate(scale: Scale, shards: usize, workers: usize) {
     use hotpath_core::strategy::OverlapPolicy;
     println!("## Ablation — Algorithm 2 overlap analysis vs naive vertices");
     let n = scale.fig8_n();
-    let base = SimulationParams { n, run_dp: false, ..sim(scale, 2012, shards, workers, engine) };
+    let base = SimulationParams { n, run_dp: false, ..sim(scale, 2012, shards, workers) };
     let full = run(base.clone());
     let own = run(SimulationParams { overlap: OverlapPolicy::Own, ..base });
     for (tag, res) in [("full (Alg. 2)", &full), ("own-centroid ", &own)] {
@@ -688,15 +642,12 @@ fn ablate(scale: Scale, shards: usize, workers: usize, engine: EngineKind) {
 }
 
 /// Communication-economy comparison of client filters (extension).
-fn filters(scale: Scale, shards: usize, workers: usize, engine: EngineKind) {
+fn filters(scale: Scale, shards: usize, workers: usize) {
     use hotpath_sim::experiment::filter_economy;
     println!("## Filter economy — naive vs dead reckoning vs RayTrace");
     let n = scale.fig8_n();
-    let e = filter_economy(SimulationParams {
-        n,
-        run_dp: false,
-        ..sim(scale, 2013, shards, workers, engine)
-    });
+    let e =
+        filter_economy(SimulationParams { n, run_dp: false, ..sim(scale, 2013, shards, workers) });
     let pct = |msgs: u64| 100.0 * msgs as f64 / e.naive_msgs.max(1) as f64;
     println!("   measurements        : {:>12}", e.measurements);
     println!(
@@ -841,29 +792,21 @@ fn checkpoint_bench(shards: usize) {
     println!();
 }
 
-/// `client_swarm`: the deterministic serving load generator. With
-/// `--verify`, runs the identical schedule on both engine backends and
-/// exits 1 unless the final snapshots are fingerprint-identical.
-#[allow(clippy::too_many_arguments)]
+/// `client_swarm`: the deterministic serving load generator.
 fn swarm_cmd(
     scale: Scale,
     shards: usize,
     phase_b_workers: usize,
-    engine: EngineKind,
     seed: Option<u64>,
     churn: Option<f64>,
     fault_seed: Option<u64>,
-    verify: bool,
 ) {
     let mut params = match scale {
         Scale::Quick => SwarmParams::quick(),
         Scale::Mid => SwarmParams::quick().with_writers(32).with_ticks(300).with_churn(0.1),
         Scale::Paper => SwarmParams::full(),
     };
-    let mut run = RunOptions::default()
-        .with_shards(shards)
-        .with_phase_b_workers(phase_b_workers)
-        .with_engine(engine);
+    let mut run = RunOptions::default().with_shards(shards).with_phase_b_workers(phase_b_workers);
     if let Some(seed) = fault_seed {
         run = run.with_fault_seed(seed);
     }
@@ -882,29 +825,10 @@ fn swarm_cmd(
         params.seed,
         params.churn * 100.0
     );
-    if verify {
-        match verify_swarm(&params) {
-            Ok((sync, pipelined)) => {
-                print_swarm_report(&sync);
-                print_swarm_report(&pipelined);
-                println!("   parity: both engines fingerprint-identical under the same schedule");
-            }
-            Err(e) => {
-                eprintln!("swarm: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        print_swarm_report(&run_swarm(&params));
-    }
-    println!();
-}
-
-fn print_swarm_report(r: &SwarmReport) {
+    let r = run_swarm(&params);
     println!(
-        "   {:>9}: {} submitted (+{} churned out), {} epochs, epoch {} final, {} hot, \
+        "   {} submitted (+{} churned out), {} epochs, epoch {} final, {} hot, \
          {} lock-free reads (max epoch seen {}), schedule {:#018x}, fingerprint {:#018x}",
-        r.engine.to_string(),
         r.submitted,
         r.suppressed,
         r.epochs,
@@ -915,14 +839,16 @@ fn print_swarm_report(r: &SwarmReport) {
         r.schedule_hash,
         r.fingerprint
     );
+    println!();
 }
 
 /// An offline smoke of the full out-of-process stack: bind a `hotpathd`
 /// to a unix socket and drive a scripted wire client through
 /// submit-batch / advance / query for `ticks` granules.
-fn serve_cmd(shards: usize, engine: EngineKind, socket: Option<std::path::PathBuf>, ticks: u64) {
+fn serve_cmd(shards: usize, socket: Option<std::path::PathBuf>, ticks: u64) {
     use hotpath_core::config::Config;
     use hotpath_core::coordinator::Coordinator;
+    use hotpath_core::engine::EngineKind;
     use hotpath_core::geometry::{Point, Rect};
     use hotpath_core::raytrace::ClientState;
     use hotpath_core::time::Timestamp;
@@ -935,10 +861,10 @@ fn serve_cmd(shards: usize, engine: EngineKind, socket: Option<std::path::PathBu
     });
     let config = Config::paper_defaults().with_epoch(10).with_window(100).with_shards(shards);
     let epoch = config.epochs.lambda;
-    let handle = Hotpathd::spawn(engine.build(Coordinator::new(config)));
+    let handle = Hotpathd::spawn(EngineKind::Sync.build(Coordinator::new(config)));
     let server = serve_unix(&handle, &path)
         .unwrap_or_else(|e| usage(&format!("cannot bind {}: {e}", path.display())));
-    println!("## hotpathd — serving on {} ({engine}, {shards} shard(s))", path.display());
+    println!("## hotpathd — serving on {} ({shards} shard(s))", path.display());
 
     let mut client = UnixClient::connect(&path).expect("connect to own socket");
     // Four writers on a shared corridor pair; one traversal each per tick.

@@ -10,7 +10,6 @@
 use crate::time::{EpochClock, SlidingWindow};
 
 /// A typed parse failure for the CLI-facing enums ([`AdmissionPolicy`],
-/// [`EngineKind`](crate::engine::EngineKind),
 /// `FallbackPolicy`), carrying what was being parsed, the offending
 /// input, and the accepted values.
 #[derive(Clone, PartialEq, Eq, Debug)]

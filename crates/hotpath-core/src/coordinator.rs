@@ -49,9 +49,9 @@ use crate::raytrace::ClientState;
 use crate::session::{SessionCounters, SessionEvent, SessionRecord, SessionTable};
 use crate::stats::{AdmissionStats, CommStats, ProcessingStats};
 use crate::strategy::{
-    phase_a, phase_b, phase_b_apply, phase_b_eval, process_batch_pooled, CaseTally, FsaCache,
-    FsaSet, OverlapPolicy, PathReader, PathStore, PhaseAOutput, PhaseBLoad, ScratchArena,
-    Selection, WorkerPool,
+    phase_a, phase_b, phase_b_apply, phase_b_eval, process_batch, CaseTally, FsaCache, FsaSet,
+    OverlapPolicy, PathReader, PathStore, PhaseAOutput, PhaseBLoad, ScratchArena, Selection,
+    WorkerPool,
 };
 use crate::time::Timestamp;
 use crate::ObjectId;
@@ -193,29 +193,28 @@ struct FrontScratch {
 /// by the *drain-ingest* stage, consumed by the strategy stages, and
 /// recycled afterwards.
 #[derive(Debug)]
-pub(crate) struct EpochBatch {
-    pub(crate) states: Vec<ClientState>,
-    pub(crate) parts: Vec<Vec<u32>>,
+struct EpochBatch {
+    states: Vec<ClientState>,
+    parts: Vec<Vec<u32>>,
 }
 
 /// Deterministic point-to-shard routing: quantize to the vertex grain
 /// (so float-noisy copies of one vertex agree), derive the grid cell in
-/// integer space, and hash the cell key. Crate-visible so the pipelined
-/// engine's front buffer can pre-route states with the exact same rule.
+/// integer space, and hash the cell key.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ShardRouter {
+struct ShardRouter {
     grain: f64,
     units_per_cell: i64,
     shards: usize,
 }
 
 impl ShardRouter {
-    pub(crate) fn new(config: &Config) -> Self {
+    fn new(config: &Config) -> Self {
         let units = (config.grid_cell / config.vertex_grain).round().max(1.0) as i64;
         ShardRouter { grain: config.vertex_grain, units_per_cell: units, shards: config.shards }
     }
 
-    pub(crate) fn shard_of(&self, p: &Point) -> usize {
+    fn shard_of(&self, p: &Point) -> usize {
         if self.shards == 1 {
             return 0;
         }
@@ -500,38 +499,12 @@ impl Coordinator {
         self.processing.expiry_time += start.elapsed();
     }
 
-    /// Installs a pre-routed epoch batch wholesale (the pipelined
-    /// engine's sealed back buffer): `states` become the pending batch,
-    /// `parts` the per-shard position slices, and the uplink counters —
-    /// accounted at the engine's `submit` time — are merged in. Returns
-    /// the previously retained (cleared) buffers so the caller can reuse
-    /// their capacity as the next front buffer.
-    ///
-    /// Equivalent to a `submit` loop over `states`: the engine routes
-    /// with the same [`ShardRouter`] and accounts the same wire bytes.
-    pub(crate) fn install_routed_batch(
-        &mut self,
-        states: Vec<ClientState>,
-        parts: Vec<Vec<u32>>,
-        uplink_msgs: u64,
-        uplink_bytes: u64,
-    ) -> (Vec<ClientState>, Vec<Vec<u32>>) {
-        debug_assert!(self.pending.is_empty(), "install over an undrained batch");
-        self.comm.uplink_msgs += uplink_msgs;
-        self.comm.uplink_bytes += uplink_bytes;
-        let old_states = std::mem::replace(&mut self.pending, states);
-        let old_parts = std::mem::replace(&mut self.pending_parts, parts);
-        (old_states, old_parts)
-    }
-
     /// Runs SinglePath over the pending batch (call at epoch boundaries)
     /// and returns the endpoint responses for all reporting objects.
     ///
     /// Internally this is the four named stages of the epoch pipeline —
-    /// *drain-ingest* → *Phase A* → *Phase B* → *publish* — which the
-    /// engine layer ([`crate::engine`]) also drives individually so the
-    /// pipelined engine can hand responses back before the publish stage
-    /// completes.
+    /// *drain-ingest* → *Phase A* → *Phase B* → *publish* — run back to
+    /// back on the caller's thread.
     pub fn process_epoch(&mut self, now: Timestamp) -> Vec<EndpointResponse> {
         let batch = self.stage_drain_ingest(now);
         let selections = self.stage_strategy(&batch);
@@ -545,7 +518,7 @@ impl Coordinator {
     /// paths and session leases), seal the pending batch — states plus
     /// their pre-routed per-shard position slices — and apply admission
     /// control (heartbeats, then the queue cap) to the sealed batch.
-    pub(crate) fn stage_drain_ingest(&mut self, now: Timestamp) -> EpochBatch {
+    fn stage_drain_ingest(&mut self, now: Timestamp) -> EpochBatch {
         self.advance_time(now);
         let mut states = std::mem::take(&mut self.pending);
         let mut parts = std::mem::take(&mut self.pending_parts);
@@ -556,7 +529,7 @@ impl Coordinator {
     /// Admission control over one sealed epoch batch. Runs at the epoch
     /// boundary against the *global* batch (never per shard), so the
     /// admitted set — and everything downstream — is identical at every
-    /// shard count and on every engine.
+    /// shard count.
     ///
     /// Order matters and is part of the contract: every submitted state
     /// is a heartbeat first (liveness is information even when the cap
@@ -638,13 +611,13 @@ impl Coordinator {
     /// Stages *Phase A* and *Phase B*: run SinglePath over the sealed
     /// batch (sequentially at one shard, scoped-threaded Phase A plus
     /// global Phase B otherwise) and account the processing statistics.
-    pub(crate) fn stage_strategy(&mut self, batch: &EpochBatch) -> Vec<Selection> {
+    fn stage_strategy(&mut self, batch: &EpochBatch) -> Vec<Selection> {
         let start = Instant::now();
         // Degraded-epoch mode: past the overload threshold, shed the
         // Phase B FSA-overlap refinement for this epoch (the `Own`
         // ablation policy — each state only considers its own FSA).
         // The trigger is the admitted global batch size, so degradation
-        // fires identically at every shard count and on every engine.
+        // fires identically at every shard count.
         let degrade = self.config.admission.degrade_threshold;
         let policy = if degrade > 0 && batch.states.len() > degrade {
             self.admission.degraded_epochs += 1;
@@ -658,7 +631,7 @@ impl Coordinator {
             // whenever the pool resolves to one worker.
             let fsas = Self::epoch_fsas(&mut self.fsa_cache, &batch.states, policy);
             let shard = &mut self.shards[0];
-            process_batch_pooled(
+            process_batch(
                 &batch.states,
                 &mut shard.index,
                 &mut shard.hotness,
@@ -683,13 +656,13 @@ impl Coordinator {
 
     /// Builds (and accounts) the endpoint responses for the epoch's
     /// selections, in batch order.
-    pub(crate) fn stage_respond(&mut self, selections: &[Selection]) -> Vec<EndpointResponse> {
+    fn stage_respond(&mut self, selections: &[Selection]) -> Vec<EndpointResponse> {
         selections.iter().map(|sel| self.respond(sel)).collect()
     }
 
     /// Returns the drained batch buffers to the pending slots so the
     /// next epoch's ingest reuses their capacity.
-    pub(crate) fn stage_recycle(&mut self, batch: EpochBatch) {
+    fn stage_recycle(&mut self, batch: EpochBatch) {
         let EpochBatch { mut states, mut parts } = batch;
         states.clear();
         for p in &mut parts {
@@ -701,17 +674,16 @@ impl Coordinator {
 
     /// Stage *publish*: rebuild and cache the epoch-stamped
     /// [`HotSnapshot`] — the one read path for top-k, hot count, and the
-    /// counters. Returns the published snapshot.
-    pub(crate) fn stage_publish(&mut self) -> Arc<HotSnapshot> {
+    /// counters.
+    fn stage_publish(&mut self) {
         let start = Instant::now();
         // Seal this epoch's session transitions into the snapshot view.
         if let Some(table) = &mut self.sessions {
             self.last_session_events = table.drain_events().into();
         }
         *self.cache.get_mut() = ReadCache::default();
-        let snap = self.snapshot();
+        self.snapshot();
         self.processing.publish_time += start.elapsed();
-        snap
     }
 
     /// The sharded epoch: parallel Phase A per shard over the pre-routed
@@ -1098,19 +1070,6 @@ impl Coordinator {
     /// section is one bounded memcpy of a contiguous slab; nothing walks
     /// paths one by one.
     pub fn checkpoint(&self) -> Checkpoint {
-        self.checkpoint_with_extra(&[], 0, 0)
-    }
-
-    /// [`Coordinator::checkpoint`] with an engine-side front buffer
-    /// appended: `extra_pending` rides along after the installed batch
-    /// (submit order preserved) and the front's uplink accounting is
-    /// merged into the stats section — without mutating the coordinator.
-    pub(crate) fn checkpoint_with_extra(
-        &self,
-        extra_pending: &[ClientState],
-        extra_uplink_msgs: u64,
-        extra_uplink_bytes: u64,
-    ) -> Checkpoint {
         let mut flags = 0;
         if self.hints_enabled {
             flags |= FLAG_HINTS;
@@ -1131,8 +1090,8 @@ impl Coordinator {
             SectionKind::Stats,
             0,
             &[StatsRecord {
-                uplink_msgs: self.comm.uplink_msgs + extra_uplink_msgs,
-                uplink_bytes: self.comm.uplink_bytes + extra_uplink_bytes,
+                uplink_msgs: self.comm.uplink_msgs,
+                uplink_bytes: self.comm.uplink_bytes,
                 downlink_msgs: self.comm.downlink_msgs,
                 downlink_bytes: self.comm.downlink_bytes,
                 epochs: self.processing.epochs,
@@ -1157,14 +1116,7 @@ impl Coordinator {
         if let Some(table) = &self.sessions {
             b.section(SectionKind::Session, 0, &table.records_vec());
         }
-        if extra_pending.is_empty() {
-            b.section(SectionKind::Pending, 0, &self.pending);
-        } else {
-            let mut all = Vec::with_capacity(self.pending.len() + extra_pending.len());
-            all.extend_from_slice(&self.pending);
-            all.extend_from_slice(extra_pending);
-            b.section(SectionKind::Pending, 0, &all);
-        }
+        b.section(SectionKind::Pending, 0, &self.pending);
         for (i, shard) in self.shards.iter().enumerate() {
             let s = i as u32;
             b.section(SectionKind::Paths, s, shard.index.paths_slice());
@@ -1332,17 +1284,6 @@ impl Coordinator {
             last_phase_b: PhaseBLoad::default(),
             last_session_events: Arc::from(Vec::new()),
         })
-    }
-
-    /// Moves the restored pending batch (and its routing) out, leaving
-    /// the coordinator drained — the pipelined engine reclaims the batch
-    /// into its front buffer so the normal seal/install cycle resumes.
-    /// The slots left behind keep the shard-count shape, since the
-    /// buffer-swap cycle hands them back to the engine later.
-    pub(crate) fn take_pending(&mut self) -> (Vec<ClientState>, Vec<Vec<u32>>) {
-        let empty_parts =
-            if self.shards.len() > 1 { vec![Vec::new(); self.shards.len()] } else { Vec::new() };
-        (std::mem::take(&mut self.pending), std::mem::replace(&mut self.pending_parts, empty_parts))
     }
 }
 

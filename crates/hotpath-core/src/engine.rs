@@ -1,103 +1,58 @@
-//! The engine layer: epoch execution behind one interface, with a
-//! synchronous backend and a pipelined (double-buffered) backend.
+//! The engine layer: epoch execution behind one interface.
 //!
 //! [`Coordinator::process_epoch`] is internally four named stages —
-//! *drain-ingest* → *Phase A* → *Phase B* → *publish* — and an
-//! [`Engine`] decides how those stages are scheduled against ingest:
+//! *drain-ingest* → *Phase A* → *Phase B* → *publish* — and
+//! [`SyncEngine`] runs all of them on the caller's thread: `submit` goes
+//! straight to the coordinator, `process_epoch` returns the endpoint
+//! responses and captures the freshly published epoch-stamped
+//! [`HotSnapshot`]. Reads go through that snapshot (or an attached
+//! [`SnapshotCell`]), never through live coordinator state.
 //!
-//! * [`SyncEngine`] — today's behavior at any shard count: `submit` goes
-//!   straight to the coordinator, every stage runs on the caller's
-//!   thread inside `process_epoch`.
-//! * [`PipelinedEngine`] — double-buffers the ingest: `submit` /
-//!   `submit_batch` land in an engine-side *front* buffer (pre-routed
-//!   per shard with the coordinator's own `ShardRouter` rule) while a
-//!   dedicated worker thread owns the coordinator and runs the epoch
-//!   stages against the sealed *back* buffer. `process_epoch` blocks
-//!   only until the respond stage — the worker then finishes the
-//!   *publish* stage (top-k merge, snapshot build) and the per-tick
-//!   window expiry in the background, overlapped with the caller's next
-//!   ticks of ingest. Reads go through the epoch-stamped
-//!   [`HotSnapshot`], never through live coordinator state.
+//! Responses are causally required at the epoch boundary — clients seed
+//! their next SSA from them — so the strategy stages cannot move off the
+//! boundary's critical path without changing behavior; only publish and
+//! expiry could overlap ingest, and that measured slower than running
+//! them inline.
 //!
-//! Both backends are observationally identical, bit for bit: same
-//! responses in the same order, same snapshots, same communication
-//! accounting, same final coordinator (pinned by the engine-parity
-//! proptests and `tests/scenario_parity.rs`). Responses are causally
-//! required at the epoch boundary — clients seed their next SSA from
-//! them — so the strategy stages cannot move off the boundary's
-//! critical path without changing behavior; what the pipeline overlaps
-//! is everything after the respond stage plus all between-epoch
-//! maintenance. Going further (speculative strategy evaluation,
-//! cross-process shards) is future work recorded in the ROADMAP.
+//! `benchmark/src/sut.rs` names `engine::{Engine, EngineKind}`,
+//! `EngineKind::Sync.build(..) -> Box<dyn Engine>` and the trait methods
+//! `config`/`submit_batch`/`advance_time`/`process_epoch`/`snapshot`/
+//! `checkpoint`/`restore`/`finish`, so the [`Engine`] trait and the
+//! one-variant [`EngineKind`] keep those exact signatures until a
+//! `benchmark` PR can collapse them into [`SyncEngine`] (see ROADMAP).
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::config::{Config, ParseError};
-use crate::coordinator::{Coordinator, EndpointResponse, HotSnapshot, ShardRouter};
+use crate::config::Config;
+use crate::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
 use crate::raytrace::ClientState;
 use crate::snapshot::SnapshotCell;
 use crate::time::Timestamp;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-/// Which epoch-execution backend to run.
+/// How a coordinator is wrapped into an engine. One variant: see the
+/// module docs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EngineKind {
-    /// Every stage on the caller's thread (today's behavior).
+    /// Every stage on the caller's thread.
     #[default]
     Sync,
-    /// Double-buffered ingest with the epoch stages on a worker thread.
-    Pipelined,
 }
 
 impl EngineKind {
-    /// Parses a CLI tag (`sync` / `pipelined`). Thin shim over the
-    /// [`FromStr`](std::str::FromStr) impl, kept for callers that only
-    /// care about success.
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        s.parse().ok()
-    }
-
-    /// Wraps a coordinator in this backend.
+    /// Wraps a coordinator in a [`SyncEngine`].
     pub fn build(self, coordinator: Coordinator) -> Box<dyn Engine> {
         match self {
             EngineKind::Sync => Box::new(SyncEngine::new(coordinator)),
-            EngineKind::Pipelined => Box::new(PipelinedEngine::spawn(coordinator)),
         }
-    }
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = ParseError;
-
-    fn from_str(s: &str) -> Result<EngineKind, ParseError> {
-        match s {
-            "sync" => Ok(EngineKind::Sync),
-            "pipelined" => Ok(EngineKind::Pipelined),
-            other => Err(ParseError::new("engine", other, "sync | pipelined")),
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EngineKind::Sync => "sync",
-            EngineKind::Pipelined => "pipelined",
-        })
     }
 }
 
 /// Epoch execution behind one interface: buffered ingest, the epoch
-/// boundary, and snapshot-based reads. Both backends are bit-for-bit
-/// identical; only the thread the stages run on differs.
+/// boundary, and snapshot-based reads.
 ///
 /// `Send` is a supertrait: a server moves its engine onto a dedicated
-/// writer thread (see the `hotpath-serve` crate), so every backend must
-/// be transferable.
+/// writer thread (see the `hotpath-serve` crate).
 pub trait Engine: Send {
-    /// Which backend this is.
-    fn kind(&self) -> EngineKind;
     /// The configuration in force.
     fn config(&self) -> &Config;
     /// Accepts one state message for the next epoch.
@@ -107,16 +62,13 @@ pub trait Engine: Send {
     fn submit_batch(&mut self, states: &mut dyn Iterator<Item = ClientState>);
     /// States buffered for the next epoch.
     fn pending_len(&self) -> usize;
-    /// Advances the sliding-window clock (expiry). The pipelined
-    /// backend runs the expiry on its worker, overlapped with ingest.
+    /// Advances the sliding-window clock (expiry).
     fn advance_time(&mut self, now: Timestamp);
     /// Runs the epoch ending at `now` and returns its endpoint
-    /// responses. The pipelined backend returns as soon as the respond
-    /// stage completes; publish finishes in the background.
+    /// responses.
     fn process_epoch(&mut self, now: Timestamp) -> Vec<EndpointResponse>;
     /// The snapshot published by the last `process_epoch` (an empty
-    /// epoch-0 snapshot before the first). Blocks until the publish
-    /// stage lands if it is still in flight.
+    /// epoch-0 snapshot before the first).
     fn snapshot(&mut self) -> Arc<HotSnapshot>;
     /// Attaches a [`SnapshotCell`]: from now on every publish stage
     /// also installs its snapshot into the cell, so any number of
@@ -124,19 +76,12 @@ pub trait Engine: Send {
     /// observe each epoch lock-free, without ever calling into the
     /// engine. The current snapshot is published into the cell
     /// immediately, and a restore re-publishes the restored state (the
-    /// cell never serves pre-restore data). The pipelined backend
-    /// publishes from its worker thread, overlapped with ingest — cell
-    /// readers never block, and never make the epoch loop wait.
+    /// cell never serves pre-restore data).
     fn attach_cell(&mut self, cell: Arc<SnapshotCell>);
-    /// Serializes the engine's complete state — the coordinator plus any
-    /// engine-side front buffer — into a validated [`Checkpoint`] image.
-    /// The pipelined backend first drains to a quiescent epoch boundary
-    /// (joins the in-flight publish stage), so the image is always a
-    /// consistent cut; the engine continues unchanged afterwards.
-    ///
-    /// Images are backend-portable: a checkpoint taken from one backend
-    /// restores into the other, and re-checkpointing the replica
-    /// reproduces the image byte for byte.
+    /// Serializes the engine's complete state — the coordinator,
+    /// buffered pending batch included — into a validated [`Checkpoint`]
+    /// image; the engine continues unchanged afterwards. Re-checkpointing
+    /// a restored replica reproduces the image byte for byte.
     ///
     /// ```
     /// use hotpath_core::prelude::*;
@@ -153,11 +98,10 @@ pub trait Engine: Send {
     /// engine.process_epoch(Timestamp(5));
     ///
     /// let image = engine.checkpoint();
-    /// let mut replica = PipelinedEngine::spawn(Coordinator::new(config));
+    /// let mut replica = SyncEngine::new(Coordinator::new(config));
     /// replica.restore(&image).expect("image validates");
     /// assert_eq!(replica.snapshot().epoch, engine.snapshot().epoch);
     /// assert_eq!(replica.checkpoint().as_bytes(), image.as_bytes());
-    /// # Box::new(replica).finish();
     /// ```
     fn checkpoint(&mut self) -> Checkpoint;
     /// Replaces the engine's state with the checkpoint's, discarding
@@ -165,31 +109,24 @@ pub trait Engine: Send {
     /// the checkpointed one stood, including its buffered pending batch
     /// (see [`Engine::checkpoint`] for a runnable round-trip example).
     /// The published snapshot is rebuilt from the restored state, so
-    /// reads never serve pre-restore data. The pipelined backend drains
-    /// any in-flight epoch before swapping the worker's coordinator.
+    /// reads never serve pre-restore data.
     fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError>;
-    /// Tears the engine down and returns the final coordinator (any
-    /// still-buffered ingest is transferred into its pending batch, so
-    /// the result is identical to the sync backend's coordinator).
+    /// Tears the engine down and returns the final coordinator, any
+    /// still-buffered ingest in its pending batch.
     fn finish(self: Box<Self>) -> Coordinator;
     /// Advisory backpressure signal: true when buffered ingest already
     /// exceeds the configured admission queue cap, so well-behaved
     /// clients can slow down *before* the boundary cap starts turning
     /// states away. Always false while the cap is off. Advisory only —
-    /// enforcement happens in the drain-ingest stage, identically on
-    /// every backend.
+    /// enforcement happens in the drain-ingest stage.
     fn is_saturated(&self) -> bool {
         let cap = self.config().admission.queue_cap;
         cap > 0 && self.pending_len() > cap
     }
 }
 
-// ---------------------------------------------------------------------
-// SyncEngine
-// ---------------------------------------------------------------------
-
-/// The synchronous backend: a thin adapter over [`Coordinator`] that
-/// captures the published snapshot at each boundary.
+/// The engine: a thin adapter over [`Coordinator`] that captures the
+/// published snapshot at each boundary.
 pub struct SyncEngine {
     coordinator: Coordinator,
     last: Arc<HotSnapshot>,
@@ -210,10 +147,6 @@ impl SyncEngine {
 }
 
 impl Engine for SyncEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Sync
-    }
-
     fn config(&self) -> &Config {
         self.coordinator.config()
     }
@@ -273,363 +206,6 @@ impl Engine for SyncEngine {
     }
 }
 
-// ---------------------------------------------------------------------
-// PipelinedEngine
-// ---------------------------------------------------------------------
-
-/// Work sent to the engine worker, in program order.
-enum ToWorker {
-    /// Advance the window clock (per-tick expiry, run overlapped).
-    Advance(Timestamp),
-    /// Attach a snapshot cell: the worker publishes into it right after
-    /// every publish stage (and immediately on attach/restore), so cell
-    /// readers observe new epochs without the engine's caller-side join.
-    Attach(Arc<SnapshotCell>),
-    /// A sealed epoch: the back buffer, its per-shard routing, the
-    /// uplink accounting accumulated at submit time, and the boundary.
-    Seal {
-        states: Vec<ClientState>,
-        parts: Vec<Vec<u32>>,
-        uplink_msgs: u64,
-        uplink_bytes: u64,
-        now: Timestamp,
-    },
-    /// Serialize the coordinator plus the (not yet installed) front
-    /// buffer into a checkpoint image, without mutating either; the
-    /// buffers are handed back with the image.
-    Checkpoint {
-        states: Vec<ClientState>,
-        parts: Vec<Vec<u32>>,
-        uplink_msgs: u64,
-        uplink_bytes: u64,
-    },
-    /// Replace the coordinator with a restored one; its pending batch is
-    /// handed back to become the engine's front buffer.
-    Restore(Box<Coordinator>),
-    /// Tear down: transfer any residual front buffer and hand the
-    /// coordinator back.
-    Finish { states: Vec<ClientState>, parts: Vec<Vec<u32>>, uplink_msgs: u64, uplink_bytes: u64 },
-}
-
-/// Replies from the worker. For each `Seal` the worker sends `Epoch`
-/// (as soon as the respond stage completes) and then `Published` (when
-/// the overlapped publish stage lands); `Finish` is answered with
-/// `Done`.
-enum FromWorker {
-    Epoch {
-        responses: Vec<EndpointResponse>,
-        /// The previous epoch's drained buffers, recycled as the next
-        /// front buffer.
-        states_buf: Vec<ClientState>,
-        parts_buf: Vec<Vec<u32>>,
-    },
-    Published(Arc<HotSnapshot>),
-    Checkpointed {
-        image: Box<Checkpoint>,
-        /// The untouched front buffers, returned to the engine.
-        states_buf: Vec<ClientState>,
-        parts_buf: Vec<Vec<u32>>,
-    },
-    Restored {
-        /// The restored pending batch, moved into the engine's front.
-        states_buf: Vec<ClientState>,
-        parts_buf: Vec<Vec<u32>>,
-        /// The snapshot of the restored state (never pre-restore data).
-        snapshot: Arc<HotSnapshot>,
-    },
-    Done(Box<Coordinator>),
-}
-
-/// The pipelined backend: ingest double-buffering in front, the epoch
-/// stages on a dedicated worker thread that owns the coordinator.
-pub struct PipelinedEngine {
-    config: Config,
-    router: ShardRouter,
-    shards: usize,
-    /// The front buffer: states submitted since the last seal.
-    front: Vec<ClientState>,
-    /// Per-shard batch positions of the front buffer (sharded only).
-    parts: Vec<Vec<u32>>,
-    /// Uplink accounting for the front buffer (merged at seal, exactly
-    /// as `Coordinator::submit` would have recorded it).
-    uplink_msgs: u64,
-    uplink_bytes: u64,
-    tx: Option<Sender<ToWorker>>,
-    rx: Receiver<FromWorker>,
-    worker: Option<JoinHandle<()>>,
-    last: Arc<HotSnapshot>,
-    /// A `Published` reply is still in flight for the last sealed epoch.
-    publish_pending: bool,
-}
-
-impl PipelinedEngine {
-    /// Moves `coordinator` onto a worker thread and returns the engine.
-    pub fn spawn(coordinator: Coordinator) -> Self {
-        let config = *coordinator.config();
-        let shards = config.shards;
-        let router = ShardRouter::new(&config);
-        let (tx, work_rx) = channel::<ToWorker>();
-        let (reply_tx, rx) = channel::<FromWorker>();
-        let worker = std::thread::Builder::new()
-            .name("hotpath-engine".into())
-            .spawn(move || worker_loop(coordinator, work_rx, reply_tx))
-            .expect("spawn engine worker");
-        PipelinedEngine {
-            config,
-            router,
-            shards,
-            front: Vec::new(),
-            parts: if shards > 1 { vec![Vec::new(); shards] } else { Vec::new() },
-            uplink_msgs: 0,
-            uplink_bytes: 0,
-            tx: Some(tx),
-            rx,
-            worker: Some(worker),
-            last: Arc::new(HotSnapshot::empty()),
-            publish_pending: false,
-        }
-    }
-
-    fn send(&self, msg: ToWorker) {
-        self.tx.as_ref().expect("engine already finished").send(msg).expect("engine worker died");
-    }
-
-    /// Consumes the in-flight `Published` reply, if any (the join point
-    /// of the overlapped publish stage).
-    fn drain_publish(&mut self) {
-        if !self.publish_pending {
-            return;
-        }
-        match self.rx.recv().expect("engine worker died") {
-            FromWorker::Published(snap) => self.last = snap,
-            _ => unreachable!("protocol: Seal is answered by Epoch then Published"),
-        }
-        self.publish_pending = false;
-    }
-}
-
-impl Engine for PipelinedEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Pipelined
-    }
-
-    fn config(&self) -> &Config {
-        &self.config
-    }
-
-    fn submit(&mut self, state: ClientState) {
-        // Mirrors `Coordinator::submit` exactly: same wire accounting,
-        // same shard routing, same batch order.
-        self.uplink_msgs += 1;
-        self.uplink_bytes += ClientState::WIRE_BYTES as u64;
-        if self.shards > 1 {
-            let seq = self.front.len() as u32;
-            self.parts[self.router.shard_of(&state.start)].push(seq);
-        }
-        self.front.push(state);
-    }
-
-    fn submit_batch(&mut self, states: &mut dyn Iterator<Item = ClientState>) {
-        for state in states {
-            self.submit(state);
-        }
-    }
-
-    fn pending_len(&self) -> usize {
-        self.front.len()
-    }
-
-    fn advance_time(&mut self, now: Timestamp) {
-        // Expiry runs on the worker, overlapped with whatever the
-        // caller does next (typically the next tick's ingest).
-        self.send(ToWorker::Advance(now));
-    }
-
-    fn process_epoch(&mut self, now: Timestamp) -> Vec<EndpointResponse> {
-        // Join the previous epoch's publish before re-sealing, so at
-        // most one epoch is ever in flight.
-        self.drain_publish();
-        let states = std::mem::take(&mut self.front);
-        let parts = std::mem::take(&mut self.parts);
-        let msg = ToWorker::Seal {
-            states,
-            parts,
-            uplink_msgs: std::mem::take(&mut self.uplink_msgs),
-            uplink_bytes: std::mem::take(&mut self.uplink_bytes),
-            now,
-        };
-        self.send(msg);
-        match self.rx.recv().expect("engine worker died") {
-            FromWorker::Epoch { responses, states_buf, parts_buf } => {
-                // Double-buffer swap: the worker handed back the other
-                // buffer pair, drained and cleared.
-                self.front = states_buf;
-                self.parts = parts_buf;
-                self.publish_pending = true;
-                responses
-            }
-            _ => unreachable!("protocol: Seal is answered by Epoch first"),
-        }
-    }
-
-    fn snapshot(&mut self) -> Arc<HotSnapshot> {
-        self.drain_publish();
-        self.last.clone()
-    }
-
-    fn attach_cell(&mut self, cell: Arc<SnapshotCell>) {
-        // Queued in program order: the worker attaches after whatever
-        // epoch is in flight, then publishes its current state.
-        self.send(ToWorker::Attach(cell));
-    }
-
-    fn checkpoint(&mut self) -> Checkpoint {
-        // Quiesce: join the in-flight publish so the worker has fully
-        // retired the last sealed epoch before it serializes.
-        self.drain_publish();
-        let msg = ToWorker::Checkpoint {
-            states: std::mem::take(&mut self.front),
-            parts: std::mem::take(&mut self.parts),
-            uplink_msgs: self.uplink_msgs,
-            uplink_bytes: self.uplink_bytes,
-        };
-        self.send(msg);
-        match self.rx.recv().expect("engine worker died") {
-            FromWorker::Checkpointed { image, states_buf, parts_buf } => {
-                // The front buffer comes back untouched; the uplink
-                // counters were only copied, so ingest continues as if
-                // nothing happened.
-                self.front = states_buf;
-                self.parts = parts_buf;
-                *image
-            }
-            _ => unreachable!("protocol: Checkpoint is answered by Checkpointed"),
-        }
-    }
-
-    fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
-        // Quiesce the in-flight epoch first, then build the replacement
-        // on the caller's thread so a bad image errors out before
-        // anything is torn down.
-        self.drain_publish();
-        let restored = Coordinator::from_checkpoint(self.config, ck)?;
-        // The engine's own buffered ingest is superseded by the
-        // checkpoint's pending batch (its uplink is already accounted in
-        // the restored comm counters).
-        self.front.clear();
-        for p in &mut self.parts {
-            p.clear();
-        }
-        self.uplink_msgs = 0;
-        self.uplink_bytes = 0;
-        self.send(ToWorker::Restore(Box::new(restored)));
-        match self.rx.recv().expect("engine worker died") {
-            FromWorker::Restored { states_buf, parts_buf, snapshot } => {
-                self.front = states_buf;
-                self.parts = parts_buf;
-                self.last = snapshot;
-                Ok(())
-            }
-            _ => unreachable!("protocol: Restore is answered by Restored"),
-        }
-    }
-
-    fn finish(mut self: Box<Self>) -> Coordinator {
-        self.drain_publish();
-        let msg = ToWorker::Finish {
-            states: std::mem::take(&mut self.front),
-            parts: std::mem::take(&mut self.parts),
-            uplink_msgs: std::mem::take(&mut self.uplink_msgs),
-            uplink_bytes: std::mem::take(&mut self.uplink_bytes),
-        };
-        self.send(msg);
-        let coordinator = match self.rx.recv().expect("engine worker died") {
-            FromWorker::Done(c) => *c,
-            _ => unreachable!("protocol: Finish is answered by Done"),
-        };
-        self.tx = None;
-        if let Some(worker) = self.worker.take() {
-            worker.join().expect("engine worker panicked");
-        }
-        coordinator
-    }
-}
-
-impl Drop for PipelinedEngine {
-    fn drop(&mut self) {
-        // Close the channel so the worker exits, then reap it. A normal
-        // `finish` already took both; this only runs on abandonment.
-        self.tx = None;
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// The worker: owns the coordinator, applies overlapped expiry, and
-/// runs the epoch stages for every sealed batch — replying with the
-/// responses before the publish stage so the caller resumes early.
-fn worker_loop(mut coordinator: Coordinator, work: Receiver<ToWorker>, reply: Sender<FromWorker>) {
-    let mut cell: Option<Arc<SnapshotCell>> = None;
-    while let Ok(msg) = work.recv() {
-        match msg {
-            ToWorker::Advance(now) => coordinator.advance_time(now),
-            ToWorker::Attach(c) => {
-                c.publish(coordinator.snapshot());
-                cell = Some(c);
-            }
-            ToWorker::Seal { states, parts, uplink_msgs, uplink_bytes, now } => {
-                let (states_buf, parts_buf) =
-                    coordinator.install_routed_batch(states, parts, uplink_msgs, uplink_bytes);
-                let batch = coordinator.stage_drain_ingest(now);
-                let selections = coordinator.stage_strategy(&batch);
-                let responses = coordinator.stage_respond(&selections);
-                if reply.send(FromWorker::Epoch { responses, states_buf, parts_buf }).is_err() {
-                    break; // engine dropped mid-epoch
-                }
-                // Overlapped tail: the caller is already ingesting the
-                // next epoch while we recycle and publish.
-                coordinator.stage_recycle(batch);
-                let snap = coordinator.stage_publish();
-                // Cell publication happens here on the worker — the
-                // caller never joins for it, and readers never wait.
-                if let Some(c) = &cell {
-                    c.publish(snap.clone());
-                }
-                if reply.send(FromWorker::Published(snap)).is_err() {
-                    break;
-                }
-            }
-            ToWorker::Checkpoint { states, parts, uplink_msgs, uplink_bytes } => {
-                let image =
-                    Box::new(coordinator.checkpoint_with_extra(&states, uplink_msgs, uplink_bytes));
-                if reply
-                    .send(FromWorker::Checkpointed { image, states_buf: states, parts_buf: parts })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            ToWorker::Restore(restored) => {
-                coordinator = *restored;
-                let (states_buf, parts_buf) = coordinator.take_pending();
-                let snapshot = coordinator.snapshot();
-                if let Some(c) = &cell {
-                    c.publish(snapshot.clone());
-                }
-                if reply.send(FromWorker::Restored { states_buf, parts_buf, snapshot }).is_err() {
-                    break;
-                }
-            }
-            ToWorker::Finish { states, parts, uplink_msgs, uplink_bytes } => {
-                let _ = coordinator.install_routed_batch(states, parts, uplink_msgs, uplink_bytes);
-                let _ = reply.send(FromWorker::Done(Box::new(coordinator)));
-                return;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,8 +231,8 @@ mod tests {
     /// with mixed single/batch submits and mid-epoch time advances;
     /// returns everything observable.
     #[allow(clippy::type_complexity)]
-    fn drive(kind: EngineKind, shards: usize) -> (Vec<Vec<(u64, u64)>>, Vec<(u64, u64, u32)>, u64) {
-        let mut engine = kind.build(Coordinator::new(cfg(shards)));
+    fn drive(shards: usize) -> (Vec<Vec<(u64, u64)>>, Vec<(u64, u64, u32)>, u64) {
+        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg(shards)));
         let mut responses_log = Vec::new();
         let mut s = 7u64;
         let mut rand = || {
@@ -704,33 +280,30 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_matches_sync_bit_for_bit() {
-        for shards in [1usize, 4] {
-            let sync = drive(EngineKind::Sync, shards);
-            let pipelined = drive(EngineKind::Pipelined, shards);
-            assert_eq!(sync, pipelined, "engines diverged at {shards} shards");
-        }
+    fn mixed_ingest_run_is_identical_at_every_shard_count() {
+        let base = drive(1);
+        assert!(base.0.iter().any(|r| !r.is_empty()), "the workload must produce responses");
+        assert_eq!(drive(4), base, "4 shards diverged from sequential");
     }
 
-    /// The same cross-backend contract with the robustness layer on: a
+    /// The same shard-count contract with the robustness layer on: a
     /// workload where clients go silent mid-run, the admission cap
     /// fires, and epochs degrade under overload. Responses, the
     /// session-event stream, and every admission/session counter must
-    /// be identical on both backends at every shard count.
+    /// be identical at every shard count.
     #[test]
     fn engines_agree_with_sessions_and_admission_on() {
         use crate::config::AdmissionPolicy;
         use crate::session::SessionTransition;
         #[allow(clippy::type_complexity)]
         fn drive_robust(
-            kind: EngineKind,
             shards: usize,
         ) -> (Vec<Vec<(u64, u64)>>, Vec<(u64, u64, u8)>, Vec<u64>, Vec<u64>, bool) {
             let config = cfg(shards)
                 .with_lease(30, 10)
                 .with_admission_cap(24, AdmissionPolicy::ShedOldest)
                 .with_degrade_threshold(20);
-            let mut engine = kind.build(Coordinator::new(config));
+            let mut engine = EngineKind::Sync.build(Coordinator::new(config));
             let mut responses_log = Vec::new();
             let mut events = Vec::new();
             let mut saw_saturation = false;
@@ -783,22 +356,18 @@ mod tests {
             )
         }
 
-        let base = drive_robust(EngineKind::Sync, 1);
+        let base = drive_robust(1);
         assert!(!base.1.is_empty(), "the workload must produce session events");
         assert!(base.2[2] > 0, "the cap must shed states");
         assert!(base.2[4] > 0, "overload must degrade epochs");
         assert!(base.3[1] > 0 && base.3[3] > 0, "silent clients must drop and eject");
         assert!(base.4, "the advisory saturation signal must fire");
-        for (kind, shards) in
-            [(EngineKind::Sync, 4), (EngineKind::Pipelined, 1), (EngineKind::Pipelined, 4)]
-        {
-            assert_eq!(drive_robust(kind, shards), base, "{kind} diverged at {shards} shards");
-        }
+        assert_eq!(drive_robust(4), base, "4 shards diverged from sequential");
     }
 
     #[test]
     fn snapshot_is_stamped_and_stable_between_epochs() {
-        let mut engine = EngineKind::Pipelined.build(Coordinator::new(cfg(1)));
+        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg(1)));
         assert_eq!(engine.snapshot().epoch, 0);
         engine.submit(state(1, (0.0, 0.0), (50.0, 0.0), 9));
         assert_eq!(engine.pending_len(), 1);
@@ -820,14 +389,6 @@ mod tests {
         assert_eq!(coordinator.comm_stats().uplink_msgs, 2);
     }
 
-    #[test]
-    fn dropping_an_unfinished_engine_reaps_the_worker() {
-        let mut engine = PipelinedEngine::spawn(Coordinator::new(cfg(2)));
-        engine.submit(state(1, (0.0, 0.0), (50.0, 0.0), 9));
-        let _ = engine.process_epoch(Timestamp(10));
-        drop(engine); // must not hang or leak the worker
-    }
-
     /// Deterministic per-epoch batch shared by the checkpoint tests.
     fn workload(epoch: u64) -> Vec<ClientState> {
         let mut out = Vec::new();
@@ -844,69 +405,67 @@ mod tests {
 
     /// `checkpoint()` must be a pure observer — a run with a mid-run
     /// checkpoint equals one without — and an engine restored from that
-    /// image must replay the remaining epochs bit-for-bit, front buffer
-    /// included, on both backends at 1 shard and several.
+    /// image must replay the remaining epochs bit-for-bit, pending batch
+    /// included, at 1 shard and several.
     #[test]
     fn checkpoint_is_transparent_and_restore_resumes_bit_for_bit() {
         type EpochLog = Vec<(Vec<(u64, u64)>, u64, u64, u64)>;
         for shards in [1usize, 4] {
-            for kind in [EngineKind::Sync, EngineKind::Pipelined] {
-                let observe = |engine: &mut Box<dyn Engine>, now: Timestamp| {
-                    let resp: Vec<(u64, u64)> = engine
-                        .process_epoch(now)
-                        .iter()
-                        .map(|r| (r.object.0, r.endpoint.p.x.to_bits()))
-                        .collect();
-                    let snap = engine.snapshot();
-                    (resp, snap.epoch, snap.top_k_score.to_bits(), snap.comm.uplink_msgs)
-                };
-                let run = |interrupt: Option<u64>| -> (EpochLog, Option<Checkpoint>) {
-                    let mut engine = kind.build(Coordinator::new(cfg(shards)));
-                    let mut log = Vec::new();
-                    let mut image = None;
-                    for epoch in 1..=8u64 {
-                        let now = Timestamp(epoch * 10);
-                        engine.submit_batch(&mut workload(epoch).into_iter());
-                        if interrupt == Some(epoch) {
-                            // The epoch's batch is still buffered: the
-                            // image must carry it.
-                            image = Some(engine.checkpoint());
-                        }
-                        engine.advance_time(now);
-                        log.push(observe(&mut engine, now));
-                    }
-                    engine.finish().check_consistency().unwrap();
-                    (log, image)
-                };
-
-                let (base, _) = run(None);
-                let (with_ck, image) = run(Some(4));
-                assert_eq!(base, with_ck, "checkpoint perturbed {kind} at {shards} shards");
-
-                // Resume: restore into a *dirtied* fresh engine and
-                // replay epochs 4..=8 (epoch 4's batch rides in the
-                // image's pending section).
-                let image = image.unwrap();
-                assert_eq!(image.epoch(), 3);
-                let mut engine = kind.build(Coordinator::new(cfg(shards)));
-                engine.submit(state(77, (0.0, 0.0), (50.0, 0.0), 9));
-                let _ = engine.process_epoch(Timestamp(10));
-                engine.restore(&image).unwrap();
-                assert_eq!(engine.pending_len(), 12, "pending batch lost in restore");
-                for epoch in 4..=8u64 {
+            let observe = |engine: &mut Box<dyn Engine>, now: Timestamp| {
+                let resp: Vec<(u64, u64)> = engine
+                    .process_epoch(now)
+                    .iter()
+                    .map(|r| (r.object.0, r.endpoint.p.x.to_bits()))
+                    .collect();
+                let snap = engine.snapshot();
+                (resp, snap.epoch, snap.top_k_score.to_bits(), snap.comm.uplink_msgs)
+            };
+            let run = |interrupt: Option<u64>| -> (EpochLog, Option<Checkpoint>) {
+                let mut engine = EngineKind::Sync.build(Coordinator::new(cfg(shards)));
+                let mut log = Vec::new();
+                let mut image = None;
+                for epoch in 1..=8u64 {
                     let now = Timestamp(epoch * 10);
-                    if epoch > 4 {
-                        engine.submit_batch(&mut workload(epoch).into_iter());
+                    engine.submit_batch(&mut workload(epoch).into_iter());
+                    if interrupt == Some(epoch) {
+                        // The epoch's batch is still buffered: the
+                        // image must carry it.
+                        image = Some(engine.checkpoint());
                     }
                     engine.advance_time(now);
-                    assert_eq!(
-                        observe(&mut engine, now),
-                        base[(epoch - 1) as usize],
-                        "restored {kind} diverged at epoch {epoch}, {shards} shards"
-                    );
+                    log.push(observe(&mut engine, now));
                 }
                 engine.finish().check_consistency().unwrap();
+                (log, image)
+            };
+
+            let (base, _) = run(None);
+            let (with_ck, image) = run(Some(4));
+            assert_eq!(base, with_ck, "checkpoint perturbed the run at {shards} shards");
+
+            // Resume: restore into a *dirtied* fresh engine and replay
+            // epochs 4..=8 (epoch 4's batch rides in the image's pending
+            // section).
+            let image = image.unwrap();
+            assert_eq!(image.epoch(), 3);
+            let mut engine = EngineKind::Sync.build(Coordinator::new(cfg(shards)));
+            engine.submit(state(77, (0.0, 0.0), (50.0, 0.0), 9));
+            let _ = engine.process_epoch(Timestamp(10));
+            engine.restore(&image).unwrap();
+            assert_eq!(engine.pending_len(), 12, "pending batch lost in restore");
+            for epoch in 4..=8u64 {
+                let now = Timestamp(epoch * 10);
+                if epoch > 4 {
+                    engine.submit_batch(&mut workload(epoch).into_iter());
+                }
+                engine.advance_time(now);
+                assert_eq!(
+                    observe(&mut engine, now),
+                    base[(epoch - 1) as usize],
+                    "restored engine diverged at epoch {epoch}, {shards} shards"
+                );
             }
+            engine.finish().check_consistency().unwrap();
         }
     }
 
@@ -914,103 +473,56 @@ mod tests {
     /// invalidated — `snapshot()`/top-k never serve pre-restore data.
     #[test]
     fn restore_invalidates_the_snapshot_cache() {
-        for kind in [EngineKind::Sync, EngineKind::Pipelined] {
-            let mut engine = kind.build(Coordinator::new(cfg(1)));
-            // Epoch 1: corridor A is the only hot path.
-            for obj in 0..3u64 {
-                engine.submit(state(obj, (0.0, 0.0), (50.0, 0.0), 9));
-            }
-            let _ = engine.process_epoch(Timestamp(10));
-            let image = engine.checkpoint();
-            // Epoch 2: corridor B overtakes it.
-            for obj in 0..5u64 {
-                engine.submit(state(obj, (1000.0, 0.0), (1080.0, 0.0), 19));
-            }
-            let _ = engine.process_epoch(Timestamp(20));
-            let before = engine.snapshot();
-            assert_eq!(before.epoch, 2);
-            assert_eq!(before.top_k[0].hotness, 5, "corridor B should lead pre-restore");
-
-            engine.restore(&image).unwrap();
-            let after = engine.snapshot();
-            assert_eq!(after.epoch, 1, "stale snapshot survived the restore ({kind})");
-            assert_eq!(after.top_k.len(), 1);
-            assert_eq!(after.top_k[0].hotness, 3, "top-k served pre-restore data ({kind})");
-            assert_eq!(after.index_size, 1);
-            engine.finish().check_consistency().unwrap();
+        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg(1)));
+        // Epoch 1: corridor A is the only hot path.
+        for obj in 0..3u64 {
+            engine.submit(state(obj, (0.0, 0.0), (50.0, 0.0), 9));
         }
-    }
+        let _ = engine.process_epoch(Timestamp(10));
+        let image = engine.checkpoint();
+        // Epoch 2: corridor B overtakes it.
+        for obj in 0..5u64 {
+            engine.submit(state(obj, (1000.0, 0.0), (1080.0, 0.0), 19));
+        }
+        let _ = engine.process_epoch(Timestamp(20));
+        let before = engine.snapshot();
+        assert_eq!(before.epoch, 2);
+        assert_eq!(before.top_k[0].hotness, 5, "corridor B should lead pre-restore");
 
-    /// Interleaving `submit_batch`, `checkpoint`, `restore`, and
-    /// `finish` against the pipelined backend: a back buffer in flight
-    /// (publish not yet joined) must be drained before the worker
-    /// serializes or swaps its coordinator.
-    #[test]
-    fn pipelined_checkpoint_and_restore_drain_inflight_epochs() {
-        let mut engine = PipelinedEngine::spawn(Coordinator::new(cfg(2)));
-        let mut batch = vec![state(1, (0.0, 0.0), (50.0, 0.0), 9)];
-        engine.submit_batch(&mut batch.drain(..));
-        let _ = engine.process_epoch(Timestamp(10)); // publish now in flight
-        let image = engine.checkpoint(); // must join it first
-        assert_eq!(image.epoch(), 1);
-
-        engine.submit(state(2, (500.0, 0.0), (550.0, 0.0), 19));
-        let _ = engine.process_epoch(Timestamp(20)); // in flight again
-        engine.restore(&image).unwrap(); // must join before swapping
-        assert_eq!(engine.snapshot().epoch, 1);
-        assert_eq!(engine.pending_len(), 0);
-
-        let coordinator = Box::new(engine).finish();
-        assert_eq!(coordinator.processing_stats().epochs, 1);
-        coordinator.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn engine_kind_parses_and_displays() {
-        assert_eq!(EngineKind::parse("sync"), Some(EngineKind::Sync));
-        assert_eq!(EngineKind::parse("pipelined"), Some(EngineKind::Pipelined));
-        assert_eq!(EngineKind::parse("nope"), None);
-        assert_eq!(EngineKind::Sync.to_string(), "sync");
-        assert_eq!(EngineKind::Pipelined.to_string(), "pipelined");
-        let err = "nope".parse::<EngineKind>().unwrap_err().to_string();
-        assert!(err.contains("sync | pipelined"), "error must list the accepted values: {err}");
+        engine.restore(&image).unwrap();
+        let after = engine.snapshot();
+        assert_eq!(after.epoch, 1, "stale snapshot survived the restore");
+        assert_eq!(after.top_k.len(), 1);
+        assert_eq!(after.top_k[0].hotness, 3, "top-k served pre-restore data");
+        assert_eq!(after.index_size, 1);
+        engine.finish().check_consistency().unwrap();
     }
 
     /// Attaching a cell publishes immediately, tracks every epoch, and
-    /// a restore re-publishes the restored state — on both backends.
+    /// a restore re-publishes the restored state.
     #[test]
     fn attached_cell_tracks_epochs_and_restores() {
-        for kind in [EngineKind::Sync, EngineKind::Pipelined] {
-            let mut engine = kind.build(Coordinator::new(cfg(1)));
-            engine.submit(state(1, (0.0, 0.0), (50.0, 0.0), 9));
-            let _ = engine.process_epoch(Timestamp(10));
-            let image = engine.checkpoint();
+        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg(1)));
+        engine.submit(state(1, (0.0, 0.0), (50.0, 0.0), 9));
+        let _ = engine.process_epoch(Timestamp(10));
+        let image = engine.checkpoint();
 
-            let cell = SnapshotCell::new();
-            let mut reader = cell.register();
-            engine.attach_cell(cell.clone());
-            // The attach-time publish carries the current state — but on
-            // the pipelined backend it lands asynchronously, so observe
-            // it via the next boundary join below.
-            let _ = engine.process_epoch(Timestamp(20));
-            let joined = engine.snapshot();
-            assert_eq!(joined.epoch, 2);
-            assert_eq!(reader.read().epoch, 2, "{kind}: cell missed the publish stage");
+        let cell = SnapshotCell::new();
+        let mut reader = cell.register();
+        engine.attach_cell(cell.clone());
+        assert_eq!(reader.read().epoch, 1, "attach must publish the current state");
+        let _ = engine.process_epoch(Timestamp(20));
+        assert_eq!(reader.read().epoch, 2, "cell missed the publish stage");
 
-            for epoch in 3..=5u64 {
-                engine.submit(state(epoch, (0.0, 0.0), (50.0, 0.0), epoch * 10 - 1));
-                let _ = engine.process_epoch(Timestamp(epoch * 10));
-            }
-            engine.snapshot();
-            assert_eq!(reader.read().epoch, 5, "{kind}: cell fell behind the epoch loop");
-
-            engine.restore(&image).unwrap();
-            engine.snapshot(); // pipelined: join so the worker has processed Restore
-            let snap = reader.read();
-            assert_eq!(snap.epoch, 1, "{kind}: cell served pre-restore data");
-            drop(snap);
-            engine.finish().check_consistency().unwrap();
+        for epoch in 3..=5u64 {
+            engine.submit(state(epoch, (0.0, 0.0), (50.0, 0.0), epoch * 10 - 1));
+            let _ = engine.process_epoch(Timestamp(epoch * 10));
         }
+        assert_eq!(reader.read().epoch, 5, "cell fell behind the epoch loop");
+
+        engine.restore(&image).unwrap();
+        assert_eq!(reader.read().epoch, 1, "cell served pre-restore data");
+        engine.finish().check_consistency().unwrap();
     }
 
     /// Spawn-and-hammer consistency: reader threads poll the cell while
@@ -1021,48 +533,45 @@ mod tests {
     /// satisfy that. Epochs must also be monotone per reader.
     #[test]
     fn cell_readers_see_epoch_consistent_images_under_continuous_publish() {
-        for kind in [EngineKind::Sync, EngineKind::Pipelined] {
-            let config = Config::paper_defaults().with_epoch(10).with_window(10_000);
-            let mut engine = kind.build(Coordinator::new(config));
-            let cell = SnapshotCell::new();
-            engine.attach_cell(cell.clone());
-            let epochs = 300u64;
-            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            std::thread::scope(|scope| {
-                let mut joins = Vec::new();
-                for _ in 0..3 {
-                    let mut handle = cell.register();
-                    let stop = stop.clone();
-                    joins.push(scope.spawn(move || {
-                        let mut last = 0u64;
-                        while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            let snap = handle.read();
-                            let e = snap.epoch;
-                            assert!(e >= last, "epoch went backwards: {last} -> {e}");
-                            if e >= 1 {
-                                assert_eq!(snap.timestamp, Timestamp(e * 10), "inconsistent image");
-                                assert_eq!(snap.top_k.len(), 1, "inconsistent image at epoch {e}");
-                                assert_eq!(
-                                    snap.top_k[0].hotness, e as u32,
-                                    "top-k contents disagree with the epoch stamp"
-                                );
-                            }
-                            last = e;
+        let config = Config::paper_defaults().with_epoch(10).with_window(10_000);
+        let mut engine = EngineKind::Sync.build(Coordinator::new(config));
+        let cell = SnapshotCell::new();
+        engine.attach_cell(cell.clone());
+        let epochs = 300u64;
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            let mut joins = Vec::new();
+            for _ in 0..3 {
+                let mut handle = cell.register();
+                let stop = stop.clone();
+                joins.push(scope.spawn(move || {
+                    let mut last = 0u64;
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        let snap = handle.read();
+                        let e = snap.epoch;
+                        assert!(e >= last, "epoch went backwards: {last} -> {e}");
+                        if e >= 1 {
+                            assert_eq!(snap.timestamp, Timestamp(e * 10), "inconsistent image");
+                            assert_eq!(snap.top_k.len(), 1, "inconsistent image at epoch {e}");
+                            assert_eq!(
+                                snap.top_k[0].hotness, e as u32,
+                                "top-k contents disagree with the epoch stamp"
+                            );
                         }
-                    }));
-                }
-                for epoch in 1..=epochs {
-                    engine.submit(state(epoch, (0.0, 0.0), (50.0, 0.0), epoch * 10 - 1));
-                    let _ = engine.process_epoch(Timestamp(epoch * 10));
-                }
-                engine.snapshot(); // join the last publish before stopping readers
-                stop.store(true, std::sync::atomic::Ordering::Relaxed);
-                for j in joins {
-                    j.join().expect("reader panicked");
-                }
-            });
-            assert_eq!(cell.epoch(), epochs, "{kind}: cell missed the final epoch");
-            engine.finish().check_consistency().unwrap();
-        }
+                        last = e;
+                    }
+                }));
+            }
+            for epoch in 1..=epochs {
+                engine.submit(state(epoch, (0.0, 0.0), (50.0, 0.0), epoch * 10 - 1));
+                let _ = engine.process_epoch(Timestamp(epoch * 10));
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            for j in joins {
+                j.join().expect("reader panicked");
+            }
+        });
+        assert_eq!(cell.epoch(), epochs, "cell missed the final epoch");
+        engine.finish().check_consistency().unwrap();
     }
 }

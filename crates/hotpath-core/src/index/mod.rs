@@ -2,10 +2,8 @@
 
 mod grid;
 mod motion_path_index;
-mod rtree;
 mod vertex_groups;
 
 pub use grid::{CellKey, EndpointGrid, Entry};
 pub use motion_path_index::{point_lt, MotionPathIndex, VertexKey};
-pub use rtree::RTree;
 pub use vertex_groups::VertexGroups;

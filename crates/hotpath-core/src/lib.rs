@@ -27,10 +27,9 @@
 //!   hotness, and strategy together, answering top-`k` queries and the
 //!   score metric of Section 3.1.
 //! * [`engine`] — the execution layer over the coordinator: the epoch
-//!   stages (drain-ingest → Phase A → Phase B → publish) behind an
-//!   `Engine` trait, with a synchronous backend and a pipelined backend
-//!   that double-buffers ingest against a worker thread; reads go
-//!   through the epoch-stamped `HotSnapshot`.
+//!   stages (drain-ingest → Phase A → Phase B → publish) run on the
+//!   caller's thread by `SyncEngine`; reads go through the
+//!   epoch-stamped `HotSnapshot`.
 //!
 //! ## Quick example
 //!
@@ -102,7 +101,7 @@ pub mod prelude {
         Admission, AdmissionPolicy, Config, ConfigBuilder, ConfigError, ParseError, Tolerance,
     };
     pub use crate::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
-    pub use crate::engine::{Engine, EngineKind, PipelinedEngine, SyncEngine};
+    pub use crate::engine::{Engine, EngineKind, SyncEngine};
     pub use crate::geometry::{Point, Rect, Segment, TimePoint, Trajectory};
     pub use crate::hotness::Hotness;
     pub use crate::motion_path::{MotionPath, PathId};

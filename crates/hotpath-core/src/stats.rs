@@ -96,7 +96,7 @@ pub struct ProcessingStats {
     /// Accumulated hotness-expiry wall time.
     pub expiry_time: Duration,
     /// Accumulated snapshot-publish wall time (the epoch pipeline's
-    /// publish stage; the pipelined engine overlaps it with ingest).
+    /// publish stage).
     pub publish_time: Duration,
     /// Case-1 selections (existing path reused).
     pub case1: u64,

@@ -8,8 +8,7 @@ mod singlepath;
 pub use overlap::{FsaCache, FsaDelta, FsaSet, QueryScratch};
 pub use pool::WorkerPool;
 pub use singlepath::{
-    build_fsa_set, phase_a, phase_b, phase_b_apply, phase_b_eval, process_batch, process_batch_in,
-    process_batch_pooled, process_batch_prepared, process_batch_with, CaseKind, CaseTally,
-    OverlapPolicy, PathReader, PathStore, PhaseAOutput, PhaseBEval, PhaseBLoad, ScratchArena,
-    Selection, SingleReader, SingleStore,
+    build_fsa_set, phase_a, phase_b, phase_b_apply, phase_b_eval, process_batch, CaseKind,
+    CaseTally, OverlapPolicy, PathReader, PathStore, PhaseAOutput, PhaseBEval, PhaseBLoad,
+    ScratchArena, Selection, SingleReader, SingleStore,
 };

@@ -437,7 +437,7 @@ struct EvalOne {
     generated: Option<(u32, bool, Point)>,
 }
 
-/// The output of [`phase_b_eval`]: one [`EvalOne`] per deferred slot
+/// The output of [`phase_b_eval`]: one `EvalOne` per deferred slot
 /// (in deferred order) plus the load telemetry. Opaque to callers —
 /// produced by eval, consumed whole by [`phase_b_apply`].
 #[derive(Debug)]
@@ -767,79 +767,25 @@ pub fn build_fsa_set(
 }
 
 /// Runs the SinglePath strategy over one epoch's batch of states.
+/// Selections are deterministic: ties break toward longer paths, then
+/// lower ids / lexicographically smaller vertices.
 ///
-/// `overlap_cell` sizes the FSA-overlap grid (use ~`2 eps`); it affects
-/// performance only. Selections are deterministic: ties break toward
-/// longer paths, then lower ids / lexicographically smaller vertices.
+/// Every intermediate buffer comes from `scratch`, which the caller
+/// keeps across epochs. `fsas` is the epoch's FSA-overlap structure —
+/// [`build_fsa_set`] or the coordinator's incrementally maintained
+/// [`crate::strategy::FsaCache`]; it must be query-equivalent to
+/// `build_fsa_set(states, ..)` for the same policy (both queries are
+/// pure functions of the rect multiset, so an incrementally maintained
+/// set qualifies).
+///
+/// `pool` governs the Phase-B eval fan-out. At one effective worker (the
+/// default pool, a single-core host, or a batch below break-even) this
+/// is *exactly* the sequential code path — same functions, same
+/// allocation discipline; with more, Phase B splits into the parallel
+/// eval pass over region chunks plus the sequential apply pass,
+/// producing bit-for-bit identical selections (see [`phase_b_apply`]).
+/// The returned [`PhaseBLoad`] reports how the work spread.
 pub fn process_batch(
-    states: &[ClientState],
-    index: &mut MotionPathIndex,
-    hotness: &mut Hotness,
-    overlap_cell: f64,
-) -> (Vec<Selection>, CaseTally) {
-    process_batch_with(states, index, hotness, overlap_cell, OverlapPolicy::Full)
-}
-
-/// [`process_batch`] with an explicit overlap policy (ablation hook).
-/// Allocates a throwaway scratch arena; steady-state callers (the
-/// coordinator) hold a persistent arena and use [`process_batch_in`].
-pub fn process_batch_with(
-    states: &[ClientState],
-    index: &mut MotionPathIndex,
-    hotness: &mut Hotness,
-    overlap_cell: f64,
-    policy: OverlapPolicy,
-) -> (Vec<Selection>, CaseTally) {
-    let mut scratch = ScratchArena::new();
-    process_batch_in(states, index, hotness, &mut scratch, overlap_cell, policy)
-}
-
-/// The allocation-disciplined batch entry point: every intermediate
-/// buffer comes from `scratch`, which the caller keeps across epochs.
-pub fn process_batch_in(
-    states: &[ClientState],
-    index: &mut MotionPathIndex,
-    hotness: &mut Hotness,
-    scratch: &mut ScratchArena,
-    overlap_cell: f64,
-    policy: OverlapPolicy,
-) -> (Vec<Selection>, CaseTally) {
-    if states.is_empty() {
-        return (Vec::new(), CaseTally::default());
-    }
-    let fsas = build_fsa_set(states, overlap_cell, policy, 1);
-    process_batch_prepared(states, index, hotness, scratch, &fsas, policy)
-}
-
-/// [`process_batch_in`] with the epoch's FSA-overlap structure supplied
-/// by the caller — the entry point for the coordinator's incrementally
-/// maintained [`crate::strategy::FsaCache`], which amortizes the
-/// [`FsaSet`] build across epochs instead of rebuilding per batch.
-/// `fsas` must be query-equivalent to `build_fsa_set(states, ..)` for
-/// the same policy (both queries are pure functions of the rect
-/// multiset, so an incrementally maintained set qualifies).
-pub fn process_batch_prepared(
-    states: &[ClientState],
-    index: &mut MotionPathIndex,
-    hotness: &mut Hotness,
-    scratch: &mut ScratchArena,
-    fsas: &FsaSet,
-    policy: OverlapPolicy,
-) -> (Vec<Selection>, CaseTally) {
-    let (selections, tally, _) =
-        process_batch_pooled(states, index, hotness, scratch, fsas, policy, WorkerPool::default());
-    (selections, tally)
-}
-
-/// [`process_batch_prepared`] with an explicit [`WorkerPool`] governing
-/// the Phase-B eval fan-out. At one effective worker (the default pool,
-/// a single-core host, or a batch below break-even) this is *exactly*
-/// the sequential code path — same functions, same allocation
-/// discipline; with more, Phase B splits into the parallel eval pass
-/// over region chunks plus the sequential apply pass, producing
-/// bit-for-bit identical selections (see [`phase_b_apply`]). The
-/// returned [`PhaseBLoad`] reports how the work spread.
-pub fn process_batch_pooled(
     states: &[ClientState],
     index: &mut MotionPathIndex,
     hotness: &mut Hotness,
@@ -930,6 +876,29 @@ mod tests {
         Rect::new(Point::new(x - r, y - r), Point::new(x + r, y + r))
     }
 
+    /// One epoch through [`process_batch`] with a throwaway `FsaSet`
+    /// and `ScratchArena` on the default (one-worker) pool.
+    fn run_batch(
+        states: &[ClientState],
+        index: &mut MotionPathIndex,
+        hotness: &mut Hotness,
+        overlap_cell: f64,
+        policy: OverlapPolicy,
+    ) -> (Vec<Selection>, CaseTally) {
+        let fsas = build_fsa_set(states, overlap_cell, policy, 1);
+        let mut scratch = ScratchArena::new();
+        let (selections, tally, _) = process_batch(
+            states,
+            index,
+            hotness,
+            &mut scratch,
+            &fsas,
+            policy,
+            WorkerPool::default(),
+        );
+        (selections, tally)
+    }
+
     #[test]
     fn case1_reuses_hottest_existing_path() {
         let (mut index, mut hotness) = setup();
@@ -942,7 +911,7 @@ mod tests {
         }
 
         let st = state(1, (0.0, 0.0), fsa_around(100.0, 0.0, 5.0), 0, 10);
-        let (sel, tally) = process_batch(&[st], &mut index, &mut hotness, 20.0);
+        let (sel, tally) = run_batch(&[st], &mut index, &mut hotness, 20.0, OverlapPolicy::Full);
         assert_eq!(tally, CaseTally { case1: 1, case2: 0, case3: 0 });
         assert_eq!(sel[0].path, hot);
         assert_eq!(sel[0].case, CaseKind::ExistingPath);
@@ -985,7 +954,7 @@ mod tests {
             state(2, (0.0, 0.0), tight, 0, 10),
             state(3, (0.0, 0.0), wide, 0, 10),
         ];
-        let (sel, tally) = process_batch(&states, &mut index, &mut hotness, 20.0);
+        let (sel, tally) = run_batch(&states, &mut index, &mut hotness, 20.0, OverlapPolicy::Full);
         assert_eq!(tally.case1, 3);
         // Object 3 prefers B (hotness 1 + 1 + boost 2 = 4) over A
         // (hotness 2 + 1 + boost 0 = 3).
@@ -1004,7 +973,7 @@ mod tests {
         hotness.record_crossing(incoming, Timestamp(0), 1.0);
 
         let st = state(1, (0.0, 0.0), fsa_around(100.0, 0.0, 5.0), 0, 10);
-        let (sel, tally) = process_batch(&[st], &mut index, &mut hotness, 20.0);
+        let (sel, tally) = run_batch(&[st], &mut index, &mut hotness, 20.0, OverlapPolicy::Full);
         assert_eq!(tally, CaseTally { case1: 0, case2: 1, case3: 0 });
         assert_eq!(sel[0].case, CaseKind::ExistingVertex);
         assert!(sel[0].created);
@@ -1027,7 +996,7 @@ mod tests {
             state(2, (-50.0, 20.0), f2, 0, 10),
             state(3, (-50.0, 40.0), f3, 0, 10),
         ];
-        let (sel, tally) = process_batch(&states, &mut index, &mut hotness, 10.0);
+        let (sel, tally) = run_batch(&states, &mut index, &mut hotness, 10.0, OverlapPolicy::Full);
         assert_eq!(tally.case3 + tally.case2, 3);
         assert_eq!(tally.case1, 0);
         // Object 1 creates a vertex at the centroid of R123 = [6,10]x[6,10].
@@ -1047,7 +1016,7 @@ mod tests {
     #[test]
     fn empty_batch_is_noop() {
         let (mut index, mut hotness) = setup();
-        let (sel, tally) = process_batch(&[], &mut index, &mut hotness, 10.0);
+        let (sel, tally) = run_batch(&[], &mut index, &mut hotness, 10.0, OverlapPolicy::Full);
         assert!(sel.is_empty());
         assert_eq!(tally, CaseTally::default());
     }
@@ -1059,7 +1028,7 @@ mod tests {
         // FSAs: the second insert dedups onto the first's path.
         let fsa = fsa_around(50.0, 0.0, 0.5);
         let states = [state(1, (0.0, 0.0), fsa, 0, 10), state(2, (0.0, 0.0), fsa, 0, 10)];
-        let (sel, _) = process_batch(&states, &mut index, &mut hotness, 10.0);
+        let (sel, _) = run_batch(&states, &mut index, &mut hotness, 10.0, OverlapPolicy::Full);
         assert_eq!(sel[0].endpoint, sel[1].endpoint);
         assert_eq!(sel[0].path, sel[1].path);
         assert_eq!(index.len(), 1);
@@ -1080,7 +1049,7 @@ mod tests {
             state(1, (0.0, 0.0), fsa_around(30.0, 0.0, 3.0), 0, 10),
             state(2, (500.0, 500.0), fsa_around(530.0, 500.0, 3.0), 0, 10),
         ];
-        let (sel, _) = process_batch(&states, &mut index, &mut hotness, 10.0);
+        let (sel, _) = run_batch(&states, &mut index, &mut hotness, 10.0, OverlapPolicy::Full);
         for s in &sel {
             let st = states
                 .iter()
@@ -1109,8 +1078,7 @@ mod tests {
             state(2, (-50.0, 20.0), f2, 0, 10),
             state(3, (-50.0, 40.0), f3, 0, 10),
         ];
-        let (sel, _) =
-            super::process_batch_with(&states, &mut index, &mut hotness, 10.0, OverlapPolicy::Own);
+        let (sel, _) = run_batch(&states, &mut index, &mut hotness, 10.0, OverlapPolicy::Own);
         // Objects 1 and 2 mint their own centroids (no overlap logic).
         assert_eq!(sel[0].endpoint, f1.centroid());
         assert_eq!(sel[0].case, CaseKind::NewVertex);
@@ -1134,7 +1102,7 @@ mod tests {
         hotness.record_crossing(short, Timestamp(0), 1.0);
         hotness.record_crossing(long, Timestamp(0), 1.0);
         let st = state(1, (0.0, 0.0), fsa_around(51.0, 0.0, 2.0), 0, 10);
-        let (sel, _) = process_batch(&[st], &mut index, &mut hotness, 10.0);
+        let (sel, _) = run_batch(&[st], &mut index, &mut hotness, 10.0, OverlapPolicy::Full);
         assert_eq!(sel[0].path, long);
     }
 
@@ -1171,7 +1139,7 @@ mod tests {
     /// coordinate bits, hotness.
     type PathRow = (u64, u64, u64, u32);
 
-    /// Runs three flash-crowd epochs through `process_batch_pooled`
+    /// Runs three flash-crowd epochs through `process_batch`
     /// under `pool` and returns every observable: the selection rows in
     /// order, the per-epoch tallies, the index size, and each stored
     /// path's endpoint geometry with its hotness.
@@ -1186,15 +1154,8 @@ mod tests {
         for e in 1..=3u64 {
             let states = skewed_batch(e, 96);
             let fsas = build_fsa_set(&states, 40.0, policy, 1);
-            let (sel, tally, load) = process_batch_pooled(
-                &states,
-                &mut index,
-                &mut hotness,
-                &mut scratch,
-                &fsas,
-                policy,
-                pool,
-            );
+            let (sel, tally, load) =
+                process_batch(&states, &mut index, &mut hotness, &mut scratch, &fsas, policy, pool);
             assert_eq!(load.deferred + tally.case1 as usize, states.len());
             rows.extend(sel.iter().map(|s| {
                 (
@@ -1236,7 +1197,7 @@ mod tests {
         let mut scratch = ScratchArena::default();
         let states = skewed_batch(1, 96);
         let fsas = build_fsa_set(&states, 40.0, OverlapPolicy::Full, 1);
-        let (_, _, load) = process_batch_pooled(
+        let (_, _, load) = process_batch(
             &states,
             &mut index,
             &mut hotness,
@@ -1260,7 +1221,7 @@ mod tests {
         let mut scratch = ScratchArena::default();
         let states = skewed_batch(1, 20);
         let fsas = build_fsa_set(&states, 40.0, OverlapPolicy::Full, 1);
-        let (_, _, load) = process_batch_pooled(
+        let (_, _, load) = process_batch(
             &states,
             &mut index,
             &mut hotness,

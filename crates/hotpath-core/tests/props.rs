@@ -366,7 +366,13 @@ proptest! {
         index.remove(victim);
         index.check_consistency().unwrap();
         prop_assert!(index.get(victim).is_none());
-        let everywhere = Rect::new(Point::new(-1e5, -1e5), Point::new(1e5, 1e5));
+        // The inserted endpoints' bounding box, padded by one cell.
+        let everywhere = paths
+            .iter()
+            .map(|(_, e)| Rect::point(*e))
+            .reduce(|a, b| a.union(&b))
+            .expect("at least one path")
+            .expand(100.0);
         prop_assert!(!index
             .end_vertices_in(&everywhere)
             .iter()

@@ -6,8 +6,7 @@
 //! loop never waits for readers.
 //!
 //! ```text
-//! hotpathd --socket /tmp/hotpathd.sock --engine pipelined --shards 4 \
-//!          --tick-ms 100 --ticks 600
+//! hotpathd --socket /tmp/hotpathd.sock --shards 4 --tick-ms 100 --ticks 600
 //! ```
 //!
 //! With `--ticks 0` the daemon runs until killed. Clients may also
@@ -27,31 +26,21 @@ use hotpath_serve::wire::serve_unix;
 
 struct Args {
     socket: PathBuf,
-    engine: EngineKind,
     shards: usize,
     tick_ms: u64,
     ticks: u64,
 }
 
-const USAGE: &str = "usage: hotpathd [--socket PATH] [--engine sync|pipelined] \
-[--shards N] [--tick-ms MS] [--ticks N]";
+const USAGE: &str = "usage: hotpathd [--socket PATH] [--shards N] [--tick-ms MS] [--ticks N]";
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        socket: PathBuf::from("/tmp/hotpathd.sock"),
-        engine: EngineKind::Sync,
-        shards: 1,
-        tick_ms: 100,
-        ticks: 0,
-    };
+    let mut args =
+        Args { socket: PathBuf::from("/tmp/hotpathd.sock"), shards: 1, tick_ms: 100, ticks: 0 };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
             "--socket" => args.socket = PathBuf::from(value("--socket")?),
-            "--engine" => {
-                args.engine = value("--engine")?.parse().map_err(|e| format!("{e}"))?;
-            }
             "--shards" => {
                 args.shards = value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
             }
@@ -79,7 +68,7 @@ fn main() -> ExitCode {
     };
 
     let config = Config::paper_defaults().with_shards(args.shards);
-    let handle = Hotpathd::spawn(args.engine.build(Coordinator::new(config)));
+    let handle = Hotpathd::spawn(EngineKind::Sync.build(Coordinator::new(config)));
     let server = match serve_unix(&handle, &args.socket) {
         Ok(server) => server,
         Err(e) => {
@@ -88,9 +77,8 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "hotpathd: serving on {} ({} engine, {} shard(s), tick {}ms)",
+        "hotpathd: serving on {} ({} shard(s), tick {}ms)",
         args.socket.display(),
-        args.engine,
         args.shards,
         args.tick_ms,
     );

@@ -13,9 +13,7 @@
 //! - **Reads** go through a [`SnapshotCell`] the engine publishes into
 //!   at its publish stage. A [`ServerHandle::reader`] handle reads the
 //!   latest [`HotSnapshot`] lock-free: no mutex, no channel, no
-//!   allocation, and never a stall for the epoch loop. Readers on the
-//!   pipelined backend observe each epoch as the worker publishes it,
-//!   overlapped with the next epoch's ingest.
+//!   allocation, and never a stall for the epoch loop.
 //!
 //! The handle is cheap to share behind an `Arc`; [`ServerHandle::shutdown`]
 //! (or drop) stops the writer thread and returns the final snapshot.
@@ -141,8 +139,6 @@ fn writer_loop(
             ServerMsg::Shutdown => break,
         }
     }
-    // Joins the pipelined worker (final publish included) before exit.
-    let _ = engine.finish();
 }
 
 /// The client surface of a running `hotpathd`.
@@ -252,53 +248,48 @@ mod tests {
         }
     }
 
-    fn spawn(kind: EngineKind) -> ServerHandle {
-        Hotpathd::spawn(kind.build(Coordinator::new(cfg())))
+    fn spawn() -> ServerHandle {
+        Hotpathd::spawn(EngineKind::Sync.build(Coordinator::new(cfg())))
     }
 
     #[test]
     fn driven_server_processes_every_boundary_in_one_coarse_advance() {
-        for kind in [EngineKind::Sync, EngineKind::Pipelined] {
-            let handle = spawn(kind);
-            for e in 1..=5u64 {
-                handle.submit(state(e, (0.0, 0.0), (50.0, 0.0), e * 10 - 1));
-            }
-            // One coarse tick: the server must still run epochs 1..=5.
-            handle.advance(Timestamp(50));
-            let snap = handle.shutdown();
-            assert_eq!(snap.epoch, 5, "{kind}");
-            assert_eq!(snap.timestamp, Timestamp(50), "{kind}");
+        let handle = spawn();
+        for e in 1..=5u64 {
+            handle.submit(state(e, (0.0, 0.0), (50.0, 0.0), e * 10 - 1));
         }
+        // One coarse tick: the server must still run epochs 1..=5.
+        handle.advance(Timestamp(50));
+        let snap = handle.shutdown();
+        assert_eq!(snap.epoch, 5);
+        assert_eq!(snap.timestamp, Timestamp(50));
     }
 
     #[test]
     fn readers_observe_epochs_without_calling_into_the_engine() {
-        for kind in [EngineKind::Sync, EngineKind::Pipelined] {
-            let handle = spawn(kind);
-            let mut reader = handle.reader();
-            assert_eq!(reader.epoch(), 0, "{kind}: epoch-0 image pre-published");
+        let handle = spawn();
+        let mut reader = handle.reader();
+        assert_eq!(reader.epoch(), 0, "epoch-0 image pre-published");
 
-            handle.submit(state(1, (0.0, 0.0), (50.0, 0.0), 9));
-            handle.advance(Timestamp(10));
-            // Open loop: wait for the publish to land in the cell.
-            while reader.epoch() < 1 {
-                thread::yield_now();
-            }
-            let snap = reader.load();
-            assert_eq!(snap.epoch, 1, "{kind}");
-            assert_eq!(snap.top_k.len(), 1, "{kind}");
-
-            // Counters never trail the snapshot they describe.
-            let stats = handle.stats();
-            assert_eq!(stats.submitted, 1, "{kind}");
-            assert!(stats.epochs >= snap.epoch, "{kind}: {} epochs counted", stats.epochs);
-            drop(handle);
+        handle.submit(state(1, (0.0, 0.0), (50.0, 0.0), 9));
+        handle.advance(Timestamp(10));
+        // Open loop: wait for the publish to land in the cell.
+        while reader.epoch() < 1 {
+            thread::yield_now();
         }
+        let snap = reader.load();
+        assert_eq!(snap.epoch, 1);
+        assert_eq!(snap.top_k.len(), 1);
+
+        // Counters never trail the snapshot they describe.
+        let stats = handle.stats();
+        assert_eq!(stats.submitted, 1);
+        assert!(stats.epochs >= snap.epoch, "{} epochs counted", stats.epochs);
     }
 
     #[test]
     fn stale_and_duplicate_advances_are_ignored() {
-        let handle = spawn(EngineKind::Sync);
+        let handle = spawn();
         let stats = Arc::clone(&handle.stats);
         handle.advance(Timestamp(20));
         handle.advance(Timestamp(20));
@@ -317,48 +308,46 @@ mod tests {
     #[test]
     fn hammered_readers_see_epoch_consistent_images_while_writer_publishes() {
         const EPOCHS: u64 = 120;
-        for kind in [EngineKind::Sync, EngineKind::Pipelined] {
-            let handle = spawn(kind);
-            let stop = Arc::new(AtomicU64::new(0));
-            let readers: Vec<_> = (0..3)
-                .map(|_| {
-                    let mut reader = handle.reader();
-                    let stop = Arc::clone(&stop);
-                    thread::spawn(move || {
-                        let mut last = 0u64;
-                        let mut reads = 0u64;
-                        // Read before testing `stop`: on a loaded host
-                        // the run can end before a reader is scheduled.
-                        loop {
-                            let snap = reader.read();
-                            let e = snap.epoch;
-                            // One traversal per epoch: a torn image would
-                            // break one of these cross-field identities.
-                            assert_eq!(snap.timestamp, Timestamp(e * 10));
-                            if e > 0 {
-                                assert_eq!(snap.top_k.len(), 1);
-                                assert_eq!(snap.top_k[0].hotness, e as u32);
-                            }
-                            assert!(e >= last, "epochs went backwards: {last} -> {e}");
-                            last = e;
-                            reads += 1;
-                            if stop.load(Ordering::Relaxed) != 0 {
-                                break reads;
-                            }
+        let handle = spawn();
+        let stop = Arc::new(AtomicU64::new(0));
+        let readers: Vec<_> = (0..3)
+            .map(|_| {
+                let mut reader = handle.reader();
+                let stop = Arc::clone(&stop);
+                thread::spawn(move || {
+                    let mut last = 0u64;
+                    let mut reads = 0u64;
+                    // Read before testing `stop`: on a loaded host
+                    // the run can end before a reader is scheduled.
+                    loop {
+                        let snap = reader.read();
+                        let e = snap.epoch;
+                        // One traversal per epoch: a torn image would
+                        // break one of these cross-field identities.
+                        assert_eq!(snap.timestamp, Timestamp(e * 10));
+                        if e > 0 {
+                            assert_eq!(snap.top_k.len(), 1);
+                            assert_eq!(snap.top_k[0].hotness, e as u32);
                         }
-                    })
+                        assert!(e >= last, "epochs went backwards: {last} -> {e}");
+                        last = e;
+                        reads += 1;
+                        if stop.load(Ordering::Relaxed) != 0 {
+                            break reads;
+                        }
+                    }
                 })
-                .collect();
+            })
+            .collect();
 
-            for e in 1..=EPOCHS {
-                handle.submit(state(e, (0.0, 0.0), (50.0, 0.0), e * 10 - 1));
-                handle.advance(Timestamp(e * 10));
-            }
-            let snap = handle.shutdown();
-            stop.store(1, Ordering::Relaxed);
-            let reads: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
-            assert_eq!(snap.epoch, EPOCHS, "{kind}");
-            assert!(reads > 0, "{kind}: readers must have made progress");
+        for e in 1..=EPOCHS {
+            handle.submit(state(e, (0.0, 0.0), (50.0, 0.0), e * 10 - 1));
+            handle.advance(Timestamp(e * 10));
         }
+        let snap = handle.shutdown();
+        stop.store(1, Ordering::Relaxed);
+        let reads: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+        assert_eq!(snap.epoch, EPOCHS);
+        assert!(reads > 0, "readers must have made progress");
     }
 }

@@ -13,8 +13,7 @@
 //! and the tick clock. Readers are real threads but strictly read-only,
 //! so they cannot perturb the stream. That makes the final snapshot
 //! reproducible bit for bit — [`SwarmReport::fingerprint`] hashes it,
-//! and [`verify_swarm`] demands the identical fingerprint from both
-//! engine backends under the identical schedule.
+//! and [`SwarmReport::parity`] compares two runs of one schedule.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -44,7 +43,7 @@ const LATTICE_ROWS: u64 = 8;
 const EMIT_PCT: u64 = 60;
 
 /// Parameters of one swarm run. Two runs with equal params produce
-/// identical schedules and identical final snapshots on either engine.
+/// identical schedules and identical final snapshots.
 #[derive(Clone, Debug)]
 pub struct SwarmParams {
     /// Writer population (one corridor each, wrapping onto the lattice).
@@ -60,8 +59,8 @@ pub struct SwarmParams {
     /// run (`0.0` = no churn). Victims are seeded by
     /// [`RunOptions::fault_seed`].
     pub churn: f64,
-    /// Shared execution knobs (shards / engine / checkpoint / fault
-    /// seed).
+    /// Shared execution knobs (shards / Phase-B workers / checkpoint /
+    /// fault seed).
     pub run: RunOptions,
 }
 
@@ -155,8 +154,6 @@ impl SwarmParams {
 /// What one swarm run did and what it converged to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SwarmReport {
-    /// Backend the run executed on.
-    pub engine: EngineKind,
     /// Ticks driven.
     pub ticks: u64,
     /// Traversals submitted.
@@ -174,7 +171,7 @@ pub struct SwarmReport {
     /// must produce equal schedules before the engine is even involved.
     pub schedule_hash: u64,
     /// Hash of the final published snapshot (epoch, counts, full
-    /// top-k). Equal across engines for equal schedules.
+    /// top-k). Equal for equal schedules.
     pub fingerprint: u64,
     /// Final epoch of the published snapshot.
     pub final_epoch: u64,
@@ -253,7 +250,7 @@ pub fn snapshot_fingerprint(snap: &HotSnapshot) -> u64 {
 /// Runs one swarm against a freshly spawned `hotpathd` and reports the
 /// deterministic outcome.
 pub fn run_swarm(params: &SwarmParams) -> SwarmReport {
-    let engine = params.run.engine.build(Coordinator::new(params.config()));
+    let engine = EngineKind::Sync.build(Coordinator::new(params.config()));
     let handle = Hotpathd::spawn(engine);
     let plan = params.fault_plan();
 
@@ -311,7 +308,6 @@ pub fn run_swarm(params: &SwarmParams) -> SwarmReport {
         .fold((0, 0), |(r, m), (reads, max)| (r + reads, m.max(max)));
 
     SwarmReport {
-        engine: params.run.engine,
         ticks: params.ticks,
         submitted,
         suppressed,
@@ -322,30 +318,6 @@ pub fn run_swarm(params: &SwarmParams) -> SwarmReport {
         fingerprint: snapshot_fingerprint(&snap),
         final_epoch: snap.epoch,
         hot_count: snap.hot_count as u64,
-    }
-}
-
-/// Runs the identical swarm on both engine backends and checks parity:
-/// same schedule hash, same final-snapshot fingerprint. Returns both
-/// reports, or a description of the first divergence.
-pub fn verify_swarm(params: &SwarmParams) -> Result<(SwarmReport, SwarmReport), String> {
-    let sync =
-        run_swarm(&params.clone().with_run(params.run.clone().with_engine(EngineKind::Sync)));
-    let pipelined =
-        run_swarm(&params.clone().with_run(params.run.clone().with_engine(EngineKind::Pipelined)));
-    if sync.parity(&pipelined) {
-        Ok((sync, pipelined))
-    } else {
-        Err(format!(
-            "engine parity failed: sync {{schedule:{:#018x} fingerprint:{:#018x} submitted:{}}} \
-             vs pipelined {{schedule:{:#018x} fingerprint:{:#018x} submitted:{}}}",
-            sync.schedule_hash,
-            sync.fingerprint,
-            sync.submitted,
-            pipelined.schedule_hash,
-            pipelined.fingerprint,
-            pipelined.submitted,
-        ))
     }
 }
 
@@ -374,21 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_converge_to_the_same_snapshot() {
-        let (sync, pipelined) = verify_swarm(&small()).expect("engine parity");
-        assert_eq!(sync.fingerprint, pipelined.fingerprint);
-        assert_eq!(sync.engine, EngineKind::Sync);
-        assert_eq!(pipelined.engine, EngineKind::Pipelined);
-    }
-
-    #[test]
     fn churn_suppresses_deterministically_and_keeps_parity() {
         let params = small().with_churn(0.5);
         let a = run_swarm(&params);
         assert!(a.suppressed > 0, "half the fleet must churn out mid-run");
-        let (sync, pipelined) = verify_swarm(&params).expect("parity under churn");
-        assert_eq!(sync.suppressed, a.suppressed);
-        assert_eq!(sync.fingerprint, pipelined.fingerprint);
+        let b = run_swarm(&params);
+        assert!(a.parity(&b), "churned run must reproduce:\n{a:#?}\nvs\n{b:#?}");
     }
 
     #[test]

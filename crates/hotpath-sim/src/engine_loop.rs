@@ -2,16 +2,15 @@
 //! simulation and the scenario runner — is the same tick/epoch cadence
 //! around an [`Engine`], differing only in where measurements come from
 //! and how client filters observe them. This module owns that cadence
-//! once, parameterized by an [`EpochDriver`] and the engine backend
-//! (`sync` or `pipelined`), so the two drivers cannot drift apart and
-//! both inherit snapshot-based reads: per-epoch metrics come from the
-//! engine's published [`HotSnapshot`], never from live coordinator
-//! state.
+//! once, parameterized by an [`EpochDriver`], so the two drivers
+//! cannot drift apart and both inherit snapshot-based reads: per-epoch
+//! metrics come from the engine's published [`HotSnapshot`], never from
+//! live coordinator state.
 
 use crate::metrics::EpochMetrics;
 use hotpath_core::checkpoint::Checkpoint;
 use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
-use hotpath_core::engine::Engine;
+use hotpath_core::engine::{Engine, EngineKind};
 use hotpath_core::raytrace::ClientState;
 use hotpath_core::time::Timestamp;
 use std::path::PathBuf;
@@ -30,8 +29,8 @@ pub struct CheckpointPolicy {
     /// tick (the run continues the checkpointed window and counters).
     pub restore_from: Option<PathBuf>,
     /// Restart-parity probe: at this epoch boundary, checkpoint, tear
-    /// the engine down completely, rebuild a fresh one of the same kind,
-    /// restore the image into it, and continue — the in-process
+    /// the engine down completely, rebuild a fresh one, restore the
+    /// image into it, and continue — the in-process
     /// equivalent of a crash/restart, pinned by the parity tests.
     pub restart_at: Option<u64>,
 }
@@ -83,10 +82,7 @@ pub struct EpochLoopResult {
 
 /// Drives `driver` through `duration` timestamps against `engine`:
 /// per-tick ingest + window advance, and at every epoch boundary the
-/// full process/deliver/observe exchange. With the pipelined backend
-/// the engine's publish stage and per-tick expiry run on its worker,
-/// overlapped with this loop's ingest — observable behavior is
-/// identical across backends.
+/// full process/deliver/observe exchange.
 pub fn run_epoch_loop(
     engine: &mut Box<dyn Engine>,
     duration: u64,
@@ -122,10 +118,7 @@ pub fn run_epoch_loop_with(
         engine.advance_time(now);
         if epochs.is_epoch(now) {
             let reporting = engine.pending_len();
-            // Boundary-blocking wall time: for the sync backend this
-            // spans all four stages; for the pipelined backend it ends
-            // at the respond stage (publish overlaps the next ticks) —
-            // the difference between backends is the overlap itself.
+            // Boundary-blocking wall time: all four stages.
             let start = Instant::now();
             let responses = engine.process_epoch(now);
             let elapsed = start.elapsed();
@@ -182,12 +175,11 @@ fn checkpoint_boundary(engine: &mut Box<dyn Engine>, epoch_ix: u64, ckpt: &Check
         }
     }
     if ckpt.restart_at == Some(epoch_ix) {
-        // The crash/restart rehearsal: serialize, destroy the engine
-        // (worker thread included), rebuild from the bytes alone.
+        // The crash/restart rehearsal: serialize, destroy the engine,
+        // rebuild from the bytes alone.
         let image = engine.checkpoint();
         let config = *engine.config();
-        let kind = engine.kind();
-        *engine = kind.build(Coordinator::new(config));
+        *engine = EngineKind::Sync.build(Coordinator::new(config));
         engine.restore(&image).unwrap_or_else(|e| panic!("restart-parity restore failed: {e}"));
     }
 }
@@ -196,8 +188,6 @@ fn checkpoint_boundary(engine: &mut Box<dyn Engine>, epoch_ix: u64, ckpt: &Check
 mod tests {
     use super::*;
     use hotpath_core::config::Config;
-    use hotpath_core::coordinator::Coordinator;
-    use hotpath_core::engine::EngineKind;
     use hotpath_core::geometry::{Point, Rect};
     use hotpath_core::ObjectId;
 
@@ -228,12 +218,12 @@ mod tests {
 
     /// The restart-parity probe (checkpoint → engine teardown → rebuild
     /// from the image) must be invisible: identical metric rows and
-    /// final coordinator as the uninterrupted loop, on both backends.
+    /// final coordinator as the uninterrupted loop.
     #[test]
     fn restart_probe_is_invisible_and_periodic_writes_resume() {
-        let rows = |ckpt: &CheckpointPolicy, kind: EngineKind, duration: u64| {
+        let rows = |ckpt: &CheckpointPolicy, duration: u64| {
             let config = Config::paper_defaults().with_epoch(5).with_window(50);
-            let mut engine = kind.build(Coordinator::new(config));
+            let mut engine = EngineKind::Sync.build(Coordinator::new(config));
             let mut driver = OneCorridor { delivered: 0 };
             let out = run_epoch_loop_with(&mut engine, duration, &mut driver, ckpt);
             let c = engine.finish();
@@ -245,15 +235,10 @@ mod tests {
                 .collect();
             (fp, c.comm_stats(), c.processing_stats().epochs)
         };
-        for kind in [EngineKind::Sync, EngineKind::Pipelined] {
-            let base = rows(&CheckpointPolicy::default(), kind, 20);
-            let probed = rows(
-                &CheckpointPolicy { restart_at: Some(2), ..CheckpointPolicy::default() },
-                kind,
-                20,
-            );
-            assert_eq!(base, probed, "restart probe perturbed the {kind} loop");
-        }
+        let base = rows(&CheckpointPolicy::default(), 20);
+        let probed =
+            rows(&CheckpointPolicy { restart_at: Some(2), ..CheckpointPolicy::default() }, 20);
+        assert_eq!(base, probed, "restart probe perturbed the loop");
 
         // Periodic writes + warm start: run 20 ticks writing every 2
         // epochs, then resume another 20 ticks from `latest.ckpt`; the
@@ -265,7 +250,7 @@ mod tests {
             dir: Some(dir.clone()),
             ..CheckpointPolicy::default()
         };
-        let (_, _, epochs_a) = rows(&write, EngineKind::Sync, 20);
+        let (_, _, epochs_a) = rows(&write, 20);
         assert_eq!(epochs_a, 4);
         assert!(dir.join("epoch-2.ckpt").exists());
         assert!(dir.join("epoch-4.ckpt").exists());
@@ -273,7 +258,7 @@ mod tests {
             restore_from: Some(CheckpointPolicy::latest_path(&dir)),
             ..CheckpointPolicy::default()
         };
-        let (fp, comm, epochs_b) = rows(&resume, EngineKind::Pipelined, 20);
+        let (fp, comm, epochs_b) = rows(&resume, 20);
         assert_eq!(epochs_b, 8, "resumed run must continue the epoch counter");
         assert_eq!(comm.uplink_msgs, 40, "restored comm must keep the first run's uplink");
         // Warm-started rows report only the new traffic.
@@ -282,24 +267,22 @@ mod tests {
     }
 
     #[test]
-    fn loop_produces_one_metrics_row_per_epoch_on_both_backends() {
-        for kind in [EngineKind::Sync, EngineKind::Pipelined] {
-            let config = Config::paper_defaults().with_epoch(5).with_window(50);
-            let mut engine = kind.build(Coordinator::new(config));
-            let mut driver = OneCorridor { delivered: 0 };
-            let out = run_epoch_loop(&mut engine, 20, &mut driver);
-            assert_eq!(out.per_epoch.len(), 4, "{kind}");
-            assert_eq!(out.measurements, 20);
-            assert_eq!(driver.delivered, 20, "{kind}: every state gets a response");
-            for (i, e) in out.per_epoch.iter().enumerate() {
-                assert_eq!(e.epoch, i as u64 + 1);
-                assert_eq!(e.timestamp.raw(), (i as u64 + 1) * 5);
-                assert_eq!(e.reporting, 5);
-                assert!(e.index_size > 0);
-            }
-            let coordinator = engine.finish();
-            coordinator.check_consistency().unwrap();
-            assert_eq!(coordinator.comm_stats().uplink_msgs, 20);
+    fn loop_produces_one_metrics_row_per_epoch() {
+        let config = Config::paper_defaults().with_epoch(5).with_window(50);
+        let mut engine = EngineKind::Sync.build(Coordinator::new(config));
+        let mut driver = OneCorridor { delivered: 0 };
+        let out = run_epoch_loop(&mut engine, 20, &mut driver);
+        assert_eq!(out.per_epoch.len(), 4);
+        assert_eq!(out.measurements, 20);
+        assert_eq!(driver.delivered, 20, "every state gets a response");
+        for (i, e) in out.per_epoch.iter().enumerate() {
+            assert_eq!(e.epoch, i as u64 + 1);
+            assert_eq!(e.timestamp.raw(), (i as u64 + 1) * 5);
+            assert_eq!(e.reporting, 5);
+            assert!(e.index_size > 0);
         }
+        let coordinator = engine.finish();
+        coordinator.check_consistency().unwrap();
+        assert_eq!(coordinator.comm_stats().uplink_msgs, 20);
     }
 }

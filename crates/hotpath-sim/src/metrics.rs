@@ -23,12 +23,9 @@ pub struct EpochMetrics {
     /// Top-k score after processing (SinglePath).
     pub top_k_score: f64,
     /// Wall time the driver was blocked in `process_epoch` at this
-    /// boundary. The scope is deliberately per-backend: the sync engine
-    /// blocks through all four stages (publish included), while the
-    /// pipelined engine returns at the respond stage and finishes
-    /// publish overlapped — the spread between the two IS the overlap.
-    /// For a scope-identical comparison across backends use the
-    /// `strategy_time` deltas in [`HotSnapshot::processing`].
+    /// boundary: all four stages, publish included. The per-stage split
+    /// is the `strategy_time` / `publish_time` deltas in
+    /// [`HotSnapshot::processing`].
     ///
     /// [`HotSnapshot::processing`]: hotpath_core::coordinator::HotSnapshot
     pub processing: Duration,

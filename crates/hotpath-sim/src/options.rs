@@ -2,9 +2,9 @@
 //!
 //! The figure simulation ([`SimulationParams`]), the scenario driver
 //! ([`ScenarioRunParams`]), and the serving stack (`hotpathd` /
-//! `client_swarm` in `hotpath-serve`) all need the same four choices:
-//! how many shards, which engine backend, what checkpoint policy, and
-//! which fault seed. [`RunOptions`] is that cluster, embedded by each
+//! `client_swarm` in `hotpath-serve`) all need the same choices: how
+//! many shards and Phase-B workers, what checkpoint policy, and which
+//! fault seed. [`RunOptions`] is that cluster, embedded by each
 //! params struct instead of re-declared — one type to thread through a
 //! CLI, one meaning everywhere.
 //!
@@ -12,11 +12,9 @@
 //! [`ScenarioRunParams`]: crate::scenario_run::ScenarioRunParams
 
 use crate::engine_loop::CheckpointPolicy;
-use hotpath_core::engine::EngineKind;
 
-/// Execution knobs shared by every run driver. Defaults are the
-/// sequential sync engine with checkpointing off and the standard fault
-/// seed.
+/// Execution knobs shared by every run driver. Defaults are one shard,
+/// one Phase-B worker, checkpointing off and the standard fault seed.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Coordinator shards (1 = sequential; results are identical at
@@ -26,8 +24,6 @@ pub struct RunOptions {
     /// identical at every worker count — the coordinator clamps to the
     /// machine).
     pub phase_b_workers: usize,
-    /// Epoch-execution backend; results are identical for both.
-    pub engine: EngineKind,
     /// Checkpoint controls: periodic image writes, warm-start restore,
     /// and the restart-parity probe. Default: all off.
     pub checkpoint: CheckpointPolicy,
@@ -43,7 +39,6 @@ impl Default for RunOptions {
         RunOptions {
             shards: 1,
             phase_b_workers: 1,
-            engine: EngineKind::Sync,
             checkpoint: CheckpointPolicy::default(),
             fault_seed: 0xFA17,
         }
@@ -60,12 +55,6 @@ impl RunOptions {
     /// Chainable Phase-B worker-count override.
     pub fn with_phase_b_workers(mut self, workers: usize) -> Self {
         self.phase_b_workers = workers;
-        self
-    }
-
-    /// Chainable engine-backend override.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -91,21 +80,15 @@ mod tests {
         let o = RunOptions::default();
         assert_eq!(o.shards, 1);
         assert_eq!(o.phase_b_workers, 1);
-        assert_eq!(o.engine, EngineKind::Sync);
         assert!(!o.checkpoint.is_active());
         assert_eq!(o.fault_seed, 0xFA17);
     }
 
     #[test]
     fn chainable_overrides_compose() {
-        let o = RunOptions::default()
-            .with_shards(4)
-            .with_phase_b_workers(2)
-            .with_engine(EngineKind::Pipelined)
-            .with_fault_seed(9182);
+        let o = RunOptions::default().with_shards(4).with_phase_b_workers(2).with_fault_seed(9182);
         assert_eq!(o.shards, 4);
         assert_eq!(o.phase_b_workers, 2);
-        assert_eq!(o.engine, EngineKind::Pipelined);
         assert_eq!(o.fault_seed, 9182);
     }
 }

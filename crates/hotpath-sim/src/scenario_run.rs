@@ -52,7 +52,7 @@ pub struct ScenarioRunParams {
     /// Seed for the driver's Gaussian re-measurement device (kept apart
     /// from the scenario seed so noise and workload vary independently).
     pub noise_seed: u64,
-    /// Shared execution knobs: shards, engine backend, checkpoint
+    /// Shared execution knobs: shards, Phase-B workers, checkpoint
     /// policy, and the fault-victim seed used when the scenario
     /// declares [`hotpath_netsim::scenario::FaultWindow`]s.
     pub run: RunOptions,
@@ -113,12 +113,6 @@ impl ScenarioRunParams {
     /// Chainable Phase-B worker-count override.
     pub fn with_phase_b_workers(mut self, workers: usize) -> Self {
         self.run.phase_b_workers = workers;
-        self
-    }
-
-    /// Chainable engine-backend override.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.run.engine = engine;
         self
     }
 
@@ -357,7 +351,7 @@ pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> 
             }
         })
         .collect();
-    let mut engine = params.run.engine.build(Coordinator::new(config));
+    let mut engine = EngineKind::Sync.build(Coordinator::new(config));
     let plan = FaultPlan::for_scenario(params.run.fault_seed, &*scenario);
     let mut driver = ScenarioDriver {
         scenario: &mut *scenario,
@@ -431,7 +425,7 @@ pub struct ParityTrace {
     /// Per-epoch robustness gauges: `(healthy, dropped, connects,
     /// reconnects, ejections, turned_away, degraded_epochs)` — all
     /// zeros while the session layer is off, and pinned bit-for-bit
-    /// across engines and shard counts when it is on.
+    /// across shard counts when it is on.
     sessions: Vec<(usize, usize, u64, u64, u64, u64, u64)>,
     final_top_k: Vec<(u64, u32)>,
     comm: (u64, u64),
@@ -468,9 +462,9 @@ pub fn parity_trace(res: &ScenarioRunResult) -> ParityTrace {
     }
 }
 
-/// Verifies that an already-completed run (any shard count, any engine
-/// backend) is bit-for-bit identical to a fresh sequential `sync`
-/// reference run of the same scenario (rebuilt from the same `scale`,
+/// Verifies that an already-completed run (any shard count) is
+/// bit-for-bit identical to a fresh sequential reference run of the
+/// same scenario (rebuilt from the same `scale`,
 /// so both see the same measurement stream). Use this when the run
 /// under test is already in hand — it costs one run instead of two.
 pub fn check_parity_against(
@@ -479,13 +473,13 @@ pub fn check_parity_against(
     scale: &ScenarioParams,
     params: &ScenarioRunParams,
 ) -> Result<(), String> {
-    let p = params.clone().with_shards(1).with_engine(EngineKind::Sync);
+    let p = params.clone().with_shards(1);
     let sequential =
         run_named(name, scale, &p).ok_or_else(|| format!("unknown scenario {name}"))?;
     if parity_trace(&sequential) != parity_trace(observed) {
         return Err(format!(
-            "{name}: sequential sync reference vs ({} shards, {}) run diverged",
-            params.run.shards, params.run.engine
+            "{name}: sequential reference vs {}-shard run diverged",
+            params.run.shards
         ));
     }
     Ok(())
@@ -521,8 +515,8 @@ pub fn check_restart_parity(
     if parity_trace(&base) != parity_trace(&restarted) {
         return Err(format!(
             "{name}: restart at epoch {restart_at}/{total_epochs} diverged from the \
-             uninterrupted run ({} shards, {})",
-            params.run.shards, params.run.engine
+             uninterrupted run ({} shards)",
+            params.run.shards
         ));
     }
     Ok(())
@@ -630,9 +624,9 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_sharded_run_matches_the_sync_sequential_reference() {
+    fn sharded_run_matches_the_sequential_reference() {
         let scale = quick_scale(45);
-        let p = ScenarioRunParams::default().with_engine(EngineKind::Pipelined).with_shards(4);
+        let p = ScenarioRunParams::default().with_shards(4);
         let res = run_named("sporting_event", &scale, &p).unwrap();
         res.invariants.as_ref().unwrap_or_else(|e| panic!("invariants: {e}"));
         check_parity_against(&res, "sporting_event", &scale, &p).unwrap_or_else(|e| panic!("{e}"));

@@ -57,7 +57,7 @@ pub struct SimulationParams {
     pub dp_policy: EndpointPolicy,
     /// SinglePath Cases-2/3 overlap policy (ablation hook).
     pub overlap: OverlapPolicy,
-    /// Shared execution knobs: shards, engine backend, checkpoint
+    /// Shared execution knobs: shards, Phase-B workers, checkpoint
     /// policy, fault seed (the figure driver declares no faults, so the
     /// seed is carried but unused here).
     pub run: RunOptions,
@@ -123,12 +123,6 @@ impl SimulationParams {
     /// Chainable Phase-B worker-count override.
     pub fn with_phase_b_workers(mut self, workers: usize) -> Self {
         self.run.phase_b_workers = workers;
-        self
-    }
-
-    /// Chainable engine-backend override.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.run.engine = engine;
         self
     }
 
@@ -264,7 +258,7 @@ pub fn run(params: SimulationParams) -> SimulationResult {
     let mut dp =
         params.run_dp.then(|| DpHotSegments::new(params.eps, params.dp_policy, config.window));
 
-    let mut engine = params.run.engine.build(coordinator);
+    let mut engine = EngineKind::Sync.build(coordinator);
     let mut driver = SimDriver {
         population: &mut population,
         network: &network,
@@ -354,44 +348,6 @@ mod tests {
             r.coordinator.top_n(10).iter().map(|h| (h.path.id.0, h.hotness)).collect()
         };
         assert_eq!(top(&seq), top(&sharded));
-    }
-
-    /// The pipelined engine must be observationally identical to the
-    /// sync engine over a full simulation — per-epoch series, comm
-    /// totals, final top-k — at one shard and many, with the DP
-    /// competitor riding along.
-    #[test]
-    fn pipelined_engine_matches_sync() {
-        for shards in [1usize, 4] {
-            let base = SimulationParams::quick(150, 11).with_shards(shards);
-            let sync = run(base.clone());
-            let pipelined = run(base.with_engine(EngineKind::Pipelined));
-            let series = |r: &SimulationResult| -> Vec<(usize, u64, u64)> {
-                r.per_epoch
-                    .iter()
-                    .map(|e| (e.index_size, e.top_k_score.to_bits(), e.comm.uplink_msgs))
-                    .collect()
-            };
-            assert_eq!(series(&sync), series(&pipelined), "series diverged at {shards} shards");
-            assert_eq!(sync.summary.uplink_msgs, pipelined.summary.uplink_msgs);
-            assert_eq!(
-                sync.coordinator.comm_stats().downlink_msgs,
-                pipelined.coordinator.comm_stats().downlink_msgs
-            );
-            let top = |r: &SimulationResult| -> Vec<(u64, u32, u64)> {
-                r.coordinator
-                    .top_n(10)
-                    .iter()
-                    .map(|h| (h.path.id.0, h.hotness, h.score.to_bits()))
-                    .collect()
-            };
-            assert_eq!(top(&sync), top(&pipelined), "top-k diverged at {shards} shards");
-            pipelined.coordinator.check_consistency().unwrap();
-            let dp_series = |r: &SimulationResult| -> Vec<Option<usize>> {
-                r.per_epoch.iter().map(|e| e.dp_index_size).collect()
-            };
-            assert_eq!(dp_series(&sync), dp_series(&pipelined));
-        }
     }
 
     #[test]

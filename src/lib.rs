@@ -6,7 +6,7 @@
 //! single owning package, and so downstream users can depend on one crate.
 //!
 //! Most programs only need [`prelude`]: it curates the supported public
-//! surface — configuration, the engine backends, lock-free snapshot
+//! surface — configuration, the engine, lock-free snapshot
 //! reads, the serving front door, the scenario registry, and the
 //! simulation drivers — so `use hotpath::prelude::*;` is enough to
 //! build, drive, and read a coordinator end to end:
@@ -41,9 +41,9 @@ pub mod prelude {
     pub use hotpath_core::config::{
         Admission, AdmissionPolicy, Config, ConfigBuilder, ConfigError, ParseError, Tolerance,
     };
-    // The engine surface: backends, trait, and the published view.
+    // The engine surface and the published view.
     pub use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotPath, HotSnapshot};
-    pub use hotpath_core::engine::{Engine, EngineKind, PipelinedEngine, SyncEngine};
+    pub use hotpath_core::engine::{Engine, EngineKind, SyncEngine};
     // Lock-free snapshot reads.
     pub use hotpath_core::snapshot::{SnapshotCell, SnapshotGuard, SnapshotHandle};
     // Checkpoint/restore.
@@ -57,7 +57,7 @@ pub mod prelude {
     pub use hotpath_core::ObjectId;
     // The serving front door and its load generator.
     pub use hotpath_serve::server::{Hotpathd, ServerHandle, ServerMsg, ServerStatsView};
-    pub use hotpath_serve::swarm::{run_swarm, verify_swarm, SwarmParams, SwarmReport};
+    pub use hotpath_serve::swarm::{run_swarm, SwarmParams, SwarmReport};
     pub use hotpath_serve::wire::{serve_unix, SnapshotWire, UnixClient, UnixServer};
     // The scenario registry and run drivers.
     pub use hotpath_netsim::scenario::{ScenarioParams, REGISTRY};

@@ -1,7 +1,7 @@
 //! Restart-parity acceptance for checkpoint/restore: for every
-//! registered scenario, on both engine backends and at 1 and 4 shards,
-//! a run that checkpoints at its mid-run epoch, tears the engine down,
-//! and restores from the image bytes must equal the uninterrupted run
+//! registered scenario, at 1 and 4 shards, a run that checkpoints at
+//! its mid-run epoch, tears the engine down, and restores from the
+//! image bytes must equal the uninterrupted run
 //! bit for bit — per-epoch snapshot series, final top-k geometry, and
 //! communication counters — and the restored coordinator must pass
 //! `check_consistency`. A proptest then drives a raw engine with random
@@ -20,26 +20,17 @@ use hotpath_netsim::scenario::{ScenarioParams, REGISTRY};
 use hotpath_sim::scenario_run::{check_restart_parity, ScenarioRunParams};
 use proptest::prelude::*;
 
-/// Runs the full scenario × shards restart matrix for one engine kind.
-fn restart_matrix(engine: EngineKind) {
+/// The full scenario × shards restart matrix.
+#[test]
+fn every_scenario_survives_a_mid_run_restart() {
     for (i, spec) in REGISTRY.iter().enumerate() {
         let scale = ScenarioParams { n: 300, ..ScenarioParams::quick(41 + i as u64) };
         for shards in [1usize, 4] {
-            let params = ScenarioRunParams::default().with_shards(shards).with_engine(engine);
+            let params = ScenarioRunParams::default().with_shards(shards);
             check_restart_parity(spec.name, &scale, &params)
-                .unwrap_or_else(|e| panic!("{engine}/{shards} shards: {e}"));
+                .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
         }
     }
-}
-
-#[test]
-fn every_scenario_survives_a_mid_run_restart_sync() {
-    restart_matrix(EngineKind::Sync);
-}
-
-#[test]
-fn every_scenario_survives_a_mid_run_restart_pipelined() {
-    restart_matrix(EngineKind::Pipelined);
 }
 
 // ---------------------------------------------------------------------
@@ -104,23 +95,21 @@ proptest! {
     fn random_checkpoint_epochs_and_interleavings_restore_bit_for_bit(
         seed in 0u64..10_000,
         shards_ix in 0usize..3,
-        kind_ix in 0usize..2,
         ck_epoch in 1u64..6,
         split in 0usize..=12,
     ) {
         let shards = [1usize, 2, 4][shards_ix];
-        let kind = [EngineKind::Sync, EngineKind::Pipelined][kind_ix];
         let total = 6u64;
 
         // Uninterrupted reference.
-        let mut base = kind.build(Coordinator::new(cfg(shards)));
+        let mut base = EngineKind::Sync.build(Coordinator::new(cfg(shards)));
         let base_log: Vec<EpochRow> =
             (1..=total).map(|e| run_epoch(&mut base, e, seed)).collect();
         base.finish().check_consistency().expect("reference inconsistent");
 
         // Interrupted run: play up to `ck_epoch`, pre-submit `split`
         // states of the next batch, checkpoint, and destroy the engine.
-        let mut first = kind.build(Coordinator::new(cfg(shards)));
+        let mut first = EngineKind::Sync.build(Coordinator::new(cfg(shards)));
         let head: Vec<EpochRow> =
             (1..=ck_epoch).map(|e| run_epoch(&mut first, e, seed)).collect();
         let next = workload(ck_epoch + 1, seed);
@@ -132,7 +121,7 @@ proptest! {
 
         // Fresh process-equivalent engine, dirtied so a leaky restore
         // would show, then restored from the image bytes.
-        let mut second = kind.build(Coordinator::new(cfg(shards)));
+        let mut second = EngineKind::Sync.build(Coordinator::new(cfg(shards)));
         let _ = run_epoch(&mut second, 17, seed ^ 0x5eed);
         second.restore(&image).expect("restore failed");
         prop_assert_eq!(second.pending_len(), split);

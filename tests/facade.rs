@@ -17,45 +17,39 @@ fn traversal(obj: u64, te: u64) -> ClientState {
 }
 
 /// The raw-engine lifecycle through the prelude: validated config,
-/// either backend, a snapshot cell, and lock-free reads.
+/// the engine, a snapshot cell, and lock-free reads.
 #[test]
 fn prelude_drives_submit_epoch_and_snapshot_read() {
-    for kind in [EngineKind::Sync, EngineKind::Pipelined] {
-        let config = Config::builder()
-            .epoch(10)
-            .window(10_000)
-            .k(10)
-            .build()
-            .expect("builder invariants hold");
-        let mut engine = kind.build(Coordinator::new(config));
-        let cell = SnapshotCell::new();
-        engine.attach_cell(cell.clone());
-        let mut reader: SnapshotHandle = cell.register();
-        assert_eq!(reader.epoch(), 0, "{kind}: epoch-0 image pre-published");
+    let config =
+        Config::builder().epoch(10).window(10_000).k(10).build().expect("builder invariants hold");
+    let mut engine = EngineKind::Sync.build(Coordinator::new(config));
+    let cell = SnapshotCell::new();
+    engine.attach_cell(cell.clone());
+    let mut reader: SnapshotHandle = cell.register();
+    assert_eq!(reader.epoch(), 0, "epoch-0 image pre-published");
 
-        for epoch in 1..=3u64 {
-            engine.submit(traversal(epoch, epoch * 10 - 1));
-            engine.advance_time(Timestamp(epoch * 10));
-            let responses: Vec<EndpointResponse> = engine.process_epoch(Timestamp(epoch * 10));
-            assert_eq!(responses.len(), 1, "{kind}: one client answered per epoch");
-        }
-        let last: std::sync::Arc<HotSnapshot> = engine.snapshot();
-        assert_eq!(last.epoch, 3, "{kind}");
-
-        // The lock-free read path agrees with the engine's own view.
-        let guard: SnapshotGuard<'_> = reader.read();
-        assert_eq!(guard.epoch, 3, "{kind}");
-        assert_eq!(guard.top_k.len(), 1, "{kind}");
-        let hot: &HotPath = &guard.top_k[0];
-        assert_eq!(hot.hotness, 3, "{kind}: three traversals of one corridor");
-        assert!(hot.score > 0.0, "{kind}");
-        drop(guard);
-        engine.finish();
+    for epoch in 1..=3u64 {
+        engine.submit(traversal(epoch, epoch * 10 - 1));
+        engine.advance_time(Timestamp(epoch * 10));
+        let responses: Vec<EndpointResponse> = engine.process_epoch(Timestamp(epoch * 10));
+        assert_eq!(responses.len(), 1, "one client answered per epoch");
     }
+    let last: std::sync::Arc<HotSnapshot> = engine.snapshot();
+    assert_eq!(last.epoch, 3);
+
+    // The lock-free read path agrees with the engine's own view.
+    let guard: SnapshotGuard<'_> = reader.read();
+    assert_eq!(guard.epoch, 3);
+    assert_eq!(guard.top_k.len(), 1);
+    let hot: &HotPath = &guard.top_k[0];
+    assert_eq!(hot.hotness, 3, "three traversals of one corridor");
+    assert!(hot.score > 0.0);
+    drop(guard);
+    engine.finish();
 }
 
 /// The serving lifecycle through the prelude: `hotpathd` front door,
-/// reader handles, and the deterministic swarm with engine parity.
+/// reader handles, and the deterministic swarm.
 #[test]
 fn prelude_serves_and_verifies_the_swarm() {
     let config = Config::builder().epoch(10).window(100).build().expect("valid");
@@ -72,8 +66,8 @@ fn prelude_serves_and_verifies_the_swarm() {
         .with_readers(1)
         .with_ticks(40)
         .with_run(RunOptions::default());
-    let (sync, pipelined) = verify_swarm(&params).expect("engine parity through the facade");
-    assert_eq!(sync.fingerprint, pipelined.fingerprint);
+    let report: SwarmReport = run_swarm(&params);
+    assert_eq!(report.final_epoch, 4);
     let view: ServerStatsView = ServerStatsView { submitted: 0, epochs: 0, responses: 0 };
     assert_eq!(view.epochs, 0);
 }
@@ -81,13 +75,15 @@ fn prelude_serves_and_verifies_the_swarm() {
 /// Typed parsing is part of the curated surface.
 #[test]
 fn prelude_parses_cli_tags_with_typed_errors() {
-    assert_eq!("pipelined".parse::<EngineKind>().unwrap(), EngineKind::Pipelined);
     assert_eq!("shed-oldest".parse::<AdmissionPolicy>().unwrap(), AdmissionPolicy::ShedOldest);
     assert!(
         matches!("minimal:0.5".parse::<FallbackPolicy>(), Ok(FallbackPolicy::MinimalArea(w)) if w == 0.5)
     );
-    let err: ParseError = "warp".parse::<EngineKind>().unwrap_err();
-    assert_eq!(err.to_string(), "invalid engine \"warp\": expected sync | pipelined");
+    let err: ParseError = "warp".parse::<AdmissionPolicy>().unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "invalid admission policy \"warp\": expected reject | shed-oldest | eject-slowest"
+    );
     let config_err: ConfigError =
         Config::builder().epoch(50).window(10).build().expect_err("epoch > window");
     assert!(config_err.to_string().contains("epoch"));

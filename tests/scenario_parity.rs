@@ -6,8 +6,7 @@
 //! half pins the registered `Scenario` subsystem the same way: the two
 //! event-driven workloads (`rush_hour_surge`, `evacuation_reroute`,
 //! composite `surge_dropout`) are bit-for-bit identical sequential vs
-//! 4-shard, the `pipelined` engine backend matches the `sync` reference
-//! for every registered scenario, and a proptest holds every registered
+//! 4-shard, so is every other registered scenario, and a proptest holds every registered
 //! generator to seed-determinism.
 
 use hotpath_core::config::{Config, Tolerance};
@@ -248,7 +247,6 @@ fn sensor_dropout_top_k_stays_stable_and_sharded_matches_sequential() {
 // shared driver (hotpath-sim::scenario_run).
 // ---------------------------------------------------------------------
 
-use hotpath_core::engine::EngineKind;
 use hotpath_netsim::scenario::{build, ScenarioParams, REGISTRY};
 use hotpath_sim::scenario_run::{run_named, ScenarioRunParams, ScenarioRunResult};
 use proptest::prelude::*;
@@ -353,34 +351,14 @@ fn flash_crowd_identical_at_every_phase_b_worker_count() {
     }
 }
 
-/// The engine-backend acceptance pin: for EVERY registered scenario,
-/// a 4-shard `pipelined` run is bit-for-bit identical to the
-/// sequential `sync` reference — per-epoch series (index size, score
-/// bits, top-k ids), final top-k geometry, and communication counters.
+/// The whole-registry pin: EVERY registered scenario, fault scenarios
+/// included, is bit-for-bit identical sequential vs 4-shard — per-epoch
+/// series (index size, score bits, top-k ids), final top-k geometry,
+/// and communication counters.
 #[test]
-fn pipelined_engine_matches_sync_for_every_registered_scenario() {
+fn every_registered_scenario_sharded_matches_sequential() {
     for (i, spec) in REGISTRY.iter().enumerate() {
-        let scale = ScenarioParams { n: 300, ..ScenarioParams::quick(61 + i as u64) };
-        let reference = run_named(spec.name, &scale, &ScenarioRunParams::default())
-            .expect("registered scenario");
-        assert!(
-            !reference.outcome.final_top_k.is_empty(),
-            "{}: reference discovered no hot paths",
-            spec.name
-        );
-        let pipelined = run_named(
-            spec.name,
-            &scale,
-            &ScenarioRunParams::default().with_engine(EngineKind::Pipelined).with_shards(4),
-        )
-        .expect("registered scenario");
-        pipelined.coordinator.check_consistency().expect("pipelined state inconsistent");
-        assert_eq!(
-            full_trace(&reference),
-            full_trace(&pipelined),
-            "{}: pipelined/4-shard diverged from sync/sequential",
-            spec.name
-        );
+        pin_scenario_parity(spec.name, 61 + i as u64, 4);
     }
 }
 
