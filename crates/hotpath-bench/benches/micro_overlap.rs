@@ -35,16 +35,12 @@ fn bench_overlap(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("intersecting", n), &set, |b, set| {
             b.iter(|| set.intersecting(&clip));
         });
-        // Parallel rasterization across the shard-style worker pool:
-        // identical output, scoped threads for the build. Only sized
-        // where the thread clamp (one chunk per 256 rects) actually
-        // engages workers — at n=100 it would silently re-measure the
-        // sequential path under a parallel label.
-        if n >= 1_000 {
-            g.bench_with_input(BenchmarkId::new("build_threads4", n), &rs, |b, rs| {
-                b.iter(|| FsaSet::build_parallel(rs.clone(), 20.0, 4));
-            });
-        }
+        // The coordinator's per-epoch path: the same set refilled in
+        // place, no allocation after the first round.
+        g.bench_with_input(BenchmarkId::new("rebuild", n), &rs, |b, rs| {
+            let mut reused = FsaSet::new(20.0);
+            b.iter(|| reused.rebuild(rs.iter().copied()));
+        });
     }
     g.finish();
 }

@@ -86,7 +86,7 @@ fn bench_phase_b(c: &mut Criterion) {
     let deferred: Vec<u32> = (0..DEFERRED as u32).collect();
     for (dist, hot_frac) in [("uniform", 0.0), ("skewed", 0.9)] {
         let states = batch(hot_frac);
-        let fsas = build_fsa_set(&states, 40.0, OverlapPolicy::Full, 1);
+        let fsas = build_fsa_set(&states, 40.0, OverlapPolicy::Full);
         for workers in [1usize, 2, 4] {
             g.bench_with_input(
                 BenchmarkId::new(dist, format!("w{workers}")),

@@ -21,13 +21,15 @@
 //! and exits nonzero when any benchmark got slower than
 //! `baseline * (1 + tolerance)` or disappeared. New benchmarks are
 //! reported but never fail the gate — capture a fresh baseline to adopt
-//! them.
+//! them. A baseline records the core count of the host it was captured
+//! on; `check` reports a target whose baseline was captured on a
+//! different count as *not comparable* and neither runs nor gates it.
 //!
 //! Re-baselining intentionally (e.g. after an accepted perf trade-off):
 //! `cargo run --release -p hotpath-bench --bin bench_gate -- capture`
 //! and commit the updated `BENCH_*.json`.
 
-use hotpath_bench::gate::{compare, has_failures, margin_table, Snapshot};
+use hotpath_bench::gate::{compare, has_failures, host_nproc, margin_table, Snapshot};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -38,7 +40,6 @@ const GATED_BENCHES: &[&str] = &[
     "micro_topk",
     "micro_hotness",
     "micro_overlap",
-    "micro_fsa_delta",
     "micro_scenario",
     "micro_serving",
     "micro_phase_b",
@@ -195,6 +196,16 @@ fn check(dir: &Path, tolerance: f64, captures_dir: Option<&Path>, benches: &[&st
             eprintln!("bench_gate: bad baseline {}: {e}", path.display());
             std::process::exit(2);
         });
+        // Medians from a host with a different core count say nothing
+        // about this one (the parallel rows least of all).
+        if baseline.nproc != host_nproc() {
+            println!(
+                "== {bench}: not comparable (captured on {}, host has {})",
+                baseline.nproc,
+                host_nproc()
+            );
+            continue;
+        }
         let current = run_bench(dir, bench, captures_dir);
         let rows = compare(&baseline, &current, tolerance);
         println!("== {bench} (tolerance +{:.0}%)", tolerance * 100.0);

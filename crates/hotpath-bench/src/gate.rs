@@ -28,14 +28,24 @@ pub struct BenchEntry {
 pub struct Snapshot {
     /// The bench target name (e.g. `micro_raytrace`).
     pub bench: String,
+    /// Hardware threads of the host the medians were captured on. A
+    /// snapshot file without the field predates it and is read as `1`,
+    /// the single-core container those were captured in.
+    pub nproc: usize,
     /// Captured entries, in capture order.
     pub entries: Vec<BenchEntry>,
 }
 
+/// Hardware threads available to this process — what a capture made
+/// here is stamped with, and what a baseline must match to be gated.
+pub fn host_nproc() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
 impl Snapshot {
     /// Builds a snapshot from the raw `CRITERION_CAPTURE` stream of one
-    /// bench target. Duplicate ids keep the *last* capture (re-runs
-    /// within a process supersede earlier ones).
+    /// bench target, run on this host. Duplicate ids keep the *last*
+    /// capture (re-runs within a process supersede earlier ones).
     pub fn from_capture(bench: &str, jsonl: &str) -> Snapshot {
         let mut entries: Vec<BenchEntry> = Vec::new();
         for e in parse_entries(jsonl) {
@@ -45,7 +55,7 @@ impl Snapshot {
                 entries.push(e);
             }
         }
-        Snapshot { bench: bench.to_string(), entries }
+        Snapshot { bench: bench.to_string(), nproc: host_nproc(), entries }
     }
 
     /// Renders the checked-in snapshot file.
@@ -53,6 +63,7 @@ impl Snapshot {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"bench\": \"{}\",", self.bench);
+        let _ = writeln!(out, "  \"nproc\": {},", self.nproc);
         let _ = writeln!(out, "  \"entries\": [");
         for (i, e) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
@@ -77,7 +88,8 @@ impl Snapshot {
         if entries.is_empty() {
             return Err(format!("snapshot for '{bench}' has no entries"));
         }
-        Ok(Snapshot { bench, entries })
+        let nproc = extract_number(text, "\"nproc\"").map_or(1, |n| n as usize);
+        Ok(Snapshot { bench, nproc, entries })
     }
 
     /// Looks up an entry by id.
@@ -268,6 +280,7 @@ mod tests {
     fn snap(bench: &str, entries: &[(&str, f64)]) -> Snapshot {
         Snapshot {
             bench: bench.to_string(),
+            nproc: host_nproc(),
             entries: entries
                 .iter()
                 .map(|&(id, m)| BenchEntry { id: id.to_string(), median_ns: m })
@@ -283,6 +296,16 @@ mod tests {
         let parsed = Snapshot::from_json(&s.to_json()).unwrap();
         assert_eq!(parsed, s);
         assert_eq!(parsed.get("g/f/2").unwrap().median_ns, 34.5);
+    }
+
+    #[test]
+    fn nproc_round_trips_and_defaults_to_the_old_container() {
+        let mut s = snap("b", &[("a", 1.0)]);
+        assert_eq!(s.nproc, host_nproc(), "a capture is stamped with this host");
+        s.nproc = 6;
+        assert_eq!(Snapshot::from_json(&s.to_json()).unwrap().nproc, 6);
+        let old = "{\"bench\": \"b\", \"entries\": [{\"id\": \"a\", \"median_ns\": 1}]}";
+        assert_eq!(Snapshot::from_json(old).unwrap().nproc, 1);
     }
 
     #[test]

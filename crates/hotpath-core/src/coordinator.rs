@@ -267,10 +267,9 @@ impl PathStore for ShardedStore<'_> {
 
     fn commit(&mut self, start: Point, end: Point, te: Timestamp) -> (PathId, bool, Point) {
         let shard = &mut self.shards[self.router.shard_of(&start)];
-        let (id, created) = shard.index.insert_with(start, end, self.next_id);
-        let path = *shard.index.get(id).expect("just inserted");
-        shard.hotness.record_crossing(id, te, path.length());
-        (id, created, path.end())
+        let (edge, created) = shard.index.insert_with(start, end, self.next_id);
+        shard.hotness.record_crossing(edge.id, te, edge.len);
+        (edge.id, created, edge.end)
     }
 }
 
@@ -319,12 +318,10 @@ pub struct Coordinator {
     processing: ProcessingStats,
     hints_enabled: bool,
     overlap_policy: OverlapPolicy,
-    /// The epoch FSA-overlap structure, maintained incrementally from
-    /// per-epoch add/move/remove deltas instead of rebuilt from scratch
-    /// (see [`FsaCache`]). Deliberately not checkpointed: it is a pure
-    /// function of the current batch, so a restored coordinator starts
-    /// fresh and the first update repopulates it — parity-safe because
-    /// overlap queries only observe the rect multiset.
+    /// The epoch FSA-overlap structure, rebuilt in place from each
+    /// epoch's batch (see [`FsaCache`]). Deliberately not checkpointed:
+    /// it is a pure function of the current batch, so a restored
+    /// coordinator starts empty and the first update fills it.
     fsa_cache: FsaCache,
     front: FrontScratch,
     /// The latest timestamp the coordinator has been advanced to; stamps
@@ -686,14 +683,11 @@ impl Coordinator {
         self.processing.publish_time += start.elapsed();
     }
 
-    /// The sharded epoch: parallel Phase A per shard over the pre-routed
-    /// `parts`, then the global sequential Phase B over the merged
-    /// store.
-    /// The epoch's FSA-overlap structure: one incremental delta applied
-    /// to the maintained cache under the `Full` policy; the cache's
-    /// never-updated empty set under the `Own` ablation, which never
-    /// queries it. An associated fn (not a method) so callers can keep
-    /// borrowing the coordinator's other fields alongside the result.
+    /// The epoch's FSA-overlap structure: the held set rebuilt over the
+    /// batch under the `Full` policy; left as it is under the `Own`
+    /// ablation, which never queries it. An associated fn (not a
+    /// method) so callers can keep borrowing the coordinator's other
+    /// fields alongside the result.
     fn epoch_fsas<'a>(
         cache: &'a mut FsaCache,
         states: &[ClientState],
@@ -705,6 +699,9 @@ impl Coordinator {
         }
     }
 
+    /// The sharded epoch: parallel Phase A per shard over the pre-routed
+    /// `parts`, then the global sequential Phase B over the merged
+    /// store.
     fn process_batch_sharded(
         &mut self,
         states: &[ClientState],
@@ -770,9 +767,6 @@ impl Coordinator {
         let mut selections: Vec<Selection> = tagged.drain(..).map(|(_, s)| s).collect();
         self.front.tagged = tagged;
 
-        // Apply the epoch's FSA delta to the incrementally maintained
-        // overlap structure — query-equivalent to a from-scratch build
-        // of this batch, at O(changed) grid edits instead of a rebuild.
         let fsas = Self::epoch_fsas(&mut self.fsa_cache, states, policy);
         let workers = self.phase_b_pool.for_items(deferred.len());
         let load;
@@ -850,8 +844,8 @@ impl Coordinator {
             .index
             .paths_starting_at(p)
             .iter()
-            .max_by_key(|&&id| (shard.hotness.get(id), std::cmp::Reverse(id)))
-            .and_then(|&id| shard.index.get(id))
+            .max_by_key(|e| (shard.hotness.get(e.id), std::cmp::Reverse(e.id)))
+            .and_then(|e| shard.index.get(e.id))
             .copied()
     }
 
@@ -936,29 +930,16 @@ impl Coordinator {
     }
 
     /// The top-`n` hottest motion paths for an explicit `n`, merged
-    /// across shards. O(n·shards) — each shard's incremental rank
-    /// structure yields its own hottest `n` without sorting, and the
-    /// global answer is a subset of their union; the hot-set size `P`
-    /// never enters the cost.
+    /// across shards: each shard's [`Hotness::top_n`] yields its own
+    /// hottest `n` from its count buckets (see there for the cost), and
+    /// the global answer is a subset of their union.
     pub fn top_n(&self, n: usize) -> Vec<HotPath> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut merged: Vec<HotPath> = Vec::with_capacity(n * self.shards.len().min(4));
+        let mut merged: Vec<HotPath> = Vec::new();
         for shard in &self.shards {
-            merged.extend(
-                shard
-                    .hotness
-                    .top_iter()
-                    .filter_map(|(id, h)| {
-                        shard.index.get(id).map(|p| HotPath {
-                            path: *p,
-                            hotness: h,
-                            score: h as f64 * p.length(),
-                        })
-                    })
-                    .take(n),
-            );
+            merged.extend(shard.hotness.top_n(n).into_iter().filter_map(|(id, h)| {
+                let p = shard.index.get(id)?;
+                Some(HotPath { path: *p, hotness: h, score: h as f64 * p.length() })
+            }));
         }
         merged.sort_by(|a, b| {
             b.hotness
@@ -1017,9 +998,9 @@ impl Coordinator {
     /// Internal-consistency audit: every shard's index must be
     /// self-consistent, every path must live in the shard its start
     /// vertex routes to, path ids must be globally unique, each shard's
-    /// incremental hotness rank must agree with its counter table, and
-    /// the merged incremental top-k must equal the sort-based oracle
-    /// over the full hot set.
+    /// hotness count buckets must agree with its counter table, and the
+    /// merged bucket-walk top-k must equal the sort-based oracle over
+    /// the full hot set.
     pub fn check_consistency(&self) -> Result<(), String> {
         let mut seen = std::collections::HashSet::new();
         for (i, shard) in self.shards.iter().enumerate() {
@@ -1034,12 +1015,11 @@ impl Coordinator {
                 }
             }
         }
-        self.fsa_cache.check_consistency().map_err(|e| format!("fsa cache: {e}"))?;
         if let Some(table) = &self.sessions {
             table.check().map_err(|e| format!("session table: {e}"))?;
         }
-        // The incremental rank path must reproduce the naive full sort
-        // at every depth (the pre-incremental `top_n` implementation).
+        // The bucket walk must reproduce the naive full sort of the
+        // whole hot set.
         let mut oracle = self.hot_paths().to_vec();
         oracle.sort_by(|a, b| {
             b.hotness
@@ -1054,7 +1034,7 @@ impl Coordinator {
         for (f, o) in fast.iter().zip(&oracle) {
             if f.path.id != o.path.id || f.hotness != o.hotness || f.score != o.score {
                 return Err(format!(
-                    "incremental top-k diverged from full sort at {} (oracle {})",
+                    "bucketed top-k diverged from full sort at {} (oracle {})",
                     f.path.id, o.path.id
                 ));
             }
@@ -1143,7 +1123,7 @@ impl Coordinator {
     ///
     /// The slabs are adopted verbatim and the expiry events re-enter the
     /// timer wheel keyed by the header clock; derived structures (grid,
-    /// adjacency, slot maps, rank sets, pending routing) are rebuilt,
+    /// adjacency, slot maps, count buckets, pending routing) are rebuilt,
     /// and the read cache starts invalidated — the first read after a
     /// restore can never serve pre-restore data.
     pub fn from_checkpoint(config: Config, ck: &Checkpoint) -> Result<Self, CheckpointError> {
@@ -1211,9 +1191,8 @@ impl Coordinator {
                 pending_parts[router.shard_of(&state.start)].push(seq as u32);
             }
         }
-        // Not part of the image: the cache repopulates from the first
-        // post-restore batch, and overlap queries only see the rect
-        // multiset, so parity is preserved.
+        // Not part of the image: the set is rebuilt from the first
+        // post-restore batch.
         let fsa_cache = FsaCache::new(overlap_cell_of(&config));
         let sessions = if config.admission.sessions_enabled() {
             let recs: Vec<SessionRecord> = ck.section(SectionKind::Session, 0)?;

@@ -6,12 +6,14 @@
 //! reaches zero the path id is surfaced so the caller can delete the
 //! path from the MotionPath index.
 //!
-//! Alongside the counters the table maintains an **incremental rank
-//! structure**: an ordered set keyed by `(hotness desc, length desc,
-//! id asc)` — exactly the coordinator's top-k order — updated on every
+//! Alongside the counters the table keeps the paths **bucketed by
+//! count**: `buckets[c]` lists the paths at hotness `c`, and every `±1`
+//! moves one path between adjacent buckets in O(1) — on
 //! [`Hotness::record_crossing`], [`Hotness::advance`], and
-//! [`Hotness::forget`]. Top-k queries walk the first `k` entries in
-//! O(k + log P) instead of materializing and sorting the whole hot set.
+//! [`Hotness::forget`] alike. Most hot paths sit at hotness 1 while the
+//! top-k lives in a handful of high counts, so [`Hotness::top_n`] walks
+//! the buckets from the highest live count and orders only the few
+//! entries it returns, never the whole hot set.
 //!
 //! # Why a timer wheel
 //!
@@ -30,17 +32,6 @@ use crate::motion_path::PathId;
 use crate::time::{SlidingWindow, Timestamp};
 use crate::wheel::{TimerWheel, WheelEvent};
 use std::cmp::Reverse;
-use std::collections::BTreeSet;
-
-/// Rank-set key: `(hotness desc, length desc, id asc)`. Lengths are
-/// non-negative finite floats, so their IEEE-754 bit patterns order the
-/// same way `f64::total_cmp` does.
-type RankKey = (Reverse<u32>, Reverse<u64>, PathId);
-
-#[inline]
-fn rank_key(count: u32, len_bits: u64, id: PathId) -> RankKey {
-    (Reverse(count), Reverse(len_bits), id)
-}
 
 /// Per-path hotness record: the live crossing count and the path's
 /// length (IEEE-754 bit pattern), pinned at first recording — path
@@ -116,8 +107,15 @@ pub struct Hotness {
     heat: Vec<HeatEntry>,
     /// Path id -> slot in `heat`.
     slot_of: FxHashMap<PathId, u32>,
-    /// Incremental top-k: every hot path, ordered hottest-first.
-    rank: BTreeSet<RankKey>,
+    /// Count buckets: `buckets[c]` holds the slab slots of the paths at
+    /// hotness `c`, in no particular order. `buckets[0]` stays empty and
+    /// the vector ends at the highest live count. Derived from the slab,
+    /// never checkpointed.
+    buckets: Vec<Vec<u32>>,
+    /// `pos[slot]`: where slab slot `slot` sits in its count's bucket.
+    /// Parallel to `heat` rather than a [`HeatEntry`] field, so the
+    /// checkpointed record layout does not carry it.
+    pos: Vec<u32>,
     /// Timer wheel of `(expiry, id)` events keyed by the epoch clock.
     queue: TimerWheel<ExpiryEvent>,
     /// Tombstones for [`Hotness::forget`]-ed ids: how many queued events
@@ -137,7 +135,8 @@ impl Hotness {
             window,
             heat: Vec::new(),
             slot_of: FxHashMap::default(),
-            rank: BTreeSet::new(),
+            buckets: Vec::new(),
+            pos: Vec::new(),
             queue: TimerWheel::default(),
             dead: FxHashMap::default(),
             dead_events: 0,
@@ -165,14 +164,15 @@ impl Hotness {
         debug_assert!(length >= 0.0 && length.is_finite(), "bad path length {length}");
         let slot = *self.slot_of.entry(id).or_insert_with(|| {
             self.heat.push(HeatEntry { id, len_bits: length.to_bits(), count: 0 });
+            self.pos.push(0);
             (self.heat.len() - 1) as u32
         });
-        let heat = &mut self.heat[slot as usize];
-        if heat.count > 0 {
-            self.rank.remove(&rank_key(heat.count as u32, heat.len_bits, id));
+        let count = self.heat[slot as usize].count;
+        if count > 0 {
+            self.bucket_remove(slot, count);
         }
-        heat.count += 1;
-        self.rank.insert(rank_key(heat.count as u32, heat.len_bits, id));
+        self.heat[slot as usize].count = count + 1;
+        self.bucket_push(slot, count + 1);
         self.queue.insert(ExpiryEvent { expiry: self.window.expiry_of(te), id });
         self.recorded += 1;
     }
@@ -198,50 +198,123 @@ impl Hotness {
         self.heat.iter().map(|e| (e.id, e.count as u32))
     }
 
-    /// Removes the slab record at `slot`, keeping `slot_of` consistent
-    /// with the `swap_remove` relocation.
+    /// Appends slab slot `slot` to the bucket of `count`.
+    fn bucket_push(&mut self, slot: u32, count: u64) {
+        let c = count as usize;
+        if self.buckets.len() <= c {
+            self.buckets.resize_with(c + 1, Vec::new);
+        }
+        self.pos[slot as usize] = self.buckets[c].len() as u32;
+        self.buckets[c].push(slot);
+    }
+
+    /// Takes slab slot `slot` out of the bucket of `count`; the bucket's
+    /// last slot fills the gap.
+    fn bucket_remove(&mut self, slot: u32, count: u64) {
+        let bucket = &mut self.buckets[count as usize];
+        let at = self.pos[slot as usize];
+        bucket.swap_remove(at as usize);
+        if let Some(&moved) = bucket.get(at as usize) {
+            self.pos[moved as usize] = at;
+        }
+    }
+
+    /// Drops empty buckets above the highest live count, which a
+    /// decrement or removal may have left behind.
+    fn trim_buckets(&mut self) {
+        while self.buckets.last().is_some_and(Vec::is_empty) {
+            self.buckets.pop();
+        }
+    }
+
+    /// Removes the slab record at `slot` (already out of its bucket),
+    /// keeping `slot_of` and the relocated record's bucket entry
+    /// consistent with the `swap_remove`.
     fn remove_slot(&mut self, slot: u32) {
         let removed = self.heat.swap_remove(slot as usize);
+        self.pos.swap_remove(slot as usize);
         self.slot_of.remove(&removed.id);
         if let Some(moved) = self.heat.get(slot as usize) {
             self.slot_of.insert(moved.id, slot);
+            self.buckets[moved.count as usize][self.pos[slot as usize] as usize] = slot;
         }
     }
 
-    /// Iterates over `(id, hotness)` pairs hottest-first — the order of
-    /// the incremental rank structure: `(hotness desc, length desc,
-    /// id asc)`. Taking the first `k` answers a top-k query in
-    /// O(k + log P); no sort, no allocation.
-    pub fn top_iter(&self) -> impl Iterator<Item = (PathId, u32)> + '_ {
-        self.rank.iter().map(|&(Reverse(count), _, id)| (id, count))
+    /// The `n` hottest paths as `(id, hotness)`, hottest first: by
+    /// `(hotness desc, length desc, id asc)` — exactly the coordinator's
+    /// top-k order.
+    ///
+    /// Buckets are taken whole from the highest live count down; only
+    /// the *threshold* bucket — the one that would overshoot `n` — is
+    /// cut, by a selection on `(length desc, id asc)`, and only the
+    /// returned entries are sorted. The cost is O(n log n) for that
+    /// sort, plus O(|threshold bucket|) for the cut, plus O(highest live
+    /// count) for the walk. The threshold bucket is small while at least
+    /// `n` paths are hotter than 1; with fewer, it is the hotness-1
+    /// bucket, i.e. most of the hot set, and the call copies and
+    /// partitions that once.
+    pub fn top_n(&self, n: usize) -> Vec<(PathId, u32)> {
+        // Lengths are non-negative finite floats, so their IEEE-754 bit
+        // patterns order the same way `f64::total_cmp` does.
+        let key = |&slot: &u32| {
+            let e = &self.heat[slot as usize];
+            (Reverse(e.count), Reverse(e.len_bits), e.id)
+        };
+        let mut top: Vec<u32> = Vec::with_capacity(n.min(self.heat.len()));
+        for bucket in self.buckets.iter().rev() {
+            let room = n - top.len();
+            if room == 0 {
+                break;
+            }
+            let taken = top.len();
+            top.extend_from_slice(bucket);
+            if bucket.len() > room {
+                top[taken..].select_nth_unstable_by_key(room - 1, key);
+                top.truncate(n);
+            }
+        }
+        top.sort_unstable_by_key(key);
+        top.iter()
+            .map(|&slot| {
+                let e = &self.heat[slot as usize];
+                (e.id, e.count as u32)
+            })
+            .collect()
     }
 
-    /// Audits the incremental rank structure against the counter table
-    /// (the two must describe the same multiset of `(id, hotness,
-    /// length)` triples at all times) and the timer wheel's structural
-    /// invariants.
+    /// Audits the count buckets against the counter table (every slab
+    /// slot exactly once, in the bucket of its count, no empty bucket on
+    /// top) and the timer wheel's structural invariants.
     pub fn check_consistency(&self) -> Result<(), String> {
-        if self.rank.len() != self.heat.len() {
+        if self.slot_of.len() != self.heat.len() || self.pos.len() != self.heat.len() {
             return Err(format!(
-                "rank set has {} entries for {} hot paths",
-                self.rank.len(),
-                self.heat.len()
-            ));
-        }
-        if self.slot_of.len() != self.heat.len() {
-            return Err(format!(
-                "slot map has {} entries for {} slab records",
+                "{} slot-map entries and {} bucket positions for {} slab records",
                 self.slot_of.len(),
+                self.pos.len(),
                 self.heat.len()
             ));
         }
+        let bucketed: usize = self.buckets.iter().map(Vec::len).sum();
+        if bucketed != self.heat.len() {
+            return Err(format!("buckets hold {bucketed} slots for {} hot paths", self.heat.len()));
+        }
+        // With the totals equal, each slot found at its own recorded
+        // position means no slot is missing and none is listed twice.
         for (slot, heat) in self.heat.iter().enumerate() {
             if self.slot_of.get(&heat.id) != Some(&(slot as u32)) {
                 return Err(format!("slot map lost {} (slab slot {slot})", heat.id));
             }
-            if !self.rank.contains(&rank_key(heat.count as u32, heat.len_bits, heat.id)) {
-                return Err(format!("rank set lost {} (hotness {})", heat.id, heat.count));
+            let at = self.pos[slot] as usize;
+            let bucket = self.buckets.get(heat.count as usize);
+            if bucket.and_then(|b| b.get(at)) != Some(&(slot as u32)) {
+                return Err(format!("buckets lost {} (hotness {})", heat.id, heat.count));
             }
+        }
+        if self.buckets.last().is_some_and(Vec::is_empty) {
+            return Err(format!(
+                "{} buckets, the top one empty (not trimmed to the highest live count)",
+                self.buckets.len()
+            ));
         }
         self.queue.check()?;
         // Live-event accounting: every unit of hotness has exactly one
@@ -305,17 +378,17 @@ impl Hotness {
             }
             // Defensive: a counter should always exist for a live event.
             let Some(&slot) = self.slot_of.get(&id) else { continue };
-            let heat = &mut self.heat[slot as usize];
-            self.rank.remove(&rank_key(heat.count as u32, heat.len_bits, id));
-            heat.count -= 1;
-            if heat.count == 0 {
+            let count = self.heat[slot as usize].count;
+            self.bucket_remove(slot, count);
+            if count == 1 {
                 self.remove_slot(slot);
                 died.push(id);
             } else {
-                let heat = *heat;
-                self.rank.insert(rank_key(heat.count as u32, heat.len_bits, id));
+                self.heat[slot as usize].count = count - 1;
+                self.bucket_push(slot, count - 1);
             }
         }
+        self.trim_buckets();
         self.queue.give_expired(expired); // hand the allocation back
         died
     }
@@ -334,8 +407,9 @@ impl Hotness {
     pub fn forget(&mut self, id: PathId) {
         if let Some(&slot) = self.slot_of.get(&id) {
             let heat = self.heat[slot as usize];
+            self.bucket_remove(slot, heat.count);
             self.remove_slot(slot);
-            self.rank.remove(&rank_key(heat.count as u32, heat.len_bits, id));
+            self.trim_buckets();
             if heat.count > 0 {
                 *self.dead.entry(id).or_insert(0) += heat.count as u32;
                 self.dead_events += heat.count as usize;
@@ -401,8 +475,7 @@ impl Hotness {
     /// adopted verbatim; the event list (canonically sorted, see
     /// [`Hotness::events_vec`]) is re-inserted into a fresh wheel keyed
     /// by `clock` — the checkpoint header's epoch clock; the slot map
-    /// and rank set are derived (their contents are pure functions of
-    /// the slab).
+    /// and count buckets are derived from the slab, in slab order.
     ///
     /// # Errors
     /// Returns a description when the sections are structurally invalid
@@ -419,7 +492,6 @@ impl Hotness {
         clock: Timestamp,
     ) -> Result<Self, String> {
         let mut slot_of = FxHashMap::default();
-        let mut rank = BTreeSet::new();
         for (slot, e) in heat.iter().enumerate() {
             if e.count == 0 || e.count > u64::from(u32::MAX) {
                 return Err(format!("heat slab entry {} has count {}", e.id, e.count));
@@ -427,7 +499,6 @@ impl Hotness {
             if slot_of.insert(e.id, slot as u32).is_some() {
                 return Err(format!("duplicate heat slab entry for {}", e.id));
             }
-            rank.insert(rank_key(e.count as u32, e.len_bits, e.id));
         }
         if events.windows(2).any(|w| w[0].key() > w[1].key()) {
             return Err("event section is not sorted by (expiry, id)".into());
@@ -454,7 +525,23 @@ impl Hotness {
         for &ev in &events {
             queue.insert(ev);
         }
-        Ok(Hotness { window, heat, slot_of, rank, queue, dead: dead_map, dead_events, recorded })
+        let mut hot = Hotness {
+            window,
+            pos: vec![0; heat.len()],
+            heat,
+            slot_of,
+            buckets: Vec::new(),
+            queue,
+            dead: dead_map,
+            dead_events,
+            recorded,
+        };
+        // Every count is bounded by the event total checked above, so
+        // is the bucket vector's length.
+        for slot in 0..hot.heat.len() {
+            hot.bucket_push(slot as u32, hot.heat[slot].count);
+        }
+        Ok(hot)
     }
 }
 
@@ -579,7 +666,7 @@ mod tests {
         }
     }
 
-    /// The naive full-sort reference the rank structure must track:
+    /// The naive full-sort reference `top_n` must reproduce:
     /// `(hotness desc, length desc, id asc)`.
     fn oracle_order(hot: &Hotness, lengths: &dyn Fn(PathId) -> f64) -> Vec<(PathId, u32)> {
         let mut all: Vec<(PathId, u32)> = hot.iter().collect();
@@ -592,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn top_iter_orders_by_hotness_length_id() {
+    fn top_n_orders_by_hotness_length_id() {
         let mut hot = h(100);
         let len = |id: PathId| [30.0, 10.0, 30.0, 50.0][id.0 as usize];
         for (id, crossings) in [(0u64, 2), (1, 2), (2, 1), (3, 1)] {
@@ -602,7 +689,7 @@ mod tests {
         }
         // Hotness 2 beats 1; equal hotness breaks to longer; equal
         // length (none here at equal hotness) would break to lower id.
-        let got: Vec<(PathId, u32)> = hot.top_iter().collect();
+        let got = hot.top_n(4);
         assert_eq!(got, vec![(PathId(0), 2), (PathId(1), 2), (PathId(3), 1), (PathId(2), 1)]);
         assert_eq!(got, oracle_order(&hot, &len));
         hot.check_consistency().unwrap();
@@ -616,30 +703,52 @@ mod tests {
         hot.record_crossing(PathId(1), Timestamp(40), 1.0); // expires at 90
         hot.record_crossing(PathId(2), Timestamp(40), 1.0);
         hot.record_crossing(PathId(3), Timestamp(40), 1.0);
-        assert_eq!(hot.top_iter().next(), Some((PathId(1), 2)));
+        assert_eq!(hot.top_n(1), vec![(PathId(1), 2)]);
 
         // First crossing of 1 expires: 1 drops to hotness 1, and the
         // rank falls back to id order among the three singletons.
         hot.advance(Timestamp(50));
-        assert_eq!(hot.top_iter().collect::<Vec<_>>(), oracle_order(&hot, &len));
-        assert_eq!(hot.top_iter().next(), Some((PathId(1), 1)));
+        assert_eq!(hot.top_n(usize::MAX), oracle_order(&hot, &len));
+        assert_eq!(hot.top_n(1), vec![(PathId(1), 1)]);
 
         hot.forget(PathId(1));
-        assert_eq!(hot.top_iter().next(), Some((PathId(2), 1)));
-        assert_eq!(hot.top_iter().count(), 2);
+        assert_eq!(hot.top_n(1), vec![(PathId(2), 1)]);
+        assert_eq!(hot.top_n(usize::MAX).len(), 2);
         hot.check_consistency().unwrap();
 
-        // Everything expires; the rank set drains with the counters.
+        // Everything expires; the buckets drain with the counters.
         hot.advance(Timestamp(1_000));
-        assert_eq!(hot.top_iter().count(), 0);
+        assert!(hot.top_n(usize::MAX).is_empty());
         hot.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn consistency_audit_catches_bucket_drift() {
+        let mut hot = h(100);
+        hot.record_crossing(PathId(1), Timestamp(0), 1.0);
+        hot.record_crossing(PathId(1), Timestamp(1), 1.0);
+        hot.record_crossing(PathId(2), Timestamp(2), 1.0);
+        hot.check_consistency().unwrap();
+        // A slot listed under the wrong count.
+        let mut bad = hot.clone();
+        let slot = bad.buckets[2].pop().unwrap();
+        bad.buckets[1].push(slot);
+        assert!(bad.check_consistency().is_err());
+        // A slot listed twice (and another not at all).
+        let mut bad = hot.clone();
+        bad.buckets[1][0] = bad.buckets[2][0];
+        assert!(bad.check_consistency().is_err());
+        // An empty bucket left above the highest live count.
+        let mut bad = hot.clone();
+        bad.buckets.push(Vec::new());
+        assert!(bad.check_consistency().is_err());
     }
 
     #[test]
     fn rank_matches_oracle_under_random_churn() {
         // Deterministic pseudo-random schedule of record / advance /
-        // forget; the incremental order must equal the full sort at
-        // every step (the sort-based oracle of the old top_n).
+        // forget; the bucket walk must equal the full sort at every
+        // step, at every cut depth.
         let mut hot = h(23);
         let len = |id: PathId| ((id.0 * 37) % 101) as f64;
         let mut state = 7u64;
@@ -657,11 +766,14 @@ mod tests {
             } else {
                 hot.record_crossing(id, Timestamp(now), len(id));
             }
-            assert_eq!(
-                hot.top_iter().collect::<Vec<_>>(),
-                oracle_order(&hot, &len),
-                "divergence at step {step}, t={now}"
-            );
+            let oracle = oracle_order(&hot, &len);
+            for n in [0, 1, 3, oracle.len(), oracle.len() + 1] {
+                assert_eq!(
+                    hot.top_n(n),
+                    oracle[..n.min(oracle.len())],
+                    "top_n({n}) diverged at step {step}, t={now}"
+                );
+            }
             hot.check_consistency().unwrap();
         }
     }
@@ -821,7 +933,7 @@ mod tests {
             }
             assert_eq!(hot.heat_slice(), copy.heat_slice());
             assert_eq!(hot.events_vec(), copy.events_vec());
-            assert_eq!(hot.top_iter().collect::<Vec<_>>(), copy.top_iter().collect::<Vec<_>>());
+            assert_eq!(hot.top_n(usize::MAX), copy.top_n(usize::MAX));
         }
     }
 

@@ -5,5 +5,5 @@ mod motion_path_index;
 mod vertex_groups;
 
 pub use grid::{CellKey, EndpointGrid, Entry};
-pub use motion_path_index::{point_lt, MotionPathIndex, VertexKey};
+pub use motion_path_index::{point_lt, MotionPathIndex, OutEdge, VertexKey};
 pub use vertex_groups::VertexGroups;

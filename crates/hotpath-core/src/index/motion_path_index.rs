@@ -3,8 +3,9 @@
 //!
 //! * *available motion paths*: paths starting at a given vertex whose
 //!   end falls inside an FSA (Case 1) — answered from the start
-//!   vertex's exact out-adjacency list, so it costs the vertex's
-//!   out-degree, not the population of the cells around the FSA;
+//!   vertex's exact out-adjacency list, whose entries carry the end
+//!   vertex, so it costs one hash probe plus the vertex's out-degree,
+//!   not the population of the cells around the FSA;
 //! * *available vertices*: end vertices of stored paths inside an FSA,
 //!   each with its converging paths (Case 2) — the one true range
 //!   query, answered from the end-vertex grid;
@@ -28,6 +29,27 @@ pub type VertexKey = (i64, i64);
 #[inline]
 pub fn point_lt(a: &Point, b: &Point) -> bool {
     a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)).is_lt()
+}
+
+/// One out-adjacency entry: a stored path's id with copies of its end
+/// vertex and length, so the Case-1 filter and ranking read the
+/// adjacency list alone — no per-entry slab lookup. Both copies are
+/// bit-equal to the slab record's ([`MotionPathIndex::check_consistency`]
+/// audits it); path geometry is immutable, so they never go stale.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct OutEdge {
+    /// The path.
+    pub id: PathId,
+    /// Its end vertex ([`MotionPath::end`]).
+    pub end: Point,
+    /// Its length ([`MotionPath::length`]).
+    pub len: f64,
+}
+
+impl OutEdge {
+    fn of(path: &MotionPath) -> Self {
+        OutEdge { id: path.id, end: path.end(), len: path.length() }
+    }
 }
 
 /// Where one path's records live in the derived structures.
@@ -54,7 +76,7 @@ pub struct MotionPathIndex {
     /// Path id -> where its derived records live.
     loc_of: FxHashMap<PathId, Loc>,
     /// Outgoing adjacency: start vertex -> paths leaving it.
-    out_adj: FxHashMap<VertexKey, Vec<PathId>>,
+    out_adj: FxHashMap<VertexKey, Vec<OutEdge>>,
     vertex_grain: f64,
     next_id: u64,
 }
@@ -107,50 +129,58 @@ impl MotionPathIndex {
     /// exists, returns the existing id instead — crossings of an
     /// identical geometry belong to one path, not duplicates.
     pub fn insert(&mut self, start: Point, end: Point) -> (PathId, bool) {
+        let (edge, created) = self.insert_edge(start, end);
+        (edge.id, created)
+    }
+
+    /// [`MotionPathIndex::insert`] returning the stored path's whole
+    /// adjacency entry — on a dedup hit the *existing* path's end vertex
+    /// and length, which is what the caller must respond with and
+    /// record.
+    pub fn insert_edge(&mut self, start: Point, end: Point) -> (OutEdge, bool) {
         let mut next = self.next_id;
         let out = self.insert_with(start, end, &mut next);
         self.next_id = next;
         out
     }
 
-    /// [`MotionPathIndex::insert`] drawing fresh ids from an external
-    /// counter instead of the index's own. The sharded coordinator keeps
-    /// one global counter across its per-shard indexes so path ids stay
-    /// globally unique — and identical to the sequential coordinator's
-    /// allocation, since all insertions happen in the (sequential)
-    /// Phase B in batch order. `next` is advanced only when a path is
-    /// actually created.
-    pub fn insert_with(&mut self, start: Point, end: Point, next: &mut u64) -> (PathId, bool) {
-        let skey = self.vertex_key(&start);
-        let ekey = self.vertex_key(&end);
-        if let Some(existing) = self.find_exact(skey, ekey) {
-            return (existing, false);
+    /// [`MotionPathIndex::insert_edge`] drawing fresh ids from an
+    /// external counter instead of the index's own. The sharded
+    /// coordinator keeps one global counter across its per-shard indexes
+    /// so path ids stay globally unique — and identical to the
+    /// sequential coordinator's allocation, since all insertions happen
+    /// in the (sequential) Phase B in batch order. `next` is advanced
+    /// only when a path is actually created.
+    pub fn insert_with(&mut self, start: Point, end: Point, next: &mut u64) -> (OutEdge, bool) {
+        let grain = self.vertex_grain;
+        let ekey = end.quantize(grain);
+        // One probe finds the start vertex's list for both the dedup
+        // scan and the push.
+        let outs = self.out_adj.entry(start.quantize(grain)).or_default();
+        if let Some(existing) = outs.iter().find(|e| e.end.quantize(grain) == ekey) {
+            return (*existing, false);
         }
-        let id = PathId(*next);
+        let path = MotionPath::new(PathId(*next), start, end);
         *next += 1;
-        self.link(MotionPath::new(id, start, end));
-        (id, true)
+        let edge = OutEdge::of(&path);
+        outs.push(edge);
+        self.place(path);
+        (edge, true)
     }
 
     /// Appends `path` to the slab and enters it into every derived
     /// structure.
     fn link(&mut self, path: MotionPath) {
+        self.out_adj.entry(self.vertex_key(&path.start())).or_default().push(OutEdge::of(&path));
+        self.place(path);
+    }
+
+    /// Appends `path`, already in its adjacency list, to the slab, the
+    /// end-vertex grid and the location map.
+    fn place(&mut self, path: MotionPath) {
         let cell_pos = self.grid.insert(Entry { endpoint: path.end(), path: path.id });
-        self.out_adj.entry(self.vertex_key(&path.start())).or_default().push(path.id);
         self.loc_of.insert(path.id, Loc { slot: self.paths.len() as u32, cell_pos });
         self.paths.push(path);
-    }
-
-    /// Finds a stored path with the given quantized endpoints.
-    fn find_exact(&self, skey: VertexKey, ekey: VertexKey) -> Option<PathId> {
-        let outs = self.out_adj.get(&skey)?;
-        outs.iter().copied().find(|&id| self.vertex_key(&self.stored(id).end()) == ekey)
-    }
-
-    /// The record of a path known to be stored (adjacency-list member).
-    #[inline]
-    fn stored(&self, id: PathId) -> &MotionPath {
-        &self.paths[self.loc_of[&id].slot as usize]
     }
 
     /// Removes a path (when its hotness expires to zero, Section 5.2).
@@ -165,7 +195,7 @@ impl MotionPathIndex {
         }
         let skey = self.vertex_key(&path.start());
         if let Some(v) = self.out_adj.get_mut(&skey) {
-            v.retain(|&x| x != id);
+            v.retain(|e| e.id != id);
             if v.is_empty() {
                 self.out_adj.remove(&skey);
             }
@@ -178,18 +208,17 @@ impl MotionPathIndex {
     pub fn paths_from_into(&self, start: &Point, fsa: &Rect) -> Vec<PathId> {
         let mut out = Vec::new();
         self.paths_from_into_buf(start, fsa, &mut out);
-        out
+        out.iter().map(|e| e.id).collect()
     }
 
     /// [`MotionPathIndex::paths_from_into`] appending into a caller
     /// buffer — the allocation-free form the epoch hot loop uses (the
     /// buffer lives in the shard's scratch arena and is reused across
-    /// states and epochs). Ids are appended in adjacency-list order; the
-    /// strategy's selection is a strict total order over candidates, so
-    /// candidate order is unobservable.
-    pub fn paths_from_into_buf(&self, start: &Point, fsa: &Rect, out: &mut Vec<PathId>) {
-        let Some(outs) = self.out_adj.get(&self.vertex_key(start)) else { return };
-        out.extend(outs.iter().copied().filter(|&id| fsa.contains(&self.stored(id).end())));
+    /// states and epochs). Entries are appended in adjacency-list order;
+    /// the strategy's selection is a strict total order over candidates,
+    /// so candidate order is unobservable.
+    pub fn paths_from_into_buf(&self, start: &Point, fsa: &Rect, out: &mut Vec<OutEdge>) {
+        out.extend(self.paths_starting_at(start).iter().filter(|e| fsa.contains(&e.end)));
     }
 
     /// Visits every end-vertex grid entry inside `fsa` (the raw form of
@@ -226,7 +255,7 @@ impl MotionPathIndex {
     }
 
     /// Paths leaving the vertex of `p` (hinted-extension adjacency).
-    pub fn paths_starting_at(&self, p: &Point) -> &[PathId] {
+    pub fn paths_starting_at(&self, p: &Point) -> &[OutEdge] {
         self.out_adj.get(&self.vertex_key(p)).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
@@ -257,11 +286,16 @@ impl MotionPathIndex {
         if out_total != self.paths.len() {
             return Err(format!("adjacency size {out_total} vs {} paths", self.paths.len()));
         }
-        for (key, ids) in &self.out_adj {
-            for id in ids {
-                let p = self.get(*id).ok_or(format!("dangling out id {id}"))?;
+        for (key, edges) in &self.out_adj {
+            for e in edges {
+                let id = e.id;
+                let p = self.get(id).ok_or(format!("dangling out id {id}"))?;
                 if self.vertex_key(&p.start()) != *key {
                     return Err(format!("out-adjacency key mismatch for {id}"));
+                }
+                let bits = |e: &OutEdge| [e.end.x, e.end.y, e.len].map(f64::to_bits);
+                if bits(e) != bits(&OutEdge::of(p)) {
+                    return Err(format!("out-adjacency copy of {id} differs from its record"));
                 }
             }
         }
@@ -401,6 +435,20 @@ mod tests {
     }
 
     #[test]
+    fn consistency_audit_catches_a_stale_adjacency_copy() {
+        let mut i = idx();
+        let s = Point::new(0.0, 0.0);
+        i.insert(s, Point::new(30.0, 0.0));
+        i.check_consistency().unwrap();
+        let key = i.vertex_key(&s);
+        i.out_adj.get_mut(&key).unwrap()[0].len = 31.0;
+        assert!(i.check_consistency().is_err());
+        i.out_adj.get_mut(&key).unwrap()[0].len = 30.0;
+        i.out_adj.get_mut(&key).unwrap()[0].end.y = -0.0; // equal, but not bit-equal
+        assert!(i.check_consistency().is_err());
+    }
+
+    #[test]
     fn removal_from_a_crowded_cell_keeps_positions_straight() {
         // Twelve paths end in one grid cell; removing them in a
         // scrambled order exercises the swap-remove position fix-up.
@@ -423,7 +471,7 @@ mod tests {
         let (a, _) = i.insert(v, Point::new(50.0, 10.0));
         let (b, _) = i.insert(v, Point::new(10.0, 60.0));
         i.insert(Point::new(-40.0, 10.0), v);
-        let mut outs = i.paths_starting_at(&v).to_vec();
+        let mut outs: Vec<PathId> = i.paths_starting_at(&v).iter().map(|e| e.id).collect();
         outs.sort_unstable();
         assert_eq!(outs, vec![a, b]);
         // Quantized identity: a float-noisy copy of v matches.

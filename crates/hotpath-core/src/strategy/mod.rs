@@ -5,7 +5,7 @@ mod overlap;
 mod pool;
 mod singlepath;
 
-pub use overlap::{FsaCache, FsaDelta, FsaSet, QueryScratch};
+pub use overlap::{FsaCache, FsaSet, QueryScratch};
 pub use pool::WorkerPool;
 pub use singlepath::{
     build_fsa_set, phase_a, phase_b, phase_b_apply, phase_b_eval, process_batch, CaseKind,

@@ -1,12 +1,11 @@
 //! The one place a worker count is decided.
 //!
-//! Every parallel epoch stage used to derive its own thread count
-//! (`FsaSet::build_parallel` clamped one way, sharded Phase A another),
-//! so the same epoch could rasterize on four threads and refine on one.
-//! [`WorkerPool`] centralizes the decision: the coordinator resolves
-//! the configured `phase_b_workers` against the machine once, and every
-//! stage that fans out asks the same pool — including the break-even
-//! degrade for batches too small to amortize a thread launch.
+//! Parallel epoch stages used to derive their own thread counts, each
+//! clamped its own way. [`WorkerPool`] centralizes the decision: the
+//! coordinator resolves the configured `phase_b_workers` against the
+//! machine once, and every stage that fans out asks the same pool —
+//! including the break-even degrade for batches too small to amortize
+//! a thread launch.
 
 /// A resolved worker-count budget for scoped-thread fan-out.
 ///
@@ -55,9 +54,7 @@ impl WorkerPool {
     /// more than they save on tiny epochs), and never more workers than
     /// items.
     pub fn for_items(&self, items: usize) -> usize {
-        /// Minimum items per worker before fanning out pays for itself;
-        /// mirrors the `/ 256` clamp `FsaSet::build_parallel` uses for
-        /// its (cheaper per item) rasterization.
+        /// Minimum items per worker before fanning out pays for itself.
         const BREAK_EVEN: usize = 32;
         if self.workers == 1 || items < 2 * BREAK_EVEN {
             return 1;

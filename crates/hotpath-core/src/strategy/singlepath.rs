@@ -23,7 +23,7 @@ use super::pool::WorkerPool;
 use crate::fxhash::FxHashMap;
 use crate::geometry::{Point, Rect};
 use crate::hotness::Hotness;
-use crate::index::{point_lt, MotionPathIndex, VertexGroups, VertexKey};
+use crate::index::{point_lt, MotionPathIndex, OutEdge, VertexGroups, VertexKey};
 use crate::motion_path::PathId;
 use crate::raytrace::ClientState;
 use crate::time::Timestamp;
@@ -152,10 +152,9 @@ impl PathStore for SingleStore<'_> {
     }
 
     fn commit(&mut self, start: Point, end: Point, te: Timestamp) -> (PathId, bool, Point) {
-        let (id, created) = self.index.insert(start, end);
-        let end_point = self.index.get(id).expect("just inserted").end();
-        self.hotness.record_crossing(id, te, self.index.get(id).expect("just inserted").length());
-        (id, created, end_point)
+        let (edge, created) = self.index.insert_edge(start, end);
+        self.hotness.record_crossing(edge.id, te, edge.len);
+        (edge.id, created, edge.end)
     }
 }
 
@@ -167,10 +166,11 @@ impl PathStore for SingleStore<'_> {
 /// [`ScratchArena::recycle`] after the coordinator merges them.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
-    /// Flattened candidate-path ids (CSR values).
-    cp_ids: Vec<PathId>,
+    /// Flattened candidate paths (CSR values), each with its end vertex
+    /// and length so selection never goes back to the index.
+    cp: Vec<OutEdge>,
     /// CSR offsets: the candidate set of `seqs[k]` is
-    /// `cp_ids[cp_off[k]..cp_off[k + 1]]`.
+    /// `cp[cp_off[k]..cp_off[k + 1]]`.
     cp_off: Vec<u32>,
     /// Cross-object occurrence counts, cleared each epoch.
     occurrences: FxHashMap<PathId, u32>,
@@ -227,14 +227,14 @@ pub fn phase_a(
     scratch: &mut ScratchArena,
 ) -> PhaseAOutput {
     // Candidate-path generation (Alg. 2 lines 4-7) into the CSR scratch.
-    scratch.cp_ids.clear();
+    scratch.cp.clear();
     scratch.cp_off.clear();
     scratch.cp_off.reserve(seqs.len() + 1);
     scratch.cp_off.push(0);
     for &i in seqs {
         let st = &states[i as usize];
-        index.paths_from_into_buf(&st.start, &st.fsa, &mut scratch.cp_ids);
-        scratch.cp_off.push(scratch.cp_ids.len() as u32);
+        index.paths_from_into_buf(&st.start, &st.fsa, &mut scratch.cp);
+        scratch.cp_off.push(scratch.cp.len() as u32);
     }
 
     // Cross-object boost (lines 13-15): a path appearing in several CP
@@ -242,8 +242,8 @@ pub fn phase_a(
     // at the reporting object's vertex, so every occurrence of an id is
     // in this slice — the count equals the whole batch's.
     scratch.occurrences.clear();
-    for &id in &scratch.cp_ids {
-        *scratch.occurrences.entry(id).or_insert(0) += 1;
+    for e in &scratch.cp {
+        *scratch.occurrences.entry(e.id).or_insert(0) += 1;
     }
     let occurrences = &scratch.occurrences;
 
@@ -259,38 +259,26 @@ pub fn phase_a(
     // recorded crossing is immediately visible to later selections.
     for (k, &i) in seqs.iter().enumerate() {
         let st = &states[i as usize];
-        let cp = &scratch.cp_ids[scratch.cp_off[k] as usize..scratch.cp_off[k + 1] as usize];
-        if cp.is_empty() {
+        let cp = &scratch.cp[scratch.cp_off[k] as usize..scratch.cp_off[k + 1] as usize];
+        // Each candidate's rank — hotness + 1 + boost, the boost being
+        // its occurrences beyond this one — is computed once; ties go to
+        // the longer path, then the lower id.
+        let ranked = cp.iter().map(|e| (hotness.get(e.id) + occurrences[&e.id], e));
+        let best = ranked.max_by(|(ra, a), (rb, b)| {
+            ra.cmp(rb).then_with(|| a.len.total_cmp(&b.len)).then_with(|| b.id.cmp(&a.id))
+        });
+        let Some((_, chosen)) = best else {
             out.deferred.push(i);
             continue;
-        }
-        let best = cp
-            .iter()
-            .copied()
-            .max_by(|&a, &b| {
-                let rank = |id: PathId| {
-                    let boost = occurrences[&id] - 1;
-                    hotness.get(id) + 1 + boost
-                };
-                rank(a)
-                    .cmp(&rank(b))
-                    .then_with(|| {
-                        let la = index.get(a).map(|p| p.length()).unwrap_or(0.0);
-                        let lb = index.get(b).map(|p| p.length()).unwrap_or(0.0);
-                        la.total_cmp(&lb)
-                    })
-                    .then_with(|| b.cmp(&a)) // lower id wins ties
-            })
-            .expect("non-empty candidate set");
-        let chosen = index.get(best).expect("candidate must exist");
-        hotness.record_crossing(best, st.te, chosen.length());
+        };
+        hotness.record_crossing(chosen.id, st.te, chosen.len);
         out.tally.case1 += 1;
         out.selections.push((
             i,
             Selection {
                 object: st.object,
-                path: best,
-                endpoint: chosen.end(),
+                path: chosen.id,
+                endpoint: chosen.end,
                 te: st.te,
                 case: CaseKind::ExistingPath,
                 created: false,
@@ -749,20 +737,11 @@ pub fn phase_b_apply<S: PathStore>(
 
 /// Builds the epoch's FSA-overlap structure for `policy` (Alg. 2 lines
 /// 8-12, shared across Cases 2-3; built empty under the `Own` ablation,
-/// which never queries it). `threads` bounds the parallel rasterization
-/// of [`FsaSet::build_parallel`] — results are identical at every
-/// thread count.
-pub fn build_fsa_set(
-    states: &[ClientState],
-    overlap_cell: f64,
-    policy: OverlapPolicy,
-    threads: usize,
-) -> FsaSet {
+/// which never queries it).
+pub fn build_fsa_set(states: &[ClientState], overlap_cell: f64, policy: OverlapPolicy) -> FsaSet {
     match policy {
-        OverlapPolicy::Full => {
-            FsaSet::build_parallel(states.iter().map(|s| s.fsa).collect(), overlap_cell, threads)
-        }
-        OverlapPolicy::Own => FsaSet::build(Vec::new(), overlap_cell),
+        OverlapPolicy::Full => FsaSet::build(states.iter().map(|s| s.fsa).collect(), overlap_cell),
+        OverlapPolicy::Own => FsaSet::new(overlap_cell),
     }
 }
 
@@ -772,11 +751,9 @@ pub fn build_fsa_set(
 ///
 /// Every intermediate buffer comes from `scratch`, which the caller
 /// keeps across epochs. `fsas` is the epoch's FSA-overlap structure —
-/// [`build_fsa_set`] or the coordinator's incrementally maintained
-/// [`crate::strategy::FsaCache`]; it must be query-equivalent to
-/// `build_fsa_set(states, ..)` for the same policy (both queries are
-/// pure functions of the rect multiset, so an incrementally maintained
-/// set qualifies).
+/// [`build_fsa_set`] or the set the coordinator rebuilds in place
+/// through [`crate::strategy::FsaCache`] — over exactly this batch's
+/// FSAs under the same policy.
 ///
 /// `pool` governs the Phase-B eval fan-out. At one effective worker (the
 /// default pool, a single-core host, or a batch below break-even) this
@@ -885,7 +862,7 @@ mod tests {
         overlap_cell: f64,
         policy: OverlapPolicy,
     ) -> (Vec<Selection>, CaseTally) {
-        let fsas = build_fsa_set(states, overlap_cell, policy, 1);
+        let fsas = build_fsa_set(states, overlap_cell, policy);
         let mut scratch = ScratchArena::new();
         let (selections, tally, _) = process_batch(
             states,
@@ -1153,7 +1130,7 @@ mod tests {
         let mut tallies = Vec::new();
         for e in 1..=3u64 {
             let states = skewed_batch(e, 96);
-            let fsas = build_fsa_set(&states, 40.0, policy, 1);
+            let fsas = build_fsa_set(&states, 40.0, policy);
             let (sel, tally, load) =
                 process_batch(&states, &mut index, &mut hotness, &mut scratch, &fsas, policy, pool);
             assert_eq!(load.deferred + tally.case1 as usize, states.len());
@@ -1196,7 +1173,7 @@ mod tests {
         let (mut index, mut hotness) = setup();
         let mut scratch = ScratchArena::default();
         let states = skewed_batch(1, 96);
-        let fsas = build_fsa_set(&states, 40.0, OverlapPolicy::Full, 1);
+        let fsas = build_fsa_set(&states, 40.0, OverlapPolicy::Full);
         let (_, _, load) = process_batch(
             &states,
             &mut index,
@@ -1220,7 +1197,7 @@ mod tests {
         let (mut index, mut hotness) = setup();
         let mut scratch = ScratchArena::default();
         let states = skewed_batch(1, 20);
-        let fsas = build_fsa_set(&states, 40.0, OverlapPolicy::Full, 1);
+        let fsas = build_fsa_set(&states, 40.0, OverlapPolicy::Full);
         let (_, _, load) = process_batch(
             &states,
             &mut index,

@@ -208,14 +208,16 @@ proptest! {
         }
     }
 
-    // The incremental top-k rank structure must match a naive full sort
-    // of the hot set — `(hotness desc, length desc, id asc)`, the
-    // coordinator's `top_n` order — after any schedule of records,
-    // expiries, and forgets.
+    // The count-bucket top-k walk must match a naive full sort of the
+    // hot set — `(hotness desc, length desc, id asc)`, the coordinator's
+    // `top_n` order — at every cut depth, after any schedule of records,
+    // expiries, re-records of expired ids, and forgets, and on a table
+    // rebuilt from its checkpoint sections.
     #[test]
-    fn hotness_top_iter_matches_full_sort(
+    fn hotness_top_n_matches_full_sort(
         schedule in prop::collection::vec((0u64..10, 0u64..4, 0u64..7), 1..250),
         window in 1u64..60,
+        k in 2usize..6,
     ) {
         let length = |id: PathId| ((id.0 * 29) % 83) as f64;
         let mut hot = Hotness::new(SlidingWindow::new(window));
@@ -238,9 +240,23 @@ proptest! {
                     .then_with(|| length(b.0).total_cmp(&length(a.0)))
                     .then_with(|| a.0.cmp(&b.0))
             });
-            let fast: Vec<(PathId, u32)> = hot.top_iter().collect();
-            prop_assert_eq!(fast, oracle);
+            let restored = Hotness::from_checkpoint_parts(
+                hot.window(),
+                hot.heat_slice().to_vec(),
+                hot.events_vec(),
+                hot.dead_entries(),
+                hot.total_recorded(),
+                hot.clock(),
+            )
+            .unwrap();
+            let p = oracle.len();
+            for n in [0, 1, k, p, p + 1] {
+                let want = &oracle[..n.min(p)];
+                prop_assert_eq!(&hot.top_n(n)[..], want, "top_n({})", n);
+                prop_assert_eq!(&restored.top_n(n)[..], want, "restored top_n({})", n);
+            }
             prop_assert!(hot.check_consistency().is_ok());
+            prop_assert!(restored.check_consistency().is_ok());
             prop_assert!(hot.queued_events() >= hot.pending_events());
         }
     }
@@ -871,6 +887,66 @@ proptest! {
                     .collect();
                 want.sort_unstable();
                 prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// One `FsaSet` rebuilt in place over a grow → grow-with-duplicates →
+    /// shrink → empty → grow sequence of batches must answer every batch
+    /// exactly as brute force over that batch alone does: `stab_count`
+    /// is the containment count and `max_depth_region` the per-slab
+    /// reference, and occupy exactly the cells that batch covers. A
+    /// rect or cell left over from an earlier batch shows up as a wrong
+    /// count. Rects sit on a unit lattice (edges touch, probes land on
+    /// edges), may have zero width or height, and at the small cell
+    /// sizes span dozens of cells.
+    #[test]
+    fn reused_fsa_set_matches_brute_force_across_batches(
+        pool in prop::collection::vec((0u32..30, 0u32..30, 0u32..12, 0u32..12), 1..120),
+        probes in prop::collection::vec((0u32..45, 0u32..45), 1..16),
+        shift in 0u32..8,
+        cell in 1.5..25.0f64,
+    ) {
+        use hotpath_core::strategy::FsaSet;
+        let rect = |&(x, y, w, h): &(u32, u32, u32, u32), dx: u32| {
+            let lo = Point::new((x + dx) as f64, y as f64);
+            Rect::new(lo, lo + Point::new(w as f64, h as f64))
+        };
+        let all: Vec<Rect> = pool.iter().map(|r| rect(r, 0)).collect();
+        let n = all.len();
+        let batches: Vec<Vec<Rect>> = vec![
+            all[..n.div_ceil(3)].to_vec(),
+            all.iter().chain(&all[..n / 2]).copied().collect(),
+            all[..n.min(2)].to_vec(),
+            Vec::new(),
+            pool.iter().rev().map(|r| rect(r, shift)).collect(),
+        ];
+        let mut set = FsaSet::new(cell);
+        for (b, batch) in batches.iter().enumerate() {
+            set.rebuild(batch.iter().copied());
+            prop_assert_eq!(set.len(), batch.len());
+            let mut covered = std::collections::HashSet::new();
+            for r in batch {
+                let (lo, hi) = (set.cell_key(&r.lo()), set.cell_key(&r.hi()));
+                covered.extend((lo.0..=hi.0).flat_map(|cx| (lo.1..=hi.1).map(move |cy| (cx, cy))));
+            }
+            prop_assert_eq!(set.occupied_cells(), covered.len(), "batch {} cells", b);
+            for &(x, y) in &probes {
+                let p = Point::new(x as f64, y as f64);
+                let want = batch.iter().filter(|r| r.contains(&p)).count();
+                prop_assert_eq!(set.stab_count(&p), want, "batch {} stab at {:?}", b, p);
+            }
+            let everything = Rect::new(Point::new(-1.0, -1.0), Point::new(60.0, 60.0));
+            for clip in batch.iter().take(24).chain([&everything]) {
+                let got = set.max_depth_region(clip);
+                let want = reference_max_depth_region(batch, clip);
+                prop_assert_eq!(
+                    got.map(|(r, d)| (rect_bits(&r), d)),
+                    want.map(|(r, d)| (rect_bits(&r), d)),
+                    "batch {} clip {:?}",
+                    b,
+                    clip
+                );
             }
         }
     }

@@ -256,6 +256,11 @@ pub fn run_swarm(params: &SwarmParams) -> SwarmReport {
 
     // Concurrent readers: real threads on lock-free handles, strictly
     // read-only. They count reads and track the highest epoch seen.
+    // Each iteration samples `stop` and then reads, leaving only after
+    // a read that followed a set flag: a reader descheduled for the
+    // whole run still reads once, and every reader's last read follows
+    // the final publish (the store below is the Release half of the
+    // Acquire load here, and it follows `shutdown`).
     let stop = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..params.readers)
         .map(|_| {
@@ -264,13 +269,16 @@ pub fn run_swarm(params: &SwarmParams) -> SwarmReport {
             thread::spawn(move || {
                 let mut reads = 0u64;
                 let mut max_epoch = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
+                    let stopping = stop.load(Ordering::Acquire);
                     let snap = reader.read();
                     assert!(snap.epoch >= max_epoch, "reader observed epochs out of order");
                     max_epoch = snap.epoch;
                     reads += 1;
+                    if stopping {
+                        break (reads, max_epoch);
+                    }
                 }
-                (reads, max_epoch)
             })
         })
         .collect();
@@ -301,7 +309,7 @@ pub fn run_swarm(params: &SwarmParams) -> SwarmReport {
     let stats = handle.stats_handle();
     let snap = handle.shutdown();
     let stats = stats.view();
-    stop.store(true, Ordering::Relaxed);
+    stop.store(true, Ordering::Release);
     let (reads, max_epoch_seen) = readers
         .into_iter()
         .map(|r| r.join().expect("reader thread"))
@@ -336,6 +344,12 @@ mod tests {
         assert!(a.parity(&b), "identical params must reproduce the run:\n{a:#?}\nvs\n{b:#?}");
         assert_eq!(a.final_epoch, 6);
         assert!(a.submitted > 0);
+        // `small()` runs one reader: it must have read, and ended on the
+        // final image, however the scheduler treated it.
+        for r in [&a, &b] {
+            assert!(r.reads > 0);
+            assert_eq!(r.max_epoch_seen, r.final_epoch);
+        }
     }
 
     #[test]
