@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpath_core::geometry::{Point, Rect};
-use hotpath_core::strategy::FsaSet;
+use hotpath_core::strategy::{FsaSet, QueryScratch};
 
 fn rects(n: usize) -> Vec<Rect> {
     (0..n)
@@ -24,8 +24,13 @@ fn bench_overlap(c: &mut Criterion) {
         });
         let set = FsaSet::build(rs.clone(), 20.0);
         let clip = rs[n / 2];
+        // The coordinator's path: one scratch reused across queries, so
+        // the cost follows the clip's answer, not the set size (the
+        // allocating `max_depth_region` wrapper zeroes an `n`-entry
+        // stamp vector per call).
         g.bench_with_input(BenchmarkId::new("max_depth", n), &set, |b, set| {
-            b.iter(|| set.max_depth_region(&clip));
+            let mut scratch = QueryScratch::default();
+            b.iter(|| set.max_depth_region_in(&clip, &mut scratch));
         });
         g.bench_with_input(BenchmarkId::new("stab", n), &set, |b, set| {
             b.iter(|| set.stab_count(&Point::new(2_500.0, 2_500.0)));

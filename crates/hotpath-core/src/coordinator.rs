@@ -50,8 +50,8 @@ use crate::session::{SessionCounters, SessionEvent, SessionRecord, SessionTable}
 use crate::stats::{AdmissionStats, CommStats, ProcessingStats};
 use crate::strategy::{
     phase_a, phase_b, phase_b_apply, phase_b_eval, process_batch, CaseTally, FsaCache, FsaSet,
-    OverlapPolicy, PathReader, PathStore, PhaseAOutput, PhaseBLoad, ScratchArena, Selection,
-    WorkerPool,
+    OverlapPolicy, PathReader, PathStore, PhaseAOutput, PhaseBLoad, PhaseBScratch, ScratchArena,
+    Selection, WorkerPool,
 };
 use crate::time::Timestamp;
 use crate::ObjectId;
@@ -180,12 +180,12 @@ struct Shard {
 }
 
 /// Front-side buffers reused across sharded epochs: the Phase-A merge
-/// vectors and the Phase-B vertex-group accumulator.
+/// vectors and the sequential Phase B's scratch.
 #[derive(Debug, Default)]
 struct FrontScratch {
     tagged: Vec<(u32, Selection)>,
     deferred: Vec<u32>,
-    groups: VertexGroups,
+    phase_b: PhaseBScratch,
 }
 
 /// One epoch's sealed ingest: the drained state batch plus its
@@ -794,7 +794,6 @@ impl Coordinator {
             );
         } else {
             let t0 = Instant::now();
-            let mut groups = std::mem::take(&mut self.front.groups);
             let mut store = ShardedStore {
                 shards: &mut self.shards,
                 router: self.router,
@@ -808,9 +807,8 @@ impl Coordinator {
                 policy,
                 &mut tally,
                 &mut selections,
-                &mut groups,
+                &mut self.front.phase_b,
             );
-            self.front.groups = groups;
             let mut l = PhaseBLoad::sequential(deferred.len());
             l.busy_ns = vec![t0.elapsed().as_nanos() as u64];
             load = l;

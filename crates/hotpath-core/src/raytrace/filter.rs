@@ -125,16 +125,28 @@ impl RayTraceCore {
     }
 
     /// Feeds one observation with a precomputed tolerance rectangle.
-    /// Returns the state message when this observation (or a buffered
-    /// predecessor) escapes the SSA.
+    /// Returns the state message when this observation escapes the SSA.
+    ///
+    /// Outside waiting mode the backlog is empty — `drain` returns
+    /// `None` only on an empty buffer, and `new` / `receive_endpoint`
+    /// either leave it empty or re-enter waiting — so the observation
+    /// is offered to the SSA directly; the buffer is touched only by a
+    /// violation and while waiting (Alg. 1 lines 13-16, 35-41).
+    #[inline]
     pub fn observe_rect(&mut self, t: Timestamp, rect: Rect) -> Option<ClientState> {
         self.stats.observed += 1;
-        self.buffer.push_back(Obs { t, rect });
+        let obs = Obs { t, rect };
         if self.waiting {
             self.stats.buffered += 1;
+            self.buffer.push_back(obs);
             return None;
         }
-        self.drain()
+        debug_assert!(self.buffer.is_empty(), "backlog outside waiting mode");
+        if self.absorb(&obs) {
+            None
+        } else {
+            Some(self.violate(obs))
+        }
     }
 
     /// Delivers the coordinator's endpoint timepoint (next-epoch reply,
@@ -151,30 +163,42 @@ impl RayTraceCore {
     /// empties (Alg. 1 lines 18-41).
     fn drain(&mut self) -> Option<ClientState> {
         while let Some(obs) = self.buffer.pop_front() {
-            debug_assert!(
-                obs.t > self.ssa.end_time() || self.ssa.is_apex_only(),
-                "observation at {:?} not after SSA end {:?}",
-                obs.t,
-                self.ssa.end_time()
-            );
-            if self.ssa.try_extend(obs.t, &obs.rect) {
-                self.stats.absorbed += 1;
-                continue;
+            if !self.absorb(&obs) {
+                return Some(self.violate(obs));
             }
-            // Violation: go into waiting mode, keep the violating point
-            // for re-processing against the next SSA, report the state.
-            self.waiting = true;
-            self.buffer.push_front(obs);
-            self.stats.reports += 1;
-            return Some(ClientState {
-                object: self.object,
-                start: self.ssa.start(),
-                ts: self.ssa.start_time(),
-                fsa: self.ssa.fsa(),
-                te: self.ssa.end_time(),
-            });
         }
         None
+    }
+
+    /// Offers one observation to the SSA; `true` when it was absorbed.
+    #[inline]
+    fn absorb(&mut self, obs: &Obs) -> bool {
+        debug_assert!(
+            obs.t > self.ssa.end_time() || self.ssa.is_apex_only(),
+            "observation at {:?} not after SSA end {:?}",
+            obs.t,
+            self.ssa.end_time()
+        );
+        let absorbed = self.ssa.try_extend(obs.t, &obs.rect);
+        self.stats.absorbed += u64::from(absorbed);
+        absorbed
+    }
+
+    /// Violation: go into waiting mode, keep the violating observation
+    /// for re-processing against the next SSA, and build the state
+    /// message (Alg. 1 lines 35-41).
+    #[cold]
+    fn violate(&mut self, obs: Obs) -> ClientState {
+        self.waiting = true;
+        self.buffer.push_front(obs);
+        self.stats.reports += 1;
+        ClientState {
+            object: self.object,
+            start: self.ssa.start(),
+            ts: self.ssa.start_time(),
+            fsa: self.ssa.fsa(),
+            te: self.ssa.end_time(),
+        }
     }
 }
 
@@ -200,6 +224,7 @@ impl RayTraceFilter {
     }
 
     /// Feeds a measurement; returns a state message when the SSA breaks.
+    #[inline]
     pub fn observe(&mut self, tp: TimePoint) -> Option<ClientState> {
         self.core.observe_rect(tp.t, Rect::tolerance_square(tp.p, self.eps))
     }

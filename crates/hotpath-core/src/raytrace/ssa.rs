@@ -70,6 +70,7 @@ impl Ssa {
     /// `SSA|ti`: the pyramid's cross-section at `ti >= ts` (Alg. 1
     /// lines 26-27). For `ti > te` this linearly extrapolates past the
     /// FSA, which is how RayTrace probes the next measurement's time.
+    #[inline]
     pub fn project(&self, ti: Timestamp) -> Rect {
         debug_assert!(ti >= self.ts, "projection before apex");
         if self.is_apex_only() || ti == self.ts {
@@ -86,6 +87,7 @@ impl Ssa {
     /// intersects `q`; returns `false` leaving the SSA untouched when the
     /// measurement escapes the safe area (the caller must then report to
     /// the coordinator).
+    #[inline]
     pub fn try_extend(&mut self, ti: Timestamp, q: &Rect) -> bool {
         debug_assert!(ti > self.te, "measurements must arrive in time order");
         if self.is_apex_only() {

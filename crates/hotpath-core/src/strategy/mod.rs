@@ -10,5 +10,5 @@ pub use pool::WorkerPool;
 pub use singlepath::{
     build_fsa_set, phase_a, phase_b, phase_b_apply, phase_b_eval, process_batch, CaseKind,
     CaseTally, OverlapPolicy, PathReader, PathStore, PhaseAOutput, PhaseBEval, PhaseBLoad,
-    ScratchArena, Selection, SingleReader, SingleStore,
+    PhaseBScratch, ScratchArena, Selection, SingleReader, SingleStore,
 };

@@ -20,11 +20,14 @@ use crate::geometry::{Point, Rect};
 /// allocation- and sort-free intersection query, plus the buffers of
 /// the [`FsaSet::max_depth_region_in`] sweep. The scratch is
 /// *owned by the caller*, not by the set: the set itself is immutable
-/// (`Sync`) during queries, so parallel Phase B hands each worker
-/// thread its own `QueryScratch` and they all query one shared
-/// `&FsaSet` concurrently. The allocating convenience wrappers
+/// (`Sync`) during queries, so every thread that runs Phase B — the
+/// sequential `phase_b` loop as well as each parallel eval worker —
+/// keeps one `QueryScratch` (inside its `PhaseBScratch`) across
+/// deferred states and epochs, and they can all query one shared
+/// `&FsaSet` concurrently. Only the allocating convenience wrappers
 /// ([`FsaSet::intersecting`], [`FsaSet::max_depth_region`]) build a
-/// throwaway scratch per call for tests and diagnostics.
+/// throwaway scratch per call; nothing on the coordinator's path calls
+/// them.
 #[derive(Clone, Debug, Default)]
 pub struct QueryScratch {
     /// Per-rect generation stamps: `stamps[i] == gen` means rect `i` was
@@ -233,9 +236,11 @@ impl FsaSet {
     /// that depth. Returns `None` when no FSA intersects `clip`.
     ///
     /// Allocating convenience wrapper over
-    /// [`FsaSet::max_depth_region_in`] — a throwaway scratch per call.
-    /// Fine for tests and one-off diagnostics; the Phase-B hot loop
-    /// passes a reused per-worker scratch instead.
+    /// [`FsaSet::max_depth_region_in`] — a throwaway scratch per call,
+    /// including a zeroed stamp per rect of the set, so its cost grows
+    /// with the set where the query's does not. For tests and one-off
+    /// diagnostics only: both Phase-B paths (sequential `phase_b` and
+    /// the eval workers) pass their reused scratch to the `_in` form.
     pub fn max_depth_region(&self, clip: &Rect) -> Option<(Rect, usize)> {
         self.max_depth_region_in(clip, &mut QueryScratch::default())
     }

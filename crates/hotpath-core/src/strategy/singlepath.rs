@@ -158,6 +158,17 @@ impl PathStore for SingleStore<'_> {
     }
 }
 
+/// Reusable Phase-B scratch, one per thread that runs Cases 2-3: the
+/// Case-2 vertex-group accumulator and the buffers of the max-depth
+/// overlap query, kept alive across deferred states and epochs. Held by
+/// [`ScratchArena`] (single-shard path), the coordinator's front-side
+/// scratch (sharded path) and each parallel eval worker.
+#[derive(Debug, Default)]
+pub struct PhaseBScratch {
+    groups: VertexGroups,
+    overlap: QueryScratch,
+}
+
 /// Reusable per-shard scratch for the epoch hot loop: every buffer the
 /// SinglePath phases need, kept alive across epochs so the steady state
 /// allocates nothing. Candidate paths live in a flat CSR layout instead
@@ -174,8 +185,8 @@ pub struct ScratchArena {
     cp_off: Vec<u32>,
     /// Cross-object occurrence counts, cleared each epoch.
     occurrences: FxHashMap<PathId, u32>,
-    /// Vertex grouping for the sequential Phase B.
-    pub(crate) groups: VertexGroups,
+    /// Scratch of the sequential Phase B.
+    phase_b: PhaseBScratch,
     /// Recycled Phase-A selection buffer.
     selections_pool: Vec<(u32, Selection)>,
     /// Recycled Phase-A deferred buffer.
@@ -292,8 +303,8 @@ pub fn phase_a(
 /// positions, in order, against a [`PathStore`]. Sequential, so paths
 /// minted for earlier objects are visible to later ones ("newly
 /// generated motion paths will also provide additional vertices").
-/// `groups` is the reusable vertex-group accumulator the Case-2 query
-/// fills per deferred state.
+/// `scratch` holds the buffers the Case-2 and max-depth queries refill
+/// per deferred state.
 #[allow(clippy::too_many_arguments)]
 pub fn phase_b<S: PathStore>(
     states: &[ClientState],
@@ -303,8 +314,9 @@ pub fn phase_b<S: PathStore>(
     policy: OverlapPolicy,
     tally: &mut CaseTally,
     selections: &mut Vec<Selection>,
-    groups: &mut VertexGroups,
+    scratch: &mut PhaseBScratch,
 ) {
+    let PhaseBScratch { groups, overlap } = scratch;
     for &i in deferred {
         let st = &states[i as usize];
 
@@ -328,7 +340,7 @@ pub fn phase_b<S: PathStore>(
         // (lines 27-34); the clip guarantees validity for this object.
         let generated = match policy {
             OverlapPolicy::Full => fsas
-                .max_depth_region(&st.fsa)
+                .max_depth_region_in(&st.fsa, overlap)
                 .map(|(region, depth)| (depth as u32, false, region.centroid())),
             OverlapPolicy::Own => Some((1, false, st.fsa.centroid())),
         };
@@ -450,9 +462,9 @@ fn eval_one<R: PathReader>(
     reader: &R,
     fsas: &FsaSet,
     policy: OverlapPolicy,
-    scratch: &mut QueryScratch,
-    groups: &mut VertexGroups,
+    scratch: &mut PhaseBScratch,
 ) -> EvalOne {
+    let PhaseBScratch { groups, overlap } = scratch;
     let mut ev = EvalOne::default();
     reader.end_vertices_into(&st.fsa, groups);
     ev.off.push(0);
@@ -467,7 +479,7 @@ fn eval_one<R: PathReader>(
     }
     ev.generated = match policy {
         OverlapPolicy::Full => fsas
-            .max_depth_region_in(&st.fsa, scratch)
+            .max_depth_region_in(&st.fsa, overlap)
             .map(|(region, depth)| (depth as u32, false, region.centroid())),
         OverlapPolicy::Own => Some((1, false, st.fsa.centroid())),
     };
@@ -490,8 +502,7 @@ fn eval_worker<R: PathReader>(
     policy: OverlapPolicy,
 ) -> EvalWorkerOut {
     let mut out = EvalWorkerOut::default();
-    let mut scratch = QueryScratch::default();
-    let mut groups = VertexGroups::new();
+    let mut scratch = PhaseBScratch::default();
     loop {
         let mut job = queues[me].lock().expect("queue poisoned").pop_front().map(|r| (r, false));
         if job.is_none() {
@@ -507,7 +518,7 @@ fn eval_worker<R: PathReader>(
         let t0 = Instant::now();
         for &slot in &order[lo as usize..hi as usize] {
             let st = &states[deferred[slot as usize] as usize];
-            out.results.push((slot, eval_one(st, reader, fsas, policy, &mut scratch, &mut groups)));
+            out.results.push((slot, eval_one(st, reader, fsas, policy, &mut scratch)));
         }
         out.busy_ns += t0.elapsed().as_nanos() as u64;
         if was_stolen {
@@ -810,7 +821,7 @@ pub fn process_batch(
             policy,
             &mut tally,
             &mut selections,
-            &mut scratch.groups,
+            &mut scratch.phase_b,
         );
         let mut load = PhaseBLoad::sequential(deferred.len());
         load.busy_ns = vec![t0.elapsed().as_nanos() as u64];

