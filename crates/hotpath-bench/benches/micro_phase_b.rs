@@ -1,28 +1,23 @@
-//! Parallel Phase-B evaluation: sequential vs worker pools, uniform vs
-//! flash-crowd-skewed deferred sets.
+//! Phase B (SinglePath Cases 2-3) kernel: the sequential `phase_b` loop
+//! over a 512-state deferred set, uniform vs flash-crowd-skewed.
 //!
-//! Measures `phase_b_eval` — the pure per-state evaluation that the
-//! strategy fans out over region-partitioned work-stealing workers —
-//! against a prepared read-only index, so iterations are side-effect
-//! free and comparable. `uniform` spreads the deferred FSAs evenly over
-//! 16 clusters (regions balance naturally); `skewed` piles 90% of them
-//! onto one cluster, the flash-crowd shape where a static region
-//! partition starves all but one worker and only stealing rebalances.
-//!
-//! Worker counts are passed straight to `phase_b_eval`, bypassing the
-//! coordinator's hardware clamp: on a single-core machine (the dev
-//! container, some CI runners) the workers timeshare one core, so the
-//! multi-worker rows measure overhead rather than speedup and the
-//! busy-time imbalance printed at the end is scheduler noise. Speedup
-//! and the `< 1.5x` skewed imbalance claim are only meaningful on
-//! multi-core hardware.
+//! `uniform` spreads the deferred FSAs evenly over 16 clusters; `skewed`
+//! piles 90% of them onto one cluster, the hub shape where every
+//! max-depth query sweeps hundreds of overlapping rects and every
+//! Case-2 query sees the vertices earlier states just minted. `phase_b`
+//! commits as it goes, so each sample runs against a fresh
+//! `(index, hotness)` built outside the timed region; the scratch is
+//! reused across samples, as the coordinator reuses it across epochs.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hotpath_core::geometry::{Point, Rect};
+use hotpath_core::hotness::Hotness;
 use hotpath_core::index::MotionPathIndex;
 use hotpath_core::raytrace::ClientState;
-use hotpath_core::strategy::{build_fsa_set, phase_b_eval, OverlapPolicy, SingleReader};
-use hotpath_core::time::Timestamp;
+use hotpath_core::strategy::{
+    build_fsa_set, phase_b, CaseTally, OverlapPolicy, PhaseBScratch, SingleStore,
+};
+use hotpath_core::time::{SlidingWindow, Timestamp};
 use hotpath_core::ObjectId;
 
 const CLUSTERS: usize = 16;
@@ -64,8 +59,8 @@ fn batch(hot_frac: f64) -> Vec<ClientState> {
         .collect()
 }
 
-/// An index with stored endpoints inside every cluster, so each eval
-/// finds non-trivial base vertex groups.
+/// An index with stored endpoints inside every cluster, so each Case-2
+/// query finds non-trivial vertex groups.
 fn seeded_index() -> MotionPathIndex {
     let mut index = MotionPathIndex::new(50.0, 1e-3);
     for c in 0..CLUSTERS {
@@ -81,47 +76,38 @@ fn seeded_index() -> MotionPathIndex {
 }
 
 fn bench_phase_b(c: &mut Criterion) {
-    let mut g = c.benchmark_group("phase_b_eval");
-    let index = seeded_index();
+    let mut g = c.benchmark_group("phase_b");
     let deferred: Vec<u32> = (0..DEFERRED as u32).collect();
+    let mut scratch = PhaseBScratch::default();
     for (dist, hot_frac) in [("uniform", 0.0), ("skewed", 0.9)] {
         let states = batch(hot_frac);
         let fsas = build_fsa_set(&states, 40.0, OverlapPolicy::Full);
-        for workers in [1usize, 2, 4] {
-            g.bench_with_input(
-                BenchmarkId::new(dist, format!("w{workers}")),
-                &workers,
-                |b, &workers| {
-                    b.iter(|| {
-                        phase_b_eval(
-                            &states,
-                            &deferred,
-                            &SingleReader { index: &index },
-                            &fsas,
-                            OverlapPolicy::Full,
-                            workers,
-                        )
-                        .load
-                        .chunks
-                    });
+        g.bench_function(dist, |b| {
+            b.iter_batched_ref(
+                || {
+                    (
+                        seeded_index(),
+                        Hotness::new(SlidingWindow::new(100)),
+                        Vec::with_capacity(DEFERRED),
+                    )
                 },
+                |(index, hotness, selections)| {
+                    let mut tally = CaseTally::default();
+                    phase_b(
+                        &states,
+                        &deferred,
+                        &mut SingleStore { index, hotness },
+                        &fsas,
+                        OverlapPolicy::Full,
+                        &mut tally,
+                        selections,
+                        &mut scratch,
+                    );
+                    tally
+                },
+                BatchSize::LargeInput,
             );
-        }
-        // One untimed parallel pass, to surface the steal counters and
-        // busy-time ratio next to the timings (single-core caveat in
-        // the module docs applies).
-        let eval = phase_b_eval(
-            &states,
-            &deferred,
-            &SingleReader { index: &index },
-            &fsas,
-            OverlapPolicy::Full,
-            4,
-        );
-        eprintln!(
-            "phase_b_eval/{dist}: w4 regions={} chunks={} stolen={} imbalance={:.2}",
-            eval.load.regions, eval.load.chunks, eval.load.stolen, eval.load.imbalance
-        );
+        });
     }
     g.finish();
 }

@@ -2,13 +2,11 @@
 //!
 //! ```text
 //! experiments [fig7|fig8|fig9|fig10|claims|hinted|all]
-//!             [--scale paper|mid|quick] [--shards N] [--phase-b-workers N]
-//!             [--csv <dir>]
-//! experiments scenario <name|all> [--scale ...] [--shards N]
-//!             [--phase-b-workers N] [--csv <dir>]
+//!             [--scale paper|mid|quick] [--shards N] [--csv <dir>]
+//! experiments scenario <name|all> [--scale ...] [--shards N] [--csv <dir>]
 //!             [--sigma s1,s2,...] [--fallback reject|minimal[:w]|all]
 //!             [--restore-check] [--fault-seed N]
-//! experiments swarm [--scale ...] [--shards N] [--phase-b-workers N]
+//! experiments swarm [--scale ...] [--shards N]
 //!             [--seed N] [--churn F] [--fault-seed N]
 //! experiments serve [--socket PATH] [--shards N] [--ticks N]
 //! ```
@@ -17,10 +15,7 @@
 //! exact Section 6.1 parameters (N up to 100 000 — allow several
 //! minutes). `--shards N` partitions the coordinator into `N` shards
 //! (Phase A runs on one thread per shard); results are identical at
-//! every shard count, only the wall clock changes. `--phase-b-workers
-//! N` runs Phase B's pure evaluation on `N` work-stealing workers
-//! (clamped to the machine's cores; small batches degrade to the
-//! sequential path); results are identical at every worker count.
+//! every shard count, only the wall clock changes.
 //!
 //! `scenario` drives the netsim scenario registry: each named workload
 //! runs crisp with its invariants verified (exit 1 on violation), with
@@ -54,7 +49,6 @@ fn main() {
     let mut scenario_name: Option<String> = None;
     let mut scale = Scale::Mid;
     let mut shards = 1usize;
-    let mut phase_b_workers = 1usize;
     let mut sigmas: Option<Vec<f64>> = None;
     let mut fallbacks: Option<Vec<FallbackPolicy>> = None;
     let mut csv_dir: Option<std::path::PathBuf> = None;
@@ -83,14 +77,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage("--shards needs a positive integer"));
-            }
-            "--phase-b-workers" => {
-                i += 1;
-                phase_b_workers = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--phase-b-workers needs a positive integer"));
             }
             "--sigma" => {
                 i += 1;
@@ -202,10 +188,7 @@ fn main() {
         i += 1;
     }
 
-    println!(
-        "# Hot Motion Paths — experiment reproduction (scale: {scale:?}, shards: {shards}, \
-         phase-b workers: {phase_b_workers})"
-    );
+    println!("# Hot Motion Paths — experiment reproduction (scale: {scale:?}, shards: {shards})");
     println!();
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| usage(&format!("--csv: {e}")));
@@ -216,7 +199,6 @@ fn main() {
             scenario_name.as_deref().unwrap_or("all"),
             scale,
             shards,
-            phase_b_workers,
             sigmas.as_deref(),
             fallbacks.as_deref(),
             csv_dir.as_deref(),
@@ -224,28 +206,28 @@ fn main() {
             restore_check,
             fault_seed,
         ),
-        "fig7" => fig7(scale, shards, phase_b_workers, csv_dir.as_deref()),
-        "fig8" => fig8(scale, shards, phase_b_workers, csv_dir.as_deref()),
-        "fig9" => fig9(scale, shards, phase_b_workers),
-        "fig10" => fig10_(scale, shards, phase_b_workers),
-        "claims" => claims(scale, shards, phase_b_workers),
-        "hinted" => hinted(scale, shards, phase_b_workers),
-        "ablate" => ablate(scale, shards, phase_b_workers),
-        "filters" => filters(scale, shards, phase_b_workers),
+        "fig7" => fig7(scale, shards, csv_dir.as_deref()),
+        "fig8" => fig8(scale, shards, csv_dir.as_deref()),
+        "fig9" => fig9(scale, shards),
+        "fig10" => fig10_(scale, shards),
+        "claims" => claims(scale, shards),
+        "hinted" => hinted(scale, shards),
+        "ablate" => ablate(scale, shards),
+        "filters" => filters(scale, shards),
         "compress" => compress(),
         "uncertain" => uncertain(),
         "checkpoint-bench" => checkpoint_bench(shards),
-        "swarm" => swarm_cmd(scale, shards, phase_b_workers, swarm_seed, churn, fault_seed),
+        "swarm" => swarm_cmd(scale, shards, swarm_seed, churn, fault_seed),
         "serve" => serve_cmd(shards, socket, ticks.unwrap_or(50)),
         "all" => {
-            fig7(scale, shards, phase_b_workers, csv_dir.as_deref());
-            fig8(scale, shards, phase_b_workers, csv_dir.as_deref());
-            fig9(scale, shards, phase_b_workers);
-            fig10_(scale, shards, phase_b_workers);
-            claims(scale, shards, phase_b_workers);
-            hinted(scale, shards, phase_b_workers);
-            ablate(scale, shards, phase_b_workers);
-            filters(scale, shards, phase_b_workers);
+            fig7(scale, shards, csv_dir.as_deref());
+            fig8(scale, shards, csv_dir.as_deref());
+            fig9(scale, shards);
+            fig10_(scale, shards);
+            claims(scale, shards);
+            hinted(scale, shards);
+            ablate(scale, shards);
+            filters(scale, shards);
             compress();
             uncertain();
         }
@@ -258,13 +240,12 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: experiments [fig7|fig8|fig9|fig10|claims|hinted|ablate|filters|compress|uncertain|checkpoint-bench|all] \
-         [--scale paper|mid|quick] [--shards N] [--phase-b-workers N] [--csv <dir>]\n       \
-         experiments scenario <name|all> [--scale paper|mid|quick] [--shards N] \
-         [--phase-b-workers N] [--csv <dir>] \
+         [--scale paper|mid|quick] [--shards N] [--csv <dir>]\n       \
+         experiments scenario <name|all> [--scale paper|mid|quick] [--shards N] [--csv <dir>] \
          [--sigma s1,s2,...] [--fallback reject|minimal[:<w>]|all] \
          [--checkpoint-every N] [--checkpoint-dir <dir>] [--restore-from <file>] [--restore-check] \
          [--fault-seed N]\n       \
-         experiments swarm [--scale paper|mid|quick] [--shards N] [--phase-b-workers N] \
+         experiments swarm [--scale paper|mid|quick] [--shards N] \
          [--seed N] [--churn F] [--fault-seed N]\n       \
          experiments serve [--socket PATH] [--shards N] [--ticks N]"
     );
@@ -308,7 +289,6 @@ fn scenario(
     name: &str,
     scale: Scale,
     shards: usize,
-    phase_b_workers: usize,
     sigmas: Option<&[f64]>,
     fallbacks: Option<&[FallbackPolicy]>,
     csv_dir: Option<&std::path::Path>,
@@ -317,8 +297,7 @@ fn scenario(
     fault_seed: Option<u64>,
 ) {
     let scenario_scale = scale.scenario_params(2015);
-    let mut base =
-        ScenarioRunParams::default().with_shards(shards).with_phase_b_workers(phase_b_workers);
+    let mut base = ScenarioRunParams::default().with_shards(shards);
     if let Some(seed) = fault_seed {
         base = base.with_fault_seed(seed);
     }
@@ -443,15 +422,15 @@ fn scenario(
 }
 
 /// Base simulation params at `scale` with the CLI's execution knobs.
-fn sim(scale: Scale, seed: u64, shards: usize, workers: usize) -> SimulationParams {
-    scale.base(seed).with_shards(shards).with_phase_b_workers(workers)
+fn sim(scale: Scale, seed: u64, shards: usize) -> SimulationParams {
+    scale.base(seed).with_shards(shards)
 }
 
 /// Figure 7 (a-c): vary N at eps = 10.
-fn fig7(scale: Scale, shards: usize, workers: usize, csv_dir: Option<&std::path::Path>) {
+fn fig7(scale: Scale, shards: usize, csv_dir: Option<&std::path::Path>) {
     println!("## Figure 7 — varying the number of objects (eps = 10 m)");
     println!("   panels: (a) index size, (b) top-10 score, (c) SinglePath ms/epoch");
-    let rows = figure7(&scale.fig7_ns(), sim(scale, 2008, shards, workers));
+    let rows = figure7(&scale.fig7_ns(), sim(scale, 2008, shards));
     println!("{}", format_fig7(&rows));
     if let Some(dir) = csv_dir {
         let data: Vec<Vec<String>> = rows
@@ -487,11 +466,11 @@ fn fig7(scale: Scale, shards: usize, workers: usize, csv_dir: Option<&std::path:
 }
 
 /// Figure 8 (a-c): vary eps at the scale's fixed N.
-fn fig8(scale: Scale, shards: usize, workers: usize, csv_dir: Option<&std::path::Path>) {
+fn fig8(scale: Scale, shards: usize, csv_dir: Option<&std::path::Path>) {
     let n = scale.fig8_n();
     println!("## Figure 8 — varying the tolerance (N = {n})");
     println!("   panels: (a) index size, (b) top-10 score, (c) SinglePath ms/epoch");
-    let base = SimulationParams { n, ..sim(scale, 2009, shards, workers) };
+    let base = SimulationParams { n, ..sim(scale, 2009, shards) };
     let rows = figure8(&scale.fig8_eps(), base);
     println!("{}", format_fig8(&rows));
     if let Some(dir) = csv_dir {
@@ -528,9 +507,9 @@ fn fig8(scale: Scale, shards: usize, workers: usize, csv_dir: Option<&std::path:
 }
 
 /// Figure 9: the discovered network map.
-fn fig9(scale: Scale, shards: usize, workers: usize) {
+fn fig9(scale: Scale, shards: usize) {
     println!("## Figure 9 — all motion paths with hotness > 0 (vs the hidden network)");
-    let params = SimulationParams { n: scale.map_n(), ..sim(scale, 2010, shards, workers) };
+    let params = SimulationParams { n: scale.map_n(), ..sim(scale, 2010, shards) };
     let (paths, res) = figure9(params);
     let (cols, rows_) = (96, 30);
     let net = network_map(&res.network, cols, rows_);
@@ -548,9 +527,9 @@ fn fig9(scale: Scale, shards: usize, workers: usize) {
 }
 
 /// Figure 10: top-20 hottest paths in the center.
-fn fig10_(scale: Scale, shards: usize, workers: usize) {
+fn fig10_(scale: Scale, shards: usize) {
     println!("## Figure 10 — top 20 hottest motion paths, city center");
-    let params = SimulationParams { n: scale.map_n(), ..sim(scale, 2010, shards, workers) };
+    let params = SimulationParams { n: scale.map_n(), ..sim(scale, 2010, shards) };
     let (paths, center, _res) = figure10(params, 20);
     let map = paths_map(center, &paths, 72, 24);
     print!("{}", indent(&map.render()));
@@ -563,12 +542,12 @@ fn fig10_(scale: Scale, shards: usize, workers: usize) {
 }
 
 /// The in-text claims of Section 6.2.
-fn claims(scale: Scale, shards: usize, workers: usize) {
+fn claims(scale: Scale, shards: usize) {
     println!("## Section 6.2 in-text claims");
     // Claim i: at the largest N, SinglePath stores ~16% more segments
     // than DP (10,896 vs 9,416 in the paper).
     let n = *scale.fig7_ns().last().expect("non-empty sweep");
-    let res = run(SimulationParams { n, ..sim(scale, 2008, shards, workers) });
+    let res = run(SimulationParams { n, ..sim(scale, 2008, shards) });
     let sp = res.summary.mean_index_size;
     let dp = res.summary.mean_dp_index_size;
     println!(
@@ -576,7 +555,7 @@ fn claims(scale: Scale, shards: usize, workers: usize) {
         100.0 * (sp - dp) / dp.max(1.0)
     );
     // Claim ii: SinglePath can beat DP on score (paper: at N=20000).
-    let rows = figure7(&scale.fig7_ns(), sim(scale, 2008, shards, workers));
+    let rows = figure7(&scale.fig7_ns(), sim(scale, 2008, shards));
     let wins: Vec<usize> = rows.iter().filter(|r| r.sp_score > r.dp_score).map(|r| r.n).collect();
     println!("   (ii) SinglePath score beats DP at N in {wins:?} (paper: at N=20,000)");
     // Claim iii is printed by fig8's shape line.
@@ -592,10 +571,10 @@ fn claims(scale: Scale, shards: usize, workers: usize) {
 }
 
 /// The Section 7 feedback extension ablation.
-fn hinted(scale: Scale, shards: usize, workers: usize) {
+fn hinted(scale: Scale, shards: usize) {
     println!("## Section 7 extension — hinted RayTrace ablation");
     let n = scale.fig8_n();
-    let base = SimulationParams { n, run_dp: false, ..sim(scale, 2011, shards, workers) };
+    let base = SimulationParams { n, run_dp: false, ..sim(scale, 2011, shards) };
     let plain = run(base.clone());
     let hinted = run(SimulationParams { hints: true, ..base });
     println!(
@@ -614,11 +593,11 @@ fn hinted(scale: Scale, shards: usize, workers: usize) {
 }
 
 /// Ablation of the Cases-2/3 FSA-overlap machinery (Example 2).
-fn ablate(scale: Scale, shards: usize, workers: usize) {
+fn ablate(scale: Scale, shards: usize) {
     use hotpath_core::strategy::OverlapPolicy;
     println!("## Ablation — Algorithm 2 overlap analysis vs naive vertices");
     let n = scale.fig8_n();
-    let base = SimulationParams { n, run_dp: false, ..sim(scale, 2012, shards, workers) };
+    let base = SimulationParams { n, run_dp: false, ..sim(scale, 2012, shards) };
     let full = run(base.clone());
     let own = run(SimulationParams { overlap: OverlapPolicy::Own, ..base });
     for (tag, res) in [("full (Alg. 2)", &full), ("own-centroid ", &own)] {
@@ -642,12 +621,11 @@ fn ablate(scale: Scale, shards: usize, workers: usize) {
 }
 
 /// Communication-economy comparison of client filters (extension).
-fn filters(scale: Scale, shards: usize, workers: usize) {
+fn filters(scale: Scale, shards: usize) {
     use hotpath_sim::experiment::filter_economy;
     println!("## Filter economy — naive vs dead reckoning vs RayTrace");
     let n = scale.fig8_n();
-    let e =
-        filter_economy(SimulationParams { n, run_dp: false, ..sim(scale, 2013, shards, workers) });
+    let e = filter_economy(SimulationParams { n, run_dp: false, ..sim(scale, 2013, shards) });
     let pct = |msgs: u64| 100.0 * msgs as f64 / e.naive_msgs.max(1) as f64;
     println!("   measurements        : {:>12}", e.measurements);
     println!(
@@ -796,7 +774,6 @@ fn checkpoint_bench(shards: usize) {
 fn swarm_cmd(
     scale: Scale,
     shards: usize,
-    phase_b_workers: usize,
     seed: Option<u64>,
     churn: Option<f64>,
     fault_seed: Option<u64>,
@@ -806,7 +783,7 @@ fn swarm_cmd(
         Scale::Mid => SwarmParams::quick().with_writers(32).with_ticks(300).with_churn(0.1),
         Scale::Paper => SwarmParams::full(),
     };
-    let mut run = RunOptions::default().with_shards(shards).with_phase_b_workers(phase_b_workers);
+    let mut run = RunOptions::default().with_shards(shards);
     if let Some(seed) = fault_seed {
         run = run.with_fault_seed(seed);
     }

@@ -221,13 +221,6 @@ pub struct Config {
     /// one scoped thread per shard. `1` (the default) is the sequential
     /// coordinator; results are identical at every shard count.
     pub shards: usize,
-    /// Phase-B eval workers: the FSA-overlap refinement partitions the
-    /// deferred set by grid region and evaluates region chunks on this
-    /// many scoped threads with work-stealing. `1` (the default) is the
-    /// sequential Phase B; the coordinator clamps the request to
-    /// `available_parallelism()`, and results are identical at every
-    /// worker count.
-    pub phase_b_workers: usize,
     /// Session lifecycle and admission-control knobs (all off by
     /// default).
     pub admission: Admission,
@@ -244,7 +237,6 @@ impl Config {
             grid_cell: 250.0,
             vertex_grain: 1e-3,
             shards: 1,
-            phase_b_workers: 1,
             admission: Admission::default(),
         }
     }
@@ -295,11 +287,6 @@ impl Config {
     /// Builder-style shard-count override.
     pub fn with_shards(self, shards: usize) -> Self {
         Config::rebuilt(self.to_builder().shards(shards))
-    }
-
-    /// Builder-style Phase-B worker-count override.
-    pub fn with_phase_b_workers(self, workers: usize) -> Self {
-        Config::rebuilt(self.to_builder().phase_b_workers(workers))
     }
 
     /// Builder-style heartbeat lease: enables session tracking with the
@@ -410,7 +397,6 @@ pub struct ConfigBuilder {
     grid_cell: f64,
     vertex_grain: f64,
     shards: usize,
-    phase_b_workers: usize,
     admission: Admission,
     /// Whether `lease()` / `admission_cap()` / `degrade_threshold()`
     /// were called explicitly: an explicit zero is an error, while the
@@ -433,7 +419,6 @@ impl ConfigBuilder {
             grid_cell: config.grid_cell,
             vertex_grain: config.vertex_grain,
             shards: config.shards,
-            phase_b_workers: config.phase_b_workers,
             admission: config.admission,
             lease_set: false,
             cap_set: false,
@@ -483,12 +468,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Phase-B eval worker count.
-    pub fn phase_b_workers(mut self, workers: usize) -> Self {
-        self.phase_b_workers = workers;
-        self
-    }
-
     /// Heartbeat lease and post-lease ejection grace (enables session
     /// tracking).
     pub fn lease(mut self, lease: u64, grace: u64) -> Self {
@@ -533,9 +512,6 @@ impl ConfigBuilder {
         if self.shards == 0 {
             return Err(ConfigError::NonPositive("shard count"));
         }
-        if self.phase_b_workers == 0 {
-            return Err(ConfigError::NonPositive("phase B workers"));
-        }
         if self.lease_set && self.admission.lease == 0 {
             return Err(ConfigError::NonPositive("lease"));
         }
@@ -571,7 +547,6 @@ impl ConfigBuilder {
             grid_cell: self.grid_cell,
             vertex_grain: self.vertex_grain,
             shards: self.shards,
-            phase_b_workers: self.phase_b_workers,
             admission: self.admission,
         })
     }
@@ -605,8 +580,7 @@ mod tests {
             .with_epoch(5)
             .with_k(20)
             .with_grid_cell(100.0)
-            .with_shards(4)
-            .with_phase_b_workers(8);
+            .with_shards(4);
         assert_eq!(c.tolerance.eps(), 5.0);
         assert_eq!(c.tolerance.delta(), Some(0.1));
         assert_eq!(c.window.len, 50);
@@ -614,13 +588,11 @@ mod tests {
         assert_eq!(c.k, 20);
         assert_eq!(c.grid_cell, 100.0);
         assert_eq!(c.shards, 4);
-        assert_eq!(c.phase_b_workers, 8);
     }
 
     #[test]
     fn defaults_are_sequential() {
         assert_eq!(Config::paper_defaults().shards, 1);
-        assert_eq!(Config::paper_defaults().phase_b_workers, 1);
     }
 
     #[test]
@@ -697,7 +669,6 @@ mod tests {
             (Config::builder().grid_cell(f64::NAN), "grid cell"),
             (Config::builder().vertex_grain(0.0), "vertex grain"),
             (Config::builder().shards(0), "shard count"),
-            (Config::builder().phase_b_workers(0), "phase B workers"),
             (Config::builder().lease(0, 5), "lease"),
             (Config::builder().admission_cap(0, AdmissionPolicy::Reject), "queue cap"),
             (Config::builder().degrade_threshold(0), "degrade threshold"),

@@ -49,9 +49,8 @@ use crate::raytrace::ClientState;
 use crate::session::{SessionCounters, SessionEvent, SessionRecord, SessionTable};
 use crate::stats::{AdmissionStats, CommStats, ProcessingStats};
 use crate::strategy::{
-    phase_a, phase_b, phase_b_apply, phase_b_eval, process_batch, CaseTally, FsaCache, FsaSet,
-    OverlapPolicy, PathReader, PathStore, PhaseAOutput, PhaseBLoad, PhaseBScratch, ScratchArena,
-    Selection, WorkerPool,
+    phase_a, phase_b, process_batch, CaseTally, FsaCache, FsaSet, OverlapPolicy, PathStore,
+    PhaseAOutput, PhaseBLoad, PhaseBScratch, ScratchArena, Selection,
 };
 use crate::time::Timestamp;
 use crate::ObjectId;
@@ -131,10 +130,9 @@ pub struct HotSnapshot {
     pub sessions_healthy: usize,
     /// Sessions currently Dropped (lease expired, inside grace).
     pub sessions_dropped: usize,
-    /// Phase-B load telemetry for the published epoch: worker count,
-    /// deferred/region/chunk counts, chunks stolen, per-worker busy
-    /// time, and the worst/mean imbalance ratio. Observational only —
-    /// timings and steal counts vary by machine; results never do.
+    /// Phase-B load telemetry for the published epoch: deferred states
+    /// and the wall time Cases 2-3 took. Observational only — the
+    /// timing varies by machine; results never do.
     pub phase_b: PhaseBLoad,
 }
 
@@ -180,7 +178,7 @@ struct Shard {
 }
 
 /// Front-side buffers reused across sharded epochs: the Phase-A merge
-/// vectors and the sequential Phase B's scratch.
+/// vectors and Phase B's scratch.
 #[derive(Debug, Default)]
 struct FrontScratch {
     tagged: Vec<(u32, Selection)>,
@@ -260,36 +258,11 @@ impl PathStore for ShardedStore<'_> {
         self.shards.iter().map(|s| s.hotness.get(id)).sum()
     }
 
-    fn vertex_key(&self, p: &Point) -> crate::index::VertexKey {
-        // Every shard quantizes with the same grain.
-        self.shards[0].index.vertex_key(p)
-    }
-
     fn commit(&mut self, start: Point, end: Point, te: Timestamp) -> (PathId, bool, Point) {
         let shard = &mut self.shards[self.router.shard_of(&start)];
         let (edge, created) = shard.index.insert_with(start, end, self.next_id);
         shard.hotness.record_crossing(edge.id, te, edge.len);
         (edge.id, created, edge.end)
-    }
-}
-
-/// The read-only merged view the parallel Phase-B eval workers share
-/// when the coordinator is sharded — the same per-key merge as
-/// [`ShardedStore::end_vertices_into`], minus the mutation surface, so
-/// it can be `Sync` over plain `&[Shard]`.
-struct ShardedReader<'a> {
-    shards: &'a [Shard],
-}
-
-impl PathReader for ShardedReader<'_> {
-    fn end_vertices_into(&self, fsa: &Rect, out: &mut VertexGroups) {
-        out.clear();
-        for shard in self.shards {
-            shard.index.for_each_end_in(fsa, |entry| {
-                out.push(shard.index.vertex_key(&entry.endpoint), entry.endpoint, entry.path);
-            });
-        }
-        out.finish();
     }
 }
 
@@ -335,10 +308,6 @@ pub struct Coordinator {
     sessions: Option<SessionTable>,
     /// Admission-control counters (what drain-ingest did with overload).
     admission: AdmissionStats,
-    /// The one resolved Phase-B worker budget both epoch paths
-    /// (single-shard `stage_strategy` and `process_batch_sharded`)
-    /// consult — no stage re-derives its own thread count.
-    phase_b_pool: WorkerPool,
     /// Phase-B load telemetry from the last processed epoch, published
     /// in snapshots. Observational only: never checkpointed, and a
     /// restored coordinator starts from the default (all-zero) record.
@@ -384,25 +353,9 @@ impl Coordinator {
             cache: RefCell::new(ReadCache::default()),
             sessions,
             admission: AdmissionStats::default(),
-            phase_b_pool: WorkerPool::new(config.phase_b_workers),
             last_phase_b: PhaseBLoad::default(),
             last_session_events: Arc::from(Vec::new()),
         }
-    }
-
-    /// Overrides the Phase-B worker pool, bypassing the hardware clamp
-    /// [`WorkerPool::new`] applies to the configured `phase_b_workers`.
-    /// For tests and benches that must drive the multi-worker eval path
-    /// (chunk queues, stealing, deterministic merge) on machines with
-    /// fewer cores than workers. Results are identical either way.
-    pub fn with_phase_b_pool(mut self, pool: WorkerPool) -> Self {
-        self.phase_b_pool = pool;
-        self
-    }
-
-    /// In-place form of [`Coordinator::with_phase_b_pool`].
-    pub fn set_phase_b_pool(&mut self, pool: WorkerPool) {
-        self.phase_b_pool = pool;
     }
 
     /// Enables hot-path hints in endpoint responses (the Section 7
@@ -624,8 +577,7 @@ impl Coordinator {
         };
         let (selections, tally, load) = if self.shards.len() == 1 {
             // Sequential fast path — the pre-sharding coordinator,
-            // bit for bit (one index, its own id counter, no threads)
-            // whenever the pool resolves to one worker.
+            // bit for bit (one index, its own id counter, no threads).
             let fsas = Self::epoch_fsas(&mut self.fsa_cache, &batch.states, policy);
             let shard = &mut self.shards[0];
             process_batch(
@@ -635,7 +587,6 @@ impl Coordinator {
                 &mut shard.scratch,
                 fsas,
                 policy,
-                self.phase_b_pool,
             )
         } else {
             // The per-shard slices were routed at submit time.
@@ -768,51 +719,21 @@ impl Coordinator {
         self.front.tagged = tagged;
 
         let fsas = Self::epoch_fsas(&mut self.fsa_cache, states, policy);
-        let workers = self.phase_b_pool.for_items(deferred.len());
-        let load;
-        if workers > 1 {
-            // Parallel Phase B: the pure eval pass fans out over the
-            // read-only merged shard view; the live pass (hotness sums
-            // and authoritative commits) then applies in deferred order.
-            let reader = ShardedReader { shards: &self.shards };
-            let eval = phase_b_eval(states, &deferred, &reader, fsas, policy, workers);
-            load = eval.load.clone();
-            let mut store = ShardedStore {
-                shards: &mut self.shards,
-                router: self.router,
-                next_id: &mut self.next_path_id,
-            };
-            phase_b_apply(
-                states,
-                &deferred,
-                &eval,
-                &mut store,
-                fsas,
-                policy,
-                &mut tally,
-                &mut selections,
-            );
-        } else {
-            let t0 = Instant::now();
-            let mut store = ShardedStore {
-                shards: &mut self.shards,
-                router: self.router,
-                next_id: &mut self.next_path_id,
-            };
-            phase_b(
-                states,
-                &deferred,
-                &mut store,
-                fsas,
-                policy,
-                &mut tally,
-                &mut selections,
-                &mut self.front.phase_b,
-            );
-            let mut l = PhaseBLoad::sequential(deferred.len());
-            l.busy_ns = vec![t0.elapsed().as_nanos() as u64];
-            load = l;
-        }
+        let mut store = ShardedStore {
+            shards: &mut self.shards,
+            router: self.router,
+            next_id: &mut self.next_path_id,
+        };
+        let load = phase_b(
+            states,
+            &deferred,
+            &mut store,
+            fsas,
+            policy,
+            &mut tally,
+            &mut selections,
+            &mut self.front.phase_b,
+        );
         deferred.clear();
         self.front.deferred = deferred;
         (selections, tally, load)
@@ -914,7 +835,7 @@ impl Coordinator {
             session_events: self.last_session_events.clone(),
             sessions_healthy: self.sessions.as_ref().map_or(0, |t| t.healthy_count()),
             sessions_dropped: self.sessions.as_ref().map_or(0, |t| t.dropped_count()),
-            phase_b: self.last_phase_b.clone(),
+            phase_b: self.last_phase_b,
         });
         self.cache.borrow_mut().snapshot = Some(snap.clone());
         snap
@@ -1253,11 +1174,6 @@ impl Coordinator {
                 ejected: stats.adm_ejected,
                 degraded_epochs: stats.degraded_epochs,
             },
-            // Rebuilt from the config, not the image: the worker budget
-            // is a machine-local performance knob (results are
-            // worker-invariant), so restoring on different hardware
-            // re-clamps cleanly.
-            phase_b_pool: WorkerPool::new(config.phase_b_workers),
             last_phase_b: PhaseBLoad::default(),
             last_session_events: Arc::from(Vec::new()),
         })

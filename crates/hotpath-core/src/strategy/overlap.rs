@@ -20,14 +20,11 @@ use crate::geometry::{Point, Rect};
 /// allocation- and sort-free intersection query, plus the buffers of
 /// the [`FsaSet::max_depth_region_in`] sweep. The scratch is
 /// *owned by the caller*, not by the set: the set itself is immutable
-/// (`Sync`) during queries, so every thread that runs Phase B — the
-/// sequential `phase_b` loop as well as each parallel eval worker —
-/// keeps one `QueryScratch` (inside its `PhaseBScratch`) across
-/// deferred states and epochs, and they can all query one shared
-/// `&FsaSet` concurrently. Only the allocating convenience wrappers
-/// ([`FsaSet::intersecting`], [`FsaSet::max_depth_region`]) build a
-/// throwaway scratch per call; nothing on the coordinator's path calls
-/// them.
+/// during queries, and `phase_b` keeps one `QueryScratch` (inside its
+/// `PhaseBScratch`) across deferred states and epochs. Only the
+/// allocating convenience wrappers ([`FsaSet::intersecting`],
+/// [`FsaSet::max_depth_region`]) build a throwaway scratch per call;
+/// nothing on the coordinator's path calls them.
 #[derive(Clone, Debug, Default)]
 pub struct QueryScratch {
     /// Per-rect generation stamps: `stamps[i] == gen` means rect `i` was
@@ -169,11 +166,7 @@ impl FsaSet {
         self.cells.len()
     }
 
-    /// The rasterization-grid cell key containing `p`. Parallel Phase B
-    /// orders its deferred states by this key so one worker chunk
-    /// touches spatially coherent FSAs (shared grid cells stay warm and
-    /// a flash crowd's states land in contiguous chunks that the
-    /// stealing deque can redistribute).
+    /// The rasterization-grid cell key containing `p` (diagnostics).
     #[inline]
     pub fn cell_key(&self, p: &Point) -> (i64, i64) {
         Self::key(self.cell, p)
@@ -239,16 +232,14 @@ impl FsaSet {
     /// [`FsaSet::max_depth_region_in`] — a throwaway scratch per call,
     /// including a zeroed stamp per rect of the set, so its cost grows
     /// with the set where the query's does not. For tests and one-off
-    /// diagnostics only: both Phase-B paths (sequential `phase_b` and
-    /// the eval workers) pass their reused scratch to the `_in` form.
+    /// diagnostics only: `phase_b` passes its reused scratch to the
+    /// `_in` form.
     pub fn max_depth_region(&self, clip: &Rect) -> Option<(Rect, usize)> {
         self.max_depth_region_in(clip, &mut QueryScratch::default())
     }
 
-    /// [`FsaSet::max_depth_region`] with a caller-owned scratch: the
-    /// set is only read (`&self`), so any number of worker threads can
-    /// run this concurrently against one shared set, each with its own
-    /// `scratch` — the `Sync` query path parallel Phase B rides on.
+    /// [`FsaSet::max_depth_region`] with a caller-owned scratch, reused
+    /// across calls so a query allocates nothing.
     ///
     /// Closed-set semantics throughout: rectangles touching only at an
     /// edge still overlap there, matching [`Rect::intersects`].

@@ -140,10 +140,7 @@ pub fn run_epoch_loop_with(
                 comm: snap.comm.since(&comm_prev),
                 dp_index_size,
                 dp_score,
-                phase_b_workers: snap.phase_b.workers,
                 phase_b_deferred: snap.phase_b.deferred,
-                phase_b_stolen: snap.phase_b.stolen,
-                phase_b_imbalance: snap.phase_b.imbalance,
             });
             comm_prev = snap.comm;
             if ckpt.is_active() {

@@ -35,14 +35,8 @@ pub struct EpochMetrics {
     pub dp_index_size: Option<usize>,
     /// DP competitor top-k score.
     pub dp_score: Option<f64>,
-    /// Phase-B eval workers this epoch ran with (1 = sequential).
-    pub phase_b_workers: usize,
     /// States Phase A deferred to Phase B this epoch (deterministic).
     pub phase_b_deferred: usize,
-    /// Chunks stolen across Phase-B workers (timing-dependent).
-    pub phase_b_stolen: u64,
-    /// Worst/mean per-worker Phase-B busy-time ratio (1.0 sequential).
-    pub phase_b_imbalance: f64,
 }
 
 /// Aggregates over a full run: the per-epoch averages the paper plots.
@@ -136,10 +130,7 @@ mod tests {
             },
             dp_index_size: dp.map(|d| d.0),
             dp_score: dp.map(|d| d.1),
-            phase_b_workers: 1,
             phase_b_deferred: 3,
-            phase_b_stolen: 0,
-            phase_b_imbalance: 1.0,
         }
     }
 

@@ -3,10 +3,10 @@
 //! The figure simulation ([`SimulationParams`]), the scenario driver
 //! ([`ScenarioRunParams`]), and the serving stack (`hotpathd` /
 //! `client_swarm` in `hotpath-serve`) all need the same choices: how
-//! many shards and Phase-B workers, what checkpoint policy, and which
-//! fault seed. [`RunOptions`] is that cluster, embedded by each
-//! params struct instead of re-declared — one type to thread through a
-//! CLI, one meaning everywhere.
+//! many shards, what checkpoint policy, and which fault seed.
+//! [`RunOptions`] is that cluster, embedded by each params struct
+//! instead of re-declared — one type to thread through a CLI, one
+//! meaning everywhere.
 //!
 //! [`SimulationParams`]: crate::simulation::SimulationParams
 //! [`ScenarioRunParams`]: crate::scenario_run::ScenarioRunParams
@@ -14,16 +14,12 @@
 use crate::engine_loop::CheckpointPolicy;
 
 /// Execution knobs shared by every run driver. Defaults are one shard,
-/// one Phase-B worker, checkpointing off and the standard fault seed.
+/// checkpointing off and the standard fault seed.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Coordinator shards (1 = sequential; results are identical at
     /// every shard count).
     pub shards: usize,
-    /// Phase-B eval workers (1 = sequential Phase B; results are
-    /// identical at every worker count — the coordinator clamps to the
-    /// machine).
-    pub phase_b_workers: usize,
     /// Checkpoint controls: periodic image writes, warm-start restore,
     /// and the restart-parity probe. Default: all off.
     pub checkpoint: CheckpointPolicy,
@@ -36,12 +32,7 @@ pub struct RunOptions {
 
 impl Default for RunOptions {
     fn default() -> Self {
-        RunOptions {
-            shards: 1,
-            phase_b_workers: 1,
-            checkpoint: CheckpointPolicy::default(),
-            fault_seed: 0xFA17,
-        }
+        RunOptions { shards: 1, checkpoint: CheckpointPolicy::default(), fault_seed: 0xFA17 }
     }
 }
 
@@ -49,12 +40,6 @@ impl RunOptions {
     /// Chainable shard-count override.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Chainable Phase-B worker-count override.
-    pub fn with_phase_b_workers(mut self, workers: usize) -> Self {
-        self.phase_b_workers = workers;
         self
     }
 
@@ -79,16 +64,14 @@ mod tests {
     fn defaults_are_sequential_sync_with_no_checkpointing() {
         let o = RunOptions::default();
         assert_eq!(o.shards, 1);
-        assert_eq!(o.phase_b_workers, 1);
         assert!(!o.checkpoint.is_active());
         assert_eq!(o.fault_seed, 0xFA17);
     }
 
     #[test]
     fn chainable_overrides_compose() {
-        let o = RunOptions::default().with_shards(4).with_phase_b_workers(2).with_fault_seed(9182);
+        let o = RunOptions::default().with_shards(4).with_fault_seed(9182);
         assert_eq!(o.shards, 4);
-        assert_eq!(o.phase_b_workers, 2);
         assert_eq!(o.fault_seed, 9182);
     }
 }

@@ -259,10 +259,7 @@ pub fn epoch_metrics_csv(rows: &[crate::metrics::EpochMetrics]) -> String {
                 e.comm.uplink_bytes.to_string(),
                 e.comm.downlink_msgs.to_string(),
                 e.comm.downlink_bytes.to_string(),
-                e.phase_b_workers.to_string(),
                 e.phase_b_deferred.to_string(),
-                e.phase_b_stolen.to_string(),
-                format!("{}", e.phase_b_imbalance),
             ]
         })
         .collect();
@@ -278,10 +275,7 @@ pub fn epoch_metrics_csv(rows: &[crate::metrics::EpochMetrics]) -> String {
             "uplink_bytes",
             "downlink_msgs",
             "downlink_bytes",
-            "phase_b_workers",
             "phase_b_deferred",
-            "phase_b_stolen",
-            "phase_b_imbalance",
         ],
         &data,
     )
@@ -330,19 +324,14 @@ mod csv_tests {
             },
             dp_index_size: None,
             dp_score: None,
-            phase_b_workers: 2,
             phase_b_deferred: 5,
-            phase_b_stolen: 1,
-            phase_b_imbalance: 1.25,
         }];
         let s = super::epoch_metrics_csv(&rows);
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 2, "header plus one record");
         assert!(lines[0].starts_with("epoch,timestamp,reporting,index_size,top_k_score"));
-        assert!(
-            lines[0].ends_with("phase_b_workers,phase_b_deferred,phase_b_stolen,phase_b_imbalance")
-        );
+        assert!(lines[0].ends_with("downlink_bytes,phase_b_deferred"));
         assert!(lines[1].starts_with("3,15,7,42,99.5,2,"));
-        assert!(lines[1].ends_with("7,504,7,224,2,5,1,1.25"));
+        assert!(lines[1].ends_with("7,504,7,224,5"));
     }
 }

@@ -52,9 +52,9 @@ pub struct ScenarioRunParams {
     /// Seed for the driver's Gaussian re-measurement device (kept apart
     /// from the scenario seed so noise and workload vary independently).
     pub noise_seed: u64,
-    /// Shared execution knobs: shards, Phase-B workers, checkpoint
-    /// policy, and the fault-victim seed used when the scenario
-    /// declares [`hotpath_netsim::scenario::FaultWindow`]s.
+    /// Shared execution knobs: shards, checkpoint policy, and the
+    /// fault-victim seed used when the scenario declares
+    /// [`hotpath_netsim::scenario::FaultWindow`]s.
     pub run: RunOptions,
 }
 
@@ -88,8 +88,7 @@ impl ScenarioRunParams {
             .with_window(self.window.unwrap_or_else(|| scenario.window_hint()))
             .with_epoch(self.epoch)
             .with_k(self.k)
-            .with_shards(self.run.shards)
-            .with_phase_b_workers(self.run.phase_b_workers);
+            .with_shards(self.run.shards);
         if let Some(hint) = scenario.robustness_hint() {
             if hint.lease > 0 {
                 config = config.with_lease(hint.lease, hint.grace);
@@ -107,12 +106,6 @@ impl ScenarioRunParams {
     /// Chainable shard-count override.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.run.shards = shards;
-        self
-    }
-
-    /// Chainable Phase-B worker-count override.
-    pub fn with_phase_b_workers(mut self, workers: usize) -> Self {
-        self.run.phase_b_workers = workers;
         self
     }
 
@@ -318,10 +311,7 @@ impl EpochDriver for ScenarioDriver<'_> {
             session_ejections: self.ejections,
             turned_away: snap.admission.turned_away(),
             degraded_epochs: snap.admission.degraded_epochs,
-            phase_b_workers: snap.phase_b.workers,
             phase_b_deferred: snap.phase_b.deferred,
-            phase_b_stolen: snap.phase_b.stolen,
-            phase_b_imbalance: snap.phase_b.imbalance,
         });
         (None, None)
     }
@@ -418,7 +408,7 @@ pub fn run_named(
 /// ids)`, final top-k, and communication counters. The deferred count
 /// is the one Phase-B load field that is deterministic (a pure
 /// function of the epoch's batch), so it rides the fingerprint; the
-/// timing-driven fields (busy time, steals, imbalance) do not.
+/// busy time does not.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParityTrace {
     per_epoch: Vec<(usize, u64, usize, Vec<u64>)>,

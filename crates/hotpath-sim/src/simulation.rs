@@ -57,9 +57,9 @@ pub struct SimulationParams {
     pub dp_policy: EndpointPolicy,
     /// SinglePath Cases-2/3 overlap policy (ablation hook).
     pub overlap: OverlapPolicy,
-    /// Shared execution knobs: shards, Phase-B workers, checkpoint
-    /// policy, fault seed (the figure driver declares no faults, so the
-    /// seed is carried but unused here).
+    /// Shared execution knobs: shards, checkpoint policy, fault seed
+    /// (the figure driver declares no faults, so the seed is carried
+    /// but unused here).
     pub run: RunOptions,
 }
 
@@ -111,18 +111,11 @@ impl SimulationParams {
             // a caller bug (e.g. a miscomputed core count), not a
             // request for sequential mode.
             .with_shards(self.run.shards)
-            .with_phase_b_workers(self.run.phase_b_workers)
     }
 
     /// Chainable shard-count override.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.run.shards = shards;
-        self
-    }
-
-    /// Chainable Phase-B worker-count override.
-    pub fn with_phase_b_workers(mut self, workers: usize) -> Self {
-        self.run.phase_b_workers = workers;
         self
     }
 

@@ -319,38 +319,6 @@ fn flash_crowd_sharded_matches_sequential() {
     pin_scenario_parity("flash_crowd", 37, 4);
 }
 
-/// The `phase_b_workers` knob is invisible in results: a flash-crowd
-/// run — the workload built to skew Phase-B load — is bit-for-bit
-/// identical at every requested worker count, alone and combined with
-/// sharding. On multi-core machines this drives the real parallel
-/// eval; on a single-core box the coordinator clamps the knob to 1 and
-/// the run must STILL match, which is exactly the degrade-to-sequential
-/// contract. (The forced-parallel pin that bypasses the clamp lives in
-/// hotpath-core's props suite.)
-#[test]
-fn flash_crowd_identical_at_every_phase_b_worker_count() {
-    let scale = ScenarioParams { n: 300, ..ScenarioParams::quick(39) };
-    let run = |workers: usize, shards: usize| {
-        let params = ScenarioRunParams::default().with_shards(shards).with_phase_b_workers(workers);
-        run_named("flash_crowd", &scale, &params).expect("registered scenario")
-    };
-    let reference = run(1, 1);
-    reference.invariants.as_ref().unwrap_or_else(|e| panic!("flash_crowd invariants: {e}"));
-    assert!(!reference.outcome.final_top_k.is_empty(), "flash_crowd discovered no hot paths");
-    for workers in [2usize, 8] {
-        for shards in [1usize, 4] {
-            let observed = run(workers, shards);
-            observed.invariants.as_ref().unwrap_or_else(|e| panic!("flash_crowd invariants: {e}"));
-            observed.coordinator.check_consistency().expect("sharded state inconsistent");
-            assert_eq!(
-                full_trace(&reference),
-                full_trace(&observed),
-                "flash_crowd diverged at {workers} workers / {shards} shards"
-            );
-        }
-    }
-}
-
 /// The whole-registry pin: EVERY registered scenario, fault scenarios
 /// included, is bit-for-bit identical sequential vs 4-shard — per-epoch
 /// series (index size, score bits, top-k ids), final top-k geometry,
