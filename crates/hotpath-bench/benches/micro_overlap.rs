@@ -1,5 +1,7 @@
 //! FSA-overlap micro-bench: stabbing counts and max-depth sweep scaling
 //! with the per-epoch batch size (Alg. 2 lines 8-12 support machinery).
+//! `max_depth/*` is Phase B's per-state query: collect one clip's
+//! neighbourhood and sweep it unbounded.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpath_core::geometry::{Point, Rect};
@@ -30,7 +32,7 @@ fn bench_overlap(c: &mut Criterion) {
         // stamp vector per call).
         g.bench_with_input(BenchmarkId::new("max_depth", n), &set, |b, set| {
             let mut scratch = QueryScratch::default();
-            b.iter(|| set.max_depth_region_in(&clip, &mut scratch));
+            b.iter(|| set.neighbourhood(&clip, &mut scratch).deepest_above(0));
         });
         g.bench_with_input(BenchmarkId::new("stab", n), &set, |b, set| {
             b.iter(|| set.stab_count(&Point::new(2_500.0, 2_500.0)));

@@ -1,13 +1,19 @@
 //! Phase B (SinglePath Cases 2-3) kernel: the sequential `phase_b` loop
 //! over a 512-state deferred set, uniform vs flash-crowd-skewed.
 //!
-//! `uniform` spreads the deferred FSAs evenly over 16 clusters; `skewed`
-//! piles 90% of them onto one cluster, the hub shape where every
-//! max-depth query sweeps hundreds of overlapping rects and every
-//! Case-2 query sees the vertices earlier states just minted. `phase_b`
-//! commits as it goes, so each sample runs against a fresh
-//! `(index, hotness)` built outside the timed region; the scratch is
-//! reused across samples, as the coordinator reuses it across epochs.
+//! Each row times one whole `phase_b` call — per deferred state the
+//! Case-2 query, the FSA-neighbourhood collection, ranking, the
+//! max-depth sweep when it can win, and the commit. `uniform` spreads
+//! the deferred FSAs evenly over 16 clusters; `skewed` piles 90% of
+//! them onto one cluster, the hub shape where a clip meets hundreds of
+//! overlapping rects and every Case-2 query sees the vertices earlier
+//! states just minted. The seeded index holds 8 paths per cluster with
+//! 1-3 crossings each, because the coordinator only ever indexes paths
+//! that are being crossed; their ranks are what lets the sweep be
+//! skipped, as it is in the running system. `phase_b` commits as it
+//! goes, so each sample runs against a fresh `(index, hotness)` built
+//! outside the timed region; the scratch is reused across samples, as
+//! the coordinator reuses it across epochs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hotpath_core::geometry::{Point, Rect};
@@ -60,19 +66,23 @@ fn batch(hot_frac: f64) -> Vec<ClientState> {
 }
 
 /// An index with stored endpoints inside every cluster, so each Case-2
-/// query finds non-trivial vertex groups.
-fn seeded_index() -> MotionPathIndex {
+/// query finds non-trivial vertex groups, and 1-3 crossings per path.
+fn seeded_store() -> (MotionPathIndex, Hotness) {
     let mut index = MotionPathIndex::new(50.0, 1e-3);
+    let mut hotness = Hotness::new(SlidingWindow::new(100));
     for c in 0..CLUSTERS {
         let center = cluster_center(c);
         for j in 0..8 {
             let start = Point::new(-500.0 - j as f64 * 10.0, c as f64 * 10.0);
             let end =
                 Point::new(center.x + (j % 4) as f64 * 15.0, center.y + (j / 4) as f64 * 15.0);
-            index.insert(start, end);
+            let (edge, _) = index.insert_edge(start, end);
+            for _ in 0..=(c + j) % 3 {
+                hotness.record_crossing(edge.id, Timestamp(1), edge.len);
+            }
         }
     }
-    index
+    (index, hotness)
 }
 
 fn bench_phase_b(c: &mut Criterion) {
@@ -85,11 +95,8 @@ fn bench_phase_b(c: &mut Criterion) {
         g.bench_function(dist, |b| {
             b.iter_batched_ref(
                 || {
-                    (
-                        seeded_index(),
-                        Hotness::new(SlidingWindow::new(100)),
-                        Vec::with_capacity(DEFERRED),
-                    )
+                    let (index, hotness) = seeded_store();
+                    (index, hotness, Vec::with_capacity(DEFERRED))
                 },
                 |(index, hotness, selections)| {
                     let mut tally = CaseTally::default();

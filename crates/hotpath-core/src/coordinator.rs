@@ -250,7 +250,6 @@ impl PathStore for ShardedStore<'_> {
                 out.push(shard.index.vertex_key(&entry.endpoint), entry.endpoint, entry.path);
             });
         }
-        out.finish();
     }
 
     fn hotness_of(&self, id: PathId) -> u32 {

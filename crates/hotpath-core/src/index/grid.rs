@@ -14,7 +14,9 @@
 //! constant time however crowded a cell is. The caller keeps each
 //! entry's position (returned by [`EndpointGrid::insert`], updated from
 //! [`EndpointGrid::remove`]'s return value), which is what lets the grid
-//! skip any per-cell id lookup structure.
+//! skip any per-cell id lookup structure. A cell that empties leaves the
+//! map, but its buffer is kept and handed to the next new cell, so
+//! paths coming and going through empty cells do not touch the heap.
 
 use crate::fxhash::FxHashMap;
 use crate::geometry::{Point, Rect};
@@ -37,6 +39,8 @@ pub type CellKey = (i64, i64);
 pub struct EndpointGrid {
     cell: f64,
     cells: FxHashMap<CellKey, Vec<Entry>>,
+    /// Emptied cells' buffers, kept for the next new cell.
+    spare: Vec<Vec<Entry>>,
     len: usize,
 }
 
@@ -44,7 +48,7 @@ impl EndpointGrid {
     /// Creates a grid with square cells of side `cell` meters.
     pub fn new(cell: f64) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "cell side must be positive");
-        EndpointGrid { cell, cells: FxHashMap::default(), len: 0 }
+        EndpointGrid { cell, cells: FxHashMap::default(), spare: Vec::new(), len: 0 }
     }
 
     /// Cell side in meters.
@@ -72,7 +76,8 @@ impl EndpointGrid {
     /// the caller must remember to [`remove`](Self::remove) it. No
     /// duplicate check: each path is inserted once by construction.
     pub fn insert(&mut self, entry: Entry) -> u32 {
-        let slot = self.cells.entry(self.key_of(&entry.endpoint)).or_default();
+        let key = self.key_of(&entry.endpoint);
+        let slot = self.cells.entry(key).or_insert_with(|| self.spare.pop().unwrap_or_default());
         slot.push(entry);
         self.len += 1;
         (slot.len() - 1) as u32
@@ -93,7 +98,7 @@ impl EndpointGrid {
         self.len -= 1;
         let moved = slot.get(pos as usize).map(|e| e.path);
         if slot.is_empty() {
-            self.cells.remove(&key);
+            self.spare.extend(self.cells.remove(&key));
         }
         moved
     }
@@ -104,8 +109,11 @@ impl EndpointGrid {
     }
 
     /// Visits every entry whose endpoint lies inside `range` (closed
-    /// set). This is the range query the SinglePath strategy issues
-    /// against the index (Alg. 2 line 51).
+    /// set): the Case-2 query Phase B issues once per deferred state
+    /// through [`MotionPathIndex::for_each_end_in`](super::MotionPathIndex::for_each_end_in)
+    /// (Alg. 2 line 51). Visit order is cell by cell, then each cell's
+    /// insert/remove history — not canonical, so callers group and rank
+    /// by order-free rules.
     pub fn for_each_in(&self, range: &Rect, mut f: impl FnMut(&Entry)) {
         let lo = self.key_of(&range.lo());
         let hi = self.key_of(&range.hi());
@@ -131,6 +139,12 @@ impl EndpointGrid {
     /// Number of non-empty cells (diagnostics).
     pub fn occupied_cells(&self) -> usize {
         self.cells.len()
+    }
+
+    /// True when every kept buffer of an emptied cell is empty (the
+    /// index's consistency audit).
+    pub(super) fn spare_is_clear(&self) -> bool {
+        self.spare.iter().all(Vec::is_empty)
     }
 }
 

@@ -77,6 +77,8 @@ pub struct MotionPathIndex {
     loc_of: FxHashMap<PathId, Loc>,
     /// Outgoing adjacency: start vertex -> paths leaving it.
     out_adj: FxHashMap<VertexKey, Vec<OutEdge>>,
+    /// Emptied adjacency lists, kept for the next new start vertex.
+    spare_adj: Vec<Vec<OutEdge>>,
     vertex_grain: f64,
     next_id: u64,
 }
@@ -93,6 +95,7 @@ impl MotionPathIndex {
             paths: Vec::new(),
             loc_of: FxHashMap::default(),
             out_adj: FxHashMap::default(),
+            spare_adj: Vec::new(),
             vertex_grain,
             next_id: 0,
         }
@@ -156,7 +159,7 @@ impl MotionPathIndex {
         let ekey = end.quantize(grain);
         // One probe finds the start vertex's list for both the dedup
         // scan and the push.
-        let outs = self.out_adj.entry(start.quantize(grain)).or_default();
+        let outs = self.outs_mut(start.quantize(grain));
         if let Some(existing) = outs.iter().find(|e| e.end.quantize(grain) == ekey) {
             return (*existing, false);
         }
@@ -168,10 +171,16 @@ impl MotionPathIndex {
         (edge, true)
     }
 
+    /// The adjacency list of start vertex `key`, created from a kept
+    /// buffer when the vertex has none.
+    fn outs_mut(&mut self, key: VertexKey) -> &mut Vec<OutEdge> {
+        self.out_adj.entry(key).or_insert_with(|| self.spare_adj.pop().unwrap_or_default())
+    }
+
     /// Appends `path` to the slab and enters it into every derived
     /// structure.
     fn link(&mut self, path: MotionPath) {
-        self.out_adj.entry(self.vertex_key(&path.start())).or_default().push(OutEdge::of(&path));
+        self.outs_mut(self.vertex_key(&path.start())).push(OutEdge::of(&path));
         self.place(path);
     }
 
@@ -197,7 +206,7 @@ impl MotionPathIndex {
         if let Some(v) = self.out_adj.get_mut(&skey) {
             v.retain(|e| e.id != id);
             if v.is_empty() {
-                self.out_adj.remove(&skey);
+                self.spare_adj.extend(self.out_adj.remove(&skey));
             }
         }
         true
@@ -236,7 +245,8 @@ impl MotionPathIndex {
     /// different raw coordinates) converge, the group's representative
     /// point is the lexicographically smallest raw endpoint — canonical,
     /// so the answer is independent of hash-iteration order and of how
-    /// the group is split across coordinator shards.
+    /// the group is split across coordinator shards. Groups come sorted
+    /// by representative `(x, y)`, ids ascending within each.
     pub fn end_vertices_in(&self, fsa: &Rect) -> Vec<(Point, Vec<PathId>)> {
         let mut groups = VertexGroups::new();
         self.end_vertices_into(fsa, &mut groups);
@@ -245,13 +255,13 @@ impl MotionPathIndex {
 
     /// [`MotionPathIndex::end_vertices_in`] writing into a reusable
     /// [`VertexGroups`] accumulator (cleared here) instead of
-    /// materializing a fresh vector of vectors per call.
+    /// materializing a fresh vector of vectors per call — unsorted: the
+    /// form `phase_b` uses, which cannot observe group or id order.
     pub fn end_vertices_into(&self, fsa: &Rect, out: &mut VertexGroups) {
         out.clear();
         self.for_each_end_in(fsa, |entry| {
             out.push(self.vertex_key(&entry.endpoint), entry.endpoint, entry.path);
         });
-        out.finish();
     }
 
     /// Paths leaving the vertex of `p` (hinted-extension adjacency).
@@ -281,6 +291,9 @@ impl MotionPathIndex {
             if self.grid.get(&p.end(), loc.cell_pos) != Some(&entry) {
                 return Err(format!("grid position {} does not hold {}", loc.cell_pos, p.id));
             }
+        }
+        if !self.grid.spare_is_clear() || self.spare_adj.iter().any(|v| !v.is_empty()) {
+            return Err("a kept buffer of an emptied cell or list is not empty".into());
         }
         let out_total: usize = self.out_adj.values().map(Vec::len).sum();
         if out_total != self.paths.len() {

@@ -1,12 +1,13 @@
 //! Reusable vertex-group accumulator for the Case-2 query.
 //!
-//! `end_vertices_in` used to materialize a fresh
-//! `Vec<(Point, Vec<PathId>)>` (plus a grouping hash map) on every call
-//! — once per deferred state per epoch. [`VertexGroups`] keeps those
-//! allocations alive across calls: the grouping map, the per-group id
-//! vectors, and the sorted iteration order are all capacity-retaining
-//! pools, so steady-state epochs regroup vertices without touching the
-//! heap.
+//! Phase B groups the end vertices inside each deferred state's FSA.
+//! [`VertexGroups`] keeps the allocations of that grouping alive across
+//! calls — the grouping map and the per-group id vectors are
+//! capacity-retaining pools — so steady-state epochs regroup vertices
+//! without touching the heap. Groups stay in first-seen order, ids in
+//! push order: Phase B picks its vertex by a strict total order over
+//! distinct vertices and sums each group's hotness, so neither order is
+//! observable, and only the [`VertexGroups::to_vec`] copy is sorted.
 
 use super::motion_path_index::{point_lt, VertexKey};
 use crate::fxhash::FxHashMap;
@@ -24,8 +25,6 @@ pub struct VertexGroups {
     slots: Vec<(Point, Vec<PathId>)>,
     /// Live slot count for the current batch.
     len: usize,
-    /// Iteration order over live slots, established by [`Self::finish`].
-    order: Vec<u32>,
 }
 
 impl VertexGroups {
@@ -47,7 +46,6 @@ impl VertexGroups {
     /// Starts a new batch, retaining every allocation.
     pub fn clear(&mut self) {
         self.by_key.clear();
-        self.order.clear();
         self.len = 0;
     }
 
@@ -82,34 +80,23 @@ impl VertexGroups {
         slot.1.push(id);
     }
 
-    /// Canonicalizes the batch: groups ordered by representative point
-    /// `(x, y)`, ids ascending within each group. Call once after the
-    /// last [`Self::push`]; [`Self::iter`] then yields the same sequence
-    /// the old allocating query returned.
-    pub fn finish(&mut self) {
-        self.order.extend(0..self.len as u32);
-        let slots = &mut self.slots[..self.len];
-        self.order.sort_by(|&a, &b| {
-            let (pa, pb) = (&slots[a as usize].0, &slots[b as usize].0);
-            pa.x.total_cmp(&pb.x).then(pa.y.total_cmp(&pb.y))
-        });
-        for (_, ids) in slots.iter_mut() {
+    /// Iterates the batch's groups in first-seen order, each group's ids
+    /// in push order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Point, &[PathId])> {
+        self.slots[..self.len].iter().map(|(p, ids)| (p, ids.as_slice()))
+    }
+
+    /// Copies the batch out in canonical order — groups by
+    /// representative point `(x, y)`, ids ascending within each group —
+    /// for tests and the allocating [`super::MotionPathIndex::end_vertices_in`].
+    pub fn to_vec(&self) -> Vec<(Point, Vec<PathId>)> {
+        let mut out: Vec<(Point, Vec<PathId>)> =
+            self.iter().map(|(p, ids)| (*p, ids.to_vec())).collect();
+        out.sort_by(|(pa, _), (pb, _)| pa.x.total_cmp(&pb.x).then(pa.y.total_cmp(&pb.y)));
+        for (_, ids) in &mut out {
             ids.sort_unstable();
         }
-    }
-
-    /// Iterates the finished batch in canonical order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Point, &[PathId])> {
-        self.order.iter().map(|&s| {
-            let (p, ids) = &self.slots[s as usize];
-            (p, ids.as_slice())
-        })
-    }
-
-    /// Copies the finished batch out (convenience for tests and the
-    /// allocating compatibility wrappers).
-    pub fn to_vec(&self) -> Vec<(Point, Vec<PathId>)> {
-        self.iter().map(|(p, ids)| (*p, ids.to_vec())).collect()
+        out
     }
 }
 
@@ -123,7 +110,6 @@ mod tests {
         g.push((1, 0), Point::new(10.0, 0.0), PathId(5));
         g.push((0, 0), Point::new(0.0, 0.0), PathId(3));
         g.push((1, 0), Point::new(10.0, 0.0), PathId(1));
-        g.finish();
         assert_eq!(g.len(), 2);
         let got = g.to_vec();
         assert_eq!(got[0], (Point::new(0.0, 0.0), vec![PathId(3)]));
@@ -139,7 +125,6 @@ mod tests {
             let mut g = VertexGroups::new();
             g.push((9, 9), first, PathId(0));
             g.push((9, 9), second, PathId(1));
-            g.finish();
             assert_eq!(g.to_vec()[0].0, Point::new(5.0, 5.0));
         }
     }
@@ -149,13 +134,11 @@ mod tests {
         let mut g = VertexGroups::new();
         g.push((0, 0), Point::new(0.0, 0.0), PathId(0));
         g.push((0, 0), Point::new(0.0, 0.0), PathId(1));
-        g.finish();
         assert_eq!(g.to_vec()[0].1.len(), 2);
 
         g.clear();
         assert!(g.is_empty());
         g.push((2, 2), Point::new(2.0, 2.0), PathId(9));
-        g.finish();
         assert_eq!(g.to_vec(), vec![(Point::new(2.0, 2.0), vec![PathId(9)])]);
     }
 }

@@ -4,7 +4,7 @@
 mod overlap;
 mod singlepath;
 
-pub use overlap::{FsaCache, FsaSet, QueryScratch};
+pub use overlap::{FsaCache, FsaSet, Neighbourhood, QueryScratch};
 pub use singlepath::{
     build_fsa_set, phase_a, phase_b, process_batch, CaseKind, CaseTally, OverlapPolicy, PathStore,
     PhaseAOutput, PhaseBLoad, PhaseBScratch, ScratchArena, Selection, SingleStore,

@@ -17,33 +17,34 @@ use crate::fxhash::FxHashMap;
 use crate::geometry::{Point, Rect};
 
 /// Reusable query scratch: the stamped `seen` bitmap behind the
-/// allocation- and sort-free intersection query, plus the buffers of
-/// the [`FsaSet::max_depth_region_in`] sweep. The scratch is
-/// *owned by the caller*, not by the set: the set itself is immutable
-/// during queries, and `phase_b` keeps one `QueryScratch` (inside its
-/// `PhaseBScratch`) across deferred states and epochs. Only the
-/// allocating convenience wrappers ([`FsaSet::intersecting`],
-/// [`FsaSet::max_depth_region`]) build a throwaway scratch per call;
-/// nothing on the coordinator's path calls them.
+/// allocation- and sort-free intersection query, the rects it found (a
+/// [`Neighbourhood`]), and the buffers of the
+/// [`Neighbourhood::deepest_above`] sweep. The scratch is *owned by the
+/// caller*, not by the set: the set itself is immutable during queries,
+/// and `phase_b` keeps one `QueryScratch` (inside its `PhaseBScratch`)
+/// across deferred states and epochs. Only the allocating convenience
+/// wrappers ([`FsaSet::intersecting`], [`FsaSet::max_depth_region`])
+/// build a throwaway scratch per call; nothing on the coordinator's path
+/// calls them.
 #[derive(Clone, Debug, Default)]
 pub struct QueryScratch {
     /// Per-rect generation stamps: `stamps[i] == gen` means rect `i` was
-    /// already accepted by the current `intersecting` call.
+    /// already accepted by the current collection.
     stamps: Vec<u32>,
     /// Current stamp generation (bumped per call; stamps are cleared
     /// only on the rare wrap-around).
     gen: u32,
-    /// Accepted rect indices, ascending.
+    /// Accepted rect indices, in grid-walk order.
     hits: Vec<u32>,
-    /// `max_depth_region`: rects clipped to the query window.
+    /// Sweep: rects clipped to the query window.
     local: Vec<Rect>,
-    /// `max_depth_region`: candidate slab boundaries.
+    /// Sweep: candidate slab boundaries.
     xs: Vec<f64>,
-    /// `max_depth_region`: rect indices by left edge / by right edge.
+    /// Sweep: rect indices by left edge / by right edge.
     starts: Vec<u32>,
     ends: Vec<u32>,
-    /// `max_depth_region`: the y-sorted interval events of the rects
-    /// covering the sweep's current slab.
+    /// Sweep: the y-sorted interval events of the rects covering the
+    /// current slab.
     events: Vec<(f64, i32)>,
 }
 
@@ -56,11 +57,11 @@ pub struct QueryScratch {
 /// not maintained across epochs — [`FsaSet::rebuild`] refills the same
 /// three allocations in place.
 ///
-/// Both hot-loop queries — [`FsaSet::stab_count`] and
-/// [`FsaSet::max_depth_region`] — are pure functions of the *multiset*
-/// of rectangles: `stab_count` counts containment, and the slab sweep
-/// orders everything by coordinates before deciding anything, so rect
-/// numbering never leaks into results.
+/// Every query — the stabbing counts and the slab sweep of a
+/// [`Neighbourhood`] — is a pure function of the *multiset* of
+/// rectangles: a stabbing count counts containment, and the sweep orders
+/// everything by coordinates before deciding anything, so rect numbering
+/// and grid-walk order never leak into results.
 #[derive(Clone, Debug)]
 pub struct FsaSet {
     rects: Vec<Rect>,
@@ -156,11 +157,6 @@ impl FsaSet {
         self.rects.is_empty()
     }
 
-    /// Cell edge length of the rasterization grid.
-    pub fn cell(&self) -> f64 {
-        self.cell
-    }
-
     /// Number of grid cells some FSA covers (diagnostics).
     pub fn occupied_cells(&self) -> usize {
         self.cells.len()
@@ -173,7 +169,9 @@ impl FsaSet {
     }
 
     /// Stabbing depth at `p`: how many FSAs contain it. Equals the count
-    /// of the smallest `Rall` region containing `p`.
+    /// of the smallest `Rall` region containing `p`. A one-off probe of
+    /// `p`'s grid cell; `phase_b` counts over the [`Neighbourhood`] it
+    /// already holds instead.
     pub fn stab_count(&self, p: &Point) -> usize {
         let candidates = self.cell_ids(Self::key(self.cell, p));
         candidates.iter().filter(|&&i| self.rects[i as usize].contains(p)).count()
@@ -181,8 +179,8 @@ impl FsaSet {
 
     /// Indices of FSAs intersecting `r` (deduplicated, ascending).
     /// Allocating convenience wrapper over the stamped internal query
-    /// (tests and diagnostics; the hot loop goes through
-    /// [`FsaSet::max_depth_region_in`] with a caller-owned scratch).
+    /// (tests and diagnostics; the hot loop holds a [`Neighbourhood`]
+    /// over a caller-owned scratch).
     pub fn intersecting(&self, r: &Rect) -> Vec<u32> {
         let mut s = QueryScratch::default();
         self.collect_intersecting(r, &mut s);
@@ -191,14 +189,25 @@ impl FsaSet {
         out
     }
 
-    /// The stamped dedup query behind [`FsaSet::intersecting`]: no
-    /// allocation and no sort in the steady state. Every candidate id is
-    /// stamped with the call's generation on first acceptance and
-    /// pushed once, in grid-walk encounter order — deterministic (the
-    /// cell walk and per-cell id lists are fixed by construction) but
-    /// not ascending; the only order-sensitive consumer is the public
-    /// wrapper above, which sorts its own copy. O(candidates), never a
-    /// pass over the whole id space.
+    /// The FSAs meeting `clip`, collected once into `scratch`, which is
+    /// reused across calls so a query allocates nothing.
+    pub fn neighbourhood<'a>(
+        &'a self,
+        clip: &Rect,
+        scratch: &'a mut QueryScratch,
+    ) -> Neighbourhood<'a> {
+        self.collect_intersecting(clip, scratch);
+        Neighbourhood { set: self, clip: *clip, scratch }
+    }
+
+    /// The stamped dedup query behind [`FsaSet::neighbourhood`] and
+    /// [`FsaSet::intersecting`]: no allocation and no sort in the steady
+    /// state. Every candidate id is stamped with the call's generation
+    /// on first acceptance and pushed once, in grid-walk encounter order
+    /// — deterministic (the cell walk and per-cell id lists are fixed by
+    /// construction) but not ascending; every consumer is a count or a
+    /// coordinate sort except the public wrapper above, which sorts its
+    /// own copy. O(candidates), never a pass over the whole id space.
     fn collect_intersecting(&self, r: &Rect, s: &mut QueryScratch) {
         s.hits.clear();
         if s.stamps.len() < self.rects.len() {
@@ -229,17 +238,51 @@ impl FsaSet {
     /// that depth. Returns `None` when no FSA intersects `clip`.
     ///
     /// Allocating convenience wrapper over
-    /// [`FsaSet::max_depth_region_in`] — a throwaway scratch per call,
-    /// including a zeroed stamp per rect of the set, so its cost grows
-    /// with the set where the query's does not. For tests and one-off
-    /// diagnostics only: `phase_b` passes its reused scratch to the
-    /// `_in` form.
+    /// [`Neighbourhood::deepest_above`]`(0)` — a throwaway scratch per
+    /// call, including a zeroed stamp per rect of the set, so its cost
+    /// grows with the set where the query's does not. For tests and
+    /// one-off diagnostics only.
     pub fn max_depth_region(&self, clip: &Rect) -> Option<(Rect, usize)> {
-        self.max_depth_region_in(clip, &mut QueryScratch::default())
+        self.neighbourhood(clip, &mut QueryScratch::default()).deepest_above(0)
+    }
+}
+
+/// The FSAs meeting one clip, collected once by
+/// [`FsaSet::neighbourhood`] into a caller's [`QueryScratch`]: every
+/// question Phase B asks the set about one deferred state.
+///
+/// * [`Neighbourhood::stab_count`] is exact for points inside the clip,
+///   since an FSA containing such a point meets the clip.
+/// * [`Neighbourhood::len`] bounds the depth of any region inside the
+///   clip, which lets [`Neighbourhood::deepest_above`] skip its sweep
+///   when no region can beat the floor.
+#[derive(Debug)]
+pub struct Neighbourhood<'a> {
+    set: &'a FsaSet,
+    clip: Rect,
+    scratch: &'a mut QueryScratch,
+}
+
+impl Neighbourhood<'_> {
+    /// Number of FSAs meeting the clip.
+    pub fn len(&self) -> usize {
+        self.scratch.hits.len()
     }
 
-    /// [`FsaSet::max_depth_region`] with a caller-owned scratch, reused
-    /// across calls so a query allocates nothing.
+    /// True when no FSA meets the clip.
+    pub fn is_empty(&self) -> bool {
+        self.scratch.hits.is_empty()
+    }
+
+    /// Stabbing depth at `p`, which must lie inside the clip; there it
+    /// equals [`FsaSet::stab_count`].
+    pub fn stab_count(&self, p: &Point) -> usize {
+        self.scratch.hits.iter().filter(|&&i| self.set.rects[i as usize].contains(p)).count()
+    }
+
+    /// The deepest region of the arrangement restricted to the clip,
+    /// with its depth, when that depth exceeds `floor`; `None` otherwise.
+    /// `deepest_above(0)` is the unbounded query.
     ///
     /// Closed-set semantics throughout: rectangles touching only at an
     /// edge still overlap there, matching [`Rect::intersects`].
@@ -251,36 +294,36 @@ impl FsaSet {
     /// touch edge-to-edge; at equal depth a proper slab beats a
     /// degenerate line (larger region, better centroid). Within the
     /// winning slab or line, the region spans the first maximal
-    /// y-stretch.
+    /// y-stretch. Whenever that answer is deeper than `floor`, every
+    /// `floor` returns the same region.
     ///
-    /// One left-to-right sweep: the rects covering the current slab are
-    /// kept as a y-sorted event list edited in place as rects start and
-    /// end, and a slab or line is y-swept only when an upper bound on
-    /// its depth beats the best already found. The cost is
-    /// `O(m log m)` plus `O(covering rects)` per y-sweep for `m` rects
-    /// intersecting `clip` — in particular constant when the clip meets
-    /// only one rect, the common case away from hubs.
-    pub fn max_depth_region_in(
-        &self,
-        clip: &Rect,
-        scratch: &mut QueryScratch,
-    ) -> Option<(Rect, usize)> {
-        self.collect_intersecting(clip, scratch);
-        let QueryScratch { hits, local, xs, starts, ends, events, .. } = scratch;
+    /// Nothing is swept when at most `floor` rects meet the clip.
+    /// Otherwise one left-to-right sweep: the rects covering the current
+    /// slab are kept as a y-sorted event list edited in place as rects
+    /// start and end, and a slab or line is y-swept only when an upper
+    /// bound on its depth beats both `floor` and the best already found.
+    /// The cost is `O(m log m)` plus `O(covering rects)` per y-sweep for
+    /// `m` rects meeting the clip — in particular constant when the clip
+    /// meets only one rect, the common case away from hubs.
+    pub fn deepest_above(&mut self, floor: usize) -> Option<(Rect, usize)> {
+        // The depth cannot exceed the number of rects meeting the clip.
+        if self.len() <= floor {
+            return None;
+        }
+        let (set, clip) = (self.set, self.clip);
+        let QueryScratch { hits, local, xs, starts, ends, events, .. } = &mut *self.scratch;
         local.clear();
         local.extend(hits.iter().map(|&i| {
-            self.rects[i as usize]
-                .intersection(clip)
+            set.rects[i as usize]
+                .intersection(&clip)
                 .expect("collect_intersecting guarantees overlap")
         }));
         let local: &[Rect] = local;
-        match local {
-            [] => return None,
-            // A lone rect (in the hot loop, the querying object's own
-            // FSA) is its own deepest region: one slab, or one line when
-            // it has no width, spanning its whole height.
-            [only] => return Some((*only, 1)),
-            _ => {}
+        // A lone rect (in the hot loop, the querying object's own FSA)
+        // is its own deepest region, at depth 1 > floor: one slab, or
+        // one line when it has no width, spanning its whole height.
+        if let [only] = local {
+            return Some((*only, 1));
         }
         xs.clear();
         xs.extend(local.iter().flat_map(|r| [r.lo().x, r.hi().x]));
@@ -303,7 +346,9 @@ impl FsaSet {
         let mut ends = ends.iter().map(|&k| &local[k as usize]).peekable();
         let mut best_slab: Option<(Rect, usize)> = None;
         let mut best_line: Option<(Rect, usize)> = None;
-        let depth_of = |best: &Option<(Rect, usize)>| best.map_or(0, |(_, d)| d);
+        // Anything recorded is deeper than `floor`, so this is the depth
+        // a slab or line must beat.
+        let depth_of = |best: &Option<(Rect, usize)>| best.map_or(floor, |(_, d)| d);
         // Upper bound on the depth of the rects currently in `events`:
         // exact after a y-sweep, +1 per rect added since, never more
         // than the rect count.
@@ -317,8 +362,8 @@ impl FsaSet {
                 insert_event(events, (r.hi().y, -1));
                 bound += 1;
             }
-            let floor = depth_of(&best_slab).max(depth_of(&best_line));
-            if let Some(deeper) = deeper_region(events, &mut bound, floor, x, x) {
+            let to_beat = depth_of(&best_slab).max(depth_of(&best_line));
+            if let Some(deeper) = deeper_region(events, &mut bound, to_beat, x, x) {
                 best_line = Some(deeper);
             }
             // The slab from `x` to the next boundary is covered by the
@@ -329,8 +374,8 @@ impl FsaSet {
             }
             bound = bound.min(events.len() / 2);
             let Some(&next) = xs.get(i + 1) else { break };
-            let floor = depth_of(&best_slab);
-            if let Some(deeper) = deeper_region(events, &mut bound, floor, x, next) {
+            let to_beat = depth_of(&best_slab);
+            if let Some(deeper) = deeper_region(events, &mut bound, to_beat, x, next) {
                 best_slab = Some(deeper);
             }
         }

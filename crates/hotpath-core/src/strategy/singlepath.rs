@@ -91,8 +91,9 @@ pub enum OverlapPolicy {
 /// global Phase B sees exactly the view a single index would present.
 pub trait PathStore {
     /// Distinct end vertices inside `fsa` with their converging paths,
-    /// grouped into `out` in canonical order — by `(x, y)` with ids
-    /// ascending (the Case-2 query). `out` is a reusable accumulator;
+    /// grouped into `out` (the Case-2 query). Groups and each group's
+    /// representative point are canonical; group and id order are not,
+    /// and Phase B never observes them. `out` is a reusable accumulator;
     /// implementations clear it first.
     fn end_vertices_into(&self, fsa: &Rect, out: &mut VertexGroups);
     /// Current hotness of `id` (zero when unknown).
@@ -128,7 +129,7 @@ impl PathStore for SingleStore<'_> {
 }
 
 /// Reusable Phase-B scratch: the Case-2 vertex-group accumulator and the
-/// buffers of the max-depth overlap query, kept alive across deferred
+/// buffers of the FSA-neighbourhood query, kept alive across deferred
 /// states and epochs. Held by [`ScratchArena`] (single-shard path) and
 /// the coordinator's front-side scratch (sharded path).
 #[derive(Debug, Default)]
@@ -271,8 +272,8 @@ pub fn phase_a(
 /// positions, in order, against a [`PathStore`]. Sequential, so paths
 /// minted for earlier objects are visible to later ones ("newly
 /// generated motion paths will also provide additional vertices").
-/// `scratch` holds the buffers the Case-2 and max-depth queries refill
-/// per deferred state. Returns the pass's [`PhaseBLoad`].
+/// `scratch` holds the buffers the Case-2 and FSA-neighbourhood queries
+/// refill per deferred state. Returns the pass's [`PhaseBLoad`].
 #[allow(clippy::too_many_arguments)]
 pub fn phase_b<S: PathStore>(
     states: &[ClientState],
@@ -288,6 +289,12 @@ pub fn phase_b<S: PathStore>(
     let PhaseBScratch { groups, overlap } = scratch;
     for &i in deferred {
         let st = &states[i as usize];
+        // The FSAs meeting this state's FSA, collected once: every FSA
+        // containing a vertex inside it is among them.
+        let mut near = match policy {
+            OverlapPolicy::Full => Some(fsas.neighbourhood(&st.fsa, overlap)),
+            OverlapPolicy::Own => None,
+        };
 
         // Available vertices with converging-path hotness plus stabbing
         // depth (lines 22-26).
@@ -295,10 +302,7 @@ pub fn phase_b<S: PathStore>(
         store.end_vertices_into(&st.fsa, groups);
         for (&vertex, incoming) in groups.iter() {
             let converging: u32 = incoming.iter().map(|&id| store.hotness_of(id)).sum();
-            let boost = match policy {
-                OverlapPolicy::Full => fsas.stab_count(&vertex) as u32,
-                OverlapPolicy::Own => 0,
-            };
+            let boost = near.as_ref().map_or(0, |near| near.stab_count(&vertex) as u32);
             let cand = (converging + boost, true, vertex);
             if better_vertex(&cand, &best) {
                 best = Some(cand);
@@ -307,21 +311,27 @@ pub fn phase_b<S: PathStore>(
 
         // Generated candidate from the deepest overlap region
         // (lines 27-34); the clip guarantees validity for this object.
-        let generated = match policy {
-            OverlapPolicy::Full => fsas
-                .max_depth_region_in(&st.fsa, overlap)
-                .map(|(region, depth)| (depth as u32, false, region.centroid())),
-            OverlapPolicy::Own => Some((1, false, st.fsa.centroid())),
-        };
-        if let Some(cand) = generated {
-            if better_vertex(&cand, &best) {
-                best = Some(cand);
+        // Ties go to the existing vertex, so only a region strictly
+        // deeper than the best rank can win — and whatever
+        // `deepest_above` returns does.
+        match &mut near {
+            Some(near) => {
+                let floor = best.map_or(0, |(rank, ..)| rank as usize);
+                if let Some((region, depth)) = near.deepest_above(floor) {
+                    best = Some((depth as u32, false, region.centroid()));
+                }
+            }
+            None => {
+                let cand = (1, false, st.fsa.centroid());
+                if better_vertex(&cand, &best) {
+                    best = Some(cand);
+                }
             }
         }
 
         let (_, existing, vertex) = best.unwrap_or_else(|| {
             // Degenerate fallback: the FSA participates in the FsaSet, so
-            // max_depth_region over its own clip cannot be None; keep a
+            // its own neighbourhood has a region above depth 0; keep a
             // safe default anyway.
             (0, false, st.fsa.centroid())
         });

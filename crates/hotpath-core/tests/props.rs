@@ -13,6 +13,7 @@ use hotpath_core::raytrace::{
     ClientState, FilterStats, RayTraceCore, RayTraceFilter, Ssa, UncertainRayTraceFilter,
 };
 use hotpath_core::session::{SessionTable, SessionTransition};
+use hotpath_core::strategy::{CaseKind, CaseTally, FsaSet, OverlapPolicy, Selection};
 use hotpath_core::time::{SlidingWindow, Timestamp};
 use hotpath_core::uncertainty::{
     coverage, half_width_exact, FallbackPolicy, GaussianPoint, ToleranceTable2D,
@@ -896,7 +897,6 @@ proptest! {
         shift in 0u32..8,
         cell in 1.5..25.0f64,
     ) {
-        use hotpath_core::strategy::FsaSet;
         let rect = |&(x, y, w, h): &(u32, u32, u32, u32), dx: u32| {
             let lo = Point::new((x + dx) as f64, y as f64);
             Rect::new(lo, lo + Point::new(w as f64, h as f64))
@@ -940,11 +940,13 @@ proptest! {
         }
     }
 
-    /// The one-pass sweep behind `max_depth_region_in` must return the
-    /// very `(Rect, depth)` the old per-slab rescan returned — bit for
-    /// bit — over rect sets from one rect to a few hundred, drawn from a
-    /// coarse lattice so duplicates, edge-touching neighbours, and
-    /// zero-width/zero-height rects are common.
+    /// The one-pass sweep behind `Neighbourhood::deepest_above` must
+    /// return the very `(Rect, depth)` the old per-slab rescan returned —
+    /// bit for bit — at every floor below that depth and nothing at or
+    /// above it, over rect sets from one rect to a few hundred, drawn
+    /// from a coarse lattice so duplicates, edge-touching neighbours, and
+    /// zero-width/zero-height rects are common. The neighbourhood's
+    /// stabbing counts must equal the set's anywhere inside the clip.
     #[test]
     fn max_depth_sweep_matches_per_slab_reference(
         rects in prop::collection::vec((0u32..40, 0u32..40, 0u32..9, 0u32..9, 0.0..1.0f64), 1..300),
@@ -953,7 +955,7 @@ proptest! {
         hub in 0u8..3,
         cell in 1.0..40.0f64,
     ) {
-        use hotpath_core::strategy::{FsaSet, QueryScratch};
+        use hotpath_core::strategy::QueryScratch;
         // `lattice` picks the coordinate pitch (the last one adds
         // off-lattice jitter so most boundaries are distinct); `hub`
         // picks how hard the rects pile up — at the tightest setting
@@ -978,14 +980,227 @@ proptest! {
             Rect::new(lo, lo + Point::new(w as f64 * pitch, h as f64 * pitch))
         }));
         for clip in clips {
-            let got = set.max_depth_region_in(&clip, &mut scratch);
+            let mut near = set.neighbourhood(&clip, &mut scratch);
             let want = reference_max_depth_region(&rects, &clip);
-            prop_assert_eq!(
-                got.map(|(r, d)| (rect_bits(&r), d)),
-                want.map(|(r, d)| (rect_bits(&r), d)),
-                "clip {:?}",
-                clip
+            let want_depth = want.map_or(0, |(_, d)| d);
+            prop_assert!(want_depth <= near.len(), "depth {} over {} rects", want_depth, near.len());
+            // The unbounded query, the floors just below, at and above
+            // the answer, and a floor in between: the same region while
+            // it is strictly deeper, then nothing — a tie included.
+            let floors = [0, want_depth / 2, want_depth.saturating_sub(1), want_depth, want_depth + 1];
+            for floor in floors {
+                prop_assert_eq!(
+                    near.deepest_above(floor).map(|(r, d)| (rect_bits(&r), d)),
+                    want.filter(|&(_, d)| d > floor).map(|(r, d)| (rect_bits(&r), d)),
+                    "clip {:?} floor {}",
+                    clip,
+                    floor
+                );
+            }
+            // Stabbing counts over the neighbourhood are exact inside the
+            // clip: its corners, edge midpoints and centroid, and every
+            // corner of a set rect that lies in the clip.
+            let (lo, hi) = (clip.lo(), clip.hi());
+            let (mx, my) = ((lo.x + hi.x) / 2.0, (lo.y + hi.y) / 2.0);
+            let own = [(lo.x, lo.y), (lo.x, hi.y), (hi.x, lo.y), (hi.x, hi.y), (mx, lo.y), (mx, hi.y), (lo.x, my), (hi.x, my), (mx, my)];
+            let corners = rects.iter().take(16).flat_map(|r| {
+                [(r.lo().x, r.lo().y), (r.lo().x, r.hi().y), (r.hi().x, r.lo().y), (r.hi().x, r.hi().y)]
+            });
+            for p in own.into_iter().chain(corners).map(|(x, y)| Point::new(x, y)) {
+                if clip.contains(&p) {
+                    prop_assert_eq!(near.stab_count(&p), set.stab_count(&p), "clip {:?} at {:?}", clip, p);
+                }
+            }
+        }
+    }
+}
+
+// ---------------- Phase B against its parent ----------------
+
+/// One Phase-B selection, bit for bit: object, path, endpoint bits, exit
+/// time, case, created.
+type SelectionRow = (u64, u64, u64, u64, u64, CaseKind, bool);
+
+fn selection_row(s: &Selection) -> SelectionRow {
+    let p = s.endpoint;
+    (s.object.0, s.path.0, p.x.to_bits(), p.y.to_bits(), s.te.raw(), s.case, s.created)
+}
+
+/// `phase_b` as it stood before the FSA-neighbourhood query, kept as the
+/// reference: vertex groups sorted by representative `(x, y)` with ids
+/// ascending (the slab scan of `brute_end_vertices`), `FsaSet::stab_count`
+/// per vertex, and an unbounded max-depth query (the per-slab oracle
+/// over the batch's `rects`) whose candidate competes with the existing
+/// vertices — higher rank, then existing, then smaller `(x, y)`.
+fn reference_phase_b(
+    states: &[ClientState],
+    deferred: &[u32],
+    index: &mut MotionPathIndex,
+    hotness: &mut Hotness,
+    rects: &[Rect],
+    fsas: &FsaSet,
+    policy: OverlapPolicy,
+) -> (Vec<SelectionRow>, CaseTally) {
+    let better = |cand: &(u32, bool, Point), best: &Option<(u32, bool, Point)>| {
+        best.is_none_or(|b| (cand.0, cand.1, -cand.2.x, -cand.2.y) > (b.0, b.1, -b.2.x, -b.2.y))
+    };
+    let mut rows = Vec::new();
+    let mut tally = CaseTally::default();
+    for &i in deferred {
+        let st = &states[i as usize];
+        let mut best: Option<(u32, bool, Point)> = None;
+        for (vertex, incoming) in brute_end_vertices(index, &st.fsa) {
+            let converging: u32 = incoming.iter().map(|&id| hotness.get(id)).sum();
+            let boost = match policy {
+                OverlapPolicy::Full => fsas.stab_count(&vertex) as u32,
+                OverlapPolicy::Own => 0,
+            };
+            let cand = (converging + boost, true, vertex);
+            if better(&cand, &best) {
+                best = Some(cand);
+            }
+        }
+        let generated = match policy {
+            OverlapPolicy::Full => reference_max_depth_region(rects, &st.fsa)
+                .map(|(region, depth)| (depth as u32, false, region.centroid())),
+            OverlapPolicy::Own => Some((1, false, st.fsa.centroid())),
+        };
+        if let Some(cand) = generated {
+            if better(&cand, &best) {
+                best = Some(cand);
+            }
+        }
+        let (_, existing, vertex) = best.unwrap_or((0, false, st.fsa.centroid()));
+        let (edge, created) = index.insert_edge(st.start, vertex);
+        hotness.record_crossing(edge.id, st.te, edge.len);
+        let case = if existing {
+            tally.case2 += 1;
+            CaseKind::ExistingVertex
+        } else {
+            tally.case3 += 1;
+            CaseKind::NewVertex
+        };
+        rows.push((
+            st.object.0,
+            edge.id.0,
+            edge.end.x.to_bits(),
+            edge.end.y.to_bits(),
+            st.te.raw(),
+            case,
+            created,
+        ));
+    }
+    (rows, tally)
+}
+
+/// Where generated FSAs and vertices sit: three hubs where they pile up,
+/// and a sparse lattice where most FSAs meet no other.
+fn phase_b_site(kind: u8, x: u32, y: u32) -> Point {
+    match kind {
+        0..=2 => Point::new(kind as f64 * 300.0 + x as f64 * 3.0, y as f64 * 3.0),
+        _ => Point::new(1_000.0 + x as f64 * 97.0, 500.0 + y as f64 * 89.0),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The bounded `phase_b` — one neighbourhood per deferred state, a
+    /// sweep only above the best existing rank, unsorted vertex groups —
+    /// makes the parent's choices: identical selections, tallies, path
+    /// slab and heat slab, over deferred batches that pile many FSAs
+    /// onto a few hubs beside isolated ones, against a random prior
+    /// index whose paths hold 0-3 crossings (with float-noisy copies of
+    /// one vertex), under both overlap policies.
+    #[test]
+    fn bounded_phase_b_matches_parent_phase_b(
+        picks in prop::collection::vec(
+            (0u8..4, 0u32..9, 0u32..9, 0usize..4, 0u32..6, 0u8..4),
+            1..48,
+        ),
+        prior in prop::collection::vec(
+            (0u8..4, 0u32..9, 0u32..9, 0u8..3, 0u32..4, 0u32..6),
+            0..40,
+        ),
+        cell in 5.0..60.0f64,
+    ) {
+        use hotpath_core::strategy::{build_fsa_set, phase_b, PhaseBScratch, SingleStore};
+        // A few shared starts, so some commits dedup onto a stored path.
+        let start = |s: u32| Point::new(-1_000.0 - s as f64 * 50.0, 7.0);
+        let states: Vec<ClientState> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, x, y, half, s, _))| {
+                let c = phase_b_site(kind, x, y);
+                let half = Point::new(1.0, 1.0) * [4.0, 10.0, 15.0, 20.0][half];
+                ClientState {
+                    object: ObjectId(i as u64),
+                    start: if s < 2 { start(s) } else { Point::new(-9_000.0, i as f64) },
+                    ts: Timestamp(1),
+                    fsa: Rect::new(c - half, c + half),
+                    te: Timestamp(10 + i as u64),
+                }
+            })
+            .collect();
+        // One state in four is left out of the deferred list.
+        let deferred: Vec<u32> =
+            (0..picks.len() as u32).filter(|&i| picks[i as usize].5 != 0).collect();
+        let rects: Vec<Rect> = states.iter().map(|s| s.fsa).collect();
+
+        let mut index = MotionPathIndex::new(cell, 1e-3);
+        let mut hotness = Hotness::new(SlidingWindow::new(100));
+        for &(kind, x, y, noise, crossings, s) in &prior {
+            let nudge = [0.0, 2e-4, -2e-4][noise as usize];
+            let end = phase_b_site(kind, x, y) + Point::new(nudge, -nudge);
+            let (edge, _) = index.insert_edge(start(s), end);
+            for _ in 0..crossings {
+                hotness.record_crossing(edge.id, Timestamp(5), edge.len);
+            }
+        }
+
+        for policy in [OverlapPolicy::Full, OverlapPolicy::Own] {
+            let fsas = build_fsa_set(&states, cell, policy);
+            let (mut ref_index, mut ref_hotness) = (index.clone(), hotness.clone());
+            let (want, want_tally) = reference_phase_b(
+                &states,
+                &deferred,
+                &mut ref_index,
+                &mut ref_hotness,
+                &rects,
+                &fsas,
+                policy,
             );
+
+            let (mut new_index, mut new_hotness) = (index.clone(), hotness.clone());
+            let mut tally = CaseTally::default();
+            let mut selections = Vec::new();
+            let load = phase_b(
+                &states,
+                &deferred,
+                &mut SingleStore { index: &mut new_index, hotness: &mut new_hotness },
+                &fsas,
+                policy,
+                &mut tally,
+                &mut selections,
+                &mut PhaseBScratch::default(),
+            );
+            let got: Vec<SelectionRow> = selections.iter().map(selection_row).collect();
+            prop_assert_eq!(&got, &want, "{:?} selections", policy);
+            prop_assert_eq!(tally, want_tally, "{:?} tallies", policy);
+            prop_assert_eq!(load.deferred, deferred.len());
+            prop_assert_eq!(
+                new_index.paths_slice(),
+                ref_index.paths_slice(),
+                "{:?} path slab",
+                policy
+            );
+            prop_assert_eq!(
+                new_hotness.heat_slice(),
+                ref_hotness.heat_slice(),
+                "{:?} heat slab",
+                policy
+            );
+            prop_assert!(new_index.check_consistency().is_ok());
         }
     }
 }

@@ -1,10 +1,13 @@
-//! Steady-state memory pins for the two default-path hot loops: a
-//! RayTrace filter absorbing measurements, and the Phase-B max-depth
-//! query on a reused scratch. A counting `#[global_allocator]` needs a
-//! test binary of its own; counts are per thread, so the harness and the
-//! other tests running beside a measurement never show up in it.
+//! Steady-state memory pins for the default-path hot loops: a RayTrace
+//! filter absorbing measurements, the Phase-B FSA-neighbourhood queries
+//! on a reused scratch, and index maintenance as paths come and go. A
+//! counting `#[global_allocator]` needs a test binary of its own; counts
+//! are per thread, so the harness and the other tests running beside a
+//! measurement never show up in it.
 
 use hotpath_core::geometry::{Point, Rect, TimePoint};
+use hotpath_core::index::MotionPathIndex;
+use hotpath_core::motion_path::PathId;
 use hotpath_core::raytrace::RayTraceFilter;
 use hotpath_core::strategy::{FsaSet, QueryScratch};
 use hotpath_core::time::Timestamp;
@@ -138,10 +141,15 @@ fn max_depth_queries_on_a_warmed_scratch_do_not_allocate() {
     rects.push(Rect::new(Point::new(900.0, 900.0), Point::new(920.0, 920.0)));
     let set = FsaSet::build(rects.clone(), 20.0);
     let mut scratch = QueryScratch::default();
+    // Phase B's questions per deferred state: collect the neighbourhood
+    // once, count stabs at a vertex inside it, find the deepest region.
     let sweep = |scratch: &mut QueryScratch| {
         let mut deepest = 0;
         for clip in rects.iter().cycle().take(1_000) {
-            let (_, depth) = set.max_depth_region_in(clip, scratch).expect("clip is in the set");
+            let mut near = set.neighbourhood(clip, scratch);
+            let stabbed = near.stab_count(&clip.centroid());
+            let (_, depth) = near.deepest_above(0).expect("clip is in the set");
+            assert!((1..=depth).contains(&stabbed), "stab {stabbed} outside 1..={depth}");
             deepest = deepest.max(depth);
         }
         deepest
@@ -151,4 +159,42 @@ fn max_depth_queries_on_a_warmed_scratch_do_not_allocate() {
     let (n, again) = allocs_in(|| sweep(&mut scratch));
     assert_eq!(n, 0, "1 000 queries on a warmed scratch allocated");
     assert_eq!(again, warm);
+}
+
+/// Expiry empties end-vertex cells and adjacency lists all the time, and
+/// Phase B fills new ones: their buffers are recycled, not freed and
+/// allocated again.
+#[test]
+fn index_churn_through_empty_cells_and_lists_does_not_allocate() {
+    let mut index = MotionPathIndex::new(50.0, 1e-3);
+    // A resident population the churn runs beside.
+    for k in 0..64 {
+        let k = k as f64;
+        index.insert(Point::new(k * 10.0, -5_000.0), Point::new(k * 10.0, -4_000.0));
+    }
+    // Sixteen paths, each from its own start vertex into an end-vertex
+    // cell nothing else occupies, inserted and then all removed: every
+    // cycle creates and empties 16 cells and 16 adjacency lists.
+    let cycle = |index: &mut MotionPathIndex| {
+        let mut ids = [PathId(0); 16];
+        for (k, id) in ids.iter_mut().enumerate() {
+            let k = k as f64;
+            let (new, created) =
+                index.insert(Point::new(k * 100.0, 0.0), Point::new(k * 100.0, 1_000.0));
+            assert!(created);
+            *id = new;
+        }
+        for id in ids {
+            assert!(index.remove(id));
+        }
+    };
+    // Warm-up: path ids are always fresh, so the id map settles its
+    // capacity over a few cycles.
+    for _ in 0..64 {
+        cycle(&mut index);
+    }
+    let (n, ()) = allocs_in(|| (0..100).for_each(|_| cycle(&mut index)));
+    assert_eq!(n, 0, "100 insert/remove cycles through empty cells and lists allocated");
+    assert_eq!(index.len(), 64);
+    index.check_consistency().unwrap();
 }
