@@ -20,9 +20,7 @@ use hotpath_core::geometry::{Point, Rect};
 use hotpath_core::hotness::Hotness;
 use hotpath_core::index::MotionPathIndex;
 use hotpath_core::raytrace::ClientState;
-use hotpath_core::strategy::{
-    build_fsa_set, phase_b, CaseTally, OverlapPolicy, PhaseBScratch, SingleStore,
-};
+use hotpath_core::strategy::{build_fsa_set, phase_b, CaseTally, OverlapPolicy, PhaseBScratch};
 use hotpath_core::time::{SlidingWindow, Timestamp};
 use hotpath_core::ObjectId;
 
@@ -103,7 +101,8 @@ fn bench_phase_b(c: &mut Criterion) {
                     phase_b(
                         &states,
                         &deferred,
-                        &mut SingleStore { index, hotness },
+                        index,
+                        hotness,
                         &fsas,
                         OverlapPolicy::Full,
                         &mut tally,

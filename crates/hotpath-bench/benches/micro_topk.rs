@@ -1,5 +1,5 @@
-//! Top-k query micro-bench: with the incremental per-shard rank
-//! structure, `top_k()` / `top_k_score()` merge `k` entries per shard —
+//! Top-k query micro-bench: `top_k()` / `top_k_score()` read the cached
+//! snapshot, whose top-k comes from the hotness table's count buckets —
 //! the medians must stay flat as the hot-set size grows from 1k to 50k
 //! paths (the old implementation sorted the whole hot set per query).
 
@@ -13,10 +13,8 @@ use hotpath_core::ObjectId;
 
 /// A coordinator whose hot set holds `p` distinct one-crossing paths
 /// (plus a handful of hotter ones so the top-k is non-trivial).
-fn with_hot_paths(p: usize, shards: usize) -> Coordinator {
-    let mut c = Coordinator::new(
-        Config::paper_defaults().with_window(1_000_000).with_epoch(10).with_shards(shards),
-    );
+fn with_hot_paths(p: usize) -> Coordinator {
+    let mut c = Coordinator::new(Config::paper_defaults().with_window(1_000_000).with_epoch(10));
     let states = (0..p).map(|i| {
         // Distinct corridors on a coarse lattice: every state mints its
         // own path (Case 3), far enough apart that FSAs never overlap.
@@ -57,7 +55,7 @@ fn with_hot_paths(p: usize, shards: usize) -> Coordinator {
 fn bench_topk(c: &mut Criterion) {
     let mut g = c.benchmark_group("topk");
     for p in [1_000usize, 10_000, 50_000] {
-        let coord = with_hot_paths(p, 1);
+        let coord = with_hot_paths(p);
         g.bench_with_input(BenchmarkId::new("top_k", p), &coord, |b, coord| {
             b.iter(|| coord.top_k());
         });
@@ -84,12 +82,6 @@ fn bench_topk(c: &mut Criterion) {
             });
         });
     }
-    // The merge stays O(k·shards): a sharded coordinator pays per shard,
-    // not per hot path.
-    let coord = with_hot_paths(10_000, 4);
-    g.bench_with_input(BenchmarkId::new("top_k_sharded4", 10_000usize), &coord, |b, coord| {
-        b.iter(|| coord.top_k());
-    });
     g.finish();
 }
 

@@ -2,26 +2,22 @@
 //!
 //! ```text
 //! experiments [fig7|fig8|fig9|fig10|claims|hinted|all]
-//!             [--scale paper|mid|quick] [--shards N] [--csv <dir>]
-//! experiments scenario <name|all> [--scale ...] [--shards N] [--csv <dir>]
+//!             [--scale paper|mid|quick] [--csv <dir>]
+//! experiments scenario <name|all> [--scale ...] [--csv <dir>]
 //!             [--sigma s1,s2,...] [--fallback reject|minimal[:w]|all]
 //!             [--restore-check] [--fault-seed N]
-//! experiments swarm [--scale ...] [--shards N]
-//!             [--seed N] [--churn F] [--fault-seed N]
-//! experiments serve [--socket PATH] [--shards N] [--ticks N]
+//! experiments swarm [--scale ...] [--seed N] [--churn F] [--fault-seed N]
+//! experiments serve [--socket PATH] [--ticks N]
 //! ```
 //!
-//! Defaults: `all --scale mid --shards 1`. `--scale paper` runs the
-//! exact Section 6.1 parameters (N up to 100 000 — allow several
-//! minutes). `--shards N` partitions the coordinator into `N` shards
-//! (Phase A runs on one thread per shard); results are identical at
-//! every shard count, only the wall clock changes.
+//! Defaults: `all --scale mid`. `--scale paper` runs the exact Section
+//! 6.1 parameters (N up to 100 000 — allow several minutes).
 //!
 //! `scenario` drives the netsim scenario registry: each named workload
-//! runs crisp with its invariants verified (exit 1 on violation), with
-//! parity against a fresh sequential reference asserted whenever
-//! `--shards > 1`, then sweeps the `(sigma, fallback)` uncertainty grid. `--csv <dir>` additionally writes each
-//! scenario's per-epoch metric series to `<dir>/scenario_<name>.csv`.
+//! runs crisp with its invariants verified (exit 1 on violation), then
+//! sweeps the `(sigma, fallback)` uncertainty grid. `--csv <dir>`
+//! additionally writes each scenario's per-epoch metric series to
+//! `<dir>/scenario_<name>.csv`.
 //!
 //! `swarm` runs the deterministic `client_swarm` load generator against
 //! a `hotpathd` front door (lock-free snapshot readers hammering while
@@ -38,7 +34,7 @@ use hotpath_sim::experiment::{figure10, figure7, figure8, figure9, format_fig7, 
 use hotpath_sim::options::RunOptions;
 use hotpath_sim::report::{network_map, paths_map};
 use hotpath_sim::scenario_run::{
-    check_parity_against, check_restart_parity, run_named, scenario_sigma_sweep, ScenarioRunParams,
+    check_restart_parity, run_named, scenario_sigma_sweep, ScenarioRunParams,
 };
 use hotpath_sim::simulation::{run, SimulationParams};
 use std::time::Instant;
@@ -48,7 +44,6 @@ fn main() {
     let mut which = "all".to_string();
     let mut scenario_name: Option<String> = None;
     let mut scale = Scale::Mid;
-    let mut shards = 1usize;
     let mut sigmas: Option<Vec<f64>> = None;
     let mut fallbacks: Option<Vec<FallbackPolicy>> = None;
     let mut csv_dir: Option<std::path::PathBuf> = None;
@@ -69,14 +64,6 @@ fn main() {
                     .unwrap_or_else(|| usage("--scale needs a value"))
                     .parse()
                     .unwrap_or_else(|e| usage(&format!("{e}")));
-            }
-            "--shards" => {
-                i += 1;
-                shards = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--shards needs a positive integer"));
             }
             "--sigma" => {
                 i += 1;
@@ -188,7 +175,7 @@ fn main() {
         i += 1;
     }
 
-    println!("# Hot Motion Paths — experiment reproduction (scale: {scale:?}, shards: {shards})");
+    println!("# Hot Motion Paths — experiment reproduction (scale: {scale:?})");
     println!();
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| usage(&format!("--csv: {e}")));
@@ -198,7 +185,6 @@ fn main() {
         "scenario" => scenario(
             scenario_name.as_deref().unwrap_or("all"),
             scale,
-            shards,
             sigmas.as_deref(),
             fallbacks.as_deref(),
             csv_dir.as_deref(),
@@ -206,28 +192,28 @@ fn main() {
             restore_check,
             fault_seed,
         ),
-        "fig7" => fig7(scale, shards, csv_dir.as_deref()),
-        "fig8" => fig8(scale, shards, csv_dir.as_deref()),
-        "fig9" => fig9(scale, shards),
-        "fig10" => fig10_(scale, shards),
-        "claims" => claims(scale, shards),
-        "hinted" => hinted(scale, shards),
-        "ablate" => ablate(scale, shards),
-        "filters" => filters(scale, shards),
+        "fig7" => fig7(scale, csv_dir.as_deref()),
+        "fig8" => fig8(scale, csv_dir.as_deref()),
+        "fig9" => fig9(scale),
+        "fig10" => fig10_(scale),
+        "claims" => claims(scale),
+        "hinted" => hinted(scale),
+        "ablate" => ablate(scale),
+        "filters" => filters(scale),
         "compress" => compress(),
         "uncertain" => uncertain(),
-        "checkpoint-bench" => checkpoint_bench(shards),
-        "swarm" => swarm_cmd(scale, shards, swarm_seed, churn, fault_seed),
-        "serve" => serve_cmd(shards, socket, ticks.unwrap_or(50)),
+        "checkpoint-bench" => checkpoint_bench(),
+        "swarm" => swarm_cmd(scale, swarm_seed, churn, fault_seed),
+        "serve" => serve_cmd(socket, ticks.unwrap_or(50)),
         "all" => {
-            fig7(scale, shards, csv_dir.as_deref());
-            fig8(scale, shards, csv_dir.as_deref());
-            fig9(scale, shards);
-            fig10_(scale, shards);
-            claims(scale, shards);
-            hinted(scale, shards);
-            ablate(scale, shards);
-            filters(scale, shards);
+            fig7(scale, csv_dir.as_deref());
+            fig8(scale, csv_dir.as_deref());
+            fig9(scale);
+            fig10_(scale);
+            claims(scale);
+            hinted(scale);
+            ablate(scale);
+            filters(scale);
             compress();
             uncertain();
         }
@@ -240,14 +226,14 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: experiments [fig7|fig8|fig9|fig10|claims|hinted|ablate|filters|compress|uncertain|checkpoint-bench|all] \
-         [--scale paper|mid|quick] [--shards N] [--csv <dir>]\n       \
-         experiments scenario <name|all> [--scale paper|mid|quick] [--shards N] [--csv <dir>] \
+         [--scale paper|mid|quick] [--csv <dir>]\n       \
+         experiments scenario <name|all> [--scale paper|mid|quick] [--csv <dir>] \
          [--sigma s1,s2,...] [--fallback reject|minimal[:<w>]|all] \
          [--checkpoint-every N] [--checkpoint-dir <dir>] [--restore-from <file>] [--restore-check] \
          [--fault-seed N]\n       \
-         experiments swarm [--scale paper|mid|quick] [--shards N] \
+         experiments swarm [--scale paper|mid|quick] \
          [--seed N] [--churn F] [--fault-seed N]\n       \
-         experiments serve [--socket PATH] [--shards N] [--ticks N]"
+         experiments serve [--socket PATH] [--ticks N]"
     );
     std::process::exit(2);
 }
@@ -276,8 +262,7 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The scenario subsystem: crisp run + invariants (+ parity against the
-/// sequential reference when sharded), then the
+/// The scenario subsystem: crisp run + invariants, then the
 /// `(sigma, fallback)` uncertainty sweep; `--csv` writes each
 /// scenario's per-epoch series. `--checkpoint-every`/`--checkpoint-dir`
 /// write periodic images per scenario, `--restore-from` warm-starts
@@ -288,7 +273,6 @@ fn edit_distance(a: &str, b: &str) -> usize {
 fn scenario(
     name: &str,
     scale: Scale,
-    shards: usize,
     sigmas: Option<&[f64]>,
     fallbacks: Option<&[FallbackPolicy]>,
     csv_dir: Option<&std::path::Path>,
@@ -297,7 +281,7 @@ fn scenario(
     fault_seed: Option<u64>,
 ) {
     let scenario_scale = scale.scenario_params(2015);
-    let mut base = ScenarioRunParams::default().with_shards(shards);
+    let mut base = ScenarioRunParams::default();
     if let Some(seed) = fault_seed {
         base = base.with_fault_seed(seed);
     }
@@ -357,17 +341,6 @@ fn scenario(
                 println!("   invariants: FAILED — {e}");
             }
         }
-        if shards > 1 {
-            // The crisp run above already ran sharded; only the fresh
-            // sequential reference costs an extra run.
-            match check_parity_against(&res, spec.name, &scenario_scale, &base) {
-                Ok(()) => println!("   parity: sequential == {shards}-shard, bit for bit"),
-                Err(e) => {
-                    failures += 1;
-                    println!("   parity: FAILED — {e}");
-                }
-            }
-        }
         if restore_check {
             match check_restart_parity(spec.name, &scenario_scale, &base) {
                 Ok(()) => println!(
@@ -421,16 +394,11 @@ fn scenario(
     }
 }
 
-/// Base simulation params at `scale` with the CLI's execution knobs.
-fn sim(scale: Scale, seed: u64, shards: usize) -> SimulationParams {
-    scale.base(seed).with_shards(shards)
-}
-
 /// Figure 7 (a-c): vary N at eps = 10.
-fn fig7(scale: Scale, shards: usize, csv_dir: Option<&std::path::Path>) {
+fn fig7(scale: Scale, csv_dir: Option<&std::path::Path>) {
     println!("## Figure 7 — varying the number of objects (eps = 10 m)");
     println!("   panels: (a) index size, (b) top-10 score, (c) SinglePath ms/epoch");
-    let rows = figure7(&scale.fig7_ns(), sim(scale, 2008, shards));
+    let rows = figure7(&scale.fig7_ns(), scale.base(2008));
     println!("{}", format_fig7(&rows));
     if let Some(dir) = csv_dir {
         let data: Vec<Vec<String>> = rows
@@ -466,11 +434,11 @@ fn fig7(scale: Scale, shards: usize, csv_dir: Option<&std::path::Path>) {
 }
 
 /// Figure 8 (a-c): vary eps at the scale's fixed N.
-fn fig8(scale: Scale, shards: usize, csv_dir: Option<&std::path::Path>) {
+fn fig8(scale: Scale, csv_dir: Option<&std::path::Path>) {
     let n = scale.fig8_n();
     println!("## Figure 8 — varying the tolerance (N = {n})");
     println!("   panels: (a) index size, (b) top-10 score, (c) SinglePath ms/epoch");
-    let base = SimulationParams { n, ..sim(scale, 2009, shards) };
+    let base = SimulationParams { n, ..scale.base(2009) };
     let rows = figure8(&scale.fig8_eps(), base);
     println!("{}", format_fig8(&rows));
     if let Some(dir) = csv_dir {
@@ -507,9 +475,9 @@ fn fig8(scale: Scale, shards: usize, csv_dir: Option<&std::path::Path>) {
 }
 
 /// Figure 9: the discovered network map.
-fn fig9(scale: Scale, shards: usize) {
+fn fig9(scale: Scale) {
     println!("## Figure 9 — all motion paths with hotness > 0 (vs the hidden network)");
-    let params = SimulationParams { n: scale.map_n(), ..sim(scale, 2010, shards) };
+    let params = SimulationParams { n: scale.map_n(), ..scale.base(2010) };
     let (paths, res) = figure9(params);
     let (cols, rows_) = (96, 30);
     let net = network_map(&res.network, cols, rows_);
@@ -527,9 +495,9 @@ fn fig9(scale: Scale, shards: usize) {
 }
 
 /// Figure 10: top-20 hottest paths in the center.
-fn fig10_(scale: Scale, shards: usize) {
+fn fig10_(scale: Scale) {
     println!("## Figure 10 — top 20 hottest motion paths, city center");
-    let params = SimulationParams { n: scale.map_n(), ..sim(scale, 2010, shards) };
+    let params = SimulationParams { n: scale.map_n(), ..scale.base(2010) };
     let (paths, center, _res) = figure10(params, 20);
     let map = paths_map(center, &paths, 72, 24);
     print!("{}", indent(&map.render()));
@@ -542,12 +510,12 @@ fn fig10_(scale: Scale, shards: usize) {
 }
 
 /// The in-text claims of Section 6.2.
-fn claims(scale: Scale, shards: usize) {
+fn claims(scale: Scale) {
     println!("## Section 6.2 in-text claims");
     // Claim i: at the largest N, SinglePath stores ~16% more segments
     // than DP (10,896 vs 9,416 in the paper).
     let n = *scale.fig7_ns().last().expect("non-empty sweep");
-    let res = run(SimulationParams { n, ..sim(scale, 2008, shards) });
+    let res = run(SimulationParams { n, ..scale.base(2008) });
     let sp = res.summary.mean_index_size;
     let dp = res.summary.mean_dp_index_size;
     println!(
@@ -555,7 +523,7 @@ fn claims(scale: Scale, shards: usize) {
         100.0 * (sp - dp) / dp.max(1.0)
     );
     // Claim ii: SinglePath can beat DP on score (paper: at N=20000).
-    let rows = figure7(&scale.fig7_ns(), sim(scale, 2008, shards));
+    let rows = figure7(&scale.fig7_ns(), scale.base(2008));
     let wins: Vec<usize> = rows.iter().filter(|r| r.sp_score > r.dp_score).map(|r| r.n).collect();
     println!("   (ii) SinglePath score beats DP at N in {wins:?} (paper: at N=20,000)");
     // Claim iii is printed by fig8's shape line.
@@ -571,10 +539,10 @@ fn claims(scale: Scale, shards: usize) {
 }
 
 /// The Section 7 feedback extension ablation.
-fn hinted(scale: Scale, shards: usize) {
+fn hinted(scale: Scale) {
     println!("## Section 7 extension — hinted RayTrace ablation");
     let n = scale.fig8_n();
-    let base = SimulationParams { n, run_dp: false, ..sim(scale, 2011, shards) };
+    let base = SimulationParams { n, run_dp: false, ..scale.base(2011) };
     let plain = run(base.clone());
     let hinted = run(SimulationParams { hints: true, ..base });
     println!(
@@ -593,11 +561,11 @@ fn hinted(scale: Scale, shards: usize) {
 }
 
 /// Ablation of the Cases-2/3 FSA-overlap machinery (Example 2).
-fn ablate(scale: Scale, shards: usize) {
+fn ablate(scale: Scale) {
     use hotpath_core::strategy::OverlapPolicy;
     println!("## Ablation — Algorithm 2 overlap analysis vs naive vertices");
     let n = scale.fig8_n();
-    let base = SimulationParams { n, run_dp: false, ..sim(scale, 2012, shards) };
+    let base = SimulationParams { n, run_dp: false, ..scale.base(2012) };
     let full = run(base.clone());
     let own = run(SimulationParams { overlap: OverlapPolicy::Own, ..base });
     for (tag, res) in [("full (Alg. 2)", &full), ("own-centroid ", &own)] {
@@ -621,11 +589,11 @@ fn ablate(scale: Scale, shards: usize) {
 }
 
 /// Communication-economy comparison of client filters (extension).
-fn filters(scale: Scale, shards: usize) {
+fn filters(scale: Scale) {
     use hotpath_sim::experiment::filter_economy;
     println!("## Filter economy — naive vs dead reckoning vs RayTrace");
     let n = scale.fig8_n();
-    let e = filter_economy(SimulationParams { n, run_dp: false, ..sim(scale, 2013, shards) });
+    let e = filter_economy(SimulationParams { n, run_dp: false, ..scale.base(2013) });
     let pct = |msgs: u64| 100.0 * msgs as f64 / e.naive_msgs.max(1) as f64;
     println!("   measurements        : {:>12}", e.measurements);
     println!(
@@ -704,7 +672,7 @@ fn uncertain() {
 /// paths, then time the section-memcpy image build, the file write, and
 /// the read + restore, verifying the round trip is byte-identical and
 /// consistent.
-fn checkpoint_bench(shards: usize) {
+fn checkpoint_bench() {
     use hotpath_core::config::Config;
     use hotpath_core::coordinator::Coordinator;
     use hotpath_core::geometry::{Point, Rect};
@@ -712,11 +680,9 @@ fn checkpoint_bench(shards: usize) {
     use hotpath_core::time::Timestamp;
     use hotpath_core::ObjectId;
 
-    println!("## Checkpoint bench — 100k-path coordinator, {shards} shard(s)");
+    println!("## Checkpoint bench — 100k-path coordinator");
     let paths = 100_000usize;
-    let mut c = Coordinator::new(
-        Config::paper_defaults().with_window(1_000_000).with_epoch(10).with_shards(shards),
-    );
+    let mut c = Coordinator::new(Config::paper_defaults().with_window(1_000_000).with_epoch(10));
     // Distinct corridors on a coarse lattice: every state mints its own
     // path (Case 3), far enough apart that FSAs never overlap.
     let states = (0..paths).map(|i| {
@@ -771,19 +737,13 @@ fn checkpoint_bench(shards: usize) {
 }
 
 /// `client_swarm`: the deterministic serving load generator.
-fn swarm_cmd(
-    scale: Scale,
-    shards: usize,
-    seed: Option<u64>,
-    churn: Option<f64>,
-    fault_seed: Option<u64>,
-) {
+fn swarm_cmd(scale: Scale, seed: Option<u64>, churn: Option<f64>, fault_seed: Option<u64>) {
     let mut params = match scale {
         Scale::Quick => SwarmParams::quick(),
         Scale::Mid => SwarmParams::quick().with_writers(32).with_ticks(300).with_churn(0.1),
         Scale::Paper => SwarmParams::full(),
     };
-    let mut run = RunOptions::default().with_shards(shards);
+    let mut run = RunOptions::default();
     if let Some(seed) = fault_seed {
         run = run.with_fault_seed(seed);
     }
@@ -822,7 +782,7 @@ fn swarm_cmd(
 /// An offline smoke of the full out-of-process stack: bind a `hotpathd`
 /// to a unix socket and drive a scripted wire client through
 /// submit-batch / advance / query for `ticks` granules.
-fn serve_cmd(shards: usize, socket: Option<std::path::PathBuf>, ticks: u64) {
+fn serve_cmd(socket: Option<std::path::PathBuf>, ticks: u64) {
     use hotpath_core::config::Config;
     use hotpath_core::coordinator::Coordinator;
     use hotpath_core::engine::EngineKind;
@@ -836,12 +796,12 @@ fn serve_cmd(shards: usize, socket: Option<std::path::PathBuf>, ticks: u64) {
     let path = socket.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("hotpathd-serve-{}.sock", std::process::id()))
     });
-    let config = Config::paper_defaults().with_epoch(10).with_window(100).with_shards(shards);
+    let config = Config::paper_defaults().with_epoch(10).with_window(100);
     let epoch = config.epochs.lambda;
     let handle = Hotpathd::spawn(EngineKind::Sync.build(Coordinator::new(config)));
     let server = serve_unix(&handle, &path)
         .unwrap_or_else(|e| usage(&format!("cannot bind {}: {e}", path.display())));
-    println!("## hotpathd — serving on {} ({shards} shard(s))", path.display());
+    println!("## hotpathd — serving on {}", path.display());
 
     let mut client = UnixClient::connect(&path).expect("connect to own socket");
     // Four writers on a shared corridor pair; one traversal each per tick.

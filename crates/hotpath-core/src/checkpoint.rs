@@ -6,10 +6,10 @@
 //!
 //! ```text
 //! [CheckpointHeader]            56 bytes: magic, version, epoch,
-//!                               shard count, flags, section count,
-//!                               section-table CRC
-//! [SectionDesc x section_count] 32 bytes each: kind, shard, record
-//!                               count, byte length, payload CRC
+//!                               clock, path-id counter, section
+//!                               count, flags, section-table CRC
+//! [SectionDesc x section_count] 32 bytes each: kind, record count,
+//!                               byte length, payload CRC
 //! [payload 0][payload 1]...     raw record arrays, in table order
 //! ```
 //!
@@ -64,9 +64,16 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"HOTPCKPT");
 /// writes and validates on restore; v3 adds the client-session layer:
 /// a [`SectionKind::Session`] section of [`SessionRecord`]s, admission
 /// knobs in [`ConfigRecord`] (72 → 112 bytes), and admission/session
-/// counters in [`StatsRecord`] (96 → 168 bytes). v2 images are
-/// rejected with the typed [`CheckpointError::BadVersion`].
-pub const FORMAT_VERSION: u32 = 3;
+/// counters in [`StatsRecord`] (96 → 168 bytes); v4 drops the shard
+/// axis of the one-coordinator design: the header's shard count and
+/// each [`SectionDesc`]'s shard become reserved zeros, section kind 7
+/// (per-shard meta) is retired, the index's id counter moves into
+/// [`CheckpointHeader::next_path_id`] and the crossings-recorded total
+/// into [`StatsRecord`] (168 → 176 bytes), and [`ConfigRecord`] loses
+/// its shard count and routing cell (112 → 96 bytes). Images of every
+/// earlier version are rejected with the typed
+/// [`CheckpointError::BadVersion`].
+pub const FORMAT_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------
 // Pod casting
@@ -98,7 +105,6 @@ unsafe impl Pod for SectionDesc {}
 unsafe impl Pod for CheckpointHeader {}
 unsafe impl Pod for ConfigRecord {}
 unsafe impl Pod for StatsRecord {}
-unsafe impl Pod for ShardMetaRecord {}
 
 const _: () = {
     assert!(size_of::<MotionPath>() == 40);
@@ -109,9 +115,8 @@ const _: () = {
     assert!(size_of::<SessionRecord>() == 32);
     assert!(size_of::<SectionDesc>() == 32);
     assert!(size_of::<CheckpointHeader>() == 56);
-    assert!(size_of::<ConfigRecord>() == 112);
-    assert!(size_of::<StatsRecord>() == 168);
-    assert!(size_of::<ShardMetaRecord>() == 16);
+    assert!(size_of::<ConfigRecord>() == 96);
+    assert!(size_of::<StatsRecord>() == 176);
 };
 
 /// The raw bytes of a record slice (the write-side memcpy source).
@@ -216,8 +221,6 @@ pub enum CheckpointError {
     CrcMismatch {
         /// Which part failed (`"section table"` or a section kind).
         what: &'static str,
-        /// Owning shard for per-shard sections (0 for globals).
-        shard: u32,
     },
     /// The image is structurally inconsistent (bad section layout,
     /// duplicate ids, event-order violation, counter imbalance, ...).
@@ -243,8 +246,8 @@ impl fmt::Display for CheckpointError {
                     "unsupported checkpoint format version {found} (expected {FORMAT_VERSION})"
                 )
             }
-            CheckpointError::CrcMismatch { what, shard } => {
-                write!(f, "checkpoint corrupt: CRC mismatch in {what} (shard {shard})")
+            CheckpointError::CrcMismatch { what } => {
+                write!(f, "checkpoint corrupt: CRC mismatch in {what}")
             }
             CheckpointError::Malformed(msg) => write!(f, "malformed checkpoint: {msg}"),
             CheckpointError::ConfigMismatch(msg) => {
@@ -281,13 +284,13 @@ pub struct CheckpointHeader {
     pub magic: u64,
     /// [`FORMAT_VERSION`].
     pub version: u32,
-    /// Coordinator shard count the sections are partitioned by.
-    pub shard_count: u32,
+    /// Reserved, written as zero (the shard count through v3).
+    pub reserved0: u32,
     /// Epochs processed when the checkpoint was taken.
     pub epoch: u64,
     /// The coordinator clock (raw timestamp) at checkpoint time.
     pub clock: u64,
-    /// The global path-id counter.
+    /// The index's path-id counter: the id the next created path gets.
     pub next_path_id: u64,
     /// Number of [`SectionDesc`] entries following the header.
     pub section_count: u32,
@@ -297,7 +300,7 @@ pub struct CheckpointHeader {
     /// table, so every header scalar is integrity-checked too.
     pub table_crc: u32,
     /// Reserved, written as zero.
-    pub reserved: u32,
+    pub reserved1: u32,
 }
 
 /// Flag bit: hot-path hints are enabled.
@@ -305,31 +308,29 @@ pub const FLAG_HINTS: u32 = 1 << 0;
 /// Flag bit: the overlap policy is `Own` (ablation baseline).
 pub const FLAG_OVERLAP_OWN: u32 = 1 << 1;
 
-/// What a section holds. The discriminants are the on-disk `kind`.
+/// What a section holds. The discriminants are the on-disk `kind`;
+/// 7 (per-shard meta, through v3) is retired and never reused.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u32)]
 pub enum SectionKind {
-    /// One [`ConfigRecord`] (global).
+    /// One [`ConfigRecord`].
     Config = 0,
-    /// One [`StatsRecord`] (global).
+    /// One [`StatsRecord`].
     Stats = 1,
-    /// The pending [`ClientState`] batch (global; per-shard routing is
-    /// recomputed on restore).
+    /// The pending [`ClientState`] batch.
     Pending = 2,
-    /// A shard's [`MotionPath`] slab.
+    /// The index's [`MotionPath`] slab.
     Paths = 3,
-    /// A shard's [`HeatEntry`] slab.
+    /// The hotness table's [`HeatEntry`] slab.
     Heat = 4,
-    /// A shard's pending [`ExpiryEvent`]s in canonical `(expiry, id)`
-    /// order — a pure function of the event multiset, so the section is
+    /// The pending [`ExpiryEvent`]s in canonical `(expiry, id)` order —
+    /// a pure function of the event multiset, so the section is
     /// independent of the timer wheel's internal bucket layout.
     Events = 5,
-    /// A shard's [`DeadEntry`] tombstones.
+    /// The hotness table's [`DeadEntry`] tombstones.
     Dead = 6,
-    /// One [`ShardMetaRecord`] per shard.
-    ShardMeta = 7,
     /// The [`SessionRecord`]s of the client-session table, sorted by
-    /// object id (global; absent when sessions are disabled).
+    /// object id (absent when sessions are disabled).
     Session = 8,
 }
 
@@ -343,7 +344,6 @@ impl SectionKind {
             4 => SectionKind::Heat,
             5 => SectionKind::Events,
             6 => SectionKind::Dead,
-            7 => SectionKind::ShardMeta,
             8 => SectionKind::Session,
             _ => return None,
         })
@@ -358,7 +358,6 @@ impl SectionKind {
             SectionKind::Heat => "heat section",
             SectionKind::Events => "events section",
             SectionKind::Dead => "dead section",
-            SectionKind::ShardMeta => "shard-meta section",
             SectionKind::Session => "session section",
         }
     }
@@ -370,8 +369,8 @@ impl SectionKind {
 pub struct SectionDesc {
     /// [`SectionKind`] discriminant.
     pub kind: u32,
-    /// Owning shard for per-shard kinds; 0 for globals.
-    pub shard: u32,
+    /// Reserved, written as zero (the owning shard through v3).
+    pub reserved0: u32,
     /// Record count in the payload.
     pub count: u64,
     /// Payload byte length (`count * record size`).
@@ -379,10 +378,10 @@ pub struct SectionDesc {
     /// CRC-32 of the payload bytes.
     pub crc: u32,
     /// Reserved, written as zero.
-    pub reserved: u32,
+    pub reserved1: u32,
 }
 
-/// The embedded [`Config`] echo (one 112-byte record): a checkpoint can
+/// The embedded [`Config`] echo (one 96-byte record): a checkpoint can
 /// only restore into a coordinator running the identical configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 #[repr(C)]
@@ -399,12 +398,8 @@ pub struct ConfigRecord {
     pub lambda: u64,
     /// Top-`k` size.
     pub k: u64,
-    /// Shard-routing cell side.
-    pub grid_cell: f64,
     /// Vertex quantization grain.
     pub vertex_grain: f64,
-    /// Shard count.
-    pub shards: u64,
     /// Session heartbeat lease (0 = sessions off).
     pub lease: u64,
     /// Session ejection grace.
@@ -430,9 +425,7 @@ impl ConfigRecord {
             window: c.window.len,
             lambda: c.epochs.lambda,
             k: c.k as u64,
-            grid_cell: c.grid_cell,
             vertex_grain: c.vertex_grain,
-            shards: c.shards as u64,
             lease: c.admission.lease,
             grace: c.admission.grace,
             queue_cap: c.admission.queue_cap as u64,
@@ -454,9 +447,10 @@ impl ConfigRecord {
     }
 }
 
-/// Global communication/processing/admission counters (one 168-byte
-/// record). Durations are nanoseconds; they are wall-clock diagnostics
-/// and are never part of parity comparisons.
+/// Communication/processing/admission counters (one 176-byte record).
+/// Durations are nanoseconds; they are wall-clock diagnostics and are
+/// never part of parity comparisons. `recorded` is the hotness table's
+/// total of crossings ever recorded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[repr(C)]
 #[allow(missing_docs)]
@@ -482,16 +476,6 @@ pub struct StatsRecord {
     pub sess_drops: u64,
     pub sess_reconnects: u64,
     pub sess_ejections: u64,
-}
-
-/// Per-shard scalars (one 16-byte record per shard).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[repr(C)]
-pub struct ShardMetaRecord {
-    /// The shard index's internal id counter (zero under the
-    /// coordinator, which allocates from the global counter).
-    pub index_next_id: u64,
-    /// Total crossings the shard's hotness table ever recorded.
     pub recorded: u64,
 }
 
@@ -509,19 +493,19 @@ pub struct CheckpointBuilder {
 
 impl CheckpointBuilder {
     /// Starts an image for the given header fields.
-    pub fn new(shard_count: u32, epoch: u64, clock: u64, next_path_id: u64, flags: u32) -> Self {
+    pub fn new(epoch: u64, clock: u64, next_path_id: u64, flags: u32) -> Self {
         CheckpointBuilder {
             header: CheckpointHeader {
                 magic: MAGIC,
                 version: FORMAT_VERSION,
-                shard_count,
+                reserved0: 0,
                 epoch,
                 clock,
                 next_path_id,
                 section_count: 0,
                 flags,
                 table_crc: 0,
-                reserved: 0,
+                reserved1: 0,
             },
             descs: Vec::new(),
             payload: Vec::new(),
@@ -530,15 +514,15 @@ impl CheckpointBuilder {
 
     /// Appends a section: one `extend_from_slice` of the record bytes
     /// (the bounded memcpy) plus a descriptor with its CRC.
-    pub fn section<T: Pod>(&mut self, kind: SectionKind, shard: u32, records: &[T]) -> &mut Self {
+    pub fn section<T: Pod>(&mut self, kind: SectionKind, records: &[T]) -> &mut Self {
         let bytes = bytes_of(records);
         self.descs.push(SectionDesc {
             kind: kind as u32,
-            shard,
+            reserved0: 0,
             count: records.len() as u64,
             bytes: bytes.len() as u64,
             crc: crc32(bytes),
-            reserved: 0,
+            reserved1: 0,
         });
         self.payload.extend_from_slice(bytes);
         self
@@ -595,7 +579,7 @@ impl Checkpoint {
         let table = &bytes[header_len..table_end];
         let descs = records_from_bytes::<SectionDesc>(table)?;
         if table_crc(&header, &descs) != header.table_crc {
-            return Err(CheckpointError::CrcMismatch { what: "section table", shard: 0 });
+            return Err(CheckpointError::CrcMismatch { what: "section table" });
         }
         let mut offset = table_end;
         for d in &descs {
@@ -609,7 +593,7 @@ impl Checkpoint {
                 return Err(CheckpointError::Truncated { needed: end, got: bytes.len() });
             }
             if crc32(&bytes[offset..end]) != d.crc {
-                return Err(CheckpointError::CrcMismatch { what: kind.name(), shard: d.shard });
+                return Err(CheckpointError::CrcMismatch { what: kind.name() });
             }
             offset = end;
         }
@@ -642,26 +626,22 @@ impl Checkpoint {
         self.bytes.len()
     }
 
-    /// Decodes the payload of the section `(kind, shard)`.
+    /// Decodes the payload of the first section of `kind`.
     ///
     /// # Errors
     /// [`CheckpointError::Malformed`] when the section is absent or its
     /// byte length is not a whole number of records.
-    pub fn section<T: Pod>(
-        &self,
-        kind: SectionKind,
-        shard: u32,
-    ) -> Result<Vec<T>, CheckpointError> {
+    pub fn section<T: Pod>(&self, kind: SectionKind) -> Result<Vec<T>, CheckpointError> {
         let mut offset =
             size_of::<CheckpointHeader>() + self.descs.len() * size_of::<SectionDesc>();
         for d in &self.descs {
             let end = offset + d.bytes as usize;
-            if d.kind == kind as u32 && d.shard == shard {
+            if d.kind == kind as u32 {
                 return records_from_bytes(&self.bytes[offset..end]);
             }
             offset = end;
         }
-        Err(CheckpointError::Malformed(format!("missing {} for shard {shard}", kind.name())))
+        Err(CheckpointError::Malformed(format!("missing {}", kind.name())))
     }
 
     /// Writes the image to `path` atomically (temp file + rename), so a
@@ -687,11 +667,27 @@ mod tests {
     use crate::time::Timestamp;
 
     fn sample() -> Checkpoint {
-        let mut b = CheckpointBuilder::new(2, 7, 70, 11, FLAG_HINTS);
-        b.section(SectionKind::Config, 0, &[ConfigRecord::from_config(&Config::paper_defaults())]);
-        b.section(SectionKind::Stats, 0, &[StatsRecord::default()]);
-        b.section(SectionKind::Events, 1, &[ExpiryEvent { expiry: Timestamp(100), id: PathId(3) }]);
+        let mut b = CheckpointBuilder::new(7, 70, 11, FLAG_HINTS);
+        b.section(SectionKind::Config, &[ConfigRecord::from_config(&Config::paper_defaults())]);
+        b.section(SectionKind::Stats, &[StatsRecord::default()]);
+        b.section(SectionKind::Events, &[ExpiryEvent { expiry: Timestamp(100), id: PathId(3) }]);
         b.finish()
+    }
+
+    /// `ck`'s bytes with the header and section table rewritten by
+    /// `edit` and the table CRC recomputed, so the edit is the only
+    /// thing wrong with them.
+    fn patched(
+        ck: &Checkpoint,
+        edit: impl FnOnce(&mut CheckpointHeader, &mut [SectionDesc]),
+    ) -> Vec<u8> {
+        let (mut header, mut descs) = (ck.header, ck.descs.clone());
+        edit(&mut header, &mut descs);
+        header.table_crc = table_crc(&header, &descs);
+        let mut bytes = bytes_of(std::slice::from_ref(&header)).to_vec();
+        bytes.extend_from_slice(bytes_of(&descs));
+        bytes.extend_from_slice(&ck.as_bytes()[bytes.len()..]);
+        bytes
     }
 
     #[test]
@@ -701,9 +697,9 @@ mod tests {
         assert_eq!(back.header(), ck.header());
         assert_eq!(back.epoch(), 7);
         assert_eq!(back.header().flags, FLAG_HINTS);
-        let events: Vec<ExpiryEvent> = back.section(SectionKind::Events, 1).unwrap();
+        let events: Vec<ExpiryEvent> = back.section(SectionKind::Events).unwrap();
         assert_eq!(events, vec![ExpiryEvent { expiry: Timestamp(100), id: PathId(3) }]);
-        let cfg: Vec<ConfigRecord> = back.section(SectionKind::Config, 0).unwrap();
+        let cfg: Vec<ConfigRecord> = back.section(SectionKind::Config).unwrap();
         cfg[0].matches(&Config::paper_defaults()).unwrap();
     }
 
@@ -749,15 +745,7 @@ mod tests {
         // CRC, so the only thing wrong with the image is its version:
         // the rejection must come from the typed version check, not
         // ride along on a CRC mismatch.
-        let ck = sample();
-        let mut bytes = ck.as_bytes().to_vec();
-        let mut header =
-            records_from_bytes::<CheckpointHeader>(&bytes[..size_of::<CheckpointHeader>()])
-                .unwrap()[0];
-        header.version = 2;
-        header.table_crc = table_crc(&header, &ck.descs);
-        bytes[..size_of::<CheckpointHeader>()]
-            .copy_from_slice(bytes_of(std::slice::from_ref(&header)));
+        let bytes = patched(&sample(), |h, _| h.version = 2);
         assert!(matches!(
             Checkpoint::from_bytes(bytes).unwrap_err(),
             CheckpointError::BadVersion { found: 2 }
@@ -765,13 +753,36 @@ mod tests {
     }
 
     #[test]
+    fn v3_sharded_images_are_rejected_with_a_typed_bad_version() {
+        // A v3 header as a four-shard coordinator wrote it: version 3
+        // and the shard count in the slot v4 reserves, CRC intact. The
+        // reader must name the version, not panic on the layout.
+        let bytes = patched(&sample(), |h, _| {
+            h.version = 3;
+            h.reserved0 = 4;
+        });
+        assert!(matches!(
+            Checkpoint::from_bytes(bytes).unwrap_err(),
+            CheckpointError::BadVersion { found: 3 }
+        ));
+    }
+
+    #[test]
+    fn retired_shard_meta_kind_is_malformed() {
+        // Section kind 7 (v3 per-shard meta) is retired: a v4 image
+        // carrying one is malformed, never silently skipped.
+        let bytes = patched(&sample(), |_, descs| descs[2].kind = 7);
+        assert!(matches!(Checkpoint::from_bytes(bytes), Err(CheckpointError::Malformed(_))));
+    }
+
+    #[test]
     fn session_section_roundtrips() {
         let recs = vec![SessionRecord { object: 4, state: 0, deadline: 120, last_heartbeat: 110 }];
-        let mut b = CheckpointBuilder::new(1, 1, 10, 1, 0);
-        b.section(SectionKind::Session, 0, &recs);
+        let mut b = CheckpointBuilder::new(1, 10, 1, 0);
+        b.section(SectionKind::Session, &recs);
         let ck = b.finish();
         let back = Checkpoint::from_bytes(ck.as_bytes().to_vec()).unwrap();
-        let got: Vec<SessionRecord> = back.section(SectionKind::Session, 0).unwrap();
+        let got: Vec<SessionRecord> = back.section(SectionKind::Session).unwrap();
         assert_eq!(got, recs);
     }
 
@@ -801,7 +812,7 @@ mod tests {
     fn missing_section_is_malformed() {
         let ck = sample();
         assert!(matches!(
-            ck.section::<DeadEntry>(SectionKind::Dead, 0),
+            ck.section::<DeadEntry>(SectionKind::Dead),
             Err(CheckpointError::Malformed(_))
         ));
     }

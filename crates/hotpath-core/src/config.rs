@@ -1,4 +1,5 @@
-//! Framework configuration: tolerance model, window, epochs, grid.
+//! Framework configuration: tolerance model, window, epochs, vertex
+//! grain, admission.
 //!
 //! [`Config`] is constructed either from [`Config::paper_defaults`]
 //! plus the chainable `with_*` setters (which panic on a bad value —
@@ -88,8 +89,8 @@ impl Tolerance {
 
 /// What the coordinator does when an epoch's drained ingest exceeds
 /// [`Admission::queue_cap`]. Enforcement happens at the epoch boundary
-/// (inside the drain-ingest stage), so every backend and shard count
-/// sees the identical global batch and makes the identical decision.
+/// (inside the drain-ingest stage) against the whole sealed batch, so
+/// the decision depends only on what was submitted, never on timing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum AdmissionPolicy {
     /// Refuse the newest arrivals beyond the cap (tail drop).
@@ -172,8 +173,8 @@ pub struct Admission {
     /// client with still no heartbeat is Ejected (its session record
     /// is removed; a later report re-admits it as a fresh session).
     pub grace: u64,
-    /// Upper bound on states admitted per epoch (the global drained
-    /// batch, so the bound is shard-count invariant). `0` = unbounded.
+    /// Upper bound on states admitted per epoch (the whole drained
+    /// batch). `0` = unbounded.
     pub queue_cap: usize,
     /// What to do with the overflow when `queue_cap` is exceeded.
     pub policy: AdmissionPolicy,
@@ -207,20 +208,9 @@ pub struct Config {
     pub epochs: EpochClock,
     /// Number of hottest paths to report.
     pub k: usize,
-    /// Shard-routing cell side in meters: start vertices in one cell
-    /// route to one coordinator shard. Unused at `shards = 1`, and never
-    /// the index's own grid — that cell is derived from the tolerance
-    /// (about one FSA side), so range queries stay FSA-sized whatever
-    /// this is set to.
-    pub grid_cell: f64,
     /// Quantization grain for exact vertex identity (meters). Vertices
     /// within the same grain cell are treated as the same vertex.
     pub vertex_grain: f64,
-    /// Coordinator shards: the grid index and hotness table are
-    /// partitioned by start-vertex cell key and epochs run Phase A on
-    /// one scoped thread per shard. `1` (the default) is the sequential
-    /// coordinator; results are identical at every shard count.
-    pub shards: usize,
     /// Session lifecycle and admission-control knobs (all off by
     /// default).
     pub admission: Admission,
@@ -234,9 +224,7 @@ impl Config {
             window: SlidingWindow::new(100),
             epochs: EpochClock::new(10),
             k: 10,
-            grid_cell: 250.0,
             vertex_grain: 1e-3,
-            shards: 1,
             admission: Admission::default(),
         }
     }
@@ -277,16 +265,6 @@ impl Config {
     /// Builder-style `k` override.
     pub fn with_k(self, k: usize) -> Self {
         Config::rebuilt(self.to_builder().k(k))
-    }
-
-    /// Builder-style shard-routing-cell override.
-    pub fn with_grid_cell(self, cell: f64) -> Self {
-        Config::rebuilt(self.to_builder().grid_cell(cell))
-    }
-
-    /// Builder-style shard-count override.
-    pub fn with_shards(self, shards: usize) -> Self {
-        Config::rebuilt(self.to_builder().shards(shards))
     }
 
     /// Builder-style heartbeat lease: enables session tracking with the
@@ -394,9 +372,7 @@ pub struct ConfigBuilder {
     window: u64,
     epoch: u64,
     k: usize,
-    grid_cell: f64,
     vertex_grain: f64,
-    shards: usize,
     admission: Admission,
     /// Whether `lease()` / `admission_cap()` / `degrade_threshold()`
     /// were called explicitly: an explicit zero is an error, while the
@@ -416,9 +392,7 @@ impl ConfigBuilder {
             window: config.window.len,
             epoch: config.epochs.lambda,
             k: config.k,
-            grid_cell: config.grid_cell,
             vertex_grain: config.vertex_grain,
-            shards: config.shards,
             admission: config.admission,
             lease_set: false,
             cap_set: false,
@@ -450,21 +424,9 @@ impl ConfigBuilder {
         self
     }
 
-    /// Shard-routing cell side in meters (see [`Config::grid_cell`]).
-    pub fn grid_cell(mut self, cell: f64) -> Self {
-        self.grid_cell = cell;
-        self
-    }
-
     /// Vertex-identity quantization grain in meters.
     pub fn vertex_grain(mut self, grain: f64) -> Self {
         self.vertex_grain = grain;
-        self
-    }
-
-    /// Coordinator shard count.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -503,14 +465,8 @@ impl ConfigBuilder {
         if self.k == 0 {
             return Err(ConfigError::NonPositive("k"));
         }
-        if !(self.grid_cell > 0.0 && self.grid_cell.is_finite()) {
-            return Err(ConfigError::NonPositive("grid cell"));
-        }
         if !(self.vertex_grain > 0.0 && self.vertex_grain.is_finite()) {
             return Err(ConfigError::NonPositive("vertex grain"));
-        }
-        if self.shards == 0 {
-            return Err(ConfigError::NonPositive("shard count"));
         }
         if self.lease_set && self.admission.lease == 0 {
             return Err(ConfigError::NonPositive("lease"));
@@ -544,9 +500,7 @@ impl ConfigBuilder {
             window: SlidingWindow::new(self.window),
             epochs: EpochClock::new(self.epoch),
             k: self.k,
-            grid_cell: self.grid_cell,
             vertex_grain: self.vertex_grain,
-            shards: self.shards,
             admission: self.admission,
         })
     }
@@ -578,21 +532,12 @@ mod tests {
             .with_tolerance(Tolerance::uncertain(5.0, 0.1))
             .with_window(50)
             .with_epoch(5)
-            .with_k(20)
-            .with_grid_cell(100.0)
-            .with_shards(4);
+            .with_k(20);
         assert_eq!(c.tolerance.eps(), 5.0);
         assert_eq!(c.tolerance.delta(), Some(0.1));
         assert_eq!(c.window.len, 50);
         assert_eq!(c.epochs.lambda, 5);
         assert_eq!(c.k, 20);
-        assert_eq!(c.grid_cell, 100.0);
-        assert_eq!(c.shards, 4);
-    }
-
-    #[test]
-    fn defaults_are_sequential() {
-        assert_eq!(Config::paper_defaults().shards, 1);
     }
 
     #[test]
@@ -665,10 +610,8 @@ mod tests {
             (Config::builder().window(0), "window length"),
             (Config::builder().epoch(0), "epoch length"),
             (Config::builder().k(0), "k"),
-            (Config::builder().grid_cell(0.0), "grid cell"),
-            (Config::builder().grid_cell(f64::NAN), "grid cell"),
             (Config::builder().vertex_grain(0.0), "vertex grain"),
-            (Config::builder().shards(0), "shard count"),
+            (Config::builder().vertex_grain(f64::NAN), "vertex grain"),
             (Config::builder().lease(0, 5), "lease"),
             (Config::builder().admission_cap(0, AdmissionPolicy::Reject), "queue cap"),
             (Config::builder().degrade_threshold(0), "degrade threshold"),
@@ -703,12 +646,6 @@ mod tests {
     #[should_panic(expected = "lease must be positive")]
     fn rejects_zero_lease() {
         let _ = Config::paper_defaults().with_lease(0, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must be positive")]
-    fn rejects_zero_shards() {
-        let _ = Config::paper_defaults().with_shards(0);
     }
 
     #[test]

@@ -1,56 +1,45 @@
 //! The coordinator: epoch-batched processing of client states, index and
 //! hotness maintenance, and top-`k` / score queries (Sections 3.1, 5).
 //!
-//! # Sharding
+//! # One writer
 //!
-//! The coordinator partitions its MotionPath index and hotness table
-//! into [`Config::shards`] shards keyed by the grid cell of a path's
-//! *start vertex*. Phase A of SinglePath (Case 1 — the steady-state hot
-//! loop) is exactly shard-local under that key: a state's candidate
-//! paths all start at its own vertex, so candidate sets, cross-object
-//! boosts, and intra-batch crossing visibility never span shards. Each
-//! epoch therefore runs Phase A on one scoped thread per shard
-//! (`std::thread::scope`, no extra dependencies), while Phase B (Cases
-//! 2-3, the rare deferred states whose FSA-overlap analysis is
-//! inherently global) runs sequentially in the front against a merged
-//! view of all shards. Path ids are drawn from one front-side counter,
-//! so results — selections, responses, ids, statistics — are identical
-//! at every shard count, and `shards = 1` is the sequential coordinator.
+//! The coordinator is the paper's central server. It owns one
+//! [`MotionPathIndex`], one [`Hotness`] table and one [`ScratchArena`],
+//! and every epoch runs SinglePath over the whole batch on the caller's
+//! thread, so Phase B always sees one global index. Path ids come from
+//! the index's own counter. A start-cell shard layer that ran Phase A
+//! on scoped threads lost every paired comparison against this design
+//! and was removed (README, "One coordinator thread").
 //!
 //! # Hot-loop allocation discipline
 //!
 //! Steady-state epochs do near-zero heap allocation. Every buffer the
-//! per-epoch path touches is pooled and reused: states are pre-routed to
-//! their owning shard at `submit`/`submit_batch` time (no repartitioning
-//! pass inside `process_epoch`); each shard owns a
-//! [`crate::strategy::ScratchArena`] holding Phase A's CSR candidate
-//! storage, occurrence map, and recycled selection buffers; the front
-//! keeps the merge vectors and the Phase-B vertex-group accumulator
-//! across epochs; the `FsaSet` reuses its stamped `seen` bitmap and
-//! sweep buffers across queries; and the batch vector itself is
-//! recycled once responses are built. Top-k queries never sort the hot
-//! set — each shard's [`Hotness`] maintains an incremental rank
-//! structure, and `top_n` merges `k` entries per shard in O(k·shards).
-//! When touching this path, keep new per-epoch buffers in one of those
-//! pools (shard arena, front scratch, or `FsaSet` scratch), not in
-//! fresh `Vec`s.
+//! per-epoch path touches is pooled and reused: the
+//! [`crate::strategy::ScratchArena`] holds Phase A's CSR candidate
+//! storage, occurrence map and deferred list plus Phase B's
+//! vertex-group and neighbourhood buffers; the `FsaSet` reuses its
+//! stamped `seen` bitmap and sweep buffers across queries; and the
+//! batch vector itself is recycled once responses are built. Top-k
+//! queries never sort the hot set — [`Hotness`] maintains count
+//! buckets, and `top_n` walks them from the top (see
+//! [`Hotness::top_n`] for the cost). When touching this path, keep new
+//! per-epoch buffers in one of those pools, not in fresh `Vec`s.
 
 use crate::checkpoint::{
-    Checkpoint, CheckpointBuilder, CheckpointError, ConfigRecord, SectionKind, ShardMetaRecord,
-    StatsRecord, FLAG_HINTS, FLAG_OVERLAP_OWN,
+    Checkpoint, CheckpointBuilder, CheckpointError, ConfigRecord, SectionKind, StatsRecord,
+    FLAG_HINTS, FLAG_OVERLAP_OWN,
 };
 use crate::config::{AdmissionPolicy, Config};
-use crate::geometry::{Point, Rect, TimePoint};
-use crate::hotness::{DeadEntry, ExpiryEvent, HeatEntry, Hotness};
-use crate::index::{MotionPathIndex, VertexGroups};
+use crate::geometry::{Point, TimePoint};
+use crate::hotness::Hotness;
+use crate::index::MotionPathIndex;
 use crate::motion_path::{MotionPath, PathId};
 use crate::raytrace::hinted::PathHint;
 use crate::raytrace::ClientState;
 use crate::session::{SessionCounters, SessionEvent, SessionRecord, SessionTable};
 use crate::stats::{AdmissionStats, CommStats, ProcessingStats};
 use crate::strategy::{
-    phase_a, phase_b, process_batch, CaseTally, FsaCache, FsaSet, OverlapPolicy, PathStore,
-    PhaseAOutput, PhaseBLoad, PhaseBScratch, ScratchArena, Selection,
+    process_batch, FsaCache, FsaSet, OverlapPolicy, PhaseBLoad, ScratchArena, Selection,
 };
 use crate::time::Timestamp;
 use crate::ObjectId;
@@ -160,113 +149,15 @@ impl HotSnapshot {
 /// Lazily rebuilt read-side caches, dropped on any mutation that can
 /// change the hot set (`advance_time`, epoch processing). Interior
 /// mutability keeps the read API `&self`; the coordinator is never
-/// shared across threads (the sharded phases borrow individual shards).
+/// shared across threads.
 #[derive(Debug, Default)]
 struct ReadCache {
     snapshot: Option<Arc<HotSnapshot>>,
     hot: Option<Arc<[HotPath]>>,
 }
 
-/// One shard of coordinator state: the slice of the MotionPath index and
-/// hotness table owning every path whose start vertex routes here, plus
-/// the shard's reusable Phase-A scratch arena.
-#[derive(Debug)]
-struct Shard {
-    index: MotionPathIndex,
-    hotness: Hotness,
-    scratch: ScratchArena,
-}
-
-/// Front-side buffers reused across sharded epochs: the Phase-A merge
-/// vectors and Phase B's scratch.
-#[derive(Debug, Default)]
-struct FrontScratch {
-    tagged: Vec<(u32, Selection)>,
-    deferred: Vec<u32>,
-    phase_b: PhaseBScratch,
-}
-
-/// One epoch's sealed ingest: the drained state batch plus its
-/// pre-routed per-shard position slices (empty at one shard). Produced
-/// by the *drain-ingest* stage, consumed by the strategy stages, and
-/// recycled afterwards.
-#[derive(Debug)]
-struct EpochBatch {
-    states: Vec<ClientState>,
-    parts: Vec<Vec<u32>>,
-}
-
-/// Deterministic point-to-shard routing: quantize to the vertex grain
-/// (so float-noisy copies of one vertex agree), derive the grid cell in
-/// integer space, and hash the cell key.
-#[derive(Clone, Copy, Debug)]
-struct ShardRouter {
-    grain: f64,
-    units_per_cell: i64,
-    shards: usize,
-}
-
-impl ShardRouter {
-    fn new(config: &Config) -> Self {
-        let units = (config.grid_cell / config.vertex_grain).round().max(1.0) as i64;
-        ShardRouter { grain: config.vertex_grain, units_per_cell: units, shards: config.shards }
-    }
-
-    fn shard_of(&self, p: &Point) -> usize {
-        if self.shards == 1 {
-            return 0;
-        }
-        let (qx, qy) = p.quantize(self.grain);
-        let cx = qx.div_euclid(self.units_per_cell);
-        let cy = qy.div_euclid(self.units_per_cell);
-        let h = (cx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (cy as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        ((h ^ (h >> 31)) % self.shards as u64) as usize
-    }
-}
-
-/// The [`PathStore`] Phase B sees when the coordinator is sharded: range
-/// queries merge every shard's answer into the view one index would
-/// give; insertions route to the owning shard and draw ids from the
-/// front's global counter.
-struct ShardedStore<'a> {
-    shards: &'a mut [Shard],
-    router: ShardRouter,
-    next_id: &'a mut u64,
-}
-
-impl PathStore for ShardedStore<'_> {
-    fn end_vertices_into(&self, fsa: &Rect, out: &mut VertexGroups) {
-        debug_assert!(self.shards.len() > 1, "single-shard epochs take the sequential path");
-        // Merge by quantized vertex key: a vertex can terminate paths
-        // stored in several shards (their starts live elsewhere). The
-        // accumulator keeps the lexicographically smallest raw endpoint
-        // per key — the same canonical choice the single-index query
-        // makes, so the merged view is identical to sequential even
-        // when float-noisy vertex copies span shards.
-        out.clear();
-        for shard in self.shards.iter() {
-            shard.index.for_each_end_in(fsa, |entry| {
-                out.push(shard.index.vertex_key(&entry.endpoint), entry.endpoint, entry.path);
-            });
-        }
-    }
-
-    fn hotness_of(&self, id: PathId) -> u32 {
-        // Ids are globally unique; only the owning shard contributes.
-        self.shards.iter().map(|s| s.hotness.get(id)).sum()
-    }
-
-    fn commit(&mut self, start: Point, end: Point, te: Timestamp) -> (PathId, bool, Point) {
-        let shard = &mut self.shards[self.router.shard_of(&start)];
-        let (edge, created) = shard.index.insert_with(start, end, self.next_id);
-        shard.hotness.record_crossing(edge.id, te, edge.len);
-        (edge.id, created, edge.end)
-    }
-}
-
-/// Grid cell edge shared by the epoch FSA-overlap structure and every
-/// shard's end-vertex grid: about one FSA diameter (`2 eps`), floored
+/// Grid cell edge shared by the epoch FSA-overlap structure and the
+/// index's end-vertex grid: about one FSA diameter (`2 eps`), floored
 /// away from zero for degenerate tolerances, so an FSA-sized range
 /// query probes at most four cells. Affects performance only, never
 /// results.
@@ -278,14 +169,10 @@ fn overlap_cell_of(config: &Config) -> f64 {
 #[derive(Debug)]
 pub struct Coordinator {
     config: Config,
-    shards: Vec<Shard>,
-    router: ShardRouter,
+    index: MotionPathIndex,
+    hotness: Hotness,
+    scratch: ScratchArena,
     pending: Vec<ClientState>,
-    /// Batch positions pre-routed per shard as states arrive (sharded
-    /// configs only; stays empty at `shards = 1`), so `process_epoch`
-    /// starts Phase A without a repartitioning pass over the batch.
-    pending_parts: Vec<Vec<u32>>,
-    next_path_id: u64,
     comm: CommStats,
     processing: ProcessingStats,
     hints_enabled: bool,
@@ -295,7 +182,6 @@ pub struct Coordinator {
     /// it is a pure function of the current batch, so a restored
     /// coordinator starts empty and the first update fills it.
     fsa_cache: FsaCache,
-    front: FrontScratch,
     /// The latest timestamp the coordinator has been advanced to; stamps
     /// published snapshots.
     clock: Timestamp,
@@ -319,35 +205,20 @@ pub struct Coordinator {
 impl Coordinator {
     /// Creates a coordinator for the given configuration.
     pub fn new(config: Config) -> Self {
-        assert!(config.shards > 0, "shard count must be positive");
-        let fsa_cache = FsaCache::new(overlap_cell_of(&config));
-        let shards: Vec<Shard> = (0..config.shards)
-            .map(|_| Shard {
-                index: MotionPathIndex::new(overlap_cell_of(&config), config.vertex_grain),
-                hotness: Hotness::new(config.window),
-                scratch: ScratchArena::new(),
-            })
-            .collect();
         let sessions = config.admission.sessions_enabled().then(|| {
             SessionTable::new(config.admission.lease, config.admission.grace, Timestamp(0))
         });
         Coordinator {
-            router: ShardRouter::new(&config),
-            pending_parts: if config.shards > 1 {
-                vec![Vec::new(); config.shards]
-            } else {
-                Vec::new()
-            },
+            index: MotionPathIndex::new(overlap_cell_of(&config), config.vertex_grain),
+            hotness: Hotness::new(config.window),
+            scratch: ScratchArena::new(),
+            fsa_cache: FsaCache::new(overlap_cell_of(&config)),
             config,
-            shards,
             pending: Vec::new(),
-            next_path_id: 0,
             comm: CommStats::default(),
             processing: ProcessingStats::default(),
             hints_enabled: false,
             overlap_policy: OverlapPolicy::Full,
-            fsa_cache,
-            front: FrontScratch::default(),
             clock: Timestamp(0),
             cache: RefCell::new(ReadCache::default()),
             sessions,
@@ -375,27 +246,17 @@ impl Coordinator {
         &self.config
     }
 
-    /// Number of shards the index and hotness table are split into.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Accepts a state message (buffered until the next epoch). Sharded
-    /// coordinators route the state to its owning shard immediately.
+    /// Accepts a state message (buffered until the next epoch).
     pub fn submit(&mut self, state: ClientState) {
         self.comm.record_uplink(ClientState::WIRE_BYTES);
-        if self.shards.len() > 1 {
-            let seq = self.pending.len() as u32;
-            self.pending_parts[self.router.shard_of(&state.start)].push(seq);
-        }
         self.pending.push(state);
     }
 
-    /// Bulk epoch ingest: accepts a whole batch of state messages,
-    /// pre-routing each to its owning shard at submit time — equivalent
-    /// to calling [`Coordinator::submit`] per state (same accounting,
-    /// same order). The batch buffer itself is recycled across epochs,
-    /// so steady-state ingest reuses its retained capacity.
+    /// Bulk epoch ingest: accepts a whole batch of state messages —
+    /// equivalent to calling [`Coordinator::submit`] per state (same
+    /// accounting, same order). The batch buffer itself is recycled
+    /// across epochs, so steady-state ingest reuses its retained
+    /// capacity.
     ///
     /// ```
     /// use hotpath_core::prelude::*;
@@ -434,10 +295,8 @@ impl Coordinator {
     /// (call once per timestamp; cheap when nothing expires).
     pub fn advance_time(&mut self, now: Timestamp) {
         let start = Instant::now();
-        for shard in &mut self.shards {
-            for dead in shard.hotness.advance(now) {
-                shard.index.remove(dead);
-            }
+        for dead in self.hotness.advance(now) {
+            self.index.remove(dead);
         }
         if let Some(table) = &mut self.sessions {
             table.advance(now);
@@ -452,8 +311,8 @@ impl Coordinator {
     /// and returns the endpoint responses for all reporting objects.
     ///
     /// Internally this is the four named stages of the epoch pipeline —
-    /// *drain-ingest* → *Phase A* → *Phase B* → *publish* — run back to
-    /// back on the caller's thread.
+    /// *drain-ingest* → *strategy* (Phase A, Phase B) → *respond* →
+    /// *publish* — run back to back on the caller's thread.
     pub fn process_epoch(&mut self, now: Timestamp) -> Vec<EndpointResponse> {
         let batch = self.stage_drain_ingest(now);
         let selections = self.stage_strategy(&batch);
@@ -464,32 +323,21 @@ impl Coordinator {
     }
 
     /// Stage *drain-ingest*: advance the window clock (expiring dead
-    /// paths and session leases), seal the pending batch — states plus
-    /// their pre-routed per-shard position slices — and apply admission
-    /// control (heartbeats, then the queue cap) to the sealed batch.
-    fn stage_drain_ingest(&mut self, now: Timestamp) -> EpochBatch {
+    /// paths and session leases), seal the pending batch, and apply
+    /// admission control (heartbeats, then the queue cap) to it.
+    fn stage_drain_ingest(&mut self, now: Timestamp) -> Vec<ClientState> {
         self.advance_time(now);
         let mut states = std::mem::take(&mut self.pending);
-        let mut parts = std::mem::take(&mut self.pending_parts);
-        self.apply_admission(&mut states, &mut parts, now);
-        EpochBatch { states, parts }
+        self.apply_admission(&mut states, now);
+        states
     }
 
-    /// Admission control over one sealed epoch batch. Runs at the epoch
-    /// boundary against the *global* batch (never per shard), so the
-    /// admitted set — and everything downstream — is identical at every
-    /// shard count.
+    /// Admission control over one sealed epoch batch.
     ///
     /// Order matters and is part of the contract: every submitted state
     /// is a heartbeat first (liveness is information even when the cap
-    /// turns the state away), then the cap policy trims the batch, then
-    /// the per-shard routing is rebuilt for whatever survived.
-    fn apply_admission(
-        &mut self,
-        states: &mut Vec<ClientState>,
-        parts: &mut [Vec<u32>],
-        now: Timestamp,
-    ) {
+    /// turns the state away), then the cap policy trims the batch.
+    fn apply_admission(&mut self, states: &mut Vec<ClientState>, now: Timestamp) {
         let admission = self.config.admission;
         if self.sessions.is_none() && admission.queue_cap == 0 {
             return; // layer off: zero work, zero counter drift
@@ -544,57 +392,46 @@ impl Coordinator {
                     }
                 }
             }
-            // The batch changed: rebuild the per-shard routing.
-            if self.shards.len() > 1 {
-                for p in parts.iter_mut() {
-                    p.clear();
-                }
-                for (seq, s) in states.iter().enumerate() {
-                    parts[self.router.shard_of(&s.start)].push(seq as u32);
-                }
-            }
         }
         self.admission.admitted += states.len() as u64;
     }
 
-    /// Stages *Phase A* and *Phase B*: run SinglePath over the sealed
-    /// batch (sequentially at one shard, scoped-threaded Phase A plus
-    /// global Phase B otherwise) and account the processing statistics.
-    fn stage_strategy(&mut self, batch: &EpochBatch) -> Vec<Selection> {
+    /// Stage *strategy*: run SinglePath (Phase A, then Phase B) over the
+    /// sealed batch and account the processing statistics.
+    fn stage_strategy(&mut self, states: &[ClientState]) -> Vec<Selection> {
         let start = Instant::now();
         // Degraded-epoch mode: past the overload threshold, shed the
         // Phase B FSA-overlap refinement for this epoch (the `Own`
         // ablation policy — each state only considers its own FSA).
-        // The trigger is the admitted global batch size, so degradation
-        // fires identically at every shard count.
+        // The trigger is the admitted batch size.
         let degrade = self.config.admission.degrade_threshold;
-        let policy = if degrade > 0 && batch.states.len() > degrade {
+        let policy = if degrade > 0 && states.len() > degrade {
             self.admission.degraded_epochs += 1;
             OverlapPolicy::Own
         } else {
             self.overlap_policy
         };
-        let (selections, tally, load) = if self.shards.len() == 1 {
-            // Sequential fast path — the pre-sharding coordinator,
-            // bit for bit (one index, its own id counter, no threads).
-            let fsas = Self::epoch_fsas(&mut self.fsa_cache, &batch.states, policy);
-            let shard = &mut self.shards[0];
-            process_batch(
-                &batch.states,
-                &mut shard.index,
-                &mut shard.hotness,
-                &mut shard.scratch,
-                fsas,
-                policy,
-            )
-        } else {
-            // The per-shard slices were routed at submit time.
-            self.process_batch_sharded(&batch.states, &batch.parts, policy)
+        // The epoch's FSA-overlap structure: the held set rebuilt over
+        // the batch under the `Full` policy; left as it is under the
+        // `Own` ablation, which never queries it.
+        let fsas: &FsaSet = match policy {
+            OverlapPolicy::Full => {
+                self.fsa_cache.update(states.iter().map(|s| (s.object.0, s.fsa)))
+            }
+            OverlapPolicy::Own => self.fsa_cache.set(),
         };
+        let (selections, tally, load) = process_batch(
+            states,
+            &mut self.index,
+            &mut self.hotness,
+            &mut self.scratch,
+            fsas,
+            policy,
+        );
         self.last_phase_b = load;
         self.processing.strategy_time += start.elapsed();
         self.processing.epochs += 1;
-        self.processing.states_processed += batch.states.len() as u64;
+        self.processing.states_processed += states.len() as u64;
         self.processing.case1 += tally.case1;
         self.processing.case2 += tally.case2;
         self.processing.case3 += tally.case3;
@@ -602,21 +439,16 @@ impl Coordinator {
     }
 
     /// Builds (and accounts) the endpoint responses for the epoch's
-    /// selections, in batch order.
+    /// selections, in selection order.
     fn stage_respond(&mut self, selections: &[Selection]) -> Vec<EndpointResponse> {
         selections.iter().map(|sel| self.respond(sel)).collect()
     }
 
-    /// Returns the drained batch buffers to the pending slots so the
-    /// next epoch's ingest reuses their capacity.
-    fn stage_recycle(&mut self, batch: EpochBatch) {
-        let EpochBatch { mut states, mut parts } = batch;
+    /// Returns the drained batch buffer to the pending slot so the next
+    /// epoch's ingest reuses its capacity.
+    fn stage_recycle(&mut self, mut states: Vec<ClientState>) {
         states.clear();
-        for p in &mut parts {
-            p.clear();
-        }
         self.pending = states;
-        self.pending_parts = parts;
     }
 
     /// Stage *publish*: rebuild and cache the epoch-stamped
@@ -631,111 +463,6 @@ impl Coordinator {
         *self.cache.get_mut() = ReadCache::default();
         self.snapshot();
         self.processing.publish_time += start.elapsed();
-    }
-
-    /// The epoch's FSA-overlap structure: the held set rebuilt over the
-    /// batch under the `Full` policy; left as it is under the `Own`
-    /// ablation, which never queries it. An associated fn (not a
-    /// method) so callers can keep borrowing the coordinator's other
-    /// fields alongside the result.
-    fn epoch_fsas<'a>(
-        cache: &'a mut FsaCache,
-        states: &[ClientState],
-        policy: OverlapPolicy,
-    ) -> &'a FsaSet {
-        match policy {
-            OverlapPolicy::Full => cache.update(states.iter().map(|s| (s.object.0, s.fsa))),
-            OverlapPolicy::Own => cache.set(),
-        }
-    }
-
-    /// The sharded epoch: parallel Phase A per shard over the pre-routed
-    /// `parts`, then the global sequential Phase B over the merged
-    /// store.
-    fn process_batch_sharded(
-        &mut self,
-        states: &[ClientState],
-        parts: &[Vec<u32>],
-        policy: OverlapPolicy,
-    ) -> (Vec<Selection>, CaseTally, PhaseBLoad) {
-        let mut outputs: Vec<(usize, PhaseAOutput)> = Vec::with_capacity(self.shards.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.shards.len());
-            let mut work: Vec<(usize, &mut Shard, &Vec<u32>)> = self
-                .shards
-                .iter_mut()
-                .zip(parts)
-                .enumerate()
-                .filter(|(_, (_, seqs))| !seqs.is_empty())
-                .map(|(i, (shard, seqs))| (i, shard, seqs))
-                .collect();
-            // Run one slice on the current thread: a populated epoch
-            // then uses exactly `shards` threads, and a single-shard
-            // epoch spawns none at all.
-            let inline = work.pop();
-            for (i, shard, seqs) in work {
-                handles.push((
-                    i,
-                    scope.spawn(|| {
-                        phase_a(
-                            states,
-                            seqs,
-                            &mut shard.index,
-                            &mut shard.hotness,
-                            &mut shard.scratch,
-                        )
-                    }),
-                ));
-            }
-            if let Some((i, shard, seqs)) = inline {
-                outputs.push((
-                    i,
-                    phase_a(states, seqs, &mut shard.index, &mut shard.hotness, &mut shard.scratch),
-                ));
-            }
-            for (i, h) in handles {
-                outputs.push((i, h.join().expect("shard worker panicked")));
-            }
-        });
-
-        // Merge: selections back into batch order, deferred positions
-        // sorted so Phase B runs in the order the sequential pass would.
-        // The merge vectors and each shard's Phase-A buffers are pooled.
-        let mut tally = CaseTally::default();
-        let mut tagged = std::mem::take(&mut self.front.tagged);
-        let mut deferred = std::mem::take(&mut self.front.deferred);
-        for (i, mut out) in outputs {
-            tally.case1 += out.tally.case1;
-            tally.case2 += out.tally.case2;
-            tally.case3 += out.tally.case3;
-            tagged.append(&mut out.selections);
-            deferred.append(&mut out.deferred);
-            self.shards[i].scratch.recycle(out);
-        }
-        tagged.sort_unstable_by_key(|&(seq, _)| seq);
-        deferred.sort_unstable();
-        let mut selections: Vec<Selection> = tagged.drain(..).map(|(_, s)| s).collect();
-        self.front.tagged = tagged;
-
-        let fsas = Self::epoch_fsas(&mut self.fsa_cache, states, policy);
-        let mut store = ShardedStore {
-            shards: &mut self.shards,
-            router: self.router,
-            next_id: &mut self.next_path_id,
-        };
-        let load = phase_b(
-            states,
-            &deferred,
-            &mut store,
-            fsas,
-            policy,
-            &mut tally,
-            &mut selections,
-            &mut self.front.phase_b,
-        );
-        deferred.clear();
-        self.front.deferred = deferred;
-        (selections, tally, load)
     }
 
     /// Builds (and accounts) the endpoint response for one selection.
@@ -756,26 +483,29 @@ impl Coordinator {
 
     /// The hottest path leaving the vertex at `p`, if any.
     pub fn hottest_from(&self, p: &Point) -> Option<MotionPath> {
-        // Paths starting at `p`'s vertex all live in its owning shard.
-        let shard = &self.shards[self.router.shard_of(p)];
-        shard
-            .index
+        self.index
             .paths_starting_at(p)
             .iter()
-            .max_by_key(|e| (shard.hotness.get(e.id), std::cmp::Reverse(e.id)))
-            .and_then(|e| shard.index.get(e.id))
+            .max_by_key(|e| (self.hotness.get(e.id), std::cmp::Reverse(e.id)))
+            .and_then(|e| self.index.get(e.id))
             .copied()
     }
 
     /// Number of motion paths currently stored (the paper's *index size*
     /// metric, Figures 7a / 8a).
     pub fn index_size(&self) -> usize {
-        self.shards.iter().map(|s| s.index.len()).sum()
+        self.index.len()
     }
 
-    /// Looks up a stored path by id across all shards.
+    /// Looks up a stored path by id.
     pub fn path(&self, id: PathId) -> Option<&MotionPath> {
-        self.shards.iter().find_map(|s| s.index.get(id))
+        self.index.get(id)
+    }
+
+    /// A stored path with its current hotness, as reported.
+    fn hot_path(&self, id: PathId, hotness: u32) -> Option<HotPath> {
+        let p = self.index.get(id)?;
+        Some(HotPath { path: *p, hotness, score: hotness as f64 * p.length() })
     }
 
     /// All stored paths with positive hotness, unordered. The
@@ -787,20 +517,8 @@ impl Coordinator {
         if let Some(hot) = self.cache.borrow().hot.clone() {
             return hot;
         }
-        let hot: Arc<[HotPath]> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                shard.hotness.iter().filter_map(|(id, h)| {
-                    shard.index.get(id).map(|p| HotPath {
-                        path: *p,
-                        hotness: h,
-                        score: h as f64 * p.length(),
-                    })
-                })
-            })
-            .collect::<Vec<_>>()
-            .into();
+        let hot: Arc<[HotPath]> =
+            self.hotness.iter().filter_map(|(id, h)| self.hot_path(id, h)).collect();
         self.cache.borrow_mut().hot = Some(hot.clone());
         hot
     }
@@ -847,26 +565,11 @@ impl Coordinator {
         self.snapshot().top_k.clone()
     }
 
-    /// The top-`n` hottest motion paths for an explicit `n`, merged
-    /// across shards: each shard's [`Hotness::top_n`] yields its own
-    /// hottest `n` from its count buckets (see there for the cost), and
-    /// the global answer is a subset of their union.
+    /// The top-`n` hottest motion paths for an explicit `n`, in the
+    /// order [`Hotness::top_n`] already returns — hotness desc, length
+    /// desc, id asc — from its count buckets (see there for the cost).
     pub fn top_n(&self, n: usize) -> Vec<HotPath> {
-        let mut merged: Vec<HotPath> = Vec::new();
-        for shard in &self.shards {
-            merged.extend(shard.hotness.top_n(n).into_iter().filter_map(|(id, h)| {
-                let p = shard.index.get(id)?;
-                Some(HotPath { path: *p, hotness: h, score: h as f64 * p.length() })
-            }));
-        }
-        merged.sort_by(|a, b| {
-            b.hotness
-                .cmp(&a.hotness)
-                .then_with(|| b.path.length().total_cmp(&a.path.length()))
-                .then_with(|| a.path.id.cmp(&b.path.id))
-        });
-        merged.truncate(n);
-        merged
+        self.hotness.top_n(n).into_iter().filter_map(|(id, h)| self.hot_path(id, h)).collect()
     }
 
     /// The score of the top-`k` set: the average of `hotness x length`
@@ -900,38 +603,28 @@ impl Coordinator {
 
     /// Current hotness of a specific path.
     pub fn hotness_of(&self, id: PathId) -> u32 {
-        self.shards.iter().map(|s| s.hotness.get(id)).sum()
+        self.hotness.get(id)
     }
 
-    /// Number of paths with positive hotness, across all shards.
+    /// Number of paths with positive hotness.
     pub fn hot_count(&self) -> usize {
-        self.shards.iter().map(|s| s.hotness.len()).sum()
+        self.hotness.len()
     }
 
-    /// Live expiry events pending in the hotness tables (diagnostics).
+    /// Live expiry events pending in the hotness table (diagnostics).
     pub fn pending_expiry_events(&self) -> usize {
-        self.shards.iter().map(|s| s.hotness.pending_events()).sum()
+        self.hotness.pending_events()
     }
 
-    /// Internal-consistency audit: every shard's index must be
-    /// self-consistent, every path must live in the shard its start
-    /// vertex routes to, path ids must be globally unique, each shard's
-    /// hotness count buckets must agree with its counter table, and the
-    /// merged bucket-walk top-k must equal the sort-based oracle over
-    /// the full hot set.
+    /// Internal-consistency audit: the index must be self-consistent,
+    /// every hot path must be stored, the hotness count buckets must
+    /// agree with the counter table, and the bucket-walk top-k must
+    /// equal the sort-based oracle over the full hot set.
     pub fn check_consistency(&self) -> Result<(), String> {
-        let mut seen = std::collections::HashSet::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            shard.index.check_consistency().map_err(|e| format!("shard {i}: {e}"))?;
-            shard.hotness.check_consistency().map_err(|e| format!("shard {i} hotness: {e}"))?;
-            for p in shard.index.iter() {
-                if self.router.shard_of(&p.start()) != i {
-                    return Err(format!("path {} misrouted to shard {i}", p.id));
-                }
-                if !seen.insert(p.id) {
-                    return Err(format!("duplicate path id {} across shards", p.id));
-                }
-            }
+        self.index.check_consistency()?;
+        self.hotness.check_consistency().map_err(|e| format!("hotness: {e}"))?;
+        if let Some((id, _)) = self.hotness.iter().find(|&(id, _)| self.index.get(id).is_none()) {
+            return Err(format!("hot path {id} missing from the index"));
         }
         if let Some(table) = &self.sessions {
             table.check().map_err(|e| format!("session table: {e}"))?;
@@ -962,7 +655,7 @@ impl Coordinator {
 
     // ---- checkpoint / restore -----------------------------------------
 
-    /// Serializes the full coordinator state — path slabs, heat slabs,
+    /// Serializes the full coordinator state — path slab, heat slab,
     /// expiry events, tombstones, the pending batch, counters, and the
     /// configuration echo — into a validated [`Checkpoint`] image. Each
     /// section is one bounded memcpy of a contiguous slab; nothing walks
@@ -976,17 +669,15 @@ impl Coordinator {
             flags |= FLAG_OVERLAP_OWN;
         }
         let mut b = CheckpointBuilder::new(
-            self.shards.len() as u32,
             self.processing.epochs,
             self.clock.raw(),
-            self.next_path_id,
+            self.index.next_id(),
             flags,
         );
-        b.section(SectionKind::Config, 0, &[ConfigRecord::from_config(&self.config)]);
+        b.section(SectionKind::Config, &[ConfigRecord::from_config(&self.config)]);
         let sess_counters = self.sessions.as_ref().map(|t| t.counters()).unwrap_or_default();
         b.section(
             SectionKind::Stats,
-            0,
             &[StatsRecord {
                 uplink_msgs: self.comm.uplink_msgs,
                 uplink_bytes: self.comm.uplink_bytes,
@@ -1009,27 +700,17 @@ impl Coordinator {
                 sess_drops: sess_counters.drops,
                 sess_reconnects: sess_counters.reconnects,
                 sess_ejections: sess_counters.ejections,
+                recorded: self.hotness.total_recorded(),
             }],
         );
         if let Some(table) = &self.sessions {
-            b.section(SectionKind::Session, 0, &table.records_vec());
+            b.section(SectionKind::Session, &table.records_vec());
         }
-        b.section(SectionKind::Pending, 0, &self.pending);
-        for (i, shard) in self.shards.iter().enumerate() {
-            let s = i as u32;
-            b.section(SectionKind::Paths, s, shard.index.paths_slice());
-            b.section(SectionKind::Heat, s, shard.hotness.heat_slice());
-            b.section(SectionKind::Events, s, &shard.hotness.events_vec());
-            b.section(SectionKind::Dead, s, &shard.hotness.dead_entries());
-            b.section(
-                SectionKind::ShardMeta,
-                s,
-                &[ShardMetaRecord {
-                    index_next_id: shard.index.next_id(),
-                    recorded: shard.hotness.total_recorded(),
-                }],
-            );
-        }
+        b.section(SectionKind::Pending, &self.pending);
+        b.section(SectionKind::Paths, self.index.paths_slice());
+        b.section(SectionKind::Heat, self.hotness.heat_slice());
+        b.section(SectionKind::Events, &self.hotness.events_vec());
+        b.section(SectionKind::Dead, &self.hotness.dead_entries());
         b.finish()
     }
 
@@ -1041,9 +722,9 @@ impl Coordinator {
     ///
     /// The slabs are adopted verbatim and the expiry events re-enter the
     /// timer wheel keyed by the header clock; derived structures (grid,
-    /// adjacency, slot maps, count buckets, pending routing) are rebuilt,
-    /// and the read cache starts invalidated — the first read after a
-    /// restore can never serve pre-restore data.
+    /// adjacency, slot maps, count buckets) are rebuilt, and the read
+    /// cache starts invalidated — the first read after a restore can
+    /// never serve pre-restore data.
     pub fn from_checkpoint(config: Config, ck: &Checkpoint) -> Result<Self, CheckpointError> {
         let one = |what: &str, len: usize| {
             if len == 1 {
@@ -1053,67 +734,38 @@ impl Coordinator {
             }
         };
         let header = *ck.header();
-        let cfg_rec: Vec<ConfigRecord> = ck.section(SectionKind::Config, 0)?;
+        let cfg_rec: Vec<ConfigRecord> = ck.section(SectionKind::Config)?;
         one("config", cfg_rec.len())?;
         cfg_rec[0].matches(&config)?;
-        if header.shard_count as usize != config.shards {
-            return Err(CheckpointError::Malformed(format!(
-                "header says {} shards, config {}",
-                header.shard_count, config.shards
-            )));
-        }
-        let stats: Vec<StatsRecord> = ck.section(SectionKind::Stats, 0)?;
+        let stats: Vec<StatsRecord> = ck.section(SectionKind::Stats)?;
         one("stats", stats.len())?;
         let stats = stats[0];
-        let pending: Vec<ClientState> = ck.section(SectionKind::Pending, 0)?;
+        let pending: Vec<ClientState> = ck.section(SectionKind::Pending)?;
 
-        let mut shards = Vec::with_capacity(config.shards);
-        for i in 0..config.shards as u32 {
-            let paths: Vec<MotionPath> = ck.section(SectionKind::Paths, i)?;
-            let heat: Vec<HeatEntry> = ck.section(SectionKind::Heat, i)?;
-            let events: Vec<ExpiryEvent> = ck.section(SectionKind::Events, i)?;
-            let dead: Vec<DeadEntry> = ck.section(SectionKind::Dead, i)?;
-            let meta: Vec<ShardMetaRecord> = ck.section(SectionKind::ShardMeta, i)?;
-            one("shard-meta", meta.len())?;
-            let index = MotionPathIndex::from_checkpoint_parts(
-                overlap_cell_of(&config),
-                config.vertex_grain,
-                paths,
-                meta[0].index_next_id,
-            )
-            .map_err(|e| CheckpointError::Malformed(format!("shard {i} index: {e}")))?;
-            let hotness = Hotness::from_checkpoint_parts(
-                config.window,
-                heat,
-                events,
-                dead,
-                meta[0].recorded,
-                Timestamp(header.clock),
-            )
-            .map_err(|e| CheckpointError::Malformed(format!("shard {i} hotness: {e}")))?;
-            for (id, _) in hotness.iter() {
-                if index.get(id).is_none() {
-                    return Err(CheckpointError::Malformed(format!(
-                        "shard {i}: hot path {id} missing from the path slab"
-                    )));
-                }
-            }
-            shards.push(Shard { index, hotness, scratch: ScratchArena::new() });
+        let index = MotionPathIndex::from_checkpoint_parts(
+            overlap_cell_of(&config),
+            config.vertex_grain,
+            ck.section(SectionKind::Paths)?,
+            header.next_path_id,
+        )
+        .map_err(|e| CheckpointError::Malformed(format!("index: {e}")))?;
+        let hotness = Hotness::from_checkpoint_parts(
+            config.window,
+            ck.section(SectionKind::Heat)?,
+            ck.section(SectionKind::Events)?,
+            ck.section(SectionKind::Dead)?,
+            stats.recorded,
+            Timestamp(header.clock),
+        )
+        .map_err(|e| CheckpointError::Malformed(format!("hotness: {e}")))?;
+        if let Some((id, _)) = hotness.iter().find(|&(id, _)| index.get(id).is_none()) {
+            return Err(CheckpointError::Malformed(format!(
+                "hot path {id} missing from the path slab"
+            )));
         }
 
-        let router = ShardRouter::new(&config);
-        let mut pending_parts =
-            if config.shards > 1 { vec![Vec::new(); config.shards] } else { Vec::new() };
-        if config.shards > 1 {
-            for (seq, state) in pending.iter().enumerate() {
-                pending_parts[router.shard_of(&state.start)].push(seq as u32);
-            }
-        }
-        // Not part of the image: the set is rebuilt from the first
-        // post-restore batch.
-        let fsa_cache = FsaCache::new(overlap_cell_of(&config));
         let sessions = if config.admission.sessions_enabled() {
-            let recs: Vec<SessionRecord> = ck.section(SectionKind::Session, 0)?;
+            let recs: Vec<SessionRecord> = ck.section(SectionKind::Session)?;
             Some(
                 SessionTable::from_checkpoint_parts(
                     config.admission.lease,
@@ -1133,12 +785,14 @@ impl Coordinator {
             None
         };
         Ok(Coordinator {
+            index,
+            hotness,
+            scratch: ScratchArena::new(),
+            // Not part of the image: the set is rebuilt from the first
+            // post-restore batch.
+            fsa_cache: FsaCache::new(overlap_cell_of(&config)),
             config,
-            shards,
-            router,
             pending,
-            pending_parts,
-            next_path_id: header.next_path_id,
             comm: CommStats {
                 uplink_msgs: stats.uplink_msgs,
                 uplink_bytes: stats.uplink_bytes,
@@ -1161,8 +815,6 @@ impl Coordinator {
             } else {
                 OverlapPolicy::Full
             },
-            fsa_cache,
-            front: FrontScratch::default(),
             clock: Timestamp(header.clock),
             cache: RefCell::new(ReadCache::default()),
             sessions,
@@ -1304,100 +956,41 @@ mod tests {
         assert_eq!(p.case1 + p.case2 + p.case3, 2);
     }
 
-    /// Drives the same deterministic multi-epoch workload through
-    /// coordinators at several shard counts and demands identical
-    /// observable behavior — responses (order included), path ids,
-    /// top-k, scores, stats.
-    #[test]
-    fn sharded_epochs_match_sequential_exactly() {
-        type Responses = Vec<(u64, f64, f64, u64)>;
-        type TopK = Vec<(u64, f64, f64, f64, u32)>;
-        fn drive(shards: usize) -> (Responses, TopK, u64) {
-            let mut c = Coordinator::new(cfg().with_k(5).with_shards(shards));
-            let mut responses = Vec::new();
-            // A deterministic pseudo-random workload spread over many
-            // grid cells (so several shards are actually populated),
-            // with recurring corridors so all three cases fire.
-            let mut s = 42u64;
-            let mut rand = || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                s >> 33
-            };
-            for epoch in 1..=12u64 {
-                let now = Timestamp(epoch * 10);
-                let n = 40 + (rand() % 20) as usize;
-                for i in 0..n {
-                    let corridor = rand() % 12;
-                    let sx = (corridor * 400) as f64;
-                    let sy = ((rand() % 5) * 300) as f64;
-                    let ex = sx + 60.0 + (rand() % 3) as f64 * 5.0;
-                    let ey = sy + (rand() % 40) as f64;
-                    c.submit(state(i as u64, (sx, sy), (ex, ey), now.raw() - 10, now.raw() - 1));
-                }
-                for r in c.process_epoch(now) {
-                    responses.push((
-                        r.object.0,
-                        r.endpoint.p.x,
-                        r.endpoint.p.y,
-                        r.endpoint.t.raw(),
-                    ));
-                }
-            }
-            c.check_consistency().unwrap();
-            let top: Vec<(u64, f64, f64, f64, u32)> = c
-                .top_n(20)
-                .iter()
-                .map(|h| (h.path.id.0, h.path.start().x, h.path.end().x, h.score, h.hotness))
-                .collect();
-            (responses, top, c.processing_stats().case1)
-        }
-
-        let base = drive(1);
-        for shards in [2, 3, 8] {
-            let got = drive(shards);
-            assert_eq!(base.0, got.0, "responses diverged at {shards} shards");
-            assert_eq!(base.1, got.1, "top-k diverged at {shards} shards");
-            assert_eq!(base.2, got.2, "case tallies diverged at {shards} shards");
-        }
-    }
-
     /// `submit_batch` must be observationally identical to a loop of
     /// `submit` calls — same responses, same comm accounting, same
-    /// state — at 1 shard and many.
+    /// state.
     #[test]
     fn submit_batch_matches_individual_submits() {
-        for shards in [1usize, 3] {
-            let mk_states = || {
-                (0..30u64).map(|obj| {
-                    let x = (obj % 6) as f64 * 500.0;
-                    state(obj, (x, 0.0), (x + 50.0, (obj % 3) as f64 * 10.0), 0, 9)
-                })
-            };
-            let mut a = Coordinator::new(cfg().with_shards(shards));
-            for s in mk_states() {
-                a.submit(s);
-            }
-            let mut b = Coordinator::new(cfg().with_shards(shards));
-            b.submit_batch(mk_states());
-            assert_eq!(a.pending_len(), b.pending_len());
-
-            let ra: Vec<(u64, u64)> = a
-                .process_epoch(Timestamp(10))
-                .iter()
-                .map(|r| (r.object.0, r.endpoint.t.raw()))
-                .collect();
-            let rb: Vec<(u64, u64)> = b
-                .process_epoch(Timestamp(10))
-                .iter()
-                .map(|r| (r.object.0, r.endpoint.t.raw()))
-                .collect();
-            assert_eq!(ra, rb, "responses diverged at {shards} shards");
-            assert_eq!(a.comm_stats().uplink_msgs, b.comm_stats().uplink_msgs);
-            assert_eq!(a.index_size(), b.index_size());
-            assert_eq!(a.top_k_score().to_bits(), b.top_k_score().to_bits());
-            a.check_consistency().unwrap();
-            b.check_consistency().unwrap();
+        let mk_states = || {
+            (0..30u64).map(|obj| {
+                let x = (obj % 6) as f64 * 500.0;
+                state(obj, (x, 0.0), (x + 50.0, (obj % 3) as f64 * 10.0), 0, 9)
+            })
+        };
+        let mut a = Coordinator::new(cfg());
+        for s in mk_states() {
+            a.submit(s);
         }
+        let mut b = Coordinator::new(cfg());
+        b.submit_batch(mk_states());
+        assert_eq!(a.pending_len(), b.pending_len());
+
+        let ra: Vec<(u64, u64)> = a
+            .process_epoch(Timestamp(10))
+            .iter()
+            .map(|r| (r.object.0, r.endpoint.t.raw()))
+            .collect();
+        let rb: Vec<(u64, u64)> = b
+            .process_epoch(Timestamp(10))
+            .iter()
+            .map(|r| (r.object.0, r.endpoint.t.raw()))
+            .collect();
+        assert_eq!(ra, rb);
+        assert_eq!(a.comm_stats().uplink_msgs, b.comm_stats().uplink_msgs);
+        assert_eq!(a.index_size(), b.index_size());
+        assert_eq!(a.top_k_score().to_bits(), b.top_k_score().to_bits());
+        a.check_consistency().unwrap();
+        b.check_consistency().unwrap();
     }
 
     /// Steady-state epochs must not leak state through the recycled
@@ -1406,106 +999,101 @@ mod tests {
     /// `check_consistency` pins incremental top-k == full sort).
     #[test]
     fn recycled_epoch_buffers_stay_clean_over_many_epochs() {
-        for shards in [1usize, 4] {
-            let mut c = Coordinator::new(cfg().with_shards(shards));
-            for epoch in 1..=20u64 {
-                let now = Timestamp(epoch * 10);
-                for obj in 0..25u64 {
-                    let x = (obj % 5) as f64 * 600.0;
-                    let y = ((obj + epoch) % 4) as f64 * 300.0;
-                    c.submit_batch(std::iter::once(state(
-                        obj,
-                        (x, y),
-                        (x + 40.0, y),
-                        now.raw() - 10,
-                        now.raw() - 1,
-                    )));
-                }
-                let responses = c.process_epoch(now);
-                assert_eq!(responses.len(), 25);
-                assert_eq!(c.pending_len(), 0);
-                c.check_consistency().unwrap();
+        let mut c = Coordinator::new(cfg());
+        for epoch in 1..=20u64 {
+            let now = Timestamp(epoch * 10);
+            for obj in 0..25u64 {
+                let x = (obj % 5) as f64 * 600.0;
+                let y = ((obj + epoch) % 4) as f64 * 300.0;
+                c.submit_batch(std::iter::once(state(
+                    obj,
+                    (x, y),
+                    (x + 40.0, y),
+                    now.raw() - 10,
+                    now.raw() - 1,
+                )));
             }
-            assert!(c.hot_count() > 0);
+            let responses = c.process_epoch(now);
+            assert_eq!(responses.len(), 25);
+            assert_eq!(c.pending_len(), 0);
+            c.check_consistency().unwrap();
         }
+        assert!(c.hot_count() > 0);
     }
 
     /// Checkpoint mid-run, rebuild from the bytes, and continue: every
     /// observable — responses, top-k bits, stats, consistency — must
-    /// match the uninterrupted coordinator exactly, at 1 shard and many,
-    /// including a checkpoint taken with a *pending* (undrained) batch.
+    /// match the uninterrupted coordinator exactly, including a
+    /// checkpoint taken with a *pending* (undrained) batch.
     #[test]
     fn checkpoint_roundtrip_continues_bit_for_bit() {
-        for shards in [1usize, 4] {
-            let config = cfg().with_k(5).with_shards(shards);
-            let mut live = Coordinator::new(config).with_hints();
-            let mut s = 7u64;
-            let mut rand = move || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                s >> 33
-            };
-            let mut feed = |c: &mut Coordinator, epoch: u64| {
-                let now = Timestamp(epoch * 10);
-                for i in 0..30u64 {
-                    let x = ((rand() % 8) * 400) as f64;
-                    let y = ((rand() % 4) * 300) as f64;
-                    c.submit(state(i, (x, y), (x + 50.0, y), now.raw() - 10, now.raw() - 1));
-                }
-                now
-            };
-            for epoch in 1..=6u64 {
-                let now = feed(&mut live, epoch);
-                let _ = live.process_epoch(now);
+        let config = cfg().with_k(5);
+        let mut live = Coordinator::new(config).with_hints();
+        let mut s = 7u64;
+        let mut rand = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        let mut feed = |c: &mut Coordinator, epoch: u64| {
+            let now = Timestamp(epoch * 10);
+            for i in 0..30u64 {
+                let x = ((rand() % 8) * 400) as f64;
+                let y = ((rand() % 4) * 300) as f64;
+                c.submit(state(i, (x, y), (x + 50.0, y), now.raw() - 10, now.raw() - 1));
             }
-            // Leave a half-submitted batch pending before checkpointing.
-            live.submit(state(99, (0.0, 0.0), (50.0, 0.0), 60, 65));
-            let image = live.checkpoint();
-            let mut restored =
-                Coordinator::from_checkpoint(config, &image).expect("restore failed");
-            assert_eq!(restored.pending_len(), live.pending_len());
-            restored.check_consistency().unwrap();
-
-            // Both must now evolve identically. Reuse one RNG stream so
-            // both sides see the same future workload.
-            let mut s2 = 1234u64;
-            for epoch in 7..=12u64 {
-                let mut batch = Vec::new();
-                for i in 0..25u64 {
-                    s2 = s2.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let r = s2 >> 33;
-                    let x = ((r % 8) * 400) as f64;
-                    let y = ((r % 4) * 300) as f64;
-                    batch.push(state(i, (x, y), (x + 50.0, y), epoch * 10 - 10, epoch * 10 - 1));
-                }
-                let now = Timestamp(epoch * 10);
-                live.submit_batch(batch.iter().copied());
-                restored.submit_batch(batch.iter().copied());
-                let ra: Vec<(u64, u64, u64)> = live
-                    .process_epoch(now)
-                    .iter()
-                    .map(|r| (r.object.0, r.endpoint.p.x.to_bits(), r.endpoint.t.raw()))
-                    .collect();
-                let rb: Vec<(u64, u64, u64)> = restored
-                    .process_epoch(now)
-                    .iter()
-                    .map(|r| (r.object.0, r.endpoint.p.x.to_bits(), r.endpoint.t.raw()))
-                    .collect();
-                assert_eq!(ra, rb, "responses diverged at {shards} shards, epoch {epoch}");
-                assert_eq!(
-                    live.top_k_score().to_bits(),
-                    restored.top_k_score().to_bits(),
-                    "scores diverged at {shards} shards, epoch {epoch}"
-                );
-            }
-            assert_eq!(live.comm_stats(), restored.comm_stats());
-            assert_eq!(live.index_size(), restored.index_size());
-            live.check_consistency().unwrap();
-            restored.check_consistency().unwrap();
-
-            // Double restore from the same image is idempotent.
-            let again = Coordinator::from_checkpoint(config, &image).unwrap();
-            assert_eq!(again.checkpoint().as_bytes(), image.as_bytes());
+            now
+        };
+        for epoch in 1..=6u64 {
+            let now = feed(&mut live, epoch);
+            let _ = live.process_epoch(now);
         }
+        // Leave a half-submitted batch pending before checkpointing.
+        live.submit(state(99, (0.0, 0.0), (50.0, 0.0), 60, 65));
+        let image = live.checkpoint();
+        let mut restored = Coordinator::from_checkpoint(config, &image).expect("restore failed");
+        assert_eq!(restored.pending_len(), live.pending_len());
+        restored.check_consistency().unwrap();
+
+        // Both must now evolve identically. Reuse one RNG stream so
+        // both sides see the same future workload.
+        let mut s2 = 1234u64;
+        for epoch in 7..=12u64 {
+            let mut batch = Vec::new();
+            for i in 0..25u64 {
+                s2 = s2.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let r = s2 >> 33;
+                let x = ((r % 8) * 400) as f64;
+                let y = ((r % 4) * 300) as f64;
+                batch.push(state(i, (x, y), (x + 50.0, y), epoch * 10 - 10, epoch * 10 - 1));
+            }
+            let now = Timestamp(epoch * 10);
+            live.submit_batch(batch.iter().copied());
+            restored.submit_batch(batch.iter().copied());
+            let ra: Vec<(u64, u64, u64)> = live
+                .process_epoch(now)
+                .iter()
+                .map(|r| (r.object.0, r.endpoint.p.x.to_bits(), r.endpoint.t.raw()))
+                .collect();
+            let rb: Vec<(u64, u64, u64)> = restored
+                .process_epoch(now)
+                .iter()
+                .map(|r| (r.object.0, r.endpoint.p.x.to_bits(), r.endpoint.t.raw()))
+                .collect();
+            assert_eq!(ra, rb, "responses diverged at epoch {epoch}");
+            assert_eq!(
+                live.top_k_score().to_bits(),
+                restored.top_k_score().to_bits(),
+                "scores diverged at epoch {epoch}"
+            );
+        }
+        assert_eq!(live.comm_stats(), restored.comm_stats());
+        assert_eq!(live.index_size(), restored.index_size());
+        live.check_consistency().unwrap();
+        restored.check_consistency().unwrap();
+
+        // Double restore from the same image is idempotent.
+        let again = Coordinator::from_checkpoint(config, &image).unwrap();
+        assert_eq!(again.checkpoint().as_bytes(), image.as_bytes());
     }
 
     #[test]
@@ -1517,42 +1105,36 @@ mod tests {
             Coordinator::from_checkpoint(config.with_k(3), &image),
             Err(crate::checkpoint::CheckpointError::ConfigMismatch(_))
         ));
+        let coarser = config.to_builder().vertex_grain(1e-2).build().unwrap();
         assert!(matches!(
-            Coordinator::from_checkpoint(config.with_shards(2), &image),
+            Coordinator::from_checkpoint(coarser, &image),
             Err(crate::checkpoint::CheckpointError::ConfigMismatch(_))
         ));
     }
 
     #[test]
-    fn admission_policies_are_shard_invariant_and_account() {
+    fn admission_policies_account_every_turned_away_state() {
         use crate::config::AdmissionPolicy::*;
         for policy in [Reject, ShedOldest, EjectSlowest] {
-            let drive = |shards: usize| {
-                let config =
-                    cfg().with_shards(shards).with_lease(50, 20).with_admission_cap(10, policy);
-                let mut c = Coordinator::new(config);
-                // 3 clients x 5 states = 15 pending, 5 over the cap.
-                for obj in 0..3u64 {
-                    for i in 0..5u64 {
-                        let x = (obj * 600) as f64;
-                        c.submit(state(obj, (x, 0.0), (x + 50.0, i as f64 * 40.0), 0, 1 + i));
-                    }
+            let config = cfg().with_lease(50, 20).with_admission_cap(10, policy);
+            let mut c = Coordinator::new(config);
+            // 3 clients x 5 states = 15 pending, 5 over the cap.
+            for obj in 0..3u64 {
+                for i in 0..5u64 {
+                    let x = (obj * 600) as f64;
+                    c.submit(state(obj, (x, 0.0), (x + 50.0, i as f64 * 40.0), 0, 1 + i));
                 }
-                let responses: Vec<u64> =
-                    c.process_epoch(Timestamp(10)).iter().map(|r| r.object.0).collect();
-                c.check_consistency().unwrap();
-                (responses, c.admission_stats(), c.index_size())
-            };
-            let base = drive(1);
-            assert_eq!(base.1.admitted, 10, "{policy:?}");
-            assert_eq!(base.1.turned_away(), 5, "{policy:?}");
-            match policy {
-                Reject => assert_eq!(base.1.rejected, 5),
-                ShedOldest => assert_eq!(base.1.shed, 5),
-                EjectSlowest => assert_eq!(base.1.ejected, 5),
             }
-            for shards in [3usize, 4] {
-                assert_eq!(drive(shards), base, "{policy:?} diverged at {shards} shards");
+            let responses = c.process_epoch(Timestamp(10));
+            c.check_consistency().unwrap();
+            let stats = c.admission_stats();
+            assert_eq!(responses.len(), 10, "{policy:?}: only admitted states are answered");
+            assert_eq!(stats.admitted, 10, "{policy:?}");
+            assert_eq!(stats.turned_away(), 5, "{policy:?}");
+            match policy {
+                Reject => assert_eq!(stats.rejected, 5),
+                ShedOldest => assert_eq!(stats.shed, 5),
+                EjectSlowest => assert_eq!(stats.ejected, 5),
             }
         }
     }
@@ -1614,141 +1196,107 @@ mod tests {
 
     #[test]
     fn overload_degrades_phase_b_and_counts_epochs() {
-        let drive = |shards: usize| {
-            let mut c = Coordinator::new(cfg().with_shards(shards).with_degrade_threshold(5));
-            for obj in 0..10u64 {
-                let x = (obj % 5) as f64 * 600.0;
-                c.submit(state(obj, (x, 0.0), (x + 50.0, 0.0), 0, 9));
-            }
-            let over = c.process_epoch(Timestamp(10)).len();
-            // A under-threshold epoch runs the full policy again.
-            c.submit(state(0, (0.0, 0.0), (50.0, 0.0), 10, 19));
-            let _ = c.process_epoch(Timestamp(20));
-            c.check_consistency().unwrap();
-            (over, c.admission_stats().degraded_epochs, c.top_k_score().to_bits())
-        };
-        let base = drive(1);
-        assert_eq!(base.0, 10, "degraded epochs still answer every state");
-        assert_eq!(base.1, 1, "exactly the over-threshold epoch degraded");
-        assert_eq!(drive(4), base, "degradation must be shard-invariant");
+        let mut c = Coordinator::new(cfg().with_degrade_threshold(5));
+        for obj in 0..10u64 {
+            let x = (obj % 5) as f64 * 600.0;
+            c.submit(state(obj, (x, 0.0), (x + 50.0, 0.0), 0, 9));
+        }
+        let over = c.process_epoch(Timestamp(10)).len();
+        // A under-threshold epoch runs the full policy again.
+        c.submit(state(0, (0.0, 0.0), (50.0, 0.0), 10, 19));
+        let _ = c.process_epoch(Timestamp(20));
+        c.check_consistency().unwrap();
+        assert_eq!(over, 10, "degraded epochs still answer every state");
+        assert_eq!(
+            c.admission_stats().degraded_epochs,
+            1,
+            "exactly the over-threshold epoch degraded"
+        );
     }
 
     #[test]
     fn checkpoint_roundtrip_with_sessions_and_admission() {
-        for shards in [1usize, 4] {
-            let config = cfg()
-                .with_k(5)
-                .with_shards(shards)
-                .with_lease(30, 10)
-                .with_admission_cap(20, AdmissionPolicy::ShedOldest)
-                .with_degrade_threshold(18);
-            let mut live = Coordinator::new(config);
-            let mut s = 99u64;
-            let mut rand = move || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                s >> 33
-            };
-            let mut feed = |c: &mut Coordinator, epoch: u64, spread: u64| {
-                let now = epoch * 10;
-                for _ in 0..25u64 {
-                    let obj = rand() % spread;
-                    let x = ((rand() % 8) * 400) as f64;
-                    let y = ((rand() % 4) * 300) as f64;
-                    c.submit(state(obj, (x, y), (x + 50.0, y), now - 10, now - 1));
-                }
-                Timestamp(now)
-            };
-            // Epochs 1-3 hear from 12 clients, 4-6 from only 6, so the
-            // silent half drops and ejects before the checkpoint.
-            for epoch in 1..=6u64 {
-                let spread = if epoch <= 3 { 12 } else { 6 };
-                let now = feed(&mut live, epoch, spread);
-                let _ = live.process_epoch(now);
+        let config = cfg()
+            .with_k(5)
+            .with_lease(30, 10)
+            .with_admission_cap(20, AdmissionPolicy::ShedOldest)
+            .with_degrade_threshold(18);
+        let mut live = Coordinator::new(config);
+        let mut s = 99u64;
+        let mut rand = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        let mut feed = |c: &mut Coordinator, epoch: u64, spread: u64| {
+            let now = epoch * 10;
+            for _ in 0..25u64 {
+                let obj = rand() % spread;
+                let x = ((rand() % 8) * 400) as f64;
+                let y = ((rand() % 4) * 300) as f64;
+                c.submit(state(obj, (x, y), (x + 50.0, y), now - 10, now - 1));
             }
-            let stats = live.admission_stats();
-            assert!(stats.shed > 0, "cap must have fired");
-            assert!(stats.degraded_epochs > 0, "overload must have degraded");
-            assert!(live.sessions().unwrap().counters().drops > 0, "drops expected");
+            Timestamp(now)
+        };
+        // Epochs 1-3 hear from 12 clients, 4-6 from only 6, so the
+        // silent half drops and ejects before the checkpoint.
+        for epoch in 1..=6u64 {
+            let spread = if epoch <= 3 { 12 } else { 6 };
+            let now = feed(&mut live, epoch, spread);
+            let _ = live.process_epoch(now);
+        }
+        let stats = live.admission_stats();
+        assert!(stats.shed > 0, "cap must have fired");
+        assert!(stats.degraded_epochs > 0, "overload must have degraded");
+        assert!(live.sessions().unwrap().counters().drops > 0, "drops expected");
 
-            let image = live.checkpoint();
-            let mut restored =
-                Coordinator::from_checkpoint(config, &image).expect("restore failed");
-            restored.check_consistency().unwrap();
-            assert_eq!(restored.admission_stats(), live.admission_stats());
-            assert_eq!(
-                restored.sessions().unwrap().counters(),
-                live.sessions().unwrap().counters()
-            );
-            assert_eq!(
-                restored.sessions().unwrap().records_vec(),
-                live.sessions().unwrap().records_vec()
-            );
-            assert_eq!(
-                restored.checkpoint().as_bytes(),
-                image.as_bytes(),
-                "checkpoint of restore must be byte-identical"
-            );
+        let image = live.checkpoint();
+        let mut restored = Coordinator::from_checkpoint(config, &image).expect("restore failed");
+        restored.check_consistency().unwrap();
+        assert_eq!(restored.admission_stats(), live.admission_stats());
+        assert_eq!(restored.sessions().unwrap().counters(), live.sessions().unwrap().counters());
+        assert_eq!(
+            restored.sessions().unwrap().records_vec(),
+            live.sessions().unwrap().records_vec()
+        );
+        assert_eq!(
+            restored.checkpoint().as_bytes(),
+            image.as_bytes(),
+            "checkpoint of restore must be byte-identical"
+        );
 
-            // Both must continue in lock-step, session layer included.
-            let mut s2 = 4242u64;
-            for epoch in 7..=12u64 {
-                let mut batch = Vec::new();
-                for _ in 0..25u64 {
-                    s2 = s2.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let r = s2 >> 33;
-                    let x = ((r % 8) * 400) as f64;
-                    let y = ((r % 4) * 300) as f64;
-                    batch.push(state(
-                        r % 12,
-                        (x, y),
-                        (x + 50.0, y),
-                        epoch * 10 - 10,
-                        epoch * 10 - 1,
-                    ));
-                }
-                let now = Timestamp(epoch * 10);
-                live.submit_batch(batch.iter().copied());
-                restored.submit_batch(batch.iter().copied());
-                let ra: Vec<(u64, u64)> = live
-                    .process_epoch(now)
-                    .iter()
-                    .map(|r| (r.object.0, r.endpoint.p.x.to_bits()))
-                    .collect();
-                let rb: Vec<(u64, u64)> = restored
-                    .process_epoch(now)
-                    .iter()
-                    .map(|r| (r.object.0, r.endpoint.p.x.to_bits()))
-                    .collect();
-                assert_eq!(ra, rb, "responses diverged at {shards} shards, epoch {epoch}");
-                assert_eq!(
-                    live.snapshot().session_events,
-                    restored.snapshot().session_events,
-                    "session events diverged at {shards} shards, epoch {epoch}"
-                );
-                assert_eq!(live.admission_stats(), restored.admission_stats());
+        // Both must continue in lock-step, session layer included.
+        let mut s2 = 4242u64;
+        for epoch in 7..=12u64 {
+            let mut batch = Vec::new();
+            for _ in 0..25u64 {
+                s2 = s2.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let r = s2 >> 33;
+                let x = ((r % 8) * 400) as f64;
+                let y = ((r % 4) * 300) as f64;
+                batch.push(state(r % 12, (x, y), (x + 50.0, y), epoch * 10 - 10, epoch * 10 - 1));
             }
-            live.check_consistency().unwrap();
-            restored.check_consistency().unwrap();
+            let now = Timestamp(epoch * 10);
+            live.submit_batch(batch.iter().copied());
+            restored.submit_batch(batch.iter().copied());
+            let ra: Vec<(u64, u64)> = live
+                .process_epoch(now)
+                .iter()
+                .map(|r| (r.object.0, r.endpoint.p.x.to_bits()))
+                .collect();
+            let rb: Vec<(u64, u64)> = restored
+                .process_epoch(now)
+                .iter()
+                .map(|r| (r.object.0, r.endpoint.p.x.to_bits()))
+                .collect();
+            assert_eq!(ra, rb, "responses diverged at epoch {epoch}");
+            assert_eq!(
+                live.snapshot().session_events,
+                restored.snapshot().session_events,
+                "session events diverged at epoch {epoch}"
+            );
+            assert_eq!(live.admission_stats(), restored.admission_stats());
         }
-    }
-
-    #[test]
-    fn sharded_state_is_consistent_and_aggregates_add_up() {
-        let mut c = Coordinator::new(cfg().with_shards(4));
-        for obj in 0..20u64 {
-            let x = (obj % 5) as f64 * 600.0;
-            c.submit(state(obj, (x, 0.0), (x + 50.0, 0.0), 0, 9));
-        }
-        let _ = c.process_epoch(Timestamp(10));
-        assert_eq!(c.num_shards(), 4);
-        c.check_consistency().unwrap();
-        assert_eq!(c.index_size(), 5);
-        assert_eq!(c.hot_count(), 5);
-        assert!(c.pending_expiry_events() >= c.hot_count());
-        // Every hot path is reachable through the aggregate lookup.
-        for hp in c.hot_paths().iter() {
-            assert!(c.path(hp.path.id).is_some());
-            assert_eq!(c.hotness_of(hp.path.id), hp.hotness);
-        }
+        live.check_consistency().unwrap();
+        restored.check_consistency().unwrap();
     }
 }

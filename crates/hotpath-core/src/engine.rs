@@ -212,8 +212,8 @@ mod tests {
     use crate::geometry::{Point, Rect};
     use crate::ObjectId;
 
-    fn cfg(shards: usize) -> Config {
-        Config::paper_defaults().with_epoch(10).with_window(100).with_shards(shards)
+    fn cfg() -> Config {
+        Config::paper_defaults().with_epoch(10).with_window(100)
     }
 
     fn state(obj: u64, start: (f64, f64), end: (f64, f64), te: u64) -> ClientState {
@@ -227,79 +227,18 @@ mod tests {
         }
     }
 
-    /// Drives one engine through a deterministic multi-epoch workload
-    /// with mixed single/batch submits and mid-epoch time advances;
-    /// returns everything observable.
-    #[allow(clippy::type_complexity)]
-    fn drive(shards: usize) -> (Vec<Vec<(u64, u64)>>, Vec<(u64, u64, u32)>, u64) {
-        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg(shards)));
-        let mut responses_log = Vec::new();
-        let mut s = 7u64;
-        let mut rand = || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            s >> 33
-        };
-        for epoch in 1..=8u64 {
-            for tick in 1..=10u64 {
-                let now = Timestamp((epoch - 1) * 10 + tick);
-                let n = 3 + (rand() % 5) as usize;
-                let mk = |i: usize, r: u64| {
-                    let corridor = r % 6;
-                    let x = (corridor * 500) as f64;
-                    let y = ((r / 7) % 4 * 300) as f64;
-                    state(i as u64, (x, y), (x + 50.0, y), now.raw())
-                };
-                if rand() % 2 == 0 {
-                    for i in 0..n {
-                        let r = rand();
-                        engine.submit(mk(i, r));
-                    }
-                } else {
-                    let states: Vec<ClientState> =
-                        (0..n).map(|i| (i, rand())).map(|(i, r)| mk(i, r)).collect();
-                    engine.submit_batch(&mut states.into_iter());
-                }
-                engine.advance_time(now);
-                if tick == 10 {
-                    let resp = engine.process_epoch(now);
-                    responses_log
-                        .push(resp.iter().map(|r| (r.object.0, r.endpoint.t.raw())).collect());
-                }
-            }
-        }
-        let snap = engine.snapshot();
-        assert_eq!(snap.epoch, 8);
-        let coordinator = engine.finish();
-        coordinator.check_consistency().unwrap();
-        let top: Vec<(u64, u64, u32)> = coordinator
-            .top_n(10)
-            .iter()
-            .map(|h| (h.path.id.0, h.score.to_bits(), h.hotness))
-            .collect();
-        (responses_log, top, coordinator.comm_stats().uplink_msgs)
-    }
-
-    #[test]
-    fn mixed_ingest_run_is_identical_at_every_shard_count() {
-        let base = drive(1);
-        assert!(base.0.iter().any(|r| !r.is_empty()), "the workload must produce responses");
-        assert_eq!(drive(4), base, "4 shards diverged from sequential");
-    }
-
-    /// The same shard-count contract with the robustness layer on: a
-    /// workload where clients go silent mid-run, the admission cap
-    /// fires, and epochs degrade under overload. Responses, the
-    /// session-event stream, and every admission/session counter must
-    /// be identical at every shard count.
+    /// The robustness layer through the engine: a workload where
+    /// clients go silent mid-run, the admission cap fires, and epochs
+    /// degrade under overload. The session-event stream and every
+    /// admission/session counter must show it, and two runs must agree
+    /// on all of it.
     #[test]
     fn engines_agree_with_sessions_and_admission_on() {
         use crate::config::AdmissionPolicy;
         use crate::session::SessionTransition;
         #[allow(clippy::type_complexity)]
-        fn drive_robust(
-            shards: usize,
-        ) -> (Vec<Vec<(u64, u64)>>, Vec<(u64, u64, u8)>, Vec<u64>, Vec<u64>, bool) {
-            let config = cfg(shards)
+        fn drive_robust() -> (Vec<Vec<(u64, u64)>>, Vec<(u64, u64, u8)>, Vec<u64>, Vec<u64>, bool) {
+            let config = cfg()
                 .with_lease(30, 10)
                 .with_admission_cap(24, AdmissionPolicy::ShedOldest)
                 .with_degrade_threshold(20);
@@ -356,18 +295,18 @@ mod tests {
             )
         }
 
-        let base = drive_robust(1);
+        let base = drive_robust();
         assert!(!base.1.is_empty(), "the workload must produce session events");
         assert!(base.2[2] > 0, "the cap must shed states");
         assert!(base.2[4] > 0, "overload must degrade epochs");
         assert!(base.3[1] > 0 && base.3[3] > 0, "silent clients must drop and eject");
         assert!(base.4, "the advisory saturation signal must fire");
-        assert_eq!(drive_robust(4), base, "4 shards diverged from sequential");
+        assert_eq!(drive_robust(), base, "the robust run is not deterministic");
     }
 
     #[test]
     fn snapshot_is_stamped_and_stable_between_epochs() {
-        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg(1)));
+        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg()));
         assert_eq!(engine.snapshot().epoch, 0);
         engine.submit(state(1, (0.0, 0.0), (50.0, 0.0), 9));
         assert_eq!(engine.pending_len(), 1);
@@ -406,74 +345,72 @@ mod tests {
     /// `checkpoint()` must be a pure observer — a run with a mid-run
     /// checkpoint equals one without — and an engine restored from that
     /// image must replay the remaining epochs bit-for-bit, pending batch
-    /// included, at 1 shard and several.
+    /// included.
     #[test]
     fn checkpoint_is_transparent_and_restore_resumes_bit_for_bit() {
         type EpochLog = Vec<(Vec<(u64, u64)>, u64, u64, u64)>;
-        for shards in [1usize, 4] {
-            let observe = |engine: &mut Box<dyn Engine>, now: Timestamp| {
-                let resp: Vec<(u64, u64)> = engine
-                    .process_epoch(now)
-                    .iter()
-                    .map(|r| (r.object.0, r.endpoint.p.x.to_bits()))
-                    .collect();
-                let snap = engine.snapshot();
-                (resp, snap.epoch, snap.top_k_score.to_bits(), snap.comm.uplink_msgs)
-            };
-            let run = |interrupt: Option<u64>| -> (EpochLog, Option<Checkpoint>) {
-                let mut engine = EngineKind::Sync.build(Coordinator::new(cfg(shards)));
-                let mut log = Vec::new();
-                let mut image = None;
-                for epoch in 1..=8u64 {
-                    let now = Timestamp(epoch * 10);
-                    engine.submit_batch(&mut workload(epoch).into_iter());
-                    if interrupt == Some(epoch) {
-                        // The epoch's batch is still buffered: the
-                        // image must carry it.
-                        image = Some(engine.checkpoint());
-                    }
-                    engine.advance_time(now);
-                    log.push(observe(&mut engine, now));
-                }
-                engine.finish().check_consistency().unwrap();
-                (log, image)
-            };
-
-            let (base, _) = run(None);
-            let (with_ck, image) = run(Some(4));
-            assert_eq!(base, with_ck, "checkpoint perturbed the run at {shards} shards");
-
-            // Resume: restore into a *dirtied* fresh engine and replay
-            // epochs 4..=8 (epoch 4's batch rides in the image's pending
-            // section).
-            let image = image.unwrap();
-            assert_eq!(image.epoch(), 3);
-            let mut engine = EngineKind::Sync.build(Coordinator::new(cfg(shards)));
-            engine.submit(state(77, (0.0, 0.0), (50.0, 0.0), 9));
-            let _ = engine.process_epoch(Timestamp(10));
-            engine.restore(&image).unwrap();
-            assert_eq!(engine.pending_len(), 12, "pending batch lost in restore");
-            for epoch in 4..=8u64 {
+        let observe = |engine: &mut Box<dyn Engine>, now: Timestamp| {
+            let resp: Vec<(u64, u64)> = engine
+                .process_epoch(now)
+                .iter()
+                .map(|r| (r.object.0, r.endpoint.p.x.to_bits()))
+                .collect();
+            let snap = engine.snapshot();
+            (resp, snap.epoch, snap.top_k_score.to_bits(), snap.comm.uplink_msgs)
+        };
+        let run = |interrupt: Option<u64>| -> (EpochLog, Option<Checkpoint>) {
+            let mut engine = EngineKind::Sync.build(Coordinator::new(cfg()));
+            let mut log = Vec::new();
+            let mut image = None;
+            for epoch in 1..=8u64 {
                 let now = Timestamp(epoch * 10);
-                if epoch > 4 {
-                    engine.submit_batch(&mut workload(epoch).into_iter());
+                engine.submit_batch(&mut workload(epoch).into_iter());
+                if interrupt == Some(epoch) {
+                    // The epoch's batch is still buffered: the
+                    // image must carry it.
+                    image = Some(engine.checkpoint());
                 }
                 engine.advance_time(now);
-                assert_eq!(
-                    observe(&mut engine, now),
-                    base[(epoch - 1) as usize],
-                    "restored engine diverged at epoch {epoch}, {shards} shards"
-                );
+                log.push(observe(&mut engine, now));
             }
             engine.finish().check_consistency().unwrap();
+            (log, image)
+        };
+
+        let (base, _) = run(None);
+        let (with_ck, image) = run(Some(4));
+        assert_eq!(base, with_ck, "checkpoint perturbed the run");
+
+        // Resume: restore into a *dirtied* fresh engine and replay
+        // epochs 4..=8 (epoch 4's batch rides in the image's pending
+        // section).
+        let image = image.unwrap();
+        assert_eq!(image.epoch(), 3);
+        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg()));
+        engine.submit(state(77, (0.0, 0.0), (50.0, 0.0), 9));
+        let _ = engine.process_epoch(Timestamp(10));
+        engine.restore(&image).unwrap();
+        assert_eq!(engine.pending_len(), 12, "pending batch lost in restore");
+        for epoch in 4..=8u64 {
+            let now = Timestamp(epoch * 10);
+            if epoch > 4 {
+                engine.submit_batch(&mut workload(epoch).into_iter());
+            }
+            engine.advance_time(now);
+            assert_eq!(
+                observe(&mut engine, now),
+                base[(epoch - 1) as usize],
+                "restored engine diverged at epoch {epoch}"
+            );
         }
+        engine.finish().check_consistency().unwrap();
     }
 
     /// Regression: after `restore()` the cached snapshot must be
     /// invalidated — `snapshot()`/top-k never serve pre-restore data.
     #[test]
     fn restore_invalidates_the_snapshot_cache() {
-        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg(1)));
+        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg()));
         // Epoch 1: corridor A is the only hot path.
         for obj in 0..3u64 {
             engine.submit(state(obj, (0.0, 0.0), (50.0, 0.0), 9));
@@ -502,7 +439,7 @@ mod tests {
     /// a restore re-publishes the restored state.
     #[test]
     fn attached_cell_tracks_epochs_and_restores() {
-        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg(1)));
+        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg()));
         engine.submit(state(1, (0.0, 0.0), (50.0, 0.0), 9));
         let _ = engine.process_epoch(Timestamp(10));
         let image = engine.checkpoint();

@@ -110,7 +110,7 @@ impl EndpointGrid {
 
     /// Visits every entry whose endpoint lies inside `range` (closed
     /// set): the Case-2 query Phase B issues once per deferred state
-    /// through [`MotionPathIndex::for_each_end_in`](super::MotionPathIndex::for_each_end_in)
+    /// through [`MotionPathIndex::end_vertices_into`](super::MotionPathIndex::end_vertices_into)
     /// (Alg. 2 line 51). Visit order is cell by cell, then each cell's
     /// insert/remove history — not canonical, so callers group and rank
     /// by order-free rules.

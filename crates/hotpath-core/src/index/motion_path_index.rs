@@ -88,10 +88,10 @@ impl MotionPathIndex {
     /// and vertex quantization grain (meters). The cell side affects
     /// performance only; about one FSA side keeps a Case-2 query to at
     /// most four cells.
-    pub fn new(grid_cell: f64, vertex_grain: f64) -> Self {
+    pub fn new(cell: f64, vertex_grain: f64) -> Self {
         assert!(vertex_grain > 0.0, "vertex grain must be positive");
         MotionPathIndex {
-            grid: EndpointGrid::new(grid_cell),
+            grid: EndpointGrid::new(cell),
             paths: Vec::new(),
             loc_of: FxHashMap::default(),
             out_adj: FxHashMap::default(),
@@ -139,34 +139,22 @@ impl MotionPathIndex {
     /// [`MotionPathIndex::insert`] returning the stored path's whole
     /// adjacency entry — on a dedup hit the *existing* path's end vertex
     /// and length, which is what the caller must respond with and
-    /// record.
+    /// record. Ids come from the index's own counter, advanced only when
+    /// a path is actually created.
     pub fn insert_edge(&mut self, start: Point, end: Point) -> (OutEdge, bool) {
-        let mut next = self.next_id;
-        let out = self.insert_with(start, end, &mut next);
-        self.next_id = next;
-        out
-    }
-
-    /// [`MotionPathIndex::insert_edge`] drawing fresh ids from an
-    /// external counter instead of the index's own. The sharded
-    /// coordinator keeps one global counter across its per-shard indexes
-    /// so path ids stay globally unique — and identical to the
-    /// sequential coordinator's allocation, since all insertions happen
-    /// in the (sequential) Phase B in batch order. `next` is advanced
-    /// only when a path is actually created.
-    pub fn insert_with(&mut self, start: Point, end: Point, next: &mut u64) -> (OutEdge, bool) {
         let grain = self.vertex_grain;
         let ekey = end.quantize(grain);
+        let id = PathId(self.next_id);
         // One probe finds the start vertex's list for both the dedup
         // scan and the push.
         let outs = self.outs_mut(start.quantize(grain));
         if let Some(existing) = outs.iter().find(|e| e.end.quantize(grain) == ekey) {
             return (*existing, false);
         }
-        let path = MotionPath::new(PathId(*next), start, end);
-        *next += 1;
+        let path = MotionPath::new(id, start, end);
         let edge = OutEdge::of(&path);
         outs.push(edge);
+        self.next_id += 1;
         self.place(path);
         (edge, true)
     }
@@ -222,20 +210,12 @@ impl MotionPathIndex {
 
     /// [`MotionPathIndex::paths_from_into`] appending into a caller
     /// buffer — the allocation-free form the epoch hot loop uses (the
-    /// buffer lives in the shard's scratch arena and is reused across
-    /// states and epochs). Entries are appended in adjacency-list order;
+    /// buffer lives in the coordinator's scratch arena and is reused
+    /// across states and epochs). Entries are appended in adjacency-list order;
     /// the strategy's selection is a strict total order over candidates,
     /// so candidate order is unobservable.
     pub fn paths_from_into_buf(&self, start: &Point, fsa: &Rect, out: &mut Vec<OutEdge>) {
         out.extend(self.paths_starting_at(start).iter().filter(|e| fsa.contains(&e.end)));
-    }
-
-    /// Visits every end-vertex grid entry inside `fsa` (the raw form of
-    /// the Case-2 query; [`MotionPathIndex::end_vertices_into`] and the
-    /// sharded coordinator's merged store group these into vertex
-    /// groups without intermediate allocation).
-    pub fn for_each_end_in(&self, fsa: &Rect, f: impl FnMut(&Entry)) {
-        self.grid.for_each_in(fsa, f);
     }
 
     /// Case-2 query (Alg. 2 GetCandidateVertices): distinct end vertices
@@ -244,9 +224,8 @@ impl MotionPathIndex {
     /// When float-noisy copies of one vertex (same quantized key,
     /// different raw coordinates) converge, the group's representative
     /// point is the lexicographically smallest raw endpoint — canonical,
-    /// so the answer is independent of hash-iteration order and of how
-    /// the group is split across coordinator shards. Groups come sorted
-    /// by representative `(x, y)`, ids ascending within each.
+    /// so the answer is independent of grid visit order. Groups come
+    /// sorted by representative `(x, y)`, ids ascending within each.
     pub fn end_vertices_in(&self, fsa: &Rect) -> Vec<(Point, Vec<PathId>)> {
         let mut groups = VertexGroups::new();
         self.end_vertices_into(fsa, &mut groups);
@@ -259,7 +238,7 @@ impl MotionPathIndex {
     /// form `phase_b` uses, which cannot observe group or id order.
     pub fn end_vertices_into(&self, fsa: &Rect, out: &mut VertexGroups) {
         out.clear();
-        self.for_each_end_in(fsa, |entry| {
+        self.grid.for_each_in(fsa, |entry| {
             out.push(self.vertex_key(&entry.endpoint), entry.endpoint, entry.path);
         });
     }
@@ -323,8 +302,7 @@ impl MotionPathIndex {
         &self.paths
     }
 
-    /// The index's internal id counter (zero when ids come from an
-    /// external counter, as in the coordinator).
+    /// The index's id counter: the id the next created path gets.
     pub fn next_id(&self) -> u64 {
         self.next_id
     }
@@ -339,12 +317,12 @@ impl MotionPathIndex {
     /// only for a checkpoint written by a buggy or hostile producer,
     /// since CRC validation happens before this runs.
     pub fn from_checkpoint_parts(
-        grid_cell: f64,
+        cell: f64,
         vertex_grain: f64,
         paths: Vec<MotionPath>,
         next_id: u64,
     ) -> Result<Self, String> {
-        let mut idx = MotionPathIndex::new(grid_cell, vertex_grain);
+        let mut idx = MotionPathIndex::new(cell, vertex_grain);
         idx.paths.reserve(paths.len());
         for path in paths {
             if !path.start().is_finite() || !path.end().is_finite() {
@@ -352,6 +330,9 @@ impl MotionPathIndex {
             }
             if idx.loc_of.contains_key(&path.id) {
                 return Err(format!("duplicate path slab entry for {}", path.id));
+            }
+            if path.id.0 >= next_id {
+                return Err(format!("path {} is not below the id counter {next_id}", path.id));
             }
             idx.link(path);
         }
@@ -497,8 +478,7 @@ mod tests {
         // Two paths end at float-noisy copies of one vertex (same
         // quantized key): the group's representative must be the
         // lexicographically smallest raw point regardless of insertion
-        // order — this is what keeps sharded Phase B identical to
-        // sequential when such a group spans shards.
+        // order, so Phase B's choice never depends on visit order.
         let lo = Point::new(50.0, 50.0);
         let hi = Point::new(50.0 + 2e-4, 50.0);
         let fsa = Rect::new(Point::new(40.0, 40.0), Point::new(60.0, 60.0));
@@ -511,6 +491,17 @@ mod tests {
             assert_eq!(verts[0].0, lo, "representative not canonical");
             assert_eq!(verts[0].1.len(), 2);
         }
+    }
+
+    #[test]
+    fn checkpoint_parts_reject_ids_the_counter_would_reissue() {
+        let mut i = idx();
+        i.insert(Point::new(0.0, 0.0), Point::new(10.0, 0.0));
+        i.insert(Point::new(0.0, 0.0), Point::new(0.0, 10.0));
+        let slab = i.paths_slice().to_vec();
+        let back = MotionPathIndex::from_checkpoint_parts(50.0, 1e-3, slab.clone(), i.next_id());
+        back.unwrap().check_consistency().unwrap();
+        assert!(MotionPathIndex::from_checkpoint_parts(50.0, 1e-3, slab, 1).is_err());
     }
 
     #[test]

@@ -52,8 +52,8 @@ impl VertexGroups {
     /// Adds one `(vertex, path)` observation. Observations sharing a
     /// quantized key join one group whose representative point is the
     /// lexicographically smallest raw endpoint seen — the canonical
-    /// choice that keeps answers independent of visit order (and of how
-    /// a float-noisy vertex group is split across coordinator shards).
+    /// choice that keeps answers independent of visit order (grid cell
+    /// order and each cell's insert/remove history).
     pub fn push(&mut self, key: VertexKey, point: Point, id: PathId) {
         let slot = match self.by_key.get(&key) {
             Some(&s) => {

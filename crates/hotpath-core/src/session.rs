@@ -160,8 +160,8 @@ struct Record {
 /// The session table: per-client lifecycle records plus the lease
 /// wheel. All operations are deterministic in the order they are
 /// applied — heartbeats in submission order, expiries in canonical
-/// `(deadline, object)` order — so every backend and shard count
-/// produces the identical event stream.
+/// `(deadline, object)` order — so a run and its restart from a
+/// checkpoint produce the identical event stream.
 #[derive(Clone, Debug)]
 pub struct SessionTable {
     lease: u64,

@@ -20,7 +20,7 @@
 
 use super::overlap::{FsaSet, QueryScratch};
 use crate::fxhash::FxHashMap;
-use crate::geometry::{Point, Rect};
+use crate::geometry::Point;
 use crate::hotness::Hotness;
 use crate::index::{MotionPathIndex, OutEdge, VertexGroups};
 use crate::motion_path::PathId;
@@ -84,84 +84,33 @@ pub enum OverlapPolicy {
     Own,
 }
 
-/// Read/write surface Phase B (Cases 2-3) needs from path storage.
-///
-/// The sequential coordinator answers it from one `(index, hotness)`
-/// pair; the sharded coordinator merges the per-shard structures so the
-/// global Phase B sees exactly the view a single index would present.
-pub trait PathStore {
-    /// Distinct end vertices inside `fsa` with their converging paths,
-    /// grouped into `out` (the Case-2 query). Groups and each group's
-    /// representative point are canonical; group and id order are not,
-    /// and Phase B never observes them. `out` is a reusable accumulator;
-    /// implementations clear it first.
-    fn end_vertices_into(&self, fsa: &Rect, out: &mut VertexGroups);
-    /// Current hotness of `id` (zero when unknown).
-    fn hotness_of(&self, id: PathId) -> u32;
-    /// Inserts (or dedups onto) the path `start -> end`, records a
-    /// crossing exiting at `te`, and returns `(id, created, endpoint)`
-    /// where `endpoint` is the stored path's end vertex.
-    fn commit(&mut self, start: Point, end: Point, te: Timestamp) -> (PathId, bool, Point);
-}
-
-/// The sequential store: one index, one hotness table.
-pub struct SingleStore<'a> {
-    /// The motion-path index.
-    pub index: &'a mut MotionPathIndex,
-    /// The hotness table.
-    pub hotness: &'a mut Hotness,
-}
-
-impl PathStore for SingleStore<'_> {
-    fn end_vertices_into(&self, fsa: &Rect, out: &mut VertexGroups) {
-        self.index.end_vertices_into(fsa, out);
-    }
-
-    fn hotness_of(&self, id: PathId) -> u32 {
-        self.hotness.get(id)
-    }
-
-    fn commit(&mut self, start: Point, end: Point, te: Timestamp) -> (PathId, bool, Point) {
-        let (edge, created) = self.index.insert_edge(start, end);
-        self.hotness.record_crossing(edge.id, te, edge.len);
-        (edge.id, created, edge.end)
-    }
-}
-
 /// Reusable Phase-B scratch: the Case-2 vertex-group accumulator and the
 /// buffers of the FSA-neighbourhood query, kept alive across deferred
-/// states and epochs. Held by [`ScratchArena`] (single-shard path) and
-/// the coordinator's front-side scratch (sharded path).
+/// states and epochs inside [`ScratchArena`].
 #[derive(Debug, Default)]
 pub struct PhaseBScratch {
     groups: VertexGroups,
     overlap: QueryScratch,
 }
 
-/// Reusable per-shard scratch for the epoch hot loop: every buffer the
-/// SinglePath phases need, kept alive across epochs so the steady state
-/// allocates nothing. Candidate paths live in a flat CSR layout instead
-/// of one `Vec` per state; hash maps are cleared, never dropped; and the
-/// Phase-A output vectors are recycled through
-/// [`ScratchArena::recycle`] after the coordinator merges them.
+/// Reusable scratch for the epoch hot loop: every buffer the SinglePath
+/// phases need, kept alive across epochs so the steady state allocates
+/// nothing. Candidate paths live in a flat CSR layout instead of one
+/// `Vec` per state, and hash maps are cleared, never dropped.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     /// Flattened candidate paths (CSR values), each with its end vertex
     /// and length so selection never goes back to the index.
     cp: Vec<OutEdge>,
-    /// CSR offsets: the candidate set of `seqs[k]` is
-    /// `cp[cp_off[k]..cp_off[k + 1]]`.
+    /// CSR offsets: the candidate set of state `i` is
+    /// `cp[cp_off[i]..cp_off[i + 1]]`.
     cp_off: Vec<u32>,
     /// Cross-object occurrence counts, cleared each epoch.
     occurrences: FxHashMap<PathId, u32>,
+    /// Batch positions Phase A defers to Phase B (empty candidate set).
+    deferred: Vec<u32>,
     /// Scratch of Phase B.
     phase_b: PhaseBScratch,
-    /// Recycled Phase-A selection buffer.
-    selections_pool: Vec<(u32, Selection)>,
-    /// Recycled Phase-A deferred buffer.
-    deferred_pool: Vec<u32>,
-    /// Recycled identity `seqs` slice for the sequential batch path.
-    seqs_pool: Vec<u32>,
 }
 
 impl ScratchArena {
@@ -169,116 +118,20 @@ impl ScratchArena {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Returns a drained [`PhaseAOutput`]'s buffers to the pool so the
-    /// next epoch reuses their capacity.
-    pub fn recycle(&mut self, mut out: PhaseAOutput) {
-        out.selections.clear();
-        out.deferred.clear();
-        self.selections_pool = out.selections;
-        self.deferred_pool = out.deferred;
-    }
-}
-
-/// The outcome of [`phase_a`] over one shard's slice of the batch.
-pub struct PhaseAOutput {
-    /// Case-1 selections tagged with their global batch position.
-    pub selections: Vec<(u32, Selection)>,
-    /// Global batch positions deferred to Phase B (empty candidate set).
-    pub deferred: Vec<u32>,
-    /// Case tallies (only `case1` can be non-zero here).
-    pub tally: CaseTally,
-}
-
-/// Phase A — Case 1 (Alg. 2 lines 4-7, 13-20) over the states at batch
-/// positions `seqs` (in order) against one shard's index and hotness,
-/// using the shard's [`ScratchArena`] for every intermediate buffer.
-///
-/// Sharding by start-vertex cell keeps Phase A exact: a state's
-/// candidate paths all start at its own vertex, so candidate sets,
-/// cross-object boosts, and intra-batch crossing visibility never span
-/// shards — running each shard's slice independently produces the same
-/// selections the sequential pass would.
-pub fn phase_a(
-    states: &[ClientState],
-    seqs: &[u32],
-    index: &mut MotionPathIndex,
-    hotness: &mut Hotness,
-    scratch: &mut ScratchArena,
-) -> PhaseAOutput {
-    // Candidate-path generation (Alg. 2 lines 4-7) into the CSR scratch.
-    scratch.cp.clear();
-    scratch.cp_off.clear();
-    scratch.cp_off.reserve(seqs.len() + 1);
-    scratch.cp_off.push(0);
-    for &i in seqs {
-        let st = &states[i as usize];
-        index.paths_from_into_buf(&st.start, &st.fsa, &mut scratch.cp);
-        scratch.cp_off.push(scratch.cp.len() as u32);
-    }
-
-    // Cross-object boost (lines 13-15): a path appearing in several CP
-    // sets gains one rank unit per additional set. Candidate paths start
-    // at the reporting object's vertex, so every occurrence of an id is
-    // in this slice — the count equals the whole batch's.
-    scratch.occurrences.clear();
-    for e in &scratch.cp {
-        *scratch.occurrences.entry(e.id).or_insert(0) += 1;
-    }
-    let occurrences = &scratch.occurrences;
-
-    let mut selections = std::mem::take(&mut scratch.selections_pool);
-    selections.reserve(seqs.len());
-    let mut out = PhaseAOutput {
-        selections,
-        deferred: std::mem::take(&mut scratch.deferred_pool),
-        tally: CaseTally::default(),
-    };
-
-    // Case 1 (lines 16-20). Processing order is batch order; each
-    // recorded crossing is immediately visible to later selections.
-    for (k, &i) in seqs.iter().enumerate() {
-        let st = &states[i as usize];
-        let cp = &scratch.cp[scratch.cp_off[k] as usize..scratch.cp_off[k + 1] as usize];
-        // Each candidate's rank — hotness + 1 + boost, the boost being
-        // its occurrences beyond this one — is computed once; ties go to
-        // the longer path, then the lower id.
-        let ranked = cp.iter().map(|e| (hotness.get(e.id) + occurrences[&e.id], e));
-        let best = ranked.max_by(|(ra, a), (rb, b)| {
-            ra.cmp(rb).then_with(|| a.len.total_cmp(&b.len)).then_with(|| b.id.cmp(&a.id))
-        });
-        let Some((_, chosen)) = best else {
-            out.deferred.push(i);
-            continue;
-        };
-        hotness.record_crossing(chosen.id, st.te, chosen.len);
-        out.tally.case1 += 1;
-        out.selections.push((
-            i,
-            Selection {
-                object: st.object,
-                path: chosen.id,
-                endpoint: chosen.end,
-                te: st.te,
-                case: CaseKind::ExistingPath,
-                created: false,
-            },
-        ));
-    }
-    out
 }
 
 /// Phase B — Cases 2 and 3 (Alg. 2 lines 21-37) over the deferred batch
-/// positions, in order, against a [`PathStore`]. Sequential, so paths
-/// minted for earlier objects are visible to later ones ("newly
-/// generated motion paths will also provide additional vertices").
-/// `scratch` holds the buffers the Case-2 and FSA-neighbourhood queries
-/// refill per deferred state. Returns the pass's [`PhaseBLoad`].
+/// positions, in order. Sequential, so paths minted for earlier objects
+/// are visible to later ones ("newly generated motion paths will also
+/// provide additional vertices"). `scratch` holds the buffers the
+/// Case-2 and FSA-neighbourhood queries refill per deferred state.
+/// Returns the pass's [`PhaseBLoad`].
 #[allow(clippy::too_many_arguments)]
-pub fn phase_b<S: PathStore>(
+pub fn phase_b(
     states: &[ClientState],
     deferred: &[u32],
-    store: &mut S,
+    index: &mut MotionPathIndex,
+    hotness: &mut Hotness,
     fsas: &FsaSet,
     policy: OverlapPolicy,
     tally: &mut CaseTally,
@@ -299,9 +152,9 @@ pub fn phase_b<S: PathStore>(
         // Available vertices with converging-path hotness plus stabbing
         // depth (lines 22-26).
         let mut best: Option<(u32, bool, Point)> = None; // (rank, existing, vertex)
-        store.end_vertices_into(&st.fsa, groups);
+        index.end_vertices_into(&st.fsa, groups);
         for (&vertex, incoming) in groups.iter() {
-            let converging: u32 = incoming.iter().map(|&id| store.hotness_of(id)).sum();
+            let converging: u32 = incoming.iter().map(|&id| hotness.get(id)).sum();
             let boost = near.as_ref().map_or(0, |near| near.stab_count(&vertex) as u32);
             let cand = (converging + boost, true, vertex);
             if better_vertex(&cand, &best) {
@@ -336,7 +189,10 @@ pub fn phase_b<S: PathStore>(
             (0, false, st.fsa.centroid())
         });
 
-        let (id, created, endpoint) = store.commit(st.start, vertex, st.te);
+        // On a dedup hit the stored path's own end vertex and length are
+        // what the object is answered with and the crossing records.
+        let (edge, created) = index.insert_edge(st.start, vertex);
+        hotness.record_crossing(edge.id, st.te, edge.len);
         if existing {
             tally.case2 += 1;
         } else {
@@ -344,8 +200,8 @@ pub fn phase_b<S: PathStore>(
         }
         selections.push(Selection {
             object: st.object,
-            path: id,
-            endpoint,
+            path: edge.id,
+            endpoint: edge.end,
             te: st.te,
             case: if existing { CaseKind::ExistingVertex } else { CaseKind::NewVertex },
             created,
@@ -375,9 +231,10 @@ pub fn build_fsa_set(states: &[ClientState], overlap_cell: f64, policy: OverlapP
     }
 }
 
-/// Runs the SinglePath strategy over one epoch's batch of states.
-/// Selections are deterministic: ties break toward longer paths, then
-/// lower ids / lexicographically smaller vertices.
+/// Runs the SinglePath strategy over one epoch's batch of states:
+/// Phase A (Case 1) in batch order, then [`phase_b`] over the states it
+/// deferred. Selections are deterministic: ties break toward longer
+/// paths, then lower ids / lexicographically smaller vertices.
 ///
 /// Every intermediate buffer comes from `scratch`, which the caller
 /// keeps across epochs. `fsas` is the epoch's FSA-overlap structure —
@@ -400,24 +257,64 @@ pub fn process_batch(
         return (Vec::new(), tally, PhaseBLoad::default());
     }
 
-    let mut seqs = std::mem::take(&mut scratch.seqs_pool);
-    seqs.clear();
-    seqs.extend(0..states.len() as u32);
-    let mut a = phase_a(states, &seqs, index, hotness, scratch);
-    scratch.seqs_pool = seqs;
-    tally = a.tally;
-    let mut selections: Vec<Selection> = a.selections.drain(..).map(|(_, s)| s).collect();
+    // Candidate-path generation (Alg. 2 lines 4-7) into the CSR scratch.
+    scratch.cp.clear();
+    scratch.cp_off.clear();
+    scratch.cp_off.reserve(states.len() + 1);
+    scratch.cp_off.push(0);
+    for st in states {
+        index.paths_from_into_buf(&st.start, &st.fsa, &mut scratch.cp);
+        scratch.cp_off.push(scratch.cp.len() as u32);
+    }
+
+    // Cross-object boost (lines 13-15): a path appearing in several CP
+    // sets gains one rank unit per additional set.
+    scratch.occurrences.clear();
+    for e in &scratch.cp {
+        *scratch.occurrences.entry(e.id).or_insert(0) += 1;
+    }
+    let occurrences = &scratch.occurrences;
+
+    // Case 1 (lines 16-20). Processing order is batch order; each
+    // recorded crossing is immediately visible to later selections.
+    let mut selections = Vec::with_capacity(states.len());
+    scratch.deferred.clear();
+    for (i, st) in states.iter().enumerate() {
+        let cp = &scratch.cp[scratch.cp_off[i] as usize..scratch.cp_off[i + 1] as usize];
+        // Each candidate's rank — hotness + 1 + boost, the boost being
+        // its occurrences beyond this one — is computed once; ties go to
+        // the longer path, then the lower id.
+        let ranked = cp.iter().map(|e| (hotness.get(e.id) + occurrences[&e.id], e));
+        let best = ranked.max_by(|(ra, a), (rb, b)| {
+            ra.cmp(rb).then_with(|| a.len.total_cmp(&b.len)).then_with(|| b.id.cmp(&a.id))
+        });
+        let Some((_, chosen)) = best else {
+            scratch.deferred.push(i as u32);
+            continue;
+        };
+        hotness.record_crossing(chosen.id, st.te, chosen.len);
+        tally.case1 += 1;
+        selections.push(Selection {
+            object: st.object,
+            path: chosen.id,
+            endpoint: chosen.end,
+            te: st.te,
+            case: CaseKind::ExistingPath,
+            created: false,
+        });
+    }
+
     let load = phase_b(
         states,
-        &a.deferred,
-        &mut SingleStore { index, hotness },
+        &scratch.deferred,
+        index,
+        hotness,
         fsas,
         policy,
         &mut tally,
         &mut selections,
         &mut scratch.phase_b,
     );
-    scratch.recycle(a);
     (selections, tally, load)
 }
 

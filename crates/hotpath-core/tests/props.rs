@@ -559,24 +559,21 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// `restore(checkpoint(c))` is the identity on a coordinator grown
-    /// from any random schedule at any shard count: the restored state
-    /// is consistent, queries agree, and a second checkpoint of the
+    /// from any random schedule: the restored state is consistent,
+    /// queries agree, and a second checkpoint of the
     /// restored coordinator — and of a double-restored one — is
     /// byte-identical to the first (restore is idempotent).
     #[test]
     fn checkpoint_restore_roundtrips_random_coordinators(
         seed in 0u64..100_000,
-        shards_ix in 0usize..3,
         epochs in 1u64..8,
         leftover in 0u64..10,
     ) {
-        let shards = [1usize, 2, 4][shards_ix];
         let config = Config::paper_defaults()
             .with_tolerance(Tolerance::crisp(10.0))
             .with_window(30)
             .with_epoch(10)
-            .with_k(6)
-            .with_shards(shards);
+            .with_k(6);
         let mut c = Coordinator::new(config);
         // An LCG-driven schedule over a coarse lattice: corridors repeat
         // so crossings accumulate, expire, and evict along the way.
@@ -626,101 +623,6 @@ proptest! {
         twice.check_consistency().expect("double-restored coordinator inconsistent");
         let third = twice.checkpoint();
         prop_assert_eq!(third.as_bytes(), image.as_bytes(), "double restore drifted");
-    }
-}
-
-// ---------------- Phase-B-dominated batches ----------------
-
-/// One epoch's observable output: responses, snapshot score bits, index
-/// size, top-k ids, and the deterministic deferred count from the
-/// Phase-B load record.
-type DeferredEpochRow = (Vec<(u64, u64, u64, u64)>, u64, usize, Vec<u64>, usize);
-
-proptest! {
-    // Each case replays the same random schedule three times, so a
-    // small deterministic case count keeps tier-1 wall time in check.
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// A schedule whose whole fleet defers to Phase B every epoch gives
-    /// bit-for-bit the same responses and snapshots at shards {1, 4} as
-    /// the 1-shard reference — the coordinator-level pin of the sharded
-    /// `PathStore` (merged Case-2 view, routed commits, global ids)
-    /// under a Phase-B-dominated batch.
-    #[test]
-    fn deferred_heavy_schedule_is_identical_at_every_shard_count(
-        seed in 0u64..100_000,
-        epochs in 2u64..5,
-        fleet in 70usize..110,
-    ) {
-        let run = |shards: usize| {
-            let config = Config::paper_defaults()
-                .with_tolerance(Tolerance::crisp(10.0))
-                .with_window(30)
-                .with_epoch(10)
-                .with_k(6)
-                .with_shards(shards);
-            let mut c = Coordinator::new(config);
-            let mut s = seed | 1;
-            let mut roll = move || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                s >> 33
-            };
-            let mut log: Vec<DeferredEpochRow> = Vec::new();
-            for e in 1..=epochs {
-                for i in 0..fleet as u64 {
-                    let r = roll();
-                    // Unique starts per (epoch, object) keep the whole
-                    // fleet deferring to Phase B; FSAs pile onto a few
-                    // cluster centers (the flash-crowd shape), so later
-                    // states see the vertices earlier ones minted.
-                    let cx = ((r % 5) * 400) as f64 + (r % 37) as f64;
-                    let cy = ((r % 3) * 350) as f64 + (r % 23) as f64;
-                    let half = 25.0 + (r % 3) as f64 * 10.0;
-                    c.submit(ClientState {
-                        object: ObjectId(i),
-                        start: Point::new(e as f64 * 1000.0 + i as f64 * 3.0, 9000.0),
-                        ts: Timestamp(e * 10 - 9),
-                        fsa: Rect::new(
-                            Point::new(cx - half, cy - half),
-                            Point::new(cx + half, cy + half),
-                        ),
-                        te: Timestamp(e * 10 - 1),
-                    });
-                }
-                let responses: Vec<(u64, u64, u64, u64)> = c
-                    .process_epoch(Timestamp(e * 10))
-                    .iter()
-                    .map(|r| {
-                        (
-                            r.object.0,
-                            r.endpoint.p.x.to_bits(),
-                            r.endpoint.p.y.to_bits(),
-                            r.endpoint.t.raw(),
-                        )
-                    })
-                    .collect();
-                let snap = c.snapshot();
-                log.push((
-                    responses,
-                    snap.top_k_score.to_bits(),
-                    snap.index_size,
-                    snap.top_k.iter().map(|h| h.path.id.0).collect(),
-                    snap.phase_b.deferred,
-                ));
-            }
-            c.check_consistency().expect("coordinator inconsistent");
-            log
-        };
-
-        let reference = run(1);
-        // The schedule must actually feed Phase B, or the pin is vacuous.
-        prop_assert!(
-            reference.iter().any(|row| row.4 >= 64),
-            "schedule never deferred enough to load Phase B"
-        );
-        for shards in [1usize, 4] {
-            prop_assert_eq!(&reference, &run(shards), "divergence at {} shards", shards);
-        }
     }
 }
 
@@ -1124,7 +1026,7 @@ proptest! {
         ),
         cell in 5.0..60.0f64,
     ) {
-        use hotpath_core::strategy::{build_fsa_set, phase_b, PhaseBScratch, SingleStore};
+        use hotpath_core::strategy::{build_fsa_set, phase_b, PhaseBScratch};
         // A few shared starts, so some commits dedup onto a stored path.
         let start = |s: u32| Point::new(-1_000.0 - s as f64 * 50.0, 7.0);
         let states: Vec<ClientState> = picks
@@ -1177,7 +1079,8 @@ proptest! {
             let load = phase_b(
                 &states,
                 &deferred,
-                &mut SingleStore { index: &mut new_index, hotness: &mut new_hotness },
+                &mut new_index,
+                &mut new_hotness,
                 &fsas,
                 policy,
                 &mut tally,

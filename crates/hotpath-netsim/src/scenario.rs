@@ -15,8 +15,11 @@
 //! * `evacuation` — a crowd fleeing a danger point (Section 1);
 //! * `sensor_dropout` — a converging crowd with a mid-run sensor outage;
 //! * `rush_hour_surge` — a time-varying Poisson surge of commuters
-//!   concentrated on the network's hub vertices (stresses shard
-//!   imbalance: most paths start in a few cells);
+//!   concentrated on the network's hub vertices (most paths start in a
+//!   few grid cells);
+//! * `flash_crowd` — the whole fleet stampedes into one hub for the
+//!   middle of the run, the hub load under which Phase B dominates the
+//!   epoch;
 //! * `evacuation_reroute` — an evacuation whose arterial escape routes
 //!   close mid-run, forcing correlated path churn and hotness decay;
 //! * `surge_dropout` — a composite built with the [`DropoutOverlay`]
@@ -86,8 +89,8 @@ pub struct EpochSample {
     /// Cumulative epochs that degraded Phase B under overload.
     pub degraded_epochs: u64,
     /// States Phase A deferred to Phase B this epoch. Deterministic —
-    /// identical at every shard count, so parity fingerprints include
-    /// it.
+    /// a pure function of the epoch's batch — so parity fingerprints
+    /// include it.
     pub phase_b_deferred: usize,
 }
 
@@ -570,8 +573,7 @@ fn poisson<R: Rng>(rng: &mut R, lambda: f64) -> usize {
 /// A commuter rush hour: object activity follows a time-varying Poisson
 /// surge, and the surging commuters all head for a handful of hub
 /// vertices (the heaviest crossroads), concentrating path starts on a
-/// few grid cells — the worst case for the sharded coordinator's
-/// start-vertex routing.
+/// few grid cells.
 pub struct RushHourSurgeScenario {
     net: RoadNetwork,
     pop: Population,

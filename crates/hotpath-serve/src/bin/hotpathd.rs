@@ -6,7 +6,7 @@
 //! loop never waits for readers.
 //!
 //! ```text
-//! hotpathd --socket /tmp/hotpathd.sock --shards 4 --tick-ms 100 --ticks 600
+//! hotpathd --socket /tmp/hotpathd.sock --tick-ms 100 --ticks 600
 //! ```
 //!
 //! With `--ticks 0` the daemon runs until killed. Clients may also
@@ -26,24 +26,19 @@ use hotpath_serve::wire::serve_unix;
 
 struct Args {
     socket: PathBuf,
-    shards: usize,
     tick_ms: u64,
     ticks: u64,
 }
 
-const USAGE: &str = "usage: hotpathd [--socket PATH] [--shards N] [--tick-ms MS] [--ticks N]";
+const USAGE: &str = "usage: hotpathd [--socket PATH] [--tick-ms MS] [--ticks N]";
 
 fn parse_args() -> Result<Args, String> {
-    let mut args =
-        Args { socket: PathBuf::from("/tmp/hotpathd.sock"), shards: 1, tick_ms: 100, ticks: 0 };
+    let mut args = Args { socket: PathBuf::from("/tmp/hotpathd.sock"), tick_ms: 100, ticks: 0 };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
             "--socket" => args.socket = PathBuf::from(value("--socket")?),
-            "--shards" => {
-                args.shards = value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
-            }
             "--tick-ms" => {
                 args.tick_ms =
                     value("--tick-ms")?.parse().map_err(|e| format!("--tick-ms: {e}"))?;
@@ -67,7 +62,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let config = Config::paper_defaults().with_shards(args.shards);
+    let config = Config::paper_defaults();
     let handle = Hotpathd::spawn(EngineKind::Sync.build(Coordinator::new(config)));
     let server = match serve_unix(&handle, &args.socket) {
         Ok(server) => server,
@@ -76,12 +71,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    eprintln!(
-        "hotpathd: serving on {} ({} shard(s), tick {}ms)",
-        args.socket.display(),
-        args.shards,
-        args.tick_ms,
-    );
+    eprintln!("hotpathd: serving on {} (tick {}ms)", args.socket.display(), args.tick_ms);
 
     // The pacer: one granule per tick. `--tick-ms 0` leaves the clock
     // to the clients (driven mode); `--ticks 0` runs unbounded.

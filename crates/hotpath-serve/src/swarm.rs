@@ -59,7 +59,7 @@ pub struct SwarmParams {
     /// run (`0.0` = no churn). Victims are seeded by
     /// [`RunOptions::fault_seed`].
     pub churn: f64,
-    /// Shared execution knobs (shards / checkpoint / fault seed).
+    /// Shared execution knobs (checkpoint / fault seed).
     pub run: RunOptions,
 }
 
@@ -126,7 +126,7 @@ impl SwarmParams {
 
     /// The engine configuration the swarm serves under.
     pub fn config(&self) -> Config {
-        Config::paper_defaults().with_epoch(10).with_window(100).with_shards(self.run.shards)
+        Config::paper_defaults().with_epoch(10).with_window(100)
     }
 
     fn fault_plan(&self) -> FaultPlan {

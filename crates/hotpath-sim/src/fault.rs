@@ -4,9 +4,8 @@
 //! *executes* them inside the simulation driver. A [`FaultPlan`] is a
 //! pure function of `(fault seed, window salt, object, timestamp)`:
 //! the same seed always fails the same clients at the same ticks, so
-//! faulted runs are reproducible, engine/shard parity checks stay
-//! bit-for-bit, and the restart-parity probe can restore mid-storm and
-//! land on the identical continuation.
+//! faulted runs are reproducible and the restart-parity probe can
+//! restore mid-storm and land on the identical continuation.
 
 use hotpath_core::time::Timestamp;
 use hotpath_core::ObjectId;

@@ -2,8 +2,8 @@
 //!
 //! The figure simulation ([`SimulationParams`]), the scenario driver
 //! ([`ScenarioRunParams`]), and the serving stack (`hotpathd` /
-//! `client_swarm` in `hotpath-serve`) all need the same choices: how
-//! many shards, what checkpoint policy, and which fault seed.
+//! `client_swarm` in `hotpath-serve`) all need the same choices: what
+//! checkpoint policy, and which fault seed.
 //! [`RunOptions`] is that cluster, embedded by each params struct
 //! instead of re-declared — one type to thread through a CLI, one
 //! meaning everywhere.
@@ -13,13 +13,10 @@
 
 use crate::engine_loop::CheckpointPolicy;
 
-/// Execution knobs shared by every run driver. Defaults are one shard,
+/// Execution knobs shared by every run driver. Defaults are
 /// checkpointing off and the standard fault seed.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
-    /// Coordinator shards (1 = sequential; results are identical at
-    /// every shard count).
-    pub shards: usize,
     /// Checkpoint controls: periodic image writes, warm-start restore,
     /// and the restart-parity probe. Default: all off.
     pub checkpoint: CheckpointPolicy,
@@ -32,17 +29,11 @@ pub struct RunOptions {
 
 impl Default for RunOptions {
     fn default() -> Self {
-        RunOptions { shards: 1, checkpoint: CheckpointPolicy::default(), fault_seed: 0xFA17 }
+        RunOptions { checkpoint: CheckpointPolicy::default(), fault_seed: 0xFA17 }
     }
 }
 
 impl RunOptions {
-    /// Chainable shard-count override.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Chainable checkpoint-policy override.
     pub fn with_checkpoint(mut self, checkpoint: CheckpointPolicy) -> Self {
         self.checkpoint = checkpoint;
@@ -63,15 +54,15 @@ mod tests {
     #[test]
     fn defaults_are_sequential_sync_with_no_checkpointing() {
         let o = RunOptions::default();
-        assert_eq!(o.shards, 1);
         assert!(!o.checkpoint.is_active());
         assert_eq!(o.fault_seed, 0xFA17);
     }
 
     #[test]
     fn chainable_overrides_compose() {
-        let o = RunOptions::default().with_shards(4).with_fault_seed(9182);
-        assert_eq!(o.shards, 4);
+        let policy = CheckpointPolicy { restart_at: Some(3), ..CheckpointPolicy::default() };
+        let o = RunOptions::default().with_checkpoint(policy).with_fault_seed(9182);
+        assert!(o.checkpoint.is_active());
         assert_eq!(o.fault_seed, 9182);
     }
 }

@@ -52,8 +52,8 @@ pub struct ScenarioRunParams {
     /// Seed for the driver's Gaussian re-measurement device (kept apart
     /// from the scenario seed so noise and workload vary independently).
     pub noise_seed: u64,
-    /// Shared execution knobs: shards, checkpoint policy, and the
-    /// fault-victim seed used when the scenario declares
+    /// Shared execution knobs: checkpoint policy, and the fault-victim
+    /// seed used when the scenario declares
     /// [`hotpath_netsim::scenario::FaultWindow`]s.
     pub run: RunOptions,
 }
@@ -87,8 +87,7 @@ impl ScenarioRunParams {
             })
             .with_window(self.window.unwrap_or_else(|| scenario.window_hint()))
             .with_epoch(self.epoch)
-            .with_k(self.k)
-            .with_shards(self.run.shards);
+            .with_k(self.k);
         if let Some(hint) = scenario.robustness_hint() {
             if hint.lease > 0 {
                 config = config.with_lease(hint.lease, hint.grace);
@@ -101,12 +100,6 @@ impl ScenarioRunParams {
             }
         }
         config
-    }
-
-    /// Chainable shard-count override.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.run.shards = shards;
-        self
     }
 
     /// Chainable checkpoint-policy override.
@@ -403,7 +396,7 @@ pub fn run_named(
     Some(run_scenario(scenario.as_mut(), params))
 }
 
-/// The observable fingerprint of a run used by the parity checks:
+/// The observable fingerprint of a run used by the restart-parity check:
 /// per-epoch `(index size, score bits, Phase-B deferred count, top-k
 /// ids)`, final top-k, and communication counters. The deferred count
 /// is the one Phase-B load field that is deterministic (a pure
@@ -415,7 +408,7 @@ pub struct ParityTrace {
     /// Per-epoch robustness gauges: `(healthy, dropped, connects,
     /// reconnects, ejections, turned_away, degraded_epochs)` — all
     /// zeros while the session layer is off, and pinned bit-for-bit
-    /// across shard counts when it is on.
+    /// across a restart when it is on.
     sessions: Vec<(usize, usize, u64, u64, u64, u64, u64)>,
     final_top_k: Vec<(u64, u32)>,
     comm: (u64, u64),
@@ -452,29 +445,6 @@ pub fn parity_trace(res: &ScenarioRunResult) -> ParityTrace {
     }
 }
 
-/// Verifies that an already-completed run (any shard count) is
-/// bit-for-bit identical to a fresh sequential reference run of the
-/// same scenario (rebuilt from the same `scale`,
-/// so both see the same measurement stream). Use this when the run
-/// under test is already in hand — it costs one run instead of two.
-pub fn check_parity_against(
-    observed: &ScenarioRunResult,
-    name: &str,
-    scale: &ScenarioParams,
-    params: &ScenarioRunParams,
-) -> Result<(), String> {
-    let p = params.clone().with_shards(1);
-    let sequential =
-        run_named(name, scale, &p).ok_or_else(|| format!("unknown scenario {name}"))?;
-    if parity_trace(&sequential) != parity_trace(observed) {
-        return Err(format!(
-            "{name}: sequential reference vs {}-shard run diverged",
-            params.run.shards
-        ));
-    }
-    Ok(())
-}
-
 /// Verifies restart parity: a run that checkpoints at its halfway epoch
 /// boundary, tears the engine down completely, rebuilds a fresh one
 /// from the image alone, and continues must be bit-for-bit identical to
@@ -505,27 +475,10 @@ pub fn check_restart_parity(
     if parity_trace(&base) != parity_trace(&restarted) {
         return Err(format!(
             "{name}: restart at epoch {restart_at}/{total_epochs} diverged from the \
-             uninterrupted run ({} shards)",
-            params.run.shards
+             uninterrupted run"
         ));
     }
     Ok(())
-}
-
-/// Verifies that a scenario behaves bit-for-bit identically sequential
-/// vs `shards`-way sharded: per-epoch index/score series, final top-k
-/// (ids and hotness), and communication counters. Runs both from
-/// scratch; prefer [`check_parity_against`] when the sharded run
-/// already exists.
-pub fn check_scenario_parity(
-    name: &str,
-    scale: &ScenarioParams,
-    params: &ScenarioRunParams,
-    shards: usize,
-) -> Result<(), String> {
-    let p = params.clone().with_shards(shards);
-    let sharded = run_named(name, scale, &p).ok_or_else(|| format!("unknown scenario {name}"))?;
-    check_parity_against(&sharded, name, scale, params)
 }
 
 /// One cell of the `(sigma, fallback)` uncertainty grid.
@@ -603,23 +556,6 @@ mod tests {
     #[test]
     fn unknown_scenario_is_none() {
         assert!(run_named("nope", &quick_scale(1), &ScenarioRunParams::default()).is_none());
-    }
-
-    #[test]
-    fn scenario_parity_holds_for_the_registry() {
-        for spec in REGISTRY {
-            check_scenario_parity(spec.name, &quick_scale(42), &ScenarioRunParams::default(), 2)
-                .unwrap_or_else(|e| panic!("{e}"));
-        }
-    }
-
-    #[test]
-    fn sharded_run_matches_the_sequential_reference() {
-        let scale = quick_scale(45);
-        let p = ScenarioRunParams::default().with_shards(4);
-        let res = run_named("sporting_event", &scale, &p).unwrap();
-        res.invariants.as_ref().unwrap_or_else(|e| panic!("invariants: {e}"));
-        check_parity_against(&res, "sporting_event", &scale, &p).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

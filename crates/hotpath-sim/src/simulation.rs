@@ -57,9 +57,9 @@ pub struct SimulationParams {
     pub dp_policy: EndpointPolicy,
     /// SinglePath Cases-2/3 overlap policy (ablation hook).
     pub overlap: OverlapPolicy,
-    /// Shared execution knobs: shards, checkpoint policy, fault seed
-    /// (the figure driver declares no faults, so the seed is carried
-    /// but unused here).
+    /// Shared execution knobs: checkpoint policy, fault seed (the
+    /// figure driver declares no faults, so the seed is carried but
+    /// unused here).
     pub run: RunOptions,
 }
 
@@ -107,16 +107,6 @@ impl SimulationParams {
             .with_window(self.window)
             .with_epoch(self.epoch)
             .with_k(self.k)
-            // Panics on 0, matching Config::with_shards — a zero here is
-            // a caller bug (e.g. a miscomputed core count), not a
-            // request for sequential mode.
-            .with_shards(self.run.shards)
-    }
-
-    /// Chainable shard-count override.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.run.shards = shards;
-        self
     }
 
     /// Chainable checkpoint-policy override.
@@ -195,8 +185,7 @@ impl EpochDriver for SimDriver<'_> {
                 dp.observe(m.object, m.observed);
             }
         }
-        // Bulk ingest: states are pre-routed to their owning shard as
-        // they stream in, so the epoch starts with no partitioning pass.
+        // Bulk ingest: the tick's reports go in as one batch.
         let clients = &mut *self.clients;
         let batch = &self.batch;
         engine.submit_batch(
@@ -319,28 +308,6 @@ mod tests {
         let sa: Vec<usize> = a.per_epoch.iter().map(|e| e.index_size).collect();
         let sb: Vec<usize> = b.per_epoch.iter().map(|e| e.index_size).collect();
         assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn sharded_run_matches_sequential() {
-        let seq = run(SimulationParams::quick(150, 9));
-        let sharded = run(SimulationParams::quick(150, 9).with_shards(4));
-        assert_eq!(sharded.coordinator.num_shards(), 4);
-        sharded.coordinator.check_consistency().unwrap();
-        // Identical observable behavior: per-epoch series, comm, top-k.
-        let series = |r: &SimulationResult| -> Vec<(usize, u64)> {
-            r.per_epoch.iter().map(|e| (e.index_size, e.top_k_score.to_bits())).collect()
-        };
-        assert_eq!(series(&seq), series(&sharded));
-        assert_eq!(seq.summary.uplink_msgs, sharded.summary.uplink_msgs);
-        assert_eq!(
-            seq.coordinator.comm_stats().downlink_msgs,
-            sharded.coordinator.comm_stats().downlink_msgs
-        );
-        let top = |r: &SimulationResult| -> Vec<(u64, u32)> {
-            r.coordinator.top_n(10).iter().map(|h| (h.path.id.0, h.hotness)).collect()
-        };
-        assert_eq!(top(&seq), top(&sharded));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Restart-parity acceptance for checkpoint/restore: for every
-//! registered scenario, at 1 and 4 shards, a run that checkpoints at
-//! its mid-run epoch, tears the engine down, and restores from the
-//! image bytes must equal the uninterrupted run
-//! bit for bit — per-epoch snapshot series, final top-k geometry, and
-//! communication counters — and the restored coordinator must pass
-//! `check_consistency`. A proptest then drives a raw engine with random
-//! checkpoint epochs and submit interleavings (states split across the
-//! checkpoint boundary) and requires the same equality on responses and
-//! snapshots.
+//! registered scenario, a run that checkpoints at its mid-run epoch,
+//! tears the engine down, and restores from the image bytes must equal
+//! the uninterrupted run bit for bit — per-epoch snapshot series, final
+//! top-k, and communication counters — and the restored coordinator
+//! must pass `check_consistency`. A proptest then drives a raw engine
+//! with random checkpoint epochs and submit interleavings (states split
+//! across the checkpoint boundary) and requires the same equality on
+//! responses and snapshots, plus a byte-identical image after a double
+//! restore.
 
 use hotpath_core::config::{Config, Tolerance};
 use hotpath_core::coordinator::Coordinator;
@@ -20,16 +20,13 @@ use hotpath_netsim::scenario::{ScenarioParams, REGISTRY};
 use hotpath_sim::scenario_run::{check_restart_parity, ScenarioRunParams};
 use proptest::prelude::*;
 
-/// The full scenario × shards restart matrix.
+/// Restart parity for every registered scenario.
 #[test]
 fn every_scenario_survives_a_mid_run_restart() {
     for (i, spec) in REGISTRY.iter().enumerate() {
         let scale = ScenarioParams { n: 300, ..ScenarioParams::quick(41 + i as u64) };
-        for shards in [1usize, 4] {
-            let params = ScenarioRunParams::default().with_shards(shards);
-            check_restart_parity(spec.name, &scale, &params)
-                .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
-        }
+        check_restart_parity(spec.name, &scale, &ScenarioRunParams::default())
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -37,13 +34,12 @@ fn every_scenario_survives_a_mid_run_restart() {
 // Random checkpoint epochs and submit interleavings on a raw engine.
 // ---------------------------------------------------------------------
 
-fn cfg(shards: usize) -> Config {
+fn cfg() -> Config {
     Config::paper_defaults()
         .with_tolerance(Tolerance::crisp(10.0))
         .with_window(40)
         .with_epoch(10)
         .with_k(8)
-        .with_shards(shards)
 }
 
 /// A deterministic per-epoch batch: 12 states on a coarse lattice so
@@ -90,26 +86,26 @@ proptest! {
     /// Checkpoint at a random epoch with a random slice of the next
     /// batch already submitted (it must travel inside the image's
     /// pending section), restore into a dirtied fresh engine, and the
-    /// continuation must equal the uninterrupted run bit for bit.
+    /// continuation must equal the uninterrupted run bit for bit. A
+    /// second restore of the same image must checkpoint back to the
+    /// identical bytes.
     #[test]
     fn random_checkpoint_epochs_and_interleavings_restore_bit_for_bit(
         seed in 0u64..10_000,
-        shards_ix in 0usize..3,
         ck_epoch in 1u64..6,
         split in 0usize..=12,
     ) {
-        let shards = [1usize, 2, 4][shards_ix];
         let total = 6u64;
 
         // Uninterrupted reference.
-        let mut base = EngineKind::Sync.build(Coordinator::new(cfg(shards)));
+        let mut base = EngineKind::Sync.build(Coordinator::new(cfg()));
         let base_log: Vec<EpochRow> =
             (1..=total).map(|e| run_epoch(&mut base, e, seed)).collect();
         base.finish().check_consistency().expect("reference inconsistent");
 
         // Interrupted run: play up to `ck_epoch`, pre-submit `split`
         // states of the next batch, checkpoint, and destroy the engine.
-        let mut first = EngineKind::Sync.build(Coordinator::new(cfg(shards)));
+        let mut first = EngineKind::Sync.build(Coordinator::new(cfg()));
         let head: Vec<EpochRow> =
             (1..=ck_epoch).map(|e| run_epoch(&mut first, e, seed)).collect();
         let next = workload(ck_epoch + 1, seed);
@@ -121,10 +117,16 @@ proptest! {
 
         // Fresh process-equivalent engine, dirtied so a leaky restore
         // would show, then restored from the image bytes.
-        let mut second = EngineKind::Sync.build(Coordinator::new(cfg(shards)));
+        let mut second = EngineKind::Sync.build(Coordinator::new(cfg()));
         let _ = run_epoch(&mut second, 17, seed ^ 0x5eed);
         second.restore(&image).expect("restore failed");
         prop_assert_eq!(second.pending_len(), split);
+        let restored_image = second.checkpoint();
+        prop_assert_eq!(restored_image.as_bytes(), image.as_bytes(), "re-checkpoint drifted");
+        let twice = Coordinator::from_checkpoint(cfg(), &restored_image)
+            .expect("double restore failed");
+        let twice_image = twice.checkpoint();
+        prop_assert_eq!(twice_image.as_bytes(), image.as_bytes(), "double restore drifted");
 
         // Continue: the rest of the split batch, then the tail epochs.
         let mut late = next[split..].iter().copied();

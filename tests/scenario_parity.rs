@@ -1,13 +1,12 @@
 //! Integration coverage for the netsim motivating scenarios
-//! (`sporting_event`, `evacuation` — Section 1 of the paper), asserting
-//! that the sharded coordinator reports exactly what the sequential one
-//! does over a full run: same top-k (ids, geometry, hotness, score),
-//! same per-epoch index sizes, same communication counters. The second
-//! half pins the registered `Scenario` subsystem the same way: the two
-//! event-driven workloads (`rush_hour_surge`, `evacuation_reroute`,
-//! composite `surge_dropout`) are bit-for-bit identical sequential vs
-//! 4-shard, so is every other registered scenario, and a proptest holds every registered
-//! generator to seed-determinism.
+//! (`sporting_event`, `evacuation`, `sensor_dropout` — Section 1 of the
+//! paper), driven exactly as the examples do: the crowds heat corridors
+//! into a meaningful top-k, and a sensor outage shorter than the window
+//! leaves the pre-outage hottest corridor in the top-k. The second half
+//! covers the registered `Scenario` subsystem: every registered
+//! scenario, fault scenarios included, runs with its invariants holding,
+//! a non-empty top-k and a consistent coordinator, and a proptest holds
+//! every registered generator to seed-determinism.
 
 use hotpath_core::config::{Config, Tolerance};
 use hotpath_core::coordinator::Coordinator;
@@ -23,26 +22,22 @@ use hotpath_netsim::scenarios::{
 /// One top-k row: `(id, start, end, hotness, score bits)`.
 type TopKRow = (u64, (f64, f64), (f64, f64), u32, u64);
 
-/// Everything observable a run produces.
-#[derive(PartialEq, Debug)]
+/// What the tests read from a run.
 struct RunTrace {
     /// `(index size, top-k score bits)` at every epoch boundary.
     per_epoch: Vec<(usize, u64)>,
     /// Final top-10.
     top_k: Vec<TopKRow>,
-    /// Final uplink/downlink message counts.
-    comm: (u64, u64),
 }
 
 /// Drives a scenario population through a coordinator, exactly as the
 /// examples do: RayTrace filters client-side, epoch batches server-side.
-fn drive(net: &RoadNetwork, mut crowd: Population, n: usize, shards: usize) -> RunTrace {
+fn drive(net: &RoadNetwork, mut crowd: Population, n: usize) -> RunTrace {
     let config = Config::paper_defaults()
         .with_tolerance(Tolerance::crisp(10.0))
         .with_window(40)
         .with_epoch(5)
-        .with_k(10)
-        .with_shards(shards);
+        .with_k(10);
     let mut coordinator = Coordinator::new(config);
     let mut clients: Vec<RayTraceFilter> = (0..n)
         .map(|i| {
@@ -73,7 +68,7 @@ fn drive(net: &RoadNetwork, mut crowd: Population, n: usize, shards: usize) -> R
         }
     }
 
-    coordinator.check_consistency().expect("sharded state inconsistent");
+    coordinator.check_consistency().expect("coordinator state inconsistent");
     let top_k = coordinator
         .top_k()
         .iter()
@@ -87,68 +82,44 @@ fn drive(net: &RoadNetwork, mut crowd: Population, n: usize, shards: usize) -> R
             )
         })
         .collect();
-    let comm = coordinator.comm_stats();
-    RunTrace { per_epoch, top_k, comm: (comm.uplink_msgs, comm.downlink_msgs) }
-}
-
-#[test]
-fn sporting_event_sharded_matches_sequential() {
-    let net = generate(NetworkParams::tiny(21));
-    let venue = nearest_node(&net, net.bounds().centroid());
-    let n = 300;
-    let sequential = drive(&net, sporting_event(&net, n, venue, 22), n, 1);
-    assert!(!sequential.top_k.is_empty(), "scenario discovered no hot paths");
-    assert!(sequential.per_epoch.iter().any(|&(size, _)| size > 0));
-    for shards in [2, 4] {
-        let sharded = drive(&net, sporting_event(&net, n, venue, 22), n, shards);
-        assert_eq!(sequential, sharded, "divergence at {shards} shards");
-    }
-}
-
-#[test]
-fn evacuation_sharded_matches_sequential() {
-    let net = generate(NetworkParams::tiny(23));
-    let danger = net.bounds().centroid();
-    let n = 300;
-    let sequential = drive(&net, evacuation(&net, n, danger, 24), n, 1);
-    assert!(!sequential.top_k.is_empty(), "scenario discovered no hot paths");
-    for shards in [2, 4] {
-        let sharded = drive(&net, evacuation(&net, n, danger, 24), n, shards);
-        assert_eq!(sequential, sharded, "divergence at {shards} shards");
-    }
+    RunTrace { per_epoch, top_k }
 }
 
 #[test]
 fn scenario_crowds_produce_meaningful_top_k() {
-    // The untested scenarios must actually exercise the pipeline: the
+    // The scenarios must actually exercise the pipeline: the
     // sporting-event crowd converges, so its hottest corridors should
-    // out-heat the typical path.
+    // out-heat the typical path; the evacuating crowd still leaves hot
+    // escape routes behind.
+    let n = 300;
     let net = generate(NetworkParams::tiny(25));
     let venue = nearest_node(&net, net.bounds().centroid());
-    let n = 300;
-    let trace = drive(&net, sporting_event(&net, n, venue, 26), n, 2);
+    let trace = drive(&net, sporting_event(&net, n, venue, 26), n);
+    assert!(trace.per_epoch.iter().any(|&(size, _)| size > 0));
     let hottest = trace.top_k.first().map(|&(_, _, _, h, _)| h).unwrap_or(0);
     assert!(hottest >= 3, "no corridor heated up (hottest = {hottest})");
+
+    let net = generate(NetworkParams::tiny(23));
+    let trace = drive(&net, evacuation(&net, n, net.bounds().centroid(), 24), n);
+    assert!(!trace.top_k.is_empty(), "evacuation discovered no hot paths");
 }
 
 /// Drives the sensor-dropout scenario: measurements from dark sensors
 /// are discarded before they reach the client filters, and the
-/// surviving states go in through `submit_batch` (the pre-routed bulk
-/// ingest path). Returns `(top-1 id at outage start, top-k ids at
+/// surviving states go in through `submit_batch` (the bulk ingest
+/// path). Returns `(top-1 id at outage start, top-k ids at
 /// outage end, final trace)`.
 fn drive_dropout(
     net: &RoadNetwork,
     mut crowd: Population,
     window: DropoutWindow,
     n: usize,
-    shards: usize,
 ) -> (u64, Vec<u64>, RunTrace) {
     let config = Config::paper_defaults()
         .with_tolerance(Tolerance::crisp(10.0))
         .with_window(60)
         .with_epoch(5)
-        .with_k(10)
-        .with_shards(shards);
+        .with_k(10);
     let mut coordinator = Coordinator::new(config);
     let mut clients: Vec<RayTraceFilter> = (0..n)
         .map(|i| {
@@ -186,7 +157,7 @@ fn drive_dropout(
         }
     }
 
-    coordinator.check_consistency().expect("sharded state inconsistent");
+    coordinator.check_consistency().expect("coordinator state inconsistent");
     let top_k = coordinator
         .top_k()
         .iter()
@@ -200,13 +171,12 @@ fn drive_dropout(
             )
         })
         .collect();
-    let comm = coordinator.comm_stats();
-    let trace = RunTrace { per_epoch, top_k, comm: (comm.uplink_msgs, comm.downlink_msgs) };
+    let trace = RunTrace { per_epoch, top_k };
     (top_at_start.expect("no epoch inside the outage"), top_ids_at_end, trace)
 }
 
 #[test]
-fn sensor_dropout_top_k_stays_stable_and_sharded_matches_sequential() {
+fn sensor_dropout_top_k_stays_stable() {
     let net = generate(NetworkParams::tiny(27));
     let venue = nearest_node(&net, net.bounds().centroid());
     let n = 300;
@@ -214,119 +184,47 @@ fn sensor_dropout_top_k_stays_stable_and_sharded_matches_sequential() {
     // sensor for 25 ticks — shorter than the 60-tick hotness window, so
     // pre-outage crossings keep the hot set alive throughout.
     let (crowd, window) = sensor_dropout(&net, n, venue, 28, Timestamp(80), Timestamp(105), 2);
-    let (top_start, top_end_ids, sequential) = drive_dropout(&net, crowd, window, n, 1);
+    let (top_start, top_end_ids, trace) = drive_dropout(&net, crowd, window, n);
 
     // Stability across the outage: the pre-outage hottest corridor is
     // still in the top-k when sensors come back, and the score never
     // collapses to zero during the dark window.
-    assert!(!sequential.top_k.is_empty(), "scenario discovered no hot paths");
+    assert!(!trace.top_k.is_empty(), "scenario discovered no hot paths");
     assert!(
         top_end_ids.contains(&top_start),
         "pre-outage top path {top_start} fell out of the post-outage top-k {top_end_ids:?}"
     );
     let epoch_of = |t: u64| (t / 5) as usize - 1; // epoch boundaries at 5, 10, ...
     for e in epoch_of(window.from.raw())..=epoch_of(window.until.raw()) {
-        let (_, score_bits) = sequential.per_epoch[e];
+        let (_, score_bits) = trace.per_epoch[e];
         assert!(
             f64::from_bits(score_bits) > 0.0,
             "top-k score collapsed during outage (epoch {e})"
         );
     }
-
-    // And the whole run is bit-for-bit identical sharded vs sequential.
-    let shards = 4;
-    let (crowd, window) = sensor_dropout(&net, n, venue, 28, Timestamp(80), Timestamp(105), 2);
-    let (s_start, s_end_ids, sharded) = drive_dropout(&net, crowd, window, n, shards);
-    assert_eq!(sequential, sharded, "divergence at {shards} shards");
-    assert_eq!(top_start, s_start);
-    assert_eq!(top_end_ids, s_end_ids);
 }
 
 // ---------------------------------------------------------------------
-// Scenario-subsystem parity: the registered workloads through the
-// shared driver (hotpath-sim::scenario_run).
+// The registered workloads through the shared driver
+// (hotpath-sim::scenario_run).
 // ---------------------------------------------------------------------
 
 use hotpath_netsim::scenario::{build, ScenarioParams, REGISTRY};
-use hotpath_sim::scenario_run::{run_named, ScenarioRunParams, ScenarioRunResult};
+use hotpath_sim::scenario_run::{run_named, ScenarioRunParams};
 use proptest::prelude::*;
 
-/// One epoch of a driver trace: `(index size, score bits, top-k ids)`.
-type EpochRow = (usize, u64, Vec<u64>);
-
-/// The full observable trace of a driver run, geometry included.
-fn full_trace(res: &ScenarioRunResult) -> (Vec<EpochRow>, Vec<TopKRow>, (u64, u64)) {
-    let per_epoch = res
-        .outcome
-        .per_epoch
-        .iter()
-        .map(|e| (e.index_size, e.top_k_score.to_bits(), e.top_ids.clone()))
-        .collect();
-    let top_k = res
-        .coordinator
-        .top_k()
-        .iter()
-        .map(|h| {
-            (
-                h.path.id.0,
-                (h.path.start().x, h.path.start().y),
-                (h.path.end().x, h.path.end().y),
-                h.hotness,
-                h.score.to_bits(),
-            )
-        })
-        .collect();
-    let comm = res.coordinator.comm_stats();
-    (per_epoch, top_k, (comm.uplink_msgs, comm.downlink_msgs))
-}
-
-/// Pins one registered scenario bit-for-bit sequential vs `shards`.
-fn pin_scenario_parity(name: &str, seed: u64, shards: usize) {
-    let scale = ScenarioParams { n: 300, ..ScenarioParams::quick(seed) };
-    let run = |shards: usize| {
-        let params = ScenarioRunParams::default().with_shards(shards);
-        run_named(name, &scale, &params).expect("registered scenario")
-    };
-    let sequential = run(1);
-    sequential.invariants.as_ref().unwrap_or_else(|e| panic!("{name} invariants: {e}"));
-    assert!(!sequential.outcome.final_top_k.is_empty(), "{name} discovered no hot paths");
-    let sharded = run(shards);
-    sharded.coordinator.check_consistency().expect("sharded state inconsistent");
-    assert_eq!(
-        full_trace(&sequential),
-        full_trace(&sharded),
-        "{name}: divergence at {shards} shards"
-    );
-}
-
+/// Every registered scenario, fault scenarios included, holds its own
+/// invariants, discovers a non-empty top-k, and leaves a coordinator
+/// that passes `check_consistency`.
 #[test]
-fn rush_hour_surge_sharded_matches_sequential() {
-    pin_scenario_parity("rush_hour_surge", 31, 4);
-}
-
-#[test]
-fn evacuation_reroute_sharded_matches_sequential() {
-    pin_scenario_parity("evacuation_reroute", 33, 4);
-}
-
-#[test]
-fn surge_dropout_composite_sharded_matches_sequential() {
-    pin_scenario_parity("surge_dropout", 35, 4);
-}
-
-#[test]
-fn flash_crowd_sharded_matches_sequential() {
-    pin_scenario_parity("flash_crowd", 37, 4);
-}
-
-/// The whole-registry pin: EVERY registered scenario, fault scenarios
-/// included, is bit-for-bit identical sequential vs 4-shard — per-epoch
-/// series (index size, score bits, top-k ids), final top-k geometry,
-/// and communication counters.
-#[test]
-fn every_registered_scenario_sharded_matches_sequential() {
+fn every_registered_scenario_stays_consistent() {
     for (i, spec) in REGISTRY.iter().enumerate() {
-        pin_scenario_parity(spec.name, 61 + i as u64, 4);
+        let scale = ScenarioParams { n: 300, ..ScenarioParams::quick(61 + i as u64) };
+        let res = run_named(spec.name, &scale, &ScenarioRunParams::default()).expect("registered");
+        let name = spec.name;
+        res.invariants.as_ref().unwrap_or_else(|e| panic!("{name} invariants: {e}"));
+        assert!(!res.outcome.final_top_k.is_empty(), "{name} discovered no hot paths");
+        res.coordinator.check_consistency().unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
