@@ -12,15 +12,16 @@ use crate::douglas_peucker::Metric;
 use crate::opening_window::{EndpointPolicy, OpeningWindow};
 use hotpath_core::fxhash::FxHashMap;
 use hotpath_core::geometry::{Rect, Segment, TimePoint};
-use hotpath_core::hotness::Hotness;
 use hotpath_core::motion_path::PathId;
 use hotpath_core::time::{SlidingWindow, Timestamp};
 use hotpath_core::ObjectId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A stored hot segment.
 #[derive(Clone, Copy, Debug)]
 pub struct HotSegment {
-    /// Identifier (shared id-space with the hotness table).
+    /// Identifier, from the pipeline's own counter.
     pub id: PathId,
     /// Geometry.
     pub seg: Segment,
@@ -41,7 +42,11 @@ pub struct DpHotSegments {
     /// Uniform grid over segment MBBs for the reuse query.
     grid: FxHashMap<(i64, i64), Vec<PathId>>,
     cell: f64,
-    hotness: Hotness,
+    window: SlidingWindow,
+    /// Crossings inside the window per stored segment (always >= 1).
+    hotness: FxHashMap<PathId, u32>,
+    /// One `(te + W, id)` expiry per counted crossing, earliest first.
+    expiries: BinaryHeap<Reverse<(Timestamp, PathId)>>,
     next_id: u64,
     /// Range queries issued (one per discovered segment, as the paper
     /// notes when explaining why DP runs fast).
@@ -61,7 +66,9 @@ impl DpHotSegments {
             segments: FxHashMap::default(),
             grid: FxHashMap::default(),
             cell: (4.0 * eps).max(50.0),
-            hotness: Hotness::new(window),
+            window,
+            hotness: FxHashMap::default(),
+            expiries: BinaryHeap::new(),
             next_id: 0,
             range_queries: 0,
         }
@@ -93,13 +100,29 @@ impl DpHotSegments {
         }
     }
 
-    /// Expires old crossings and drops dead segments.
+    /// Expires old crossings in `(expiry, id)` order and drops the
+    /// segments whose last crossing expired.
     pub fn advance_time(&mut self, now: Timestamp) {
-        for dead in self.hotness.advance(now) {
-            if let Some(seg) = self.segments.remove(&dead) {
-                self.remove_from_grid(dead, &seg);
+        while let Some(&Reverse((expiry, id))) = self.expiries.peek() {
+            if expiry > now {
+                break;
+            }
+            self.expiries.pop();
+            let count = self.hotness.get_mut(&id).expect("expiry of an uncounted segment");
+            *count -= 1;
+            if *count == 0 {
+                self.hotness.remove(&id);
+                if let Some(seg) = self.segments.remove(&id) {
+                    self.remove_from_grid(id, &seg);
+                }
             }
         }
+    }
+
+    /// Counts one crossing of `id` exiting at `te`.
+    fn record_crossing(&mut self, id: PathId, te: Timestamp) {
+        *self.hotness.entry(id).or_insert(0) += 1;
+        self.expiries.push(Reverse((self.window.expiry_of(te), id)));
     }
 
     /// The paper's reuse rule: if a stored segment lies completely
@@ -112,7 +135,7 @@ impl DpHotSegments {
         let mut best: Option<(u32, PathId)> = None;
         self.for_each_in_grid(&probe, |id, seg| {
             if probe.contains(&seg.a) && probe.contains(&seg.b) {
-                let h = self.hotness.get(id);
+                let h = self.hotness.get(&id).copied().unwrap_or(0);
                 if best
                     .map(|(bh, bid)| (h, std::cmp::Reverse(id)) > (bh, std::cmp::Reverse(bid)))
                     .unwrap_or(true)
@@ -123,8 +146,7 @@ impl DpHotSegments {
         });
         match best {
             Some((_, id)) => {
-                let length = self.segments[&id].length();
-                self.hotness.record_crossing(id, te, length);
+                self.record_crossing(id, te);
                 id
             }
             None => {
@@ -132,17 +154,18 @@ impl DpHotSegments {
                 self.next_id += 1;
                 self.segments.insert(id, candidate);
                 self.add_to_grid(id, &candidate);
-                self.hotness.record_crossing(id, te, candidate.length());
+                self.record_crossing(id, te);
                 id
             }
         }
     }
 
-    /// All stored segments with positive hotness.
+    /// All stored segments with their (positive) hotness, in id order.
     pub fn hot_segments(&self) -> Vec<HotSegment> {
-        self.hotness
+        let mut hot: Vec<HotSegment> = self
+            .hotness
             .iter()
-            .filter_map(|(id, h)| {
+            .filter_map(|(&id, &h)| {
                 self.segments.get(&id).map(|&seg| HotSegment {
                     id,
                     seg,
@@ -150,7 +173,9 @@ impl DpHotSegments {
                     score: h as f64 * seg.length(),
                 })
             })
-            .collect()
+            .collect();
+        hot.sort_unstable_by_key(|h| h.id);
+        hot
     }
 
     /// Top-`n` hottest segments (ties: longer, then lower id).

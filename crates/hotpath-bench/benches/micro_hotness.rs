@@ -1,50 +1,50 @@
-//! Hotness table micro-bench (Section 5.2): hash updates are expected
-//! O(1) including the count-bucket move, timer-wheel expiry O(expired)
-//! amortized per advance (no per-event heap churn), and the top-k
-//! bucket walk O(k log k + threshold bucket + highest live count). The
-//! load here is the walk's worst case: every path sits at one count, so
-//! the threshold bucket is the whole hot set.
+//! Path-table hotness micro-bench (Section 5.2): recording a crossing is
+//! an expected-O(1) hash probe plus the count-bucket move, timer-wheel
+//! expiry O(expired) amortized per advance (no per-event heap churn,
+//! and a path whose count reaches zero leaves the table in the same
+//! call), and the top-k bucket walk O(k log k + threshold bucket +
+//! highest live count). The load here is the walk's worst case: every
+//! path sits at one count, so the threshold bucket is the whole table.
+//! The table is built and dropped outside the timed region.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use hotpath_core::hotness::Hotness;
+use hotpath_core::geometry::Point;
+use hotpath_core::index::PathTable;
 use hotpath_core::motion_path::PathId;
 use hotpath_core::time::{SlidingWindow, Timestamp};
 
-fn loaded(n: u64) -> Hotness {
-    let mut h = Hotness::new(SlidingWindow::new(100));
+/// `n` crossings spread over 1 000 paths, each from its own start
+/// vertex, with lengths from 0 to 96 m.
+fn loaded(n: u64) -> PathTable {
+    let mut t = PathTable::new(SlidingWindow::new(100), 20.0, 1e-3);
     for i in 0..n {
-        let id = i % 1000;
-        h.record_crossing(PathId(id), Timestamp(i), (id % 97) as f64);
+        let k = i % 1000;
+        let start = Point::new(k as f64 * 100.0, 0.0);
+        t.insert_edge(start, start + Point::new((k % 97) as f64, 0.0), Timestamp(i));
     }
-    h
+    t
 }
 
 fn bench_hotness(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotness");
     for n in [1_000u64, 100_000] {
         g.bench_with_input(BenchmarkId::new("record", n), &n, |b, &n| {
-            b.iter_batched(
+            b.iter_batched_ref(
                 || loaded(n),
-                |mut h| {
-                    h.record_crossing(PathId(7), Timestamp(n), 7.0);
-                    h
-                },
+                |t| t.record(PathId(7), Timestamp(n)),
                 BatchSize::LargeInput,
             );
         });
         g.bench_with_input(BenchmarkId::new("advance_full_window", n), &n, |b, &n| {
-            b.iter_batched(
+            b.iter_batched_ref(
                 || loaded(n),
-                |mut h| {
-                    h.advance(Timestamp(n + 200));
-                    h
-                },
+                |t| t.advance(Timestamp(n + 200)).len(),
                 BatchSize::LargeInput,
             );
         });
-        let h = loaded(n);
-        g.bench_with_input(BenchmarkId::new("top8", n), &h, |b, h| {
-            b.iter(|| h.top_n(8).iter().map(|&(id, hot)| id.0 + hot as u64).sum::<u64>());
+        let t = loaded(n);
+        g.bench_with_input(BenchmarkId::new("top8", n), &t, |b, t| {
+            b.iter(|| t.top_n(8).iter().map(|&(id, hot)| id.0 + hot as u64).sum::<u64>());
         });
     }
     g.finish();

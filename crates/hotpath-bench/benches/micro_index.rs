@@ -1,17 +1,19 @@
-//! MotionPath grid-index micro-bench (Section 5.1): expected-constant
-//! insert/delete and cheap range queries.
+//! Path-table index micro-bench (Section 5.1): expected-constant
+//! insert and expiry-driven delete, and cheap range queries.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hotpath_core::geometry::{Point, Rect};
-use hotpath_core::index::MotionPathIndex;
+use hotpath_core::index::PathTable;
+use hotpath_core::time::{SlidingWindow, Timestamp};
 
-fn filled(n: usize) -> MotionPathIndex {
+/// `n` paths, each crossed once at time 1.
+fn filled(n: usize) -> PathTable {
     // The coordinator's cell: one FSA side (2 eps = 20 m).
-    let mut idx = MotionPathIndex::new(20.0, 1e-3);
+    let mut idx = PathTable::new(SlidingWindow::new(100), 20.0, 1e-3);
     for i in 0..n {
         let x = (i % 100) as f64 * 100.0;
         let y = (i / 100) as f64 * 100.0;
-        idx.insert(Point::new(x, y), Point::new(x + 80.0, y + 10.0));
+        idx.insert_edge(Point::new(x, y), Point::new(x + 80.0, y + 10.0), Timestamp(1));
     }
     idx
 }
@@ -19,13 +21,14 @@ fn filled(n: usize) -> MotionPathIndex {
 fn bench_index(c: &mut Criterion) {
     let mut g = c.benchmark_group("motionpath_index");
     for n in [1_000usize, 10_000, 50_000] {
+        // One path stored with a crossing at 0, then expired — alone,
+        // since the resident paths were crossed at 1.
         g.bench_with_input(BenchmarkId::new("insert_remove", n), &n, |b, &n| {
-            b.iter_batched(
+            b.iter_batched_ref(
                 || filled(n),
-                |mut idx| {
-                    let (id, _) = idx.insert(Point::new(5.0, 5.0), Point::new(55.0, 5.0));
-                    idx.remove(id);
-                    idx
+                |idx| {
+                    idx.insert_edge(Point::new(5.0, 5.0), Point::new(55.0, 5.0), Timestamp(0));
+                    idx.advance(Timestamp(100)).len()
                 },
                 BatchSize::LargeInput,
             );

@@ -11,14 +11,13 @@
 //! 1-3 crossings each, because the coordinator only ever indexes paths
 //! that are being crossed; their ranks are what lets the sweep be
 //! skipped, as it is in the running system. `phase_b` commits as it
-//! goes, so each sample runs against a fresh `(index, hotness)` built
-//! outside the timed region; the scratch is reused across samples, as
+//! goes, so each sample runs against a fresh path table built outside
+//! the timed region; the scratch is reused across samples, as
 //! the coordinator reuses it across epochs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hotpath_core::geometry::{Point, Rect};
-use hotpath_core::hotness::Hotness;
-use hotpath_core::index::MotionPathIndex;
+use hotpath_core::index::PathTable;
 use hotpath_core::raytrace::ClientState;
 use hotpath_core::strategy::{build_fsa_set, phase_b, CaseTally, OverlapPolicy, PhaseBScratch};
 use hotpath_core::time::{SlidingWindow, Timestamp};
@@ -63,24 +62,23 @@ fn batch(hot_frac: f64) -> Vec<ClientState> {
         .collect()
 }
 
-/// An index with stored endpoints inside every cluster, so each Case-2
+/// A table with stored endpoints inside every cluster, so each Case-2
 /// query finds non-trivial vertex groups, and 1-3 crossings per path.
-fn seeded_store() -> (MotionPathIndex, Hotness) {
-    let mut index = MotionPathIndex::new(50.0, 1e-3);
-    let mut hotness = Hotness::new(SlidingWindow::new(100));
+fn seeded_store() -> PathTable {
+    let mut table = PathTable::new(SlidingWindow::new(100), 50.0, 1e-3);
     for c in 0..CLUSTERS {
         let center = cluster_center(c);
         for j in 0..8 {
             let start = Point::new(-500.0 - j as f64 * 10.0, c as f64 * 10.0);
             let end =
                 Point::new(center.x + (j % 4) as f64 * 15.0, center.y + (j / 4) as f64 * 15.0);
-            let (edge, _) = index.insert_edge(start, end);
-            for _ in 0..=(c + j) % 3 {
-                hotness.record_crossing(edge.id, Timestamp(1), edge.len);
+            let (edge, _) = table.insert_edge(start, end, Timestamp(1));
+            for _ in 0..(c + j) % 3 {
+                table.record(edge.id, Timestamp(1));
             }
         }
     }
-    (index, hotness)
+    table
 }
 
 fn bench_phase_b(c: &mut Criterion) {
@@ -92,17 +90,13 @@ fn bench_phase_b(c: &mut Criterion) {
         let fsas = build_fsa_set(&states, 40.0, OverlapPolicy::Full);
         g.bench_function(dist, |b| {
             b.iter_batched_ref(
-                || {
-                    let (index, hotness) = seeded_store();
-                    (index, hotness, Vec::with_capacity(DEFERRED))
-                },
-                |(index, hotness, selections)| {
+                || (seeded_store(), Vec::with_capacity(DEFERRED)),
+                |(table, selections)| {
                     let mut tally = CaseTally::default();
                     phase_b(
                         &states,
                         &deferred,
-                        index,
-                        hotness,
+                        table,
                         &fsas,
                         OverlapPolicy::Full,
                         &mut tally,

@@ -1,5 +1,5 @@
 //! Top-k query micro-bench: `top_k()` / `top_k_score()` read the cached
-//! snapshot, whose top-k comes from the hotness table's count buckets —
+//! snapshot, whose top-k comes from the path table's count buckets —
 //! the medians must stay flat as the hot-set size grows from 1k to 50k
 //! paths (the old implementation sorted the whole hot set per query).
 

@@ -13,13 +13,18 @@
 //! [payload 0][payload 1]...     raw record arrays, in table order
 //! ```
 //!
-//! Every payload is the backing array of a `repr(C)` padding-free
-//! record type ([`MotionPath`], [`HeatEntry`], [`ExpiryEvent`],
-//! [`DeadEntry`], [`ClientState`], or one of the fixed header-like
-//! records below), so writing a checkpoint is one bounded memcpy per
-//! section — there is no per-record walk, no serde. Multi-byte fields
+//! Every payload is an array of a `repr(C)` padding-free record type
+//! ([`MotionPath`], [`ExpiryEvent`], [`ClientState`], [`SessionRecord`],
+//! or one of the fixed header-like records below), so writing a
+//! section is one bounded memcpy — there is no per-record encoding, no
+//! serde. Multi-byte fields
 //! are native-endian; the magic doubles as an endianness sentinel (a
 //! byte-swapped reader sees a wrong magic, not silent garbage).
+//!
+//! Every section is canonical: paths by id, events by `(expiry, id)`,
+//! sessions by object id. An image is therefore a function of the
+//! coordinator's logical state, not of its slab or wheel layout, and
+//! `checkpoint(restore(image)) == image` byte for byte.
 //!
 //! # Versioning policy
 //!
@@ -36,13 +41,13 @@
 //! IEEE polynomial).
 //! [`Checkpoint::from_bytes`] verifies all of them before any state is
 //! rebuilt; corruption surfaces as a typed [`CheckpointError`], never a
-//! panic or silently wrong state. Structural validation (duplicate ids,
-//! event-order violations, counter imbalance) happens when the
-//! coordinator adopts the sections and also reports through
+//! panic or silently wrong state. Structural validation (id order,
+//! event order, events without paths and paths without events) happens
+//! when the coordinator adopts the sections and also reports through
 //! [`CheckpointError`].
 
 use crate::config::{Config, Tolerance};
-use crate::hotness::{DeadEntry, ExpiryEvent, HeatEntry};
+use crate::index::ExpiryEvent;
 use crate::motion_path::MotionPath;
 use crate::raytrace::ClientState;
 use crate::session::SessionRecord;
@@ -59,9 +64,8 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"HOTPCKPT");
 /// Current checkpoint format version. Readers accept exactly this.
 ///
 /// History: v1 serialized the expiry-event section in binary-heap
-/// array order; v2 serializes it in canonical `(expiry, id)` order —
-/// the contract the timer-wheel-backed [`crate::hotness::Hotness`]
-/// writes and validates on restore; v3 adds the client-session layer:
+/// array order; v2 serializes it in canonical `(expiry, id)` order,
+/// independent of the timer wheel's layout; v3 adds the client-session layer:
 /// a [`SectionKind::Session`] section of [`SessionRecord`]s, admission
 /// knobs in [`ConfigRecord`] (72 → 112 bytes), and admission/session
 /// counters in [`StatsRecord`] (96 → 168 bytes); v4 drops the shard
@@ -70,10 +74,13 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"HOTPCKPT");
 /// (per-shard meta) is retired, the index's id counter moves into
 /// [`CheckpointHeader::next_path_id`] and the crossings-recorded total
 /// into [`StatsRecord`] (168 → 176 bytes), and [`ConfigRecord`] loses
-/// its shard count and routing cell (112 → 96 bytes). Images of every
-/// earlier version are rejected with the typed
+/// its shard count and routing cell (112 → 96 bytes); v5 stores each
+/// path once, in one table: the Paths section is sorted by id, and the
+/// per-path hotness (kind 4) and tombstone (kind 6) sections are
+/// retired — a restore counts each path's events instead. Images of
+/// every earlier version are rejected with the typed
 /// [`CheckpointError::BadVersion`].
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------
 // Pod casting
@@ -96,9 +103,7 @@ pub unsafe trait Pod: Copy + 'static {}
 // introduces padding (or resizes a record) fails the build, not the
 // restore path.
 unsafe impl Pod for MotionPath {}
-unsafe impl Pod for HeatEntry {}
 unsafe impl Pod for ExpiryEvent {}
-unsafe impl Pod for DeadEntry {}
 unsafe impl Pod for ClientState {}
 unsafe impl Pod for SessionRecord {}
 unsafe impl Pod for SectionDesc {}
@@ -108,9 +113,7 @@ unsafe impl Pod for StatsRecord {}
 
 const _: () = {
     assert!(size_of::<MotionPath>() == 40);
-    assert!(size_of::<HeatEntry>() == 24);
     assert!(size_of::<ExpiryEvent>() == 16);
-    assert!(size_of::<DeadEntry>() == 16);
     assert!(size_of::<ClientState>() == 72);
     assert!(size_of::<SessionRecord>() == 32);
     assert!(size_of::<SectionDesc>() == 32);
@@ -290,7 +293,7 @@ pub struct CheckpointHeader {
     pub epoch: u64,
     /// The coordinator clock (raw timestamp) at checkpoint time.
     pub clock: u64,
-    /// The index's path-id counter: the id the next created path gets.
+    /// The path table's id counter: the id the next created path gets.
     pub next_path_id: u64,
     /// Number of [`SectionDesc`] entries following the header.
     pub section_count: u32,
@@ -308,8 +311,9 @@ pub const FLAG_HINTS: u32 = 1 << 0;
 /// Flag bit: the overlap policy is `Own` (ablation baseline).
 pub const FLAG_OVERLAP_OWN: u32 = 1 << 1;
 
-/// What a section holds. The discriminants are the on-disk `kind`;
-/// 7 (per-shard meta, through v3) is retired and never reused.
+/// What a section holds. The discriminants are the on-disk `kind`.
+/// Retired and never reused: 4 (per-path hotness) and 6 (tombstones),
+/// through v4; 7 (per-shard meta), through v3.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u32)]
 pub enum SectionKind {
@@ -319,16 +323,12 @@ pub enum SectionKind {
     Stats = 1,
     /// The pending [`ClientState`] batch.
     Pending = 2,
-    /// The index's [`MotionPath`] slab.
+    /// Every stored [`MotionPath`], sorted by id.
     Paths = 3,
-    /// The hotness table's [`HeatEntry`] slab.
-    Heat = 4,
     /// The pending [`ExpiryEvent`]s in canonical `(expiry, id)` order —
-    /// a pure function of the event multiset, so the section is
-    /// independent of the timer wheel's internal bucket layout.
+    /// one per unexpired crossing, so each path's hotness is its number
+    /// of events.
     Events = 5,
-    /// The hotness table's [`DeadEntry`] tombstones.
-    Dead = 6,
     /// The [`SessionRecord`]s of the client-session table, sorted by
     /// object id (absent when sessions are disabled).
     Session = 8,
@@ -341,9 +341,7 @@ impl SectionKind {
             1 => SectionKind::Stats,
             2 => SectionKind::Pending,
             3 => SectionKind::Paths,
-            4 => SectionKind::Heat,
             5 => SectionKind::Events,
-            6 => SectionKind::Dead,
             8 => SectionKind::Session,
             _ => return None,
         })
@@ -355,9 +353,7 @@ impl SectionKind {
             SectionKind::Stats => "stats section",
             SectionKind::Pending => "pending section",
             SectionKind::Paths => "paths section",
-            SectionKind::Heat => "heat section",
             SectionKind::Events => "events section",
-            SectionKind::Dead => "dead section",
             SectionKind::Session => "session section",
         }
     }
@@ -449,7 +445,7 @@ impl ConfigRecord {
 
 /// Communication/processing/admission counters (one 176-byte record).
 /// Durations are nanoseconds; they are wall-clock diagnostics and are
-/// never part of parity comparisons. `recorded` is the hotness table's
+/// never part of parity comparisons. `recorded` is the path table's
 /// total of crossings ever recorded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[repr(C)]
@@ -768,11 +764,26 @@ mod tests {
     }
 
     #[test]
+    fn v4_images_are_rejected_with_a_typed_bad_version() {
+        // A v4 image carried per-path Heat and tombstone sections beside
+        // a slab-ordered Paths section; with the table CRC intact, the
+        // reader must reject it by version.
+        let bytes = patched(&sample(), |h, _| h.version = 4);
+        assert!(matches!(
+            Checkpoint::from_bytes(bytes).unwrap_err(),
+            CheckpointError::BadVersion { found: 4 }
+        ));
+    }
+
+    #[test]
     fn retired_shard_meta_kind_is_malformed() {
-        // Section kind 7 (v3 per-shard meta) is retired: a v4 image
-        // carrying one is malformed, never silently skipped.
-        let bytes = patched(&sample(), |_, descs| descs[2].kind = 7);
-        assert!(matches!(Checkpoint::from_bytes(bytes), Err(CheckpointError::Malformed(_))));
+        // Section kinds 4 (hotness), 6 (tombstones) and 7 (per-shard
+        // meta) are retired: an image carrying one is malformed, never
+        // silently skipped.
+        for kind in [4, 6, 7] {
+            let bytes = patched(&sample(), |_, descs| descs[2].kind = kind);
+            assert!(matches!(Checkpoint::from_bytes(bytes), Err(CheckpointError::Malformed(_))));
+        }
     }
 
     #[test]
@@ -812,7 +823,7 @@ mod tests {
     fn missing_section_is_malformed() {
         let ck = sample();
         assert!(matches!(
-            ck.section::<DeadEntry>(SectionKind::Dead),
+            ck.section::<MotionPath>(SectionKind::Paths),
             Err(CheckpointError::Malformed(_))
         ));
     }

@@ -1,15 +1,19 @@
-//! The coordinator: epoch-batched processing of client states, index and
-//! hotness maintenance, and top-`k` / score queries (Sections 3.1, 5).
+//! The coordinator: epoch-batched processing of client states, path
+//! table maintenance, and top-`k` / score queries (Sections 3.1, 5).
 //!
-//! # One writer
+//! # One writer, one table
 //!
 //! The coordinator is the paper's central server. It owns one
-//! [`MotionPathIndex`], one [`Hotness`] table and one [`ScratchArena`],
-//! and every epoch runs SinglePath over the whole batch on the caller's
-//! thread, so Phase B always sees one global index. Path ids come from
-//! the index's own counter. A start-cell shard layer that ran Phase A
-//! on scoped threads lost every paired comparison against this design
-//! and was removed (README, "One coordinator thread").
+//! [`PathTable`] — every stored motion path with its sliding-window
+//! hotness, the end-vertex grid, the adjacency, the count buckets and
+//! the expiry wheel — and one [`ScratchArena`]. Every epoch runs
+//! SinglePath over the whole batch on the caller's thread, so Phase B
+//! always sees one global index. Path ids come from the table's own
+//! counter, and a path leaves the table only when its last crossing
+//! expires, so the stored paths and the hot paths are one set. A
+//! start-cell shard layer that ran Phase A on scoped threads lost every
+//! paired comparison against this design and was removed (README, "One
+//! coordinator thread").
 //!
 //! # Hot-loop allocation discipline
 //!
@@ -20,9 +24,9 @@
 //! vertex-group and neighbourhood buffers; the `FsaSet` reuses its
 //! stamped `seen` bitmap and sweep buffers across queries; and the
 //! batch vector itself is recycled once responses are built. Top-k
-//! queries never sort the hot set — [`Hotness`] maintains count
-//! buckets, and `top_n` walks them from the top (see
-//! [`Hotness::top_n`] for the cost). When touching this path, keep new
+//! queries never sort the hot set — the table maintains count buckets,
+//! and `top_n` walks them from the top (see [`PathTable::top_n`] for
+//! the cost). When touching this path, keep new
 //! per-epoch buffers in one of those pools, not in fresh `Vec`s.
 
 use crate::checkpoint::{
@@ -31,8 +35,7 @@ use crate::checkpoint::{
 };
 use crate::config::{AdmissionPolicy, Config};
 use crate::geometry::{Point, TimePoint};
-use crate::hotness::Hotness;
-use crate::index::MotionPathIndex;
+use crate::index::PathTable;
 use crate::motion_path::{MotionPath, PathId};
 use crate::raytrace::hinted::PathHint;
 use crate::raytrace::ClientState;
@@ -157,7 +160,7 @@ struct ReadCache {
 }
 
 /// Grid cell edge shared by the epoch FSA-overlap structure and the
-/// index's end-vertex grid: about one FSA diameter (`2 eps`), floored
+/// path table's end-vertex grid: about one FSA diameter (`2 eps`), floored
 /// away from zero for degenerate tolerances, so an FSA-sized range
 /// query probes at most four cells. Affects performance only, never
 /// results.
@@ -169,8 +172,7 @@ fn overlap_cell_of(config: &Config) -> f64 {
 #[derive(Debug)]
 pub struct Coordinator {
     config: Config,
-    index: MotionPathIndex,
-    hotness: Hotness,
+    table: PathTable,
     scratch: ScratchArena,
     pending: Vec<ClientState>,
     comm: CommStats,
@@ -209,8 +211,7 @@ impl Coordinator {
             SessionTable::new(config.admission.lease, config.admission.grace, Timestamp(0))
         });
         Coordinator {
-            index: MotionPathIndex::new(overlap_cell_of(&config), config.vertex_grain),
-            hotness: Hotness::new(config.window),
+            table: PathTable::new(config.window, overlap_cell_of(&config), config.vertex_grain),
             scratch: ScratchArena::new(),
             fsa_cache: FsaCache::new(overlap_cell_of(&config)),
             config,
@@ -290,14 +291,13 @@ impl Coordinator {
         self.pending.len()
     }
 
-    /// Advances the hotness clock to `now`, deleting expired paths from
-    /// the index, and expires session leases through the session wheel
-    /// (call once per timestamp; cheap when nothing expires).
+    /// Advances the window clock to `now`, expiring crossings (a path
+    /// whose last crossing expires leaves the table in the same call),
+    /// and expires session leases through the session wheel (call once
+    /// per timestamp; cheap when nothing expires).
     pub fn advance_time(&mut self, now: Timestamp) {
         let start = Instant::now();
-        for dead in self.hotness.advance(now) {
-            self.index.remove(dead);
-        }
+        self.table.advance(now);
         if let Some(table) = &mut self.sessions {
             table.advance(now);
         }
@@ -420,14 +420,8 @@ impl Coordinator {
             }
             OverlapPolicy::Own => self.fsa_cache.set(),
         };
-        let (selections, tally, load) = process_batch(
-            states,
-            &mut self.index,
-            &mut self.hotness,
-            &mut self.scratch,
-            fsas,
-            policy,
-        );
+        let (selections, tally, load) =
+            process_batch(states, &mut self.table, &mut self.scratch, fsas, policy);
         self.last_phase_b = load;
         self.processing.strategy_time += start.elapsed();
         self.processing.epochs += 1;
@@ -483,42 +477,44 @@ impl Coordinator {
 
     /// The hottest path leaving the vertex at `p`, if any.
     pub fn hottest_from(&self, p: &Point) -> Option<MotionPath> {
-        self.index
+        self.table
             .paths_starting_at(p)
             .iter()
-            .max_by_key(|e| (self.hotness.get(e.id), std::cmp::Reverse(e.id)))
-            .and_then(|e| self.index.get(e.id))
+            .max_by_key(|e| (self.table.hotness(e.id), std::cmp::Reverse(e.id)))
+            .and_then(|e| self.table.get(e.id))
             .copied()
     }
 
     /// Number of motion paths currently stored (the paper's *index size*
-    /// metric, Figures 7a / 8a).
+    /// metric, Figures 7a / 8a) — the same number as [`Self::hot_count`],
+    /// since a path is stored exactly while it is crossed.
     pub fn index_size(&self) -> usize {
-        self.index.len()
+        self.table.len()
     }
 
     /// Looks up a stored path by id.
     pub fn path(&self, id: PathId) -> Option<&MotionPath> {
-        self.index.get(id)
+        self.table.get(id)
     }
 
-    /// A stored path with its current hotness, as reported.
-    fn hot_path(&self, id: PathId, hotness: u32) -> Option<HotPath> {
-        let p = self.index.get(id)?;
-        Some(HotPath { path: *p, hotness, score: hotness as f64 * p.length() })
+    /// A path with its hotness, as reported.
+    fn hot_path(path: &MotionPath, hotness: u32) -> HotPath {
+        HotPath { path: *path, hotness, score: hotness as f64 * path.length() }
     }
 
-    /// All stored paths with positive hotness, unordered. The
-    /// enumeration is cached: repeated reads between mutations share one
-    /// allocation (the cache drops on `advance_time` / epoch
-    /// processing). Callers that need to reorder copy out with
-    /// `.to_vec()`.
+    /// All stored paths with their (positive) hotness, in id order, so
+    /// the list depends on the logical state only, never on the slab
+    /// layout. The enumeration is cached: repeated reads between
+    /// mutations share one allocation (the cache drops on
+    /// `advance_time` / epoch processing). Callers that need to reorder
+    /// copy out with `.to_vec()`.
     pub fn hot_paths(&self) -> Arc<[HotPath]> {
         if let Some(hot) = self.cache.borrow().hot.clone() {
             return hot;
         }
-        let hot: Arc<[HotPath]> =
-            self.hotness.iter().filter_map(|(id, h)| self.hot_path(id, h)).collect();
+        let mut hot: Vec<HotPath> = self.table.iter().map(|(p, h)| Self::hot_path(p, h)).collect();
+        hot.sort_unstable_by_key(|h| h.path.id);
+        let hot: Arc<[HotPath]> = hot.into();
         self.cache.borrow_mut().hot = Some(hot.clone());
         hot
     }
@@ -566,10 +562,14 @@ impl Coordinator {
     }
 
     /// The top-`n` hottest motion paths for an explicit `n`, in the
-    /// order [`Hotness::top_n`] already returns — hotness desc, length
+    /// order [`PathTable::top_n`] already returns — hotness desc, length
     /// desc, id asc — from its count buckets (see there for the cost).
     pub fn top_n(&self, n: usize) -> Vec<HotPath> {
-        self.hotness.top_n(n).into_iter().filter_map(|(id, h)| self.hot_path(id, h)).collect()
+        self.table
+            .top_n(n)
+            .into_iter()
+            .filter_map(|(id, h)| Some(Self::hot_path(self.table.get(id)?, h)))
+            .collect()
     }
 
     /// The score of the top-`k` set: the average of `hotness x length`
@@ -603,29 +603,26 @@ impl Coordinator {
 
     /// Current hotness of a specific path.
     pub fn hotness_of(&self, id: PathId) -> u32 {
-        self.hotness.get(id)
+        self.table.hotness(id)
     }
 
-    /// Number of paths with positive hotness.
+    /// Number of paths with positive hotness — every stored path.
     pub fn hot_count(&self) -> usize {
-        self.hotness.len()
+        self.table.len()
     }
 
-    /// Live expiry events pending in the hotness table (diagnostics).
+    /// Expiry events pending in the path table: one per unexpired
+    /// crossing (diagnostics).
     pub fn pending_expiry_events(&self) -> usize {
-        self.hotness.pending_events()
+        self.table.pending_events()
     }
 
-    /// Internal-consistency audit: the index must be self-consistent,
-    /// every hot path must be stored, the hotness count buckets must
-    /// agree with the counter table, and the bucket-walk top-k must
-    /// equal the sort-based oracle over the full hot set.
+    /// Internal-consistency audit: the path table must be
+    /// self-consistent (see [`PathTable::check_consistency`]), so must
+    /// the session table, and the bucket-walk top-k must equal the
+    /// sort-based oracle over the full hot set.
     pub fn check_consistency(&self) -> Result<(), String> {
-        self.index.check_consistency()?;
-        self.hotness.check_consistency().map_err(|e| format!("hotness: {e}"))?;
-        if let Some((id, _)) = self.hotness.iter().find(|&(id, _)| self.index.get(id).is_none()) {
-            return Err(format!("hot path {id} missing from the index"));
-        }
+        self.table.check_consistency().map_err(|e| format!("path table: {e}"))?;
         if let Some(table) = &self.sessions {
             table.check().map_err(|e| format!("session table: {e}"))?;
         }
@@ -655,11 +652,12 @@ impl Coordinator {
 
     // ---- checkpoint / restore -----------------------------------------
 
-    /// Serializes the full coordinator state — path slab, heat slab,
-    /// expiry events, tombstones, the pending batch, counters, and the
-    /// configuration echo — into a validated [`Checkpoint`] image. Each
-    /// section is one bounded memcpy of a contiguous slab; nothing walks
-    /// paths one by one.
+    /// Serializes the full coordinator state — the stored paths by id,
+    /// the expiry events in `(expiry, id)` order, the pending batch,
+    /// counters, and the configuration echo — into a validated
+    /// [`Checkpoint`] image. Every section is canonical, so the image
+    /// depends on the logical state only, not on any slab or wheel
+    /// layout.
     pub fn checkpoint(&self) -> Checkpoint {
         let mut flags = 0;
         if self.hints_enabled {
@@ -671,7 +669,7 @@ impl Coordinator {
         let mut b = CheckpointBuilder::new(
             self.processing.epochs,
             self.clock.raw(),
-            self.index.next_id(),
+            self.table.next_id(),
             flags,
         );
         b.section(SectionKind::Config, &[ConfigRecord::from_config(&self.config)]);
@@ -700,17 +698,15 @@ impl Coordinator {
                 sess_drops: sess_counters.drops,
                 sess_reconnects: sess_counters.reconnects,
                 sess_ejections: sess_counters.ejections,
-                recorded: self.hotness.total_recorded(),
+                recorded: self.table.total_recorded(),
             }],
         );
         if let Some(table) = &self.sessions {
             b.section(SectionKind::Session, &table.records_vec());
         }
         b.section(SectionKind::Pending, &self.pending);
-        b.section(SectionKind::Paths, self.index.paths_slice());
-        b.section(SectionKind::Heat, self.hotness.heat_slice());
-        b.section(SectionKind::Events, &self.hotness.events_vec());
-        b.section(SectionKind::Dead, &self.hotness.dead_entries());
+        b.section(SectionKind::Paths, &self.table.paths_by_id());
+        b.section(SectionKind::Events, &self.table.events_vec());
         b.finish()
     }
 
@@ -720,11 +716,14 @@ impl Coordinator {
     /// embedded echo is compared field by field); the hints and
     /// overlap-policy switches are restored from the header flags.
     ///
-    /// The slabs are adopted verbatim and the expiry events re-enter the
-    /// timer wheel keyed by the header clock; derived structures (grid,
-    /// adjacency, slot maps, count buckets) are rebuilt, and the read
-    /// cache starts invalidated — the first read after a restore can
-    /// never serve pre-restore data.
+    /// The paths go into a fresh table in id order, each with as many
+    /// crossings as it has expiry events, and the events re-enter the
+    /// timer wheel keyed by the header clock; every derived structure
+    /// is rebuilt, and the read cache starts invalidated — the first
+    /// read after a restore can never serve pre-restore data. A forged
+    /// table (ids out of order or past the counter, two paths with one
+    /// geometry, an event without its path or a path without an event)
+    /// is [`CheckpointError::Malformed`].
     pub fn from_checkpoint(config: Config, ck: &Checkpoint) -> Result<Self, CheckpointError> {
         let one = |what: &str, len: usize| {
             if len == 1 {
@@ -742,27 +741,15 @@ impl Coordinator {
         let stats = stats[0];
         let pending: Vec<ClientState> = ck.section(SectionKind::Pending)?;
 
-        let index = MotionPathIndex::from_checkpoint_parts(
-            overlap_cell_of(&config),
-            config.vertex_grain,
-            ck.section(SectionKind::Paths)?,
-            header.next_path_id,
-        )
-        .map_err(|e| CheckpointError::Malformed(format!("index: {e}")))?;
-        let hotness = Hotness::from_checkpoint_parts(
-            config.window,
-            ck.section(SectionKind::Heat)?,
-            ck.section(SectionKind::Events)?,
-            ck.section(SectionKind::Dead)?,
-            stats.recorded,
-            Timestamp(header.clock),
-        )
-        .map_err(|e| CheckpointError::Malformed(format!("hotness: {e}")))?;
-        if let Some((id, _)) = hotness.iter().find(|&(id, _)| index.get(id).is_none()) {
-            return Err(CheckpointError::Malformed(format!(
-                "hot path {id} missing from the path slab"
-            )));
-        }
+        let table = PathTable::new(config.window, overlap_cell_of(&config), config.vertex_grain)
+            .restore(
+                ck.section(SectionKind::Paths)?,
+                ck.section(SectionKind::Events)?,
+                header.next_path_id,
+                stats.recorded,
+                Timestamp(header.clock),
+            )
+            .map_err(|e| CheckpointError::Malformed(format!("path table: {e}")))?;
 
         let sessions = if config.admission.sessions_enabled() {
             let recs: Vec<SessionRecord> = ck.section(SectionKind::Session)?;
@@ -785,8 +772,7 @@ impl Coordinator {
             None
         };
         Ok(Coordinator {
-            index,
-            hotness,
+            table,
             scratch: ScratchArena::new(),
             // Not part of the image: the set is rebuilt from the first
             // post-restore batch.
@@ -835,6 +821,7 @@ impl Coordinator {
 mod tests {
     use super::*;
     use crate::geometry::Rect;
+    use crate::index::ExpiryEvent;
 
     fn cfg() -> Config {
         Config::paper_defaults().with_epoch(10).with_window(100)
@@ -1110,6 +1097,89 @@ mod tests {
             Coordinator::from_checkpoint(coarser, &image),
             Err(crate::checkpoint::CheckpointError::ConfigMismatch(_))
         ));
+    }
+
+    /// A small image to forge: three paths, one of them crossed twice.
+    fn forgeable() -> (Config, Checkpoint) {
+        let config = cfg();
+        let mut c = Coordinator::new(config);
+        c.submit(state(1, (0.0, 0.0), (50.0, 0.0), 0, 8));
+        c.submit(state(2, (0.0, 0.0), (50.0, 0.0), 0, 9));
+        c.submit(state(3, (0.0, 300.0), (50.0, 300.0), 0, 7));
+        c.submit(state(4, (0.0, 600.0), (50.0, 600.0), 0, 6));
+        let _ = c.process_epoch(Timestamp(10));
+        assert_eq!(c.index_size(), 3);
+        (config, c.checkpoint())
+    }
+
+    /// Re-seals `image` with its Paths and Events sections passed
+    /// through `forge`: every CRC is valid, so only the table's own
+    /// validation stands between the forgery and the coordinator.
+    fn forged(
+        image: &Checkpoint,
+        forge: impl FnOnce(&mut Vec<MotionPath>, &mut Vec<ExpiryEvent>),
+    ) -> Checkpoint {
+        let h = image.header();
+        let mut paths: Vec<MotionPath> = image.section(SectionKind::Paths).unwrap();
+        let mut events: Vec<ExpiryEvent> = image.section(SectionKind::Events).unwrap();
+        forge(&mut paths, &mut events);
+        let mut b = CheckpointBuilder::new(h.epoch, h.clock, h.next_path_id, h.flags);
+        b.section::<ConfigRecord>(
+            SectionKind::Config,
+            &image.section(SectionKind::Config).unwrap(),
+        );
+        b.section::<StatsRecord>(SectionKind::Stats, &image.section(SectionKind::Stats).unwrap());
+        b.section::<ClientState>(
+            SectionKind::Pending,
+            &image.section(SectionKind::Pending).unwrap(),
+        );
+        b.section(SectionKind::Paths, &paths);
+        b.section(SectionKind::Events, &events);
+        b.finish()
+    }
+
+    /// Restores a forgery of the [`forgeable`] image, which must fail as
+    /// `Malformed` (and the unforged image must restore).
+    fn assert_forgery_malformed(forge: impl FnOnce(&mut Vec<MotionPath>, &mut Vec<ExpiryEvent>)) {
+        let (config, image) = forgeable();
+        Coordinator::from_checkpoint(config, &forged(&image, |_, _| {})).unwrap();
+        let result = Coordinator::from_checkpoint(config, &forged(&image, forge));
+        assert!(matches!(result, Err(CheckpointError::Malformed(_))), "{result:?}");
+    }
+
+    #[test]
+    fn restore_rejects_an_event_naming_no_stored_path() {
+        assert_forgery_malformed(|_, events| {
+            let last = *events.last().unwrap();
+            events.push(ExpiryEvent { expiry: last.expiry, id: PathId(last.id.0 + 100) });
+        });
+    }
+
+    #[test]
+    fn restore_rejects_a_stored_path_without_an_event() {
+        assert_forgery_malformed(|paths, events| events.retain(|e| e.id != paths[1].id));
+    }
+
+    #[test]
+    fn restore_rejects_paths_not_ascending_by_id() {
+        assert_forgery_malformed(|paths, _| paths.swap(0, 2));
+    }
+
+    #[test]
+    fn restore_rejects_a_path_id_at_or_past_the_counter() {
+        assert_forgery_malformed(|paths, events| {
+            let next = PathId(paths.last().unwrap().id.0 + 1);
+            paths.push(MotionPath::new(next, Point::new(0.0, 900.0), Point::new(50.0, 900.0)));
+            let expiry = events.last().unwrap().expiry;
+            events.push(ExpiryEvent { expiry, id: next });
+        });
+    }
+
+    #[test]
+    fn restore_rejects_two_paths_with_one_geometry() {
+        // Insert dedups by quantized geometry; a forged twin would split
+        // one corridor's crossings across two paths.
+        assert_forgery_malformed(|paths, _| paths[2].seg = paths[0].seg);
     }
 
     #[test]

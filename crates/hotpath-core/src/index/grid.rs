@@ -5,8 +5,7 @@
 //! of *end-vertex* entries. Only end vertices are indexed because only
 //! they are ever range-queried (the Case-2 "available vertices" query);
 //! "paths leaving a vertex" (Case 1) is an exact-match lookup the
-//! [`MotionPathIndex`](super::MotionPathIndex) answers from its
-//! adjacency lists. The cell side is on the order of an FSA's side, so
+//! [`PathTable`](super::PathTable) answers from its adjacency lists. The cell side is on the order of an FSA's side, so
 //! a range query probes at most a handful of cells and scans only
 //! entries near the FSA.
 //!
@@ -49,11 +48,6 @@ impl EndpointGrid {
     pub fn new(cell: f64) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "cell side must be positive");
         EndpointGrid { cell, cells: FxHashMap::default(), spare: Vec::new(), len: 0 }
-    }
-
-    /// Cell side in meters.
-    pub fn cell_side(&self) -> f64 {
-        self.cell
     }
 
     /// Number of stored entries (one per indexed path).
@@ -110,7 +104,7 @@ impl EndpointGrid {
 
     /// Visits every entry whose endpoint lies inside `range` (closed
     /// set): the Case-2 query Phase B issues once per deferred state
-    /// through [`MotionPathIndex::end_vertices_into`](super::MotionPathIndex::end_vertices_into)
+    /// through [`PathTable::end_vertices_into`](super::PathTable::end_vertices_into)
     /// (Alg. 2 line 51). Visit order is cell by cell, then each cell's
     /// insert/remove history — not canonical, so callers group and rank
     /// by order-free rules.
@@ -141,10 +135,21 @@ impl EndpointGrid {
         self.cells.len()
     }
 
-    /// True when every kept buffer of an emptied cell is empty (the
-    /// index's consistency audit).
-    pub(super) fn spare_is_clear(&self) -> bool {
-        self.spare.iter().all(Vec::is_empty)
+    /// Audits the grid for the path table's consistency check: the
+    /// entry count matches the cells, no empty cell is left in the map,
+    /// and every kept buffer of an emptied cell is empty.
+    pub(super) fn check(&self) -> Result<(), String> {
+        let held: usize = self.cells.values().map(Vec::len).sum();
+        if held != self.len {
+            return Err(format!("grid counts {} entries, its cells hold {held}", self.len));
+        }
+        if self.cells.values().any(Vec::is_empty) {
+            return Err("an empty grid cell is left in the map".into());
+        }
+        if !self.spare.iter().all(Vec::is_empty) {
+            return Err("a kept buffer of an emptied grid cell is not empty".into());
+        }
+        Ok(())
     }
 }
 

@@ -9,7 +9,7 @@
 //! distinct vertices and sums each group's hotness, so neither order is
 //! observable, and only the [`VertexGroups::to_vec`] copy is sorted.
 
-use super::motion_path_index::{point_lt, VertexKey};
+use super::path_table::{point_lt, VertexKey};
 use crate::fxhash::FxHashMap;
 use crate::geometry::Point;
 use crate::motion_path::PathId;
@@ -88,7 +88,7 @@ impl VertexGroups {
 
     /// Copies the batch out in canonical order — groups by
     /// representative point `(x, y)`, ids ascending within each group —
-    /// for tests and the allocating [`super::MotionPathIndex::end_vertices_in`].
+    /// for tests and the allocating [`super::PathTable::end_vertices_in`].
     pub fn to_vec(&self) -> Vec<(Point, Vec<PathId>)> {
         let mut out: Vec<(Point, Vec<PathId>)> =
             self.iter().map(|(p, ids)| (*p, ids.to_vec())).collect();

@@ -17,14 +17,13 @@
 //! * [`uncertainty`] — Gaussian measurement handling (Section 4.1):
 //!   tolerance-interval solving from the normal CDF, with a precomputed
 //!   lookup-table fast path.
-//! * [`index`] — the grid-based **MotionPath** endpoint index
-//!   (Section 5.1).
-//! * [`hotness`] — sliding-window hotness with the hash-table/event-queue
-//!   pair of Section 5.2.
+//! * [`index`] — the **path table**: every stored motion path with its
+//!   sliding-window hotness in one slab, under the grid-based MotionPath
+//!   index of Section 5.1 and the expiry wheel of Section 5.2.
 //! * [`strategy`] — the **SinglePath** discovery strategy (Algorithm 2)
 //!   with FSA-overlap candidate generation.
-//! * [`coordinator`] — the epoch-batched coordinator facade tying index,
-//!   hotness, and strategy together, answering top-`k` queries and the
+//! * [`coordinator`] — the epoch-batched coordinator facade tying the
+//!   path table and the strategy together, answering top-`k` queries and the
 //!   score metric of Section 3.1.
 //! * [`engine`] — the execution layer over the coordinator: the epoch
 //!   stages (drain-ingest → Phase A → Phase B → publish) run on the
@@ -71,7 +70,6 @@ pub mod coordinator;
 pub mod engine;
 pub mod fxhash;
 pub mod geometry;
-pub mod hotness;
 pub mod index;
 pub mod motion_path;
 pub mod raytrace;
@@ -82,6 +80,13 @@ pub mod strategy;
 pub mod time;
 pub mod uncertainty;
 pub mod wheel;
+
+/// Tests of the path table's sliding-window hotness side: counting,
+/// expiry order, the top-k walk and restore (Section 5.2).
+#[cfg(test)]
+mod hotness {
+    mod tests;
+}
 
 /// Identifier of a moving object (client).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -103,7 +108,6 @@ pub mod prelude {
     pub use crate::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
     pub use crate::engine::{Engine, EngineKind, SyncEngine};
     pub use crate::geometry::{Point, Rect, Segment, TimePoint, Trajectory};
-    pub use crate::hotness::Hotness;
     pub use crate::motion_path::{MotionPath, PathId};
     pub use crate::raytrace::{ClientState, RayTraceFilter};
     pub use crate::session::{SessionEvent, SessionState, SessionTable, SessionTransition};

@@ -19,7 +19,7 @@
 //!
 //! Every admitted state message is a heartbeat: it re-arms the client's
 //! lease (`deadline = heartbeat + lease`). Leases expire through the
-//! same hierarchical [`TimerWheel`] the hotness table uses — re-armed
+//! same hierarchical [`TimerWheel`] the path table uses — re-armed
 //! leases leave their old wheel events in place as *stale* entries
 //! that are skipped when they fire (the record's current deadline no
 //! longer matches), so re-arming is O(1).

@@ -14,15 +14,13 @@
 //!   objects converge on a shared vertex (Example 2 of the paper).
 //!
 //! Candidate "hotness" values computed during selection are *ranks*; the
-//! persistent hotness table only ever records actual crossings, keeping
-//! sliding-window bookkeeping exact (each crossing has exactly one
-//! expiry event).
+//! path table only ever records actual crossings, keeping sliding-window
+//! bookkeeping exact (each crossing has exactly one expiry event).
 
 use super::overlap::{FsaSet, QueryScratch};
 use crate::fxhash::FxHashMap;
 use crate::geometry::Point;
-use crate::hotness::Hotness;
-use crate::index::{MotionPathIndex, OutEdge, VertexGroups};
+use crate::index::{OutEdge, PathTable, VertexGroups};
 use crate::motion_path::PathId;
 use crate::raytrace::ClientState;
 use crate::time::Timestamp;
@@ -130,8 +128,7 @@ impl ScratchArena {
 pub fn phase_b(
     states: &[ClientState],
     deferred: &[u32],
-    index: &mut MotionPathIndex,
-    hotness: &mut Hotness,
+    table: &mut PathTable,
     fsas: &FsaSet,
     policy: OverlapPolicy,
     tally: &mut CaseTally,
@@ -152,9 +149,9 @@ pub fn phase_b(
         // Available vertices with converging-path hotness plus stabbing
         // depth (lines 22-26).
         let mut best: Option<(u32, bool, Point)> = None; // (rank, existing, vertex)
-        index.end_vertices_into(&st.fsa, groups);
+        table.end_vertices_into(&st.fsa, groups);
         for (&vertex, incoming) in groups.iter() {
-            let converging: u32 = incoming.iter().map(|&id| hotness.get(id)).sum();
+            let converging: u32 = incoming.iter().map(|&id| table.hotness(id)).sum();
             let boost = near.as_ref().map_or(0, |near| near.stab_count(&vertex) as u32);
             let cand = (converging + boost, true, vertex);
             if better_vertex(&cand, &best) {
@@ -189,10 +186,9 @@ pub fn phase_b(
             (0, false, st.fsa.centroid())
         });
 
-        // On a dedup hit the stored path's own end vertex and length are
-        // what the object is answered with and the crossing records.
-        let (edge, created) = index.insert_edge(st.start, vertex);
-        hotness.record_crossing(edge.id, st.te, edge.len);
+        // On a dedup hit the stored path's own end vertex is what the
+        // object is answered with, and the crossing lands on that path.
+        let (edge, created) = table.insert_edge(st.start, vertex, st.te);
         if existing {
             tally.case2 += 1;
         } else {
@@ -246,8 +242,7 @@ pub fn build_fsa_set(states: &[ClientState], overlap_cell: f64, policy: OverlapP
 /// deferred order), the case tallies and Phase B's [`PhaseBLoad`].
 pub fn process_batch(
     states: &[ClientState],
-    index: &mut MotionPathIndex,
-    hotness: &mut Hotness,
+    table: &mut PathTable,
     scratch: &mut ScratchArena,
     fsas: &FsaSet,
     policy: OverlapPolicy,
@@ -263,7 +258,7 @@ pub fn process_batch(
     scratch.cp_off.reserve(states.len() + 1);
     scratch.cp_off.push(0);
     for st in states {
-        index.paths_from_into_buf(&st.start, &st.fsa, &mut scratch.cp);
+        table.paths_from_into_buf(&st.start, &st.fsa, &mut scratch.cp);
         scratch.cp_off.push(scratch.cp.len() as u32);
     }
 
@@ -284,7 +279,7 @@ pub fn process_batch(
         // Each candidate's rank — hotness + 1 + boost, the boost being
         // its occurrences beyond this one — is computed once; ties go to
         // the longer path, then the lower id.
-        let ranked = cp.iter().map(|e| (hotness.get(e.id) + occurrences[&e.id], e));
+        let ranked = cp.iter().map(|e| (table.hotness(e.id) + occurrences[&e.id], e));
         let best = ranked.max_by(|(ra, a), (rb, b)| {
             ra.cmp(rb).then_with(|| a.len.total_cmp(&b.len)).then_with(|| b.id.cmp(&a.id))
         });
@@ -292,7 +287,7 @@ pub fn process_batch(
             scratch.deferred.push(i as u32);
             continue;
         };
-        hotness.record_crossing(chosen.id, st.te, chosen.len);
+        table.record(chosen.id, st.te);
         tally.case1 += 1;
         selections.push(Selection {
             object: st.object,
@@ -307,8 +302,7 @@ pub fn process_batch(
     let load = phase_b(
         states,
         &scratch.deferred,
-        index,
-        hotness,
+        table,
         fsas,
         policy,
         &mut tally,
@@ -342,8 +336,17 @@ mod tests {
         }
     }
 
-    fn setup() -> (MotionPathIndex, Hotness) {
-        (MotionPathIndex::new(50.0, 1e-3), Hotness::new(SlidingWindow::new(100)))
+    fn setup() -> PathTable {
+        PathTable::new(SlidingWindow::new(100), 50.0, 1e-3)
+    }
+
+    /// Stores `start -> end` with `crossings` (at least one) at time 0.
+    fn stored(table: &mut PathTable, start: Point, end: Point, crossings: u32) -> PathId {
+        let id = table.insert_edge(start, end, Timestamp(0)).0.id;
+        for _ in 1..crossings {
+            table.record(id, Timestamp(0));
+        }
+        id
     }
 
     fn fsa_around(x: f64, y: f64, r: f64) -> Rect {
@@ -354,39 +357,33 @@ mod tests {
     /// and `ScratchArena`.
     fn run_batch(
         states: &[ClientState],
-        index: &mut MotionPathIndex,
-        hotness: &mut Hotness,
+        table: &mut PathTable,
         overlap_cell: f64,
         policy: OverlapPolicy,
     ) -> (Vec<Selection>, CaseTally) {
         let fsas = build_fsa_set(states, overlap_cell, policy);
         let mut scratch = ScratchArena::new();
-        let (selections, tally, load) =
-            process_batch(states, index, hotness, &mut scratch, &fsas, policy);
+        let (selections, tally, load) = process_batch(states, table, &mut scratch, &fsas, policy);
         assert_eq!(load.deferred as u64, tally.case2 + tally.case3);
         (selections, tally)
     }
 
     #[test]
     fn case1_reuses_hottest_existing_path() {
-        let (mut index, mut hotness) = setup();
+        let mut table = setup();
         let s = Point::new(0.0, 0.0);
-        let (cold, _) = index.insert(s, Point::new(100.0, 1.0));
-        let (hot, _) = index.insert(s, Point::new(100.0, -1.0));
-        hotness.record_crossing(cold, Timestamp(0), 1.0);
-        for _ in 0..5 {
-            hotness.record_crossing(hot, Timestamp(0), 1.0);
-        }
+        stored(&mut table, s, Point::new(100.0, 1.0), 1);
+        let hot = stored(&mut table, s, Point::new(100.0, -1.0), 5);
 
         let st = state(1, (0.0, 0.0), fsa_around(100.0, 0.0, 5.0), 0, 10);
-        let (sel, tally) = run_batch(&[st], &mut index, &mut hotness, 20.0, OverlapPolicy::Full);
+        let (sel, tally) = run_batch(&[st], &mut table, 20.0, OverlapPolicy::Full);
         assert_eq!(tally, CaseTally { case1: 1, case2: 0, case3: 0 });
         assert_eq!(sel[0].path, hot);
         assert_eq!(sel[0].case, CaseKind::ExistingPath);
         assert!(!sel[0].created);
         // The crossing was recorded.
-        assert_eq!(hotness.get(hot), 6);
-        assert_eq!(index.len(), 2);
+        assert_eq!(table.hotness(hot), 6);
+        assert_eq!(table.len(), 2);
     }
 
     #[test]
@@ -394,24 +391,11 @@ mod tests {
         // Path A has hotness 2; path B hotness 1 but appears in the CP
         // sets of three objects this epoch, giving it boost +2 per
         // object: rank(B) = 1 + 1 + 2 = 4 > rank(A) = 2 + 1 + 0 = 3.
-        let (mut index, mut hotness) = setup();
+        // Case 1 requires matching starts, so A and B share one.
+        let mut table = setup();
         let s_shared = Point::new(0.0, 0.0);
-        let (b, _) = index.insert(s_shared, Point::new(100.0, 0.0));
-        hotness.record_crossing(b, Timestamp(0), 1.0);
-        let s_solo = Point::new(0.0, 50.0);
-        let (a, _) = index.insert(s_solo, Point::new(100.0, 2.0));
-        hotness.record_crossing(a, Timestamp(0), 1.0);
-        hotness.record_crossing(a, Timestamp(0), 1.0);
-
-        // Object 9's FSA sees both paths' ends; it starts where both A
-        // and B start... but Case 1 requires matching starts, so give
-        // object 9 the shared start and make A share it too.
-        let (mut index, mut hotness) = setup();
-        let (a, _) = index.insert(s_shared, Point::new(100.0, 2.0));
-        let (b, _) = index.insert(s_shared, Point::new(100.0, 0.0));
-        hotness.record_crossing(a, Timestamp(0), 1.0);
-        hotness.record_crossing(a, Timestamp(0), 1.0);
-        hotness.record_crossing(b, Timestamp(0), 1.0);
+        stored(&mut table, s_shared, Point::new(100.0, 2.0), 2);
+        let b = stored(&mut table, s_shared, Point::new(100.0, 0.0), 1);
 
         // Three objects whose FSAs contain only B's end; one object
         // seeing both.
@@ -422,7 +406,7 @@ mod tests {
             state(2, (0.0, 0.0), tight, 0, 10),
             state(3, (0.0, 0.0), wide, 0, 10),
         ];
-        let (sel, tally) = run_batch(&states, &mut index, &mut hotness, 20.0, OverlapPolicy::Full);
+        let (sel, tally) = run_batch(&states, &mut table, 20.0, OverlapPolicy::Full);
         assert_eq!(tally.case1, 3);
         // Object 3 prefers B (hotness 1 + 1 + boost 2 = 4) over A
         // (hotness 2 + 1 + boost 0 = 3).
@@ -432,28 +416,26 @@ mod tests {
 
     #[test]
     fn case2_builds_path_to_existing_vertex() {
-        let (mut index, mut hotness) = setup();
+        let mut table = setup();
         // An existing hot path converging to vertex v, but starting
         // elsewhere — so no Case-1 match for our object.
         let v = Point::new(100.0, 0.0);
-        let (incoming, _) = index.insert(Point::new(200.0, 0.0), v);
-        hotness.record_crossing(incoming, Timestamp(0), 1.0);
-        hotness.record_crossing(incoming, Timestamp(0), 1.0);
+        stored(&mut table, Point::new(200.0, 0.0), v, 2);
 
         let st = state(1, (0.0, 0.0), fsa_around(100.0, 0.0, 5.0), 0, 10);
-        let (sel, tally) = run_batch(&[st], &mut index, &mut hotness, 20.0, OverlapPolicy::Full);
+        let (sel, tally) = run_batch(&[st], &mut table, 20.0, OverlapPolicy::Full);
         assert_eq!(tally, CaseTally { case1: 0, case2: 1, case3: 0 });
         assert_eq!(sel[0].case, CaseKind::ExistingVertex);
         assert!(sel[0].created);
         assert_eq!(sel[0].endpoint, v);
         // A new path 0,0 -> v exists with one crossing.
-        assert_eq!(index.len(), 2);
-        assert_eq!(hotness.get(sel[0].path), 1);
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.hotness(sel[0].path), 1);
     }
 
     #[test]
     fn case3_mints_vertex_in_deepest_overlap() {
-        let (mut index, mut hotness) = setup();
+        let mut table = setup();
         // Three objects with overlapping FSAs, empty index: all Case 3.
         // FSAs mirror Example 2; the triple overlap is around (8, 8).
         let f1 = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
@@ -464,7 +446,7 @@ mod tests {
             state(2, (-50.0, 20.0), f2, 0, 10),
             state(3, (-50.0, 40.0), f3, 0, 10),
         ];
-        let (sel, tally) = run_batch(&states, &mut index, &mut hotness, 10.0, OverlapPolicy::Full);
+        let (sel, tally) = run_batch(&states, &mut table, 10.0, OverlapPolicy::Full);
         assert_eq!(tally.case3 + tally.case2, 3);
         assert_eq!(tally.case1, 0);
         // Object 1 creates a vertex at the centroid of R123 = [6,10]x[6,10].
@@ -478,29 +460,29 @@ mod tests {
             assert_eq!(s.endpoint, Point::new(8.0, 8.0), "object {:?}", s.object);
         }
         // Three distinct paths (different starts) to one shared vertex.
-        assert_eq!(index.len(), 3);
+        assert_eq!(table.len(), 3);
     }
 
     #[test]
     fn empty_batch_is_noop() {
-        let (mut index, mut hotness) = setup();
-        let (sel, tally) = run_batch(&[], &mut index, &mut hotness, 10.0, OverlapPolicy::Full);
+        let mut table = setup();
+        let (sel, tally) = run_batch(&[], &mut table, 10.0, OverlapPolicy::Full);
         assert!(sel.is_empty());
         assert_eq!(tally, CaseTally::default());
     }
 
     #[test]
     fn duplicate_geometry_reuses_path_id() {
-        let (mut index, mut hotness) = setup();
+        let mut table = setup();
         // Two objects with identical starts and identical single-point
         // FSAs: the second insert dedups onto the first's path.
         let fsa = fsa_around(50.0, 0.0, 0.5);
         let states = [state(1, (0.0, 0.0), fsa, 0, 10), state(2, (0.0, 0.0), fsa, 0, 10)];
-        let (sel, _) = run_batch(&states, &mut index, &mut hotness, 10.0, OverlapPolicy::Full);
+        let (sel, _) = run_batch(&states, &mut table, 10.0, OverlapPolicy::Full);
         assert_eq!(sel[0].endpoint, sel[1].endpoint);
         assert_eq!(sel[0].path, sel[1].path);
-        assert_eq!(index.len(), 1);
-        assert_eq!(hotness.get(sel[0].path), 2);
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.hotness(sel[0].path), 2);
         // Only the first actually created it.
         assert!(sel[0].created);
         assert!(!sel[1].created);
@@ -508,16 +490,15 @@ mod tests {
 
     #[test]
     fn selection_endpoint_always_inside_fsa() {
-        let (mut index, mut hotness) = setup();
+        let mut table = setup();
         // A mix: existing path for object 1, nothing for object 2.
         let s1 = Point::new(0.0, 0.0);
-        let (p, _) = index.insert(s1, Point::new(30.0, 0.0));
-        hotness.record_crossing(p, Timestamp(0), 1.0);
+        stored(&mut table, s1, Point::new(30.0, 0.0), 1);
         let states = [
             state(1, (0.0, 0.0), fsa_around(30.0, 0.0, 3.0), 0, 10),
             state(2, (500.0, 500.0), fsa_around(530.0, 500.0, 3.0), 0, 10),
         ];
-        let (sel, _) = run_batch(&states, &mut index, &mut hotness, 10.0, OverlapPolicy::Full);
+        let (sel, _) = run_batch(&states, &mut table, 10.0, OverlapPolicy::Full);
         for s in &sel {
             let st = states
                 .iter()
@@ -537,7 +518,7 @@ mod tests {
         // Same Example-2 layout as above, but with the overlap analysis
         // ablated: each object mints its own FSA centroid, so no
         // sharing happens and three DISTINCT vertices appear.
-        let (mut index, mut hotness) = setup();
+        let mut table = setup();
         let f1 = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
         let f2 = Rect::new(Point::new(6.0, 4.0), Point::new(16.0, 14.0));
         let f3 = Rect::new(Point::new(4.0, 6.0), Point::new(14.0, 16.0));
@@ -546,7 +527,7 @@ mod tests {
             state(2, (-50.0, 20.0), f2, 0, 10),
             state(3, (-50.0, 40.0), f3, 0, 10),
         ];
-        let (sel, _) = run_batch(&states, &mut index, &mut hotness, 10.0, OverlapPolicy::Own);
+        let (sel, _) = run_batch(&states, &mut table, 10.0, OverlapPolicy::Own);
         // Objects 1 and 2 mint their own centroids (no overlap logic).
         assert_eq!(sel[0].endpoint, f1.centroid());
         assert_eq!(sel[0].case, CaseKind::NewVertex);
@@ -563,14 +544,12 @@ mod tests {
 
     #[test]
     fn case1_tie_breaks_toward_longer_path() {
-        let (mut index, mut hotness) = setup();
+        let mut table = setup();
         let s = Point::new(0.0, 0.0);
-        let (short, _) = index.insert(s, Point::new(50.0, 0.0));
-        let (long, _) = index.insert(s, Point::new(52.0, 0.0));
-        hotness.record_crossing(short, Timestamp(0), 1.0);
-        hotness.record_crossing(long, Timestamp(0), 1.0);
+        stored(&mut table, s, Point::new(50.0, 0.0), 1);
+        let long = stored(&mut table, s, Point::new(52.0, 0.0), 1);
         let st = state(1, (0.0, 0.0), fsa_around(51.0, 0.0, 2.0), 0, 10);
-        let (sel, _) = run_batch(&[st], &mut index, &mut hotness, 10.0, OverlapPolicy::Full);
+        let (sel, _) = run_batch(&[st], &mut table, 10.0, OverlapPolicy::Full);
         assert_eq!(sel[0].path, long);
     }
 }

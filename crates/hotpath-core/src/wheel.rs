@@ -1,9 +1,8 @@
 //! A hierarchical timer wheel, generic over its event type.
 //!
-//! Extracted from the hotness table (which drives sliding-window expiry
-//! through it) so other subsystems with deadline semantics — the
-//! session table's heartbeat leases — can reuse the same structure
-//! instead of forking it. The wheel fires events in amortized
+//! Shared by the path table (which drives sliding-window expiry through
+//! it) and the session table (heartbeat leases), so neither forks the
+//! structure. The wheel fires events in amortized
 //! O(expired) per [`TimerWheel::advance_collect`]: events hash into
 //! 64-slot levels by the position of the highest bit in which their
 //! expiry differs from the wheel clock, occupancy bitmaps locate the
@@ -222,29 +221,6 @@ impl<E: WheelEvent> TimerWheel<E> {
     pub fn give_expired(&mut self, mut buf: Vec<E>) {
         buf.clear();
         self.expired = buf;
-    }
-
-    /// Removes every event failing `keep`; returns how many were
-    /// removed. O(occupancy) — used by tombstone compaction only.
-    pub fn retain_events(&mut self, mut keep: impl FnMut(&E) -> bool) -> usize {
-        let before = self.len;
-        self.ready.retain(|e| keep(e));
-        let mut kept = self.ready.len();
-        for level in 0..LEVELS {
-            let mut occ = self.occupied[level];
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                let bucket = &mut self.levels[level][slot];
-                bucket.retain(|e| keep(e));
-                if bucket.is_empty() {
-                    self.occupied[level] &= !(1u64 << slot);
-                }
-                kept += bucket.len();
-            }
-        }
-        self.len = kept;
-        before - kept
     }
 
     /// Every held event, sorted by [`WheelEvent::sort_key`] — the

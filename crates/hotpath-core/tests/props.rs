@@ -1,13 +1,14 @@
 //! Property suites over the core data structures: geometry algebra, SSA
-//! safety, tolerance-solver analytics, sliding-window hotness, and the
-//! endpoint grid — each invariant checked against a brute-force oracle.
+//! safety, tolerance-solver analytics, and the path table's
+//! sliding-window hotness and endpoint grid — each invariant checked
+//! against a brute-force oracle.
 
+use hotpath_core::checkpoint::SectionKind;
 use hotpath_core::config::{Config, Tolerance};
 use hotpath_core::coordinator::Coordinator;
 use hotpath_core::geometry::{Point, Rect, Segment, TimePoint};
-use hotpath_core::hotness::Hotness;
-use hotpath_core::index::MotionPathIndex;
-use hotpath_core::motion_path::PathId;
+use hotpath_core::index::{ExpiryEvent, PathTable};
+use hotpath_core::motion_path::{MotionPath, PathId};
 use hotpath_core::raytrace::hinted::{HintedRayTraceFilter, PathHint};
 use hotpath_core::raytrace::{
     ClientState, FilterStats, RayTraceCore, RayTraceFilter, Ssa, UncertainRayTraceFilter,
@@ -30,6 +31,29 @@ fn point() -> impl Strategy<Value = Point> {
 fn rect() -> impl Strategy<Value = Rect> {
     (point(), 0.0..500.0f64, 0.0..500.0f64)
         .prop_map(|(lo, w, h)| Rect::new(lo, lo + Point::new(w, h)))
+}
+
+/// A path table over `window`, with a 100 m grid.
+fn table(window: u64) -> PathTable {
+    PathTable::new(SlidingWindow::new(window), 100.0, 1e-3)
+}
+
+/// Corridor `k`: its own start vertex, and an end `len` meters east.
+fn corridor(k: u64, len: f64) -> (Point, Point) {
+    let start = Point::new(k as f64 * 1_000.0, 0.0);
+    (start, start + Point::new(len, 0.0))
+}
+
+/// One crossing of corridor `k` exiting at `te`; the corridor's path is
+/// stored on its first crossing (and again after it expired).
+fn cross(t: &mut PathTable, k: u64, te: u64, len: f64) -> PathId {
+    let (s, e) = corridor(k, len);
+    t.insert_edge(s, e, Timestamp(te)).0.id
+}
+
+/// Current hotness of corridor `k` (zero while it is not stored).
+fn heat(t: &PathTable, k: u64) -> u32 {
+    t.paths_starting_at(&corridor(k, 0.0).0).first().map_or(0, |e| t.hotness(e.id))
 }
 
 proptest! {
@@ -197,65 +221,55 @@ proptest! {
         schedule in prop::collection::vec((0u64..6, 0u64..3), 1..200),
         window in 1u64..50,
     ) {
-        let mut hot = Hotness::new(SlidingWindow::new(window));
-        let mut crossings: Vec<(u64, u64)> = Vec::new(); // (id, te)
+        let mut hot = table(window);
+        let mut crossings: Vec<(u64, u64)> = Vec::new(); // (corridor, te)
         let mut now = 0u64;
-        for (id, gap) in schedule {
+        for (k, gap) in schedule {
             now += gap;
             hot.advance(Timestamp(now));
-            hot.record_crossing(PathId(id), Timestamp(now), 1.0);
-            crossings.push((id, now));
+            cross(&mut hot, k, now, 1.0);
+            crossings.push((k, now));
             for check in 0u64..6 {
                 let expect = crossings
                     .iter()
                     .filter(|&&(i, te)| i == check && te + window > now)
                     .count() as u32;
-                prop_assert_eq!(hot.get(PathId(check)), expect);
+                prop_assert_eq!(heat(&hot, check), expect);
             }
         }
     }
 
     // The count-bucket top-k walk must match a naive full sort of the
     // hot set — `(hotness desc, length desc, id asc)`, the coordinator's
-    // `top_n` order — at every cut depth, after any schedule of records,
-    // expiries, re-records of expired ids, and forgets, and on a table
-    // rebuilt from its checkpoint sections.
+    // `top_n` order — at every cut depth, after any schedule of
+    // crossings, idle steps, expiries and re-crossings of expired
+    // corridors, and on a table rebuilt from its checkpoint sections.
     #[test]
     fn hotness_top_n_matches_full_sort(
         schedule in prop::collection::vec((0u64..10, 0u64..4, 0u64..7), 1..250),
         window in 1u64..60,
         k in 2usize..6,
     ) {
-        let length = |id: PathId| ((id.0 * 29) % 83) as f64;
-        let mut hot = Hotness::new(SlidingWindow::new(window));
+        let length = |lane: u64| ((lane * 29) % 83) as f64;
+        let mut hot = table(window);
         let mut now = 0u64;
-        let mut forgotten: Vec<u64> = Vec::new();
-        for (id, gap, action) in schedule {
+        for (lane, gap, action) in schedule {
             now += gap;
             hot.advance(Timestamp(now));
-            if action == 0 {
-                // `forget` contracts: an id is never recorded again.
-                hot.forget(PathId(id));
-                forgotten.push(id);
-            } else if !forgotten.contains(&id) {
-                hot.record_crossing(PathId(id), Timestamp(now), length(PathId(id)));
+            if action != 0 {
+                cross(&mut hot, lane, now, length(lane));
             }
 
-            let mut oracle: Vec<(PathId, u32)> = hot.iter().collect();
+            let mut oracle: Vec<(&MotionPath, u32)> = hot.iter().collect();
             oracle.sort_by(|a, b| {
                 b.1.cmp(&a.1)
-                    .then_with(|| length(b.0).total_cmp(&length(a.0)))
-                    .then_with(|| a.0.cmp(&b.0))
+                    .then_with(|| b.0.length().total_cmp(&a.0.length()))
+                    .then_with(|| a.0.id.cmp(&b.0.id))
             });
-            let restored = Hotness::from_checkpoint_parts(
-                hot.window(),
-                hot.heat_slice().to_vec(),
-                hot.events_vec(),
-                hot.dead_entries(),
-                hot.total_recorded(),
-                hot.clock(),
-            )
-            .unwrap();
+            let oracle: Vec<(PathId, u32)> = oracle.into_iter().map(|(p, c)| (p.id, c)).collect();
+            let restored = table(window)
+                .restore(hot.paths_by_id(), hot.events_vec(), hot.next_id(), 0, hot.clock())
+                .unwrap();
             let p = oracle.len();
             for n in [0, 1, k, p, p + 1] {
                 let want = &oracle[..n.min(p)];
@@ -264,63 +278,50 @@ proptest! {
             }
             prop_assert!(hot.check_consistency().is_ok());
             prop_assert!(restored.check_consistency().is_ok());
-            prop_assert!(hot.queued_events() >= hot.pending_events());
         }
     }
 
-    // The timer wheel behind `Hotness` must reproduce the retired
+    // The timer wheel behind the path table must reproduce the retired
     // binary heap's externally observable behavior exactly: identical
     // death order out of `advance` (the heap popped `(expiry, id)`
     // ascending; the wheel sorts each epoch's expired batch the same
-    // way) and identical counts, after any schedule of records, clock
-    // jumps, and forgets. The reference heap here *is* the old
-    // algorithm: pop due events in order, skip tombstones, decrement.
+    // way) and identical counts, after any schedule of crossings, idle
+    // steps and clock jumps. The reference heap here *is* the old
+    // algorithm: pop due events in order, decrement, drop at zero.
     #[test]
     fn wheel_expiry_order_matches_heap_reference(
         schedule in prop::collection::vec((0u64..12, 0u64..60, 0u64..8), 1..250),
         window in 1u64..1500,
     ) {
         use std::cmp::Reverse;
-        use std::collections::{BinaryHeap, HashMap, HashSet};
-        let mut hot = Hotness::new(SlidingWindow::new(window));
-        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut counts: HashMap<u64, u32> = HashMap::new();
-        let mut forgotten: HashSet<u64> = HashSet::new();
+        use std::collections::{BinaryHeap, HashMap};
+        let mut hot = table(window);
+        let mut heap: BinaryHeap<Reverse<(u64, PathId)>> = BinaryHeap::new();
+        let mut counts: HashMap<PathId, u32> = HashMap::new();
         let mut now = 0u64;
-        for (id, g, action) in schedule {
+        for (k, g, action) in schedule {
             // Mostly small steps, occasionally a jump past several wheel
             // slots (and, with a large window, across wheel levels).
             now += if g >= 55 { g * 37 } else { g % 9 };
             let mut ref_died: Vec<PathId> = Vec::new();
             while heap.peek().is_some_and(|&Reverse((e, _))| e <= now) {
                 let Reverse((_, rid)) = heap.pop().unwrap();
-                if forgotten.contains(&rid) {
-                    continue; // tombstone of a forgotten id
-                }
-                if let Some(c) = counts.get_mut(&rid) {
-                    *c -= 1;
-                    if *c == 0 {
-                        counts.remove(&rid);
-                        ref_died.push(PathId(rid));
-                    }
+                let c = counts.get_mut(&rid).unwrap();
+                *c -= 1;
+                if *c == 0 {
+                    counts.remove(&rid);
+                    ref_died.push(rid);
                 }
             }
-            prop_assert_eq!(hot.advance(Timestamp(now)), ref_died);
-            if action == 0 {
-                // `forget` contracts: an id is never recorded again.
-                hot.forget(PathId(id));
-                forgotten.insert(id);
-                counts.remove(&id);
-            } else if !forgotten.contains(&id) {
-                hot.record_crossing(PathId(id), Timestamp(now), 1.0);
+            prop_assert_eq!(hot.advance(Timestamp(now)), &ref_died[..]);
+            if action != 0 {
+                let id = cross(&mut hot, k, now, 1.0);
                 *counts.entry(id).or_insert(0) += 1;
                 heap.push(Reverse((now + window, id)));
             }
-            for check in 0..12u64 {
-                prop_assert_eq!(
-                    hot.get(PathId(check)),
-                    counts.get(&check).copied().unwrap_or(0)
-                );
+            prop_assert_eq!(hot.len(), counts.len());
+            for (&id, &count) in &counts {
+                prop_assert_eq!(hot.hotness(id), count);
             }
             prop_assert!(hot.check_consistency().is_ok());
         }
@@ -333,11 +334,11 @@ proptest! {
         paths in prop::collection::vec((point(), point()), 1..60),
         query in rect(),
     ) {
-        let mut index = MotionPathIndex::new(100.0, 1e-3);
+        let mut index = table(10);
         let mut stored: Vec<(PathId, Point, Point)> = Vec::new();
         for (s, e) in paths {
-            let (id, _) = index.insert(s, e);
-            stored.push((id, s, e));
+            let (edge, _) = index.insert_edge(s, e, Timestamp(0));
+            stored.push((edge.id, s, e));
         }
         index.check_consistency().unwrap();
 
@@ -379,16 +380,22 @@ proptest! {
         paths in prop::collection::vec((point(), point()), 1..40),
         victim in 0usize..40,
     ) {
-        let mut index = MotionPathIndex::new(100.0, 1e-3);
+        // Paths leave by expiry: the victim's one crossing exits at 0,
+        // every other path's at 1, so advancing to `W` removes the victim
+        // alone — unless a twin geometry deduped a later crossing onto it.
+        let mut index = table(10);
+        let victim = victim % paths.len();
         let mut ids = Vec::new();
-        for (s, e) in &paths {
-            let (id, _) = index.insert(*s, *e);
-            ids.push(id);
+        for (k, (s, e)) in paths.iter().enumerate() {
+            let te = Timestamp(u64::from(k != victim));
+            ids.push(index.insert_edge(*s, *e, te).0.id);
         }
-        let victim = ids[victim % ids.len()];
-        index.remove(victim);
+        let victim = ids[victim];
+        let twinned = ids.iter().filter(|&&id| id == victim).count() > 1;
+        index.advance(Timestamp(10));
         index.check_consistency().unwrap();
-        prop_assert!(index.get(victim).is_none());
+        prop_assert_eq!(index.get(victim).is_some(), twinned);
+        prop_assume!(!twinned);
         // The inserted endpoints' bounding box, padded by one cell.
         let everywhere = paths
             .iter()
@@ -626,6 +633,76 @@ proptest! {
     }
 }
 
+// ---------------- drain to empty ----------------
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// Expiry is the exact inverse of recording: once the clock passes
+    /// the last crossing's `te + W`, every crossing has expired and taken
+    /// its path with it, so a coordinator grown from any random schedule
+    /// holds no path, no hot path and no pending event; its table audit
+    /// passes, which leaves no grid cell, adjacency list or count bucket
+    /// live or dirty; and its image's Paths and Events sections equal a
+    /// fresh coordinator's.
+    #[test]
+    fn drained_coordinator_matches_a_fresh_one(
+        seed in 0u64..100_000,
+        epochs in 1u64..10,
+        per_epoch in 1u64..40,
+        window in 10u64..60,
+    ) {
+        let config = Config::paper_defaults()
+            .with_tolerance(Tolerance::crisp(10.0))
+            .with_window(window)
+            .with_epoch(10)
+            .with_k(6);
+        let mut c = Coordinator::new(config);
+        let mut s = seed | 1;
+        let mut roll = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        // Starts and ends on a small lattice with jittered, overlapping
+        // FSAs, so all three cases occur and corridors repeat.
+        let mut last_te = 0;
+        for e in 1..=epochs {
+            for i in 0..per_epoch {
+                let r = roll();
+                let start = Point::new((r % 5) as f64 * 60.0, (r / 5 % 3) as f64 * 60.0);
+                let end = start + Point::new(60.0 + (r % 7) as f64, (r % 3) as f64);
+                let half = Point::new(1.0, 1.0) * (2 + r % 5) as f64;
+                let te = e * 10 - 1 - r % 4;
+                last_te = last_te.max(te);
+                c.submit(ClientState {
+                    object: ObjectId(i),
+                    start,
+                    ts: Timestamp(te.saturating_sub(8)),
+                    fsa: Rect::new(end - half, end + half),
+                    te: Timestamp(te),
+                });
+            }
+            let _ = c.process_epoch(Timestamp(e * 10));
+        }
+        prop_assert!(c.index_size() > 0);
+
+        c.advance_time(Timestamp(last_te + window));
+        prop_assert_eq!(c.index_size(), 0);
+        prop_assert_eq!(c.hot_count(), 0);
+        prop_assert_eq!(c.pending_expiry_events(), 0);
+        c.check_consistency().expect("drained coordinator inconsistent");
+        let (image, fresh) = (c.checkpoint(), Coordinator::new(config).checkpoint());
+        prop_assert_eq!(
+            image.section::<MotionPath>(SectionKind::Paths).unwrap(),
+            fresh.section::<MotionPath>(SectionKind::Paths).unwrap()
+        );
+        prop_assert_eq!(
+            image.section::<ExpiryEvent>(SectionKind::Events).unwrap(),
+            fresh.section::<ExpiryEvent>(SectionKind::Events).unwrap()
+        );
+    }
+}
+
 // ---------------- index access paths vs brute force ----------------
 
 /// Lattice vertex `v` (6 x 6, 10 m pitch — every other one sits exactly
@@ -640,9 +717,9 @@ fn lattice_vertex(v: usize, noise: u8) -> Point {
 /// The Case-2 answer computed the slow way: scan the whole slab, group
 /// by quantized key, lexicographic-min representative, ids ascending,
 /// groups by representative `(x, y)`.
-fn brute_end_vertices(index: &MotionPathIndex, fsa: &Rect) -> Vec<(Point, Vec<PathId>)> {
+fn brute_end_vertices(index: &PathTable, fsa: &Rect) -> Vec<(Point, Vec<PathId>)> {
     let mut groups: BTreeMap<(i64, i64), (Point, Vec<PathId>)> = BTreeMap::new();
-    for p in index.paths_slice().iter().filter(|p| fsa.contains(&p.end())) {
+    for (p, _) in index.iter().filter(|(p, _)| fsa.contains(&p.end())) {
         let g = groups.entry(index.vertex_key(&p.end())).or_insert((p.end(), Vec::new()));
         if hotpath_core::index::point_lt(&p.end(), &g.0) {
             g.0 = p.end();
@@ -728,10 +805,10 @@ proptest! {
 
     /// Case 1 (out-adjacency filtered by the FSA) and Case 2 (end-vertex
     /// grid range query) must answer exactly what a scan of the whole
-    /// path slab answers, after every step of a random insert/remove
-    /// schedule — including float-noisy copies of one vertex that
-    /// straddle a grid-cell border and FSAs whose edges lie exactly on
-    /// cell borders.
+    /// path slab answers, after every step of a random schedule of
+    /// crossings and clock jumps that expire paths — including
+    /// float-noisy copies of one vertex that straddle a grid-cell border
+    /// and FSAs whose edges lie exactly on cell borders.
     #[test]
     fn index_access_paths_match_brute_force_under_churn(
         ops in prop::collection::vec((0u8..4, 0usize..36, 0usize..36, 0u8..3, 0usize..64), 1..120),
@@ -741,18 +818,20 @@ proptest! {
         ),
     ) {
         let grain = 1e-3;
-        let mut index = MotionPathIndex::new(20.0, grain);
-        let mut live: Vec<PathId> = Vec::new();
+        let window = 6;
+        let mut index = PathTable::new(SlidingWindow::new(window), 20.0, grain);
+        // Each stored path's latest crossing, the model of what is live.
+        let mut live: BTreeMap<PathId, u64> = BTreeMap::new();
+        let mut now = 0u64;
         for (kind, s, e, noise, pick) in ops {
-            if kind == 0 && !live.is_empty() {
-                let id = live.swap_remove(pick % live.len());
-                prop_assert!(index.remove(id));
-            } else {
-                let (id, created) =
-                    index.insert(lattice_vertex(s, noise), lattice_vertex(e, noise + kind));
-                if created {
-                    live.push(id);
-                }
+            // A crossing per step, or (kind 0) a jump that expires paths.
+            now += if kind == 0 { pick as u64 % 8 } else { 1 };
+            index.advance(Timestamp(now));
+            live.retain(|_, te| *te + window > now);
+            if kind != 0 {
+                let from = lattice_vertex(s, noise);
+                let (edge, _) = index.insert_edge(from, lattice_vertex(e, noise + kind), Timestamp(now));
+                live.insert(edge.id, now);
             }
             prop_assert!(index.check_consistency().is_ok());
             prop_assert_eq!(index.len(), live.len());
@@ -769,8 +848,8 @@ proptest! {
                 let mut got = index.paths_from_into(&from, &fsa);
                 got.sort_unstable();
                 let mut want: Vec<PathId> = index
-                    .paths_slice()
                     .iter()
+                    .map(|(p, _)| p)
                     .filter(|p| {
                         index.vertex_key(&p.start()) == index.vertex_key(&from)
                             && fsa.contains(&p.end())
@@ -937,8 +1016,7 @@ fn selection_row(s: &Selection) -> SelectionRow {
 fn reference_phase_b(
     states: &[ClientState],
     deferred: &[u32],
-    index: &mut MotionPathIndex,
-    hotness: &mut Hotness,
+    index: &mut PathTable,
     rects: &[Rect],
     fsas: &FsaSet,
     policy: OverlapPolicy,
@@ -952,7 +1030,7 @@ fn reference_phase_b(
         let st = &states[i as usize];
         let mut best: Option<(u32, bool, Point)> = None;
         for (vertex, incoming) in brute_end_vertices(index, &st.fsa) {
-            let converging: u32 = incoming.iter().map(|&id| hotness.get(id)).sum();
+            let converging: u32 = incoming.iter().map(|&id| index.hotness(id)).sum();
             let boost = match policy {
                 OverlapPolicy::Full => fsas.stab_count(&vertex) as u32,
                 OverlapPolicy::Own => 0,
@@ -973,8 +1051,7 @@ fn reference_phase_b(
             }
         }
         let (_, existing, vertex) = best.unwrap_or((0, false, st.fsa.centroid()));
-        let (edge, created) = index.insert_edge(st.start, vertex);
-        hotness.record_crossing(edge.id, st.te, edge.len);
+        let (edge, created) = index.insert_edge(st.start, vertex, st.te);
         let case = if existing {
             tally.case2 += 1;
             CaseKind::ExistingVertex
@@ -1009,11 +1086,11 @@ proptest! {
 
     /// The bounded `phase_b` — one neighbourhood per deferred state, a
     /// sweep only above the best existing rank, unsorted vertex groups —
-    /// makes the parent's choices: identical selections, tallies, path
-    /// slab and heat slab, over deferred batches that pile many FSAs
-    /// onto a few hubs beside isolated ones, against a random prior
-    /// index whose paths hold 0-3 crossings (with float-noisy copies of
-    /// one vertex), under both overlap policies.
+    /// makes the parent's choices: identical selections, tallies, and
+    /// path table rows, over deferred batches that pile many FSAs onto a
+    /// few hubs beside isolated ones, against a random prior table whose
+    /// paths hold 1-3 crossings (with float-noisy copies of one vertex),
+    /// under both overlap policies.
     #[test]
     fn bounded_phase_b_matches_parent_phase_b(
         picks in prop::collection::vec(
@@ -1049,38 +1126,29 @@ proptest! {
             (0..picks.len() as u32).filter(|&i| picks[i as usize].5 != 0).collect();
         let rects: Vec<Rect> = states.iter().map(|s| s.fsa).collect();
 
-        let mut index = MotionPathIndex::new(cell, 1e-3);
-        let mut hotness = Hotness::new(SlidingWindow::new(100));
+        let mut index = PathTable::new(SlidingWindow::new(100), cell, 1e-3);
         for &(kind, x, y, noise, crossings, s) in &prior {
             let nudge = [0.0, 2e-4, -2e-4][noise as usize];
             let end = phase_b_site(kind, x, y) + Point::new(nudge, -nudge);
-            let (edge, _) = index.insert_edge(start(s), end);
-            for _ in 0..crossings {
-                hotness.record_crossing(edge.id, Timestamp(5), edge.len);
+            let (edge, _) = index.insert_edge(start(s), end, Timestamp(5));
+            for _ in 1..crossings {
+                index.record(edge.id, Timestamp(5));
             }
         }
 
         for policy in [OverlapPolicy::Full, OverlapPolicy::Own] {
             let fsas = build_fsa_set(&states, cell, policy);
-            let (mut ref_index, mut ref_hotness) = (index.clone(), hotness.clone());
-            let (want, want_tally) = reference_phase_b(
-                &states,
-                &deferred,
-                &mut ref_index,
-                &mut ref_hotness,
-                &rects,
-                &fsas,
-                policy,
-            );
+            let mut ref_index = index.clone();
+            let (want, want_tally) =
+                reference_phase_b(&states, &deferred, &mut ref_index, &rects, &fsas, policy);
 
-            let (mut new_index, mut new_hotness) = (index.clone(), hotness.clone());
+            let mut new_index = index.clone();
             let mut tally = CaseTally::default();
             let mut selections = Vec::new();
             let load = phase_b(
                 &states,
                 &deferred,
                 &mut new_index,
-                &mut new_hotness,
                 &fsas,
                 policy,
                 &mut tally,
@@ -1091,18 +1159,9 @@ proptest! {
             prop_assert_eq!(&got, &want, "{:?} selections", policy);
             prop_assert_eq!(tally, want_tally, "{:?} tallies", policy);
             prop_assert_eq!(load.deferred, deferred.len());
-            prop_assert_eq!(
-                new_index.paths_slice(),
-                ref_index.paths_slice(),
-                "{:?} path slab",
-                policy
-            );
-            prop_assert_eq!(
-                new_hotness.heat_slice(),
-                ref_hotness.heat_slice(),
-                "{:?} heat slab",
-                policy
-            );
+            let rows = |t: &PathTable| t.iter().map(|(p, c)| (*p, c)).collect::<Vec<_>>();
+            prop_assert_eq!(rows(&new_index), rows(&ref_index), "{:?} path table rows", policy);
+            prop_assert_eq!(new_index.events_vec(), ref_index.events_vec(), "{:?} events", policy);
             prop_assert!(new_index.check_consistency().is_ok());
         }
     }

@@ -106,7 +106,8 @@ pub fn format_fig8(rows: &[Fig8Row]) -> String {
 }
 
 /// Figure 9: run the default configuration and return all motion paths
-/// with hotness > 0 (the "discovered network"), plus the run itself.
+/// with hotness > 0 (the "discovered network"), in id order, plus the
+/// run itself.
 pub fn figure9(params: SimulationParams) -> (Vec<(Segment, u32)>, SimulationResult) {
     let res = run(params);
     let paths: Vec<(Segment, u32)> =
@@ -133,15 +134,16 @@ pub fn figure10(
         hotpath_core::geometry::Point::new(cx0, cy0),
         hotpath_core::geometry::Point::new(cx1, cy1),
     );
-    let mut central: Vec<(Segment, u32)> = res
+    // The coordinator's top-k order — hotness, then length, then id — so
+    // ties at the cut never depend on storage order.
+    let central: Vec<(Segment, u32)> = res
         .coordinator
-        .hot_paths()
+        .top_n(res.coordinator.hot_count())
         .iter()
         .filter(|h| center.intersects(&h.path.seg.mbb()))
+        .take(k)
         .map(|h| (h.path.seg, h.hotness))
         .collect();
-    central.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.length().total_cmp(&a.0.length())));
-    central.truncate(k);
     (central, center, res)
 }
 

@@ -1,16 +1,16 @@
 //! Steady-state memory pins for the default-path hot loops: a RayTrace
 //! filter absorbing measurements, the Phase-B FSA-neighbourhood queries
-//! on a reused scratch, and index maintenance as paths come and go. A
+//! on a reused scratch, and path-table maintenance as paths come and
+//! go by expiry. A
 //! counting `#[global_allocator]` needs a test binary of its own; counts
 //! are per thread, so the harness and the other tests running beside a
 //! measurement never show up in it.
 
 use hotpath_core::geometry::{Point, Rect, TimePoint};
-use hotpath_core::index::MotionPathIndex;
-use hotpath_core::motion_path::PathId;
+use hotpath_core::index::PathTable;
 use hotpath_core::raytrace::RayTraceFilter;
 use hotpath_core::strategy::{FsaSet, QueryScratch};
-use hotpath_core::time::Timestamp;
+use hotpath_core::time::{SlidingWindow, Timestamp};
 use hotpath_core::ObjectId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -166,35 +166,38 @@ fn max_depth_queries_on_a_warmed_scratch_do_not_allocate() {
 /// allocated again.
 #[test]
 fn index_churn_through_empty_cells_and_lists_does_not_allocate() {
-    let mut index = MotionPathIndex::new(50.0, 1e-3);
-    // A resident population the churn runs beside.
+    // Every crossing leaves the window one tick after it exits.
+    let mut table = PathTable::new(SlidingWindow::new(1), 50.0, 1e-3);
+    // A resident population the churn runs beside, crossed so far in
+    // the future that it never expires here.
     for k in 0..64 {
         let k = k as f64;
-        index.insert(Point::new(k * 10.0, -5_000.0), Point::new(k * 10.0, -4_000.0));
+        let (start, end) = (Point::new(k * 10.0, -5_000.0), Point::new(k * 10.0, -4_000.0));
+        table.insert_edge(start, end, Timestamp(1 << 30));
     }
     // Sixteen paths, each from its own start vertex into an end-vertex
-    // cell nothing else occupies, inserted and then all removed: every
-    // cycle creates and empties 16 cells and 16 adjacency lists.
-    let cycle = |index: &mut MotionPathIndex| {
-        let mut ids = [PathId(0); 16];
-        for (k, id) in ids.iter_mut().enumerate() {
+    // cell nothing else occupies, stored and then expired: every cycle
+    // creates and empties 16 cells and 16 adjacency lists.
+    let mut now = 0u64;
+    let mut cycle = |table: &mut PathTable| {
+        now += 1;
+        for k in 0..16 {
             let k = k as f64;
-            let (new, created) =
-                index.insert(Point::new(k * 100.0, 0.0), Point::new(k * 100.0, 1_000.0));
-            assert!(created);
-            *id = new;
+            let (start, end) = (Point::new(k * 100.0, 0.0), Point::new(k * 100.0, 1_000.0));
+            assert!(table.insert_edge(start, end, Timestamp(now)).1);
         }
-        for id in ids {
-            assert!(index.remove(id));
-        }
+        now += 1;
+        assert_eq!(table.advance(Timestamp(now)).len(), 16);
     };
     // Warm-up: path ids are always fresh, so the id map settles its
-    // capacity over a few cycles.
-    for _ in 0..64 {
-        cycle(&mut index);
+    // capacity; and the clock sweeps a whole rotation of the wheel's
+    // second level (4 096 ticks), so every bucket the churn's expiries
+    // land in holds a buffer before the count starts.
+    for _ in 0..2_100 {
+        cycle(&mut table);
     }
-    let (n, ()) = allocs_in(|| (0..100).for_each(|_| cycle(&mut index)));
-    assert_eq!(n, 0, "100 insert/remove cycles through empty cells and lists allocated");
-    assert_eq!(index.len(), 64);
-    index.check_consistency().unwrap();
+    let (n, ()) = allocs_in(|| (0..100).for_each(|_| cycle(&mut table)));
+    assert_eq!(n, 0, "100 store/expire cycles through empty cells and lists allocated");
+    assert_eq!(table.len(), 64);
+    table.check_consistency().unwrap();
 }
