@@ -4,18 +4,21 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpath_bench::Scale;
-use hotpath_sim::simulation::{run, SimulationParams};
+use hotpath_netsim::scenario::{ScenarioParams, UniformScenario};
+use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams};
 
 fn bench_hinted(c: &mut Criterion) {
     let mut g = c.benchmark_group("hinted_ablation");
     g.sample_size(10);
+    let (workload, mobility, base) = Scale::Quick.base(2011);
+    let scale = ScenarioParams { n: 500, ..workload };
     for hints in [false, true] {
-        let params = SimulationParams { n: 500, hints, run_dp: false, ..Scale::Quick.base(2011) };
+        let params = ScenarioRunParams { hints, dp: false, ..base.clone() };
         g.bench_with_input(
             BenchmarkId::new("simulate", if hints { "hinted" } else { "plain" }),
             &params,
             |b, p| {
-                b.iter(|| run(p.clone()));
+                b.iter(|| run_scenario(&mut UniformScenario::new(&scale, mobility), p));
             },
         );
     }

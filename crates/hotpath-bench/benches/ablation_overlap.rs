@@ -6,15 +6,18 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpath_bench::Scale;
 use hotpath_core::strategy::OverlapPolicy;
-use hotpath_sim::simulation::{run, SimulationParams};
+use hotpath_netsim::scenario::{ScenarioParams, UniformScenario};
+use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams};
 
 fn bench_overlap_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("overlap_ablation");
     g.sample_size(10);
+    let (workload, mobility, base) = Scale::Quick.base(2012);
+    let scale = ScenarioParams { n: 500, ..workload };
     for (tag, overlap) in [("full", OverlapPolicy::Full), ("own", OverlapPolicy::Own)] {
-        let params = SimulationParams { n: 500, run_dp: false, overlap, ..Scale::Quick.base(2012) };
+        let params = ScenarioRunParams { dp: false, overlap, ..base.clone() };
         g.bench_with_input(BenchmarkId::new("simulate", tag), &params, |b, p| {
-            b.iter(|| run(p.clone()));
+            b.iter(|| run_scenario(&mut UniformScenario::new(&scale, mobility), p));
         });
     }
     g.finish();

@@ -5,16 +5,18 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hotpath_bench::Scale;
-use hotpath_sim::simulation::{run, SimulationParams};
+use hotpath_netsim::scenario::{ScenarioParams, UniformScenario};
+use hotpath_sim::scenario_run::run_scenario;
 
 fn bench_fig7(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig7_vary_objects");
     g.sample_size(10);
+    let (workload, mobility, params) = Scale::Quick.base(2008);
     for &n in &Scale::Quick.fig7_ns() {
-        let params = SimulationParams { n, ..Scale::Quick.base(2008) };
+        let scale = ScenarioParams { n, ..workload };
         g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::new("simulate", n), &params, |b, p| {
-            b.iter(|| run(p.clone()));
+        g.bench_with_input(BenchmarkId::new("simulate", n), &scale, |b, s| {
+            b.iter(|| run_scenario(&mut UniformScenario::new(s, mobility), &params));
         });
     }
     g.finish();

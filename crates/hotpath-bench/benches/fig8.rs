@@ -4,16 +4,18 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpath_bench::Scale;
-use hotpath_sim::simulation::{run, SimulationParams};
+use hotpath_netsim::scenario::{ScenarioParams, UniformScenario};
+use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams};
 
 fn bench_fig8(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig8_vary_tolerance");
     g.sample_size(10);
-    let n = Scale::Quick.fig8_n();
+    let (workload, mobility, base) = Scale::Quick.base(2009);
+    let scale = ScenarioParams { n: Scale::Quick.fig8_n(), ..workload };
     for &eps in &Scale::Quick.fig8_eps() {
-        let params = SimulationParams { n, eps, ..Scale::Quick.base(2009) };
+        let params = ScenarioRunParams { eps, ..base.clone() };
         g.bench_with_input(BenchmarkId::new("simulate", format!("eps{eps}")), &params, |b, p| {
-            b.iter(|| run(p.clone()));
+            b.iter(|| run_scenario(&mut UniformScenario::new(&scale, mobility), p));
         });
     }
     g.finish();

@@ -27,16 +27,15 @@
 
 use hotpath_bench::Scale;
 use hotpath_core::uncertainty::FallbackPolicy;
-use hotpath_netsim::scenario::{spec, REGISTRY};
+use hotpath_netsim::scenario::{spec, Scenario, ScenarioParams, UniformScenario, REGISTRY};
 use hotpath_serve::swarm::{run_swarm, SwarmParams};
 use hotpath_sim::engine_loop::CheckpointPolicy;
 use hotpath_sim::experiment::{figure10, figure7, figure8, figure9, format_fig7, format_fig8};
 use hotpath_sim::options::RunOptions;
 use hotpath_sim::report::{network_map, paths_map};
 use hotpath_sim::scenario_run::{
-    check_restart_parity, run_named, scenario_sigma_sweep, ScenarioRunParams,
+    check_restart_parity, run_named, run_scenario, scenario_sigma_sweep, ScenarioRunParams,
 };
-use hotpath_sim::simulation::{run, SimulationParams};
 use std::time::Instant;
 
 fn main() {
@@ -283,7 +282,7 @@ fn scenario(
     let scenario_scale = scale.scenario_params(2015);
     let mut base = ScenarioRunParams::default();
     if let Some(seed) = fault_seed {
-        base = base.with_fault_seed(seed);
+        base.run.fault_seed = seed;
     }
     // Near-edge default grid: eps = 10 solves up to sigma ~ 5.1, so the
     // last point forces the fallback policy to act.
@@ -342,7 +341,7 @@ fn scenario(
             }
         }
         if restore_check {
-            match check_restart_parity(spec.name, &scenario_scale, &base) {
+            match check_restart_parity(|| (spec.build)(&scenario_scale), &base) {
                 Ok(()) => println!(
                     "   restart parity: checkpoint/restore at mid-run == uninterrupted, bit for bit"
                 ),
@@ -398,7 +397,8 @@ fn scenario(
 fn fig7(scale: Scale, csv_dir: Option<&std::path::Path>) {
     println!("## Figure 7 — varying the number of objects (eps = 10 m)");
     println!("   panels: (a) index size, (b) top-10 score, (c) SinglePath ms/epoch");
-    let rows = figure7(&scale.fig7_ns(), scale.base(2008));
+    let (workload, mobility, params) = scale.base(2008);
+    let rows = figure7(&scale.fig7_ns(), &workload, mobility, &params);
     println!("{}", format_fig7(&rows));
     if let Some(dir) = csv_dir {
         let data: Vec<Vec<String>> = rows
@@ -438,8 +438,8 @@ fn fig8(scale: Scale, csv_dir: Option<&std::path::Path>) {
     let n = scale.fig8_n();
     println!("## Figure 8 — varying the tolerance (N = {n})");
     println!("   panels: (a) index size, (b) top-10 score, (c) SinglePath ms/epoch");
-    let base = SimulationParams { n, ..scale.base(2009) };
-    let rows = figure8(&scale.fig8_eps(), base);
+    let (workload, mobility, params) = scale.base(2009);
+    let rows = figure8(&scale.fig8_eps(), &ScenarioParams { n, ..workload }, mobility, &params);
     println!("{}", format_fig8(&rows));
     if let Some(dir) = csv_dir {
         let data: Vec<Vec<String>> = rows
@@ -477,11 +477,13 @@ fn fig8(scale: Scale, csv_dir: Option<&std::path::Path>) {
 /// Figure 9: the discovered network map.
 fn fig9(scale: Scale) {
     println!("## Figure 9 — all motion paths with hotness > 0 (vs the hidden network)");
-    let params = SimulationParams { n: scale.map_n(), ..scale.base(2010) };
-    let (paths, res) = figure9(params);
+    let (workload, mobility, params) = scale.base(2010);
+    let mut world =
+        UniformScenario::new(&ScenarioParams { n: scale.map_n(), ..workload }, mobility);
+    let (paths, _res) = figure9(&mut world, &params);
     let (cols, rows_) = (96, 30);
-    let net = network_map(&res.network, cols, rows_);
-    let disc = paths_map(res.network.bounds(), &paths, cols, rows_);
+    let net = network_map(world.network(), cols, rows_);
+    let disc = paths_map(world.network().bounds(), &paths, cols, rows_);
     println!("   the hidden road network:");
     print!("{}", indent(&net.render()));
     println!("   as discovered by SinglePath ({} hot paths):", paths.len());
@@ -497,8 +499,10 @@ fn fig9(scale: Scale) {
 /// Figure 10: top-20 hottest paths in the center.
 fn fig10_(scale: Scale) {
     println!("## Figure 10 — top 20 hottest motion paths, city center");
-    let params = SimulationParams { n: scale.map_n(), ..scale.base(2010) };
-    let (paths, center, _res) = figure10(params, 20);
+    let (workload, mobility, params) = scale.base(2010);
+    let mut world =
+        UniformScenario::new(&ScenarioParams { n: scale.map_n(), ..workload }, mobility);
+    let (paths, center, _res) = figure10(&mut world, &params, 20);
     let map = paths_map(center, &paths, 72, 24);
     print!("{}", indent(&map.render()));
     println!(
@@ -515,7 +519,11 @@ fn claims(scale: Scale) {
     // Claim i: at the largest N, SinglePath stores ~16% more segments
     // than DP (10,896 vs 9,416 in the paper).
     let n = *scale.fig7_ns().last().expect("non-empty sweep");
-    let res = run(SimulationParams { n, ..scale.base(2008) });
+    let (workload, mobility, params) = scale.base(2008);
+    let res = run_scenario(
+        &mut UniformScenario::new(&ScenarioParams { n, ..workload }, mobility),
+        &params,
+    );
     let sp = res.summary.mean_index_size;
     let dp = res.summary.mean_dp_index_size;
     println!(
@@ -523,7 +531,7 @@ fn claims(scale: Scale) {
         100.0 * (sp - dp) / dp.max(1.0)
     );
     // Claim ii: SinglePath can beat DP on score (paper: at N=20000).
-    let rows = figure7(&scale.fig7_ns(), scale.base(2008));
+    let rows = figure7(&scale.fig7_ns(), &workload, mobility, &params);
     let wins: Vec<usize> = rows.iter().filter(|r| r.sp_score > r.dp_score).map(|r| r.n).collect();
     println!("   (ii) SinglePath score beats DP at N in {wins:?} (paper: at N=20,000)");
     // Claim iii is printed by fig8's shape line.
@@ -542,9 +550,13 @@ fn claims(scale: Scale) {
 fn hinted(scale: Scale) {
     println!("## Section 7 extension — hinted RayTrace ablation");
     let n = scale.fig8_n();
-    let base = SimulationParams { n, run_dp: false, ..scale.base(2011) };
-    let plain = run(base.clone());
-    let hinted = run(SimulationParams { hints: true, ..base });
+    let (workload, mobility, params) = scale.base(2011);
+    let params = ScenarioRunParams { dp: false, ..params };
+    let run = |params: &ScenarioRunParams| {
+        run_scenario(&mut UniformScenario::new(&ScenarioParams { n, ..workload }, mobility), params)
+    };
+    let plain = run(&params);
+    let hinted = run(&ScenarioRunParams { hints: true, ..params });
     println!(
         "   plain : {:>8.0} paths, score {:>9.1}, case1 reuse {:>5.1}%",
         plain.summary.mean_index_size,
@@ -565,9 +577,13 @@ fn ablate(scale: Scale) {
     use hotpath_core::strategy::OverlapPolicy;
     println!("## Ablation — Algorithm 2 overlap analysis vs naive vertices");
     let n = scale.fig8_n();
-    let base = SimulationParams { n, run_dp: false, ..scale.base(2012) };
-    let full = run(base.clone());
-    let own = run(SimulationParams { overlap: OverlapPolicy::Own, ..base });
+    let (workload, mobility, params) = scale.base(2012);
+    let params = ScenarioRunParams { dp: false, ..params };
+    let run = |params: &ScenarioRunParams| {
+        run_scenario(&mut UniformScenario::new(&ScenarioParams { n, ..workload }, mobility), params)
+    };
+    let full = run(&params);
+    let own = run(&ScenarioRunParams { overlap: OverlapPolicy::Own, ..params });
     for (tag, res) in [("full (Alg. 2)", &full), ("own-centroid ", &own)] {
         let p = res.coordinator.processing_stats();
         println!(
@@ -593,7 +609,8 @@ fn filters(scale: Scale) {
     use hotpath_sim::experiment::filter_economy;
     println!("## Filter economy — naive vs dead reckoning vs RayTrace");
     let n = scale.fig8_n();
-    let e = filter_economy(SimulationParams { n, run_dp: false, ..scale.base(2013) });
+    let (workload, mobility, params) = scale.base(2013);
+    let e = filter_economy(&ScenarioParams { n, ..workload }, mobility, &params);
     let pct = |msgs: u64| 100.0 * msgs as f64 / e.naive_msgs.max(1) as f64;
     println!("   measurements        : {:>12}", e.measurements);
     println!(

@@ -15,8 +15,10 @@
 
 pub mod gate;
 
+use hotpath_netsim::mobility::PopulationParams;
 use hotpath_netsim::network::NetworkParams;
-use hotpath_sim::simulation::SimulationParams;
+use hotpath_netsim::scenario::ScenarioParams;
+use hotpath_sim::scenario_run::ScenarioRunParams;
 
 /// Experiment scale.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -45,28 +47,26 @@ impl std::str::FromStr for Scale {
 }
 
 impl Scale {
-    /// Parses a CLI tag. Thin shim over the [`FromStr`](std::str::FromStr)
-    /// impl, kept for callers that only care about success.
-    pub fn parse(s: &str) -> Option<Scale> {
-        s.parse().ok()
-    }
-
-    /// Base simulation parameters at this scale (N filled per sweep).
-    pub fn base(self, seed: u64) -> SimulationParams {
+    /// Table 2's uniform workload at this scale — its scale with `n`
+    /// filled per sweep, and its mobility — plus the driver knobs.
+    /// Build it with [`UniformScenario::new`].
+    ///
+    /// [`UniformScenario::new`]: hotpath_netsim::scenario::UniformScenario::new
+    pub fn base(self, seed: u64) -> (ScenarioParams, PopulationParams, ScenarioRunParams) {
+        let mobility = PopulationParams::paper_defaults(0, seed);
+        let table2 = ScenarioRunParams::table2();
+        let athens =
+            |duration| ScenarioParams { n: 0, seed, duration, network: NetworkParams::athens() };
         match self {
-            Scale::Paper => SimulationParams::paper_defaults(0, seed),
-            Scale::Mid => {
-                SimulationParams { duration: 150, ..SimulationParams::paper_defaults(0, seed) }
-            }
-            Scale::Quick => SimulationParams {
-                network: NetworkParams::tiny(seed),
-                duration: 100,
-                window: 50,
+            Scale::Paper => (athens(250), mobility, table2),
+            Scale::Mid => (athens(150), mobility, table2),
+            Scale::Quick => (
+                ScenarioParams { n: 0, seed, duration: 100, network: NetworkParams::tiny(seed) },
                 // Higher agility so objects cross several roads even in
                 // the short horizon (keeps the DP competitor non-trivial).
-                agility: 0.4,
-                ..SimulationParams::paper_defaults(0, seed)
-            },
+                PopulationParams { agility: 0.4, ..mobility },
+                ScenarioRunParams { window: Some(50), ..table2 },
+            ),
         }
     }
 
@@ -103,8 +103,7 @@ impl Scale {
     }
 
     /// Workload scale for the scenario subsystem (`experiments scenario`).
-    pub fn scenario_params(self, seed: u64) -> hotpath_netsim::scenario::ScenarioParams {
-        use hotpath_netsim::scenario::ScenarioParams;
+    pub fn scenario_params(self, seed: u64) -> ScenarioParams {
         match self {
             Scale::Paper => {
                 ScenarioParams { n: 20_000, seed, duration: 250, network: NetworkParams::athens() }
@@ -123,21 +122,25 @@ mod tests {
 
     #[test]
     fn parse_round_trips() {
-        assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
-        assert_eq!(Scale::parse("mid"), Some(Scale::Mid));
-        assert_eq!(Scale::parse("quick"), Some(Scale::Quick));
-        assert_eq!(Scale::parse("nope"), None);
+        assert_eq!("paper".parse::<Scale>().ok(), Some(Scale::Paper));
+        assert_eq!("mid".parse::<Scale>().ok(), Some(Scale::Mid));
+        assert_eq!("quick".parse::<Scale>().ok(), Some(Scale::Quick));
         let err = "nope".parse::<Scale>().unwrap_err();
         assert_eq!(err.to_string(), "invalid scale \"nope\": expected paper | mid | quick");
     }
 
     #[test]
     fn paper_scale_matches_table2() {
-        let base = Scale::Paper.base(1);
-        assert_eq!(base.eps, 10.0);
-        assert_eq!(base.window, 100);
-        assert_eq!(base.epoch, 10);
-        assert_eq!(base.duration, 250);
+        let (workload, mobility, params) = Scale::Paper.base(1);
+        assert_eq!(params.eps, 10.0);
+        assert_eq!(params.window, Some(100));
+        assert_eq!(params.epoch, 10);
+        assert_eq!(params.k, 10);
+        assert!(params.dp);
+        assert_eq!(workload.duration, 250);
+        assert_eq!(mobility.agility, 0.1);
+        assert_eq!(mobility.displacement, 10.0);
+        assert_eq!(mobility.err, 1.0);
         assert_eq!(Scale::Paper.fig7_ns(), vec![10_000, 20_000, 50_000, 100_000]);
         assert_eq!(Scale::Paper.fig8_n(), 20_000);
         assert_eq!(Scale::Paper.fig8_eps(), vec![1.0, 2.0, 10.0, 20.0]);

@@ -26,4 +26,3 @@
 pub mod mobility;
 pub mod network;
 pub mod scenario;
-pub mod scenarios;

@@ -25,12 +25,14 @@
 //! * `surge_dropout` — a composite built with the [`DropoutOverlay`]
 //!   combinator: the rush-hour surge with a sensor outage at its peak,
 //!   proving registry scenarios compose.
+//!
+//! Outside the registry, [`UniformScenario`] is the paper's Table 2
+//! workload: the uniform weighted random walk behind Figures 7-10.
 
 use crate::mobility::{ChoicePolicy, Measurement, Population, PopulationParams};
 use crate::network::{generate, ClosureSet, NetworkParams, NodeId, RoadClass, RoadNetwork};
-use crate::scenarios::{evacuation, nearest_node, sensor_dropout, sporting_event, DropoutWindow};
 use hotpath_core::config::AdmissionPolicy;
-use hotpath_core::geometry::TimePoint;
+use hotpath_core::geometry::{Point, TimePoint};
 use hotpath_core::time::Timestamp;
 use hotpath_core::ObjectId;
 use rand::rngs::SmallRng;
@@ -343,6 +345,117 @@ fn require_discovery(name: &str, outcome: &ScenarioOutcome) -> Result<(), String
     Ok(())
 }
 
+/// The node closest to a point (e.g. to place a venue near the center).
+pub fn nearest_node(net: &RoadNetwork, p: Point) -> NodeId {
+    net.nodes()
+        .iter()
+        .min_by(|a, b| a.pos.dist_l2(&p).total_cmp(&b.pos.dist_l2(&p)))
+        .expect("non-empty network")
+        .id
+}
+
+/// A sensor-dropout window: between `from` (inclusive) and `until`
+/// (exclusive) every `stride`-th object's sensor goes dark and reports
+/// nothing. Hot-path discovery should ride it out — crossings recorded
+/// before the outage stay in the sliding window, so the top-k keeps
+/// naming the popular corridors while a slice of the fleet is silent.
+#[derive(Clone, Copy, Debug)]
+pub struct DropoutWindow {
+    /// First dark timestamp.
+    pub from: Timestamp,
+    /// First timestamp with sensors back online.
+    pub until: Timestamp,
+    /// Every `stride`-th object (by id) drops out; `1` silences everyone.
+    pub stride: u64,
+}
+
+impl DropoutWindow {
+    /// Creates a window; `stride` must be positive.
+    pub fn new(from: Timestamp, until: Timestamp, stride: u64) -> Self {
+        assert!(stride > 0, "stride must be positive");
+        assert!(from <= until, "window must not be inverted");
+        DropoutWindow { from, until, stride }
+    }
+
+    /// True while the outage is in force at `t`.
+    pub fn contains(&self, t: Timestamp) -> bool {
+        self.from <= t && t < self.until
+    }
+
+    /// True when `obj`'s sensor is dark at `t` (its measurement must be
+    /// discarded before it reaches the client filter).
+    pub fn drops(&self, obj: ObjectId, t: Timestamp) -> bool {
+        obj.0.is_multiple_of(self.stride) && self.contains(t)
+    }
+}
+
+// ---------------------------------------------------------------------
+// uniform (Table 2)
+// ---------------------------------------------------------------------
+
+/// The paper's Table 2 workload (Section 6.1): objects random-walk the
+/// network choosing links by road weight, a fraction `alpha` of them in
+/// motion, with uniform measurement noise `err`. The mobility knobs the
+/// evaluation varies — agility, displacement, err, and the link-choice
+/// policy — come from a [`PopulationParams`]; `n` and the seed come from
+/// the [`ScenarioParams`] (the population draws from `seed + 1`).
+///
+/// Deliberately not in [`REGISTRY`]: the Figure 7/8 sweeps already run
+/// it at every scale, so a registry row would only repeat that work in
+/// every registry loop — the CI scenario matrix, the every-scenario
+/// tests, restart parity, and the determinism proptest.
+pub struct UniformScenario {
+    net: RoadNetwork,
+    pop: Population,
+    params: ScenarioParams,
+}
+
+impl UniformScenario {
+    /// Builds the workload: `mobility` with `n` and the seed taken from
+    /// `params`.
+    pub fn new(params: &ScenarioParams, mobility: PopulationParams) -> Self {
+        let net = generate(params.network);
+        let pop = Population::new(
+            &net,
+            PopulationParams { n: params.n, seed: params.seed.wrapping_add(1), ..mobility },
+        );
+        UniformScenario { net, pop, params: *params }
+    }
+
+    /// Table 2 at test scale: the tiny network, 100 timestamps, and the
+    /// paper's mobility defaults.
+    pub fn quick(n: usize, seed: u64) -> Self {
+        UniformScenario::new(
+            &ScenarioParams { n, seed, duration: 100, network: NetworkParams::tiny(seed) },
+            PopulationParams::paper_defaults(n, seed),
+        )
+    }
+}
+
+impl Scenario for UniformScenario {
+    fn name(&self) -> &'static str {
+        "uniform"
+    }
+    fn network(&self) -> &RoadNetwork {
+        &self.net
+    }
+    fn n(&self) -> usize {
+        self.params.n
+    }
+    fn duration(&self) -> u64 {
+        self.params.duration
+    }
+    fn seed_timepoint(&self, obj: ObjectId, t: Timestamp) -> TimePoint {
+        self.pop.seed_timepoint(&self.net, obj, t)
+    }
+    fn tick(&mut self, t: Timestamp, out: &mut Vec<Measurement>) {
+        self.pop.tick(&self.net, t, out);
+    }
+    fn check_invariants(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
+        require_discovery(self.name(), outcome)
+    }
+}
+
 // ---------------------------------------------------------------------
 // sporting_event
 // ---------------------------------------------------------------------
@@ -357,10 +470,20 @@ pub struct SportingEventScenario {
 
 impl SportingEventScenario {
     /// Builds the scenario: venue at the node nearest the map center.
+    /// Walkers prefer links that reduce their distance to the venue,
+    /// scaled by road weight — so they funnel onto the arterials leading
+    /// there, which is precisely the pattern targeted advertising wants
+    /// to catch.
     pub fn new(params: &ScenarioParams) -> Self {
         let net = generate(params.network);
         let venue = nearest_node(&net, net.bounds().centroid());
-        let pop = sporting_event(&net, params.n, venue, params.seed.wrapping_add(1));
+        let crowd = PopulationParams {
+            policy: ChoicePolicy::Toward(net.node(venue).pos),
+            // Most of the crowd is walking toward the gates.
+            agility: 0.5,
+            ..PopulationParams::paper_defaults(params.n, params.seed.wrapping_add(1))
+        };
+        let pop = Population::new(&net, crowd);
         SportingEventScenario { net, pop, params: *params }
     }
 }
@@ -409,11 +532,19 @@ pub struct EvacuationScenario {
 }
 
 impl EvacuationScenario {
-    /// Builds the scenario: danger at the map centroid.
+    /// Builds the scenario: danger at the map centroid. Walkers prefer
+    /// links that increase their distance from it, so authorities
+    /// monitoring hot paths see the popular escape routes emerge in the
+    /// top-k.
     pub fn new(params: &ScenarioParams) -> Self {
         let net = generate(params.network);
-        let danger = net.bounds().centroid();
-        let pop = evacuation(&net, params.n, danger, params.seed.wrapping_add(1));
+        let crowd = PopulationParams {
+            policy: ChoicePolicy::Away(net.bounds().centroid()),
+            // Evacuations are hurried: everyone moves nearly every timestamp.
+            agility: 0.6,
+            ..PopulationParams::paper_defaults(params.n, params.seed.wrapping_add(1))
+        };
+        let pop = Population::new(&net, crowd);
         EvacuationScenario { net, pop, params: *params }
     }
 }
@@ -459,19 +590,10 @@ impl SensorDropoutScenario {
     /// Builds the scenario; the outage silences every other sensor over
     /// the middle of the run, shorter than the hotness window.
     pub fn new(params: &ScenarioParams) -> Self {
-        let net = generate(params.network);
-        let venue = nearest_node(&net, net.bounds().centroid());
+        let SportingEventScenario { net, pop, .. } = SportingEventScenario::new(params);
         let from = params.duration * 8 / 15;
         let until = from + params.duration / 6;
-        let (pop, window) = sensor_dropout(
-            &net,
-            params.n,
-            venue,
-            params.seed.wrapping_add(1),
-            Timestamp(from),
-            Timestamp(until),
-            2,
-        );
+        let window = DropoutWindow::new(Timestamp(from), Timestamp(until), 2);
         SensorDropoutScenario { net, pop, window, params: *params }
     }
 
@@ -902,9 +1024,7 @@ impl EvacuationRerouteScenario {
     /// Builds the scenario: danger at the centroid, arterials close at
     /// 40% of the run.
     pub fn new(params: &ScenarioParams) -> Self {
-        let net = generate(params.network);
-        let danger = net.bounds().centroid();
-        let pop = evacuation(&net, params.n, danger, params.seed.wrapping_add(1));
+        let EvacuationScenario { net, pop, .. } = EvacuationScenario::new(params);
         let mut closed = ClosureSet::none(&net);
         for l in net.links() {
             if matches!(l.class, RoadClass::Motorway | RoadClass::Highway) {
@@ -1053,9 +1173,7 @@ impl FaultStoryScenario {
     /// midpoint so a restart-parity check (restore at `duration / 2`)
     /// lands mid-storm.
     pub fn new(params: &ScenarioParams, story: FaultStory) -> Self {
-        let net = generate(params.network);
-        let venue = nearest_node(&net, net.bounds().centroid());
-        let pop = sporting_event(&net, params.n, venue, params.seed.wrapping_add(1));
+        let SportingEventScenario { net, pop, .. } = SportingEventScenario::new(params);
         let d = params.duration;
         let n = params.n;
         let (windows, hint) = match story {
@@ -1114,14 +1232,6 @@ impl FaultStoryScenario {
         FaultStoryScenario { net, pop, params: *params, story, windows, hint }
     }
 
-    fn story_name(&self) -> &'static str {
-        match self.story {
-            FaultStory::MassDisconnect => "mass_disconnect",
-            FaultStory::ReconnectStorm => "reconnect_storm",
-            FaultStory::SlowClientStall => "slow_client_stall",
-        }
-    }
-
     /// Cumulative counter value at the last epoch strictly before `t`
     /// (zero when no epoch precedes `t`).
     fn cum_before(outcome: &ScenarioOutcome, t: Timestamp, f: fn(&EpochSample) -> u64) -> u64 {
@@ -1131,7 +1241,7 @@ impl FaultStoryScenario {
     /// The victims must be ejected within `lease + grace` of the
     /// window opening (plus epoch-boundary slack).
     fn check_ejection_bound(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
-        let name = self.story_name();
+        let name = self.name();
         let w = self.windows[0];
         let base = Self::cum_before(outcome, w.from, |e| e.session_ejections);
         let first = outcome
@@ -1194,7 +1304,7 @@ impl Scenario for FaultStoryScenario {
         Some(self.hint)
     }
     fn check_invariants(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
-        let name = self.story_name();
+        let name = self.name();
         require_discovery(name, outcome)?;
         let last =
             outcome.per_epoch.last().ok_or_else(|| format!("{name}: no epochs observed"))?.clone();
@@ -1285,6 +1395,111 @@ impl Scenario for FaultStoryScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nearest_node_is_nearest() {
+        let net = generate(NetworkParams::tiny(1));
+        let c = net.bounds().centroid();
+        let id = nearest_node(&net, c);
+        let d = net.node(id).pos.dist_l2(&c);
+        for n in net.nodes() {
+            assert!(d <= n.pos.dist_l2(&c) + 1e-9);
+        }
+    }
+
+    #[test]
+    fn sporting_event_crowd_converges() {
+        let params =
+            ScenarioParams { n: 100, seed: 2, duration: 400, network: NetworkParams::tiny(2) };
+        let mut s = SportingEventScenario::new(&params);
+        let venue_pos = s.net.node(nearest_node(&s.net, s.net.bounds().centroid())).pos;
+        let mut out = Vec::new();
+        let mut dist_sum_first = 0.0;
+        let mut dist_sum_last = 0.0;
+        for t in 1..=400u64 {
+            s.tick(Timestamp(t), &mut out);
+            let sum: f64 = out.iter().map(|m| m.truth.dist_l2(&venue_pos)).sum();
+            let c = out.len().max(1) as f64;
+            if t <= 20 {
+                dist_sum_first += sum / c;
+            }
+            if t > 380 {
+                dist_sum_last += sum / c;
+            }
+        }
+        assert!(
+            dist_sum_last < dist_sum_first * 0.8,
+            "crowd did not converge: first {dist_sum_first}, last {dist_sum_last}"
+        );
+    }
+
+    #[test]
+    fn evacuation_crowd_disperses() {
+        let params =
+            ScenarioParams { n: 100, seed: 4, duration: 300, network: NetworkParams::tiny(4) };
+        let mut s = EvacuationScenario::new(&params);
+        let danger = s.net.bounds().centroid();
+        let mut out = Vec::new();
+        let mut first = 0.0;
+        let mut last = 0.0;
+        for t in 1..=300u64 {
+            s.tick(Timestamp(t), &mut out);
+            let sum: f64 = out.iter().map(|m| m.truth.dist_l2(&danger)).sum();
+            let c = out.len().max(1) as f64;
+            if t <= 20 {
+                first += sum / c;
+            }
+            if t > 280 {
+                last += sum / c;
+            }
+        }
+        assert!(last > first, "crowd did not flee: first {first}, last {last}");
+    }
+
+    #[test]
+    fn uniform_scenario_streams_the_table2_population() {
+        let params = ScenarioParams { n: 80, ..ScenarioParams::quick(21) };
+        let mobility = PopulationParams { agility: 0.4, ..PopulationParams::paper_defaults(0, 0) };
+        let mut uniform = UniformScenario::new(&params, mobility);
+        // The Table 2 population built by hand: same network, `seed + 1`.
+        let net = generate(params.network);
+        let mut pop = Population::new(
+            &net,
+            PopulationParams { agility: 0.4, seed: 22, ..PopulationParams::paper_defaults(80, 21) },
+        );
+        for i in 0..80 {
+            let obj = ObjectId(i);
+            let seed = uniform.seed_timepoint(obj, Timestamp(0));
+            assert_eq!(seed.p, pop.seed_timepoint(&net, obj, Timestamp(0)).p);
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for t in 1..=40u64 {
+            uniform.tick(Timestamp(t), &mut a);
+            pop.tick(&net, Timestamp(t), &mut b);
+            let key = |v: &[Measurement]| -> Vec<_> {
+                v.iter().map(|m| (m.object, m.observed.p, m.truth)).collect()
+            };
+            assert_eq!(key(&a), key(&b), "tick {t}");
+        }
+        // The shared discovery floor, and deliberately unregistered.
+        assert!(uniform.check_invariants(&ScenarioOutcome::default()).is_err());
+        assert!(spec(uniform.name()).is_none());
+    }
+
+    #[test]
+    fn dropout_window_silences_the_right_objects() {
+        let w = DropoutWindow::new(Timestamp(10), Timestamp(20), 3);
+        // In force only inside [10, 20).
+        assert!(!w.contains(Timestamp(9)));
+        assert!(w.contains(Timestamp(10)));
+        assert!(w.contains(Timestamp(19)));
+        assert!(!w.contains(Timestamp(20)));
+        // Objects 0, 3, 6, ... drop; the rest keep reporting.
+        assert!(w.drops(ObjectId(0), Timestamp(15)));
+        assert!(w.drops(ObjectId(3), Timestamp(15)));
+        assert!(!w.drops(ObjectId(1), Timestamp(15)));
+        assert!(!w.drops(ObjectId(3), Timestamp(25)));
+    }
 
     #[test]
     fn registry_lists_all_scenarios_with_unique_names() {

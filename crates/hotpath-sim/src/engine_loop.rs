@@ -1,17 +1,16 @@
-//! The shared epoch loop: every driver in this crate — the figure
-//! simulation and the scenario runner — is the same tick/epoch cadence
-//! around an [`Engine`], differing only in where measurements come from
-//! and how client filters observe them. This module owns that cadence
-//! once, parameterized by an [`EpochDriver`], so the two drivers
-//! cannot drift apart and both inherit snapshot-based reads: per-epoch
-//! metrics come from the engine's published [`HotSnapshot`], never from
-//! live coordinator state.
+//! The epoch loop of the run driver
+//! ([`run_scenario`](crate::scenario_run::run_scenario)): the
+//! tick/epoch cadence around an [`Engine`], with checkpoint controls.
+//! Per-epoch metrics come from the engine's published [`HotSnapshot`],
+//! never from live coordinator state.
+//!
+//! [`HotSnapshot`]: hotpath_core::coordinator::HotSnapshot
 
 use crate::metrics::EpochMetrics;
+use crate::scenario_run::ScenarioDriver;
 use hotpath_core::checkpoint::Checkpoint;
-use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
+use hotpath_core::coordinator::Coordinator;
 use hotpath_core::engine::{Engine, EngineKind};
-use hotpath_core::raytrace::ClientState;
 use hotpath_core::time::Timestamp;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -47,60 +46,20 @@ impl CheckpointPolicy {
     }
 }
 
-/// What a concrete driver plugs into the shared loop: a measurement
-/// source feeding client filters (ingest), response delivery back into
-/// those filters, and an optional per-epoch observer.
-pub trait EpochDriver {
-    /// Advances one timestamp: generate this tick's measurements, run
-    /// them through the client filters, and submit every escaping state
-    /// to `engine` (in measurement order). Returns the number of raw
-    /// measurements generated.
-    fn tick(&mut self, now: Timestamp, engine: &mut dyn Engine) -> u64;
-
-    /// Delivers one endpoint response to its client filter; a returned
-    /// state is resubmitted by the loop (in response order), seeding the
-    /// next epoch exactly as the paper's Section 3.2 protocol does.
-    fn deliver(&mut self, resp: &EndpointResponse) -> Option<ClientState>;
-
-    /// Observes the epoch's published snapshot; returns the optional DP
-    /// competitor columns for the metrics row.
-    fn on_epoch(&mut self, snap: &HotSnapshot) -> (Option<usize>, Option<f64>) {
-        let _ = snap;
-        (None, None)
-    }
-}
-
-/// What the loop hands back: the per-epoch metric series and the raw
-/// measurement count (totals such as final comm counters come from the
-/// finished engine's coordinator).
-pub struct EpochLoopResult {
-    /// Metrics at every epoch boundary, from the published snapshots.
-    pub per_epoch: Vec<EpochMetrics>,
-    /// Raw measurements the driver generated over the run.
-    pub measurements: u64,
-}
-
 /// Drives `driver` through `duration` timestamps against `engine`:
 /// per-tick ingest + window advance, and at every epoch boundary the
-/// full process/deliver/observe exchange.
-pub fn run_epoch_loop(
+/// full process/deliver/observe exchange, returning one metrics row per
+/// boundary. Checkpoint controls:
+/// warm-start restore before the first tick, periodic image writes, and
+/// the restart-parity probe (engine teardown + rebuild-from-image
+/// mid-run). The engine is taken as `&mut Box` because the restart probe
+/// replaces it wholesale.
+pub(crate) fn run_epochs(
     engine: &mut Box<dyn Engine>,
     duration: u64,
-    driver: &mut dyn EpochDriver,
-) -> EpochLoopResult {
-    run_epoch_loop_with(engine, duration, driver, &CheckpointPolicy::default())
-}
-
-/// [`run_epoch_loop`] with checkpoint controls: warm-start restore
-/// before the first tick, periodic image writes, and the restart-parity
-/// probe (engine teardown + rebuild-from-image mid-run). The engine is
-/// taken as `&mut Box` because the restart probe replaces it wholesale.
-pub fn run_epoch_loop_with(
-    engine: &mut Box<dyn Engine>,
-    duration: u64,
-    driver: &mut dyn EpochDriver,
+    driver: &mut ScenarioDriver<'_>,
     ckpt: &CheckpointPolicy,
-) -> EpochLoopResult {
+) -> Vec<EpochMetrics> {
     if let Some(path) = &ckpt.restore_from {
         let image = Checkpoint::read_from_path(path)
             .unwrap_or_else(|e| panic!("cannot restore from {}: {e}", path.display()));
@@ -108,13 +67,12 @@ pub fn run_epoch_loop_with(
     }
     let epochs = engine.config().epochs;
     let mut per_epoch = Vec::new();
-    let mut measurements = 0u64;
     // Baseline the comm deltas on whatever the engine already carries —
     // zero for a fresh engine, the restored counters after a warm start.
     let mut comm_prev = engine.snapshot().comm;
     for t in 1..=duration {
         let now = Timestamp(t);
-        measurements += driver.tick(now, engine.as_mut());
+        driver.tick(now, engine.as_mut());
         engine.advance_time(now);
         if epochs.is_epoch(now) {
             let reporting = engine.pending_len();
@@ -122,10 +80,7 @@ pub fn run_epoch_loop_with(
             let start = Instant::now();
             let responses = engine.process_epoch(now);
             let elapsed = start.elapsed();
-            {
-                let driver = &mut *driver;
-                engine.submit_batch(&mut responses.iter().filter_map(|r| driver.deliver(r)));
-            }
+            engine.submit_batch(&mut responses.iter().filter_map(|r| driver.deliver(r)));
             let snap = engine.snapshot();
             let (dp_index_size, dp_score) = driver.on_epoch(&snap);
             per_epoch.push(EpochMetrics {
@@ -148,7 +103,7 @@ pub fn run_epoch_loop_with(
             }
         }
     }
-    EpochLoopResult { per_epoch, measurements }
+    per_epoch
 }
 
 /// The end-of-boundary checkpoint work: periodic image writes and the
@@ -184,33 +139,56 @@ fn checkpoint_boundary(engine: &mut Box<dyn Engine>, epoch_ix: u64, ckpt: &Check
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotpath_core::config::Config;
-    use hotpath_core::geometry::{Point, Rect};
+    use crate::scenario_run::{run_scenario, ScenarioRunParams, ScenarioRunResult};
+    use hotpath_core::geometry::{Point, TimePoint};
     use hotpath_core::ObjectId;
+    use hotpath_netsim::mobility::Measurement;
+    use hotpath_netsim::network::{generate, NetworkParams, RoadNetwork};
+    use hotpath_netsim::scenario::{Scenario, ScenarioOutcome};
 
-    /// A minimal driver: one object crossing the same corridor each
-    /// tick, responses counted.
-    struct OneCorridor {
-        delivered: usize,
-    }
+    /// One object on a stop-and-go corridor: it drives east at a
+    /// constant 10 m/tick for one 5-tick epoch and parks for the next.
+    /// Each phase change is reported once and answered at the following
+    /// boundary, and the parked or cruising backlog always fits the new
+    /// safe area, so no boundary resubmits anything — checkpoint images
+    /// carry no pending state.
+    struct StopAndGo(RoadNetwork, f64);
 
-    impl EpochDriver for OneCorridor {
-        fn tick(&mut self, now: Timestamp, engine: &mut dyn Engine) -> u64 {
-            let end = Point::new(50.0, 0.0);
-            engine.submit(ClientState {
-                object: ObjectId(0),
-                start: Point::new(0.0, 0.0),
-                ts: now,
-                fsa: Rect::new(end - Point::new(2.0, 2.0), end + Point::new(2.0, 2.0)),
-                te: now,
-            });
+    impl Scenario for StopAndGo {
+        fn name(&self) -> &'static str {
+            "stop_and_go"
+        }
+        fn network(&self) -> &RoadNetwork {
+            &self.0
+        }
+        fn n(&self) -> usize {
             1
         }
-
-        fn deliver(&mut self, _resp: &EndpointResponse) -> Option<ClientState> {
-            self.delivered += 1;
-            None
+        fn duration(&self) -> u64 {
+            20
         }
+        fn seed_timepoint(&self, _obj: ObjectId, t: Timestamp) -> TimePoint {
+            TimePoint::new(Point::new(0.0, 0.0), t)
+        }
+        fn tick(&mut self, t: Timestamp, out: &mut Vec<Measurement>) {
+            if ((t.raw() - 1) / 5).is_multiple_of(2) {
+                self.1 += 10.0;
+            }
+            let observed = TimePoint::new(Point::new(self.1, 0.0), t);
+            out.clear();
+            out.push(Measurement { object: ObjectId(0), observed, truth: observed.p });
+        }
+        fn check_invariants(&self, _outcome: &ScenarioOutcome) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    /// The 20 stop-and-go ticks in 5-tick epochs, under `ckpt`.
+    fn stop_and_go(ckpt: &CheckpointPolicy) -> ScenarioRunResult {
+        let params =
+            ScenarioRunParams { epoch: 5, window: Some(50), ..ScenarioRunParams::default() }
+                .with_checkpoint(ckpt.clone());
+        run_scenario(&mut StopAndGo(generate(NetworkParams::tiny(1)), 0.0), &params)
     }
 
     /// The restart-parity probe (checkpoint → engine teardown → rebuild
@@ -218,23 +196,19 @@ mod tests {
     /// final coordinator as the uninterrupted loop.
     #[test]
     fn restart_probe_is_invisible_and_periodic_writes_resume() {
-        let rows = |ckpt: &CheckpointPolicy, duration: u64| {
-            let config = Config::paper_defaults().with_epoch(5).with_window(50);
-            let mut engine = EngineKind::Sync.build(Coordinator::new(config));
-            let mut driver = OneCorridor { delivered: 0 };
-            let out = run_epoch_loop_with(&mut engine, duration, &mut driver, ckpt);
-            let c = engine.finish();
+        let rows = |ckpt: &CheckpointPolicy| {
+            let res = stop_and_go(ckpt);
+            let c = &res.coordinator;
             c.check_consistency().unwrap();
-            let fp: Vec<(u64, usize, u64, u64)> = out
+            let fp: Vec<(u64, usize, u64, u64)> = res
                 .per_epoch
                 .iter()
                 .map(|e| (e.epoch, e.index_size, e.top_k_score.to_bits(), e.comm.uplink_msgs))
                 .collect();
-            (fp, c.comm_stats(), c.processing_stats().epochs)
+            (fp, c.comm_stats(), c.processing_stats().epochs, res.filter_stats.reports)
         };
-        let base = rows(&CheckpointPolicy::default(), 20);
-        let probed =
-            rows(&CheckpointPolicy { restart_at: Some(2), ..CheckpointPolicy::default() }, 20);
+        let base = rows(&CheckpointPolicy::default());
+        let probed = rows(&CheckpointPolicy { restart_at: Some(2), ..CheckpointPolicy::default() });
         assert_eq!(base, probed, "restart probe perturbed the loop");
 
         // Periodic writes + warm start: run 20 ticks writing every 2
@@ -247,7 +221,7 @@ mod tests {
             dir: Some(dir.clone()),
             ..CheckpointPolicy::default()
         };
-        let (_, _, epochs_a) = rows(&write, 20);
+        let (_, first, epochs_a, _) = rows(&write);
         assert_eq!(epochs_a, 4);
         assert!(dir.join("epoch-2.ckpt").exists());
         assert!(dir.join("epoch-4.ckpt").exists());
@@ -255,31 +229,35 @@ mod tests {
             restore_from: Some(CheckpointPolicy::latest_path(&dir)),
             ..CheckpointPolicy::default()
         };
-        let (fp, comm, epochs_b) = rows(&resume, 20);
+        let (fp, comm, epochs_b, reports_b) = rows(&resume);
         assert_eq!(epochs_b, 8, "resumed run must continue the epoch counter");
-        assert_eq!(comm.uplink_msgs, 40, "restored comm must keep the first run's uplink");
+        assert_eq!(
+            comm.uplink_msgs,
+            first.uplink_msgs + reports_b,
+            "restored comm must keep the first run's uplink"
+        );
         // Warm-started rows report only the new traffic.
-        assert_eq!(fp[0].3, 5);
+        assert_eq!(fp.iter().map(|r| r.3).sum::<u64>(), reports_b);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn loop_produces_one_metrics_row_per_epoch() {
-        let config = Config::paper_defaults().with_epoch(5).with_window(50);
-        let mut engine = EngineKind::Sync.build(Coordinator::new(config));
-        let mut driver = OneCorridor { delivered: 0 };
-        let out = run_epoch_loop(&mut engine, 20, &mut driver);
-        assert_eq!(out.per_epoch.len(), 4);
-        assert_eq!(out.measurements, 20);
-        assert_eq!(driver.delivered, 20, "every state gets a response");
-        for (i, e) in out.per_epoch.iter().enumerate() {
+        let res = stop_and_go(&CheckpointPolicy::default());
+        assert_eq!(res.per_epoch.len(), 4);
+        assert_eq!(res.summary.measurements, 20);
+        for (i, e) in res.per_epoch.iter().enumerate() {
             assert_eq!(e.epoch, i as u64 + 1);
             assert_eq!(e.timestamp.raw(), (i as u64 + 1) * 5);
-            assert_eq!(e.reporting, 5);
-            assert!(e.index_size > 0);
         }
-        let coordinator = engine.finish();
+        // The first cruise fits one safe area; every later phase change
+        // is one report, answered at the next boundary.
+        let reporting: Vec<usize> = res.per_epoch.iter().map(|e| e.reporting).collect();
+        assert_eq!(reporting, [0, 1, 1, 1]);
+        assert!(res.per_epoch[3].index_size > 0);
+        let coordinator = &res.coordinator;
         coordinator.check_consistency().unwrap();
-        assert_eq!(coordinator.comm_stats().uplink_msgs, 20);
+        let comm = coordinator.comm_stats();
+        assert_eq!((comm.uplink_msgs, comm.downlink_msgs, res.filter_stats.reports), (3, 3, 3));
     }
 }

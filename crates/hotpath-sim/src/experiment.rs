@@ -2,8 +2,10 @@
 //! returning the series the paper plots plus a formatted report.
 
 use crate::report;
-use crate::simulation::{run, SimulationParams, SimulationResult};
+use crate::scenario_run::{run_scenario, ScenarioRunParams, ScenarioRunResult};
 use hotpath_core::geometry::{Rect, Segment};
+use hotpath_netsim::mobility::PopulationParams;
+use hotpath_netsim::scenario::{Scenario, ScenarioParams, UniformScenario};
 
 /// One point of the Figure 7 sweep (vary `N`, fixed `eps = 10`).
 #[derive(Clone, Copy, Debug)]
@@ -39,31 +41,46 @@ pub struct Fig8Row {
     pub sp_time_ms: f64,
 }
 
-/// Runs one parameterization and summarizes it as a Figure-7-style row.
-fn run_row(params: SimulationParams) -> (f64, f64, f64, f64, f64) {
-    let res = run(params);
-    let s = &res.summary;
+/// Runs Table 2's uniform workload once and summarizes it as a
+/// Figure-7-style row.
+fn run_row(
+    scale: &ScenarioParams,
+    mobility: PopulationParams,
+    params: &ScenarioRunParams,
+) -> (f64, f64, f64, f64, f64) {
+    let s = run_scenario(&mut UniformScenario::new(scale, mobility), params).summary;
     (s.mean_index_size, s.mean_dp_index_size, s.mean_score, s.mean_dp_score, s.mean_time_ms)
 }
 
-/// Figure 7: vary the number of objects; `base` supplies every other
-/// parameter (use [`SimulationParams::paper_defaults`] for paper scale).
-pub fn figure7(ns: &[usize], base: SimulationParams) -> Vec<Fig7Row> {
+/// Figure 7: vary the number of objects over the uniform workload
+/// `(scale, mobility)`; `params` supplies the driver knobs (use
+/// [`ScenarioRunParams::table2`] for the paper's).
+pub fn figure7(
+    ns: &[usize],
+    scale: &ScenarioParams,
+    mobility: PopulationParams,
+    params: &ScenarioRunParams,
+) -> Vec<Fig7Row> {
     ns.iter()
         .map(|&n| {
-            let params = SimulationParams { n, ..base.clone() };
-            let (sp_paths, dp_paths, sp_score, dp_score, sp_time_ms) = run_row(params);
+            let (sp_paths, dp_paths, sp_score, dp_score, sp_time_ms) =
+                run_row(&ScenarioParams { n, ..*scale }, mobility, params);
             Fig7Row { n, sp_paths, dp_paths, sp_score, dp_score, sp_time_ms }
         })
         .collect()
 }
 
 /// Figure 8: vary the tolerance at fixed `N` (paper: 20 000).
-pub fn figure8(epss: &[f64], base: SimulationParams) -> Vec<Fig8Row> {
+pub fn figure8(
+    epss: &[f64],
+    scale: &ScenarioParams,
+    mobility: PopulationParams,
+    params: &ScenarioRunParams,
+) -> Vec<Fig8Row> {
     epss.iter()
         .map(|&eps| {
-            let params = SimulationParams { eps, ..base.clone() };
-            let (sp_paths, dp_paths, sp_score, dp_score, sp_time_ms) = run_row(params);
+            let (sp_paths, dp_paths, sp_score, dp_score, sp_time_ms) =
+                run_row(scale, mobility, &ScenarioRunParams { eps, ..params.clone() });
             Fig8Row { eps, sp_paths, dp_paths, sp_score, dp_score, sp_time_ms }
         })
         .collect()
@@ -105,11 +122,14 @@ pub fn format_fig8(rows: &[Fig8Row]) -> String {
     report::table(&["eps", "SP paths", "DP paths", "SP score", "DP score", "SP ms/epoch"], &data)
 }
 
-/// Figure 9: run the default configuration and return all motion paths
-/// with hotness > 0 (the "discovered network"), in id order, plus the
-/// run itself.
-pub fn figure9(params: SimulationParams) -> (Vec<(Segment, u32)>, SimulationResult) {
-    let res = run(params);
+/// Figure 9: run `scenario` and return all motion paths with positive
+/// hotness (the "discovered network"), in id order, plus the run
+/// itself. The network to compare against is `scenario.network()`.
+pub fn figure9(
+    scenario: &mut dyn Scenario,
+    params: &ScenarioRunParams,
+) -> (Vec<(Segment, u32)>, ScenarioRunResult) {
+    let res = run_scenario(scenario, params);
     let paths: Vec<(Segment, u32)> =
         res.coordinator.hot_paths().iter().map(|h| (h.path.seg, h.hotness)).collect();
     (paths, res)
@@ -118,11 +138,12 @@ pub fn figure9(params: SimulationParams) -> (Vec<(Segment, u32)>, SimulationResu
 /// Figure 10: the top-`k` hottest paths restricted to the map center
 /// (the paper zooms on the Athens center).
 pub fn figure10(
-    params: SimulationParams,
+    scenario: &mut dyn Scenario,
+    params: &ScenarioRunParams,
     k: usize,
-) -> (Vec<(Segment, u32)>, Rect, SimulationResult) {
-    let res = run(params);
-    let bounds = res.network.bounds();
+) -> (Vec<(Segment, u32)>, Rect, ScenarioRunResult) {
+    let res = run_scenario(scenario, params);
+    let bounds = scenario.network().bounds();
     // Central zoom: the middle third of the area.
     let third = |lo: f64, hi: f64| -> (f64, f64) {
         let span = hi - lo;
@@ -150,16 +171,20 @@ pub fn figure10(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hotpath_netsim::network::NetworkParams;
 
-    fn quick_base() -> SimulationParams {
-        let mut p = SimulationParams::quick(150, 17);
-        p.duration = 80;
-        p
+    /// Table 2 at test scale over 80 timestamps.
+    fn quick_base() -> (ScenarioParams, PopulationParams, ScenarioRunParams) {
+        let scale =
+            ScenarioParams { n: 150, seed: 17, duration: 80, network: NetworkParams::tiny(17) };
+        let params = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };
+        (scale, PopulationParams::paper_defaults(0, 0), params)
     }
 
     #[test]
     fn figure7_rows_cover_requested_ns() {
-        let rows = figure7(&[50, 150], quick_base());
+        let (scale, mobility, params) = quick_base();
+        let rows = figure7(&[50, 150], &scale, mobility, &params);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].n, 50);
         assert_eq!(rows[1].n, 150);
@@ -173,7 +198,8 @@ mod tests {
 
     #[test]
     fn figure8_rows_cover_requested_eps() {
-        let rows = figure8(&[5.0, 20.0], quick_base());
+        let (scale, mobility, params) = quick_base();
+        let rows = figure8(&[5.0, 20.0], &scale, mobility, &params);
         assert_eq!(rows.len(), 2);
         // Larger tolerance → fewer paths (SinglePath), as in Fig 8a.
         assert!(
@@ -188,7 +214,8 @@ mod tests {
 
     #[test]
     fn figure9_returns_hot_paths() {
-        let (paths, res) = figure9(quick_base());
+        let (scale, mobility, params) = quick_base();
+        let (paths, res) = figure9(&mut UniformScenario::new(&scale, mobility), &params);
         assert!(!paths.is_empty());
         assert_eq!(paths.len(), res.coordinator.hot_paths().len());
         assert!(paths.iter().all(|&(_, h)| h >= 1));
@@ -196,7 +223,9 @@ mod tests {
 
     #[test]
     fn figure10_respects_k_and_center() {
-        let (paths, center, _res) = figure10(quick_base(), 5);
+        let (scale, mobility, params) = quick_base();
+        let (paths, center, _res) =
+            figure10(&mut UniformScenario::new(&scale, mobility), &params, 5);
         assert!(paths.len() <= 5);
         for (seg, _) in &paths {
             assert!(center.intersects(&seg.mbb()));
@@ -232,50 +261,36 @@ pub struct FilterEconomy {
     pub raytrace_bytes: u64,
 }
 
-/// Runs the workload once, feeding every measurement to a naive
-/// uploader, a dead-reckoning filter, and the full RayTrace pipeline.
-pub fn filter_economy(params: SimulationParams) -> FilterEconomy {
+/// Runs the uniform workload through the full RayTrace pipeline, then
+/// replays the identical stream through a naive uploader and a
+/// dead-reckoning filter.
+pub fn filter_economy(
+    scale: &ScenarioParams,
+    mobility: PopulationParams,
+    params: &ScenarioRunParams,
+) -> FilterEconomy {
     use hotpath_baseline::dead_reckoning::{DeadReckoningFilter, DrUpdate};
     use hotpath_core::raytrace::ClientState;
     use hotpath_core::time::Timestamp;
     use hotpath_core::ObjectId;
-    use hotpath_netsim::mobility::{Population, PopulationParams};
-    use hotpath_netsim::network::generate;
 
-    let network = generate(params.network);
-    let mut population = Population::new(
-        &network,
-        PopulationParams {
-            agility: params.agility,
-            displacement: params.displacement,
-            err: params.err,
-            seed: params.seed.wrapping_add(1),
-            policy: params.policy,
-            ..PopulationParams::paper_defaults(params.n, params.seed)
-        },
-    );
-    // RayTrace needs the coordinator loop for endpoints; reuse run() for
-    // its uplink count on an identical stream (same seeds).
-    let rt = run(SimulationParams { run_dp: false, ..params.clone() });
+    // RayTrace needs the coordinator loop for endpoints.
+    let rt_params = ScenarioRunParams { dp: false, ..params.clone() };
+    let rt = run_scenario(&mut UniformScenario::new(scale, mobility), &rt_params);
 
-    let mut dr: Vec<DeadReckoningFilter> = (0..params.n)
+    let mut replay = UniformScenario::new(scale, mobility);
+    let mut dr: Vec<DeadReckoningFilter> = (0..scale.n)
         .map(|i| {
             let obj = ObjectId(i as u64);
-            DeadReckoningFilter::new(
-                obj,
-                population.seed_timepoint(&network, obj, Timestamp(0)),
-                params.eps,
-            )
+            DeadReckoningFilter::new(obj, replay.seed_timepoint(obj, Timestamp(0)), params.eps)
         })
         .collect();
-    let mut measurements = 0u64;
     let mut naive_msgs = 0u64;
     let mut dr_msgs = 0u64;
     let mut batch = Vec::new();
-    let mut last_pos: Vec<Option<hotpath_core::geometry::Point>> = vec![None; params.n];
-    for t in 1..=params.duration {
-        population.tick(&network, Timestamp(t), &mut batch);
-        measurements += batch.len() as u64;
+    let mut last_pos: Vec<Option<hotpath_core::geometry::Point>> = vec![None; scale.n];
+    for t in 1..=scale.duration {
+        replay.tick(Timestamp(t), &mut batch);
         for m in &batch {
             let idx = m.object.0 as usize;
             // The naive protocol uploads every *changed* position (it
@@ -290,7 +305,7 @@ pub fn filter_economy(params: SimulationParams) -> FilterEconomy {
         }
     }
     FilterEconomy {
-        measurements,
+        measurements: rt.summary.measurements,
         naive_msgs,
         dead_reckoning_msgs: dr_msgs,
         raytrace_msgs: rt.summary.uplink_msgs,
@@ -479,9 +494,12 @@ mod extension_tests {
 
     #[test]
     fn filter_economy_orders_the_three_protocols() {
-        let mut p = SimulationParams::quick(100, 31);
-        p.agility = 0.3;
-        let e = filter_economy(p);
+        use hotpath_netsim::network::NetworkParams;
+        let scale =
+            ScenarioParams { n: 100, seed: 31, duration: 100, network: NetworkParams::tiny(31) };
+        let mobility = PopulationParams { agility: 0.3, ..PopulationParams::paper_defaults(0, 0) };
+        let params = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };
+        let e = filter_economy(&scale, mobility, &params);
         assert!(e.measurements > 0);
         // Naive uploads every movement; both filters improve on it.
         assert!(e.naive_msgs > e.dead_reckoning_msgs, "{e:?}");

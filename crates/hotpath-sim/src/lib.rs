@@ -1,15 +1,19 @@
 //! # hotpath-sim
 //!
 //! The distributed-stream simulation harness of the EDBT 2008
-//! reproduction: RayTrace clients + SinglePath coordinator wired over
-//! the synthetic Athens workload, the DP competitor on the same stream,
-//! per-epoch metrics, and the sweeps regenerating every figure of the
-//! paper's evaluation (see EXPERIMENTS.md).
+//! reproduction: one run driver ([`scenario_run::run_scenario`]) wires
+//! RayTrace clients and the SinglePath coordinator over any workload —
+//! the paper's Table 2 uniform walk or a registered scenario — with the
+//! DP competitor on the same stream, per-epoch metrics, and the sweeps
+//! regenerating every figure of the paper's evaluation (see
+//! EXPERIMENTS.md).
 //!
 //! ```no_run
-//! use hotpath_sim::simulation::{run, SimulationParams};
+//! use hotpath_netsim::scenario::UniformScenario;
+//! use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams};
 //!
-//! let res = run(SimulationParams::quick(500, 42));
+//! let params = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };
+//! let res = run_scenario(&mut UniformScenario::quick(500, 42), &params);
 //! println!(
 //!     "paths={} score={:.0} reports={} of {} measurements",
 //!     res.coordinator.index_size(),
@@ -29,4 +33,3 @@ pub mod metrics;
 pub mod options;
 pub mod report;
 pub mod scenario_run;
-pub mod simulation;

@@ -1,14 +1,12 @@
 //! The shared execution-knob cluster every driver takes.
 //!
-//! The figure simulation ([`SimulationParams`]), the scenario driver
-//! ([`ScenarioRunParams`]), and the serving stack (`hotpathd` /
-//! `client_swarm` in `hotpath-serve`) all need the same choices: what
-//! checkpoint policy, and which fault seed.
+//! The run driver ([`ScenarioRunParams`]) and the serving stack
+//! (`hotpathd` / `client_swarm` in `hotpath-serve`) need the same
+//! choices: what checkpoint policy, and which fault seed.
 //! [`RunOptions`] is that cluster, embedded by each params struct
 //! instead of re-declared — one type to thread through a CLI, one
 //! meaning everywhere.
 //!
-//! [`SimulationParams`]: crate::simulation::SimulationParams
 //! [`ScenarioRunParams`]: crate::scenario_run::ScenarioRunParams
 
 use crate::engine_loop::CheckpointPolicy;

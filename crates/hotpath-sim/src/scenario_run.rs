@@ -1,26 +1,36 @@
-//! The scenario driver: runs any registered [`Scenario`] through the
-//! full client-filter + coordinator pipeline, records the same
-//! per-epoch metrics as the figure experiments, verifies the scenario's
-//! invariants, and sweeps the `(sigma, FallbackPolicy)` uncertainty
-//! grid.
+//! The run driver: runs any [`Scenario`] — a registered workload or the
+//! paper's Table 2 [`UniformScenario`] — through the full client-filter
+//! and coordinator pipeline, records the per-epoch metrics the figures
+//! plot, verifies the scenario's invariants, and sweeps the `(sigma,
+//! FallbackPolicy)` uncertainty grid. Section 3.2's protocol is the
+//! same whatever the workload: clients filter, escaping states go up,
+//! and endpoints come back at the epoch boundary.
 //!
 //! Crisp mode (`sigma = 0`) feeds the scenario's own measurements
-//! (population noise included) through [`RayTraceFilter`]s. Uncertain
-//! mode (`sigma > 0`) replaces the sensor model: each true position is
-//! re-measured by a Gaussian device with the given sigma and flows
-//! through [`UncertainRayTraceFilter`]s, so one scenario exercises the
-//! whole Section 4.1 machinery — including both fallback policies.
+//! (population noise included) through [`RayTraceFilter`]s, or through
+//! [`HintedRayTraceFilter`]s with the Section 7 hint extension on.
+//! Uncertain mode (`sigma > 0`) replaces the sensor model: each true
+//! position is re-measured by a Gaussian device with the given sigma and
+//! flows through [`UncertainRayTraceFilter`]s, so one scenario exercises
+//! the whole Section 4.1 machinery — including both fallback policies.
+//! With [`ScenarioRunParams::dp`] the DP competitor observes the same raw
+//! stream (Figures 7 and 8).
+//!
+//! [`UniformScenario`]: hotpath_netsim::scenario::UniformScenario
 
-use crate::engine_loop::{run_epoch_loop_with, CheckpointPolicy, EpochDriver};
+use crate::engine_loop::{run_epochs, CheckpointPolicy};
 use crate::fault::FaultPlan;
 use crate::metrics::{EpochMetrics, Summary};
 use crate::options::RunOptions;
+use hotpath_baseline::{DpHotSegments, EndpointPolicy};
 use hotpath_core::config::{Config, Tolerance};
 use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
 use hotpath_core::engine::{Engine, EngineKind};
 use hotpath_core::geometry::TimePoint;
+use hotpath_core::raytrace::hinted::HintedRayTraceFilter;
 use hotpath_core::raytrace::{ClientState, FilterStats, RayTraceFilter, UncertainRayTraceFilter};
 use hotpath_core::session::SessionTransition;
+use hotpath_core::strategy::OverlapPolicy;
 use hotpath_core::time::Timestamp;
 use hotpath_core::uncertainty::{FallbackPolicy, ToleranceTable2D};
 use hotpath_core::ObjectId;
@@ -56,6 +66,12 @@ pub struct ScenarioRunParams {
     /// seed used when the scenario declares
     /// [`hotpath_netsim::scenario::FaultWindow`]s.
     pub run: RunOptions,
+    /// Enable the Section 7 hint feedback extension (crisp clients only).
+    pub hints: bool,
+    /// Run the DP competitor (`nopw` endpoints) on the same raw stream.
+    pub dp: bool,
+    /// SinglePath Cases-2/3 overlap policy (ablation hook).
+    pub overlap: OverlapPolicy,
 }
 
 impl Default for ScenarioRunParams {
@@ -70,11 +86,20 @@ impl Default for ScenarioRunParams {
             k: 10,
             noise_seed: 0x5eed,
             run: RunOptions::default(),
+            hints: false,
+            dp: false,
+            overlap: OverlapPolicy::Full,
         }
     }
 }
 
 impl ScenarioRunParams {
+    /// The paper's Table 2 driver knobs: `eps = 10`, `W = 100`, epoch
+    /// `= 10`, `k = 10`, with the DP competitor on the same stream.
+    pub fn table2() -> Self {
+        ScenarioRunParams { window: Some(100), epoch: 10, dp: true, ..ScenarioRunParams::default() }
+    }
+
     /// The core [`Config`] for `scenario` under these knobs. A
     /// scenario's robustness hint (session lease, admission bound,
     /// degrade threshold) is applied on top of the shared defaults.
@@ -107,20 +132,13 @@ impl ScenarioRunParams {
         self.run.checkpoint = checkpoint;
         self
     }
-
-    /// Chainable fault-seed override.
-    pub fn with_fault_seed(mut self, fault_seed: u64) -> Self {
-        self.run.fault_seed = fault_seed;
-        self
-    }
 }
 
 /// Everything a scenario run produces.
 pub struct ScenarioRunResult {
     /// The observations handed to the invariant hook.
     pub outcome: ScenarioOutcome,
-    /// Per-epoch metrics (same shape as the figure experiments; DP
-    /// columns unused).
+    /// Per-epoch metrics (DP columns set when the competitor runs).
     pub per_epoch: Vec<EpochMetrics>,
     /// Aggregates over the run.
     pub summary: Summary,
@@ -131,62 +149,75 @@ pub struct ScenarioRunResult {
     pub filter_stats: FilterStats,
     /// Final coordinator state.
     pub coordinator: Coordinator,
+    /// Final DP competitor state (when [`ScenarioRunParams::dp`]).
+    pub dp: Option<DpHotSegments>,
 }
 
-/// One client: crisp or uncertain, mirroring the simulation driver.
+/// One client filter: crisp, hinted, or uncertain.
 enum Client {
     Crisp(RayTraceFilter),
+    Hinted(HintedRayTraceFilter),
     Uncertain(UncertainRayTraceFilter),
 }
 
 impl Client {
-    fn receive(&mut self, endpoint: hotpath_core::geometry::TimePoint) -> Option<ClientState> {
+    /// Builds one client filter (the initial fleet and every reconnect
+    /// go through here, so a reconnected client is indistinguishable
+    /// from a freshly joined one).
+    fn fresh(
+        table: &Option<ToleranceTable2D>,
+        hints: bool,
+        eps: f64,
+        obj: ObjectId,
+        seed_tp: TimePoint,
+    ) -> Client {
+        match table {
+            Some(t) => Client::Uncertain(UncertainRayTraceFilter::new(obj, seed_tp, t.clone())),
+            None if hints => Client::Hinted(HintedRayTraceFilter::new(obj, seed_tp, eps)),
+            None => Client::Crisp(RayTraceFilter::new(obj, seed_tp, eps)),
+        }
+    }
+
+    fn receive(&mut self, resp: &EndpointResponse) -> Option<ClientState> {
         match self {
-            Client::Crisp(f) => f.receive_endpoint(endpoint),
-            Client::Uncertain(f) => f.receive_endpoint(endpoint),
+            Client::Crisp(f) => f.receive_endpoint(resp.endpoint),
+            Client::Hinted(f) => f.receive_endpoint(resp.endpoint, resp.hint),
+            Client::Uncertain(f) => f.receive_endpoint(resp.endpoint),
         }
     }
 
     fn stats(&self) -> FilterStats {
         match self {
             Client::Crisp(f) => f.stats(),
+            Client::Hinted(f) => f.stats(),
             Client::Uncertain(f) => f.stats(),
         }
     }
 }
 
-/// Builds one client filter (the initial fleet and every reconnect go
-/// through here, so a reconnected client is indistinguishable from a
-/// freshly joined one).
-fn fresh_client(
-    table: &Option<ToleranceTable2D>,
-    eps: f64,
-    obj: ObjectId,
-    seed_tp: TimePoint,
-) -> Client {
-    match table {
-        Some(t) => Client::Uncertain(UncertainRayTraceFilter::new(obj, seed_tp, t.clone())),
-        None => Client::Crisp(RayTraceFilter::new(obj, seed_tp, eps)),
-    }
-}
-
-/// The scenario driver behind the shared epoch loop: the scenario as
-/// measurement source, crisp or Gaussian-re-measured clients, fault
-/// execution (uplink suppression per the scenario's declared windows),
-/// and the per-epoch [`EpochSample`] observations for the invariant
-/// hook — read from the published snapshots.
-struct ScenarioDriver<'a> {
+/// The per-tick half of a run, driven by the epoch loop in
+/// [`crate::engine_loop`]: the scenario as measurement source, the
+/// client fleet, fault execution (uplink suppression per the scenario's
+/// declared windows), the optional DP competitor on the raw stream, and
+/// the per-epoch [`EpochSample`] observations for the invariant hook —
+/// read from the published snapshots.
+pub(crate) struct ScenarioDriver<'a> {
     scenario: &'a mut dyn Scenario,
-    clients: &'a mut [Client],
+    clients: Vec<Client>,
+    dp: Option<DpHotSegments>,
+    k: usize,
     noise: GaussianNoise,
     rng: SmallRng,
     batch: Vec<Measurement>,
     states: Vec<ClientState>,
     samples: Vec<EpochSample>,
+    /// Raw measurements the scenario generated over the run.
+    measurements: u64,
     /// Executable faults (empty for fault-free scenarios: zero cost).
     plan: FaultPlan,
     /// Filter factory inputs for client reconnects.
     table: Option<ToleranceTable2D>,
+    hints: bool,
     eps: f64,
     /// Clients whose last suppression was a `Disconnect`: their next
     /// surviving measurement reseeds a fresh filter (new session).
@@ -217,6 +248,7 @@ impl ScenarioDriver<'_> {
         let idx = m.object.0 as usize;
         let state = match &mut self.clients[idx] {
             Client::Crisp(f) => f.observe(m.observed),
+            Client::Hinted(f) => f.observe(m.observed),
             Client::Uncertain(f) => {
                 // The Gaussian device re-measures the true position; the
                 // scenario's own (uniform) sensor noise is replaced, not
@@ -230,13 +262,21 @@ impl ScenarioDriver<'_> {
             self.states.push(s);
         }
     }
-}
 
-impl EpochDriver for ScenarioDriver<'_> {
-    fn tick(&mut self, now: Timestamp, engine: &mut dyn Engine) -> u64 {
+    /// Advances one timestamp: generates the tick's measurements, feeds
+    /// the raw batch to the DP competitor, runs the surviving ones
+    /// through the client filters, and submits every escaping state to
+    /// `engine` in measurement order.
+    pub(crate) fn tick(&mut self, now: Timestamp, engine: &mut dyn Engine) {
         self.now = now;
         self.scenario.tick(now, &mut self.batch);
-        let generated = self.batch.len() as u64;
+        self.measurements += self.batch.len() as u64;
+        if let Some(dp) = self.dp.as_mut() {
+            for m in &self.batch {
+                dp.observe(m.object, m.observed);
+            }
+            dp.advance_time(now);
+        }
         let batch = std::mem::take(&mut self.batch);
         for m in &batch {
             let idx = m.object.0 as usize;
@@ -258,7 +298,8 @@ impl EpochDriver for ScenarioDriver<'_> {
                 // joining mid-run (the coordinator sees a resubmission
                 // or, after an ejection, a brand-new session).
                 self.retired.merge(&self.clients[idx].stats());
-                self.clients[idx] = fresh_client(&self.table, self.eps, m.object, m.observed);
+                self.clients[idx] =
+                    Client::fresh(&self.table, self.hints, self.eps, m.object, m.observed);
                 self.disconnected[idx] = false;
                 self.awaiting_since[idx] = None;
                 continue;
@@ -267,13 +308,15 @@ impl EpochDriver for ScenarioDriver<'_> {
         }
         self.batch = batch;
         engine.submit_batch(&mut self.states.drain(..));
-        generated
     }
 
-    fn deliver(&mut self, resp: &EndpointResponse) -> Option<ClientState> {
+    /// Delivers one endpoint response to its client filter; a returned
+    /// state is resubmitted at the boundary, seeding the next epoch
+    /// exactly as the paper's Section 3.2 protocol does.
+    pub(crate) fn deliver(&mut self, resp: &EndpointResponse) -> Option<ClientState> {
         let idx = resp.object.0 as usize;
         self.awaiting_since[idx] = None;
-        let state = self.clients[idx].receive(resp.endpoint);
+        let state = self.clients[idx].receive(resp);
         if state.is_some() {
             // A boundary resubmission is a fresh report: it waits for
             // the next epoch's response.
@@ -282,7 +325,9 @@ impl EpochDriver for ScenarioDriver<'_> {
         state
     }
 
-    fn on_epoch(&mut self, snap: &HotSnapshot) -> (Option<usize>, Option<f64>) {
+    /// Observes the epoch's published snapshot; returns the DP
+    /// competitor's `(index size, top-k score)` columns when it runs.
+    pub(crate) fn on_epoch(&mut self, snap: &HotSnapshot) -> (Option<usize>, Option<f64>) {
         for ev in snap.session_events.iter() {
             match ev.transition {
                 SessionTransition::Connected => self.connects += 1,
@@ -306,7 +351,8 @@ impl EpochDriver for ScenarioDriver<'_> {
             degraded_epochs: snap.admission.degraded_epochs,
             phase_b_deferred: snap.phase_b.deferred,
         });
-        (None, None)
+        let dp = self.dp.as_ref();
+        (dp.map(|d| d.index_size()), dp.map(|d| d.top_n_score(self.k)))
     }
 }
 
@@ -322,30 +368,33 @@ pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> 
         let sigma_max = (params.sigma * 1.5).max(8.0);
         ToleranceTable2D::build(params.eps, params.delta, sigma_max, 256, params.fallback)
     });
-    let mut clients: Vec<Client> = (0..n)
+    let clients = (0..n)
         .map(|i| {
             let obj = ObjectId(i as u64);
             let seed_tp = scenario.seed_timepoint(obj, Timestamp(0));
-            match &table {
-                Some(table) => {
-                    Client::Uncertain(UncertainRayTraceFilter::new(obj, seed_tp, table.clone()))
-                }
-                None => Client::Crisp(RayTraceFilter::new(obj, seed_tp, params.eps)),
-            }
+            Client::fresh(&table, params.hints, params.eps, obj, seed_tp)
         })
         .collect();
-    let mut engine = EngineKind::Sync.build(Coordinator::new(config));
+    let mut coordinator = Coordinator::new(config).with_overlap_policy(params.overlap);
+    if params.hints {
+        coordinator = coordinator.with_hints();
+    }
+    let mut engine = EngineKind::Sync.build(coordinator);
     let plan = FaultPlan::for_scenario(params.run.fault_seed, &*scenario);
     let mut driver = ScenarioDriver {
         scenario: &mut *scenario,
-        clients: &mut clients,
+        clients,
+        dp: params.dp.then(|| DpHotSegments::new(params.eps, EndpointPolicy::Nopw, config.window)),
+        k: params.k,
         noise: GaussianNoise::new(params.sigma),
         rng: SmallRng::seed_from_u64(params.noise_seed),
         batch: Vec::new(),
         states: Vec::new(),
         samples: Vec::new(),
+        measurements: 0,
         plan,
         table,
+        hints: params.hints,
         eps: params.eps,
         disconnected: vec![false; n],
         awaiting_since: vec![None; n],
@@ -356,10 +405,9 @@ pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> 
         reconnects: 0,
         ejections: 0,
     };
-    let out = run_epoch_loop_with(&mut engine, duration, &mut driver, &params.run.checkpoint);
-    let samples = std::mem::take(&mut driver.samples);
-    let mut filter_stats = std::mem::take(&mut driver.retired);
-    drop(driver);
+    let per_epoch = run_epochs(&mut engine, duration, &mut driver, &params.run.checkpoint);
+    let ScenarioDriver { clients, dp, samples, measurements, retired: mut filter_stats, .. } =
+        driver;
     let coordinator = engine.finish();
 
     for c in &clients {
@@ -368,21 +416,20 @@ pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> 
     let outcome = ScenarioOutcome {
         per_epoch: samples,
         final_top_k: coordinator.top_k().iter().map(|h| (h.path.id.0, h.hotness)).collect(),
-        measurements: out.measurements,
+        measurements,
         reports: filter_stats.reports,
     };
     coordinator.check_consistency().expect("coordinator state inconsistent");
     let invariants = scenario.check_invariants(&outcome);
-    let mut summary = Summary::from_epochs(&out.per_epoch, out.measurements);
+    let mut summary = Summary::from_epochs(&per_epoch, measurements);
     // Totals come from the final coordinator (the per-epoch rows
     // attribute boundary resubmissions to the following epoch).
     let comm = coordinator.comm_stats();
     summary.uplink_msgs = comm.uplink_msgs;
     summary.uplink_bytes = comm.uplink_bytes;
     summary.report_ratio =
-        if out.measurements == 0 { 0.0 } else { comm.uplink_msgs as f64 / out.measurements as f64 };
-    let per_epoch = out.per_epoch;
-    ScenarioRunResult { outcome, per_epoch, summary, invariants, filter_stats, coordinator }
+        if measurements == 0 { 0.0 } else { comm.uplink_msgs as f64 / measurements as f64 };
+    ScenarioRunResult { outcome, per_epoch, summary, invariants, filter_stats, coordinator, dp }
 }
 
 /// Builds a registered scenario and runs it; `None` when the name is
@@ -452,12 +499,14 @@ pub fn parity_trace(res: &ScenarioRunResult) -> ParityTrace {
 /// communication counters — and the restored coordinator must pass
 /// `check_consistency`. The clients and the scenario stay alive
 /// in-process (they are "the world"); only the engine restarts.
+/// `build` makes a fresh copy of the scenario for each of the two runs.
 pub fn check_restart_parity(
-    name: &str,
-    scale: &ScenarioParams,
+    mut build: impl FnMut() -> Box<dyn Scenario>,
     params: &ScenarioRunParams,
 ) -> Result<(), String> {
-    let base = run_named(name, scale, params).ok_or_else(|| format!("unknown scenario {name}"))?;
+    let mut scenario = build();
+    let name = scenario.name();
+    let base = run_scenario(scenario.as_mut(), params);
     let total_epochs = base.per_epoch.len() as u64;
     if total_epochs == 0 {
         return Err(format!("{name}: run produced no epochs to checkpoint between"));
@@ -467,7 +516,7 @@ pub fn check_restart_parity(
         restart_at: Some(restart_at),
         ..CheckpointPolicy::default()
     });
-    let restarted = run_named(name, scale, &p).expect("scenario known");
+    let restarted = run_scenario(build().as_mut(), &p);
     restarted
         .coordinator
         .check_consistency()
@@ -535,10 +584,94 @@ pub fn scenario_sigma_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotpath_netsim::scenario::REGISTRY;
+    use hotpath_netsim::mobility::PopulationParams;
+    use hotpath_netsim::network::NetworkParams;
+    use hotpath_netsim::scenario::{UniformScenario, REGISTRY};
 
     fn quick_scale(seed: u64) -> ScenarioParams {
         ScenarioParams { n: 200, ..ScenarioParams::quick(seed) }
+    }
+
+    /// Table 2's driver knobs at test scale (`W = 50`).
+    fn quick_table2() -> ScenarioRunParams {
+        ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() }
+    }
+
+    /// Table 2 at test scale.
+    fn run_quick(n: usize, seed: u64) -> ScenarioRunResult {
+        run_scenario(&mut UniformScenario::quick(n, seed), &quick_table2())
+    }
+
+    #[test]
+    fn quick_run_discovers_paths() {
+        let res = run_quick(200, 3);
+        assert!(!res.per_epoch.is_empty());
+        assert!(res.coordinator.index_size() > 0, "no motion paths discovered");
+        assert!(res.summary.mean_index_size > 0.0);
+        assert!(res.summary.mean_score > 0.0, "top-k never scored");
+        res.invariants.as_ref().expect("Table 2 discovery floor");
+        // The filter must compress: far fewer reports than measurements.
+        assert!(res.filter_stats.reports > 0);
+        assert!(
+            res.filter_stats.reports < res.summary.measurements,
+            "filter reported every measurement"
+        );
+    }
+
+    #[test]
+    fn dp_competitor_runs_alongside() {
+        let res = run_quick(150, 4);
+        let dp = res.dp.expect("dp enabled by the Table 2 knobs");
+        assert!(dp.index_size() > 0, "DP stored nothing");
+        let with_dp: Vec<_> = res.per_epoch.iter().filter(|e| e.dp_index_size.is_some()).collect();
+        assert_eq!(with_dp.len(), res.per_epoch.len());
+    }
+
+    #[test]
+    fn runs_are_deterministic() {
+        let a = run_quick(100, 7);
+        let b = run_quick(100, 7);
+        assert_eq!(a.coordinator.index_size(), b.coordinator.index_size());
+        assert_eq!(a.summary.uplink_msgs, b.summary.uplink_msgs);
+        let sa: Vec<usize> = a.per_epoch.iter().map(|e| e.index_size).collect();
+        let sb: Vec<usize> = b.per_epoch.iter().map(|e| e.index_size).collect();
+        assert_eq!(sa, sb);
+    }
+
+    #[test]
+    fn window_caps_index_growth() {
+        // With a short window, expired paths are deleted; the index at
+        // the end must not contain paths older than W.
+        let scale =
+            ScenarioParams { n: 100, seed: 5, duration: 120, network: NetworkParams::tiny(5) };
+        let mut workload = UniformScenario::new(&scale, PopulationParams::paper_defaults(0, 0));
+        let params = ScenarioRunParams { window: Some(20), ..ScenarioRunParams::table2() };
+        let res = run_scenario(&mut workload, &params);
+        // All hot paths have hotness >= 1 by construction.
+        for hp in res.coordinator.hot_paths().iter() {
+            assert!(hp.hotness >= 1);
+        }
+        // And there are at least as many pending expiry events as hot
+        // paths (each live path holds >= 1 live crossing).
+        assert!(res.coordinator.pending_expiry_events() >= res.coordinator.hot_count());
+    }
+
+    #[test]
+    fn hinted_mode_runs() {
+        let params = ScenarioRunParams { hints: true, dp: false, ..quick_table2() };
+        let res = run_scenario(&mut UniformScenario::quick(100, 6), &params);
+        assert!(res.coordinator.index_size() > 0);
+        assert!(res.dp.is_none());
+    }
+
+    #[test]
+    fn epoch_cadence_matches_lambda() {
+        let params = quick_table2();
+        let res = run_quick(50, 8);
+        assert_eq!(res.per_epoch.len() as u64, 100 / params.epoch);
+        for (i, e) in res.per_epoch.iter().enumerate() {
+            assert_eq!(e.timestamp.raw(), (i as u64 + 1) * params.epoch);
+        }
     }
 
     #[test]

@@ -12,17 +12,17 @@ use hotpath_core::coordinator::Coordinator;
 use hotpath_core::raytrace::RayTraceFilter;
 use hotpath_core::time::Timestamp;
 use hotpath_core::ObjectId;
-use hotpath_netsim::network::{generate, NetworkParams};
-use hotpath_netsim::scenarios::evacuation;
+use hotpath_netsim::network::NetworkParams;
+use hotpath_netsim::scenario::{EvacuationScenario, Scenario, ScenarioParams};
 use hotpath_sim::report::paths_map;
 
 fn main() {
-    let net = generate(NetworkParams::tiny(13));
-    let danger = net.bounds().centroid();
+    let n = 500;
+    let scale = ScenarioParams { n, seed: 13, duration: 200, network: NetworkParams::tiny(13) };
+    let mut crowd = EvacuationScenario::new(&scale);
+    let danger = crowd.network().bounds().centroid();
     println!("!! fire reported near {danger:?} — tracking evacuation\n");
 
-    let n = 500;
-    let mut crowd = evacuation(&net, n, danger, 13);
     let config = Config::paper_defaults()
         .with_tolerance(Tolerance::crisp(10.0))
         .with_window(40)
@@ -32,7 +32,7 @@ fn main() {
     let mut clients: Vec<RayTraceFilter> = (0..n)
         .map(|i| {
             let obj = ObjectId(i as u64);
-            RayTraceFilter::new(obj, crowd.seed_timepoint(&net, obj, Timestamp(0)), 10.0)
+            RayTraceFilter::new(obj, crowd.seed_timepoint(obj, Timestamp(0)), 10.0)
         })
         .collect();
 
@@ -40,7 +40,7 @@ fn main() {
     let mut last_report = Vec::new();
     for t in 1..=200u64 {
         let now = Timestamp(t);
-        crowd.tick(&net, now, &mut batch);
+        crowd.tick(now, &mut batch);
         for m in &batch {
             if let Some(state) = clients[m.object.0 as usize].observe(m.observed) {
                 coordinator.submit(state);
@@ -76,7 +76,7 @@ fn main() {
     }
 
     println!("\n== escape-route map (denser glyph = hotter flow) ==");
-    let map = paths_map(net.bounds(), &last_report, 72, 24);
+    let map = paths_map(crowd.network().bounds(), &last_report, 72, 24);
     print!("{}", map.render());
     println!(
         ">> direct ambulances along the top corridors; {} routes live in the last {} ts",

@@ -4,25 +4,30 @@
 //!
 //! Run with: `cargo run --release -p hotpath-sim --example network_discovery`
 
+use hotpath_netsim::mobility::PopulationParams;
+use hotpath_netsim::network::NetworkParams;
+use hotpath_netsim::scenario::{Scenario, ScenarioParams, UniformScenario};
 use hotpath_sim::experiment::figure9;
 use hotpath_sim::report::{network_map, paths_map};
-use hotpath_sim::simulation::SimulationParams;
+use hotpath_sim::scenario_run::ScenarioRunParams;
 
 fn main() {
-    let mut params = SimulationParams::quick(800, 2008);
-    params.duration = 200;
+    let scale =
+        ScenarioParams { n: 800, seed: 2008, duration: 200, network: NetworkParams::tiny(2008) };
+    let mut world = UniformScenario::new(&scale, PopulationParams::paper_defaults(0, 0));
+    let params = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };
     println!(
         "running {} objects for {} ts on a hidden road network ...\n",
-        params.n, params.duration
+        scale.n, scale.duration
     );
-    let (paths, res) = figure9(params);
+    let (paths, res) = figure9(&mut world, &params);
 
     println!("== the real network (never shown to the algorithms) ==");
-    let net_map = network_map(&res.network, 72, 24);
+    let net_map = network_map(world.network(), 72, 24);
     print!("{}", net_map.render());
 
     println!("\n== the network as discovered by SinglePath (Fig. 9) ==");
-    let discovered = paths_map(res.network.bounds(), &paths, 72, 24);
+    let discovered = paths_map(world.network().bounds(), &paths, 72, 24);
     print!("{}", discovered.render());
 
     println!(

@@ -8,56 +8,22 @@
 //!
 //! Run with: `cargo run --release -p hotpath-sim --example targeted_advertising`
 
-use hotpath_core::config::{Config, Tolerance};
-use hotpath_core::coordinator::Coordinator;
-use hotpath_core::raytrace::RayTraceFilter;
-use hotpath_core::time::Timestamp;
-use hotpath_core::ObjectId;
-use hotpath_netsim::network::{generate, NetworkParams};
-use hotpath_netsim::scenarios::{nearest_node, sporting_event};
+use hotpath_netsim::network::NetworkParams;
+use hotpath_netsim::scenario::{nearest_node, Scenario, ScenarioParams, SportingEventScenario};
+use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams};
 
 fn main() {
-    let net = generate(NetworkParams::tiny(7));
-    let venue = nearest_node(&net, net.bounds().centroid());
-    let venue_pos = net.node(venue).pos;
+    let scale = ScenarioParams { n: 400, seed: 7, duration: 300, network: NetworkParams::tiny(7) };
+    let mut crowd = SportingEventScenario::new(&scale);
+    let net = crowd.network();
+    let venue_pos = net.node(nearest_node(net, net.bounds().centroid())).pos;
     println!("venue at {venue_pos:?} — kickoff soon, crowd en route\n");
 
-    let n = 400;
-    let mut crowd = sporting_event(&net, n, venue, 7);
-    let config = Config::paper_defaults()
-        .with_tolerance(Tolerance::crisp(10.0))
-        .with_window(60)
-        .with_epoch(10)
-        .with_k(5);
-    let mut coordinator = Coordinator::new(config);
-    let mut clients: Vec<RayTraceFilter> = (0..n)
-        .map(|i| {
-            let obj = ObjectId(i as u64);
-            RayTraceFilter::new(obj, crowd.seed_timepoint(&net, obj, Timestamp(0)), 10.0)
-        })
-        .collect();
+    let params = ScenarioRunParams { window: Some(60), epoch: 10, k: 5, ..Default::default() };
+    let res = run_scenario(&mut crowd, &params);
+    let coordinator = res.coordinator;
 
-    let mut batch = Vec::new();
-    for t in 1..=300u64 {
-        let now = Timestamp(t);
-        crowd.tick(&net, now, &mut batch);
-        for m in &batch {
-            if let Some(state) = clients[m.object.0 as usize].observe(m.observed) {
-                coordinator.submit(state);
-            }
-        }
-        coordinator.advance_time(now);
-        if config.epochs.is_epoch(now) {
-            for resp in coordinator.process_epoch(now) {
-                if let Some(state) = clients[resp.object.0 as usize].receive_endpoint(resp.endpoint)
-                {
-                    coordinator.submit(state);
-                }
-            }
-        }
-    }
-
-    println!("== hottest approach corridors (last {} ts) ==", config.window.len);
+    println!("== hottest approach corridors (last {} ts) ==", coordinator.config().window.len);
     let top = coordinator.top_k();
     for (i, hp) in top.iter().enumerate() {
         let to_venue_before = hp.path.start().dist_l2(&venue_pos);

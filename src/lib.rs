@@ -8,7 +8,7 @@
 //! Most programs only need [`prelude`]: it curates the supported public
 //! surface — configuration, the engine, lock-free snapshot
 //! reads, the serving front door, the scenario registry, and the
-//! simulation drivers — so `use hotpath::prelude::*;` is enough to
+//! run driver — so `use hotpath::prelude::*;` is enough to
 //! build, drive, and read a coordinator end to end:
 //!
 //! ```
@@ -34,7 +34,7 @@ pub use hotpath_sim as sim;
 
 /// The curated public surface: everything a downstream program needs to
 /// configure an engine, drive epochs, read snapshots lock-free, serve
-/// them out of process, and run the scenario/simulation harnesses —
+/// them out of process, and run the scenario driver —
 /// without reaching into individual member crates.
 pub mod prelude {
     // Configuration and typed parsing.
@@ -60,9 +60,8 @@ pub mod prelude {
     pub use hotpath_serve::swarm::{run_swarm, SwarmParams, SwarmReport};
     pub use hotpath_serve::wire::{serve_unix, SnapshotWire, UnixClient, UnixServer};
     // The scenario registry and run drivers.
-    pub use hotpath_netsim::scenario::{ScenarioParams, REGISTRY};
+    pub use hotpath_netsim::scenario::{ScenarioParams, UniformScenario, REGISTRY};
     pub use hotpath_sim::engine_loop::CheckpointPolicy;
     pub use hotpath_sim::options::RunOptions;
-    pub use hotpath_sim::scenario_run::{run_named, ScenarioRunParams};
-    pub use hotpath_sim::simulation::{run, SimulationParams};
+    pub use hotpath_sim::scenario_run::{run_named, run_scenario, ScenarioRunParams};
 }

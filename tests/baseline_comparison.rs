@@ -1,11 +1,24 @@
 //! SinglePath vs the DP competitor on identical streams: the
 //! directional facts behind Figures 7 and 8 at test scale.
 
-use hotpath_sim::simulation::{run, SimulationParams};
+use hotpath_netsim::mobility::PopulationParams;
+use hotpath_netsim::network::NetworkParams;
+use hotpath_netsim::scenario::{ScenarioParams, UniformScenario};
+use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams, ScenarioRunResult};
+
+/// The paper's Table 2 driver knobs at test scale (`W = 50`).
+fn quick_params() -> ScenarioRunParams {
+    ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() }
+}
+
+/// The paper's Table 2 workload at test scale.
+fn run_quick(n: usize, seed: u64) -> ScenarioRunResult {
+    run_scenario(&mut UniformScenario::quick(n, seed), &quick_params())
+}
 
 #[test]
 fn both_methods_track_the_same_stream() {
-    let res = run(SimulationParams::quick(300, 201));
+    let res = run_quick(300, 201);
     let dp = res.dp.as_ref().expect("dp enabled");
     assert!(res.coordinator.index_size() > 0);
     assert!(dp.index_size() > 0);
@@ -18,10 +31,10 @@ fn dp_achieves_reuse_via_mbb_matching() {
     // With enough objects traveling far enough to cross several roads,
     // DP must bump segments past hotness 1 (its reuse rule is more
     // permissive than SinglePath's covering-set discipline).
-    let mut params = SimulationParams::quick(400, 202);
-    params.agility = 0.5;
-    params.duration = 300;
-    let res = run(params);
+    let scale =
+        ScenarioParams { n: 400, seed: 202, duration: 300, network: NetworkParams::tiny(202) };
+    let mobility = PopulationParams { agility: 0.5, ..PopulationParams::paper_defaults(0, 0) };
+    let res = run_scenario(&mut UniformScenario::new(&scale, mobility), &quick_params());
     let dp = res.dp.as_ref().unwrap();
     let max_dp_hot = dp.hot_segments().iter().map(|h| h.hotness).max().unwrap_or(0);
     assert!(max_dp_hot >= 2, "DP never reused a segment (max hotness {max_dp_hot})");
@@ -42,7 +55,7 @@ fn dp_achieves_reuse_via_mbb_matching() {
 
 #[test]
 fn scores_are_comparable_metrics() {
-    let res = run(SimulationParams::quick(300, 203));
+    let res = run_quick(300, 203);
     let dp = res.dp.as_ref().unwrap();
     let sp_score = res.coordinator.top_k_score();
     let dp_score = dp.top_n_score(10);
@@ -58,8 +71,8 @@ fn scores_are_comparable_metrics() {
 
 #[test]
 fn more_objects_grow_both_indexes() {
-    let small = run(SimulationParams::quick(100, 204));
-    let large = run(SimulationParams::quick(400, 204));
+    let small = run_quick(100, 204);
+    let large = run_quick(400, 204);
     assert!(
         large.summary.mean_index_size > small.summary.mean_index_size,
         "SinglePath index did not grow with N"
@@ -72,12 +85,12 @@ fn more_objects_grow_both_indexes() {
 
 #[test]
 fn larger_tolerance_shrinks_the_singlepath_index() {
-    let mut tight = SimulationParams::quick(250, 205);
-    tight.eps = 2.0;
-    let mut loose = SimulationParams::quick(250, 205);
-    loose.eps = 20.0;
-    let tight_res = run(tight);
-    let loose_res = run(loose);
+    let run_eps = |eps| {
+        let params = ScenarioRunParams { eps, ..quick_params() };
+        run_scenario(&mut UniformScenario::quick(250, 205), &params)
+    };
+    let tight_res = run_eps(2.0);
+    let loose_res = run_eps(20.0);
     assert!(
         loose_res.summary.mean_index_size < tight_res.summary.mean_index_size,
         "eps=20 index {} !< eps=2 index {}",

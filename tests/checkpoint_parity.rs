@@ -14,9 +14,10 @@ use hotpath_core::coordinator::Coordinator;
 use hotpath_core::engine::{Engine, EngineKind};
 use hotpath_core::geometry::{Point, Rect};
 use hotpath_core::raytrace::ClientState;
+use hotpath_core::strategy::OverlapPolicy;
 use hotpath_core::time::Timestamp;
 use hotpath_core::ObjectId;
-use hotpath_netsim::scenario::{ScenarioParams, REGISTRY};
+use hotpath_netsim::scenario::{ScenarioParams, UniformScenario, REGISTRY};
 use hotpath_sim::scenario_run::{check_restart_parity, ScenarioRunParams};
 use proptest::prelude::*;
 
@@ -25,7 +26,22 @@ use proptest::prelude::*;
 fn every_scenario_survives_a_mid_run_restart() {
     for (i, spec) in REGISTRY.iter().enumerate() {
         let scale = ScenarioParams { n: 300, ..ScenarioParams::quick(41 + i as u64) };
-        check_restart_parity(spec.name, &scale, &ScenarioRunParams::default())
+        check_restart_parity(|| (spec.build)(&scale), &ScenarioRunParams::default())
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// Restart parity reaches the Table 2 workload: once with hinted
+/// clients and the DP competitor, once under the own-centroid overlap
+/// policy (whose flag must survive the checkpoint image).
+#[test]
+fn uniform_workload_survives_a_mid_run_restart() {
+    let table2 = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };
+    for params in [
+        ScenarioRunParams { hints: true, dp: true, ..table2.clone() },
+        ScenarioRunParams { overlap: OverlapPolicy::Own, ..table2.clone() },
+    ] {
+        check_restart_parity(|| Box::new(UniformScenario::quick(300, 47)), &params)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 }

@@ -1,11 +1,18 @@
 //! End-to-end integration: the full RayTrace -> coordinator ->
 //! SinglePath -> top-k pipeline over the synthetic road workload.
 
-use hotpath_sim::simulation::{run, SimulationParams};
+use hotpath_netsim::scenario::UniformScenario;
+use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams, ScenarioRunResult};
+
+/// The paper's Table 2 workload at test scale (`W = 50`).
+fn run_quick(n: usize, seed: u64) -> ScenarioRunResult {
+    let params = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };
+    run_scenario(&mut UniformScenario::quick(n, seed), &params)
+}
 
 #[test]
 fn full_pipeline_discovers_and_maintains_paths() {
-    let res = run(SimulationParams::quick(300, 101));
+    let res = run_quick(300, 101);
     assert!(res.coordinator.index_size() > 0, "no paths discovered");
     assert!(res.summary.mean_score > 0.0);
     // Index internal consistency after a full run.
@@ -19,7 +26,7 @@ fn full_pipeline_discovers_and_maintains_paths() {
 
 #[test]
 fn communication_accounting_is_consistent() {
-    let res = run(SimulationParams::quick(200, 102));
+    let res = run_quick(200, 102);
     let comm = res.coordinator.comm_stats();
     // Every uplink message came from a client report.
     assert_eq!(comm.uplink_msgs, res.filter_stats.reports);
@@ -39,7 +46,7 @@ fn communication_accounting_is_consistent() {
 
 #[test]
 fn case_mix_covers_all_three_cases_at_scale() {
-    let res = run(SimulationParams::quick(400, 103));
+    let res = run_quick(400, 103);
     let p = res.coordinator.processing_stats();
     assert!(p.case3 > 0, "no new vertices ever minted");
     assert!(p.case1 + p.case2 > 0, "no reuse at all: case1={} case2={}", p.case1, p.case2);
@@ -47,7 +54,7 @@ fn case_mix_covers_all_three_cases_at_scale() {
 
 #[test]
 fn top_k_is_sorted_and_bounded() {
-    let res = run(SimulationParams::quick(250, 104));
+    let res = run_quick(250, 104);
     let top = res.coordinator.top_k();
     assert!(top.len() <= 10);
     for pair in top.windows(2) {
@@ -67,8 +74,8 @@ fn top_k_is_sorted_and_bounded() {
 
 #[test]
 fn seeds_change_outcomes_but_structure_holds() {
-    let a = run(SimulationParams::quick(150, 105));
-    let b = run(SimulationParams::quick(150, 106));
+    let a = run_quick(150, 105);
+    let b = run_quick(150, 106);
     // Different seeds explore different roads...
     assert_ne!(a.summary.uplink_msgs, b.summary.uplink_msgs);
     // ...but the qualitative shape holds for both.
