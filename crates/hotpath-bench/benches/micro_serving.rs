@@ -60,9 +60,8 @@ impl Rig {
                 let mut t = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     t += 1;
-                    for w in 0..4u64 {
-                        let _ = tx.send(ServerMsg::Submit(traversal(w, t)));
-                    }
+                    let batch = (0..4u64).map(|w| traversal(w, t)).collect();
+                    let _ = tx.send(ServerMsg::SubmitBatch(batch));
                     let _ = tx.send(ServerMsg::Advance(Timestamp(t)));
                     if t.is_multiple_of(10) {
                         // Pace against the publish so the queue stays small.

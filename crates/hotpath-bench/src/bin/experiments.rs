@@ -29,12 +29,13 @@ use hotpath_bench::Scale;
 use hotpath_core::uncertainty::FallbackPolicy;
 use hotpath_netsim::scenario::{spec, Scenario, ScenarioParams, UniformScenario, REGISTRY};
 use hotpath_serve::swarm::{run_swarm, SwarmParams};
-use hotpath_sim::engine_loop::CheckpointPolicy;
-use hotpath_sim::experiment::{figure10, figure7, figure8, figure9, format_fig7, format_fig8};
-use hotpath_sim::options::RunOptions;
+use hotpath_sim::experiment::{
+    figure10, figure7, figure8, figure9, format_sweep, sweep_csv, SweepRow,
+};
 use hotpath_sim::report::{network_map, paths_map};
 use hotpath_sim::scenario_run::{
-    check_restart_parity, run_named, run_scenario, scenario_sigma_sweep, ScenarioRunParams,
+    check_restart_parity, run_named, run_scenario, scenario_sigma_sweep, CheckpointPolicy,
+    ScenarioRunParams,
 };
 use std::time::Instant;
 
@@ -47,6 +48,8 @@ fn main() {
     let mut fallbacks: Option<Vec<FallbackPolicy>> = None;
     let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut ckpt = CheckpointPolicy::default();
+    let mut checkpoint_every: Option<u64> = None;
+    let mut checkpoint_dir: Option<std::path::PathBuf> = None;
     let mut restore_check = false;
     let mut fault_seed: Option<u64> = None;
     let mut swarm_seed: Option<u64> = None;
@@ -123,7 +126,7 @@ fn main() {
             }
             "--checkpoint-every" => {
                 i += 1;
-                ckpt.every_epochs = Some(
+                checkpoint_every = Some(
                     args.get(i)
                         .and_then(|s| s.parse().ok())
                         .filter(|&n| n > 0)
@@ -133,7 +136,7 @@ fn main() {
             "--checkpoint-dir" => {
                 i += 1;
                 let dir = args.get(i).unwrap_or_else(|| usage("--checkpoint-dir needs a path"));
-                ckpt.dir = Some(std::path::PathBuf::from(dir));
+                checkpoint_dir = Some(std::path::PathBuf::from(dir));
             }
             "--restore-from" => {
                 i += 1;
@@ -173,6 +176,11 @@ fn main() {
         }
         i += 1;
     }
+    ckpt.periodic = match (checkpoint_every, checkpoint_dir) {
+        (Some(every), Some(dir)) => Some((every, dir)),
+        (None, None) => None,
+        _ => usage("--checkpoint-every and --checkpoint-dir must be given together"),
+    };
 
     println!("# Hot Motion Paths — experiment reproduction (scale: {scale:?})");
     println!();
@@ -282,7 +290,7 @@ fn scenario(
     let scenario_scale = scale.scenario_params(2015);
     let mut base = ScenarioRunParams::default();
     if let Some(seed) = fault_seed {
-        base.run.fault_seed = seed;
+        base.fault_seed = seed;
     }
     // Near-edge default grid: eps = 10 solves up to sigma ~ 5.1, so the
     // last point forces the fallback policy to act.
@@ -297,16 +305,15 @@ fn scenario(
         println!("## Scenario `{}` — {}", spec.name, spec.summary);
         // Periodic images land in a per-scenario subdirectory so one
         // `scenario all` invocation keeps every scenario's `latest.ckpt`.
-        let crisp_params = base.clone().with_checkpoint(CheckpointPolicy {
-            dir: ckpt.dir.as_ref().map(|d| d.join(spec.name)),
-            ..ckpt.clone()
-        });
+        let periodic = ckpt.periodic.as_ref().map(|(every, dir)| (*every, dir.join(spec.name)));
+        let crisp_params = ScenarioRunParams {
+            checkpoint: CheckpointPolicy { periodic, ..ckpt.clone() },
+            ..base.clone()
+        };
         let res =
             run_named(spec.name, &scenario_scale, &crisp_params).expect("registered scenario");
-        if let Some(dir) = &crisp_params.run.checkpoint.dir {
-            if crisp_params.run.checkpoint.every_epochs.is_some() {
-                println!("   checkpoints: periodic images under {}", dir.display());
-            }
+        if let Some((_, dir)) = &crisp_params.checkpoint.periodic {
+            println!("   checkpoints: periodic images under {}", dir.display());
         }
         let s = &res.summary;
         println!(
@@ -319,17 +326,18 @@ fn scenario(
             s.mean_time_ms
         );
         if let Some(last) = res.outcome.per_epoch.last() {
-            if last.session_connects > 0 {
+            let snap = &last.snap;
+            if snap.sessions.connects > 0 {
                 println!(
                     "   robust: {} healthy / {} dropped at end; {} connects, {} reconnects, \
                      {} ejections, {} turned away, {} degraded epochs",
-                    last.sessions_healthy,
-                    last.sessions_dropped,
-                    last.session_connects,
-                    last.session_reconnects,
-                    last.session_ejections,
-                    last.turned_away,
-                    last.degraded_epochs
+                    snap.sessions_healthy,
+                    snap.sessions_dropped,
+                    snap.sessions.connects,
+                    snap.sessions.reconnects,
+                    snap.sessions.ejections,
+                    snap.admission.turned_away(),
+                    snap.admission.degraded_epochs
                 );
             }
         }
@@ -353,7 +361,10 @@ fn scenario(
         }
         if let Some(dir) = csv_dir {
             let path = dir.join(format!("scenario_{}.csv", spec.name));
-            match std::fs::write(&path, hotpath_sim::report::epoch_metrics_csv(&res.per_epoch)) {
+            match std::fs::write(
+                &path,
+                hotpath_sim::report::epoch_metrics_csv(&res.outcome.per_epoch),
+            ) {
                 Ok(()) => println!("   (per-epoch series written to {})", path.display()),
                 Err(e) => {
                     failures += 1;
@@ -399,29 +410,8 @@ fn fig7(scale: Scale, csv_dir: Option<&std::path::Path>) {
     println!("   panels: (a) index size, (b) top-10 score, (c) SinglePath ms/epoch");
     let (workload, mobility, params) = scale.base(2008);
     let rows = figure7(&scale.fig7_ns(), &workload, mobility, &params);
-    println!("{}", format_fig7(&rows));
-    if let Some(dir) = csv_dir {
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.n.to_string(),
-                    format!("{}", r.sp_paths),
-                    format!("{}", r.dp_paths),
-                    format!("{}", r.sp_score),
-                    format!("{}", r.dp_score),
-                    format!("{}", r.sp_time_ms),
-                ]
-            })
-            .collect();
-        let csv = hotpath_sim::report::csv(
-            &["n", "sp_paths", "dp_paths", "sp_score", "dp_score", "sp_time_ms"],
-            &data,
-        );
-        let path = dir.join("fig7.csv");
-        std::fs::write(&path, csv).expect("write fig7.csv");
-        println!("   (series written to {})", path.display());
-    }
+    println!("{}", format_sweep("N", &rows));
+    write_sweep_csv(csv_dir, "fig7.csv", "n", &rows);
     if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
         println!(
             "   shape: SP/DP path ratio goes {:.2} -> {:.2}; SP time grows {:.1}x across the sweep",
@@ -440,31 +430,10 @@ fn fig8(scale: Scale, csv_dir: Option<&std::path::Path>) {
     println!("   panels: (a) index size, (b) top-10 score, (c) SinglePath ms/epoch");
     let (workload, mobility, params) = scale.base(2009);
     let rows = figure8(&scale.fig8_eps(), &ScenarioParams { n, ..workload }, mobility, &params);
-    println!("{}", format_fig8(&rows));
-    if let Some(dir) = csv_dir {
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{}", r.eps),
-                    format!("{}", r.sp_paths),
-                    format!("{}", r.dp_paths),
-                    format!("{}", r.sp_score),
-                    format!("{}", r.dp_score),
-                    format!("{}", r.sp_time_ms),
-                ]
-            })
-            .collect();
-        let csv = hotpath_sim::report::csv(
-            &["eps", "sp_paths", "dp_paths", "sp_score", "dp_score", "sp_time_ms"],
-            &data,
-        );
-        let path = dir.join("fig8.csv");
-        std::fs::write(&path, csv).expect("write fig8.csv");
-        println!("   (series written to {})", path.display());
-    }
-    let t2 = rows.iter().find(|r| r.eps == 2.0);
-    let t20 = rows.iter().find(|r| r.eps == 20.0);
+    println!("{}", format_sweep("eps", &rows));
+    write_sweep_csv(csv_dir, "fig8.csv", "eps", &rows);
+    let t2 = rows.iter().find(|r| r.x == 2.0);
+    let t20 = rows.iter().find(|r| r.x == 20.0);
     if let (Some(a), Some(b)) = (t2, t20) {
         println!(
             "   shape: processing time falls {:.1}x from eps=2 to eps=20 (paper: >3x)",
@@ -472,6 +441,16 @@ fn fig8(scale: Scale, csv_dir: Option<&std::path::Path>) {
         );
     }
     println!();
+}
+
+/// `--csv`: writes a Figure 7 or 8 series to `<dir>/<file>`, the swept
+/// value under the header `x`.
+fn write_sweep_csv(dir: Option<&std::path::Path>, file: &str, x: &str, rows: &[SweepRow]) {
+    if let Some(dir) = dir {
+        let path = dir.join(file);
+        std::fs::write(&path, sweep_csv(x, rows)).unwrap_or_else(|e| panic!("write {file}: {e}"));
+        println!("   (series written to {})", path.display());
+    }
 }
 
 /// Figure 9: the discovered network map.
@@ -532,7 +511,8 @@ fn claims(scale: Scale) {
     );
     // Claim ii: SinglePath can beat DP on score (paper: at N=20000).
     let rows = figure7(&scale.fig7_ns(), &workload, mobility, &params);
-    let wins: Vec<usize> = rows.iter().filter(|r| r.sp_score > r.dp_score).map(|r| r.n).collect();
+    let wins: Vec<usize> =
+        rows.iter().filter(|r| r.sp_score > r.dp_score).map(|r| r.x as usize).collect();
     println!("   (ii) SinglePath score beats DP at N in {wins:?} (paper: at N=20,000)");
     // Claim iii is printed by fig8's shape line.
     println!("   (iii) see Figure 8 shape line (eps=2 -> 20 speedup; paper: >3x)");
@@ -760,11 +740,9 @@ fn swarm_cmd(scale: Scale, seed: Option<u64>, churn: Option<f64>, fault_seed: Op
         Scale::Mid => SwarmParams::quick().with_writers(32).with_ticks(300).with_churn(0.1),
         Scale::Paper => SwarmParams::full(),
     };
-    let mut run = RunOptions::default();
     if let Some(seed) = fault_seed {
-        run = run.with_fault_seed(seed);
+        params = params.with_fault_seed(seed);
     }
-    params = params.with_run(run);
     if let Some(seed) = seed {
         params = params.with_seed(seed);
     }
@@ -781,17 +759,16 @@ fn swarm_cmd(scale: Scale, seed: Option<u64>, churn: Option<f64>, fault_seed: Op
     );
     let r = run_swarm(&params);
     println!(
-        "   {} submitted (+{} churned out), {} epochs, epoch {} final, {} hot, \
+        "   {} submitted (+{} churned out), {epoch} epochs, epoch {epoch} final, {} hot, \
          {} lock-free reads (max epoch seen {}), schedule {:#018x}, fingerprint {:#018x}",
         r.submitted,
         r.suppressed,
-        r.epochs,
-        r.final_epoch,
         r.hot_count,
         r.reads,
         r.max_epoch_seen,
         r.schedule_hash,
-        r.fingerprint
+        r.fingerprint,
+        epoch = r.final_epoch,
     );
     println!();
 }
@@ -859,12 +836,12 @@ fn serve_cmd(socket: Option<std::path::PathBuf>, ticks: u64) {
         snap.top.first().map(|e| e.hotness).unwrap_or(0)
     );
     server.stop();
-    let stats = handle.stats_handle();
     let final_snap = handle.shutdown();
-    let stats = stats.view();
     println!(
-        "   server: {} submitted, {} epochs, final epoch {}, {} hot",
-        stats.submitted, stats.epochs, final_snap.epoch, final_snap.hot_count
+        "   server: {} submitted, {epoch} epochs, final epoch {epoch}, {} hot",
+        final_snap.comm.uplink_msgs,
+        final_snap.hot_count,
+        epoch = final_snap.epoch,
     );
     println!();
 }

@@ -122,6 +122,11 @@ pub struct HotSnapshot {
     pub sessions_healthy: usize,
     /// Sessions currently Dropped (lease expired, inside grace).
     pub sessions_dropped: usize,
+    /// Cumulative session-lifecycle counters (all zeros while sessions
+    /// are off). At a publish they are the running count, by kind, of
+    /// every transition published in `session_events` so far; a
+    /// restored coordinator continues the checkpointed counts.
+    pub sessions: SessionCounters,
     /// Phase-B load telemetry for the published epoch: deferred states
     /// and the wall time Cases 2-3 took. Observational only — the
     /// timing varies by machine; results never do.
@@ -144,6 +149,7 @@ impl HotSnapshot {
             session_events: Arc::from(Vec::new()),
             sessions_healthy: 0,
             sessions_dropped: 0,
+            sessions: SessionCounters::default(),
             phase_b: PhaseBLoad::default(),
         }
     }
@@ -548,6 +554,7 @@ impl Coordinator {
             session_events: self.last_session_events.clone(),
             sessions_healthy: self.sessions.as_ref().map_or(0, |t| t.healthy_count()),
             sessions_dropped: self.sessions.as_ref().map_or(0, |t| t.dropped_count()),
+            sessions: self.sessions.as_ref().map(|t| t.counters()).unwrap_or_default(),
             phase_b: self.last_phase_b,
         });
         self.cache.borrow_mut().snapshot = Some(snap.clone());
@@ -822,6 +829,7 @@ mod tests {
     use super::*;
     use crate::geometry::Rect;
     use crate::index::ExpiryEvent;
+    use crate::session::SessionTransition;
 
     fn cfg() -> Config {
         Config::paper_defaults().with_epoch(10).with_window(100)
@@ -1307,12 +1315,27 @@ mod tests {
             }
             Timestamp(now)
         };
+        // Every snapshot's counters are the running count, by kind, of
+        // the session events published so far.
+        let tally = |published: &mut SessionCounters, snap: &HotSnapshot| {
+            for ev in snap.session_events.iter() {
+                match ev.transition {
+                    SessionTransition::Connected => published.connects += 1,
+                    SessionTransition::Dropped => published.drops += 1,
+                    SessionTransition::Reconnected => published.reconnects += 1,
+                    SessionTransition::Ejected => published.ejections += 1,
+                }
+            }
+            assert_eq!(snap.sessions, *published, "counters left the published events");
+        };
+        let mut published = SessionCounters::default();
         // Epochs 1-3 hear from 12 clients, 4-6 from only 6, so the
         // silent half drops and ejects before the checkpoint.
         for epoch in 1..=6u64 {
             let spread = if epoch <= 3 { 12 } else { 6 };
             let now = feed(&mut live, epoch, spread);
             let _ = live.process_epoch(now);
+            tally(&mut published, &live.snapshot());
         }
         let stats = live.admission_stats();
         assert!(stats.shed > 0, "cap must have fired");
@@ -1334,7 +1357,9 @@ mod tests {
             "checkpoint of restore must be byte-identical"
         );
 
-        // Both must continue in lock-step, session layer included.
+        // Both must continue in lock-step, session layer included; the
+        // restored counters continue the live run's published events.
+        let mut published_restored = published;
         let mut s2 = 4242u64;
         for epoch in 7..=12u64 {
             let mut batch = Vec::new();
@@ -1365,7 +1390,10 @@ mod tests {
                 "session events diverged at epoch {epoch}"
             );
             assert_eq!(live.admission_stats(), restored.admission_stats());
+            tally(&mut published, &live.snapshot());
+            tally(&mut published_restored, &restored.snapshot());
         }
+        assert!(published.ejections > 0, "the run must eject");
         live.check_consistency().unwrap();
         restored.check_consistency().unwrap();
     }

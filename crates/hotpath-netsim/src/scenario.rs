@@ -32,11 +32,16 @@
 use crate::mobility::{ChoicePolicy, Measurement, Population, PopulationParams};
 use crate::network::{generate, ClosureSet, NetworkParams, NodeId, RoadClass, RoadNetwork};
 use hotpath_core::config::AdmissionPolicy;
+use hotpath_core::coordinator::HotSnapshot;
 use hotpath_core::geometry::{Point, TimePoint};
+use hotpath_core::session::SessionCounters;
+use hotpath_core::stats::CommStats;
 use hotpath_core::time::Timestamp;
 use hotpath_core::ObjectId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Scale knobs every scenario understands. Scenario-specific structure
 /// (surge timing, closure sets, outage windows) derives from these
@@ -62,42 +67,38 @@ impl ScenarioParams {
     }
 }
 
-/// One epoch boundary as the driver observed it.
-#[derive(Clone, Debug, PartialEq)]
+/// One epoch boundary as the driver observed it: the snapshot the
+/// coordinator published there, plus what only the driver knows.
+#[derive(Clone, Debug)]
 pub struct EpochSample {
-    /// The boundary timestamp.
-    pub timestamp: Timestamp,
-    /// Motion paths stored after processing.
-    pub index_size: usize,
-    /// Top-k score after processing.
-    pub top_k_score: f64,
+    /// The published snapshot: epoch, timestamp, index size, top-k and
+    /// its score, Phase-B load, and the session and admission counters.
+    pub snap: Arc<HotSnapshot>,
+    /// States pending at the boundary (the epoch's reporting objects).
+    pub reporting: usize,
+    /// Wall time the driver was blocked at the boundary: drain,
+    /// strategy, respond and publish. The per-stage split is the
+    /// `strategy_time` / `publish_time` deltas in `snap.processing`.
+    pub processing: Duration,
+    /// Communication since the previous boundary's snapshot; boundary
+    /// resubmissions count toward the following epoch.
+    pub comm: CommStats,
+    /// DP competitor index size (when the competitor runs).
+    pub dp_index_size: Option<usize>,
+    /// DP competitor top-k score (when the competitor runs).
+    pub dp_score: Option<f64>,
+}
+
+impl EpochSample {
     /// Top-k path ids, hottest first (ties broken as the coordinator
     /// breaks them).
-    pub top_ids: Vec<u64>,
-    /// The hottest path's hotness (crossing count), when any.
-    pub top_hotness: Option<u32>,
-    /// Sessions Healthy after the epoch (0 while sessions are off).
-    pub sessions_healthy: usize,
-    /// Sessions Dropped after the epoch.
-    pub sessions_dropped: usize,
-    /// Cumulative fresh session connects.
-    pub session_connects: u64,
-    /// Cumulative session reconnects.
-    pub session_reconnects: u64,
-    /// Cumulative session ejections.
-    pub session_ejections: u64,
-    /// Cumulative states turned away by admission control.
-    pub turned_away: u64,
-    /// Cumulative epochs that degraded Phase B under overload.
-    pub degraded_epochs: u64,
-    /// States Phase A deferred to Phase B this epoch. Deterministic —
-    /// a pure function of the epoch's batch — so parity fingerprints
-    /// include it.
-    pub phase_b_deferred: usize,
+    pub fn top_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.snap.top_k.iter().map(|h| h.path.id.0)
+    }
 }
 
 /// Everything a driver run exposes to [`Scenario::check_invariants`].
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct ScenarioOutcome {
     /// Per-epoch observations in order.
     pub per_epoch: Vec<EpochSample>,
@@ -112,7 +113,7 @@ pub struct ScenarioOutcome {
 impl ScenarioOutcome {
     /// The first epoch at or after `t`.
     pub fn epoch_at(&self, t: Timestamp) -> Option<&EpochSample> {
-        self.per_epoch.iter().find(|e| e.timestamp >= t)
+        self.per_epoch.iter().find(|e| e.snap.timestamp >= t)
     }
 }
 
@@ -339,7 +340,7 @@ fn require_discovery(name: &str, outcome: &ScenarioOutcome) -> Result<(), String
     if outcome.final_top_k.is_empty() {
         return Err(format!("{name}: empty final top-k"));
     }
-    if !outcome.per_epoch.iter().any(|e| e.top_k_score > 0.0) {
+    if !outcome.per_epoch.iter().any(|e| e.snap.top_k_score > 0.0) {
         return Err(format!("{name}: top-k never scored"));
     }
     Ok(())
@@ -634,28 +635,25 @@ impl Scenario for SensorDropoutScenario {
         // top-k when the sensors come back...
         let at_start =
             outcome.epoch_at(self.window.from).ok_or("sensor_dropout: no epoch at outage start")?;
-        let Some(&top_start) = at_start.top_ids.first() else {
+        let Some(top_start) = at_start.top_ids().next() else {
             return Err("sensor_dropout: empty top-k at outage start".into());
         };
         let at_end = outcome
             .epoch_at(self.window.until)
             .ok_or("sensor_dropout: no epoch after outage end")?;
-        if !at_end.top_ids.contains(&top_start) {
+        if !at_end.top_ids().any(|id| id == top_start) {
             return Err(format!(
                 "sensor_dropout: pre-outage top path {top_start} fell out of the post-outage \
                  top-k {:?}",
-                at_end.top_ids
+                at_end.top_ids().collect::<Vec<_>>()
             ));
         }
         // ...and the score never collapses while sensors are dark.
         for e in &outcome.per_epoch {
-            if e.timestamp >= self.window.from
-                && e.timestamp <= self.window.until
-                && e.top_k_score <= 0.0
-            {
+            let t = e.snap.timestamp;
+            if t >= self.window.from && t <= self.window.until && e.snap.top_k_score <= 0.0 {
                 return Err(format!(
-                    "sensor_dropout: top-k score collapsed during the outage (t={:?})",
-                    e.timestamp
+                    "sensor_dropout: top-k score collapsed during the outage (t={t:?})"
                 ));
             }
         }
@@ -1119,11 +1117,11 @@ impl Scenario for EvacuationRerouteScenario {
         // checkpoint clamps to the final epoch — the pipeline must at
         // minimum survive the closures to the finish line.
         let last = outcome.per_epoch.last().ok_or("evacuation_reroute: no epochs observed")?;
-        let check_from = self.grace_until.min(last.timestamp.raw());
+        let check_from = self.grace_until.min(last.snap.timestamp.raw());
         let recovered = outcome
             .per_epoch
             .iter()
-            .any(|e| e.timestamp.raw() >= check_from && e.top_k_score > 0.0);
+            .any(|e| e.snap.timestamp.raw() >= check_from && e.snap.top_k_score > 0.0);
         if !recovered {
             return Err("evacuation_reroute: top-k never recovered after the closures".into());
         }
@@ -1234,8 +1232,8 @@ impl FaultStoryScenario {
 
     /// Cumulative counter value at the last epoch strictly before `t`
     /// (zero when no epoch precedes `t`).
-    fn cum_before(outcome: &ScenarioOutcome, t: Timestamp, f: fn(&EpochSample) -> u64) -> u64 {
-        outcome.per_epoch.iter().rfind(|e| e.timestamp < t).map(f).unwrap_or(0)
+    fn cum_before(outcome: &ScenarioOutcome, t: Timestamp, f: fn(&SessionCounters) -> u64) -> u64 {
+        outcome.per_epoch.iter().rfind(|e| e.snap.timestamp < t).map_or(0, |e| f(&e.snap.sessions))
     }
 
     /// The victims must be ejected within `lease + grace` of the
@@ -1243,17 +1241,17 @@ impl FaultStoryScenario {
     fn check_ejection_bound(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
         let name = self.name();
         let w = self.windows[0];
-        let base = Self::cum_before(outcome, w.from, |e| e.session_ejections);
+        let base = Self::cum_before(outcome, w.from, |s| s.ejections);
         let first = outcome
             .per_epoch
             .iter()
-            .find(|e| e.session_ejections > base)
+            .find(|e| e.snap.sessions.ejections > base)
             .ok_or_else(|| format!("{name}: no session was ever ejected"))?;
         let bound = w.from.raw() + self.hint.lease + self.hint.grace + 15;
-        if first.timestamp.raw() > bound {
+        if first.snap.timestamp.raw() > bound {
             return Err(format!(
                 "{name}: first ejection at t={} but the lease bound is t={bound}",
-                first.timestamp.raw()
+                first.snap.timestamp.raw()
             ));
         }
         Ok(())
@@ -1307,8 +1305,8 @@ impl Scenario for FaultStoryScenario {
         let name = self.name();
         require_discovery(name, outcome)?;
         let last =
-            outcome.per_epoch.last().ok_or_else(|| format!("{name}: no epochs observed"))?.clone();
-        if last.session_connects == 0 {
+            &outcome.per_epoch.last().ok_or_else(|| format!("{name}: no epochs observed"))?.snap;
+        if last.sessions.connects == 0 {
             return Err(format!(
                 "{name}: no session ever connected — was the robustness hint applied?"
             ));
@@ -1319,48 +1317,47 @@ impl Scenario for FaultStoryScenario {
                 self.check_ejection_bound(outcome)?;
                 // No hot-path corruption mid-storm: the surviving half
                 // keeps the corridor scored through the whole window.
-                for e in outcome.per_epoch.iter().filter(|e| w.active(e.timestamp)) {
-                    if e.top_k_score <= 0.0 {
+                for e in outcome.per_epoch.iter().filter(|e| w.active(e.snap.timestamp)) {
+                    if e.snap.top_k_score <= 0.0 {
                         return Err(format!(
                             "{name}: top-k score collapsed mid-storm at t={}",
-                            e.timestamp.raw()
+                            e.snap.timestamp.raw()
                         ));
                     }
                 }
                 // Returning clients are re-admitted (fresh connects or
                 // reconnects after the window closes).
-                let base = Self::cum_before(outcome, w.until, |e| {
-                    e.session_connects + e.session_reconnects
-                });
-                if last.session_connects + last.session_reconnects <= base {
+                let base = Self::cum_before(outcome, w.until, |s| s.connects + s.reconnects);
+                if last.sessions.connects + last.sessions.reconnects <= base {
                     return Err(format!("{name}: no client was re-admitted after the storm"));
                 }
             }
             FaultStory::ReconnectStorm => {
                 // The whole fleet dropped and came back: reconnects
                 // must rise after the window closes.
-                let base = Self::cum_before(outcome, w.until, |e| e.session_reconnects);
-                if last.session_reconnects <= base {
+                let base = Self::cum_before(outcome, w.until, |s| s.reconnects);
+                if last.sessions.reconnects <= base {
                     return Err(format!("{name}: no reconnect after the storm"));
                 }
                 // The storm must actually stress admission: something
                 // was turned away or some epoch degraded.
-                if last.turned_away + last.degraded_epochs == 0 {
+                if last.admission.turned_away() + last.admission.degraded_epochs == 0 {
                     return Err(format!("{name}: admission control never engaged"));
                 }
                 // Recovery: the pre-storm top path is hot again within
                 // a window of the storm ending.
-                let pre = outcome
+                let target = outcome
                     .per_epoch
                     .iter()
-                    .rfind(|e| e.timestamp < w.from && !e.top_ids.is_empty())
+                    .rev()
+                    .filter(|e| e.snap.timestamp < w.from)
+                    .find_map(|e| e.top_ids().next())
                     .ok_or_else(|| format!("{name}: no pre-storm top-k to recover"))?;
-                let target = pre.top_ids[0];
                 let deadline = w.until.raw() + self.window_hint();
                 let recovered = outcome.per_epoch.iter().any(|e| {
-                    e.timestamp >= w.until
-                        && e.timestamp.raw() <= deadline
-                        && e.top_ids.contains(&target)
+                    e.snap.timestamp >= w.until
+                        && e.snap.timestamp.raw() <= deadline
+                        && e.top_ids().any(|id| id == target)
                 });
                 if !recovered {
                     return Err(format!(
@@ -1372,18 +1369,18 @@ impl Scenario for FaultStoryScenario {
                 self.check_ejection_bound(outcome)?;
                 // Service for the active 75% never collapses once the
                 // stall begins.
-                for e in outcome.per_epoch.iter().filter(|e| e.timestamp >= w.from) {
-                    if e.top_k_score <= 0.0 {
+                for e in outcome.per_epoch.iter().filter(|e| e.snap.timestamp >= w.from) {
+                    if e.snap.top_k_score <= 0.0 {
                         return Err(format!(
                             "{name}: top-k score collapsed during the stall at t={}",
-                            e.timestamp.raw()
+                            e.snap.timestamp.raw()
                         ));
                     }
                 }
                 // Once the stall lifts the ejected clients re-admit as
                 // fresh sessions.
-                let base = Self::cum_before(outcome, w.until, |e| e.session_connects);
-                if last.session_connects <= base {
+                let base = Self::cum_before(outcome, w.until, |s| s.connects);
+                if last.sessions.connects <= base {
                     return Err(format!("{name}: stalled clients never re-admitted"));
                 }
             }
@@ -1726,19 +1723,12 @@ mod tests {
     #[test]
     fn outcome_epoch_lookup() {
         let sample = |t: u64| EpochSample {
-            timestamp: Timestamp(t),
-            index_size: 1,
-            top_k_score: 1.0,
-            top_ids: vec![7],
-            top_hotness: Some(2),
-            sessions_healthy: 0,
-            sessions_dropped: 0,
-            session_connects: 0,
-            session_reconnects: 0,
-            session_ejections: 0,
-            turned_away: 0,
-            degraded_epochs: 0,
-            phase_b_deferred: 0,
+            snap: Arc::new(HotSnapshot { timestamp: Timestamp(t), ..HotSnapshot::empty() }),
+            reporting: 0,
+            processing: Duration::ZERO,
+            comm: CommStats::default(),
+            dp_index_size: None,
+            dp_score: None,
         };
         let outcome = ScenarioOutcome {
             per_epoch: vec![sample(5), sample(10), sample(15)],
@@ -1746,8 +1736,8 @@ mod tests {
             measurements: 10,
             reports: 3,
         };
-        assert_eq!(outcome.epoch_at(Timestamp(9)).unwrap().timestamp, Timestamp(10));
-        assert_eq!(outcome.epoch_at(Timestamp(15)).unwrap().timestamp, Timestamp(15));
+        assert_eq!(outcome.epoch_at(Timestamp(9)).unwrap().snap.timestamp, Timestamp(10));
+        assert_eq!(outcome.epoch_at(Timestamp(15)).unwrap().snap.timestamp, Timestamp(15));
         assert!(outcome.epoch_at(Timestamp(16)).is_none());
     }
 }

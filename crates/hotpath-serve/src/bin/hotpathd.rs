@@ -90,12 +90,10 @@ fn main() -> ExitCode {
     }
 
     server.stop();
-    let stats = handle.stats_handle();
     let snap = handle.shutdown();
-    let stats = stats.view();
     eprintln!(
-        "hotpathd: done — epoch {} ({} boundaries), {} submitted, {} hot path(s)",
-        snap.epoch, stats.epochs, stats.submitted, snap.hot_count,
+        "hotpathd: done — epoch {}, {} submitted, {} hot path(s)",
+        snap.epoch, snap.comm.uplink_msgs, snap.hot_count,
     );
     ExitCode::SUCCESS
 }

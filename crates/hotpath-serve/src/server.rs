@@ -4,7 +4,7 @@
 //! dedicated writer thread — the only thread that ever touches the
 //! engine. Clients talk to it through a [`ServerHandle`]:
 //!
-//! - **Writes** ([`ServerHandle::submit`], [`ServerHandle::advance`])
+//! - **Writes** ([`ServerHandle::submit_batch`], [`ServerHandle::advance`])
 //!   are enqueued on an mpsc channel and applied in program order by
 //!   the writer thread. `advance` drives every granule up to the target
 //!   clock and runs [`process_epoch`](hotpath_core::engine::Engine::process_epoch)
@@ -16,9 +16,10 @@
 //!   allocation, and never a stall for the epoch loop.
 //!
 //! The handle is cheap to share behind an `Arc`; [`ServerHandle::shutdown`]
-//! (or drop) stops the writer thread and returns the final snapshot.
+//! (or drop) stops the writer thread and returns the final snapshot —
+//! whose `epoch` counts the boundaries processed and whose
+//! `comm.uplink_msgs` counts the states submitted before its publish.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
@@ -31,53 +32,13 @@ use hotpath_core::time::{EpochClock, Timestamp};
 /// A command applied by the writer thread, in program order.
 #[derive(Debug)]
 pub enum ServerMsg {
-    /// One state message for the next epoch.
-    Submit(ClientState),
-    /// A batch of state messages, equivalent to a `Submit` loop.
+    /// A batch of state messages for the next epoch.
     SubmitBatch(Vec<ClientState>),
     /// Advance the server clock to `t`, running every epoch boundary
     /// crossed on the way.
     Advance(Timestamp),
     /// Stop the writer thread after draining prior messages.
     Shutdown,
-}
-
-/// Open-loop serving counters, updated by the writer thread and read
-/// by anyone holding the handle.
-///
-/// `epochs` never trails the published snapshot: the writer counts an
-/// epoch (`Release`) *before* the engine publishes it into the
-/// [`SnapshotCell`], so the count is ordered before the cell's own
-/// publish/read synchronization, and a reader that has seen epoch *e*
-/// in the cell then reads (`Acquire`, in [`ServerStats::view`])
-/// `epochs >= e`.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    submitted: AtomicU64,
-    epochs: AtomicU64,
-    responses: AtomicU64,
-}
-
-/// A point-in-time copy of [`ServerStats`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServerStatsView {
-    /// State messages accepted (single and batched).
-    pub submitted: u64,
-    /// Epoch boundaries processed.
-    pub epochs: u64,
-    /// Endpoint responses produced across all epochs.
-    pub responses: u64,
-}
-
-impl ServerStats {
-    /// A point-in-time copy of the counters.
-    pub fn view(&self) -> ServerStatsView {
-        ServerStatsView {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            epochs: self.epochs.load(Ordering::Acquire),
-            responses: self.responses.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// The `hotpathd` server: constructor namespace for [`ServerHandle`].
@@ -93,33 +54,17 @@ impl Hotpathd {
         let cell = SnapshotCell::new();
         let epochs = engine.config().epochs;
         engine.attach_cell(Arc::clone(&cell));
-        let stats = Arc::new(ServerStats::default());
         let (tx, rx) = mpsc::channel();
-        let writer = {
-            let stats = Arc::clone(&stats);
-            thread::spawn(move || writer_loop(engine, rx, epochs, &stats))
-        };
-        ServerHandle { tx, cell, stats, writer: Some(writer) }
+        let writer = thread::spawn(move || writer_loop(engine, rx, epochs));
+        ServerHandle { tx, cell, writer: Some(writer) }
     }
 }
 
-fn writer_loop(
-    mut engine: Box<dyn Engine>,
-    rx: mpsc::Receiver<ServerMsg>,
-    epochs: EpochClock,
-    stats: &ServerStats,
-) {
+fn writer_loop(mut engine: Box<dyn Engine>, rx: mpsc::Receiver<ServerMsg>, epochs: EpochClock) {
     let mut clock = Timestamp::ZERO;
     while let Ok(msg) = rx.recv() {
         match msg {
-            ServerMsg::Submit(state) => {
-                engine.submit(state);
-                stats.submitted.fetch_add(1, Ordering::Relaxed);
-            }
-            ServerMsg::SubmitBatch(batch) => {
-                stats.submitted.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                engine.submit_batch(&mut batch.into_iter());
-            }
+            ServerMsg::SubmitBatch(batch) => engine.submit_batch(&mut batch.into_iter()),
             ServerMsg::Advance(t) => {
                 // Drive every granule so coarse ticks still hit every
                 // epoch boundary; stale ticks are ignored.
@@ -127,11 +72,7 @@ fn writer_loop(
                     let now = Timestamp(g);
                     engine.advance_time(now);
                     if epochs.is_epoch(now) {
-                        // Counted before the engine publishes the
-                        // epoch, so the counter never trails the cell.
-                        stats.epochs.fetch_add(1, Ordering::Release);
-                        let responses = engine.process_epoch(now);
-                        stats.responses.fetch_add(responses.len() as u64, Ordering::Relaxed);
+                        engine.process_epoch(now);
                     }
                 }
                 clock = clock.max(t);
@@ -150,7 +91,6 @@ fn writer_loop(
 pub struct ServerHandle {
     tx: mpsc::Sender<ServerMsg>,
     cell: Arc<SnapshotCell>,
-    stats: Arc<ServerStats>,
     writer: Option<JoinHandle<()>>,
 }
 
@@ -173,11 +113,6 @@ impl ServerHandle {
         self.tx.clone()
     }
 
-    /// Enqueues one state message.
-    pub fn submit(&self, state: ClientState) {
-        let _ = self.tx.send(ServerMsg::Submit(state));
-    }
-
     /// Enqueues a batch of state messages.
     pub fn submit_batch(&self, batch: Vec<ClientState>) {
         let _ = self.tx.send(ServerMsg::SubmitBatch(batch));
@@ -187,18 +122,6 @@ impl ServerHandle {
     /// to and including `t`.
     pub fn advance(&self, t: Timestamp) {
         let _ = self.tx.send(ServerMsg::Advance(t));
-    }
-
-    /// A point-in-time copy of the serving counters. Open-loop: a
-    /// just-enqueued write may not be counted yet.
-    pub fn stats(&self) -> ServerStatsView {
-        self.stats.view()
-    }
-
-    /// The shared counters themselves — survives [`ServerHandle::shutdown`],
-    /// after which the counts are final.
-    pub fn stats_handle(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Stops the writer thread, waits for it to drain, and returns the
@@ -230,6 +153,7 @@ mod tests {
     use hotpath_core::geometry::{Point, Rect};
     use hotpath_core::prelude::Config;
     use hotpath_core::ObjectId;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn cfg() -> Config {
         Config::paper_defaults().with_epoch(10).with_window(10_000)
@@ -256,7 +180,7 @@ mod tests {
     fn driven_server_processes_every_boundary_in_one_coarse_advance() {
         let handle = spawn();
         for e in 1..=5u64 {
-            handle.submit(state(e, (0.0, 0.0), (50.0, 0.0), e * 10 - 1));
+            handle.submit_batch(vec![state(e, (0.0, 0.0), (50.0, 0.0), e * 10 - 1)]);
         }
         // One coarse tick: the server must still run epochs 1..=5.
         handle.advance(Timestamp(50));
@@ -271,7 +195,7 @@ mod tests {
         let mut reader = handle.reader();
         assert_eq!(reader.epoch(), 0, "epoch-0 image pre-published");
 
-        handle.submit(state(1, (0.0, 0.0), (50.0, 0.0), 9));
+        handle.submit_batch(vec![state(1, (0.0, 0.0), (50.0, 0.0), 9)]);
         handle.advance(Timestamp(10));
         // Open loop: wait for the publish to land in the cell.
         while reader.epoch() < 1 {
@@ -281,24 +205,20 @@ mod tests {
         assert_eq!(snap.epoch, 1);
         assert_eq!(snap.top_k.len(), 1);
 
-        // Counters never trail the snapshot they describe.
-        let stats = handle.stats();
-        assert_eq!(stats.submitted, 1);
-        assert!(stats.epochs >= snap.epoch, "{} epochs counted", stats.epochs);
+        // The image counts the state that reached it.
+        assert_eq!(snap.comm.uplink_msgs, 1);
     }
 
     #[test]
     fn stale_and_duplicate_advances_are_ignored() {
         let handle = spawn();
-        let stats = Arc::clone(&handle.stats);
         handle.advance(Timestamp(20));
         handle.advance(Timestamp(20));
         handle.advance(Timestamp(5));
         // Shutdown drains the queue and joins the writer, so the
-        // counters are final when it returns.
+        // snapshot is final when it returns.
         let snap = handle.shutdown();
-        assert_eq!(snap.epoch, 2);
-        assert_eq!(stats.view().epochs, 2, "re-advancing must not re-run boundaries");
+        assert_eq!(snap.epoch, 2, "re-advancing must not re-run boundaries");
     }
 
     /// The serving-layer hammer: readers spin on their handles while
@@ -341,7 +261,7 @@ mod tests {
             .collect();
 
         for e in 1..=EPOCHS {
-            handle.submit(state(e, (0.0, 0.0), (50.0, 0.0), e * 10 - 1));
+            handle.submit_batch(vec![state(e, (0.0, 0.0), (50.0, 0.0), e * 10 - 1)]);
             handle.advance(Timestamp(e * 10));
         }
         let snap = handle.shutdown();

@@ -28,7 +28,6 @@ use hotpath_core::time::Timestamp;
 use hotpath_core::ObjectId;
 use hotpath_netsim::scenario::{FaultKind, FaultWindow};
 use hotpath_sim::fault::FaultPlan;
-use hotpath_sim::options::RunOptions;
 
 use crate::server::Hotpathd;
 
@@ -57,10 +56,11 @@ pub struct SwarmParams {
     pub seed: u64,
     /// Fraction of writers disconnected during the middle third of the
     /// run (`0.0` = no churn). Victims are seeded by
-    /// [`RunOptions::fault_seed`].
+    /// [`Self::fault_seed`].
     pub churn: f64,
-    /// Shared execution knobs (checkpoint / fault seed).
-    pub run: RunOptions,
+    /// Seed for churn-victim selection; runs are deterministic per
+    /// seed.
+    pub fault_seed: u64,
 }
 
 impl Default for SwarmParams {
@@ -71,7 +71,7 @@ impl Default for SwarmParams {
             ticks: 200,
             seed: 0x5EED,
             churn: 0.0,
-            run: RunOptions::default(),
+            fault_seed: FaultPlan::DEFAULT_SEED,
         }
     }
 }
@@ -118,9 +118,9 @@ impl SwarmParams {
         self
     }
 
-    /// Chainable execution-knob override.
-    pub fn with_run(mut self, run: RunOptions) -> Self {
-        self.run = run;
+    /// Chainable churn-victim seed override.
+    pub fn with_fault_seed(mut self, fault_seed: u64) -> Self {
+        self.fault_seed = fault_seed;
         self
     }
 
@@ -134,7 +134,7 @@ impl SwarmParams {
             return FaultPlan::default();
         }
         FaultPlan::new(
-            self.run.fault_seed,
+            self.fault_seed,
             vec![FaultWindow {
                 kind: FaultKind::Disconnect,
                 from: Timestamp(self.ticks / 3),
@@ -155,8 +155,6 @@ pub struct SwarmReport {
     pub submitted: u64,
     /// Traversals suppressed by churn.
     pub suppressed: u64,
-    /// Epoch boundaries processed.
-    pub epochs: u64,
     /// Lock-free snapshot reads completed by the reader threads
     /// (nondeterministic; excluded from parity checks).
     pub reads: u64,
@@ -168,7 +166,8 @@ pub struct SwarmReport {
     /// Hash of the final published snapshot (epoch, counts, full
     /// top-k). Equal for equal schedules.
     pub fingerprint: u64,
-    /// Final epoch of the published snapshot.
+    /// Final epoch of the published snapshot: the epoch boundaries
+    /// processed.
     pub final_epoch: u64,
     /// Hot paths in the final snapshot.
     pub hot_count: u64,
@@ -183,7 +182,7 @@ impl SwarmReport {
             && self.fingerprint == other.fingerprint
             && self.submitted == other.submitted
             && self.suppressed == other.suppressed
-            && self.epochs == other.epochs
+            && self.final_epoch == other.final_epoch
     }
 }
 
@@ -301,9 +300,7 @@ pub fn run_swarm(params: &SwarmParams) -> SwarmReport {
         handle.advance(Timestamp(t));
     }
 
-    let stats = handle.stats_handle();
     let snap = handle.shutdown();
-    let stats = stats.view();
     stop.store(true, Ordering::Release);
     let (reads, max_epoch_seen) = readers
         .into_iter()
@@ -314,7 +311,6 @@ pub fn run_swarm(params: &SwarmParams) -> SwarmReport {
         ticks: params.ticks,
         submitted,
         suppressed,
-        epochs: stats.epochs,
         reads,
         max_epoch_seen,
         schedule_hash,
@@ -366,7 +362,7 @@ mod tests {
     #[test]
     fn fault_seed_selects_the_victims() {
         let params = small().with_churn(0.3);
-        let other = params.clone().with_run(params.run.clone().with_fault_seed(0xBEEF));
+        let other = params.clone().with_fault_seed(0xBEEF);
         let a = run_swarm(&params);
         let b = run_swarm(&other);
         assert_ne!(

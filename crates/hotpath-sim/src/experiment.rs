@@ -7,11 +7,13 @@ use hotpath_core::geometry::{Rect, Segment};
 use hotpath_netsim::mobility::PopulationParams;
 use hotpath_netsim::scenario::{Scenario, ScenarioParams, UniformScenario};
 
-/// One point of the Figure 7 sweep (vary `N`, fixed `eps = 10`).
+/// One point of the Figure 7 or Figure 8 sweep: the swept value and
+/// the per-epoch means the three panels plot.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig7Row {
-    /// Number of objects.
-    pub n: usize,
+pub struct SweepRow {
+    /// The swept value: the number of objects `N` (Figure 7) or the
+    /// tolerance `eps` in meters (Figure 8).
+    pub x: f64,
     /// Mean SinglePath index size (motion paths) per epoch.
     pub sp_paths: f64,
     /// Mean DP index size (segments) per epoch.
@@ -20,36 +22,28 @@ pub struct Fig7Row {
     pub sp_score: f64,
     /// Mean DP top-k score per epoch.
     pub dp_score: f64,
-    /// Mean SinglePath processing time per epoch, ms.
+    /// Mean wall time per epoch boundary, ms: the whole boundary —
+    /// drain, SinglePath, respond and publish.
     pub sp_time_ms: f64,
 }
 
-/// One point of the Figure 8 sweep (vary `eps`, fixed `N = 20000`).
-#[derive(Clone, Copy, Debug)]
-pub struct Fig8Row {
-    /// Tolerance in meters.
-    pub eps: f64,
-    /// Mean SinglePath index size per epoch.
-    pub sp_paths: f64,
-    /// Mean DP index size per epoch.
-    pub dp_paths: f64,
-    /// Mean SinglePath top-k score per epoch.
-    pub sp_score: f64,
-    /// Mean DP top-k score per epoch.
-    pub dp_score: f64,
-    /// Mean SinglePath processing time per epoch, ms.
-    pub sp_time_ms: f64,
-}
-
-/// Runs Table 2's uniform workload once and summarizes it as a
-/// Figure-7-style row.
+/// Runs Table 2's uniform workload once and summarizes it as the sweep
+/// row at `x`.
 fn run_row(
+    x: f64,
     scale: &ScenarioParams,
     mobility: PopulationParams,
     params: &ScenarioRunParams,
-) -> (f64, f64, f64, f64, f64) {
+) -> SweepRow {
     let s = run_scenario(&mut UniformScenario::new(scale, mobility), params).summary;
-    (s.mean_index_size, s.mean_dp_index_size, s.mean_score, s.mean_dp_score, s.mean_time_ms)
+    SweepRow {
+        x,
+        sp_paths: s.mean_index_size,
+        dp_paths: s.mean_dp_index_size,
+        sp_score: s.mean_score,
+        dp_score: s.mean_dp_score,
+        sp_time_ms: s.mean_time_ms,
+    }
 }
 
 /// Figure 7: vary the number of objects over the uniform workload
@@ -60,13 +54,9 @@ pub fn figure7(
     scale: &ScenarioParams,
     mobility: PopulationParams,
     params: &ScenarioRunParams,
-) -> Vec<Fig7Row> {
+) -> Vec<SweepRow> {
     ns.iter()
-        .map(|&n| {
-            let (sp_paths, dp_paths, sp_score, dp_score, sp_time_ms) =
-                run_row(&ScenarioParams { n, ..*scale }, mobility, params);
-            Fig7Row { n, sp_paths, dp_paths, sp_score, dp_score, sp_time_ms }
-        })
+        .map(|&n| run_row(n as f64, &ScenarioParams { n, ..*scale }, mobility, params))
         .collect()
 }
 
@@ -76,23 +66,20 @@ pub fn figure8(
     scale: &ScenarioParams,
     mobility: PopulationParams,
     params: &ScenarioRunParams,
-) -> Vec<Fig8Row> {
+) -> Vec<SweepRow> {
     epss.iter()
-        .map(|&eps| {
-            let (sp_paths, dp_paths, sp_score, dp_score, sp_time_ms) =
-                run_row(scale, mobility, &ScenarioRunParams { eps, ..params.clone() });
-            Fig8Row { eps, sp_paths, dp_paths, sp_score, dp_score, sp_time_ms }
-        })
+        .map(|&eps| run_row(eps, scale, mobility, &ScenarioRunParams { eps, ..params.clone() }))
         .collect()
 }
 
-/// Formats the Figure 7 series as the three panels' columns.
-pub fn format_fig7(rows: &[Fig7Row]) -> String {
+/// Formats a Figure 7 or 8 series as the three panels' columns, the
+/// swept value first under the header `x`.
+pub fn format_sweep(x: &str, rows: &[SweepRow]) -> String {
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
-                r.n.to_string(),
+                format!("{:.0}", r.x),
                 format!("{:.0}", r.sp_paths),
                 format!("{:.0}", r.dp_paths),
                 format!("{:.1}", r.sp_score),
@@ -101,25 +88,22 @@ pub fn format_fig7(rows: &[Fig7Row]) -> String {
             ]
         })
         .collect();
-    report::table(&["N", "SP paths", "DP paths", "SP score", "DP score", "SP ms/epoch"], &data)
+    report::table(&[x, "SP paths", "DP paths", "SP score", "DP score", "SP ms/epoch"], &data)
 }
 
-/// Formats the Figure 8 series.
-pub fn format_fig8(rows: &[Fig8Row]) -> String {
+/// Renders a Figure 7 or 8 series as CSV at full precision, the swept
+/// value first under the header `x`.
+pub fn sweep_csv(x: &str, rows: &[SweepRow]) -> String {
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            vec![
-                format!("{:.0}", r.eps),
-                format!("{:.0}", r.sp_paths),
-                format!("{:.0}", r.dp_paths),
-                format!("{:.1}", r.sp_score),
-                format!("{:.1}", r.dp_score),
-                format!("{:.2}", r.sp_time_ms),
-            ]
+            [r.x, r.sp_paths, r.dp_paths, r.sp_score, r.dp_score, r.sp_time_ms]
+                .iter()
+                .map(|v| v.to_string())
+                .collect()
         })
         .collect();
-    report::table(&["eps", "SP paths", "DP paths", "SP score", "DP score", "SP ms/epoch"], &data)
+    report::csv(&[x, "sp_paths", "dp_paths", "sp_score", "dp_score", "sp_time_ms"], &data)
 }
 
 /// Figure 9: run `scenario` and return all motion paths with positive
@@ -186,14 +170,17 @@ mod tests {
         let (scale, mobility, params) = quick_base();
         let rows = figure7(&[50, 150], &scale, mobility, &params);
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].n, 50);
-        assert_eq!(rows[1].n, 150);
+        assert_eq!(rows[0].x, 50.0);
+        assert_eq!(rows[1].x, 150.0);
         // More objects → more (or equal) paths, for both methods.
         assert!(rows[1].sp_paths >= rows[0].sp_paths);
         // The formatted table parses back.
-        let txt = format_fig7(&rows);
+        let txt = format_sweep("N", &rows);
         assert!(txt.contains("SP paths"));
         assert_eq!(txt.lines().count(), 4);
+        // The swept value prints as an integer in both renderings.
+        assert!(txt.lines().nth(2).unwrap().trim_start().starts_with("50 "));
+        assert!(sweep_csv("n", &rows).lines().nth(1).unwrap().starts_with("50,"));
     }
 
     #[test]
@@ -208,7 +195,7 @@ mod tests {
             rows[1].sp_paths,
             rows[0].sp_paths
         );
-        let txt = format_fig8(&rows);
+        let txt = format_sweep("eps", &rows);
         assert!(txt.contains("eps"));
     }
 

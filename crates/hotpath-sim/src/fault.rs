@@ -19,6 +19,9 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// The fault seed runs use unless told otherwise.
+    pub const DEFAULT_SEED: u64 = 0xFA17;
+
     /// A plan over explicit windows.
     pub fn new(seed: u64, windows: Vec<FaultWindow>) -> Self {
         FaultPlan { seed, windows }

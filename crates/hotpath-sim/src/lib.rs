@@ -26,10 +26,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod engine_loop;
 pub mod experiment;
 pub mod fault;
 pub mod metrics;
-pub mod options;
 pub mod report;
 pub mod scenario_run;

@@ -1,43 +1,13 @@
-//! Per-epoch and aggregate metrics.
+//! Aggregate metrics over a run's per-epoch series.
 //!
 //! The evaluation (Section 6.1) tracks three quality/efficiency metrics,
 //! averaged per epoch: index size in motion paths, top-k score, and
 //! coordinator processing time; plus the communication the RayTrace
-//! filters save.
+//! filters save. The per-epoch record is the driver's [`EpochSample`]:
+//! the published snapshot plus the boundary's wall time, reporting
+//! count, comm delta and DP columns.
 
-use hotpath_core::stats::CommStats;
-use hotpath_core::time::Timestamp;
-use std::time::Duration;
-
-/// Metrics captured at one epoch boundary.
-#[derive(Clone, Copy, Debug)]
-pub struct EpochMetrics {
-    /// Epoch ordinal.
-    pub epoch: u64,
-    /// The boundary timestamp.
-    pub timestamp: Timestamp,
-    /// States processed this epoch.
-    pub reporting: usize,
-    /// Motion paths stored after processing (SinglePath).
-    pub index_size: usize,
-    /// Top-k score after processing (SinglePath).
-    pub top_k_score: f64,
-    /// Wall time the driver was blocked in `process_epoch` at this
-    /// boundary: all four stages, publish included. The per-stage split
-    /// is the `strategy_time` / `publish_time` deltas in
-    /// [`HotSnapshot::processing`].
-    ///
-    /// [`HotSnapshot::processing`]: hotpath_core::coordinator::HotSnapshot
-    pub processing: Duration,
-    /// Communication delta this epoch.
-    pub comm: CommStats,
-    /// DP competitor index size (when the competitor runs).
-    pub dp_index_size: Option<usize>,
-    /// DP competitor top-k score.
-    pub dp_score: Option<f64>,
-    /// States Phase A deferred to Phase B this epoch (deterministic).
-    pub phase_b_deferred: usize,
-}
+use hotpath_netsim::scenario::EpochSample;
 
 /// Aggregates over a full run: the per-epoch averages the paper plots.
 #[derive(Clone, Copy, Debug, Default)]
@@ -48,7 +18,8 @@ pub struct Summary {
     pub mean_index_size: f64,
     /// Mean top-k score per epoch.
     pub mean_score: f64,
-    /// Mean SinglePath processing time per epoch, milliseconds.
+    /// Mean wall time per epoch boundary, milliseconds: the whole
+    /// boundary — drain, strategy (SinglePath), respond and publish.
     pub mean_time_ms: f64,
     /// Mean reporting objects per epoch.
     pub mean_reporting: f64,
@@ -70,19 +41,19 @@ pub struct Summary {
 impl Summary {
     /// Builds a summary from the per-epoch series. Averages skip warm-up
     /// epochs with an empty index (the paper plots steady behavior).
-    pub fn from_epochs(per_epoch: &[EpochMetrics], measurements: u64) -> Summary {
+    pub fn from_epochs(per_epoch: &[EpochSample], measurements: u64) -> Summary {
         if per_epoch.is_empty() {
             return Summary::default();
         }
         let n = per_epoch.len() as f64;
         let uplink_msgs: u64 = per_epoch.iter().map(|e| e.comm.uplink_msgs).sum();
         let uplink_bytes: u64 = per_epoch.iter().map(|e| e.comm.uplink_bytes).sum();
-        let dp_rows: Vec<&EpochMetrics> =
+        let dp_rows: Vec<&EpochSample> =
             per_epoch.iter().filter(|e| e.dp_index_size.is_some()).collect();
         Summary {
             epochs: per_epoch.len() as u64,
-            mean_index_size: per_epoch.iter().map(|e| e.index_size as f64).sum::<f64>() / n,
-            mean_score: per_epoch.iter().map(|e| e.top_k_score).sum::<f64>() / n,
+            mean_index_size: per_epoch.iter().map(|e| e.snap.index_size as f64).sum::<f64>() / n,
+            mean_score: per_epoch.iter().map(|e| e.snap.top_k_score).sum::<f64>() / n,
             mean_time_ms: per_epoch.iter().map(|e| e.processing.as_secs_f64() * 1e3).sum::<f64>()
                 / n,
             mean_reporting: per_epoch.iter().map(|e| e.reporting as f64).sum::<f64>() / n,
@@ -113,14 +84,22 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hotpath_core::coordinator::HotSnapshot;
+    use hotpath_core::stats::CommStats;
+    use hotpath_core::time::Timestamp;
+    use std::sync::Arc;
+    use std::time::Duration;
 
-    fn epoch(i: u64, index: usize, score: f64, ms: u64, dp: Option<(usize, f64)>) -> EpochMetrics {
-        EpochMetrics {
-            epoch: i,
-            timestamp: Timestamp(i * 10),
+    fn epoch(i: u64, index: usize, score: f64, ms: u64, dp: Option<(usize, f64)>) -> EpochSample {
+        EpochSample {
+            snap: Arc::new(HotSnapshot {
+                epoch: i,
+                timestamp: Timestamp(i * 10),
+                index_size: index,
+                top_k_score: score,
+                ..HotSnapshot::empty()
+            }),
             reporting: 5,
-            index_size: index,
-            top_k_score: score,
             processing: Duration::from_millis(ms),
             comm: CommStats {
                 uplink_msgs: 5,
@@ -130,7 +109,6 @@ mod tests {
             },
             dp_index_size: dp.map(|d| d.0),
             dp_score: dp.map(|d| d.1),
-            phase_b_deferred: 3,
         }
     }
 

@@ -3,6 +3,7 @@
 
 use hotpath_core::geometry::{Rect, Segment};
 use hotpath_netsim::network::RoadNetwork;
+use hotpath_netsim::scenario::EpochSample;
 
 /// Renders an aligned table: a header row plus data rows.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -240,26 +241,27 @@ pub fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders a per-epoch metric series as CSV — one record per epoch
+/// Renders a run's per-epoch series as CSV — one record per epoch
 /// boundary with the quality, timing, and communication columns. Used
 /// by `experiments scenario --csv` so scenario runs can be plotted and
-/// diffed externally.
-pub fn epoch_metrics_csv(rows: &[crate::metrics::EpochMetrics]) -> String {
+/// diffed externally. `epoch` is the published snapshot's, so a
+/// warm-started run continues the restored count.
+pub fn epoch_metrics_csv(rows: &[EpochSample]) -> String {
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|e| {
             vec![
-                e.epoch.to_string(),
-                e.timestamp.raw().to_string(),
+                e.snap.epoch.to_string(),
+                e.snap.timestamp.raw().to_string(),
                 e.reporting.to_string(),
-                e.index_size.to_string(),
-                format!("{}", e.top_k_score),
+                e.snap.index_size.to_string(),
+                format!("{}", e.snap.top_k_score),
                 format!("{}", e.processing.as_secs_f64() * 1e3),
                 e.comm.uplink_msgs.to_string(),
                 e.comm.uplink_bytes.to_string(),
                 e.comm.downlink_msgs.to_string(),
                 e.comm.downlink_bytes.to_string(),
-                e.phase_b_deferred.to_string(),
+                e.snap.phase_b.deferred.to_string(),
             ]
         })
         .collect();
@@ -305,16 +307,23 @@ mod csv_tests {
 
     #[test]
     fn epoch_metrics_render_one_record_per_epoch() {
-        use crate::metrics::EpochMetrics;
+        use hotpath_core::coordinator::HotSnapshot;
         use hotpath_core::stats::CommStats;
+        use hotpath_core::strategy::PhaseBLoad;
         use hotpath_core::time::Timestamp;
+        use hotpath_netsim::scenario::EpochSample;
+        use std::sync::Arc;
         use std::time::Duration;
-        let rows = vec![EpochMetrics {
-            epoch: 3,
-            timestamp: Timestamp(15),
+        let rows = vec![EpochSample {
+            snap: Arc::new(HotSnapshot {
+                epoch: 3,
+                timestamp: Timestamp(15),
+                index_size: 42,
+                top_k_score: 99.5,
+                phase_b: PhaseBLoad { deferred: 5, ..PhaseBLoad::default() },
+                ..HotSnapshot::empty()
+            }),
             reporting: 7,
-            index_size: 42,
-            top_k_score: 99.5,
             processing: Duration::from_millis(2),
             comm: CommStats {
                 uplink_msgs: 7,
@@ -324,7 +333,6 @@ mod csv_tests {
             },
             dp_index_size: None,
             dp_score: None,
-            phase_b_deferred: 5,
         }];
         let s = super::epoch_metrics_csv(&rows);
         let lines: Vec<&str> = s.lines().collect();

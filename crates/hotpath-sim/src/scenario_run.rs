@@ -1,8 +1,9 @@
 //! The run driver: runs any [`Scenario`] — a registered workload or the
 //! paper's Table 2 [`UniformScenario`] — through the full client-filter
-//! and coordinator pipeline, records the per-epoch metrics the figures
-//! plot, verifies the scenario's invariants, and sweeps the `(sigma,
-//! FallbackPolicy)` uncertainty grid. Section 3.2's protocol is the
+//! and coordinator pipeline, records each epoch's published snapshot
+//! with the driver's own per-epoch columns, verifies the scenario's
+//! invariants, and sweeps the `(sigma, FallbackPolicy)` uncertainty
+//! grid. Section 3.2's protocol is the
 //! same whatever the workload: clients filter, escaping states go up,
 //! and endpoints come back at the epoch boundary.
 //!
@@ -18,18 +19,16 @@
 //!
 //! [`UniformScenario`]: hotpath_netsim::scenario::UniformScenario
 
-use crate::engine_loop::{run_epochs, CheckpointPolicy};
 use crate::fault::FaultPlan;
-use crate::metrics::{EpochMetrics, Summary};
-use crate::options::RunOptions;
+use crate::metrics::Summary;
 use hotpath_baseline::{DpHotSegments, EndpointPolicy};
+use hotpath_core::checkpoint::Checkpoint;
 use hotpath_core::config::{Config, Tolerance};
 use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
 use hotpath_core::engine::{Engine, EngineKind};
 use hotpath_core::geometry::TimePoint;
 use hotpath_core::raytrace::hinted::HintedRayTraceFilter;
 use hotpath_core::raytrace::{ClientState, FilterStats, RayTraceFilter, UncertainRayTraceFilter};
-use hotpath_core::session::SessionTransition;
 use hotpath_core::strategy::OverlapPolicy;
 use hotpath_core::time::Timestamp;
 use hotpath_core::uncertainty::{FallbackPolicy, ToleranceTable2D};
@@ -40,6 +39,34 @@ use hotpath_netsim::scenario::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Checkpoint controls for a run. The default is all-off: no images
+/// written, no restore, no restart probe.
+#[derive(Clone, Debug, Default)]
+pub struct CheckpointPolicy {
+    /// Periodic images `(every, dir)`: at every `every`-th epoch
+    /// boundary write `epoch-<n>.ckpt` plus an always-current
+    /// `latest.ckpt` (see [`Self::latest_path`]) into `dir`.
+    pub periodic: Option<(u64, PathBuf)>,
+    /// Warm start: restore this image into the engine before the first
+    /// tick (the run continues the checkpointed window and counters).
+    pub restore_from: Option<PathBuf>,
+    /// Restart-parity probe: at this epoch boundary, checkpoint, tear
+    /// the engine down completely, rebuild a fresh one, restore the
+    /// image into it, and continue — the in-process
+    /// equivalent of a crash/restart, pinned by the parity tests.
+    pub restart_at: Option<u64>,
+}
+
+impl CheckpointPolicy {
+    /// The path of the always-current image under `dir`.
+    pub fn latest_path(dir: &Path) -> PathBuf {
+        dir.join("latest.ckpt")
+    }
+}
 
 /// Driver knobs; defaults mirror the scenario integration tests.
 #[derive(Clone, Debug)]
@@ -62,10 +89,13 @@ pub struct ScenarioRunParams {
     /// Seed for the driver's Gaussian re-measurement device (kept apart
     /// from the scenario seed so noise and workload vary independently).
     pub noise_seed: u64,
-    /// Shared execution knobs: checkpoint policy, and the fault-victim
-    /// seed used when the scenario declares
-    /// [`hotpath_netsim::scenario::FaultWindow`]s.
-    pub run: RunOptions,
+    /// Checkpoint controls: periodic image writes, warm-start restore,
+    /// and the restart-parity probe. Default: all off.
+    pub checkpoint: CheckpointPolicy,
+    /// Seed for fault-victim selection when the scenario declares
+    /// [`hotpath_netsim::scenario::FaultWindow`]s; runs are
+    /// deterministic per seed.
+    pub fault_seed: u64,
     /// Enable the Section 7 hint feedback extension (crisp clients only).
     pub hints: bool,
     /// Run the DP competitor (`nopw` endpoints) on the same raw stream.
@@ -85,7 +115,8 @@ impl Default for ScenarioRunParams {
             epoch: 5,
             k: 10,
             noise_seed: 0x5eed,
-            run: RunOptions::default(),
+            checkpoint: CheckpointPolicy::default(),
+            fault_seed: FaultPlan::DEFAULT_SEED,
             hints: false,
             dp: false,
             overlap: OverlapPolicy::Full,
@@ -126,20 +157,13 @@ impl ScenarioRunParams {
         }
         config
     }
-
-    /// Chainable checkpoint-policy override.
-    pub fn with_checkpoint(mut self, checkpoint: CheckpointPolicy) -> Self {
-        self.run.checkpoint = checkpoint;
-        self
-    }
 }
 
 /// Everything a scenario run produces.
 pub struct ScenarioRunResult {
-    /// The observations handed to the invariant hook.
+    /// The per-epoch series (DP columns set when the competitor runs)
+    /// and the other observations handed to the invariant hook.
     pub outcome: ScenarioOutcome,
-    /// Per-epoch metrics (DP columns set when the competitor runs).
-    pub per_epoch: Vec<EpochMetrics>,
     /// Aggregates over the run.
     pub summary: Summary,
     /// The scenario's verdict on its own invariants.
@@ -195,13 +219,12 @@ impl Client {
     }
 }
 
-/// The per-tick half of a run, driven by the epoch loop in
-/// [`crate::engine_loop`]: the scenario as measurement source, the
-/// client fleet, fault execution (uplink suppression per the scenario's
+/// One run in progress: the scenario as measurement source, the client
+/// fleet, fault execution (uplink suppression per the scenario's
 /// declared windows), the optional DP competitor on the raw stream, and
-/// the per-epoch [`EpochSample`] observations for the invariant hook —
-/// read from the published snapshots.
-pub(crate) struct ScenarioDriver<'a> {
+/// the per-epoch [`EpochSample`]s, each holding the snapshot the engine
+/// published at that boundary.
+struct ScenarioDriver<'a> {
     scenario: &'a mut dyn Scenario,
     clients: Vec<Client>,
     dp: Option<DpHotSegments>,
@@ -234,11 +257,6 @@ pub(crate) struct ScenarioDriver<'a> {
     retired: FilterStats,
     /// The current tick (for response-time bookkeeping in `deliver`).
     now: Timestamp,
-    /// Cumulative session-transition counters, folded from the
-    /// published per-epoch event streams.
-    connects: u64,
-    reconnects: u64,
-    ejections: u64,
 }
 
 impl ScenarioDriver<'_> {
@@ -267,7 +285,7 @@ impl ScenarioDriver<'_> {
     /// the raw batch to the DP competitor, runs the surviving ones
     /// through the client filters, and submits every escaping state to
     /// `engine` in measurement order.
-    pub(crate) fn tick(&mut self, now: Timestamp, engine: &mut dyn Engine) {
+    fn tick(&mut self, now: Timestamp, engine: &mut dyn Engine) {
         self.now = now;
         self.scenario.tick(now, &mut self.batch);
         self.measurements += self.batch.len() as u64;
@@ -313,7 +331,7 @@ impl ScenarioDriver<'_> {
     /// Delivers one endpoint response to its client filter; a returned
     /// state is resubmitted at the boundary, seeding the next epoch
     /// exactly as the paper's Section 3.2 protocol does.
-    pub(crate) fn deliver(&mut self, resp: &EndpointResponse) -> Option<ClientState> {
+    fn deliver(&mut self, resp: &EndpointResponse) -> Option<ClientState> {
         let idx = resp.object.0 as usize;
         self.awaiting_since[idx] = None;
         let state = self.clients[idx].receive(resp);
@@ -325,34 +343,80 @@ impl ScenarioDriver<'_> {
         state
     }
 
-    /// Observes the epoch's published snapshot; returns the DP
-    /// competitor's `(index size, top-k score)` columns when it runs.
-    pub(crate) fn on_epoch(&mut self, snap: &HotSnapshot) -> (Option<usize>, Option<f64>) {
-        for ev in snap.session_events.iter() {
-            match ev.transition {
-                SessionTransition::Connected => self.connects += 1,
-                SessionTransition::Reconnected => self.reconnects += 1,
-                SessionTransition::Ejected => self.ejections += 1,
-                SessionTransition::Dropped => {}
+    /// The epoch loop: drives `duration` timestamps against `engine` —
+    /// per-tick ingest and window advance, and at every epoch boundary
+    /// the full process/deliver exchange, recording one [`EpochSample`]
+    /// around the snapshot published there. Checkpoint controls:
+    /// warm-start restore before the first tick, periodic image writes,
+    /// and the restart-parity probe, which replaces the engine wholesale
+    /// (hence `&mut Box`).
+    fn run(&mut self, engine: &mut Box<dyn Engine>, duration: u64, ckpt: &CheckpointPolicy) {
+        if let Some(path) = &ckpt.restore_from {
+            let image = Checkpoint::read_from_path(path)
+                .unwrap_or_else(|e| panic!("cannot restore from {}: {e}", path.display()));
+            engine.restore(&image).unwrap_or_else(|e| panic!("restore failed: {e}"));
+        }
+        let epochs = engine.config().epochs;
+        // Baseline the comm deltas on whatever the engine already carries —
+        // zero for a fresh engine, the restored counters after a warm start.
+        let mut comm_prev = engine.snapshot().comm;
+        for t in 1..=duration {
+            let now = Timestamp(t);
+            self.tick(now, engine.as_mut());
+            engine.advance_time(now);
+            if !epochs.is_epoch(now) {
+                continue;
+            }
+            let reporting = engine.pending_len();
+            // Boundary-blocking wall time: all four stages.
+            let start = Instant::now();
+            let responses = engine.process_epoch(now);
+            let processing = start.elapsed();
+            engine.submit_batch(&mut responses.iter().filter_map(|r| self.deliver(r)));
+            let snap = engine.snapshot();
+            // Snapshot comm is as of the publish: boundary
+            // resubmissions count toward the following epoch.
+            let comm = snap.comm.since(&comm_prev);
+            comm_prev = snap.comm;
+            let dp = self.dp.as_ref();
+            self.samples.push(EpochSample {
+                snap,
+                reporting,
+                processing,
+                comm,
+                dp_index_size: dp.map(|d| d.index_size()),
+                dp_score: dp.map(|d| d.top_n_score(self.k)),
+            });
+            checkpoint_boundary(engine, epochs.epoch_index(now), ckpt);
+        }
+    }
+}
+
+/// The end-of-boundary checkpoint work: periodic image writes and the
+/// restart-parity probe. Runs after boundary resubmissions, so written
+/// images carry them in the pending section.
+fn checkpoint_boundary(engine: &mut Box<dyn Engine>, epoch_ix: u64, ckpt: &CheckpointPolicy) {
+    if let Some((every, dir)) = &ckpt.periodic {
+        if epoch_ix.is_multiple_of(*every) {
+            std::fs::create_dir_all(dir)
+                .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
+            let image = engine.checkpoint();
+            for path in
+                [dir.join(format!("epoch-{epoch_ix}.ckpt")), CheckpointPolicy::latest_path(dir)]
+            {
+                image
+                    .write_to_path(&path)
+                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
             }
         }
-        self.samples.push(EpochSample {
-            timestamp: snap.timestamp,
-            index_size: snap.index_size,
-            top_k_score: snap.top_k_score,
-            top_ids: snap.top_k.iter().map(|h| h.path.id.0).collect(),
-            top_hotness: snap.top_k.first().map(|h| h.hotness),
-            sessions_healthy: snap.sessions_healthy,
-            sessions_dropped: snap.sessions_dropped,
-            session_connects: self.connects,
-            session_reconnects: self.reconnects,
-            session_ejections: self.ejections,
-            turned_away: snap.admission.turned_away(),
-            degraded_epochs: snap.admission.degraded_epochs,
-            phase_b_deferred: snap.phase_b.deferred,
-        });
-        let dp = self.dp.as_ref();
-        (dp.map(|d| d.index_size()), dp.map(|d| d.top_n_score(self.k)))
+    }
+    if ckpt.restart_at == Some(epoch_ix) {
+        // The crash/restart rehearsal: serialize, destroy the engine,
+        // rebuild from the bytes alone.
+        let image = engine.checkpoint();
+        let config = *engine.config();
+        *engine = EngineKind::Sync.build(Coordinator::new(config));
+        engine.restore(&image).unwrap_or_else(|e| panic!("restart-parity restore failed: {e}"));
     }
 }
 
@@ -380,7 +444,7 @@ pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> 
         coordinator = coordinator.with_hints();
     }
     let mut engine = EngineKind::Sync.build(coordinator);
-    let plan = FaultPlan::for_scenario(params.run.fault_seed, &*scenario);
+    let plan = FaultPlan::for_scenario(params.fault_seed, &*scenario);
     let mut driver = ScenarioDriver {
         scenario: &mut *scenario,
         clients,
@@ -401,11 +465,8 @@ pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> 
         give_up: 2 * params.epoch + 2,
         retired: FilterStats::default(),
         now: Timestamp(0),
-        connects: 0,
-        reconnects: 0,
-        ejections: 0,
     };
-    let per_epoch = run_epochs(&mut engine, duration, &mut driver, &params.run.checkpoint);
+    driver.run(&mut engine, duration, &params.checkpoint);
     let ScenarioDriver { clients, dp, samples, measurements, retired: mut filter_stats, .. } =
         driver;
     let coordinator = engine.finish();
@@ -421,7 +482,7 @@ pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> 
     };
     coordinator.check_consistency().expect("coordinator state inconsistent");
     let invariants = scenario.check_invariants(&outcome);
-    let mut summary = Summary::from_epochs(&per_epoch, measurements);
+    let mut summary = Summary::from_epochs(&outcome.per_epoch, measurements);
     // Totals come from the final coordinator (the per-epoch rows
     // attribute boundary resubmissions to the following epoch).
     let comm = coordinator.comm_stats();
@@ -429,7 +490,7 @@ pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> 
     summary.uplink_bytes = comm.uplink_bytes;
     summary.report_ratio =
         if measurements == 0 { 0.0 } else { comm.uplink_msgs as f64 / measurements as f64 };
-    ScenarioRunResult { outcome, per_epoch, summary, invariants, filter_stats, coordinator, dp }
+    ScenarioRunResult { outcome, summary, invariants, filter_stats, coordinator, dp }
 }
 
 /// Builds a registered scenario and runs it; `None` when the name is
@@ -444,49 +505,41 @@ pub fn run_named(
 }
 
 /// The observable fingerprint of a run used by the restart-parity check:
-/// per-epoch `(index size, score bits, Phase-B deferred count, top-k
-/// ids)`, final top-k, and communication counters. The deferred count
-/// is the one Phase-B load field that is deterministic (a pure
-/// function of the epoch's batch), so it rides the fingerprint; the
-/// busy time does not.
-#[derive(Clone, Debug, PartialEq)]
+/// the published snapshot of every epoch, the final top-k, and the
+/// communication counters. Two traces are equal when every snapshot
+/// agrees on its deterministic fields — epoch, timestamp, index size,
+/// score bits, top-k ids, Phase-B deferred count, session gauges and
+/// counters, admission counters — and the timings (processing times,
+/// Phase-B busy time), which vary by machine, are left out.
+#[derive(Clone, Debug)]
 pub struct ParityTrace {
-    per_epoch: Vec<(usize, u64, usize, Vec<u64>)>,
-    /// Per-epoch robustness gauges: `(healthy, dropped, connects,
-    /// reconnects, ejections, turned_away, degraded_epochs)` — all
-    /// zeros while the session layer is off, and pinned bit-for-bit
-    /// across a restart when it is on.
-    sessions: Vec<(usize, usize, u64, u64, u64, u64, u64)>,
+    per_epoch: Vec<Arc<HotSnapshot>>,
     final_top_k: Vec<(u64, u32)>,
     comm: (u64, u64),
+}
+
+impl PartialEq for ParityTrace {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |a: &HotSnapshot, b: &HotSnapshot| {
+            let ids = |s: &HotSnapshot| s.top_k.iter().map(|h| h.path.id).collect::<Vec<_>>();
+            (a.epoch, a.timestamp, a.index_size, a.top_k_score.to_bits(), a.phase_b.deferred)
+                == (b.epoch, b.timestamp, b.index_size, b.top_k_score.to_bits(), b.phase_b.deferred)
+                && (a.sessions_healthy, a.sessions_dropped, a.sessions, a.admission)
+                    == (b.sessions_healthy, b.sessions_dropped, b.sessions, b.admission)
+                && ids(a) == ids(b)
+        };
+        self.per_epoch.len() == other.per_epoch.len()
+            && self.per_epoch.iter().zip(&other.per_epoch).all(|(a, b)| same(a, b))
+            && self.final_top_k == other.final_top_k
+            && self.comm == other.comm
+    }
 }
 
 /// Extracts the parity fingerprint of a completed run.
 pub fn parity_trace(res: &ScenarioRunResult) -> ParityTrace {
     let comm = res.coordinator.comm_stats();
     ParityTrace {
-        per_epoch: res
-            .outcome
-            .per_epoch
-            .iter()
-            .map(|e| (e.index_size, e.top_k_score.to_bits(), e.phase_b_deferred, e.top_ids.clone()))
-            .collect(),
-        sessions: res
-            .outcome
-            .per_epoch
-            .iter()
-            .map(|e| {
-                (
-                    e.sessions_healthy,
-                    e.sessions_dropped,
-                    e.session_connects,
-                    e.session_reconnects,
-                    e.session_ejections,
-                    e.turned_away,
-                    e.degraded_epochs,
-                )
-            })
-            .collect(),
+        per_epoch: res.outcome.per_epoch.iter().map(|e| Arc::clone(&e.snap)).collect(),
         final_top_k: res.outcome.final_top_k.clone(),
         comm: (comm.uplink_msgs, comm.downlink_msgs),
     }
@@ -507,15 +560,18 @@ pub fn check_restart_parity(
     let mut scenario = build();
     let name = scenario.name();
     let base = run_scenario(scenario.as_mut(), params);
-    let total_epochs = base.per_epoch.len() as u64;
+    let total_epochs = base.outcome.per_epoch.len() as u64;
     if total_epochs == 0 {
         return Err(format!("{name}: run produced no epochs to checkpoint between"));
     }
     let restart_at = (total_epochs / 2).max(1);
-    let p = params.clone().with_checkpoint(CheckpointPolicy {
-        restart_at: Some(restart_at),
-        ..CheckpointPolicy::default()
-    });
+    let p = ScenarioRunParams {
+        checkpoint: CheckpointPolicy {
+            restart_at: Some(restart_at),
+            ..CheckpointPolicy::default()
+        },
+        ..params.clone()
+    };
     let restarted = run_scenario(build().as_mut(), &p);
     restarted
         .coordinator
@@ -584,8 +640,9 @@ pub fn scenario_sigma_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hotpath_core::geometry::Point;
     use hotpath_netsim::mobility::PopulationParams;
-    use hotpath_netsim::network::NetworkParams;
+    use hotpath_netsim::network::{generate, NetworkParams, RoadNetwork};
     use hotpath_netsim::scenario::{UniformScenario, REGISTRY};
 
     fn quick_scale(seed: u64) -> ScenarioParams {
@@ -605,7 +662,7 @@ mod tests {
     #[test]
     fn quick_run_discovers_paths() {
         let res = run_quick(200, 3);
-        assert!(!res.per_epoch.is_empty());
+        assert!(!res.outcome.per_epoch.is_empty());
         assert!(res.coordinator.index_size() > 0, "no motion paths discovered");
         assert!(res.summary.mean_index_size > 0.0);
         assert!(res.summary.mean_score > 0.0, "top-k never scored");
@@ -623,8 +680,9 @@ mod tests {
         let res = run_quick(150, 4);
         let dp = res.dp.expect("dp enabled by the Table 2 knobs");
         assert!(dp.index_size() > 0, "DP stored nothing");
-        let with_dp: Vec<_> = res.per_epoch.iter().filter(|e| e.dp_index_size.is_some()).collect();
-        assert_eq!(with_dp.len(), res.per_epoch.len());
+        let with_dp: Vec<_> =
+            res.outcome.per_epoch.iter().filter(|e| e.dp_index_size.is_some()).collect();
+        assert_eq!(with_dp.len(), res.outcome.per_epoch.len());
     }
 
     #[test]
@@ -633,8 +691,8 @@ mod tests {
         let b = run_quick(100, 7);
         assert_eq!(a.coordinator.index_size(), b.coordinator.index_size());
         assert_eq!(a.summary.uplink_msgs, b.summary.uplink_msgs);
-        let sa: Vec<usize> = a.per_epoch.iter().map(|e| e.index_size).collect();
-        let sb: Vec<usize> = b.per_epoch.iter().map(|e| e.index_size).collect();
+        let sa: Vec<usize> = a.outcome.per_epoch.iter().map(|e| e.snap.index_size).collect();
+        let sb: Vec<usize> = b.outcome.per_epoch.iter().map(|e| e.snap.index_size).collect();
         assert_eq!(sa, sb);
     }
 
@@ -668,9 +726,9 @@ mod tests {
     fn epoch_cadence_matches_lambda() {
         let params = quick_table2();
         let res = run_quick(50, 8);
-        assert_eq!(res.per_epoch.len() as u64, 100 / params.epoch);
-        for (i, e) in res.per_epoch.iter().enumerate() {
-            assert_eq!(e.timestamp.raw(), (i as u64 + 1) * params.epoch);
+        assert_eq!(res.outcome.per_epoch.len() as u64, 100 / params.epoch);
+        for (i, e) in res.outcome.per_epoch.iter().enumerate() {
+            assert_eq!(e.snap.timestamp.raw(), (i as u64 + 1) * params.epoch);
         }
     }
 
@@ -684,6 +742,29 @@ mod tests {
             assert!(res.filter_stats.reports > 0);
             assert_eq!(res.filter_stats.dropped, 0, "crisp mode cannot drop");
         }
+    }
+
+    /// The driver samples every publish: on a run that connects, drops
+    /// and ejects sessions, each sample's cumulative counters equal the
+    /// running count of the events published up to it.
+    #[test]
+    fn samples_see_every_published_session_event() {
+        use hotpath_core::session::{SessionCounters, SessionTransition};
+        let res = run_named("mass_disconnect", &quick_scale(45), &ScenarioRunParams::default())
+            .expect("registered scenario");
+        let mut published = SessionCounters::default();
+        for e in &res.outcome.per_epoch {
+            for ev in e.snap.session_events.iter() {
+                match ev.transition {
+                    SessionTransition::Connected => published.connects += 1,
+                    SessionTransition::Dropped => published.drops += 1,
+                    SessionTransition::Reconnected => published.reconnects += 1,
+                    SessionTransition::Ejected => published.ejections += 1,
+                }
+            }
+            assert_eq!(e.snap.sessions, published, "at t={:?}", e.snap.timestamp);
+        }
+        assert!(published.ejections > 0, "the storm must eject");
     }
 
     #[test]
@@ -717,5 +798,131 @@ mod tests {
             cells.iter().find(|c| c.sigma == 6.0 && c.fallback != FallbackPolicy::Reject).unwrap();
         assert_eq!(flowing.dropped, 0, "minimal-area must not drop");
         assert!(flowing.reports > 0, "minimal-area under noise must keep reporting");
+    }
+
+    /// One object on a stop-and-go corridor: it drives east at a
+    /// constant 10 m/tick for one 5-tick epoch and parks for the next.
+    /// Each phase change is reported once and answered at the following
+    /// boundary, and the parked or cruising backlog always fits the new
+    /// safe area, so no boundary resubmits anything — checkpoint images
+    /// carry no pending state.
+    struct StopAndGo(RoadNetwork, f64);
+
+    impl Scenario for StopAndGo {
+        fn name(&self) -> &'static str {
+            "stop_and_go"
+        }
+        fn network(&self) -> &RoadNetwork {
+            &self.0
+        }
+        fn n(&self) -> usize {
+            1
+        }
+        fn duration(&self) -> u64 {
+            20
+        }
+        fn seed_timepoint(&self, _obj: ObjectId, t: Timestamp) -> TimePoint {
+            TimePoint::new(Point::new(0.0, 0.0), t)
+        }
+        fn tick(&mut self, t: Timestamp, out: &mut Vec<Measurement>) {
+            if ((t.raw() - 1) / 5).is_multiple_of(2) {
+                self.1 += 10.0;
+            }
+            let observed = TimePoint::new(Point::new(self.1, 0.0), t);
+            out.clear();
+            out.push(Measurement { object: ObjectId(0), observed, truth: observed.p });
+        }
+        fn check_invariants(&self, _outcome: &ScenarioOutcome) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    /// The 20 stop-and-go ticks in 5-tick epochs, under `ckpt`.
+    fn stop_and_go(ckpt: &CheckpointPolicy) -> ScenarioRunResult {
+        let params = ScenarioRunParams {
+            epoch: 5,
+            window: Some(50),
+            checkpoint: ckpt.clone(),
+            ..ScenarioRunParams::default()
+        };
+        run_scenario(&mut StopAndGo(generate(NetworkParams::tiny(1)), 0.0), &params)
+    }
+
+    /// The restart-parity probe (checkpoint → engine teardown → rebuild
+    /// from the image) must be invisible: identical metric rows and
+    /// final coordinator as the uninterrupted loop.
+    #[test]
+    fn restart_probe_is_invisible_and_periodic_writes_resume() {
+        let rows = |ckpt: &CheckpointPolicy| {
+            let res = stop_and_go(ckpt);
+            let c = &res.coordinator;
+            c.check_consistency().unwrap();
+            let fp: Vec<(u64, usize, u64, u64)> = res
+                .outcome
+                .per_epoch
+                .iter()
+                .map(|e| {
+                    (
+                        e.snap.epoch,
+                        e.snap.index_size,
+                        e.snap.top_k_score.to_bits(),
+                        e.comm.uplink_msgs,
+                    )
+                })
+                .collect();
+            (fp, c.comm_stats(), c.processing_stats().epochs, res.filter_stats.reports)
+        };
+        let base = rows(&CheckpointPolicy::default());
+        let probed = rows(&CheckpointPolicy { restart_at: Some(2), ..CheckpointPolicy::default() });
+        assert_eq!(base, probed, "restart probe perturbed the loop");
+
+        // Periodic writes + warm start: run 20 ticks writing every 2
+        // epochs, then resume another 20 ticks from `latest.ckpt`; the
+        // resumed engine continues the epoch counter.
+        // Per process, so concurrent test runs never share the images.
+        let dir =
+            std::env::temp_dir().join(format!("hotpath-loop-ckpt-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let write =
+            CheckpointPolicy { periodic: Some((2, dir.clone())), ..CheckpointPolicy::default() };
+        let (_, first, epochs_a, _) = rows(&write);
+        assert_eq!(epochs_a, 4);
+        assert!(dir.join("epoch-2.ckpt").exists());
+        assert!(dir.join("epoch-4.ckpt").exists());
+        let resume = CheckpointPolicy {
+            restore_from: Some(CheckpointPolicy::latest_path(&dir)),
+            ..CheckpointPolicy::default()
+        };
+        let (fp, comm, epochs_b, reports_b) = rows(&resume);
+        assert_eq!(epochs_b, 8, "resumed run must continue the epoch counter");
+        assert_eq!(
+            comm.uplink_msgs,
+            first.uplink_msgs + reports_b,
+            "restored comm must keep the first run's uplink"
+        );
+        // Warm-started rows report only the new traffic.
+        assert_eq!(fp.iter().map(|r| r.3).sum::<u64>(), reports_b);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn loop_produces_one_metrics_row_per_epoch() {
+        let res = stop_and_go(&CheckpointPolicy::default());
+        let per_epoch = &res.outcome.per_epoch;
+        assert_eq!(per_epoch.len(), 4);
+        assert_eq!(res.summary.measurements, 20);
+        for (i, e) in per_epoch.iter().enumerate() {
+            assert_eq!(e.snap.epoch, i as u64 + 1);
+            assert_eq!(e.snap.timestamp.raw(), (i as u64 + 1) * 5);
+        }
+        // The first cruise fits one safe area; every later phase change
+        // is one report, answered at the next boundary.
+        let reporting: Vec<usize> = per_epoch.iter().map(|e| e.reporting).collect();
+        assert_eq!(reporting, [0, 1, 1, 1]);
+        assert!(per_epoch[3].snap.index_size > 0);
+        let coordinator = &res.coordinator;
+        coordinator.check_consistency().unwrap();
+        let comm = coordinator.comm_stats();
+        assert_eq!((comm.uplink_msgs, comm.downlink_msgs, res.filter_stats.reports), (3, 3, 3));
     }
 }

@@ -13,11 +13,15 @@
 # of the same binary: the `SP ms/epoch` column of the Figure 7/8 tables,
 # the time ratio in the two `shape:` lines, `ms/epoch` on `crisp :`
 # lines, and `total wall clock`. Everything else, and each run's exit
-# status, is diffed; the script exits non-zero on any difference.
+# status, is diffed. Then `scenario all`, `fig7` and `fig8` run again
+# with `--csv` on both trees, and the CSV files are diffed with their
+# `processing_ms` and `sp_time_ms` columns masked. The script exits
+# non-zero on any difference.
 set -euo pipefail
+shopt -s nullglob
 
 usage() {
-    sed -n '2,15p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,18p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -61,6 +65,15 @@ mask() {
         -e 's/^total wall clock: .*/total wall clock: <s>/'
 }
 
+# mask_csv: blanks the timing columns of a CSV, found by header name.
+mask_csv() {
+    awk -F, -v OFS=, '
+        NR == 1 { for (i = 1; i <= NF; i++) if ($i == "processing_ms" || $i == "sp_time_ms") t[i] = 1 }
+        NR > 1 { for (i in t) $i = "<ms>" }
+        { print }
+    '
+}
+
 parent_bin="$(build parent "$parent")"
 if [ "$parent" = "$change" ]; then
     change_bin="$parent_bin"
@@ -84,6 +97,35 @@ for cmd in "all" "scenario all"; do
         echo "experiments $cmd --scale $scale: identical ($(wc -l <"$out/change-$tag.txt") lines)"
     else
         echo "experiments $cmd --scale $scale: DIFFERS"
+        status=1
+    fi
+done
+
+# The CSV series. Stdout is not compared here: it names each side's
+# output directory.
+for cmd in "scenario all" "fig7" "fig8"; do
+    tag="csv_${cmd// /_}-$scale"
+    for side in parent change; do
+        if [ "$side" = parent ]; then bin="$parent_bin"; else bin="$change_bin"; fi
+        dir="$out/$side-$tag"
+        rm -rf "$dir"
+        mkdir -p "$dir"
+        echo "running $side: experiments $cmd --scale $scale --csv" >&2
+        code=0
+        # shellcheck disable=SC2086
+        "$bin" $cmd --scale "$scale" --csv "$dir" >/dev/null || code=$?
+        {
+            for f in "$dir"/*.csv; do
+                echo "== $(basename "$f")"
+                mask_csv <"$f"
+            done
+            echo "exit status: $code"
+        } >"$out/$side-$tag.txt"
+    done
+    if diff -u "$out/parent-$tag.txt" "$out/change-$tag.txt"; then
+        echo "experiments $cmd --scale $scale --csv: identical ($(wc -l <"$out/change-$tag.txt") lines)"
+    else
+        echo "experiments $cmd --scale $scale --csv: DIFFERS"
         status=1
     fi
 done

@@ -44,6 +44,7 @@ pub mod prelude {
     // The engine surface and the published view.
     pub use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotPath, HotSnapshot};
     pub use hotpath_core::engine::{Engine, EngineKind, SyncEngine};
+    pub use hotpath_core::session::SessionCounters;
     // Lock-free snapshot reads.
     pub use hotpath_core::snapshot::{SnapshotCell, SnapshotGuard, SnapshotHandle};
     // Checkpoint/restore.
@@ -56,12 +57,13 @@ pub mod prelude {
     pub use hotpath_core::uncertainty::FallbackPolicy;
     pub use hotpath_core::ObjectId;
     // The serving front door and its load generator.
-    pub use hotpath_serve::server::{Hotpathd, ServerHandle, ServerMsg, ServerStatsView};
+    pub use hotpath_serve::server::{Hotpathd, ServerHandle, ServerMsg};
     pub use hotpath_serve::swarm::{run_swarm, SwarmParams, SwarmReport};
     pub use hotpath_serve::wire::{serve_unix, SnapshotWire, UnixClient, UnixServer};
-    // The scenario registry and run drivers.
-    pub use hotpath_netsim::scenario::{ScenarioParams, UniformScenario, REGISTRY};
-    pub use hotpath_sim::engine_loop::CheckpointPolicy;
-    pub use hotpath_sim::options::RunOptions;
-    pub use hotpath_sim::scenario_run::{run_named, run_scenario, ScenarioRunParams};
+    // The scenario registry, the run driver, and its per-epoch record
+    // (the published snapshot plus the driver's own columns).
+    pub use hotpath_netsim::scenario::{EpochSample, ScenarioParams, UniformScenario, REGISTRY};
+    pub use hotpath_sim::scenario_run::{
+        run_named, run_scenario, CheckpointPolicy, ScenarioRunParams,
+    };
 }

@@ -36,6 +36,8 @@ fn prelude_drives_submit_epoch_and_snapshot_read() {
     }
     let last: std::sync::Arc<HotSnapshot> = engine.snapshot();
     assert_eq!(last.epoch, 3);
+    let sessions: SessionCounters = last.sessions;
+    assert_eq!(sessions, SessionCounters::default(), "sessions are off by default");
 
     // The lock-free read path agrees with the engine's own view.
     let guard: SnapshotGuard<'_> = reader.read();
@@ -55,21 +57,16 @@ fn prelude_serves_and_verifies_the_swarm() {
     let config = Config::builder().epoch(10).window(100).build().expect("valid");
     let handle: ServerHandle = Hotpathd::spawn(EngineKind::Sync.build(Coordinator::new(config)));
     let mut reader = handle.reader();
-    handle.submit(traversal(1, 9));
+    handle.submit_batch(vec![traversal(1, 9)]);
     handle.advance(Timestamp(10));
     let snap = handle.shutdown();
     assert_eq!(snap.epoch, 1);
+    assert_eq!(snap.comm.uplink_msgs, 1);
     assert_eq!(reader.epoch(), 1);
 
-    let params = SwarmParams::quick()
-        .with_writers(6)
-        .with_readers(1)
-        .with_ticks(40)
-        .with_run(RunOptions::default());
+    let params = SwarmParams::quick().with_writers(6).with_readers(1).with_ticks(40);
     let report: SwarmReport = run_swarm(&params);
     assert_eq!(report.final_epoch, 4);
-    let view: ServerStatsView = ServerStatsView { submitted: 0, epochs: 0, responses: 0 };
-    assert_eq!(view.epochs, 0);
 }
 
 /// Typed parsing is part of the curated surface.

@@ -27,7 +27,7 @@ fn scenario_crowds_produce_meaningful_top_k() {
     // out-heat the typical path; the evacuating crowd still leaves hot
     // escape routes behind.
     let res = run_quick("sporting_event", 25);
-    assert!(res.per_epoch.iter().any(|e| e.index_size > 0));
+    assert!(res.outcome.per_epoch.iter().any(|e| e.snap.index_size > 0));
     let hottest = res.outcome.final_top_k.first().map(|&(_, h)| h).unwrap_or(0);
     assert!(hottest >= 3, "no corridor heated up (hottest = {hottest})");
 
@@ -50,19 +50,17 @@ fn sensor_dropout_top_k_stays_stable() {
     // collapses to zero during the dark window.
     assert!(!outcome.final_top_k.is_empty(), "scenario discovered no hot paths");
     let at_start = outcome.epoch_at(window.from).expect("no epoch inside the outage");
-    let top_start = *at_start.top_ids.first().expect("empty top-k at outage start");
-    let top_end_ids = &outcome.epoch_at(window.until).expect("no epoch after the outage").top_ids;
+    let top_start = at_start.top_ids().next().expect("empty top-k at outage start");
+    let at_end = outcome.epoch_at(window.until).expect("no epoch after the outage");
+    let top_end_ids: Vec<u64> = at_end.top_ids().collect();
     assert!(
         top_end_ids.contains(&top_start),
         "pre-outage top path {top_start} fell out of the post-outage top-k {top_end_ids:?}"
     );
     for e in outcome.per_epoch.iter() {
-        if window.from <= e.timestamp && e.timestamp <= window.until {
-            assert!(
-                e.top_k_score > 0.0,
-                "top-k score collapsed during outage (t={:?})",
-                e.timestamp
-            );
+        let t = e.snap.timestamp;
+        if window.from <= t && t <= window.until {
+            assert!(e.snap.top_k_score > 0.0, "top-k score collapsed during outage (t={t:?})");
         }
     }
 }
