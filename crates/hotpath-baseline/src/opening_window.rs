@@ -69,11 +69,6 @@ impl OpeningWindow {
         self.anchor
     }
 
-    /// Number of points buffered after the anchor.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
     /// Total distance evaluations performed so far.
     pub fn checks(&self) -> u64 {
         self.checks

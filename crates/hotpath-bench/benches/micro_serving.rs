@@ -47,7 +47,7 @@ impl Rig {
     /// and, when `busy`, a feeder publishing epochs continuously
     /// (closed-loop paced so the command queue stays bounded).
     fn spawn(extra_readers: usize, busy: bool) -> Rig {
-        let config = Config::paper_defaults().with_epoch(10).with_window(100);
+        let config = Config::paper_defaults();
         let handle = Hotpathd::spawn(EngineKind::Sync.build(Coordinator::new(config)));
         let stop = Arc::new(AtomicBool::new(false));
         let mut threads = Vec::new();

@@ -14,7 +14,8 @@ use hotpath_core::ObjectId;
 /// A coordinator whose hot set holds `p` distinct one-crossing paths
 /// (plus a handful of hotter ones so the top-k is non-trivial).
 fn with_hot_paths(p: usize) -> Coordinator {
-    let mut c = Coordinator::new(Config::paper_defaults().with_window(1_000_000).with_epoch(10));
+    let mut c =
+        Coordinator::new(Config::builder().window(1_000_000).build().expect("valid config"));
     let states = (0..p).map(|i| {
         // Distinct corridors on a coarse lattice: every state mints its
         // own path (Case 3), far enough apart that FSAs never overlap.

@@ -679,7 +679,8 @@ fn checkpoint_bench() {
 
     println!("## Checkpoint bench — 100k-path coordinator");
     let paths = 100_000usize;
-    let mut c = Coordinator::new(Config::paper_defaults().with_window(1_000_000).with_epoch(10));
+    let mut c =
+        Coordinator::new(Config::builder().window(1_000_000).build().expect("valid config"));
     // Distinct corridors on a coarse lattice: every state mints its own
     // path (Case 3), far enough apart that FSAs never overlap.
     let states = (0..paths).map(|i| {
@@ -736,19 +737,13 @@ fn checkpoint_bench() {
 /// `client_swarm`: the deterministic serving load generator.
 fn swarm_cmd(scale: Scale, seed: Option<u64>, churn: Option<f64>, fault_seed: Option<u64>) {
     let mut params = match scale {
-        Scale::Quick => SwarmParams::quick(),
-        Scale::Mid => SwarmParams::quick().with_writers(32).with_ticks(300).with_churn(0.1),
+        Scale::Quick => SwarmParams::default(),
+        Scale::Mid => SwarmParams { writers: 32, ticks: 300, churn: 0.1, ..SwarmParams::default() },
         Scale::Paper => SwarmParams::full(),
     };
-    if let Some(seed) = fault_seed {
-        params = params.with_fault_seed(seed);
-    }
-    if let Some(seed) = seed {
-        params = params.with_seed(seed);
-    }
-    if let Some(churn) = churn {
-        params = params.with_churn(churn);
-    }
+    params.fault_seed = fault_seed.unwrap_or(params.fault_seed);
+    params.seed = seed.unwrap_or(params.seed);
+    params.churn = churn.unwrap_or(params.churn);
     println!(
         "## client_swarm — {} writers, {} readers, {} ticks, seed {:#x}, churn {:.0}%",
         params.writers,
@@ -790,7 +785,7 @@ fn serve_cmd(socket: Option<std::path::PathBuf>, ticks: u64) {
     let path = socket.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("hotpathd-serve-{}.sock", std::process::id()))
     });
-    let config = Config::paper_defaults().with_epoch(10).with_window(100);
+    let config = Config::paper_defaults();
     let epoch = config.epochs.lambda;
     let handle = Hotpathd::spawn(EngineKind::Sync.build(Coordinator::new(config)));
     let server = serve_unix(&handle, &path)

@@ -160,4 +160,22 @@ mod tests {
         assert_eq!(quick.seed, 7);
         assert_eq!(paper.duration, 250);
     }
+
+    /// Some fault stories scale their queue cap and degrade threshold
+    /// with `n`: every registered scenario's admission knobs must
+    /// validate at every scale `experiments scenario` runs, not only
+    /// at the quick population the other tests build.
+    #[test]
+    fn every_scenario_config_validates_at_every_scale() {
+        use hotpath_netsim::scenario::REGISTRY;
+        for scale in [Scale::Quick, Scale::Mid, Scale::Paper] {
+            let params = scale.scenario_params(7);
+            for spec in REGISTRY {
+                let scenario = (spec.build)(&params);
+                // Panics, naming the scenario, when the build fails.
+                let config = ScenarioRunParams::default().config(scenario.as_ref());
+                assert_eq!(config.admission, scenario.admission(), "{} at {scale:?}", spec.name);
+            }
+        }
+    }
 }

@@ -815,7 +815,7 @@ mod tests {
     #[test]
     fn config_mismatch_is_typed() {
         let rec = ConfigRecord::from_config(&Config::paper_defaults());
-        let other = Config::paper_defaults().with_k(99);
+        let other = Config::builder().k(99).build().unwrap();
         assert!(matches!(rec.matches(&other), Err(CheckpointError::ConfigMismatch(_))));
     }
 

@@ -1,12 +1,11 @@
 //! Framework configuration: tolerance model, window, epochs, vertex
 //! grain, admission.
 //!
-//! [`Config`] is constructed either from [`Config::paper_defaults`]
-//! plus the chainable `with_*` setters (which panic on a bad value —
-//! convenient in tests and examples), or through [`Config::builder`],
-//! which defers all validation to [`ConfigBuilder::build`] and returns
-//! a typed [`ConfigError`] instead of panicking — the right entry point
-//! for servers parsing untrusted configuration.
+//! [`Config::paper_defaults`] is the paper's Table 2 parameterization.
+//! Every other [`Config`] comes from [`Config::builder`], which starts
+//! from those defaults and defers all validation to
+//! [`ConfigBuilder::build`]: a bad value is a typed [`ConfigError`],
+//! never a panic.
 
 use crate::time::{EpochClock, SlidingWindow};
 
@@ -105,6 +104,7 @@ pub enum AdmissionPolicy {
     EjectSlowest,
 }
 
+/// Parses a CLI tag: `reject`, `shed-oldest` or `eject-slowest`.
 impl std::str::FromStr for AdmissionPolicy {
     type Err = ParseError;
 
@@ -123,12 +123,6 @@ impl std::str::FromStr for AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
-    /// Parses a CLI tag (`reject` / `shed-oldest` / `eject-slowest`).
-    /// Thin shim over the [`FromStr`](std::str::FromStr) impl.
-    pub fn parse(s: &str) -> Option<AdmissionPolicy> {
-        s.parse().ok()
-    }
-
     /// Stable numeric encoding (checkpoint config echo).
     pub fn as_raw(self) -> u64 {
         match self {
@@ -229,71 +223,35 @@ impl Config {
         }
     }
 
-    /// A validating builder seeded with the paper defaults. Unlike the
-    /// `with_*` setters, nothing is checked until
-    /// [`build`](ConfigBuilder::build), which returns a typed
-    /// [`ConfigError`] covering both per-field and cross-field
-    /// invariants instead of panicking.
+    /// A validating builder seeded with the paper defaults. Nothing is
+    /// checked until [`build`](ConfigBuilder::build), which returns a
+    /// typed [`ConfigError`] covering both per-field and cross-field
+    /// invariants.
     pub fn builder() -> ConfigBuilder {
-        ConfigBuilder::from_config(Config::paper_defaults())
-    }
-
-    /// Re-opens this config as a builder (used by the `with_*` shims).
-    pub fn to_builder(self) -> ConfigBuilder {
-        ConfigBuilder::from_config(self)
-    }
-
-    fn rebuilt(builder: ConfigBuilder) -> Config {
-        builder.build().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builder-style tolerance override.
-    pub fn with_tolerance(self, tolerance: Tolerance) -> Self {
-        Config::rebuilt(self.to_builder().tolerance(tolerance))
-    }
-
-    /// Builder-style window override.
-    pub fn with_window(self, w: u64) -> Self {
-        Config::rebuilt(self.to_builder().window(w))
-    }
-
-    /// Builder-style epoch override.
-    pub fn with_epoch(self, lambda: u64) -> Self {
-        Config::rebuilt(self.to_builder().epoch(lambda))
-    }
-
-    /// Builder-style `k` override.
-    pub fn with_k(self, k: usize) -> Self {
-        Config::rebuilt(self.to_builder().k(k))
-    }
-
-    /// Builder-style heartbeat lease: enables session tracking with the
-    /// given lease and post-lease ejection grace (both in timestamps).
-    pub fn with_lease(self, lease: u64, grace: u64) -> Self {
-        Config::rebuilt(self.to_builder().lease(lease, grace))
-    }
-
-    /// Builder-style admission cap: bounds the per-epoch admitted batch
-    /// at `queue_cap` states, resolved by `policy`.
-    pub fn with_admission_cap(self, queue_cap: usize, policy: AdmissionPolicy) -> Self {
-        Config::rebuilt(self.to_builder().admission_cap(queue_cap, policy))
-    }
-
-    /// Builder-style degraded-epoch threshold: epochs whose admitted
-    /// batch exceeds it shed Phase B refinement.
-    pub fn with_degrade_threshold(self, threshold: usize) -> Self {
-        Config::rebuilt(self.to_builder().degrade_threshold(threshold))
+        let config = Config::paper_defaults();
+        ConfigBuilder {
+            tolerance: config.tolerance,
+            window: config.window.len,
+            epoch: config.epochs.lambda,
+            k: config.k,
+            vertex_grain: config.vertex_grain,
+            admission: config.admission,
+            lease_set: false,
+            cap_set: false,
+            degrade_set: false,
+        }
     }
 }
 
 /// A configuration that failed to validate, and why. Produced by
-/// [`ConfigBuilder::build`]; the `with_*` setters panic with the same
-/// message.
+/// [`ConfigBuilder::build`].
 #[derive(Clone, PartialEq, Debug)]
 pub enum ConfigError {
     /// A field that must be strictly positive was zero (or, for the
     /// float-valued fields, non-positive / non-finite).
     NonPositive(&'static str),
+    /// The `delta` of an uncertain tolerance lies outside `(0, 1)`.
+    DeltaOutOfRange(f64),
     /// The epoch length exceeds the sliding window: an epoch would
     /// outlive every traversal it admits.
     EpochExceedsWindow {
@@ -327,6 +285,9 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             ConfigError::NonPositive(what) => write!(f, "{what} must be positive"),
+            ConfigError::DeltaOutOfRange(delta) => {
+                write!(f, "delta must lie in (0, 1), got {delta}")
+            }
             ConfigError::EpochExceedsWindow { epoch, window } => write!(
                 f,
                 "epoch length {epoch} must not exceed the window length {window} \
@@ -351,7 +312,8 @@ impl std::error::Error for ConfigError {}
 /// Deferred-validation builder for [`Config`].
 ///
 /// Setters never panic; [`build`](Self::build) checks everything at
-/// once — per-field positivity plus the cross-field invariants
+/// once — per-field positivity (and `delta` in `(0, 1)` for an
+/// uncertain tolerance) plus the cross-field invariants
 /// (`epoch <= window`, `lease < window` when sessions are on, and
 /// `degrade threshold < queue cap` when both are set) — and returns the
 /// first violation as a [`ConfigError`].
@@ -383,23 +345,6 @@ pub struct ConfigBuilder {
 }
 
 impl ConfigBuilder {
-    /// A builder seeded from an existing config (all fields carried
-    /// over; features already on stay subject to the cross-field
-    /// checks, but their zero-off defaults remain valid).
-    pub fn from_config(config: Config) -> Self {
-        ConfigBuilder {
-            tolerance: config.tolerance,
-            window: config.window.len,
-            epoch: config.epochs.lambda,
-            k: config.k,
-            vertex_grain: config.vertex_grain,
-            admission: config.admission,
-            lease_set: false,
-            cap_set: false,
-            degrade_set: false,
-        }
-    }
-
     /// Tolerance model.
     pub fn tolerance(mut self, tolerance: Tolerance) -> Self {
         self.tolerance = tolerance;
@@ -456,6 +401,15 @@ impl ConfigBuilder {
 
     /// Validates every invariant and produces the config.
     pub fn build(self) -> Result<Config, ConfigError> {
+        let eps = self.tolerance.eps();
+        if !(eps > 0.0 && eps.is_finite()) {
+            return Err(ConfigError::NonPositive("eps"));
+        }
+        if let Some(delta) = self.tolerance.delta() {
+            if !(delta > 0.0 && delta < 1.0) {
+                return Err(ConfigError::DeltaOutOfRange(delta));
+            }
+        }
         if self.window == 0 {
             return Err(ConfigError::NonPositive("window length"));
         }
@@ -506,12 +460,6 @@ impl ConfigBuilder {
     }
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config::paper_defaults()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,11 +476,13 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = Config::paper_defaults()
-            .with_tolerance(Tolerance::uncertain(5.0, 0.1))
-            .with_window(50)
-            .with_epoch(5)
-            .with_k(20);
+        let c = Config::builder()
+            .tolerance(Tolerance::uncertain(5.0, 0.1))
+            .window(50)
+            .epoch(5)
+            .k(20)
+            .build()
+            .unwrap();
         assert_eq!(c.tolerance.eps(), 5.0);
         assert_eq!(c.tolerance.delta(), Some(0.1));
         assert_eq!(c.window.len, 50);
@@ -546,10 +496,12 @@ mod tests {
         assert!(!c.admission.sessions_enabled());
         assert_eq!(c.admission.queue_cap, 0);
         assert_eq!(c.admission.degrade_threshold, 0);
-        let c = c
-            .with_lease(30, 10)
-            .with_admission_cap(500, AdmissionPolicy::ShedOldest)
-            .with_degrade_threshold(400);
+        let c = Config::builder()
+            .lease(30, 10)
+            .admission_cap(500, AdmissionPolicy::ShedOldest)
+            .degrade_threshold(400)
+            .build()
+            .unwrap();
         assert!(c.admission.sessions_enabled());
         assert_eq!(c.admission.lease, 30);
         assert_eq!(c.admission.grace, 10);
@@ -563,10 +515,10 @@ mod tests {
         for p in
             [AdmissionPolicy::Reject, AdmissionPolicy::ShedOldest, AdmissionPolicy::EjectSlowest]
         {
-            assert_eq!(AdmissionPolicy::parse(&p.to_string()), Some(p));
+            assert_eq!(p.to_string().parse(), Ok(p));
             assert_eq!(AdmissionPolicy::from_raw(p.as_raw()), Some(p));
         }
-        assert_eq!(AdmissionPolicy::parse("nope"), None);
+        assert!("nope".parse::<AdmissionPolicy>().is_err());
         assert_eq!(AdmissionPolicy::from_raw(99), None);
     }
 
@@ -615,9 +567,34 @@ mod tests {
             (Config::builder().lease(0, 5), "lease"),
             (Config::builder().admission_cap(0, AdmissionPolicy::Reject), "queue cap"),
             (Config::builder().degrade_threshold(0), "degrade threshold"),
+            (Config::builder().tolerance(Tolerance::Crisp { eps: 0.0 }), "eps"),
+            (Config::builder().tolerance(Tolerance::Crisp { eps: -1.0 }), "eps"),
+            (Config::builder().tolerance(Tolerance::Crisp { eps: f64::NAN }), "eps"),
+            (Config::builder().tolerance(Tolerance::Crisp { eps: f64::INFINITY }), "eps"),
+            (Config::builder().tolerance(Tolerance::Uncertain { eps: 0.0, delta: 0.1 }), "eps"),
         ] {
             assert_eq!(builder.build().unwrap_err(), ConfigError::NonPositive(what));
         }
+    }
+
+    #[test]
+    fn builder_rejects_delta_outside_the_unit_interval() {
+        for delta in [0.0, 1.0, -0.5, 1.5] {
+            let err = Config::builder()
+                .tolerance(Tolerance::Uncertain { eps: 10.0, delta })
+                .build()
+                .unwrap_err();
+            assert_eq!(err, ConfigError::DeltaOutOfRange(delta));
+        }
+        let err = Config::builder()
+            .tolerance(Tolerance::Uncertain { eps: 10.0, delta: f64::NAN })
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, ConfigError::DeltaOutOfRange(d) if d.is_nan()));
+        assert_eq!(
+            ConfigError::DeltaOutOfRange(1.0).to_string(),
+            "delta must lie in (0, 1), got 1"
+        );
     }
 
     #[test]
@@ -640,12 +617,6 @@ mod tests {
             msg.contains("reject | shed-oldest | eject-slowest"),
             "error must list values: {msg}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "lease must be positive")]
-    fn rejects_zero_lease() {
-        let _ = Config::paper_defaults().with_lease(0, 5);
     }
 
     #[test]

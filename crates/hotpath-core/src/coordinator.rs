@@ -268,7 +268,7 @@ impl Coordinator {
     /// ```
     /// use hotpath_core::prelude::*;
     ///
-    /// let config = Config::paper_defaults().with_epoch(5).with_window(50);
+    /// let config = Config::builder().epoch(5).window(50).build().unwrap();
     /// let mut coordinator = Coordinator::new(config);
     /// let crossing = |obj: u64| ClientState {
     ///     object: ObjectId(obj),
@@ -598,7 +598,7 @@ impl Coordinator {
     }
 
     /// The session table, when sessions are enabled
-    /// (`Config::with_lease`).
+    /// (`ConfigBuilder::lease`).
     pub fn sessions(&self) -> Option<&SessionTable> {
         self.sessions.as_ref()
     }
@@ -831,10 +831,6 @@ mod tests {
     use crate::index::ExpiryEvent;
     use crate::session::SessionTransition;
 
-    fn cfg() -> Config {
-        Config::paper_defaults().with_epoch(10).with_window(100)
-    }
-
     fn state(obj: u64, start: (f64, f64), end: (f64, f64), ts: u64, te: u64) -> ClientState {
         let e = Point::new(end.0, end.1);
         ClientState {
@@ -848,7 +844,7 @@ mod tests {
 
     #[test]
     fn epoch_processing_creates_and_responds() {
-        let mut c = Coordinator::new(cfg());
+        let mut c = Coordinator::new(Config::paper_defaults());
         c.submit(state(1, (0.0, 0.0), (50.0, 0.0), 0, 8));
         c.submit(state(2, (0.0, 100.0), (50.0, 100.0), 0, 9));
         assert_eq!(c.pending_len(), 2);
@@ -865,7 +861,7 @@ mod tests {
 
     #[test]
     fn repeated_crossings_heat_up_and_expire() {
-        let mut c = Coordinator::new(cfg());
+        let mut c = Coordinator::new(Config::paper_defaults());
         // Same corridor crossed by many objects across two epochs.
         for obj in 0..5u64 {
             c.submit(state(obj, (0.0, 0.0), (50.0, 0.0), 0, 9));
@@ -887,7 +883,7 @@ mod tests {
 
     #[test]
     fn top_k_orders_by_hotness_then_length() {
-        let mut c = Coordinator::new(cfg().with_k(2));
+        let mut c = Coordinator::new(Config::builder().k(2).build().unwrap());
         // Path A: 3 crossings; path B: 1 crossing but longer; path C: 1.
         for obj in 0..3u64 {
             c.submit(state(obj, (0.0, 0.0), (50.0, 0.0), 0, 9));
@@ -905,7 +901,7 @@ mod tests {
 
     #[test]
     fn comm_accounting_tracks_both_directions() {
-        let mut c = Coordinator::new(cfg());
+        let mut c = Coordinator::new(Config::paper_defaults());
         c.submit(state(1, (0.0, 0.0), (50.0, 0.0), 0, 9));
         let _ = c.process_epoch(Timestamp(10));
         let comm = c.comm_stats();
@@ -917,7 +913,7 @@ mod tests {
 
     #[test]
     fn hints_report_hottest_outgoing_path() {
-        let mut c = Coordinator::new(cfg()).with_hints();
+        let mut c = Coordinator::new(Config::paper_defaults()).with_hints();
         // Build a hot corridor out of the vertex (50, 0): two chained
         // reports.
         for obj in 0..4u64 {
@@ -940,7 +936,7 @@ mod tests {
 
     #[test]
     fn processing_stats_accumulate() {
-        let mut c = Coordinator::new(cfg());
+        let mut c = Coordinator::new(Config::paper_defaults());
         c.submit(state(1, (0.0, 0.0), (50.0, 0.0), 0, 9));
         let _ = c.process_epoch(Timestamp(10));
         c.submit(state(1, (50.0, 0.0), (100.0, 0.0), 9, 19));
@@ -962,11 +958,11 @@ mod tests {
                 state(obj, (x, 0.0), (x + 50.0, (obj % 3) as f64 * 10.0), 0, 9)
             })
         };
-        let mut a = Coordinator::new(cfg());
+        let mut a = Coordinator::new(Config::paper_defaults());
         for s in mk_states() {
             a.submit(s);
         }
-        let mut b = Coordinator::new(cfg());
+        let mut b = Coordinator::new(Config::paper_defaults());
         b.submit_batch(mk_states());
         assert_eq!(a.pending_len(), b.pending_len());
 
@@ -994,7 +990,7 @@ mod tests {
     /// `check_consistency` pins incremental top-k == full sort).
     #[test]
     fn recycled_epoch_buffers_stay_clean_over_many_epochs() {
-        let mut c = Coordinator::new(cfg());
+        let mut c = Coordinator::new(Config::paper_defaults());
         for epoch in 1..=20u64 {
             let now = Timestamp(epoch * 10);
             for obj in 0..25u64 {
@@ -1022,7 +1018,7 @@ mod tests {
     /// checkpoint taken with a *pending* (undrained) batch.
     #[test]
     fn checkpoint_roundtrip_continues_bit_for_bit() {
-        let config = cfg().with_k(5);
+        let config = Config::builder().k(5).build().unwrap();
         let mut live = Coordinator::new(config).with_hints();
         let mut s = 7u64;
         let mut rand = move || {
@@ -1093,14 +1089,14 @@ mod tests {
 
     #[test]
     fn restore_rejects_wrong_config_and_foreign_bytes() {
-        let config = cfg();
+        let config = Config::paper_defaults();
         let c = Coordinator::new(config);
         let image = c.checkpoint();
         assert!(matches!(
-            Coordinator::from_checkpoint(config.with_k(3), &image),
+            Coordinator::from_checkpoint(Config::builder().k(3).build().unwrap(), &image),
             Err(crate::checkpoint::CheckpointError::ConfigMismatch(_))
         ));
-        let coarser = config.to_builder().vertex_grain(1e-2).build().unwrap();
+        let coarser = Config::builder().vertex_grain(1e-2).build().unwrap();
         assert!(matches!(
             Coordinator::from_checkpoint(coarser, &image),
             Err(crate::checkpoint::CheckpointError::ConfigMismatch(_))
@@ -1109,7 +1105,7 @@ mod tests {
 
     /// A small image to forge: three paths, one of them crossed twice.
     fn forgeable() -> (Config, Checkpoint) {
-        let config = cfg();
+        let config = Config::paper_defaults();
         let mut c = Coordinator::new(config);
         c.submit(state(1, (0.0, 0.0), (50.0, 0.0), 0, 8));
         c.submit(state(2, (0.0, 0.0), (50.0, 0.0), 0, 9));
@@ -1194,7 +1190,7 @@ mod tests {
     fn admission_policies_account_every_turned_away_state() {
         use crate::config::AdmissionPolicy::*;
         for policy in [Reject, ShedOldest, EjectSlowest] {
-            let config = cfg().with_lease(50, 20).with_admission_cap(10, policy);
+            let config = Config::builder().lease(50, 20).admission_cap(10, policy).build().unwrap();
             let mut c = Coordinator::new(config);
             // 3 clients x 5 states = 15 pending, 5 over the cap.
             for obj in 0..3u64 {
@@ -1219,7 +1215,11 @@ mod tests {
 
     #[test]
     fn eject_slowest_removes_the_stalest_client_and_its_session() {
-        let config = cfg().with_lease(50, 20).with_admission_cap(6, AdmissionPolicy::EjectSlowest);
+        let config = Config::builder()
+            .lease(50, 20)
+            .admission_cap(6, AdmissionPolicy::EjectSlowest)
+            .build()
+            .unwrap();
         let mut c = Coordinator::new(config);
         // Client 7 heartbeats stalest (te 1); clients 8 and 9 are fresher.
         for (obj, te) in [(7u64, 1u64), (8, 5), (9, 9)] {
@@ -1242,7 +1242,7 @@ mod tests {
     #[test]
     fn session_lifecycle_surfaces_in_snapshots() {
         use crate::session::SessionTransition;
-        let mut c = Coordinator::new(cfg().with_lease(25, 10));
+        let mut c = Coordinator::new(Config::builder().lease(25, 10).build().unwrap());
         c.submit(state(1, (0.0, 0.0), (50.0, 0.0), 0, 9));
         c.submit(state(2, (0.0, 300.0), (50.0, 300.0), 0, 9));
         let _ = c.process_epoch(Timestamp(10));
@@ -1274,7 +1274,7 @@ mod tests {
 
     #[test]
     fn overload_degrades_phase_b_and_counts_epochs() {
-        let mut c = Coordinator::new(cfg().with_degrade_threshold(5));
+        let mut c = Coordinator::new(Config::builder().degrade_threshold(5).build().unwrap());
         for obj in 0..10u64 {
             let x = (obj % 5) as f64 * 600.0;
             c.submit(state(obj, (x, 0.0), (x + 50.0, 0.0), 0, 9));
@@ -1294,11 +1294,13 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip_with_sessions_and_admission() {
-        let config = cfg()
-            .with_k(5)
-            .with_lease(30, 10)
-            .with_admission_cap(20, AdmissionPolicy::ShedOldest)
-            .with_degrade_threshold(18);
+        let config = Config::builder()
+            .k(5)
+            .lease(30, 10)
+            .admission_cap(20, AdmissionPolicy::ShedOldest)
+            .degrade_threshold(18)
+            .build()
+            .unwrap();
         let mut live = Coordinator::new(config);
         let mut s = 99u64;
         let mut rand = move || {

@@ -86,7 +86,7 @@ pub trait Engine: Send {
     /// ```
     /// use hotpath_core::prelude::*;
     ///
-    /// let config = Config::paper_defaults().with_epoch(5).with_window(50);
+    /// let config = Config::builder().epoch(5).window(50).build().unwrap();
     /// let mut engine = SyncEngine::new(Coordinator::new(config));
     /// engine.submit(ClientState {
     ///     object: ObjectId(1),
@@ -212,10 +212,6 @@ mod tests {
     use crate::geometry::{Point, Rect};
     use crate::ObjectId;
 
-    fn cfg() -> Config {
-        Config::paper_defaults().with_epoch(10).with_window(100)
-    }
-
     fn state(obj: u64, start: (f64, f64), end: (f64, f64), te: u64) -> ClientState {
         let e = Point::new(end.0, end.1);
         ClientState {
@@ -238,10 +234,12 @@ mod tests {
         use crate::session::SessionTransition;
         #[allow(clippy::type_complexity)]
         fn drive_robust() -> (Vec<Vec<(u64, u64)>>, Vec<(u64, u64, u8)>, Vec<u64>, Vec<u64>, bool) {
-            let config = cfg()
-                .with_lease(30, 10)
-                .with_admission_cap(24, AdmissionPolicy::ShedOldest)
-                .with_degrade_threshold(20);
+            let config = Config::builder()
+                .lease(30, 10)
+                .admission_cap(24, AdmissionPolicy::ShedOldest)
+                .degrade_threshold(20)
+                .build()
+                .unwrap();
             let mut engine = EngineKind::Sync.build(Coordinator::new(config));
             let mut responses_log = Vec::new();
             let mut events = Vec::new();
@@ -306,7 +304,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_stamped_and_stable_between_epochs() {
-        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg()));
+        let mut engine = EngineKind::Sync.build(Coordinator::new(Config::paper_defaults()));
         assert_eq!(engine.snapshot().epoch, 0);
         engine.submit(state(1, (0.0, 0.0), (50.0, 0.0), 9));
         assert_eq!(engine.pending_len(), 1);
@@ -359,7 +357,7 @@ mod tests {
             (resp, snap.epoch, snap.top_k_score.to_bits(), snap.comm.uplink_msgs)
         };
         let run = |interrupt: Option<u64>| -> (EpochLog, Option<Checkpoint>) {
-            let mut engine = EngineKind::Sync.build(Coordinator::new(cfg()));
+            let mut engine = EngineKind::Sync.build(Coordinator::new(Config::paper_defaults()));
             let mut log = Vec::new();
             let mut image = None;
             for epoch in 1..=8u64 {
@@ -386,7 +384,7 @@ mod tests {
         // section).
         let image = image.unwrap();
         assert_eq!(image.epoch(), 3);
-        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg()));
+        let mut engine = EngineKind::Sync.build(Coordinator::new(Config::paper_defaults()));
         engine.submit(state(77, (0.0, 0.0), (50.0, 0.0), 9));
         let _ = engine.process_epoch(Timestamp(10));
         engine.restore(&image).unwrap();
@@ -410,7 +408,7 @@ mod tests {
     /// invalidated — `snapshot()`/top-k never serve pre-restore data.
     #[test]
     fn restore_invalidates_the_snapshot_cache() {
-        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg()));
+        let mut engine = EngineKind::Sync.build(Coordinator::new(Config::paper_defaults()));
         // Epoch 1: corridor A is the only hot path.
         for obj in 0..3u64 {
             engine.submit(state(obj, (0.0, 0.0), (50.0, 0.0), 9));
@@ -439,7 +437,7 @@ mod tests {
     /// a restore re-publishes the restored state.
     #[test]
     fn attached_cell_tracks_epochs_and_restores() {
-        let mut engine = EngineKind::Sync.build(Coordinator::new(cfg()));
+        let mut engine = EngineKind::Sync.build(Coordinator::new(Config::paper_defaults()));
         engine.submit(state(1, (0.0, 0.0), (50.0, 0.0), 9));
         let _ = engine.process_epoch(Timestamp(10));
         let image = engine.checkpoint();
@@ -470,7 +468,7 @@ mod tests {
     /// satisfy that. Epochs must also be monotone per reader.
     #[test]
     fn cell_readers_see_epoch_consistent_images_under_continuous_publish() {
-        let config = Config::paper_defaults().with_epoch(10).with_window(10_000);
+        let config = Config::builder().window(10_000).build().unwrap();
         let mut engine = EngineKind::Sync.build(Coordinator::new(config));
         let cell = SnapshotCell::new();
         engine.attach_cell(cell.clone());

@@ -63,14 +63,6 @@ impl Point {
         (dx.powf(p) + dy.powf(p)).powf(1.0 / p)
     }
 
-    /// Squared Euclidean distance (avoids the square root in hot loops).
-    #[inline]
-    pub fn dist_l2_sq(&self, other: &Point) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
-
     /// Component-wise minimum.
     #[inline]
     pub fn min(&self, other: &Point) -> Point {
@@ -214,7 +206,6 @@ mod tests {
         let a = Point::new(1.0, 2.0);
         let b = Point::new(4.0, 6.0);
         assert!((a.dist_l2(&b) - 5.0).abs() < 1e-12);
-        assert!((a.dist_l2_sq(&b) - 25.0).abs() < 1e-12);
     }
 
     #[test]

@@ -194,12 +194,6 @@ impl Rect {
     pub fn corners(&self) -> [Point; 4] {
         [self.lo, Point::new(self.hi.x, self.lo.y), self.hi, Point::new(self.lo.x, self.hi.y)]
     }
-
-    /// Perimeter length.
-    #[inline]
-    pub fn perimeter(&self) -> f64 {
-        2.0 * (self.width() + self.height())
-    }
 }
 
 #[cfg(test)]
@@ -216,7 +210,6 @@ mod tests {
         assert_eq!(rect.width(), 4.0);
         assert_eq!(rect.height(), 2.0);
         assert_eq!(rect.area(), 8.0);
-        assert_eq!(rect.perimeter(), 12.0);
         assert_eq!(rect.centroid(), Point::new(2.0, 2.0));
         assert!(!rect.is_degenerate());
     }

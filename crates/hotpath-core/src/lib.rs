@@ -35,7 +35,7 @@
 //! ```
 //! use hotpath_core::prelude::*;
 //!
-//! let config = Config::paper_defaults().with_epoch(5).with_window(50);
+//! let config = Config::builder().epoch(5).window(50).build().unwrap();
 //! let mut coordinator = Coordinator::new(config);
 //! let mut client = RayTraceFilter::new(
 //!     ObjectId(0),

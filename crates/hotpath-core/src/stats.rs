@@ -35,18 +35,6 @@ impl CommStats {
         self.downlink_bytes += bytes as u64;
     }
 
-    /// Total messages in both directions.
-    #[inline]
-    pub fn total_msgs(&self) -> u64 {
-        self.uplink_msgs + self.downlink_msgs
-    }
-
-    /// Total bytes in both directions.
-    #[inline]
-    pub fn total_bytes(&self) -> u64 {
-        self.uplink_bytes + self.downlink_bytes
-    }
-
     /// Component-wise difference since an earlier snapshot.
     pub fn since(&self, earlier: &CommStats) -> CommStats {
         CommStats {
@@ -107,15 +95,6 @@ pub struct ProcessingStats {
 }
 
 impl ProcessingStats {
-    /// Mean strategy time per epoch.
-    pub fn mean_epoch_time(&self) -> Duration {
-        if self.epochs == 0 {
-            Duration::ZERO
-        } else {
-            self.strategy_time / self.epochs as u32
-        }
-    }
-
     /// Fraction of selections that reused an existing path (Case 1).
     pub fn reuse_ratio(&self) -> f64 {
         let total = self.case1 + self.case2 + self.case3;
@@ -140,8 +119,6 @@ mod tests {
         assert_eq!(c.uplink_msgs, 2);
         assert_eq!(c.uplink_bytes, 144);
         assert_eq!(c.downlink_msgs, 1);
-        assert_eq!(c.total_msgs(), 3);
-        assert_eq!(c.total_bytes(), 168);
     }
 
     #[test]
@@ -161,14 +138,12 @@ mod tests {
     #[test]
     fn processing_means_and_ratios() {
         let mut p = ProcessingStats::default();
-        assert_eq!(p.mean_epoch_time(), Duration::ZERO);
         assert_eq!(p.reuse_ratio(), 0.0);
         p.epochs = 4;
         p.strategy_time = Duration::from_millis(100);
         p.case1 = 6;
         p.case2 = 3;
         p.case3 = 1;
-        assert_eq!(p.mean_epoch_time(), Duration::from_millis(25));
         assert!((p.reuse_ratio() - 0.6).abs() < 1e-12);
     }
 }

@@ -119,14 +119,6 @@ impl TimeInterval {
     pub fn contains(&self, t: Timestamp) -> bool {
         self.start <= t && t <= self.end
     }
-
-    /// The timestamp at fractional position `lambda` (rounded to the
-    /// nearest granule), mirroring `t(lambda) = ta + lambda (tb - ta)`.
-    #[inline]
-    pub fn at_fraction(&self, lambda: f64) -> Timestamp {
-        debug_assert!((0.0..=1.0).contains(&lambda));
-        Timestamp(self.start.0 + (lambda * self.duration() as f64).round() as u64)
-    }
 }
 
 /// The sliding time window of size `W`: only crossings whose exit
@@ -187,12 +179,6 @@ impl EpochClock {
         t.0.is_multiple_of(self.lambda)
     }
 
-    /// The first epoch boundary strictly after `t`.
-    #[inline]
-    pub fn next_epoch_after(&self, t: Timestamp) -> Timestamp {
-        Timestamp((t.0 / self.lambda + 1) * self.lambda)
-    }
-
     /// Ordinal number of the epoch containing `t` (epoch `e` spans
     /// `[e * lambda, (e+1) * lambda)`).
     #[inline]
@@ -244,9 +230,6 @@ mod tests {
         assert!(i.contains(Timestamp(5)));
         assert!(i.contains(Timestamp(15)));
         assert!(!i.contains(Timestamp(16)));
-        assert_eq!(i.at_fraction(0.5), Timestamp(10));
-        assert_eq!(i.at_fraction(0.0), Timestamp(5));
-        assert_eq!(i.at_fraction(1.0), Timestamp(15));
     }
 
     #[test]
@@ -278,9 +261,6 @@ mod tests {
         assert!(c.is_epoch(Timestamp(0)));
         assert!(c.is_epoch(Timestamp(30)));
         assert!(!c.is_epoch(Timestamp(31)));
-        assert_eq!(c.next_epoch_after(Timestamp(0)), Timestamp(10));
-        assert_eq!(c.next_epoch_after(Timestamp(9)), Timestamp(10));
-        assert_eq!(c.next_epoch_after(Timestamp(10)), Timestamp(20));
         assert_eq!(c.epoch_index(Timestamp(9)), 0);
         assert_eq!(c.epoch_index(Timestamp(10)), 1);
     }

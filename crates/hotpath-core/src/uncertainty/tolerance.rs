@@ -81,6 +81,8 @@ pub enum FallbackPolicy {
     MinimalArea(f64),
 }
 
+/// Parses a CLI tag: `reject`, `minimal`, or `minimal:<w>` (width in
+/// meters; bare `minimal` uses 0.5 m).
 impl std::str::FromStr for FallbackPolicy {
     type Err = crate::config::ParseError;
 
@@ -100,15 +102,6 @@ impl std::str::FromStr for FallbackPolicy {
                 }
             }
         }
-    }
-}
-
-impl FallbackPolicy {
-    /// Parses a CLI/config tag: `reject`, `minimal`, or `minimal:<w>`
-    /// (width in meters; bare `minimal` uses 0.5 m). Thin shim over the
-    /// [`FromStr`](std::str::FromStr) impl.
-    pub fn parse(s: &str) -> Option<FallbackPolicy> {
-        s.parse().ok()
     }
 }
 
@@ -374,12 +367,13 @@ mod tests {
 
     #[test]
     fn fallback_policy_parses_cli_tags() {
-        assert_eq!(FallbackPolicy::parse("reject"), Some(FallbackPolicy::Reject));
-        assert_eq!(FallbackPolicy::parse("minimal"), Some(FallbackPolicy::MinimalArea(0.5)));
-        assert_eq!(FallbackPolicy::parse("minimal:2.5"), Some(FallbackPolicy::MinimalArea(2.5)));
-        assert_eq!(FallbackPolicy::parse("minimal:0"), None);
-        assert_eq!(FallbackPolicy::parse("minimal:-1"), None);
-        assert_eq!(FallbackPolicy::parse("nope"), None);
+        let parse = |s: &str| s.parse::<FallbackPolicy>().ok();
+        assert_eq!(parse("reject"), Some(FallbackPolicy::Reject));
+        assert_eq!(parse("minimal"), Some(FallbackPolicy::MinimalArea(0.5)));
+        assert_eq!(parse("minimal:2.5"), Some(FallbackPolicy::MinimalArea(2.5)));
+        assert_eq!(parse("minimal:0"), None);
+        assert_eq!(parse("minimal:-1"), None);
+        assert_eq!(parse("nope"), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! against a brute-force oracle.
 
 use hotpath_core::checkpoint::SectionKind;
-use hotpath_core::config::{Config, Tolerance};
+use hotpath_core::config::Config;
 use hotpath_core::coordinator::Coordinator;
 use hotpath_core::geometry::{Point, Rect, Segment, TimePoint};
 use hotpath_core::index::{ExpiryEvent, PathTable};
@@ -576,11 +576,7 @@ proptest! {
         epochs in 1u64..8,
         leftover in 0u64..10,
     ) {
-        let config = Config::paper_defaults()
-            .with_tolerance(Tolerance::crisp(10.0))
-            .with_window(30)
-            .with_epoch(10)
-            .with_k(6);
+        let config = Config::builder().window(30).k(6).build().unwrap();
         let mut c = Coordinator::new(config);
         // An LCG-driven schedule over a coarse lattice: corridors repeat
         // so crossings accumulate, expire, and evict along the way.
@@ -652,11 +648,7 @@ proptest! {
         per_epoch in 1u64..40,
         window in 10u64..60,
     ) {
-        let config = Config::paper_defaults()
-            .with_tolerance(Tolerance::crisp(10.0))
-            .with_window(window)
-            .with_epoch(10)
-            .with_k(6);
+        let config = Config::builder().window(window).k(6).build().unwrap();
         let mut c = Coordinator::new(config);
         let mut s = seed | 1;
         let mut roll = move || {

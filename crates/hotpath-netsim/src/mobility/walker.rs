@@ -79,11 +79,6 @@ impl Walker {
         self.policy = policy;
     }
 
-    /// The node the walker is heading toward.
-    pub fn heading_to(&self, net: &RoadNetwork) -> NodeId {
-        net.other_end(self.link, self.from)
-    }
-
     /// Advances by at most `displacement` meters: either along the
     /// current link or stopping at the far node (at most), per the
     /// paper. When a node is reached, the next link is chosen so the

@@ -192,11 +192,6 @@ impl RoadNetwork {
         }
         visited == self.nodes.len()
     }
-
-    /// Total road length in meters.
-    pub fn total_length(&self) -> f64 {
-        (0..self.links.len()).map(|i| self.link_length(LinkId(i as u32))).sum()
-    }
 }
 
 /// A set of closed (impassable) links — road works, accidents, or the
@@ -233,11 +228,6 @@ impl ClosureSet {
     pub fn closed_count(&self) -> usize {
         self.closed.iter().filter(|&&c| c).count()
     }
-
-    /// Iterates over the closed link ids.
-    pub fn iter_closed(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.closed.iter().enumerate().filter_map(|(i, &c)| c.then_some(LinkId(i as u32)))
-    }
 }
 
 #[cfg(test)]
@@ -270,7 +260,6 @@ mod tests {
         assert_eq!(net.other_end(LinkId(0), NodeId(0)), NodeId(1));
         assert_eq!(net.other_end(LinkId(0), NodeId(1)), NodeId(0));
         assert_eq!(net.link_length(LinkId(1)), 100.0);
-        assert_eq!(net.total_length(), 400.0);
     }
 
     #[test]
@@ -331,7 +320,6 @@ mod tests {
         closed.close(LinkId(2)); // idempotent
         assert!(closed.is_closed(LinkId(2)));
         assert_eq!(closed.closed_count(), 1);
-        assert_eq!(closed.iter_closed().collect::<Vec<_>>(), vec![LinkId(2)]);
         closed.open(LinkId(2));
         assert_eq!(closed.closed_count(), 0);
     }

@@ -1,9 +1,8 @@
-//! Road-network substrate: graph model, synthetic Athens-like
-//! generator, and text serialization.
+//! Road-network substrate: graph model and synthetic Athens-like
+//! generator.
 
 pub mod generator;
 mod graph;
-pub mod io;
 
 pub use generator::{generate, NetworkParams};
 pub use graph::{ClosureSet, Link, LinkId, Node, NodeId, RoadClass, RoadNetwork};

@@ -31,7 +31,7 @@
 
 use crate::mobility::{ChoicePolicy, Measurement, Population, PopulationParams};
 use crate::network::{generate, ClosureSet, NetworkParams, NodeId, RoadClass, RoadNetwork};
-use hotpath_core::config::AdmissionPolicy;
+use hotpath_core::config::{Admission, AdmissionPolicy};
 use hotpath_core::coordinator::HotSnapshot;
 use hotpath_core::geometry::{Point, TimePoint};
 use hotpath_core::session::SessionCounters;
@@ -186,24 +186,6 @@ impl FaultWindow {
     }
 }
 
-/// Robustness knobs a scenario asks its driver to enable: the session
-/// lease, the ingest bound, and the degraded-epoch threshold. Drivers
-/// without a session layer may ignore the hint (the scenario's fault
-/// invariants then cannot be checked).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RobustnessHint {
-    /// Heartbeat lease in timestamps (`> 0` turns sessions on).
-    pub lease: u64,
-    /// Extra Dropped-to-Ejected grace in timestamps.
-    pub grace: u64,
-    /// Per-epoch ingest cap (`0` = unbounded).
-    pub queue_cap: usize,
-    /// What to do with states over the cap.
-    pub policy: AdmissionPolicy,
-    /// Batch size beyond which Phase B is shed (`0` = never).
-    pub degrade_threshold: usize,
-}
-
 /// A named, seeded workload: the one interface every driver (simulation
 /// harness, experiments CLI, benches, tests) uses to pull measurement
 /// streams.
@@ -238,11 +220,12 @@ pub trait Scenario {
     fn fault_windows(&self) -> Vec<FaultWindow> {
         Vec::new()
     }
-    /// Session/admission configuration this scenario's invariants
-    /// assume, when any. `None` (the default) leaves the driver's
-    /// config untouched.
-    fn robustness_hint(&self) -> Option<RobustnessHint> {
-        None
+    /// Session lease, ingest bound and degraded-epoch threshold this
+    /// scenario's invariants assume. All off by default; drivers without
+    /// a session layer may ignore it (the fault invariants then cannot
+    /// be checked).
+    fn admission(&self) -> Admission {
+        Admission::default()
     }
 }
 
@@ -1137,7 +1120,7 @@ impl Scenario for EvacuationRerouteScenario {
 /// ride the sporting-event population (a converging crowd keeps one
 /// corridor reliably hot, so fault effects are attributable) and
 /// differ only in their declared [`FaultWindow`]s, their
-/// [`RobustnessHint`], and the invariants checked afterwards.
+/// [`Admission`] knobs, and the invariants checked afterwards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultStory {
     /// Half the fleet disconnects for longer than lease + grace: the
@@ -1155,15 +1138,15 @@ pub enum FaultStory {
     SlowClientStall,
 }
 
-/// A converging-crowd workload with declared fault windows and a
-/// robustness hint, one per [`FaultStory`].
+/// A converging-crowd workload with declared fault windows and
+/// admission knobs, one per [`FaultStory`].
 pub struct FaultStoryScenario {
     net: RoadNetwork,
     pop: Population,
     params: ScenarioParams,
     story: FaultStory,
     windows: Vec<FaultWindow>,
-    hint: RobustnessHint,
+    admission: Admission,
 }
 
 impl FaultStoryScenario {
@@ -1174,7 +1157,7 @@ impl FaultStoryScenario {
         let SportingEventScenario { net, pop, .. } = SportingEventScenario::new(params);
         let d = params.duration;
         let n = params.n;
-        let (windows, hint) = match story {
+        let (windows, admission) = match story {
             FaultStory::MassDisconnect => (
                 vec![FaultWindow {
                     kind: FaultKind::Disconnect,
@@ -1183,13 +1166,7 @@ impl FaultStoryScenario {
                     fraction: 0.5,
                     salt: 0xD15C,
                 }],
-                RobustnessHint {
-                    lease: 12,
-                    grace: 6,
-                    queue_cap: 0,
-                    policy: AdmissionPolicy::Reject,
-                    degrade_threshold: 0,
-                },
+                Admission { lease: 12, grace: 6, ..Admission::default() },
             ),
             FaultStory::ReconnectStorm => (
                 vec![FaultWindow {
@@ -1199,7 +1176,7 @@ impl FaultStoryScenario {
                     fraction: 1.0,
                     salt: 0x5707,
                 }],
-                RobustnessHint {
+                Admission {
                     // Lease shorter than the outage so every session
                     // drops; grace longer than the outage so nobody is
                     // ejected and the entire fleet *reconnects* at once.
@@ -1218,16 +1195,16 @@ impl FaultStoryScenario {
                     fraction: 0.25,
                     salt: 0x51A1,
                 }],
-                RobustnessHint {
+                Admission {
                     lease: 12,
                     grace: 6,
                     queue_cap: (n / 5).max(48),
                     policy: AdmissionPolicy::EjectSlowest,
-                    degrade_threshold: 0,
+                    ..Admission::default()
                 },
             ),
         };
-        FaultStoryScenario { net, pop, params: *params, story, windows, hint }
+        FaultStoryScenario { net, pop, params: *params, story, windows, admission }
     }
 
     /// Cumulative counter value at the last epoch strictly before `t`
@@ -1247,7 +1224,7 @@ impl FaultStoryScenario {
             .iter()
             .find(|e| e.snap.sessions.ejections > base)
             .ok_or_else(|| format!("{name}: no session was ever ejected"))?;
-        let bound = w.from.raw() + self.hint.lease + self.hint.grace + 15;
+        let bound = w.from.raw() + self.admission.lease + self.admission.grace + 15;
         if first.snap.timestamp.raw() > bound {
             return Err(format!(
                 "{name}: first ejection at t={} but the lease bound is t={bound}",
@@ -1298,8 +1275,8 @@ impl Scenario for FaultStoryScenario {
     fn fault_windows(&self) -> Vec<FaultWindow> {
         self.windows.clone()
     }
-    fn robustness_hint(&self) -> Option<RobustnessHint> {
-        Some(self.hint)
+    fn admission(&self) -> Admission {
+        self.admission
     }
     fn check_invariants(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
         let name = self.name();
@@ -1308,7 +1285,7 @@ impl Scenario for FaultStoryScenario {
             &outcome.per_epoch.last().ok_or_else(|| format!("{name}: no epochs observed"))?.snap;
         if last.sessions.connects == 0 {
             return Err(format!(
-                "{name}: no session ever connected — was the robustness hint applied?"
+                "{name}: no session ever connected — were the scenario's admission knobs applied?"
             ));
         }
         let w = self.windows[0];
@@ -1694,8 +1671,7 @@ mod tests {
             let s = build(name, &params).expect("registered");
             let windows = s.fault_windows();
             assert!(!windows.is_empty(), "{name} declares no faults");
-            let hint = s.robustness_hint().expect("fault scenarios hint their config");
-            assert!(hint.lease > 0, "{name} must turn sessions on");
+            assert!(s.admission().sessions_enabled(), "{name} must turn sessions on");
             for w in &windows {
                 assert!(w.from < w.until, "{name}: empty fault window");
                 assert!(w.until.raw() < params.duration, "{name}: window outlives the run");
@@ -1717,7 +1693,7 @@ mod tests {
         // Fault-free scenarios keep the defaults.
         let plain = build("sporting_event", &params).expect("registered");
         assert!(plain.fault_windows().is_empty());
-        assert!(plain.robustness_hint().is_none());
+        assert_eq!(plain.admission(), Admission::default());
     }
 
     #[test]

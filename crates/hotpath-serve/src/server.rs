@@ -156,7 +156,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn cfg() -> Config {
-        Config::paper_defaults().with_epoch(10).with_window(10_000)
+        Config::builder().window(10_000).build().unwrap()
     }
 
     fn state(obj: u64, start: (f64, f64), end: (f64, f64), te: u64) -> ClientState {

@@ -42,7 +42,9 @@ const LATTICE_ROWS: u64 = 8;
 const EMIT_PCT: u64 = 60;
 
 /// Parameters of one swarm run. Two runs with equal params produce
-/// identical schedules and identical final snapshots.
+/// identical schedules and identical final snapshots. The default is
+/// the CI-sized preset (a couple of seconds on one core); the engine
+/// always serves under [`Config::paper_defaults`].
 #[derive(Clone, Debug)]
 pub struct SwarmParams {
     /// Writer population (one corridor each, wrapping onto the lattice).
@@ -77,56 +79,10 @@ impl Default for SwarmParams {
 }
 
 impl SwarmParams {
-    /// The CI-sized preset (a couple of seconds on one core).
-    pub fn quick() -> Self {
-        SwarmParams::default()
-    }
-
     /// The full preset: a larger population over a longer horizon,
     /// with churn through the middle third.
     pub fn full() -> Self {
         SwarmParams { writers: 64, readers: 4, ticks: 600, churn: 0.2, ..SwarmParams::default() }
-    }
-
-    /// Chainable writer-population override.
-    pub fn with_writers(mut self, writers: usize) -> Self {
-        self.writers = writers;
-        self
-    }
-
-    /// Chainable reader-thread override.
-    pub fn with_readers(mut self, readers: usize) -> Self {
-        self.readers = readers;
-        self
-    }
-
-    /// Chainable run-length override.
-    pub fn with_ticks(mut self, ticks: u64) -> Self {
-        self.ticks = ticks;
-        self
-    }
-
-    /// Chainable schedule-seed override.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Chainable churn-fraction override.
-    pub fn with_churn(mut self, churn: f64) -> Self {
-        self.churn = churn;
-        self
-    }
-
-    /// Chainable churn-victim seed override.
-    pub fn with_fault_seed(mut self, fault_seed: u64) -> Self {
-        self.fault_seed = fault_seed;
-        self
-    }
-
-    /// The engine configuration the swarm serves under.
-    pub fn config(&self) -> Config {
-        Config::paper_defaults().with_epoch(10).with_window(100)
     }
 
     fn fault_plan(&self) -> FaultPlan {
@@ -244,7 +200,7 @@ pub fn snapshot_fingerprint(snap: &HotSnapshot) -> u64 {
 /// Runs one swarm against a freshly spawned `hotpathd` and reports the
 /// deterministic outcome.
 pub fn run_swarm(params: &SwarmParams) -> SwarmReport {
-    let engine = EngineKind::Sync.build(Coordinator::new(params.config()));
+    let engine = EngineKind::Sync.build(Coordinator::new(Config::paper_defaults()));
     let handle = Hotpathd::spawn(engine);
     let plan = params.fault_plan();
 
@@ -325,7 +281,7 @@ mod tests {
     use super::*;
 
     fn small() -> SwarmParams {
-        SwarmParams::default().with_writers(8).with_readers(1).with_ticks(60)
+        SwarmParams { writers: 8, readers: 1, ticks: 60, ..SwarmParams::default() }
     }
 
     #[test]
@@ -346,13 +302,13 @@ mod tests {
     #[test]
     fn different_seeds_pick_different_schedules() {
         let a = run_swarm(&small());
-        let b = run_swarm(&small().with_seed(0xD1FF));
+        let b = run_swarm(&SwarmParams { seed: 0xD1FF, ..small() });
         assert_ne!(a.schedule_hash, b.schedule_hash);
     }
 
     #[test]
     fn churn_suppresses_deterministically_and_keeps_parity() {
-        let params = small().with_churn(0.5);
+        let params = SwarmParams { churn: 0.5, ..small() };
         let a = run_swarm(&params);
         assert!(a.suppressed > 0, "half the fleet must churn out mid-run");
         let b = run_swarm(&params);
@@ -361,8 +317,8 @@ mod tests {
 
     #[test]
     fn fault_seed_selects_the_victims() {
-        let params = small().with_churn(0.3);
-        let other = params.clone().with_fault_seed(0xBEEF);
+        let params = SwarmParams { churn: 0.3, ..small() };
+        let other = SwarmParams { fault_seed: 0xBEEF, ..params.clone() };
         let a = run_swarm(&params);
         let b = run_swarm(&other);
         assert_ne!(

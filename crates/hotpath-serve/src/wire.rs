@@ -523,7 +523,7 @@ mod tests {
 
     #[test]
     fn unix_socket_round_trip_submits_advances_and_queries() {
-        let config = Config::paper_defaults().with_epoch(10).with_window(10_000);
+        let config = Config::builder().window(10_000).build().unwrap();
         let handle = Hotpathd::spawn(EngineKind::Sync.build(Coordinator::new(config)));
         let path = socket_path("rt");
         let server = serve_unix(&handle, &path).expect("bind unix socket");

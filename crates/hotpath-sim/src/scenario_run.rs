@@ -131,31 +131,31 @@ impl ScenarioRunParams {
         ScenarioRunParams { window: Some(100), epoch: 10, dp: true, ..ScenarioRunParams::default() }
     }
 
-    /// The core [`Config`] for `scenario` under these knobs. A
-    /// scenario's robustness hint (session lease, admission bound,
-    /// degrade threshold) is applied on top of the shared defaults.
+    /// The core [`Config`] for `scenario` under these knobs, with the
+    /// scenario's [`Scenario::admission`] knobs (session lease,
+    /// admission bound, degrade threshold) applied; the ones it leaves
+    /// at zero stay off. Panics when the combination does not validate.
     pub fn config(&self, scenario: &dyn Scenario) -> Config {
-        let mut config = Config::paper_defaults()
-            .with_tolerance(if self.sigma > 0.0 {
+        let admission = scenario.admission();
+        let mut builder = Config::builder()
+            .tolerance(if self.sigma > 0.0 {
                 Tolerance::uncertain(self.eps, self.delta)
             } else {
                 Tolerance::crisp(self.eps)
             })
-            .with_window(self.window.unwrap_or_else(|| scenario.window_hint()))
-            .with_epoch(self.epoch)
-            .with_k(self.k);
-        if let Some(hint) = scenario.robustness_hint() {
-            if hint.lease > 0 {
-                config = config.with_lease(hint.lease, hint.grace);
-            }
-            if hint.queue_cap > 0 {
-                config = config.with_admission_cap(hint.queue_cap, hint.policy);
-            }
-            if hint.degrade_threshold > 0 {
-                config = config.with_degrade_threshold(hint.degrade_threshold);
-            }
+            .window(self.window.unwrap_or_else(|| scenario.window_hint()))
+            .epoch(self.epoch)
+            .k(self.k);
+        if admission.lease > 0 {
+            builder = builder.lease(admission.lease, admission.grace);
         }
-        config
+        if admission.queue_cap > 0 {
+            builder = builder.admission_cap(admission.queue_cap, admission.policy);
+        }
+        if admission.degrade_threshold > 0 {
+            builder = builder.degrade_threshold(admission.degrade_threshold);
+        }
+        builder.build().unwrap_or_else(|e| panic!("{}: {e}", scenario.name()))
     }
 }
 

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release -p hotpath-sim --example commuter_rush`
 
-use hotpath_core::config::{Config, Tolerance};
+use hotpath_core::config::Config;
 use hotpath_core::coordinator::Coordinator;
 use hotpath_core::geometry::Point;
 use hotpath_core::raytrace::RayTraceFilter;
@@ -32,11 +32,7 @@ fn inbound_share(coordinator: &Coordinator, target: Point) -> f64 {
 fn main() {
     let net = generate(NetworkParams::tiny(23));
     let center = net.bounds().centroid();
-    let config = Config::paper_defaults()
-        .with_tolerance(Tolerance::crisp(10.0))
-        .with_window(60)
-        .with_epoch(10)
-        .with_k(10);
+    let config = Config::builder().window(60).build().expect("valid config");
 
     let n = 400;
     let make_pop = |policy, seed| {

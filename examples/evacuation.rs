@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release -p hotpath-sim --example evacuation`
 
-use hotpath_core::config::{Config, Tolerance};
+use hotpath_core::config::Config;
 use hotpath_core::coordinator::Coordinator;
 use hotpath_core::raytrace::RayTraceFilter;
 use hotpath_core::time::Timestamp;
@@ -23,11 +23,7 @@ fn main() {
     let danger = crowd.network().bounds().centroid();
     println!("!! fire reported near {danger:?} — tracking evacuation\n");
 
-    let config = Config::paper_defaults()
-        .with_tolerance(Tolerance::crisp(10.0))
-        .with_window(40)
-        .with_epoch(5)
-        .with_k(8);
+    let config = Config::builder().window(40).epoch(5).k(8).build().expect("valid config");
     let mut coordinator = Coordinator::new(config);
     let mut clients: Vec<RayTraceFilter> = (0..n)
         .map(|i| {

@@ -14,7 +14,7 @@
 //! ```
 //! use hotpath::prelude::*;
 //!
-//! let config = Config::builder().epoch(10).window(100).build().expect("valid");
+//! let config = Config::paper_defaults();
 //! let mut engine = EngineKind::Sync.build(Coordinator::new(config));
 //! let cell = SnapshotCell::new();
 //! engine.attach_cell(cell.clone());

@@ -9,7 +9,7 @@
 //! responses and snapshots, plus a byte-identical image after a double
 //! restore.
 
-use hotpath_core::config::{Config, Tolerance};
+use hotpath_core::config::Config;
 use hotpath_core::coordinator::Coordinator;
 use hotpath_core::engine::{Engine, EngineKind};
 use hotpath_core::geometry::{Point, Rect};
@@ -51,11 +51,7 @@ fn uniform_workload_survives_a_mid_run_restart() {
 // ---------------------------------------------------------------------
 
 fn cfg() -> Config {
-    Config::paper_defaults()
-        .with_tolerance(Tolerance::crisp(10.0))
-        .with_window(40)
-        .with_epoch(10)
-        .with_k(8)
+    Config::builder().window(40).k(8).build().unwrap()
 }
 
 /// A deterministic per-epoch batch: 12 states on a coarse lattice so

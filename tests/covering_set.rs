@@ -17,10 +17,12 @@ fn drive(
     epoch: u64,
     positions: impl Iterator<Item = Point>,
 ) -> (Trajectory, Vec<(Segment, TimeInterval)>) {
-    let config = Config::paper_defaults()
-        .with_tolerance(Tolerance::crisp(eps))
-        .with_window(10_000)
-        .with_epoch(epoch);
+    let config = Config::builder()
+        .tolerance(Tolerance::crisp(eps))
+        .window(10_000)
+        .epoch(epoch)
+        .build()
+        .unwrap();
     let mut coordinator = Coordinator::new(config);
     let seed = TimePoint::new(Point::new(0.0, 0.0), Timestamp(0));
     let mut client = RayTraceFilter::new(ObjectId(0), seed, eps);

@@ -20,8 +20,7 @@ fn traversal(obj: u64, te: u64) -> ClientState {
 /// the engine, a snapshot cell, and lock-free reads.
 #[test]
 fn prelude_drives_submit_epoch_and_snapshot_read() {
-    let config =
-        Config::builder().epoch(10).window(10_000).k(10).build().expect("builder invariants hold");
+    let config = Config::builder().window(10_000).build().expect("builder invariants hold");
     let mut engine = EngineKind::Sync.build(Coordinator::new(config));
     let cell = SnapshotCell::new();
     engine.attach_cell(cell.clone());
@@ -54,7 +53,7 @@ fn prelude_drives_submit_epoch_and_snapshot_read() {
 /// reader handles, and the deterministic swarm.
 #[test]
 fn prelude_serves_and_verifies_the_swarm() {
-    let config = Config::builder().epoch(10).window(100).build().expect("valid");
+    let config = Config::paper_defaults();
     let handle: ServerHandle = Hotpathd::spawn(EngineKind::Sync.build(Coordinator::new(config)));
     let mut reader = handle.reader();
     handle.submit_batch(vec![traversal(1, 9)]);
@@ -64,7 +63,7 @@ fn prelude_serves_and_verifies_the_swarm() {
     assert_eq!(snap.comm.uplink_msgs, 1);
     assert_eq!(reader.epoch(), 1);
 
-    let params = SwarmParams::quick().with_writers(6).with_readers(1).with_ticks(40);
+    let params = SwarmParams { writers: 6, readers: 1, ticks: 40, ..SwarmParams::default() };
     let report: SwarmReport = run_swarm(&params);
     assert_eq!(report.final_epoch, 4);
 }

@@ -21,10 +21,8 @@ fn run_uncertain(sigma: f64, seed: u64) -> (u64, usize) {
 /// dropped measurements)`.
 fn run_uncertain_with(sigma: f64, seed: u64, fallback: FallbackPolicy) -> ((u64, usize), u64) {
     let (eps, delta) = (10.0, 0.05);
-    let config = Config::paper_defaults()
-        .with_tolerance(Tolerance::uncertain(eps, delta))
-        .with_window(200)
-        .with_epoch(10);
+    let config =
+        Config::builder().tolerance(Tolerance::uncertain(eps, delta)).window(200).build().unwrap();
     let table = ToleranceTable2D::build(eps, delta, 8.0, 128, fallback);
     let mut coordinator = Coordinator::new(config);
     let mut rng = SmallRng::seed_from_u64(seed);

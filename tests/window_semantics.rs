@@ -21,7 +21,7 @@ fn state(obj: u64, sx: f64, ex: f64, ts: u64, te: u64) -> ClientState {
 
 #[test]
 fn crossing_expires_exactly_at_te_plus_w() {
-    let cfg = Config::paper_defaults().with_window(50).with_epoch(10);
+    let cfg = Config::builder().window(50).build().unwrap();
     let mut c = Coordinator::new(cfg);
     c.submit(state(1, 0.0, 30.0, 0, 7));
     let _ = c.process_epoch(Timestamp(10));
@@ -37,7 +37,7 @@ fn crossing_expires_exactly_at_te_plus_w() {
 
 #[test]
 fn refreshed_paths_survive_expiry_of_old_crossings() {
-    let cfg = Config::paper_defaults().with_window(50).with_epoch(10);
+    let cfg = Config::builder().window(50).build().unwrap();
     let mut c = Coordinator::new(cfg);
     // Crossing at te=5, re-crossed at te=45 by another object.
     c.submit(state(1, 0.0, 30.0, 0, 5));
@@ -57,7 +57,7 @@ fn refreshed_paths_survive_expiry_of_old_crossings() {
 
 #[test]
 fn score_tracks_window_contents() {
-    let cfg = Config::paper_defaults().with_window(50).with_epoch(10).with_k(10);
+    let cfg = Config::builder().window(50).build().unwrap();
     let mut c = Coordinator::new(cfg);
     for obj in 0..4u64 {
         c.submit(state(obj, 0.0, 100.0, 0, 8));
@@ -72,7 +72,7 @@ fn score_tracks_window_contents() {
 
 #[test]
 fn expired_path_id_is_never_reused() {
-    let cfg = Config::paper_defaults().with_window(20).with_epoch(10);
+    let cfg = Config::builder().window(20).build().unwrap();
     let mut c = Coordinator::new(cfg);
     c.submit(state(1, 0.0, 30.0, 0, 5));
     let _ = c.process_epoch(Timestamp(10));
