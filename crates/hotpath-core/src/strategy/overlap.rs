@@ -11,7 +11,9 @@
 //! * *highest-count overlap intersecting an FSA* (lines 28-32): the
 //!   **maximum-depth region** of the rectangle arrangement, computed by a
 //!   slab sweep and clipped to the object's own FSA so the generated
-//!   vertex is always valid for the reporting object (see DESIGN.md).
+//!   vertex is always valid for the reporting object (the argument is in
+//!   docs/ARCHITECTURE.md, "FSA overlap: a flat grid rebuilt in place,
+//!   and the max-depth sweep").
 
 use crate::fxhash::FxHashMap;
 use crate::geometry::{Point, Rect};

@@ -5,9 +5,10 @@
 //! motion, each mover advancing by displacement `s` per timestamp;
 //! location devices take one noisy measurement per timestamp.
 //!
-//! **Agility interpretation** (see DESIGN.md): the paper's prose admits
-//! two readings of "at each timestamp, only a portion alpha of the
-//! objects is allowed to move". [`AgilityModel::FixedMovers`] (default)
+//! **Agility interpretation** (argued in docs/ARCHITECTURE.md,
+//! "Workload model: what the simulator substitutes"): the paper's prose
+//! admits two readings of "at each timestamp, only a portion alpha of
+//! the objects is allowed to move". [`AgilityModel::FixedMovers`] (default)
 //! keeps a fixed alpha*N subset moving at constant speed — the only
 //! reading consistent with the evaluation's link-long motion paths,
 //! scores in the thousands, and SinglePath/DP index parity.

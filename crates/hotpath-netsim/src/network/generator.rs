@@ -6,8 +6,9 @@
 //! counts, area, and class structure: a jittered grid of crossroads with
 //! motorway/highway arterial corridors and primary/secondary fill — the
 //! statistical shape (a few heavy corridors capturing most traffic) is
-//! what the hot-path experiments actually depend on. See DESIGN.md for
-//! the substitution rationale.
+//! what the hot-path experiments actually depend on. The substitution
+//! rationale is in docs/ARCHITECTURE.md, "Workload model: what the
+//! simulator substitutes".
 
 use super::graph::{Link, LinkId, Node, NodeId, RoadClass, RoadNetwork};
 use hotpath_core::geometry::Point;
