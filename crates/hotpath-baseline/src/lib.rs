@@ -11,7 +11,9 @@
 //!   sliding-window hotness, the benchmark SinglePath is compared
 //!   against in Figures 7 and 8;
 //! * [`dead_reckoning`] — the classic linear-prediction location-update
-//!   filter, a communication baseline for RayTrace.
+//!   filter, a communication baseline for RayTrace;
+//! * [`reference`](mod@reference) — the paper's SinglePath coordinator by full scan,
+//!   the oracle `hotpath_core`'s coordinator is tested against.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -20,6 +22,7 @@ pub mod dead_reckoning;
 pub mod douglas_peucker;
 pub mod hot_segments;
 pub mod opening_window;
+pub mod reference;
 
 pub use dead_reckoning::{DeadReckoningFilter, DrStats, DrUpdate};
 pub use douglas_peucker::Metric;

@@ -554,7 +554,8 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Parses and fully validates a byte image: magic, version, table
-    /// CRC, section bounds, and every payload CRC.
+    /// CRC, known and distinct section kinds, section bounds, every
+    /// payload CRC, and no trailing bytes.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, CheckpointError> {
         let header_len = size_of::<CheckpointHeader>();
         if bytes.len() < header_len {
@@ -578,10 +579,16 @@ impl Checkpoint {
             return Err(CheckpointError::CrcMismatch { what: "section table" });
         }
         let mut offset = table_end;
+        // Bit `k` set: a section of kind `k` was seen (known kinds are < 32).
+        let mut seen = 0u32;
         for d in &descs {
             let kind = SectionKind::from_raw(d.kind).ok_or_else(|| {
                 CheckpointError::Malformed(format!("unknown section kind {}", d.kind))
             })?;
+            if seen & 1 << d.kind != 0 {
+                return Err(CheckpointError::Malformed(format!("two {}s", kind.name())));
+            }
+            seen |= 1 << d.kind;
             let end = offset
                 .checked_add(d.bytes as usize)
                 .ok_or_else(|| CheckpointError::Malformed("section length overflow".into()))?;
@@ -622,17 +629,25 @@ impl Checkpoint {
         self.bytes.len()
     }
 
-    /// Decodes the payload of the first section of `kind`.
+    /// Decodes the payload of the section of `kind`.
     ///
     /// # Errors
     /// [`CheckpointError::Malformed`] when the section is absent or its
-    /// byte length is not a whole number of records.
+    /// byte length is not its record count times the record size.
     pub fn section<T: Pod>(&self, kind: SectionKind) -> Result<Vec<T>, CheckpointError> {
         let mut offset =
             size_of::<CheckpointHeader>() + self.descs.len() * size_of::<SectionDesc>();
         for d in &self.descs {
             let end = offset + d.bytes as usize;
             if d.kind == kind as u32 {
+                if d.count.checked_mul(size_of::<T>() as u64) != Some(d.bytes) {
+                    return Err(CheckpointError::Malformed(format!(
+                        "{} holds {} bytes for {} records",
+                        kind.name(),
+                        d.bytes,
+                        d.count
+                    )));
+                }
                 return records_from_bytes(&self.bytes[offset..end]);
             }
             offset = end;

@@ -1,5 +1,5 @@
 //! Framework configuration: tolerance model, window, epochs, vertex
-//! grain, admission.
+//! grain, admission, and the coordinator's hint and overlap switches.
 //!
 //! [`Config::paper_defaults`] is the paper's Table 2 parameterization.
 //! Every other [`Config`] comes from [`Config::builder`], which starts
@@ -7,6 +7,7 @@
 //! [`ConfigBuilder::build`]: a bad value is a typed [`ConfigError`],
 //! never a panic.
 
+use crate::strategy::OverlapPolicy;
 use crate::time::{EpochClock, SlidingWindow};
 
 /// A typed parse failure for the CLI-facing enums ([`AdmissionPolicy`],
@@ -208,6 +209,12 @@ pub struct Config {
     /// Session lifecycle and admission-control knobs (all off by
     /// default).
     pub admission: Admission,
+    /// Whether endpoint responses carry hot-path hints (the Section 7
+    /// feedback extension; off by default).
+    pub hints: bool,
+    /// How Cases 2-3 use the epoch's FSA overlaps (Algorithm 2 as
+    /// published by default; `Own` is the ablation).
+    pub overlap: OverlapPolicy,
 }
 
 impl Config {
@@ -220,6 +227,8 @@ impl Config {
             k: 10,
             vertex_grain: 1e-3,
             admission: Admission::default(),
+            hints: false,
+            overlap: OverlapPolicy::Full,
         }
     }
 
@@ -236,6 +245,8 @@ impl Config {
             k: config.k,
             vertex_grain: config.vertex_grain,
             admission: config.admission,
+            hints: config.hints,
+            overlap: config.overlap,
             lease_set: false,
             cap_set: false,
             degrade_set: false,
@@ -336,6 +347,8 @@ pub struct ConfigBuilder {
     k: usize,
     vertex_grain: f64,
     admission: Admission,
+    hints: bool,
+    overlap: OverlapPolicy,
     /// Whether `lease()` / `admission_cap()` / `degrade_threshold()`
     /// were called explicitly: an explicit zero is an error, while the
     /// zero *default* just means "feature off".
@@ -399,6 +412,18 @@ impl ConfigBuilder {
         self
     }
 
+    /// Hot-path hints in endpoint responses.
+    pub fn hints(mut self, on: bool) -> Self {
+        self.hints = on;
+        self
+    }
+
+    /// The Cases-2/3 overlap policy.
+    pub fn overlap(mut self, policy: OverlapPolicy) -> Self {
+        self.overlap = policy;
+        self
+    }
+
     /// Validates every invariant and produces the config.
     pub fn build(self) -> Result<Config, ConfigError> {
         let eps = self.tolerance.eps();
@@ -456,6 +481,8 @@ impl ConfigBuilder {
             k: self.k,
             vertex_grain: self.vertex_grain,
             admission: self.admission,
+            hints: self.hints,
+            overlap: self.overlap,
         })
     }
 }
@@ -488,6 +515,11 @@ mod tests {
         assert_eq!(c.window.len, 50);
         assert_eq!(c.epochs.lambda, 5);
         assert_eq!(c.k, 20);
+        assert!(!c.hints);
+        assert_eq!(c.overlap, OverlapPolicy::Full);
+        let c = Config::builder().hints(true).overlap(OverlapPolicy::Own).build().unwrap();
+        assert!(c.hints);
+        assert_eq!(c.overlap, OverlapPolicy::Own);
     }
 
     #[test]

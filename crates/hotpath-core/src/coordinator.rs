@@ -174,6 +174,18 @@ fn overlap_cell_of(config: &Config) -> f64 {
     (2.0 * config.tolerance.eps()).max(1e-6)
 }
 
+/// The checkpoint header flags of `config`'s hints and overlap switches.
+fn flags_of(config: &Config) -> u32 {
+    let mut flags = 0;
+    if config.hints {
+        flags |= FLAG_HINTS;
+    }
+    if config.overlap == OverlapPolicy::Own {
+        flags |= FLAG_OVERLAP_OWN;
+    }
+    flags
+}
+
 /// The central coordinator.
 #[derive(Debug)]
 pub struct Coordinator {
@@ -183,8 +195,6 @@ pub struct Coordinator {
     pending: Vec<ClientState>,
     comm: CommStats,
     processing: ProcessingStats,
-    hints_enabled: bool,
-    overlap_policy: OverlapPolicy,
     /// The epoch FSA-overlap structure, rebuilt in place from each
     /// epoch's batch (see [`FsaCache`]). Deliberately not checkpointed:
     /// it is a pure function of the current batch, so a restored
@@ -224,8 +234,6 @@ impl Coordinator {
             pending: Vec::new(),
             comm: CommStats::default(),
             processing: ProcessingStats::default(),
-            hints_enabled: false,
-            overlap_policy: OverlapPolicy::Full,
             clock: Timestamp(0),
             cache: RefCell::new(ReadCache::default()),
             sessions,
@@ -233,19 +241,6 @@ impl Coordinator {
             last_phase_b: PhaseBLoad::default(),
             last_session_events: Arc::from(Vec::new()),
         }
-    }
-
-    /// Enables hot-path hints in endpoint responses (the Section 7
-    /// feedback extension).
-    pub fn with_hints(mut self) -> Self {
-        self.hints_enabled = true;
-        self
-    }
-
-    /// Overrides the Cases-2/3 overlap policy (ablation hook).
-    pub fn with_overlap_policy(mut self, policy: OverlapPolicy) -> Self {
-        self.overlap_policy = policy;
-        self
     }
 
     /// The configuration in force.
@@ -415,7 +410,7 @@ impl Coordinator {
             self.admission.degraded_epochs += 1;
             OverlapPolicy::Own
         } else {
-            self.overlap_policy
+            self.config.overlap
         };
         // The epoch's FSA-overlap structure: the held set rebuilt over
         // the batch under the `Full` policy; left as it is under the
@@ -467,7 +462,7 @@ impl Coordinator {
 
     /// Builds (and accounts) the endpoint response for one selection.
     fn respond(&mut self, sel: &Selection) -> EndpointResponse {
-        let hint = if self.hints_enabled {
+        let hint = if self.config.hints {
             self.hottest_from(&sel.endpoint).map(|p| PathHint { seg: p.seg })
         } else {
             None
@@ -666,18 +661,11 @@ impl Coordinator {
     /// depends on the logical state only, not on any slab or wheel
     /// layout.
     pub fn checkpoint(&self) -> Checkpoint {
-        let mut flags = 0;
-        if self.hints_enabled {
-            flags |= FLAG_HINTS;
-        }
-        if self.overlap_policy == OverlapPolicy::Own {
-            flags |= FLAG_OVERLAP_OWN;
-        }
         let mut b = CheckpointBuilder::new(
             self.processing.epochs,
             self.clock.raw(),
             self.table.next_id(),
-            flags,
+            flags_of(&self.config),
         );
         b.section(SectionKind::Config, &[ConfigRecord::from_config(&self.config)]);
         let sess_counters = self.sessions.as_ref().map(|t| t.counters()).unwrap_or_default();
@@ -719,9 +707,10 @@ impl Coordinator {
 
     /// Rebuilds a coordinator from a validated checkpoint, continuing
     /// bit-for-bit where the checkpointed one left off. `config` must be
-    /// the exact configuration the checkpoint was taken under (the
-    /// embedded echo is compared field by field); the hints and
-    /// overlap-policy switches are restored from the header flags.
+    /// the exact configuration the checkpoint was taken under: the
+    /// embedded echo is compared field by field, and the header flags
+    /// against the config's hints and overlap switches, so a warm start
+    /// can never switch hints on under clients that do not read them.
     ///
     /// The paths go into a fresh table in id order, each with as many
     /// crossings as it has expiry events, and the events re-enter the
@@ -740,6 +729,12 @@ impl Coordinator {
             }
         };
         let header = *ck.header();
+        if header.flags != flags_of(&config) {
+            return Err(CheckpointError::ConfigMismatch(format!(
+                "checkpoint flags {:#x}, coordinator runs hints {} and overlap {:?}",
+                header.flags, config.hints, config.overlap
+            )));
+        }
         let cfg_rec: Vec<ConfigRecord> = ck.section(SectionKind::Config)?;
         one("config", cfg_rec.len())?;
         cfg_rec[0].matches(&config)?;
@@ -801,12 +796,6 @@ impl Coordinator {
                 case1: stats.case1,
                 case2: stats.case2,
                 case3: stats.case3,
-            },
-            hints_enabled: header.flags & FLAG_HINTS != 0,
-            overlap_policy: if header.flags & FLAG_OVERLAP_OWN != 0 {
-                OverlapPolicy::Own
-            } else {
-                OverlapPolicy::Full
             },
             clock: Timestamp(header.clock),
             cache: RefCell::new(ReadCache::default()),
@@ -913,7 +902,7 @@ mod tests {
 
     #[test]
     fn hints_report_hottest_outgoing_path() {
-        let mut c = Coordinator::new(Config::paper_defaults()).with_hints();
+        let mut c = Coordinator::new(Config::builder().hints(true).build().unwrap());
         // Build a hot corridor out of the vertex (50, 0): two chained
         // reports.
         for obj in 0..4u64 {
@@ -1018,8 +1007,8 @@ mod tests {
     /// checkpoint taken with a *pending* (undrained) batch.
     #[test]
     fn checkpoint_roundtrip_continues_bit_for_bit() {
-        let config = Config::builder().k(5).build().unwrap();
-        let mut live = Coordinator::new(config).with_hints();
+        let config = Config::builder().k(5).hints(true).build().unwrap();
+        let mut live = Coordinator::new(config);
         let mut s = 7u64;
         let mut rand = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1101,6 +1090,36 @@ mod tests {
             Coordinator::from_checkpoint(coarser, &image),
             Err(crate::checkpoint::CheckpointError::ConfigMismatch(_))
         ));
+    }
+
+    /// The header flags are written from the config: one bit per switch,
+    /// for all four (hints, overlap) combinations.
+    #[test]
+    fn checkpoint_flags_follow_the_config_switches() {
+        for (hints, overlap, flags) in [
+            (false, OverlapPolicy::Full, 0),
+            (true, OverlapPolicy::Full, FLAG_HINTS),
+            (false, OverlapPolicy::Own, FLAG_OVERLAP_OWN),
+            (true, OverlapPolicy::Own, FLAG_HINTS | FLAG_OVERLAP_OWN),
+        ] {
+            let config = Config::builder().hints(hints).overlap(overlap).build().unwrap();
+            let image = Coordinator::new(config).checkpoint();
+            assert_eq!(image.header().flags, flags, "hints {hints}, overlap {overlap:?}");
+            Coordinator::from_checkpoint(config, &image).unwrap();
+        }
+    }
+
+    /// A hints image restored under a hints-off config is refused: the
+    /// warm start would otherwise answer plain clients with hints.
+    #[test]
+    fn restore_refuses_switches_the_config_does_not_set() {
+        let hinted = Config::builder().hints(true).build().unwrap();
+        let image = Coordinator::new(hinted).checkpoint();
+        let result = Coordinator::from_checkpoint(Config::paper_defaults(), &image);
+        assert!(matches!(result, Err(CheckpointError::ConfigMismatch(_))), "{result:?}");
+        let own = Config::builder().hints(true).overlap(OverlapPolicy::Own).build().unwrap();
+        let result = Coordinator::from_checkpoint(own, &image);
+        assert!(matches!(result, Err(CheckpointError::ConfigMismatch(_))), "{result:?}");
     }
 
     /// A small image to forge: three paths, one of them crossed twice.

@@ -6,7 +6,7 @@ mod path_table;
 mod vertex_groups;
 
 pub use grid::{CellKey, EndpointGrid, Entry};
-pub use path_table::{point_lt, ExpiryEvent, OutEdge, PathTable, VertexKey};
+pub use path_table::{ExpiryEvent, OutEdge, PathTable, VertexKey};
 pub use vertex_groups::VertexGroups;
 
 /// Tests of the table's MotionPath-index side: storage, dedup, removal

@@ -46,7 +46,7 @@ pub type VertexKey = (i64, i64);
 
 /// Lexicographic `(x, y)` order on raw points (total, NaN-safe).
 #[inline]
-pub fn point_lt(a: &Point, b: &Point) -> bool {
+pub(crate) fn point_lt(a: &Point, b: &Point) -> bool {
     a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)).is_lt()
 }
 

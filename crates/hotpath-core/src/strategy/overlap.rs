@@ -159,17 +159,6 @@ impl FsaSet {
         self.rects.is_empty()
     }
 
-    /// Number of grid cells some FSA covers (diagnostics).
-    pub fn occupied_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// The rasterization-grid cell key containing `p` (diagnostics).
-    #[inline]
-    pub fn cell_key(&self, p: &Point) -> (i64, i64) {
-        Self::key(self.cell, p)
-    }
-
     /// Stabbing depth at `p`: how many FSAs contain it. Equals the count
     /// of the smallest `Rall` region containing `p`. A one-off probe of
     /// `p`'s grid cell; `phase_b` counts over the [`Neighbourhood`] it

@@ -1,7 +1,10 @@
 //! Property suites over the core data structures: geometry algebra, SSA
-//! safety, tolerance-solver analytics, and the path table's
-//! sliding-window hotness and endpoint grid — each invariant checked
-//! against a brute-force oracle.
+//! safety, tolerance-solver analytics, the expiry wheel, sessions,
+//! checkpoint round trips, drain to empty and the RayTrace filters —
+//! each invariant checked against a brute-force oracle. The coordinator
+//! as a whole (path table, grid, FSA overlap, Phase B, top-k) is checked
+//! against the paper-level reference in `hotpath-baseline`'s
+//! `tests/reference.rs`.
 
 use hotpath_core::checkpoint::SectionKind;
 use hotpath_core::config::Config;
@@ -14,7 +17,6 @@ use hotpath_core::raytrace::{
     ClientState, FilterStats, RayTraceCore, RayTraceFilter, Ssa, UncertainRayTraceFilter,
 };
 use hotpath_core::session::{SessionTable, SessionTransition};
-use hotpath_core::strategy::{CaseKind, CaseTally, FsaSet, OverlapPolicy, Selection};
 use hotpath_core::time::{SlidingWindow, Timestamp};
 use hotpath_core::uncertainty::{
     coverage, half_width_exact, FallbackPolicy, GaussianPoint, ToleranceTable2D,
@@ -49,11 +51,6 @@ fn corridor(k: u64, len: f64) -> (Point, Point) {
 fn cross(t: &mut PathTable, k: u64, te: u64, len: f64) -> PathId {
     let (s, e) = corridor(k, len);
     t.insert_edge(s, e, Timestamp(te)).0.id
-}
-
-/// Current hotness of corridor `k` (zero while it is not stored).
-fn heat(t: &PathTable, k: u64) -> u32 {
-    t.paths_starting_at(&corridor(k, 0.0).0).first().map_or(0, |e| t.hotness(e.id))
 }
 
 proptest! {
@@ -216,71 +213,6 @@ proptest! {
 
     // ---------------- hotness window ----------------
 
-    #[test]
-    fn hotness_matches_brute_force(
-        schedule in prop::collection::vec((0u64..6, 0u64..3), 1..200),
-        window in 1u64..50,
-    ) {
-        let mut hot = table(window);
-        let mut crossings: Vec<(u64, u64)> = Vec::new(); // (corridor, te)
-        let mut now = 0u64;
-        for (k, gap) in schedule {
-            now += gap;
-            hot.advance(Timestamp(now));
-            cross(&mut hot, k, now, 1.0);
-            crossings.push((k, now));
-            for check in 0u64..6 {
-                let expect = crossings
-                    .iter()
-                    .filter(|&&(i, te)| i == check && te + window > now)
-                    .count() as u32;
-                prop_assert_eq!(heat(&hot, check), expect);
-            }
-        }
-    }
-
-    // The count-bucket top-k walk must match a naive full sort of the
-    // hot set — `(hotness desc, length desc, id asc)`, the coordinator's
-    // `top_n` order — at every cut depth, after any schedule of
-    // crossings, idle steps, expiries and re-crossings of expired
-    // corridors, and on a table rebuilt from its checkpoint sections.
-    #[test]
-    fn hotness_top_n_matches_full_sort(
-        schedule in prop::collection::vec((0u64..10, 0u64..4, 0u64..7), 1..250),
-        window in 1u64..60,
-        k in 2usize..6,
-    ) {
-        let length = |lane: u64| ((lane * 29) % 83) as f64;
-        let mut hot = table(window);
-        let mut now = 0u64;
-        for (lane, gap, action) in schedule {
-            now += gap;
-            hot.advance(Timestamp(now));
-            if action != 0 {
-                cross(&mut hot, lane, now, length(lane));
-            }
-
-            let mut oracle: Vec<(&MotionPath, u32)> = hot.iter().collect();
-            oracle.sort_by(|a, b| {
-                b.1.cmp(&a.1)
-                    .then_with(|| b.0.length().total_cmp(&a.0.length()))
-                    .then_with(|| a.0.id.cmp(&b.0.id))
-            });
-            let oracle: Vec<(PathId, u32)> = oracle.into_iter().map(|(p, c)| (p.id, c)).collect();
-            let restored = table(window)
-                .restore(hot.paths_by_id(), hot.events_vec(), hot.next_id(), 0, hot.clock())
-                .unwrap();
-            let p = oracle.len();
-            for n in [0, 1, k, p, p + 1] {
-                let want = &oracle[..n.min(p)];
-                prop_assert_eq!(&hot.top_n(n)[..], want, "top_n({})", n);
-                prop_assert_eq!(&restored.top_n(n)[..], want, "restored top_n({})", n);
-            }
-            prop_assert!(hot.check_consistency().is_ok());
-            prop_assert!(restored.check_consistency().is_ok());
-        }
-    }
-
     // The timer wheel behind the path table must reproduce the retired
     // binary heap's externally observable behavior exactly: identical
     // death order out of `advance` (the heap popped `(expiry, id)`
@@ -327,87 +259,6 @@ proptest! {
         }
     }
 
-    // ---------------- endpoint index ----------------
-
-    #[test]
-    fn index_queries_match_linear_scan(
-        paths in prop::collection::vec((point(), point()), 1..60),
-        query in rect(),
-    ) {
-        let mut index = table(10);
-        let mut stored: Vec<(PathId, Point, Point)> = Vec::new();
-        for (s, e) in paths {
-            let (edge, _) = index.insert_edge(s, e, Timestamp(0));
-            stored.push((edge.id, s, e));
-        }
-        index.check_consistency().unwrap();
-
-        // Case-2 oracle: distinct end vertices inside the query.
-        let got: Vec<Point> = index
-            .end_vertices_in(&query)
-            .into_iter()
-            .map(|(p, _)| p)
-            .collect();
-        let mut want: Vec<(i64, i64)> = stored
-            .iter()
-            .filter(|(_, _, e)| query.contains(e))
-            .map(|(_, _, e)| e.quantize(1e-3))
-            .collect();
-        want.sort_unstable();
-        want.dedup();
-        let mut got_keys: Vec<(i64, i64)> = got.iter().map(|p| p.quantize(1e-3)).collect();
-        got_keys.sort_unstable();
-        prop_assert_eq!(got_keys, want);
-
-        // Case-1 oracle for a stored start vertex.
-        if let Some((_, s, _)) = stored.first() {
-            let mut got: Vec<PathId> = index.paths_from_into(s, &query);
-            got.sort_unstable();
-            let skey = s.quantize(1e-3);
-            let mut want: Vec<PathId> = stored
-                .iter()
-                .filter(|(_, ss, ee)| ss.quantize(1e-3) == skey && query.contains(ee))
-                .map(|(id, _, _)| *id)
-                .collect();
-            want.sort_unstable();
-            want.dedup();
-            prop_assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn index_remove_restores_consistency(
-        paths in prop::collection::vec((point(), point()), 1..40),
-        victim in 0usize..40,
-    ) {
-        // Paths leave by expiry: the victim's one crossing exits at 0,
-        // every other path's at 1, so advancing to `W` removes the victim
-        // alone — unless a twin geometry deduped a later crossing onto it.
-        let mut index = table(10);
-        let victim = victim % paths.len();
-        let mut ids = Vec::new();
-        for (k, (s, e)) in paths.iter().enumerate() {
-            let te = Timestamp(u64::from(k != victim));
-            ids.push(index.insert_edge(*s, *e, te).0.id);
-        }
-        let victim = ids[victim];
-        let twinned = ids.iter().filter(|&&id| id == victim).count() > 1;
-        index.advance(Timestamp(10));
-        index.check_consistency().unwrap();
-        prop_assert_eq!(index.get(victim).is_some(), twinned);
-        prop_assume!(!twinned);
-        // The inserted endpoints' bounding box, padded by one cell.
-        let everywhere = paths
-            .iter()
-            .map(|(_, e)| Rect::point(*e))
-            .reduce(|a, b| a.union(&b))
-            .expect("at least one path")
-            .expand(100.0);
-        prop_assert!(!index
-            .end_vertices_in(&everywhere)
-            .iter()
-            .any(|(_, ids)| ids.contains(&victim)));
-    }
 }
 
 // ---------------- sessions ----------------
@@ -692,470 +543,6 @@ proptest! {
             image.section::<ExpiryEvent>(SectionKind::Events).unwrap(),
             fresh.section::<ExpiryEvent>(SectionKind::Events).unwrap()
         );
-    }
-}
-
-// ---------------- index access paths vs brute force ----------------
-
-/// Lattice vertex `v` (6 x 6, 10 m pitch — every other one sits exactly
-/// on a border of the 20 m grid cells used below), optionally nudged by
-/// sub-grain float noise that keeps its quantized key but can push it
-/// into the neighbouring grid cell.
-fn lattice_vertex(v: usize, noise: u8) -> Point {
-    let nudge = [0.0, 2e-4, -2e-4][noise as usize % 3];
-    Point::new((v % 6) as f64 * 10.0 + nudge, (v / 6 % 6) as f64 * 10.0 - nudge)
-}
-
-/// The Case-2 answer computed the slow way: scan the whole slab, group
-/// by quantized key, lexicographic-min representative, ids ascending,
-/// groups by representative `(x, y)`.
-fn brute_end_vertices(index: &PathTable, fsa: &Rect) -> Vec<(Point, Vec<PathId>)> {
-    let mut groups: BTreeMap<(i64, i64), (Point, Vec<PathId>)> = BTreeMap::new();
-    for (p, _) in index.iter().filter(|(p, _)| fsa.contains(&p.end())) {
-        let g = groups.entry(index.vertex_key(&p.end())).or_insert((p.end(), Vec::new()));
-        if hotpath_core::index::point_lt(&p.end(), &g.0) {
-            g.0 = p.end();
-        }
-        g.1.push(p.id);
-    }
-    let mut out: Vec<(Point, Vec<PathId>)> = groups.into_values().collect();
-    for (_, ids) in &mut out {
-        ids.sort_unstable();
-    }
-    out.sort_by(|a, b| a.0.x.total_cmp(&b.0.x).then(a.0.y.total_cmp(&b.0.y)));
-    out
-}
-
-/// The pre-sweep `max_depth_region` algorithm, kept verbatim as the
-/// oracle: for every x-slab between consecutive distinct boundaries
-/// (then every boundary line), rescan all rects for the ones covering
-/// it, sort their y-events, and keep the first strictly deeper result.
-fn reference_max_depth_region(rects: &[Rect], clip: &Rect) -> Option<(Rect, usize)> {
-    let local: Vec<Rect> = rects.iter().filter_map(|r| r.intersection(clip)).collect();
-    if local.is_empty() {
-        return None;
-    }
-    let mut xs: Vec<f64> = local.iter().flat_map(|r| [r.lo().x, r.hi().x]).collect();
-    xs.sort_by(f64::total_cmp);
-    xs.dedup();
-
-    let mut best: Option<(Rect, usize)> = None;
-    let mut consider = |slab_lo: f64, slab_hi: f64| {
-        let mut events: Vec<(f64, i32)> = Vec::new();
-        for r in &local {
-            if r.lo().x <= slab_lo && slab_hi <= r.hi().x {
-                events.push((r.lo().y, 1));
-                events.push((r.hi().y, -1));
-            }
-        }
-        if events.is_empty() {
-            return;
-        }
-        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
-        let mut depth = 0i32;
-        let mut d_max = 0i32;
-        for &(_, delta) in events.iter() {
-            depth += delta;
-            d_max = d_max.max(depth);
-        }
-        if d_max <= 0 || best.as_ref().is_some_and(|&(_, bd)| d_max as usize <= bd) {
-            return;
-        }
-        let mut depth = 0i32;
-        let mut y_lo = f64::NAN;
-        let mut y_hi = f64::NAN;
-        for &(y, delta) in events.iter() {
-            depth += delta;
-            if y_lo.is_nan() && depth == d_max {
-                y_lo = y;
-            } else if !y_lo.is_nan() && depth < d_max {
-                y_hi = y;
-                break;
-            }
-        }
-        if y_hi.is_nan() {
-            y_hi = y_lo;
-        }
-        let region = Rect::new(Point::new(slab_lo, y_lo), Point::new(slab_hi, y_hi.max(y_lo)));
-        best = Some((region, d_max as usize));
-    };
-    for i in 0..xs.len().saturating_sub(1) {
-        consider(xs[i], xs[i + 1]);
-    }
-    for &x in xs.iter() {
-        consider(x, x);
-    }
-    best
-}
-
-fn rect_bits(r: &Rect) -> [u64; 4] {
-    [r.lo().x.to_bits(), r.lo().y.to_bits(), r.hi().x.to_bits(), r.hi().y.to_bits()]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
-
-    /// Case 1 (out-adjacency filtered by the FSA) and Case 2 (end-vertex
-    /// grid range query) must answer exactly what a scan of the whole
-    /// path slab answers, after every step of a random schedule of
-    /// crossings and clock jumps that expire paths — including
-    /// float-noisy copies of one vertex that straddle a grid-cell border
-    /// and FSAs whose edges lie exactly on cell borders.
-    #[test]
-    fn index_access_paths_match_brute_force_under_churn(
-        ops in prop::collection::vec((0u8..4, 0usize..36, 0usize..36, 0u8..3, 0usize..64), 1..120),
-        probes in prop::collection::vec(
-            (0u32..7, 0u32..7, 0u32..5, 0u32..5, 0usize..36, 0u8..3),
-            1..6,
-        ),
-    ) {
-        let grain = 1e-3;
-        let window = 6;
-        let mut index = PathTable::new(SlidingWindow::new(window), 20.0, grain);
-        // Each stored path's latest crossing, the model of what is live.
-        let mut live: BTreeMap<PathId, u64> = BTreeMap::new();
-        let mut now = 0u64;
-        for (kind, s, e, noise, pick) in ops {
-            // A crossing per step, or (kind 0) a jump that expires paths.
-            now += if kind == 0 { pick as u64 % 8 } else { 1 };
-            index.advance(Timestamp(now));
-            live.retain(|_, te| *te + window > now);
-            if kind != 0 {
-                let from = lattice_vertex(s, noise);
-                let (edge, _) = index.insert_edge(from, lattice_vertex(e, noise + kind), Timestamp(now));
-                live.insert(edge.id, now);
-            }
-            prop_assert!(index.check_consistency().is_ok());
-            prop_assert_eq!(index.len(), live.len());
-
-            for &(x, y, w, h, start, noise) in &probes {
-                // Edges on multiples of 10 m: on cell borders and on
-                // lattice vertices (closed containment at the edge).
-                let lo = Point::new(x as f64 * 10.0, y as f64 * 10.0);
-                let fsa = Rect::new(lo, lo + Point::new(w as f64 * 10.0, h as f64 * 10.0));
-
-                prop_assert_eq!(index.end_vertices_in(&fsa), brute_end_vertices(&index, &fsa));
-
-                let from = lattice_vertex(start, noise);
-                let mut got = index.paths_from_into(&from, &fsa);
-                got.sort_unstable();
-                let mut want: Vec<PathId> = index
-                    .iter()
-                    .map(|(p, _)| p)
-                    .filter(|p| {
-                        index.vertex_key(&p.start()) == index.vertex_key(&from)
-                            && fsa.contains(&p.end())
-                    })
-                    .map(|p| p.id)
-                    .collect();
-                want.sort_unstable();
-                prop_assert_eq!(got, want);
-            }
-        }
-    }
-
-    /// One `FsaSet` rebuilt in place over a grow → grow-with-duplicates →
-    /// shrink → empty → grow sequence of batches must answer every batch
-    /// exactly as brute force over that batch alone does: `stab_count`
-    /// is the containment count and `max_depth_region` the per-slab
-    /// reference, and occupy exactly the cells that batch covers. A
-    /// rect or cell left over from an earlier batch shows up as a wrong
-    /// count. Rects sit on a unit lattice (edges touch, probes land on
-    /// edges), may have zero width or height, and at the small cell
-    /// sizes span dozens of cells.
-    #[test]
-    fn reused_fsa_set_matches_brute_force_across_batches(
-        pool in prop::collection::vec((0u32..30, 0u32..30, 0u32..12, 0u32..12), 1..120),
-        probes in prop::collection::vec((0u32..45, 0u32..45), 1..16),
-        shift in 0u32..8,
-        cell in 1.5..25.0f64,
-    ) {
-        let rect = |&(x, y, w, h): &(u32, u32, u32, u32), dx: u32| {
-            let lo = Point::new((x + dx) as f64, y as f64);
-            Rect::new(lo, lo + Point::new(w as f64, h as f64))
-        };
-        let all: Vec<Rect> = pool.iter().map(|r| rect(r, 0)).collect();
-        let n = all.len();
-        let batches: Vec<Vec<Rect>> = vec![
-            all[..n.div_ceil(3)].to_vec(),
-            all.iter().chain(&all[..n / 2]).copied().collect(),
-            all[..n.min(2)].to_vec(),
-            Vec::new(),
-            pool.iter().rev().map(|r| rect(r, shift)).collect(),
-        ];
-        let mut set = FsaSet::new(cell);
-        for (b, batch) in batches.iter().enumerate() {
-            set.rebuild(batch.iter().copied());
-            prop_assert_eq!(set.len(), batch.len());
-            let mut covered = std::collections::HashSet::new();
-            for r in batch {
-                let (lo, hi) = (set.cell_key(&r.lo()), set.cell_key(&r.hi()));
-                covered.extend((lo.0..=hi.0).flat_map(|cx| (lo.1..=hi.1).map(move |cy| (cx, cy))));
-            }
-            prop_assert_eq!(set.occupied_cells(), covered.len(), "batch {} cells", b);
-            for &(x, y) in &probes {
-                let p = Point::new(x as f64, y as f64);
-                let want = batch.iter().filter(|r| r.contains(&p)).count();
-                prop_assert_eq!(set.stab_count(&p), want, "batch {} stab at {:?}", b, p);
-            }
-            let everything = Rect::new(Point::new(-1.0, -1.0), Point::new(60.0, 60.0));
-            for clip in batch.iter().take(24).chain([&everything]) {
-                let got = set.max_depth_region(clip);
-                let want = reference_max_depth_region(batch, clip);
-                prop_assert_eq!(
-                    got.map(|(r, d)| (rect_bits(&r), d)),
-                    want.map(|(r, d)| (rect_bits(&r), d)),
-                    "batch {} clip {:?}",
-                    b,
-                    clip
-                );
-            }
-        }
-    }
-
-    /// The one-pass sweep behind `Neighbourhood::deepest_above` must
-    /// return the very `(Rect, depth)` the old per-slab rescan returned —
-    /// bit for bit — at every floor below that depth and nothing at or
-    /// above it, over rect sets from one rect to a few hundred, drawn
-    /// from a coarse lattice so duplicates, edge-touching neighbours, and
-    /// zero-width/zero-height rects are common. The neighbourhood's
-    /// stabbing counts must equal the set's anywhere inside the clip.
-    #[test]
-    fn max_depth_sweep_matches_per_slab_reference(
-        rects in prop::collection::vec((0u32..40, 0u32..40, 0u32..9, 0u32..9, 0.0..1.0f64), 1..300),
-        clips in prop::collection::vec((0u32..40, 0u32..40, 0u32..30, 0u32..30), 1..8),
-        lattice in 0u8..3,
-        hub in 0u8..3,
-        cell in 1.0..40.0f64,
-    ) {
-        use hotpath_core::strategy::QueryScratch;
-        // `lattice` picks the coordinate pitch (the last one adds
-        // off-lattice jitter so most boundaries are distinct); `hub`
-        // picks how hard the rects pile up — at the tightest setting
-        // every rect of the set overlaps every clip.
-        let pitch = [1.0, 2.5, 0.37][lattice as usize];
-        let span = [40, 8, 3][hub as usize];
-        let rects: Vec<Rect> = rects
-            .into_iter()
-            .map(|(x, y, w, h, jitter)| {
-                let j = if lattice == 2 { jitter } else { 0.0 };
-                let (x, y) = (x % span, y % span);
-                let lo = Point::new(x as f64 * pitch + j, y as f64 * pitch - j);
-                Rect::new(lo, lo + Point::new(w as f64 * pitch, h as f64 * pitch))
-            })
-            .collect();
-        let set = FsaSet::build(rects.clone(), cell);
-        let mut scratch = QueryScratch::default();
-        // Every rect as its own clip (the hot loop's shape) plus free
-        // clips, some far larger than any rect.
-        let clips = rects.iter().copied().take(40).chain(clips.into_iter().map(|(x, y, w, h)| {
-            let lo = Point::new(x as f64 * pitch, y as f64 * pitch);
-            Rect::new(lo, lo + Point::new(w as f64 * pitch, h as f64 * pitch))
-        }));
-        for clip in clips {
-            let mut near = set.neighbourhood(&clip, &mut scratch);
-            let want = reference_max_depth_region(&rects, &clip);
-            let want_depth = want.map_or(0, |(_, d)| d);
-            prop_assert!(want_depth <= near.len(), "depth {} over {} rects", want_depth, near.len());
-            // The unbounded query, the floors just below, at and above
-            // the answer, and a floor in between: the same region while
-            // it is strictly deeper, then nothing — a tie included.
-            let floors = [0, want_depth / 2, want_depth.saturating_sub(1), want_depth, want_depth + 1];
-            for floor in floors {
-                prop_assert_eq!(
-                    near.deepest_above(floor).map(|(r, d)| (rect_bits(&r), d)),
-                    want.filter(|&(_, d)| d > floor).map(|(r, d)| (rect_bits(&r), d)),
-                    "clip {:?} floor {}",
-                    clip,
-                    floor
-                );
-            }
-            // Stabbing counts over the neighbourhood are exact inside the
-            // clip: its corners, edge midpoints and centroid, and every
-            // corner of a set rect that lies in the clip.
-            let (lo, hi) = (clip.lo(), clip.hi());
-            let (mx, my) = ((lo.x + hi.x) / 2.0, (lo.y + hi.y) / 2.0);
-            let own = [(lo.x, lo.y), (lo.x, hi.y), (hi.x, lo.y), (hi.x, hi.y), (mx, lo.y), (mx, hi.y), (lo.x, my), (hi.x, my), (mx, my)];
-            let corners = rects.iter().take(16).flat_map(|r| {
-                [(r.lo().x, r.lo().y), (r.lo().x, r.hi().y), (r.hi().x, r.lo().y), (r.hi().x, r.hi().y)]
-            });
-            for p in own.into_iter().chain(corners).map(|(x, y)| Point::new(x, y)) {
-                if clip.contains(&p) {
-                    prop_assert_eq!(near.stab_count(&p), set.stab_count(&p), "clip {:?} at {:?}", clip, p);
-                }
-            }
-        }
-    }
-}
-
-// ---------------- Phase B against its parent ----------------
-
-/// One Phase-B selection, bit for bit: object, path, endpoint bits, exit
-/// time, case, created.
-type SelectionRow = (u64, u64, u64, u64, u64, CaseKind, bool);
-
-fn selection_row(s: &Selection) -> SelectionRow {
-    let p = s.endpoint;
-    (s.object.0, s.path.0, p.x.to_bits(), p.y.to_bits(), s.te.raw(), s.case, s.created)
-}
-
-/// `phase_b` as it stood before the FSA-neighbourhood query, kept as the
-/// reference: vertex groups sorted by representative `(x, y)` with ids
-/// ascending (the slab scan of `brute_end_vertices`), `FsaSet::stab_count`
-/// per vertex, and an unbounded max-depth query (the per-slab oracle
-/// over the batch's `rects`) whose candidate competes with the existing
-/// vertices — higher rank, then existing, then smaller `(x, y)`.
-fn reference_phase_b(
-    states: &[ClientState],
-    deferred: &[u32],
-    index: &mut PathTable,
-    rects: &[Rect],
-    fsas: &FsaSet,
-    policy: OverlapPolicy,
-) -> (Vec<SelectionRow>, CaseTally) {
-    let better = |cand: &(u32, bool, Point), best: &Option<(u32, bool, Point)>| {
-        best.is_none_or(|b| (cand.0, cand.1, -cand.2.x, -cand.2.y) > (b.0, b.1, -b.2.x, -b.2.y))
-    };
-    let mut rows = Vec::new();
-    let mut tally = CaseTally::default();
-    for &i in deferred {
-        let st = &states[i as usize];
-        let mut best: Option<(u32, bool, Point)> = None;
-        for (vertex, incoming) in brute_end_vertices(index, &st.fsa) {
-            let converging: u32 = incoming.iter().map(|&id| index.hotness(id)).sum();
-            let boost = match policy {
-                OverlapPolicy::Full => fsas.stab_count(&vertex) as u32,
-                OverlapPolicy::Own => 0,
-            };
-            let cand = (converging + boost, true, vertex);
-            if better(&cand, &best) {
-                best = Some(cand);
-            }
-        }
-        let generated = match policy {
-            OverlapPolicy::Full => reference_max_depth_region(rects, &st.fsa)
-                .map(|(region, depth)| (depth as u32, false, region.centroid())),
-            OverlapPolicy::Own => Some((1, false, st.fsa.centroid())),
-        };
-        if let Some(cand) = generated {
-            if better(&cand, &best) {
-                best = Some(cand);
-            }
-        }
-        let (_, existing, vertex) = best.unwrap_or((0, false, st.fsa.centroid()));
-        let (edge, created) = index.insert_edge(st.start, vertex, st.te);
-        let case = if existing {
-            tally.case2 += 1;
-            CaseKind::ExistingVertex
-        } else {
-            tally.case3 += 1;
-            CaseKind::NewVertex
-        };
-        rows.push((
-            st.object.0,
-            edge.id.0,
-            edge.end.x.to_bits(),
-            edge.end.y.to_bits(),
-            st.te.raw(),
-            case,
-            created,
-        ));
-    }
-    (rows, tally)
-}
-
-/// Where generated FSAs and vertices sit: three hubs where they pile up,
-/// and a sparse lattice where most FSAs meet no other.
-fn phase_b_site(kind: u8, x: u32, y: u32) -> Point {
-    match kind {
-        0..=2 => Point::new(kind as f64 * 300.0 + x as f64 * 3.0, y as f64 * 3.0),
-        _ => Point::new(1_000.0 + x as f64 * 97.0, 500.0 + y as f64 * 89.0),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-    /// The bounded `phase_b` — one neighbourhood per deferred state, a
-    /// sweep only above the best existing rank, unsorted vertex groups —
-    /// makes the parent's choices: identical selections, tallies, and
-    /// path table rows, over deferred batches that pile many FSAs onto a
-    /// few hubs beside isolated ones, against a random prior table whose
-    /// paths hold 1-3 crossings (with float-noisy copies of one vertex),
-    /// under both overlap policies.
-    #[test]
-    fn bounded_phase_b_matches_parent_phase_b(
-        picks in prop::collection::vec(
-            (0u8..4, 0u32..9, 0u32..9, 0usize..4, 0u32..6, 0u8..4),
-            1..48,
-        ),
-        prior in prop::collection::vec(
-            (0u8..4, 0u32..9, 0u32..9, 0u8..3, 0u32..4, 0u32..6),
-            0..40,
-        ),
-        cell in 5.0..60.0f64,
-    ) {
-        use hotpath_core::strategy::{build_fsa_set, phase_b, PhaseBScratch};
-        // A few shared starts, so some commits dedup onto a stored path.
-        let start = |s: u32| Point::new(-1_000.0 - s as f64 * 50.0, 7.0);
-        let states: Vec<ClientState> = picks
-            .iter()
-            .enumerate()
-            .map(|(i, &(kind, x, y, half, s, _))| {
-                let c = phase_b_site(kind, x, y);
-                let half = Point::new(1.0, 1.0) * [4.0, 10.0, 15.0, 20.0][half];
-                ClientState {
-                    object: ObjectId(i as u64),
-                    start: if s < 2 { start(s) } else { Point::new(-9_000.0, i as f64) },
-                    ts: Timestamp(1),
-                    fsa: Rect::new(c - half, c + half),
-                    te: Timestamp(10 + i as u64),
-                }
-            })
-            .collect();
-        // One state in four is left out of the deferred list.
-        let deferred: Vec<u32> =
-            (0..picks.len() as u32).filter(|&i| picks[i as usize].5 != 0).collect();
-        let rects: Vec<Rect> = states.iter().map(|s| s.fsa).collect();
-
-        let mut index = PathTable::new(SlidingWindow::new(100), cell, 1e-3);
-        for &(kind, x, y, noise, crossings, s) in &prior {
-            let nudge = [0.0, 2e-4, -2e-4][noise as usize];
-            let end = phase_b_site(kind, x, y) + Point::new(nudge, -nudge);
-            let (edge, _) = index.insert_edge(start(s), end, Timestamp(5));
-            for _ in 1..crossings {
-                index.record(edge.id, Timestamp(5));
-            }
-        }
-
-        for policy in [OverlapPolicy::Full, OverlapPolicy::Own] {
-            let fsas = build_fsa_set(&states, cell, policy);
-            let mut ref_index = index.clone();
-            let (want, want_tally) =
-                reference_phase_b(&states, &deferred, &mut ref_index, &rects, &fsas, policy);
-
-            let mut new_index = index.clone();
-            let mut tally = CaseTally::default();
-            let mut selections = Vec::new();
-            let load = phase_b(
-                &states,
-                &deferred,
-                &mut new_index,
-                &fsas,
-                policy,
-                &mut tally,
-                &mut selections,
-                &mut PhaseBScratch::default(),
-            );
-            let got: Vec<SelectionRow> = selections.iter().map(selection_row).collect();
-            prop_assert_eq!(&got, &want, "{:?} selections", policy);
-            prop_assert_eq!(tally, want_tally, "{:?} tallies", policy);
-            prop_assert_eq!(load.deferred, deferred.len());
-            let rows = |t: &PathTable| t.iter().map(|(p, c)| (*p, c)).collect::<Vec<_>>();
-            prop_assert_eq!(rows(&new_index), rows(&ref_index), "{:?} path table rows", policy);
-            prop_assert_eq!(new_index.events_vec(), ref_index.events_vec(), "{:?} events", policy);
-            prop_assert!(new_index.check_consistency().is_ok());
-        }
     }
 }
 

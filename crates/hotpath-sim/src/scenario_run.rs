@@ -145,7 +145,9 @@ impl ScenarioRunParams {
             })
             .window(self.window.unwrap_or_else(|| scenario.window_hint()))
             .epoch(self.epoch)
-            .k(self.k);
+            .k(self.k)
+            .hints(self.hints)
+            .overlap(self.overlap);
         if admission.lease > 0 {
             builder = builder.lease(admission.lease, admission.grace);
         }
@@ -439,11 +441,7 @@ pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> 
             Client::fresh(&table, params.hints, params.eps, obj, seed_tp)
         })
         .collect();
-    let mut coordinator = Coordinator::new(config).with_overlap_policy(params.overlap);
-    if params.hints {
-        coordinator = coordinator.with_hints();
-    }
-    let mut engine = EngineKind::Sync.build(coordinator);
+    let mut engine = EngineKind::Sync.build(Coordinator::new(config));
     let plan = FaultPlan::for_scenario(params.fault_seed, &*scenario);
     let mut driver = ScenarioDriver {
         scenario: &mut *scenario,
