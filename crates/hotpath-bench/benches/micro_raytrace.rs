@@ -16,12 +16,19 @@
 //!   staggered right-angle legs with a ±1 m wobble, which violates on
 //!   ~0.3 % of measurements; each report is answered on the spot at the
 //!   FSA centroid.
+//! * **The Table 2 row** (`table2/100000`) is `paper_uniform`'s own
+//!   stream: 100 k filters over `Population::paper_defaults` on the
+//!   Athens network (eps 10, ~90 % of objects parked), fed the
+//!   population's 48-byte `Measurement`s in object order, as the
+//!   end-to-end pipeline walks them; reports are answered on the spot.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use hotpath_core::geometry::{Point, TimePoint};
 use hotpath_core::raytrace::RayTraceFilter;
 use hotpath_core::time::Timestamp;
 use hotpath_core::ObjectId;
+use hotpath_netsim::mobility::{Measurement, Population, PopulationParams};
+use hotpath_netsim::network::{generate, NetworkParams};
 
 fn stream(kind: &str, len: u64) -> Vec<TimePoint> {
     (1..=len)
@@ -147,5 +154,55 @@ fn bench_fleet(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_observe, bench_fleet);
+fn bench_table2(c: &mut Criterion) {
+    const N: usize = 100_000;
+    const TICKS: u64 = 10;
+    const EPS: f64 = 10.0;
+    let mut g = c.benchmark_group("raytrace_observe");
+    let net = generate(NetworkParams::athens());
+    let mut pop = Population::new(&net, PopulationParams::paper_defaults(N, 2015));
+    let mut fleet: Vec<RayTraceFilter> = (0..N as u64)
+        .map(|i| {
+            let obj = ObjectId(i);
+            RayTraceFilter::new(obj, pop.seed_timepoint(&net, obj, Timestamp(0)), EPS)
+        })
+        .collect();
+    let mut now = 0u64;
+    g.throughput(Throughput::Elements(N as u64 * TICKS));
+    g.bench_function(BenchmarkId::new("table2", N), |b| {
+        b.iter_batched(
+            // The population's next `TICKS` ticks, generated untimed.
+            || {
+                let ticks: Vec<Vec<Measurement>> =
+                    (now + 1..=now + TICKS).map(|t| pop.tick_collect(&net, Timestamp(t))).collect();
+                now += TICKS;
+                ticks
+            },
+            |ticks| {
+                for tick in &ticks {
+                    for m in tick {
+                        let f = &mut fleet[m.object.0 as usize];
+                        if let Some(s) = f.observe(m.observed) {
+                            let _ = f.receive_endpoint(TimePoint::new(s.fsa.centroid(), s.te));
+                        }
+                    }
+                }
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    let (observed, reports) = fleet.iter().fold((0, 0), |(o, r), f| {
+        let s = f.stats();
+        (o + s.observed, r + s.reports)
+    });
+    if observed > 0 {
+        println!(
+            "raytrace_observe/table2/{N}: {reports} reports in {observed} measurements ({:.2} %)",
+            reports as f64 / observed as f64 * 100.0
+        );
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_observe, bench_fleet, bench_table2);
 criterion_main!(benches);

@@ -76,26 +76,37 @@ struct Obs {
     rect: Rect,
 }
 
+/// What only a violation, waiting mode and a dropped measurement touch:
+/// the backlog and three of the [`FilterStats`] counters. Boxed behind
+/// [`RayTraceCore`] and allocated at the first violation or drop.
+#[derive(Clone, Debug, Default)]
+struct Cold {
+    backlog: VecDeque<Obs>,
+    reports: u64,
+    buffered: u64,
+    dropped: u64,
+}
+
 /// Generic RayTrace core over (timestamp, tolerance-rectangle) streams.
+///
+/// Inline is only what an observation outside waiting mode touches —
+/// the SSA, the `absorbed` count and the `waiting` flag (plus the object
+/// id); the backlog and the other counters live in a cold half, boxed
+/// at the first violation or drop, so a filter that never violated
+/// owns no heap.
 #[derive(Clone, Debug)]
 pub struct RayTraceCore {
-    object: ObjectId,
     ssa: Ssa,
+    absorbed: u64,
+    object: ObjectId,
+    cold: Option<Box<Cold>>,
     waiting: bool,
-    buffer: VecDeque<Obs>,
-    stats: FilterStats,
 }
 
 impl RayTraceCore {
     /// Creates a filter seeded at the object's first known timepoint.
     pub fn new(object: ObjectId, seed: TimePoint) -> Self {
-        RayTraceCore {
-            object,
-            ssa: Ssa::new(seed),
-            waiting: false,
-            buffer: VecDeque::new(),
-            stats: FilterStats::default(),
-        }
+        RayTraceCore { ssa: Ssa::new(seed), absorbed: 0, object, cold: None, waiting: false }
     }
 
     /// The object this filter runs on.
@@ -109,8 +120,19 @@ impl RayTraceCore {
     }
 
     /// Compression statistics.
+    ///
+    /// `observed` is derived: by Alg. 1 every observation is absorbed
+    /// exactly once, dropped, or still in the backlog.
     pub fn stats(&self) -> FilterStats {
-        self.stats
+        let (reports, buffered, dropped) =
+            self.cold.as_deref().map_or((0, 0, 0), |c| (c.reports, c.buffered, c.dropped));
+        FilterStats {
+            observed: self.absorbed + self.buffered_len() as u64 + dropped,
+            absorbed: self.absorbed,
+            reports,
+            buffered,
+            dropped,
+        }
     }
 
     /// Read access to the current SSA (exposed for tests and the hinted
@@ -121,7 +143,7 @@ impl RayTraceCore {
 
     /// Number of buffered observations.
     pub fn buffered_len(&self) -> usize {
-        self.buffer.len()
+        self.cold.as_ref().map_or(0, |c| c.backlog.len())
     }
 
     /// Feeds one observation with a precomputed tolerance rectangle.
@@ -134,19 +156,30 @@ impl RayTraceCore {
     /// violation and while waiting (Alg. 1 lines 13-16, 35-41).
     #[inline]
     pub fn observe_rect(&mut self, t: Timestamp, rect: Rect) -> Option<ClientState> {
-        self.stats.observed += 1;
         let obs = Obs { t, rect };
         if self.waiting {
-            self.stats.buffered += 1;
-            self.buffer.push_back(obs);
+            self.buffer(obs);
             return None;
         }
-        debug_assert!(self.buffer.is_empty(), "backlog outside waiting mode");
+        debug_assert_eq!(self.buffered_len(), 0, "backlog outside waiting mode");
         if self.absorb(&obs) {
             None
         } else {
             Some(self.violate(obs))
         }
+    }
+
+    /// [`Self::observe_rect`] for an observation that must not cause a
+    /// violation: while waiting it is buffered, otherwise it is offered
+    /// to the SSA; `false` when it escapes, leaving the filter exactly as
+    /// it was ([`Ssa::try_extend`] commits only on success).
+    pub(super) fn offer_rect(&mut self, t: Timestamp, rect: Rect) -> bool {
+        let obs = Obs { t, rect };
+        if self.waiting {
+            self.buffer(obs);
+            return true;
+        }
+        self.absorb(&obs)
     }
 
     /// Delivers the coordinator's endpoint timepoint (next-epoch reply,
@@ -162,12 +195,25 @@ impl RayTraceCore {
     /// Processes buffered observations until one escapes or the buffer
     /// empties (Alg. 1 lines 18-41).
     fn drain(&mut self) -> Option<ClientState> {
-        while let Some(obs) = self.buffer.pop_front() {
+        while let Some(obs) = self.cold.as_mut().and_then(|c| c.backlog.pop_front()) {
             if !self.absorb(&obs) {
                 return Some(self.violate(obs));
             }
         }
         None
+    }
+
+    /// The cold half, allocated on first use.
+    fn cold_mut(&mut self) -> &mut Cold {
+        self.cold.get_or_insert_with(Box::default)
+    }
+
+    /// Waiting mode: the observation joins the backlog (Alg. 1 lines
+    /// 35-41, the only time the paper buffers).
+    fn buffer(&mut self, obs: Obs) {
+        let cold = self.cold_mut();
+        cold.buffered += 1;
+        cold.backlog.push_back(obs);
     }
 
     /// Offers one observation to the SSA; `true` when it was absorbed.
@@ -180,7 +226,7 @@ impl RayTraceCore {
             self.ssa.end_time()
         );
         let absorbed = self.ssa.try_extend(obs.t, &obs.rect);
-        self.stats.absorbed += u64::from(absorbed);
+        self.absorbed += u64::from(absorbed);
         absorbed
     }
 
@@ -190,8 +236,9 @@ impl RayTraceCore {
     #[cold]
     fn violate(&mut self, obs: Obs) -> ClientState {
         self.waiting = true;
-        self.buffer.push_front(obs);
-        self.stats.reports += 1;
+        let cold = self.cold_mut();
+        cold.backlog.push_front(obs);
+        cold.reports += 1;
         ClientState {
             object: self.object,
             start: self.ssa.start(),
@@ -204,7 +251,13 @@ impl RayTraceCore {
 
 /// The crisp-tolerance RayTrace filter of Algorithm 1: each measurement
 /// contributes the tolerance square of side `2 eps` around itself.
+///
+/// `repr(C)` keeps `eps` after the core: placed next to the FSA, its
+/// load is widened to 16 bytes that overlap the FSA the previous
+/// observation stored, which defeats store-to-load forwarding on a
+/// filter observed back to back.
 #[derive(Clone, Debug)]
+#[repr(C)]
 pub struct RayTraceFilter {
     core: RayTraceCore,
     eps: f64,
@@ -224,6 +277,9 @@ impl RayTraceFilter {
     }
 
     /// Feeds a measurement; returns a state message when the SSA breaks.
+    ///
+    /// The measurement must be finite (`Point::new` asserts it in debug
+    /// builds); non-finite input is outside the contract.
     #[inline]
     pub fn observe(&mut self, tp: TimePoint) -> Option<ClientState> {
         self.core.observe_rect(tp.t, Rect::tolerance_square(tp.p, self.eps))
@@ -284,8 +340,7 @@ impl UncertainRayTraceFilter {
         match g.tolerance_rect(&self.table) {
             Some(rect) => self.core.observe_rect(t, rect),
             None => {
-                self.core.stats.observed += 1;
-                self.core.stats.dropped += 1;
+                self.core.cold_mut().dropped += 1;
                 None
             }
         }

@@ -49,12 +49,10 @@ impl HintedRayTraceFilter {
         let square = Rect::tolerance_square(tp.p, self.eps);
         if let Some(corridor) = self.hint {
             if let Some(narrow) = square.intersection(&corridor) {
-                // Try the narrowed rectangle on a scratch copy: if the
-                // narrowing itself causes the violation, retry plain.
-                let mut probe = self.core.clone();
-                let out = probe.observe_rect(tp.t, narrow);
-                if out.is_none() {
-                    self.core = probe;
+                // Offer the narrowed rectangle first (buffered as is
+                // while waiting); the SSA takes it only if it fits, so
+                // when the narrowing itself would violate, retry plain.
+                if self.core.offer_rect(tp.t, narrow) {
                     self.narrowed += 1;
                     return None;
                 }

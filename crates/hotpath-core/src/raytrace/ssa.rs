@@ -76,8 +76,20 @@ impl Ssa {
         if self.is_apex_only() || ti == self.ts {
             return Rect::point(self.s);
         }
-        let factor = ti.fraction_of(self.ts, self.te);
-        self.fsa.scale_about(self.s, factor)
+        self.fsa.scale_about(self.s, self.factor(ti))
+    }
+
+    /// The pyramid's scale at `ti`, `(ti - ts) / (te - ts)`: bit for bit
+    /// what `ti.fraction_of(ts, te)` returns, since below 2^53 granules
+    /// every timestamp and every difference of two is an exact `f64`.
+    /// Subtracting first takes two `u64 -> f64` conversions, not three.
+    #[inline]
+    fn factor(&self, ti: Timestamp) -> f64 {
+        debug_assert!(
+            ti.0 < EXACT_TICKS && self.te.0 < EXACT_TICKS,
+            "timestamp past 2^53 granules"
+        );
+        (ti.0 - self.ts.0) as f64 / (self.te.0 - self.ts.0) as f64
     }
 
     /// Attempts to extend the SSA through the tolerance rectangle `q` of
@@ -87,9 +99,25 @@ impl Ssa {
     /// intersects `q`; returns `false` leaving the SSA untouched when the
     /// measurement escapes the safe area (the caller must then report to
     /// the coordinator).
+    ///
+    /// `q` must be finite with ordered corners; non-finite input is
+    /// outside the contract (debug builds assert it). For such input the
+    /// intersection below equals [`Rect::intersection`], bit for bit,
+    /// without its NaN-propagating `f64::max` / `f64::min`: plain
+    /// compare-selects that keep the projection's coordinate on a tie,
+    /// as `f64::max(self, other)` does on x86-64.
     #[inline]
     pub fn try_extend(&mut self, ti: Timestamp, q: &Rect) -> bool {
         debug_assert!(ti > self.te, "measurements must arrive in time order");
+        debug_assert!(
+            q.lo().x.is_finite()
+                && q.lo().y.is_finite()
+                && q.hi().x.is_finite()
+                && q.hi().y.is_finite()
+                && q.lo().x <= q.hi().x
+                && q.lo().y <= q.hi().y,
+            "tolerance rectangle {q:?} is not finite and ordered"
+        );
         if self.is_apex_only() {
             // First timepoint after the apex: FSA becomes the whole
             // tolerance rectangle (lines 20-23).
@@ -97,17 +125,23 @@ impl Ssa {
             self.fsa = *q;
             return true;
         }
-        let projected = self.project(ti);
-        match projected.intersection(q) {
-            Some(narrowed) => {
-                self.te = ti;
-                self.fsa = narrowed;
-                true
-            }
-            None => false,
+        let p = self.project(ti);
+        let max = |a: f64, b: f64| if b > a { b } else { a };
+        let min = |a: f64, b: f64| if b < a { b } else { a };
+        let lo = Point { x: max(p.lo().x, q.lo().x), y: max(p.lo().y, q.lo().y) };
+        let hi = Point { x: min(p.hi().x, q.hi().x), y: min(p.hi().y, q.hi().y) };
+        if lo.x <= hi.x && lo.y <= hi.y {
+            self.te = ti;
+            self.fsa = Rect::new(lo, hi);
+            true
+        } else {
+            false
         }
     }
 }
+
+/// Granule counts below this convert to `f64` exactly.
+const EXACT_TICKS: u64 = 1 << 53;
 
 #[cfg(test)]
 mod tests {

@@ -11,6 +11,7 @@
 
 use super::normal::{phi, phi_inv};
 use crate::geometry::{Point, Rect};
+use std::sync::Arc;
 
 /// Coverage probability `Pr(X in [c - eps, c + eps])` for
 /// `X ~ N(0, sigma^2)` and a center offset `c` from the mean.
@@ -235,9 +236,13 @@ impl GaussianPoint {
 }
 
 /// 2-D tolerance table: a 1-D table built at `delta/2` applied per axis.
+///
+/// Shared: every uncertain filter of a run holds a clone of one table,
+/// and a clone only bumps a reference count — one pointer per filter,
+/// one copy of the widths per run.
 #[derive(Clone, Debug)]
 pub struct ToleranceTable2D {
-    axis: ToleranceTable,
+    axis: Arc<ToleranceTable>,
 }
 
 impl ToleranceTable2D {
@@ -250,7 +255,7 @@ impl ToleranceTable2D {
         fallback: FallbackPolicy,
     ) -> Self {
         ToleranceTable2D {
-            axis: ToleranceTable::build(eps, delta / 2.0, sigma_max, steps, fallback),
+            axis: Arc::new(ToleranceTable::build(eps, delta / 2.0, sigma_max, steps, fallback)),
         }
     }
 

@@ -1,16 +1,21 @@
 //! Steady-state memory pins for the default-path hot loops: a RayTrace
 //! filter absorbing measurements, the Phase-B FSA-neighbourhood queries
 //! on a reused scratch, and path-table maintenance as paths come and
-//! go by expiry. A
+//! go by expiry; plus the inline size of the filters and the heap a
+//! checkpoint restore takes. A
 //! counting `#[global_allocator]` needs a test binary of its own; counts
 //! are per thread, so the harness and the other tests running beside a
 //! measurement never show up in it.
 
-use hotpath_core::geometry::{Point, Rect, TimePoint};
+use hotpath_core::config::Config;
+use hotpath_core::coordinator::Coordinator;
+use hotpath_core::geometry::{Point, Rect, Segment, TimePoint};
 use hotpath_core::index::PathTable;
-use hotpath_core::raytrace::RayTraceFilter;
+use hotpath_core::raytrace::hinted::{HintedRayTraceFilter, PathHint};
+use hotpath_core::raytrace::{ClientState, RayTraceFilter, UncertainRayTraceFilter};
 use hotpath_core::strategy::{FsaSet, QueryScratch};
 use hotpath_core::time::{SlidingWindow, Timestamp};
+use hotpath_core::uncertainty::{FallbackPolicy, ToleranceTable2D};
 use hotpath_core::ObjectId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,22 +23,26 @@ use std::cell::Cell;
 thread_local! {
     /// Allocations (`alloc` + `realloc`) made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a `realloc` counts its whole
+    /// new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: a thread may still free or allocate while its
     // thread-locals are being torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
-// SAFETY: every call is forwarded unchanged to `System`; the counter is
-// a const-initialised `Cell` without a destructor, so touching it never
-// allocates or re-enters the allocator.
+// SAFETY: every call is forwarded unchanged to `System`; the counters
+// are const-initialised `Cell`s without a destructor, so touching them
+// never allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -44,7 +53,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -58,6 +67,13 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Bytes the calling thread allocates while running `f`.
+fn bytes_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (BYTES.with(Cell::get) - before, out)
 }
 
 fn tp(x: f64, y: f64, t: u64) -> TimePoint {
@@ -96,11 +112,21 @@ fn a_filter_that_never_violated_owns_no_heap() {
 }
 
 /// The fleet is walked one filter per measurement, so the filter's
-/// inline size is its cache footprint: 160 bytes today, and a probe at a
-/// 256-byte stride cost 25 ns per observation against 15.
+/// inline size is its cache footprint. Inline are only the SSA (64
+/// bytes), the `absorbed` count, the object id, the `waiting` flag, the
+/// pointer to the lazily boxed backlog and counters, and `eps` (or the
+/// uncertain filter's table handle): 104 bytes, down from 160. On
+/// `paper_uniform`'s stream (`micro_raytrace`'s `table2/100000` row,
+/// nproc 2) that stride alone took an observation from 31.8 to 21.0 ns;
+/// an earlier probe at a 256-byte stride had cost 25 ns against 15.
 #[test]
-fn a_filter_stays_within_160_bytes() {
-    assert!(std::mem::size_of::<RayTraceFilter>() <= 160);
+fn a_filter_stays_within_104_bytes() {
+    assert_eq!(std::mem::size_of::<RayTraceFilter>(), 104);
+}
+
+#[test]
+fn an_uncertain_filter_stays_within_104_bytes() {
+    assert_eq!(std::mem::size_of::<UncertainRayTraceFilter>(), 104);
 }
 
 #[test]
@@ -122,6 +148,93 @@ fn a_resumed_filter_absorbs_without_allocating() {
     let (n, ()) = allocs_in(|| absorb_run(&mut f, violator, violator.p - endpoint.p, 10_000));
     assert_eq!(n, 0, "10 000 absorbed observations after a resume allocated");
     assert_eq!(f.stats().absorbed, 10 + 1 + 10_000);
+}
+
+/// Every uncertain filter holds a clone of the one tolerance table its
+/// run built; the clone shares the table's widths instead of copying
+/// its 257 entries per object.
+#[test]
+fn uncertain_filters_built_from_one_table_do_not_allocate() {
+    let table = ToleranceTable2D::build(10.0, 0.05, 8.0, 256, FallbackPolicy::Reject);
+    let mut fleet = Vec::with_capacity(1_000);
+    let (n, ()) = allocs_in(|| {
+        fleet.extend((0..1_000u64).map(|i| {
+            UncertainRayTraceFilter::new(ObjectId(i), tp(i as f64, 0.0, 0), table.clone())
+        }));
+    });
+    assert_eq!(n, 0, "building 1 000 uncertain filters from one table allocated");
+    assert_eq!(fleet.len(), 1_000);
+}
+
+/// A hinted filter offers each narrowed square to the SSA in place: no
+/// scratch copy of the filter, whose backlog is on the heap once it has
+/// violated.
+#[test]
+fn a_hinted_filter_absorbs_without_allocating_after_a_violation() {
+    let eps = 2.0;
+    let mut f = HintedRayTraceFilter::new(ObjectId(3), tp(0.0, 0.0, 0), eps);
+    // A westward feint, then an eastward jump: the violator (5, 1)@2 is
+    // buffered and seeds the SSA after the endpoint.
+    assert!(f.observe(tp(-5.0, 0.0, 1)).is_none());
+    assert!(f.observe(tp(5.0, 1.0, 2)).is_some(), "the jump must violate");
+    let hint = PathHint { seg: Segment::new(Point::new(0.0, 0.0), Point::new(1e5, 0.0)) };
+    assert!(f.receive_endpoint(tp(0.0, 0.0, 1), Some(hint)).is_none());
+
+    // East along y = 1, inside the corridor: every square is narrowed.
+    let (n, ()) = allocs_in(|| {
+        for t in 3..=10_002u64 {
+            assert!(f.observe(tp(5.0 * (t - 1) as f64, 1.0, t)).is_none(), "report at t={t}");
+        }
+    });
+    assert_eq!(n, 0, "10 000 hinted observations after a violation allocated");
+    assert_eq!(f.narrowed_count(), 10_000);
+    assert!(f.hint_active());
+    assert_eq!(f.stats().absorbed, 1 + 1 + 10_000);
+}
+
+/// Number of paths [`a_restore_allocates_at_most_16_times_its_image`]
+/// stores: a 100 x 100 lattice of isolated crossings.
+const RESTORE_PATHS: u64 = 10_000;
+
+/// The allocation half of a restore's trust boundary: every section is
+/// decoded once out of the image already in memory and the table's
+/// derived structures are rebuilt from it, so the bytes a restore
+/// allocates are a bounded multiple of the image. Measured on this
+/// 10 000-path image (560 488 bytes): 7 773 716 bytes, 13.9 times its
+/// length — 1.0 for the decoded sections, the rest the index rebuilt
+/// around them (30 074 allocations, three per path, among them its
+/// start vertex's adjacency list and its end cell, and hash maps grown
+/// by doubling). The pin allows 16.
+#[test]
+fn a_restore_allocates_at_most_16_times_its_image() {
+    let config = Config::builder().window(1_000).k(10).build().unwrap();
+    let mut coordinator = Coordinator::new(config);
+    // Each state ends 500 m east of its own start, far from every other
+    // FSA: a Case-3 path per state.
+    coordinator.submit_batch((0..RESTORE_PATHS).map(|i| {
+        let start = Point::new((i % 100) as f64 * 2_000.0, (i / 100) as f64 * 2_000.0);
+        let end = start + Point::new(500.0, 0.0);
+        ClientState {
+            object: ObjectId(i),
+            start,
+            ts: Timestamp(0),
+            fsa: Rect::tolerance_square(end, 2.0),
+            te: Timestamp(10),
+        }
+    }));
+    assert_eq!(coordinator.process_epoch(Timestamp(10)).len(), RESTORE_PATHS as usize);
+    assert_eq!(coordinator.index_size(), RESTORE_PATHS as usize);
+    let image = coordinator.checkpoint();
+
+    let (bytes, restored) = bytes_in(|| Coordinator::from_checkpoint(config, &image));
+    let restored = restored.expect("the image restores");
+    assert_eq!(restored.index_size(), RESTORE_PATHS as usize);
+    let ratio = bytes as f64 / image.size_bytes() as f64;
+    println!(
+        "restore: {bytes} bytes allocated for a {}-byte image ({ratio:.2}x)",
+        image.size_bytes()
+    );
+    assert!(ratio <= 16.0, "a restore allocated {ratio:.2} times its image");
 }
 
 #[test]
