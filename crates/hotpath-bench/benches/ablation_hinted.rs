@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpath_bench::Scale;
-use hotpath_netsim::scenario::{ScenarioParams, UniformScenario};
+use hotpath_netsim::scenario::{ScenarioParams, Workload};
 use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams};
 
 fn bench_hinted(c: &mut Criterion) {
@@ -18,7 +18,7 @@ fn bench_hinted(c: &mut Criterion) {
             BenchmarkId::new("simulate", if hints { "hinted" } else { "plain" }),
             &params,
             |b, p| {
-                b.iter(|| run_scenario(&mut UniformScenario::new(&scale, mobility), p));
+                b.iter(|| run_scenario(&mut Workload::uniform(&scale, mobility), p));
             },
         );
     }

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpath_bench::Scale;
 use hotpath_core::strategy::OverlapPolicy;
-use hotpath_netsim::scenario::{ScenarioParams, UniformScenario};
+use hotpath_netsim::scenario::{ScenarioParams, Workload};
 use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams};
 
 fn bench_overlap_ablation(c: &mut Criterion) {
@@ -17,7 +17,7 @@ fn bench_overlap_ablation(c: &mut Criterion) {
     for (tag, overlap) in [("full", OverlapPolicy::Full), ("own", OverlapPolicy::Own)] {
         let params = ScenarioRunParams { dp: false, overlap, ..base.clone() };
         g.bench_with_input(BenchmarkId::new("simulate", tag), &params, |b, p| {
-            b.iter(|| run_scenario(&mut UniformScenario::new(&scale, mobility), p));
+            b.iter(|| run_scenario(&mut Workload::uniform(&scale, mobility), p));
         });
     }
     g.finish();

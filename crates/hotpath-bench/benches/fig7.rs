@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hotpath_bench::Scale;
-use hotpath_netsim::scenario::{ScenarioParams, UniformScenario};
+use hotpath_netsim::scenario::{ScenarioParams, Workload};
 use hotpath_sim::scenario_run::run_scenario;
 
 fn bench_fig7(c: &mut Criterion) {
@@ -16,7 +16,7 @@ fn bench_fig7(c: &mut Criterion) {
         let scale = ScenarioParams { n, ..workload };
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::new("simulate", n), &scale, |b, s| {
-            b.iter(|| run_scenario(&mut UniformScenario::new(s, mobility), &params));
+            b.iter(|| run_scenario(&mut Workload::uniform(s, mobility), &params));
         });
     }
     g.finish();

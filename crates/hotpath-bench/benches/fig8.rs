@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpath_bench::Scale;
-use hotpath_netsim::scenario::{ScenarioParams, UniformScenario};
+use hotpath_netsim::scenario::{ScenarioParams, Workload};
 use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams};
 
 fn bench_fig8(c: &mut Criterion) {
@@ -15,7 +15,7 @@ fn bench_fig8(c: &mut Criterion) {
     for &eps in &Scale::Quick.fig8_eps() {
         let params = ScenarioRunParams { eps, ..base.clone() };
         g.bench_with_input(BenchmarkId::new("simulate", format!("eps{eps}")), &params, |b, p| {
-            b.iter(|| run_scenario(&mut UniformScenario::new(&scale, mobility), p));
+            b.iter(|| run_scenario(&mut Workload::uniform(&scale, mobility), p));
         });
     }
     g.finish();

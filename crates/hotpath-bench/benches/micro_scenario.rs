@@ -6,13 +6,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpath_core::time::Timestamp;
-use hotpath_netsim::scenario::{ScenarioParams, REGISTRY};
+use hotpath_netsim::scenario::{Scenario, ScenarioParams, Workload, REGISTRY};
 
 fn bench_scenario_ticks(c: &mut Criterion) {
     let mut g = c.benchmark_group("scenario_tick");
     let params = ScenarioParams { n: 500, ..ScenarioParams::quick(97) };
     for spec in REGISTRY {
-        let mut scenario = (spec.build)(&params);
+        let mut scenario = Workload::new(spec, &params);
         let mut out = Vec::new();
         // Warm past the event boundaries (surge start, closures) so the
         // measured ticks exercise steady mid-scenario behavior.
@@ -39,7 +39,7 @@ fn bench_scenario_build(c: &mut Criterion) {
     for name in ["sporting_event", "rush_hour_surge", "evacuation_reroute"] {
         let spec = REGISTRY.iter().find(|s| s.name == name).expect("registered");
         g.bench_with_input(BenchmarkId::new("build", name), &(), |b, ()| {
-            b.iter(|| (spec.build)(&params).n());
+            b.iter(|| Workload::new(spec, &params).n());
         });
     }
     g.finish();

@@ -27,7 +27,7 @@
 
 use hotpath_bench::Scale;
 use hotpath_core::uncertainty::FallbackPolicy;
-use hotpath_netsim::scenario::{spec, Scenario, ScenarioParams, UniformScenario, REGISTRY};
+use hotpath_netsim::scenario::{spec, Scenario, ScenarioParams, Workload, REGISTRY};
 use hotpath_serve::swarm::{run_swarm, SwarmParams};
 use hotpath_sim::experiment::{
     figure10, figure7, figure8, figure9, format_sweep, sweep_csv, SweepRow,
@@ -349,7 +349,7 @@ fn scenario(
             }
         }
         if restore_check {
-            match check_restart_parity(|| (spec.build)(&scenario_scale), &base) {
+            match check_restart_parity(|| Box::new(Workload::new(spec, &scenario_scale)), &base) {
                 Ok(()) => println!(
                     "   restart parity: checkpoint/restore at mid-run == uninterrupted, bit for bit"
                 ),
@@ -457,8 +457,7 @@ fn write_sweep_csv(dir: Option<&std::path::Path>, file: &str, x: &str, rows: &[S
 fn fig9(scale: Scale) {
     println!("## Figure 9 — all motion paths with hotness > 0 (vs the hidden network)");
     let (workload, mobility, params) = scale.base(2010);
-    let mut world =
-        UniformScenario::new(&ScenarioParams { n: scale.map_n(), ..workload }, mobility);
+    let mut world = Workload::uniform(&ScenarioParams { n: scale.map_n(), ..workload }, mobility);
     let (paths, _res) = figure9(&mut world, &params);
     let (cols, rows_) = (96, 30);
     let net = network_map(world.network(), cols, rows_);
@@ -479,8 +478,7 @@ fn fig9(scale: Scale) {
 fn fig10_(scale: Scale) {
     println!("## Figure 10 — top 20 hottest motion paths, city center");
     let (workload, mobility, params) = scale.base(2010);
-    let mut world =
-        UniformScenario::new(&ScenarioParams { n: scale.map_n(), ..workload }, mobility);
+    let mut world = Workload::uniform(&ScenarioParams { n: scale.map_n(), ..workload }, mobility);
     let (paths, center, _res) = figure10(&mut world, &params, 20);
     let map = paths_map(center, &paths, 72, 24);
     print!("{}", indent(&map.render()));
@@ -499,10 +497,8 @@ fn claims(scale: Scale) {
     // than DP (10,896 vs 9,416 in the paper).
     let n = *scale.fig7_ns().last().expect("non-empty sweep");
     let (workload, mobility, params) = scale.base(2008);
-    let res = run_scenario(
-        &mut UniformScenario::new(&ScenarioParams { n, ..workload }, mobility),
-        &params,
-    );
+    let res =
+        run_scenario(&mut Workload::uniform(&ScenarioParams { n, ..workload }, mobility), &params);
     let sp = res.summary.mean_index_size;
     let dp = res.summary.mean_dp_index_size;
     println!(
@@ -533,7 +529,7 @@ fn hinted(scale: Scale) {
     let (workload, mobility, params) = scale.base(2011);
     let params = ScenarioRunParams { dp: false, ..params };
     let run = |params: &ScenarioRunParams| {
-        run_scenario(&mut UniformScenario::new(&ScenarioParams { n, ..workload }, mobility), params)
+        run_scenario(&mut Workload::uniform(&ScenarioParams { n, ..workload }, mobility), params)
     };
     let plain = run(&params);
     let hinted = run(&ScenarioRunParams { hints: true, ..params });
@@ -560,7 +556,7 @@ fn ablate(scale: Scale) {
     let (workload, mobility, params) = scale.base(2012);
     let params = ScenarioRunParams { dp: false, ..params };
     let run = |params: &ScenarioRunParams| {
-        run_scenario(&mut UniformScenario::new(&ScenarioParams { n, ..workload }, mobility), params)
+        run_scenario(&mut Workload::uniform(&ScenarioParams { n, ..workload }, mobility), params)
     };
     let full = run(&params);
     let own = run(&ScenarioRunParams { overlap: OverlapPolicy::Own, ..params });

@@ -49,9 +49,9 @@ impl std::str::FromStr for Scale {
 impl Scale {
     /// Table 2's uniform workload at this scale — its scale with `n`
     /// filled per sweep, and its mobility — plus the driver knobs.
-    /// Build it with [`UniformScenario::new`].
+    /// Build it with [`Workload::uniform`].
     ///
-    /// [`UniformScenario::new`]: hotpath_netsim::scenario::UniformScenario::new
+    /// [`Workload::uniform`]: hotpath_netsim::scenario::Workload::uniform
     pub fn base(self, seed: u64) -> (ScenarioParams, PopulationParams, ScenarioRunParams) {
         let mobility = PopulationParams::paper_defaults(0, seed);
         let table2 = ScenarioRunParams::table2();
@@ -167,13 +167,13 @@ mod tests {
     /// at the quick population the other tests build.
     #[test]
     fn every_scenario_config_validates_at_every_scale() {
-        use hotpath_netsim::scenario::REGISTRY;
+        use hotpath_netsim::scenario::{Scenario, Workload, REGISTRY};
         for scale in [Scale::Quick, Scale::Mid, Scale::Paper] {
             let params = scale.scenario_params(7);
             for spec in REGISTRY {
-                let scenario = (spec.build)(&params);
+                let scenario = Workload::new(spec, &params);
                 // Panics, naming the scenario, when the build fails.
-                let config = ScenarioRunParams::default().config(scenario.as_ref());
+                let config = ScenarioRunParams::default().config(&scenario);
                 assert_eq!(config.admission, scenario.admission(), "{} at {scale:?}", spec.name);
             }
         }

@@ -1,36 +1,30 @@
 //! The unified scenario subsystem: every workload that feeds the
-//! hot-path pipeline is a [`Scenario`] — a named, seeded generator of
-//! per-tick measurement batches with scenario-specific invariants the
-//! driver can verify after a run.
+//! hot-path pipeline is a [`Workload`] — a named, seeded generator of
+//! per-tick measurement batches with invariants the driver can verify
+//! after a run — built from a [`ScenarioSpec`].
 //!
-//! The [`REGISTRY`] lists every built-in scenario; `experiments
-//! scenario <name|all>` (hotpath-bench) and the integration tests build
-//! them through [`build`]. Scenarios own their network, population, and
-//! event schedule (surge windows, road closures, sensor outages), so a
-//! driver only needs `tick` + `seed_timepoint` — exactly the interface
-//! the paper's evaluation loop uses.
+//! A spec is data, not code: the crowd (wandering, converging on a
+//! venue, or fleeing the centroid — Section 1's two stories), an
+//! optional hub surge, its overlays (a sensor dropout, arterial
+//! closures, declared fault windows), its [`Admission`] knobs, and the
+//! named checks run over the [`ScenarioOutcome`]. [`REGISTRY`] is the
+//! table of built-in specs, each with a one-line summary;
+//! `experiments scenario <name|all>` (hotpath-bench) and the integration
+//! tests build them through [`build`]. A driver only needs `tick` +
+//! `seed_timepoint` — exactly the interface the paper's evaluation loop
+//! uses.
 //!
-//! Built-ins:
-//! * `sporting_event` — a crowd converging on a venue (Section 1);
-//! * `evacuation` — a crowd fleeing a danger point (Section 1);
-//! * `sensor_dropout` — a converging crowd with a mid-run sensor outage;
-//! * `rush_hour_surge` — a time-varying Poisson surge of commuters
-//!   concentrated on the network's hub vertices (most paths start in a
-//!   few grid cells);
-//! * `flash_crowd` — the whole fleet stampedes into one hub for the
-//!   middle of the run, the hub load under which Phase B dominates the
-//!   epoch;
-//! * `evacuation_reroute` — an evacuation whose arterial escape routes
-//!   close mid-run, forcing correlated path churn and hotness decay;
-//! * `surge_dropout` — a composite built with the [`DropoutOverlay`]
-//!   combinator: the rush-hour surge with a sensor outage at its peak,
-//!   proving registry scenarios compose.
+//! Two silencing mechanisms stay distinct. A dropout removes
+//! measurements inside [`Scenario::tick`], so nothing downstream — the
+//! DP competitor included — ever sees them. A [`FaultWindow`] is only
+//! declared here; the driver suppresses it after the DP competitor has
+//! observed the raw batch.
 //!
-//! Outside the registry, [`UniformScenario`] is the paper's Table 2
+//! Outside the registry, [`Workload::uniform`] is the paper's Table 2
 //! workload: the uniform weighted random walk behind Figures 7-10.
 
 use crate::mobility::{ChoicePolicy, Measurement, Population, PopulationParams};
-use crate::network::{generate, ClosureSet, NetworkParams, NodeId, RoadClass, RoadNetwork};
+use crate::network::{generate, ClosureSet, LinkId, NetworkParams, NodeId, RoadClass, RoadNetwork};
 use hotpath_core::config::{Admission, AdmissionPolicy};
 use hotpath_core::coordinator::HotSnapshot;
 use hotpath_core::geometry::{Point, TimePoint};
@@ -229,81 +223,302 @@ pub trait Scenario {
     }
 }
 
-/// A registry row: name, one-line story, and builder.
-#[derive(Clone, Copy)]
+/// A fraction `num / den` of the run, resolved in integer arithmetic
+/// so every schedule lands on the same tick at every scale.
+#[derive(Clone, Copy, Debug)]
+struct Frac(u64, u64);
+
+impl Frac {
+    /// The tick this fraction of a `duration`-tick run lands on.
+    const fn of(self, duration: u64) -> u64 {
+        duration * self.0 / self.1
+    }
+}
+
+/// The population a spec walks: the paper's mobility defaults, drawn
+/// from `seed + 1`, with this link choice and agility.
+#[derive(Clone, Copy, Debug)]
+struct Crowd {
+    heading: Heading,
+    agility: f64,
+}
+
+/// Where a crowd's walkers head at crossroads.
+#[derive(Clone, Copy, Debug)]
+enum Heading {
+    /// Weighted wandering: the paper's rule.
+    Wander,
+    /// Toward a venue at the node nearest the map centroid (Section 1's
+    /// targeted advertising): walkers funnel onto the arterials there.
+    TowardVenue,
+    /// Away from a danger at the map centroid (Section 1's emergency
+    /// response): the popular escape routes heat up.
+    AwayFromCentroid,
+}
+
+/// A time-varying load: over `[from, until)` mover `i` heads for hub
+/// `i % hubs` of the heaviest crossroads, with Poisson draws from a
+/// `SmallRng` seeded `seed + 2`; at `until` everyone wanders again.
+#[derive(Clone, Copy, Debug)]
+struct Surge {
+    shape: SurgeShape,
+    hubs: usize,
+    from: Frac,
+    until: Frac,
+}
+
+/// How a [`Surge`] sets the mover count.
+#[derive(Clone, Copy, Debug)]
+enum SurgeShape {
+    /// A commuter rush: Poisson arrivals on top of the base load, the
+    /// rate a triangle peaking at `n / 2` mid-surge (drawn every tick;
+    /// rate 0 draws nothing).
+    Triangle,
+    /// A flash crowd: the whole fleet, less a Poisson flicker of rate
+    /// `n / 20` drawn only inside the step.
+    Step,
+}
+
+/// Something a spec lays over its crowd.
+#[derive(Clone, Copy, Debug)]
+enum Overlay {
+    /// Every `stride`-th sensor goes dark over `[from, from + span)`: the
+    /// measurements are discarded inside `tick`, before any client filter
+    /// or the DP competitor sees them.
+    Dropout { from: Frac, span: Frac, stride: u64 },
+    /// Every motorway and highway closes at `at`.
+    ArterialClosures { at: Frac },
+    /// A declared [`FaultWindow`]: the driver suppresses it after the DP
+    /// competitor has observed the raw batch.
+    Fault { kind: FaultKind, from: Frac, until: Frac, fraction: f64, salt: u64 },
+}
+
+/// A named invariant over a run's [`ScenarioOutcome`]. Checks on a
+/// dropout or closures read the spec's one overlay of that kind; fault
+/// checks read its first fault window.
+#[derive(Clone, Copy, Debug)]
+enum Check {
+    /// Some client reported, the final top-k is non-empty and some epoch
+    /// scored; when the spec turns sessions on, some session connected.
+    Discovery,
+    /// Some corridor was crossed at least twice.
+    HottestAtLeastTwo,
+    /// The surge raised the mover count above the base load.
+    Surged,
+    /// The top path at the dropout's start is still in the top-k when the
+    /// sensors come back, and the score never collapses while they are
+    /// dark.
+    OutageStable,
+    /// The dropout swallowed some measurement.
+    Silenced,
+    /// Something closed, and after the grace period no mover drove a
+    /// closed link from a crossroad that still had an open exit.
+    NoClosedLinkViolations,
+    /// Some epoch from the closures' grace period on (clamped to the last
+    /// epoch) still scores.
+    Recovered,
+    /// The first ejection comes within `lease + grace` of the fault's
+    /// start, plus epoch-boundary slack.
+    EjectionBound,
+    /// The top-k score never collapses while the fault is active, or
+    /// (`to_end`) from its start to the end of the run.
+    ScoreHeld { to_end: bool },
+    /// Clients re-admit after the fault: fresh connects, plus reconnects
+    /// when the fault is a [`FaultKind::Disconnect`].
+    Readmitted,
+    /// Reconnects rise after the fault.
+    Reconnected,
+    /// Admission control turned something away or degraded some epoch.
+    AdmissionEngaged,
+    /// The last pre-fault top path is hot again within a window hint of
+    /// the fault's end.
+    PreStormTopKRecovered,
+}
+
+/// A registry row: everything that distinguishes one workload from
+/// another, as data. [`Workload::new`] builds it at a given scale.
+#[derive(Clone, Copy, Debug)]
 pub struct ScenarioSpec {
     /// Stable scenario name (CLI argument).
     pub name: &'static str,
     /// One-line description for listings.
     pub summary: &'static str,
-    /// Builds the scenario at the given scale.
-    pub build: fn(&ScenarioParams) -> Box<dyn Scenario>,
+    crowd: Crowd,
+    surge: Option<Surge>,
+    overlays: &'static [Overlay],
+    /// Session lease, ingest bound and degraded-epoch threshold at a
+    /// given scale.
+    admission: fn(&ScenarioParams) -> Admission,
+    /// The shortest sliding window the checks assume; dropouts and
+    /// disconnects stretch it (see [`Workload::new`]).
+    min_window: u64,
+    /// The invariants, checked in order.
+    checks: &'static [Check],
 }
+
+/// Sessions, admission and degradation all off.
+fn no_sessions(_: &ScenarioParams) -> Admission {
+    Admission::default()
+}
+
+/// The crowd converging on the venue: most of it walks toward the gates.
+const TOWARD_VENUE: Crowd = Crowd { heading: Heading::TowardVenue, agility: 0.5 };
+/// The evacuating crowd: hurried, nearly everyone moves every tick.
+const AWAY_FROM_CENTROID: Crowd = Crowd { heading: Heading::AwayFromCentroid, agility: 0.6 };
+/// An off-peak trickle of wanderers that a surge raises.
+const OFF_PEAK: Crowd = Crowd { heading: Heading::Wander, agility: 0.1 };
+
+/// The surge over the middle 40 % of the run.
+const fn surge(shape: SurgeShape, hubs: usize) -> Option<Surge> {
+    Some(Surge { shape, hubs, from: Frac(3, 10), until: Frac(7, 10) })
+}
+
+/// The paper's Table 2 walk, built by [`Workload::uniform`] with the
+/// caller's mobility in place of `crowd`, and the row every registry
+/// entry starts from: no surge, no overlays, the discovery floor only.
+/// Deliberately not in [`REGISTRY`]: the Figure 7/8 sweeps already run
+/// it at every scale, so a registry row would only repeat that work in
+/// every registry loop — the CI scenario matrix, the every-scenario
+/// tests, restart parity, and the determinism proptest.
+const UNIFORM: ScenarioSpec = ScenarioSpec {
+    name: "uniform",
+    summary: "the paper's Table 2 uniform weighted random walk",
+    crowd: OFF_PEAK,
+    surge: None,
+    overlays: &[],
+    admission: no_sessions,
+    min_window: 40,
+    checks: &[Check::Discovery],
+};
 
 /// Every built-in scenario, in presentation order.
 pub const REGISTRY: &[ScenarioSpec] = &[
     ScenarioSpec {
         name: "sporting_event",
         summary: "crowd converging on a venue along weighted arterials",
-        build: |p| Box::new(SportingEventScenario::new(p)),
+        crowd: TOWARD_VENUE,
+        checks: &[Check::Discovery, Check::HottestAtLeastTwo],
+        ..UNIFORM
     },
     ScenarioSpec {
         name: "evacuation",
         summary: "crowd fleeing a danger point along popular escape routes",
-        build: |p| Box::new(EvacuationScenario::new(p)),
+        crowd: AWAY_FROM_CENTROID,
+        ..UNIFORM
     },
     ScenarioSpec {
         name: "sensor_dropout",
         summary: "converging crowd with a mid-run sensor outage window",
-        build: |p| Box::new(SensorDropoutScenario::new(p)),
+        crowd: TOWARD_VENUE,
+        // Every other sensor goes dark over the middle of the run, for
+        // less than the sliding window, so pre-outage crossings keep the
+        // hot set alive.
+        overlays: &[Overlay::Dropout { from: Frac(8, 15), span: Frac(1, 6), stride: 2 }],
+        min_window: 60,
+        checks: &[Check::Discovery, Check::OutageStable],
+        ..UNIFORM
     },
     ScenarioSpec {
         name: "rush_hour_surge",
         summary: "time-varying Poisson commuter surge concentrated on hub vertices",
-        build: |p| Box::new(RushHourSurgeScenario::new(p)),
+        surge: surge(SurgeShape::Triangle, 3),
+        checks: &[Check::Discovery, Check::Surged],
+        ..UNIFORM
     },
     ScenarioSpec {
         name: "flash_crowd",
         summary: "whole fleet stampedes into one hub cell, the Phase-B-dominated hub load",
-        build: |p| Box::new(FlashCrowdScenario::new(p)),
+        surge: surge(SurgeShape::Step, 1),
+        checks: &[Check::Discovery, Check::Surged],
+        ..UNIFORM
     },
     ScenarioSpec {
         name: "evacuation_reroute",
         summary: "evacuation with mid-run arterial closures forcing path churn",
-        build: |p| Box::new(EvacuationRerouteScenario::new(p)),
+        crowd: AWAY_FROM_CENTROID,
+        overlays: &[Overlay::ArterialClosures { at: Frac(2, 5) }],
+        checks: &[Check::Discovery, Check::NoClosedLinkViolations, Check::Recovered],
+        ..UNIFORM
     },
     ScenarioSpec {
         name: "surge_dropout",
         summary: "composite: rush-hour surge with a mid-surge sensor outage window",
-        build: |p| {
-            // The outage lands at the surge's peak (the surge spans
-            // 30-70% of the run) and silences every third sensor —
-            // short enough that the window keeps the corridors hot.
-            let from = p.duration / 2;
-            let until = from + p.duration / 8;
-            Box::new(DropoutOverlay::new(
-                "surge_dropout",
-                Box::new(RushHourSurgeScenario::new(p)),
-                DropoutWindow::new(Timestamp(from), Timestamp(until), 3),
-            ))
-        },
+        surge: surge(SurgeShape::Triangle, 3),
+        // The outage lands at the surge's peak and silences every third
+        // sensor — short enough that the window keeps the corridors hot.
+        overlays: &[Overlay::Dropout { from: Frac(1, 2), span: Frac(1, 8), stride: 3 }],
+        checks: &[Check::Discovery, Check::Surged, Check::Silenced],
+        ..UNIFORM
     },
+    // The fault stories ride the converging crowd (one corridor stays
+    // reliably hot, so fault effects are attributable). Each window
+    // straddles the run midpoint, so a restart-parity check (restore at
+    // `duration / 2`) lands mid-storm.
     ScenarioSpec {
         name: "mass_disconnect",
         summary: "half the fleet vanishes mid-run past lease and grace, then returns",
-        build: |p| Box::new(FaultStoryScenario::new(p, FaultStory::MassDisconnect)),
+        crowd: TOWARD_VENUE,
+        overlays: &[fault(FaultKind::Disconnect, Frac(9, 20), Frac(13, 20), 0.5, 0xD15C)],
+        admission: |_| Admission { lease: 12, grace: 6, ..Admission::default() },
+        checks: &[
+            Check::Discovery,
+            Check::EjectionBound,
+            Check::ScoreHeld { to_end: false },
+            Check::Readmitted,
+        ],
+        ..UNIFORM
     },
     ScenarioSpec {
         name: "reconnect_storm",
         summary: "the whole fleet drops briefly and reconnects at once, hammering admission",
-        build: |p| Box::new(FaultStoryScenario::new(p, FaultStory::ReconnectStorm)),
+        crowd: TOWARD_VENUE,
+        overlays: &[fault(FaultKind::Disconnect, Frac(9, 20), Frac(11, 20), 1.0, 0x5707)],
+        admission: |p| Admission {
+            // Lease shorter than the outage so every session drops;
+            // grace longer than the outage so nobody is ejected and the
+            // entire fleet *reconnects* at once.
+            lease: 8,
+            grace: p.duration / 10 + 10,
+            queue_cap: (p.n / 4).max(64),
+            policy: AdmissionPolicy::ShedOldest,
+            degrade_threshold: (p.n / 6).max(48),
+        },
+        checks: &[
+            Check::Discovery,
+            Check::Reconnected,
+            Check::AdmissionEngaged,
+            Check::PreStormTopKRecovered,
+        ],
+        ..UNIFORM
     },
     ScenarioSpec {
         name: "slow_client_stall",
         summary: "a quarter of the fleet stalls silently until ejected; service continues",
-        build: |p| Box::new(FaultStoryScenario::new(p, FaultStory::SlowClientStall)),
+        crowd: TOWARD_VENUE,
+        // The stall runs for 40% of the run but 75% of the fleet keeps
+        // the corridor hot, so it does not stretch the window hint.
+        overlays: &[fault(FaultKind::Stall, Frac(2, 5), Frac(4, 5), 0.25, 0x51A1)],
+        admission: |p| Admission {
+            lease: 12,
+            grace: 6,
+            queue_cap: (p.n / 5).max(48),
+            policy: AdmissionPolicy::EjectSlowest,
+            ..Admission::default()
+        },
+        checks: &[
+            Check::Discovery,
+            Check::EjectionBound,
+            Check::ScoreHeld { to_end: true },
+            Check::Readmitted,
+        ],
+        ..UNIFORM
     },
 ];
+
+/// A fault overlay over `[from, until)` hitting `fraction` of the fleet.
+const fn fault(kind: FaultKind, from: Frac, until: Frac, fraction: f64, salt: u64) -> Overlay {
+    Overlay::Fault { kind, from, until, fraction, salt }
+}
 
 /// Looks up a registry row by name.
 pub fn spec(name: &str) -> Option<&'static ScenarioSpec> {
@@ -312,21 +527,7 @@ pub fn spec(name: &str) -> Option<&'static ScenarioSpec> {
 
 /// Builds a registered scenario by name at the given scale.
 pub fn build(name: &str, params: &ScenarioParams) -> Option<Box<dyn Scenario>> {
-    spec(name).map(|s| (s.build)(params))
-}
-
-/// Shared sanity floor: the pipeline discovered something and scored it.
-fn require_discovery(name: &str, outcome: &ScenarioOutcome) -> Result<(), String> {
-    if outcome.reports == 0 {
-        return Err(format!("{name}: no client ever reported"));
-    }
-    if outcome.final_top_k.is_empty() {
-        return Err(format!("{name}: empty final top-k"));
-    }
-    if !outcome.per_epoch.iter().any(|e| e.snap.top_k_score > 0.0) {
-        return Err(format!("{name}: top-k never scored"));
-    }
-    Ok(())
+    spec(name).map(|s| Box::new(Workload::new(s, params)) as Box<dyn Scenario>)
 }
 
 /// The node closest to a point (e.g. to place a venue near the center).
@@ -338,12 +539,29 @@ pub fn nearest_node(net: &RoadNetwork, p: Point) -> NodeId {
         .id
 }
 
+/// The `k` nodes with the largest incident link weight (degree weighted
+/// by road class) — the arterial interchanges commuters funnel through.
+/// Ties break toward the smaller id.
+fn hub_nodes(net: &RoadNetwork, k: usize) -> Vec<NodeId> {
+    let mut ranked: Vec<(f64, NodeId)> = net
+        .nodes()
+        .iter()
+        .map(|n| {
+            let w: f64 = net.incident(n.id).iter().map(|&l| net.link(l).class.weight()).sum();
+            (w, n.id)
+        })
+        .collect();
+    ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    ranked.truncate(k);
+    ranked.into_iter().map(|(_, id)| id).collect()
+}
+
 /// A sensor-dropout window: between `from` (inclusive) and `until`
 /// (exclusive) every `stride`-th object's sensor goes dark and reports
 /// nothing. Hot-path discovery should ride it out — crossings recorded
 /// before the outage stay in the sliding window, so the top-k keeps
 /// naming the popular corridors while a slice of the fleet is silent.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DropoutWindow {
     /// First dark timestamp.
     pub from: Timestamp,
@@ -373,223 +591,390 @@ impl DropoutWindow {
     }
 }
 
-// ---------------------------------------------------------------------
-// uniform (Table 2)
-// ---------------------------------------------------------------------
-
-/// The paper's Table 2 workload (Section 6.1): objects random-walk the
-/// network choosing links by road weight, a fraction `alpha` of them in
-/// motion, with uniform measurement noise `err`. The mobility knobs the
-/// evaluation varies — agility, displacement, err, and the link-choice
-/// policy — come from a [`PopulationParams`]; `n` and the seed come from
-/// the [`ScenarioParams`] (the population draws from `seed + 1`).
-///
-/// Deliberately not in [`REGISTRY`]: the Figure 7/8 sweeps already run
-/// it at every scale, so a registry row would only repeat that work in
-/// every registry loop — the CI scenario matrix, the every-scenario
-/// tests, restart parity, and the determinism proptest.
-pub struct UniformScenario {
-    net: RoadNetwork,
-    pop: Population,
-    params: ScenarioParams,
+/// A [`Surge`] in progress.
+struct HubSurge {
+    shape: SurgeShape,
+    /// Positions of the hub vertices the surge converges on.
+    hubs: Vec<Point>,
+    rng: SmallRng,
+    from: u64,
+    until: u64,
+    /// Movers before and outside the surge.
+    base_movers: usize,
+    /// Largest concurrent mover count observed (ground truth for
+    /// [`Check::Surged`]).
+    peak_movers: usize,
 }
 
-impl UniformScenario {
-    /// Builds the workload: `mobility` with `n` and the seed taken from
-    /// `params`.
-    pub fn new(params: &ScenarioParams, mobility: PopulationParams) -> Self {
+impl HubSurge {
+    /// Retargets the crowd at the surge edges and sets this tick's
+    /// mover count.
+    fn drive(&mut self, pop: &mut Population, t: u64, n: usize) {
+        let surging = self.from <= t && t < self.until;
+        if t == self.from {
+            // The rush begins: every object heads for a hub.
+            let hubs = &self.hubs;
+            pop.retarget(|obj| Some(ChoicePolicy::Toward(hubs[obj.0 as usize % hubs.len()])));
+        }
+        if t == self.until {
+            // Surge over: back to undirected weighted wandering.
+            pop.retarget(|_| Some(ChoicePolicy::default()));
+        }
+        let movers = match self.shape {
+            SurgeShape::Triangle => {
+                // 0 at the surge edges, n / 2 at its midpoint.
+                let half = (self.until - self.from).max(1) as f64 / 2.0;
+                let dist = (t as f64 - (self.from as f64 + half)).abs() / half;
+                let rate = if surging { (1.0 - dist).max(0.0) * n as f64 * 0.5 } else { 0.0 };
+                (self.base_movers + poisson(&mut self.rng, rate)).min(n)
+            }
+            SurgeShape::Step if surging => {
+                let flicker = poisson(&mut self.rng, (n / 20) as f64);
+                n.saturating_sub(flicker).max(self.base_movers)
+            }
+            SurgeShape::Step => self.base_movers,
+        };
+        pop.set_movers(movers);
+        self.peak_movers = self.peak_movers.max(movers);
+    }
+}
+
+/// [`Overlay::ArterialClosures`] in force.
+struct Closures {
+    closed: ClosureSet,
+    at: u64,
+    /// First tick by which every mover has had time to finish the link
+    /// it was on when the closures landed.
+    grace_until: u64,
+    /// Movers seen on a closed link after the grace period, at a
+    /// crossroad that still had an open exit (must stay zero).
+    violations: usize,
+}
+
+impl Closures {
+    fn new(net: &RoadNetwork, at: u64, displacement: f64) -> Self {
+        let mut closed = ClosureSet::none(net);
+        for l in net.links() {
+            if matches!(l.class, RoadClass::Motorway | RoadClass::Highway) {
+                closed.close(l.id);
+            }
+        }
+        // Longest link over the walkers' displacement, plus slack.
+        let max_link =
+            (0..net.link_count()).map(|i| net.link_length(LinkId(i as u32))).fold(0.0f64, f64::max);
+        let grace = (max_link / displacement).ceil() as u64 + 2;
+        Closures { closed, at, grace_until: at + grace, violations: 0 }
+    }
+
+    /// Counts the movers driving a closed link although they came
+    /// through a crossroad with an open exit.
+    fn count_violations(&mut self, net: &RoadNetwork, pop: &Population) {
+        let closed = &self.closed;
+        let sealed = |node: NodeId| net.incident(node).iter().all(|&x| closed.is_closed(x));
+        self.violations += (0..pop.len() as u64)
+            .map(ObjectId)
+            .filter(|&obj| pop.is_mover(obj) && closed.is_closed(pop.walker_link(obj)))
+            .map(|obj| net.link(pop.walker_link(obj)))
+            .filter(|l| !sealed(l.a) && !sealed(l.b))
+            .count();
+    }
+}
+
+/// The one scenario type: a [`ScenarioSpec`] built at a scale. It owns
+/// its network, population and event schedule (surge, dropout,
+/// closures), declares its fault windows and admission knobs, and
+/// checks the spec's invariants against what the driver observed.
+pub struct Workload {
+    spec: &'static ScenarioSpec,
+    params: ScenarioParams,
+    net: RoadNetwork,
+    pop: Population,
+    surge: Option<HubSurge>,
+    dropout: Option<DropoutWindow>,
+    /// Measurements the dropout swallowed (ground truth for
+    /// [`Check::Silenced`]).
+    dropped: u64,
+    closures: Option<Closures>,
+    faults: Vec<FaultWindow>,
+    admission: Admission,
+    window_hint: u64,
+}
+
+impl Workload {
+    /// Builds `spec` at the given scale: the crowd on
+    /// `generate(params.network)`, drawing from `seed + 1`. The window
+    /// hint is the spec's minimum, stretched to outlast its longest
+    /// dropout or [`FaultKind::Disconnect`] window by 10 ticks.
+    pub fn new(spec: &'static ScenarioSpec, params: &ScenarioParams) -> Self {
         let net = generate(params.network);
-        let pop = Population::new(
-            &net,
-            PopulationParams { n: params.n, seed: params.seed.wrapping_add(1), ..mobility },
-        );
-        UniformScenario { net, pop, params: *params }
+        let policy = match spec.crowd.heading {
+            Heading::Wander => ChoicePolicy::default(),
+            Heading::TowardVenue => {
+                ChoicePolicy::Toward(net.node(nearest_node(&net, net.bounds().centroid())).pos)
+            }
+            Heading::AwayFromCentroid => ChoicePolicy::Away(net.bounds().centroid()),
+        };
+        let crowd = PopulationParams {
+            policy,
+            agility: spec.crowd.agility,
+            ..PopulationParams::paper_defaults(params.n, params.seed.wrapping_add(1))
+        };
+        Workload::assemble(spec, params, net, crowd)
+    }
+
+    /// The paper's Table 2 workload (Section 6.1): objects random-walk
+    /// the network choosing links by road weight, a fraction `alpha` of
+    /// them in motion, with uniform measurement noise `err`. The mobility
+    /// knobs the evaluation varies — agility, displacement, err, and the
+    /// link-choice policy — come from `mobility`; `n` and the seed come
+    /// from `params` (the population draws from `seed + 1`). Its only
+    /// check is the discovery floor.
+    pub fn uniform(params: &ScenarioParams, mobility: PopulationParams) -> Self {
+        let net = generate(params.network);
+        let crowd = PopulationParams { n: params.n, seed: params.seed.wrapping_add(1), ..mobility };
+        Workload::assemble(&UNIFORM, params, net, crowd)
     }
 
     /// Table 2 at test scale: the tiny network, 100 timestamps, and the
     /// paper's mobility defaults.
-    pub fn quick(n: usize, seed: u64) -> Self {
-        UniformScenario::new(
+    pub fn uniform_quick(n: usize, seed: u64) -> Self {
+        Workload::uniform(
             &ScenarioParams { n, seed, duration: 100, network: NetworkParams::tiny(seed) },
             PopulationParams::paper_defaults(n, seed),
         )
     }
-}
 
-impl Scenario for UniformScenario {
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-    fn network(&self) -> &RoadNetwork {
-        &self.net
-    }
-    fn n(&self) -> usize {
-        self.params.n
-    }
-    fn duration(&self) -> u64 {
-        self.params.duration
-    }
-    fn seed_timepoint(&self, obj: ObjectId, t: Timestamp) -> TimePoint {
-        self.pop.seed_timepoint(&self.net, obj, t)
-    }
-    fn tick(&mut self, t: Timestamp, out: &mut Vec<Measurement>) {
-        self.pop.tick(&self.net, t, out);
-    }
-    fn check_invariants(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
-        require_discovery(self.name(), outcome)
-    }
-}
-
-// ---------------------------------------------------------------------
-// sporting_event
-// ---------------------------------------------------------------------
-
-/// A crowd drifting toward a central venue (Section 1's targeted
-/// advertising story) behind the [`Scenario`] interface.
-pub struct SportingEventScenario {
-    net: RoadNetwork,
-    pop: Population,
-    params: ScenarioParams,
-}
-
-impl SportingEventScenario {
-    /// Builds the scenario: venue at the node nearest the map center.
-    /// Walkers prefer links that reduce their distance to the venue,
-    /// scaled by road weight — so they funnel onto the arterials leading
-    /// there, which is precisely the pattern targeted advertising wants
-    /// to catch.
-    pub fn new(params: &ScenarioParams) -> Self {
-        let net = generate(params.network);
-        let venue = nearest_node(&net, net.bounds().centroid());
-        let crowd = PopulationParams {
-            policy: ChoicePolicy::Toward(net.node(venue).pos),
-            // Most of the crowd is walking toward the gates.
-            agility: 0.5,
-            ..PopulationParams::paper_defaults(params.n, params.seed.wrapping_add(1))
-        };
+    fn assemble(
+        spec: &'static ScenarioSpec,
+        params: &ScenarioParams,
+        net: RoadNetwork,
+        crowd: PopulationParams,
+    ) -> Self {
+        let d = params.duration;
         let pop = Population::new(&net, crowd);
-        SportingEventScenario { net, pop, params: *params }
+        let surge = spec.surge.map(|s| HubSurge {
+            shape: s.shape,
+            hubs: hub_nodes(&net, s.hubs).into_iter().map(|h| net.node(h).pos).collect(),
+            rng: SmallRng::seed_from_u64(params.seed.wrapping_add(2)),
+            from: s.from.of(d),
+            until: s.until.of(d),
+            base_movers: pop.movers(),
+            peak_movers: pop.movers(),
+        });
+        let (mut dropout, mut closures, mut faults) = (None, None, Vec::new());
+        for overlay in spec.overlays {
+            match *overlay {
+                Overlay::Dropout { from, span, stride } => {
+                    let (from, until) = (from.of(d), from.of(d) + span.of(d));
+                    dropout = Some(DropoutWindow::new(Timestamp(from), Timestamp(until), stride));
+                }
+                Overlay::ArterialClosures { at } => {
+                    closures = Some(Closures::new(&net, at.of(d), pop.params().displacement));
+                }
+                Overlay::Fault { kind, from, until, fraction, salt } => faults.push(FaultWindow {
+                    kind,
+                    from: Timestamp(from.of(d)),
+                    until: Timestamp(until.of(d)),
+                    fraction,
+                    salt,
+                }),
+            }
+        }
+        // The hotness window outlasts every silence that takes whole
+        // clients away by 10 ticks, so the hot paths survive it and
+        // recover in place. A stall leaves most of the fleet reporting.
+        let dark = dropout.iter().map(|w| w.until.raw() - w.from.raw());
+        let gone = faults.iter().filter(|w| w.kind == FaultKind::Disconnect);
+        let window_hint = dark
+            .chain(gone.map(|w| w.until.raw() - w.from.raw()))
+            .fold(spec.min_window, |hint, len| hint.max(len + 10));
+        Workload {
+            spec,
+            params: *params,
+            net,
+            pop,
+            surge,
+            dropout,
+            dropped: 0,
+            closures,
+            faults,
+            admission: (spec.admission)(params),
+            window_hint,
+        }
     }
-}
 
-impl Scenario for SportingEventScenario {
-    fn name(&self) -> &'static str {
-        "sporting_event"
+    /// The sensor dropout in force, if the spec has one.
+    pub fn dropout(&self) -> Option<DropoutWindow> {
+        self.dropout
     }
-    fn network(&self) -> &RoadNetwork {
-        &self.net
+
+    /// The first declared fault window.
+    fn fault(&self) -> Result<FaultWindow, &'static str> {
+        self.faults.first().copied().ok_or("no fault declared")
     }
-    fn n(&self) -> usize {
-        self.params.n
-    }
-    fn duration(&self) -> u64 {
-        self.params.duration
-    }
-    fn seed_timepoint(&self, obj: ObjectId, t: Timestamp) -> TimePoint {
-        self.pop.seed_timepoint(&self.net, obj, t)
-    }
-    fn tick(&mut self, t: Timestamp, out: &mut Vec<Measurement>) {
-        self.pop.tick(&self.net, t, out);
-    }
-    fn check_invariants(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
-        require_discovery(self.name(), outcome)?;
-        // The crowd converges, so some corridor must heat up beyond a
-        // single crossing.
-        let hottest = outcome.final_top_k.first().map(|&(_, h)| h).unwrap_or(0);
-        if hottest < 2 {
-            return Err(format!("sporting_event: no corridor heated up (hottest {hottest})"));
+
+    /// Evaluates one named check; the caller prefixes the spec's name.
+    fn check(&self, check: Check, outcome: &ScenarioOutcome) -> Result<(), String> {
+        let last = || outcome.per_epoch.last().map(|e| &e.snap).ok_or("no epochs observed");
+        match check {
+            Check::Discovery => {
+                ensure(outcome.reports > 0, || "no client ever reported".into())?;
+                ensure(!outcome.final_top_k.is_empty(), || "empty final top-k".into())?;
+                let scored = outcome.per_epoch.iter().any(|e| e.snap.top_k_score > 0.0);
+                ensure(scored, || "top-k never scored".into())?;
+                if self.admission.sessions_enabled() {
+                    ensure(last()?.sessions.connects > 0, || {
+                        "no session ever connected — were the scenario's admission knobs \
+                         applied?"
+                            .into()
+                    })?;
+                }
+            }
+            Check::HottestAtLeastTwo => {
+                let hottest = outcome.final_top_k.first().map_or(0, |&(_, h)| h);
+                ensure(hottest >= 2, || format!("no corridor heated up (hottest {hottest})"))?;
+            }
+            Check::Surged => {
+                let s = self.surge.as_ref().ok_or("no surge declared")?;
+                ensure(s.peak_movers > s.base_movers, || {
+                    format!("surge never rose above the base load ({} movers)", s.base_movers)
+                })?;
+            }
+            Check::OutageStable => {
+                let w = self.dropout.ok_or("no dropout declared")?;
+                let at_start = outcome.epoch_at(w.from).ok_or("no epoch at outage start")?;
+                let top_start = at_start.top_ids().next().ok_or("empty top-k at outage start")?;
+                let at_end = outcome.epoch_at(w.until).ok_or("no epoch after outage end")?;
+                ensure(at_end.top_ids().any(|id| id == top_start), || {
+                    format!(
+                        "pre-outage top path {top_start} fell out of the post-outage top-k {:?}",
+                        at_end.top_ids().collect::<Vec<_>>()
+                    )
+                })?;
+                for e in &outcome.per_epoch {
+                    let t = e.snap.timestamp;
+                    let dark = w.from <= t && t <= w.until;
+                    ensure(!dark || e.snap.top_k_score > 0.0, || {
+                        format!("top-k score collapsed during the outage (t={t:?})")
+                    })?;
+                }
+            }
+            Check::Silenced => {
+                ensure(self.dropped > 0, || "the dropout window never silenced a sensor".into())?;
+            }
+            Check::NoClosedLinkViolations => {
+                let c = self.closures.as_ref().ok_or("nothing closes")?;
+                ensure(c.closed.closed_count() > 0, || "nothing was closed".into())?;
+                ensure(c.violations == 0, || {
+                    format!("{} mover-ticks on closed links after the grace period", c.violations)
+                })?;
+            }
+            Check::Recovered => {
+                // On large networks the longest link can push the grace
+                // period to the end of the run, so the checkpoint clamps
+                // to the final epoch: the pipeline must at minimum
+                // survive the closures to the finish line.
+                let c = self.closures.as_ref().ok_or("nothing closes")?;
+                let from = c.grace_until.min(last()?.timestamp.raw());
+                let recovered = outcome
+                    .per_epoch
+                    .iter()
+                    .any(|e| e.snap.timestamp.raw() >= from && e.snap.top_k_score > 0.0);
+                ensure(recovered, || "top-k never recovered after the closures".into())?;
+            }
+            Check::EjectionBound => {
+                let w = self.fault()?;
+                let base = cum_before(outcome, w.from, |s| s.ejections);
+                let first = outcome
+                    .per_epoch
+                    .iter()
+                    .find(|e| e.snap.sessions.ejections > base)
+                    .ok_or("no session was ever ejected")?
+                    .snap
+                    .timestamp
+                    .raw();
+                let bound = w.from.raw() + self.admission.lease + self.admission.grace + 15;
+                ensure(first <= bound, || {
+                    format!("first ejection at t={first} but the lease bound is t={bound}")
+                })?;
+            }
+            Check::ScoreHeld { to_end } => {
+                let w = self.fault()?;
+                let held = |t: Timestamp| if to_end { t >= w.from } else { w.active(t) };
+                for e in outcome.per_epoch.iter().filter(|e| held(e.snap.timestamp)) {
+                    ensure(e.snap.top_k_score > 0.0, || {
+                        format!(
+                            "top-k score collapsed under the fault at t={}",
+                            e.snap.timestamp.raw()
+                        )
+                    })?;
+                }
+            }
+            Check::Readmitted => {
+                let w = self.fault()?;
+                let admitted: fn(&SessionCounters) -> u64 = match w.kind {
+                    FaultKind::Disconnect => |s| s.connects + s.reconnects,
+                    FaultKind::Stall => |s| s.connects,
+                };
+                let base = cum_before(outcome, w.until, admitted);
+                ensure(admitted(&last()?.sessions) > base, || {
+                    "no client was re-admitted after the fault".into()
+                })?;
+            }
+            Check::Reconnected => {
+                let base = cum_before(outcome, self.fault()?.until, |s| s.reconnects);
+                ensure(last()?.sessions.reconnects > base, || {
+                    "no reconnect after the storm".into()
+                })?;
+            }
+            Check::AdmissionEngaged => {
+                let a = &last()?.admission;
+                ensure(a.turned_away() + a.degraded_epochs > 0, || {
+                    "admission control never engaged".into()
+                })?;
+            }
+            Check::PreStormTopKRecovered => {
+                let w = self.fault()?;
+                let target = outcome
+                    .per_epoch
+                    .iter()
+                    .rev()
+                    .filter(|e| e.snap.timestamp < w.from)
+                    .find_map(|e| e.top_ids().next())
+                    .ok_or("no pre-storm top-k to recover")?;
+                let deadline = w.until.raw() + self.window_hint;
+                let recovered = outcome.per_epoch.iter().any(|e| {
+                    e.snap.timestamp >= w.until
+                        && e.snap.timestamp.raw() <= deadline
+                        && e.top_ids().any(|id| id == target)
+                });
+                ensure(recovered, || {
+                    format!("pre-storm top path {target} not hot again by t={deadline}")
+                })?;
+            }
         }
         Ok(())
     }
 }
 
-// ---------------------------------------------------------------------
-// evacuation
-// ---------------------------------------------------------------------
-
-/// A crowd fleeing the map center (Section 1's emergency-response
-/// story) behind the [`Scenario`] interface.
-pub struct EvacuationScenario {
-    net: RoadNetwork,
-    pop: Population,
-    params: ScenarioParams,
-}
-
-impl EvacuationScenario {
-    /// Builds the scenario: danger at the map centroid. Walkers prefer
-    /// links that increase their distance from it, so authorities
-    /// monitoring hot paths see the popular escape routes emerge in the
-    /// top-k.
-    pub fn new(params: &ScenarioParams) -> Self {
-        let net = generate(params.network);
-        let crowd = PopulationParams {
-            policy: ChoicePolicy::Away(net.bounds().centroid()),
-            // Evacuations are hurried: everyone moves nearly every timestamp.
-            agility: 0.6,
-            ..PopulationParams::paper_defaults(params.n, params.seed.wrapping_add(1))
-        };
-        let pop = Population::new(&net, crowd);
-        EvacuationScenario { net, pop, params: *params }
+/// `Ok` when `holds`, else the failure `why`.
+fn ensure(holds: bool, why: impl FnOnce() -> String) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(why())
     }
 }
 
-impl Scenario for EvacuationScenario {
+/// Cumulative counter value at the last epoch strictly before `t` (zero
+/// when no epoch precedes `t`).
+fn cum_before(outcome: &ScenarioOutcome, t: Timestamp, f: fn(&SessionCounters) -> u64) -> u64 {
+    outcome.per_epoch.iter().rfind(|e| e.snap.timestamp < t).map_or(0, |e| f(&e.snap.sessions))
+}
+
+impl Scenario for Workload {
     fn name(&self) -> &'static str {
-        "evacuation"
-    }
-    fn network(&self) -> &RoadNetwork {
-        &self.net
-    }
-    fn n(&self) -> usize {
-        self.params.n
-    }
-    fn duration(&self) -> u64 {
-        self.params.duration
-    }
-    fn seed_timepoint(&self, obj: ObjectId, t: Timestamp) -> TimePoint {
-        self.pop.seed_timepoint(&self.net, obj, t)
-    }
-    fn tick(&mut self, t: Timestamp, out: &mut Vec<Measurement>) {
-        self.pop.tick(&self.net, t, out);
-    }
-    fn check_invariants(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
-        require_discovery(self.name(), outcome)
-    }
-}
-
-// ---------------------------------------------------------------------
-// sensor_dropout
-// ---------------------------------------------------------------------
-
-/// A converging crowd whose every `stride`-th sensor goes dark over a
-/// mid-run window; the top-k must ride the outage out.
-pub struct SensorDropoutScenario {
-    net: RoadNetwork,
-    pop: Population,
-    window: DropoutWindow,
-    params: ScenarioParams,
-}
-
-impl SensorDropoutScenario {
-    /// Builds the scenario; the outage silences every other sensor over
-    /// the middle of the run, shorter than the hotness window.
-    pub fn new(params: &ScenarioParams) -> Self {
-        let SportingEventScenario { net, pop, .. } = SportingEventScenario::new(params);
-        let from = params.duration * 8 / 15;
-        let until = from + params.duration / 6;
-        let window = DropoutWindow::new(Timestamp(from), Timestamp(until), 2);
-        SensorDropoutScenario { net, pop, window, params: *params }
-    }
-
-    /// The outage window.
-    pub fn dropout_window(&self) -> DropoutWindow {
-        self.window
-    }
-}
-
-impl Scenario for SensorDropoutScenario {
-    fn name(&self) -> &'static str {
-        "sensor_dropout"
+        self.spec.name
     }
     fn network(&self) -> &RoadNetwork {
         &self.net
@@ -601,52 +986,41 @@ impl Scenario for SensorDropoutScenario {
         self.params.duration
     }
     fn window_hint(&self) -> u64 {
-        // The outage must be shorter than the sliding window so
-        // pre-outage crossings keep the hot set alive.
-        60
+        self.window_hint
     }
     fn seed_timepoint(&self, obj: ObjectId, t: Timestamp) -> TimePoint {
         self.pop.seed_timepoint(&self.net, obj, t)
     }
     fn tick(&mut self, t: Timestamp, out: &mut Vec<Measurement>) {
-        self.pop.tick(&self.net, t, out);
-        out.retain(|m| !self.window.drops(m.object, t));
+        let raw = t.raw();
+        if let Some(s) = &mut self.surge {
+            s.drive(&mut self.pop, raw, self.params.n);
+        }
+        let closed = self.closures.as_ref().filter(|c| raw >= c.at).map(|c| &c.closed);
+        self.pop.tick_avoiding(&self.net, t, closed, out);
+        if let Some(c) = self.closures.as_mut().filter(|c| raw >= c.grace_until) {
+            c.count_violations(&self.net, &self.pop);
+        }
+        if let Some(w) = self.dropout {
+            let before = out.len();
+            out.retain(|m| !w.drops(m.object, t));
+            self.dropped += (before - out.len()) as u64;
+        }
     }
     fn check_invariants(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
-        require_discovery(self.name(), outcome)?;
-        // Stability: the hottest pre-outage corridor is still in the
-        // top-k when the sensors come back...
-        let at_start =
-            outcome.epoch_at(self.window.from).ok_or("sensor_dropout: no epoch at outage start")?;
-        let Some(top_start) = at_start.top_ids().next() else {
-            return Err("sensor_dropout: empty top-k at outage start".into());
-        };
-        let at_end = outcome
-            .epoch_at(self.window.until)
-            .ok_or("sensor_dropout: no epoch after outage end")?;
-        if !at_end.top_ids().any(|id| id == top_start) {
-            return Err(format!(
-                "sensor_dropout: pre-outage top path {top_start} fell out of the post-outage \
-                 top-k {:?}",
-                at_end.top_ids().collect::<Vec<_>>()
-            ));
-        }
-        // ...and the score never collapses while sensors are dark.
-        for e in &outcome.per_epoch {
-            let t = e.snap.timestamp;
-            if t >= self.window.from && t <= self.window.until && e.snap.top_k_score <= 0.0 {
-                return Err(format!(
-                    "sensor_dropout: top-k score collapsed during the outage (t={t:?})"
-                ));
-            }
-        }
-        Ok(())
+        let name = self.spec.name;
+        self.spec
+            .checks
+            .iter()
+            .try_for_each(|&c| self.check(c, outcome).map_err(|why| format!("{name}: {why}")))
+    }
+    fn fault_windows(&self) -> Vec<FaultWindow> {
+        self.faults.clone()
+    }
+    fn admission(&self) -> Admission {
+        self.admission
     }
 }
-
-// ---------------------------------------------------------------------
-// rush_hour_surge
-// ---------------------------------------------------------------------
 
 /// Samples a Poisson count with rate `lambda` (Knuth for small rates, a
 /// clamped normal approximation for large ones — exact enough for load
@@ -673,699 +1047,6 @@ fn poisson<R: Rng>(rng: &mut R, lambda: f64) -> usize {
     }
 }
 
-/// A commuter rush hour: object activity follows a time-varying Poisson
-/// surge, and the surging commuters all head for a handful of hub
-/// vertices (the heaviest crossroads), concentrating path starts on a
-/// few grid cells.
-pub struct RushHourSurgeScenario {
-    net: RoadNetwork,
-    pop: Population,
-    rng: SmallRng,
-    hubs: Vec<NodeId>,
-    params: ScenarioParams,
-    base_movers: usize,
-    surge_from: u64,
-    surge_until: u64,
-    /// Largest concurrent mover count observed (ground truth for the
-    /// surge invariant).
-    peak_movers: usize,
-}
-
-impl RushHourSurgeScenario {
-    /// Builds the scenario: surge over the middle 40% of the run, rate
-    /// peaking at half the population, targets spread over the top-3
-    /// hub vertices.
-    pub fn new(params: &ScenarioParams) -> Self {
-        let net = generate(params.network);
-        let hubs = Self::hub_nodes(&net, 3);
-        let pop = Population::new(
-            &net,
-            PopulationParams {
-                // Off-peak trickle; the surge raises activity on top.
-                agility: 0.1,
-                ..PopulationParams::paper_defaults(params.n, params.seed.wrapping_add(1))
-            },
-        );
-        let base_movers = pop.movers();
-        RushHourSurgeScenario {
-            net,
-            pop,
-            rng: SmallRng::seed_from_u64(params.seed.wrapping_add(2)),
-            hubs,
-            params: *params,
-            base_movers,
-            surge_from: params.duration * 3 / 10,
-            surge_until: params.duration * 7 / 10,
-            peak_movers: base_movers,
-        }
-    }
-
-    /// The `k` nodes with the largest incident link weight (degree
-    /// weighted by road class) — the arterial interchanges commuters
-    /// funnel through. Ties break toward the smaller id.
-    pub fn hub_nodes(net: &RoadNetwork, k: usize) -> Vec<NodeId> {
-        let mut ranked: Vec<(f64, NodeId)> = net
-            .nodes()
-            .iter()
-            .map(|n| {
-                let w: f64 = net.incident(n.id).iter().map(|&l| net.link(l).class.weight()).sum();
-                (w, n.id)
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        ranked.truncate(k);
-        ranked.into_iter().map(|(_, id)| id).collect()
-    }
-
-    /// The surge's Poisson rate at `t`: a triangle ramping from 0 at the
-    /// surge edges to `n/2` at its midpoint.
-    fn surge_rate(&self, t: u64) -> f64 {
-        if t < self.surge_from || t >= self.surge_until {
-            return 0.0;
-        }
-        let span = (self.surge_until - self.surge_from).max(1) as f64;
-        let mid = self.surge_from as f64 + span / 2.0;
-        let dist = (t as f64 - mid).abs() / (span / 2.0);
-        (1.0 - dist).max(0.0) * self.params.n as f64 * 0.5
-    }
-
-    /// The hub nodes the surge converges on.
-    pub fn hubs(&self) -> &[NodeId] {
-        &self.hubs
-    }
-}
-
-impl Scenario for RushHourSurgeScenario {
-    fn name(&self) -> &'static str {
-        "rush_hour_surge"
-    }
-    fn network(&self) -> &RoadNetwork {
-        &self.net
-    }
-    fn n(&self) -> usize {
-        self.params.n
-    }
-    fn duration(&self) -> u64 {
-        self.params.duration
-    }
-    fn seed_timepoint(&self, obj: ObjectId, t: Timestamp) -> TimePoint {
-        self.pop.seed_timepoint(&self.net, obj, t)
-    }
-    fn tick(&mut self, t: Timestamp, out: &mut Vec<Measurement>) {
-        let raw = t.raw();
-        if raw == self.surge_from {
-            // The morning commute begins: everyone picks a hub.
-            let hubs: Vec<_> = self.hubs.iter().map(|&h| self.net.node(h).pos).collect();
-            self.pop.retarget(|obj| Some(ChoicePolicy::Toward(hubs[obj.0 as usize % hubs.len()])));
-        }
-        if raw == self.surge_until {
-            // Surge over: back to undirected weighted wandering.
-            self.pop.retarget(|_| Some(ChoicePolicy::default()));
-        }
-        let rate = self.surge_rate(raw);
-        let surging = poisson(&mut self.rng, rate);
-        let movers = (self.base_movers + surging).min(self.params.n);
-        self.pop.set_movers(movers);
-        self.peak_movers = self.peak_movers.max(movers);
-        self.pop.tick(&self.net, t, out);
-    }
-    fn check_invariants(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
-        require_discovery(self.name(), outcome)?;
-        // The surge must actually have surged.
-        if self.peak_movers <= self.base_movers {
-            return Err(format!(
-                "rush_hour_surge: surge never rose above the base load ({} movers)",
-                self.base_movers
-            ));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// flash_crowd
-// ---------------------------------------------------------------------
-
-/// A flash crowd: the entire fleet stampedes toward *one* hub vertex
-/// for the middle of the run, concentrating every FSA into a handful of
-/// grid cells — the hub-concentrated load under which Phase B (Cases
-/// 2-3 over heavily overlapping FSAs) dominates the epoch.
-pub struct FlashCrowdScenario {
-    net: RoadNetwork,
-    pop: Population,
-    rng: SmallRng,
-    hub: NodeId,
-    params: ScenarioParams,
-    base_movers: usize,
-    surge_from: u64,
-    surge_until: u64,
-    /// Largest concurrent mover count observed (ground truth for the
-    /// stampede invariant).
-    peak_movers: usize,
-}
-
-impl FlashCrowdScenario {
-    /// Builds the scenario: a trickle of weighted wanderers, then over
-    /// the middle 40% of the run the whole fleet moves and every mover
-    /// heads for the single heaviest crossroads.
-    pub fn new(params: &ScenarioParams) -> Self {
-        let net = generate(params.network);
-        let hub = RushHourSurgeScenario::hub_nodes(&net, 1)[0];
-        let pop = Population::new(
-            &net,
-            PopulationParams {
-                agility: 0.1,
-                ..PopulationParams::paper_defaults(params.n, params.seed.wrapping_add(1))
-            },
-        );
-        let base_movers = pop.movers();
-        FlashCrowdScenario {
-            net,
-            pop,
-            rng: SmallRng::seed_from_u64(params.seed.wrapping_add(2)),
-            hub,
-            params: *params,
-            base_movers,
-            surge_from: params.duration * 3 / 10,
-            surge_until: params.duration * 7 / 10,
-            peak_movers: base_movers,
-        }
-    }
-
-    /// The single vertex the crowd converges on.
-    pub fn hub(&self) -> NodeId {
-        self.hub
-    }
-}
-
-impl Scenario for FlashCrowdScenario {
-    fn name(&self) -> &'static str {
-        "flash_crowd"
-    }
-    fn network(&self) -> &RoadNetwork {
-        &self.net
-    }
-    fn n(&self) -> usize {
-        self.params.n
-    }
-    fn duration(&self) -> u64 {
-        self.params.duration
-    }
-    fn seed_timepoint(&self, obj: ObjectId, t: Timestamp) -> TimePoint {
-        self.pop.seed_timepoint(&self.net, obj, t)
-    }
-    fn tick(&mut self, t: Timestamp, out: &mut Vec<Measurement>) {
-        let raw = t.raw();
-        if raw == self.surge_from {
-            // The stampede begins: every object heads for the one hub.
-            let hub = self.net.node(self.hub).pos;
-            self.pop.retarget(move |_| Some(ChoicePolicy::Toward(hub)));
-        }
-        if raw == self.surge_until {
-            // Crowd disperses: back to undirected weighted wandering.
-            self.pop.retarget(|_| Some(ChoicePolicy::default()));
-        }
-        // A flash crowd is a step, not a ramp: the full fleet moves for
-        // the whole window, with a small Poisson flicker so epochs are
-        // not byte-identical to each other.
-        let movers = if raw >= self.surge_from && raw < self.surge_until {
-            let flicker = poisson(&mut self.rng, (self.params.n / 20) as f64);
-            self.params.n.saturating_sub(flicker).max(self.base_movers)
-        } else {
-            self.base_movers
-        };
-        self.pop.set_movers(movers);
-        self.peak_movers = self.peak_movers.max(movers);
-        self.pop.tick(&self.net, t, out);
-    }
-    fn check_invariants(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
-        require_discovery(self.name(), outcome)?;
-        // The stampede must actually have stampeded.
-        if self.peak_movers <= self.base_movers {
-            return Err(format!(
-                "flash_crowd: the crowd never rose above the base load ({} movers)",
-                self.base_movers
-            ));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// combinators
-// ---------------------------------------------------------------------
-
-/// A scenario combinator: overlays a [`DropoutWindow`] on any inner
-/// scenario. The inner scenario generates and schedules everything as
-/// usual; the overlay then discards measurements from dark sensors, so
-/// event machinery composes with outage machinery without either
-/// knowing about the other. Invariants are the inner scenario's, plus
-/// the requirement that the outage actually silenced something.
-pub struct DropoutOverlay {
-    name: &'static str,
-    inner: Box<dyn Scenario>,
-    window: DropoutWindow,
-    /// Measurements the outage swallowed (ground truth for the
-    /// composite's own invariant).
-    dropped: u64,
-}
-
-impl DropoutOverlay {
-    /// Wraps `inner`, silencing sensors per `window`. `name` is the
-    /// composite's registry name.
-    pub fn new(name: &'static str, inner: Box<dyn Scenario>, window: DropoutWindow) -> Self {
-        DropoutOverlay { name, inner, window, dropped: 0 }
-    }
-
-    /// The outage window in force.
-    pub fn window(&self) -> DropoutWindow {
-        self.window
-    }
-}
-
-impl Scenario for DropoutOverlay {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn network(&self) -> &RoadNetwork {
-        self.inner.network()
-    }
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-    fn duration(&self) -> u64 {
-        self.inner.duration()
-    }
-    fn window_hint(&self) -> u64 {
-        // The sliding window must ride out the outage, whatever the
-        // inner scenario assumes.
-        self.inner.window_hint().max(self.window.until.raw() - self.window.from.raw() + 10)
-    }
-    fn seed_timepoint(&self, obj: ObjectId, t: Timestamp) -> TimePoint {
-        self.inner.seed_timepoint(obj, t)
-    }
-    fn tick(&mut self, t: Timestamp, out: &mut Vec<Measurement>) {
-        self.inner.tick(t, out);
-        let before = out.len();
-        out.retain(|m| !self.window.drops(m.object, t));
-        self.dropped += (before - out.len()) as u64;
-    }
-    fn check_invariants(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
-        self.inner.check_invariants(outcome)?;
-        if self.dropped == 0 {
-            return Err(format!("{}: the dropout window never silenced a sensor", self.name));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// evacuation_reroute
-// ---------------------------------------------------------------------
-
-/// An evacuation whose arterial escape routes (motorways and highways)
-/// close mid-run: walkers must reroute onto the side streets, the old
-/// hot corridors stop being crossed and decay out of the window, and
-/// fresh ones form — maximal churn for the hotness expiry machinery.
-pub struct EvacuationRerouteScenario {
-    net: RoadNetwork,
-    pop: Population,
-    closed: ClosureSet,
-    params: ScenarioParams,
-    closure_at: u64,
-    /// First tick by which every mover has had time to finish the link
-    /// it was on when the closures landed.
-    grace_until: u64,
-    /// Movers seen on a closed link after the grace period, at a
-    /// crossroad that still had an open exit (must stay zero).
-    violations: usize,
-}
-
-impl EvacuationRerouteScenario {
-    /// Builds the scenario: danger at the centroid, arterials close at
-    /// 40% of the run.
-    pub fn new(params: &ScenarioParams) -> Self {
-        let EvacuationScenario { net, pop, .. } = EvacuationScenario::new(params);
-        let mut closed = ClosureSet::none(&net);
-        for l in net.links() {
-            if matches!(l.class, RoadClass::Motorway | RoadClass::Highway) {
-                closed.close(l.id);
-            }
-        }
-        let closure_at = params.duration * 2 / 5;
-        // Longest link over the paper's 10 m displacement, plus slack.
-        let max_link = (0..net.link_count())
-            .map(|i| net.link_length(crate::network::LinkId(i as u32)))
-            .fold(0.0f64, f64::max);
-        let grace = (max_link / pop.params().displacement).ceil() as u64 + 2;
-        EvacuationRerouteScenario {
-            net,
-            pop,
-            closed,
-            params: *params,
-            closure_at,
-            grace_until: closure_at + grace,
-            violations: 0,
-        }
-    }
-
-    /// The closure set applied at `closure_at`.
-    pub fn closures(&self) -> &ClosureSet {
-        &self.closed
-    }
-
-    /// The tick the closures land on.
-    pub fn closure_at(&self) -> u64 {
-        self.closure_at
-    }
-}
-
-impl Scenario for EvacuationRerouteScenario {
-    fn name(&self) -> &'static str {
-        "evacuation_reroute"
-    }
-    fn network(&self) -> &RoadNetwork {
-        &self.net
-    }
-    fn n(&self) -> usize {
-        self.params.n
-    }
-    fn duration(&self) -> u64 {
-        self.params.duration
-    }
-    fn seed_timepoint(&self, obj: ObjectId, t: Timestamp) -> TimePoint {
-        self.pop.seed_timepoint(&self.net, obj, t)
-    }
-    fn tick(&mut self, t: Timestamp, out: &mut Vec<Measurement>) {
-        let raw = t.raw();
-        let closed = (raw >= self.closure_at).then_some(&self.closed);
-        self.pop.tick_avoiding(&self.net, t, closed, out);
-        if raw >= self.grace_until {
-            // Ground truth: after the grace period no mover may still be
-            // driving a closed road, unless it came through a crossroad
-            // with no open exit at all.
-            for i in 0..self.params.n {
-                let obj = ObjectId(i as u64);
-                if !self.pop.is_mover(obj) {
-                    continue;
-                }
-                let link = self.pop.walker_link(obj);
-                if !self.closed.is_closed(link) {
-                    continue;
-                }
-                let l = self.net.link(link);
-                let sealed = |node: NodeId| {
-                    self.net.incident(node).iter().all(|&x| self.closed.is_closed(x))
-                };
-                if !sealed(l.a) && !sealed(l.b) {
-                    self.violations += 1;
-                }
-            }
-        }
-    }
-    fn check_invariants(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
-        require_discovery(self.name(), outcome)?;
-        if self.closed.closed_count() == 0 {
-            return Err("evacuation_reroute: nothing was closed".into());
-        }
-        if self.violations > 0 {
-            return Err(format!(
-                "evacuation_reroute: {} mover-ticks on closed links after the grace period",
-                self.violations
-            ));
-        }
-        // The pipeline must keep discovering after the reroute: some
-        // post-grace epoch still scores. On large networks the longest
-        // link can push the grace period to the end of the run, so the
-        // checkpoint clamps to the final epoch — the pipeline must at
-        // minimum survive the closures to the finish line.
-        let last = outcome.per_epoch.last().ok_or("evacuation_reroute: no epochs observed")?;
-        let check_from = self.grace_until.min(last.snap.timestamp.raw());
-        let recovered = outcome
-            .per_epoch
-            .iter()
-            .any(|e| e.snap.timestamp.raw() >= check_from && e.snap.top_k_score > 0.0);
-        if !recovered {
-            return Err("evacuation_reroute: top-k never recovered after the closures".into());
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// fault stories: mass_disconnect / reconnect_storm / slow_client_stall
-// ---------------------------------------------------------------------
-
-/// Which robustness story a [`FaultStoryScenario`] tells. All three
-/// ride the sporting-event population (a converging crowd keeps one
-/// corridor reliably hot, so fault effects are attributable) and
-/// differ only in their declared [`FaultWindow`]s, their
-/// [`Admission`] knobs, and the invariants checked afterwards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultStory {
-    /// Half the fleet disconnects for longer than lease + grace: the
-    /// victims must be ejected within the lease bound, the hot paths
-    /// must survive the storm, and the returning clients must be
-    /// re-admitted.
-    MassDisconnect,
-    /// The whole fleet goes silent for just over a lease, then
-    /// reconnects at once: a reconnect storm that must exercise
-    /// admission control and still recover the pre-storm top path.
-    ReconnectStorm,
-    /// A quarter of the fleet stalls silently for most of the run:
-    /// the stalled clients must be ejected on schedule while service
-    /// for the rest never degrades to an empty top-k.
-    SlowClientStall,
-}
-
-/// A converging-crowd workload with declared fault windows and
-/// admission knobs, one per [`FaultStory`].
-pub struct FaultStoryScenario {
-    net: RoadNetwork,
-    pop: Population,
-    params: ScenarioParams,
-    story: FaultStory,
-    windows: Vec<FaultWindow>,
-    admission: Admission,
-}
-
-impl FaultStoryScenario {
-    /// Builds the scenario. Window placement straddles the run
-    /// midpoint so a restart-parity check (restore at `duration / 2`)
-    /// lands mid-storm.
-    pub fn new(params: &ScenarioParams, story: FaultStory) -> Self {
-        let SportingEventScenario { net, pop, .. } = SportingEventScenario::new(params);
-        let d = params.duration;
-        let n = params.n;
-        let (windows, admission) = match story {
-            FaultStory::MassDisconnect => (
-                vec![FaultWindow {
-                    kind: FaultKind::Disconnect,
-                    from: Timestamp(d * 9 / 20),
-                    until: Timestamp(d * 13 / 20),
-                    fraction: 0.5,
-                    salt: 0xD15C,
-                }],
-                Admission { lease: 12, grace: 6, ..Admission::default() },
-            ),
-            FaultStory::ReconnectStorm => (
-                vec![FaultWindow {
-                    kind: FaultKind::Disconnect,
-                    from: Timestamp(d * 9 / 20),
-                    until: Timestamp(d * 11 / 20),
-                    fraction: 1.0,
-                    salt: 0x5707,
-                }],
-                Admission {
-                    // Lease shorter than the outage so every session
-                    // drops; grace longer than the outage so nobody is
-                    // ejected and the entire fleet *reconnects* at once.
-                    lease: 8,
-                    grace: d / 10 + 10,
-                    queue_cap: (n / 4).max(64),
-                    policy: AdmissionPolicy::ShedOldest,
-                    degrade_threshold: (n / 6).max(48),
-                },
-            ),
-            FaultStory::SlowClientStall => (
-                vec![FaultWindow {
-                    kind: FaultKind::Stall,
-                    from: Timestamp(d * 2 / 5),
-                    until: Timestamp(d * 4 / 5),
-                    fraction: 0.25,
-                    salt: 0x51A1,
-                }],
-                Admission {
-                    lease: 12,
-                    grace: 6,
-                    queue_cap: (n / 5).max(48),
-                    policy: AdmissionPolicy::EjectSlowest,
-                    ..Admission::default()
-                },
-            ),
-        };
-        FaultStoryScenario { net, pop, params: *params, story, windows, admission }
-    }
-
-    /// Cumulative counter value at the last epoch strictly before `t`
-    /// (zero when no epoch precedes `t`).
-    fn cum_before(outcome: &ScenarioOutcome, t: Timestamp, f: fn(&SessionCounters) -> u64) -> u64 {
-        outcome.per_epoch.iter().rfind(|e| e.snap.timestamp < t).map_or(0, |e| f(&e.snap.sessions))
-    }
-
-    /// The victims must be ejected within `lease + grace` of the
-    /// window opening (plus epoch-boundary slack).
-    fn check_ejection_bound(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
-        let name = self.name();
-        let w = self.windows[0];
-        let base = Self::cum_before(outcome, w.from, |s| s.ejections);
-        let first = outcome
-            .per_epoch
-            .iter()
-            .find(|e| e.snap.sessions.ejections > base)
-            .ok_or_else(|| format!("{name}: no session was ever ejected"))?;
-        let bound = w.from.raw() + self.admission.lease + self.admission.grace + 15;
-        if first.snap.timestamp.raw() > bound {
-            return Err(format!(
-                "{name}: first ejection at t={} but the lease bound is t={bound}",
-                first.snap.timestamp.raw()
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Scenario for FaultStoryScenario {
-    fn name(&self) -> &'static str {
-        match self.story {
-            FaultStory::MassDisconnect => "mass_disconnect",
-            FaultStory::ReconnectStorm => "reconnect_storm",
-            FaultStory::SlowClientStall => "slow_client_stall",
-        }
-    }
-    fn network(&self) -> &RoadNetwork {
-        &self.net
-    }
-    fn n(&self) -> usize {
-        self.params.n
-    }
-    fn duration(&self) -> u64 {
-        self.params.duration
-    }
-    fn window_hint(&self) -> u64 {
-        // The hotness window must outlast the longest fault window so
-        // the hot paths survive the silence and recover in place.
-        let longest = self.windows.iter().map(|w| w.until.raw() - w.from.raw()).max().unwrap_or(0);
-        match self.story {
-            // The stall runs for 40% of the run but 75% of the fleet
-            // keeps the corridor hot; the default window suffices.
-            FaultStory::SlowClientStall => 40,
-            _ => (longest + 10).max(40),
-        }
-    }
-    fn seed_timepoint(&self, obj: ObjectId, t: Timestamp) -> TimePoint {
-        self.pop.seed_timepoint(&self.net, obj, t)
-    }
-    fn tick(&mut self, t: Timestamp, out: &mut Vec<Measurement>) {
-        // Faults are declared, not baked into the stream: the driver
-        // suppresses measurements, so the raw stream stays identical
-        // whether or not injection is enabled.
-        self.pop.tick(&self.net, t, out);
-    }
-    fn fault_windows(&self) -> Vec<FaultWindow> {
-        self.windows.clone()
-    }
-    fn admission(&self) -> Admission {
-        self.admission
-    }
-    fn check_invariants(&self, outcome: &ScenarioOutcome) -> Result<(), String> {
-        let name = self.name();
-        require_discovery(name, outcome)?;
-        let last =
-            &outcome.per_epoch.last().ok_or_else(|| format!("{name}: no epochs observed"))?.snap;
-        if last.sessions.connects == 0 {
-            return Err(format!(
-                "{name}: no session ever connected — were the scenario's admission knobs applied?"
-            ));
-        }
-        let w = self.windows[0];
-        match self.story {
-            FaultStory::MassDisconnect => {
-                self.check_ejection_bound(outcome)?;
-                // No hot-path corruption mid-storm: the surviving half
-                // keeps the corridor scored through the whole window.
-                for e in outcome.per_epoch.iter().filter(|e| w.active(e.snap.timestamp)) {
-                    if e.snap.top_k_score <= 0.0 {
-                        return Err(format!(
-                            "{name}: top-k score collapsed mid-storm at t={}",
-                            e.snap.timestamp.raw()
-                        ));
-                    }
-                }
-                // Returning clients are re-admitted (fresh connects or
-                // reconnects after the window closes).
-                let base = Self::cum_before(outcome, w.until, |s| s.connects + s.reconnects);
-                if last.sessions.connects + last.sessions.reconnects <= base {
-                    return Err(format!("{name}: no client was re-admitted after the storm"));
-                }
-            }
-            FaultStory::ReconnectStorm => {
-                // The whole fleet dropped and came back: reconnects
-                // must rise after the window closes.
-                let base = Self::cum_before(outcome, w.until, |s| s.reconnects);
-                if last.sessions.reconnects <= base {
-                    return Err(format!("{name}: no reconnect after the storm"));
-                }
-                // The storm must actually stress admission: something
-                // was turned away or some epoch degraded.
-                if last.admission.turned_away() + last.admission.degraded_epochs == 0 {
-                    return Err(format!("{name}: admission control never engaged"));
-                }
-                // Recovery: the pre-storm top path is hot again within
-                // a window of the storm ending.
-                let target = outcome
-                    .per_epoch
-                    .iter()
-                    .rev()
-                    .filter(|e| e.snap.timestamp < w.from)
-                    .find_map(|e| e.top_ids().next())
-                    .ok_or_else(|| format!("{name}: no pre-storm top-k to recover"))?;
-                let deadline = w.until.raw() + self.window_hint();
-                let recovered = outcome.per_epoch.iter().any(|e| {
-                    e.snap.timestamp >= w.until
-                        && e.snap.timestamp.raw() <= deadline
-                        && e.top_ids().any(|id| id == target)
-                });
-                if !recovered {
-                    return Err(format!(
-                        "{name}: pre-storm top path {target} not hot again by t={deadline}"
-                    ));
-                }
-            }
-            FaultStory::SlowClientStall => {
-                self.check_ejection_bound(outcome)?;
-                // Service for the active 75% never collapses once the
-                // stall begins.
-                for e in outcome.per_epoch.iter().filter(|e| e.snap.timestamp >= w.from) {
-                    if e.snap.top_k_score <= 0.0 {
-                        return Err(format!(
-                            "{name}: top-k score collapsed during the stall at t={}",
-                            e.snap.timestamp.raw()
-                        ));
-                    }
-                }
-                // Once the stall lifts the ejected clients re-admit as
-                // fresh sessions.
-                let base = Self::cum_before(outcome, w.until, |s| s.connects);
-                if last.sessions.connects <= base {
-                    return Err(format!("{name}: stalled clients never re-admitted"));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1381,52 +1062,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sporting_event_crowd_converges() {
-        let params =
-            ScenarioParams { n: 100, seed: 2, duration: 400, network: NetworkParams::tiny(2) };
-        let mut s = SportingEventScenario::new(&params);
-        let venue_pos = s.net.node(nearest_node(&s.net, s.net.bounds().centroid())).pos;
-        let mut out = Vec::new();
-        let mut dist_sum_first = 0.0;
-        let mut dist_sum_last = 0.0;
-        for t in 1..=400u64 {
+    /// Mean distance of `name`'s crowd from `p` over the first and the
+    /// last 20 of `duration` ticks, on the tiny network of `seed`.
+    fn drift(name: &str, seed: u64, duration: u64, p: fn(&RoadNetwork) -> Point) -> (f64, f64) {
+        let params = ScenarioParams { n: 100, seed, duration, network: NetworkParams::tiny(seed) };
+        let mut s = Workload::new(spec(name).unwrap(), &params);
+        let p = p(&s.net);
+        let (mut first, mut last, mut out) = (0.0, 0.0, Vec::new());
+        for t in 1..=duration {
             s.tick(Timestamp(t), &mut out);
-            let sum: f64 = out.iter().map(|m| m.truth.dist_l2(&venue_pos)).sum();
-            let c = out.len().max(1) as f64;
+            let mean =
+                out.iter().map(|m| m.truth.dist_l2(&p)).sum::<f64>() / out.len().max(1) as f64;
             if t <= 20 {
-                dist_sum_first += sum / c;
+                first += mean;
             }
-            if t > 380 {
-                dist_sum_last += sum / c;
+            if t > duration - 20 {
+                last += mean;
             }
         }
-        assert!(
-            dist_sum_last < dist_sum_first * 0.8,
-            "crowd did not converge: first {dist_sum_first}, last {dist_sum_last}"
-        );
+        (first, last)
+    }
+
+    #[test]
+    fn sporting_event_crowd_converges() {
+        let venue = |net: &RoadNetwork| net.node(nearest_node(net, net.bounds().centroid())).pos;
+        let (first, last) = drift("sporting_event", 2, 400, venue);
+        assert!(last < first * 0.8, "crowd did not converge: first {first}, last {last}");
     }
 
     #[test]
     fn evacuation_crowd_disperses() {
-        let params =
-            ScenarioParams { n: 100, seed: 4, duration: 300, network: NetworkParams::tiny(4) };
-        let mut s = EvacuationScenario::new(&params);
-        let danger = s.net.bounds().centroid();
-        let mut out = Vec::new();
-        let mut first = 0.0;
-        let mut last = 0.0;
-        for t in 1..=300u64 {
-            s.tick(Timestamp(t), &mut out);
-            let sum: f64 = out.iter().map(|m| m.truth.dist_l2(&danger)).sum();
-            let c = out.len().max(1) as f64;
-            if t <= 20 {
-                first += sum / c;
-            }
-            if t > 280 {
-                last += sum / c;
-            }
-        }
+        let (first, last) = drift("evacuation", 4, 300, |net| net.bounds().centroid());
         assert!(last > first, "crowd did not flee: first {first}, last {last}");
     }
 
@@ -1434,7 +1100,7 @@ mod tests {
     fn uniform_scenario_streams_the_table2_population() {
         let params = ScenarioParams { n: 80, ..ScenarioParams::quick(21) };
         let mobility = PopulationParams { agility: 0.4, ..PopulationParams::paper_defaults(0, 0) };
-        let mut uniform = UniformScenario::new(&params, mobility);
+        let mut uniform = Workload::uniform(&params, mobility);
         // The Table 2 population built by hand: same network, `seed + 1`.
         let net = generate(params.network);
         let mut pop = Population::new(
@@ -1477,25 +1143,13 @@ mod tests {
 
     #[test]
     fn registry_lists_all_scenarios_with_unique_names() {
-        assert!(REGISTRY.len() >= 10);
+        // The golden table names every scenario once, the walk first.
         let mut names: Vec<&str> = REGISTRY.iter().map(|s| s.name).collect();
+        assert!(GOLDEN_STREAMS[1..].iter().map(|&(name, _)| name).eq(names.iter().copied()));
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), REGISTRY.len(), "duplicate scenario names");
-        for required in [
-            "sporting_event",
-            "evacuation",
-            "sensor_dropout",
-            "rush_hour_surge",
-            "flash_crowd",
-            "evacuation_reroute",
-            "surge_dropout",
-            "mass_disconnect",
-            "reconnect_storm",
-            "slow_client_stall",
-        ] {
-            assert!(spec(required).is_some(), "missing scenario {required}");
-        }
+        assert_eq!(names.len(), 10, "duplicate scenario names");
+        assert!(names.iter().all(|name| spec(name).is_some()));
         assert!(spec("no_such_scenario").is_none());
     }
 
@@ -1505,7 +1159,7 @@ mod tests {
         let mut composite = build("surge_dropout", &params).expect("registered composite");
         assert_eq!(composite.name(), "surge_dropout");
         assert_eq!(composite.n(), 90);
-        let mut bare = RushHourSurgeScenario::new(&params);
+        let mut bare = Workload::new(spec("rush_hour_surge").unwrap(), &params);
         let window = DropoutWindow::new(
             Timestamp(params.duration / 2),
             Timestamp(params.duration / 2 + params.duration / 8),
@@ -1532,12 +1186,21 @@ mod tests {
         assert!(composite.window_hint() > params.duration / 8);
     }
 
+    /// Every check reports under the spec's own name: a composite that
+    /// shares the surge's checks must not fail as `rush_hour_surge`.
+    #[test]
+    fn surge_dropout_failures_carry_its_name() {
+        let s = build("surge_dropout", &ScenarioParams::quick(1)).expect("registered");
+        let err = s.check_invariants(&ScenarioOutcome::default()).unwrap_err();
+        assert!(err.starts_with("surge_dropout:"), "{err}");
+    }
+
     #[test]
     fn every_registered_scenario_builds_and_ticks() {
         let params = ScenarioParams { n: 60, ..ScenarioParams::quick(5) };
         let mut out = Vec::new();
         for s in REGISTRY {
-            let mut scenario = (s.build)(&params);
+            let mut scenario = Workload::new(s, &params);
             assert_eq!(scenario.name(), s.name);
             assert_eq!(scenario.n(), 60);
             let mut total = 0usize;
@@ -1552,28 +1215,10 @@ mod tests {
     }
 
     #[test]
-    fn scenario_streams_are_deterministic_per_seed() {
-        let params = ScenarioParams { n: 50, ..ScenarioParams::quick(77) };
-        for s in REGISTRY {
-            let run = || {
-                let mut scenario = (s.build)(&params);
-                let mut out = Vec::new();
-                let mut all = Vec::new();
-                for t in 1..=40u64 {
-                    scenario.tick(Timestamp(t), &mut out);
-                    all.extend(out.iter().map(|m| (m.object.0, m.observed.p, m.truth)));
-                }
-                all
-            };
-            assert_eq!(run(), run(), "{} not deterministic", s.name);
-        }
-    }
-
-    #[test]
     fn rush_hour_surge_raises_and_releases_load() {
         let params = ScenarioParams { n: 200, ..ScenarioParams::quick(9) };
-        let mut s = RushHourSurgeScenario::new(&params);
-        let base = s.base_movers;
+        let mut s = Workload::new(spec("rush_hour_surge").unwrap(), &params);
+        let base = s.surge.as_ref().unwrap().base_movers;
         let mut out = Vec::new();
         let mut mid_peak = 0usize;
         for t in 1..=params.duration {
@@ -1584,7 +1229,7 @@ mod tests {
             }
         }
         assert!(mid_peak > base, "no surge at midpoint: {mid_peak} <= {base}");
-        assert!(s.peak_movers > base);
+        assert!(s.surge.as_ref().unwrap().peak_movers > base);
         // After the surge the mover count falls back to the base level.
         assert_eq!(s.pop.movers(), base);
     }
@@ -1592,7 +1237,7 @@ mod tests {
     #[test]
     fn hub_nodes_are_the_heaviest_crossroads() {
         let net = generate(NetworkParams::tiny(3));
-        let hubs = RushHourSurgeScenario::hub_nodes(&net, 3);
+        let hubs = hub_nodes(&net, 3);
         assert_eq!(hubs.len(), 3);
         let weight = |id: NodeId| -> f64 {
             net.incident(id).iter().map(|&l| net.link(l).class.weight()).sum()
@@ -1608,13 +1253,13 @@ mod tests {
     #[test]
     fn evacuation_reroute_closes_arterials_and_tracks_no_violations() {
         let params = ScenarioParams { n: 120, ..ScenarioParams::quick(11) };
-        let mut s = EvacuationRerouteScenario::new(&params);
-        assert!(s.closures().closed_count() > 0, "no arterials to close");
+        let mut s = Workload::new(spec("evacuation_reroute").unwrap(), &params);
+        assert!(s.closures.as_ref().unwrap().closed.closed_count() > 0, "no arterials to close");
         let mut out = Vec::new();
         for t in 1..=params.duration {
             s.tick(Timestamp(t), &mut out);
         }
-        assert_eq!(s.violations, 0, "movers kept driving closed roads");
+        assert_eq!(s.closures.as_ref().unwrap().violations, 0, "movers kept driving closed roads");
     }
 
     #[test]
@@ -1715,5 +1360,79 @@ mod tests {
         assert_eq!(outcome.epoch_at(Timestamp(9)).unwrap().snap.timestamp, Timestamp(10));
         assert_eq!(outcome.epoch_at(Timestamp(15)).unwrap().snap.timestamp, Timestamp(15));
         assert!(outcome.epoch_at(Timestamp(16)).is_none());
+    }
+
+    /// Folds a workload into one word: its declarations (window hint,
+    /// fault windows, admission), the seed timepoints of the first 16
+    /// objects, then every `(object, observed.p, truth)` of the whole
+    /// run with each tick's batch length.
+    fn stream_hash(s: &mut dyn Scenario) -> u64 {
+        let mut words = vec![s.window_hint()];
+        for w in s.fault_windows() {
+            words.extend([
+                w.kind as u64,
+                w.from.raw(),
+                w.until.raw(),
+                w.fraction.to_bits(),
+                w.salt,
+            ]);
+        }
+        let a = s.admission();
+        words.extend([a.lease, a.grace, a.queue_cap as u64, a.policy as u64]);
+        words.push(a.degrade_threshold as u64);
+        for i in 0..16 {
+            let p = s.seed_timepoint(ObjectId(i), Timestamp(0)).p;
+            words.extend([p.x.to_bits(), p.y.to_bits()]);
+        }
+        let mut out = Vec::new();
+        for t in 1..=s.duration() {
+            s.tick(Timestamp(t), &mut out);
+            words.push(out.len() as u64);
+            for m in &out {
+                let (o, tr) = (m.observed.p, m.truth);
+                words.extend([
+                    m.object.0,
+                    o.x.to_bits(),
+                    o.y.to_bits(),
+                    tr.x.to_bits(),
+                    tr.y.to_bits(),
+                ]);
+            }
+        }
+        words.into_iter().fold(0, |h, x| splitmix(h ^ x))
+    }
+
+    /// Every stream at `ScenarioParams::quick(seed)` for seeds 7 and
+    /// 2015, hashed by [`stream_hash`]. A refactor that moves one RNG
+    /// draw moves the hash.
+    const GOLDEN_STREAMS: &[(&str, [u64; 2])] = &[
+        ("uniform", [0x30ed69fc44d3b3d3, 0x6f5925c3fc596765]),
+        ("sporting_event", [0x1f29acb6b91f2776, 0x5059212fd5b95690]),
+        ("evacuation", [0xb06869334ac040a6, 0x256a89ac5d3340e2]),
+        ("sensor_dropout", [0x289658c855daf4d0, 0x9ee2d139b60afcee]),
+        ("rush_hour_surge", [0x51f6e983e3b13d14, 0x69eb69f8f63b9805]),
+        ("flash_crowd", [0xb2f8cf084cbc247c, 0x4a5047c4dc109f5e]),
+        ("evacuation_reroute", [0xae4ae00defd83f7c, 0x6f4a02eb58070c5e]),
+        ("surge_dropout", [0x3a02cb44a0fcaf55, 0x6a582001eb8a9ad8]),
+        ("mass_disconnect", [0x6b48b1ffd8dfb7d8, 0x8f6ae23181aabb0a]),
+        ("reconnect_storm", [0x276cd92eeaffeaa1, 0x407e6c202cdee636]),
+        ("slow_client_stall", [0xaa0e419f03ca3e5b, 0xd7e96d1fb0fb725f]),
+    ];
+
+    #[test]
+    fn every_stream_matches_its_golden_hash() {
+        let mobility = PopulationParams::paper_defaults(0, 0);
+        let mut got = Vec::new();
+        for name in std::iter::once("uniform").chain(REGISTRY.iter().map(|s| s.name)) {
+            let hashes = [7u64, 2015].map(|seed| {
+                let params = ScenarioParams::quick(seed);
+                match build(name, &params) {
+                    Some(mut s) => stream_hash(s.as_mut()),
+                    None => stream_hash(&mut Workload::uniform(&params, mobility)),
+                }
+            });
+            got.push((name, hashes));
+        }
+        assert_eq!(got, GOLDEN_STREAMS, "stream hashes moved");
     }
 }

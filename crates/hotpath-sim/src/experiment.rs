@@ -5,7 +5,7 @@ use crate::report;
 use crate::scenario_run::{run_scenario, ScenarioRunParams, ScenarioRunResult};
 use hotpath_core::geometry::{Rect, Segment};
 use hotpath_netsim::mobility::PopulationParams;
-use hotpath_netsim::scenario::{Scenario, ScenarioParams, UniformScenario};
+use hotpath_netsim::scenario::{Scenario, ScenarioParams, Workload};
 
 /// One point of the Figure 7 or Figure 8 sweep: the swept value and
 /// the per-epoch means the three panels plot.
@@ -35,7 +35,7 @@ fn run_row(
     mobility: PopulationParams,
     params: &ScenarioRunParams,
 ) -> SweepRow {
-    let s = run_scenario(&mut UniformScenario::new(scale, mobility), params).summary;
+    let s = run_scenario(&mut Workload::uniform(scale, mobility), params).summary;
     SweepRow {
         x,
         sp_paths: s.mean_index_size,
@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn figure9_returns_hot_paths() {
         let (scale, mobility, params) = quick_base();
-        let (paths, res) = figure9(&mut UniformScenario::new(&scale, mobility), &params);
+        let (paths, res) = figure9(&mut Workload::uniform(&scale, mobility), &params);
         assert!(!paths.is_empty());
         assert_eq!(paths.len(), res.coordinator.hot_paths().len());
         assert!(paths.iter().all(|&(_, h)| h >= 1));
@@ -211,8 +211,7 @@ mod tests {
     #[test]
     fn figure10_respects_k_and_center() {
         let (scale, mobility, params) = quick_base();
-        let (paths, center, _res) =
-            figure10(&mut UniformScenario::new(&scale, mobility), &params, 5);
+        let (paths, center, _res) = figure10(&mut Workload::uniform(&scale, mobility), &params, 5);
         assert!(paths.len() <= 5);
         for (seg, _) in &paths {
             assert!(center.intersects(&seg.mbb()));
@@ -263,9 +262,9 @@ pub fn filter_economy(
 
     // RayTrace needs the coordinator loop for endpoints.
     let rt_params = ScenarioRunParams { dp: false, ..params.clone() };
-    let rt = run_scenario(&mut UniformScenario::new(scale, mobility), &rt_params);
+    let rt = run_scenario(&mut Workload::uniform(scale, mobility), &rt_params);
 
-    let mut replay = UniformScenario::new(scale, mobility);
+    let mut replay = Workload::uniform(scale, mobility);
     let mut dr: Vec<DeadReckoningFilter> = (0..scale.n)
         .map(|i| {
             let obj = ObjectId(i as u64);

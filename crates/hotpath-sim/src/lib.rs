@@ -9,11 +9,11 @@
 //! EXPERIMENTS.md).
 //!
 //! ```no_run
-//! use hotpath_netsim::scenario::UniformScenario;
+//! use hotpath_netsim::scenario::Workload;
 //! use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams};
 //!
 //! let params = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };
-//! let res = run_scenario(&mut UniformScenario::quick(500, 42), &params);
+//! let res = run_scenario(&mut Workload::uniform_quick(500, 42), &params);
 //! println!(
 //!     "paths={} score={:.0} reports={} of {} measurements",
 //!     res.coordinator.index_size(),

@@ -1,5 +1,5 @@
 //! The run driver: runs any [`Scenario`] — a registered workload or the
-//! paper's Table 2 [`UniformScenario`] — through the full client-filter
+//! paper's Table 2 walk ([`Workload::uniform`]) — through the full client-filter
 //! and coordinator pipeline, records each epoch's published snapshot
 //! with the driver's own per-epoch columns, verifies the scenario's
 //! invariants, and sweeps the `(sigma, FallbackPolicy)` uncertainty
@@ -17,7 +17,7 @@
 //! With [`ScenarioRunParams::dp`] the DP competitor observes the same raw
 //! stream (Figures 7 and 8).
 //!
-//! [`UniformScenario`]: hotpath_netsim::scenario::UniformScenario
+//! [`Workload::uniform`]: hotpath_netsim::scenario::Workload::uniform
 
 use crate::fault::FaultPlan;
 use crate::metrics::Summary;
@@ -641,7 +641,7 @@ mod tests {
     use hotpath_core::geometry::Point;
     use hotpath_netsim::mobility::PopulationParams;
     use hotpath_netsim::network::{generate, NetworkParams, RoadNetwork};
-    use hotpath_netsim::scenario::{UniformScenario, REGISTRY};
+    use hotpath_netsim::scenario::{Workload, REGISTRY};
 
     fn quick_scale(seed: u64) -> ScenarioParams {
         ScenarioParams { n: 200, ..ScenarioParams::quick(seed) }
@@ -654,7 +654,7 @@ mod tests {
 
     /// Table 2 at test scale.
     fn run_quick(n: usize, seed: u64) -> ScenarioRunResult {
-        run_scenario(&mut UniformScenario::quick(n, seed), &quick_table2())
+        run_scenario(&mut Workload::uniform_quick(n, seed), &quick_table2())
     }
 
     #[test]
@@ -700,7 +700,7 @@ mod tests {
         // the end must not contain paths older than W.
         let scale =
             ScenarioParams { n: 100, seed: 5, duration: 120, network: NetworkParams::tiny(5) };
-        let mut workload = UniformScenario::new(&scale, PopulationParams::paper_defaults(0, 0));
+        let mut workload = Workload::uniform(&scale, PopulationParams::paper_defaults(0, 0));
         let params = ScenarioRunParams { window: Some(20), ..ScenarioRunParams::table2() };
         let res = run_scenario(&mut workload, &params);
         // All hot paths have hotness >= 1 by construction.
@@ -715,7 +715,7 @@ mod tests {
     #[test]
     fn hinted_mode_runs() {
         let params = ScenarioRunParams { hints: true, dp: false, ..quick_table2() };
-        let res = run_scenario(&mut UniformScenario::quick(100, 6), &params);
+        let res = run_scenario(&mut Workload::uniform_quick(100, 6), &params);
         assert!(res.coordinator.index_size() > 0);
         assert!(res.dp.is_none());
     }

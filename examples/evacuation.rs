@@ -13,13 +13,13 @@ use hotpath_core::raytrace::RayTraceFilter;
 use hotpath_core::time::Timestamp;
 use hotpath_core::ObjectId;
 use hotpath_netsim::network::NetworkParams;
-use hotpath_netsim::scenario::{EvacuationScenario, Scenario, ScenarioParams};
+use hotpath_netsim::scenario::{self, ScenarioParams};
 use hotpath_sim::report::paths_map;
 
 fn main() {
     let n = 500;
     let scale = ScenarioParams { n, seed: 13, duration: 200, network: NetworkParams::tiny(13) };
-    let mut crowd = EvacuationScenario::new(&scale);
+    let mut crowd = scenario::build("evacuation", &scale).expect("registered");
     let danger = crowd.network().bounds().centroid();
     println!("!! fire reported near {danger:?} — tracking evacuation\n");
 

@@ -6,7 +6,7 @@
 
 use hotpath_netsim::mobility::PopulationParams;
 use hotpath_netsim::network::NetworkParams;
-use hotpath_netsim::scenario::{Scenario, ScenarioParams, UniformScenario};
+use hotpath_netsim::scenario::{Scenario, ScenarioParams, Workload};
 use hotpath_sim::experiment::figure9;
 use hotpath_sim::report::{network_map, paths_map};
 use hotpath_sim::scenario_run::ScenarioRunParams;
@@ -14,7 +14,7 @@ use hotpath_sim::scenario_run::ScenarioRunParams;
 fn main() {
     let scale =
         ScenarioParams { n: 800, seed: 2008, duration: 200, network: NetworkParams::tiny(2008) };
-    let mut world = UniformScenario::new(&scale, PopulationParams::paper_defaults(0, 0));
+    let mut world = Workload::uniform(&scale, PopulationParams::paper_defaults(0, 0));
     let params = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };
     println!(
         "running {} objects for {} ts on a hidden road network ...\n",

@@ -2,13 +2,13 @@
 //!
 //! Run with: `cargo run --release -p hotpath-sim --example quickstart`
 
-use hotpath_netsim::scenario::{Scenario, UniformScenario};
+use hotpath_netsim::scenario::{Scenario, Workload};
 use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams};
 
 fn main() {
     // 500 objects on a small road network, paper-default tolerances:
     // eps = 10 m, window W = 50 ts, epoch = 10 ts, k = 10.
-    let mut workload = UniformScenario::quick(500, 42);
+    let mut workload = Workload::uniform_quick(500, 42);
     let params = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };
     println!(
         "simulating {} objects for {} timestamps (eps = {} m, W = {} ts) ...",

@@ -9,18 +9,18 @@
 //! Run with: `cargo run --release -p hotpath-sim --example targeted_advertising`
 
 use hotpath_netsim::network::NetworkParams;
-use hotpath_netsim::scenario::{nearest_node, Scenario, ScenarioParams, SportingEventScenario};
+use hotpath_netsim::scenario::{self, nearest_node, ScenarioParams};
 use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams};
 
 fn main() {
     let scale = ScenarioParams { n: 400, seed: 7, duration: 300, network: NetworkParams::tiny(7) };
-    let mut crowd = SportingEventScenario::new(&scale);
+    let mut crowd = scenario::build("sporting_event", &scale).expect("registered");
     let net = crowd.network();
     let venue_pos = net.node(nearest_node(net, net.bounds().centroid())).pos;
     println!("venue at {venue_pos:?} — kickoff soon, crowd en route\n");
 
     let params = ScenarioRunParams { window: Some(60), epoch: 10, k: 5, ..Default::default() };
-    let res = run_scenario(&mut crowd, &params);
+    let res = run_scenario(crowd.as_mut(), &params);
     let coordinator = res.coordinator;
 
     println!("== hottest approach corridors (last {} ts) ==", coordinator.config().window.len);

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use hotpath_serve::wire::{serve_unix, SnapshotWire, UnixClient, UnixServer};
     // The scenario registry, the run driver, and its per-epoch record
     // (the published snapshot plus the driver's own columns).
-    pub use hotpath_netsim::scenario::{EpochSample, ScenarioParams, UniformScenario, REGISTRY};
+    pub use hotpath_netsim::scenario::{EpochSample, ScenarioParams, Workload, REGISTRY};
     pub use hotpath_sim::scenario_run::{
         run_named, run_scenario, CheckpointPolicy, ScenarioRunParams,
     };

@@ -3,7 +3,7 @@
 
 use hotpath_netsim::mobility::PopulationParams;
 use hotpath_netsim::network::NetworkParams;
-use hotpath_netsim::scenario::{ScenarioParams, UniformScenario};
+use hotpath_netsim::scenario::{ScenarioParams, Workload};
 use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams, ScenarioRunResult};
 
 /// The paper's Table 2 driver knobs at test scale (`W = 50`).
@@ -13,7 +13,7 @@ fn quick_params() -> ScenarioRunParams {
 
 /// The paper's Table 2 workload at test scale.
 fn run_quick(n: usize, seed: u64) -> ScenarioRunResult {
-    run_scenario(&mut UniformScenario::quick(n, seed), &quick_params())
+    run_scenario(&mut Workload::uniform_quick(n, seed), &quick_params())
 }
 
 #[test]
@@ -34,7 +34,7 @@ fn dp_achieves_reuse_via_mbb_matching() {
     let scale =
         ScenarioParams { n: 400, seed: 202, duration: 300, network: NetworkParams::tiny(202) };
     let mobility = PopulationParams { agility: 0.5, ..PopulationParams::paper_defaults(0, 0) };
-    let res = run_scenario(&mut UniformScenario::new(&scale, mobility), &quick_params());
+    let res = run_scenario(&mut Workload::uniform(&scale, mobility), &quick_params());
     let dp = res.dp.as_ref().unwrap();
     let max_dp_hot = dp.hot_segments().iter().map(|h| h.hotness).max().unwrap_or(0);
     assert!(max_dp_hot >= 2, "DP never reused a segment (max hotness {max_dp_hot})");
@@ -87,7 +87,7 @@ fn more_objects_grow_both_indexes() {
 fn larger_tolerance_shrinks_the_singlepath_index() {
     let run_eps = |eps| {
         let params = ScenarioRunParams { eps, ..quick_params() };
-        run_scenario(&mut UniformScenario::quick(250, 205), &params)
+        run_scenario(&mut Workload::uniform_quick(250, 205), &params)
     };
     let tight_res = run_eps(2.0);
     let loose_res = run_eps(20.0);

@@ -17,7 +17,7 @@ use hotpath_core::raytrace::ClientState;
 use hotpath_core::strategy::OverlapPolicy;
 use hotpath_core::time::Timestamp;
 use hotpath_core::ObjectId;
-use hotpath_netsim::scenario::{ScenarioParams, UniformScenario, REGISTRY};
+use hotpath_netsim::scenario::{ScenarioParams, Workload, REGISTRY};
 use hotpath_sim::scenario_run::{check_restart_parity, ScenarioRunParams};
 use proptest::prelude::*;
 
@@ -26,8 +26,11 @@ use proptest::prelude::*;
 fn every_scenario_survives_a_mid_run_restart() {
     for (i, spec) in REGISTRY.iter().enumerate() {
         let scale = ScenarioParams { n: 300, ..ScenarioParams::quick(41 + i as u64) };
-        check_restart_parity(|| (spec.build)(&scale), &ScenarioRunParams::default())
-            .unwrap_or_else(|e| panic!("{e}"));
+        check_restart_parity(
+            || Box::new(Workload::new(spec, &scale)),
+            &ScenarioRunParams::default(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -41,7 +44,7 @@ fn uniform_workload_survives_a_mid_run_restart() {
         ScenarioRunParams { hints: true, dp: true, ..table2.clone() },
         ScenarioRunParams { overlap: OverlapPolicy::Own, ..table2.clone() },
     ] {
-        check_restart_parity(|| Box::new(UniformScenario::quick(300, 47)), &params)
+        check_restart_parity(|| Box::new(Workload::uniform_quick(300, 47)), &params)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 }

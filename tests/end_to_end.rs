@@ -1,13 +1,13 @@
 //! End-to-end integration: the full RayTrace -> coordinator ->
 //! SinglePath -> top-k pipeline over the synthetic road workload.
 
-use hotpath_netsim::scenario::UniformScenario;
+use hotpath_netsim::scenario::Workload;
 use hotpath_sim::scenario_run::{run_scenario, ScenarioRunParams, ScenarioRunResult};
 
 /// The paper's Table 2 workload at test scale (`W = 50`).
 fn run_quick(n: usize, seed: u64) -> ScenarioRunResult {
     let params = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };
-    run_scenario(&mut UniformScenario::quick(n, seed), &params)
+    run_scenario(&mut Workload::uniform_quick(n, seed), &params)
 }
 
 #[test]
