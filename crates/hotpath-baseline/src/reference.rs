@@ -34,7 +34,6 @@ use hotpath_core::config::Config;
 use hotpath_core::coordinator::{EndpointResponse, HotPath};
 use hotpath_core::geometry::{Point, Rect, TimePoint};
 use hotpath_core::motion_path::{MotionPath, PathId};
-use hotpath_core::raytrace::hinted::PathHint;
 use hotpath_core::raytrace::ClientState;
 use hotpath_core::strategy::{CaseTally, OverlapPolicy};
 use hotpath_core::time::Timestamp;
@@ -159,7 +158,7 @@ impl Coordinator {
             .map(|(i, endpoint)| EndpointResponse {
                 object: states[i].object,
                 endpoint: TimePoint::new(endpoint, states[i].te),
-                hint: self.config.hints.then(|| self.hint(&endpoint)).flatten(),
+                hint: None,
             })
             .collect()
     }
@@ -237,15 +236,6 @@ impl Coordinator {
         });
         self.paths[j].crossings.push(te);
         self.paths[j].path.end()
-    }
-
-    /// The hottest path leaving the vertex of `p`, ties to the lower id.
-    fn hint(&self, p: &Point) -> Option<PathHint> {
-        let from = self.key(p);
-        let leaving = self.paths.iter().filter(|s| self.key(&s.path.start()) == from);
-        let best =
-            leaving.max_by(|a, b| a.hotness().cmp(&b.hotness()).then(b.path.id.cmp(&a.path.id)));
-        best.map(|s| PathHint { seg: s.path.seg })
     }
 
     /// Every stored path with its hotness, in id order.

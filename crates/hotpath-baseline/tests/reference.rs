@@ -19,8 +19,8 @@ use proptest::prelude::*;
 /// the FSA by a sub-grain amount that keeps vertex keys but can cross a
 /// cell border; `half` picks the FSA half-side, 0 making the FSA one
 /// point. Starts 0-3 are shared, 4 is the state's own, 5 a lattice
-/// point (so hints find paths leaving it); `late` 7 puts `te` outside
-/// the window already.
+/// point (so paths chain through vertices other paths end at); `late` 7
+/// puts `te` outside the window already.
 type Spec = (u8, u32, u32, u8, u8, u8, u8);
 
 fn state(
@@ -54,11 +54,10 @@ fn spec() -> impl Strategy<Value = Spec> {
     (0u8..8, 0u32..6, 0u32..6, 0u8..4, 0u8..6, 0u8..3, 0u8..8)
 }
 
-/// A response bit for bit: object, endpoint, `te`, hint segment.
-fn response(r: &EndpointResponse) -> (u64, [u64; 2], u64, Option<[u64; 4]>) {
+/// A response bit for bit: object, endpoint, `te`.
+fn response(r: &EndpointResponse) -> (u64, [u64; 2], u64) {
     let p = r.endpoint.p;
-    let hint = r.hint.map(|h| [h.seg.a.x, h.seg.a.y, h.seg.b.x, h.seg.b.y].map(f64::to_bits));
-    (r.object.0, [p.x.to_bits(), p.y.to_bits()], r.endpoint.t.raw(), hint)
+    (r.object.0, [p.x.to_bits(), p.y.to_bits()], r.endpoint.t.raw())
 }
 
 /// A path bit for bit: id, geometry, hotness.
@@ -80,14 +79,14 @@ proptest! {
     /// score, the same case tallies and degraded epochs. The schedules
     /// mix hub pile-ups with isolated FSAs, shared starts, sub-grain
     /// copies of one vertex across cell borders, late crossings and idle
-    /// gaps past the window, under both overlap policies with hints and
-    /// the degrade threshold each on or off; the core side is restarted
+    /// gaps past the window, under both overlap policies with the
+    /// degrade threshold on or off; the core side is restarted
     /// from its checkpoint bytes at a random epoch, pending batch
     /// included.
     #[test]
     fn coordinator_matches_the_full_scan_reference(
         epochs in prop::collection::vec((0u8..4, prop::collection::vec(spec(), 0..41)), 1..9),
-        (own, hints, degrade) in (0u8..2, 0u8..2, 0u8..25),
+        (own, degrade) in (0u8..2, 0u8..25),
         window in 10u64..40,
         k in 1usize..6,
         restart in 0usize..10,
@@ -97,7 +96,6 @@ proptest! {
             .window(window)
             .epoch(5)
             .k(k)
-            .hints(hints == 1)
             .overlap(if own == 1 { OverlapPolicy::Own } else { OverlapPolicy::Full });
         if degrade < 20 {
             builder = builder.degrade_threshold(degrade as usize + 1);

@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! experiments [fig7|fig8|fig9|fig10|claims|hinted|all]
+//! experiments [fig7|fig8|fig9|fig10|claims|all]
 //!             [--scale paper|mid|quick] [--csv <dir>]
 //! experiments scenario <name|all> [--scale ...] [--csv <dir>]
 //!             [--sigma s1,s2,...] [--fallback reject|minimal[:w]|all]
@@ -167,9 +167,8 @@ fn main() {
                 which = "scenario".to_string();
                 scenario_name = Some(name.clone());
             }
-            w @ ("fig7" | "fig8" | "fig9" | "fig10" | "claims" | "hinted" | "ablate"
-            | "filters" | "compress" | "uncertain" | "checkpoint-bench" | "swarm"
-            | "serve" | "all") => {
+            w @ ("fig7" | "fig8" | "fig9" | "fig10" | "claims" | "ablate" | "filters"
+            | "compress" | "uncertain" | "checkpoint-bench" | "swarm" | "serve" | "all") => {
                 which = w.to_string();
             }
             other => usage(&format!("unknown argument '{other}'")),
@@ -204,7 +203,6 @@ fn main() {
         "fig9" => fig9(scale),
         "fig10" => fig10_(scale),
         "claims" => claims(scale),
-        "hinted" => hinted(scale),
         "ablate" => ablate(scale),
         "filters" => filters(scale),
         "compress" => compress(),
@@ -218,7 +216,6 @@ fn main() {
             fig9(scale);
             fig10_(scale);
             claims(scale);
-            hinted(scale);
             ablate(scale);
             filters(scale);
             compress();
@@ -232,7 +229,7 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: experiments [fig7|fig8|fig9|fig10|claims|hinted|ablate|filters|compress|uncertain|checkpoint-bench|all] \
+        "usage: experiments [fig7|fig8|fig9|fig10|claims|ablate|filters|compress|uncertain|checkpoint-bench|all] \
          [--scale paper|mid|quick] [--csv <dir>]\n       \
          experiments scenario <name|all> [--scale paper|mid|quick] [--csv <dir>] \
          [--sigma s1,s2,...] [--fallback reject|minimal[:<w>]|all] \
@@ -518,32 +515,6 @@ fn claims(scale: Scale) {
         res.summary.uplink_msgs,
         res.summary.measurements,
         100.0 * (1.0 - res.summary.report_ratio)
-    );
-    println!();
-}
-
-/// The Section 7 feedback extension ablation.
-fn hinted(scale: Scale) {
-    println!("## Section 7 extension — hinted RayTrace ablation");
-    let n = scale.fig8_n();
-    let (workload, mobility, params) = scale.base(2011);
-    let params = ScenarioRunParams { dp: false, ..params };
-    let run = |params: &ScenarioRunParams| {
-        run_scenario(&mut Workload::uniform(&ScenarioParams { n, ..workload }, mobility), params)
-    };
-    let plain = run(&params);
-    let hinted = run(&ScenarioRunParams { hints: true, ..params });
-    println!(
-        "   plain : {:>8.0} paths, score {:>9.1}, case1 reuse {:>5.1}%",
-        plain.summary.mean_index_size,
-        plain.summary.mean_score,
-        100.0 * plain.coordinator.processing_stats().reuse_ratio()
-    );
-    println!(
-        "   hinted: {:>8.0} paths, score {:>9.1}, case1 reuse {:>5.1}%",
-        hinted.summary.mean_index_size,
-        hinted.summary.mean_score,
-        100.0 * hinted.coordinator.processing_stats().reuse_ratio()
     );
     println!();
 }

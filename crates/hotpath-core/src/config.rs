@@ -1,5 +1,5 @@
 //! Framework configuration: tolerance model, window, epochs, vertex
-//! grain, admission, and the coordinator's hint and overlap switches.
+//! grain, admission, and the coordinator's overlap switch.
 //!
 //! [`Config::paper_defaults`] is the paper's Table 2 parameterization.
 //! Every other [`Config`] comes from [`Config::builder`], which starts
@@ -209,9 +209,6 @@ pub struct Config {
     /// Session lifecycle and admission-control knobs (all off by
     /// default).
     pub admission: Admission,
-    /// Whether endpoint responses carry hot-path hints (the Section 7
-    /// feedback extension; off by default).
-    pub hints: bool,
     /// How Cases 2-3 use the epoch's FSA overlaps (Algorithm 2 as
     /// published by default; `Own` is the ablation).
     pub overlap: OverlapPolicy,
@@ -227,7 +224,6 @@ impl Config {
             k: 10,
             vertex_grain: 1e-3,
             admission: Admission::default(),
-            hints: false,
             overlap: OverlapPolicy::Full,
         }
     }
@@ -245,7 +241,6 @@ impl Config {
             k: config.k,
             vertex_grain: config.vertex_grain,
             admission: config.admission,
-            hints: config.hints,
             overlap: config.overlap,
             lease_set: false,
             cap_set: false,
@@ -347,7 +342,6 @@ pub struct ConfigBuilder {
     k: usize,
     vertex_grain: f64,
     admission: Admission,
-    hints: bool,
     overlap: OverlapPolicy,
     /// Whether `lease()` / `admission_cap()` / `degrade_threshold()`
     /// were called explicitly: an explicit zero is an error, while the
@@ -409,12 +403,6 @@ impl ConfigBuilder {
     pub fn degrade_threshold(mut self, threshold: usize) -> Self {
         self.admission.degrade_threshold = threshold;
         self.degrade_set = true;
-        self
-    }
-
-    /// Hot-path hints in endpoint responses.
-    pub fn hints(mut self, on: bool) -> Self {
-        self.hints = on;
         self
     }
 
@@ -481,7 +469,6 @@ impl ConfigBuilder {
             k: self.k,
             vertex_grain: self.vertex_grain,
             admission: self.admission,
-            hints: self.hints,
             overlap: self.overlap,
         })
     }
@@ -515,10 +502,8 @@ mod tests {
         assert_eq!(c.window.len, 50);
         assert_eq!(c.epochs.lambda, 5);
         assert_eq!(c.k, 20);
-        assert!(!c.hints);
         assert_eq!(c.overlap, OverlapPolicy::Full);
-        let c = Config::builder().hints(true).overlap(OverlapPolicy::Own).build().unwrap();
-        assert!(c.hints);
+        let c = Config::builder().overlap(OverlapPolicy::Own).build().unwrap();
         assert_eq!(c.overlap, OverlapPolicy::Own);
     }
 

@@ -31,13 +31,12 @@
 
 use crate::checkpoint::{
     Checkpoint, CheckpointBuilder, CheckpointError, ConfigRecord, SectionKind, StatsRecord,
-    FLAG_HINTS, FLAG_OVERLAP_OWN,
+    FLAG_OVERLAP_OWN,
 };
 use crate::config::{AdmissionPolicy, Config};
-use crate::geometry::{Point, TimePoint};
+use crate::geometry::TimePoint;
 use crate::index::PathTable;
 use crate::motion_path::{MotionPath, PathId};
-use crate::raytrace::hinted::PathHint;
 use crate::raytrace::ClientState;
 use crate::session::{SessionCounters, SessionEvent, SessionRecord, SessionTable};
 use crate::stats::{AdmissionStats, CommStats, ProcessingStats};
@@ -51,27 +50,22 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The endpoint message `<e, te>` returned to a reporting object at the
-/// next epoch, optionally with a hot-path hint (Section 7 extension).
+/// next epoch.
 #[derive(Clone, Copy, Debug)]
 pub struct EndpointResponse {
     /// Destination object.
     pub object: ObjectId,
     /// The endpoint timepoint seeding the object's next SSA.
     pub endpoint: TimePoint,
-    /// Optional feedback: the hottest path leaving the endpoint.
-    pub hint: Option<PathHint>,
+    /// Always `None`, and `Infallible` proves it: a leftover of the
+    /// removed hot-path hints, kept only until the frozen benchmark
+    /// harness, which still names it, is next revised. It takes no bytes.
+    pub hint: Option<std::convert::Infallible>,
 }
 
 impl EndpointResponse {
-    /// Wire size: one point, one timestamp, one object id...
+    /// Wire size: one point, one timestamp, one object id.
     pub const WIRE_BYTES: usize = 16 + 8 + 8;
-    /// ...plus a segment when a hint rides along.
-    pub const HINT_EXTRA_BYTES: usize = 32;
-
-    /// Payload bytes of this response.
-    pub fn wire_bytes(&self) -> usize {
-        Self::WIRE_BYTES + if self.hint.is_some() { Self::HINT_EXTRA_BYTES } else { 0 }
-    }
 }
 
 /// A hot path with its current hotness and score.
@@ -174,16 +168,13 @@ fn overlap_cell_of(config: &Config) -> f64 {
     (2.0 * config.tolerance.eps()).max(1e-6)
 }
 
-/// The checkpoint header flags of `config`'s hints and overlap switches.
+/// The checkpoint header flags of `config`'s overlap switch.
 fn flags_of(config: &Config) -> u32 {
-    let mut flags = 0;
-    if config.hints {
-        flags |= FLAG_HINTS;
-    }
     if config.overlap == OverlapPolicy::Own {
-        flags |= FLAG_OVERLAP_OWN;
+        FLAG_OVERLAP_OWN
+    } else {
+        0
     }
-    flags
 }
 
 /// The central coordinator.
@@ -462,28 +453,12 @@ impl Coordinator {
 
     /// Builds (and accounts) the endpoint response for one selection.
     fn respond(&mut self, sel: &Selection) -> EndpointResponse {
-        let hint = if self.config.hints {
-            self.hottest_from(&sel.endpoint).map(|p| PathHint { seg: p.seg })
-        } else {
-            None
-        };
-        let resp = EndpointResponse {
+        self.comm.record_downlink(EndpointResponse::WIRE_BYTES);
+        EndpointResponse {
             object: sel.object,
             endpoint: TimePoint::new(sel.endpoint, sel.te),
-            hint,
-        };
-        self.comm.record_downlink(resp.wire_bytes());
-        resp
-    }
-
-    /// The hottest path leaving the vertex at `p`, if any.
-    pub fn hottest_from(&self, p: &Point) -> Option<MotionPath> {
-        self.table
-            .paths_starting_at(p)
-            .iter()
-            .max_by_key(|e| (self.table.hotness(e.id), std::cmp::Reverse(e.id)))
-            .and_then(|e| self.table.get(e.id))
-            .copied()
+            hint: None,
+        }
     }
 
     /// Number of motion paths currently stored (the paper's *index size*
@@ -709,8 +684,8 @@ impl Coordinator {
     /// bit-for-bit where the checkpointed one left off. `config` must be
     /// the exact configuration the checkpoint was taken under: the
     /// embedded echo is compared field by field, and the header flags
-    /// against the config's hints and overlap switches, so a warm start
-    /// can never switch hints on under clients that do not read them.
+    /// against the config's overlap switch, so a warm start can never
+    /// change the overlap policy or carry a retired flag.
     ///
     /// The paths go into a fresh table in id order, each with as many
     /// crossings as it has expiry events, and the events re-enter the
@@ -731,8 +706,8 @@ impl Coordinator {
         let header = *ck.header();
         if header.flags != flags_of(&config) {
             return Err(CheckpointError::ConfigMismatch(format!(
-                "checkpoint flags {:#x}, coordinator runs hints {} and overlap {:?}",
-                header.flags, config.hints, config.overlap
+                "checkpoint flags {:#x}, coordinator runs overlap {:?}",
+                header.flags, config.overlap
             )));
         }
         let cfg_rec: Vec<ConfigRecord> = ck.section(SectionKind::Config)?;
@@ -816,7 +791,7 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::Rect;
+    use crate::geometry::{Point, Rect};
     use crate::index::ExpiryEvent;
     use crate::session::SessionTransition;
 
@@ -845,7 +820,6 @@ mod tests {
         let r1 = responses.iter().find(|r| r.object == ObjectId(1)).unwrap();
         assert_eq!(r1.endpoint.t, Timestamp(8));
         assert!((r1.endpoint.p.x - 50.0).abs() <= 2.0);
-        assert!(r1.hint.is_none());
     }
 
     #[test]
@@ -898,29 +872,6 @@ mod tests {
         assert_eq!(comm.uplink_bytes, ClientState::WIRE_BYTES as u64);
         assert_eq!(comm.downlink_msgs, 1);
         assert_eq!(comm.downlink_bytes, EndpointResponse::WIRE_BYTES as u64);
-    }
-
-    #[test]
-    fn hints_report_hottest_outgoing_path() {
-        let mut c = Coordinator::new(Config::builder().hints(true).build().unwrap());
-        // Build a hot corridor out of the vertex (50, 0): two chained
-        // reports.
-        for obj in 0..4u64 {
-            c.submit(state(obj, (50.0, 0.0), (100.0, 0.0), 0, 5));
-        }
-        let _ = c.process_epoch(Timestamp(10));
-        // Now an object lands on vertex (50, 0): its response should
-        // hint at the hot outgoing path.
-        c.submit(state(9, (0.0, 0.0), (50.0, 0.0), 10, 15));
-        let responses = c.process_epoch(Timestamp(20));
-        let r = &responses[0];
-        let hint = r.hint.expect("hint expected");
-        assert_eq!(hint.seg.a, Point::new(50.0, 0.0));
-        assert_eq!(hint.seg.b, Point::new(100.0, 0.0));
-        assert_eq!(
-            r.wire_bytes(),
-            EndpointResponse::WIRE_BYTES + EndpointResponse::HINT_EXTRA_BYTES
-        );
     }
 
     #[test]
@@ -1007,7 +958,7 @@ mod tests {
     /// checkpoint taken with a *pending* (undrained) batch.
     #[test]
     fn checkpoint_roundtrip_continues_bit_for_bit() {
-        let config = Config::builder().k(5).hints(true).build().unwrap();
+        let config = Config::builder().k(5).build().unwrap();
         let mut live = Coordinator::new(config);
         let mut s = 7u64;
         let mut rand = move || {
@@ -1092,34 +1043,30 @@ mod tests {
         ));
     }
 
-    /// The header flags are written from the config: one bit per switch,
-    /// for all four (hints, overlap) combinations.
+    /// The header flags are written from the config: bit 1 for the
+    /// `Own` overlap policy, and never the retired bit 0.
     #[test]
     fn checkpoint_flags_follow_the_config_switches() {
-        for (hints, overlap, flags) in [
-            (false, OverlapPolicy::Full, 0),
-            (true, OverlapPolicy::Full, FLAG_HINTS),
-            (false, OverlapPolicy::Own, FLAG_OVERLAP_OWN),
-            (true, OverlapPolicy::Own, FLAG_HINTS | FLAG_OVERLAP_OWN),
-        ] {
-            let config = Config::builder().hints(hints).overlap(overlap).build().unwrap();
+        for (overlap, flags) in [(OverlapPolicy::Full, 0), (OverlapPolicy::Own, FLAG_OVERLAP_OWN)] {
+            let config = Config::builder().overlap(overlap).build().unwrap();
             let image = Coordinator::new(config).checkpoint();
-            assert_eq!(image.header().flags, flags, "hints {hints}, overlap {overlap:?}");
+            assert_eq!(image.header().flags, flags, "overlap {overlap:?}");
             Coordinator::from_checkpoint(config, &image).unwrap();
         }
     }
 
-    /// A hints image restored under a hints-off config is refused: the
-    /// warm start would otherwise answer plain clients with hints.
+    /// An image restored under the other overlap policy is refused, in
+    /// both directions: the warm start would otherwise switch Cases 2-3
+    /// to a policy the run never used.
     #[test]
     fn restore_refuses_switches_the_config_does_not_set() {
-        let hinted = Config::builder().hints(true).build().unwrap();
-        let image = Coordinator::new(hinted).checkpoint();
-        let result = Coordinator::from_checkpoint(Config::paper_defaults(), &image);
-        assert!(matches!(result, Err(CheckpointError::ConfigMismatch(_))), "{result:?}");
-        let own = Config::builder().hints(true).overlap(OverlapPolicy::Own).build().unwrap();
-        let result = Coordinator::from_checkpoint(own, &image);
-        assert!(matches!(result, Err(CheckpointError::ConfigMismatch(_))), "{result:?}");
+        let own = Config::builder().overlap(OverlapPolicy::Own).build().unwrap();
+        let full = Config::paper_defaults();
+        for (taken, restored) in [(own, full), (full, own)] {
+            let image = Coordinator::new(taken).checkpoint();
+            let result = Coordinator::from_checkpoint(restored, &image);
+            assert!(matches!(result, Err(CheckpointError::ConfigMismatch(_))), "{result:?}");
+        }
     }
 
     /// A small image to forge: three paths, one of them crossed twice.

@@ -107,10 +107,17 @@ impl EndpointGrid {
     /// through [`PathTable::end_vertices_into`](super::PathTable::end_vertices_into)
     /// (Alg. 2 line 51). Visit order is cell by cell, then each cell's
     /// insert/remove history — not canonical, so callers group and rank
-    /// by order-free rules.
+    /// by order-free rules. A range spanning more cells than are
+    /// occupied walks the occupied cells instead, so the cost is bounded
+    /// by the stored entries however large the range.
     pub fn for_each_in(&self, range: &Rect, mut f: impl FnMut(&Entry)) {
         let lo = self.key_of(&range.lo());
         let hi = self.key_of(&range.hi());
+        let span = |a: i64, b: i64| (i128::from(b) - i128::from(a) + 1) as u128;
+        if span(lo.0, hi.0).saturating_mul(span(lo.1, hi.1)) > self.cells.len() as u128 {
+            self.cells.values().flatten().filter(|e| range.contains(&e.endpoint)).for_each(f);
+            return;
+        }
         for cx in lo.0..=hi.0 {
             for cy in lo.1..=hi.1 {
                 let Some(slot) = self.cells.get(&(cx, cy)) else { continue };
@@ -196,6 +203,9 @@ mod tests {
             Rect::new(Point::new(-50.0, -45.0), Point::new(49.0, 44.0)),
             Rect::new(Point::new(30.0, 30.0), Point::new(31.0, 31.0)),
             Rect::point(Point::new(0.0, 0.0)),
+            // Far more cells than are occupied: the occupied-cell walk.
+            Rect::new(Point::new(-1e6, -1e6), Point::new(1e6, 1e6)),
+            Rect::new(Point::new(-1e6, -1e6), Point::new(1e6, 0.0)),
         ];
         for r in ranges {
             let mut got: Vec<u64> = g.query(&r).iter().map(|e| e.path.0).collect();
@@ -205,6 +215,7 @@ mod tests {
             want.sort_unstable();
             assert_eq!(got, want, "range {r:?}");
         }
+        assert!(EndpointGrid::new(7.0).query(&ranges[4]).is_empty(), "empty grid");
     }
 
     #[test]

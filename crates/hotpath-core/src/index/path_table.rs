@@ -406,7 +406,7 @@ impl PathTable {
         });
     }
 
-    /// Paths leaving the vertex of `p` (hinted-extension adjacency).
+    /// Paths leaving the vertex of `p`: the adjacency Case 1 filters.
     pub fn paths_starting_at(&self, p: &Point) -> &[OutEdge] {
         self.out_adj.get(&self.vertex_key(p)).map_or(&[], Vec::as_slice)
     }

@@ -135,8 +135,7 @@ impl RayTraceCore {
         }
     }
 
-    /// Read access to the current SSA (exposed for tests and the hinted
-    /// extension).
+    /// Read access to the current SSA (exposed for tests).
     pub fn ssa(&self) -> &Ssa {
         &self.ssa
     }
@@ -167,19 +166,6 @@ impl RayTraceCore {
         } else {
             Some(self.violate(obs))
         }
-    }
-
-    /// [`Self::observe_rect`] for an observation that must not cause a
-    /// violation: while waiting it is buffered, otherwise it is offered
-    /// to the SSA; `false` when it escapes, leaving the filter exactly as
-    /// it was ([`Ssa::try_extend`] commits only on success).
-    pub(super) fn offer_rect(&mut self, t: Timestamp, rect: Rect) -> bool {
-        let obs = Obs { t, rect };
-        if self.waiting {
-            self.buffer(obs);
-            return true;
-        }
-        self.absorb(&obs)
     }
 
     /// Delivers the coordinator's endpoint timepoint (next-epoch reply,

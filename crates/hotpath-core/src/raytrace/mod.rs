@@ -1,8 +1,7 @@
-//! The client-side RayTrace filter (Section 4): SSA maintenance, the
-//! Algorithm 1 state machine, and the Section 7 hinted extension.
+//! The client-side RayTrace filter (Section 4): SSA maintenance and the
+//! Algorithm 1 state machine.
 
 mod filter;
-pub mod hinted;
 mod ssa;
 
 pub use filter::{ClientState, FilterStats, RayTraceCore, RayTraceFilter, UncertainRayTraceFilter};

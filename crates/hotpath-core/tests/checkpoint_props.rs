@@ -9,7 +9,6 @@
 
 use hotpath_core::checkpoint::{
     crc32, Checkpoint, CheckpointBuilder, CheckpointError, ConfigRecord, SectionKind, StatsRecord,
-    FLAG_HINTS,
 };
 use hotpath_core::config::Config;
 use hotpath_core::coordinator::Coordinator;
@@ -38,7 +37,7 @@ const BYTES_AT: usize = 16;
 const CRC_AT: usize = 24;
 
 fn config() -> Config {
-    Config::builder().window(60).k(4).lease(30, 10).hints(true).build().unwrap()
+    Config::builder().window(60).k(4).lease(30, 10).build().unwrap()
 }
 
 /// A valid v5 image with every section kind: sessions on, paths that
@@ -204,8 +203,8 @@ fn resealed_forgeries_are_rejected_structurally() {
         ("version 4", Box::new(|b| update_u32(b, VERSION_AT, |_| 4)), bad_version),
         ("version 6", Box::new(|b| update_u32(b, VERSION_AT, |_| 6)), bad_version),
         (
-            "the hints flag cleared",
-            Box::new(|b| update_u32(b, FLAGS_AT, |f| f & !FLAG_HINTS)),
+            "the retired hints bit",
+            Box::new(|b| update_u32(b, FLAGS_AT, |f| f | 1)),
             config_mismatch,
         ),
         ("an unknown flag", Box::new(|b| update_u32(b, FLAGS_AT, |f| f | 1 << 7)), config_mismatch),

@@ -12,7 +12,6 @@ use hotpath_core::coordinator::Coordinator;
 use hotpath_core::geometry::{Point, Rect, Segment, TimePoint};
 use hotpath_core::index::{ExpiryEvent, PathTable};
 use hotpath_core::motion_path::{MotionPath, PathId};
-use hotpath_core::raytrace::hinted::{HintedRayTraceFilter, PathHint};
 use hotpath_core::raytrace::{
     ClientState, FilterStats, RayTraceCore, RayTraceFilter, Ssa, UncertainRayTraceFilter,
 };
@@ -615,17 +614,9 @@ struct QueueUncertain {
     table: ToleranceTable2D,
 }
 
-/// PR 18's `HintedRayTraceFilter` over [`QueueCore`].
-struct QueueHinted {
-    core: QueueCore,
-    eps: f64,
-    hint: Option<Rect>,
-    narrowed: u64,
-}
-
 /// One step of the shared schedule: `(kind, dx, dy, a, b, delay, u, v)`.
 /// `kind` picks the time gap, the turns, the degenerate rectangles, and
-/// whether a response is quick and carries a hint; `(dx, dy)` wobbles
+/// whether a response is quick; `(dx, dy)` wobbles
 /// and steers; `(a, b)` size the rectangle or the noise; a report issued
 /// at this step is answered `delay` observations late, at the point
 /// `(u, v)` of its FSA.
@@ -654,22 +645,20 @@ struct View {
     stats: FilterStats,
     /// The core's `(buffered_len, start, ts, te, fsa)`, where exposed.
     core: Option<(usize, Point, Timestamp, Timestamp, Rect)>,
-    /// The hinted filter's `(narrowed_count, hint_active, fsa)`.
-    hinted: Option<(u64, bool, Rect)>,
 }
 
 /// A filter variant under the shared schedule: how it turns a step at
-/// position `pos` into an observation, how it takes a response (`hint`
-/// is ignored by the variants without one), and what it exposes.
+/// position `pos` into an observation, how it takes a response, and
+/// what it exposes.
 trait Variant {
     fn observe(&mut self, step: &Step, pos: Point, t: Timestamp) -> Option<ClientState>;
-    fn receive(&mut self, endpoint: TimePoint, hint: Option<PathHint>) -> Option<ClientState>;
+    fn receive(&mut self, endpoint: TimePoint) -> Option<ClientState>;
     fn view(&self) -> View;
 
     fn call(&mut self, call: Call<'_>) -> Option<ClientState> {
         match call {
             Call::Observe(step, pos, t) => self.observe(step, pos, t),
-            Call::Receive(endpoint, hint) => self.receive(endpoint, hint),
+            Call::Receive(endpoint) => self.receive(endpoint),
         }
     }
 }
@@ -678,7 +667,7 @@ trait Variant {
 #[derive(Clone, Copy, Debug)]
 enum Call<'a> {
     Observe(&'a Step, Point, Timestamp),
-    Receive(TimePoint, Option<PathHint>),
+    Receive(TimePoint),
 }
 
 /// The rectangle the core variants observe at a step: 4 to 16 m a
@@ -706,14 +695,14 @@ fn step_table(eps: f64, fallback: FallbackPolicy) -> ToleranceTable2D {
 
 fn core_view(waiting: bool, stats: FilterStats, buffered: usize, ssa: &Ssa) -> View {
     let core = (buffered, ssa.start(), ssa.start_time(), ssa.end_time(), ssa.fsa());
-    View { waiting, stats, core: Some(core), hinted: None }
+    View { waiting, stats, core: Some(core) }
 }
 
 impl Variant for RayTraceCore {
     fn observe(&mut self, step: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
         self.observe_rect(t, step_rect(step, pos))
     }
-    fn receive(&mut self, endpoint: TimePoint, _: Option<PathHint>) -> Option<ClientState> {
+    fn receive(&mut self, endpoint: TimePoint) -> Option<ClientState> {
         self.receive_endpoint(endpoint)
     }
     fn view(&self) -> View {
@@ -725,7 +714,7 @@ impl Variant for QueueCore {
     fn observe(&mut self, step: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
         self.observe_rect(t, step_rect(step, pos))
     }
-    fn receive(&mut self, endpoint: TimePoint, _: Option<PathHint>) -> Option<ClientState> {
+    fn receive(&mut self, endpoint: TimePoint) -> Option<ClientState> {
         self.receive_endpoint(endpoint)
     }
     fn view(&self) -> View {
@@ -738,11 +727,11 @@ impl Variant for (UncertainRayTraceFilter, f64) {
     fn observe(&mut self, step: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
         self.0.observe_gaussian(step_gaussian(step, pos, self.1), t)
     }
-    fn receive(&mut self, endpoint: TimePoint, _: Option<PathHint>) -> Option<ClientState> {
+    fn receive(&mut self, endpoint: TimePoint) -> Option<ClientState> {
         self.0.receive_endpoint(endpoint)
     }
     fn view(&self) -> View {
-        View { waiting: self.0.is_waiting(), stats: self.0.stats(), core: None, hinted: None }
+        View { waiting: self.0.is_waiting(), stats: self.0.stats(), core: None }
     }
 }
 
@@ -750,7 +739,7 @@ impl Variant for RayTraceFilter {
     fn observe(&mut self, _: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
         RayTraceFilter::observe(self, TimePoint::new(pos, t))
     }
-    fn receive(&mut self, endpoint: TimePoint, _: Option<PathHint>) -> Option<ClientState> {
+    fn receive(&mut self, endpoint: TimePoint) -> Option<ClientState> {
         self.receive_endpoint(endpoint)
     }
     fn view(&self) -> View {
@@ -770,64 +759,11 @@ impl Variant for QueueUncertain {
             }
         }
     }
-    fn receive(&mut self, endpoint: TimePoint, _: Option<PathHint>) -> Option<ClientState> {
+    fn receive(&mut self, endpoint: TimePoint) -> Option<ClientState> {
         self.core.receive_endpoint(endpoint)
     }
     fn view(&self) -> View {
-        View { waiting: self.core.waiting, stats: self.core.stats, core: None, hinted: None }
-    }
-}
-
-impl Variant for HintedRayTraceFilter {
-    fn observe(&mut self, _: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
-        HintedRayTraceFilter::observe(self, TimePoint::new(pos, t))
-    }
-    fn receive(&mut self, endpoint: TimePoint, hint: Option<PathHint>) -> Option<ClientState> {
-        self.receive_endpoint(endpoint, hint)
-    }
-    fn view(&self) -> View {
-        let hinted = (self.narrowed_count(), self.hint_active(), self.fsa());
-        View { waiting: self.is_waiting(), stats: self.stats(), core: None, hinted: Some(hinted) }
-    }
-}
-
-impl Variant for QueueHinted {
-    fn observe(&mut self, _: &Step, pos: Point, t: Timestamp) -> Option<ClientState> {
-        let square = Rect::tolerance_square(pos, self.eps);
-        if let Some(corridor) = self.hint {
-            if let Some(narrow) = square.intersection(&corridor) {
-                let mut probe = self.core.clone();
-                if probe.observe_rect(t, narrow).is_none() {
-                    self.core = probe;
-                    self.narrowed += 1;
-                    return None;
-                }
-            } else {
-                self.hint = None;
-            }
-        }
-        let out = self.core.observe_rect(t, square);
-        if out.is_some() {
-            self.hint = None;
-        }
-        out
-    }
-    fn receive(&mut self, endpoint: TimePoint, hint: Option<PathHint>) -> Option<ClientState> {
-        self.hint = hint.map(|h| h.seg.mbb().expand(self.eps));
-        let out = self.core.receive_endpoint(endpoint);
-        if out.is_some() {
-            self.hint = None;
-        }
-        out
-    }
-    fn view(&self) -> View {
-        let hinted = (self.narrowed, self.hint.is_some(), self.core.ssa.fsa());
-        View {
-            waiting: self.core.waiting,
-            stats: self.core.stats,
-            core: None,
-            hinted: Some(hinted),
-        }
+        View { waiting: self.core.waiting, stats: self.core.stats, core: None }
     }
 }
 
@@ -841,14 +777,13 @@ fn walk(
 ) -> Result<(), TestCaseError> {
     let (mut pos, mut vel, mut t) = (Point::new(0.0, 0.0), Point::new(6.0, 0.0), 0u64);
     // The unanswered report: the state, the observations still to pass
-    // before its response, and the FSA point and hint the response uses.
-    let mut pending: Option<(ClientState, usize, Point, Option<PathHint>)> = None;
+    // before its response, and the FSA point the response uses.
+    let mut pending: Option<(ClientState, usize, Point)> = None;
     for step in schedule {
         let &(kind, dx, dy, _, _, delay, u, v) = step;
         let wobble = Point::new(dx, dy);
         match kind {
-            // A turn, every other one onto an axis (where a hint's
-            // corridor is at its tightest).
+            // A turn, every other one onto an axis.
             22 => vel = wobble * 14.0,
             23 => vel = Point::new(dx * 14.0, 0.0),
             _ => {}
@@ -857,15 +792,14 @@ fn walk(
         let answer = |state: ClientState| {
             let (fsa, snap) = (state.fsa, |x: f64| if kind % 3 == 0 { x.round() } else { x });
             let at = fsa.lo() + Point::new(snap(u) * fsa.width(), snap(v) * fsa.height());
-            let hint = (kind % 4 != 0).then(|| PathHint { seg: Segment::new(at, at + vel * 20.0) });
-            (state, if kind % 2 == 0 { delay % 3 } else { delay }, at, hint)
+            (state, if kind % 2 == 0 { delay % 3 } else { delay }, at)
         };
-        while let Some((state, wait, at, hint)) = pending.take() {
+        while let Some((state, wait, at)) = pending.take() {
             if wait > 0 {
-                pending = Some((state, wait - 1, at, hint));
+                pending = Some((state, wait - 1, at));
                 break;
             }
-            pending = filter(Call::Receive(TimePoint::new(at, state.te), hint))?.map(answer);
+            pending = filter(Call::Receive(TimePoint::new(at, state.te)))?.map(answer);
         }
         pos = pos + vel * dt as f64 + wobble;
         t += dt;
@@ -929,13 +863,11 @@ proptest! {
     /// through every public accessor, after every call, under late
     /// responses (0..=40 observations), endpoints anywhere in the FSA
     /// (corners included), backlogs that re-violate on delivery, and
-    /// zero-width / zero-area rectangles. The uncertain (drops) and
-    /// hinted (narrow, then retry plain) wrappers run the same schedule
-    /// against their PR 18 selves. As measured on the fixed-seed cases
-    /// (16 253 observations per variant): 4 411 responses, two in three
-    /// of which re-violate on delivery and 1 590 of the core's meet a
-    /// backlog beyond the violator; 499 squares are strictly narrowed by
-    /// a hint and 11 narrowings are retried plain.
+    /// zero-width / zero-area rectangles. The uncertain wrapper (drops)
+    /// runs the same schedule against its always-queue self. As measured
+    /// on the fixed-seed cases (16 253 observations per variant): 4 411
+    /// responses, two in three of which re-violate on delivery and 1 590
+    /// of the core's meet a backlog beyond the violator.
     #[test]
     fn direct_path_filter_matches_always_queue_filter(schedule in steps(160)) {
         let seed = TimePoint::new(Point::new(0.0, 0.0), Timestamp(0));
@@ -951,13 +883,6 @@ proptest! {
         drive_pair(
             &mut (UncertainRayTraceFilter::new(object, seed, table.clone()), 10.0),
             &mut QueueUncertain { core: QueueCore::new(object, seed), table },
-            &schedule,
-        )?;
-
-        let eps = 4.0;
-        drive_pair(
-            &mut HintedRayTraceFilter::new(object, seed, eps),
-            &mut QueueHinted { core: QueueCore::new(object, seed), eps, hint: None, narrowed: 0 },
             &schedule,
         )?;
     }

@@ -8,8 +8,7 @@
 //! and endpoints come back at the epoch boundary.
 //!
 //! Crisp mode (`sigma = 0`) feeds the scenario's own measurements
-//! (population noise included) through [`RayTraceFilter`]s, or through
-//! [`HintedRayTraceFilter`]s with the Section 7 hint extension on.
+//! (population noise included) through [`RayTraceFilter`]s.
 //! Uncertain mode (`sigma > 0`) replaces the sensor model: each true
 //! position is re-measured by a Gaussian device with the given sigma and
 //! flows through [`UncertainRayTraceFilter`]s, so one scenario exercises
@@ -27,7 +26,6 @@ use hotpath_core::config::{Config, Tolerance};
 use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
 use hotpath_core::engine::{Engine, EngineKind};
 use hotpath_core::geometry::TimePoint;
-use hotpath_core::raytrace::hinted::HintedRayTraceFilter;
 use hotpath_core::raytrace::{ClientState, FilterStats, RayTraceFilter, UncertainRayTraceFilter};
 use hotpath_core::strategy::OverlapPolicy;
 use hotpath_core::time::Timestamp;
@@ -96,8 +94,6 @@ pub struct ScenarioRunParams {
     /// [`hotpath_netsim::scenario::FaultWindow`]s; runs are
     /// deterministic per seed.
     pub fault_seed: u64,
-    /// Enable the Section 7 hint feedback extension (crisp clients only).
-    pub hints: bool,
     /// Run the DP competitor (`nopw` endpoints) on the same raw stream.
     pub dp: bool,
     /// SinglePath Cases-2/3 overlap policy (ablation hook).
@@ -117,7 +113,6 @@ impl Default for ScenarioRunParams {
             noise_seed: 0x5eed,
             checkpoint: CheckpointPolicy::default(),
             fault_seed: FaultPlan::DEFAULT_SEED,
-            hints: false,
             dp: false,
             overlap: OverlapPolicy::Full,
         }
@@ -146,7 +141,6 @@ impl ScenarioRunParams {
             .window(self.window.unwrap_or_else(|| scenario.window_hint()))
             .epoch(self.epoch)
             .k(self.k)
-            .hints(self.hints)
             .overlap(self.overlap);
         if admission.lease > 0 {
             builder = builder.lease(admission.lease, admission.grace);
@@ -179,10 +173,9 @@ pub struct ScenarioRunResult {
     pub dp: Option<DpHotSegments>,
 }
 
-/// One client filter: crisp, hinted, or uncertain.
+/// One client filter: crisp or uncertain.
 enum Client {
     Crisp(RayTraceFilter),
-    Hinted(HintedRayTraceFilter),
     Uncertain(UncertainRayTraceFilter),
 }
 
@@ -192,14 +185,12 @@ impl Client {
     /// from a freshly joined one).
     fn fresh(
         table: &Option<ToleranceTable2D>,
-        hints: bool,
         eps: f64,
         obj: ObjectId,
         seed_tp: TimePoint,
     ) -> Client {
         match table {
             Some(t) => Client::Uncertain(UncertainRayTraceFilter::new(obj, seed_tp, t.clone())),
-            None if hints => Client::Hinted(HintedRayTraceFilter::new(obj, seed_tp, eps)),
             None => Client::Crisp(RayTraceFilter::new(obj, seed_tp, eps)),
         }
     }
@@ -207,7 +198,6 @@ impl Client {
     fn receive(&mut self, resp: &EndpointResponse) -> Option<ClientState> {
         match self {
             Client::Crisp(f) => f.receive_endpoint(resp.endpoint),
-            Client::Hinted(f) => f.receive_endpoint(resp.endpoint, resp.hint),
             Client::Uncertain(f) => f.receive_endpoint(resp.endpoint),
         }
     }
@@ -215,7 +205,6 @@ impl Client {
     fn stats(&self) -> FilterStats {
         match self {
             Client::Crisp(f) => f.stats(),
-            Client::Hinted(f) => f.stats(),
             Client::Uncertain(f) => f.stats(),
         }
     }
@@ -242,7 +231,6 @@ struct ScenarioDriver<'a> {
     plan: FaultPlan,
     /// Filter factory inputs for client reconnects.
     table: Option<ToleranceTable2D>,
-    hints: bool,
     eps: f64,
     /// Clients whose last suppression was a `Disconnect`: their next
     /// surviving measurement reseeds a fresh filter (new session).
@@ -268,7 +256,6 @@ impl ScenarioDriver<'_> {
         let idx = m.object.0 as usize;
         let state = match &mut self.clients[idx] {
             Client::Crisp(f) => f.observe(m.observed),
-            Client::Hinted(f) => f.observe(m.observed),
             Client::Uncertain(f) => {
                 // The Gaussian device re-measures the true position; the
                 // scenario's own (uniform) sensor noise is replaced, not
@@ -318,8 +305,7 @@ impl ScenarioDriver<'_> {
                 // joining mid-run (the coordinator sees a resubmission
                 // or, after an ejection, a brand-new session).
                 self.retired.merge(&self.clients[idx].stats());
-                self.clients[idx] =
-                    Client::fresh(&self.table, self.hints, self.eps, m.object, m.observed);
+                self.clients[idx] = Client::fresh(&self.table, self.eps, m.object, m.observed);
                 self.disconnected[idx] = false;
                 self.awaiting_since[idx] = None;
                 continue;
@@ -438,7 +424,7 @@ pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> 
         .map(|i| {
             let obj = ObjectId(i as u64);
             let seed_tp = scenario.seed_timepoint(obj, Timestamp(0));
-            Client::fresh(&table, params.hints, params.eps, obj, seed_tp)
+            Client::fresh(&table, params.eps, obj, seed_tp)
         })
         .collect();
     let mut engine = EngineKind::Sync.build(Coordinator::new(config));
@@ -456,7 +442,6 @@ pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> 
         measurements: 0,
         plan,
         table,
-        hints: params.hints,
         eps: params.eps,
         disconnected: vec![false; n],
         awaiting_since: vec![None; n],
@@ -710,14 +695,6 @@ mod tests {
         // And there are at least as many pending expiry events as hot
         // paths (each live path holds >= 1 live crossing).
         assert!(res.coordinator.pending_expiry_events() >= res.coordinator.hot_count());
-    }
-
-    #[test]
-    fn hinted_mode_runs() {
-        let params = ScenarioRunParams { hints: true, dp: false, ..quick_table2() };
-        let res = run_scenario(&mut Workload::uniform_quick(100, 6), &params);
-        assert!(res.coordinator.index_size() > 0);
-        assert!(res.dp.is_none());
     }
 
     #[test]

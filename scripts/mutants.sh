@@ -54,6 +54,10 @@ mutants=(
   'for cy in lo.1..=hi.1 {'
   'for cy in lo.1..hi.1 {'
 
+  sparse_grid_walk_skips_the_range_check "$core/index/grid.rs"
+  '.filter(|e| range.contains(&e.endpoint))'
+  ''
+
   fsa_rebuild_keeps_the_last_batch "$core/strategy/overlap.rs"
   'self.rects.clear();'
   ''

@@ -34,16 +34,13 @@ fn every_scenario_survives_a_mid_run_restart() {
     }
 }
 
-/// Restart parity reaches the Table 2 workload: once with hinted
-/// clients and the DP competitor, once under the own-centroid overlap
-/// policy (whose flag must survive the checkpoint image).
+/// Restart parity reaches the Table 2 workload: once with the DP
+/// competitor, once under the own-centroid overlap policy (whose flag
+/// must survive the checkpoint image).
 #[test]
 fn uniform_workload_survives_a_mid_run_restart() {
     let table2 = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };
-    for params in [
-        ScenarioRunParams { hints: true, dp: true, ..table2.clone() },
-        ScenarioRunParams { overlap: OverlapPolicy::Own, ..table2.clone() },
-    ] {
+    for params in [table2.clone(), ScenarioRunParams { overlap: OverlapPolicy::Own, ..table2 }] {
         check_restart_parity(|| Box::new(Workload::uniform_quick(300, 47)), &params)
             .unwrap_or_else(|e| panic!("{e}"));
     }

@@ -9,9 +9,8 @@
 
 use hotpath_core::config::Config;
 use hotpath_core::coordinator::Coordinator;
-use hotpath_core::geometry::{Point, Rect, Segment, TimePoint};
+use hotpath_core::geometry::{Point, Rect, TimePoint};
 use hotpath_core::index::PathTable;
-use hotpath_core::raytrace::hinted::{HintedRayTraceFilter, PathHint};
 use hotpath_core::raytrace::{ClientState, RayTraceFilter, UncertainRayTraceFilter};
 use hotpath_core::strategy::{FsaSet, QueryScratch};
 use hotpath_core::time::{SlidingWindow, Timestamp};
@@ -164,32 +163,6 @@ fn uncertain_filters_built_from_one_table_do_not_allocate() {
     });
     assert_eq!(n, 0, "building 1 000 uncertain filters from one table allocated");
     assert_eq!(fleet.len(), 1_000);
-}
-
-/// A hinted filter offers each narrowed square to the SSA in place: no
-/// scratch copy of the filter, whose backlog is on the heap once it has
-/// violated.
-#[test]
-fn a_hinted_filter_absorbs_without_allocating_after_a_violation() {
-    let eps = 2.0;
-    let mut f = HintedRayTraceFilter::new(ObjectId(3), tp(0.0, 0.0, 0), eps);
-    // A westward feint, then an eastward jump: the violator (5, 1)@2 is
-    // buffered and seeds the SSA after the endpoint.
-    assert!(f.observe(tp(-5.0, 0.0, 1)).is_none());
-    assert!(f.observe(tp(5.0, 1.0, 2)).is_some(), "the jump must violate");
-    let hint = PathHint { seg: Segment::new(Point::new(0.0, 0.0), Point::new(1e5, 0.0)) };
-    assert!(f.receive_endpoint(tp(0.0, 0.0, 1), Some(hint)).is_none());
-
-    // East along y = 1, inside the corridor: every square is narrowed.
-    let (n, ()) = allocs_in(|| {
-        for t in 3..=10_002u64 {
-            assert!(f.observe(tp(5.0 * (t - 1) as f64, 1.0, t)).is_none(), "report at t={t}");
-        }
-    });
-    assert_eq!(n, 0, "10 000 hinted observations after a violation allocated");
-    assert_eq!(f.narrowed_count(), 10_000);
-    assert!(f.hint_active());
-    assert_eq!(f.stats().absorbed, 1 + 1 + 10_000);
 }
 
 /// Number of paths [`a_restore_allocates_at_most_16_times_its_image`]
