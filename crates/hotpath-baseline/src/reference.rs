@@ -20,8 +20,9 @@
 //! * **Case 3**: a vertex at the centroid of the deepest region of the
 //!   batch's FSAs inside this FSA ([`max_depth_region`]), which must be
 //!   strictly deeper than the best existing rank; under
-//!   [`OverlapPolicy::Own`], the FSA's own centroid at rank 1. Vertex
-//!   ties go to existing vertices, then the smaller `(x, y)`.
+//!   [`OverlapPolicy::Own`] (a degraded epoch), the FSA's own centroid
+//!   at rank 1. Vertex ties go to existing vertices, then the smaller
+//!   `(x, y)`.
 //!
 //! Hotness is the number of crossings with `te + W > now` at the last
 //! [`Coordinator::advance_time`]: a crossing recorded already outside
@@ -108,7 +109,7 @@ impl Coordinator {
             self.degraded_epochs += 1;
             OverlapPolicy::Own
         } else {
-            self.config.overlap
+            OverlapPolicy::Full
         };
         let fsas: Vec<Rect> = states.iter().map(|s| s.fsa).collect();
 

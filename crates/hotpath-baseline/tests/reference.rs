@@ -8,7 +8,7 @@ use hotpath_core::config::{Config, Tolerance};
 use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotPath};
 use hotpath_core::geometry::{Point, Rect};
 use hotpath_core::raytrace::ClientState;
-use hotpath_core::strategy::{FsaSet, OverlapPolicy, QueryScratch};
+use hotpath_core::strategy::{FsaSet, QueryScratch};
 use hotpath_core::time::Timestamp;
 use hotpath_core::ObjectId;
 use proptest::prelude::*;
@@ -79,14 +79,14 @@ proptest! {
     /// score, the same case tallies and degraded epochs. The schedules
     /// mix hub pile-ups with isolated FSAs, shared starts, sub-grain
     /// copies of one vertex across cell borders, late crossings and idle
-    /// gaps past the window, under both overlap policies with the
-    /// degrade threshold on or off; the core side is restarted
-    /// from its checkpoint bytes at a random epoch, pending batch
-    /// included.
+    /// gaps past the window, with the degrade threshold off or at 1-20
+    /// (which drives both sides through `Own`); the core side is
+    /// restarted from its checkpoint bytes at a random epoch, pending
+    /// batch included.
     #[test]
     fn coordinator_matches_the_full_scan_reference(
         epochs in prop::collection::vec((0u8..4, prop::collection::vec(spec(), 0..41)), 1..9),
-        (own, degrade) in (0u8..2, 0u8..25),
+        degrade in 0u8..25,
         window in 10u64..40,
         k in 1usize..6,
         restart in 0usize..10,
@@ -95,8 +95,7 @@ proptest! {
             .tolerance(Tolerance::crisp(5.0))
             .window(window)
             .epoch(5)
-            .k(k)
-            .overlap(if own == 1 { OverlapPolicy::Own } else { OverlapPolicy::Full });
+            .k(k);
         if degrade < 20 {
             builder = builder.degrade_threshold(degrade as usize + 1);
         }

@@ -63,25 +63,6 @@ fn bench_topk(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("top_k_score", p), &coord, |b, coord| {
             b.iter(|| coord.top_k_score());
         });
-        // The pre-incremental implementation, kept as a measured
-        // reference: materialize the hot set, sort, truncate. Scales
-        // with P while `top_k` stays flat. (`hot_paths` itself is now
-        // cached between mutations, so after the first iteration this
-        // measures copy + sort — still the O(P log P) the old query
-        // path paid per read.)
-        g.bench_with_input(BenchmarkId::new("naive_full_sort", p), &coord, |b, coord| {
-            b.iter(|| {
-                let mut all = coord.hot_paths().to_vec();
-                all.sort_by(|a, b| {
-                    b.hotness
-                        .cmp(&a.hotness)
-                        .then_with(|| b.path.length().total_cmp(&a.path.length()))
-                        .then_with(|| a.path.id.cmp(&b.path.id))
-                });
-                all.truncate(10);
-                all
-            });
-        });
     }
     g.finish();
 }

@@ -168,7 +168,7 @@ fn main() {
                 scenario_name = Some(name.clone());
             }
             w @ ("fig7" | "fig8" | "fig9" | "fig10" | "claims" | "ablate" | "filters"
-            | "compress" | "uncertain" | "checkpoint-bench" | "swarm" | "serve" | "all") => {
+            | "compress" | "uncertain" | "swarm" | "serve" | "all") => {
                 which = w.to_string();
             }
             other => usage(&format!("unknown argument '{other}'")),
@@ -207,7 +207,6 @@ fn main() {
         "filters" => filters(scale),
         "compress" => compress(),
         "uncertain" => uncertain(),
-        "checkpoint-bench" => checkpoint_bench(),
         "swarm" => swarm_cmd(scale, swarm_seed, churn, fault_seed),
         "serve" => serve_cmd(socket, ticks.unwrap_or(50)),
         "all" => {
@@ -229,7 +228,7 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: experiments [fig7|fig8|fig9|fig10|claims|ablate|filters|compress|uncertain|checkpoint-bench|all] \
+        "usage: experiments [fig7|fig8|fig9|fig10|claims|ablate|filters|compress|uncertain|all] \
          [--scale paper|mid|quick] [--csv <dir>]\n       \
          experiments scenario <name|all> [--scale paper|mid|quick] [--csv <dir>] \
          [--sigma s1,s2,...] [--fallback reject|minimal[:<w>]|all] \
@@ -629,75 +628,6 @@ fn uncertain() {
         "{}",
         hotpath_sim::report::table(&["sigma (m)", "half-width", "reports/mover", "dropped"], &data)
     );
-    println!();
-}
-
-/// Checkpoint micro-benchmark: build a coordinator holding 100k motion
-/// paths, then time the section-memcpy image build, the file write, and
-/// the read + restore, verifying the round trip is byte-identical and
-/// consistent.
-fn checkpoint_bench() {
-    use hotpath_core::config::Config;
-    use hotpath_core::coordinator::Coordinator;
-    use hotpath_core::geometry::{Point, Rect};
-    use hotpath_core::raytrace::ClientState;
-    use hotpath_core::time::Timestamp;
-    use hotpath_core::ObjectId;
-
-    println!("## Checkpoint bench — 100k-path coordinator");
-    let paths = 100_000usize;
-    let mut c =
-        Coordinator::new(Config::builder().window(1_000_000).build().expect("valid config"));
-    // Distinct corridors on a coarse lattice: every state mints its own
-    // path (Case 3), far enough apart that FSAs never overlap.
-    let states = (0..paths).map(|i| {
-        let x = (i % 1_000) as f64 * 120.0;
-        let y = (i / 1_000) as f64 * 120.0;
-        let end = Point::new(x + 40.0, y);
-        ClientState {
-            object: ObjectId(i as u64),
-            start: Point::new(x, y),
-            ts: Timestamp(0),
-            fsa: Rect::new(end - Point::new(2.0, 2.0), end + Point::new(2.0, 2.0)),
-            te: Timestamp(9),
-        }
-    });
-    c.submit_batch(states);
-    let _ = c.process_epoch(Timestamp(10));
-    assert!(c.hot_count() >= paths, "hot set smaller than intended");
-
-    let t = Instant::now();
-    let image = c.checkpoint();
-    let build_ms = t.elapsed().as_secs_f64() * 1e3;
-    let bytes = image.size_bytes();
-    println!(
-        "   image build : {build_ms:>8.2} ms  ({bytes} bytes, {:.1} B/path)",
-        bytes as f64 / paths as f64
-    );
-
-    let dir = std::env::temp_dir().join("hotpath-checkpoint-bench");
-    std::fs::create_dir_all(&dir).expect("create bench dir");
-    let path = dir.join("bench.ckpt");
-    let t = Instant::now();
-    image.write_to_path(&path).expect("write checkpoint");
-    let write_ms = t.elapsed().as_secs_f64() * 1e3;
-    println!("   file write  : {write_ms:>8.2} ms  ({})", path.display());
-
-    let t = Instant::now();
-    let reread =
-        hotpath_core::checkpoint::Checkpoint::read_from_path(&path).expect("read checkpoint back");
-    let restored = Coordinator::from_checkpoint(*c.config(), &reread).expect("restore");
-    let restore_ms = t.elapsed().as_secs_f64() * 1e3;
-    println!("   read+restore: {restore_ms:>8.2} ms");
-
-    restored.check_consistency().expect("restored coordinator consistent");
-    assert_eq!(
-        restored.checkpoint().as_bytes(),
-        image.as_bytes(),
-        "re-checkpoint of the restored coordinator must be byte-identical"
-    );
-    let _ = std::fs::remove_file(&path);
-    println!("   round trip  : byte-identical, consistency ok");
     println!();
 }
 

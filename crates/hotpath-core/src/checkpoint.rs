@@ -297,8 +297,9 @@ pub struct CheckpointHeader {
     pub next_path_id: u64,
     /// Number of [`SectionDesc`] entries following the header.
     pub section_count: u32,
-    /// Bit 1: `OverlapPolicy::Own`. Bit 0 is retired (hot-path hints,
-    /// removed); no config sets it, so an image carrying it is refused.
+    /// No bit is live. Bits 0 (hot-path hints) and 1 (the `Own`
+    /// overlap switch) are retired; a restore refuses any non-zero
+    /// word as a config mismatch.
     pub flags: u32,
     /// CRC-32 over the header (this field zeroed) and the section
     /// table, so every header scalar is integrity-checked too.
@@ -306,9 +307,6 @@ pub struct CheckpointHeader {
     /// Reserved, written as zero.
     pub reserved1: u32,
 }
-
-/// Flag bit: the overlap policy is `Own` (ablation baseline).
-pub const FLAG_OVERLAP_OWN: u32 = 1 << 1;
 
 /// What a section holds. The discriminants are the on-disk `kind`.
 /// Retired and never reused: 4 (per-path hotness) and 6 (tombstones),
@@ -677,7 +675,7 @@ mod tests {
     use crate::time::Timestamp;
 
     fn sample() -> Checkpoint {
-        let mut b = CheckpointBuilder::new(7, 70, 11, FLAG_OVERLAP_OWN);
+        let mut b = CheckpointBuilder::new(7, 70, 11, 0x2);
         b.section(SectionKind::Config, &[ConfigRecord::from_config(&Config::paper_defaults())]);
         b.section(SectionKind::Stats, &[StatsRecord::default()]);
         b.section(SectionKind::Events, &[ExpiryEvent { expiry: Timestamp(100), id: PathId(3) }]);
@@ -706,7 +704,7 @@ mod tests {
         let back = Checkpoint::from_bytes(ck.as_bytes().to_vec()).unwrap();
         assert_eq!(back.header(), ck.header());
         assert_eq!(back.epoch(), 7);
-        assert_eq!(back.header().flags, FLAG_OVERLAP_OWN);
+        assert_eq!(back.header().flags, 0x2);
         let events: Vec<ExpiryEvent> = back.section(SectionKind::Events).unwrap();
         assert_eq!(events, vec![ExpiryEvent { expiry: Timestamp(100), id: PathId(3) }]);
         let cfg: Vec<ConfigRecord> = back.section(SectionKind::Config).unwrap();

@@ -1,5 +1,5 @@
 //! Framework configuration: tolerance model, window, epochs, vertex
-//! grain, admission, and the coordinator's overlap switch.
+//! grain and admission.
 //!
 //! [`Config::paper_defaults`] is the paper's Table 2 parameterization.
 //! Every other [`Config`] comes from [`Config::builder`], which starts
@@ -7,11 +7,10 @@
 //! [`ConfigBuilder::build`]: a bad value is a typed [`ConfigError`],
 //! never a panic.
 
-use crate::strategy::OverlapPolicy;
 use crate::time::{EpochClock, SlidingWindow};
 
-/// A typed parse failure for the CLI-facing enums ([`AdmissionPolicy`],
-/// `FallbackPolicy`), carrying what was being parsed, the offending
+/// A typed parse failure for a CLI tag (`FallbackPolicy`, the
+/// experiments' `Scale`), carrying what was being parsed, the offending
 /// input, and the accepted values.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ParseError {
@@ -105,24 +104,6 @@ pub enum AdmissionPolicy {
     EjectSlowest,
 }
 
-/// Parses a CLI tag: `reject`, `shed-oldest` or `eject-slowest`.
-impl std::str::FromStr for AdmissionPolicy {
-    type Err = ParseError;
-
-    fn from_str(s: &str) -> Result<AdmissionPolicy, ParseError> {
-        match s {
-            "reject" => Ok(AdmissionPolicy::Reject),
-            "shed-oldest" => Ok(AdmissionPolicy::ShedOldest),
-            "eject-slowest" => Ok(AdmissionPolicy::EjectSlowest),
-            other => Err(ParseError::new(
-                "admission policy",
-                other,
-                "reject | shed-oldest | eject-slowest",
-            )),
-        }
-    }
-}
-
 impl AdmissionPolicy {
     /// Stable numeric encoding (checkpoint config echo).
     pub fn as_raw(self) -> u64 {
@@ -144,20 +125,10 @@ impl AdmissionPolicy {
     }
 }
 
-impl std::fmt::Display for AdmissionPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            AdmissionPolicy::Reject => "reject",
-            AdmissionPolicy::ShedOldest => "shed-oldest",
-            AdmissionPolicy::EjectSlowest => "eject-slowest",
-        })
-    }
-}
-
-/// Robustness knobs for the serving front door: heartbeat leases for
-/// the client-session lifecycle and a bound on per-epoch ingest. All
-/// default to *off* (zero), leaving the paper pipeline untouched
-/// unless a deployment opts in.
+/// Robustness knobs: heartbeat leases for the client-session lifecycle
+/// and a bound on per-epoch ingest. All default to *off* (zero), which
+/// is the paper pipeline. `hotpathd` runs [`Config::paper_defaults`],
+/// so only the scenario registry's rows set them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Admission {
     /// Heartbeat lease in timestamps: a client with no admitted state
@@ -209,9 +180,6 @@ pub struct Config {
     /// Session lifecycle and admission-control knobs (all off by
     /// default).
     pub admission: Admission,
-    /// How Cases 2-3 use the epoch's FSA overlaps (Algorithm 2 as
-    /// published by default; `Own` is the ablation).
-    pub overlap: OverlapPolicy,
 }
 
 impl Config {
@@ -224,7 +192,6 @@ impl Config {
             k: 10,
             vertex_grain: 1e-3,
             admission: Admission::default(),
-            overlap: OverlapPolicy::Full,
         }
     }
 
@@ -241,7 +208,6 @@ impl Config {
             k: config.k,
             vertex_grain: config.vertex_grain,
             admission: config.admission,
-            overlap: config.overlap,
             lease_set: false,
             cap_set: false,
             degrade_set: false,
@@ -342,7 +308,6 @@ pub struct ConfigBuilder {
     k: usize,
     vertex_grain: f64,
     admission: Admission,
-    overlap: OverlapPolicy,
     /// Whether `lease()` / `admission_cap()` / `degrade_threshold()`
     /// were called explicitly: an explicit zero is an error, while the
     /// zero *default* just means "feature off".
@@ -406,12 +371,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// The Cases-2/3 overlap policy.
-    pub fn overlap(mut self, policy: OverlapPolicy) -> Self {
-        self.overlap = policy;
-        self
-    }
-
     /// Validates every invariant and produces the config.
     pub fn build(self) -> Result<Config, ConfigError> {
         let eps = self.tolerance.eps();
@@ -469,7 +428,6 @@ impl ConfigBuilder {
             k: self.k,
             vertex_grain: self.vertex_grain,
             admission: self.admission,
-            overlap: self.overlap,
         })
     }
 }
@@ -502,9 +460,6 @@ mod tests {
         assert_eq!(c.window.len, 50);
         assert_eq!(c.epochs.lambda, 5);
         assert_eq!(c.k, 20);
-        assert_eq!(c.overlap, OverlapPolicy::Full);
-        let c = Config::builder().overlap(OverlapPolicy::Own).build().unwrap();
-        assert_eq!(c.overlap, OverlapPolicy::Own);
     }
 
     #[test]
@@ -528,14 +483,12 @@ mod tests {
     }
 
     #[test]
-    fn admission_policy_parse_display_raw_roundtrip() {
+    fn admission_policy_raw_roundtrip() {
         for p in
             [AdmissionPolicy::Reject, AdmissionPolicy::ShedOldest, AdmissionPolicy::EjectSlowest]
         {
-            assert_eq!(p.to_string().parse(), Ok(p));
             assert_eq!(AdmissionPolicy::from_raw(p.as_raw()), Some(p));
         }
-        assert!("nope".parse::<AdmissionPolicy>().is_err());
         assert_eq!(AdmissionPolicy::from_raw(99), None);
     }
 
@@ -621,19 +574,6 @@ mod tests {
         assert!(msg.contains("cap 8"), "unhelpful message: {msg}");
         let msg = ConfigError::NonPositive("queue cap").to_string();
         assert_eq!(msg, "queue cap must be positive");
-    }
-
-    #[test]
-    fn admission_policy_from_str_reports_expected_values() {
-        assert_eq!("shed-oldest".parse::<AdmissionPolicy>(), Ok(AdmissionPolicy::ShedOldest));
-        let err = "drop-all".parse::<AdmissionPolicy>().unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("admission policy"), "error must say what was parsed: {msg}");
-        assert!(msg.contains("\"drop-all\""), "error must echo the input: {msg}");
-        assert!(
-            msg.contains("reject | shed-oldest | eject-slowest"),
-            "error must list values: {msg}"
-        );
     }
 
     #[test]

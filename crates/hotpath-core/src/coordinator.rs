@@ -31,7 +31,6 @@
 
 use crate::checkpoint::{
     Checkpoint, CheckpointBuilder, CheckpointError, ConfigRecord, SectionKind, StatsRecord,
-    FLAG_OVERLAP_OWN,
 };
 use crate::config::{AdmissionPolicy, Config};
 use crate::geometry::TimePoint;
@@ -166,15 +165,6 @@ struct ReadCache {
 /// results.
 fn overlap_cell_of(config: &Config) -> f64 {
     (2.0 * config.tolerance.eps()).max(1e-6)
-}
-
-/// The checkpoint header flags of `config`'s overlap switch.
-fn flags_of(config: &Config) -> u32 {
-    if config.overlap == OverlapPolicy::Own {
-        FLAG_OVERLAP_OWN
-    } else {
-        0
-    }
 }
 
 /// The central coordinator.
@@ -394,18 +384,18 @@ impl Coordinator {
         let start = Instant::now();
         // Degraded-epoch mode: past the overload threshold, shed the
         // Phase B FSA-overlap refinement for this epoch (the `Own`
-        // ablation policy — each state only considers its own FSA).
+        // policy — each state only considers its own FSA).
         // The trigger is the admitted batch size.
         let degrade = self.config.admission.degrade_threshold;
         let policy = if degrade > 0 && states.len() > degrade {
             self.admission.degraded_epochs += 1;
             OverlapPolicy::Own
         } else {
-            self.config.overlap
+            OverlapPolicy::Full
         };
         // The epoch's FSA-overlap structure: the held set rebuilt over
-        // the batch under the `Full` policy; left as it is under the
-        // `Own` ablation, which never queries it.
+        // the batch under the `Full` policy; left as it is under `Own`,
+        // which never queries it.
         let fsas: &FsaSet = match policy {
             OverlapPolicy::Full => {
                 self.fsa_cache.update(states.iter().map(|s| (s.object.0, s.fsa)))
@@ -640,7 +630,7 @@ impl Coordinator {
             self.processing.epochs,
             self.clock.raw(),
             self.table.next_id(),
-            flags_of(&self.config),
+            0,
         );
         b.section(SectionKind::Config, &[ConfigRecord::from_config(&self.config)]);
         let sess_counters = self.sessions.as_ref().map(|t| t.counters()).unwrap_or_default();
@@ -704,10 +694,11 @@ impl Coordinator {
             }
         };
         let header = *ck.header();
-        if header.flags != flags_of(&config) {
+        if header.flags != 0 {
             return Err(CheckpointError::ConfigMismatch(format!(
-                "checkpoint flags {:#x}, coordinator runs overlap {:?}",
-                header.flags, config.overlap
+                "checkpoint flags {:#x}: no flag bit is live (bit 0, hints, and bit 1, the \
+                 `Own` overlap switch, are retired)",
+                header.flags
             )));
         }
         let cfg_rec: Vec<ConfigRecord> = ck.section(SectionKind::Config)?;
@@ -1043,30 +1034,21 @@ mod tests {
         ));
     }
 
-    /// The header flags are written from the config: bit 1 for the
-    /// `Own` overlap policy, and never the retired bit 0.
-    #[test]
-    fn checkpoint_flags_follow_the_config_switches() {
-        for (overlap, flags) in [(OverlapPolicy::Full, 0), (OverlapPolicy::Own, FLAG_OVERLAP_OWN)] {
-            let config = Config::builder().overlap(overlap).build().unwrap();
-            let image = Coordinator::new(config).checkpoint();
-            assert_eq!(image.header().flags, flags, "overlap {overlap:?}");
-            Coordinator::from_checkpoint(config, &image).unwrap();
-        }
-    }
-
-    /// An image restored under the other overlap policy is refused, in
-    /// both directions: the warm start would otherwise switch Cases 2-3
-    /// to a policy the run never used.
+    /// No config sets a header flag, and an image carrying the retired
+    /// `Own` bit (`1 << 1`, what an image of the removed overlap switch
+    /// has) is refused: a warm start would otherwise run Cases 2-3
+    /// under a policy the run never used.
     #[test]
     fn restore_refuses_switches_the_config_does_not_set() {
-        let own = Config::builder().overlap(OverlapPolicy::Own).build().unwrap();
-        let full = Config::paper_defaults();
-        for (taken, restored) in [(own, full), (full, own)] {
-            let image = Coordinator::new(taken).checkpoint();
-            let result = Coordinator::from_checkpoint(restored, &image);
-            assert!(matches!(result, Err(CheckpointError::ConfigMismatch(_))), "{result:?}");
+        let degraded = Config::builder().degrade_threshold(1).build().unwrap();
+        let leased = Config::builder().lease(30, 10).build().unwrap();
+        for config in [Config::paper_defaults(), degraded, leased] {
+            assert_eq!(Coordinator::new(config).checkpoint().header().flags, 0);
         }
+        let (config, image) = forgeable();
+        Coordinator::from_checkpoint(config, &forged(&image, 0, |_, _| {})).unwrap();
+        let result = Coordinator::from_checkpoint(config, &forged(&image, 1 << 1, |_, _| {}));
+        assert!(matches!(result, Err(CheckpointError::ConfigMismatch(_))), "{result:?}");
     }
 
     /// A small image to forge: three paths, one of them crossed twice.
@@ -1082,18 +1064,19 @@ mod tests {
         (config, c.checkpoint())
     }
 
-    /// Re-seals `image` with its Paths and Events sections passed
-    /// through `forge`: every CRC is valid, so only the table's own
-    /// validation stands between the forgery and the coordinator.
+    /// Re-seals `image` with header `flags` and its Paths and Events
+    /// sections passed through `forge`: every CRC is valid, so only the
+    /// coordinator's own validation stands between the forgery and it.
     fn forged(
         image: &Checkpoint,
+        flags: u32,
         forge: impl FnOnce(&mut Vec<MotionPath>, &mut Vec<ExpiryEvent>),
     ) -> Checkpoint {
         let h = image.header();
         let mut paths: Vec<MotionPath> = image.section(SectionKind::Paths).unwrap();
         let mut events: Vec<ExpiryEvent> = image.section(SectionKind::Events).unwrap();
         forge(&mut paths, &mut events);
-        let mut b = CheckpointBuilder::new(h.epoch, h.clock, h.next_path_id, h.flags);
+        let mut b = CheckpointBuilder::new(h.epoch, h.clock, h.next_path_id, flags);
         b.section::<ConfigRecord>(
             SectionKind::Config,
             &image.section(SectionKind::Config).unwrap(),
@@ -1112,8 +1095,8 @@ mod tests {
     /// `Malformed` (and the unforged image must restore).
     fn assert_forgery_malformed(forge: impl FnOnce(&mut Vec<MotionPath>, &mut Vec<ExpiryEvent>)) {
         let (config, image) = forgeable();
-        Coordinator::from_checkpoint(config, &forged(&image, |_, _| {})).unwrap();
-        let result = Coordinator::from_checkpoint(config, &forged(&image, forge));
+        Coordinator::from_checkpoint(config, &forged(&image, 0, |_, _| {})).unwrap();
+        let result = Coordinator::from_checkpoint(config, &forged(&image, 0, forge));
         assert!(matches!(result, Err(CheckpointError::Malformed(_))), "{result:?}");
     }
 

@@ -67,18 +67,19 @@ pub struct CaseTally {
 }
 
 /// How Cases 2-3 use the epoch's FSA overlaps. [`OverlapPolicy::Full`]
-/// is the paper's Algorithm 2; [`OverlapPolicy::Own`] is the naive
-/// ablation that ignores other objects' FSAs — each object ranks
-/// vertices by converging hotness alone and mints fresh vertices at its
-/// own FSA centroid. The ablation quantifies how much the Example-2
-/// sharing machinery buys (see the `ablation` experiments).
+/// is the paper's Algorithm 2; [`OverlapPolicy::Own`] ignores other
+/// objects' FSAs — each object ranks vertices by converging hotness
+/// alone and mints fresh vertices at its own FSA centroid. The
+/// coordinator runs `Own` on a degraded epoch (the admitted batch
+/// exceeds `degrade_threshold`); `experiments ablate` sets the
+/// threshold to 1 to measure what the Example-2 sharing buys.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum OverlapPolicy {
     /// Algorithm 2 as published: stabbing-depth boosts and max-depth
     /// generated vertices.
     #[default]
     Full,
-    /// No cross-object overlap analysis (ablation baseline).
+    /// No cross-object overlap analysis (degraded epochs).
     Own,
 }
 
@@ -218,8 +219,8 @@ pub struct PhaseBLoad {
 }
 
 /// Builds the epoch's FSA-overlap structure for `policy` (Alg. 2 lines
-/// 8-12, shared across Cases 2-3; built empty under the `Own` ablation,
-/// which never queries it).
+/// 8-12, shared across Cases 2-3; built empty under `Own`, which never
+/// queries it).
 pub fn build_fsa_set(states: &[ClientState], overlap_cell: f64, policy: OverlapPolicy) -> FsaSet {
     match policy {
         OverlapPolicy::Full => FsaSet::build(states.iter().map(|s| s.fsa).collect(), overlap_cell),

@@ -207,6 +207,11 @@ fn resealed_forgeries_are_rejected_structurally() {
             Box::new(|b| update_u32(b, FLAGS_AT, |f| f | 1)),
             config_mismatch,
         ),
+        (
+            "the retired overlap bit",
+            Box::new(|b| update_u32(b, FLAGS_AT, |f| f | 1 << 1)),
+            config_mismatch,
+        ),
         ("an unknown flag", Box::new(|b| update_u32(b, FLAGS_AT, |f| f | 1 << 7)), config_mismatch),
     ];
     for (what, forge, refused) in forgeries {

@@ -96,7 +96,21 @@ pub struct ScenarioRunParams {
     pub fault_seed: u64,
     /// Run the DP competitor (`nopw` endpoints) on the same raw stream.
     pub dp: bool,
-    /// SinglePath Cases-2/3 overlap policy (ablation hook).
+    /// The Cases-2/3 overlap ablation. `Own` runs the core with
+    /// `degrade_threshold(1)`, so every epoch with more than one state
+    /// is degraded to `Own`; this equals `Own` on every epoch bit for
+    /// bit. An epoch with one state runs `Full`, and its FSA
+    /// neighbourhood is its own rect:
+    /// * every available vertex gets the same +1 stab boost, so their
+    ///   order is unchanged;
+    /// * a generated region has depth 1, so it beats an existing vertex
+    ///   only when none exists, and is then the FSA itself, whose
+    ///   centroid is the vertex `Own` mints.
+    ///
+    /// Under `Own` that centroid has rank 1, and every stored path has
+    /// hotness ≥ 1 (a path leaves the table when its count reaches 0),
+    /// so any existing vertex ties or beats it and the tie goes to the
+    /// existing vertex. Both rules pick the same vertex.
     pub overlap: OverlapPolicy,
 }
 
@@ -129,7 +143,9 @@ impl ScenarioRunParams {
     /// The core [`Config`] for `scenario` under these knobs, with the
     /// scenario's [`Scenario::admission`] knobs (session lease,
     /// admission bound, degrade threshold) applied; the ones it leaves
-    /// at zero stay off. Panics when the combination does not validate.
+    /// at zero stay off. The `Own` ablation then sets the degrade
+    /// threshold to 1 (see [`ScenarioRunParams::overlap`]). Panics when
+    /// the combination does not validate.
     pub fn config(&self, scenario: &dyn Scenario) -> Config {
         let admission = scenario.admission();
         let mut builder = Config::builder()
@@ -140,8 +156,7 @@ impl ScenarioRunParams {
             })
             .window(self.window.unwrap_or_else(|| scenario.window_hint()))
             .epoch(self.epoch)
-            .k(self.k)
-            .overlap(self.overlap);
+            .k(self.k);
         if admission.lease > 0 {
             builder = builder.lease(admission.lease, admission.grace);
         }
@@ -150,6 +165,9 @@ impl ScenarioRunParams {
         }
         if admission.degrade_threshold > 0 {
             builder = builder.degrade_threshold(admission.degrade_threshold);
+        }
+        if self.overlap == OverlapPolicy::Own {
+            builder = builder.degrade_threshold(1);
         }
         builder.build().unwrap_or_else(|e| panic!("{}: {e}", scenario.name()))
     }

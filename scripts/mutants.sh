@@ -61,6 +61,14 @@ mutants=(
   fsa_rebuild_keeps_the_last_batch "$core/strategy/overlap.rs"
   'self.rects.clear();'
   ''
+
+  degraded_epoch_mints_off_the_centroid "$core/strategy/singlepath.rs"
+  'let cand = (1, false, st.fsa.centroid());'
+  'let cand = (1, false, st.fsa.lo());'
+
+  degrade_trigger_off_by_one "$core/coordinator.rs"
+  'states.len() > degrade'
+  'states.len() >= degrade'
 )
 
 # Occurrences of the literal $2 in the contents of file $1.

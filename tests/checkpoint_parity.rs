@@ -35,8 +35,8 @@ fn every_scenario_survives_a_mid_run_restart() {
 }
 
 /// Restart parity reaches the Table 2 workload: once with the DP
-/// competitor, once under the own-centroid overlap policy (whose flag
-/// must survive the checkpoint image).
+/// competitor, once under the own-centroid ablation (whose
+/// `degrade_threshold` must survive the checkpoint image).
 #[test]
 fn uniform_workload_survives_a_mid_run_restart() {
     let table2 = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };

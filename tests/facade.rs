@@ -71,14 +71,13 @@ fn prelude_serves_and_verifies_the_swarm() {
 /// Typed parsing is part of the curated surface.
 #[test]
 fn prelude_parses_cli_tags_with_typed_errors() {
-    assert_eq!("shed-oldest".parse::<AdmissionPolicy>().unwrap(), AdmissionPolicy::ShedOldest);
     assert!(
         matches!("minimal:0.5".parse::<FallbackPolicy>(), Ok(FallbackPolicy::MinimalArea(w)) if w == 0.5)
     );
-    let err: ParseError = "warp".parse::<AdmissionPolicy>().unwrap_err();
+    let err: ParseError = "warp".parse::<FallbackPolicy>().unwrap_err();
     assert_eq!(
         err.to_string(),
-        "invalid admission policy \"warp\": expected reject | shed-oldest | eject-slowest"
+        "invalid fallback policy \"warp\": expected reject | minimal | minimal:<width-in-meters>"
     );
     let config_err: ConfigError =
         Config::builder().epoch(50).window(10).build().expect_err("epoch > window");
