@@ -28,10 +28,13 @@
 //! [`Coordinator::advance_time`]: a crossing recorded already outside
 //! the window counts until the next advance, as in the core.
 //!
-//! Sessions and the admission cap are out of scope; the degrade
-//! threshold is honoured.
+//! The admission cap trims each sealed batch by full scan before
+//! Case 1: `ShedOldest` keeps the newest `cap` states, and `EjectSlowest`
+//! removes, one client at a time, the client whose newest state has the
+//! oldest `te` (ties to the smaller id) until the batch fits. The
+//! degrade threshold is tested against the trimmed batch.
 
-use hotpath_core::config::Config;
+use hotpath_core::config::{AdmissionPolicy, Config};
 use hotpath_core::coordinator::{EndpointResponse, HotPath};
 use hotpath_core::geometry::{Point, Rect, TimePoint};
 use hotpath_core::motion_path::{MotionPath, PathId};
@@ -62,23 +65,22 @@ pub struct Coordinator {
     next_id: u64,
     pending: Vec<ClientState>,
     tally: CaseTally,
+    shed: u64,
+    ejected: u64,
     degraded_epochs: u64,
 }
 
 impl Coordinator {
-    /// A coordinator for `config`, which must leave sessions and the
-    /// admission cap off.
+    /// A coordinator for `config`.
     pub fn new(config: Config) -> Self {
-        assert!(
-            !config.admission.sessions_enabled() && config.admission.queue_cap == 0,
-            "the reference models neither sessions nor the admission cap"
-        );
         Coordinator {
             config,
             paths: Vec::new(),
             next_id: 0,
             pending: Vec::new(),
             tally: CaseTally::default(),
+            shed: 0,
+            ejected: 0,
             degraded_epochs: 0,
         }
     }
@@ -98,12 +100,40 @@ impl Coordinator {
         self.paths.retain(|p| !p.crossings.is_empty());
     }
 
-    /// Advances to `now` and runs SinglePath over the pending batch:
-    /// Case 1 in batch order, then Cases 2-3 over the rest in batch
-    /// order. Returns one response per state, in that order.
+    /// Trims the batch to the admission cap (see the module docs).
+    fn admit(&mut self, states: &mut Vec<ClientState>) {
+        let cap = self.config.admission.queue_cap;
+        if cap == 0 || states.len() <= cap {
+            return;
+        }
+        match self.config.admission.policy {
+            AdmissionPolicy::ShedOldest => {
+                let over = states.len() - cap;
+                self.shed += over as u64;
+                *states = states.split_off(over);
+            }
+            AdmissionPolicy::EjectSlowest => {
+                while states.len() > cap {
+                    let newest =
+                        |object| states.iter().filter(|s| s.object == object).map(|s| s.te).max();
+                    let victim = states.iter().map(|s| (newest(s.object), s.object)).min();
+                    let victim = victim.expect("an over-cap batch is non-empty").1;
+                    let before = states.len();
+                    states.retain(|s| s.object != victim);
+                    self.ejected += (before - states.len()) as u64;
+                }
+            }
+        }
+    }
+
+    /// Advances to `now`, applies the admission cap, and runs SinglePath
+    /// over the admitted batch: Case 1 in batch order, then Cases 2-3
+    /// over the rest in batch order. Returns one response per admitted
+    /// state, in that order.
     pub fn process_epoch(&mut self, now: Timestamp) -> Vec<EndpointResponse> {
         self.advance_time(now);
-        let states = std::mem::take(&mut self.pending);
+        let mut states = std::mem::take(&mut self.pending);
+        self.admit(&mut states);
         let degrade = self.config.admission.degrade_threshold;
         let policy = if degrade > 0 && states.len() > degrade {
             self.degraded_epochs += 1;
@@ -278,6 +308,16 @@ impl Coordinator {
     /// Case tallies over every epoch so far.
     pub fn tally(&self) -> CaseTally {
         self.tally
+    }
+
+    /// States shed by the cap under `ShedOldest`.
+    pub fn shed(&self) -> u64 {
+        self.shed
+    }
+
+    /// States removed with their ejected client under `EjectSlowest`.
+    pub fn ejected(&self) -> u64 {
+        self.ejected
     }
 
     /// Epochs run under the degraded (`Own`) policy.

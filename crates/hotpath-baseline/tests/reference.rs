@@ -4,7 +4,7 @@
 
 use hotpath_baseline::reference::{self, max_depth_region};
 use hotpath_core::checkpoint::Checkpoint;
-use hotpath_core::config::{Config, Tolerance};
+use hotpath_core::config::{AdmissionPolicy, Config, Tolerance};
 use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotPath};
 use hotpath_core::geometry::{Point, Rect};
 use hotpath_core::raytrace::ClientState;
@@ -20,11 +20,14 @@ use proptest::prelude::*;
 /// cell border; `half` picks the FSA half-side, 0 making the FSA one
 /// point. Starts 0-3 are shared, 4 is the state's own, 5 a lattice
 /// point (so paths chain through vertices other paths end at); `late` 7
-/// puts `te` outside the window already.
+/// puts `te` outside the window already. `obj` is the state's index in
+/// the batch and `client` the id it reports under, so one client can
+/// hold several states of a batch.
 type Spec = (u8, u32, u32, u8, u8, u8, u8);
 
 fn state(
     obj: usize,
+    client: u64,
     (site, x, y, half, start, noise, late): Spec,
     now: u64,
     w: u64,
@@ -42,7 +45,7 @@ fn state(
     };
     let te = if late == 7 { now.saturating_sub(w + 2) } else { now - 1 - late as u64 % 4 };
     ClientState {
-        object: ObjectId(obj as u64),
+        object: ObjectId(client),
         start,
         ts: Timestamp(te.saturating_sub(4)),
         fsa: Rect::new(c - half, c + half),
@@ -76,17 +79,21 @@ proptest! {
     /// Every epoch, the core coordinator publishes what Algorithm 2 by
     /// full scan publishes: the same responses in the same order, the
     /// same stored paths with the same hotness, the same top-k and
-    /// score, the same case tallies and degraded epochs. The schedules
-    /// mix hub pile-ups with isolated FSAs, shared starts, sub-grain
-    /// copies of one vertex across cell borders, late crossings and idle
-    /// gaps past the window, with the degrade threshold off or at 1-20
-    /// (which drives both sides through `Own`); the core side is
-    /// restarted from its checkpoint bytes at a random epoch, pending
-    /// batch included.
+    /// score, the same case tallies, and the same shed, ejected and
+    /// degraded counts. The schedules mix hub pile-ups with isolated
+    /// FSAs, shared starts, sub-grain copies of one vertex across cell
+    /// borders, late crossings and idle gaps past the window, over 1-41
+    /// clients; the admission cap is off, or at 1-12 under either
+    /// policy, and the degrade threshold off or at 1-20 (which drives
+    /// both sides through `Own`) where it stays below the cap. The core
+    /// side is restarted from its checkpoint bytes at a random epoch,
+    /// pending batch included.
     #[test]
     fn coordinator_matches_the_full_scan_reference(
         epochs in prop::collection::vec((0u8..4, prop::collection::vec(spec(), 0..41)), 1..9),
         degrade in 0u8..25,
+        cap in 0u8..48,
+        clients in 1u64..42,
         window in 10u64..40,
         k in 1usize..6,
         restart in 0usize..10,
@@ -96,8 +103,14 @@ proptest! {
             .window(window)
             .epoch(5)
             .k(k);
-        if degrade < 20 {
-            builder = builder.degrade_threshold(degrade as usize + 1);
+        let cap = (cap < 24).then(|| (cap as usize % 12 + 1, cap / 12));
+        if let Some((cap, policy)) = cap {
+            let policy = [AdmissionPolicy::ShedOldest, AdmissionPolicy::EjectSlowest][policy as usize];
+            builder = builder.admission_cap(cap, policy);
+        }
+        let degrade = degrade as usize + 1;
+        if degrade <= 20 && cap.is_none_or(|(cap, _)| degrade < cap) {
+            builder = builder.degrade_threshold(degrade);
         }
         let config = builder.build().unwrap();
         let mut real = Coordinator::new(config);
@@ -106,7 +119,7 @@ proptest! {
         for (e, (gap, specs)) in epochs.iter().enumerate() {
             now += if *gap == 3 { window + 5 } else { 5 * (*gap as u64 + 1) };
             for (i, &s) in specs.iter().enumerate() {
-                let st = state(i, s, now, window);
+                let st = state(i, i as u64 % clients, s, now, window);
                 real.submit(st);
                 oracle.submit(st);
             }
@@ -124,7 +137,13 @@ proptest! {
             prop_assert_eq!(real.top_k_score().to_bits(), oracle.top_k_score().to_bits());
             let (p, t) = (real.processing_stats(), oracle.tally());
             prop_assert_eq!((p.case1, p.case2, p.case3), (t.case1, t.case2, t.case3));
-            prop_assert_eq!(real.admission_stats().degraded_epochs, oracle.degraded_epochs());
+            let adm = real.admission_stats();
+            prop_assert_eq!(
+                (adm.shed, adm.ejected, adm.degraded_epochs),
+                (oracle.shed(), oracle.ejected(), oracle.degraded_epochs()),
+                "admission at epoch {}",
+                e
+            );
             real.check_consistency().map_err(TestCaseError::fail)?;
         }
     }

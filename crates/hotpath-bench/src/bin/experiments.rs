@@ -321,21 +321,14 @@ fn scenario(
             s.measurements,
             s.mean_time_ms
         );
-        if let Some(last) = res.outcome.per_epoch.last() {
-            let snap = &last.snap;
-            if snap.sessions.connects > 0 {
-                println!(
-                    "   robust: {} healthy / {} dropped at end; {} connects, {} reconnects, \
-                     {} ejections, {} turned away, {} degraded epochs",
-                    snap.sessions_healthy,
-                    snap.sessions_dropped,
-                    snap.sessions.connects,
-                    snap.sessions.reconnects,
-                    snap.sessions.ejections,
-                    snap.admission.turned_away(),
-                    snap.admission.degraded_epochs
-                );
-            }
+        let knobs = res.coordinator.config().admission;
+        if knobs.queue_cap > 0 || knobs.degrade_threshold > 0 {
+            let adm = res.coordinator.admission_stats();
+            println!(
+                "   robust: {} turned away, {} degraded epochs",
+                adm.turned_away(),
+                adm.degraded_epochs
+            );
         }
         match &res.invariants {
             Ok(()) => println!("   invariants: ok"),

@@ -14,15 +14,15 @@
 //! ```
 //!
 //! Every payload is an array of a `repr(C)` padding-free record type
-//! ([`MotionPath`], [`ExpiryEvent`], [`ClientState`], [`SessionRecord`],
-//! or one of the fixed header-like records below), so writing a
+//! ([`MotionPath`], [`ExpiryEvent`], [`ClientState`], or one of the
+//! fixed header-like records below), so writing a
 //! section is one bounded memcpy — there is no per-record encoding, no
 //! serde. Multi-byte fields
 //! are native-endian; the magic doubles as an endianness sentinel (a
 //! byte-swapped reader sees a wrong magic, not silent garbage).
 //!
-//! Every section is canonical: paths by id, events by `(expiry, id)`,
-//! sessions by object id. An image is therefore a function of the
+//! Every section is canonical: paths by id, events by `(expiry, id)`.
+//! An image is therefore a function of the
 //! coordinator's logical state, not of its slab or wheel layout, and
 //! `checkpoint(restore(image)) == image` byte for byte.
 //!
@@ -50,7 +50,6 @@ use crate::config::{Config, Tolerance};
 use crate::index::ExpiryEvent;
 use crate::motion_path::MotionPath;
 use crate::raytrace::ClientState;
-use crate::session::SessionRecord;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -66,7 +65,7 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"HOTPCKPT");
 /// History: v1 serialized the expiry-event section in binary-heap
 /// array order; v2 serializes it in canonical `(expiry, id)` order,
 /// independent of the timer wheel's layout; v3 adds the client-session layer:
-/// a [`SectionKind::Session`] section of [`SessionRecord`]s, admission
+/// a section of session records (kind 8), admission
 /// knobs in [`ConfigRecord`] (72 → 112 bytes), and admission/session
 /// counters in [`StatsRecord`] (96 → 168 bytes); v4 drops the shard
 /// axis of the one-coordinator design: the header's shard count and
@@ -77,10 +76,13 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"HOTPCKPT");
 /// its shard count and routing cell (112 → 96 bytes); v5 stores each
 /// path once, in one table: the Paths section is sorted by id, and the
 /// per-path hotness (kind 4) and tombstone (kind 6) sections are
-/// retired — a restore counts each path's events instead. Images of
-/// every earlier version are rejected with the typed
-/// [`CheckpointError::BadVersion`].
-pub const FORMAT_VERSION: u32 = 5;
+/// retired — a restore counts each path's events instead; v6 drops the
+/// client-session layer: section kind 8 (session records) is retired,
+/// [`ConfigRecord`] loses the lease and grace (96 → 80 bytes), and
+/// [`StatsRecord`] loses the tail-drop count and the four session
+/// counters (176 → 136 bytes). Images of every earlier version are
+/// rejected with the typed [`CheckpointError::BadVersion`].
+pub const FORMAT_VERSION: u32 = 6;
 
 // ---------------------------------------------------------------------
 // Pod casting
@@ -105,7 +107,6 @@ pub unsafe trait Pod: Copy + 'static {}
 unsafe impl Pod for MotionPath {}
 unsafe impl Pod for ExpiryEvent {}
 unsafe impl Pod for ClientState {}
-unsafe impl Pod for SessionRecord {}
 unsafe impl Pod for SectionDesc {}
 unsafe impl Pod for CheckpointHeader {}
 unsafe impl Pod for ConfigRecord {}
@@ -115,11 +116,10 @@ const _: () = {
     assert!(size_of::<MotionPath>() == 40);
     assert!(size_of::<ExpiryEvent>() == 16);
     assert!(size_of::<ClientState>() == 72);
-    assert!(size_of::<SessionRecord>() == 32);
     assert!(size_of::<SectionDesc>() == 32);
     assert!(size_of::<CheckpointHeader>() == 56);
-    assert!(size_of::<ConfigRecord>() == 96);
-    assert!(size_of::<StatsRecord>() == 176);
+    assert!(size_of::<ConfigRecord>() == 80);
+    assert!(size_of::<StatsRecord>() == 136);
 };
 
 /// The raw bytes of a record slice (the write-side memcpy source).
@@ -309,8 +309,9 @@ pub struct CheckpointHeader {
 }
 
 /// What a section holds. The discriminants are the on-disk `kind`.
-/// Retired and never reused: 4 (per-path hotness) and 6 (tombstones),
-/// through v4; 7 (per-shard meta), through v3.
+/// Retired and never reused: 8 (session records), through v5; 4
+/// (per-path hotness) and 6 (tombstones), through v4; 7 (per-shard
+/// meta), through v3.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u32)]
 pub enum SectionKind {
@@ -326,9 +327,6 @@ pub enum SectionKind {
     /// one per unexpired crossing, so each path's hotness is its number
     /// of events.
     Events = 5,
-    /// The [`SessionRecord`]s of the client-session table, sorted by
-    /// object id (absent when sessions are disabled).
-    Session = 8,
 }
 
 impl SectionKind {
@@ -339,7 +337,6 @@ impl SectionKind {
             2 => SectionKind::Pending,
             3 => SectionKind::Paths,
             5 => SectionKind::Events,
-            8 => SectionKind::Session,
             _ => return None,
         })
     }
@@ -351,7 +348,6 @@ impl SectionKind {
             SectionKind::Pending => "pending section",
             SectionKind::Paths => "paths section",
             SectionKind::Events => "events section",
-            SectionKind::Session => "session section",
         }
     }
 }
@@ -374,7 +370,7 @@ pub struct SectionDesc {
     pub reserved1: u32,
 }
 
-/// The embedded [`Config`] echo (one 96-byte record): a checkpoint can
+/// The embedded [`Config`] echo (one 80-byte record): a checkpoint can
 /// only restore into a coordinator running the identical configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 #[repr(C)]
@@ -393,10 +389,6 @@ pub struct ConfigRecord {
     pub k: u64,
     /// Vertex quantization grain.
     pub vertex_grain: f64,
-    /// Session heartbeat lease (0 = sessions off).
-    pub lease: u64,
-    /// Session ejection grace.
-    pub grace: u64,
     /// Admission queue cap (0 = unbounded).
     pub queue_cap: u64,
     /// [`crate::config::AdmissionPolicy`] raw encoding.
@@ -419,8 +411,6 @@ impl ConfigRecord {
             lambda: c.epochs.lambda,
             k: c.k as u64,
             vertex_grain: c.vertex_grain,
-            lease: c.admission.lease,
-            grace: c.admission.grace,
             queue_cap: c.admission.queue_cap as u64,
             policy: c.admission.policy.as_raw(),
             degrade_threshold: c.admission.degrade_threshold as u64,
@@ -440,7 +430,7 @@ impl ConfigRecord {
     }
 }
 
-/// Communication/processing/admission counters (one 176-byte record).
+/// Communication/processing/admission counters (one 136-byte record).
 /// Durations are nanoseconds; they are wall-clock diagnostics and are
 /// never part of parity comparisons. `recorded` is the path table's
 /// total of crossings ever recorded.
@@ -461,14 +451,9 @@ pub struct StatsRecord {
     pub case2: u64,
     pub case3: u64,
     pub admitted: u64,
-    pub rejected: u64,
     pub shed: u64,
     pub adm_ejected: u64,
     pub degraded_epochs: u64,
-    pub sess_connects: u64,
-    pub sess_drops: u64,
-    pub sess_reconnects: u64,
-    pub sess_ejections: u64,
     pub recorded: u64,
 }
 
@@ -788,25 +773,26 @@ mod tests {
     }
 
     #[test]
-    fn retired_shard_meta_kind_is_malformed() {
-        // Section kinds 4 (hotness), 6 (tombstones) and 7 (per-shard
-        // meta) are retired: an image carrying one is malformed, never
-        // silently skipped.
-        for kind in [4, 6, 7] {
-            let bytes = patched(&sample(), |_, descs| descs[2].kind = kind);
-            assert!(matches!(Checkpoint::from_bytes(bytes), Err(CheckpointError::Malformed(_))));
-        }
+    fn v5_images_are_rejected_with_a_typed_bad_version() {
+        // A v5 image could carry a session section and wider config and
+        // stats records; with the table CRC intact, the reader must
+        // reject it by version.
+        let bytes = patched(&sample(), |h, _| h.version = 5);
+        assert!(matches!(
+            Checkpoint::from_bytes(bytes).unwrap_err(),
+            CheckpointError::BadVersion { found: 5 }
+        ));
     }
 
     #[test]
-    fn session_section_roundtrips() {
-        let recs = vec![SessionRecord { object: 4, state: 0, deadline: 120, last_heartbeat: 110 }];
-        let mut b = CheckpointBuilder::new(1, 10, 1, 0);
-        b.section(SectionKind::Session, &recs);
-        let ck = b.finish();
-        let back = Checkpoint::from_bytes(ck.as_bytes().to_vec()).unwrap();
-        let got: Vec<SessionRecord> = back.section(SectionKind::Session).unwrap();
-        assert_eq!(got, recs);
+    fn retired_shard_meta_kind_is_malformed() {
+        // Section kinds 4 (hotness), 6 (tombstones), 7 (per-shard meta)
+        // and 8 (session records) are retired: an image carrying one is
+        // malformed, never silently skipped.
+        for kind in [4, 6, 7, 8] {
+            let bytes = patched(&sample(), |_, descs| descs[2].kind = kind);
+            assert!(matches!(Checkpoint::from_bytes(bytes), Err(CheckpointError::Malformed(_))));
+        }
     }
 
     #[test]

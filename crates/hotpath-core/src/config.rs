@@ -92,23 +92,30 @@ impl Tolerance {
 /// the decision depends only on what was submitted, never on timing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum AdmissionPolicy {
-    /// Refuse the newest arrivals beyond the cap (tail drop).
-    #[default]
-    Reject,
     /// Shed the oldest queued states to make room for new arrivals.
     ShedOldest,
-    /// Eject the client with the stalest heartbeat among those in the
-    /// batch (removing all of its queued states), repeating until the
-    /// batch fits. Requires session tracking for staleness; without it
-    /// the victim is the client of the oldest queued state.
+    /// Eject the slowest client in the batch (removing all of its
+    /// queued states), repeating until the batch fits. The slowest
+    /// client is the one whose newest state in the batch has the oldest
+    /// `te`; ties go toward the smaller id. The rule reads the sealed
+    /// batch alone.
+    ///
+    /// It picks the same victim as a per-client "last heartbeat" table
+    /// fed with every submitted state would: such a heartbeat is a
+    /// running max of `te`, and each client's `te` is nondecreasing in
+    /// submission order (RayTrace reports and boundary resubmissions
+    /// only move forward, and a reseeded filter starts at the current
+    /// tick), so a client's last heartbeat is the max `te` of its own
+    /// batch states.
+    #[default]
     EjectSlowest,
 }
 
 impl AdmissionPolicy {
-    /// Stable numeric encoding (checkpoint config echo).
+    /// Stable numeric encoding (checkpoint config echo). Raw 0 is
+    /// retired and does not decode.
     pub fn as_raw(self) -> u64 {
         match self {
-            AdmissionPolicy::Reject => 0,
             AdmissionPolicy::ShedOldest => 1,
             AdmissionPolicy::EjectSlowest => 2,
         }
@@ -117,7 +124,6 @@ impl AdmissionPolicy {
     /// Decodes [`AdmissionPolicy::as_raw`].
     pub fn from_raw(raw: u64) -> Option<AdmissionPolicy> {
         match raw {
-            0 => Some(AdmissionPolicy::Reject),
             1 => Some(AdmissionPolicy::ShedOldest),
             2 => Some(AdmissionPolicy::EjectSlowest),
             _ => None,
@@ -125,20 +131,13 @@ impl AdmissionPolicy {
     }
 }
 
-/// Robustness knobs: heartbeat leases for the client-session lifecycle
-/// and a bound on per-epoch ingest. All default to *off* (zero), which
-/// is the paper pipeline. `hotpathd` runs [`Config::paper_defaults`],
-/// so only the scenario registry's rows set them.
+/// Robustness knobs: a bound on per-epoch ingest and a degraded-epoch
+/// threshold. Both default to *off* (zero), which is the paper
+/// pipeline. `hotpathd` runs [`Config::paper_defaults`], so only the
+/// scenario registry's rows set them. The coordinator keeps no
+/// per-client state for them: both act on the sealed batch alone.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Admission {
-    /// Heartbeat lease in timestamps: a client with no admitted state
-    /// for `lease` time units transitions Healthy → Dropped. `0`
-    /// disables session tracking entirely.
-    pub lease: u64,
-    /// Grace period in timestamps after the lease expires: a Dropped
-    /// client with still no heartbeat is Ejected (its session record
-    /// is removed; a later report re-admits it as a fresh session).
-    pub grace: u64,
     /// Upper bound on states admitted per epoch (the whole drained
     /// batch). `0` = unbounded.
     pub queue_cap: usize,
@@ -150,14 +149,6 @@ pub struct Admission {
     /// epoch in [`crate::stats::AdmissionStats::degraded_epochs`].
     /// `0` = never degrade.
     pub degrade_threshold: usize,
-}
-
-impl Admission {
-    /// True when session tracking is on (`lease > 0`).
-    #[inline]
-    pub fn sessions_enabled(&self) -> bool {
-        self.lease > 0
-    }
 }
 
 /// Full configuration of a hot-motion-path deployment.
@@ -177,8 +168,7 @@ pub struct Config {
     /// Quantization grain for exact vertex identity (meters). Vertices
     /// within the same grain cell are treated as the same vertex.
     pub vertex_grain: f64,
-    /// Session lifecycle and admission-control knobs (all off by
-    /// default).
+    /// Admission-control knobs (all off by default).
     pub admission: Admission,
 }
 
@@ -208,7 +198,6 @@ impl Config {
             k: config.k,
             vertex_grain: config.vertex_grain,
             admission: config.admission,
-            lease_set: false,
             cap_set: false,
             degrade_set: false,
         }
@@ -229,15 +218,6 @@ pub enum ConfigError {
     EpochExceedsWindow {
         /// Configured epoch length `Lambda`.
         epoch: u64,
-        /// Configured window length `W`.
-        window: u64,
-    },
-    /// The heartbeat lease is at least as long as the sliding window:
-    /// every traversal a client reported would expire from the window
-    /// before its session could ever be considered stale.
-    LeaseOutlivesWindow {
-        /// Configured heartbeat lease.
-        lease: u64,
         /// Configured window length `W`.
         window: u64,
     },
@@ -265,11 +245,6 @@ impl std::fmt::Display for ConfigError {
                 "epoch length {epoch} must not exceed the window length {window} \
                  (an epoch would outlive its own traversals)"
             ),
-            ConfigError::LeaseOutlivesWindow { lease, window } => write!(
-                f,
-                "heartbeat lease {lease} must be shorter than the window length {window} \
-                 (a session can only go stale within the window)"
-            ),
             ConfigError::DegradeAtOrAboveCap { threshold, cap } => write!(
                 f,
                 "degrade threshold {threshold} must be below the admission queue cap {cap} \
@@ -286,9 +261,8 @@ impl std::error::Error for ConfigError {}
 /// Setters never panic; [`build`](Self::build) checks everything at
 /// once — per-field positivity (and `delta` in `(0, 1)` for an
 /// uncertain tolerance) plus the cross-field invariants
-/// (`epoch <= window`, `lease < window` when sessions are on, and
-/// `degrade threshold < queue cap` when both are set) — and returns the
-/// first violation as a [`ConfigError`].
+/// (`epoch <= window`, and `degrade threshold < queue cap` when both
+/// are set) — and returns the first violation as a [`ConfigError`].
 ///
 /// ```
 /// use hotpath_core::prelude::*;
@@ -296,9 +270,9 @@ impl std::error::Error for ConfigError {}
 /// let config = Config::builder().window(60).epoch(5).k(20).build().unwrap();
 /// assert_eq!(config.k, 20);
 ///
-/// // lease 80 under window 60: rejected at build, not at use.
-/// let err = Config::builder().window(60).lease(80, 10).build().unwrap_err();
-/// assert!(matches!(err, ConfigError::LeaseOutlivesWindow { .. }));
+/// // epoch 80 under window 60: rejected at build, not at use.
+/// let err = Config::builder().window(60).epoch(80).build().unwrap_err();
+/// assert!(matches!(err, ConfigError::EpochExceedsWindow { .. }));
 /// ```
 #[derive(Clone, Debug)]
 pub struct ConfigBuilder {
@@ -308,10 +282,9 @@ pub struct ConfigBuilder {
     k: usize,
     vertex_grain: f64,
     admission: Admission,
-    /// Whether `lease()` / `admission_cap()` / `degrade_threshold()`
-    /// were called explicitly: an explicit zero is an error, while the
-    /// zero *default* just means "feature off".
-    lease_set: bool,
+    /// Whether `admission_cap()` / `degrade_threshold()` were called
+    /// explicitly: an explicit zero is an error, while the zero
+    /// *default* just means "feature off".
     cap_set: bool,
     degrade_set: bool,
 }
@@ -344,15 +317,6 @@ impl ConfigBuilder {
     /// Vertex-identity quantization grain in meters.
     pub fn vertex_grain(mut self, grain: f64) -> Self {
         self.vertex_grain = grain;
-        self
-    }
-
-    /// Heartbeat lease and post-lease ejection grace (enables session
-    /// tracking).
-    pub fn lease(mut self, lease: u64, grace: u64) -> Self {
-        self.admission.lease = lease;
-        self.admission.grace = grace;
-        self.lease_set = true;
         self
     }
 
@@ -394,9 +358,6 @@ impl ConfigBuilder {
         if !(self.vertex_grain > 0.0 && self.vertex_grain.is_finite()) {
             return Err(ConfigError::NonPositive("vertex grain"));
         }
-        if self.lease_set && self.admission.lease == 0 {
-            return Err(ConfigError::NonPositive("lease"));
-        }
         if self.cap_set && self.admission.queue_cap == 0 {
             return Err(ConfigError::NonPositive("queue cap"));
         }
@@ -405,12 +366,6 @@ impl ConfigBuilder {
         }
         if self.epoch > self.window {
             return Err(ConfigError::EpochExceedsWindow { epoch: self.epoch, window: self.window });
-        }
-        if self.admission.sessions_enabled() && self.admission.lease >= self.window {
-            return Err(ConfigError::LeaseOutlivesWindow {
-                lease: self.admission.lease,
-                window: self.window,
-            });
         }
         if self.admission.queue_cap > 0
             && self.admission.degrade_threshold > 0
@@ -465,18 +420,13 @@ mod tests {
     #[test]
     fn admission_defaults_are_off_and_builders_compose() {
         let c = Config::paper_defaults();
-        assert!(!c.admission.sessions_enabled());
         assert_eq!(c.admission.queue_cap, 0);
         assert_eq!(c.admission.degrade_threshold, 0);
         let c = Config::builder()
-            .lease(30, 10)
             .admission_cap(500, AdmissionPolicy::ShedOldest)
             .degrade_threshold(400)
             .build()
             .unwrap();
-        assert!(c.admission.sessions_enabled());
-        assert_eq!(c.admission.lease, 30);
-        assert_eq!(c.admission.grace, 10);
         assert_eq!(c.admission.queue_cap, 500);
         assert_eq!(c.admission.policy, AdmissionPolicy::ShedOldest);
         assert_eq!(c.admission.degrade_threshold, 400);
@@ -484,23 +434,24 @@ mod tests {
 
     #[test]
     fn admission_policy_raw_roundtrip() {
-        for p in
-            [AdmissionPolicy::Reject, AdmissionPolicy::ShedOldest, AdmissionPolicy::EjectSlowest]
-        {
+        for p in [AdmissionPolicy::ShedOldest, AdmissionPolicy::EjectSlowest] {
             assert_eq!(AdmissionPolicy::from_raw(p.as_raw()), Some(p));
         }
+        assert_eq!(AdmissionPolicy::ShedOldest.as_raw(), 1);
+        assert_eq!(AdmissionPolicy::EjectSlowest.as_raw(), 2);
+        assert_eq!(AdmissionPolicy::from_raw(0), None, "raw 0 was the deleted tail drop");
         assert_eq!(AdmissionPolicy::from_raw(99), None);
     }
 
     #[test]
     fn builder_validates_at_build_not_at_set() {
         // Transiently inconsistent states are fine mid-chain...
-        let b = Config::builder().epoch(500).window(1000).lease(40, 10);
+        let b = Config::builder().epoch(500).degrade_threshold(40).window(1000);
         // ...and the final state validates.
         let c = b.build().unwrap();
         assert_eq!(c.epochs.lambda, 500);
         assert_eq!(c.window.len, 1000);
-        assert_eq!(c.admission.lease, 40);
+        assert_eq!(c.admission.degrade_threshold, 40);
     }
 
     #[test]
@@ -510,12 +461,8 @@ mod tests {
             ConfigError::EpochExceedsWindow { epoch: 30, window: 20 }
         );
         assert_eq!(
-            Config::builder().window(50).lease(50, 5).build().unwrap_err(),
-            ConfigError::LeaseOutlivesWindow { lease: 50, window: 50 }
-        );
-        assert_eq!(
             Config::builder()
-                .admission_cap(20, AdmissionPolicy::Reject)
+                .admission_cap(20, AdmissionPolicy::ShedOldest)
                 .degrade_threshold(20)
                 .build()
                 .unwrap_err(),
@@ -523,7 +470,7 @@ mod tests {
         );
         // Either knob alone is unconstrained by the other.
         assert!(Config::builder().degrade_threshold(5).build().is_ok());
-        assert!(Config::builder().admission_cap(5, AdmissionPolicy::Reject).build().is_ok());
+        assert!(Config::builder().admission_cap(5, AdmissionPolicy::ShedOldest).build().is_ok());
     }
 
     #[test]
@@ -534,8 +481,7 @@ mod tests {
             (Config::builder().k(0), "k"),
             (Config::builder().vertex_grain(0.0), "vertex grain"),
             (Config::builder().vertex_grain(f64::NAN), "vertex grain"),
-            (Config::builder().lease(0, 5), "lease"),
-            (Config::builder().admission_cap(0, AdmissionPolicy::Reject), "queue cap"),
+            (Config::builder().admission_cap(0, AdmissionPolicy::ShedOldest), "queue cap"),
             (Config::builder().degrade_threshold(0), "degrade threshold"),
             (Config::builder().tolerance(Tolerance::Crisp { eps: 0.0 }), "eps"),
             (Config::builder().tolerance(Tolerance::Crisp { eps: -1.0 }), "eps"),

@@ -38,7 +38,7 @@ use crate::fxhash::FxHashMap;
 use crate::geometry::{Point, Rect};
 use crate::motion_path::{MotionPath, PathId};
 use crate::time::{SlidingWindow, Timestamp};
-use crate::wheel::{TimerWheel, WheelEvent};
+use crate::wheel::TimerWheel;
 use std::cmp::Reverse;
 
 /// Quantized vertex key.
@@ -84,16 +84,11 @@ pub struct ExpiryEvent {
     pub id: PathId,
 }
 
-impl WheelEvent for ExpiryEvent {
-    type Key = (Timestamp, PathId);
-
+impl ExpiryEvent {
+    /// The canonical `(expiry, id)` order: an expired batch is processed
+    /// in it, and the checkpoint's event section is sorted by it.
     #[inline]
-    fn expiry_raw(&self) -> u64 {
-        self.expiry.raw()
-    }
-
-    #[inline]
-    fn sort_key(&self) -> Self::Key {
+    pub fn sort_key(&self) -> (Timestamp, PathId) {
         (self.expiry, self.id)
     }
 }
@@ -134,7 +129,7 @@ pub struct PathTable {
     /// the highest live count.
     buckets: Vec<Vec<u32>>,
     /// One `(te + W, id)` event per unexpired crossing.
-    wheel: TimerWheel<ExpiryEvent>,
+    wheel: TimerWheel,
     /// The paths the last [`PathTable::advance`] removed, in order.
     died: Vec<PathId>,
     /// The id the next created path gets.

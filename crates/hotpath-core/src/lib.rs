@@ -73,7 +73,6 @@ pub mod geometry;
 pub mod index;
 pub mod motion_path;
 pub mod raytrace;
-pub mod session;
 pub mod snapshot;
 pub mod stats;
 pub mod strategy;
@@ -110,7 +109,6 @@ pub mod prelude {
     pub use crate::geometry::{Point, Rect, Segment, TimePoint, Trajectory};
     pub use crate::motion_path::{MotionPath, PathId};
     pub use crate::raytrace::{ClientState, RayTraceFilter};
-    pub use crate::session::{SessionEvent, SessionState, SessionTable, SessionTransition};
     pub use crate::snapshot::{SnapshotCell, SnapshotGuard, SnapshotHandle};
     pub use crate::stats::AdmissionStats;
     pub use crate::time::{EpochClock, SlidingWindow, TimeInterval, Timestamp};

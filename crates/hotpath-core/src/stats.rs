@@ -53,8 +53,6 @@ impl CommStats {
 pub struct AdmissionStats {
     /// States admitted into epoch processing.
     pub admitted: u64,
-    /// States refused at the cap under the `Reject` policy.
-    pub rejected: u64,
     /// States shed from the queue front under `ShedOldest`.
     pub shed: u64,
     /// States removed because their client was ejected under
@@ -68,7 +66,7 @@ impl AdmissionStats {
     /// Total states turned away, under any policy.
     #[inline]
     pub fn turned_away(&self) -> u64 {
-        self.rejected + self.shed + self.ejected
+        self.shed + self.ejected
     }
 }
 

@@ -1,8 +1,7 @@
-//! A hierarchical timer wheel, generic over its event type.
+//! A hierarchical timer wheel of [`ExpiryEvent`]s.
 //!
-//! Shared by the path table (which drives sliding-window expiry through
-//! it) and the session table (heartbeat leases), so neither forks the
-//! structure. The wheel fires events in amortized
+//! The path table drives sliding-window expiry through it. The wheel
+//! fires events in amortized
 //! O(expired) per [`TimerWheel::advance_collect`]: events hash into
 //! 64-slot levels by the position of the highest bit in which their
 //! expiry differs from the wheel clock, occupancy bitmaps locate the
@@ -11,6 +10,8 @@
 //! lifetime. Cost never scales with the pending-set size — only with
 //! what actually expires.
 
+use crate::index::ExpiryEvent;
+
 /// Bits per wheel level: 64 slots each.
 const LEVEL_BITS: u32 = 6;
 /// Slots per level.
@@ -18,20 +19,7 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels needed to cover the full `u64` timestamp range (6 × 11 = 66).
 const LEVELS: usize = 11;
 
-/// An event the wheel can schedule: carries its own expiry timestamp
-/// and a canonical total order used when callers sort a fired batch
-/// (the wheel itself drains in bucket order, not time order).
-pub trait WheelEvent: Copy + std::fmt::Debug {
-    /// The canonical sort key — must order primarily by expiry so a
-    /// sorted batch reproduces deadline order deterministically.
-    type Key: Ord + Copy;
-    /// The expiry timestamp, as the raw clock value.
-    fn expiry_raw(&self) -> u64;
-    /// The canonical `(expiry, tie-break)` key.
-    fn sort_key(&self) -> Self::Key;
-}
-
-/// A hierarchical timer wheel over [`WheelEvent`]s.
+/// A hierarchical timer wheel over [`ExpiryEvent`]s.
 ///
 /// An event with `expiry > clock` lives in bucket `(level, slot)` where
 /// `level` is the index of the 6-bit digit holding the highest bit in
@@ -52,30 +40,30 @@ pub trait WheelEvent: Copy + std::fmt::Debug {
 /// level: each event cascades at most `LEVELS` times over its life,
 /// making advance amortized O(expired).
 #[derive(Clone, Debug)]
-pub struct TimerWheel<E: WheelEvent> {
+pub struct TimerWheel {
     /// The wheel's notion of now: the largest `advance_collect` time
     /// seen, or the clock the wheel was restored against.
     clock: u64,
     /// `levels[l][s]`: events whose expiry first differs from `clock`
     /// within bit range `[6l, 6l+6)` and whose level-`l` digit is `s`.
-    levels: Vec<[Vec<E>; SLOTS]>,
+    levels: Vec<[Vec<ExpiryEvent>; SLOTS]>,
     /// Bit `s` of `occupied[l]` is set iff `levels[l][s]` is non-empty.
     occupied: [u64; LEVELS],
     /// Events inserted with `expiry <= clock`, awaiting advance.
-    ready: Vec<E>,
+    ready: Vec<ExpiryEvent>,
     /// Total events held (all buckets plus `ready`).
     len: usize,
     /// Reused scratch: the expired batch of the last `advance_collect`.
-    expired: Vec<E>,
+    expired: Vec<ExpiryEvent>,
 }
 
-impl<E: WheelEvent> Default for TimerWheel<E> {
+impl Default for TimerWheel {
     fn default() -> Self {
         TimerWheel::new(0)
     }
 }
 
-impl<E: WheelEvent> TimerWheel<E> {
+impl TimerWheel {
     /// An empty wheel whose notion of now starts at `clock`.
     pub fn new(clock: u64) -> Self {
         TimerWheel {
@@ -131,8 +119,8 @@ impl<E: WheelEvent> TimerWheel<E> {
 
     /// Schedules an event. Events at or before the wheel clock land in
     /// the ready list and fire on the next advance that reaches them.
-    pub fn insert(&mut self, ev: E) {
-        let t = ev.expiry_raw();
+    pub fn insert(&mut self, ev: ExpiryEvent) {
+        let t = ev.expiry.raw();
         if t <= self.clock {
             self.ready.push(ev);
         } else {
@@ -175,7 +163,7 @@ impl<E: WheelEvent> TimerWheel<E> {
         // `ready` is unordered, so filter in place.
         let mut i = 0;
         while i < self.ready.len() {
-            if self.ready[i].expiry_raw() <= now {
+            if self.ready[i].expiry.raw() <= now {
                 let ev = self.ready.swap_remove(i);
                 self.expired.push(ev);
                 self.len -= 1;
@@ -193,7 +181,7 @@ impl<E: WheelEvent> TimerWheel<E> {
             self.occupied[level] &= !(1u64 << slot);
             for ev in bucket.drain(..) {
                 self.len -= 1;
-                if ev.expiry_raw() <= now {
+                if ev.expiry.raw() <= now {
                     self.expired.push(ev);
                 } else {
                     // Cascades to a strictly finer level under the
@@ -211,24 +199,24 @@ impl<E: WheelEvent> TimerWheel<E> {
 
     /// Takes the batch collected by the last
     /// [`TimerWheel::advance_collect`], leaving an empty scratch.
-    /// Callers sort by [`WheelEvent::sort_key`], process, and hand the
+    /// Callers sort by [`ExpiryEvent::sort_key`], process, and hand the
     /// allocation back with [`TimerWheel::give_expired`].
-    pub fn take_expired(&mut self) -> Vec<E> {
+    pub fn take_expired(&mut self) -> Vec<ExpiryEvent> {
         std::mem::take(&mut self.expired)
     }
 
     /// Returns a drained batch's allocation for reuse.
-    pub fn give_expired(&mut self, mut buf: Vec<E>) {
+    pub fn give_expired(&mut self, mut buf: Vec<ExpiryEvent>) {
         buf.clear();
         self.expired = buf;
     }
 
-    /// Every held event, sorted by [`WheelEvent::sort_key`] — the
+    /// Every held event, sorted by [`ExpiryEvent::sort_key`] — the
     /// canonical checkpoint order. Sorting makes the serialized section
     /// a pure function of the event *multiset*, independent of bucket
     /// layout, so `checkpoint(restore(image))` reproduces `image` byte
     /// for byte.
-    pub fn sorted_events(&self) -> Vec<E> {
+    pub fn sorted_events(&self) -> Vec<ExpiryEvent> {
         let mut out = Vec::with_capacity(self.len);
         out.extend_from_slice(&self.ready);
         for level in 0..LEVELS {
@@ -239,7 +227,7 @@ impl<E: WheelEvent> TimerWheel<E> {
                 out.extend_from_slice(&self.levels[level][slot]);
             }
         }
-        out.sort_unstable_by_key(|e| e.sort_key());
+        out.sort_unstable_by_key(ExpiryEvent::sort_key);
         out
     }
 
@@ -261,7 +249,7 @@ impl<E: WheelEvent> TimerWheel<E> {
                 }
                 counted += bucket.len();
                 for ev in bucket {
-                    let t = ev.expiry_raw();
+                    let t = ev.expiry.raw();
                     if t <= self.clock {
                         return Err(format!(
                             "bucketed event {ev:?} expires at {t}, at or before clock {}",

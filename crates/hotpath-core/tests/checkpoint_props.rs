@@ -16,7 +16,6 @@ use hotpath_core::geometry::{Point, Rect};
 use hotpath_core::index::ExpiryEvent;
 use hotpath_core::motion_path::MotionPath;
 use hotpath_core::raytrace::ClientState;
-use hotpath_core::session::SessionRecord;
 use hotpath_core::time::Timestamp;
 use hotpath_core::ObjectId;
 use proptest::prelude::*;
@@ -37,11 +36,11 @@ const BYTES_AT: usize = 16;
 const CRC_AT: usize = 24;
 
 fn config() -> Config {
-    Config::builder().window(60).k(4).lease(30, 10).build().unwrap()
+    Config::builder().window(60).k(4).build().unwrap()
 }
 
-/// A valid v5 image with every section kind: sessions on, paths that
-/// share vertices, and states left pending.
+/// A valid v6 image with every section kind: paths that share vertices,
+/// their expiry events, and states left pending.
 fn image() -> Vec<u8> {
     let mut c = Coordinator::new(config());
     let state = |obj: u64, te: u64| {
@@ -143,7 +142,6 @@ fn with_pending_twice(bytes: &[u8]) -> Vec<u8> {
     let mut b = CheckpointBuilder::new(h.epoch, h.clock, h.next_path_id, h.flags);
     b.section::<ConfigRecord>(SectionKind::Config, &ck.section(SectionKind::Config).unwrap());
     b.section::<StatsRecord>(SectionKind::Stats, &ck.section(SectionKind::Stats).unwrap());
-    b.section::<SessionRecord>(SectionKind::Session, &ck.section(SectionKind::Session).unwrap());
     b.section(SectionKind::Pending, &pending);
     b.section(SectionKind::Pending, &pending);
     b.section::<MotionPath>(SectionKind::Paths, &ck.section(SectionKind::Paths).unwrap());
@@ -156,7 +154,7 @@ fn structural(e: &CheckpointError) -> bool {
 }
 
 fn bad_version(e: &CheckpointError) -> bool {
-    matches!(e, CheckpointError::BadVersion { found: 3 | 4 | 6 })
+    matches!(e, CheckpointError::BadVersion { found: 3 | 4 | 5 | 7 })
 }
 
 fn config_mismatch(e: &CheckpointError) -> bool {
@@ -201,7 +199,8 @@ fn resealed_forgeries_are_rejected_structurally() {
         ),
         ("version 3", Box::new(|b| update_u32(b, VERSION_AT, |_| 3)), bad_version),
         ("version 4", Box::new(|b| update_u32(b, VERSION_AT, |_| 4)), bad_version),
-        ("version 6", Box::new(|b| update_u32(b, VERSION_AT, |_| 6)), bad_version),
+        ("version 5", Box::new(|b| update_u32(b, VERSION_AT, |_| 5)), bad_version),
+        ("version 7", Box::new(|b| update_u32(b, VERSION_AT, |_| 7)), bad_version),
         (
             "the retired hints bit",
             Box::new(|b| update_u32(b, FLAGS_AT, |f| f | 1)),
@@ -242,7 +241,7 @@ proptest! {
 
     /// Random byte flips in the section payloads with every CRC
     /// recomputed, so the image parses and the sections' own checks
-    /// (config echo, path order and geometry, events, sessions) are all
+    /// (config echo, path order and geometry, events) are all
     /// that stand between the bytes and a running coordinator.
     #[test]
     fn resealed_payload_flips_give_a_coordinator_or_a_typed_error(

@@ -1,6 +1,6 @@
 //! Property suites over the core data structures: geometry algebra, SSA
-//! safety, tolerance-solver analytics, the expiry wheel, sessions,
-//! checkpoint round trips, drain to empty and the RayTrace filters —
+//! safety, tolerance-solver analytics, the expiry wheel, checkpoint
+//! round trips, drain to empty and the RayTrace filters —
 //! each invariant checked against a brute-force oracle. The coordinator
 //! as a whole (path table, grid, FSA overlap, Phase B, top-k) is checked
 //! against the paper-level reference in `hotpath-baseline`'s
@@ -15,7 +15,6 @@ use hotpath_core::motion_path::{MotionPath, PathId};
 use hotpath_core::raytrace::{
     ClientState, FilterStats, RayTraceCore, RayTraceFilter, Ssa, UncertainRayTraceFilter,
 };
-use hotpath_core::session::{SessionTable, SessionTransition};
 use hotpath_core::time::{SlidingWindow, Timestamp};
 use hotpath_core::uncertainty::{
     coverage, half_width_exact, FallbackPolicy, GaussianPoint, ToleranceTable2D,
@@ -23,7 +22,7 @@ use hotpath_core::uncertainty::{
 use hotpath_core::ObjectId;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 fn point() -> impl Strategy<Value = Point> {
     (-1e4..1e4f64, -1e4..1e4f64).prop_map(|(x, y)| Point::new(x, y))
@@ -258,154 +257,6 @@ proptest! {
         }
     }
 
-}
-
-// ---------------- sessions ----------------
-
-/// Transition codes for the naive reference's event log.
-const CONNECTED: u8 = 0;
-const DROPPED: u8 = 1;
-const RECONNECTED: u8 = 2;
-const EJECTED: u8 = 3;
-
-fn code(t: SessionTransition) -> u8 {
-    match t {
-        SessionTransition::Connected => CONNECTED,
-        SessionTransition::Dropped => DROPPED,
-        SessionTransition::Reconnected => RECONNECTED,
-        SessionTransition::Ejected => EJECTED,
-    }
-}
-
-/// A naive session table: a sorted map scanned front to back, applying
-/// each due deadline by repeatedly taking the minimum `(deadline,
-/// object)` — the specification the wheel-backed [`SessionTable`] must
-/// reproduce event for event.
-struct NaiveSessions {
-    lease: u64,
-    grace: u64,
-    /// object -> (state: 0 healthy / 1 dropped, deadline, last_heartbeat)
-    records: BTreeMap<u64, (u8, u64, u64)>,
-    events: Vec<(u64, u64, u8)>,
-}
-
-impl NaiveSessions {
-    fn heartbeat(&mut self, obj: u64, at: u64) {
-        let deadline = at + self.lease;
-        match self.records.get_mut(&obj) {
-            None => {
-                self.records.insert(obj, (0, deadline, at));
-                self.events.push((obj, at, CONNECTED));
-            }
-            Some(r) => {
-                r.2 = r.2.max(at);
-                if r.0 == 1 {
-                    *r = (0, deadline, r.2);
-                    self.events.push((obj, at, RECONNECTED));
-                } else if deadline > r.1 {
-                    r.1 = deadline;
-                }
-            }
-        }
-    }
-
-    fn advance(&mut self, now: u64) {
-        loop {
-            let due = self.records.iter().filter(|(_, r)| r.1 <= now).map(|(&o, r)| (r.1, o)).min();
-            let Some((deadline, obj)) = due else { break };
-            if self.records[&obj].0 == 0 {
-                self.events.push((obj, deadline, DROPPED));
-                let eject_at = deadline + self.grace;
-                if eject_at <= now {
-                    self.records.remove(&obj);
-                    self.events.push((obj, eject_at, EJECTED));
-                } else {
-                    let r = self.records.get_mut(&obj).expect("due record");
-                    r.0 = 1;
-                    r.1 = eject_at;
-                }
-            } else {
-                self.records.remove(&obj);
-                self.events.push((obj, deadline, EJECTED));
-            }
-        }
-    }
-
-    fn eject_now(&mut self, obj: u64, at: u64) {
-        if self.records.remove(&obj).is_some() {
-            self.events.push((obj, at, EJECTED));
-        }
-    }
-
-    fn records_flat(&self) -> Vec<(u64, u64, u64, u64)> {
-        self.records.iter().map(|(&o, &(s, d, h))| (o, s as u64, d, h)).collect()
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// The wheel-backed session table must match the naive
-    /// sorted-by-deadline reference exactly — same transition stream
-    /// (eviction order included), same surviving records — through any
-    /// schedule of heartbeats, clock jumps, and forced ejections, and
-    /// straight through a checkpoint/restore performed mid-schedule
-    /// (i.e. mid-lease for whatever sessions are then alive).
-    #[test]
-    fn session_table_matches_naive_deadline_reference(
-        lease in 1u64..20,
-        grace in 0u64..15,
-        schedule in prop::collection::vec((0u64..6, 0u64..12, 0u64..8), 1..200),
-        restore_ix in 0usize..200,
-    ) {
-        let mut real = SessionTable::new(lease, grace, Timestamp(0));
-        let mut naive = NaiveSessions {
-            lease,
-            grace,
-            records: BTreeMap::new(),
-            events: Vec::new(),
-        };
-        let mut now = 0u64;
-        for (i, &(gap, obj, action)) in schedule.iter().enumerate() {
-            now += gap;
-            real.advance(Timestamp(now));
-            naive.advance(now);
-            if action == 0 {
-                real.eject_now(ObjectId(obj), Timestamp(now));
-                naive.eject_now(obj, now);
-            } else if action < 6 {
-                real.heartbeat(ObjectId(obj), Timestamp(now));
-                naive.heartbeat(obj, now);
-            }
-            let got: Vec<(u64, u64, u8)> = real
-                .drain_events()
-                .into_iter()
-                .map(|e| (e.object.0, e.at.raw(), code(e.transition)))
-                .collect();
-            prop_assert_eq!(got, std::mem::take(&mut naive.events), "events at step {}", i);
-            let flat: Vec<(u64, u64, u64, u64)> = real
-                .records_vec()
-                .iter()
-                .map(|r| (r.object, r.state, r.deadline, r.last_heartbeat))
-                .collect();
-            prop_assert_eq!(flat, naive.records_flat(), "records at step {}", i);
-
-            if i == restore_ix % schedule.len() {
-                // Mid-lease restore: the rebuilt table (no stale wheel
-                // events) must keep tracking the reference.
-                real = SessionTable::from_checkpoint_parts(
-                    lease,
-                    grace,
-                    real.records_vec(),
-                    real.counters(),
-                    Timestamp(now),
-                )
-                .expect("clean section");
-                real.check().expect("restored table audits");
-            }
-        }
-        real.check().expect("final audit");
-    }
 }
 
 // ---------------- checkpoint ----------------

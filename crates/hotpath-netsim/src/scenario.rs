@@ -28,7 +28,6 @@ use crate::network::{generate, ClosureSet, LinkId, NetworkParams, NodeId, RoadCl
 use hotpath_core::config::{Admission, AdmissionPolicy};
 use hotpath_core::coordinator::HotSnapshot;
 use hotpath_core::geometry::{Point, TimePoint};
-use hotpath_core::session::SessionCounters;
 use hotpath_core::stats::CommStats;
 use hotpath_core::time::Timestamp;
 use hotpath_core::ObjectId;
@@ -66,7 +65,7 @@ impl ScenarioParams {
 #[derive(Clone, Debug)]
 pub struct EpochSample {
     /// The published snapshot: epoch, timestamp, index size, top-k and
-    /// its score, Phase-B load, and the session and admission counters.
+    /// its score, Phase-B load, and the admission counters.
     pub snap: Arc<HotSnapshot>,
     /// States pending at the boundary (the epoch's reporting objects).
     pub reporting: usize,
@@ -115,7 +114,7 @@ impl ScenarioOutcome {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The client vanishes: no measurements reach the pipeline, and on
-    /// return the client reconnects with a fresh filter (new session).
+    /// return the client reconnects with a fresh filter.
     Disconnect,
     /// The client stalls: no measurements reach the pipeline, but on
     /// return it resumes with its existing filter state.
@@ -214,10 +213,8 @@ pub trait Scenario {
     fn fault_windows(&self) -> Vec<FaultWindow> {
         Vec::new()
     }
-    /// Session lease, ingest bound and degraded-epoch threshold this
-    /// scenario's invariants assume. All off by default; drivers without
-    /// a session layer may ignore it (the fault invariants then cannot
-    /// be checked).
+    /// Ingest bound and degraded-epoch threshold this scenario's
+    /// invariants assume. Both off by default.
     fn admission(&self) -> Admission {
         Admission::default()
     }
@@ -299,7 +296,7 @@ enum Overlay {
 #[derive(Clone, Copy, Debug)]
 enum Check {
     /// Some client reported, the final top-k is non-empty and some epoch
-    /// scored; when the spec turns sessions on, some session connected.
+    /// scored.
     Discovery,
     /// Some corridor was crossed at least twice.
     HottestAtLeastTwo,
@@ -317,17 +314,9 @@ enum Check {
     /// Some epoch from the closures' grace period on (clamped to the last
     /// epoch) still scores.
     Recovered,
-    /// The first ejection comes within `lease + grace` of the fault's
-    /// start, plus epoch-boundary slack.
-    EjectionBound,
     /// The top-k score never collapses while the fault is active, or
     /// (`to_end`) from its start to the end of the run.
     ScoreHeld { to_end: bool },
-    /// Clients re-admit after the fault: fresh connects, plus reconnects
-    /// when the fault is a [`FaultKind::Disconnect`].
-    Readmitted,
-    /// Reconnects rise after the fault.
-    Reconnected,
     /// Admission control turned something away or degraded some epoch.
     AdmissionEngaged,
     /// The last pre-fault top path is hot again within a window hint of
@@ -346,8 +335,7 @@ pub struct ScenarioSpec {
     crowd: Crowd,
     surge: Option<Surge>,
     overlays: &'static [Overlay],
-    /// Session lease, ingest bound and degraded-epoch threshold at a
-    /// given scale.
+    /// Ingest bound and degraded-epoch threshold at a given scale.
     admission: fn(&ScenarioParams) -> Admission,
     /// The shortest sliding window the checks assume; dropouts and
     /// disconnects stretch it (see [`Workload::new`]).
@@ -356,8 +344,8 @@ pub struct ScenarioSpec {
     checks: &'static [Check],
 }
 
-/// Sessions, admission and degradation all off.
-fn no_sessions(_: &ScenarioParams) -> Admission {
+/// Admission and degradation both off.
+fn no_admission(_: &ScenarioParams) -> Admission {
     Admission::default()
 }
 
@@ -386,7 +374,7 @@ const UNIFORM: ScenarioSpec = ScenarioSpec {
     crowd: OFF_PEAK,
     surge: None,
     overlays: &[],
-    admission: no_sessions,
+    admission: no_admission,
     min_window: 40,
     checks: &[Check::Discovery],
 };
@@ -456,16 +444,10 @@ pub const REGISTRY: &[ScenarioSpec] = &[
     // `duration / 2`) lands mid-storm.
     ScenarioSpec {
         name: "mass_disconnect",
-        summary: "half the fleet vanishes mid-run past lease and grace, then returns",
+        summary: "half the fleet vanishes mid-run, then returns with fresh filters",
         crowd: TOWARD_VENUE,
         overlays: &[fault(FaultKind::Disconnect, Frac(9, 20), Frac(13, 20), 0.5, 0xD15C)],
-        admission: |_| Admission { lease: 12, grace: 6, ..Admission::default() },
-        checks: &[
-            Check::Discovery,
-            Check::EjectionBound,
-            Check::ScoreHeld { to_end: false },
-            Check::Readmitted,
-        ],
+        checks: &[Check::Discovery, Check::ScoreHeld { to_end: false }],
         ..UNIFORM
     },
     ScenarioSpec {
@@ -474,43 +456,26 @@ pub const REGISTRY: &[ScenarioSpec] = &[
         crowd: TOWARD_VENUE,
         overlays: &[fault(FaultKind::Disconnect, Frac(9, 20), Frac(11, 20), 1.0, 0x5707)],
         admission: |p| Admission {
-            // Lease shorter than the outage so every session drops;
-            // grace longer than the outage so nobody is ejected and the
-            // entire fleet *reconnects* at once.
-            lease: 8,
-            grace: p.duration / 10 + 10,
             queue_cap: (p.n / 4).max(64),
             policy: AdmissionPolicy::ShedOldest,
             degrade_threshold: (p.n / 6).max(48),
         },
-        checks: &[
-            Check::Discovery,
-            Check::Reconnected,
-            Check::AdmissionEngaged,
-            Check::PreStormTopKRecovered,
-        ],
+        checks: &[Check::Discovery, Check::AdmissionEngaged, Check::PreStormTopKRecovered],
         ..UNIFORM
     },
     ScenarioSpec {
         name: "slow_client_stall",
-        summary: "a quarter of the fleet stalls silently until ejected; service continues",
+        summary: "a quarter of the fleet stalls silently under an ingest cap; service continues",
         crowd: TOWARD_VENUE,
         // The stall runs for 40% of the run but 75% of the fleet keeps
         // the corridor hot, so it does not stretch the window hint.
         overlays: &[fault(FaultKind::Stall, Frac(2, 5), Frac(4, 5), 0.25, 0x51A1)],
         admission: |p| Admission {
-            lease: 12,
-            grace: 6,
             queue_cap: (p.n / 5).max(48),
             policy: AdmissionPolicy::EjectSlowest,
             ..Admission::default()
         },
-        checks: &[
-            Check::Discovery,
-            Check::EjectionBound,
-            Check::ScoreHeld { to_end: true },
-            Check::Readmitted,
-        ],
+        checks: &[Check::Discovery, Check::ScoreHeld { to_end: true }],
         ..UNIFORM
     },
 ];
@@ -822,13 +787,6 @@ impl Workload {
                 ensure(!outcome.final_top_k.is_empty(), || "empty final top-k".into())?;
                 let scored = outcome.per_epoch.iter().any(|e| e.snap.top_k_score > 0.0);
                 ensure(scored, || "top-k never scored".into())?;
-                if self.admission.sessions_enabled() {
-                    ensure(last()?.sessions.connects > 0, || {
-                        "no session ever connected — were the scenario's admission knobs \
-                         applied?"
-                            .into()
-                    })?;
-                }
             }
             Check::HottestAtLeastTwo => {
                 let hottest = outcome.final_top_k.first().map_or(0, |&(_, h)| h);
@@ -882,22 +840,6 @@ impl Workload {
                     .any(|e| e.snap.timestamp.raw() >= from && e.snap.top_k_score > 0.0);
                 ensure(recovered, || "top-k never recovered after the closures".into())?;
             }
-            Check::EjectionBound => {
-                let w = self.fault()?;
-                let base = cum_before(outcome, w.from, |s| s.ejections);
-                let first = outcome
-                    .per_epoch
-                    .iter()
-                    .find(|e| e.snap.sessions.ejections > base)
-                    .ok_or("no session was ever ejected")?
-                    .snap
-                    .timestamp
-                    .raw();
-                let bound = w.from.raw() + self.admission.lease + self.admission.grace + 15;
-                ensure(first <= bound, || {
-                    format!("first ejection at t={first} but the lease bound is t={bound}")
-                })?;
-            }
             Check::ScoreHeld { to_end } => {
                 let w = self.fault()?;
                 let held = |t: Timestamp| if to_end { t >= w.from } else { w.active(t) };
@@ -909,23 +851,6 @@ impl Workload {
                         )
                     })?;
                 }
-            }
-            Check::Readmitted => {
-                let w = self.fault()?;
-                let admitted: fn(&SessionCounters) -> u64 = match w.kind {
-                    FaultKind::Disconnect => |s| s.connects + s.reconnects,
-                    FaultKind::Stall => |s| s.connects,
-                };
-                let base = cum_before(outcome, w.until, admitted);
-                ensure(admitted(&last()?.sessions) > base, || {
-                    "no client was re-admitted after the fault".into()
-                })?;
-            }
-            Check::Reconnected => {
-                let base = cum_before(outcome, self.fault()?.until, |s| s.reconnects);
-                ensure(last()?.sessions.reconnects > base, || {
-                    "no reconnect after the storm".into()
-                })?;
             }
             Check::AdmissionEngaged => {
                 let a = &last()?.admission;
@@ -964,12 +889,6 @@ fn ensure(holds: bool, why: impl FnOnce() -> String) -> Result<(), String> {
     } else {
         Err(why())
     }
-}
-
-/// Cumulative counter value at the last epoch strictly before `t` (zero
-/// when no epoch precedes `t`).
-fn cum_before(outcome: &ScenarioOutcome, t: Timestamp, f: fn(&SessionCounters) -> u64) -> u64 {
-    outcome.per_epoch.iter().rfind(|e| e.snap.timestamp < t).map_or(0, |e| f(&e.snap.sessions))
 }
 
 impl Scenario for Workload {
@@ -1316,7 +1235,6 @@ mod tests {
             let s = build(name, &params).expect("registered");
             let windows = s.fault_windows();
             assert!(!windows.is_empty(), "{name} declares no faults");
-            assert!(s.admission().sessions_enabled(), "{name} must turn sessions on");
             for w in &windows {
                 assert!(w.from < w.until, "{name}: empty fault window");
                 assert!(w.until.raw() < params.duration, "{name}: window outlives the run");
@@ -1378,7 +1296,10 @@ mod tests {
             ]);
         }
         let a = s.admission();
-        words.extend([a.lease, a.grace, a.queue_cap as u64, a.policy as u64]);
+        words.push(a.queue_cap as u64);
+        if a.queue_cap > 0 {
+            words.push(a.policy.as_raw());
+        }
         words.push(a.degrade_threshold as u64);
         for i in 0..16 {
             let p = s.seed_timepoint(ObjectId(i), Timestamp(0)).p;
@@ -1406,17 +1327,17 @@ mod tests {
     /// 2015, hashed by [`stream_hash`]. A refactor that moves one RNG
     /// draw moves the hash.
     const GOLDEN_STREAMS: &[(&str, [u64; 2])] = &[
-        ("uniform", [0x30ed69fc44d3b3d3, 0x6f5925c3fc596765]),
-        ("sporting_event", [0x1f29acb6b91f2776, 0x5059212fd5b95690]),
-        ("evacuation", [0xb06869334ac040a6, 0x256a89ac5d3340e2]),
-        ("sensor_dropout", [0x289658c855daf4d0, 0x9ee2d139b60afcee]),
-        ("rush_hour_surge", [0x51f6e983e3b13d14, 0x69eb69f8f63b9805]),
-        ("flash_crowd", [0xb2f8cf084cbc247c, 0x4a5047c4dc109f5e]),
-        ("evacuation_reroute", [0xae4ae00defd83f7c, 0x6f4a02eb58070c5e]),
-        ("surge_dropout", [0x3a02cb44a0fcaf55, 0x6a582001eb8a9ad8]),
-        ("mass_disconnect", [0x6b48b1ffd8dfb7d8, 0x8f6ae23181aabb0a]),
-        ("reconnect_storm", [0x276cd92eeaffeaa1, 0x407e6c202cdee636]),
-        ("slow_client_stall", [0xaa0e419f03ca3e5b, 0xd7e96d1fb0fb725f]),
+        ("uniform", [0x67725b9627e3fa4d, 0x45fa7eadbca04041]),
+        ("sporting_event", [0x8ea9d000e3ae2946, 0x6aad981c1c9e05ff]),
+        ("evacuation", [0x4b607d0bb69ccdc1, 0x5ad80320b292a326]),
+        ("sensor_dropout", [0xcd766afea94d57f5, 0x2aa3d517dea4479b]),
+        ("rush_hour_surge", [0x78a71389785f27e3, 0x58e8cd60f949ab99]),
+        ("flash_crowd", [0xd01135fa5191fde9, 0x3034794f302ff666]),
+        ("evacuation_reroute", [0xe64204d1bb2e0973, 0xfcb1c740af6863f3]),
+        ("surge_dropout", [0x4c2d65b554e74703, 0x3af83617d458baf3]),
+        ("mass_disconnect", [0x8fd297f90b5842bd, 0xf243641d55507553]),
+        ("reconnect_storm", [0x7b77369ef7a44533, 0x6daf592b389a443a]),
+        ("slow_client_stall", [0x468cb6c984411365, 0xa0475f300d0c5e27]),
     ];
 
     #[test]

@@ -141,8 +141,8 @@ impl ScenarioRunParams {
     }
 
     /// The core [`Config`] for `scenario` under these knobs, with the
-    /// scenario's [`Scenario::admission`] knobs (session lease,
-    /// admission bound, degrade threshold) applied; the ones it leaves
+    /// scenario's [`Scenario::admission`] knobs (admission bound,
+    /// degrade threshold) applied; the ones it leaves
     /// at zero stay off. The `Own` ablation then sets the degrade
     /// threshold to 1 (see [`ScenarioRunParams::overlap`]). Panics when
     /// the combination does not validate.
@@ -157,9 +157,6 @@ impl ScenarioRunParams {
             .window(self.window.unwrap_or_else(|| scenario.window_hint()))
             .epoch(self.epoch)
             .k(self.k);
-        if admission.lease > 0 {
-            builder = builder.lease(admission.lease, admission.grace);
-        }
         if admission.queue_cap > 0 {
             builder = builder.admission_cap(admission.queue_cap, admission.policy);
         }
@@ -251,12 +248,12 @@ struct ScenarioDriver<'a> {
     table: Option<ToleranceTable2D>,
     eps: f64,
     /// Clients whose last suppression was a `Disconnect`: their next
-    /// surviving measurement reseeds a fresh filter (new session).
+    /// surviving measurement reseeds a fresh filter.
     disconnected: Vec<bool>,
     /// When each client entered `waiting` (a report submitted, its
     /// endpoint response pending). Admission control may turn the
     /// report away — no response ever comes — so a client that waits
-    /// longer than [`Self::give_up`] abandons the session and reseeds.
+    /// longer than [`Self::give_up`] abandons its filter and reseeds.
     awaiting_since: Vec<Option<Timestamp>>,
     /// Waiting bound in ticks; responses normally arrive within one
     /// epoch, so anything past this means the state was turned away.
@@ -320,8 +317,7 @@ impl ScenarioDriver<'_> {
             if self.disconnected[idx] || gave_up {
                 // Reconnect: retire the old filter's stats and reseed
                 // from this measurement, exactly like a fresh client
-                // joining mid-run (the coordinator sees a resubmission
-                // or, after an ejection, a brand-new session).
+                // joining mid-run (the coordinator sees a resubmission).
                 self.retired.merge(&self.clients[idx].stats());
                 self.clients[idx] = Client::fresh(&self.table, self.eps, m.object, m.observed);
                 self.disconnected[idx] = false;
@@ -509,8 +505,8 @@ pub fn run_named(
 /// the published snapshot of every epoch, the final top-k, and the
 /// communication counters. Two traces are equal when every snapshot
 /// agrees on its deterministic fields — epoch, timestamp, index size,
-/// score bits, top-k ids, Phase-B deferred count, session gauges and
-/// counters, admission counters — and the timings (processing times,
+/// score bits, top-k ids, Phase-B deferred count, admission counters —
+/// and the timings (processing times,
 /// Phase-B busy time), which vary by machine, are left out.
 #[derive(Clone, Debug)]
 pub struct ParityTrace {
@@ -525,8 +521,7 @@ impl PartialEq for ParityTrace {
             let ids = |s: &HotSnapshot| s.top_k.iter().map(|h| h.path.id).collect::<Vec<_>>();
             (a.epoch, a.timestamp, a.index_size, a.top_k_score.to_bits(), a.phase_b.deferred)
                 == (b.epoch, b.timestamp, b.index_size, b.top_k_score.to_bits(), b.phase_b.deferred)
-                && (a.sessions_healthy, a.sessions_dropped, a.sessions, a.admission)
-                    == (b.sessions_healthy, b.sessions_dropped, b.sessions, b.admission)
+                && a.admission == b.admission
                 && ids(a) == ids(b)
         };
         self.per_epoch.len() == other.per_epoch.len()
@@ -735,29 +730,6 @@ mod tests {
             assert!(res.filter_stats.reports > 0);
             assert_eq!(res.filter_stats.dropped, 0, "crisp mode cannot drop");
         }
-    }
-
-    /// The driver samples every publish: on a run that connects, drops
-    /// and ejects sessions, each sample's cumulative counters equal the
-    /// running count of the events published up to it.
-    #[test]
-    fn samples_see_every_published_session_event() {
-        use hotpath_core::session::{SessionCounters, SessionTransition};
-        let res = run_named("mass_disconnect", &quick_scale(45), &ScenarioRunParams::default())
-            .expect("registered scenario");
-        let mut published = SessionCounters::default();
-        for e in &res.outcome.per_epoch {
-            for ev in e.snap.session_events.iter() {
-                match ev.transition {
-                    SessionTransition::Connected => published.connects += 1,
-                    SessionTransition::Dropped => published.drops += 1,
-                    SessionTransition::Reconnected => published.reconnects += 1,
-                    SessionTransition::Ejected => published.ejections += 1,
-                }
-            }
-            assert_eq!(e.snap.sessions, published, "at t={:?}", e.snap.timestamp);
-        }
-        assert!(published.ejections > 0, "the storm must eject");
     }
 
     #[test]

@@ -69,6 +69,14 @@ mutants=(
   degrade_trigger_off_by_one "$core/coordinator.rs"
   'states.len() > degrade'
   'states.len() >= degrade'
+
+  eject_keys_the_oldest_state "$core/coordinator.rs"
+  '*te = (*te).max(s.te);'
+  '*te = (*te).min(s.te);'
+
+  eject_tie_to_the_larger_id "$core/coordinator.rs"
+  'slowest.sort_unstable();'
+  'slowest.sort_unstable_by_key(|&(te, object)| (te, std::cmp::Reverse(object)));'
 )
 
 # Occurrences of the literal $2 in the contents of file $1.

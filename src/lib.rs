@@ -44,7 +44,6 @@ pub mod prelude {
     // The engine surface and the published view.
     pub use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotPath, HotSnapshot};
     pub use hotpath_core::engine::{Engine, EngineKind, SyncEngine};
-    pub use hotpath_core::session::SessionCounters;
     // Lock-free snapshot reads.
     pub use hotpath_core::snapshot::{SnapshotCell, SnapshotGuard, SnapshotHandle};
     // Checkpoint/restore.

@@ -173,7 +173,7 @@ const RESTORE_PATHS: u64 = 10_000;
 /// decoded once out of the image already in memory and the table's
 /// derived structures are rebuilt from it, so the bytes a restore
 /// allocates are a bounded multiple of the image. Measured on this
-/// 10 000-path image (560 488 bytes): 7 773 716 bytes, 13.9 times its
+/// 10 000-path image (560 432 bytes): 7 773 644 bytes, 13.9 times its
 /// length — 1.0 for the decoded sections, the rest the index rebuilt
 /// around them (30 074 allocations, three per path, among them its
 /// start vertex's adjacency list and its end cell, and hash maps grown
