@@ -86,8 +86,9 @@ proptest! {
     /// clients; the admission cap is off, or at 1-12 under either
     /// policy, and the degrade threshold off or at 1-20 (which drives
     /// both sides through `Own`) where it stays below the cap. The core
-    /// side is restarted from its checkpoint bytes at a random epoch,
-    /// pending batch included.
+    /// side is restarted from its checkpoint bytes, pending batch
+    /// included, before each epoch whose bit is set in `restarts`: no
+    /// restart, any subset, or one before every epoch.
     #[test]
     fn coordinator_matches_the_full_scan_reference(
         epochs in prop::collection::vec((0u8..4, prop::collection::vec(spec(), 0..41)), 1..9),
@@ -96,7 +97,7 @@ proptest! {
         clients in 1u64..42,
         window in 10u64..40,
         k in 1usize..6,
-        restart in 0usize..10,
+        restarts in 0u16..512,
     ) {
         let mut builder = Config::builder()
             .tolerance(Tolerance::crisp(5.0))
@@ -123,7 +124,7 @@ proptest! {
                 real.submit(st);
                 oracle.submit(st);
             }
-            if e == restart {
+            if (restarts >> e) & 1 == 1 {
                 let image = Checkpoint::from_bytes(real.checkpoint().as_bytes().to_vec()).unwrap();
                 real = Coordinator::from_checkpoint(config, &image).unwrap();
             }

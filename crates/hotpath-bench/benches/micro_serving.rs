@@ -1,10 +1,11 @@
-//! Serving-path micro-bench: lock-free snapshot read throughput through
-//! a `hotpathd` front door, at 1/4/16 reader threads, with the epoch
-//! loop idle and with it publishing continuously. Reads go through
-//! [`SnapshotHandle::read`] — an atomic load, a hazard-slot store, and a
-//! revalidation load; no mutex, no allocation, no refcount traffic — so
-//! throughput must not collapse when the writer publishes or when more
-//! readers pile on (modulo plain CPU contention on small hosts).
+//! Serving-path micro-bench: snapshot read throughput through a
+//! `hotpathd` front door, at 1/4/16 reader threads, with the epoch loop
+//! idle and with it publishing continuously. Reads go through
+//! [`SnapshotHandle::read`] — one atomic load while nothing new is
+//! published, one lock-and-clone on the first read after a publish, no
+//! allocation — so throughput must not collapse when the writer
+//! publishes or when more readers pile on (modulo plain CPU contention
+//! on small hosts).
 //!
 //! [`SnapshotHandle::read`]: hotpath_core::snapshot::SnapshotHandle::read
 

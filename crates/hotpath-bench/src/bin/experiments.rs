@@ -20,7 +20,7 @@
 //! `<dir>/scenario_<name>.csv`.
 //!
 //! `swarm` runs the deterministic `client_swarm` load generator against
-//! a `hotpathd` front door (lock-free snapshot readers hammering while
+//! a `hotpathd` front door (snapshot readers hammering while
 //! the swarm writes). `serve` binds a `hotpathd` to a unix socket
 //! and drives a scripted wire client through submit/advance/query — an
 //! offline smoke of the full out-of-process stack.

@@ -4,9 +4,9 @@
 //! *drain-ingest* → *Phase A* → *Phase B* → *publish* — and
 //! [`SyncEngine`] runs all of them on the caller's thread: `submit` goes
 //! straight to the coordinator, `process_epoch` returns the endpoint
-//! responses and captures the freshly published epoch-stamped
-//! [`HotSnapshot`]. Reads go through that snapshot (or an attached
-//! [`SnapshotCell`]), never through live coordinator state.
+//! responses and publishes the freshly stamped [`HotSnapshot`] into the
+//! engine's own [`SnapshotCell`]. Reads go through that cell, never
+//! through live coordinator state.
 //!
 //! Responses are causally required at the epoch boundary — clients seed
 //! their next SSA from them — so the strategy stages cannot move off the
@@ -70,14 +70,12 @@ pub trait Engine: Send {
     /// The snapshot published by the last `process_epoch` (an empty
     /// epoch-0 snapshot before the first).
     fn snapshot(&mut self) -> Arc<HotSnapshot>;
-    /// Attaches a [`SnapshotCell`]: from now on every publish stage
-    /// also installs its snapshot into the cell, so any number of
+    /// The [`SnapshotCell`] every publish stage and every restore
+    /// installs its snapshot into, so any number of
     /// [`SnapshotHandle`](crate::snapshot::SnapshotHandle) readers
-    /// observe each epoch lock-free, without ever calling into the
-    /// engine. The current snapshot is published into the cell
-    /// immediately, and a restore re-publishes the restored state (the
+    /// observe each epoch without ever calling into the engine (the
     /// cell never serves pre-restore data).
-    fn attach_cell(&mut self, cell: Arc<SnapshotCell>);
+    fn cell(&self) -> Arc<SnapshotCell>;
     /// Serializes the engine's complete state — the coordinator,
     /// buffered pending batch included — into a validated [`Checkpoint`]
     /// image; the engine continues unchanged afterwards. Re-checkpointing
@@ -116,24 +114,18 @@ pub trait Engine: Send {
     fn finish(self: Box<Self>) -> Coordinator;
 }
 
-/// The engine: a thin adapter over [`Coordinator`] that captures the
-/// published snapshot at each boundary.
+/// The engine: a thin adapter over [`Coordinator`] that publishes its
+/// snapshot into the engine's cell at each boundary.
 pub struct SyncEngine {
     coordinator: Coordinator,
-    last: Arc<HotSnapshot>,
-    cell: Option<Arc<SnapshotCell>>,
+    cell: Arc<SnapshotCell>,
 }
 
 impl SyncEngine {
-    /// Wraps a coordinator.
+    /// Wraps a coordinator; its cell holds the empty epoch-0 snapshot
+    /// until the first boundary.
     pub fn new(coordinator: Coordinator) -> Self {
-        SyncEngine { coordinator, last: Arc::new(HotSnapshot::empty()), cell: None }
-    }
-
-    fn publish_to_cell(&self) {
-        if let Some(cell) = &self.cell {
-            cell.publish(self.last.clone());
-        }
+        SyncEngine { coordinator, cell: SnapshotCell::new() }
     }
 }
 
@@ -165,18 +157,16 @@ impl Engine for SyncEngine {
         // `process_epoch` ends with the publish stage, so this is the
         // freshly published snapshot (comm as of the publish — before
         // any boundary resubmissions land).
-        self.last = self.coordinator.snapshot();
-        self.publish_to_cell();
+        self.cell.publish(self.coordinator.snapshot());
         responses
     }
 
     fn snapshot(&mut self) -> Arc<HotSnapshot> {
-        self.last.clone()
+        self.cell.load()
     }
 
-    fn attach_cell(&mut self, cell: Arc<SnapshotCell>) {
-        cell.publish(self.last.clone());
-        self.cell = Some(cell);
+    fn cell(&self) -> Arc<SnapshotCell> {
+        Arc::clone(&self.cell)
     }
 
     fn checkpoint(&mut self) -> Checkpoint {
@@ -186,9 +176,8 @@ impl Engine for SyncEngine {
     fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
         self.coordinator = Coordinator::from_checkpoint(*self.coordinator.config(), ck)?;
         // Rebuild the published view from the restored state: the old
-        // `last` snapshot must never survive a restore.
-        self.last = self.coordinator.snapshot();
-        self.publish_to_cell();
+        // snapshot must never survive a restore.
+        self.cell.publish(self.coordinator.snapshot());
         Ok(())
     }
 
@@ -397,8 +386,8 @@ mod tests {
         engine.finish().check_consistency().unwrap();
     }
 
-    /// Attaching a cell publishes immediately, tracks every epoch, and
-    /// a restore re-publishes the restored state.
+    /// The engine's cell holds the current state, tracks every epoch,
+    /// and a restore re-publishes the restored state.
     #[test]
     fn attached_cell_tracks_epochs_and_restores() {
         let mut engine = EngineKind::Sync.build(Coordinator::new(Config::paper_defaults()));
@@ -406,10 +395,9 @@ mod tests {
         let _ = engine.process_epoch(Timestamp(10));
         let image = engine.checkpoint();
 
-        let cell = SnapshotCell::new();
+        let cell = engine.cell();
         let mut reader = cell.register();
-        engine.attach_cell(cell.clone());
-        assert_eq!(reader.read().epoch, 1, "attach must publish the current state");
+        assert_eq!(reader.read().epoch, 1, "the cell must hold the current state");
         let _ = engine.process_epoch(Timestamp(20));
         assert_eq!(reader.read().epoch, 2, "cell missed the publish stage");
 
@@ -434,8 +422,7 @@ mod tests {
     fn cell_readers_see_epoch_consistent_images_under_continuous_publish() {
         let config = Config::builder().window(10_000).build().unwrap();
         let mut engine = EngineKind::Sync.build(Coordinator::new(config));
-        let cell = SnapshotCell::new();
-        engine.attach_cell(cell.clone());
+        let cell = engine.cell();
         let epochs = 300u64;
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         std::thread::scope(|scope| {

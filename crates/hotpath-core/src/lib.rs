@@ -28,7 +28,8 @@
 //! * [`engine`] — the execution layer over the coordinator: the epoch
 //!   stages (drain-ingest → Phase A → Phase B → publish) run on the
 //!   caller's thread by `SyncEngine`; reads go through the
-//!   epoch-stamped `HotSnapshot`.
+//!   epoch-stamped `HotSnapshot` it publishes into its
+//!   [`snapshot::SnapshotCell`].
 //!
 //! ## Quick example
 //!
@@ -109,7 +110,7 @@ pub mod prelude {
     pub use crate::geometry::{Point, Rect, Segment, TimePoint, Trajectory};
     pub use crate::motion_path::{MotionPath, PathId};
     pub use crate::raytrace::{ClientState, RayTraceFilter};
-    pub use crate::snapshot::{SnapshotCell, SnapshotGuard, SnapshotHandle};
+    pub use crate::snapshot::{SnapshotCell, SnapshotHandle};
     pub use crate::stats::AdmissionStats;
     pub use crate::time::{EpochClock, SlidingWindow, TimeInterval, Timestamp};
     pub use crate::uncertainty::{GaussianPoint, ToleranceTable};

@@ -1,258 +1,120 @@
-//! Lock-free publication of [`HotSnapshot`]s: the serving-side read
-//! path.
+//! Publication of [`HotSnapshot`]s: the serving-side read path.
 //!
-//! A [`SnapshotCell`] holds the currently published snapshot behind one
-//! `AtomicPtr`. The writer (the engine's publish stage) installs a new
-//! snapshot with [`SnapshotCell::publish`]; readers go through a
-//! [`SnapshotHandle`] whose [`read`](SnapshotHandle::read) is
-//! *lock-free and allocation-free*: two atomic loads and one atomic
-//! store on the fast path, no reference-count traffic, no mutex, and no
-//! way for any number of readers to block the publish stage.
+//! A [`SnapshotCell`] holds the published snapshot as a
+//! `Mutex<(u64, Arc<HotSnapshot>)>` beside an `AtomicU64` publish
+//! counter. The writer (the engine's publish stage) installs a new
+//! snapshot with [`SnapshotCell::publish`], which swaps the pair under
+//! the lock and then bumps the counter. Readers go through a
+//! [`SnapshotHandle`] that caches the `(counter, Arc)` pair it last
+//! took, so [`read`](SnapshotHandle::read) costs one `Acquire` load
+//! while nothing new is published and one lock-and-clone on the first
+//! read after a publish. Neither allocates. The lock guards a pointer
+//! copy and a refcount increment, so a publish waits for readers at
+//! most that long; the old snapshot is dropped outside the lock.
 //!
-//! ## How reclamation works (hazard pointers)
-//!
-//! The published pointer is a leaked `Arc<HotSnapshot>`. A reader
-//! cannot simply bump the refcount after loading the pointer — between
-//! the load and the increment the writer may have swapped and dropped
-//! the snapshot (the classic use-after-free window). Instead every
-//! handle owns one *hazard slot*:
-//!
-//! 1. the reader loads the published pointer and stores it in its slot;
-//! 2. it re-loads the published pointer; if unchanged, the slot is
-//!    visible to any future publish and the snapshot cannot be freed
-//!    while the guard lives — the read is done (no retry in the absence
-//!    of a concurrent publish);
-//! 3. dropping the [`SnapshotGuard`] clears the slot.
-//!
-//! The writer retires swapped-out pointers to a graveyard and, on each
-//! publish, frees every retired snapshot no hazard slot still protects.
-//! Both the slot registry and the graveyard live behind `Mutex`es, but
-//! those are touched only by the writer and by handle registration —
-//! never on the read path.
-//!
-//! A seqlock was rejected: validating *after* cloning a non-`Copy`
-//! payload (the snapshot's `Arc` fields) already touches freed memory
-//! on a torn read, so it cannot be made sound here without the same
-//! deferred reclamation this design provides anyway.
+//! The cache is keyed on the publish counter, not on the snapshot's
+//! epoch: a restore republishes an older epoch, and every reader must
+//! see it.
 
 use crate::coordinator::HotSnapshot;
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// One reader's hazard slot: the snapshot pointer it is currently
-/// dereferencing (null when idle). `active` is cleared when the owning
-/// handle drops, letting the writer prune the registry.
-struct HazardSlot {
-    protected: AtomicPtr<HotSnapshot>,
-    active: std::sync::atomic::AtomicBool,
-}
-
-/// The atomically swapped publication point for [`HotSnapshot`]s.
+/// The publication point for [`HotSnapshot`]s.
 ///
 /// One writer (the engine) publishes; any number of [`SnapshotHandle`]
-/// readers observe, wait-free in the absence of a concurrent publish
-/// and lock-free always. Publishing never waits for readers: an old
-/// snapshot still under a guard is parked in the graveyard and freed by
-/// a later publish (or by the cell's drop).
+/// readers observe. Each publish is seen whole: a reader gets either
+/// the old `Arc` or the new one, never a mix.
+#[derive(Debug)]
 pub struct SnapshotCell {
-    /// The published snapshot, as a leaked `Arc` pointer. Never null.
-    current: AtomicPtr<HotSnapshot>,
-    /// Every hazard slot ever registered (writer/registration only).
-    slots: Mutex<Vec<Arc<HazardSlot>>>,
-    /// Swapped-out snapshots awaiting reclamation (writer only).
-    graveyard: Mutex<Vec<*const HotSnapshot>>,
+    /// Publishes so far; equals `current.0` once a publish returns.
+    published: AtomicU64,
+    /// The published snapshot and the publish count that installed it.
+    /// Every update is one `mem::replace`, so a poisoned lock still
+    /// guards a valid pair and is recovered with `into_inner`.
+    current: Mutex<(u64, Arc<HotSnapshot>)>,
 }
-
-// SAFETY: the raw pointers are leaked `Arc<HotSnapshot>`s (HotSnapshot
-// is Send + Sync); all cross-thread access goes through atomics or the
-// mutexes, and reclamation only frees pointers no hazard slot protects.
-unsafe impl Send for SnapshotCell {}
-unsafe impl Sync for SnapshotCell {}
 
 impl SnapshotCell {
     /// A cell publishing the empty epoch-0 snapshot.
     pub fn new() -> Arc<Self> {
         Arc::new(SnapshotCell {
-            current: AtomicPtr::new(Arc::into_raw(Arc::new(HotSnapshot::empty())) as *mut _),
-            slots: Mutex::new(Vec::new()),
-            graveyard: Mutex::new(Vec::new()),
+            published: AtomicU64::new(0),
+            current: Mutex::new((0, Arc::new(HotSnapshot::empty()))),
         })
     }
 
-    /// Registers a new reader. Registration takes a lock (it is not the
-    /// read path); the returned handle reads without ever locking.
+    /// Registers a new reader, caching the snapshot published now.
     pub fn register(self: &Arc<Self>) -> SnapshotHandle {
-        let slot = Arc::new(HazardSlot {
-            protected: AtomicPtr::new(std::ptr::null_mut()),
-            active: std::sync::atomic::AtomicBool::new(true),
-        });
-        self.slots.lock().expect("slot registry poisoned").push(slot.clone());
-        SnapshotHandle { cell: self.clone(), slot }
+        let (seen, snap) = self.current();
+        SnapshotHandle { cell: Arc::clone(self), seen, snap }
     }
 
-    /// Installs `snap` as the published snapshot and reclaims every
-    /// previously retired snapshot no reader still protects. Writer
-    /// side only; never blocks on readers.
+    /// Installs `snap` as the published snapshot. Writer side only.
     pub fn publish(&self, snap: Arc<HotSnapshot>) {
-        let fresh = Arc::into_raw(snap) as *mut HotSnapshot;
-        // SeqCst pairs with the readers' protect/validate sequence: a
-        // reader that validated against the old pointer has its slot
-        // store ordered before our scan below observes the slots.
-        let old = self.current.swap(fresh, Ordering::SeqCst);
-        let mut graveyard = self.graveyard.lock().expect("graveyard poisoned");
-        graveyard.push(old as *const HotSnapshot);
-        let mut slots = self.slots.lock().expect("slot registry poisoned");
-        slots.retain(|s| {
-            s.active.load(Ordering::Acquire) || !s.protected.load(Ordering::SeqCst).is_null()
-        });
-        graveyard.retain(|&retired| {
-            let hazarded =
-                slots.iter().any(|s| std::ptr::eq(s.protected.load(Ordering::SeqCst), retired));
-            if !hazarded {
-                // SAFETY: `retired` came from Arc::into_raw in publish
-                // or new, was removed from `current`, and no hazard
-                // slot protects it — this drop is the last reference
-                // the cell holds.
-                unsafe { drop(Arc::from_raw(retired)) };
-            }
-            hazarded
-        });
+        let old = {
+            let mut current = self.current.lock().unwrap_or_else(PoisonError::into_inner);
+            let count = current.0 + 1;
+            let old = std::mem::replace(&mut *current, (count, snap));
+            // Pairs with the `Acquire` in `SnapshotHandle::read`: a reader
+            // that sees `count` then finds this pair (or a newer one).
+            self.published.store(count, Ordering::Release);
+            old
+        };
+        // A snapshot no reader still holds is freed here, off the lock.
+        drop(old);
     }
 
-    /// The published snapshot as an owned `Arc` (refcounted; allocates
-    /// nothing but does touch the count). For the hot path, prefer
-    /// [`SnapshotHandle::read`].
-    pub fn load(self: &Arc<Self>) -> Arc<HotSnapshot> {
-        // Borrow protection from a throwaway slot: registration locks,
-        // so this is the convenience path, not the serving path.
-        let mut handle = self.register();
-        let guard = handle.read();
-        let ptr = guard.ptr;
-        // SAFETY: the hazard guard keeps `ptr` alive across the
-        // increment; from_raw then adopts the new count.
-        unsafe {
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        }
+    /// The published snapshot as an owned `Arc` (one lock-and-clone).
+    pub fn load(&self) -> Arc<HotSnapshot> {
+        self.current().1
     }
 
-    /// Epoch stamp of the published snapshot (a full hazard-protected
-    /// read, exposed for cheap progress checks).
-    pub fn epoch(self: &Arc<Self>) -> u64 {
+    /// Epoch stamp of the published snapshot.
+    pub fn epoch(&self) -> u64 {
         self.load().epoch
     }
-}
 
-impl Drop for SnapshotCell {
-    fn drop(&mut self) {
-        // Handles hold an Arc to the cell, so no reader can be active
-        // here; everything retired plus the current snapshot is ours.
-        let current = *self.current.get_mut();
-        // SAFETY: sole owner at drop; both pointers came from into_raw.
-        unsafe { drop(Arc::from_raw(current as *const HotSnapshot)) };
-        for &retired in self.graveyard.lock().expect("graveyard poisoned").iter() {
-            unsafe { drop(Arc::from_raw(retired)) };
-        }
+    fn current(&self) -> (u64, Arc<HotSnapshot>) {
+        self.current.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }
 
-impl std::fmt::Debug for SnapshotCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotCell").finish_non_exhaustive()
-    }
-}
-
-/// A registered reader of a [`SnapshotCell`]. Cheap to create (one
-/// registration lock), free to read: [`read`](Self::read) is
-/// lock-free, allocation-free, and leaves the `Arc` count untouched.
+/// A registered reader of a [`SnapshotCell`]: it keeps the last
+/// snapshot it took, so [`read`](Self::read) touches the lock only
+/// after a publish. Holding that `Arc` keeps one superseded snapshot
+/// alive per idle handle until its next read.
 ///
-/// One handle serves one thread at a time (`read` takes `&mut self` so
-/// at most one guard per handle exists); spawn one handle per reader
-/// thread.
+/// `read` takes `&mut self`; spawn one handle per reader thread.
 #[derive(Debug)]
 pub struct SnapshotHandle {
     cell: Arc<SnapshotCell>,
-    slot: Arc<HazardSlot>,
-}
-
-impl std::fmt::Debug for HazardSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HazardSlot").finish_non_exhaustive()
-    }
+    /// The publish count `snap` was installed by.
+    seen: u64,
+    snap: Arc<HotSnapshot>,
 }
 
 impl SnapshotHandle {
-    /// The published snapshot, borrowed under hazard protection. Two
-    /// atomic loads and one store on the uncontended path; retries only
-    /// while a publish races the protect/validate pair.
-    pub fn read(&mut self) -> SnapshotGuard<'_> {
-        loop {
-            let ptr = self.cell.current.load(Ordering::SeqCst);
-            self.slot.protected.store(ptr, Ordering::SeqCst);
-            if std::ptr::eq(self.cell.current.load(Ordering::SeqCst), ptr) {
-                // The slot was visible before any publish that could
-                // retire `ptr` scans — the snapshot is pinned.
-                return SnapshotGuard { slot: &self.slot, ptr };
-            }
-            // A publish won the race; drop the stale protection and
-            // try again against the new pointer.
-            self.slot.protected.store(std::ptr::null_mut(), Ordering::SeqCst);
+    /// The published snapshot: one `Acquire` load when nothing was
+    /// published since the last read, one lock-and-clone otherwise. The
+    /// borrow adds no refcount of its own.
+    pub fn read(&mut self) -> &HotSnapshot {
+        if self.cell.published.load(Ordering::Acquire) != self.seen {
+            (self.seen, self.snap) = self.cell.current();
         }
+        &self.snap
     }
 
     /// The published snapshot as an owned `Arc`, for readers that need
-    /// to hold it past the guard (refcount traffic, still no lock).
+    /// to hold it past the next read.
     pub fn load(&mut self) -> Arc<HotSnapshot> {
-        let guard = self.read();
-        let ptr = guard.ptr;
-        // SAFETY: the guard pins `ptr` across the increment.
-        unsafe {
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        }
+        self.read();
+        Arc::clone(&self.snap)
     }
 
     /// Epoch stamp of the published snapshot.
     pub fn epoch(&mut self) -> u64 {
         self.read().epoch
-    }
-}
-
-impl Drop for SnapshotHandle {
-    fn drop(&mut self) {
-        self.slot.protected.store(std::ptr::null_mut(), Ordering::SeqCst);
-        self.slot.active.store(false, Ordering::Release);
-    }
-}
-
-/// A hazard-protected borrow of the published snapshot. Dereferences to
-/// [`HotSnapshot`]; dropping it releases the protection. While any
-/// guard lives, its snapshot cannot be reclaimed — but the writer never
-/// waits: it publishes past the guard and defers the free.
-pub struct SnapshotGuard<'a> {
-    slot: &'a Arc<HazardSlot>,
-    ptr: *const HotSnapshot,
-}
-
-impl std::ops::Deref for SnapshotGuard<'_> {
-    type Target = HotSnapshot;
-
-    fn deref(&self) -> &HotSnapshot {
-        // SAFETY: `ptr` is a live leaked Arc pinned by this guard's
-        // hazard slot until drop.
-        unsafe { &*self.ptr }
-    }
-}
-
-impl Drop for SnapshotGuard<'_> {
-    fn drop(&mut self) {
-        self.slot.protected.store(std::ptr::null_mut(), Ordering::SeqCst);
-    }
-}
-
-impl std::fmt::Debug for SnapshotGuard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotGuard").field("epoch", &self.epoch).finish_non_exhaustive()
     }
 }
 
@@ -278,48 +140,40 @@ mod tests {
         let mut handle = cell.register();
         assert_eq!(handle.read().epoch, 0);
         cell.publish(stamped(7));
-        let guard = handle.read();
-        assert_eq!(guard.epoch, 7);
-        assert_eq!(guard.timestamp, Timestamp(70));
-        drop(guard);
+        let snap = handle.read();
+        assert_eq!(snap.epoch, 7);
+        assert_eq!(snap.timestamp, Timestamp(70));
         assert_eq!(cell.epoch(), 7);
         assert_eq!(handle.load().epoch, 7);
     }
 
     #[test]
-    fn guard_reads_do_not_touch_the_refcount() {
+    fn reads_do_not_touch_the_refcount() {
         let cell = SnapshotCell::new();
         let snap = stamped(1);
-        let baseline = Arc::strong_count(&snap);
         cell.publish(snap.clone());
         let mut handle = cell.register();
-        let guard = handle.read();
-        assert_eq!(guard.epoch, 1);
-        // The cell leaked one count for its published pointer; the
-        // guard itself added none.
-        assert_eq!(Arc::strong_count(&snap), baseline + 1, "guard bumped the refcount");
-        drop(guard);
-        assert_eq!(Arc::strong_count(&snap), baseline + 1);
+        let read = handle.read();
+        let during = Arc::strong_count(&snap);
+        assert_eq!(read.epoch, 1);
+        // The cell and the handle's cache hold their counts; the
+        // borrow itself holds none.
+        assert_eq!(Arc::strong_count(&snap), during, "a read bumped the refcount");
     }
 
     #[test]
-    fn held_guard_pins_its_snapshot_across_publishes() {
+    fn an_owned_load_outlives_later_publishes() {
         let cell = SnapshotCell::new();
         let mut handle = cell.register();
         cell.publish(stamped(1));
-        let guard = handle.read();
+        let held = handle.load();
         for e in 2..=20 {
             cell.publish(stamped(e));
         }
-        // The pinned snapshot is intact even though 19 newer ones were
-        // published over it (its memory must not have been reclaimed).
-        assert_eq!(guard.epoch, 1);
-        assert_eq!(guard.index_size, 3);
-        drop(guard);
+        // Nineteen newer publishes did not free the held image.
+        assert_eq!(held.epoch, 1);
+        assert_eq!(held.index_size, 3);
         assert_eq!(handle.read().epoch, 20);
-        // The next publish may now reclaim epoch 1's snapshot.
-        cell.publish(stamped(21));
-        assert_eq!(handle.read().epoch, 21);
     }
 
     #[test]
@@ -328,10 +182,17 @@ mod tests {
         let snap = stamped(1);
         let weak = Arc::downgrade(&snap);
         cell.publish(snap);
-        assert!(weak.upgrade().is_some());
-        cell.publish(stamped(2)); // retires epoch 1
-        cell.publish(stamped(3)); // reclaims it (no hazards)
+        cell.publish(stamped(2)); // no reader holds epoch 1
         assert!(weak.upgrade().is_none(), "unprotected retired snapshot leaked");
+
+        let snap = stamped(3);
+        let weak = Arc::downgrade(&snap);
+        cell.publish(snap);
+        let mut handle = cell.register();
+        cell.publish(stamped(4));
+        assert!(weak.upgrade().is_some(), "the handle still caches epoch 3");
+        assert_eq!(handle.read().epoch, 4);
+        assert!(weak.upgrade().is_none(), "retired snapshot outlived its last reader");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Owns one engine, drives the epoch clock at a fixed wall-clock
 //! cadence, and serves the wire protocol over a unix socket. Every
-//! read a client makes is a lock-free snapshot-cell load; the epoch
-//! loop never waits for readers.
+//! read a client makes is a snapshot-cell read: one atomic load, plus
+//! one short lock-and-clone after each publish.
 //!
 //! ```text
 //! hotpathd --socket /tmp/hotpathd.sock --tick-ms 100 --ticks 600

@@ -3,15 +3,16 @@
 //! The serving front door of the EDBT 2008 reproduction: a long-lived
 //! `hotpathd` server that owns an [`Engine`](hotpath_core::engine::Engine),
 //! drives the epoch loop on a single writer thread, and serves reads
-//! from an atomically swapped
-//! [`SnapshotCell`](hotpath_core::snapshot::SnapshotCell) — readers
-//! take no lock and never make the epoch loop wait.
+//! from the engine's
+//! [`SnapshotCell`](hotpath_core::snapshot::SnapshotCell) — a read is
+//! one atomic load between publishes and one short lock-and-clone
+//! after each.
 //!
 //! Three layers:
 //!
 //! - [`server`] — the in-process front door: [`Hotpathd`](server::Hotpathd)
 //!   spawns the writer thread, [`ServerHandle`](server::ServerHandle)
-//!   is the client surface (submit / advance / lock-free readers).
+//!   is the client surface (submit / advance / snapshot readers).
 //! - [`wire`] — a length-prefixed binary frame protocol plus a unix-
 //!   socket transport, so out-of-process clients can submit batches and
 //!   query the published top-k without linking the engine.

@@ -10,10 +10,12 @@
 //!   clock and runs [`process_epoch`](hotpath_core::engine::Engine::process_epoch)
 //!   at each epoch boundary it crosses, so no boundary is ever skipped
 //!   however coarse the caller's ticks are.
-//! - **Reads** go through a [`SnapshotCell`] the engine publishes into
-//!   at its publish stage. A [`ServerHandle::reader`] handle reads the
-//!   latest [`HotSnapshot`] lock-free: no mutex, no channel, no
-//!   allocation, and never a stall for the epoch loop.
+//! - **Reads** go through the engine's [`SnapshotCell`], which its
+//!   publish stage installs each epoch into. A [`ServerHandle::reader`]
+//!   handle reads the latest [`HotSnapshot`] without a channel or an
+//!   allocation: one atomic load between publishes, one short
+//!   lock-and-clone after each, so the epoch loop waits at most that
+//!   long for a reader.
 //!
 //! The handle is cheap to share behind an `Arc`; [`ServerHandle::shutdown`]
 //! (or drop) stops the writer thread and returns the final snapshot —
@@ -47,13 +49,12 @@ pub struct Hotpathd;
 
 impl Hotpathd {
     /// Moves `engine` onto a dedicated writer thread and returns the
-    /// client handle. The engine's current snapshot is published into
-    /// the read cell immediately, so readers registered before the
-    /// first epoch see the (empty) epoch-0 image rather than blocking.
-    pub fn spawn(mut engine: Box<dyn Engine>) -> ServerHandle {
-        let cell = SnapshotCell::new();
+    /// client handle. Readers share the engine's own cell, so those
+    /// registered before the first epoch see its current (empty
+    /// epoch-0) image rather than blocking.
+    pub fn spawn(engine: Box<dyn Engine>) -> ServerHandle {
+        let cell = engine.cell();
         let epochs = engine.config().epochs;
-        engine.attach_cell(Arc::clone(&cell));
         let (tx, rx) = mpsc::channel();
         let writer = thread::spawn(move || writer_loop(engine, rx, epochs));
         ServerHandle { tx, cell, writer: Some(writer) }
@@ -85,7 +86,7 @@ fn writer_loop(mut engine: Box<dyn Engine>, rx: mpsc::Receiver<ServerMsg>, epoch
 /// The client surface of a running `hotpathd`.
 ///
 /// Cloneable via `Arc`; writes are serialized through the channel,
-/// reads are lock-free through the cell. Dropping the handle shuts the
+/// reads go through the cell. Dropping the handle shuts the
 /// server down.
 #[derive(Debug)]
 pub struct ServerHandle {
@@ -95,9 +96,9 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Registers a lock-free reader over the published snapshot. Any
-    /// number of readers may exist, on any thread; none of them can
-    /// block the writer.
+    /// Registers a reader over the published snapshot. Any number of
+    /// readers may exist, on any thread; a publish waits on them only
+    /// for the `Arc` clones they take under the cell's lock.
     pub fn reader(&self) -> SnapshotHandle {
         self.cell.register()
     }

@@ -4,7 +4,7 @@
 //! fleet of RayTrace clients would: a population of writers each walks
 //! a fixed corridor of a synthetic lattice and reports a traversal on
 //! the ticks its seeded schedule selects; concurrent reader threads
-//! hammer lock-free snapshot handles the whole time. Churn reuses the
+//! hammer snapshot handles the whole time. Churn reuses the
 //! scenario fault machinery — a [`FaultPlan`] disconnect window
 //! suppresses a seeded fraction of the population mid-run.
 //!
@@ -49,7 +49,7 @@ const EMIT_PCT: u64 = 60;
 pub struct SwarmParams {
     /// Writer population (one corridor each, wrapping onto the lattice).
     pub writers: usize,
-    /// Concurrent lock-free reader threads (read-only; never affect
+    /// Concurrent snapshot reader threads (read-only; never affect
     /// the stream).
     pub readers: usize,
     /// Ticks to drive; one granule each, epochs at the config cadence.
@@ -111,7 +111,7 @@ pub struct SwarmReport {
     pub submitted: u64,
     /// Traversals suppressed by churn.
     pub suppressed: u64,
-    /// Lock-free snapshot reads completed by the reader threads
+    /// Snapshot reads completed by the reader threads
     /// (nondeterministic; excluded from parity checks).
     pub reads: u64,
     /// Highest epoch any reader observed.
@@ -204,7 +204,7 @@ pub fn run_swarm(params: &SwarmParams) -> SwarmReport {
     let handle = Hotpathd::spawn(engine);
     let plan = params.fault_plan();
 
-    // Concurrent readers: real threads on lock-free handles, strictly
+    // Concurrent readers: real threads on snapshot handles, strictly
     // read-only. They count reads and track the highest epoch seen.
     // Each iteration samples `stop` and then reads, leaving only after
     // a read that followed a set flag: a reader descheduled for the

@@ -17,10 +17,11 @@
 //! caller-owned payload buffer, so one request wakes the server's
 //! connection thread once and no frame allocates.
 //!
-//! The server side ([`serve_unix`]) registers one lock-free
+//! The server side ([`serve_unix`]) registers one
 //! [`SnapshotHandle`](hotpath_core::snapshot::SnapshotHandle) per
 //! connection: queries never touch the engine, they read the cell the
-//! writer thread publishes into. Submissions and advances are forwarded
+//! writer thread publishes into (one atomic load when nothing new was
+//! published). Submissions and advances are forwarded
 //! onto the writer channel and acknowledged as accepted (open loop —
 //! the ack means *enqueued*, not *processed*). A request the writer can
 //! no longer receive (the server has shut down) is not acknowledged:
@@ -321,7 +322,7 @@ impl<'a> Cursor<'a> {
 /// A running unix-socket listener bound to a `hotpathd`.
 ///
 /// Accepts connections until [`UnixServer::stop`] (or drop); each
-/// connection gets its own lock-free snapshot reader.
+/// connection gets its own snapshot reader.
 #[derive(Debug)]
 pub struct UnixServer {
     path: PathBuf,
@@ -375,7 +376,7 @@ fn serve_connection(
         match opcode {
             OP_QUERY => {
                 let snap = reader.read();
-                conn.send(OP_SNAPSHOT, |b| SnapshotWire::encode_snapshot(&snap, b))?;
+                conn.send(OP_SNAPSHOT, |b| SnapshotWire::encode_snapshot(snap, b))?;
             }
             OP_SUBMIT_BATCH => {
                 let payload = &conn.buf;

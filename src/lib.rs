@@ -6,7 +6,7 @@
 //! single owning package, and so downstream users can depend on one crate.
 //!
 //! Most programs only need [`prelude`]: it curates the supported public
-//! surface — configuration, the engine, lock-free snapshot
+//! surface — configuration, the engine, snapshot
 //! reads, the serving front door, the scenario registry, and the
 //! run driver — so `use hotpath::prelude::*;` is enough to
 //! build, drive, and read a coordinator end to end:
@@ -16,9 +16,7 @@
 //!
 //! let config = Config::paper_defaults();
 //! let mut engine = EngineKind::Sync.build(Coordinator::new(config));
-//! let cell = SnapshotCell::new();
-//! engine.attach_cell(cell.clone());
-//! let mut reader = cell.register();
+//! let mut reader = engine.cell().register();
 //! engine.process_epoch(Timestamp(10));
 //! assert_eq!(reader.read().epoch, 1);
 //! # engine.finish();
@@ -33,7 +31,7 @@ pub use hotpath_serve as serve;
 pub use hotpath_sim as sim;
 
 /// The curated public surface: everything a downstream program needs to
-/// configure an engine, drive epochs, read snapshots lock-free, serve
+/// configure an engine, drive epochs, read published snapshots, serve
 /// them out of process, and run the scenario driver —
 /// without reaching into individual member crates.
 pub mod prelude {
@@ -44,8 +42,8 @@ pub mod prelude {
     // The engine surface and the published view.
     pub use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotPath, HotSnapshot};
     pub use hotpath_core::engine::{Engine, EngineKind, SyncEngine};
-    // Lock-free snapshot reads.
-    pub use hotpath_core::snapshot::{SnapshotCell, SnapshotGuard, SnapshotHandle};
+    // Snapshot reads.
+    pub use hotpath_core::snapshot::{SnapshotCell, SnapshotHandle};
     // Checkpoint/restore.
     pub use hotpath_core::checkpoint::{Checkpoint, CheckpointError};
     // The client-side state vocabulary.

@@ -1,5 +1,5 @@
 //! The curated-facade acceptance: everything a downstream program needs
-//! for the submit -> epoch -> lock-free-read lifecycle must be
+//! for the submit -> epoch -> snapshot-read lifecycle must be
 //! reachable through `hotpath::prelude` alone — no `hotpath_core::...`
 //! paths, no reaching into member crates.
 
@@ -17,13 +17,12 @@ fn traversal(obj: u64, te: u64) -> ClientState {
 }
 
 /// The raw-engine lifecycle through the prelude: validated config,
-/// the engine, a snapshot cell, and lock-free reads.
+/// the engine, its snapshot cell, and cached reads.
 #[test]
 fn prelude_drives_submit_epoch_and_snapshot_read() {
     let config = Config::builder().window(10_000).build().expect("builder invariants hold");
     let mut engine = EngineKind::Sync.build(Coordinator::new(config));
-    let cell = SnapshotCell::new();
-    engine.attach_cell(cell.clone());
+    let cell: std::sync::Arc<SnapshotCell> = engine.cell();
     let mut reader: SnapshotHandle = cell.register();
     assert_eq!(reader.epoch(), 0, "epoch-0 image pre-published");
 
@@ -36,14 +35,13 @@ fn prelude_drives_submit_epoch_and_snapshot_read() {
     let last: std::sync::Arc<HotSnapshot> = engine.snapshot();
     assert_eq!(last.epoch, 3);
 
-    // The lock-free read path agrees with the engine's own view.
-    let guard: SnapshotGuard<'_> = reader.read();
-    assert_eq!(guard.epoch, 3);
-    assert_eq!(guard.top_k.len(), 1);
-    let hot: &HotPath = &guard.top_k[0];
+    // The cached read path agrees with the engine's own view.
+    let read: &HotSnapshot = reader.read();
+    assert_eq!(read.epoch, 3);
+    assert_eq!(read.top_k.len(), 1);
+    let hot: &HotPath = &read.top_k[0];
     assert_eq!(hot.hotness, 3, "three traversals of one corridor");
     assert!(hot.score > 0.0);
-    drop(guard);
     engine.finish();
 }
 

@@ -1,23 +1,25 @@
 //! Steady-state memory pins for the default-path hot loops: a RayTrace
 //! filter absorbing measurements, the Phase-B FSA-neighbourhood queries
 //! on a reused scratch, and path-table maintenance as paths come and
-//! go by expiry; plus the inline size of the filters and the heap a
-//! checkpoint restore takes. A
+//! go by expiry; snapshot reads on the serving path; plus the inline
+//! size of the filters and the heap a checkpoint restore takes. A
 //! counting `#[global_allocator]` needs a test binary of its own; counts
 //! are per thread, so the harness and the other tests running beside a
 //! measurement never show up in it.
 
 use hotpath_core::config::Config;
-use hotpath_core::coordinator::Coordinator;
+use hotpath_core::coordinator::{Coordinator, HotSnapshot};
 use hotpath_core::geometry::{Point, Rect, TimePoint};
 use hotpath_core::index::PathTable;
 use hotpath_core::raytrace::{ClientState, RayTraceFilter, UncertainRayTraceFilter};
+use hotpath_core::snapshot::SnapshotCell;
 use hotpath_core::strategy::{FsaSet, QueryScratch};
 use hotpath_core::time::{SlidingWindow, Timestamp};
 use hotpath_core::uncertainty::{FallbackPolicy, ToleranceTable2D};
 use hotpath_core::ObjectId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     /// Allocations (`alloc` + `realloc`) made by this thread.
@@ -286,4 +288,24 @@ fn index_churn_through_empty_cells_and_lists_does_not_allocate() {
     assert_eq!(n, 0, "100 store/expire cycles through empty cells and lists allocated");
     assert_eq!(table.len(), 64);
     table.check_consistency().unwrap();
+}
+
+/// A snapshot read is one atomic load while nothing new is published
+/// and one lock-and-`Arc`-clone on the first read after a publish:
+/// neither allocates.
+#[test]
+fn snapshot_reads_allocate_nothing_before_or_after_a_publish() {
+    let cell = SnapshotCell::new();
+    let mut handle = cell.register();
+    for epoch in 1..=50u64 {
+        let mut snap = HotSnapshot::empty();
+        snap.epoch = epoch;
+        cell.publish(Arc::new(snap));
+        let (first, seen) = bytes_in(|| handle.read().epoch);
+        assert_eq!(first, 0, "the first read after publish {epoch} allocated");
+        assert_eq!(seen, epoch);
+        let (idle, sum) = bytes_in(|| (0..100).map(|_| handle.read().epoch).sum::<u64>());
+        assert_eq!(idle, 0, "reads between publishes allocated");
+        assert_eq!(sum, 100 * epoch);
+    }
 }
