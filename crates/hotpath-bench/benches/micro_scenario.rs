@@ -1,11 +1,13 @@
 //! Scenario-generator micro-bench: per-tick measurement generation for
-//! every registered workload, plus scenario construction (network
-//! generation + hub ranking + closure planning). The generators feed
-//! every end-to-end run, so a structural regression here slows the
-//! whole experiment surface.
+//! every registered workload and for the paper's Table 2 population,
+//! plus scenario construction (network generation + hub ranking +
+//! closure planning). The generators feed every end-to-end run, so a
+//! structural regression here slows the whole experiment surface.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hotpath_core::time::Timestamp;
+use hotpath_netsim::mobility::{Population, PopulationParams};
+use hotpath_netsim::network::{generate, NetworkParams};
 use hotpath_netsim::scenario::{Scenario, ScenarioParams, Workload, REGISTRY};
 
 fn bench_scenario_ticks(c: &mut Criterion) {
@@ -31,6 +33,29 @@ fn bench_scenario_ticks(c: &mut Criterion) {
     g.finish();
 }
 
+/// One `Population::tick` of the Table 2 workload (Athens-sized
+/// network, alpha = 0.1, dense sampling) at the end-to-end benchmark's
+/// two population sizes; the reported rate is measurements per second.
+fn bench_population_tick(c: &mut Criterion) {
+    let mut g = c.benchmark_group("population_tick");
+    g.sample_size(30);
+    let net = generate(NetworkParams::athens());
+    for n in [20_000usize, 100_000] {
+        let mut pop = Population::new(&net, PopulationParams::paper_defaults(n, 2015));
+        let mut out = Vec::new();
+        let mut t = 0;
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_with_input(BenchmarkId::new("paper", n), &(), |b, ()| {
+            b.iter(|| {
+                t += 1;
+                pop.tick(&net, Timestamp(t), &mut out);
+                out.len()
+            });
+        });
+    }
+    g.finish();
+}
+
 fn bench_scenario_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("scenario_build");
     let params = ScenarioParams { n: 200, ..ScenarioParams::quick(98) };
@@ -45,5 +70,5 @@ fn bench_scenario_build(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_scenario_ticks, bench_scenario_build);
+criterion_group!(benches, bench_scenario_ticks, bench_population_tick, bench_scenario_build);
 criterion_main!(benches);

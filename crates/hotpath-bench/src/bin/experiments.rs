@@ -645,7 +645,7 @@ fn swarm_cmd(scale: Scale, seed: Option<u64>, churn: Option<f64>, fault_seed: Op
     let r = run_swarm(&params);
     println!(
         "   {} submitted (+{} churned out), {epoch} epochs, epoch {epoch} final, {} hot, \
-         {} lock-free reads (max epoch seen {}), schedule {:#018x}, fingerprint {:#018x}",
+         {} snapshot reads (max epoch seen {}), schedule {:#018x}, fingerprint {:#018x}",
         r.submitted,
         r.suppressed,
         r.hot_count,

@@ -57,7 +57,10 @@ pub struct PopulationParams {
     /// Link-choice policy at crossroads.
     pub policy: ChoicePolicy,
     /// When true (default, the paper's device model) every object
-    /// measures every timestamp; when false only movers measure.
+    /// measures every timestamp; when false only movers measure. Under
+    /// [`AgilityModel::FixedMovers`] the movers are a prefix of the
+    /// population, and a parked walker's measurement reads its stored
+    /// position.
     pub measure_when_stopped: bool,
     /// Agility interpretation (see module docs).
     pub agility_model: AgilityModel,
@@ -93,10 +96,14 @@ pub struct Measurement {
 }
 
 /// The population of walkers.
+///
+/// A tick costs one advance per mover plus one noise draw per
+/// measurement: a parked walker's position is stored, not recomputed.
 pub struct Population {
     walkers: Vec<Walker>,
-    /// Under [`AgilityModel::FixedMovers`], whether each walker moves.
-    is_mover: Vec<bool>,
+    /// Under [`AgilityModel::FixedMovers`], the walkers `0..movers`
+    /// move and the rest stand.
+    movers: usize,
     params: PopulationParams,
     noise: UniformNoise,
     rng: SmallRng,
@@ -117,8 +124,7 @@ impl Population {
         // The first round(alpha * n) walkers move; starts are already
         // random, so the subset is unbiased.
         let movers = (params.agility * params.n as f64).round() as usize;
-        let is_mover = (0..params.n).map(|i| i < movers).collect();
-        Population { walkers, is_mover, noise: UniformNoise::new(params.err), params, rng }
+        Population { walkers, movers, noise: UniformNoise::new(params.err), params, rng }
     }
 
     /// Number of objects.
@@ -161,24 +167,24 @@ impl Population {
     /// Number of objects currently moving (under
     /// [`AgilityModel::FixedMovers`]).
     pub fn movers(&self) -> usize {
-        self.is_mover.iter().filter(|&&m| m).count()
+        self.movers
     }
 
     /// Sets the number of concurrently moving objects (clamped to `N`):
-    /// the first `movers` walkers move, the rest stand. Only meaningful
-    /// under [`AgilityModel::FixedMovers`]; lets scenarios model
-    /// time-varying load (rush-hour surges, overnight lulls).
+    /// the first `movers` walkers move, the rest stand, so the movers
+    /// are always a prefix of the population and a tick advances only
+    /// that prefix. Only meaningful under
+    /// [`AgilityModel::FixedMovers`]; lets scenarios model time-varying
+    /// load (rush-hour surges, overnight lulls).
     pub fn set_movers(&mut self, movers: usize) {
-        let movers = movers.min(self.walkers.len());
-        for (i, m) in self.is_mover.iter_mut().enumerate() {
-            *m = i < movers;
-        }
+        self.movers = movers.min(self.walkers.len());
     }
 
     /// Initial (seed) timepoint of an object at simulation start: its
-    /// exact position at `t`, used to seed the RayTrace filters.
-    pub fn seed_timepoint(&self, net: &RoadNetwork, obj: ObjectId, t: Timestamp) -> TimePoint {
-        TimePoint::new(self.walkers[obj.0 as usize].position(net), t)
+    /// exact position at `t`, used to seed the RayTrace filters. The
+    /// position is stored, so `_net` is not consulted.
+    pub fn seed_timepoint(&self, _net: &RoadNetwork, obj: ObjectId, t: Timestamp) -> TimePoint {
+        TimePoint::new(self.walkers[obj.0 as usize].position(), t)
     }
 
     /// The link `obj` currently stands or travels on (ground truth; the
@@ -191,7 +197,7 @@ impl Population {
     /// True when `obj` is currently in the moving subset (under
     /// [`AgilityModel::FixedMovers`]).
     pub fn is_mover(&self, obj: ObjectId) -> bool {
-        self.is_mover[obj.0 as usize]
+        (obj.0 as usize) < self.movers
     }
 
     /// Advances one timestamp: each object moves with probability
@@ -215,7 +221,7 @@ impl Population {
         out.clear();
         for (i, w) in self.walkers.iter_mut().enumerate() {
             let moved = match self.params.agility_model {
-                AgilityModel::FixedMovers => self.is_mover[i],
+                AgilityModel::FixedMovers => i < self.movers,
                 AgilityModel::Bernoulli => self.rng.gen_bool(self.params.agility),
             };
             let truth = if moved {
@@ -224,7 +230,7 @@ impl Population {
                 if !self.params.measure_when_stopped {
                     continue;
                 }
-                w.position(net)
+                w.position()
             };
             let observed = self.noise.apply(truth, &mut self.rng);
             out.push(Measurement {
@@ -419,5 +425,165 @@ mod tests {
             all
         };
         assert_eq!(run(false), run(true));
+    }
+}
+
+/// The generator checked against a reference that keeps a per-walker
+/// mover mask and recomputes every position from `(from, link, offset)`
+/// each tick: stored positions and the mover prefix must not move a bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::network::{generate, LinkId, NetworkParams};
+    use proptest::prelude::*;
+
+    /// [`Population`] as a mask-and-recompute generator.
+    struct Reference {
+        walkers: Vec<Walker>,
+        is_mover: Vec<bool>,
+        params: PopulationParams,
+        noise: UniformNoise,
+        rng: SmallRng,
+    }
+
+    impl Reference {
+        fn new(net: &RoadNetwork, params: PopulationParams) -> Self {
+            let mut rng = SmallRng::seed_from_u64(params.seed);
+            let walkers: Vec<Walker> = (0..params.n)
+                .map(|_| {
+                    let start = NodeId(rng.gen_range(0..net.node_count() as u32));
+                    Walker::new(net, start, params.policy, &mut rng)
+                })
+                .collect();
+            let movers = (params.agility * params.n as f64).round() as usize;
+            let is_mover = (0..params.n).map(|i| i < movers).collect();
+            Reference { walkers, is_mover, noise: UniformNoise::new(params.err), params, rng }
+        }
+
+        fn set_movers(&mut self, movers: usize) {
+            for (i, m) in self.is_mover.iter_mut().enumerate() {
+                *m = i < movers;
+            }
+        }
+
+        fn retarget(&mut self, mut f: impl FnMut(ObjectId) -> Option<ChoicePolicy>) {
+            for (i, w) in self.walkers.iter_mut().enumerate() {
+                if let Some(policy) = f(ObjectId(i as u64)) {
+                    w.set_policy(policy);
+                }
+            }
+        }
+
+        fn tick_avoiding(
+            &mut self,
+            net: &RoadNetwork,
+            t: Timestamp,
+            closed: Option<&ClosureSet>,
+            out: &mut Vec<Measurement>,
+        ) {
+            out.clear();
+            for (i, w) in self.walkers.iter_mut().enumerate() {
+                let moved = match self.params.agility_model {
+                    AgilityModel::FixedMovers => self.is_mover[i],
+                    AgilityModel::Bernoulli => self.rng.gen_bool(self.params.agility),
+                };
+                if moved {
+                    w.advance_avoiding(net, self.params.displacement, closed, &mut self.rng);
+                } else if !self.params.measure_when_stopped {
+                    continue;
+                }
+                let truth = w.located(net);
+                let observed = self.noise.apply(truth, &mut self.rng);
+                out.push(Measurement {
+                    object: ObjectId(i as u64),
+                    observed: TimePoint::new(observed, t),
+                    truth,
+                });
+            }
+        }
+    }
+
+    /// A measurement as exact bits.
+    fn bits(m: &Measurement) -> (u64, u64, u64, u64, u64, u64) {
+        let (o, p) = (m.observed.p, m.truth);
+        (m.object.0, m.observed.t.0, o.x.to_bits(), o.y.to_bits(), p.x.to_bits(), p.y.to_bits())
+    }
+
+    /// The policy op `arg` gives object `obj`: a venue, a point to flee,
+    /// plain wandering, or no change.
+    fn policy_for(net: &RoadNetwork, arg: u32, obj: ObjectId) -> Option<ChoicePolicy> {
+        let at = net.node(NodeId(arg % net.node_count() as u32)).pos;
+        match (obj.0 + u64::from(arg)) % 4 {
+            0 => Some(ChoicePolicy::Toward(at)),
+            1 => Some(ChoicePolicy::Away(at)),
+            2 => Some(ChoicePolicy::Weighted { avoid_u_turn: arg.is_multiple_of(2) }),
+            _ => None,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn population_matches_the_recomputing_reference(
+            n in 1usize..40,
+            agility in 0.0f64..=1.0,
+            displacement in 5.0f64..120.0,
+            bernoulli in 0u8..2,
+            dense in 0u8..2,
+            seed in 0u64..1_000_000,
+            ops in prop::collection::vec((0u8..4, 0u32..10_000), 1..60),
+        ) {
+            let net = generate(NetworkParams::tiny(seed % 4));
+            let params = PopulationParams {
+                agility,
+                displacement,
+                measure_when_stopped: dense == 1,
+                agility_model: if bernoulli == 1 {
+                    AgilityModel::Bernoulli
+                } else {
+                    AgilityModel::FixedMovers
+                },
+                ..PopulationParams::paper_defaults(n, seed)
+            };
+            let mut pop = Population::new(&net, params);
+            let mut reference = Reference::new(&net, params);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut t = 0;
+            for (op, arg) in ops {
+                match op {
+                    0 => {
+                        // Up to N + 1, so the clamp is exercised.
+                        let movers = arg as usize % (n + 2);
+                        pop.set_movers(movers);
+                        reference.set_movers(movers);
+                    }
+                    1 => {
+                        pop.retarget(|obj| policy_for(&net, arg, obj));
+                        reference.retarget(|obj| policy_for(&net, arg, obj));
+                    }
+                    _ => {
+                        // Op 3 closes a third of the links, chosen by `arg`.
+                        let closed = (op == 3).then(|| {
+                            let mut c = ClosureSet::none(&net);
+                            for l in (0..net.link_count() as u32).filter(|l| (l + arg) % 3 == 0) {
+                                c.close(LinkId(l));
+                            }
+                            c
+                        });
+                        t += 1;
+                        pop.tick_avoiding(&net, Timestamp(t), closed.as_ref(), &mut got);
+                        reference.tick_avoiding(&net, Timestamp(t), closed.as_ref(), &mut want);
+                        prop_assert_eq!(
+                            got.iter().map(bits).collect::<Vec<_>>(),
+                            want.iter().map(bits).collect::<Vec<_>>()
+                        );
+                    }
+                }
+            }
+            for i in 0..n as u64 {
+                prop_assert_eq!(pop.is_mover(ObjectId(i)), reference.is_mover[i as usize]);
+            }
+        }
     }
 }

@@ -42,6 +42,9 @@ pub struct Walker {
     link: LinkId,
     /// Meters advanced along the link from `from`.
     offset: f64,
+    /// The true position `(from, link, offset)` stands for, computed
+    /// whenever they change, so a walker standing still costs a read.
+    pos: Point,
     policy: ChoicePolicy,
 }
 
@@ -54,18 +57,20 @@ impl Walker {
         rng: &mut R,
     ) -> Self {
         let link = choose_link(net, start, None, policy, rng);
-        Walker { from: start, link, offset: 0.0, policy }
+        let pos = locate(net, start, link, 0.0);
+        Walker { from: start, link, offset: 0.0, pos, policy }
     }
 
     /// Current true position (before measurement noise).
-    pub fn position(&self, net: &RoadNetwork) -> Point {
-        let a = net.node(self.from).pos;
-        let b = net.node(net.other_end(self.link, self.from)).pos;
-        let len = a.dist_l2(&b);
-        if len == 0.0 {
-            return a;
-        }
-        a.lerp(&b, (self.offset / len).clamp(0.0, 1.0))
+    pub fn position(&self) -> Point {
+        self.pos
+    }
+
+    /// The position recomputed from `(from, link, offset)`: what
+    /// [`Self::position`] must equal.
+    #[cfg(test)]
+    pub(crate) fn located(&self, net: &RoadNetwork) -> Point {
+        locate(net, self.from, self.link, self.offset)
     }
 
     /// The link currently being traversed.
@@ -114,8 +119,20 @@ impl Walker {
                 choose_link_avoiding(net, arrived, Some(came_from), self.policy, closed, rng);
             self.offset = 0.0;
         }
-        self.position(net)
+        self.pos = locate(net, self.from, self.link, self.offset);
+        self.pos
     }
+}
+
+/// The point `offset` meters along `link` from its end `from`.
+fn locate(net: &RoadNetwork, from: NodeId, link: LinkId, offset: f64) -> Point {
+    let a = net.node(from).pos;
+    let b = net.node(net.other_end(link, from)).pos;
+    let len = a.dist_l2(&b);
+    if len == 0.0 {
+        return a;
+    }
+    a.lerp(&b, (offset / len).clamp(0.0, 1.0))
 }
 
 /// Weighted link choice at `node`. `arrived_by` is excluded under
@@ -208,7 +225,7 @@ mod tests {
         let net = net();
         let mut rng = SmallRng::seed_from_u64(1);
         let w = Walker::new(&net, NodeId(0), ChoicePolicy::default(), &mut rng);
-        assert_eq!(w.position(&net), net.node(NodeId(0)).pos);
+        assert_eq!(w.position(), net.node(NodeId(0)).pos);
     }
 
     #[test]
@@ -216,7 +233,7 @@ mod tests {
         let net = net();
         let mut rng = SmallRng::seed_from_u64(2);
         let mut w = Walker::new(&net, NodeId(0), ChoicePolicy::default(), &mut rng);
-        let start = w.position(&net);
+        let start = w.position();
         let p = w.advance(&net, 10.0, &mut rng);
         let moved = start.dist_l2(&p);
         // Either 10 m along the link or stopped at the node (short link).
@@ -245,7 +262,7 @@ mod tests {
         let net = net();
         let mut rng = SmallRng::seed_from_u64(4);
         let mut w = Walker::new(&net, NodeId(9), ChoicePolicy::default(), &mut rng);
-        let mut prev = w.position(&net);
+        let mut prev = w.position();
         for _ in 0..300 {
             let p = w.advance(&net, 10.0, &mut rng);
             assert!(prev.dist_l2(&p) <= 10.0 + 1e-9);
@@ -293,7 +310,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(6);
         let target = net.node(NodeId(99)).pos;
         let mut w = Walker::new(&net, NodeId(0), ChoicePolicy::Toward(target), &mut rng);
-        let start_dist = w.position(&net).dist_l2(&target);
+        let start_dist = w.position().dist_l2(&target);
         let mut best = start_dist;
         for _ in 0..2000 {
             let p = w.advance(&net, 10.0, &mut rng);
@@ -318,7 +335,7 @@ mod tests {
             .unwrap()
             .id;
         let mut w = Walker::new(&net, start, ChoicePolicy::Away(c), &mut rng);
-        let d0 = w.position(&net).dist_l2(&c);
+        let d0 = w.position().dist_l2(&c);
         let mut dmax = d0;
         for _ in 0..2000 {
             let p = w.advance(&net, 10.0, &mut rng);
@@ -383,7 +400,7 @@ mod tests {
         let mut w = Walker::new(&net, NodeId(4), ChoicePolicy::default(), &mut rng);
         // Everything closed: walkers behave as if nothing were.
         let mut moved = 0.0;
-        let mut prev = w.position(&net);
+        let mut prev = w.position();
         for _ in 0..50 {
             let p = w.advance_avoiding(&net, 10.0, Some(&closed), &mut rng);
             moved += prev.dist_l2(&p);

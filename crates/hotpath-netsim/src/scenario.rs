@@ -636,9 +636,9 @@ impl Closures {
     fn count_violations(&mut self, net: &RoadNetwork, pop: &Population) {
         let closed = &self.closed;
         let sealed = |node: NodeId| net.incident(node).iter().all(|&x| closed.is_closed(x));
-        self.violations += (0..pop.len() as u64)
+        self.violations += (0..pop.movers() as u64)
             .map(ObjectId)
-            .filter(|&obj| pop.is_mover(obj) && closed.is_closed(pop.walker_link(obj)))
+            .filter(|&obj| closed.is_closed(pop.walker_link(obj)))
             .map(|obj| net.link(pop.walker_link(obj)))
             .filter(|l| !sealed(l.a) && !sealed(l.b))
             .count();

@@ -18,7 +18,7 @@
 # `processing_ms` and `sp_time_ms` columns masked. Last, the serving
 # commands `swarm --scale quick`, `swarm --scale quick --churn 0.3` and
 # `serve --ticks 40` (fixed sizes, whatever --scale says) run on both
-# trees and are diffed with the lock-free read count, `max epoch seen`
+# trees and are diffed with the snapshot read count, `max epoch seen`
 # and the socket path masked. The script exits non-zero on any
 # difference.
 set -euo pipefail
@@ -135,10 +135,12 @@ for cmd in "scenario all" "fig7" "fig8"; do
 done
 # The serving commands. Reader threads race the writer, so how many
 # reads they make and the last epoch they saw vary run to run; the
-# socket path names the process.
+# socket path names the process. The read count was labelled
+# `lock-free reads` before it became `snapshot reads`; both mask alike,
+# so trees on either side of the rename still compare.
 mask_serving() {
     mask | sed -E \
-        -e 's/[0-9]+ lock-free reads \(max epoch seen [0-9]+\)/<n> lock-free reads (max epoch seen <e>)/' \
+        -e 's/[0-9]+ (lock-free|snapshot) reads \(max epoch seen [0-9]+\)/<n> reads (max epoch seen <e>)/' \
         -e 's/serving on .*/serving on <socket>/'
 }
 

@@ -1,20 +1,24 @@
 #!/usr/bin/env bash
-# Mutation check of the coordinator's reference differential:
+# Mutation check of the coordinator's reference differential and of
+# the workload generator's tests:
 #
 #   scripts/mutants.sh [mutant-name ...]
 #
 # Copies the working tree (without target/) to a throwaway directory
-# under $TMPDIR, runs `cargo test -q -p hotpath-baseline --test reference`
-# on the unmutated copy, then once per mutant below with that one edit
-# applied. Each mutant is (name, file, exact original text, replacement);
-# the script refuses to run when an original no longer occurs exactly
-# once in its file. Exits 1 when the unmutated copy fails or any mutant
+# under $TMPDIR. For each table below it runs the table's test command
+# on the unmutated copy, then once per mutant with that one edit
+# applied: `cargo test -q -p hotpath-baseline --test reference` for the
+# core's mutants, `cargo test -q -p hotpath-netsim` for the generator's.
+# Each mutant is (name, file, exact original text, replacement); the
+# script refuses to run when an original no longer occurs exactly once
+# in its file. Exits 1 when an unmutated copy fails or any mutant
 # passes, 2 on a stale mutant or one that does not build. Names select
 # a subset.
 set -euo pipefail
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 core=crates/hotpath-core/src
+netsim=crates/hotpath-netsim/src
 
 # name | file | original | replacement, four entries per mutant.
 mutants=(
@@ -79,6 +83,18 @@ mutants=(
   'slowest.sort_unstable_by_key(|&(te, object)| (te, std::cmp::Reverse(object)));'
 )
 
+# The workload generator's mutants, in the same layout.
+generator_mutants=(
+  walker_keeps_a_stale_position "$netsim/mobility/walker.rs"
+  'self.pos = locate(net, self.from, self.link, self.offset);
+        self.pos'
+  'locate(net, self.from, self.link, self.offset)'
+
+  mover_prefix_one_too_long "$netsim/mobility/population.rs"
+  'self.movers = movers.min(self.walkers.len());'
+  'self.movers = (movers + 1).min(self.walkers.len());'
+)
+
 # Occurrences of the literal $2 in the contents of file $1.
 occurrences() {
   local text stripped
@@ -96,13 +112,16 @@ selected() {
 }
 
 stale=0
-for ((i = 0; i < ${#mutants[@]}; i += 4)); do
-  name=${mutants[i]} file=${mutants[i+1]} orig=${mutants[i+2]}
-  n=$(occurrences "$root/$file" "$orig")
-  if [ "$n" -ne 1 ]; then
-    echo "stale mutant $name: its original occurs $n times in $file" >&2
-    stale=1
-  fi
+for table in mutants generator_mutants; do
+  declare -n entries=$table
+  for ((i = 0; i < ${#entries[@]}; i += 4)); do
+    name=${entries[i]} file=${entries[i+1]} orig=${entries[i+2]}
+    n=$(occurrences "$root/$file" "$orig")
+    if [ "$n" -ne 1 ]; then
+      echo "stale mutant $name: its original occurs $n times in $file" >&2
+      stale=1
+    fi
+  done
 done
 [ "$stale" -eq 0 ] || exit 2
 
@@ -111,32 +130,48 @@ trap 'rm -rf "$work"' EXIT
 tar -C "$root" --exclude=./target -cf - . | tar -C "$work" -xf -
 export CARGO_TARGET_DIR="$work/target"
 
-test_cmd=(cargo test -q --offline -p hotpath-baseline --test reference)
 build() { (cd "$work" && "${test_cmd[@]}" --no-run >/dev/null 2>&1); }
 run() { (cd "$work" && "${test_cmd[@]}" >/dev/null 2>&1); }
 
-if ! build || ! run; then
-  echo "the unmutated copy fails the differential" >&2
-  exit 1
-fi
-echo "unmutated passes"
-
+names=("$@")
 survivors=0
-for ((i = 0; i < ${#mutants[@]}; i += 4)); do
-  name=${mutants[i]} file=${mutants[i+1]} orig=${mutants[i+2]} repl=${mutants[i+3]}
-  selected "$name" "$@" || continue
-  cp "$work/$file" "$work/$file.orig"
-  text=$(cat "$work/$file.orig")
-  printf '%s\n' "${text/"$orig"/"$repl"}" > "$work/$file"
-  if ! build; then
-    echo "mutant $name does not build" >&2
-    exit 2
-  elif run; then
-    echo "SURVIVED $name"
-    survivors=$((survivors + 1))
-  else
-    echo "killed   $name"
+# check <table> <test command ...>: the unmutated copy must pass the
+# command and every selected mutant of the table must fail it.
+check() {
+  local -n table=$1
+  shift
+  test_cmd=("$@")
+  local i any=0
+  for ((i = 0; i < ${#table[@]}; i += 4)); do
+    selected "${table[i]}" "${names[@]}" && any=1
+  done
+  [ "$any" -eq 1 ] || return 0
+
+  if ! build || ! run; then
+    echo "the unmutated copy fails ${test_cmd[*]}" >&2
+    exit 1
   fi
-  mv "$work/$file.orig" "$work/$file"
-done
+  echo "unmutated passes ${test_cmd[*]}"
+
+  for ((i = 0; i < ${#table[@]}; i += 4)); do
+    name=${table[i]} file=${table[i+1]} orig=${table[i+2]} repl=${table[i+3]}
+    selected "$name" "${names[@]}" || continue
+    cp "$work/$file" "$work/$file.orig"
+    text=$(cat "$work/$file.orig")
+    printf '%s\n' "${text/"$orig"/"$repl"}" > "$work/$file"
+    if ! build; then
+      echo "mutant $name does not build" >&2
+      exit 2
+    elif run; then
+      echo "SURVIVED $name"
+      survivors=$((survivors + 1))
+    else
+      echo "killed   $name"
+    fi
+    mv "$work/$file.orig" "$work/$file"
+  done
+}
+
+check mutants cargo test -q --offline -p hotpath-baseline --test reference
+check generator_mutants cargo test -q --offline -p hotpath-netsim
 [ "$survivors" -eq 0 ]
