@@ -6,8 +6,6 @@
 //! experiments scenario <name|all> [--scale ...] [--csv <dir>]
 //!             [--sigma s1,s2,...] [--fallback reject|minimal[:w]|all]
 //!             [--restore-check] [--fault-seed N]
-//! experiments swarm [--scale ...] [--seed N] [--churn F] [--fault-seed N]
-//! experiments serve [--socket PATH] [--ticks N]
 //! ```
 //!
 //! Defaults: `all --scale mid`. `--scale paper` runs the exact Section
@@ -18,17 +16,10 @@
 //! sweeps the `(sigma, fallback)` uncertainty grid. `--csv <dir>`
 //! additionally writes each scenario's per-epoch metric series to
 //! `<dir>/scenario_<name>.csv`.
-//!
-//! `swarm` runs the deterministic `client_swarm` load generator against
-//! a `hotpathd` front door (snapshot readers hammering while
-//! the swarm writes). `serve` binds a `hotpathd` to a unix socket
-//! and drives a scripted wire client through submit/advance/query — an
-//! offline smoke of the full out-of-process stack.
 
 use hotpath_bench::Scale;
 use hotpath_core::uncertainty::FallbackPolicy;
 use hotpath_netsim::scenario::{spec, Scenario, ScenarioParams, Workload, REGISTRY};
-use hotpath_serve::swarm::{run_swarm, SwarmParams};
 use hotpath_sim::experiment::{
     figure10, figure7, figure8, figure9, format_sweep, sweep_csv, SweepRow,
 };
@@ -52,10 +43,6 @@ fn main() {
     let mut checkpoint_dir: Option<std::path::PathBuf> = None;
     let mut restore_check = false;
     let mut fault_seed: Option<u64> = None;
-    let mut swarm_seed: Option<u64> = None;
-    let mut churn: Option<f64> = None;
-    let mut socket: Option<std::path::PathBuf> = None;
-    let mut ticks: Option<u64> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -87,37 +74,6 @@ fn main() {
                         .parse::<FallbackPolicy>()
                         .unwrap_or_else(|e| usage(&format!("{e} (or all)")))]
                 });
-            }
-            "--seed" => {
-                i += 1;
-                swarm_seed = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs an integer")),
-                );
-            }
-            "--churn" => {
-                i += 1;
-                churn = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .filter(|f| (0.0..=1.0).contains(f))
-                        .unwrap_or_else(|| usage("--churn needs a fraction in [0, 1]")),
-                );
-            }
-            "--socket" => {
-                i += 1;
-                let path = args.get(i).unwrap_or_else(|| usage("--socket needs a path"));
-                socket = Some(std::path::PathBuf::from(path));
-            }
-            "--ticks" => {
-                i += 1;
-                ticks = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| usage("--ticks needs a positive integer")),
-                );
             }
             "--csv" => {
                 i += 1;
@@ -168,7 +124,7 @@ fn main() {
                 scenario_name = Some(name.clone());
             }
             w @ ("fig7" | "fig8" | "fig9" | "fig10" | "claims" | "ablate" | "filters"
-            | "compress" | "uncertain" | "swarm" | "serve" | "all") => {
+            | "compress" | "uncertain" | "all") => {
                 which = w.to_string();
             }
             other => usage(&format!("unknown argument '{other}'")),
@@ -207,8 +163,6 @@ fn main() {
         "filters" => filters(scale),
         "compress" => compress(),
         "uncertain" => uncertain(),
-        "swarm" => swarm_cmd(scale, swarm_seed, churn, fault_seed),
-        "serve" => serve_cmd(socket, ticks.unwrap_or(50)),
         "all" => {
             fig7(scale, csv_dir.as_deref());
             fig8(scale, csv_dir.as_deref());
@@ -233,10 +187,7 @@ fn usage(msg: &str) -> ! {
          experiments scenario <name|all> [--scale paper|mid|quick] [--csv <dir>] \
          [--sigma s1,s2,...] [--fallback reject|minimal[:<w>]|all] \
          [--checkpoint-every N] [--checkpoint-dir <dir>] [--restore-from <file>] [--restore-check] \
-         [--fault-seed N]\n       \
-         experiments swarm [--scale paper|mid|quick] \
-         [--seed N] [--churn F] [--fault-seed N]\n       \
-         experiments serve [--socket PATH] [--ticks N]"
+         [--fault-seed N]"
     );
     std::process::exit(2);
 }
@@ -620,113 +571,6 @@ fn uncertain() {
     println!(
         "{}",
         hotpath_sim::report::table(&["sigma (m)", "half-width", "reports/mover", "dropped"], &data)
-    );
-    println!();
-}
-
-/// `client_swarm`: the deterministic serving load generator.
-fn swarm_cmd(scale: Scale, seed: Option<u64>, churn: Option<f64>, fault_seed: Option<u64>) {
-    let mut params = match scale {
-        Scale::Quick => SwarmParams::default(),
-        Scale::Mid => SwarmParams { writers: 32, ticks: 300, churn: 0.1, ..SwarmParams::default() },
-        Scale::Paper => SwarmParams::full(),
-    };
-    params.fault_seed = fault_seed.unwrap_or(params.fault_seed);
-    params.seed = seed.unwrap_or(params.seed);
-    params.churn = churn.unwrap_or(params.churn);
-    println!(
-        "## client_swarm — {} writers, {} readers, {} ticks, seed {:#x}, churn {:.0}%",
-        params.writers,
-        params.readers,
-        params.ticks,
-        params.seed,
-        params.churn * 100.0
-    );
-    let r = run_swarm(&params);
-    println!(
-        "   {} submitted (+{} churned out), {epoch} epochs, epoch {epoch} final, {} hot, \
-         {} snapshot reads (max epoch seen {}), schedule {:#018x}, fingerprint {:#018x}",
-        r.submitted,
-        r.suppressed,
-        r.hot_count,
-        r.reads,
-        r.max_epoch_seen,
-        r.schedule_hash,
-        r.fingerprint,
-        epoch = r.final_epoch,
-    );
-    println!();
-}
-
-/// An offline smoke of the full out-of-process stack: bind a `hotpathd`
-/// to a unix socket and drive a scripted wire client through
-/// submit-batch / advance / query for `ticks` granules.
-fn serve_cmd(socket: Option<std::path::PathBuf>, ticks: u64) {
-    use hotpath_core::config::Config;
-    use hotpath_core::coordinator::Coordinator;
-    use hotpath_core::engine::EngineKind;
-    use hotpath_core::geometry::{Point, Rect};
-    use hotpath_core::raytrace::ClientState;
-    use hotpath_core::time::Timestamp;
-    use hotpath_core::ObjectId;
-    use hotpath_serve::server::Hotpathd;
-    use hotpath_serve::wire::{serve_unix, UnixClient};
-
-    let path = socket.unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("hotpathd-serve-{}.sock", std::process::id()))
-    });
-    let config = Config::paper_defaults();
-    let epoch = config.epochs.lambda;
-    let handle = Hotpathd::spawn(EngineKind::Sync.build(Coordinator::new(config)));
-    let server = serve_unix(&handle, &path)
-        .unwrap_or_else(|e| usage(&format!("cannot bind {}: {e}", path.display())));
-    println!("## hotpathd — serving on {}", path.display());
-
-    let mut client = UnixClient::connect(&path).expect("connect to own socket");
-    // Four writers on a shared corridor pair; one traversal each per tick.
-    for t in 1..=ticks {
-        let batch: Vec<ClientState> = (0..4u64)
-            .map(|w| {
-                let y = (w % 2) as f64 * 300.0;
-                let end = Point::new(50.0, y);
-                ClientState {
-                    object: ObjectId(w),
-                    start: Point::new(0.0, y),
-                    ts: Timestamp(t.saturating_sub(8)),
-                    fsa: Rect::new(
-                        Point::new(end.x - 2.0, end.y - 2.0),
-                        Point::new(end.x + 2.0, end.y + 2.0),
-                    ),
-                    te: Timestamp(t),
-                }
-            })
-            .collect();
-        client.submit_batch(&batch).expect("submit over the wire");
-        client.advance(Timestamp(t)).expect("advance over the wire");
-    }
-    // Open loop: poll until the last boundary's publish lands.
-    let want = ticks / epoch;
-    let snap = loop {
-        let snap = client.query().expect("query over the wire");
-        if snap.epoch >= want {
-            break snap;
-        }
-        std::thread::yield_now();
-    };
-    println!(
-        "   wire round trip: epoch {} at t={}, {} top path(s), hottest {} crossings",
-        snap.epoch,
-        snap.timestamp.0,
-        snap.top.len(),
-        snap.top.first().map(|e| e.hotness).unwrap_or(0)
-    );
-    server.stop();
-    let final_snap = handle.shutdown();
-    println!(
-        "   server: {} submitted, {epoch} epochs, final epoch {epoch}, {} hot",
-        final_snap.comm.uplink_msgs,
-        final_snap.hot_count,
-        epoch = final_snap.epoch,
     );
     println!();
 }

@@ -5,5 +5,5 @@ mod population;
 mod walker;
 
 pub use noise::{GaussianNoise, UniformNoise};
-pub use population::{AgilityModel, Measurement, Population, PopulationParams};
+pub use population::{Measurement, Population, PopulationParams};
 pub use walker::{ChoicePolicy, Walker};

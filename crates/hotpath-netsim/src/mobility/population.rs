@@ -8,17 +8,15 @@
 //! **Agility interpretation** (argued in docs/ARCHITECTURE.md,
 //! "Workload model: what the simulator substitutes"): the paper's prose
 //! admits two readings of "at each timestamp, only a portion alpha of
-//! the objects is allowed to move". [`AgilityModel::FixedMovers`] (default)
-//! keeps a fixed alpha*N subset moving at constant speed — the only
-//! reading consistent with the evaluation's link-long motion paths,
-//! scores in the thousands, and SinglePath/DP index parity.
-//! [`AgilityModel::Bernoulli`] redraws the moving subset each timestamp
-//! (matching the "inter-arrival fluctuates" sentence literally); under
-//! the time-parameterized path definition that shreds every trajectory
-//! into near-`2 eps` fragments, which contradicts Figures 7-10, so it is
-//! provided for study rather than reproduction. Independently,
-//! [`PopulationParams::measure_when_stopped`] picks dense (default) or
-//! movement-only sampling.
+//! the objects is allowed to move". The population keeps a fixed
+//! alpha*N subset moving at constant speed — the only reading
+//! consistent with the evaluation's link-long motion paths, scores in
+//! the thousands, and SinglePath/DP index parity. Redrawing the moving
+//! subset each timestamp would match the "inter-arrival fluctuates"
+//! sentence literally, but under the time-parameterized path definition
+//! it shreds every trajectory into near-`2 eps` fragments, which
+//! contradicts Figures 7-10. Every object measures every timestamp (the
+//! paper's device model).
 
 use super::noise::UniformNoise;
 use super::walker::{ChoicePolicy, Walker};
@@ -29,24 +27,13 @@ use hotpath_core::ObjectId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// How the agility parameter selects moving objects.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AgilityModel {
-    /// A fixed `alpha * N` subset moves every timestamp at constant
-    /// speed (the reading that reproduces the paper's evaluation).
-    #[default]
-    FixedMovers,
-    /// Every object independently moves with probability `alpha` each
-    /// timestamp (the literal per-timestamp reading).
-    Bernoulli,
-}
-
 /// Workload parameters. Defaults mirror Table 2 of the paper.
 #[derive(Clone, Copy, Debug)]
 pub struct PopulationParams {
     /// Number of moving objects `N`.
     pub n: usize,
-    /// Agility `alpha`: per-timestamp probability that an object moves.
+    /// Agility `alpha`: the fraction of objects that move every
+    /// timestamp.
     pub agility: f64,
     /// Displacement `s` per move, meters.
     pub displacement: f64,
@@ -56,14 +43,6 @@ pub struct PopulationParams {
     pub seed: u64,
     /// Link-choice policy at crossroads.
     pub policy: ChoicePolicy,
-    /// When true (default, the paper's device model) every object
-    /// measures every timestamp; when false only movers measure. Under
-    /// [`AgilityModel::FixedMovers`] the movers are a prefix of the
-    /// population, and a parked walker's measurement reads its stored
-    /// position.
-    pub measure_when_stopped: bool,
-    /// Agility interpretation (see module docs).
-    pub agility_model: AgilityModel,
 }
 
 impl PopulationParams {
@@ -77,8 +56,6 @@ impl PopulationParams {
             err: 1.0,
             seed,
             policy: ChoicePolicy::default(),
-            measure_when_stopped: true,
-            agility_model: AgilityModel::FixedMovers,
         }
     }
 }
@@ -101,8 +78,7 @@ pub struct Measurement {
 /// measurement: a parked walker's position is stored, not recomputed.
 pub struct Population {
     walkers: Vec<Walker>,
-    /// Under [`AgilityModel::FixedMovers`], the walkers `0..movers`
-    /// move and the rest stand.
+    /// The walkers `0..movers` move and the rest stand.
     movers: usize,
     params: PopulationParams,
     noise: UniformNoise,
@@ -164,8 +140,7 @@ impl Population {
         }
     }
 
-    /// Number of objects currently moving (under
-    /// [`AgilityModel::FixedMovers`]).
+    /// Number of objects currently moving.
     pub fn movers(&self) -> usize {
         self.movers
     }
@@ -173,9 +148,8 @@ impl Population {
     /// Sets the number of concurrently moving objects (clamped to `N`):
     /// the first `movers` walkers move, the rest stand, so the movers
     /// are always a prefix of the population and a tick advances only
-    /// that prefix. Only meaningful under
-    /// [`AgilityModel::FixedMovers`]; lets scenarios model time-varying
-    /// load (rush-hour surges, overnight lulls).
+    /// that prefix. Lets scenarios model time-varying load (rush-hour
+    /// surges, overnight lulls).
     pub fn set_movers(&mut self, movers: usize) {
         self.movers = movers.min(self.walkers.len());
     }
@@ -194,16 +168,15 @@ impl Population {
         self.walkers[obj.0 as usize].link()
     }
 
-    /// True when `obj` is currently in the moving subset (under
-    /// [`AgilityModel::FixedMovers`]).
+    /// True when `obj` is currently in the moving subset.
     pub fn is_mover(&self, obj: ObjectId) -> bool {
         (obj.0 as usize) < self.movers
     }
 
-    /// Advances one timestamp: each object moves with probability
-    /// `agility`; every object (or, under sparse sampling, every mover)
-    /// emits one noisy measurement. `out` is cleared and filled (reused
-    /// across ticks to avoid per-tick allocation).
+    /// Advances one timestamp: every mover advances by the
+    /// displacement, and every object emits one noisy measurement.
+    /// `out` is cleared and filled (reused across ticks to avoid
+    /// per-tick allocation).
     pub fn tick(&mut self, net: &RoadNetwork, t: Timestamp, out: &mut Vec<Measurement>) {
         self.tick_avoiding(net, t, None, out)
     }
@@ -220,16 +193,9 @@ impl Population {
     ) {
         out.clear();
         for (i, w) in self.walkers.iter_mut().enumerate() {
-            let moved = match self.params.agility_model {
-                AgilityModel::FixedMovers => i < self.movers,
-                AgilityModel::Bernoulli => self.rng.gen_bool(self.params.agility),
-            };
-            let truth = if moved {
+            let truth = if i < self.movers {
                 w.advance_avoiding(net, self.params.displacement, closed, &mut self.rng)
             } else {
-                if !self.params.measure_when_stopped {
-                    continue;
-                }
                 w.position()
             };
             let observed = self.noise.apply(truth, &mut self.rng);
@@ -258,20 +224,25 @@ mod tests {
         generate(NetworkParams::tiny(21))
     }
 
+    /// Ticks once and returns the ids of the objects whose true
+    /// position changed.
+    fn tick_moved(pop: &mut Population, net: &RoadNetwork, t: Timestamp) -> Vec<u64> {
+        let before: Vec<Point> =
+            (0..pop.len() as u64).map(|i| pop.seed_timepoint(net, ObjectId(i), t).p).collect();
+        let out = pop.tick_collect(net, t);
+        out.iter().filter(|m| m.truth != before[m.object.0 as usize]).map(|m| m.object.0).collect()
+    }
+
     #[test]
     fn tick_respects_agility_statistically() {
-        // Under sparse sampling, the measurement rate equals the move
-        // rate alpha.
+        // The share of objects whose true position changes per tick is
+        // the agility alpha.
         let net = net();
-        let mut params = PopulationParams::paper_defaults(1000, 5);
-        params.measure_when_stopped = false;
-        let mut pop = Population::new(&net, params);
-        let mut out = Vec::new();
+        let mut pop = Population::new(&net, PopulationParams::paper_defaults(1000, 5));
         let mut total = 0usize;
         let ticks = 50;
         for t in 1..=ticks {
-            pop.tick(&net, Timestamp(t), &mut out);
-            total += out.len();
+            total += tick_moved(&mut pop, &net, Timestamp(t)).len();
         }
         let rate = total as f64 / (ticks as usize * pop.len()) as f64;
         assert!((rate - 0.1).abs() < 0.02, "move rate {rate} far from alpha=0.1");
@@ -361,10 +332,8 @@ mod tests {
         let net = net();
         let mut params = PopulationParams::paper_defaults(50, 9);
         params.agility = 0.0;
-        params.measure_when_stopped = false;
         let mut pop = Population::new(&net, params);
-        let out = pop.tick_collect(&net, Timestamp(1));
-        assert!(out.is_empty());
+        assert!(tick_moved(&mut pop, &net, Timestamp(1)).is_empty());
     }
 
     #[test]
@@ -373,22 +342,19 @@ mod tests {
         let mut params = PopulationParams::paper_defaults(50, 10);
         params.agility = 1.0;
         let mut pop = Population::new(&net, params);
-        let out = pop.tick_collect(&net, Timestamp(1));
-        assert_eq!(out.len(), 50);
+        assert_eq!(tick_moved(&mut pop, &net, Timestamp(1)).len(), 50);
     }
 
     #[test]
     fn set_movers_scales_the_moving_subset() {
         let net = net();
-        let mut params = PopulationParams::paper_defaults(100, 11);
-        params.measure_when_stopped = false;
-        let mut pop = Population::new(&net, params);
+        let mut pop = Population::new(&net, PopulationParams::paper_defaults(100, 11));
         assert_eq!(pop.movers(), 10); // alpha = 0.1
         pop.set_movers(60);
         assert_eq!(pop.movers(), 60);
-        assert_eq!(pop.tick_collect(&net, Timestamp(1)).len(), 60);
+        assert_eq!(tick_moved(&mut pop, &net, Timestamp(1)), (0..60).collect::<Vec<_>>());
         pop.set_movers(5);
-        assert_eq!(pop.tick_collect(&net, Timestamp(2)).len(), 5);
+        assert_eq!(tick_moved(&mut pop, &net, Timestamp(2)), (0..5).collect::<Vec<_>>());
         // Clamped at N.
         pop.set_movers(10_000);
         assert_eq!(pop.movers(), 100);
@@ -483,14 +449,8 @@ mod oracle {
         ) {
             out.clear();
             for (i, w) in self.walkers.iter_mut().enumerate() {
-                let moved = match self.params.agility_model {
-                    AgilityModel::FixedMovers => self.is_mover[i],
-                    AgilityModel::Bernoulli => self.rng.gen_bool(self.params.agility),
-                };
-                if moved {
+                if self.is_mover[i] {
                     w.advance_avoiding(net, self.params.displacement, closed, &mut self.rng);
-                } else if !self.params.measure_when_stopped {
-                    continue;
                 }
                 let truth = w.located(net);
                 let observed = self.noise.apply(truth, &mut self.rng);
@@ -529,8 +489,6 @@ mod oracle {
             n in 1usize..40,
             agility in 0.0f64..=1.0,
             displacement in 5.0f64..120.0,
-            bernoulli in 0u8..2,
-            dense in 0u8..2,
             seed in 0u64..1_000_000,
             ops in prop::collection::vec((0u8..4, 0u32..10_000), 1..60),
         ) {
@@ -538,12 +496,6 @@ mod oracle {
             let params = PopulationParams {
                 agility,
                 displacement,
-                measure_when_stopped: dense == 1,
-                agility_model: if bernoulli == 1 {
-                    AgilityModel::Bernoulli
-                } else {
-                    AgilityModel::FixedMovers
-                },
                 ..PopulationParams::paper_defaults(n, seed)
             };
             let mut pop = Population::new(&net, params);

@@ -8,7 +8,7 @@
 //! one atomic load between publishes and one short lock-and-clone
 //! after each.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - [`server`] — the in-process front door: [`Hotpathd`](server::Hotpathd)
 //!   spawns the writer thread, [`ServerHandle`](server::ServerHandle)
@@ -16,9 +16,6 @@
 //! - [`wire`] — a length-prefixed binary frame protocol plus a unix-
 //!   socket transport, so out-of-process clients can submit batches and
 //!   query the published top-k without linking the engine.
-//! - [`swarm`] — `client_swarm`: a seeded, deterministic open-loop load
-//!   generator (writer schedules, churn via the scenario fault machinery,
-//!   concurrent readers) with a fingerprinted report for parity checks.
 //!
 //! ```no_run
 //! use hotpath_core::prelude::*;
@@ -39,5 +36,22 @@
 #![warn(rust_2018_idioms)]
 
 pub mod server;
-pub mod swarm;
 pub mod wire;
+
+/// Polls `poll`, which returns a published epoch and the value read
+/// with it, with a short sleep until that epoch reaches `want`, and
+/// returns the value. Panics after a deadline naming `want`, so a lost
+/// publish fails the test instead of hanging it.
+#[cfg(test)]
+fn wait_for_epoch<T>(want: u64, mut poll: impl FnMut() -> (u64, T)) -> T {
+    use std::time::{Duration, Instant};
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (epoch, value) = poll();
+        if epoch >= want {
+            return value;
+        }
+        assert!(Instant::now() < deadline, "epoch {want} not published within 10 s (at {epoch})");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}

@@ -199,10 +199,10 @@ mod tests {
         handle.submit_batch(vec![state(1, (0.0, 0.0), (50.0, 0.0), 9)]);
         handle.advance(Timestamp(10));
         // Open loop: wait for the publish to land in the cell.
-        while reader.epoch() < 1 {
-            thread::yield_now();
-        }
-        let snap = reader.load();
+        let snap = crate::wait_for_epoch(1, || {
+            let snap = reader.load();
+            (snap.epoch, snap)
+        });
         assert_eq!(snap.epoch, 1);
         assert_eq!(snap.top_k.len(), 1);
 

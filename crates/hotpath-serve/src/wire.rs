@@ -834,13 +834,10 @@ mod tests {
         client.advance(Timestamp(10)).unwrap();
 
         // Open loop: poll until the publish lands in the cell.
-        let snap = loop {
+        let snap = crate::wait_for_epoch(1, || {
             let snap = client.query().unwrap();
-            if snap.epoch >= 1 {
-                break snap;
-            }
-            std::thread::yield_now();
-        };
+            (snap.epoch, snap)
+        });
         assert_eq!(snap.epoch, 1);
         assert_eq!(snap.timestamp, Timestamp(10));
         assert_eq!(snap.top.len(), 1, "one shared corridor");

@@ -15,17 +15,13 @@
 # lines, and `total wall clock`. Everything else, and each run's exit
 # status, is diffed. Then `scenario all`, `fig7` and `fig8` run again
 # with `--csv` on both trees, and the CSV files are diffed with their
-# `processing_ms` and `sp_time_ms` columns masked. Last, the serving
-# commands `swarm --scale quick`, `swarm --scale quick --churn 0.3` and
-# `serve --ticks 40` (fixed sizes, whatever --scale says) run on both
-# trees and are diffed with the snapshot read count, `max epoch seen`
-# and the socket path masked. The script exits non-zero on any
-# difference.
+# `processing_ms` and `sp_time_ms` columns masked. The script exits
+# non-zero on any difference.
 set -euo pipefail
 shopt -s nullglob
 
 usage() {
-    sed -n '2,23p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,19p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -130,34 +126,6 @@ for cmd in "scenario all" "fig7" "fig8"; do
         echo "experiments $cmd --scale $scale --csv: identical ($(wc -l <"$out/change-$tag.txt") lines)"
     else
         echo "experiments $cmd --scale $scale --csv: DIFFERS"
-        status=1
-    fi
-done
-# The serving commands. Reader threads race the writer, so how many
-# reads they make and the last epoch they saw vary run to run; the
-# socket path names the process. The read count was labelled
-# `lock-free reads` before it became `snapshot reads`; both mask alike,
-# so trees on either side of the rename still compare.
-mask_serving() {
-    mask | sed -E \
-        -e 's/[0-9]+ (lock-free|snapshot) reads \(max epoch seen [0-9]+\)/<n> reads (max epoch seen <e>)/' \
-        -e 's/serving on .*/serving on <socket>/'
-}
-
-for cmd in "swarm --scale quick" "swarm --scale quick --churn 0.3" "serve --ticks 40"; do
-    tag="${cmd// /_}"
-    for side in parent change; do
-        if [ "$side" = parent ]; then bin="$parent_bin"; else bin="$change_bin"; fi
-        echo "running $side: experiments $cmd" >&2
-        code=0
-        # shellcheck disable=SC2086
-        "$bin" $cmd >"$out/$side-$tag.raw" || code=$?
-        { mask_serving <"$out/$side-$tag.raw"; echo "exit status: $code"; } >"$out/$side-$tag.txt"
-    done
-    if diff -u "$out/parent-$tag.txt" "$out/change-$tag.txt"; then
-        echo "experiments $cmd: identical ($(wc -l <"$out/change-$tag.txt") lines)"
-    else
-        echo "experiments $cmd: DIFFERS"
         status=1
     fi
 done

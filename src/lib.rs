@@ -53,9 +53,8 @@ pub mod prelude {
     pub use hotpath_core::time::{EpochClock, SlidingWindow, Timestamp};
     pub use hotpath_core::uncertainty::FallbackPolicy;
     pub use hotpath_core::ObjectId;
-    // The serving front door and its load generator.
+    // The serving front door.
     pub use hotpath_serve::server::{Hotpathd, ServerHandle, ServerMsg};
-    pub use hotpath_serve::swarm::{run_swarm, SwarmParams, SwarmReport};
     pub use hotpath_serve::wire::{serve_unix, SnapshotWire, UnixClient, UnixServer};
     // The scenario registry, the run driver, and its per-epoch record
     // (the published snapshot plus the driver's own columns).
