@@ -1,9 +1,8 @@
 //! Captures bench baselines and gates perf regressions against them.
 //!
 //! ```text
-//! bench_gate capture [--dir <repo-root>] [--captures-dir <dir>] [--only <bench>]
-//! bench_gate check [--tolerance <frac>] [--dir <repo-root>] [--captures-dir <dir>]
-//!            [--only <bench>]
+//! bench_gate capture [--captures-dir <dir>] [--only <bench>]
+//! bench_gate check [--captures-dir <dir>] [--only <bench>]
 //! ```
 //!
 //! `--only <bench>` restricts either mode to a single gated target —
@@ -14,65 +13,35 @@
 //! streams under the given directory (`<bench>.jsonl`) instead of a
 //! deleted temp file — CI uploads them as a workflow artifact.
 //!
-//! Both modes drive `cargo bench` for the gated targets with the
-//! vendored criterion's `CRITERION_CAPTURE` hook, collecting one median
-//! per benchmark. `capture` writes them to checked-in
-//! `BENCH_<target>.json` snapshots at the repo root; `check` re-runs
-//! and exits nonzero when any benchmark got slower than
-//! `baseline * (1 + tolerance)` or disappeared. New benchmarks are
+//! Both modes drive `cargo bench` for the gated targets
+//! ([`GATED_BENCHES`]) with the vendored criterion's `CRITERION_CAPTURE`
+//! hook, collecting one median per benchmark. `capture` writes them to
+//! checked-in `BENCH_<target>.json` snapshots at the workspace root;
+//! `check` re-runs and exits nonzero when any benchmark got slower than
+//! `baseline * (1 + TOLERANCE)` or disappeared. New benchmarks are
 //! reported but never fail the gate — capture a fresh baseline to adopt
-//! them. A baseline records the core count of the host it was captured
-//! on; `check` reports a target whose baseline was captured on a
-//! different count as *not comparable* and neither runs nor gates it.
+//! them.
 //!
 //! Re-baselining intentionally (e.g. after an accepted perf trade-off):
 //! `cargo run --release -p hotpath-bench --bin bench_gate -- capture`
 //! and commit the updated `BENCH_*.json`.
 
-use hotpath_bench::gate::{compare, has_failures, host_nproc, margin_table, Snapshot};
+use hotpath_bench::gate::{
+    baseline_path, compare, has_failures, margin_table, workspace_root, Snapshot, GATED_BENCHES,
+    TOLERANCE,
+};
 use std::path::{Path, PathBuf};
 use std::process::Command;
-
-/// The `cargo bench` targets with checked-in baselines.
-const GATED_BENCHES: &[&str] = &[
-    "micro_raytrace",
-    "fig8",
-    "micro_topk",
-    "micro_hotness",
-    "micro_overlap",
-    "micro_scenario",
-    "micro_serving",
-    "micro_phase_b",
-];
-
-/// Default relative slack: CI runners and developer machines differ, so
-/// the gate catches structural regressions (2x+), not single-digit
-/// percent noise.
-const DEFAULT_TOLERANCE: f64 = 1.0;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut mode: Option<String> = None;
-    let mut tolerance = DEFAULT_TOLERANCE;
-    let mut dir = PathBuf::from(".");
     let mut captures_dir: Option<PathBuf> = None;
     let mut only: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "capture" | "check" => mode = Some(args[i].clone()),
-            "--tolerance" => {
-                i += 1;
-                tolerance = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t: &f64| t >= 0.0 && t.is_finite())
-                    .unwrap_or_else(|| usage("--tolerance needs a non-negative number"));
-            }
-            "--dir" => {
-                i += 1;
-                dir = PathBuf::from(args.get(i).unwrap_or_else(|| usage("--dir needs a path")));
-            }
             "--captures-dir" => {
                 i += 1;
                 captures_dir = Some(PathBuf::from(
@@ -109,30 +78,22 @@ fn main() {
     let selected: Vec<&str> =
         GATED_BENCHES.iter().copied().filter(|b| only.as_deref().is_none_or(|o| *b == o)).collect();
     match mode.as_deref() {
-        Some("capture") => capture(&dir, captures_dir.as_deref(), &selected),
-        Some("check") => check(&dir, tolerance, captures_dir.as_deref(), &selected),
+        Some("capture") => capture(captures_dir.as_deref(), &selected),
+        Some("check") => check(captures_dir.as_deref(), &selected),
         _ => usage("need a mode: capture or check"),
     }
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: bench_gate <capture|check> [--tolerance <frac>] [--dir <repo-root>] \
-         [--captures-dir <dir>] [--only <bench>]"
-    );
+    eprintln!("usage: bench_gate <capture|check> [--captures-dir <dir>] [--only <bench>]");
     std::process::exit(2);
 }
 
-fn baseline_path(dir: &Path, bench: &str) -> PathBuf {
-    dir.join(format!("BENCH_{bench}.json"))
-}
-
-/// Runs one `cargo bench` target with the capture hook and collects the
-/// resulting snapshot. `dir` is the workspace the bench runs in — the
-/// same root the baselines live under, so `--dir` can never compare one
-/// checkout's measurements against another's baselines.
-fn run_bench(dir: &Path, bench: &str, captures_dir: Option<&Path>) -> Snapshot {
+/// Runs one `cargo bench` target with the capture hook, in the
+/// workspace whose baselines it is compared with, and collects the
+/// resulting snapshot.
+fn run_bench(bench: &str, captures_dir: Option<&Path>) -> Snapshot {
     let capture_file = match captures_dir {
         Some(d) => d.join(format!("{bench}.jsonl")),
         None => std::env::temp_dir()
@@ -143,7 +104,7 @@ fn run_bench(dir: &Path, bench: &str, captures_dir: Option<&Path>) -> Snapshot {
     eprintln!("bench_gate: running cargo bench -p hotpath-bench --bench {bench}");
     let status = Command::new(cargo)
         .args(["bench", "-p", "hotpath-bench", "--bench", bench])
-        .current_dir(dir)
+        .current_dir(workspace_root())
         .env("CRITERION_CAPTURE", &capture_file)
         .status()
         .unwrap_or_else(|e| {
@@ -169,10 +130,10 @@ fn run_bench(dir: &Path, bench: &str, captures_dir: Option<&Path>) -> Snapshot {
     snap
 }
 
-fn capture(dir: &Path, captures_dir: Option<&Path>, benches: &[&str]) {
+fn capture(captures_dir: Option<&Path>, benches: &[&str]) {
     for &bench in benches {
-        let snap = run_bench(dir, bench, captures_dir);
-        let path = baseline_path(dir, bench);
+        let snap = run_bench(bench, captures_dir);
+        let path = baseline_path(bench);
         std::fs::write(&path, snap.to_json()).unwrap_or_else(|e| {
             eprintln!("bench_gate: cannot write {}: {e}", path.display());
             std::process::exit(2);
@@ -181,10 +142,10 @@ fn capture(dir: &Path, captures_dir: Option<&Path>, benches: &[&str]) {
     }
 }
 
-fn check(dir: &Path, tolerance: f64, captures_dir: Option<&Path>, benches: &[&str]) {
+fn check(captures_dir: Option<&Path>, benches: &[&str]) {
     let mut failed = false;
     for &bench in benches {
-        let path = baseline_path(dir, bench);
+        let path = baseline_path(bench);
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!(
                 "bench_gate: missing baseline {} ({e}); run `bench_gate capture` and commit it",
@@ -196,23 +157,13 @@ fn check(dir: &Path, tolerance: f64, captures_dir: Option<&Path>, benches: &[&st
             eprintln!("bench_gate: bad baseline {}: {e}", path.display());
             std::process::exit(2);
         });
-        // Medians from a host with a different core count say nothing
-        // about this one (the parallel rows least of all).
-        if baseline.nproc != host_nproc() {
-            println!(
-                "== {bench}: not comparable (captured on {}, host has {})",
-                baseline.nproc,
-                host_nproc()
-            );
-            continue;
-        }
-        let current = run_bench(dir, bench, captures_dir);
-        let rows = compare(&baseline, &current, tolerance);
-        println!("== {bench} (tolerance +{:.0}%)", tolerance * 100.0);
+        let current = run_bench(bench, captures_dir);
+        let rows = compare(&baseline, &current, TOLERANCE);
+        println!("== {bench} (tolerance +{:.0}%)", TOLERANCE * 100.0);
         // The margin table shows how close each benchmark sits to the
         // gate: 100% headroom = at/below baseline, 0% = about to trip,
         // negative = regressed.
-        print!("{}", margin_table(&rows, &baseline, &current, tolerance));
+        print!("{}", margin_table(&rows, &baseline, &current, TOLERANCE));
         if has_failures(&rows) {
             failed = true;
         }

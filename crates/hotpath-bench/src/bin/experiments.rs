@@ -15,7 +15,9 @@
 //! runs crisp with its invariants verified (exit 1 on violation), then
 //! sweeps the `(sigma, fallback)` uncertainty grid. `--csv <dir>`
 //! additionally writes each scenario's per-epoch metric series to
-//! `<dir>/scenario_<name>.csv`.
+//! `<dir>/scenario_<name>.csv`. The flags only `scenario` reads
+//! (`--sigma` through `--fault-seed` above) are usage errors (exit 2)
+//! on any other command.
 
 use hotpath_bench::Scale;
 use hotpath_core::uncertainty::FallbackPolicy;
@@ -30,6 +32,18 @@ use hotpath_sim::scenario_run::{
 };
 use std::time::Instant;
 
+/// Flags only the `scenario` command reads; every other command
+/// rejects them rather than run without them.
+const SCENARIO_FLAGS: &[&str] = &[
+    "--sigma",
+    "--fallback",
+    "--checkpoint-every",
+    "--checkpoint-dir",
+    "--restore-from",
+    "--restore-check",
+    "--fault-seed",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which = "all".to_string();
@@ -43,9 +57,14 @@ fn main() {
     let mut checkpoint_dir: Option<std::path::PathBuf> = None;
     let mut restore_check = false;
     let mut fault_seed: Option<u64> = None;
+    let mut scenario_flag: Option<&str> = None;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let arg = args[i].as_str();
+        if SCENARIO_FLAGS.contains(&arg) {
+            scenario_flag.get_or_insert(arg);
+        }
+        match arg {
             "--scale" => {
                 i += 1;
                 scale = args
@@ -130,6 +149,9 @@ fn main() {
             other => usage(&format!("unknown argument '{other}'")),
         }
         i += 1;
+    }
+    if let Some(flag) = scenario_flag.filter(|_| which != "scenario") {
+        usage(&format!("{flag} applies only to the scenario command"));
     }
     ckpt.periodic = match (checkpoint_every, checkpoint_dir) {
         (Some(every), Some(dir)) => Some((every, dir)),

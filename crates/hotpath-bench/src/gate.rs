@@ -5,7 +5,7 @@
 //! `CRITERION_CAPTURE` environment variable. This module turns those
 //! captures into checked-in `BENCH_<name>.json` snapshots and compares
 //! fresh captures against them with a relative tolerance, so perf PRs
-//! can assert no-regression in CI (`bench_gate check --tolerance T`).
+//! can assert no-regression in CI (`bench_gate check`).
 //!
 //! No serde in the offline build environment, so the snapshot format is
 //! a deliberately tiny JSON dialect written and parsed here: objects
@@ -13,6 +13,29 @@
 //! shared by the JSONL capture stream and the pretty snapshot files.
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+
+/// The `cargo bench` targets with checked-in baselines: the paper's
+/// hot loops — Algorithm 1's ray trace and Algorithm 2's overlap and
+/// Cases 2-3 kernels. None of their rows spawns a thread, so a
+/// baseline means the same on any core count.
+pub const GATED_BENCHES: &[&str] = &["micro_raytrace", "micro_overlap", "micro_phase_b"];
+
+/// Relative slack `bench_gate check` allows over a baseline median
+/// (3x): CI runners differ from the capture machine and the ~10 ns
+/// rows can double under a loaded host, so the gate catches structural
+/// regressions, not single-digit percent noise.
+pub const TOLERANCE: f64 = 2.0;
+
+/// The workspace root: where the baselines live and `cargo bench` runs.
+pub fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).expect("crates/<name> layout")
+}
+
+/// The checked-in baseline of one gated bench target.
+pub fn baseline_path(bench: &str) -> PathBuf {
+    workspace_root().join(format!("BENCH_{bench}.json"))
+}
 
 /// One benchmark's captured median.
 #[derive(Clone, Debug, PartialEq)]
@@ -28,24 +51,14 @@ pub struct BenchEntry {
 pub struct Snapshot {
     /// The bench target name (e.g. `micro_raytrace`).
     pub bench: String,
-    /// Hardware threads of the host the medians were captured on. A
-    /// snapshot file without the field predates it and is read as `1`,
-    /// the single-core container those were captured in.
-    pub nproc: usize,
     /// Captured entries, in capture order.
     pub entries: Vec<BenchEntry>,
 }
 
-/// Hardware threads available to this process — what a capture made
-/// here is stamped with, and what a baseline must match to be gated.
-pub fn host_nproc() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 impl Snapshot {
     /// Builds a snapshot from the raw `CRITERION_CAPTURE` stream of one
-    /// bench target, run on this host. Duplicate ids keep the *last*
-    /// capture (re-runs within a process supersede earlier ones).
+    /// bench target. Duplicate ids keep the *last* capture (re-runs
+    /// within a process supersede earlier ones).
     pub fn from_capture(bench: &str, jsonl: &str) -> Snapshot {
         let mut entries: Vec<BenchEntry> = Vec::new();
         for e in parse_entries(jsonl) {
@@ -55,7 +68,7 @@ impl Snapshot {
                 entries.push(e);
             }
         }
-        Snapshot { bench: bench.to_string(), nproc: host_nproc(), entries }
+        Snapshot { bench: bench.to_string(), entries }
     }
 
     /// Renders the checked-in snapshot file.
@@ -63,7 +76,6 @@ impl Snapshot {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"bench\": \"{}\",", self.bench);
-        let _ = writeln!(out, "  \"nproc\": {},", self.nproc);
         let _ = writeln!(out, "  \"entries\": [");
         for (i, e) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
@@ -88,8 +100,7 @@ impl Snapshot {
         if entries.is_empty() {
             return Err(format!("snapshot for '{bench}' has no entries"));
         }
-        let nproc = extract_number(text, "\"nproc\"").map_or(1, |n| n as usize);
-        Ok(Snapshot { bench, nproc, entries })
+        Ok(Snapshot { bench, entries })
     }
 
     /// Looks up an entry by id.
@@ -280,7 +291,6 @@ mod tests {
     fn snap(bench: &str, entries: &[(&str, f64)]) -> Snapshot {
         Snapshot {
             bench: bench.to_string(),
-            nproc: host_nproc(),
             entries: entries
                 .iter()
                 .map(|&(id, m)| BenchEntry { id: id.to_string(), median_ns: m })
@@ -298,14 +308,29 @@ mod tests {
         assert_eq!(parsed.get("g/f/2").unwrap().median_ns, 34.5);
     }
 
+    /// A missing or orphaned baseline would otherwise only surface inside
+    /// `bench_gate check`: every root `BENCH_*.json` names a gated bench,
+    /// and every gated bench has a bench target and a baseline that
+    /// parses, is non-empty and reads exactly as `capture` writes it.
     #[test]
-    fn nproc_round_trips_and_defaults_to_the_old_container() {
-        let mut s = snap("b", &[("a", 1.0)]);
-        assert_eq!(s.nproc, host_nproc(), "a capture is stamped with this host");
-        s.nproc = 6;
-        assert_eq!(Snapshot::from_json(&s.to_json()).unwrap().nproc, 6);
-        let old = "{\"bench\": \"b\", \"entries\": [{\"id\": \"a\", \"median_ns\": 1}]}";
-        assert_eq!(Snapshot::from_json(old).unwrap().nproc, 1);
+    fn baselines_and_gated_bench_targets_agree() {
+        let root = workspace_root();
+        for entry in std::fs::read_dir(root).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            if let Some(bench) = name.strip_prefix("BENCH_").and_then(|n| n.strip_suffix(".json")) {
+                assert!(GATED_BENCHES.contains(&bench), "{name} has no gated bench");
+            }
+        }
+        for &bench in GATED_BENCHES {
+            let target = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("benches/{bench}.rs"));
+            assert!(target.is_file(), "{bench} has no bench target at {}", target.display());
+            let text = std::fs::read_to_string(baseline_path(bench))
+                .unwrap_or_else(|e| panic!("{bench} has no baseline: {e}"));
+            // `from_json` rejects a snapshot without entries.
+            let snap = Snapshot::from_json(&text).unwrap_or_else(|e| panic!("{bench}: {e}"));
+            assert_eq!(snap.bench, bench);
+            assert_eq!(snap.to_json(), text, "BENCH_{bench}.json is not in capture format");
+        }
     }
 
     #[test]

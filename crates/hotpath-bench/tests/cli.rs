@@ -19,3 +19,17 @@ fn a_half_set_checkpoint_pair_is_a_usage_error() {
         assert!(stderr.contains("--checkpoint-every and --checkpoint-dir"), "{stderr}");
     }
 }
+
+/// The scenario-only flags are rejected by every other command, not
+/// silently ignored.
+#[test]
+fn a_scenario_only_flag_on_another_command_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["compress", "--fault-seed", "5", "--restore-check"])
+        .output()
+        .expect("run experiments");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "compress ran anyway");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--fault-seed applies only to the scenario command"), "{stderr}");
+}
