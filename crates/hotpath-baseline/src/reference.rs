@@ -29,12 +29,11 @@
 //! the window counts until the next advance, as in the core.
 //!
 //! The admission cap trims each sealed batch by full scan before
-//! Case 1: `ShedOldest` keeps the newest `cap` states, and `EjectSlowest`
-//! removes, one client at a time, the client whose newest state has the
-//! oldest `te` (ties to the smaller id) until the batch fits. The
-//! degrade threshold is tested against the trimmed batch.
+//! Case 1: it removes, one client at a time, the client whose newest
+//! state has the oldest `te` (ties to the smaller id) until the batch
+//! fits. The degrade threshold is tested against the trimmed batch.
 
-use hotpath_core::config::{AdmissionPolicy, Config};
+use hotpath_core::config::Config;
 use hotpath_core::coordinator::{EndpointResponse, HotPath};
 use hotpath_core::geometry::{Point, Rect, TimePoint};
 use hotpath_core::motion_path::{MotionPath, PathId};
@@ -65,7 +64,6 @@ pub struct Coordinator {
     next_id: u64,
     pending: Vec<ClientState>,
     tally: CaseTally,
-    shed: u64,
     ejected: u64,
     degraded_epochs: u64,
 }
@@ -79,7 +77,6 @@ impl Coordinator {
             next_id: 0,
             pending: Vec::new(),
             tally: CaseTally::default(),
-            shed: 0,
             ejected: 0,
             degraded_epochs: 0,
         }
@@ -103,26 +100,13 @@ impl Coordinator {
     /// Trims the batch to the admission cap (see the module docs).
     fn admit(&mut self, states: &mut Vec<ClientState>) {
         let cap = self.config.admission.queue_cap;
-        if cap == 0 || states.len() <= cap {
-            return;
-        }
-        match self.config.admission.policy {
-            AdmissionPolicy::ShedOldest => {
-                let over = states.len() - cap;
-                self.shed += over as u64;
-                *states = states.split_off(over);
-            }
-            AdmissionPolicy::EjectSlowest => {
-                while states.len() > cap {
-                    let newest =
-                        |object| states.iter().filter(|s| s.object == object).map(|s| s.te).max();
-                    let victim = states.iter().map(|s| (newest(s.object), s.object)).min();
-                    let victim = victim.expect("an over-cap batch is non-empty").1;
-                    let before = states.len();
-                    states.retain(|s| s.object != victim);
-                    self.ejected += (before - states.len()) as u64;
-                }
-            }
+        while cap > 0 && states.len() > cap {
+            let newest = |object| states.iter().filter(|s| s.object == object).map(|s| s.te).max();
+            let victim = states.iter().map(|s| (newest(s.object), s.object)).min();
+            let victim = victim.expect("an over-cap batch is non-empty").1;
+            let before = states.len();
+            states.retain(|s| s.object != victim);
+            self.ejected += (before - states.len()) as u64;
         }
     }
 
@@ -310,12 +294,7 @@ impl Coordinator {
         self.tally
     }
 
-    /// States shed by the cap under `ShedOldest`.
-    pub fn shed(&self) -> u64 {
-        self.shed
-    }
-
-    /// States removed with their ejected client under `EjectSlowest`.
+    /// States removed with their client ejected by the cap.
     pub fn ejected(&self) -> u64 {
         self.ejected
     }

@@ -4,7 +4,7 @@
 
 use hotpath_baseline::reference::{self, max_depth_region};
 use hotpath_core::checkpoint::Checkpoint;
-use hotpath_core::config::{AdmissionPolicy, Config, Tolerance};
+use hotpath_core::config::{Config, Tolerance};
 use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotPath};
 use hotpath_core::geometry::{Point, Rect};
 use hotpath_core::raytrace::ClientState;
@@ -79,12 +79,12 @@ proptest! {
     /// Every epoch, the core coordinator publishes what Algorithm 2 by
     /// full scan publishes: the same responses in the same order, the
     /// same stored paths with the same hotness, the same top-k and
-    /// score, the same case tallies, and the same shed, ejected and
-    /// degraded counts. The schedules mix hub pile-ups with isolated
-    /// FSAs, shared starts, sub-grain copies of one vertex across cell
-    /// borders, late crossings and idle gaps past the window, over 1-41
-    /// clients; the admission cap is off, or at 1-12 under either
-    /// policy, and the degrade threshold off or at 1-20 (which drives
+    /// score, the same case tallies, and the same ejected and degraded
+    /// counts. The schedules mix hub pile-ups with isolated FSAs, shared
+    /// starts, sub-grain copies of one vertex across cell borders, late
+    /// crossings and idle gaps past the window, over 1-41 clients; the
+    /// admission cap is off in half the cases and at 1-12 in the other
+    /// half, and the degrade threshold off or at 1-20 (which drives
     /// both sides through `Own`) where it stays below the cap. The core
     /// side is restarted from its checkpoint bytes, pending batch
     /// included, before each epoch whose bit is set in `restarts`: no
@@ -104,13 +104,12 @@ proptest! {
             .window(window)
             .epoch(5)
             .k(k);
-        let cap = (cap < 24).then(|| (cap as usize % 12 + 1, cap / 12));
-        if let Some((cap, policy)) = cap {
-            let policy = [AdmissionPolicy::ShedOldest, AdmissionPolicy::EjectSlowest][policy as usize];
-            builder = builder.admission_cap(cap, policy);
+        let cap = (cap < 24).then(|| cap as usize % 12 + 1);
+        if let Some(cap) = cap {
+            builder = builder.admission_cap(cap);
         }
         let degrade = degrade as usize + 1;
-        if degrade <= 20 && cap.is_none_or(|(cap, _)| degrade < cap) {
+        if degrade <= 20 && cap.is_none_or(|cap| degrade < cap) {
             builder = builder.degrade_threshold(degrade);
         }
         let config = builder.build().unwrap();
@@ -140,8 +139,8 @@ proptest! {
             prop_assert_eq!((p.case1, p.case2, p.case3), (t.case1, t.case2, t.case3));
             let adm = real.admission_stats();
             prop_assert_eq!(
-                (adm.shed, adm.ejected, adm.degraded_epochs),
-                (oracle.shed(), oracle.ejected(), oracle.degraded_epochs()),
+                (adm.ejected, adm.degraded_epochs),
+                (oracle.ejected(), oracle.degraded_epochs()),
                 "admission at epoch {}",
                 e
             );

@@ -19,7 +19,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hotpath_core::geometry::{Point, Rect};
 use hotpath_core::index::PathTable;
 use hotpath_core::raytrace::ClientState;
-use hotpath_core::strategy::{build_fsa_set, phase_b, CaseTally, OverlapPolicy, PhaseBScratch};
+use hotpath_core::strategy::{phase_b, CaseTally, FsaSet, OverlapPolicy, PhaseBScratch};
 use hotpath_core::time::{SlidingWindow, Timestamp};
 use hotpath_core::ObjectId;
 
@@ -87,7 +87,7 @@ fn bench_phase_b(c: &mut Criterion) {
     let mut scratch = PhaseBScratch::default();
     for (dist, hot_frac) in [("uniform", 0.0), ("skewed", 0.9)] {
         let states = batch(hot_frac);
-        let fsas = build_fsa_set(&states, 40.0, OverlapPolicy::Full);
+        let fsas = FsaSet::build(states.iter().map(|s| s.fsa).collect(), 40.0);
         g.bench_function(dist, |b| {
             b.iter_batched_ref(
                 || (seeded_store(), Vec::with_capacity(DEFERRED)),

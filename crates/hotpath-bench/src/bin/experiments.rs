@@ -299,8 +299,7 @@ fn scenario(
             let adm = res.coordinator.admission_stats();
             println!(
                 "   robust: {} turned away, {} degraded epochs",
-                adm.turned_away(),
-                adm.degraded_epochs
+                adm.ejected, adm.degraded_epochs
             );
         }
         match &res.invariants {

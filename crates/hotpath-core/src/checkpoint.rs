@@ -80,9 +80,12 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"HOTPCKPT");
 /// client-session layer: section kind 8 (session records) is retired,
 /// [`ConfigRecord`] loses the lease and grace (96 → 80 bytes), and
 /// [`StatsRecord`] loses the tail-drop count and the four session
-/// counters (176 → 136 bytes). Images of every earlier version are
-/// rejected with the typed [`CheckpointError::BadVersion`].
-pub const FORMAT_VERSION: u32 = 6;
+/// counters (176 → 136 bytes); v7 keeps one admission rule:
+/// [`ConfigRecord`] loses the policy word (80 → 72 bytes) and
+/// [`StatsRecord`] loses the admitted and shed counts (136 → 120
+/// bytes). Images of every earlier version are rejected with the typed
+/// [`CheckpointError::BadVersion`].
+pub const FORMAT_VERSION: u32 = 7;
 
 // ---------------------------------------------------------------------
 // Pod casting
@@ -118,8 +121,8 @@ const _: () = {
     assert!(size_of::<ClientState>() == 72);
     assert!(size_of::<SectionDesc>() == 32);
     assert!(size_of::<CheckpointHeader>() == 56);
-    assert!(size_of::<ConfigRecord>() == 80);
-    assert!(size_of::<StatsRecord>() == 136);
+    assert!(size_of::<ConfigRecord>() == 72);
+    assert!(size_of::<StatsRecord>() == 120);
 };
 
 /// The raw bytes of a record slice (the write-side memcpy source).
@@ -370,7 +373,7 @@ pub struct SectionDesc {
     pub reserved1: u32,
 }
 
-/// The embedded [`Config`] echo (one 80-byte record): a checkpoint can
+/// The embedded [`Config`] echo (one 72-byte record): a checkpoint can
 /// only restore into a coordinator running the identical configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 #[repr(C)]
@@ -391,8 +394,6 @@ pub struct ConfigRecord {
     pub vertex_grain: f64,
     /// Admission queue cap (0 = unbounded).
     pub queue_cap: u64,
-    /// [`crate::config::AdmissionPolicy`] raw encoding.
-    pub policy: u64,
     /// Degraded-epoch threshold (0 = never degrade).
     pub degrade_threshold: u64,
 }
@@ -412,7 +413,6 @@ impl ConfigRecord {
             k: c.k as u64,
             vertex_grain: c.vertex_grain,
             queue_cap: c.admission.queue_cap as u64,
-            policy: c.admission.policy.as_raw(),
             degrade_threshold: c.admission.degrade_threshold as u64,
         }
     }
@@ -430,7 +430,7 @@ impl ConfigRecord {
     }
 }
 
-/// Communication/processing/admission counters (one 136-byte record).
+/// Communication/processing/admission counters (one 120-byte record).
 /// Durations are nanoseconds; they are wall-clock diagnostics and are
 /// never part of parity comparisons. `recorded` is the path table's
 /// total of crossings ever recorded.
@@ -450,8 +450,6 @@ pub struct StatsRecord {
     pub case1: u64,
     pub case2: u64,
     pub case3: u64,
-    pub admitted: u64,
-    pub shed: u64,
     pub adm_ejected: u64,
     pub degraded_epochs: u64,
     pub recorded: u64,
@@ -732,56 +730,54 @@ mod tests {
         ));
     }
 
+    /// `sample()` with `edit` applied to its header and the table CRC
+    /// recomputed, so the only thing wrong with the image is its
+    /// version: the rejection must come from the typed version check,
+    /// not ride along on a CRC mismatch.
+    fn assert_rejected_by_version(version: u32, edit: impl FnOnce(&mut CheckpointHeader)) {
+        let bytes = patched(&sample(), |h, _| {
+            h.version = version;
+            edit(h);
+        });
+        let err = Checkpoint::from_bytes(bytes).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::BadVersion { found } if found == version),
+            "v{version}: unexpected {err:?}"
+        );
+    }
+
     #[test]
     fn v2_images_are_rejected_by_the_version_check_itself() {
-        // Patch the version field back to 2 AND recompute the table
-        // CRC, so the only thing wrong with the image is its version:
-        // the rejection must come from the typed version check, not
-        // ride along on a CRC mismatch.
-        let bytes = patched(&sample(), |h, _| h.version = 2);
-        assert!(matches!(
-            Checkpoint::from_bytes(bytes).unwrap_err(),
-            CheckpointError::BadVersion { found: 2 }
-        ));
+        assert_rejected_by_version(2, |_| {});
     }
 
     #[test]
     fn v3_sharded_images_are_rejected_with_a_typed_bad_version() {
         // A v3 header as a four-shard coordinator wrote it: version 3
-        // and the shard count in the slot v4 reserves, CRC intact. The
-        // reader must name the version, not panic on the layout.
-        let bytes = patched(&sample(), |h, _| {
-            h.version = 3;
-            h.reserved0 = 4;
-        });
-        assert!(matches!(
-            Checkpoint::from_bytes(bytes).unwrap_err(),
-            CheckpointError::BadVersion { found: 3 }
-        ));
+        // and the shard count in the slot v4 reserves. The reader must
+        // name the version, not panic on the layout.
+        assert_rejected_by_version(3, |h| h.reserved0 = 4);
     }
 
     #[test]
     fn v4_images_are_rejected_with_a_typed_bad_version() {
         // A v4 image carried per-path Heat and tombstone sections beside
-        // a slab-ordered Paths section; with the table CRC intact, the
-        // reader must reject it by version.
-        let bytes = patched(&sample(), |h, _| h.version = 4);
-        assert!(matches!(
-            Checkpoint::from_bytes(bytes).unwrap_err(),
-            CheckpointError::BadVersion { found: 4 }
-        ));
+        // a slab-ordered Paths section.
+        assert_rejected_by_version(4, |_| {});
     }
 
     #[test]
     fn v5_images_are_rejected_with_a_typed_bad_version() {
         // A v5 image could carry a session section and wider config and
-        // stats records; with the table CRC intact, the reader must
-        // reject it by version.
-        let bytes = patched(&sample(), |h, _| h.version = 5);
-        assert!(matches!(
-            Checkpoint::from_bytes(bytes).unwrap_err(),
-            CheckpointError::BadVersion { found: 5 }
-        ));
+        // stats records.
+        assert_rejected_by_version(5, |_| {});
+    }
+
+    #[test]
+    fn v6_images_are_rejected_with_a_typed_bad_version() {
+        // A v6 image carries an admission policy word in its config
+        // record and `admitted`/`shed` counters in its stats record.
+        assert_rejected_by_version(6, |_| {});
     }
 
     #[test]

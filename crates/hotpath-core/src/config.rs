@@ -86,51 +86,6 @@ impl Tolerance {
     }
 }
 
-/// What the coordinator does when an epoch's drained ingest exceeds
-/// [`Admission::queue_cap`]. Enforcement happens at the epoch boundary
-/// (inside the drain-ingest stage) against the whole sealed batch, so
-/// the decision depends only on what was submitted, never on timing.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AdmissionPolicy {
-    /// Shed the oldest queued states to make room for new arrivals.
-    ShedOldest,
-    /// Eject the slowest client in the batch (removing all of its
-    /// queued states), repeating until the batch fits. The slowest
-    /// client is the one whose newest state in the batch has the oldest
-    /// `te`; ties go toward the smaller id. The rule reads the sealed
-    /// batch alone.
-    ///
-    /// It picks the same victim as a per-client "last heartbeat" table
-    /// fed with every submitted state would: such a heartbeat is a
-    /// running max of `te`, and each client's `te` is nondecreasing in
-    /// submission order (RayTrace reports and boundary resubmissions
-    /// only move forward, and a reseeded filter starts at the current
-    /// tick), so a client's last heartbeat is the max `te` of its own
-    /// batch states.
-    #[default]
-    EjectSlowest,
-}
-
-impl AdmissionPolicy {
-    /// Stable numeric encoding (checkpoint config echo). Raw 0 is
-    /// retired and does not decode.
-    pub fn as_raw(self) -> u64 {
-        match self {
-            AdmissionPolicy::ShedOldest => 1,
-            AdmissionPolicy::EjectSlowest => 2,
-        }
-    }
-
-    /// Decodes [`AdmissionPolicy::as_raw`].
-    pub fn from_raw(raw: u64) -> Option<AdmissionPolicy> {
-        match raw {
-            1 => Some(AdmissionPolicy::ShedOldest),
-            2 => Some(AdmissionPolicy::EjectSlowest),
-            _ => None,
-        }
-    }
-}
-
 /// Robustness knobs: a bound on per-epoch ingest and a degraded-epoch
 /// threshold. Both default to *off* (zero), which is the paper
 /// pipeline. `hotpathd` runs [`Config::paper_defaults`], so only the
@@ -140,9 +95,23 @@ impl AdmissionPolicy {
 pub struct Admission {
     /// Upper bound on states admitted per epoch (the whole drained
     /// batch). `0` = unbounded.
+    ///
+    /// Enforcement happens at the epoch boundary against the whole
+    /// sealed batch, so the decision depends only on what was
+    /// submitted, never on timing. An over-cap batch ejects its
+    /// slowest client (removing all of its states), repeating until
+    /// the batch fits. The slowest client is the one whose newest
+    /// state in the batch has the oldest `te`; ties go toward the
+    /// smaller id.
+    ///
+    /// It picks the same victim as a per-client "last heartbeat" table
+    /// fed with every submitted state would: such a heartbeat is a
+    /// running max of `te`, and each client's `te` is nondecreasing in
+    /// submission order (RayTrace reports and boundary resubmissions
+    /// only move forward, and a reseeded filter starts at the current
+    /// tick), so a client's last heartbeat is the max `te` of its own
+    /// batch states.
     pub queue_cap: usize,
-    /// What to do with the overflow when `queue_cap` is exceeded.
-    pub policy: AdmissionPolicy,
     /// Degraded-epoch threshold: when the admitted batch still exceeds
     /// this, the epoch sheds Phase B refinement (FSA-overlap candidate
     /// generation) and serves own-FSA selections only, recording the
@@ -320,10 +289,10 @@ impl ConfigBuilder {
         self
     }
 
-    /// Per-epoch admission cap and its overflow policy.
-    pub fn admission_cap(mut self, queue_cap: usize, policy: AdmissionPolicy) -> Self {
+    /// Per-epoch admission cap; an over-cap batch ejects its slowest
+    /// clients (see [`Admission::queue_cap`]).
+    pub fn admission_cap(mut self, queue_cap: usize) -> Self {
         self.admission.queue_cap = queue_cap;
-        self.admission.policy = policy;
         self.cap_set = true;
         self
     }
@@ -422,25 +391,9 @@ mod tests {
         let c = Config::paper_defaults();
         assert_eq!(c.admission.queue_cap, 0);
         assert_eq!(c.admission.degrade_threshold, 0);
-        let c = Config::builder()
-            .admission_cap(500, AdmissionPolicy::ShedOldest)
-            .degrade_threshold(400)
-            .build()
-            .unwrap();
+        let c = Config::builder().admission_cap(500).degrade_threshold(400).build().unwrap();
         assert_eq!(c.admission.queue_cap, 500);
-        assert_eq!(c.admission.policy, AdmissionPolicy::ShedOldest);
         assert_eq!(c.admission.degrade_threshold, 400);
-    }
-
-    #[test]
-    fn admission_policy_raw_roundtrip() {
-        for p in [AdmissionPolicy::ShedOldest, AdmissionPolicy::EjectSlowest] {
-            assert_eq!(AdmissionPolicy::from_raw(p.as_raw()), Some(p));
-        }
-        assert_eq!(AdmissionPolicy::ShedOldest.as_raw(), 1);
-        assert_eq!(AdmissionPolicy::EjectSlowest.as_raw(), 2);
-        assert_eq!(AdmissionPolicy::from_raw(0), None, "raw 0 was the deleted tail drop");
-        assert_eq!(AdmissionPolicy::from_raw(99), None);
     }
 
     #[test]
@@ -461,16 +414,12 @@ mod tests {
             ConfigError::EpochExceedsWindow { epoch: 30, window: 20 }
         );
         assert_eq!(
-            Config::builder()
-                .admission_cap(20, AdmissionPolicy::ShedOldest)
-                .degrade_threshold(20)
-                .build()
-                .unwrap_err(),
+            Config::builder().admission_cap(20).degrade_threshold(20).build().unwrap_err(),
             ConfigError::DegradeAtOrAboveCap { threshold: 20, cap: 20 }
         );
         // Either knob alone is unconstrained by the other.
         assert!(Config::builder().degrade_threshold(5).build().is_ok());
-        assert!(Config::builder().admission_cap(5, AdmissionPolicy::ShedOldest).build().is_ok());
+        assert!(Config::builder().admission_cap(5).build().is_ok());
     }
 
     #[test]
@@ -481,7 +430,7 @@ mod tests {
             (Config::builder().k(0), "k"),
             (Config::builder().vertex_grain(0.0), "vertex grain"),
             (Config::builder().vertex_grain(f64::NAN), "vertex grain"),
-            (Config::builder().admission_cap(0, AdmissionPolicy::ShedOldest), "queue cap"),
+            (Config::builder().admission_cap(0), "queue cap"),
             (Config::builder().degrade_threshold(0), "degrade threshold"),
             (Config::builder().tolerance(Tolerance::Crisp { eps: 0.0 }), "eps"),
             (Config::builder().tolerance(Tolerance::Crisp { eps: -1.0 }), "eps"),

@@ -32,7 +32,7 @@
 use crate::checkpoint::{
     Checkpoint, CheckpointBuilder, CheckpointError, ConfigRecord, SectionKind, StatsRecord,
 };
-use crate::config::{AdmissionPolicy, Config};
+use crate::config::Config;
 use crate::fxhash::FxHashMap;
 use crate::geometry::TimePoint;
 use crate::index::PathTable;
@@ -281,48 +281,34 @@ impl Coordinator {
         states
     }
 
-    /// Admission control over one sealed epoch batch: the queue cap
-    /// trims the batch by its policy. The decision reads the batch
-    /// alone; the coordinator keeps no per-client state.
+    /// Admission control over one sealed epoch batch: an over-cap batch
+    /// ejects its slowest clients until it fits. The decision reads the
+    /// batch alone; the coordinator keeps no per-client state.
     fn apply_admission(&mut self, states: &mut Vec<ClientState>) {
         let cap = self.config.admission.queue_cap;
-        if cap == 0 {
-            return; // layer off: zero work, zero counter drift
+        if cap == 0 || states.len() <= cap {
+            return; // layer off, or the batch fits
         }
-        let before = states.len();
-        if before > cap {
-            match self.config.admission.policy {
-                AdmissionPolicy::ShedOldest => {
-                    // Keep the newest `cap` arrivals, shed the front.
-                    states.drain(..before - cap);
-                    self.admission.shed += (before - cap) as u64;
-                }
-                AdmissionPolicy::EjectSlowest => {
-                    // Key each client by the `te` of its newest batch
-                    // state and eject clients stalest first, ties toward
-                    // the smaller id, until the batch fits. Ejecting one
-                    // client moves no other client's key, so one sort
-                    // orders every round.
-                    let mut newest: FxHashMap<ObjectId, Timestamp> = FxHashMap::default();
-                    for s in states.iter() {
-                        let te = newest.entry(s.object).or_insert(s.te);
-                        *te = (*te).max(s.te);
-                    }
-                    let mut slowest: Vec<(Timestamp, ObjectId)> =
-                        newest.into_iter().map(|(object, te)| (te, object)).collect();
-                    slowest.sort_unstable();
-                    for (_, victim) in slowest {
-                        if states.len() <= cap {
-                            break;
-                        }
-                        let kept = states.len();
-                        states.retain(|s| s.object != victim);
-                        self.admission.ejected += (kept - states.len()) as u64;
-                    }
-                }
+        // Key each client by the `te` of its newest batch state and
+        // eject clients stalest first, ties toward the smaller id, until
+        // the batch fits. Ejecting one client moves no other client's
+        // key, so one sort orders every round.
+        let mut newest: FxHashMap<ObjectId, Timestamp> = FxHashMap::default();
+        for s in states.iter() {
+            let te = newest.entry(s.object).or_insert(s.te);
+            *te = (*te).max(s.te);
+        }
+        let mut slowest: Vec<(Timestamp, ObjectId)> =
+            newest.into_iter().map(|(object, te)| (te, object)).collect();
+        slowest.sort_unstable();
+        for (_, victim) in slowest {
+            if states.len() <= cap {
+                break;
             }
+            let kept = states.len();
+            states.retain(|s| s.object != victim);
+            self.admission.ejected += (kept - states.len()) as u64;
         }
-        self.admission.admitted += states.len() as u64;
     }
 
     /// Stage *strategy*: run SinglePath (Phase A, then Phase B) over the
@@ -578,8 +564,6 @@ impl Coordinator {
                 case1: self.processing.case1,
                 case2: self.processing.case2,
                 case3: self.processing.case3,
-                admitted: self.admission.admitted,
-                shed: self.admission.shed,
                 adm_ejected: self.admission.ejected,
                 degraded_epochs: self.admission.degraded_epochs,
                 recorded: self.table.total_recorded(),
@@ -667,8 +651,6 @@ impl Coordinator {
             clock: Timestamp(header.clock),
             cache: RefCell::new(ReadCache::default()),
             admission: AdmissionStats {
-                admitted: stats.admitted,
-                shed: stats.shed,
                 ejected: stats.adm_ejected,
                 degraded_epochs: stats.degraded_epochs,
             },
@@ -938,8 +920,7 @@ mod tests {
     #[test]
     fn restore_refuses_switches_the_config_does_not_set() {
         let degraded = Config::builder().degrade_threshold(1).build().unwrap();
-        let capped =
-            Config::builder().admission_cap(30, AdmissionPolicy::EjectSlowest).build().unwrap();
+        let capped = Config::builder().admission_cap(30).build().unwrap();
         for config in [Config::paper_defaults(), degraded, capped] {
             assert_eq!(Coordinator::new(config).checkpoint().header().flags, 0);
         }
@@ -1034,41 +1015,30 @@ mod tests {
     }
 
     #[test]
-    fn admission_policies_account_every_turned_away_state() {
-        use crate::config::AdmissionPolicy::*;
-        for policy in [ShedOldest, EjectSlowest] {
-            let config = Config::builder().admission_cap(10, policy).build().unwrap();
-            let mut c = Coordinator::new(config);
-            // 3 clients x 5 states = 15 pending, 5 over the cap.
-            for obj in 0..3u64 {
-                for i in 0..5u64 {
-                    let x = (obj * 600) as f64;
-                    c.submit(state(obj, (x, 0.0), (x + 50.0, i as f64 * 40.0), 0, 1 + i));
-                }
-            }
-            let responses = c.process_epoch(Timestamp(10));
-            c.check_consistency().unwrap();
-            let stats = c.admission_stats();
-            assert_eq!(responses.len(), 10, "{policy:?}: only admitted states are answered");
-            assert_eq!(stats.admitted, 10, "{policy:?}");
-            assert_eq!(stats.turned_away(), 5, "{policy:?}");
-            match policy {
-                ShedOldest => assert_eq!(stats.shed, 5),
-                EjectSlowest => assert_eq!(stats.ejected, 5),
+    fn admission_cap_accounts_every_ejected_state() {
+        let config = Config::builder().admission_cap(10).build().unwrap();
+        let mut c = Coordinator::new(config);
+        // 3 clients x 5 states = 15 pending, 5 over the cap.
+        for obj in 0..3u64 {
+            for i in 0..5u64 {
+                let x = (obj * 600) as f64;
+                c.submit(state(obj, (x, 0.0), (x + 50.0, i as f64 * 40.0), 0, 1 + i));
             }
         }
+        let responses = c.process_epoch(Timestamp(10));
+        c.check_consistency().unwrap();
+        assert_eq!(responses.len(), 10, "only admitted states are answered");
+        assert_eq!(c.admission_stats().ejected, 5);
+        assert_eq!(c.processing_stats().states_processed, 10);
     }
 
-    /// `EjectSlowest` keys each client by its newest batch state's `te`
+    /// The queue cap keys each client by its newest batch state's `te`
     /// and ejects the stalest key first, ties toward the smaller id —
     /// whatever the submission order and the client's older states.
     #[test]
     fn eject_slowest_removes_the_client_with_the_stalest_newest_state() {
         let survivors = |cap: usize, batch: &[(u64, u64)]| {
-            let config = Config::builder()
-                .admission_cap(cap, AdmissionPolicy::EjectSlowest)
-                .build()
-                .unwrap();
+            let config = Config::builder().admission_cap(cap).build().unwrap();
             let mut c = Coordinator::new(config);
             for (i, &(obj, te)) in batch.iter().enumerate() {
                 let x = (obj * 600) as f64;
@@ -1116,12 +1086,8 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip_with_admission() {
-        let config = Config::builder()
-            .k(5)
-            .admission_cap(20, AdmissionPolicy::ShedOldest)
-            .degrade_threshold(18)
-            .build()
-            .unwrap();
+        let config =
+            Config::builder().k(5).admission_cap(20).degrade_threshold(18).build().unwrap();
         let mut live = Coordinator::new(config);
         let mut s = 99u64;
         let mut rand = move || {
@@ -1144,7 +1110,7 @@ mod tests {
             let _ = live.process_epoch(now);
         }
         let stats = live.admission_stats();
-        assert!(stats.shed > 0, "cap must have fired");
+        assert!(stats.ejected > 0, "cap must have fired");
         assert!(stats.degraded_epochs > 0, "overload must have degraded");
 
         let image = live.checkpoint();

@@ -209,13 +209,8 @@ mod tests {
     /// and two runs must agree on all of it.
     #[test]
     fn engines_agree_with_admission_on() {
-        use crate::config::AdmissionPolicy;
         fn drive_robust() -> (Vec<Vec<(u64, u64)>>, Vec<u64>) {
-            let config = Config::builder()
-                .admission_cap(24, AdmissionPolicy::ShedOldest)
-                .degrade_threshold(20)
-                .build()
-                .unwrap();
+            let config = Config::builder().admission_cap(24).degrade_threshold(20).build().unwrap();
             let mut engine = EngineKind::Sync.build(Coordinator::new(config));
             let mut responses_log = Vec::new();
             let mut s = 11u64;
@@ -246,12 +241,12 @@ mod tests {
             let adm = snap.admission;
             let coordinator = engine.finish();
             coordinator.check_consistency().unwrap();
-            (responses_log, vec![adm.admitted, adm.shed, adm.ejected, adm.degraded_epochs])
+            (responses_log, vec![adm.ejected, adm.degraded_epochs])
         }
 
         let base = drive_robust();
-        assert!(base.1[1] > 0, "the cap must shed states");
-        assert!(base.1[3] > 0, "overload must degrade epochs");
+        assert!(base.1[0] > 0, "the cap must eject states");
+        assert!(base.1[1] > 0, "overload must degrade epochs");
         assert_eq!(drive_robust(), base, "the robust run is not deterministic");
     }
 

@@ -102,9 +102,7 @@ impl std::fmt::Display for ObjectId {
 /// Convenient glob-import of the public API.
 pub mod prelude {
     pub use crate::checkpoint::{Checkpoint, CheckpointError};
-    pub use crate::config::{
-        Admission, AdmissionPolicy, Config, ConfigBuilder, ConfigError, ParseError, Tolerance,
-    };
+    pub use crate::config::{Admission, Config, ConfigBuilder, ConfigError, ParseError, Tolerance};
     pub use crate::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
     pub use crate::engine::{Engine, EngineKind, SyncEngine};
     pub use crate::geometry::{Point, Rect, Segment, TimePoint, Trajectory};

@@ -47,27 +47,16 @@ impl CommStats {
 }
 
 /// Monotone admission-control counters: what the drain-ingest stage
-/// did with overload. All zeros while the ingest bound is off (the
-/// default), so the paper pipeline reads as fully admitted.
+/// did with overload. All zeros while the ingest bound and the degrade
+/// threshold are off (the default), so the paper pipeline reads as
+/// fully admitted; the admitted states are
+/// [`ProcessingStats::states_processed`].
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct AdmissionStats {
-    /// States admitted into epoch processing.
-    pub admitted: u64,
-    /// States shed from the queue front under `ShedOldest`.
-    pub shed: u64,
-    /// States removed because their client was ejected under
-    /// `EjectSlowest`.
+    /// States removed because their client was ejected by the queue cap.
     pub ejected: u64,
     /// Epochs that shed Phase B refinement under overload.
     pub degraded_epochs: u64,
-}
-
-impl AdmissionStats {
-    /// Total states turned away, under any policy.
-    #[inline]
-    pub fn turned_away(&self) -> u64 {
-        self.shed + self.ejected
-    }
 }
 
 /// Coordinator-side processing accounting.

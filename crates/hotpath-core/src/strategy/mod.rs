@@ -6,6 +6,6 @@ mod singlepath;
 
 pub use overlap::{FsaCache, FsaSet, Neighbourhood, QueryScratch};
 pub use singlepath::{
-    build_fsa_set, phase_b, process_batch, CaseKind, CaseTally, OverlapPolicy, PhaseBLoad,
-    PhaseBScratch, ScratchArena, Selection,
+    phase_b, process_batch, CaseKind, CaseTally, OverlapPolicy, PhaseBLoad, PhaseBScratch,
+    ScratchArena, Selection,
 };

@@ -218,16 +218,6 @@ pub struct PhaseBLoad {
     pub busy_ns: u64,
 }
 
-/// Builds the epoch's FSA-overlap structure for `policy` (Alg. 2 lines
-/// 8-12, shared across Cases 2-3; built empty under `Own`, which never
-/// queries it).
-pub fn build_fsa_set(states: &[ClientState], overlap_cell: f64, policy: OverlapPolicy) -> FsaSet {
-    match policy {
-        OverlapPolicy::Full => FsaSet::build(states.iter().map(|s| s.fsa).collect(), overlap_cell),
-        OverlapPolicy::Own => FsaSet::new(overlap_cell),
-    }
-}
-
 /// Runs the SinglePath strategy over one epoch's batch of states:
 /// Phase A (Case 1) in batch order, then [`phase_b`] over the states it
 /// deferred. Selections are deterministic: ties break toward longer
@@ -235,9 +225,9 @@ pub fn build_fsa_set(states: &[ClientState], overlap_cell: f64, policy: OverlapP
 ///
 /// Every intermediate buffer comes from `scratch`, which the caller
 /// keeps across epochs. `fsas` is the epoch's FSA-overlap structure —
-/// [`build_fsa_set`] or the set the coordinator rebuilds in place
+/// [`FsaSet::build`] or the set the coordinator rebuilds in place
 /// through [`crate::strategy::FsaCache`] — over exactly this batch's
-/// FSAs under the same policy.
+/// FSAs; the `Own` policy never queries it.
 ///
 /// Returns the selections (Case 1 in batch order, then Cases 2-3 in
 /// deferred order), the case tallies and Phase B's [`PhaseBLoad`].
@@ -362,7 +352,7 @@ mod tests {
         overlap_cell: f64,
         policy: OverlapPolicy,
     ) -> (Vec<Selection>, CaseTally) {
-        let fsas = build_fsa_set(states, overlap_cell, policy);
+        let fsas = FsaSet::build(states.iter().map(|s| s.fsa).collect(), overlap_cell);
         let mut scratch = ScratchArena::new();
         let (selections, tally, load) = process_batch(states, table, &mut scratch, &fsas, policy);
         assert_eq!(load.deferred as u64, tally.case2 + tally.case3);

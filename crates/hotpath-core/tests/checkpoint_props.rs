@@ -39,7 +39,7 @@ fn config() -> Config {
     Config::builder().window(60).k(4).build().unwrap()
 }
 
-/// A valid v6 image with every section kind: paths that share vertices,
+/// A valid v7 image with every section kind: paths that share vertices,
 /// their expiry events, and states left pending.
 fn image() -> Vec<u8> {
     let mut c = Coordinator::new(config());
@@ -154,7 +154,7 @@ fn structural(e: &CheckpointError) -> bool {
 }
 
 fn bad_version(e: &CheckpointError) -> bool {
-    matches!(e, CheckpointError::BadVersion { found: 3 | 4 | 5 | 7 })
+    matches!(e, CheckpointError::BadVersion { found: 3 | 4 | 5 | 6 | 8 })
 }
 
 fn config_mismatch(e: &CheckpointError) -> bool {
@@ -200,7 +200,8 @@ fn resealed_forgeries_are_rejected_structurally() {
         ("version 3", Box::new(|b| update_u32(b, VERSION_AT, |_| 3)), bad_version),
         ("version 4", Box::new(|b| update_u32(b, VERSION_AT, |_| 4)), bad_version),
         ("version 5", Box::new(|b| update_u32(b, VERSION_AT, |_| 5)), bad_version),
-        ("version 7", Box::new(|b| update_u32(b, VERSION_AT, |_| 7)), bad_version),
+        ("version 6", Box::new(|b| update_u32(b, VERSION_AT, |_| 6)), bad_version),
+        ("version 8", Box::new(|b| update_u32(b, VERSION_AT, |_| 8)), bad_version),
         (
             "the retired hints bit",
             Box::new(|b| update_u32(b, FLAGS_AT, |f| f | 1)),

@@ -25,7 +25,7 @@
 
 use crate::mobility::{ChoicePolicy, Measurement, Population, PopulationParams};
 use crate::network::{generate, ClosureSet, LinkId, NetworkParams, NodeId, RoadClass, RoadNetwork};
-use hotpath_core::config::{Admission, AdmissionPolicy};
+use hotpath_core::config::Admission;
 use hotpath_core::coordinator::HotSnapshot;
 use hotpath_core::geometry::{Point, TimePoint};
 use hotpath_core::stats::CommStats;
@@ -457,7 +457,6 @@ pub const REGISTRY: &[ScenarioSpec] = &[
         overlays: &[fault(FaultKind::Disconnect, Frac(9, 20), Frac(11, 20), 1.0, 0x5707)],
         admission: |p| Admission {
             queue_cap: (p.n / 4).max(64),
-            policy: AdmissionPolicy::ShedOldest,
             degrade_threshold: (p.n / 6).max(48),
         },
         checks: &[Check::Discovery, Check::AdmissionEngaged, Check::PreStormTopKRecovered],
@@ -470,11 +469,7 @@ pub const REGISTRY: &[ScenarioSpec] = &[
         // The stall runs for 40% of the run but 75% of the fleet keeps
         // the corridor hot, so it does not stretch the window hint.
         overlays: &[fault(FaultKind::Stall, Frac(2, 5), Frac(4, 5), 0.25, 0x51A1)],
-        admission: |p| Admission {
-            queue_cap: (p.n / 5).max(48),
-            policy: AdmissionPolicy::EjectSlowest,
-            ..Admission::default()
-        },
+        admission: |p| Admission { queue_cap: (p.n / 5).max(48), ..Admission::default() },
         checks: &[Check::Discovery, Check::ScoreHeld { to_end: true }],
         ..UNIFORM
     },
@@ -854,7 +849,7 @@ impl Workload {
             }
             Check::AdmissionEngaged => {
                 let a = &last()?.admission;
-                ensure(a.turned_away() + a.degraded_epochs > 0, || {
+                ensure(a.ejected + a.degraded_epochs > 0, || {
                     "admission control never engaged".into()
                 })?;
             }
@@ -1297,9 +1292,6 @@ mod tests {
         }
         let a = s.admission();
         words.push(a.queue_cap as u64);
-        if a.queue_cap > 0 {
-            words.push(a.policy.as_raw());
-        }
         words.push(a.degrade_threshold as u64);
         for i in 0..16 {
             let p = s.seed_timepoint(ObjectId(i), Timestamp(0)).p;
@@ -1336,8 +1328,8 @@ mod tests {
         ("evacuation_reroute", [0xe64204d1bb2e0973, 0xfcb1c740af6863f3]),
         ("surge_dropout", [0x4c2d65b554e74703, 0x3af83617d458baf3]),
         ("mass_disconnect", [0x8fd297f90b5842bd, 0xf243641d55507553]),
-        ("reconnect_storm", [0x7b77369ef7a44533, 0x6daf592b389a443a]),
-        ("slow_client_stall", [0x468cb6c984411365, 0xa0475f300d0c5e27]),
+        ("reconnect_storm", [0xcc200d772308b5a5, 0x0ea0ba7cbbdb3339]),
+        ("slow_client_stall", [0x95ec30c46b753db5, 0x521890d443569a05]),
     ];
 
     #[test]

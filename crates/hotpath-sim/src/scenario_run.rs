@@ -158,7 +158,7 @@ impl ScenarioRunParams {
             .epoch(self.epoch)
             .k(self.k);
         if admission.queue_cap > 0 {
-            builder = builder.admission_cap(admission.queue_cap, admission.policy);
+            builder = builder.admission_cap(admission.queue_cap);
         }
         if admission.degrade_threshold > 0 {
             builder = builder.degrade_threshold(admission.degrade_threshold);

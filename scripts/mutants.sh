@@ -81,6 +81,10 @@ mutants=(
   eject_tie_to_the_larger_id "$core/coordinator.rs"
   'slowest.sort_unstable();'
   'slowest.sort_unstable_by_key(|&(te, object)| (te, std::cmp::Reverse(object)));'
+
+  eject_one_client_too_many "$core/coordinator.rs"
+  'if states.len() <= cap {'
+  'if states.len() < cap {'
 )
 
 # The workload generator's mutants, in the same layout.

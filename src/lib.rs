@@ -37,7 +37,7 @@ pub use hotpath_sim as sim;
 pub mod prelude {
     // Configuration and typed parsing.
     pub use hotpath_core::config::{
-        Admission, AdmissionPolicy, Config, ConfigBuilder, ConfigError, ParseError, Tolerance,
+        Admission, Config, ConfigBuilder, ConfigError, ParseError, Tolerance,
     };
     // The engine surface and the published view.
     pub use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotPath, HotSnapshot};
