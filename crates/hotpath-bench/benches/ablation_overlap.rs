@@ -15,7 +15,7 @@ fn bench_overlap_ablation(c: &mut Criterion) {
     let (workload, mobility, base) = Scale::Quick.base(2012);
     let scale = ScenarioParams { n: 500, ..workload };
     for (tag, overlap) in [("full", OverlapPolicy::Full), ("own", OverlapPolicy::Own)] {
-        let params = ScenarioRunParams { dp: false, overlap, ..base.clone() };
+        let params = ScenarioRunParams { dp: false, overlap, ..base };
         g.bench_with_input(BenchmarkId::new("simulate", tag), &params, |b, p| {
             b.iter(|| run_scenario(&mut Workload::uniform(&scale, mobility), p));
         });

@@ -13,7 +13,7 @@ fn bench_fig8(c: &mut Criterion) {
     let (workload, mobility, base) = Scale::Quick.base(2009);
     let scale = ScenarioParams { n: Scale::Quick.fig8_n(), ..workload };
     for &eps in &Scale::Quick.fig8_eps() {
-        let params = ScenarioRunParams { eps, ..base.clone() };
+        let params = ScenarioRunParams { eps, ..base };
         g.bench_with_input(BenchmarkId::new("simulate", format!("eps{eps}")), &params, |b, p| {
             b.iter(|| run_scenario(&mut Workload::uniform(&scale, mobility), p));
         });

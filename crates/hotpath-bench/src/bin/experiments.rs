@@ -27,22 +27,13 @@ use hotpath_sim::experiment::{
 };
 use hotpath_sim::report::{network_map, paths_map};
 use hotpath_sim::scenario_run::{
-    check_restart_parity, run_named, run_scenario, scenario_sigma_sweep, CheckpointPolicy,
-    ScenarioRunParams,
+    check_restart_parity, run_named, run_scenario, scenario_sigma_sweep, ScenarioRunParams,
 };
 use std::time::Instant;
 
 /// Flags only the `scenario` command reads; every other command
 /// rejects them rather than run without them.
-const SCENARIO_FLAGS: &[&str] = &[
-    "--sigma",
-    "--fallback",
-    "--checkpoint-every",
-    "--checkpoint-dir",
-    "--restore-from",
-    "--restore-check",
-    "--fault-seed",
-];
+const SCENARIO_FLAGS: &[&str] = &["--sigma", "--fallback", "--restore-check", "--fault-seed"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,9 +43,6 @@ fn main() {
     let mut sigmas: Option<Vec<f64>> = None;
     let mut fallbacks: Option<Vec<FallbackPolicy>> = None;
     let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut ckpt = CheckpointPolicy::default();
-    let mut checkpoint_every: Option<u64> = None;
-    let mut checkpoint_dir: Option<std::path::PathBuf> = None;
     let mut restore_check = false;
     let mut fault_seed: Option<u64> = None;
     let mut scenario_flag: Option<&str> = None;
@@ -99,25 +87,6 @@ fn main() {
                 let dir = args.get(i).unwrap_or_else(|| usage("--csv needs a directory"));
                 csv_dir = Some(std::path::PathBuf::from(dir));
             }
-            "--checkpoint-every" => {
-                i += 1;
-                checkpoint_every = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| usage("--checkpoint-every needs a positive integer")),
-                );
-            }
-            "--checkpoint-dir" => {
-                i += 1;
-                let dir = args.get(i).unwrap_or_else(|| usage("--checkpoint-dir needs a path"));
-                checkpoint_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--restore-from" => {
-                i += 1;
-                let path = args.get(i).unwrap_or_else(|| usage("--restore-from needs a file"));
-                ckpt.restore_from = Some(std::path::PathBuf::from(path));
-            }
             "--restore-check" => restore_check = true,
             "--fault-seed" => {
                 i += 1;
@@ -153,11 +122,6 @@ fn main() {
     if let Some(flag) = scenario_flag.filter(|_| which != "scenario") {
         usage(&format!("{flag} applies only to the scenario command"));
     }
-    ckpt.periodic = match (checkpoint_every, checkpoint_dir) {
-        (Some(every), Some(dir)) => Some((every, dir)),
-        (None, None) => None,
-        _ => usage("--checkpoint-every and --checkpoint-dir must be given together"),
-    };
 
     println!("# Hot Motion Paths — experiment reproduction (scale: {scale:?})");
     println!();
@@ -172,7 +136,6 @@ fn main() {
             sigmas.as_deref(),
             fallbacks.as_deref(),
             csv_dir.as_deref(),
-            &ckpt,
             restore_check,
             fault_seed,
         ),
@@ -207,8 +170,7 @@ fn usage(msg: &str) -> ! {
         "usage: experiments [fig7|fig8|fig9|fig10|claims|ablate|filters|compress|uncertain|all] \
          [--scale paper|mid|quick] [--csv <dir>]\n       \
          experiments scenario <name|all> [--scale paper|mid|quick] [--csv <dir>] \
-         [--sigma s1,s2,...] [--fallback reject|minimal[:<w>]|all] \
-         [--checkpoint-every N] [--checkpoint-dir <dir>] [--restore-from <file>] [--restore-check] \
+         [--sigma s1,s2,...] [--fallback reject|minimal[:<w>]|all] [--restore-check] \
          [--fault-seed N]"
     );
     std::process::exit(2);
@@ -240,19 +202,15 @@ fn edit_distance(a: &str, b: &str) -> usize {
 
 /// The scenario subsystem: crisp run + invariants, then the
 /// `(sigma, fallback)` uncertainty sweep; `--csv` writes each
-/// scenario's per-epoch series. `--checkpoint-every`/`--checkpoint-dir`
-/// write periodic images per scenario, `--restore-from` warm-starts
-/// from one, and `--restore-check` pins restart parity: checkpoint at
-/// mid-run, tear the engine down, restore from bytes, and require the
-/// continuation to equal the uninterrupted run bit for bit.
-#[allow(clippy::too_many_arguments)]
+/// scenario's per-epoch series. `--restore-check` pins restart parity:
+/// checkpoint at mid-run, tear the engine down, restore from bytes, and
+/// require the continuation to equal the uninterrupted run bit for bit.
 fn scenario(
     name: &str,
     scale: Scale,
     sigmas: Option<&[f64]>,
     fallbacks: Option<&[FallbackPolicy]>,
     csv_dir: Option<&std::path::Path>,
-    ckpt: &CheckpointPolicy,
     restore_check: bool,
     fault_seed: Option<u64>,
 ) {
@@ -272,18 +230,7 @@ fn scenario(
     let mut failures = 0usize;
     for spec in REGISTRY.iter().filter(|s| selected.contains(&s.name)) {
         println!("## Scenario `{}` — {}", spec.name, spec.summary);
-        // Periodic images land in a per-scenario subdirectory so one
-        // `scenario all` invocation keeps every scenario's `latest.ckpt`.
-        let periodic = ckpt.periodic.as_ref().map(|(every, dir)| (*every, dir.join(spec.name)));
-        let crisp_params = ScenarioRunParams {
-            checkpoint: CheckpointPolicy { periodic, ..ckpt.clone() },
-            ..base.clone()
-        };
-        let res =
-            run_named(spec.name, &scenario_scale, &crisp_params).expect("registered scenario");
-        if let Some((_, dir)) = &crisp_params.checkpoint.periodic {
-            println!("   checkpoints: periodic images under {}", dir.display());
-        }
+        let res = run_named(spec.name, &scenario_scale, &base).expect("registered scenario");
         let s = &res.summary;
         println!(
             "   crisp : {:>7.0} paths/epoch, score {:>9.1}, {:>8} reports / {:>9} measurements, \

@@ -30,7 +30,7 @@
 //!
 //! [`FORMAT_VERSION`] increments on any layout change (header fields,
 //! record layouts, section kinds, CRC polynomial). Readers accept
-//! exactly their own version — checkpoints are warm-start state, not
+//! exactly their own version — checkpoints are recovery state, not
 //! archival data, so there is no cross-version migration path; a
 //! version mismatch is the typed [`CheckpointError::BadVersion`].
 //!
@@ -51,10 +51,7 @@ use crate::index::ExpiryEvent;
 use crate::motion_path::MotionPath;
 use crate::raytrace::ClientState;
 use std::fmt;
-use std::fs;
-use std::io;
 use std::mem::size_of;
-use std::path::Path;
 
 /// Magic sentinel leading every checkpoint (`b"HOTPCKPT"`, native
 /// byte order — a byte-swapped or foreign file fails the magic check).
@@ -203,8 +200,6 @@ fn table_crc(header: &CheckpointHeader, descs: &[SectionDesc]) -> u32 {
 /// panics and never yields silently wrong state.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Underlying file I/O failed.
-    Io(io::Error),
     /// The byte image ends before the structure it promises.
     Truncated {
         /// Bytes the structure needs.
@@ -239,7 +234,6 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O failed: {e}"),
             CheckpointError::Truncated { needed, got } => {
                 write!(f, "checkpoint truncated: need {needed} bytes, have {got}")
             }
@@ -263,20 +257,7 @@ impl fmt::Display for CheckpointError {
     }
 }
 
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
+impl std::error::Error for CheckpointError {}
 
 // ---------------------------------------------------------------------
 // On-disk records
@@ -634,21 +615,6 @@ impl Checkpoint {
         }
         Err(CheckpointError::Malformed(format!("missing {}", kind.name())))
     }
-
-    /// Writes the image to `path` atomically (temp file + rename), so a
-    /// crash mid-write never leaves a torn checkpoint under the final
-    /// name.
-    pub fn write_to_path(&self, path: &Path) -> Result<(), CheckpointError> {
-        let tmp = path.with_extension("ckpt.tmp");
-        fs::write(&tmp, &self.bytes)?;
-        fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Reads and validates a checkpoint from `path`.
-    pub fn read_from_path(path: &Path) -> Result<Self, CheckpointError> {
-        Checkpoint::from_bytes(fs::read(path)?)
-    }
 }
 
 #[cfg(test)]
@@ -827,17 +793,5 @@ mod tests {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn file_roundtrip_is_atomic_and_validated() {
-        let dir = std::env::temp_dir().join("hotpath-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.ckpt");
-        let ck = sample();
-        ck.write_to_path(&path).unwrap();
-        let back = Checkpoint::read_from_path(&path).unwrap();
-        assert_eq!(back.as_bytes(), ck.as_bytes());
-        std::fs::remove_file(&path).unwrap();
     }
 }

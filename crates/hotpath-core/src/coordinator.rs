@@ -578,9 +578,9 @@ impl Coordinator {
     /// Rebuilds a coordinator from a validated checkpoint, continuing
     /// bit-for-bit where the checkpointed one left off. `config` must be
     /// the exact configuration the checkpoint was taken under: the
-    /// embedded echo is compared field by field, and the header flags
-    /// against the config's overlap switch, so a warm start can never
-    /// change the overlap policy or carry a retired flag.
+    /// embedded echo is compared field by field, and any non-zero header
+    /// flags word is refused (every flag bit is retired), so a restore
+    /// can never change the configuration or carry a retired flag.
     ///
     /// The paths go into a fresh table in id order, each with as many
     /// crossings as it has expiry events, and the events re-enter the
@@ -915,7 +915,7 @@ mod tests {
 
     /// No config sets a header flag, and an image carrying the retired
     /// `Own` bit (`1 << 1`, what an image of the removed overlap switch
-    /// has) is refused: a warm start would otherwise run Cases 2-3
+    /// has) is refused: a restore would otherwise run Cases 2-3
     /// under a policy the run never used.
     #[test]
     fn restore_refuses_switches_the_config_does_not_set() {

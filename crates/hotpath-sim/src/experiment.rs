@@ -68,7 +68,7 @@ pub fn figure8(
     params: &ScenarioRunParams,
 ) -> Vec<SweepRow> {
     epss.iter()
-        .map(|&eps| run_row(eps, scale, mobility, &ScenarioRunParams { eps, ..params.clone() }))
+        .map(|&eps| run_row(eps, scale, mobility, &ScenarioRunParams { eps, ..*params }))
         .collect()
 }
 
@@ -261,7 +261,7 @@ pub fn filter_economy(
     use hotpath_core::ObjectId;
 
     // RayTrace needs the coordinator loop for endpoints.
-    let rt_params = ScenarioRunParams { dp: false, ..params.clone() };
+    let rt_params = ScenarioRunParams { dp: false, ..*params };
     let rt = run_scenario(&mut Workload::uniform(scale, mobility), &rt_params);
 
     let mut replay = Workload::uniform(scale, mobility);

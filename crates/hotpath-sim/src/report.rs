@@ -244,8 +244,8 @@ pub fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Renders a run's per-epoch series as CSV — one record per epoch
 /// boundary with the quality, timing, and communication columns. Used
 /// by `experiments scenario --csv` so scenario runs can be plotted and
-/// diffed externally. `epoch` is the published snapshot's, so a
-/// warm-started run continues the restored count.
+/// diffed externally. `epoch` and `timestamp` are the published
+/// snapshot's.
 pub fn epoch_metrics_csv(rows: &[EpochSample]) -> String {
     let data: Vec<Vec<String>> = rows
         .iter()

@@ -37,37 +37,11 @@ use hotpath_netsim::scenario::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Checkpoint controls for a run. The default is all-off: no images
-/// written, no restore, no restart probe.
-#[derive(Clone, Debug, Default)]
-pub struct CheckpointPolicy {
-    /// Periodic images `(every, dir)`: at every `every`-th epoch
-    /// boundary write `epoch-<n>.ckpt` plus an always-current
-    /// `latest.ckpt` (see [`Self::latest_path`]) into `dir`.
-    pub periodic: Option<(u64, PathBuf)>,
-    /// Warm start: restore this image into the engine before the first
-    /// tick (the run continues the checkpointed window and counters).
-    pub restore_from: Option<PathBuf>,
-    /// Restart-parity probe: at this epoch boundary, checkpoint, tear
-    /// the engine down completely, rebuild a fresh one, restore the
-    /// image into it, and continue — the in-process
-    /// equivalent of a crash/restart, pinned by the parity tests.
-    pub restart_at: Option<u64>,
-}
-
-impl CheckpointPolicy {
-    /// The path of the always-current image under `dir`.
-    pub fn latest_path(dir: &Path) -> PathBuf {
-        dir.join("latest.ckpt")
-    }
-}
-
 /// Driver knobs; defaults mirror the scenario integration tests.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct ScenarioRunParams {
     /// Tolerance `eps` in meters.
     pub eps: f64,
@@ -87,9 +61,6 @@ pub struct ScenarioRunParams {
     /// Seed for the driver's Gaussian re-measurement device (kept apart
     /// from the scenario seed so noise and workload vary independently).
     pub noise_seed: u64,
-    /// Checkpoint controls: periodic image writes, warm-start restore,
-    /// and the restart-parity probe. Default: all off.
-    pub checkpoint: CheckpointPolicy,
     /// Seed for fault-victim selection when the scenario declares
     /// [`hotpath_netsim::scenario::FaultWindow`]s; runs are
     /// deterministic per seed.
@@ -125,7 +96,6 @@ impl Default for ScenarioRunParams {
             epoch: 5,
             k: 10,
             noise_seed: 0x5eed,
-            checkpoint: CheckpointPolicy::default(),
             fault_seed: FaultPlan::DEFAULT_SEED,
             dp: false,
             overlap: OverlapPolicy::Full,
@@ -348,19 +318,11 @@ impl ScenarioDriver<'_> {
     /// The epoch loop: drives `duration` timestamps against `engine` —
     /// per-tick ingest and window advance, and at every epoch boundary
     /// the full process/deliver exchange, recording one [`EpochSample`]
-    /// around the snapshot published there. Checkpoint controls:
-    /// warm-start restore before the first tick, periodic image writes,
-    /// and the restart-parity probe, which replaces the engine wholesale
-    /// (hence `&mut Box`).
-    fn run(&mut self, engine: &mut Box<dyn Engine>, duration: u64, ckpt: &CheckpointPolicy) {
-        if let Some(path) = &ckpt.restore_from {
-            let image = Checkpoint::read_from_path(path)
-                .unwrap_or_else(|e| panic!("cannot restore from {}: {e}", path.display()));
-            engine.restore(&image).unwrap_or_else(|e| panic!("restore failed: {e}"));
-        }
+    /// around the snapshot published there. At epoch `restart_at` the
+    /// restart-parity probe replaces the engine wholesale (hence
+    /// `&mut Box`).
+    fn run(&mut self, engine: &mut Box<dyn Engine>, duration: u64, restart_at: Option<u64>) {
         let epochs = engine.config().epochs;
-        // Baseline the comm deltas on whatever the engine already carries —
-        // zero for a fresh engine, the restored counters after a warm start.
         let mut comm_prev = engine.snapshot().comm;
         for t in 1..=duration {
             let now = Timestamp(t);
@@ -389,41 +351,39 @@ impl ScenarioDriver<'_> {
                 dp_index_size: dp.map(|d| d.index_size()),
                 dp_score: dp.map(|d| d.top_n_score(self.k)),
             });
-            checkpoint_boundary(engine, epochs.epoch_index(now), ckpt);
+            if restart_at == Some(epochs.epoch_index(now)) {
+                restart(engine);
+            }
         }
     }
 }
 
-/// The end-of-boundary checkpoint work: periodic image writes and the
-/// restart-parity probe. Runs after boundary resubmissions, so written
-/// images carry them in the pending section.
-fn checkpoint_boundary(engine: &mut Box<dyn Engine>, epoch_ix: u64, ckpt: &CheckpointPolicy) {
-    if let Some((every, dir)) = &ckpt.periodic {
-        if epoch_ix.is_multiple_of(*every) {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
-            let image = engine.checkpoint();
-            for path in
-                [dir.join(format!("epoch-{epoch_ix}.ckpt")), CheckpointPolicy::latest_path(dir)]
-            {
-                image
-                    .write_to_path(&path)
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-            }
-        }
-    }
-    if ckpt.restart_at == Some(epoch_ix) {
-        // The crash/restart rehearsal: serialize, destroy the engine,
-        // rebuild from the bytes alone.
-        let image = engine.checkpoint();
-        let config = *engine.config();
-        *engine = EngineKind::Sync.build(Coordinator::new(config));
-        engine.restore(&image).unwrap_or_else(|e| panic!("restart-parity restore failed: {e}"));
-    }
+/// The restart-parity probe: serialize the engine, destroy it, and
+/// rebuild a fresh one from the bytes alone — decoded and validated
+/// (magic, version, every CRC) as a real recovery would. Runs after
+/// boundary resubmissions, so the image carries them in the pending
+/// section.
+fn restart(engine: &mut Box<dyn Engine>) {
+    let bytes = engine.checkpoint().as_bytes().to_vec();
+    let config = *engine.config();
+    *engine = EngineKind::Sync.build(Coordinator::new(config));
+    let image = Checkpoint::from_bytes(bytes)
+        .unwrap_or_else(|e| panic!("restart-parity image rejected: {e}"));
+    engine.restore(&image).unwrap_or_else(|e| panic!("restart-parity restore failed: {e}"));
 }
 
 /// Runs `scenario` end to end and verifies its invariants.
 pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> ScenarioRunResult {
+    run_with_restart(scenario, params, None)
+}
+
+/// [`run_scenario`], restarting the engine at epoch `restart_at` when
+/// set (see [`check_restart_parity`]).
+fn run_with_restart(
+    scenario: &mut dyn Scenario,
+    params: &ScenarioRunParams,
+    restart_at: Option<u64>,
+) -> ScenarioRunResult {
     assert!(params.sigma >= 0.0, "sigma must be non-negative");
     let config = params.config(scenario);
     let n = scenario.n();
@@ -463,7 +423,7 @@ pub fn run_scenario(scenario: &mut dyn Scenario, params: &ScenarioRunParams) -> 
         retired: FilterStats::default(),
         now: Timestamp(0),
     };
-    driver.run(&mut engine, duration, &params.checkpoint);
+    driver.run(&mut engine, duration, restart_at);
     let ScenarioDriver { clients, dp, samples, measurements, retired: mut filter_stats, .. } =
         driver;
     let coordinator = engine.finish();
@@ -561,14 +521,7 @@ pub fn check_restart_parity(
         return Err(format!("{name}: run produced no epochs to checkpoint between"));
     }
     let restart_at = (total_epochs / 2).max(1);
-    let p = ScenarioRunParams {
-        checkpoint: CheckpointPolicy {
-            restart_at: Some(restart_at),
-            ..CheckpointPolicy::default()
-        },
-        ..params.clone()
-    };
-    let restarted = run_scenario(build().as_mut(), &p);
+    let restarted = run_with_restart(build().as_mut(), params, Some(restart_at));
     restarted
         .coordinator
         .check_consistency()
@@ -617,7 +570,7 @@ pub fn scenario_sigma_sweep(
     let mut cells = Vec::with_capacity(sigmas.len() * fallbacks.len());
     for &fallback in fallbacks {
         for &sigma in sigmas {
-            let params = ScenarioRunParams { sigma, fallback, ..base.clone() };
+            let params = ScenarioRunParams { sigma, fallback, ..*base };
             let res = run_named(name, scale, &params)?;
             cells.push(SweepCell {
                 sigma,
@@ -802,24 +755,21 @@ mod tests {
         }
     }
 
-    /// The 20 stop-and-go ticks in 5-tick epochs, under `ckpt`.
-    fn stop_and_go(ckpt: &CheckpointPolicy) -> ScenarioRunResult {
-        let params = ScenarioRunParams {
-            epoch: 5,
-            window: Some(50),
-            checkpoint: ckpt.clone(),
-            ..ScenarioRunParams::default()
-        };
-        run_scenario(&mut StopAndGo(generate(NetworkParams::tiny(1)), 0.0), &params)
+    /// The 20 stop-and-go ticks in 5-tick epochs, restarting the engine
+    /// at epoch `restart_at` when set.
+    fn stop_and_go(restart_at: Option<u64>) -> ScenarioRunResult {
+        let params =
+            ScenarioRunParams { epoch: 5, window: Some(50), ..ScenarioRunParams::default() };
+        run_with_restart(&mut StopAndGo(generate(NetworkParams::tiny(1)), 0.0), &params, restart_at)
     }
 
     /// The restart-parity probe (checkpoint → engine teardown → rebuild
     /// from the image) must be invisible: identical metric rows and
     /// final coordinator as the uninterrupted loop.
     #[test]
-    fn restart_probe_is_invisible_and_periodic_writes_resume() {
-        let rows = |ckpt: &CheckpointPolicy| {
-            let res = stop_and_go(ckpt);
+    fn restart_probe_is_invisible() {
+        let rows = |restart_at: Option<u64>| {
+            let res = stop_and_go(restart_at);
             let c = &res.coordinator;
             c.check_consistency().unwrap();
             let fp: Vec<(u64, usize, u64, u64)> = res
@@ -837,42 +787,14 @@ mod tests {
                 .collect();
             (fp, c.comm_stats(), c.processing_stats().epochs, res.filter_stats.reports)
         };
-        let base = rows(&CheckpointPolicy::default());
-        let probed = rows(&CheckpointPolicy { restart_at: Some(2), ..CheckpointPolicy::default() });
+        let base = rows(None);
+        let probed = rows(Some(2));
         assert_eq!(base, probed, "restart probe perturbed the loop");
-
-        // Periodic writes + warm start: run 20 ticks writing every 2
-        // epochs, then resume another 20 ticks from `latest.ckpt`; the
-        // resumed engine continues the epoch counter.
-        // Per process, so concurrent test runs never share the images.
-        let dir =
-            std::env::temp_dir().join(format!("hotpath-loop-ckpt-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let write =
-            CheckpointPolicy { periodic: Some((2, dir.clone())), ..CheckpointPolicy::default() };
-        let (_, first, epochs_a, _) = rows(&write);
-        assert_eq!(epochs_a, 4);
-        assert!(dir.join("epoch-2.ckpt").exists());
-        assert!(dir.join("epoch-4.ckpt").exists());
-        let resume = CheckpointPolicy {
-            restore_from: Some(CheckpointPolicy::latest_path(&dir)),
-            ..CheckpointPolicy::default()
-        };
-        let (fp, comm, epochs_b, reports_b) = rows(&resume);
-        assert_eq!(epochs_b, 8, "resumed run must continue the epoch counter");
-        assert_eq!(
-            comm.uplink_msgs,
-            first.uplink_msgs + reports_b,
-            "restored comm must keep the first run's uplink"
-        );
-        // Warm-started rows report only the new traffic.
-        assert_eq!(fp.iter().map(|r| r.3).sum::<u64>(), reports_b);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn loop_produces_one_metrics_row_per_epoch() {
-        let res = stop_and_go(&CheckpointPolicy::default());
+        let res = stop_and_go(None);
         let per_epoch = &res.outcome.per_epoch;
         assert_eq!(per_epoch.len(), 4);
         assert_eq!(res.summary.measurements, 20);

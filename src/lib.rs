@@ -59,7 +59,5 @@ pub mod prelude {
     // The scenario registry, the run driver, and its per-epoch record
     // (the published snapshot plus the driver's own columns).
     pub use hotpath_netsim::scenario::{EpochSample, ScenarioParams, Workload, REGISTRY};
-    pub use hotpath_sim::scenario_run::{
-        run_named, run_scenario, CheckpointPolicy, ScenarioRunParams,
-    };
+    pub use hotpath_sim::scenario_run::{run_named, run_scenario, ScenarioRunParams};
 }

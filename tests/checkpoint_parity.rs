@@ -40,7 +40,7 @@ fn every_scenario_survives_a_mid_run_restart() {
 #[test]
 fn uniform_workload_survives_a_mid_run_restart() {
     let table2 = ScenarioRunParams { window: Some(50), ..ScenarioRunParams::table2() };
-    for params in [table2.clone(), ScenarioRunParams { overlap: OverlapPolicy::Own, ..table2 }] {
+    for params in [table2, ScenarioRunParams { overlap: OverlapPolicy::Own, ..table2 }] {
         check_restart_parity(|| Box::new(Workload::uniform_quick(300, 47)), &params)
             .unwrap_or_else(|e| panic!("{e}"));
     }
