@@ -1,7 +1,9 @@
-//! Top-k query micro-bench: `top_k()` / `top_k_score()` read the cached
-//! snapshot, whose top-k comes from the path table's count buckets —
-//! the medians must stay flat as the hot-set size grows from 1k to 50k
-//! paths (the old implementation sorted the whole hot set per query).
+//! Top-k query micro-bench: `top_k()` / `top_k_score()` read the live
+//! path table, one `PathTable::top_n` walk of its count buckets per
+//! call (no cached copy). Thirty-two paths are re-crossed, so more than
+//! `k` sit above the hotness-1 bucket and the walk never copies it: the
+//! medians must stay flat as the hot-set size grows from 1k to 50k
+//! paths (a full sort per query would not).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpath_core::config::Config;

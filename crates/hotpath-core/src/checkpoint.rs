@@ -80,9 +80,12 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"HOTPCKPT");
 /// counters (176 → 136 bytes); v7 keeps one admission rule:
 /// [`ConfigRecord`] loses the policy word (80 → 72 bytes) and
 /// [`StatsRecord`] loses the admitted and shed counts (136 → 120
-/// bytes). Images of every earlier version are rejected with the typed
-/// [`CheckpointError::BadVersion`].
-pub const FORMAT_VERSION: u32 = 7;
+/// bytes); v8 keeps each counter once: [`StatsRecord`] loses the uplink
+/// bytes, the downlink count and bytes (fixed message sizes times the
+/// uplink and processed-state counts) and the epoch count (the header's
+/// `epoch` is the copy), 120 → 88 bytes. Images of every earlier version
+/// are rejected with the typed [`CheckpointError::BadVersion`].
+pub const FORMAT_VERSION: u32 = 8;
 
 // ---------------------------------------------------------------------
 // Pod casting
@@ -119,7 +122,7 @@ const _: () = {
     assert!(size_of::<SectionDesc>() == 32);
     assert!(size_of::<CheckpointHeader>() == 56);
     assert!(size_of::<ConfigRecord>() == 72);
-    assert!(size_of::<StatsRecord>() == 120);
+    assert!(size_of::<StatsRecord>() == 88);
 };
 
 /// The raw bytes of a record slice (the write-side memcpy source).
@@ -411,19 +414,15 @@ impl ConfigRecord {
     }
 }
 
-/// Communication/processing/admission counters (one 120-byte record).
+/// Communication/processing/admission counters (one 88-byte record).
 /// Durations are nanoseconds; they are wall-clock diagnostics and are
 /// never part of parity comparisons. `recorded` is the path table's
-/// total of crossings ever recorded.
+/// total of crossings ever recorded. The epoch count is the header's.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[repr(C)]
 #[allow(missing_docs)]
 pub struct StatsRecord {
     pub uplink_msgs: u64,
-    pub uplink_bytes: u64,
-    pub downlink_msgs: u64,
-    pub downlink_bytes: u64,
-    pub epochs: u64,
     pub states_processed: u64,
     pub strategy_ns: u64,
     pub expiry_ns: u64,
@@ -744,6 +743,13 @@ mod tests {
         // A v6 image carries an admission policy word in its config
         // record and `admitted`/`shed` counters in its stats record.
         assert_rejected_by_version(6, |_| {});
+    }
+
+    #[test]
+    fn v7_images_are_rejected_with_a_typed_bad_version() {
+        // A v7 image carries a 120-byte stats record with the derived
+        // byte and downlink counters and a second epoch count.
+        assert_rejected_by_version(7, |_| {});
     }
 
     #[test]

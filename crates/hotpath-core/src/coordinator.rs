@@ -44,7 +44,6 @@ use crate::strategy::{
 };
 use crate::time::Timestamp;
 use crate::ObjectId;
-use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,12 +78,12 @@ pub struct HotPath {
 }
 
 /// An epoch-stamped, immutable view of everything the read side needs:
-/// the top-k, hot-set size, index size, and the communication/processing
-/// counters as of the publish. The coordinator publishes one at the end
-/// of every [`Coordinator::process_epoch`] (the *publish* stage) and
-/// caches it, so repeated reads between epochs share one allocation —
-/// and the engine layer can hand snapshots across threads without
-/// touching live coordinator state.
+/// the top-k, index size, and the communication/processing counters as
+/// of the publish. The coordinator builds one at the end of every
+/// [`Coordinator::process_epoch`] (the *publish* stage) and holds it
+/// until the next, so repeated reads between epochs share one
+/// allocation — and the engine layer can hand snapshots across threads
+/// without touching live coordinator state.
 #[derive(Clone, Debug)]
 pub struct HotSnapshot {
     /// Epochs processed when this snapshot was published (0 before the
@@ -97,9 +96,8 @@ pub struct HotSnapshot {
     /// The top-k set score (Section 3.1): mean `hotness x length` over
     /// the members, `0` when nothing is hot.
     pub top_k_score: f64,
-    /// Paths with positive hotness.
-    pub hot_count: usize,
-    /// Motion paths stored in the index.
+    /// Motion paths stored in the index — every one of them hot, since
+    /// a path is stored exactly while it is crossed.
     pub index_size: usize,
     /// Communication counters as of the publish.
     pub comm: CommStats,
@@ -108,9 +106,7 @@ pub struct HotSnapshot {
     /// Admission counters as of the publish (all zeros while the
     /// ingest bound and the degrade threshold are off).
     pub admission: AdmissionStats,
-    /// Phase-B load telemetry for the published epoch: deferred states
-    /// and the wall time Cases 2-3 took. Observational only — the
-    /// timing varies by machine; results never do.
+    /// Phase-B load for the published epoch: the states it deferred.
     pub phase_b: PhaseBLoad,
 }
 
@@ -122,7 +118,6 @@ impl HotSnapshot {
             timestamp: Timestamp(0),
             top_k: Arc::from(Vec::new()),
             top_k_score: 0.0,
-            hot_count: 0,
             index_size: 0,
             comm: CommStats::default(),
             processing: ProcessingStats::default(),
@@ -130,16 +125,6 @@ impl HotSnapshot {
             phase_b: PhaseBLoad::default(),
         }
     }
-}
-
-/// Lazily rebuilt read-side caches, dropped on any mutation that can
-/// change the hot set (`advance_time`, epoch processing). Interior
-/// mutability keeps the read API `&self`; the coordinator is never
-/// shared across threads.
-#[derive(Debug, Default)]
-struct ReadCache {
-    snapshot: Option<Arc<HotSnapshot>>,
-    hot: Option<Arc<[HotPath]>>,
 }
 
 /// Grid cell edge shared by the epoch FSA-overlap structure and the
@@ -168,14 +153,11 @@ pub struct Coordinator {
     /// The latest timestamp the coordinator has been advanced to; stamps
     /// published snapshots.
     clock: Timestamp,
-    /// Read-side caches (published snapshot, hot-set enumeration).
-    cache: RefCell<ReadCache>,
+    /// The snapshot the last publish stage (or `new` /
+    /// `from_checkpoint`) built; `advance_time` leaves it alone.
+    published: Arc<HotSnapshot>,
     /// Admission-control counters (what drain-ingest did with overload).
     admission: AdmissionStats,
-    /// Phase-B load telemetry from the last processed epoch, published
-    /// in snapshots. Observational only: never checkpointed, and a
-    /// restored coordinator starts from the default (all-zero) record.
-    last_phase_b: PhaseBLoad,
 }
 
 impl Coordinator {
@@ -190,9 +172,8 @@ impl Coordinator {
             comm: CommStats::default(),
             processing: ProcessingStats::default(),
             clock: Timestamp(0),
-            cache: RefCell::new(ReadCache::default()),
+            published: Arc::new(HotSnapshot::empty()),
             admission: AdmissionStats::default(),
-            last_phase_b: PhaseBLoad::default(),
         }
     }
 
@@ -203,7 +184,7 @@ impl Coordinator {
 
     /// Accepts a state message (buffered until the next epoch).
     pub fn submit(&mut self, state: ClientState) {
-        self.comm.record_uplink(ClientState::WIRE_BYTES);
+        self.comm.uplink_msgs += 1;
         self.pending.push(state);
     }
 
@@ -252,8 +233,6 @@ impl Coordinator {
         let start = Instant::now();
         self.table.advance(now);
         self.clock = self.clock.max(now);
-        // Expiry can change the hot set: drop the read caches.
-        *self.cache.get_mut() = ReadCache::default();
         self.processing.expiry_time += start.elapsed();
     }
 
@@ -265,10 +244,10 @@ impl Coordinator {
     /// *publish* — run back to back on the caller's thread.
     pub fn process_epoch(&mut self, now: Timestamp) -> Vec<EndpointResponse> {
         let batch = self.stage_drain_ingest(now);
-        let selections = self.stage_strategy(&batch);
+        let (selections, load) = self.stage_strategy(&batch);
         let responses = self.stage_respond(&selections);
         self.stage_recycle(batch);
-        self.stage_publish();
+        self.stage_publish(load);
         responses
     }
 
@@ -312,8 +291,9 @@ impl Coordinator {
     }
 
     /// Stage *strategy*: run SinglePath (Phase A, then Phase B) over the
-    /// sealed batch and account the processing statistics.
-    fn stage_strategy(&mut self, states: &[ClientState]) -> Vec<Selection> {
+    /// sealed batch and account the processing statistics; returns the
+    /// selections and Phase B's load for the publish stage.
+    fn stage_strategy(&mut self, states: &[ClientState]) -> (Vec<Selection>, PhaseBLoad) {
         let start = Instant::now();
         // Degraded-epoch mode: past the overload threshold, shed the
         // Phase B FSA-overlap refinement for this epoch (the `Own`
@@ -337,20 +317,26 @@ impl Coordinator {
         };
         let (selections, tally, load) =
             process_batch(states, &mut self.table, &mut self.scratch, fsas, policy);
-        self.last_phase_b = load;
         self.processing.strategy_time += start.elapsed();
         self.processing.epochs += 1;
         self.processing.states_processed += states.len() as u64;
         self.processing.case1 += tally.case1;
         self.processing.case2 += tally.case2;
         self.processing.case3 += tally.case3;
-        selections
+        (selections, load)
     }
 
-    /// Builds (and accounts) the endpoint responses for the epoch's
-    /// selections, in selection order.
-    fn stage_respond(&mut self, selections: &[Selection]) -> Vec<EndpointResponse> {
-        selections.iter().map(|sel| self.respond(sel)).collect()
+    /// Builds the endpoint responses for the epoch's selections, in
+    /// selection order: one per processed state.
+    fn stage_respond(&self, selections: &[Selection]) -> Vec<EndpointResponse> {
+        selections
+            .iter()
+            .map(|sel| EndpointResponse {
+                object: sel.object,
+                endpoint: TimePoint::new(sel.endpoint, sel.te),
+                hint: None,
+            })
+            .collect()
     }
 
     /// Returns the drained batch buffer to the pending slot so the next
@@ -360,29 +346,35 @@ impl Coordinator {
         self.pending = states;
     }
 
-    /// Stage *publish*: rebuild and cache the epoch-stamped
-    /// [`HotSnapshot`] — the one read path for top-k, hot count, and the
-    /// counters.
-    fn stage_publish(&mut self) {
+    /// Stage *publish*: build the epoch-stamped [`HotSnapshot`] — the
+    /// one read path for the published top-k, index size and counters.
+    fn stage_publish(&mut self, phase_b: PhaseBLoad) {
         let start = Instant::now();
-        *self.cache.get_mut() = ReadCache::default();
-        self.snapshot();
+        self.published = self.build_snapshot(phase_b);
         self.processing.publish_time += start.elapsed();
     }
 
-    /// Builds (and accounts) the endpoint response for one selection.
-    fn respond(&mut self, sel: &Selection) -> EndpointResponse {
-        self.comm.record_downlink(EndpointResponse::WIRE_BYTES);
-        EndpointResponse {
-            object: sel.object,
-            endpoint: TimePoint::new(sel.endpoint, sel.te),
-            hint: None,
-        }
+    /// A snapshot of the live state, stamped with the epoch count and
+    /// the clock.
+    fn build_snapshot(&self, phase_b: PhaseBLoad) -> Arc<HotSnapshot> {
+        let top = self.top_k();
+        Arc::new(HotSnapshot {
+            epoch: self.processing.epochs,
+            timestamp: self.clock,
+            top_k_score: mean_score(&top),
+            top_k: top.into(),
+            index_size: self.index_size(),
+            comm: self.comm,
+            processing: self.processing,
+            admission: self.admission,
+            phase_b,
+        })
     }
 
     /// Number of motion paths currently stored (the paper's *index size*
     /// metric, Figures 7a / 8a) — the same number as [`Self::hot_count`],
-    /// since a path is stored exactly while it is crossed.
+    /// since a path is stored exactly while it is crossed. Reads the
+    /// live table.
     pub fn index_size(&self) -> usize {
         self.table.len()
     }
@@ -399,58 +391,27 @@ impl Coordinator {
 
     /// All stored paths with their (positive) hotness, in id order, so
     /// the list depends on the logical state only, never on the slab
-    /// layout. The enumeration is cached: repeated reads between
-    /// mutations share one allocation (the cache drops on
-    /// `advance_time` / epoch processing). Callers that need to reorder
-    /// copy out with `.to_vec()`.
-    pub fn hot_paths(&self) -> Arc<[HotPath]> {
-        if let Some(hot) = self.cache.borrow().hot.clone() {
-            return hot;
-        }
+    /// layout. Enumerates the live table on every call.
+    pub fn hot_paths(&self) -> Vec<HotPath> {
         let mut hot: Vec<HotPath> = self.table.iter().map(|(p, h)| Self::hot_path(p, h)).collect();
         hot.sort_unstable_by_key(|h| h.path.id);
-        let hot: Arc<[HotPath]> = hot.into();
-        self.cache.borrow_mut().hot = Some(hot.clone());
         hot
     }
 
-    /// The current [`HotSnapshot`]: the epoch-stamped immutable read
-    /// view published at the end of the last `process_epoch`, rebuilt
-    /// lazily if the window has advanced since. This is the one read
-    /// path — `top_k`, `top_k_score`, and the engine layer all route
-    /// through it.
+    /// The [`HotSnapshot`] published at the end of the last
+    /// `process_epoch` (or built by `new` / `from_checkpoint`): the same
+    /// `Arc` the engine installs into its cell. Window advances between
+    /// boundaries do not change it; the live reads are [`Self::top_k`],
+    /// [`Self::top_k_score`] and [`Self::index_size`].
     pub fn snapshot(&self) -> Arc<HotSnapshot> {
-        if let Some(snap) = self.cache.borrow().snapshot.clone() {
-            return snap;
-        }
-        let hot_count = self.hot_count();
-        let top: Vec<HotPath> = if hot_count == 0 { Vec::new() } else { self.top_n(self.config.k) };
-        let top_k_score = if top.is_empty() {
-            0.0
-        } else {
-            top.iter().map(|h| h.score).sum::<f64>() / top.len() as f64
-        };
-        let snap = Arc::new(HotSnapshot {
-            epoch: self.processing.epochs,
-            timestamp: self.clock,
-            top_k: top.into(),
-            top_k_score,
-            hot_count,
-            index_size: self.index_size(),
-            comm: self.comm,
-            processing: self.processing,
-            admission: self.admission,
-            phase_b: self.last_phase_b,
-        });
-        self.cache.borrow_mut().snapshot = Some(snap.clone());
-        snap
+        Arc::clone(&self.published)
     }
 
     /// The top-`k` hottest motion paths (config `k`), hottest first;
     /// ties break toward longer paths, then lower ids (deterministic).
-    /// Served from the cached [`HotSnapshot`] — no per-read allocation.
-    pub fn top_k(&self) -> Arc<[HotPath]> {
-        self.snapshot().top_k.clone()
+    /// One [`PathTable::top_n`] bucket walk over the live table.
+    pub fn top_k(&self) -> Vec<HotPath> {
+        self.top_n(self.config.k)
     }
 
     /// The top-`n` hottest motion paths for an explicit `n`, in the
@@ -466,9 +427,9 @@ impl Coordinator {
 
     /// The score of the top-`k` set: the average of `hotness x length`
     /// over its members (Section 3.1). Zero when no paths are hot.
-    /// Served from the cached [`HotSnapshot`].
+    /// Reads the live table, as [`Self::top_k`] does.
     pub fn top_k_score(&self) -> f64 {
-        self.snapshot().top_k_score
+        mean_score(&self.top_k())
     }
 
     /// Communication counters.
@@ -511,7 +472,7 @@ impl Coordinator {
         self.table.check_consistency().map_err(|e| format!("path table: {e}"))?;
         // The bucket walk must reproduce the naive full sort of the
         // whole hot set.
-        let mut oracle = self.hot_paths().to_vec();
+        let mut oracle = self.hot_paths();
         oracle.sort_by(|a, b| {
             b.hotness
                 .cmp(&a.hotness)
@@ -553,10 +514,6 @@ impl Coordinator {
             SectionKind::Stats,
             &[StatsRecord {
                 uplink_msgs: self.comm.uplink_msgs,
-                uplink_bytes: self.comm.uplink_bytes,
-                downlink_msgs: self.comm.downlink_msgs,
-                downlink_bytes: self.comm.downlink_bytes,
-                epochs: self.processing.epochs,
                 states_processed: self.processing.states_processed,
                 strategy_ns: self.processing.strategy_time.as_nanos() as u64,
                 expiry_ns: self.processing.expiry_time.as_nanos() as u64,
@@ -585,8 +542,9 @@ impl Coordinator {
     /// The paths go into a fresh table in id order, each with as many
     /// crossings as it has expiry events, and the events re-enter the
     /// timer wheel keyed by the header clock; every derived structure
-    /// is rebuilt, and the read cache starts invalidated — the first
-    /// read after a restore can never serve pre-restore data. A forged
+    /// is rebuilt, and the published snapshot is built from the
+    /// restored state — a read after a restore can never serve
+    /// pre-restore data. A forged
     /// table (ids out of order or past the counter, two paths with one
     /// geometry, an event without its path or a path without an event)
     /// is [`CheckpointError::Malformed`].
@@ -624,7 +582,7 @@ impl Coordinator {
             )
             .map_err(|e| CheckpointError::Malformed(format!("path table: {e}")))?;
 
-        Ok(Coordinator {
+        let mut restored = Coordinator {
             table,
             scratch: ScratchArena::new(),
             // Not part of the image: the set is rebuilt from the first
@@ -632,14 +590,9 @@ impl Coordinator {
             fsa_cache: FsaCache::new(overlap_cell_of(&config)),
             config,
             pending,
-            comm: CommStats {
-                uplink_msgs: stats.uplink_msgs,
-                uplink_bytes: stats.uplink_bytes,
-                downlink_msgs: stats.downlink_msgs,
-                downlink_bytes: stats.downlink_bytes,
-            },
+            comm: CommStats { uplink_msgs: stats.uplink_msgs },
             processing: ProcessingStats {
-                epochs: stats.epochs,
+                epochs: header.epoch,
                 states_processed: stats.states_processed,
                 strategy_time: Duration::from_nanos(stats.strategy_ns),
                 expiry_time: Duration::from_nanos(stats.expiry_ns),
@@ -649,13 +602,26 @@ impl Coordinator {
                 case3: stats.case3,
             },
             clock: Timestamp(header.clock),
-            cache: RefCell::new(ReadCache::default()),
+            published: Arc::new(HotSnapshot::empty()),
             admission: AdmissionStats {
                 ejected: stats.adm_ejected,
                 degraded_epochs: stats.degraded_epochs,
             },
-            last_phase_b: PhaseBLoad::default(),
-        })
+        };
+        // Phase-B load is not part of the image: the restored snapshot
+        // reports none until the next boundary.
+        restored.published = restored.build_snapshot(PhaseBLoad::default());
+        Ok(restored)
+    }
+}
+
+/// The top-k set score: mean `hotness x length` over `top`, `0` when it
+/// is empty.
+fn mean_score(top: &[HotPath]) -> f64 {
+    if top.is_empty() {
+        0.0
+    } else {
+        top.iter().map(|h| h.score).sum::<f64>() / top.len() as f64
     }
 }
 
@@ -714,6 +680,31 @@ mod tests {
         assert_eq!(c.top_k_score(), 0.0);
     }
 
+    /// The published snapshot is the boundary's and only the next
+    /// boundary replaces it: window advances in between empty the live
+    /// table, which `top_k`, `top_k_score` and `index_size` read.
+    #[test]
+    fn snapshot_stays_the_boundarys_while_live_reads_follow_expiry() {
+        let mut c = Coordinator::new(Config::paper_defaults());
+        for obj in 0..3u64 {
+            c.submit(state(obj, (0.0, 0.0), (50.0, 0.0), 0, 9));
+        }
+        let _ = c.process_epoch(Timestamp(10));
+        let published = c.snapshot();
+        assert_eq!((published.epoch, published.timestamp), (1, Timestamp(10)));
+        assert_eq!(published.top_k.len(), 1);
+
+        c.advance_time(Timestamp(9 + 100));
+        let snap = c.snapshot();
+        assert!(Arc::ptr_eq(&snap, &published), "an advance replaced the published snapshot");
+        assert_eq!((snap.epoch, snap.timestamp, snap.index_size), (1, Timestamp(10), 1));
+        assert_eq!(snap.top_k[0].hotness, 3);
+        assert!((snap.top_k_score - 150.0).abs() < 1.0);
+        assert!(c.top_k().is_empty());
+        assert_eq!(c.top_k_score(), 0.0);
+        assert_eq!(c.index_size(), 0);
+    }
+
     #[test]
     fn top_k_orders_by_hotness_then_length() {
         let mut c = Coordinator::new(Config::builder().k(2).build().unwrap());
@@ -736,12 +727,12 @@ mod tests {
     fn comm_accounting_tracks_both_directions() {
         let mut c = Coordinator::new(Config::paper_defaults());
         c.submit(state(1, (0.0, 0.0), (50.0, 0.0), 0, 9));
-        let _ = c.process_epoch(Timestamp(10));
-        let comm = c.comm_stats();
-        assert_eq!(comm.uplink_msgs, 1);
-        assert_eq!(comm.uplink_bytes, ClientState::WIRE_BYTES as u64);
-        assert_eq!(comm.downlink_msgs, 1);
-        assert_eq!(comm.downlink_bytes, EndpointResponse::WIRE_BYTES as u64);
+        c.submit(state(2, (0.0, 90.0), (50.0, 90.0), 0, 9));
+        let responses = c.process_epoch(Timestamp(10));
+        // Uplink is counted on arrival; the downlink is one reply per
+        // processed state, so it is `states_processed`.
+        assert_eq!(c.comm_stats().uplink_msgs, 2);
+        assert_eq!(c.processing_stats().states_processed, responses.len() as u64);
     }
 
     #[test]

@@ -129,7 +129,7 @@ mod tests {
         let mut s = HotSnapshot::empty();
         s.epoch = epoch;
         s.timestamp = Timestamp(epoch * 10);
-        s.hot_count = epoch as usize;
+        s.top_k_score = epoch as f64;
         s.index_size = (epoch * 3) as usize;
         Arc::new(s)
     }
@@ -232,7 +232,7 @@ mod tests {
                         let snap = handle.read();
                         let e = snap.epoch;
                         assert_eq!(snap.timestamp, Timestamp(e * 10), "torn read at epoch {e}");
-                        assert_eq!(snap.hot_count, e as usize, "torn read at epoch {e}");
+                        assert_eq!(snap.top_k_score, e as f64, "torn read at epoch {e}");
                         assert_eq!(snap.index_size, (e * 3) as usize, "torn read at epoch {e}");
                         assert!(e >= last, "epoch went backwards: {last} -> {e}");
                         last = e;

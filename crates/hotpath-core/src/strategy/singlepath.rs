@@ -25,7 +25,6 @@ use crate::motion_path::PathId;
 use crate::raytrace::ClientState;
 use crate::time::Timestamp;
 use crate::ObjectId;
-use std::time::Instant;
 
 /// Which of the three cases resolved an object.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -136,7 +135,6 @@ pub fn phase_b(
     selections: &mut Vec<Selection>,
     scratch: &mut PhaseBScratch,
 ) -> PhaseBLoad {
-    let t0 = Instant::now();
     let PhaseBScratch { groups, overlap } = scratch;
     for &i in deferred {
         let st = &states[i as usize];
@@ -204,18 +202,16 @@ pub fn phase_b(
             created,
         });
     }
-    PhaseBLoad { deferred: deferred.len(), busy_ns: t0.elapsed().as_nanos() as u64 }
+    PhaseBLoad { deferred: deferred.len() }
 }
 
-/// Per-epoch Phase-B load telemetry, published in `HotSnapshot`. Purely
-/// observational: never checkpointed and never part of a parity trace
-/// (`busy_ns` depends on the machine, not the algorithm).
+/// Per-epoch Phase-B load, published in `HotSnapshot`. Never
+/// checkpointed: a restored coordinator publishes the default until
+/// its next boundary.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseBLoad {
     /// Deferred states Phase B processed this epoch.
     pub deferred: usize,
-    /// Wall time Phase B took — its share of `strategy_time`.
-    pub busy_ns: u64,
 }
 
 /// Runs the SinglePath strategy over one epoch's batch of states:

@@ -154,7 +154,7 @@ fn structural(e: &CheckpointError) -> bool {
 }
 
 fn bad_version(e: &CheckpointError) -> bool {
-    matches!(e, CheckpointError::BadVersion { found: 3 | 4 | 5 | 6 | 8 })
+    matches!(e, CheckpointError::BadVersion { found: 3 | 4 | 5 | 6 | 7 | 9 })
 }
 
 fn config_mismatch(e: &CheckpointError) -> bool {
@@ -201,7 +201,8 @@ fn resealed_forgeries_are_rejected_structurally() {
         ("version 4", Box::new(|b| update_u32(b, VERSION_AT, |_| 4)), bad_version),
         ("version 5", Box::new(|b| update_u32(b, VERSION_AT, |_| 5)), bad_version),
         ("version 6", Box::new(|b| update_u32(b, VERSION_AT, |_| 6)), bad_version),
-        ("version 8", Box::new(|b| update_u32(b, VERSION_AT, |_| 8)), bad_version),
+        ("version 7", Box::new(|b| update_u32(b, VERSION_AT, |_| 7)), bad_version),
+        ("version 9", Box::new(|b| update_u32(b, VERSION_AT, |_| 9)), bad_version),
         (
             "the retired hints bit",
             Box::new(|b| update_u32(b, FLAGS_AT, |f| f | 1)),

@@ -73,8 +73,10 @@ pub struct EpochSample {
     /// strategy, respond and publish. The per-stage split is the
     /// `strategy_time` / `publish_time` deltas in `snap.processing`.
     pub processing: Duration,
-    /// Communication since the previous boundary's snapshot; boundary
-    /// resubmissions count toward the following epoch.
+    /// Uplink messages since the previous boundary's snapshot; boundary
+    /// resubmissions count toward the following epoch. The downlink is
+    /// one reply per answered state: the `states_processed` delta of
+    /// `snap.processing`.
     pub comm: CommStats,
     /// DP competitor index size (when the competitor runs).
     pub dp_index_size: Option<usize>,

@@ -93,7 +93,7 @@ fn main() -> ExitCode {
     let snap = handle.shutdown();
     eprintln!(
         "hotpathd: done — epoch {}, {} submitted, {} hot path(s)",
-        snap.epoch, snap.comm.uplink_msgs, snap.hot_count,
+        snap.epoch, snap.comm.uplink_msgs, snap.index_size,
     );
     ExitCode::SUCCESS
 }

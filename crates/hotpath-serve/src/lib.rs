@@ -28,7 +28,7 @@
 //!     handle.advance(Timestamp(t));
 //! }
 //! let snap = reader.load();
-//! println!("epoch {} hot {}", snap.epoch, snap.hot_count);
+//! println!("epoch {} hot {}", snap.epoch, snap.index_size);
 //! handle.shutdown();
 //! ```
 

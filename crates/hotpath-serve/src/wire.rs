@@ -101,7 +101,8 @@ pub struct SnapshotWire {
     pub timestamp: Timestamp,
     /// Top-k set score.
     pub top_k_score: f64,
-    /// Paths with positive hotness.
+    /// Paths with positive hotness: the index size again (a stored path
+    /// is always hot), kept so the frame layout does not change.
     pub hot_count: u64,
     /// Paths stored in the index.
     pub index_size: u64,
@@ -121,7 +122,7 @@ impl SnapshotWire {
             epoch: snap.epoch,
             timestamp: snap.timestamp,
             top_k_score: snap.top_k_score,
-            hot_count: snap.hot_count as u64,
+            hot_count: snap.index_size as u64,
             index_size: snap.index_size as u64,
             top: Vec::new(),
         }

@@ -224,7 +224,8 @@ mod tests {
 }
 
 // --------------------------------------------------------------------
-// Extension experiments (beyond the paper's figures; see EXPERIMENTS.md)
+// Extension experiments (beyond the paper's figures; see README's
+// Scenarios section and the `experiments` binary's module doc)
 // --------------------------------------------------------------------
 
 /// Communication economy of three client filters on the same stream.

@@ -5,8 +5,9 @@
 //! RayTrace clients and the SinglePath coordinator over any workload —
 //! the paper's Table 2 uniform walk or a registered scenario — with the
 //! DP competitor on the same stream, per-epoch metrics, and the sweeps
-//! regenerating every figure of the paper's evaluation (see
-//! EXPERIMENTS.md).
+//! regenerating every figure of the paper's evaluation (see README's
+//! Scenarios section and the module doc of the `experiments` binary in
+//! `hotpath-bench`).
 //!
 //! ```no_run
 //! use hotpath_netsim::scenario::Workload;

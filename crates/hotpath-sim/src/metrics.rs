@@ -5,7 +5,7 @@
 //! coordinator processing time; plus the communication the RayTrace
 //! filters save. The per-epoch record is the driver's [`EpochSample`]:
 //! the published snapshot plus the boundary's wall time, reporting
-//! count, comm delta and DP columns.
+//! count, uplink delta and DP columns.
 
 use hotpath_netsim::scenario::EpochSample;
 
@@ -31,23 +31,23 @@ pub struct Summary {
     pub measurements: u64,
     /// Total uplink state messages (the filter's compression output).
     pub uplink_msgs: u64,
-    /// Uplink bytes.
-    pub uplink_bytes: u64,
     /// What fraction of measurements became messages (lower = better
     /// filtering).
     pub report_ratio: f64,
 }
 
 impl Summary {
-    /// Builds a summary from the per-epoch series. Averages skip warm-up
-    /// epochs with an empty index (the paper plots steady behavior).
-    pub fn from_epochs(per_epoch: &[EpochSample], measurements: u64) -> Summary {
+    /// Builds a summary from the per-epoch series and the run's totals:
+    /// `measurements` generated and `uplink_msgs` received (the
+    /// coordinator's count, which also holds the states reported after
+    /// the last boundary).
+    pub fn from_epochs(per_epoch: &[EpochSample], measurements: u64, uplink_msgs: u64) -> Summary {
+        let report_ratio =
+            if measurements == 0 { 0.0 } else { uplink_msgs as f64 / measurements as f64 };
         if per_epoch.is_empty() {
-            return Summary::default();
+            return Summary { measurements, uplink_msgs, report_ratio, ..Summary::default() };
         }
         let n = per_epoch.len() as f64;
-        let uplink_msgs: u64 = per_epoch.iter().map(|e| e.comm.uplink_msgs).sum();
-        let uplink_bytes: u64 = per_epoch.iter().map(|e| e.comm.uplink_bytes).sum();
         let dp_rows: Vec<&EpochSample> =
             per_epoch.iter().filter(|e| e.dp_index_size.is_some()).collect();
         Summary {
@@ -71,12 +71,7 @@ impl Summary {
             },
             measurements,
             uplink_msgs,
-            uplink_bytes,
-            report_ratio: if measurements == 0 {
-                0.0
-            } else {
-                uplink_msgs as f64 / measurements as f64
-            },
+            report_ratio,
         }
     }
 }
@@ -101,12 +96,7 @@ mod tests {
             }),
             reporting: 5,
             processing: Duration::from_millis(ms),
-            comm: CommStats {
-                uplink_msgs: 5,
-                uplink_bytes: 5 * 72,
-                downlink_msgs: 5,
-                downlink_bytes: 5 * 32,
-            },
+            comm: CommStats { uplink_msgs: 5 },
             dp_index_size: dp.map(|d| d.0),
             dp_score: dp.map(|d| d.1),
         }
@@ -118,7 +108,7 @@ mod tests {
             epoch(0, 10, 100.0, 2, Some((8, 120.0))),
             epoch(1, 20, 200.0, 4, Some((12, 80.0))),
         ];
-        let s = Summary::from_epochs(&rows, 1000);
+        let s = Summary::from_epochs(&rows, 1000, 10);
         assert_eq!(s.epochs, 2);
         assert!((s.mean_index_size - 15.0).abs() < 1e-12);
         assert!((s.mean_score - 150.0).abs() < 1e-12);
@@ -127,13 +117,12 @@ mod tests {
         assert!((s.mean_dp_index_size - 10.0).abs() < 1e-12);
         assert!((s.mean_dp_score - 100.0).abs() < 1e-12);
         assert_eq!(s.uplink_msgs, 10);
-        assert_eq!(s.uplink_bytes, 720);
         assert!((s.report_ratio - 0.01).abs() < 1e-12);
     }
 
     #[test]
     fn empty_series_yields_default() {
-        let s = Summary::from_epochs(&[], 0);
+        let s = Summary::from_epochs(&[], 0, 0);
         assert_eq!(s.epochs, 0);
         assert_eq!(s.mean_index_size, 0.0);
         assert_eq!(s.report_ratio, 0.0);
@@ -142,7 +131,7 @@ mod tests {
     #[test]
     fn dp_averages_skip_missing_rows() {
         let rows = vec![epoch(0, 10, 1.0, 1, None), epoch(1, 10, 1.0, 1, Some((6, 60.0)))];
-        let s = Summary::from_epochs(&rows, 10);
+        let s = Summary::from_epochs(&rows, 10, 10);
         assert!((s.mean_dp_index_size - 6.0).abs() < 1e-12);
         assert!((s.mean_dp_score - 60.0).abs() < 1e-12);
     }

@@ -1,7 +1,9 @@
 //! Report rendering: aligned text tables for the figure series and the
 //! ASCII maps reproducing Figures 9 and 10.
 
+use hotpath_core::coordinator::EndpointResponse;
 use hotpath_core::geometry::{Rect, Segment};
+use hotpath_core::raytrace::ClientState;
 use hotpath_netsim::network::RoadNetwork;
 use hotpath_netsim::scenario::EpochSample;
 
@@ -245,11 +247,17 @@ pub fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// boundary with the quality, timing, and communication columns. Used
 /// by `experiments scenario --csv` so scenario runs can be plotted and
 /// diffed externally. `epoch` and `timestamp` are the published
-/// snapshot's.
+/// snapshot's. `rows` must start at the run's first boundary: the
+/// downlink columns are derived, one reply per answered state, so
+/// `downlink_msgs` is the row's `states_processed` delta and both byte
+/// columns are message counts times the fixed wire sizes.
 pub fn epoch_metrics_csv(rows: &[EpochSample]) -> String {
+    let mut answered_before = 0;
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|e| {
+            let answered = e.snap.processing.states_processed;
+            let downlink = answered - std::mem::replace(&mut answered_before, answered);
             vec![
                 e.snap.epoch.to_string(),
                 e.snap.timestamp.raw().to_string(),
@@ -258,9 +266,9 @@ pub fn epoch_metrics_csv(rows: &[EpochSample]) -> String {
                 format!("{}", e.snap.top_k_score),
                 format!("{}", e.processing.as_secs_f64() * 1e3),
                 e.comm.uplink_msgs.to_string(),
-                e.comm.uplink_bytes.to_string(),
-                e.comm.downlink_msgs.to_string(),
-                e.comm.downlink_bytes.to_string(),
+                (e.comm.uplink_msgs * ClientState::WIRE_BYTES as u64).to_string(),
+                downlink.to_string(),
+                (downlink * EndpointResponse::WIRE_BYTES as u64).to_string(),
                 e.snap.phase_b.deferred.to_string(),
             ]
         })
@@ -308,7 +316,7 @@ mod csv_tests {
     #[test]
     fn epoch_metrics_render_one_record_per_epoch() {
         use hotpath_core::coordinator::HotSnapshot;
-        use hotpath_core::stats::CommStats;
+        use hotpath_core::stats::{CommStats, ProcessingStats};
         use hotpath_core::strategy::PhaseBLoad;
         use hotpath_core::time::Timestamp;
         use hotpath_netsim::scenario::EpochSample;
@@ -320,17 +328,13 @@ mod csv_tests {
                 timestamp: Timestamp(15),
                 index_size: 42,
                 top_k_score: 99.5,
-                phase_b: PhaseBLoad { deferred: 5, ..PhaseBLoad::default() },
+                processing: ProcessingStats { states_processed: 7, ..ProcessingStats::default() },
+                phase_b: PhaseBLoad { deferred: 5 },
                 ..HotSnapshot::empty()
             }),
             reporting: 7,
             processing: Duration::from_millis(2),
-            comm: CommStats {
-                uplink_msgs: 7,
-                uplink_bytes: 504,
-                downlink_msgs: 7,
-                downlink_bytes: 224,
-            },
+            comm: CommStats { uplink_msgs: 7 },
             dp_index_size: None,
             dp_score: None,
         }];
@@ -341,5 +345,52 @@ mod csv_tests {
         assert!(lines[0].ends_with("downlink_bytes,phase_b_deferred"));
         assert!(lines[1].starts_with("3,15,7,42,99.5,2,"));
         assert!(lines[1].ends_with("7,504,7,224,5"));
+    }
+
+    /// Checks the comm columns of `res`'s CSV row by row against counts
+    /// the driver and the coordinator keep apart: the row's uplink,
+    /// its answered states (reporting minus ejected), and the final
+    /// `states_processed`. Returns the rows whose uplink and downlink
+    /// counts differ.
+    fn check_comm_columns(res: &crate::scenario_run::ScenarioRunResult) -> usize {
+        let rows = &res.outcome.per_epoch;
+        let csv = super::epoch_metrics_csv(rows);
+        let mut lines = csv.lines();
+        let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+        let col = |name: &str| header.iter().position(|h| *h == name).unwrap();
+        let cols = ["uplink_msgs", "uplink_bytes", "downlink_msgs", "downlink_bytes"].map(col);
+        let (mut ejected_before, mut downlink_total, mut differ) = (0, 0, 0);
+        for (line, e) in lines.zip(rows) {
+            let cells: Vec<&str> = line.split(',').collect();
+            let [up, up_bytes, down, down_bytes] = cols.map(|c| cells[c].parse::<u64>().unwrap());
+            let ejected = e.snap.admission.ejected - ejected_before;
+            ejected_before = e.snap.admission.ejected;
+            assert_eq!(up, e.comm.uplink_msgs, "epoch {}", e.snap.epoch);
+            assert_eq!(up_bytes, 72 * up, "epoch {}", e.snap.epoch);
+            assert_eq!(down, e.reporting as u64 - ejected, "epoch {}", e.snap.epoch);
+            assert_eq!(down_bytes, 32 * down, "epoch {}", e.snap.epoch);
+            downlink_total += down;
+            differ += usize::from(up != down);
+        }
+        assert_eq!(downlink_total, res.coordinator.processing_stats().states_processed);
+        differ
+    }
+
+    /// The derived comm columns hold on every row of a Table 2 run, and
+    /// of a run whose queue cap ejects states, where the uplink and
+    /// downlink counts part.
+    #[test]
+    fn epoch_metrics_derive_comm_columns_from_the_counts() {
+        use crate::scenario_run::{run_named, run_scenario, ScenarioRunParams};
+        use hotpath_netsim::scenario::{ScenarioParams, Workload};
+        let table2 =
+            run_scenario(&mut Workload::uniform_quick(200, 102), &ScenarioRunParams::table2());
+        assert!(table2.outcome.per_epoch.len() > 5);
+        check_comm_columns(&table2);
+        let storm =
+            run_named("reconnect_storm", &ScenarioParams::quick(7), &ScenarioRunParams::default())
+                .expect("reconnect_storm is registered");
+        assert!(storm.coordinator.admission_stats().ejected > 0, "the cap never ejected");
+        assert!(check_comm_columns(&storm) > 0, "no row told uplink from downlink");
     }
 }

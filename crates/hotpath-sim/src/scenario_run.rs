@@ -27,6 +27,7 @@ use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
 use hotpath_core::engine::{Engine, EngineKind};
 use hotpath_core::geometry::TimePoint;
 use hotpath_core::raytrace::{ClientState, FilterStats, RayTraceFilter, UncertainRayTraceFilter};
+use hotpath_core::stats::CommStats;
 use hotpath_core::strategy::OverlapPolicy;
 use hotpath_core::time::Timestamp;
 use hotpath_core::uncertainty::{FallbackPolicy, ToleranceTable2D};
@@ -323,7 +324,7 @@ impl ScenarioDriver<'_> {
     /// `&mut Box`).
     fn run(&mut self, engine: &mut Box<dyn Engine>, duration: u64, restart_at: Option<u64>) {
         let epochs = engine.config().epochs;
-        let mut comm_prev = engine.snapshot().comm;
+        let mut uplink_prev = engine.snapshot().comm.uplink_msgs;
         for t in 1..=duration {
             let now = Timestamp(t);
             self.tick(now, engine.as_mut());
@@ -340,8 +341,8 @@ impl ScenarioDriver<'_> {
             let snap = engine.snapshot();
             // Snapshot comm is as of the publish: boundary
             // resubmissions count toward the following epoch.
-            let comm = snap.comm.since(&comm_prev);
-            comm_prev = snap.comm;
+            let comm = CommStats { uplink_msgs: snap.comm.uplink_msgs - uplink_prev };
+            uplink_prev = snap.comm.uplink_msgs;
             let dp = self.dp.as_ref();
             self.samples.push(EpochSample {
                 snap,
@@ -439,14 +440,13 @@ fn run_with_restart(
     };
     coordinator.check_consistency().expect("coordinator state inconsistent");
     let invariants = scenario.check_invariants(&outcome);
-    let mut summary = Summary::from_epochs(&outcome.per_epoch, measurements);
-    // Totals come from the final coordinator (the per-epoch rows
-    // attribute boundary resubmissions to the following epoch).
-    let comm = coordinator.comm_stats();
-    summary.uplink_msgs = comm.uplink_msgs;
-    summary.uplink_bytes = comm.uplink_bytes;
-    summary.report_ratio =
-        if measurements == 0 { 0.0 } else { comm.uplink_msgs as f64 / measurements as f64 };
+    // The uplink total comes from the final coordinator (the per-epoch
+    // rows attribute boundary resubmissions to the following epoch).
+    let summary = Summary::from_epochs(
+        &outcome.per_epoch,
+        measurements,
+        coordinator.comm_stats().uplink_msgs,
+    );
     ScenarioRunResult { outcome, summary, invariants, filter_stats, coordinator, dp }
 }
 
@@ -463,11 +463,11 @@ pub fn run_named(
 
 /// The observable fingerprint of a run used by the restart-parity check:
 /// the published snapshot of every epoch, the final top-k, and the
-/// communication counters. Two traces are equal when every snapshot
-/// agrees on its deterministic fields — epoch, timestamp, index size,
-/// score bits, top-k ids, Phase-B deferred count, admission counters —
-/// and the timings (processing times,
-/// Phase-B busy time), which vary by machine, are left out.
+/// uplink and answered-state counts (one downlink reply per answered
+/// state). Two traces are equal when every snapshot agrees on its
+/// deterministic fields — epoch, timestamp, index size, score bits,
+/// top-k ids, Phase-B deferred count, admission counters — and the
+/// processing times, which vary by machine, are left out.
 #[derive(Clone, Debug)]
 pub struct ParityTrace {
     per_epoch: Vec<Arc<HotSnapshot>>,
@@ -493,11 +493,11 @@ impl PartialEq for ParityTrace {
 
 /// Extracts the parity fingerprint of a completed run.
 pub fn parity_trace(res: &ScenarioRunResult) -> ParityTrace {
-    let comm = res.coordinator.comm_stats();
+    let c = &res.coordinator;
     ParityTrace {
         per_epoch: res.outcome.per_epoch.iter().map(|e| Arc::clone(&e.snap)).collect(),
         final_top_k: res.outcome.final_top_k.clone(),
-        comm: (comm.uplink_msgs, comm.downlink_msgs),
+        comm: (c.comm_stats().uplink_msgs, c.processing_stats().states_processed),
     }
 }
 
@@ -809,7 +809,8 @@ mod tests {
         assert!(per_epoch[3].snap.index_size > 0);
         let coordinator = &res.coordinator;
         coordinator.check_consistency().unwrap();
-        let comm = coordinator.comm_stats();
-        assert_eq!((comm.uplink_msgs, comm.downlink_msgs, res.filter_stats.reports), (3, 3, 3));
+        let answered = coordinator.processing_stats().states_processed;
+        let uplink = coordinator.comm_stats().uplink_msgs;
+        assert_eq!((uplink, answered, res.filter_stats.reports), (3, 3, 3));
     }
 }

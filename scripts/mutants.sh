@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Mutation check of the coordinator's reference differential and of
-# the workload generator's tests:
+# Mutation check of the coordinator's reference differential, of the
+# workload generator's tests and of the run reports' tests:
 #
 #   scripts/mutants.sh [mutant-name ...]
 #
@@ -8,7 +8,8 @@
 # under $TMPDIR. For each table below it runs the table's test command
 # on the unmutated copy, then once per mutant with that one edit
 # applied: `cargo test -q -p hotpath-baseline --test reference` for the
-# core's mutants, `cargo test -q -p hotpath-netsim` for the generator's.
+# core's mutants, `cargo test -q -p hotpath-netsim` for the generator's,
+# `cargo test -q -p hotpath-sim` for the report's.
 # Each mutant is (name, file, exact original text, replacement); the
 # script refuses to run when an original no longer occurs exactly once
 # in its file. Exits 1 when an unmutated copy fails or any mutant
@@ -19,6 +20,7 @@ set -euo pipefail
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 core=crates/hotpath-core/src
 netsim=crates/hotpath-netsim/src
+sim=crates/hotpath-sim/src
 
 # name | file | original | replacement, four entries per mutant.
 mutants=(
@@ -99,6 +101,21 @@ generator_mutants=(
   'self.movers = (movers + 1).min(self.walkers.len());'
 )
 
+# The per-epoch CSV's derived comm columns, in the same layout.
+report_mutants=(
+  comm_byte_sizes_swapped "$sim/report.rs"
+  '(e.comm.uplink_msgs * ClientState::WIRE_BYTES as u64).to_string(),
+                downlink.to_string(),
+                (downlink * EndpointResponse::WIRE_BYTES as u64).to_string(),'
+  '(e.comm.uplink_msgs * EndpointResponse::WIRE_BYTES as u64).to_string(),
+                downlink.to_string(),
+                (downlink * ClientState::WIRE_BYTES as u64).to_string(),'
+
+  downlink_from_the_uplink_delta "$sim/report.rs"
+  'let downlink = answered - std::mem::replace(&mut answered_before, answered);'
+  'let downlink = e.comm.uplink_msgs;'
+)
+
 # Occurrences of the literal $2 in the contents of file $1.
 occurrences() {
   local text stripped
@@ -116,7 +133,7 @@ selected() {
 }
 
 stale=0
-for table in mutants generator_mutants; do
+for table in mutants generator_mutants report_mutants; do
   declare -n entries=$table
   for ((i = 0; i < ${#entries[@]}; i += 4)); do
     name=${entries[i]} file=${entries[i+1]} orig=${entries[i+2]}
@@ -178,4 +195,5 @@ check() {
 
 check mutants cargo test -q --offline -p hotpath-baseline --test reference
 check generator_mutants cargo test -q --offline -p hotpath-netsim
+check report_mutants cargo test -q --offline -p hotpath-sim
 [ "$survivors" -eq 0 ]
