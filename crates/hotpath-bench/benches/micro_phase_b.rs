@@ -1,8 +1,10 @@
 //! Phase B (SinglePath Cases 2-3) kernel: the sequential `phase_b` loop
 //! over a 512-state deferred set, uniform vs flash-crowd-skewed.
 //!
-//! Each row times one whole `phase_b` call — per deferred state the
-//! Case-2 query, the FSA-neighbourhood collection, ranking, the
+//! Each row times all of Phase B's per-state work: the gather each
+//! state's arrival runs (its FSA pushed into the overlap grid, the end
+//! vertices inside it collected), then one whole `phase_b` call — per
+//! deferred state the liveness filter, the neighbourhood, ranking, the
 //! max-depth sweep when it can win, and the commit. `uniform` spreads
 //! the deferred FSAs evenly over 16 clusters; `skewed` piles 90% of
 //! them onto one cluster, the hub shape where a clip meets hundreds of
@@ -12,14 +14,14 @@
 //! that are being crossed; their ranks are what lets the sweep be
 //! skipped, as it is in the running system. `phase_b` commits as it
 //! goes, so each sample runs against a fresh path table built outside
-//! the timed region; the scratch is reused across samples, as
-//! the coordinator reuses it across epochs.
+//! the timed region; the gathered rows and the scratch are reused
+//! across samples, as the coordinator reuses them across epochs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hotpath_core::geometry::{Point, Rect};
 use hotpath_core::index::PathTable;
 use hotpath_core::raytrace::ClientState;
-use hotpath_core::strategy::{phase_b, CaseTally, FsaSet, OverlapPolicy, PhaseBScratch};
+use hotpath_core::strategy::{phase_b, Arrivals, CaseTally, OverlapPolicy, PhaseBScratch};
 use hotpath_core::time::{SlidingWindow, Timestamp};
 use hotpath_core::ObjectId;
 
@@ -85,19 +87,23 @@ fn bench_phase_b(c: &mut Criterion) {
     let mut g = c.benchmark_group("phase_b");
     let deferred: Vec<u32> = (0..DEFERRED as u32).collect();
     let mut scratch = PhaseBScratch::default();
+    let mut arrivals = Arrivals::new(40.0);
     for (dist, hot_frac) in [("uniform", 0.0), ("skewed", 0.9)] {
         let states = batch(hot_frac);
-        let fsas = FsaSet::build(states.iter().map(|s| s.fsa).collect(), 40.0);
         g.bench_function(dist, |b| {
             b.iter_batched_ref(
                 || (seeded_store(), Vec::with_capacity(DEFERRED)),
                 |(table, selections)| {
+                    arrivals.clear();
+                    for st in &states {
+                        arrivals.gather(&st.fsa, table);
+                    }
                     let mut tally = CaseTally::default();
                     phase_b(
                         &states,
                         &deferred,
                         table,
-                        &fsas,
+                        &arrivals,
                         OverlapPolicy::Full,
                         &mut tally,
                         selections,

@@ -4,44 +4,42 @@
 //! # One writer, one table
 //!
 //! The coordinator is the paper's central server. It owns one
-//! [`PathTable`] — every stored motion path with its sliding-window
-//! hotness, the end-vertex grid, the adjacency, the count buckets and
-//! the expiry wheel — and one [`ScratchArena`]. Every epoch runs
-//! SinglePath over the whole batch on the caller's thread, so Phase B
-//! always sees one global index. Path ids come from the table's own
-//! counter, and a path leaves the table only when its last crossing
-//! expires, so the stored paths and the hot paths are one set. A
-//! start-cell shard layer that ran Phase A on scoped threads lost every
-//! paired comparison against this design and was removed (README, "One
-//! coordinator thread").
+//! [`PathTable`] — every stored path with its sliding-window hotness
+//! and every index over them — one [`ScratchArena`] and the pending
+//! batch's [`Arrivals`]. Every epoch runs SinglePath over the whole
+//! batch on the caller's thread, so Phase B always sees one global
+//! index; a start-cell shard layer lost every paired comparison against
+//! this design and was removed (README, "One coordinator thread").
+//!
+//! Between a state's [`Coordinator::submit`] and its boundary the table
+//! can only lose paths, so `submit` gathers what Phase B will ask: the
+//! pending FSAs meeting the state's FSA and the end vertices inside it.
+//! The boundary, [`Coordinator::process_epoch`], is *drain-ingest*
+//! (expire, seal, eject over the cap with the ejected rows) → *strategy*
+//! (Phase A scans Case-1 candidates; Phase B keeps the gathered vertices
+//! still stored, adds this pass's new paths and commits — no grid walk)
+//! → *respond* → *publish*. A restore gathers the pending states again.
 //!
 //! # Hot-loop allocation discipline
 //!
-//! Steady-state epochs do near-zero heap allocation. Every buffer the
-//! per-epoch path touches is pooled and reused: the
-//! [`crate::strategy::ScratchArena`] holds Phase A's CSR candidate
-//! storage, occurrence map and deferred list plus Phase B's
-//! vertex-group and neighbourhood buffers; the `FsaSet` reuses its
-//! stamped `seen` bitmap and sweep buffers across queries; and the
-//! batch vector itself is recycled once responses are built. Top-k
-//! queries never sort the hot set — the table maintains count buckets,
-//! and `top_n` walks them from the top (see [`PathTable::top_n`] for
-//! the cost). When touching this path, keep new
-//! per-epoch buffers in one of those pools, not in fresh `Vec`s.
+//! After warm-up, ingest and the strategy allocate nothing; a boundary
+//! allocates only its reply and its snapshot. [`Arrivals`] pools the
+//! overlap grid's emptied cells and the gathered rows, the
+//! [`ScratchArena`] every Phase A and Phase B buffer and the
+//! selections, and the batch vector is recycled; top-k walks the count
+//! buckets ([`PathTable::top_n`]). Keep new per-epoch buffers pooled.
 
 use crate::checkpoint::{
     Checkpoint, CheckpointBuilder, CheckpointError, ConfigRecord, SectionKind, StatsRecord,
 };
 use crate::config::Config;
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::geometry::TimePoint;
 use crate::index::PathTable;
 use crate::motion_path::{MotionPath, PathId};
 use crate::raytrace::ClientState;
 use crate::stats::{AdmissionStats, CommStats, ProcessingStats};
-use crate::strategy::{
-    process_batch, FsaCache, FsaSet, OverlapPolicy, PhaseBLoad, ScratchArena, Selection,
-};
+use crate::strategy::{process_batch, Arrivals, OverlapPolicy, PhaseBLoad, ScratchArena};
 use crate::time::Timestamp;
 use crate::ObjectId;
 use std::sync::Arc;
@@ -143,13 +141,11 @@ pub struct Coordinator {
     table: PathTable,
     scratch: ScratchArena,
     pending: Vec<ClientState>,
+    /// What each pending state's arrival gathered, row for row with
+    /// `pending`. Not checkpointed: a restore gathers again.
+    arrivals: Arrivals,
     comm: CommStats,
     processing: ProcessingStats,
-    /// The epoch FSA-overlap structure, rebuilt in place from each
-    /// epoch's batch (see [`FsaCache`]). Deliberately not checkpointed:
-    /// it is a pure function of the current batch, so a restored
-    /// coordinator starts empty and the first update fills it.
-    fsa_cache: FsaCache,
     /// The latest timestamp the coordinator has been advanced to; stamps
     /// published snapshots.
     clock: Timestamp,
@@ -166,7 +162,7 @@ impl Coordinator {
         Coordinator {
             table: PathTable::new(config.window, overlap_cell_of(&config), config.vertex_grain),
             scratch: ScratchArena::new(),
-            fsa_cache: FsaCache::new(overlap_cell_of(&config)),
+            arrivals: Arrivals::new(overlap_cell_of(&config)),
             config,
             pending: Vec::new(),
             comm: CommStats::default(),
@@ -182,9 +178,12 @@ impl Coordinator {
         &self.config
     }
 
-    /// Accepts a state message (buffered until the next epoch).
+    /// Accepts a state message (buffered until the next epoch) and
+    /// gathers what Phase B will ask about it: the pending FSAs meeting
+    /// its FSA and the end vertices inside it.
     pub fn submit(&mut self, state: ClientState) {
         self.comm.uplink_msgs += 1;
+        self.arrivals.gather(&state.fsa, &self.table);
         self.pending.push(state);
     }
 
@@ -244,8 +243,8 @@ impl Coordinator {
     /// *publish* — run back to back on the caller's thread.
     pub fn process_epoch(&mut self, now: Timestamp) -> Vec<EndpointResponse> {
         let batch = self.stage_drain_ingest(now);
-        let (selections, load) = self.stage_strategy(&batch);
-        let responses = self.stage_respond(&selections);
+        let load = self.stage_strategy(&batch);
+        let responses = self.stage_respond();
         self.stage_recycle(batch);
         self.stage_publish(load);
         responses
@@ -261,8 +260,9 @@ impl Coordinator {
     }
 
     /// Admission control over one sealed epoch batch: an over-cap batch
-    /// ejects its slowest clients until it fits. The decision reads the
-    /// batch alone; the coordinator keeps no per-client state.
+    /// ejects its slowest clients until it fits, and their gathered rows
+    /// go with them. The decision reads the batch alone; the coordinator
+    /// keeps no per-client state.
     fn apply_admission(&mut self, states: &mut Vec<ClientState>) {
         let cap = self.config.admission.queue_cap;
         if cap == 0 || states.len() <= cap {
@@ -272,28 +272,35 @@ impl Coordinator {
         // eject clients stalest first, ties toward the smaller id, until
         // the batch fits. Ejecting one client moves no other client's
         // key, so one sort orders every round.
-        let mut newest: FxHashMap<ObjectId, Timestamp> = FxHashMap::default();
+        let mut newest: FxHashMap<ObjectId, (Timestamp, usize)> = FxHashMap::default();
         for s in states.iter() {
-            let te = newest.entry(s.object).or_insert(s.te);
+            let (te, held) = newest.entry(s.object).or_insert((s.te, 0));
             *te = (*te).max(s.te);
+            *held += 1;
         }
         let mut slowest: Vec<(Timestamp, ObjectId)> =
-            newest.into_iter().map(|(object, te)| (te, object)).collect();
+            newest.iter().map(|(&object, &(te, _))| (te, object)).collect();
         slowest.sort_unstable();
+        let mut kept = states.len();
+        let mut victims = FxHashSet::default();
         for (_, victim) in slowest {
-            if states.len() <= cap {
+            if kept <= cap {
                 break;
             }
-            let kept = states.len();
-            states.retain(|s| s.object != victim);
-            self.admission.ejected += (kept - states.len()) as u64;
+            kept -= newest[&victim].1;
+            victims.insert(victim);
         }
+        self.admission.ejected += (states.len() - kept) as u64;
+        let keep: Vec<bool> = states.iter().map(|s| !victims.contains(&s.object)).collect();
+        self.arrivals.retain(&keep);
+        states.retain(|s| !victims.contains(&s.object));
     }
 
     /// Stage *strategy*: run SinglePath (Phase A, then Phase B) over the
-    /// sealed batch and account the processing statistics; returns the
-    /// selections and Phase B's load for the publish stage.
-    fn stage_strategy(&mut self, states: &[ClientState]) -> (Vec<Selection>, PhaseBLoad) {
+    /// sealed batch and account the processing statistics; the
+    /// selections stay in the scratch arena for the respond stage, and
+    /// Phase B's load is returned for the publish stage.
+    fn stage_strategy(&mut self, states: &[ClientState]) -> PhaseBLoad {
         let start = Instant::now();
         // Degraded-epoch mode: past the overload threshold, shed the
         // Phase B FSA-overlap refinement for this epoch (the `Own`
@@ -306,30 +313,22 @@ impl Coordinator {
         } else {
             OverlapPolicy::Full
         };
-        // The epoch's FSA-overlap structure: the held set rebuilt over
-        // the batch under the `Full` policy; left as it is under `Own`,
-        // which never queries it.
-        let fsas: &FsaSet = match policy {
-            OverlapPolicy::Full => {
-                self.fsa_cache.update(states.iter().map(|s| (s.object.0, s.fsa)))
-            }
-            OverlapPolicy::Own => self.fsa_cache.set(),
-        };
-        let (selections, tally, load) =
-            process_batch(states, &mut self.table, &mut self.scratch, fsas, policy);
+        let (tally, load) =
+            process_batch(states, &mut self.table, &mut self.scratch, &self.arrivals, policy);
         self.processing.strategy_time += start.elapsed();
         self.processing.epochs += 1;
         self.processing.states_processed += states.len() as u64;
         self.processing.case1 += tally.case1;
         self.processing.case2 += tally.case2;
         self.processing.case3 += tally.case3;
-        (selections, load)
+        load
     }
 
     /// Builds the endpoint responses for the epoch's selections, in
     /// selection order: one per processed state.
-    fn stage_respond(&self, selections: &[Selection]) -> Vec<EndpointResponse> {
-        selections
+    fn stage_respond(&self) -> Vec<EndpointResponse> {
+        self.scratch
+            .selections()
             .iter()
             .map(|sel| EndpointResponse {
                 object: sel.object,
@@ -339,11 +338,12 @@ impl Coordinator {
             .collect()
     }
 
-    /// Returns the drained batch buffer to the pending slot so the next
-    /// epoch's ingest reuses its capacity.
+    /// Returns the drained batch buffer to the pending slot, and clears
+    /// the gathered rows, so the next epoch's ingest reuses both.
     fn stage_recycle(&mut self, mut states: Vec<ClientState>) {
         states.clear();
         self.pending = states;
+        self.arrivals.clear();
     }
 
     /// Stage *publish*: build the epoch-stamped [`HotSnapshot`] — the
@@ -582,12 +582,16 @@ impl Coordinator {
             )
             .map_err(|e| CheckpointError::Malformed(format!("path table: {e}")))?;
 
+        // Not part of the image: the pending states are gathered again,
+        // against the restored table.
+        let mut arrivals = Arrivals::new(overlap_cell_of(&config));
+        for st in &pending {
+            arrivals.gather(&st.fsa, &table);
+        }
         let mut restored = Coordinator {
             table,
             scratch: ScratchArena::new(),
-            // Not part of the image: the set is rebuilt from the first
-            // post-restore batch.
-            fsa_cache: FsaCache::new(overlap_cell_of(&config)),
+            arrivals,
             config,
             pending,
             comm: CommStats { uplink_msgs: stats.uplink_msgs },
@@ -1003,6 +1007,65 @@ mod tests {
         // Insert dedups by quantized geometry; a forged twin would split
         // one corridor's crossings across two paths.
         assert_forgery_malformed(|paths, _| paths[2].seg = paths[0].seg);
+    }
+
+    /// A path gathered when a state arrives but expired before its
+    /// boundary is no available vertex: it neither ranks nor panics,
+    /// and the state mints its own vertex.
+    #[test]
+    fn a_gathered_vertex_that_expires_before_the_boundary_does_not_rank() {
+        let mut c = Coordinator::new(Config::paper_defaults());
+        c.submit(state(1, (0.0, 0.0), (50.0, 0.0), 0, 8));
+        let _ = c.process_epoch(Timestamp(10));
+        let stored = c.top_k()[0].path;
+        assert_eq!(stored.end(), Point::new(50.0, 0.0));
+        // Its FSA holds the stored vertex when it arrives...
+        c.submit(state(2, (0.0, 300.0), (51.0, 1.0), 100, 105));
+        // ...and the vertex's only path expires (te 8 + W 100) before
+        // the boundary.
+        c.advance_time(Timestamp(108));
+        assert!(c.path(stored.id).is_none());
+        let responses = c.process_epoch(Timestamp(110));
+        assert_eq!(responses[0].endpoint.p, Point::new(51.0, 1.0), "the FSA's own centroid");
+        let p = c.processing_stats();
+        assert_eq!((p.case2, p.case3), (0, 2));
+        assert_eq!(c.index_size(), 1);
+        c.check_consistency().unwrap();
+    }
+
+    /// A path an earlier deferred state creates in the same Phase B
+    /// joins a later state's converging sum: here it breaks what would
+    /// otherwise be a tie the other vertex wins.
+    #[test]
+    fn a_path_created_earlier_in_phase_b_joins_the_converging_sum() {
+        let at =
+            |obj: u64, start: (f64, f64), lo: (f64, f64), hi: (f64, f64), te: u64| ClientState {
+                object: ObjectId(obj),
+                start: Point::new(start.0, start.1),
+                ts: Timestamp(te - 5),
+                fsa: Rect::new(Point::new(lo.0, lo.1), Point::new(hi.0, hi.1)),
+                te: Timestamp(te),
+            };
+        let mut c = Coordinator::new(Config::paper_defaults());
+        // v = (60, 0) crossed once, w = (56, 0) twice, from far away.
+        c.submit(at(1, (60.0, 500.0), (59.0, -1.0), (61.0, 1.0), 8));
+        c.submit(at(2, (56.0, 900.0), (55.0, -1.0), (57.0, 1.0), 8));
+        c.submit(at(3, (56.0, 900.0), (55.0, -1.0), (57.0, 1.0), 8));
+        let _ = c.process_epoch(Timestamp(10));
+        assert_eq!(c.index_size(), 2);
+        // (The second crossing of w was Case 2, a dedup hit.)
+        assert_eq!(c.processing_stats().case2, 1);
+        // A's FSA holds v only, B's both. A joins v (rank 1 + depth 2);
+        // then B ranks v at 1 + 1 (A's new path) + depth 2 = 4 against
+        // w's 2 + 1 = 3. Without A's path, v's 3 would tie w's, and the
+        // smaller x, w, would win.
+        c.submit(at(4, (-300.0, 0.0), (58.0, -2.0), (62.0, 2.0), 18));
+        c.submit(at(5, (-300.0, 50.0), (55.0, -2.0), (61.0, 2.0), 18));
+        let responses = c.process_epoch(Timestamp(20));
+        let endpoints: Vec<Point> = responses.iter().map(|r| r.endpoint.p).collect();
+        assert_eq!(endpoints, vec![Point::new(60.0, 0.0); 2]);
+        assert_eq!(c.processing_stats().case2, 1 + 2);
+        c.check_consistency().unwrap();
     }
 
     #[test]

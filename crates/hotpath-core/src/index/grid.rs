@@ -103,8 +103,9 @@ impl EndpointGrid {
     }
 
     /// Visits every entry whose endpoint lies inside `range` (closed
-    /// set): the Case-2 query Phase B issues once per deferred state
-    /// through [`PathTable::end_vertices_into`](super::PathTable::end_vertices_into)
+    /// set): the Case-2 query the coordinator issues once per arriving
+    /// state through
+    /// [`PathTable::gather_end_vertices`](super::PathTable::gather_end_vertices)
     /// (Alg. 2 line 51). Visit order is cell by cell, then each cell's
     /// insert/remove history — not canonical, so callers group and rank
     /// by order-free rules. A range spanning more cells than are

@@ -71,6 +71,22 @@ impl OutEdge {
     }
 }
 
+/// One end vertex found inside an FSA: the quantized key Case 2 groups
+/// by, the raw point, and the stored path ending there. Phase B works
+/// from the ones gathered when a state arrives
+/// ([`PathTable::gather_end_vertices`]); path ids are never reused and
+/// geometry never changes, so an entry is current exactly while
+/// [`PathTable::contains`] its id.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct EndVertex {
+    /// [`PathTable::vertex_key`] of `end`.
+    pub key: VertexKey,
+    /// The path's end vertex.
+    pub end: Point,
+    /// The path.
+    pub id: PathId,
+}
+
 /// One pending expiry: a crossing of `id` leaves the window at `expiry`
 /// (`te + W`, Section 5.2). `repr(C)`: 16 bytes, no padding — the
 /// checkpoint's event section is a memcpy of the canonically sorted
@@ -187,6 +203,13 @@ impl PathTable {
     /// Looks up a path by id.
     pub fn get(&self, id: PathId) -> Option<&MotionPath> {
         self.slot_of.get(&id).map(|&s| &self.rows[s as usize].path)
+    }
+
+    /// Whether `id` is stored: the liveness check of an
+    /// [`EndVertex`] gathered earlier.
+    #[inline]
+    pub fn contains(&self, id: PathId) -> bool {
+        self.slot_of.contains_key(&id)
     }
 
     /// Current hotness of `id`: its crossings inside the window, zero
@@ -385,19 +408,21 @@ impl PathTable {
     /// so the answer is independent of grid visit order. Groups come
     /// sorted by representative `(x, y)`, ids ascending within each.
     pub fn end_vertices_in(&self, fsa: &Rect) -> Vec<(Point, Vec<PathId>)> {
+        let mut ends = Vec::new();
+        self.gather_end_vertices(fsa, &mut ends);
         let mut groups = VertexGroups::new();
-        self.end_vertices_into(fsa, &mut groups);
+        for e in &ends {
+            groups.push(e.key, e.end, e.id);
+        }
         groups.to_vec()
     }
 
-    /// [`PathTable::end_vertices_in`] writing into a reusable
-    /// [`VertexGroups`] accumulator (cleared here) instead of
-    /// materializing a fresh vector of vectors per call — unsorted: the
-    /// form `phase_b` uses, which cannot observe group or id order.
-    pub fn end_vertices_into(&self, fsa: &Rect, out: &mut VertexGroups) {
-        out.clear();
-        self.grid.for_each_in(fsa, |entry| {
-            out.push(self.vertex_key(&entry.endpoint), entry.endpoint, entry.path);
+    /// Appends every end vertex inside `fsa` to `out`, ungrouped and in
+    /// grid visit order: the allocation-free form the coordinator runs
+    /// once per state as it arrives, into a pooled buffer.
+    pub fn gather_end_vertices(&self, fsa: &Rect, out: &mut Vec<EndVertex>) {
+        self.grid.for_each_in(fsa, |e| {
+            out.push(EndVertex { key: self.vertex_key(&e.endpoint), end: e.endpoint, id: e.path });
         });
     }
 

@@ -12,7 +12,7 @@
 //!   **maximum-depth region** of the rectangle arrangement, computed by a
 //!   slab sweep and clipped to the object's own FSA so the generated
 //!   vertex is always valid for the reporting object (the argument is in
-//!   docs/ARCHITECTURE.md, "FSA overlap: a flat grid rebuilt in place,
+//!   docs/ARCHITECTURE.md, "FSA overlap: a grid grown as states arrive,
 //!   and the max-depth sweep").
 
 use crate::fxhash::FxHashMap;
@@ -22,12 +22,12 @@ use crate::geometry::{Point, Rect};
 /// allocation- and sort-free intersection query, the rects it found (a
 /// [`Neighbourhood`]), and the buffers of the
 /// [`Neighbourhood::deepest_above`] sweep. The scratch is *owned by the
-/// caller*, not by the set: the set itself is immutable during queries,
-/// and `phase_b` keeps one `QueryScratch` (inside its `PhaseBScratch`)
-/// across deferred states and epochs. Only the allocating convenience
-/// wrappers ([`FsaSet::intersecting`], [`FsaSet::max_depth_region`])
-/// build a throwaway scratch per call; nothing on the coordinator's path
-/// calls them.
+/// caller*, not by the set: the coordinator keeps one for
+/// [`FsaSet::push`] as states arrive and `phase_b` another (inside its
+/// `PhaseBScratch`), both across epochs. Only the allocating
+/// convenience wrappers ([`FsaSet::intersecting`],
+/// [`FsaSet::max_depth_region`]) build a throwaway scratch per call;
+/// nothing on the coordinator's path calls them.
 #[derive(Clone, Debug, Default)]
 pub struct QueryScratch {
     /// Per-rect generation stamps: `stamps[i] == gen` means rect `i` was
@@ -50,14 +50,45 @@ pub struct QueryScratch {
     events: Vec<(f64, i32)>,
 }
 
+impl QueryScratch {
+    /// Starts a collection over a set of `n` rects: no hits, and a fresh
+    /// stamp generation.
+    fn start(&mut self, n: usize) {
+        self.hits.clear();
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+        }
+        self.gen = match self.gen.checked_add(1) {
+            Some(g) => g,
+            None => {
+                self.stamps.fill(0);
+                1
+            }
+        };
+    }
+
+    /// Accepts each of one cell's `ids` not yet stamped this generation
+    /// that `meets`.
+    #[inline]
+    fn accept(&mut self, ids: &[u32], meets: impl Fn(u32) -> bool) {
+        for &i in ids {
+            if self.stamps[i as usize] != self.gen && meets(i) {
+                self.stamps[i as usize] = self.gen;
+                self.hits.push(i);
+            }
+        }
+    }
+}
+
 /// An epoch-scoped set of FSA rectangles with depth queries.
 ///
-/// The set is a flat uniform grid: `rects` in batch order, one map from
-/// grid cell to a span of `ids`, and `ids` holding each cell's rect
-/// indices contiguously (ascending within a cell). Nearly every FSA
-/// changes its cell footprint from one epoch to the next, so the grid is
-/// not maintained across epochs — [`FsaSet::rebuild`] refills the same
-/// three allocations in place.
+/// The set is a uniform grid grown one rect at a time: `rects` in
+/// insertion order and one map from grid cell to the indices of the
+/// rects covering it, ascending. [`FsaSet::push`] reports the earlier
+/// rects meeting the new one and then files it, so the coordinator
+/// learns each pending state's overlaps as the state arrives;
+/// [`FsaSet::clear`] keeps the emptied cells' buffers for the next
+/// epoch's cells, so steady-state epochs allocate nothing.
 ///
 /// Every query — the stabbing counts and the slab sweep of a
 /// [`Neighbourhood`] — is a pure function of the *multiset* of
@@ -68,10 +99,10 @@ pub struct QueryScratch {
 pub struct FsaSet {
     rects: Vec<Rect>,
     cell: f64,
-    /// Grid cell -> `(offset, len)` of its span in `ids`.
-    cells: FxHashMap<(i64, i64), (u32, u32)>,
-    /// Per-cell rect indices, one contiguous span per occupied cell.
-    ids: Vec<u32>,
+    /// Grid cell -> the indices of the rects covering it, ascending.
+    cells: FxHashMap<(i64, i64), Vec<u32>>,
+    /// Emptied cells' buffers, kept for the next new cell.
+    spare: Vec<Vec<u32>>,
 }
 
 impl FsaSet {
@@ -80,7 +111,7 @@ impl FsaSet {
     /// not results.
     pub fn new(cell: f64) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "cell must be positive");
-        FsaSet { rects: Vec::new(), cell, cells: FxHashMap::default(), ids: Vec::new() }
+        FsaSet { rects: Vec::new(), cell, cells: FxHashMap::default(), spare: Vec::new() }
     }
 
     /// Builds a fresh set over `rects` (see [`FsaSet::new`] for `cell`).
@@ -90,40 +121,63 @@ impl FsaSet {
         set
     }
 
-    /// Replaces the set's contents with `rects`, reusing every
-    /// allocation: one pass counts each cell's population, a prefix sum
-    /// lays the spans out, and a second pass fills them in rect order —
-    /// so per-cell ids are ascending and nothing of the previous
-    /// contents survives.
+    /// Replaces the set's contents with `rects`: [`FsaSet::clear`], then
+    /// each rect filed as [`FsaSet::push`] files it, without the query.
     pub fn rebuild(&mut self, rects: impl IntoIterator<Item = Rect>) {
+        self.clear();
+        for r in rects {
+            self.file(r, None);
+        }
+    }
+
+    /// Empties the set, keeping every allocation.
+    pub fn clear(&mut self) {
         self.rects.clear();
-        self.rects.extend(rects);
-        self.cells.clear();
-        for r in &self.rects {
-            let ((lx, ly), (hx, hy)) = Self::coverage(self.cell, r);
-            for cx in lx..=hx {
-                for cy in ly..=hy {
-                    self.cells.entry((cx, cy)).or_insert((0, 0)).1 += 1;
+        self.spare.extend(self.cells.drain().map(|(_, mut ids)| {
+            ids.clear();
+            ids
+        }));
+    }
+
+    /// Adds `rect` as the set's next index and returns the indices of
+    /// the rects already in the set that meet it (deduplicated, in
+    /// grid-walk order) — one half of a symmetric overlap list, the
+    /// other half being reported when the later rects arrive.
+    pub fn push<'s>(&mut self, rect: Rect, scratch: &'s mut QueryScratch) -> &'s [u32] {
+        scratch.start(self.rects.len());
+        self.file(rect, Some(&mut *scratch));
+        &scratch.hits
+    }
+
+    /// Files `rect` under every cell it covers; with a `query`, the
+    /// same probe of each cell first collects the rects there meeting
+    /// `rect`.
+    fn file(&mut self, rect: Rect, mut query: Option<&mut QueryScratch>) {
+        let i = self.rects.len() as u32;
+        let ((lx, ly), (hx, hy)) = Self::coverage(self.cell, &rect);
+        for cx in lx..=hx {
+            for cy in ly..=hy {
+                let ids = self
+                    .cells
+                    .entry((cx, cy))
+                    .or_insert_with(|| self.spare.pop().unwrap_or_default());
+                if let Some(s) = query.as_deref_mut() {
+                    s.accept(ids, |j| self.rects[j as usize].intersects(&rect));
                 }
+                ids.push(i);
             }
         }
-        let mut total = 0usize;
-        for span in self.cells.values_mut() {
-            let count = span.1 as usize;
-            *span = (total as u32, 0);
-            total += count;
-        }
-        assert!(total <= u32::MAX as usize, "FSA grid spans overflow u32 offsets");
-        self.ids.clear();
-        self.ids.resize(total, 0);
-        for (i, r) in self.rects.iter().enumerate() {
-            let ((lx, ly), (hx, hy)) = Self::coverage(self.cell, r);
-            for cx in lx..=hx {
-                for cy in ly..=hy {
-                    let (offset, len) = self.cells.get_mut(&(cx, cy)).expect("cell counted above");
-                    self.ids[(*offset + *len) as usize] = i as u32;
-                    *len += 1;
-                }
+        self.rects.push(rect);
+    }
+
+    /// Keeps the rects `keep` selects by index, renumbered in order, and
+    /// files them anew.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let rects = std::mem::take(&mut self.rects);
+        self.clear();
+        for (i, r) in rects.into_iter().enumerate() {
+            if keep(i) {
+                self.file(r, None);
             }
         }
     }
@@ -143,10 +197,7 @@ impl FsaSet {
     /// The rect indices rasterized into grid cell `key`, ascending.
     #[inline]
     fn cell_ids(&self, key: (i64, i64)) -> &[u32] {
-        match self.cells.get(&key) {
-            Some(&(offset, len)) => &self.ids[offset as usize..(offset + len) as usize],
-            None => &[],
-        }
+        self.cells.get(&key).map_or(&[], Vec::as_slice)
     }
 
     /// Number of FSAs in the set.
@@ -191,6 +242,20 @@ impl FsaSet {
         Neighbourhood { set: self, clip: *clip, scratch }
     }
 
+    /// The neighbourhood of `clip` over rects already known to meet it —
+    /// `hits`, a member's own index plus what [`FsaSet::push`] reported
+    /// for it and about it — without a grid query.
+    pub fn neighbourhood_of<'a>(
+        &'a self,
+        clip: &Rect,
+        hits: impl IntoIterator<Item = u32>,
+        scratch: &'a mut QueryScratch,
+    ) -> Neighbourhood<'a> {
+        scratch.hits.clear();
+        scratch.hits.extend(hits);
+        Neighbourhood { set: self, clip: *clip, scratch }
+    }
+
     /// The stamped dedup query behind [`FsaSet::neighbourhood`] and
     /// [`FsaSet::intersecting`]: no allocation and no sort in the steady
     /// state. Every candidate id is stamped with the call's generation
@@ -200,26 +265,11 @@ impl FsaSet {
     /// coordinate sort except the public wrapper above, which sorts its
     /// own copy. O(candidates), never a pass over the whole id space.
     fn collect_intersecting(&self, r: &Rect, s: &mut QueryScratch) {
-        s.hits.clear();
-        if s.stamps.len() < self.rects.len() {
-            s.stamps.resize(self.rects.len(), 0);
-        }
-        s.gen = match s.gen.checked_add(1) {
-            Some(g) => g,
-            None => {
-                s.stamps.fill(0);
-                1
-            }
-        };
+        s.start(self.rects.len());
         let ((lx, ly), (hx, hy)) = Self::coverage(self.cell, r);
         for cx in lx..=hx {
             for cy in ly..=hy {
-                for &i in self.cell_ids((cx, cy)) {
-                    if s.stamps[i as usize] != s.gen && self.rects[i as usize].intersects(r) {
-                        s.stamps[i as usize] = s.gen;
-                        s.hits.push(i);
-                    }
-                }
+                s.accept(self.cell_ids((cx, cy)), |i| self.rects[i as usize].intersects(r));
             }
         }
     }
@@ -442,12 +492,9 @@ fn deeper_region(
     Some((region, *bound))
 }
 
-/// The coordinator's holder of the one [`FsaSet`] it rebuilds in place
-/// every epoch, so the steady state allocates nothing for `Rall`.
-///
-/// Deliberately **not** checkpointed: the set is a pure function of the
-/// current batch, so a restored coordinator starts from an empty holder
-/// and its first update fills it.
+/// A holder of one [`FsaSet`] rebuilt in place per batch. The
+/// coordinator no longer uses it — its set grows as states arrive — and
+/// it stays only because the frozen benchmark harness names it.
 #[derive(Clone, Debug)]
 pub struct FsaCache {
     set: FsaSet,
@@ -458,12 +505,6 @@ impl FsaCache {
     /// [`FsaSet::new`]'s `cell`).
     pub fn new(cell: f64) -> Self {
         FsaCache { set: FsaSet::new(cell) }
-    }
-
-    /// The set as of the last [`FsaCache::update`] (empty on a fresh
-    /// holder).
-    pub fn set(&self) -> &FsaSet {
-        &self.set
     }
 
     /// Rebuilds the set over one epoch's batch of `(object id, FSA

@@ -17,10 +17,11 @@
 //! path table only ever records actual crossings, keeping sliding-window
 //! bookkeeping exact (each crossing has exactly one expiry event).
 
-use super::overlap::{FsaSet, QueryScratch};
+use super::arrivals::Arrivals;
+use super::overlap::QueryScratch;
 use crate::fxhash::FxHashMap;
 use crate::geometry::Point;
-use crate::index::{OutEdge, PathTable, VertexGroups};
+use crate::index::{EndVertex, OutEdge, PathTable, VertexGroups};
 use crate::motion_path::PathId;
 use crate::raytrace::ClientState;
 use crate::time::Timestamp;
@@ -82,13 +83,19 @@ pub enum OverlapPolicy {
     Own,
 }
 
-/// Reusable Phase-B scratch: the Case-2 vertex-group accumulator and the
-/// buffers of the FSA-neighbourhood query, kept alive across deferred
-/// states and epochs inside [`ScratchArena`].
+/// Reusable Phase-B scratch: the Case-2 vertex-group accumulator, the
+/// buffers of the FSA-neighbourhood query, the later half of the
+/// neighbour lists and the paths this pass created, kept alive across
+/// deferred states and epochs inside [`ScratchArena`].
 #[derive(Debug, Default)]
 pub struct PhaseBScratch {
     groups: VertexGroups,
     overlap: QueryScratch,
+    /// CSR from [`Arrivals::later_into`].
+    later_off: Vec<u32>,
+    later: Vec<u32>,
+    /// By batch position: the path the deferred state there created.
+    made: Vec<Option<EndVertex>>,
 }
 
 /// Reusable scratch for the epoch hot loop: every buffer the SinglePath
@@ -107,6 +114,8 @@ pub struct ScratchArena {
     occurrences: FxHashMap<PathId, u32>,
     /// Batch positions Phase A defers to Phase B (empty candidate set).
     deferred: Vec<u32>,
+    /// The last batch's selections.
+    selections: Vec<Selection>,
     /// Scratch of Phase B.
     phase_b: PhaseBScratch,
 }
@@ -116,39 +125,87 @@ impl ScratchArena {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The selections of the last [`process_batch`]: Case 1 in batch
+    /// order, then Cases 2-3 in deferred order.
+    pub fn selections(&self) -> &[Selection] {
+        &self.selections
+    }
 }
 
 /// Phase B — Cases 2 and 3 (Alg. 2 lines 21-37) over the deferred batch
 /// positions, in order. Sequential, so paths minted for earlier objects
 /// are visible to later ones ("newly generated motion paths will also
-/// provide additional vertices"). `scratch` holds the buffers the
-/// Case-2 and FSA-neighbourhood queries refill per deferred state.
-/// Returns the pass's [`PhaseBLoad`].
+/// provide additional vertices").
+///
+/// `arrivals` holds what each state's arrival gathered (see
+/// [`Arrivals`]), numbered like `states`; no query here walks a grid.
+/// A deferred state's available vertices are its gathered end vertices
+/// whose path is still stored plus, from its earlier neighbours, the
+/// paths created earlier in this pass that end inside its FSA; its
+/// [`Neighbourhood`](super::Neighbourhood) is its own FSA and its
+/// neighbours'. `scratch` holds the buffers refilled per deferred
+/// state. Returns the pass's [`PhaseBLoad`].
 #[allow(clippy::too_many_arguments)]
 pub fn phase_b(
     states: &[ClientState],
     deferred: &[u32],
     table: &mut PathTable,
-    fsas: &FsaSet,
+    arrivals: &Arrivals,
     policy: OverlapPolicy,
     tally: &mut CaseTally,
     selections: &mut Vec<Selection>,
     scratch: &mut PhaseBScratch,
 ) -> PhaseBLoad {
-    let PhaseBScratch { groups, overlap } = scratch;
+    debug_assert_eq!(arrivals.len(), states.len(), "gathered rows and batch disagree");
+    debug_assert!(
+        arrivals.is_empty() || arrivals.next_id() == table.next_id(),
+        "a path was created between a state's gather and its boundary"
+    );
+    let PhaseBScratch { groups, overlap, later_off, later, made } = scratch;
+    if deferred.is_empty() {
+        return PhaseBLoad::default();
+    }
+    if policy == OverlapPolicy::Full {
+        arrivals.later_into(later_off, later);
+    }
+    made.clear();
+    made.resize(states.len(), None);
     for &i in deferred {
-        let st = &states[i as usize];
-        // The FSAs meeting this state's FSA, collected once: every FSA
-        // containing a vertex inside it is among them.
+        let i = i as usize;
+        let st = &states[i];
+        let earlier = arrivals.earlier(i);
+
+        // Available vertices (lines 22-26): what was inside the FSA at
+        // arrival and is still stored, and what earlier states of this
+        // pass created inside it.
+        groups.clear();
+        for e in arrivals.ends(i).iter().filter(|e| table.contains(e.id)) {
+            groups.push(e.key, e.end, e.id);
+        }
+        for e in earlier.iter().filter_map(|&j| made[j as usize]) {
+            if st.fsa.contains(&e.end) {
+                groups.push(e.key, e.end, e.id);
+            }
+        }
+
+        // The FSAs meeting this state's FSA: its own and its neighbours'.
         let mut near = match policy {
-            OverlapPolicy::Full => Some(fsas.neighbourhood(&st.fsa, overlap)),
+            OverlapPolicy::Full => {
+                let later = &later[later_off[i] as usize..later_off[i + 1] as usize];
+                let hits = std::iter::once(i as u32).chain(earlier.iter().copied());
+                Some(arrivals.fsas().neighbourhood_of(
+                    &st.fsa,
+                    hits.chain(later.iter().copied()),
+                    overlap,
+                ))
+            }
             OverlapPolicy::Own => None,
         };
 
-        // Available vertices with converging-path hotness plus stabbing
-        // depth (lines 22-26).
+        // Rank each available vertex by converging-path hotness plus
+        // stabbing depth.
         let mut best: Option<(u32, bool, Point)> = None; // (rank, existing, vertex)
-        table.end_vertices_into(&st.fsa, groups);
         for (&vertex, incoming) in groups.iter() {
             let converging: u32 = incoming.iter().map(|&id| table.hotness(id)).sum();
             let boost = near.as_ref().map_or(0, |near| near.stab_count(&vertex) as u32);
@@ -179,8 +236,8 @@ pub fn phase_b(
         }
 
         let (_, existing, vertex) = best.unwrap_or_else(|| {
-            // Degenerate fallback: the FSA participates in the FsaSet, so
-            // its own neighbourhood has a region above depth 0; keep a
+            // Degenerate fallback: the state's own FSA is in its
+            // neighbourhood, so a region above depth 0 exists; keep a
             // safe default anyway.
             (0, false, st.fsa.centroid())
         });
@@ -188,6 +245,10 @@ pub fn phase_b(
         // On a dedup hit the stored path's own end vertex is what the
         // object is answered with, and the crossing lands on that path.
         let (edge, created) = table.insert_edge(st.start, vertex, st.te);
+        if created {
+            let key = table.vertex_key(&edge.end);
+            made[i] = Some(EndVertex { key, end: edge.end, id: edge.id });
+        }
         if existing {
             tally.case2 += 1;
         } else {
@@ -220,23 +281,23 @@ pub struct PhaseBLoad {
 /// paths, then lower ids / lexicographically smaller vertices.
 ///
 /// Every intermediate buffer comes from `scratch`, which the caller
-/// keeps across epochs. `fsas` is the epoch's FSA-overlap structure —
-/// [`FsaSet::build`] or the set the coordinator rebuilds in place
-/// through [`crate::strategy::FsaCache`] — over exactly this batch's
-/// FSAs; the `Own` policy never queries it.
+/// keeps across epochs; the selections — Case 1 in batch order, then
+/// Cases 2-3 in deferred order — are left in
+/// [`ScratchArena::selections`]. `arrivals` holds what was gathered for
+/// exactly these states as they arrived.
 ///
-/// Returns the selections (Case 1 in batch order, then Cases 2-3 in
-/// deferred order), the case tallies and Phase B's [`PhaseBLoad`].
+/// Returns the case tallies and Phase B's [`PhaseBLoad`].
 pub fn process_batch(
     states: &[ClientState],
     table: &mut PathTable,
     scratch: &mut ScratchArena,
-    fsas: &FsaSet,
+    arrivals: &Arrivals,
     policy: OverlapPolicy,
-) -> (Vec<Selection>, CaseTally, PhaseBLoad) {
+) -> (CaseTally, PhaseBLoad) {
     let mut tally = CaseTally::default();
+    scratch.selections.clear();
     if states.is_empty() {
-        return (Vec::new(), tally, PhaseBLoad::default());
+        return (tally, PhaseBLoad::default());
     }
 
     // Candidate-path generation (Alg. 2 lines 4-7) into the CSR scratch.
@@ -259,7 +320,7 @@ pub fn process_batch(
 
     // Case 1 (lines 16-20). Processing order is batch order; each
     // recorded crossing is immediately visible to later selections.
-    let mut selections = Vec::with_capacity(states.len());
+    let selections = &mut scratch.selections;
     scratch.deferred.clear();
     for (i, st) in states.iter().enumerate() {
         let cp = &scratch.cp[scratch.cp_off[i] as usize..scratch.cp_off[i + 1] as usize];
@@ -290,13 +351,13 @@ pub fn process_batch(
         states,
         &scratch.deferred,
         table,
-        fsas,
+        arrivals,
         policy,
         &mut tally,
-        &mut selections,
+        selections,
         &mut scratch.phase_b,
     );
-    (selections, tally, load)
+    (tally, load)
 }
 
 /// Vertex-candidate comparison: higher rank wins; ties prefer existing
@@ -340,19 +401,22 @@ mod tests {
         Rect::new(Point::new(x - r, y - r), Point::new(x + r, y + r))
     }
 
-    /// One epoch through [`process_batch`] with a throwaway `FsaSet`
-    /// and `ScratchArena`.
+    /// One epoch through [`process_batch`] with throwaway `Arrivals`
+    /// and `ScratchArena`, every state gathered just before it.
     fn run_batch(
         states: &[ClientState],
         table: &mut PathTable,
         overlap_cell: f64,
         policy: OverlapPolicy,
     ) -> (Vec<Selection>, CaseTally) {
-        let fsas = FsaSet::build(states.iter().map(|s| s.fsa).collect(), overlap_cell);
+        let mut arrivals = Arrivals::new(overlap_cell);
+        for st in states {
+            arrivals.gather(&st.fsa, table);
+        }
         let mut scratch = ScratchArena::new();
-        let (selections, tally, load) = process_batch(states, table, &mut scratch, &fsas, policy);
+        let (tally, load) = process_batch(states, table, &mut scratch, &arrivals, policy);
         assert_eq!(load.deferred as u64, tally.case2 + tally.case3);
-        (selections, tally)
+        (scratch.selections().to_vec(), tally)
     }
 
     #[test]

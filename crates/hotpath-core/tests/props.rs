@@ -1,14 +1,15 @@
 //! Property suites over the core data structures: geometry algebra, SSA
 //! safety, tolerance-solver analytics, the expiry wheel, checkpoint
-//! round trips, drain to empty and the RayTrace filters —
+//! round trips, drain to empty, arrival-order invariance and the
+//! RayTrace filters —
 //! each invariant checked against a brute-force oracle. The coordinator
 //! as a whole (path table, grid, FSA overlap, Phase B, top-k) is checked
 //! against the paper-level reference in `hotpath-baseline`'s
 //! `tests/reference.rs`.
 
 use hotpath_core::checkpoint::SectionKind;
-use hotpath_core::config::Config;
-use hotpath_core::coordinator::Coordinator;
+use hotpath_core::config::{Config, Tolerance};
+use hotpath_core::coordinator::{Coordinator, EndpointResponse};
 use hotpath_core::geometry::{Point, Rect, Segment, TimePoint};
 use hotpath_core::index::{ExpiryEvent, PathTable};
 use hotpath_core::motion_path::{MotionPath, PathId};
@@ -393,6 +394,113 @@ proptest! {
             image.section::<ExpiryEvent>(SectionKind::Events).unwrap(),
             fresh.section::<ExpiryEvent>(SectionKind::Events).unwrap()
         );
+    }
+}
+
+// ---------------- arrival-order invariance ----------------
+
+/// The paper's Example 2 / Figure 5 FSAs, shifted by `at`: the first
+/// state to be deferred mints a vertex in their triple overlap, and the
+/// paths the others then build to it join their converging sums.
+fn example2(at: Point) -> [Rect; 3] {
+    [((0.0, 0.0), (10.0, 10.0)), ((6.0, 4.0), (16.0, 14.0)), ((4.0, 6.0), (14.0, 16.0))]
+        .map(|((ax, ay), (bx, by))| Rect::new(at + Point::new(ax, ay), at + Point::new(bx, by)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// What a state's arrival gathers cannot show in the result. An
+    /// epoch's states arrive spread over its ticks, with a window advance
+    /// at every tick, so paths some of them gathered expire before the
+    /// boundary (the seeding epoch's crossings leave the window at ticks
+    /// 21-30); the same states submitted in the same order after the
+    /// last advance must publish the same responses, case tallies,
+    /// snapshot and stored paths. Hubs of overlapping FSAs, shared
+    /// starts and an optional Example-2 triple make all three cases
+    /// and same-pass joins occur.
+    #[test]
+    fn arrival_time_gathering_matches_gathering_after_the_last_advance(
+        seed in 0u64..100_000,
+        seeded in 1usize..40,
+        arriving in 1usize..40,
+        with_example2 in 0u8..2,
+    ) {
+        let config = Config::builder()
+            .tolerance(Tolerance::crisp(5.0))
+            .window(20)
+            .epoch(10)
+            .k(6)
+            .build()
+            .unwrap();
+        let mut s = seed | 1;
+        let mut roll = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        let fsa_and_start = |r: u64| {
+            let end = Point::new((r % 4) as f64 * 40.0 + (r / 4 % 5) as f64 * 1.5, (r / 20 % 5) as f64 * 1.5);
+            let half = Point::new(1.0, 1.0) * (1 + r / 100 % 4) as f64;
+            (Rect::new(end - half, end + half), Point::new(-100.0, (r / 400 % 6) as f64 * 20.0))
+        };
+        let state = |i: usize, (fsa, start): (Rect, Point), te: u64| ClientState {
+            object: ObjectId(i as u64),
+            start,
+            ts: Timestamp(te.saturating_sub(5)),
+            fsa,
+            te: Timestamp(te),
+        };
+        let seeding: Vec<ClientState> =
+            (0..seeded).map(|i| state(i, fsa_and_start(roll()), 1 + roll() % 10)).collect();
+        let mut batch: Vec<ClientState> =
+            (0..arriving).map(|i| state(i, fsa_and_start(roll()), 20 + roll() % 10)).collect();
+        if with_example2 == 1 {
+            for (k, fsa) in example2(Point::new(200.0, 0.0)).into_iter().enumerate() {
+                let start = Point::new(300.0, k as f64 * 50.0);
+                batch.push(state(arriving + k, (fsa, start), 20 + roll() % 10));
+            }
+        }
+        // Each state arrives at its `te`.
+        batch.sort_by_key(|st| st.te);
+
+        let seeded_coordinator = || {
+            let mut c = Coordinator::new(config);
+            c.submit_batch(seeding.iter().copied());
+            let _ = c.process_epoch(Timestamp(10));
+            c
+        };
+        let mut spread = seeded_coordinator();
+        for t in 20..30 {
+            spread.advance_time(Timestamp(t));
+            spread.submit_batch(batch.iter().filter(|st| st.te.raw() == t).copied());
+        }
+        let mut last = seeded_coordinator();
+        last.advance_time(Timestamp(29));
+        last.submit_batch(batch.iter().copied());
+
+        let response = |r: &EndpointResponse| {
+            (r.object.0, [r.endpoint.p.x.to_bits(), r.endpoint.p.y.to_bits()], r.endpoint.t.raw())
+        };
+        let got: Vec<_> = spread.process_epoch(Timestamp(30)).iter().map(response).collect();
+        let want: Vec<_> = last.process_epoch(Timestamp(30)).iter().map(response).collect();
+        prop_assert_eq!(got, want);
+        let tally = |c: &Coordinator| {
+            let p = c.processing_stats();
+            (p.case1, p.case2, p.case3)
+        };
+        prop_assert_eq!(tally(&spread), tally(&last));
+        let published = |c: &Coordinator| {
+            let snap = c.snapshot();
+            let top: Vec<_> = snap.top_k.iter().map(|h| (h.path, h.hotness, h.score.to_bits())).collect();
+            let head = (snap.epoch, snap.timestamp, snap.index_size, snap.phase_b.deferred);
+            (head, snap.top_k_score.to_bits(), top)
+        };
+        prop_assert_eq!(published(&spread), published(&last));
+        let paths = |c: &Coordinator| c.checkpoint().section::<MotionPath>(SectionKind::Paths).unwrap();
+        prop_assert_eq!(paths(&spread), paths(&last));
+        let events = |c: &Coordinator| c.checkpoint().section::<ExpiryEvent>(SectionKind::Events).unwrap();
+        prop_assert_eq!(events(&spread), events(&last));
+        spread.check_consistency().map_err(TestCaseError::fail)?;
     }
 }
 

@@ -64,7 +64,7 @@ mutants=(
   '.filter(|e| range.contains(&e.endpoint))'
   ''
 
-  fsa_rebuild_keeps_the_last_batch "$core/strategy/overlap.rs"
+  fsa_clear_keeps_the_last_batch "$core/strategy/overlap.rs"
   'self.rects.clear();'
   ''
 
@@ -85,8 +85,16 @@ mutants=(
   'slowest.sort_unstable_by_key(|&(te, object)| (te, std::cmp::Reverse(object)));'
 
   eject_one_client_too_many "$core/coordinator.rs"
-  'if states.len() <= cap {'
-  'if states.len() < cap {'
+  'if kept <= cap {'
+  'if kept < cap {'
+
+  gathered_ends_skip_the_liveness_filter "$core/strategy/singlepath.rs"
+  'for e in arrivals.ends(i).iter().filter(|e| table.contains(e.id)) {'
+  'for e in arrivals.ends(i).iter() {'
+
+  phase_b_skips_paths_earlier_neighbours_created "$core/strategy/singlepath.rs"
+  'for e in earlier.iter().filter_map(|&j| made[j as usize]) {'
+  'for e in earlier.iter().filter_map(|&j| made[j as usize].filter(|_| false)) {'
 )
 
 # The workload generator's mutants, in the same layout.

@@ -1,14 +1,15 @@
 //! Steady-state memory pins for the default-path hot loops: a RayTrace
 //! filter absorbing measurements, the Phase-B FSA-neighbourhood queries
-//! on a reused scratch, and path-table maintenance as paths come and
-//! go by expiry; snapshot reads on the serving path; plus the inline
-//! size of the filters and the heap a checkpoint restore takes. A
+//! on a reused scratch, a coordinator's ingest and epoch boundary, and
+//! path-table maintenance as paths come and go by expiry; snapshot
+//! reads on the serving path; plus the inline size of the filters and
+//! the heap a checkpoint restore takes. A
 //! counting `#[global_allocator]` needs a test binary of its own; counts
 //! are per thread, so the harness and the other tests running beside a
 //! measurement never show up in it.
 
 use hotpath_core::config::Config;
-use hotpath_core::coordinator::{Coordinator, HotSnapshot};
+use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
 use hotpath_core::geometry::{Point, Rect, TimePoint};
 use hotpath_core::index::PathTable;
 use hotpath_core::raytrace::{ClientState, RayTraceFilter, UncertainRayTraceFilter};
@@ -248,6 +249,60 @@ fn max_depth_queries_on_a_warmed_scratch_do_not_allocate() {
     let (n, again) = allocs_in(|| sweep(&mut scratch));
     assert_eq!(n, 0, "1 000 queries on a warmed scratch allocated");
     assert_eq!(again, warm);
+}
+
+/// A warmed coordinator's epoch allocates only what it hands out:
+/// `submit_batch` of a same-shaped batch — each state's gather into the
+/// overlap grid and the end-vertex rows — allocates 0 bytes, and
+/// `process_epoch` allocates the reply vector plus exactly what an idle
+/// boundary right after it allocates, which is the published snapshot.
+/// Every batch is all Phase B: fresh start vertices, FSAs piled on
+/// eight hubs, so states join earlier epochs' vertices, each other's
+/// and the overlap regions.
+#[test]
+fn a_warmed_epoch_allocates_only_its_reply_and_snapshot() {
+    let mut c = Coordinator::new(Config::builder().window(100).epoch(10).k(10).build().unwrap());
+    // Start vertices cycle every 32 epochs, long after their paths (10
+    // epochs) expired.
+    let batch = |epoch: u64| -> Vec<ClientState> {
+        (0..48u64)
+            .map(|i| {
+                let start = Point::new((epoch % 32) as f64 * 1_000.0 + i as f64 * 10.0, -5_000.0);
+                let hub = Point::new((i % 8) as f64 * 300.0, 0.0);
+                let end = hub + Point::new((i / 8) as f64 * 3.0, (i / 8 % 3) as f64 * 2.0);
+                ClientState {
+                    object: ObjectId(i),
+                    start,
+                    ts: Timestamp(epoch * 10 - 8),
+                    fsa: Rect::tolerance_square(end, 10.0),
+                    te: Timestamp(epoch * 10 - 1),
+                }
+            })
+            .collect()
+    };
+    let epoch = |c: &mut Coordinator, e: u64| {
+        let states = batch(e);
+        let (ingest, ()) = bytes_in(|| c.submit_batch(states.iter().copied()));
+        let now = Timestamp(e * 10);
+        let (boundary, reply) = bytes_in(|| c.process_epoch(now));
+        let (idle, nothing) = bytes_in(|| c.process_epoch(now));
+        assert!(nothing.is_empty());
+        assert_eq!(reply.len(), states.len());
+        let reply_bytes = (reply.capacity() * std::mem::size_of::<EndpointResponse>()) as u64;
+        (ingest, boundary - idle - reply_bytes)
+    };
+    // Warm-up: the clock sweeps a whole rotation of the expiry wheel's
+    // second level (4 096 ticks), so every bucket holds a buffer.
+    for e in 1..=450 {
+        epoch(&mut c, e);
+    }
+    for e in 451..=470 {
+        assert_eq!(epoch(&mut c, e), (0, 0), "epoch {e}: (ingest, strategy) bytes");
+    }
+    let p = c.processing_stats();
+    assert_eq!(p.case1, 0, "every state goes through Phase B");
+    assert!(p.case2 > 0 && p.case3 > 0, "cases 2 and 3 both occur: {p:?}");
+    c.check_consistency().unwrap();
 }
 
 /// Expiry empties end-vertex cells and adjacency lists all the time, and
