@@ -1,6 +1,7 @@
 //! The core coordinator against the paper-level reference
-//! ([`hotpath_baseline::reference`]), and the max-depth sweep against
-//! the per-slab oracle the reference uses.
+//! ([`hotpath_baseline::reference`]), and the overlap layer against
+//! brute force: `FsaSet::push` hit lists against a full scan, the
+//! max-depth sweep against the per-slab oracle the reference uses.
 
 use hotpath_baseline::reference::{self, max_depth_region};
 use hotpath_core::checkpoint::Checkpoint;
@@ -152,13 +153,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// The one-pass sweep behind `Neighbourhood::deepest_above` must
-    /// return the very `(Rect, depth)` the per-slab oracle returns —
-    /// bit for bit — at every floor below that depth and nothing at or
-    /// above it, over rect sets from one rect to a few hundred, drawn
-    /// from a coarse lattice so duplicates, edge-touching neighbours, and
+    /// Each rect's `FsaSet::push` must report exactly the earlier rects
+    /// meeting it, and the one-pass sweep behind
+    /// `Neighbourhood::deepest_above` must return the very
+    /// `(Rect, depth)` the per-slab oracle returns — bit for bit — at
+    /// every floor below that depth and nothing at or above it, over
+    /// rect sets from one rect to a few hundred, drawn from a coarse
+    /// lattice so duplicates, edge-touching neighbours, and
     /// zero-width/zero-height rects are common. The neighbourhood's
-    /// stabbing counts must equal the set's anywhere inside the clip.
+    /// stabbing counts must equal a containment count anywhere inside
+    /// the clip.
     #[test]
     fn max_depth_sweep_matches_per_slab_reference(
         rects in prop::collection::vec((0u32..40, 0u32..40, 0u32..9, 0u32..9, 0.0..1.0f64), 1..300),
@@ -182,8 +186,16 @@ proptest! {
                 Rect::new(lo, lo + Point::new(w as f64 * pitch, h as f64 * pitch))
             })
             .collect();
-        let set = FsaSet::build(rects.clone(), cell);
+        let meeting = |clip: &Rect, below: usize| -> Vec<u32> {
+            (0..below as u32).filter(|&j| rects[j as usize].intersects(clip)).collect()
+        };
+        let mut set = FsaSet::new(cell);
         let mut scratch = QueryScratch::default();
+        for (i, rect) in rects.iter().enumerate() {
+            let mut hits = set.push(*rect, &mut scratch).to_vec();
+            hits.sort_unstable();
+            prop_assert_eq!(hits, meeting(rect, i), "push of rect {}", i);
+        }
         // Every rect as its own clip (the hot loop's shape) plus free
         // clips, some far larger than any rect.
         let clips = rects.iter().copied().take(40).chain(clips.into_iter().map(|(x, y, w, h)| {
@@ -191,7 +203,7 @@ proptest! {
             Rect::new(lo, lo + Point::new(w as f64 * pitch, h as f64 * pitch))
         }));
         for clip in clips {
-            let mut near = set.neighbourhood(&clip, &mut scratch);
+            let mut near = set.neighbourhood_of(&clip, meeting(&clip, rects.len()), &mut scratch);
             let want = max_depth_region(&rects, &clip);
             let want_depth = want.map_or(0, |(_, d)| d);
             prop_assert!(want_depth <= near.len(), "depth {} over {} rects", want_depth, near.len());
@@ -219,7 +231,8 @@ proptest! {
             });
             for p in own.into_iter().chain(corners).map(|(x, y)| Point::new(x, y)) {
                 if clip.contains(&p) {
-                    prop_assert_eq!(near.stab_count(&p), set.stab_count(&p), "clip {:?} at {:?}", clip, p);
+                    let want = rects.iter().filter(|r| r.contains(&p)).count();
+                    prop_assert_eq!(near.stab_count(&p), want, "clip {:?} at {:?}", clip, p);
                 }
             }
         }

@@ -1,52 +1,108 @@
-//! FSA-overlap micro-bench: stabbing counts and max-depth sweep scaling
-//! with the per-epoch batch size (Alg. 2 lines 8-12 support machinery).
-//! `max_depth/*` is Phase B's per-state query: collect one clip's
-//! neighbourhood and sweep it unbounded.
+//! Overlap micro-bench: what `submit` and Phase B run per state of an
+//! epoch of `n` states (Alg. 2 lines 8-12 and 22-34).
+//!
+//! * `arrival/push/n` files the `n` FSAs one by one into a cleared
+//!   `FsaSet`, each `push` reporting the earlier FSAs meeting it;
+//! * `arrival/ends/n` collects, for each of the same FSAs, the end
+//!   vertices inside it from a table of stored paths
+//!   (`PathTable::gather_end_vertices` into the coordinator's pooled
+//!   buffer);
+//! * `neighbourhood_sweep/n` hands each state's recorded neighbourhood
+//!   (itself, the earlier FSAs its push reported, the later ones that
+//!   reported it) back through `neighbourhood_of` and sweeps it with
+//!   `deepest_above(0)`.
+//!
+//! The FSAs (2 eps = 20 m squares) and the stored end vertices are
+//! spread over a square whose area grows with `n`, so each FSA meets
+//! about six others and holds one or two end vertices at every size:
+//! per-state work is constant, and a row grows linearly in `n` unless
+//! something on the path does not. Every buffer is reused across
+//! samples, as the coordinator reuses them across epochs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpath_core::geometry::{Point, Rect};
+use hotpath_core::index::PathTable;
 use hotpath_core::strategy::{FsaSet, QueryScratch};
+use hotpath_core::time::{SlidingWindow, Timestamp};
 
-fn rects(n: usize) -> Vec<Rect> {
-    (0..n)
-        .map(|i| {
-            let x = (i as f64 * 37.0) % 5_000.0;
-            let y = (i as f64 * 53.0) % 5_000.0;
-            Rect::new(Point::new(x, y), Point::new(x + 20.0, y + 20.0))
-        })
-        .collect()
+/// The coordinator's overlap and index cell: one FSA side.
+const CELL: f64 = 20.0;
+
+/// `n` points of a low-discrepancy sequence over a square holding one
+/// point per 256 m², shifted by `phase`.
+fn scatter(n: usize, phase: f64) -> impl Iterator<Item = Point> {
+    let side = (n as f64).sqrt() * 16.0;
+    (0..n).map(move |i| {
+        let i = i as f64 + phase;
+        Point::new((i * 0.754_877_666_2).fract() * side, (i * 0.569_840_290_9).fract() * side)
+    })
+}
+
+fn fsas(n: usize) -> Vec<Rect> {
+    scatter(n, 0.0).map(|p| Rect::new(p, p + Point::new(CELL, CELL))).collect()
+}
+
+/// A table of `n` stored paths whose end vertices are scattered like
+/// the FSAs.
+fn stored(n: usize) -> PathTable {
+    let mut table = PathTable::new(SlidingWindow::new(100), CELL, 1e-3);
+    for (i, end) in scatter(n, 0.5).enumerate() {
+        table.insert_edge(Point::new(-1_000.0, i as f64), end, Timestamp(1));
+    }
+    table
 }
 
 fn bench_overlap(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fsa_overlap");
+    let mut g = c.benchmark_group("arrival");
     for n in [100usize, 1_000, 10_000] {
-        let rs = rects(n);
-        g.bench_with_input(BenchmarkId::new("build", n), &rs, |b, rs| {
-            b.iter(|| FsaSet::build(rs.clone(), 20.0));
-        });
-        let set = FsaSet::build(rs.clone(), 20.0);
-        let clip = rs[n / 2];
-        // The coordinator's path: one scratch reused across queries, so
-        // the cost follows the clip's answer, not the set size (the
-        // allocating `max_depth_region` wrapper zeroes an `n`-entry
-        // stamp vector per call).
-        g.bench_with_input(BenchmarkId::new("max_depth", n), &set, |b, set| {
+        let rs = fsas(n);
+        g.bench_with_input(BenchmarkId::new("push", n), &rs, |b, rs| {
+            let mut set = FsaSet::new(CELL);
             let mut scratch = QueryScratch::default();
-            b.iter(|| set.neighbourhood(&clip, &mut scratch).deepest_above(0));
+            b.iter(|| {
+                set.clear();
+                rs.iter().map(|r| set.push(*r, &mut scratch).len()).sum::<usize>()
+            });
         });
-        g.bench_with_input(BenchmarkId::new("stab", n), &set, |b, set| {
-            b.iter(|| set.stab_count(&Point::new(2_500.0, 2_500.0)));
+        let table = stored(n);
+        g.bench_with_input(BenchmarkId::new("ends", n), &rs, |b, rs| {
+            let mut ends = Vec::new();
+            b.iter(|| {
+                ends.clear();
+                for r in rs {
+                    table.gather_end_vertices(r, &mut ends);
+                }
+                ends.len()
+            });
         });
-        // The stamped-bitmap dedup query (allocation- and sort-free
-        // after warm-up; the wrapper clones the hit list out).
-        g.bench_with_input(BenchmarkId::new("intersecting", n), &set, |b, set| {
-            b.iter(|| set.intersecting(&clip));
-        });
-        // The coordinator's per-epoch path: the same set refilled in
-        // place, no allocation after the first round.
-        g.bench_with_input(BenchmarkId::new("rebuild", n), &rs, |b, rs| {
-            let mut reused = FsaSet::new(20.0);
-            b.iter(|| reused.rebuild(rs.iter().copied()));
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("neighbourhood_sweep");
+    for n in [100usize, 1_000, 10_000] {
+        let rs = fsas(n);
+        let mut set = FsaSet::new(CELL);
+        let mut scratch = QueryScratch::default();
+        let mut near: Vec<Vec<u32>> = Vec::with_capacity(n);
+        for (i, r) in rs.iter().enumerate() {
+            let earlier = set.push(*r, &mut scratch).to_vec();
+            for &j in &earlier {
+                near[j as usize].push(i as u32);
+            }
+            near.push(earlier);
+            near[i].push(i as u32);
+        }
+        g.bench_with_input(BenchmarkId::from_parameter(n), &rs, |b, rs| {
+            b.iter(|| {
+                rs.iter()
+                    .zip(&near)
+                    .filter_map(|(clip, hits)| {
+                        set.neighbourhood_of(clip, hits.iter().copied(), &mut scratch)
+                            .deepest_above(0)
+                    })
+                    .map(|(_, depth)| depth)
+                    .sum::<usize>()
+            });
         });
     }
     g.finish();

@@ -18,9 +18,9 @@
 //! hook, collecting one median per benchmark. `capture` writes them to
 //! checked-in `BENCH_<target>.json` snapshots at the workspace root;
 //! `check` re-runs and exits nonzero when any benchmark got slower than
-//! `baseline * (1 + TOLERANCE)` or disappeared. New benchmarks are
-//! reported but never fail the gate — capture a fresh baseline to adopt
-//! them.
+//! `baseline * (1 + TOLERANCE)`, disappeared, or has no baseline — a new
+//! row fails until a fresh baseline is captured for it, so nothing a
+//! bench measures goes ungated.
 //!
 //! Re-baselining intentionally (e.g. after an accepted perf trade-off):
 //! `cargo run --release -p hotpath-bench --bin bench_gate -- capture`
@@ -169,7 +169,7 @@ fn check(captures_dir: Option<&Path>, benches: &[&str]) {
         }
     }
     if failed {
-        eprintln!("bench_gate: FAIL — regressions above tolerance (or missing benches)");
+        eprintln!("bench_gate: FAIL — regressions above tolerance, or missing or new benches");
         std::process::exit(1);
     }
     println!("bench_gate: all gated benches within tolerance");

@@ -161,7 +161,8 @@ pub enum Verdict {
     Regressed(f64),
     /// Present in the baseline but not re-measured.
     Missing,
-    /// Measured now but absent from the baseline (informational).
+    /// Measured now but absent from the baseline: a row nothing gates
+    /// until a baseline is captured for it.
     New,
 }
 
@@ -192,9 +193,9 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot, tolerance: f64) -> Vec<(
     rows
 }
 
-/// True when any row fails the gate (regressed or missing).
+/// True when any row fails the gate: regressed, missing, or new.
 pub fn has_failures(rows: &[(String, Verdict)]) -> bool {
-    rows.iter().any(|(_, v)| matches!(v, Verdict::Regressed(_) | Verdict::Missing))
+    rows.iter().any(|(_, v)| !matches!(v, Verdict::Ok(_)))
 }
 
 /// Human-scale wall time: `12.3ns`, `4.56us`, `7.89ms`, `1.23s`.
@@ -431,7 +432,8 @@ mod tests {
         assert_eq!(rows[0], ("gone".into(), Verdict::Missing));
         assert_eq!(rows[1], ("fresh".into(), Verdict::New));
         assert!(has_failures(&rows));
-        // New-only rows are not failures.
-        assert!(!has_failures(&compare(&snap("b", &[]), &cur, 1.0)));
+        // A new-only capture fails too: its rows have no baseline.
+        assert!(has_failures(&compare(&snap("b", &[]), &cur, 1.0)));
+        assert!(!has_failures(&compare(&cur, &cur, 1.0)));
     }
 }

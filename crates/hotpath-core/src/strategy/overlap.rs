@@ -18,16 +18,13 @@
 use crate::fxhash::FxHashMap;
 use crate::geometry::{Point, Rect};
 
-/// Reusable query scratch: the stamped `seen` bitmap behind the
-/// allocation- and sort-free intersection query, the rects it found (a
-/// [`Neighbourhood`]), and the buffers of the
-/// [`Neighbourhood::deepest_above`] sweep. The scratch is *owned by the
-/// caller*, not by the set: the coordinator keeps one for
-/// [`FsaSet::push`] as states arrive and `phase_b` another (inside its
-/// `PhaseBScratch`), both across epochs. Only the allocating
-/// convenience wrappers ([`FsaSet::intersecting`],
-/// [`FsaSet::max_depth_region`]) build a throwaway scratch per call;
-/// nothing on the coordinator's path calls them.
+/// Reusable query scratch, *owned by the caller* and kept across
+/// epochs: the stamped `seen` bitmap that deduplicates
+/// [`FsaSet::push`]'s probe, the hit list it fills (which
+/// [`FsaSet::neighbourhood_of`] refills with a [`Neighbourhood`]'s
+/// rects), and the buffers of the [`Neighbourhood::deepest_above`]
+/// sweep. The coordinator keeps one for `push` as states arrive and
+/// `phase_b` another (inside its `PhaseBScratch`).
 #[derive(Clone, Debug, Default)]
 pub struct QueryScratch {
     /// Per-rect generation stamps: `stamps[i] == gen` means rect `i` was
@@ -80,21 +77,25 @@ impl QueryScratch {
     }
 }
 
-/// An epoch-scoped set of FSA rectangles with depth queries.
+/// An epoch-scoped set of FSA rectangles, grown as states arrive.
 ///
 /// The set is a uniform grid grown one rect at a time: `rects` in
 /// insertion order and one map from grid cell to the indices of the
-/// rects covering it, ascending. [`FsaSet::push`] reports the earlier
-/// rects meeting the new one and then files it, so the coordinator
-/// learns each pending state's overlaps as the state arrives;
-/// [`FsaSet::clear`] keeps the emptied cells' buffers for the next
-/// epoch's cells, so steady-state epochs allocate nothing.
+/// rects covering it, ascending. It answers one question, at arrival:
+/// [`FsaSet::push`] reports the earlier rects meeting the new one and
+/// then files it, so the coordinator learns each pending state's
+/// overlaps as the state arrives. At the boundary Phase B hands a
+/// state's overlaps back through [`FsaSet::neighbourhood_of`], and the
+/// [`Neighbourhood`] answers the stabbing counts and the deepest region
+/// without a grid walk. [`FsaSet::clear`] keeps the emptied cells'
+/// buffers for the next epoch's cells, so steady-state epochs allocate
+/// nothing.
 ///
-/// Every query — the stabbing counts and the slab sweep of a
-/// [`Neighbourhood`] — is a pure function of the *multiset* of
-/// rectangles: a stabbing count counts containment, and the sweep orders
-/// everything by coordinates before deciding anything, so rect numbering
-/// and grid-walk order never leak into results.
+/// Every answer is a pure function of the *multiset* of rectangles: a
+/// hit list is compared as a set, a stabbing count counts containment,
+/// and the sweep orders everything by coordinates before deciding
+/// anything, so rect numbering and grid-walk order never leak into
+/// results.
 #[derive(Clone, Debug)]
 pub struct FsaSet {
     rects: Vec<Rect>,
@@ -140,9 +141,12 @@ impl FsaSet {
     }
 
     /// Adds `rect` as the set's next index and returns the indices of
-    /// the rects already in the set that meet it (deduplicated, in
-    /// grid-walk order) — one half of a symmetric overlap list, the
-    /// other half being reported when the later rects arrive.
+    /// the rects already in the set that meet it, each once, in
+    /// grid-walk order: one half of a symmetric overlap list, the other
+    /// half being reported when the later rects arrive. A rect covering
+    /// several cells is met in each; the scratch's stamps, bumped per
+    /// call, report it once. No allocation and no sort in the steady
+    /// state, and O(candidates), never a pass over the whole set.
     pub fn push<'s>(&mut self, rect: Rect, scratch: &'s mut QueryScratch) -> &'s [u32] {
         scratch.start(self.rects.len());
         self.file(rect, Some(&mut *scratch));
@@ -194,12 +198,6 @@ impl FsaSet {
         (Self::key(cell, &r.lo()), Self::key(cell, &r.hi()))
     }
 
-    /// The rect indices rasterized into grid cell `key`, ascending.
-    #[inline]
-    fn cell_ids(&self, key: (i64, i64)) -> &[u32] {
-        self.cells.get(&key).map_or(&[], Vec::as_slice)
-    }
-
     /// Number of FSAs in the set.
     pub fn len(&self) -> usize {
         self.rects.len()
@@ -210,41 +208,10 @@ impl FsaSet {
         self.rects.is_empty()
     }
 
-    /// Stabbing depth at `p`: how many FSAs contain it. Equals the count
-    /// of the smallest `Rall` region containing `p`. A one-off probe of
-    /// `p`'s grid cell; `phase_b` counts over the [`Neighbourhood`] it
-    /// already holds instead.
-    pub fn stab_count(&self, p: &Point) -> usize {
-        let candidates = self.cell_ids(Self::key(self.cell, p));
-        candidates.iter().filter(|&&i| self.rects[i as usize].contains(p)).count()
-    }
-
-    /// Indices of FSAs intersecting `r` (deduplicated, ascending).
-    /// Allocating convenience wrapper over the stamped internal query
-    /// (tests and diagnostics; the hot loop holds a [`Neighbourhood`]
-    /// over a caller-owned scratch).
-    pub fn intersecting(&self, r: &Rect) -> Vec<u32> {
-        let mut s = QueryScratch::default();
-        self.collect_intersecting(r, &mut s);
-        let mut out = s.hits;
-        out.sort_unstable();
-        out
-    }
-
-    /// The FSAs meeting `clip`, collected once into `scratch`, which is
-    /// reused across calls so a query allocates nothing.
-    pub fn neighbourhood<'a>(
-        &'a self,
-        clip: &Rect,
-        scratch: &'a mut QueryScratch,
-    ) -> Neighbourhood<'a> {
-        self.collect_intersecting(clip, scratch);
-        Neighbourhood { set: self, clip: *clip, scratch }
-    }
-
-    /// The neighbourhood of `clip` over rects already known to meet it —
-    /// `hits`, a member's own index plus what [`FsaSet::push`] reported
-    /// for it and about it — without a grid query.
+    /// The neighbourhood of `clip` over `hits`, which must be exactly
+    /// the set's rects meeting `clip`, each once — in Phase B a member's
+    /// own index plus what [`FsaSet::push`] reported for it and about
+    /// it. Copies `hits` into `scratch`; walks no grid.
     pub fn neighbourhood_of<'a>(
         &'a self,
         clip: &Rect,
@@ -255,42 +222,11 @@ impl FsaSet {
         scratch.hits.extend(hits);
         Neighbourhood { set: self, clip: *clip, scratch }
     }
-
-    /// The stamped dedup query behind [`FsaSet::neighbourhood`] and
-    /// [`FsaSet::intersecting`]: no allocation and no sort in the steady
-    /// state. Every candidate id is stamped with the call's generation
-    /// on first acceptance and pushed once, in grid-walk encounter order
-    /// — deterministic (the cell walk and per-cell id lists are fixed by
-    /// construction) but not ascending; every consumer is a count or a
-    /// coordinate sort except the public wrapper above, which sorts its
-    /// own copy. O(candidates), never a pass over the whole id space.
-    fn collect_intersecting(&self, r: &Rect, s: &mut QueryScratch) {
-        s.start(self.rects.len());
-        let ((lx, ly), (hx, hy)) = Self::coverage(self.cell, r);
-        for cx in lx..=hx {
-            for cy in ly..=hy {
-                s.accept(self.cell_ids((cx, cy)), |i| self.rects[i as usize].intersects(r));
-            }
-        }
-    }
-
-    /// The deepest region of the arrangement restricted to `clip`: a
-    /// rectangle of maximal stabbing depth inside `clip`, together with
-    /// that depth. Returns `None` when no FSA intersects `clip`.
-    ///
-    /// Allocating convenience wrapper over
-    /// [`Neighbourhood::deepest_above`]`(0)` — a throwaway scratch per
-    /// call, including a zeroed stamp per rect of the set, so its cost
-    /// grows with the set where the query's does not. For tests and
-    /// one-off diagnostics only.
-    pub fn max_depth_region(&self, clip: &Rect) -> Option<(Rect, usize)> {
-        self.neighbourhood(clip, &mut QueryScratch::default()).deepest_above(0)
-    }
 }
 
-/// The FSAs meeting one clip, collected once by
-/// [`FsaSet::neighbourhood`] into a caller's [`QueryScratch`]: every
-/// question Phase B asks the set about one deferred state.
+/// The FSAs meeting one clip, handed to [`FsaSet::neighbourhood_of`]
+/// in a caller's [`QueryScratch`]: every question Phase B asks the set
+/// about one deferred state.
 ///
 /// * [`Neighbourhood::stab_count`] is exact for points inside the clip,
 ///   since an FSA containing such a point meets the clip.
@@ -315,8 +251,9 @@ impl Neighbourhood<'_> {
         self.scratch.hits.is_empty()
     }
 
-    /// Stabbing depth at `p`, which must lie inside the clip; there it
-    /// equals [`FsaSet::stab_count`].
+    /// Stabbing depth at `p`, which must lie inside the clip: how many
+    /// FSAs of the set contain it, the count of the smallest `Rall`
+    /// region containing `p`.
     pub fn stab_count(&self, p: &Point) -> usize {
         self.scratch.hits.iter().filter(|&&i| self.set.rects[i as usize].contains(p)).count()
     }
@@ -355,9 +292,7 @@ impl Neighbourhood<'_> {
         let QueryScratch { hits, local, xs, starts, ends, events, .. } = &mut *self.scratch;
         local.clear();
         local.extend(hits.iter().map(|&i| {
-            set.rects[i as usize]
-                .intersection(&clip)
-                .expect("collect_intersecting guarantees overlap")
+            set.rects[i as usize].intersection(&clip).expect("every hit meets the clip")
         }));
         let local: &[Rect] = local;
         // A lone rect (in the hot loop, the querying object's own FSA)
@@ -537,63 +472,92 @@ mod tests {
         ]
     }
 
+    /// The rects of `set` meeting `clip`, ascending: what `push` reports
+    /// when `clip` arrives in a copy of the set.
+    fn probe(set: &FsaSet, clip: &Rect) -> Vec<u32> {
+        let mut hits = set.clone().push(*clip, &mut QueryScratch::default()).to_vec();
+        hits.sort_unstable();
+        hits
+    }
+
+    /// The deepest region inside `clip`, over the neighbourhood its
+    /// probe hands back.
+    fn deepest(set: &FsaSet, clip: &Rect) -> Option<(Rect, usize)> {
+        set.neighbourhood_of(clip, probe(set, clip), &mut QueryScratch::default()).deepest_above(0)
+    }
+
+    /// The stabbing depth at `p`, over the neighbourhood of `p` alone.
+    fn stab(set: &FsaSet, p: Point) -> usize {
+        let at = Rect::point(p);
+        set.neighbourhood_of(&at, probe(set, &at), &mut QueryScratch::default()).stab_count(&p)
+    }
+
     #[test]
     fn stab_counts_match_example2() {
         let set = FsaSet::build(example2(), 8.0);
-        assert_eq!(set.stab_count(&Point::new(1.0, 1.0)), 1); // R1 only
-        assert_eq!(set.stab_count(&Point::new(15.0, 5.0)), 1); // R2 only
-        assert_eq!(set.stab_count(&Point::new(8.0, 5.0)), 2); // R12
-        assert_eq!(set.stab_count(&Point::new(5.0, 8.0)), 2); // R13
-        assert_eq!(set.stab_count(&Point::new(12.0, 12.0)), 2); // R23
-        assert_eq!(set.stab_count(&Point::new(8.0, 8.0)), 3); // R123
-        assert_eq!(set.stab_count(&Point::new(-5.0, -5.0)), 0);
+        assert_eq!(stab(&set, Point::new(1.0, 1.0)), 1); // R1 only
+        assert_eq!(stab(&set, Point::new(15.0, 5.0)), 1); // R2 only
+        assert_eq!(stab(&set, Point::new(8.0, 5.0)), 2); // R12
+        assert_eq!(stab(&set, Point::new(5.0, 8.0)), 2); // R13
+        assert_eq!(stab(&set, Point::new(12.0, 12.0)), 2); // R23
+        assert_eq!(stab(&set, Point::new(8.0, 8.0)), 3); // R123
+        assert_eq!(stab(&set, Point::new(-5.0, -5.0)), 0);
     }
 
-    /// Pins the stamped-bitmap query's contract: ascending, deduped
-    /// output on every call, with the generation counter isolating
-    /// repeated and interleaved queries from each other.
+    /// `push` reports each earlier rect meeting the new one exactly
+    /// once: small cells file every rect under many cells, identical
+    /// rects stack, and the stamp generation isolates each push, and
+    /// each epoch after `clear`, from the last.
     #[test]
-    fn intersecting_order_is_ascending_across_repeated_calls() {
-        // Many identical rects over tiny cells: each id lands in many
-        // cells, so the stamp dedup does real work, and the stamp range
-        // scan must still emit ids ascending.
+    fn intersecting_filters_and_dedups() {
         let mut rects = example2();
         rects.extend(example2()); // ids 3..6 duplicate 0..3
-        let set = FsaSet::build(rects, 2.0);
+        rects.extend([r(100.0, 100.0, 101.0, 101.0), r(0.0, 0.0, 1.0, 1.0)]);
+        rects.push(r(15.0, 5.0, 15.5, 5.5));
+        let mut set = FsaSet::new(2.0);
+        let mut scratch = QueryScratch::default();
         for _ in 0..3 {
-            assert_eq!(set.intersecting(&r(7.0, 7.0, 9.0, 9.0)), vec![0, 1, 2, 3, 4, 5]);
-            // A disjoint query between identical ones must not inherit
-            // stale stamps from the previous generation.
-            assert!(set.intersecting(&r(100.0, 100.0, 101.0, 101.0)).is_empty());
-            assert_eq!(set.intersecting(&r(0.0, 0.0, 1.0, 1.0)), vec![0, 3]);
-            // Interleave the sweep (which shares the scratch) and
-            // re-check: the hit list must be rebuilt, not reused.
-            let _ = set.max_depth_region(&r(0.0, 0.0, 16.0, 16.0));
-            assert_eq!(set.intersecting(&r(15.0, 5.0, 15.5, 5.5)), vec![1, 4]);
+            set.clear();
+            for (i, rect) in rects.iter().enumerate() {
+                let mut got = set.push(*rect, &mut scratch).to_vec();
+                got.sort_unstable();
+                let want: Vec<u32> =
+                    (0..i as u32).filter(|&j| rects[j as usize].intersects(rect)).collect();
+                assert_eq!(got, want, "push of rect {i}");
+            }
+            assert_eq!(probe(&set, &r(7.0, 7.0, 9.0, 9.0)), vec![0, 1, 2, 3, 4, 5]);
+            assert_eq!(probe(&set, &r(0.0, 0.0, 1.0, 1.0)), vec![0, 3, 7]);
+            assert_eq!(probe(&set, &r(15.0, 5.0, 15.5, 5.5)), vec![1, 4, 8]);
+            assert!(probe(&set, &r(50.0, 50.0, 51.0, 51.0)).is_empty());
+            // A sweep on the same scratch between rounds: the next
+            // round's pushes must start from a fresh hit list.
+            let all = r(0.0, 0.0, 16.0, 16.0);
+            let mut near = set.neighbourhood_of(&all, probe(&set, &all), &mut scratch);
+            assert_eq!(near.deepest_above(0).map(|(_, d)| d), Some(6));
         }
     }
 
     #[test]
-    fn max_depth_region_finds_triple_overlap() {
+    fn deepest_region_finds_triple_overlap() {
         let set = FsaSet::build(example2(), 8.0);
         // Clipped to R1: the deepest region is R123 = [6,10]x[6,10].
         let clip = r(0.0, 0.0, 10.0, 10.0);
-        let (region, depth) = set.max_depth_region(&clip).unwrap();
+        let (region, depth) = deepest(&set, &clip).unwrap();
         assert_eq!(depth, 3);
         assert_eq!(region, r(6.0, 6.0, 10.0, 10.0));
         // The centroid (the paper's generated vertex) is inside all
         // three FSAs and inside the clip.
         let c = region.centroid();
-        assert_eq!(set.stab_count(&c), 3);
+        assert_eq!(stab(&set, c), 3);
         assert!(clip.contains(&c));
     }
 
     #[test]
-    fn max_depth_region_respects_clip() {
+    fn deepest_region_respects_clip() {
         let set = FsaSet::build(example2(), 8.0);
         // Clip to a corner of R1 away from the triple overlap.
         let clip = r(0.0, 0.0, 3.0, 3.0);
-        let (region, depth) = set.max_depth_region(&clip).unwrap();
+        let (region, depth) = deepest(&set, &clip).unwrap();
         assert_eq!(depth, 1);
         assert!(clip.contains_rect(&region));
     }
@@ -601,62 +565,47 @@ mod tests {
     #[test]
     fn max_depth_none_when_disjoint() {
         let set = FsaSet::build(vec![r(0.0, 0.0, 1.0, 1.0)], 4.0);
-        assert!(set.max_depth_region(&r(10.0, 10.0, 11.0, 11.0)).is_none());
-    }
-
-    #[test]
-    fn intersecting_filters_and_dedups() {
-        let set = FsaSet::build(example2(), 2.0); // small cells force dedup
-        let ids = set.intersecting(&r(7.0, 7.0, 9.0, 9.0));
-        assert_eq!(ids, vec![0, 1, 2]);
-        let ids = set.intersecting(&r(0.0, 0.0, 1.0, 1.0));
-        assert_eq!(ids, vec![0]);
-        let ids = set.intersecting(&r(100.0, 100.0, 101.0, 101.0));
-        assert!(ids.is_empty());
+        assert!(deepest(&set, &r(10.0, 10.0, 11.0, 11.0)).is_none());
     }
 
     #[test]
     fn touching_rects_overlap_at_the_shared_edge() {
         let set = FsaSet::build(vec![r(0.0, 0.0, 5.0, 5.0), r(5.0, 0.0, 10.0, 5.0)], 4.0);
         // Depth 2 exists only on the shared line x = 5.
-        let (region, depth) = set.max_depth_region(&r(0.0, 0.0, 10.0, 5.0)).unwrap();
+        let (region, depth) = deepest(&set, &r(0.0, 0.0, 10.0, 5.0)).unwrap();
         assert_eq!(depth, 2);
         assert_eq!(region.lo().x, 5.0);
         assert_eq!(region.hi().x, 5.0);
-        assert_eq!(set.stab_count(&Point::new(5.0, 2.0)), 2);
+        assert_eq!(stab(&set, Point::new(5.0, 2.0)), 2);
     }
 
     #[test]
     fn identical_rects_stack() {
         let q = r(2.0, 2.0, 4.0, 4.0);
         let set = FsaSet::build(vec![q, q, q], 4.0);
-        let (region, depth) = set.max_depth_region(&q).unwrap();
+        let (region, depth) = deepest(&set, &q).unwrap();
         assert_eq!(depth, 3);
         assert_eq!(region, q);
     }
 
     /// Drives the reused set and a from-scratch build through the same
-    /// batch and asserts query equivalence on a probe set — a stale span
-    /// or rect surviving from the previous batch shows up as a
-    /// divergence.
+    /// batch and pushes the same probes into a copy of each: equal hit
+    /// lists mean equal rects *and* equal grids, so a stale cell or rect
+    /// surviving from the previous batch shows up as a divergence.
     fn assert_cache_matches_rebuild(cache: &mut FsaCache, batch: &[(u64, Rect)], cell: f64) {
         let inc = cache.update(batch.iter().copied());
         let oracle = FsaSet::build(batch.iter().map(|&(_, r)| r).collect(), cell);
         assert_eq!(inc.len(), oracle.len());
-        for probe in 0..40 {
+        for i in 0..40 {
             let q = r(
-                (probe * 11 % 25) as f64 - 2.0,
-                (probe * 17 % 25) as f64 - 2.0,
-                (probe * 11 % 25) as f64 + 3.0,
-                (probe * 17 % 25) as f64 + 3.0,
+                (i * 11 % 25) as f64 - 2.0,
+                (i * 17 % 25) as f64 - 2.0,
+                (i * 11 % 25) as f64 + 3.0,
+                (i * 17 % 25) as f64 + 3.0,
             );
-            assert_eq!(inc.intersecting(&q), oracle.intersecting(&q), "intersecting({q:?})");
-            assert_eq!(
-                inc.max_depth_region(&q),
-                oracle.max_depth_region(&q),
-                "max_depth_region({q:?})"
-            );
-            assert_eq!(inc.stab_count(&q.centroid()), oracle.stab_count(&q.centroid()));
+            assert_eq!(probe(inc, &q), probe(&oracle, &q), "push({q:?})");
+            assert_eq!(deepest(inc, &q), deepest(&oracle, &q), "deepest({q:?})");
+            assert_eq!(stab(inc, q.centroid()), stab(&oracle, q.centroid()));
         }
     }
 
@@ -701,12 +650,12 @@ mod tests {
         ];
         let set = cache.update(b1.iter().copied());
         assert_eq!(set.len(), 3);
-        assert_eq!(set.stab_count(&Point::new(2.0, 2.0)), 3);
+        assert_eq!(stab(set, Point::new(2.0, 2.0)), 3);
         assert_cache_matches_rebuild(&mut cache, &b1, cell);
         // Next epoch the duplicate collapses to one occurrence.
         let b2: Vec<(u64, Rect)> = vec![(3, r(1.0, 1.0, 3.0, 3.0))];
         assert_cache_matches_rebuild(&mut cache, &b2, cell);
-        assert_eq!(cache.update(b2.iter().copied()).stab_count(&Point::new(2.0, 2.0)), 1);
+        assert_eq!(stab(cache.update(b2.iter().copied()), Point::new(2.0, 2.0)), 1);
     }
 
     #[test]
@@ -754,17 +703,19 @@ mod tests {
             })
             .collect();
         let clip = r(0.0, 0.0, 120.0, 120.0);
-        let set = FsaSet::build(rects.clone(), 10.0);
-        let (region, depth) = set.max_depth_region(&clip).unwrap();
+        let set = FsaSet::build(rects, 10.0);
+        let mut scratch = QueryScratch::default();
+        let mut near = set.neighbourhood_of(&clip, probe(&set, &clip), &mut scratch);
+        let (region, depth) = near.deepest_above(0).unwrap();
         // The reported region really has that depth.
         let c = region.centroid();
-        assert_eq!(set.stab_count(&c), depth, "centroid depth mismatch");
-        // No sampled point exceeds it.
+        assert_eq!(near.stab_count(&c), depth, "centroid depth mismatch");
+        // No sampled point of the clip exceeds it.
         let mut max_sampled = 0;
         for i in 0..100 {
             for j in 0..100 {
                 let p = Point::new(i as f64 * 1.2, j as f64 * 1.2);
-                max_sampled = max_sampled.max(set.stab_count(&p));
+                max_sampled = max_sampled.max(near.stab_count(&p));
             }
         }
         assert!(depth >= max_sampled, "sweep depth {depth} < sampled {max_sampled}");

@@ -68,6 +68,14 @@ mutants=(
   'self.rects.clear();'
   ''
 
+  push_reports_a_hit_twice "$core/strategy/overlap.rs"
+  'if self.stamps[i as usize] != self.gen && meets(i) {'
+  'if meets(i) {'
+
+  sweep_ends_before_starts "$core/strategy/overlap.rs"
+  'a.0.total_cmp(&b.0).then(b.1.cmp(&a.1))'
+  'a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))'
+
   degraded_epoch_mints_off_the_centroid "$core/strategy/singlepath.rs"
   'let cand = (1, false, st.fsa.centroid());'
   'let cand = (1, false, st.fsa.lo());'

@@ -4,7 +4,7 @@
 use hotpath_core::geometry::{Point, Rect, Segment, TimePoint, Trajectory};
 use hotpath_core::motion_path::fits_trajectory;
 use hotpath_core::raytrace::RayTraceFilter;
-use hotpath_core::strategy::FsaSet;
+use hotpath_core::strategy::{FsaSet, QueryScratch};
 use hotpath_core::time::{TimeInterval, Timestamp};
 use hotpath_core::ObjectId;
 use proptest::prelude::*;
@@ -62,7 +62,9 @@ proptest! {
         }
     }
 
-    /// FSA stabbing depth equals a brute-force containment count.
+    /// Each FSA's `push` reports exactly the earlier FSAs meeting it,
+    /// and the stabbing depth over a point's neighbourhood equals a
+    /// brute-force containment count.
     #[test]
     fn stab_count_matches_brute_force(
         rects in prop::collection::vec((0.0..200.0f64, 0.0..200.0f64, 1.0..50.0f64, 1.0..50.0f64), 1..40),
@@ -73,16 +75,27 @@ proptest! {
             .into_iter()
             .map(|(x, y, w, h)| Rect::new(Point::new(x, y), Point::new(x + w, y + h)))
             .collect();
-        let set = FsaSet::build(rects.clone(), 25.0);
+        let mut set = FsaSet::new(25.0);
+        let mut scratch = QueryScratch::default();
+        for (i, rect) in rects.iter().enumerate() {
+            let mut hits = set.push(*rect, &mut scratch).to_vec();
+            hits.sort_unstable();
+            let brute: Vec<u32> = (0..i as u32).filter(|&j| rects[j as usize].intersects(rect)).collect();
+            prop_assert_eq!(hits, brute, "push of rect {}", i);
+        }
+        // The point arrives last: its hits are its neighbourhood.
         let p = Point::new(px, py);
+        let at = Rect::point(p);
+        let hits = set.push(at, &mut scratch).to_vec();
+        let near = set.neighbourhood_of(&at, hits, &mut scratch);
         let brute = rects.iter().filter(|r| r.contains(&p)).count();
-        prop_assert_eq!(set.stab_count(&p), brute);
+        prop_assert_eq!(near.stab_count(&p), brute);
     }
 
-    /// The max-depth region's depth is achievable and maximal among
+    /// The deepest region's depth is achievable and maximal among
     /// sampled points of the clip.
     #[test]
-    fn max_depth_region_is_sound(
+    fn deepest_region_is_sound(
         rects in prop::collection::vec((0.0..100.0f64, 0.0..100.0f64, 5.0..40.0f64, 5.0..40.0f64), 1..25),
     ) {
         let rects: Vec<Rect> = rects
@@ -91,14 +104,18 @@ proptest! {
             .collect();
         let clip = Rect::new(Point::new(0.0, 0.0), Point::new(150.0, 150.0));
         let set = FsaSet::build(rects.clone(), 20.0);
-        let (region, depth) = set.max_depth_region(&clip).expect("rects exist");
+        let hits = (0..rects.len() as u32).filter(|&j| rects[j as usize].intersects(&clip));
+        let mut scratch = QueryScratch::default();
+        let (region, depth) =
+            set.neighbourhood_of(&clip, hits, &mut scratch).deepest_above(0).expect("rects exist");
+        let depth_at = |p: &Point| rects.iter().filter(|r| r.contains(p)).count();
         // Achievable: the centroid really is covered `depth` times.
-        prop_assert_eq!(set.stab_count(&region.centroid()), depth);
+        prop_assert_eq!(depth_at(&region.centroid()), depth);
         // Maximal: no rect corner (the only candidate extrema) exceeds it.
         for r in &rects {
             for c in r.corners() {
                 if clip.contains(&c) {
-                    prop_assert!(set.stab_count(&c) <= depth);
+                    prop_assert!(depth_at(&c) <= depth);
                 }
             }
         }

@@ -229,14 +229,26 @@ fn max_depth_queries_on_a_warmed_scratch_do_not_allocate() {
         Rect::new(lo, lo + Point::new(20.0, 20.0))
     }));
     rects.push(Rect::new(Point::new(900.0, 900.0), Point::new(920.0, 920.0)));
-    let set = FsaSet::build(rects.clone(), 20.0);
+    // Each FSA arrives as the coordinator files it; its neighbourhood
+    // is itself, the earlier FSAs its push reported and the later ones
+    // that reported it.
+    let mut set = FsaSet::new(20.0);
     let mut scratch = QueryScratch::default();
-    // Phase B's questions per deferred state: collect the neighbourhood
-    // once, count stabs at a vertex inside it, find the deepest region.
+    let mut near_lists: Vec<Vec<u32>> = Vec::new();
+    for (i, rect) in rects.iter().enumerate() {
+        let earlier = set.push(*rect, &mut scratch).to_vec();
+        for &j in &earlier {
+            near_lists[j as usize].push(i as u32);
+        }
+        near_lists.push(earlier);
+        near_lists[i].push(i as u32);
+    }
+    // Phase B's questions per deferred state: hand its neighbourhood
+    // back, count stabs at a vertex inside it, find the deepest region.
     let sweep = |scratch: &mut QueryScratch| {
         let mut deepest = 0;
-        for clip in rects.iter().cycle().take(1_000) {
-            let mut near = set.neighbourhood(clip, scratch);
+        for (clip, hits) in rects.iter().zip(&near_lists).cycle().take(1_000) {
+            let mut near = set.neighbourhood_of(clip, hits.iter().copied(), scratch);
             let stabbed = near.stab_count(&clip.centroid());
             let (_, depth) = near.deepest_above(0).expect("clip is in the set");
             assert!((1..=depth).contains(&stabbed), "stab {stabbed} outside 1..={depth}");
