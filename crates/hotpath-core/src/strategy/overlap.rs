@@ -537,6 +537,34 @@ mod tests {
         }
     }
 
+    /// Repeated pushes sharing one scratch, interleaved with a sweep on
+    /// it: the stamp generations keep each call's hit list its own.
+    #[test]
+    fn intersecting_order_is_ascending_across_repeated_calls() {
+        // Many identical rects over tiny cells: each id lands in many
+        // cells, so the stamp dedup does real work. Every hit of each
+        // query below sits in the first cell the walk visits, whose
+        // list is ascending, so the hit list must come out ascending.
+        let mut rects = example2();
+        rects.extend(example2()); // ids 3..6 duplicate 0..3
+        let set = FsaSet::build(rects, 2.0);
+        let mut scratch = QueryScratch::default();
+        let push = |q: Rect, scratch: &mut QueryScratch| set.clone().push(q, scratch).to_vec();
+        for _ in 0..3 {
+            assert_eq!(push(r(7.0, 7.0, 9.0, 9.0), &mut scratch), vec![0, 1, 2, 3, 4, 5]);
+            // A disjoint query between identical ones must not inherit
+            // stale stamps from the previous generation.
+            assert!(push(r(100.0, 100.0, 101.0, 101.0), &mut scratch).is_empty());
+            assert_eq!(push(r(0.0, 0.0, 1.0, 1.0), &mut scratch), vec![0, 3]);
+            // Interleave the sweep (which shares the scratch) and
+            // re-check: the hit list must be rebuilt, not reused.
+            let all = r(0.0, 0.0, 16.0, 16.0);
+            let mut near = set.neighbourhood_of(&all, probe(&set, &all), &mut scratch);
+            assert_eq!(near.deepest_above(0).map(|(_, d)| d), Some(6));
+            assert_eq!(push(r(15.0, 5.0, 15.5, 5.5), &mut scratch), vec![1, 4]);
+        }
+    }
+
     #[test]
     fn deepest_region_finds_triple_overlap() {
         let set = FsaSet::build(example2(), 8.0);
