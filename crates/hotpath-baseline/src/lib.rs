@@ -15,6 +15,7 @@
 //! * [`reference`](mod@reference) — the paper's SinglePath coordinator by full scan,
 //!   the oracle `hotpath_core`'s coordinator is tested against.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

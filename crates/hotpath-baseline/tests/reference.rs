@@ -125,8 +125,9 @@ proptest! {
                 oracle.submit(st);
             }
             if (restarts >> e) & 1 == 1 {
-                let image = Checkpoint::from_bytes(real.checkpoint().as_bytes().to_vec()).unwrap();
-                real = Coordinator::from_checkpoint(config, &image).unwrap();
+                let bytes = Checkpoint::new(real.image()).as_bytes().to_vec();
+                real = Coordinator::from_image(config, Checkpoint::from_bytes(bytes).unwrap().image())
+                    .unwrap();
             }
             let at = Timestamp(now);
             let got: Vec<_> = real.process_epoch(at).iter().map(response).collect();

@@ -10,6 +10,7 @@
 //! * `mid` — the same network at reduced N for fast runs;
 //! * `quick` — a tiny network for CI and Criterion benches.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

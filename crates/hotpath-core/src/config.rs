@@ -124,7 +124,7 @@ pub struct Admission {
 ///
 /// Defaults mirror Table 2 of the paper: `eps = 10` m, `W = 100`
 /// timestamps, epoch `Lambda = 10` timestamps, `k = 10`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Config {
     /// Tolerance model.
     pub tolerance: Tolerance,

@@ -29,9 +29,7 @@
 //! selections, and the batch vector is recycled; top-k walks the count
 //! buckets ([`PathTable::top_n`]). Keep new per-epoch buffers pooled.
 
-use crate::checkpoint::{
-    Checkpoint, CheckpointBuilder, CheckpointError, ConfigRecord, SectionKind, StatsRecord,
-};
+use crate::checkpoint::{CheckpointError, CoordinatorImage};
 use crate::config::Config;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::geometry::TimePoint;
@@ -43,7 +41,7 @@ use crate::strategy::{process_batch, Arrivals, OverlapPolicy, PhaseBLoad, Scratc
 use crate::time::Timestamp;
 use crate::ObjectId;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The endpoint message `<e, te>` returned to a reporting object at the
 /// next epoch.
@@ -150,7 +148,7 @@ pub struct Coordinator {
     /// published snapshots.
     clock: Timestamp,
     /// The snapshot the last publish stage (or `new` /
-    /// `from_checkpoint`) built; `advance_time` leaves it alone.
+    /// `from_image`) built; `advance_time` leaves it alone.
     published: Arc<HotSnapshot>,
     /// Admission-control counters (what drain-ingest did with overload).
     admission: AdmissionStats,
@@ -399,7 +397,7 @@ impl Coordinator {
     }
 
     /// The [`HotSnapshot`] published at the end of the last
-    /// `process_epoch` (or built by `new` / `from_checkpoint`): the same
+    /// `process_epoch` (or built by `new` / `from_image`): the same
     /// `Arc` the engine installs into its cell. Window advances between
     /// boundaries do not change it; the live reads are [`Self::top_k`],
     /// [`Self::top_k_score`] and [`Self::index_size`].
@@ -496,96 +494,57 @@ impl Coordinator {
 
     // ---- checkpoint / restore -----------------------------------------
 
-    /// Serializes the full coordinator state — the stored paths by id,
-    /// the expiry events in `(expiry, id)` order, the pending batch,
-    /// counters, and the configuration echo — into a validated
-    /// [`Checkpoint`] image. Every section is canonical, so the image
+    /// The coordinator's logical state: counters, configuration echo,
+    /// pending batch, the stored paths by id and the expiry events in
+    /// `(expiry, id)` order. Both orders are canonical, so the image
     /// depends on the logical state only, not on any slab or wheel
     /// layout.
-    pub fn checkpoint(&self) -> Checkpoint {
-        let mut b = CheckpointBuilder::new(
-            self.processing.epochs,
-            self.clock.raw(),
-            self.table.next_id(),
-            0,
-        );
-        b.section(SectionKind::Config, &[ConfigRecord::from_config(&self.config)]);
-        b.section(
-            SectionKind::Stats,
-            &[StatsRecord {
-                uplink_msgs: self.comm.uplink_msgs,
-                states_processed: self.processing.states_processed,
-                strategy_ns: self.processing.strategy_time.as_nanos() as u64,
-                expiry_ns: self.processing.expiry_time.as_nanos() as u64,
-                publish_ns: self.processing.publish_time.as_nanos() as u64,
-                case1: self.processing.case1,
-                case2: self.processing.case2,
-                case3: self.processing.case3,
-                adm_ejected: self.admission.ejected,
-                degraded_epochs: self.admission.degraded_epochs,
-                recorded: self.table.total_recorded(),
-            }],
-        );
-        b.section(SectionKind::Pending, &self.pending);
-        b.section(SectionKind::Paths, &self.table.paths_by_id());
-        b.section(SectionKind::Events, &self.table.events_vec());
-        b.finish()
+    pub fn image(&self) -> CoordinatorImage {
+        CoordinatorImage {
+            clock: self.clock,
+            next_path_id: self.table.next_id(),
+            config: self.config,
+            comm: self.comm,
+            processing: self.processing,
+            admission: self.admission,
+            recorded: self.table.total_recorded(),
+            pending: self.pending.clone(),
+            paths: self.table.paths_by_id(),
+            events: self.table.events_vec(),
+        }
     }
 
-    /// Rebuilds a coordinator from a validated checkpoint, continuing
-    /// bit-for-bit where the checkpointed one left off. `config` must be
-    /// the exact configuration the checkpoint was taken under: the
-    /// embedded echo is compared field by field, and any non-zero header
-    /// flags word is refused (every flag bit is retired), so a restore
-    /// can never change the configuration or carry a retired flag.
+    /// Rebuilds a coordinator from an image, continuing bit-for-bit
+    /// where the imaged one left off. `config` must equal the image's
+    /// configuration, so a restore can never change it.
     ///
     /// The paths go into a fresh table in id order, each with as many
     /// crossings as it has expiry events, and the events re-enter the
-    /// timer wheel keyed by the header clock; every derived structure
+    /// timer wheel keyed by the image's clock; every derived structure
     /// is rebuilt, and the published snapshot is built from the
     /// restored state — a read after a restore can never serve
-    /// pre-restore data. A forged
-    /// table (ids out of order or past the counter, two paths with one
-    /// geometry, an event without its path or a path without an event)
-    /// is [`CheckpointError::Malformed`].
-    pub fn from_checkpoint(config: Config, ck: &Checkpoint) -> Result<Self, CheckpointError> {
-        let one = |what: &str, len: usize| {
-            if len == 1 {
-                Ok(())
-            } else {
-                Err(CheckpointError::Malformed(format!("expected one {what} record, found {len}")))
-            }
-        };
-        let header = *ck.header();
-        if header.flags != 0 {
+    /// pre-restore data.
+    ///
+    /// # Errors
+    /// [`CheckpointError::ConfigMismatch`] on another configuration;
+    /// [`CheckpointError::Malformed`] on a forged table: ids out of
+    /// order or at or past the counter, two paths with one geometry, an
+    /// event without its path or a path without an event.
+    pub fn from_image(config: Config, image: &CoordinatorImage) -> Result<Self, CheckpointError> {
+        if image.config != config {
             return Err(CheckpointError::ConfigMismatch(format!(
-                "checkpoint flags {:#x}: no flag bit is live (bit 0, hints, and bit 1, the \
-                 `Own` overlap switch, are retired)",
-                header.flags
+                "the image was taken under {:?}, the coordinator runs {config:?}",
+                image.config
             )));
         }
-        let cfg_rec: Vec<ConfigRecord> = ck.section(SectionKind::Config)?;
-        one("config", cfg_rec.len())?;
-        cfg_rec[0].matches(&config)?;
-        let stats: Vec<StatsRecord> = ck.section(SectionKind::Stats)?;
-        one("stats", stats.len())?;
-        let stats = stats[0];
-        let pending: Vec<ClientState> = ck.section(SectionKind::Pending)?;
-
         let table = PathTable::new(config.window, overlap_cell_of(&config), config.vertex_grain)
-            .restore(
-                ck.section(SectionKind::Paths)?,
-                ck.section(SectionKind::Events)?,
-                header.next_path_id,
-                stats.recorded,
-                Timestamp(header.clock),
-            )
+            .restore(&image.paths, &image.events, image.next_path_id, image.recorded, image.clock)
             .map_err(|e| CheckpointError::Malformed(format!("path table: {e}")))?;
 
         // Not part of the image: the pending states are gathered again,
         // against the restored table.
         let mut arrivals = Arrivals::new(overlap_cell_of(&config));
-        for st in &pending {
+        for st in &image.pending {
             arrivals.gather(&st.fsa, &table);
         }
         let mut restored = Coordinator {
@@ -593,24 +552,12 @@ impl Coordinator {
             scratch: ScratchArena::new(),
             arrivals,
             config,
-            pending,
-            comm: CommStats { uplink_msgs: stats.uplink_msgs },
-            processing: ProcessingStats {
-                epochs: header.epoch,
-                states_processed: stats.states_processed,
-                strategy_time: Duration::from_nanos(stats.strategy_ns),
-                expiry_time: Duration::from_nanos(stats.expiry_ns),
-                publish_time: Duration::from_nanos(stats.publish_ns),
-                case1: stats.case1,
-                case2: stats.case2,
-                case3: stats.case3,
-            },
-            clock: Timestamp(header.clock),
+            pending: image.pending.clone(),
+            comm: image.comm,
+            processing: image.processing,
+            clock: image.clock,
             published: Arc::new(HotSnapshot::empty()),
-            admission: AdmissionStats {
-                ejected: stats.adm_ejected,
-                degraded_epochs: stats.degraded_epochs,
-            },
+            admission: image.admission,
         };
         // Phase-B load is not part of the image: the restored snapshot
         // reports none until the next boundary.
@@ -632,8 +579,14 @@ fn mean_score(top: &[HotPath]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
     use crate::geometry::{Point, Rect};
     use crate::index::ExpiryEvent;
+
+    /// `c`'s image through the byte codec: encoded, then decoded.
+    fn through_bytes(c: &Coordinator) -> Checkpoint {
+        Checkpoint::from_bytes(Checkpoint::new(c.image()).as_bytes().to_vec()).unwrap()
+    }
 
     fn state(obj: u64, start: (f64, f64), end: (f64, f64), ts: u64, te: u64) -> ClientState {
         let e = Point::new(end.0, end.1);
@@ -845,8 +798,8 @@ mod tests {
         }
         // Leave a half-submitted batch pending before checkpointing.
         live.submit(state(99, (0.0, 0.0), (50.0, 0.0), 60, 65));
-        let image = live.checkpoint();
-        let mut restored = Coordinator::from_checkpoint(config, &image).expect("restore failed");
+        let image = through_bytes(&live);
+        let mut restored = Coordinator::from_image(config, image.image()).expect("restore failed");
         assert_eq!(restored.pending_len(), live.pending_len());
         restored.check_consistency().unwrap();
 
@@ -888,45 +841,50 @@ mod tests {
         restored.check_consistency().unwrap();
 
         // Double restore from the same image is idempotent.
-        let again = Coordinator::from_checkpoint(config, &image).unwrap();
-        assert_eq!(again.checkpoint().as_bytes(), image.as_bytes());
+        let again = Coordinator::from_image(config, image.image()).unwrap();
+        assert_eq!(Checkpoint::new(again.image()).as_bytes(), image.as_bytes());
     }
 
     #[test]
     fn restore_rejects_wrong_config_and_foreign_bytes() {
         let config = Config::paper_defaults();
-        let c = Coordinator::new(config);
-        let image = c.checkpoint();
-        assert!(matches!(
-            Coordinator::from_checkpoint(Config::builder().k(3).build().unwrap(), &image),
-            Err(crate::checkpoint::CheckpointError::ConfigMismatch(_))
-        ));
-        let coarser = Config::builder().vertex_grain(1e-2).build().unwrap();
-        assert!(matches!(
-            Coordinator::from_checkpoint(coarser, &image),
-            Err(crate::checkpoint::CheckpointError::ConfigMismatch(_))
-        ));
+        let image = Coordinator::new(config).image();
+        for other in [
+            Config::builder().k(3).build().unwrap(),
+            Config::builder().vertex_grain(1e-2).build().unwrap(),
+        ] {
+            assert!(matches!(
+                Coordinator::from_image(other, &image),
+                Err(CheckpointError::ConfigMismatch(_))
+            ));
+        }
+        let bytes = Checkpoint::new(image).as_bytes()[8..].to_vec();
+        assert!(Checkpoint::from_bytes(bytes).is_err());
     }
 
-    /// No config sets a header flag, and an image carrying the retired
-    /// `Own` bit (`1 << 1`, what an image of the removed overlap switch
-    /// has) is refused: a restore would otherwise run Cases 2-3
-    /// under a policy the run never used.
+    /// An image taken without the admission switches does not restore
+    /// into a coordinator that sets one, nor the other way round: a
+    /// restore would otherwise cap or degrade epochs the run never did.
     #[test]
     fn restore_refuses_switches_the_config_does_not_set() {
         let degraded = Config::builder().degrade_threshold(1).build().unwrap();
         let capped = Config::builder().admission_cap(30).build().unwrap();
-        for config in [Config::paper_defaults(), degraded, capped] {
-            assert_eq!(Coordinator::new(config).checkpoint().header().flags, 0);
+        let configs = [Config::paper_defaults(), degraded, capped];
+        for (i, taken) in configs.iter().enumerate() {
+            let image = Coordinator::new(*taken).image();
+            for (j, run) in configs.iter().enumerate() {
+                let result = Coordinator::from_image(*run, &image);
+                if i == j {
+                    result.unwrap();
+                } else {
+                    assert!(matches!(result, Err(CheckpointError::ConfigMismatch(_))), "{i} {j}");
+                }
+            }
         }
-        let (config, image) = forgeable();
-        Coordinator::from_checkpoint(config, &forged(&image, 0, |_, _| {})).unwrap();
-        let result = Coordinator::from_checkpoint(config, &forged(&image, 1 << 1, |_, _| {}));
-        assert!(matches!(result, Err(CheckpointError::ConfigMismatch(_))), "{result:?}");
     }
 
     /// A small image to forge: three paths, one of them crossed twice.
-    fn forgeable() -> (Config, Checkpoint) {
+    fn forgeable() -> (Config, CoordinatorImage) {
         let config = Config::paper_defaults();
         let mut c = Coordinator::new(config);
         c.submit(state(1, (0.0, 0.0), (50.0, 0.0), 0, 8));
@@ -935,42 +893,16 @@ mod tests {
         c.submit(state(4, (0.0, 600.0), (50.0, 600.0), 0, 6));
         let _ = c.process_epoch(Timestamp(10));
         assert_eq!(c.index_size(), 3);
-        (config, c.checkpoint())
-    }
-
-    /// Re-seals `image` with header `flags` and its Paths and Events
-    /// sections passed through `forge`: every CRC is valid, so only the
-    /// coordinator's own validation stands between the forgery and it.
-    fn forged(
-        image: &Checkpoint,
-        flags: u32,
-        forge: impl FnOnce(&mut Vec<MotionPath>, &mut Vec<ExpiryEvent>),
-    ) -> Checkpoint {
-        let h = image.header();
-        let mut paths: Vec<MotionPath> = image.section(SectionKind::Paths).unwrap();
-        let mut events: Vec<ExpiryEvent> = image.section(SectionKind::Events).unwrap();
-        forge(&mut paths, &mut events);
-        let mut b = CheckpointBuilder::new(h.epoch, h.clock, h.next_path_id, flags);
-        b.section::<ConfigRecord>(
-            SectionKind::Config,
-            &image.section(SectionKind::Config).unwrap(),
-        );
-        b.section::<StatsRecord>(SectionKind::Stats, &image.section(SectionKind::Stats).unwrap());
-        b.section::<ClientState>(
-            SectionKind::Pending,
-            &image.section(SectionKind::Pending).unwrap(),
-        );
-        b.section(SectionKind::Paths, &paths);
-        b.section(SectionKind::Events, &events);
-        b.finish()
+        (config, c.image())
     }
 
     /// Restores a forgery of the [`forgeable`] image, which must fail as
     /// `Malformed` (and the unforged image must restore).
     fn assert_forgery_malformed(forge: impl FnOnce(&mut Vec<MotionPath>, &mut Vec<ExpiryEvent>)) {
-        let (config, image) = forgeable();
-        Coordinator::from_checkpoint(config, &forged(&image, 0, |_, _| {})).unwrap();
-        let result = Coordinator::from_checkpoint(config, &forged(&image, 0, forge));
+        let (config, mut image) = forgeable();
+        Coordinator::from_image(config, &image).unwrap();
+        forge(&mut image.paths, &mut image.events);
+        let result = Coordinator::from_image(config, &image);
         assert!(matches!(result, Err(CheckpointError::Malformed(_))), "{result:?}");
     }
 
@@ -1167,12 +1099,12 @@ mod tests {
         assert!(stats.ejected > 0, "cap must have fired");
         assert!(stats.degraded_epochs > 0, "overload must have degraded");
 
-        let image = live.checkpoint();
-        let mut restored = Coordinator::from_checkpoint(config, &image).expect("restore failed");
+        let image = through_bytes(&live);
+        let mut restored = Coordinator::from_image(config, image.image()).expect("restore failed");
         restored.check_consistency().unwrap();
         assert_eq!(restored.admission_stats(), live.admission_stats());
         assert_eq!(
-            restored.checkpoint().as_bytes(),
+            Checkpoint::new(restored.image()).as_bytes(),
             image.as_bytes(),
             "checkpoint of restore must be byte-identical"
         );

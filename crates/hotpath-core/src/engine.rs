@@ -76,10 +76,11 @@ pub trait Engine: Send {
     /// observe each epoch without ever calling into the engine (the
     /// cell never serves pre-restore data).
     fn cell(&self) -> Arc<SnapshotCell>;
-    /// Serializes the engine's complete state — the coordinator,
-    /// buffered pending batch included — into a validated [`Checkpoint`]
-    /// image; the engine continues unchanged afterwards. Re-checkpointing
-    /// a restored replica reproduces the image byte for byte.
+    /// The engine's complete state — the coordinator's
+    /// [`CoordinatorImage`](crate::checkpoint::CoordinatorImage),
+    /// buffered pending batch included — with its encoding; the engine
+    /// continues unchanged afterwards. Re-checkpointing a restored
+    /// replica reproduces the bytes exactly.
     ///
     /// ```
     /// use hotpath_core::prelude::*;
@@ -95,9 +96,10 @@ pub trait Engine: Send {
     /// });
     /// engine.process_epoch(Timestamp(5));
     ///
-    /// let image = engine.checkpoint();
+    /// let image = Checkpoint::from_bytes(engine.checkpoint().as_bytes().to_vec())
+    ///     .expect("the encoding decodes");
     /// let mut replica = SyncEngine::new(Coordinator::new(config));
-    /// replica.restore(&image).expect("image validates");
+    /// replica.restore(&image).expect("the image restores");
     /// assert_eq!(replica.snapshot().epoch, engine.snapshot().epoch);
     /// assert_eq!(replica.checkpoint().as_bytes(), image.as_bytes());
     /// ```
@@ -170,11 +172,11 @@ impl Engine for SyncEngine {
     }
 
     fn checkpoint(&mut self) -> Checkpoint {
-        self.coordinator.checkpoint()
+        Checkpoint::new(self.coordinator.image())
     }
 
     fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
-        self.coordinator = Coordinator::from_checkpoint(*self.coordinator.config(), ck)?;
+        self.coordinator = Coordinator::from_image(*self.coordinator.config(), ck.image())?;
         // Rebuild the published view from the restored state: the old
         // snapshot must never survive a restore.
         self.cell.publish(self.coordinator.snapshot());
@@ -331,7 +333,7 @@ mod tests {
         // epochs 4..=8 (epoch 4's batch rides in the image's pending
         // section).
         let image = image.unwrap();
-        assert_eq!(image.epoch(), 3);
+        assert_eq!(image.image().epoch(), 3);
         let mut engine = EngineKind::Sync.build(Coordinator::new(Config::paper_defaults()));
         engine.submit(state(77, (0.0, 0.0), (50.0, 0.0), 9));
         let _ = engine.process_epoch(Timestamp(10));

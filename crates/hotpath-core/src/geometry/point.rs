@@ -10,11 +10,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A point `p = (x, y)` in the plane. Coordinates are in meters.
-///
-/// `repr(C)` pins the layout to two consecutive `f64`s (16 bytes, no
-/// padding) so checkpoint sections holding points are plain memcpys.
 #[derive(Clone, Copy, PartialEq, Default)]
-#[repr(C)]
 pub struct Point {
     /// Easting coordinate, meters.
     pub x: f64,

@@ -14,11 +14,7 @@ use super::point::Point;
 /// starts as the degenerate rectangle at its apex point, and tolerance
 /// intervals may collapse to points when uncertainty consumes the whole
 /// tolerance budget.
-/// `repr(C)` pins the layout to `lo` then `hi` (32 bytes, no padding)
-/// for checkpoint memcpys; the corner-order invariant survives a
-/// round-trip because serialized bytes come from a valid `Rect`.
 #[derive(Clone, Copy, PartialEq, Debug)]
-#[repr(C)]
 pub struct Rect {
     lo: Point,
     hi: Point,

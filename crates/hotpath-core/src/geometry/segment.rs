@@ -8,10 +8,7 @@ use super::point::Point;
 use super::rect::Rect;
 
 /// A directed line segment from `a` to `b` (possibly degenerate).
-///
-/// `repr(C)`: two consecutive [`Point`]s, 32 bytes, no padding.
 #[derive(Clone, Copy, PartialEq, Debug)]
-#[repr(C)]
 pub struct Segment {
     /// Start point.
     pub a: Point,

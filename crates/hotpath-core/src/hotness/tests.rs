@@ -29,7 +29,7 @@ fn heat(t: &PathTable, k: u64) -> u32 {
 
 fn restore(t: &PathTable, window: u64) -> PathTable {
     h(window)
-        .restore(t.paths_by_id(), t.events_vec(), t.next_id(), t.total_recorded(), t.clock())
+        .restore(&t.paths_by_id(), &t.events_vec(), t.next_id(), t.total_recorded(), t.clock())
         .unwrap()
 }
 
@@ -307,9 +307,9 @@ fn late_events_land_in_ready_and_fire_next_advance() {
 #[test]
 fn checkpoint_parts_roundtrip_continues_identically() {
     // Drive a table through deterministic churn, rebuild it from its
-    // Paths and Events sections, and check both copies stay in
+    // path and event lists, and check both copies stay in
     // lock-step through further churn — the in-crate version of the
-    // restart-parity property the checkpoint module relies on. The
+    // restart-parity property a coordinator image relies on. The
     // copy's slab is in id order, the original's is not, so only the
     // canonical views are compared.
     let mut hot = h(23);
@@ -340,8 +340,8 @@ fn checkpoint_parts_roundtrip_continues_identically() {
 
 #[test]
 fn checkpoint_restore_is_byte_idempotent() {
-    // The canonical path and event orders make checkpoint-of-restore
-    // reproduce the original sections exactly, even though the restored
+    // The canonical path and event orders make image-of-restore
+    // reproduce the original lists exactly, even though the restored
     // slab and wheel layouts differ from the original's (restore inserts
     // by id against the final clock; the original cascaded its way
     // there).
@@ -372,29 +372,22 @@ fn checkpoint_parts_reject_structural_corruption() {
     let paths = hot.paths_by_id();
     let events = hot.events_vec();
     let t0 = Timestamp(0);
-    let try_restore = |paths: Vec<MotionPath>, events: Vec<ExpiryEvent>| {
+    let try_restore = |paths: &[MotionPath], events: &[ExpiryEvent]| {
         h(10).restore(paths, events, hot.next_id(), 2, t0)
     };
-    try_restore(paths.clone(), events.clone()).unwrap();
+    try_restore(&paths, &events).unwrap();
 
     // Duplicate path.
     let mut dup = paths.clone();
     dup.push(paths[1]);
-    assert!(try_restore(dup, events.clone()).is_err());
+    assert!(try_restore(&dup, &events).is_err());
     // Canonical (expiry, id) order violated.
     let mut bad = events.clone();
     bad.reverse();
-    assert!(try_restore(paths.clone(), bad).is_err());
+    assert!(try_restore(&paths, &bad).is_err());
     // A path without an event, and an event without a path.
-    assert!(try_restore(paths.clone(), events[..1].to_vec()).is_err());
-    assert!(try_restore(paths[..1].to_vec(), events).is_err());
-}
-
-#[test]
-fn layouts_are_padding_free() {
-    assert_eq!(std::mem::size_of::<ExpiryEvent>(), 16);
-    assert_eq!(std::mem::size_of::<MotionPath>(), 40);
-    assert_eq!(std::mem::align_of::<ExpiryEvent>(), 8);
+    assert!(try_restore(&paths, &events[..1]).is_err());
+    assert!(try_restore(&paths[..1], &events).is_err());
 }
 
 /// A minimal `(expiry, id)` min-heap — the semantics the wheel must

@@ -131,18 +131,6 @@ impl EndpointGrid {
         }
     }
 
-    /// Collects entries in `range` into a vector (convenience for tests).
-    pub fn query(&self, range: &Rect) -> Vec<Entry> {
-        let mut out = Vec::new();
-        self.for_each_in(range, |e| out.push(*e));
-        out
-    }
-
-    /// Number of non-empty cells (diagnostics).
-    pub fn occupied_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Audits the grid for the path table's consistency check: the
     /// entry count matches the cells, no empty cell is left in the map,
     /// and every kept buffer of an emptied cell is empty.
@@ -169,6 +157,13 @@ mod tests {
         Entry { endpoint: Point::new(x, y), path: PathId(id) }
     }
 
+    /// The entries [`EndpointGrid::for_each_in`] visits for `range`.
+    fn query(g: &EndpointGrid, range: &Rect) -> Vec<Entry> {
+        let mut out = Vec::new();
+        g.for_each_in(range, |e| out.push(*e));
+        out
+    }
+
     #[test]
     fn insert_query_remove_roundtrip() {
         let mut g = EndpointGrid::new(10.0);
@@ -177,7 +172,7 @@ mod tests {
         assert_eq!(g.insert(entry(3, 6.0, 6.0)), 1); // same cell as path 1
         assert_eq!(g.len(), 3);
 
-        let hits = g.query(&Rect::new(Point::new(0.0, 0.0), Point::new(9.0, 9.0)));
+        let hits = query(&g, &Rect::new(Point::new(0.0, 0.0), Point::new(9.0, 9.0)));
         assert_eq!(hits.len(), 2);
 
         // Removing position 0 moves the cell's last entry (path 3) there.
@@ -209,14 +204,14 @@ mod tests {
             Rect::new(Point::new(-1e6, -1e6), Point::new(1e6, 0.0)),
         ];
         for r in ranges {
-            let mut got: Vec<u64> = g.query(&r).iter().map(|e| e.path.0).collect();
+            let mut got: Vec<u64> = query(&g, &r).iter().map(|e| e.path.0).collect();
             got.sort_unstable();
             let mut want: Vec<u64> =
                 all.iter().filter(|e| r.contains(&e.endpoint)).map(|e| e.path.0).collect();
             want.sort_unstable();
             assert_eq!(got, want, "range {r:?}");
         }
-        assert!(EndpointGrid::new(7.0).query(&ranges[4]).is_empty(), "empty grid");
+        assert!(query(&EndpointGrid::new(7.0), &ranges[4]).is_empty(), "empty grid");
     }
 
     #[test]
@@ -234,18 +229,20 @@ mod tests {
         // Exactly on a cell boundary.
         g.insert(entry(9, 10.0, 10.0));
         let r = Rect::new(Point::new(9.5, 9.5), Point::new(10.0, 10.0));
-        assert_eq!(g.query(&r).len(), 1);
+        assert_eq!(query(&g, &r).len(), 1);
         let r2 = Rect::new(Point::new(10.0, 10.0), Point::new(11.0, 11.0));
-        assert_eq!(g.query(&r2).len(), 1);
+        assert_eq!(query(&g, &r2).len(), 1);
     }
 
     #[test]
     fn empty_cells_are_pruned() {
         let mut g = EndpointGrid::new(10.0);
         let pos = g.insert(entry(1, 5.0, 5.0));
-        assert_eq!(g.occupied_cells(), 1);
+        assert_eq!(g.cells.len(), 1);
+        g.check().unwrap();
         g.remove(&Point::new(5.0, 5.0), pos);
-        assert_eq!(g.occupied_cells(), 0);
+        assert_eq!(g.cells.len(), 0);
         assert!(g.is_empty());
+        g.check().unwrap();
     }
 }

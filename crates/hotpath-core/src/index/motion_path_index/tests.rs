@@ -1,10 +1,31 @@
 use crate::geometry::{Point, Rect};
-use crate::index::PathTable;
+use crate::index::vertex_groups::tests::canonical;
+use crate::index::{PathTable, VertexGroups};
 use crate::motion_path::PathId;
 use crate::time::{SlidingWindow, Timestamp};
 
 fn idx() -> PathTable {
     PathTable::new(SlidingWindow::new(100), 50.0, 1e-3)
+}
+
+/// The Case-1 query as Phase A runs it: ids of the paths leaving the
+/// vertex of `start` and ending inside `fsa`.
+fn paths_from_into(i: &PathTable, start: &Point, fsa: &Rect) -> Vec<PathId> {
+    let mut out = Vec::new();
+    i.paths_from_into_buf(start, fsa, &mut out);
+    out.iter().map(|e| e.id).collect()
+}
+
+/// The Case-2 query as the coordinator runs it: the end vertices inside
+/// `fsa`, gathered and then grouped, in canonical order.
+fn end_vertices_in(i: &PathTable, fsa: &Rect) -> Vec<(Point, Vec<PathId>)> {
+    let mut ends = Vec::new();
+    i.gather_end_vertices(fsa, &mut ends);
+    let mut groups = VertexGroups::new();
+    for e in &ends {
+        groups.push(e.key, e.end, e.id);
+    }
+    canonical(&groups)
 }
 
 /// Stores `start -> end` (or finds it) with one crossing exiting at 0.
@@ -43,7 +64,7 @@ fn case1_query_filters_by_start_vertex() {
     let (_c, _) = insert(&mut i, s, Point::new(200.0, 0.0)); // ends outside fsa
 
     let fsa = Rect::new(Point::new(15.0, -5.0), Point::new(25.0, 5.0));
-    let hits = i.paths_from_into(&s, &fsa);
+    let hits = paths_from_into(&i, &s, &fsa);
     assert_eq!(hits, vec![a]);
 }
 
@@ -56,7 +77,7 @@ fn case2_query_groups_converging_paths() {
     let (_far, _) = insert(&mut i, Point::new(0.0, 0.0), Point::new(500.0, 500.0));
 
     let fsa = Rect::new(Point::new(40.0, 40.0), Point::new(60.0, 60.0));
-    let verts = i.end_vertices_in(&fsa);
+    let verts = end_vertices_in(&i, &fsa);
     assert_eq!(verts.len(), 1);
     let (p, ids) = &verts[0];
     assert_eq!(*p, v);
@@ -74,7 +95,7 @@ fn start_vertices_are_not_candidate_vertices() {
     // (the paper only considers end vertices).
     insert(&mut i, Point::new(50.0, 50.0), Point::new(500.0, 0.0));
     let fsa = Rect::new(Point::new(40.0, 40.0), Point::new(60.0, 60.0));
-    assert!(i.end_vertices_in(&fsa).is_empty());
+    assert!(end_vertices_in(&i, &fsa).is_empty());
 }
 
 #[test]
@@ -91,9 +112,9 @@ fn remove_cleans_everything() {
     assert_eq!(i.len(), 0);
     assert!(i.get(id).is_none());
     assert!(i.paths_starting_at(&s).is_empty());
-    assert!(i.paths_from_into(&s, &Rect::point(e)).is_empty());
+    assert!(paths_from_into(&i, &s, &Rect::point(e)).is_empty());
     let everywhere = Rect::new(Point::new(-1e6, -1e6), Point::new(1e6, 1e6));
-    assert!(i.end_vertices_in(&everywhere).is_empty());
+    assert!(end_vertices_in(&i, &everywhere).is_empty());
     i.check_consistency().unwrap();
 }
 
@@ -128,7 +149,7 @@ fn removal_from_a_crowded_cell_keeps_positions_straight() {
     for (n, k) in order.into_iter().enumerate() {
         assert_eq!(i.advance(Timestamp(100 + n as u64)), [ids[k]]);
         i.check_consistency().unwrap();
-        assert_eq!(i.end_vertices_in(&cell).len(), 11 - n);
+        assert_eq!(end_vertices_in(&i, &cell).len(), 11 - n);
     }
 }
 
@@ -160,7 +181,7 @@ fn noisy_vertex_group_representative_is_canonical() {
         let mut i = idx();
         insert(&mut i, Point::new(0.0, 0.0), first);
         insert(&mut i, Point::new(100.0, 0.0), second);
-        let verts = i.end_vertices_in(&fsa);
+        let verts = end_vertices_in(&i, &fsa);
         assert_eq!(verts.len(), 1, "noisy copies must share a group");
         assert_eq!(verts[0].0, lo, "representative not canonical");
         assert_eq!(verts[0].1.len(), 2);
@@ -172,7 +193,7 @@ fn checkpoint_parts_reject_ids_the_counter_would_reissue() {
     let mut i = idx();
     insert(&mut i, Point::new(0.0, 0.0), Point::new(10.0, 0.0));
     insert(&mut i, Point::new(0.0, 0.0), Point::new(0.0, 10.0));
-    let restore = |next_id| idx().restore(i.paths_by_id(), i.events_vec(), next_id, 2, i.clock());
+    let restore = |next_id| idx().restore(&i.paths_by_id(), &i.events_vec(), next_id, 2, i.clock());
     restore(i.next_id()).unwrap().check_consistency().unwrap();
     assert!(restore(1).is_err());
 }
@@ -184,7 +205,7 @@ fn vertex_ordering_is_deterministic() {
     insert(&mut i, Point::new(0.0, 0.0), Point::new(3.0, 2.0));
     insert(&mut i, Point::new(0.0, 0.0), Point::new(3.0, 1.0));
     let fsa = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
-    let verts = i.end_vertices_in(&fsa);
+    let verts = end_vertices_in(&i, &fsa);
     let xs: Vec<(f64, f64)> = verts.iter().map(|(p, _)| (p.x, p.y)).collect();
     assert_eq!(xs, vec![(3.0, 1.0), (3.0, 2.0), (5.0, 1.0)]);
 }

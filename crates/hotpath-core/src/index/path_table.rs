@@ -33,7 +33,6 @@
 //! and the grain merely guards against float noise.
 
 use super::grid::{EndpointGrid, Entry};
-use super::vertex_groups::VertexGroups;
 use crate::fxhash::FxHashMap;
 use crate::geometry::{Point, Rect};
 use crate::motion_path::{MotionPath, PathId};
@@ -88,11 +87,8 @@ pub struct EndVertex {
 }
 
 /// One pending expiry: a crossing of `id` leaves the window at `expiry`
-/// (`te + W`, Section 5.2). `repr(C)`: 16 bytes, no padding — the
-/// checkpoint's event section is a memcpy of the canonically sorted
-/// event list (see [`PathTable::events_vec`]).
+/// (`te + W`, Section 5.2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(C)]
 pub struct ExpiryEvent {
     /// Expiry timestamp `te + W`.
     pub expiry: Timestamp,
@@ -102,7 +98,7 @@ pub struct ExpiryEvent {
 
 impl ExpiryEvent {
     /// The canonical `(expiry, id)` order: an expired batch is processed
-    /// in it, and the checkpoint's event section is sorted by it.
+    /// in it, and an image's event list is sorted by it.
     #[inline]
     pub fn sort_key(&self) -> (Timestamp, PathId) {
         (self.expiry, self.id)
@@ -382,44 +378,21 @@ impl PathTable {
         }
     }
 
-    /// Case-1 query (Alg. 2 GetCandidatePaths): paths starting at the
-    /// vertex of `start` whose end vertex lies inside `fsa`.
-    pub fn paths_from_into(&self, start: &Point, fsa: &Rect) -> Vec<PathId> {
-        let mut out = Vec::new();
-        self.paths_from_into_buf(start, fsa, &mut out);
-        out.iter().map(|e| e.id).collect()
-    }
-
-    /// [`PathTable::paths_from_into`] appending into a caller buffer —
-    /// the allocation-free form the epoch hot loop uses (the buffer
-    /// lives in the coordinator's scratch arena). Entries are appended
-    /// in adjacency-list order; the strategy's selection is a strict
-    /// total order over candidates, so candidate order is unobservable.
+    /// Case-1 query (Alg. 2 GetCandidatePaths): appends the paths
+    /// starting at the vertex of `start` whose end vertex lies inside
+    /// `fsa` to a caller buffer (the coordinator's scratch arena).
+    /// Entries are appended in adjacency-list order; the strategy's
+    /// selection is a strict total order over candidates, so candidate
+    /// order is unobservable.
     pub fn paths_from_into_buf(&self, start: &Point, fsa: &Rect, out: &mut Vec<OutEdge>) {
         out.extend(self.paths_starting_at(start).iter().filter(|e| fsa.contains(&e.end)));
     }
 
-    /// Case-2 query (Alg. 2 GetCandidateVertices): distinct end vertices
-    /// inside `fsa`, each with the ids of the paths converging to it.
-    ///
-    /// When float-noisy copies of one vertex (same quantized key,
-    /// different raw coordinates) converge, the group's representative
-    /// point is the lexicographically smallest raw endpoint — canonical,
-    /// so the answer is independent of grid visit order. Groups come
-    /// sorted by representative `(x, y)`, ids ascending within each.
-    pub fn end_vertices_in(&self, fsa: &Rect) -> Vec<(Point, Vec<PathId>)> {
-        let mut ends = Vec::new();
-        self.gather_end_vertices(fsa, &mut ends);
-        let mut groups = VertexGroups::new();
-        for e in &ends {
-            groups.push(e.key, e.end, e.id);
-        }
-        groups.to_vec()
-    }
-
-    /// Appends every end vertex inside `fsa` to `out`, ungrouped and in
-    /// grid visit order: the allocation-free form the coordinator runs
-    /// once per state as it arrives, into a pooled buffer.
+    /// Case-2 query (Alg. 2 GetCandidateVertices): appends every end
+    /// vertex inside `fsa` to `out`, ungrouped and in grid visit order.
+    /// The coordinator runs it once per state as it arrives, into a
+    /// pooled buffer, and Phase B groups the vertices with
+    /// [`VertexGroups`](super::VertexGroups).
     pub fn gather_end_vertices(&self, fsa: &Rect, out: &mut Vec<EndVertex>) {
         self.grid.for_each_in(fsa, |e| {
             out.push(EndVertex { key: self.vertex_key(&e.endpoint), end: e.endpoint, id: e.path });
@@ -554,7 +527,7 @@ impl PathTable {
 
     // ---- checkpoint surface -------------------------------------------
 
-    /// Every stored path, sorted by id (the checkpoint's Paths section).
+    /// Every stored path, sorted by id (the image's path list).
     pub fn paths_by_id(&self) -> Vec<MotionPath> {
         let mut paths: Vec<MotionPath> = self.rows.iter().map(|r| r.path).collect();
         paths.sort_unstable_by_key(|p| p.id);
@@ -562,32 +535,30 @@ impl PathTable {
     }
 
     /// Every pending expiry event in canonical `(expiry, id)` order (the
-    /// checkpoint's Events section): a pure function of the event
-    /// multiset, independent of the wheel's bucket layout.
+    /// image's event list): a pure function of the event multiset,
+    /// independent of the wheel's bucket layout.
     pub fn events_vec(&self) -> Vec<ExpiryEvent> {
         self.wheel.sorted_events()
     }
 
-    /// Fills this empty table from checkpointed sections: `paths` sorted
-    /// by id ([`PathTable::paths_by_id`]) and `events` in canonical order
+    /// Fills this empty table from an image's lists: `paths` sorted by
+    /// id ([`PathTable::paths_by_id`]) and `events` in canonical order
     /// ([`PathTable::events_vec`]). The rows go in in id order; each
     /// count is the number of the path's events, which re-enter a fresh
-    /// wheel keyed by `clock`, the checkpoint's epoch clock; the grid,
-    /// adjacency and buckets are rebuilt. Nothing of the old slab order
-    /// survives, so the image is independent of it.
+    /// wheel keyed by `clock`, the image's clock; the grid, adjacency
+    /// and buckets are rebuilt. Nothing of the old slab order survives,
+    /// so the image is independent of it.
     ///
     /// # Errors
-    /// Returns a description when the sections do not describe a table
-    /// this code could have built — possible only for an image from a
-    /// buggy or hostile producer, since CRCs are checked first: paths
-    /// not strictly ascending by id, an id at or above `next_id`,
-    /// non-finite endpoints, two paths with one quantized geometry,
-    /// events out of order, an event naming no stored path, or a stored
-    /// path without an event.
+    /// Returns a description when the lists do not describe a table this
+    /// code could have built: paths not strictly ascending by id, an id
+    /// at or above `next_id`, non-finite endpoints, two paths with one
+    /// quantized geometry, events out of order, an event naming no
+    /// stored path, or a stored path without an event.
     pub fn restore(
         mut self,
-        paths: Vec<MotionPath>,
-        events: Vec<ExpiryEvent>,
+        paths: &[MotionPath],
+        events: &[ExpiryEvent],
         next_id: u64,
         recorded: u64,
         clock: Timestamp,
@@ -595,7 +566,7 @@ impl PathTable {
         debug_assert!(self.is_empty(), "restore into a non-empty table");
         let grain = self.vertex_grain;
         self.rows.reserve(paths.len());
-        for (i, path) in paths.into_iter().enumerate() {
+        for (i, &path) in paths.iter().enumerate() {
             if i > 0 && self.rows[i - 1].path.id >= path.id {
                 return Err(format!("paths section is not strictly ascending at {}", path.id));
             }
@@ -618,7 +589,7 @@ impl PathTable {
             return Err("events section is not sorted by (expiry, id)".into());
         }
         self.wheel = TimerWheel::new(clock.raw());
-        for ev in events {
+        for &ev in events {
             let Some(&slot) = self.slot_of.get(&ev.id) else {
                 return Err(format!("an expiry event names {}, which is not stored", ev.id));
             };

@@ -7,7 +7,7 @@
 //! without touching the heap. Groups stay in first-seen order, ids in
 //! push order: Phase B picks its vertex by a strict total order over
 //! distinct vertices and sums each group's hotness, so neither order is
-//! observable, and only the [`VertexGroups::to_vec`] copy is sorted.
+//! observable.
 
 use super::path_table::{point_lt, VertexKey};
 use crate::fxhash::FxHashMap;
@@ -85,24 +85,24 @@ impl VertexGroups {
     pub fn iter(&self) -> impl Iterator<Item = (&Point, &[PathId])> {
         self.slots[..self.len].iter().map(|(p, ids)| (p, ids.as_slice()))
     }
+}
 
-    /// Copies the batch out in canonical order — groups by
-    /// representative point `(x, y)`, ids ascending within each group —
-    /// for tests and the allocating [`super::PathTable::end_vertices_in`].
-    pub fn to_vec(&self) -> Vec<(Point, Vec<PathId>)> {
+#[cfg(test)]
+pub(super) mod tests {
+    use super::*;
+
+    /// The batch in canonical order — groups by representative point
+    /// `(x, y)`, ids ascending within each group — so tests can compare
+    /// it whole.
+    pub(in crate::index) fn canonical(g: &VertexGroups) -> Vec<(Point, Vec<PathId>)> {
         let mut out: Vec<(Point, Vec<PathId>)> =
-            self.iter().map(|(p, ids)| (*p, ids.to_vec())).collect();
+            g.iter().map(|(p, ids)| (*p, ids.to_vec())).collect();
         out.sort_by(|(pa, _), (pb, _)| pa.x.total_cmp(&pb.x).then(pa.y.total_cmp(&pb.y)));
         for (_, ids) in &mut out {
             ids.sort_unstable();
         }
         out
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn groups_sort_and_canonicalize() {
@@ -111,7 +111,7 @@ mod tests {
         g.push((0, 0), Point::new(0.0, 0.0), PathId(3));
         g.push((1, 0), Point::new(10.0, 0.0), PathId(1));
         assert_eq!(g.len(), 2);
-        let got = g.to_vec();
+        let got = canonical(&g);
         assert_eq!(got[0], (Point::new(0.0, 0.0), vec![PathId(3)]));
         assert_eq!(got[1], (Point::new(10.0, 0.0), vec![PathId(1), PathId(5)]));
     }
@@ -125,7 +125,7 @@ mod tests {
             let mut g = VertexGroups::new();
             g.push((9, 9), first, PathId(0));
             g.push((9, 9), second, PathId(1));
-            assert_eq!(g.to_vec()[0].0, Point::new(5.0, 5.0));
+            assert_eq!(canonical(&g)[0].0, Point::new(5.0, 5.0));
         }
     }
 
@@ -134,11 +134,11 @@ mod tests {
         let mut g = VertexGroups::new();
         g.push((0, 0), Point::new(0.0, 0.0), PathId(0));
         g.push((0, 0), Point::new(0.0, 0.0), PathId(1));
-        assert_eq!(g.to_vec()[0].1.len(), 2);
+        assert_eq!(canonical(&g)[0].1.len(), 2);
 
         g.clear();
         assert!(g.is_empty());
         g.push((2, 2), Point::new(2.0, 2.0), PathId(9));
-        assert_eq!(g.to_vec(), vec![(Point::new(2.0, 2.0), vec![PathId(9)])]);
+        assert_eq!(canonical(&g), vec![(Point::new(2.0, 2.0), vec![PathId(9)])]);
     }
 }

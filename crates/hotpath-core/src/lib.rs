@@ -62,6 +62,7 @@
 //! println!("{} hot paths", hottest.len());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -101,7 +102,7 @@ impl std::fmt::Display for ObjectId {
 
 /// Convenient glob-import of the public API.
 pub mod prelude {
-    pub use crate::checkpoint::{Checkpoint, CheckpointError};
+    pub use crate::checkpoint::{Checkpoint, CheckpointError, CoordinatorImage};
     pub use crate::config::{Admission, Config, ConfigBuilder, ConfigError, ParseError, Tolerance};
     pub use crate::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
     pub use crate::engine::{Engine, EngineKind, SyncEngine};

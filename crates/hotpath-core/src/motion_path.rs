@@ -24,11 +24,7 @@ impl fmt::Display for PathId {
 /// intervals vary per crossing and live in the hotness bookkeeping, not
 /// here — the same path may fit multiple objects over different
 /// intervals (Section 3.1).
-///
-/// `repr(C)`: a [`PathId`] then a [`Segment`], 40 bytes, no padding —
-/// the checkpoint path section is a direct cast of these records.
 #[derive(Clone, Copy, PartialEq, Debug)]
-#[repr(C)]
 pub struct MotionPath {
     /// Identifier within the coordinator's index.
     pub id: PathId,

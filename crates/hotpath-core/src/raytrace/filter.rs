@@ -15,12 +15,7 @@ use std::collections::VecDeque;
 
 /// The state message `<l(ts), ts, l(te), u(te), te>` sent to the
 /// coordinator when the SSA cannot grow (Alg. 1 line 38).
-///
-/// `repr(C)`: 72 bytes with no padding (object 8, start 16, ts 8,
-/// fsa 32, te 8) — matching [`ClientState::WIRE_BYTES`] exactly, so the
-/// checkpoint's pending section is a direct cast of the batch buffer.
 #[derive(Clone, Copy, PartialEq, Debug)]
-#[repr(C)]
 pub struct ClientState {
     /// Reporting object.
     pub object: ObjectId,

@@ -64,11 +64,11 @@ impl QueryScratch {
         };
     }
 
-    /// Accepts each of one cell's `ids` not yet stamped this generation
-    /// that `meets`.
+    /// Accepts each of `ids` not yet stamped this generation that
+    /// `meets`.
     #[inline]
-    fn accept(&mut self, ids: &[u32], meets: impl Fn(u32) -> bool) {
-        for &i in ids {
+    fn accept(&mut self, ids: impl IntoIterator<Item = u32>, meets: impl Fn(u32) -> bool) {
+        for i in ids {
             if self.stamps[i as usize] != self.gen && meets(i) {
                 self.stamps[i as usize] = self.gen;
                 self.hits.push(i);
@@ -91,6 +91,11 @@ impl QueryScratch {
 /// buffers for the next epoch's cells, so steady-state epochs allocate
 /// nothing.
 ///
+/// A rect covering more than `MAX_FILED_CELLS` cells is not filed
+/// under them but kept in a list every push scans, and its own push
+/// scans every earlier rect: no FSA is that large, but a forged one
+/// (say, 1e300 m wide) then costs O(rects), not O(cells).
+///
 /// Every answer is a pure function of the *multiset* of rectangles: a
 /// hit list is compared as a set, a stabbing count counts containment,
 /// and the sweep orders everything by coordinates before deciding
@@ -104,7 +109,13 @@ pub struct FsaSet {
     cells: FxHashMap<(i64, i64), Vec<u32>>,
     /// Emptied cells' buffers, kept for the next new cell.
     spare: Vec<Vec<u32>>,
+    /// The indices of the rects covering more than `MAX_FILED_CELLS`
+    /// cells, ascending.
+    wide: Vec<u32>,
 }
+
+/// The most grid cells a rect is filed under; see [`FsaSet`].
+const MAX_FILED_CELLS: u128 = 1 << 10;
 
 impl FsaSet {
     /// An empty set rasterizing at `cell`, which should be on the order
@@ -112,7 +123,13 @@ impl FsaSet {
     /// not results.
     pub fn new(cell: f64) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "cell must be positive");
-        FsaSet { rects: Vec::new(), cell, cells: FxHashMap::default(), spare: Vec::new() }
+        FsaSet {
+            rects: Vec::new(),
+            cell,
+            cells: FxHashMap::default(),
+            spare: Vec::new(),
+            wide: Vec::new(),
+        }
     }
 
     /// Builds a fresh set over `rects` (see [`FsaSet::new`] for `cell`).
@@ -134,6 +151,7 @@ impl FsaSet {
     /// Empties the set, keeping every allocation.
     pub fn clear(&mut self) {
         self.rects.clear();
+        self.wide.clear();
         self.spare.extend(self.cells.drain().map(|(_, mut ids)| {
             ids.clear();
             ids
@@ -153,12 +171,26 @@ impl FsaSet {
         &scratch.hits
     }
 
-    /// Files `rect` under every cell it covers; with a `query`, the
-    /// same probe of each cell first collects the rects there meeting
-    /// `rect`.
+    /// Files `rect` under every cell it covers, or with the wide rects
+    /// when it covers more than `MAX_FILED_CELLS`; with a `query`, the
+    /// same probe first collects the rects meeting `rect`: the wide
+    /// ones, then those filed in each cell, or every earlier rect for a
+    /// wide `rect`.
     fn file(&mut self, rect: Rect, mut query: Option<&mut QueryScratch>) {
         let i = self.rects.len() as u32;
+        if let Some(s) = query.as_deref_mut() {
+            s.accept(self.wide.iter().copied(), |j| self.rects[j as usize].intersects(&rect));
+        }
         let ((lx, ly), (hx, hy)) = Self::coverage(self.cell, &rect);
+        let span = |a: i64, b: i64| (i128::from(b) - i128::from(a) + 1) as u128;
+        if span(lx, hx).saturating_mul(span(ly, hy)) > MAX_FILED_CELLS {
+            if let Some(s) = query {
+                s.accept(0..i, |j| self.rects[j as usize].intersects(&rect));
+            }
+            self.wide.push(i);
+            self.rects.push(rect);
+            return;
+        }
         for cx in lx..=hx {
             for cy in ly..=hy {
                 let ids = self
@@ -166,7 +198,7 @@ impl FsaSet {
                     .entry((cx, cy))
                     .or_insert_with(|| self.spare.pop().unwrap_or_default());
                 if let Some(s) = query.as_deref_mut() {
-                    s.accept(ids, |j| self.rects[j as usize].intersects(&rect));
+                    s.accept(ids.iter().copied(), |j| self.rects[j as usize].intersects(&rect));
                 }
                 ids.push(i);
             }
@@ -535,6 +567,31 @@ mod tests {
             let mut near = set.neighbourhood_of(&all, probe(&set, &all), &mut scratch);
             assert_eq!(near.deepest_above(0).map(|(_, d)| d), Some(6));
         }
+    }
+
+    /// A rect covering more cells than a rect is filed under goes into
+    /// no cell, yet meets the rects before and after it as any other
+    /// rect does; without the limit, `huge` would be filed under some
+    /// 1e38 cells (its cell keys saturate at the `i64` range).
+    #[test]
+    fn a_rect_covering_more_cells_than_are_filed_is_met_by_a_scan() {
+        let huge = r(-1e300, -1e300, 1e300, 1e300);
+        let wide = r(0.0, 0.0, 100.0, 100.0); // 51 x 51 cells of 2 m
+        let mut rects = example2();
+        rects.extend([huge, r(50.0, 50.0, 51.0, 51.0), wide, r(200.0, 0.0, 201.0, 1.0)]);
+        rects.extend(example2());
+        let mut set = FsaSet::new(2.0);
+        let mut scratch = QueryScratch::default();
+        for (i, rect) in rects.iter().enumerate() {
+            let mut got = set.push(*rect, &mut scratch).to_vec();
+            got.sort_unstable();
+            let want: Vec<u32> =
+                (0..i as u32).filter(|&j| rects[j as usize].intersects(rect)).collect();
+            assert_eq!(got, want, "push of rect {i}");
+        }
+        assert_eq!(set.wide, vec![3, 5]);
+        assert_eq!(probe(&set, &r(300.0, 300.0, 301.0, 301.0)), vec![3]);
+        assert_eq!(stab(&set, Point::new(8.0, 8.0)), 3 + 1 + 1 + 3);
     }
 
     /// Repeated pushes sharing one scratch, interleaved with a sweep on

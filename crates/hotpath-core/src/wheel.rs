@@ -212,10 +212,9 @@ impl TimerWheel {
     }
 
     /// Every held event, sorted by [`ExpiryEvent::sort_key`] — the
-    /// canonical checkpoint order. Sorting makes the serialized section
-    /// a pure function of the event *multiset*, independent of bucket
-    /// layout, so `checkpoint(restore(image))` reproduces `image` byte
-    /// for byte.
+    /// canonical image order. Sorting makes the list a pure function of
+    /// the event *multiset*, independent of bucket layout, so
+    /// `image(from_image(image))` reproduces `image` exactly.
     pub fn sorted_events(&self) -> Vec<ExpiryEvent> {
         let mut out = Vec::with_capacity(self.len);
         out.extend_from_slice(&self.ready);

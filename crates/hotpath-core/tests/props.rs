@@ -7,12 +7,12 @@
 //! against the paper-level reference in `hotpath-baseline`'s
 //! `tests/reference.rs`.
 
-use hotpath_core::checkpoint::SectionKind;
+use hotpath_core::checkpoint::Checkpoint;
 use hotpath_core::config::{Config, Tolerance};
 use hotpath_core::coordinator::{Coordinator, EndpointResponse};
 use hotpath_core::geometry::{Point, Rect, Segment, TimePoint};
-use hotpath_core::index::{ExpiryEvent, PathTable};
-use hotpath_core::motion_path::{MotionPath, PathId};
+use hotpath_core::index::PathTable;
+use hotpath_core::motion_path::PathId;
 use hotpath_core::raytrace::{
     ClientState, FilterStats, RayTraceCore, RayTraceFilter, Ssa, UncertainRayTraceFilter,
 };
@@ -305,13 +305,13 @@ proptest! {
             }
             let _ = c.process_epoch(Timestamp(e * 10));
         }
-        // Undelivered states must travel inside the pending section.
+        // Undelivered states must travel inside the pending list.
         for i in 0..leftover {
             c.submit(state(i, roll(), epochs * 10 + 9));
         }
 
-        let image = c.checkpoint();
-        let restored = Coordinator::from_checkpoint(config, &image)
+        let image = Checkpoint::new(c.image());
+        let restored = Coordinator::from_image(config, image.image())
             .expect("restore of a fresh image");
         restored.check_consistency().expect("restored coordinator inconsistent");
         prop_assert_eq!(restored.index_size(), c.index_size());
@@ -321,12 +321,13 @@ proptest! {
             c.top_k_score().to_bits()
         );
 
-        let second = restored.checkpoint();
+        let second = Checkpoint::from_bytes(Checkpoint::new(restored.image()).as_bytes().to_vec())
+            .expect("the re-checkpoint decodes");
         prop_assert_eq!(second.as_bytes(), image.as_bytes(), "re-checkpoint drifted");
-        let twice = Coordinator::from_checkpoint(config, &second)
+        let twice = Coordinator::from_image(config, second.image())
             .expect("double restore");
         twice.check_consistency().expect("double-restored coordinator inconsistent");
-        let third = twice.checkpoint();
+        let third = Checkpoint::new(twice.image());
         prop_assert_eq!(third.as_bytes(), image.as_bytes(), "double restore drifted");
     }
 }
@@ -341,7 +342,7 @@ proptest! {
     /// its path with it, so a coordinator grown from any random schedule
     /// holds no path, no hot path and no pending event; its table audit
     /// passes, which leaves no grid cell, adjacency list or count bucket
-    /// live or dirty; and its image's Paths and Events sections equal a
+    /// live or dirty; and its image's path and event lists equal a
     /// fresh coordinator's.
     #[test]
     fn drained_coordinator_matches_a_fresh_one(
@@ -385,15 +386,9 @@ proptest! {
         prop_assert_eq!(c.hot_count(), 0);
         prop_assert_eq!(c.pending_expiry_events(), 0);
         c.check_consistency().expect("drained coordinator inconsistent");
-        let (image, fresh) = (c.checkpoint(), Coordinator::new(config).checkpoint());
-        prop_assert_eq!(
-            image.section::<MotionPath>(SectionKind::Paths).unwrap(),
-            fresh.section::<MotionPath>(SectionKind::Paths).unwrap()
-        );
-        prop_assert_eq!(
-            image.section::<ExpiryEvent>(SectionKind::Events).unwrap(),
-            fresh.section::<ExpiryEvent>(SectionKind::Events).unwrap()
-        );
+        let (image, fresh) = (c.image(), Coordinator::new(config).image());
+        prop_assert_eq!(image.paths, fresh.paths);
+        prop_assert_eq!(image.events, fresh.events);
     }
 }
 
@@ -496,10 +491,8 @@ proptest! {
             (head, snap.top_k_score.to_bits(), top)
         };
         prop_assert_eq!(published(&spread), published(&last));
-        let paths = |c: &Coordinator| c.checkpoint().section::<MotionPath>(SectionKind::Paths).unwrap();
-        prop_assert_eq!(paths(&spread), paths(&last));
-        let events = |c: &Coordinator| c.checkpoint().section::<ExpiryEvent>(SectionKind::Events).unwrap();
-        prop_assert_eq!(events(&spread), events(&last));
+        prop_assert_eq!(spread.image().paths, last.image().paths);
+        prop_assert_eq!(spread.image().events, last.image().events);
         spread.check_consistency().map_err(TestCaseError::fail)?;
     }
 }

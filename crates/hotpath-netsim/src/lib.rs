@@ -20,6 +20,7 @@
 //! assert!(measurements.len() <= 100);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -32,6 +32,7 @@
 //! handle.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -359,11 +359,10 @@ impl ScenarioDriver<'_> {
     }
 }
 
-/// The restart-parity probe: serialize the engine, destroy it, and
-/// rebuild a fresh one from the bytes alone — decoded and validated
-/// (magic, version, every CRC) as a real recovery would. Runs after
-/// boundary resubmissions, so the image carries them in the pending
-/// section.
+/// The restart-parity probe: encode the engine's state, destroy the
+/// engine, and rebuild a fresh one from the bytes alone — decoded, then
+/// structurally checked as the restore adopts them. Runs after boundary
+/// resubmissions, so the image carries them in its pending list.
 fn restart(engine: &mut Box<dyn Engine>) {
     let bytes = engine.checkpoint().as_bytes().to_vec();
     let config = *engine.config();

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Mutation check of the coordinator's reference differential, of the
-# workload generator's tests and of the run reports' tests:
+# core's checkpoint tests, of the workload generator's tests and of the
+# run reports' tests:
 #
 #   scripts/mutants.sh [mutant-name ...]
 #
@@ -8,7 +9,8 @@
 # under $TMPDIR. For each table below it runs the table's test command
 # on the unmutated copy, then once per mutant with that one edit
 # applied: `cargo test -q -p hotpath-baseline --test reference` for the
-# core's mutants, `cargo test -q -p hotpath-netsim` for the generator's,
+# core's mutants, `cargo test -q -p hotpath-core` for the checkpoint's,
+# `cargo test -q -p hotpath-netsim` for the generator's,
 # `cargo test -q -p hotpath-sim` for the report's.
 # Each mutant is (name, file, exact original text, replacement); the
 # script refuses to run when an original no longer occurs exactly once
@@ -105,6 +107,25 @@ mutants=(
   'for e in earlier.iter().filter_map(|&j| made[j as usize].filter(|_| false)) {'
 )
 
+# The checkpoint's mutants (codec and adoption), in the same layout.
+checkpoint_mutants=(
+  decoder_accepts_trailing_bytes "$core/checkpoint.rs"
+  'if r.at != bytes.len() {'
+  'if false {'
+
+  adoption_keeps_an_event_naming_no_path "$core/index/path_table.rs"
+  'return Err(format!("an expiry event names {}, which is not stored", ev.id));'
+  'continue;'
+
+  adoption_ignores_the_config_echo "$core/coordinator.rs"
+  'if image.config != config {'
+  'if false {'
+
+  restore_drops_the_pending_batch "$core/coordinator.rs"
+  'pending: image.pending.clone(),'
+  'pending: Vec::new(),'
+)
+
 # The workload generator's mutants, in the same layout.
 generator_mutants=(
   walker_keeps_a_stale_position "$netsim/mobility/walker.rs"
@@ -149,7 +170,7 @@ selected() {
 }
 
 stale=0
-for table in mutants generator_mutants report_mutants; do
+for table in mutants checkpoint_mutants generator_mutants report_mutants; do
   declare -n entries=$table
   for ((i = 0; i < ${#entries[@]}; i += 4)); do
     name=${entries[i]} file=${entries[i+1]} orig=${entries[i+2]}
@@ -210,6 +231,7 @@ check() {
 }
 
 check mutants cargo test -q --offline -p hotpath-baseline --test reference
+check checkpoint_mutants cargo test -q --offline -p hotpath-core
 check generator_mutants cargo test -q --offline -p hotpath-netsim
 check report_mutants cargo test -q --offline -p hotpath-sim
 [ "$survivors" -eq 0 ]

@@ -22,6 +22,7 @@
 //! # engine.finish();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use hotpath_baseline as baseline;
@@ -45,7 +46,7 @@ pub mod prelude {
     // Snapshot reads.
     pub use hotpath_core::snapshot::{SnapshotCell, SnapshotHandle};
     // Checkpoint/restore.
-    pub use hotpath_core::checkpoint::{Checkpoint, CheckpointError};
+    pub use hotpath_core::checkpoint::{Checkpoint, CheckpointError, CoordinatorImage};
     // The client-side state vocabulary.
     pub use hotpath_core::geometry::{Point, Rect, Segment};
     pub use hotpath_core::motion_path::{MotionPath, PathId};

@@ -9,6 +9,7 @@
 //! responses and snapshots, plus a byte-identical image after a double
 //! restore.
 
+use hotpath_core::checkpoint::Checkpoint;
 use hotpath_core::config::Config;
 use hotpath_core::coordinator::Coordinator;
 use hotpath_core::engine::{Engine, EngineKind};
@@ -124,7 +125,7 @@ proptest! {
         let mut early = next[..split].iter().copied();
         first.submit_batch(&mut early);
         let image = first.checkpoint();
-        prop_assert_eq!(image.epoch(), ck_epoch);
+        prop_assert_eq!(image.image().epoch(), ck_epoch);
         drop(first);
 
         // Fresh process-equivalent engine, dirtied so a leaky restore
@@ -135,9 +136,9 @@ proptest! {
         prop_assert_eq!(second.pending_len(), split);
         let restored_image = second.checkpoint();
         prop_assert_eq!(restored_image.as_bytes(), image.as_bytes(), "re-checkpoint drifted");
-        let twice = Coordinator::from_checkpoint(cfg(), &restored_image)
+        let twice = Coordinator::from_image(cfg(), restored_image.image())
             .expect("double restore failed");
-        let twice_image = twice.checkpoint();
+        let twice_image = Checkpoint::new(twice.image());
         prop_assert_eq!(twice_image.as_bytes(), image.as_bytes(), "double restore drifted");
 
         // Continue: the rest of the split batch, then the tail epochs.

@@ -8,6 +8,7 @@
 //! are per thread, so the harness and the other tests running beside a
 //! measurement never show up in it.
 
+use hotpath_core::checkpoint::Checkpoint;
 use hotpath_core::config::Config;
 use hotpath_core::coordinator::{Coordinator, EndpointResponse, HotSnapshot};
 use hotpath_core::geometry::{Point, Rect, TimePoint};
@@ -172,16 +173,14 @@ fn uncertain_filters_built_from_one_table_do_not_allocate() {
 /// stores: a 100 x 100 lattice of isolated crossings.
 const RESTORE_PATHS: u64 = 10_000;
 
-/// The allocation half of a restore's trust boundary: every section is
-/// decoded once out of the image already in memory and the table's
-/// derived structures are rebuilt from it, so the bytes a restore
-/// allocates are a bounded multiple of the image. Measured on this
-/// 10 000-path image (560 376 bytes): 7 816 316 bytes, 13.95 times its
-/// length — 1.0 for the decoded sections, the rest the index rebuilt
-/// around them (30 083 allocations, three per path, among them its
-/// start vertex's adjacency list and its end cell, and hash maps grown
-/// by doubling) plus the top-k walk of the snapshot the restore
-/// publishes. The pin allows 16.
+/// The allocation side of a restore: the table's derived structures are
+/// rebuilt from the image's lists in place, so the bytes a restore
+/// allocates are a bounded multiple of the image's encoding. Measured on
+/// this 10 000-path image (560 208 bytes): 7 256 164 bytes, 12.95 times
+/// its length — the index rebuilt around the paths (three allocations
+/// per path, among them its start vertex's adjacency list and its end
+/// cell, and hash maps grown by doubling) plus the top-k walk of the
+/// snapshot the restore publishes. The pin allows 16.
 #[test]
 fn a_restore_allocates_at_most_16_times_its_image() {
     let config = Config::builder().window(1_000).k(10).build().unwrap();
@@ -201,16 +200,14 @@ fn a_restore_allocates_at_most_16_times_its_image() {
     }));
     assert_eq!(coordinator.process_epoch(Timestamp(10)).len(), RESTORE_PATHS as usize);
     assert_eq!(coordinator.index_size(), RESTORE_PATHS as usize);
-    let image = coordinator.checkpoint();
+    let image = Checkpoint::new(coordinator.image());
 
-    let (bytes, restored) = bytes_in(|| Coordinator::from_checkpoint(config, &image));
+    let (bytes, restored) = bytes_in(|| Coordinator::from_image(config, image.image()));
     let restored = restored.expect("the image restores");
     assert_eq!(restored.index_size(), RESTORE_PATHS as usize);
-    let ratio = bytes as f64 / image.size_bytes() as f64;
-    println!(
-        "restore: {bytes} bytes allocated for a {}-byte image ({ratio:.2}x)",
-        image.size_bytes()
-    );
+    let image_bytes = image.as_bytes().len();
+    let ratio = bytes as f64 / image_bytes as f64;
+    println!("restore: {bytes} bytes allocated for a {image_bytes}-byte image ({ratio:.2}x)");
     assert!(ratio <= 16.0, "a restore allocated {ratio:.2} times its image");
 }
 
