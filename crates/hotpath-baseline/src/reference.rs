@@ -4,8 +4,8 @@
 //!
 //! Paths live in one `Vec` in id order, each with the exit times of its
 //! crossings inside the window. Every query scans that `Vec`: none of
-//! the core's path table, endpoint grid, timer wheel, FSA grid, vertex
-//! groups, read cache or max-depth sweep is used, so a bug in any of
+//! the core's path table, endpoint grid, expiry heap, FSA grid, vertex
+//! groups or max-depth sweep is used, so a bug in any of
 //! them shows up as a disagreement (`tests/reference.rs`). The rules
 //! are the ones `hotpath_core::strategy` documents:
 //!

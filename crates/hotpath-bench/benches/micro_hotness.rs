@@ -1,8 +1,7 @@
 //! Path-table hotness micro-bench (Section 5.2): recording a crossing is
-//! an expected-O(1) hash probe plus the count-bucket move, timer-wheel
-//! expiry O(expired) amortized per advance (no per-event heap churn,
-//! and a path whose count reaches zero leaves the table in the same
-//! call), and the top-k bucket walk O(k log k + threshold bucket +
+//! an expected-O(1) hash probe plus the count-bucket move and one heap
+//! push, expiry O(log pending) per expired event (a path whose count
+//! reaches zero leaves the table in the same call), and the top-k bucket walk O(k log k + threshold bucket +
 //! highest live count). The load here is the walk's worst case: every
 //! path sits at one count, so the threshold bucket is the whole table.
 //! The table is built and dropped outside the timed region.

@@ -6,7 +6,7 @@
 //! paths sorted by id and one sliding-window expiry event per unexpired
 //! crossing, sorted by `(expiry, id)`. Both orders are canonical, so an
 //! image is a function of the coordinator's logical state, not of its
-//! slab or wheel layout, and `image(from_image(image)) == image`.
+//! slab or heap layout, and `image(from_image(image)) == image`.
 //! [`Coordinator::image`](crate::coordinator::Coordinator::image) builds
 //! one and
 //! [`Coordinator::from_image`](crate::coordinator::Coordinator::from_image)

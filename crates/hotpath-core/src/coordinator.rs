@@ -497,7 +497,7 @@ impl Coordinator {
     /// The coordinator's logical state: counters, configuration echo,
     /// pending batch, the stored paths by id and the expiry events in
     /// `(expiry, id)` order. Both orders are canonical, so the image
-    /// depends on the logical state only, not on any slab or wheel
+    /// depends on the logical state only, not on any slab or heap
     /// layout.
     pub fn image(&self) -> CoordinatorImage {
         CoordinatorImage {
@@ -519,8 +519,8 @@ impl Coordinator {
     /// configuration, so a restore can never change it.
     ///
     /// The paths go into a fresh table in id order, each with as many
-    /// crossings as it has expiry events, and the events re-enter the
-    /// timer wheel keyed by the image's clock; every derived structure
+    /// crossings as it has expiry events, and the events are heapified
+    /// under the image's clock; every derived structure
     /// is rebuilt, and the published snapshot is built from the
     /// restored state — a read after a restore can never serve
     /// pre-restore data.

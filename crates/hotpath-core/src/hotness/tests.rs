@@ -101,8 +101,8 @@ fn advance_is_idempotent_per_timestamp() {
 
 #[test]
 fn advance_backwards_is_a_no_op() {
-    // A non-monotone `now` must not fire events early or corrupt the
-    // wheel clock.
+    // A non-monotone `now` must not fire events early or move the
+    // table's clock back.
     let mut hot = h(100);
     let p = cross(&mut hot, 1, 50, 1.0); // expiry 150
     assert!(hot.advance(Timestamp(120)).is_empty());
@@ -266,10 +266,10 @@ fn same_timestamp_events_expire_in_id_order() {
 }
 
 #[test]
-fn far_future_events_cascade_across_levels() {
-    // A huge window puts the expiry many wheel levels above the clock;
-    // advancing in uneven steps must cascade it down without firing
-    // early, and fire it exactly on time.
+fn far_future_events_fire_exactly_on_time() {
+    // A huge window puts the expiry ~2^40 ticks past the clock;
+    // advancing in uneven steps must not fire it early, and must fire
+    // it exactly on time.
     let w = (1u64 << 40) + 12345;
     let mut hot = h(w);
     let p = cross(&mut hot, 1, 7, 1.0);
@@ -289,8 +289,8 @@ fn far_future_events_cascade_across_levels() {
 }
 
 #[test]
-fn late_events_land_in_ready_and_fire_next_advance() {
-    // A crossing whose expiry is at or before the wheel clock (the
+fn late_events_fire_on_the_next_advance() {
+    // A crossing whose expiry is at or before the table's clock (the
     // window already slid past it) must still fire — on the next
     // advance that reaches its expiry, not before.
     let mut hot = h(10);
@@ -342,9 +342,9 @@ fn checkpoint_parts_roundtrip_continues_identically() {
 fn checkpoint_restore_is_byte_idempotent() {
     // The canonical path and event orders make image-of-restore
     // reproduce the original lists exactly, even though the restored
-    // slab and wheel layouts differ from the original's (restore inserts
-    // by id against the final clock; the original cascaded its way
-    // there).
+    // slab and heap layouts differ from the original's (restore inserts
+    // by id and heapifies the sorted events; the original pushed and
+    // popped its way there).
     let mut hot = h(1 << 20);
     let mut rand = lcg(3);
     let mut now = 0u64;
@@ -390,12 +390,12 @@ fn checkpoint_parts_reject_structural_corruption() {
     assert!(try_restore(&paths[..1], &events).is_err());
 }
 
-/// A minimal `(expiry, id)` min-heap — the semantics the wheel must
-/// reproduce — driven side by side with the wheel-backed table through
-/// adversarial schedules. This is the in-module complement to the
-/// whole-table model proptest in `tests/props.rs`.
+/// A minimal `(expiry, id)` min-heap over bare tuples — the semantics
+/// the table's expiry must reproduce — driven side by side with the
+/// table through adversarial schedules. This is the in-module
+/// complement to the whole-table model proptest in `tests/props.rs`.
 #[test]
-fn wheel_matches_heap_reference_side_by_side() {
+fn expiry_matches_heap_reference_side_by_side() {
     use std::collections::BinaryHeap;
     let w = 97u64;
     let mut hot = h(w);
@@ -404,7 +404,7 @@ fn wheel_matches_heap_reference_side_by_side() {
     let mut rand = lcg(2024);
     let mut now = 0u64;
     for step in 0..2_000 {
-        // Occasional large jumps exercise multi-level cascades.
+        // Occasional large jumps expire many events in one advance.
         now += if rand().is_multiple_of(50) { 1 + rand() % 500 } else { rand() % 4 };
         // Reference: pop everything due, in (expiry, id) order.
         let mut ref_died: Vec<PathId> = Vec::new();

@@ -19,8 +19,9 @@
 //!   every `±1` moves one path between adjacent buckets in O(1), so
 //!   [`PathTable::top_n`] walks down from the highest live count and
 //!   orders only what it returns;
-//! * *the expiry wheel*: one `<te + W, id>` event per unexpired crossing,
-//!   fired in amortized O(expired) per advance (see [`crate::wheel`]).
+//! * *the expiry heap*: one `<te + W, id>` event per unexpired crossing
+//!   in a binary min-heap, which pops due events in `(expiry, id)` order
+//!   at O(log pending) each.
 //!
 //! A path enters with its first crossing ([`PathTable::insert_edge`]),
 //! gains crossings through [`PathTable::record`], and leaves only by
@@ -37,8 +38,8 @@ use crate::fxhash::FxHashMap;
 use crate::geometry::{Point, Rect};
 use crate::motion_path::{MotionPath, PathId};
 use crate::time::{SlidingWindow, Timestamp};
-use crate::wheel::TimerWheel;
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Quantized vertex key.
 pub type VertexKey = (i64, i64);
@@ -87,22 +88,14 @@ pub struct EndVertex {
 }
 
 /// One pending expiry: a crossing of `id` leaves the window at `expiry`
-/// (`te + W`, Section 5.2).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// (`te + W`, Section 5.2). Events order by `(expiry, id)`: expiry pops
+/// them in that order, and an image's event list is sorted by it.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct ExpiryEvent {
     /// Expiry timestamp `te + W`.
     pub expiry: Timestamp,
     /// The path whose count decrements then.
     pub id: PathId,
-}
-
-impl ExpiryEvent {
-    /// The canonical `(expiry, id)` order: an expired batch is processed
-    /// in it, and an image's event list is sorted by it.
-    #[inline]
-    pub fn sort_key(&self) -> (Timestamp, PathId) {
-        (self.expiry, self.id)
-    }
 }
 
 /// One stored path and where it sits in the derived structures.
@@ -140,8 +133,11 @@ pub struct PathTable {
     /// particular order. `buckets[0]` stays empty and the vector ends at
     /// the highest live count.
     buckets: Vec<Vec<u32>>,
-    /// One `(te + W, id)` event per unexpired crossing.
-    wheel: TimerWheel,
+    /// One `(te + W, id)` event per unexpired crossing, earliest on top.
+    expiry: BinaryHeap<Reverse<ExpiryEvent>>,
+    /// The largest [`PathTable::advance`] time seen, or the restored
+    /// clock.
+    clock: Timestamp,
     /// The paths the last [`PathTable::advance`] removed, in order.
     died: Vec<PathId>,
     /// The id the next created path gets.
@@ -166,17 +162,18 @@ impl PathTable {
             out_adj: FxHashMap::default(),
             spare_adj: Vec::new(),
             buckets: Vec::new(),
-            wheel: TimerWheel::default(),
+            expiry: BinaryHeap::new(),
+            clock: Timestamp::ZERO,
             died: Vec::new(),
             next_id: 0,
             recorded: 0,
         }
     }
 
-    /// The expiry wheel's clock: the largest [`PathTable::advance`] time
-    /// seen, or the clock the table was restored against.
+    /// The largest [`PathTable::advance`] time seen, or the clock the
+    /// table was restored against.
     pub fn clock(&self) -> Timestamp {
-        Timestamp(self.wheel.clock())
+        self.clock
     }
 
     /// Number of stored paths — the paper's *index size*, and equally
@@ -225,7 +222,7 @@ impl PathTable {
     /// Pending expiry events: one per unexpired crossing, so the sum of
     /// all hotness counts.
     pub fn pending_events(&self) -> usize {
-        self.wheel.len()
+        self.expiry.len()
     }
 
     /// Total crossings ever recorded.
@@ -269,7 +266,7 @@ impl PathTable {
 
     /// Records that an object crossed the stored path `id`, exiting at
     /// `te`: the count rises by one and `<te + W, id>` joins the expiry
-    /// wheel (Section 5.2).
+    /// heap (Section 5.2).
     ///
     /// # Panics
     /// When `id` is not stored: crossings are only ever recorded on
@@ -297,7 +294,7 @@ impl PathTable {
         }
         self.rows[slot as usize].count = count + 1;
         self.bucket_push(slot, count + 1);
-        self.wheel.insert(ExpiryEvent { expiry: self.window.expiry_of(te), id: path.id });
+        self.expiry.push(Reverse(ExpiryEvent { expiry: self.window.expiry_of(te), id: path.id }));
         self.recorded += 1;
     }
 
@@ -322,19 +319,19 @@ impl PathTable {
         }
     }
 
-    /// Advances the clock to `now`: takes every event with
-    /// `expiry <= now` off the wheel and decrements the counts in
-    /// `(expiry, id)` order. A path whose count reaches zero leaves the
-    /// table at once. Returns the removed paths in removal order.
-    /// Amortized O(expired), independent of the pending-set size.
+    /// Advances the clock to `now`: pops every event with
+    /// `expiry <= now` off the heap, in `(expiry, id)` order, and
+    /// decrements its path's count. A path whose count reaches zero
+    /// leaves the table at once. Returns the removed paths in removal
+    /// order. O(expired · log pending).
     pub fn advance(&mut self, now: Timestamp) -> &[PathId] {
         self.died.clear();
-        self.wheel.advance_collect(now.raw());
-        let mut expired = self.wheel.take_expired();
-        // Apply in `(expiry, id)` order, so removal order — and hence
-        // slab order — is independent of the wheel's bucket layout.
-        expired.sort_unstable_by_key(ExpiryEvent::sort_key);
-        for ev in &expired {
+        self.clock = self.clock.max(now);
+        while let Some(&Reverse(ev)) = self.expiry.peek() {
+            if ev.expiry > now {
+                break;
+            }
+            self.expiry.pop();
             let slot = self.slot_of[&ev.id];
             let count = self.rows[slot as usize].count;
             self.bucket_remove(slot, count);
@@ -350,7 +347,6 @@ impl PathTable {
         while self.buckets.last().is_some_and(Vec::is_empty) {
             self.buckets.pop();
         }
-        self.wheel.give_expired(expired);
         &self.died
     }
 
@@ -449,8 +445,8 @@ impl PathTable {
     /// Internal-consistency audit used by tests and debug assertions:
     /// every row is found through the id map, its bucket position and
     /// its grid position; every adjacency entry matches its row; no
-    /// emptied cell, list or bucket is left live or dirty; the wheel is
-    /// sound and holds exactly one event per unit of hotness.
+    /// emptied cell, list or bucket is left live or dirty; the heap holds
+    /// exactly one event per unit of hotness.
     pub fn check_consistency(&self) -> Result<(), String> {
         let n = self.rows.len();
         if self.slot_of.len() != n || self.grid.len() != n {
@@ -514,12 +510,11 @@ impl PathTable {
         if out_total != n {
             return Err(format!("adjacency size {out_total} vs {n} rows"));
         }
-        self.wheel.check()?;
         let total: usize = self.rows.iter().map(|r| r.count as usize).sum();
-        if total != self.wheel.len() {
+        if total != self.expiry.len() {
             return Err(format!(
                 "{total} units of hotness vs {} pending expiry events",
-                self.wheel.len()
+                self.expiry.len()
             ));
         }
         Ok(())
@@ -536,17 +531,19 @@ impl PathTable {
 
     /// Every pending expiry event in canonical `(expiry, id)` order (the
     /// image's event list): a pure function of the event multiset,
-    /// independent of the wheel's bucket layout.
+    /// independent of the heap's layout.
     pub fn events_vec(&self) -> Vec<ExpiryEvent> {
-        self.wheel.sorted_events()
+        let mut events: Vec<ExpiryEvent> = self.expiry.iter().map(|r| r.0).collect();
+        events.sort_unstable();
+        events
     }
 
     /// Fills this empty table from an image's lists: `paths` sorted by
     /// id ([`PathTable::paths_by_id`]) and `events` in canonical order
     /// ([`PathTable::events_vec`]). The rows go in in id order; each
-    /// count is the number of the path's events, which re-enter a fresh
-    /// wheel keyed by `clock`, the image's clock; the grid, adjacency
-    /// and buckets are rebuilt. Nothing of the old slab order survives,
+    /// count is the number of the path's events, which are heapified
+    /// under `clock`, the image's clock; the grid, adjacency and buckets
+    /// are rebuilt. Nothing of the old slab order survives,
     /// so the image is independent of it.
     ///
     /// # Errors
@@ -585,18 +582,18 @@ impl PathTable {
             outs.push(edge);
             self.place(path, edge.len);
         }
-        if events.windows(2).any(|w| w[0].sort_key() > w[1].sort_key()) {
+        if events.windows(2).any(|w| w[0] > w[1]) {
             return Err("events section is not sorted by (expiry, id)".into());
         }
-        self.wheel = TimerWheel::new(clock.raw());
         for &ev in events {
             let Some(&slot) = self.slot_of.get(&ev.id) else {
                 return Err(format!("an expiry event names {}, which is not stored", ev.id));
             };
             let count = &mut self.rows[slot as usize].count;
             *count = count.checked_add(1).ok_or(format!("{} has too many events", ev.id))?;
-            self.wheel.insert(ev);
         }
+        self.expiry = events.iter().copied().map(Reverse).collect();
+        self.clock = clock;
         for slot in 0..self.rows.len() as u32 {
             let Row { path, count, .. } = self.rows[slot as usize];
             if count == 0 {

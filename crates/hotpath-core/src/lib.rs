@@ -19,7 +19,7 @@
 //!   lookup-table fast path.
 //! * [`index`] — the **path table**: every stored motion path with its
 //!   sliding-window hotness in one slab, under the grid-based MotionPath
-//!   index of Section 5.1 and the expiry wheel of Section 5.2.
+//!   index of Section 5.1 and the expiry heap of Section 5.2.
 //! * [`strategy`] — the **SinglePath** discovery strategy (Algorithm 2)
 //!   with FSA-overlap candidate generation.
 //! * [`coordinator`] — the epoch-batched coordinator facade tying the
@@ -80,7 +80,6 @@ pub mod stats;
 pub mod strategy;
 pub mod time;
 pub mod uncertainty;
-pub mod wheel;
 
 /// Tests of the path table's sliding-window hotness side: counting,
 /// expiry order, the top-k walk and restore (Section 5.2).

@@ -138,7 +138,7 @@ impl SlidingWindow {
     }
 
     /// Expiry time of a crossing that exited at `te`: the tuple
-    /// `<te + W, id>` is enqueued on the expiry wheel at this timestamp
+    /// `<te + W, id>` is pushed onto the expiry heap at this timestamp
     /// (Section 5.2).
     #[inline]
     pub fn expiry_of(&self, te: Timestamp) -> Timestamp {

@@ -1,5 +1,5 @@
 //! Property suites over the core data structures: geometry algebra, SSA
-//! safety, tolerance-solver analytics, the expiry wheel, checkpoint
+//! safety, tolerance-solver analytics, expiry order, checkpoint
 //! round trips, drain to empty, arrival-order invariance and the
 //! RayTrace filters —
 //! each invariant checked against a brute-force oracle. The coordinator
@@ -212,15 +212,14 @@ proptest! {
 
     // ---------------- hotness window ----------------
 
-    // The timer wheel behind the path table must reproduce the retired
-    // binary heap's externally observable behavior exactly: identical
-    // death order out of `advance` (the heap popped `(expiry, id)`
-    // ascending; the wheel sorts each epoch's expired batch the same
-    // way) and identical counts, after any schedule of crossings, idle
-    // steps and clock jumps. The reference heap here *is* the old
-    // algorithm: pop due events in order, decrement, drop at zero.
+    // The path table's expiry must match a model heap's externally
+    // observable behavior exactly: identical death order out of
+    // `advance` (pop `(expiry, id)` ascending) and identical counts,
+    // after any schedule of crossings, idle steps and clock jumps. The
+    // reference here is the whole algorithm over bare tuples and a
+    // count map: pop due events in order, decrement, drop at zero.
     #[test]
-    fn wheel_expiry_order_matches_heap_reference(
+    fn expiry_order_matches_heap_reference(
         schedule in prop::collection::vec((0u64..12, 0u64..60, 0u64..8), 1..250),
         window in 1u64..1500,
     ) {
@@ -231,8 +230,8 @@ proptest! {
         let mut counts: HashMap<PathId, u32> = HashMap::new();
         let mut now = 0u64;
         for (k, g, action) in schedule {
-            // Mostly small steps, occasionally a jump past several wheel
-            // slots (and, with a large window, across wheel levels).
+            // Mostly small steps, occasionally a jump that expires many
+            // events in one advance.
             now += if g >= 55 { g * 37 } else { g % 9 };
             let mut ref_died: Vec<PathId> = Vec::new();
             while heap.peek().is_some_and(|&Reverse((e, _))| e <= now) {

@@ -41,6 +41,10 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Seed of the driver's Gaussian re-measurement device, kept apart from
+/// the scenario seed so noise and workload vary independently.
+const NOISE_SEED: u64 = 0x5eed;
+
 /// Driver knobs; defaults mirror the scenario integration tests.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioRunParams {
@@ -59,9 +63,6 @@ pub struct ScenarioRunParams {
     pub epoch: u64,
     /// Top-k size.
     pub k: usize,
-    /// Seed for the driver's Gaussian re-measurement device (kept apart
-    /// from the scenario seed so noise and workload vary independently).
-    pub noise_seed: u64,
     /// Seed for fault-victim selection when the scenario declares
     /// [`hotpath_netsim::scenario::FaultWindow`]s; runs are
     /// deterministic per seed.
@@ -96,7 +97,6 @@ impl Default for ScenarioRunParams {
             window: None,
             epoch: 5,
             k: 10,
-            noise_seed: 0x5eed,
             fault_seed: FaultPlan::DEFAULT_SEED,
             dp: false,
             overlap: OverlapPolicy::Full,
@@ -409,7 +409,7 @@ fn run_with_restart(
         dp: params.dp.then(|| DpHotSegments::new(params.eps, EndpointPolicy::Nopw, config.window)),
         k: params.k,
         noise: GaussianNoise::new(params.sigma),
-        rng: SmallRng::seed_from_u64(params.noise_seed),
+        rng: SmallRng::seed_from_u64(NOISE_SEED),
         batch: Vec::new(),
         states: Vec::new(),
         samples: Vec::new(),

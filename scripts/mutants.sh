@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Mutation check of the coordinator's reference differential, of the
-# core's checkpoint tests, of the workload generator's tests and of the
-# run reports' tests:
+# core's checkpoint and expiry tests, of the workload generator's tests
+# and of the run reports' tests:
 #
 #   scripts/mutants.sh [mutant-name ...]
 #
@@ -9,7 +9,8 @@
 # under $TMPDIR. For each table below it runs the table's test command
 # on the unmutated copy, then once per mutant with that one edit
 # applied: `cargo test -q -p hotpath-baseline --test reference` for the
-# core's mutants, `cargo test -q -p hotpath-core` for the checkpoint's,
+# core's mutants, `cargo test -q -p hotpath-core` for the checkpoint's
+# and the expiry heap's,
 # `cargo test -q -p hotpath-netsim` for the generator's,
 # `cargo test -q -p hotpath-sim` for the report's.
 # Each mutant is (name, file, exact original text, replacement); the
@@ -126,6 +127,41 @@ checkpoint_mutants=(
   'pending: Vec::new(),'
 )
 
+# The expiry heap's mutants, in the same layout.
+expiry_mutants=(
+  expiry_fires_one_tick_early "$core/index/path_table.rs"
+  'if ev.expiry > now {'
+  'if ev.expiry > now.after(1) {'
+
+  equal_expiries_pop_in_descending_id "$core/index/path_table.rs"
+  '#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub struct ExpiryEvent {
+    /// Expiry timestamp `te + W`.
+    pub expiry: Timestamp,
+    /// The path whose count decrements then.
+    pub id: PathId,
+}'
+  '#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ExpiryEvent {
+    /// Expiry timestamp `te + W`.
+    pub expiry: Timestamp,
+    /// The path whose count decrements then.
+    pub id: PathId,
+}
+
+impl Ord for ExpiryEvent {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.expiry.cmp(&other.expiry).then(other.id.cmp(&self.id))
+    }
+}
+
+impl PartialOrd for ExpiryEvent {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}'
+)
+
 # The workload generator's mutants, in the same layout.
 generator_mutants=(
   walker_keeps_a_stale_position "$netsim/mobility/walker.rs"
@@ -170,7 +206,7 @@ selected() {
 }
 
 stale=0
-for table in mutants checkpoint_mutants generator_mutants report_mutants; do
+for table in mutants checkpoint_mutants expiry_mutants generator_mutants report_mutants; do
   declare -n entries=$table
   for ((i = 0; i < ${#entries[@]}; i += 4)); do
     name=${entries[i]} file=${entries[i+1]} orig=${entries[i+2]}
@@ -232,6 +268,7 @@ check() {
 
 check mutants cargo test -q --offline -p hotpath-baseline --test reference
 check checkpoint_mutants cargo test -q --offline -p hotpath-core
+check expiry_mutants cargo test -q --offline -p hotpath-core
 check generator_mutants cargo test -q --offline -p hotpath-netsim
 check report_mutants cargo test -q --offline -p hotpath-sim
 [ "$survivors" -eq 0 ]

@@ -176,7 +176,7 @@ const RESTORE_PATHS: u64 = 10_000;
 /// The allocation side of a restore: the table's derived structures are
 /// rebuilt from the image's lists in place, so the bytes a restore
 /// allocates are a bounded multiple of the image's encoding. Measured on
-/// this 10 000-path image (560 208 bytes): 7 256 164 bytes, 12.95 times
+/// this 10 000-path image (560 208 bytes): 6 858 148 bytes, 12.24 times
 /// its length — the index rebuilt around the paths (three allocations
 /// per path, among them its start vertex's adjacency list and its end
 /// cell, and hash maps grown by doubling) plus the top-k walk of the
@@ -300,12 +300,13 @@ fn a_warmed_epoch_allocates_only_its_reply_and_snapshot() {
         let reply_bytes = (reply.capacity() * std::mem::size_of::<EndpointResponse>()) as u64;
         (ingest, boundary - idle - reply_bytes)
     };
-    // Warm-up: the clock sweeps a whole rotation of the expiry wheel's
-    // second level (4 096 ticks), so every bucket holds a buffer.
-    for e in 1..=450 {
+    // Warm-up: one epoch past a full window (10 epochs), so the expiry
+    // heap, the id map and every index structure have grown to the size
+    // the churn keeps. This is the shortest warm-up that passes.
+    for e in 1..=11 {
         epoch(&mut c, e);
     }
-    for e in 451..=470 {
+    for e in 12..=31 {
         assert_eq!(epoch(&mut c, e), (0, 0), "epoch {e}: (ingest, strategy) bytes");
     }
     let p = c.processing_stats();
@@ -342,13 +343,11 @@ fn index_churn_through_empty_cells_and_lists_does_not_allocate() {
         now += 1;
         assert_eq!(table.advance(Timestamp(now)).len(), 16);
     };
-    // Warm-up: path ids are always fresh, so the id map settles its
-    // capacity; and the clock sweeps a whole rotation of the wheel's
-    // second level (4 096 ticks), so every bucket the churn's expiries
-    // land in holds a buffer before the count starts.
-    for _ in 0..2_100 {
-        cycle(&mut table);
-    }
+    // Warm-up: one cycle, so the cells, lists, id map and expiry heap
+    // the churn reuses have grown to their size before the count starts.
+    // Path ids are always fresh, but the id map reclaims the slots of
+    // removed ids without growing.
+    cycle(&mut table);
     let (n, ()) = allocs_in(|| (0..100).for_each(|_| cycle(&mut table)));
     assert_eq!(n, 0, "100 store/expire cycles through empty cells and lists allocated");
     assert_eq!(table.len(), 64);
