@@ -262,7 +262,11 @@ check() {
     else
       echo "killed   $name"
     fi
+    # A restored file keeps the mtime of its copy, older than the
+    # mutant's build: touch it so the next build of the crate, the next
+    # table's unmutated run included, does not reuse the mutant.
     mv "$work/$file.orig" "$work/$file"
+    touch "$work/$file"
   done
 }
 
